@@ -13,10 +13,7 @@ relations sized by ``BENCH_SMOKE``:
   few hundred bytes.  AQE (rule 1) converts the shuffled join to a
   broadcast join at the stage barrier.
 
-Both runs disable the thread-pool stage runner: AQE decisions depend only
-on measured partition sizes, but the parallel runner's placement is
-wall-clock-sensitive and would flake the exported simulated totals.  Every
-configuration must return identical rows.  Deterministic simulated totals
+Every configuration must return identical rows.  Deterministic simulated totals
 are exported as ``BENCH_aqe.json`` for the CI regression gate
 (``check_regression.py``).
 """
@@ -54,12 +51,10 @@ SKEW_CONF = {
     "sql.aqe.targetPartitionBytes": 16 * 1024,
     "sql.aqe.skewedPartitionFactor": 2.0,
     "sql.aqe.skewedPartitionThresholdBytes": 16 * 1024,
-    "engine.parallel.enabled": False,
 }
 BROADCAST_CONF = {
     "sql.autoBroadcastJoinThreshold": 1024,
     "sql.local.scan.partitions": 4,
-    "engine.parallel.enabled": False,
 }
 
 SKEW_SQL = "SELECT f.payload, d.name FROM fact f JOIN dim d ON f.fk = d.id"

@@ -61,7 +61,6 @@ BASE_CONF = {
     "sql.autoBroadcastJoinThreshold": 1,   # keep every join shuffled
     "sql.shuffle.partitions": 8,
     "sql.local.scan.partitions": 4,
-    "engine.parallel.enabled": False,
 }
 
 #: worst syntactic order: the non-reducing dim join comes first

@@ -6,9 +6,10 @@ mid-scan page fetches, pushed-down filter evaluation, shuffle fetches,
 executor hosts).  Whether a given invocation of a fault point fires is a
 pure function of ``(seed, point, key, invocation index)`` -- no wall clock,
 no ``random`` module -- so a chaos schedule replays identically for a given
-seed even though the engine runs tasks on a thread pool: each ``(point,
-key)`` pair keeps its own invocation counter, and per-key invocation order
-is determined by the task that owns the key, not by thread interleaving.
+seed even with concurrent queries on the session's thread pool: each
+``(point, key)`` pair keeps its own invocation counter, and per-key
+invocation order is determined by the task that owns the key, not by
+thread interleaving.
 
 With no injector installed every fault point is a single ``is None`` check,
 and the code path is byte-for-byte the fault-free one: turning fault
@@ -125,15 +126,14 @@ def crash_region_server(ctx: dict) -> None:
 
 @dataclass
 class SlowHostEffect:
-    """Returned (not raised) by a slow-host rule: the straggler knobs.
+    """Returned (not raised) by a slow-host rule: the straggler knob.
 
-    ``factor`` multiplies the simulated cost the task accrued; ``sleep_s``
-    holds the task open in *wall-clock* time so the stage's speculative
-    execution can observe a still-running tail task and race a copy.
+    ``factor`` multiplies the simulated cost the task accrued, so the task
+    finishes late in simulated time -- which is where the stage runner's
+    speculative execution sees a straggler and races a copy against it.
     """
 
     factor: float = 4.0
-    sleep_s: float = 0.0
 
     def __call__(self, ctx: dict) -> "SlowHostEffect":
         """Acting on a slow-host fault just hands the effect to the site."""

@@ -16,10 +16,10 @@ itself, so the hot path never branches on a flag or allocates.  Code that
 may run without any span at all (e.g. the HBase client, which only sees a
 ``CostLedger``) checks ``ledger.trace_span is None`` first.
 
-Span trees are deterministic under the parallel runner: children record an
-``order`` key at creation (stage id, task index, attempt number, ...) and
-``finish()`` sorts them by it, so the rendered tree does not depend on
-thread interleaving.  ``to_dict()`` serialises a trace to plain JSON for
+Span trees are deterministic: children record an ``order`` key at creation
+(stage id, task index, attempt number, ...) and ``finish()`` sorts them by
+it, so the rendered tree does not depend on the order tasks were placed in
+or on how concurrent queries interleave.  ``to_dict()`` serialises a trace to plain JSON for
 the bench harness and the ``repro trace`` CLI; :func:`render_trace` is the
 shared pretty-printer over that JSON shape.
 """

@@ -73,9 +73,9 @@ class _Entry:
 class CacheManager:
     """Byte-budgeted LRU store of materialised plan fragments.
 
-    All mutation happens under one lock: the parallel stage runner publishes
-    partitions from many executor threads, and the session thread-pool can
-    run queries over the same cached plan concurrently.
+    All mutation happens under one lock: the session thread-pool can run
+    queries over the same cached plan concurrently, each publishing
+    partitions from its own thread.
     """
 
     def __init__(self, capacity_bytes: int) -> None:

@@ -70,9 +70,9 @@ class ComputeCluster:
     def slots(self) -> List[Executor]:
         """One entry per task slot (an executor appears once per core).
 
-        The expansion is computed once and a copy handed out: the parallel
-        stage runner sizes its worker pool off this list and indexes slots
-        by position, so the ordering must be stable for the cluster's life.
+        The expansion is computed once and a copy handed out: the stage
+        runner indexes slots by position, so the ordering must be stable
+        for the cluster's life.
         """
         if self._slots is None:
             expanded: List[Executor] = []

@@ -1,37 +1,33 @@
-"""Stage runners: serial and thread-pool task execution with event-driven placement.
+"""The stage runner: event-driven placement in simulated time, tasks inline.
 
-The scheduler used to run every task of a stage serially on the driver
-thread, so real wall-clock time was single-threaded no matter how many
-executor slots the cluster had.  This module makes execution genuinely
-parallel while keeping the simulated cost ledger intact:
+A stage's tasks are placed by a discrete-event loop over the executor
+slots' *simulated* timelines.  Whenever a slot frees up it is offered the
+next task, preferring tasks local to that slot's host; a task whose
+preferred hosts are all busy waits briefly (delay scheduling, counted in
+scheduling events rather than seconds) before accepting a non-local slot.
+The next event is always the earliest simulated completion among the
+running tasks -- a heap pop.
 
-* :class:`SerialStageRunner` is the deterministic baseline.  It fixes the
-  old placement bug (least-loaded by task *count* while makespan was
-  tracked in *time*) by placing each task on the slot that frees earliest
-  in simulated time, preferring locality.
+Every task body executes inline on the calling thread, at the moment the
+loop places it: its ledger is therefore known at once and its simulated
+completion can be queued.  Stage execution creates no thread, pool, future
+or lock, and the same job always yields the same placement, task order and
+simulated timeline (docs/engine.md says why worker threads were removed).
+Concurrent *queries* still run on threads, each driving its own stages.
 
-* :class:`ThreadPoolStageRunner` runs one worker per executor slot and
-  dispatches tasks **event-driven**: whenever a slot frees up, the
-  dispatcher picks the next task for it, preferring tasks local to that
-  slot's host.  A task whose preferred hosts are all busy waits briefly
-  (delay scheduling, counted in scheduling events rather than seconds so
-  runs stay reproducible) before accepting a non-local slot.
-
-Both runners account simulated time per slot -- a task's simulated start is
-the moment its slot frees -- so the stage's simulated makespan is consistent
-with the placement that actually happened, even when task durations are
-heavily skewed.  Wall-clock time is measured around the whole stage and
-reported separately; ``realtime_scale`` optionally sleeps each worker for
-``simulated_seconds * scale`` to emulate the I/O wait a real scan would
-spend off-CPU, which is what makes thread-level overlap visible to a
-wall-clock benchmark.
+A task's simulated start is the moment its slot freed, so the stage's
+simulated makespan is consistent with the placement even when durations are
+heavily skewed.  Wall-clock time is measured around the whole stage;
+``realtime_scale`` optionally sleeps ``makespan * scale`` once per stage, so
+a wall-clock benchmark sees the simulated schedule (more slots, shorter
+wall) and concurrent queries overlap their emulated I/O waits.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -52,10 +48,6 @@ class TaskSpec:
     skips: int = 0                       # delay-scheduling bookkeeping
     #: True for a duplicate launched by speculative execution
     speculative: bool = False
-    #: set by the task executor while an attempt runs, so the dispatcher can
-    #: observe a straggler's accrued simulated cost and where it is running
-    live_ledger: Optional[CostLedger] = None
-    live_host: Optional[str] = None
 
 
 @dataclass
@@ -95,9 +87,21 @@ class StageExecution:
 #: the scheduler-provided task executor: (spec, host, slot_index) -> outcome
 RunTaskFn = Callable[[TaskSpec, str, int], TaskOutcome]
 
+#: a launched task queued on its simulated completion; (sim_end, task index,
+#: speculative) is unique within a stage, so the heap never compares further
+_Running = Tuple[float, int, bool, TaskSpec, TaskOutcome]
+
 
 class StageRunner:
-    """Shared placement machinery for the serial and thread-pool runners."""
+    """Places a stage's tasks on executor slots and runs them inline.
+
+    Each time a slot frees up it is offered (1) a pending task that prefers
+    its host, then (2) a task with no preference, then (3) a task that has
+    already waited ``locality_wait_skips`` scheduling events for a preferred
+    slot (delay scheduling).  If nothing is running and nothing could be
+    dispatched, the head task is forced onto the least-loaded slot so the
+    stage always makes progress.
+    """
 
     def __init__(
         self,
@@ -122,203 +126,129 @@ class StageRunner:
         self.speculation_multiplier = speculation_multiplier
         self.speculation_quantile = speculation_quantile
 
-    # -- helpers -----------------------------------------------------------
-    def _least_loaded(self, candidates: Sequence[int],
-                      sim_free_at: Sequence[float]) -> int:
-        """The candidate slot that frees earliest in *simulated* time."""
-        return min(candidates, key=lambda i: (sim_free_at[i], i))
-
-    def _emulate_io(self, ledger: CostLedger) -> None:
-        if self.realtime_scale > 0.0 and ledger.seconds > 0.0:
-            time.sleep(ledger.seconds * self.realtime_scale)
-
-    def _account(self, outcome: TaskOutcome, slot_idx: int,
-                 sim_free_at: List[float]) -> None:
-        """Charge a finished task to its slot's simulated timeline."""
-        start = sim_free_at[slot_idx]
-        outcome.slot_index = slot_idx
-        outcome.sim_start_s = start
-        outcome.sim_end_s = start + self.task_launch_s + outcome.ledger.seconds
-        sim_free_at[slot_idx] = outcome.sim_end_s
-
     def run(self, tasks: Sequence[TaskSpec], run_task: RunTaskFn) -> StageExecution:
         """Execute one stage: place and run every task, return the outcomes.
 
         ``run_task`` is the scheduler's task executor (it owns retries and
         ledgers); the runner owns *placement* -- which slot each task gets,
         in which order, and how the slots' simulated timelines advance.
-        Implementations must return outcomes sorted by task index and a
-        simulated makespan consistent with the placement they chose.
+        Outcomes come back sorted by task index.  The first task error
+        aborts the stage and propagates: no later task is started.
         """
-        raise NotImplementedError
-
-
-class SerialStageRunner(StageRunner):
-    """Runs tasks one at a time on the driver thread (the measured baseline).
-
-    Placement is locality-first with a least-loaded-*by-time* fallback: the
-    slot whose simulated timeline frees earliest gets the task, which keeps
-    the simulated makespan honest when task durations are skewed.
-    """
-
-    def run(self, tasks: Sequence[TaskSpec], run_task: RunTaskFn) -> StageExecution:
-        sim_free_at = [0.0] * len(self.slots)
-        outcomes: List[TaskOutcome] = []
-        wall_start = time.perf_counter()
-        for spec in tasks:
-            slot_idx = self._place(spec, sim_free_at)
-            outcome = run_task(spec, self.slots[slot_idx].host, slot_idx)
-            self._account(outcome, slot_idx, sim_free_at)
-            self._emulate_io(outcome.ledger)
-            outcomes.append(outcome)
-        wall = time.perf_counter() - wall_start
-        outcomes.sort(key=lambda o: o.index)
-        return StageExecution(outcomes, max(sim_free_at, default=0.0), wall)
-
-    def _place(self, spec: TaskSpec, sim_free_at: Sequence[float]) -> int:
-        every = range(len(self.slots))
-        if self.locality_enabled and spec.preferred:
-            on_pref = [i for i in every if self.slots[i].host in spec.preferred]
-            if on_pref:
-                return self._least_loaded(on_pref, sim_free_at)
-        return self._least_loaded(every, sim_free_at)
-
-
-class ThreadPoolStageRunner(StageRunner):
-    """One worker thread per executor slot; event-driven, locality-aware.
-
-    The dispatcher keeps every slot busy when it can: each time a slot
-    frees up it is offered (1) a pending task that prefers its host, then
-    (2) a task with no preference, then (3) a task that has already waited
-    ``locality_wait_skips`` scheduling events for a preferred slot (delay
-    scheduling).  If nothing is running and nothing could be dispatched,
-    the head task is forced onto the least-loaded slot so the stage always
-    makes progress.
-    """
-
-    def run(self, tasks: Sequence[TaskSpec], run_task: RunTaskFn) -> StageExecution:
         pending: Deque[TaskSpec] = deque(tasks)
-        total = len(tasks)
         sim_free_at = [0.0] * len(self.slots)
         free_slots: List[int] = list(range(len(self.slots)))
-        in_flight: Dict[Future, Tuple[TaskSpec, int]] = {}
-        outcomes: List[TaskOutcome] = []
-        done_indices: Set[int] = set()
+        running: List[_Running] = []         # heap, earliest completion first
+        done: Dict[int, TaskOutcome] = {}
         speculated: Set[int] = set()
         wasted: List[CostLedger] = []
         spec_launched = 0
         spec_won = 0
-        failure: Optional[BaseException] = None
         wall_start = time.perf_counter()
 
-        with ThreadPoolExecutor(
-            max_workers=len(self.slots), thread_name_prefix="shc-task"
-        ) as pool:
-            while pending or in_flight:
-                if failure is None:
-                    dispatched = self._dispatch_round(
-                        pending, free_slots, sim_free_at, in_flight, pool, run_task
-                    )
-                    if not in_flight and not dispatched and pending:
-                        # every slot is free yet all pending tasks are still
-                        # waiting for locality: force the head task through
-                        spec = pending.popleft()
-                        slot_idx = self._least_loaded(free_slots, sim_free_at)
-                        free_slots.remove(slot_idx)
-                        self._submit(spec, slot_idx, in_flight, pool, run_task)
-                    if (self.speculation_enabled and not pending
-                            and free_slots and in_flight):
-                        spec_launched += self._speculate(
-                            outcomes, done_indices, speculated, total,
-                            free_slots, sim_free_at, in_flight, pool, run_task
-                        )
-                elif not in_flight:
-                    break  # a task aborted and everything running has drained
-                done, __ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    spec, slot_idx = in_flight.pop(future)
-                    free_slots.append(slot_idx)
-                    try:
-                        outcome = future.result()
-                    except BaseException as exc:  # noqa: BLE001 - re-raised below
-                        if spec.index in done_indices:
-                            continue  # its twin already delivered the result
-                        if any(s.index == spec.index
-                               for s, __s in in_flight.values()):
-                            continue  # the surviving twin may still win
-                        if failure is None:
-                            failure = exc
-                            pending.clear()
-                        continue
-                    if outcome.index in done_indices:
-                        # lost the speculation race: the duplicate's result is
-                        # discarded but its simulated work still gets counted
-                        wasted.append(outcome.ledger)
-                        continue
-                    done_indices.add(outcome.index)
-                    if spec.speculative:
-                        spec_won += 1
-                    self._account(outcome, slot_idx, sim_free_at)
-                    outcomes.append(outcome)
-        if failure is not None:
-            raise failure
+        while pending or running:
+            self._dispatch_round(pending, free_slots, sim_free_at, running,
+                                 run_task)
+            if pending and not running:
+                # every slot is free yet all pending tasks are still
+                # waiting for locality: force the head task through
+                slot_idx = self._least_loaded(free_slots, sim_free_at)
+                free_slots.remove(slot_idx)
+                self._launch(pending.popleft(), slot_idx,
+                             sim_free_at[slot_idx], running, run_task)
+            if self.speculation_enabled and not pending and free_slots:
+                spec_launched += self._speculate(
+                    done, speculated, len(tasks), free_slots, sim_free_at,
+                    running, run_task)
+            sim_end, index, speculative, __, outcome = heapq.heappop(running)
+            free_slots.append(outcome.slot_index)
+            if index in done:
+                # lost the speculation race: the result is discarded but
+                # the simulated work still gets counted
+                wasted.append(outcome.ledger)
+                continue
+            done[index] = outcome
+            if speculative:
+                spec_won += 1
+            sim_free_at[outcome.slot_index] = sim_end
+
+        makespan = max(sim_free_at)
+        if self.realtime_scale > 0.0:
+            time.sleep(makespan * self.realtime_scale)
         wall = time.perf_counter() - wall_start
-        outcomes.sort(key=lambda o: o.index)
-        return StageExecution(outcomes, max(sim_free_at, default=0.0), wall,
+        return StageExecution([done[i] for i in sorted(done)], makespan, wall,
                               speculative_launched=spec_launched,
                               speculative_won=spec_won, wasted=wasted)
+
+    def _launch(self, spec: TaskSpec, slot_idx: int, sim_start: float,
+                running: List[_Running], run_task: RunTaskFn) -> None:
+        """Run ``spec`` inline on a slot and queue its simulated completion."""
+        outcome = run_task(spec, self.slots[slot_idx].host, slot_idx)
+        outcome.slot_index = slot_idx
+        outcome.sim_start_s = sim_start
+        outcome.sim_end_s = sim_start + self.task_launch_s + outcome.ledger.seconds
+        heapq.heappush(running, (outcome.sim_end_s, spec.index,
+                                 spec.speculative, spec, outcome))
+
+    def _least_loaded(self, candidates: Sequence[int],
+                      sim_free_at: Sequence[float]) -> int:
+        """The candidate slot that frees earliest in *simulated* time."""
+        return min(candidates, key=lambda i: (sim_free_at[i], i))
 
     # -- speculative execution ---------------------------------------------
     def _speculate(
         self,
-        outcomes: List[TaskOutcome],
-        done_indices: Set[int],
+        done: Dict[int, TaskOutcome],
         speculated: Set[int],
         total: int,
         free_slots: List[int],
         sim_free_at: Sequence[float],
-        in_flight: Dict[Future, Tuple[TaskSpec, int]],
-        pool: ThreadPoolExecutor,
+        running: List[_Running],
         run_task: RunTaskFn,
     ) -> int:
-        """Duplicate straggling in-flight tasks onto free slots (tail mitigation).
+        """Duplicate straggling running tasks onto free slots (tail mitigation).
 
-        Spark-style: once a quantile of the stage has finished, any still
-        running task whose live simulated cost exceeds ``multiplier x median``
-        of the completed durations gets one duplicate on a *different* host.
-        First finisher wins; the loser's ledger lands in ``wasted``.  The
+        Spark-style: once a quantile of the stage has finished, a running
+        task turns straggler when it has worked ``multiplier x median`` of
+        the completed durations without finishing, and gets one duplicate on
+        a *different* host, starting at that simulated moment.  The earlier
+        simulated finish wins; the loser's ledger lands in ``wasted``.  The
         winner alone advances its slot's simulated timeline -- in the
         simulated cluster the loser is killed the moment the winner reports,
         which is exactly the tail-latency cut speculation exists to buy.
         """
         needed = max(1, int(self.speculation_quantile * total))
-        if len(outcomes) < needed:
+        if len(done) < needed:
             return 0
-        durations = sorted(o.ledger.seconds for o in outcomes)
+        durations = sorted(o.ledger.seconds for o in done.values())
         median = durations[len(durations) // 2]
         if median <= 0.0:
             return 0
         threshold = self.speculation_multiplier * median
         launched = 0
-        for spec, __slot in list(in_flight.values()):
+        for __, index, speculative, spec, original in sorted(running):
             if not free_slots:
                 break
-            if (spec.speculative or spec.index in speculated
-                    or spec.index in done_indices):
+            if speculative or index in speculated:
                 continue
-            live = spec.live_ledger
-            if live is None or live.seconds < threshold:
+            straggles_at = original.sim_start_s + self.task_launch_s + threshold
+            if original.sim_end_s <= straggles_at:
                 continue
             candidates = [i for i in free_slots
-                          if self.slots[i].host != spec.live_host]
+                          if self.slots[i].host != original.ran_on_host]
             if not candidates:
                 continue
             slot_idx = self._least_loaded(candidates, sim_free_at)
             free_slots.remove(slot_idx)
-            copy = TaskSpec(index=spec.index, body=spec.body, speculative=True)
-            speculated.add(spec.index)
-            self._submit(copy, slot_idx, in_flight, pool, run_task)
+            speculated.add(index)
             launched += 1
+            copy = TaskSpec(index=index, body=spec.body, speculative=True)
+            try:
+                self._launch(copy, slot_idx,
+                             max(sim_free_at[slot_idx], straggles_at),
+                             running, run_task)
+            except Exception:  # noqa: BLE001 - a failed copy just loses the race
+                free_slots.append(slot_idx)
         return launched
 
     # -- dispatch ----------------------------------------------------------
@@ -327,29 +257,24 @@ class ThreadPoolStageRunner(StageRunner):
         pending: Deque[TaskSpec],
         free_slots: List[int],
         sim_free_at: Sequence[float],
-        in_flight: Dict[Future, Tuple[TaskSpec, int]],
-        pool: ThreadPoolExecutor,
+        running: List[_Running],
         run_task: RunTaskFn,
-    ) -> int:
-        """Offer every free slot a task; returns how many were dispatched."""
-        dispatched = 0
+    ) -> None:
+        """Offer every free slot a task and run the ones that were taken."""
         # offer the slot that frees earliest (in simulated time) first
-        for slot_idx in sorted(list(free_slots),
-                               key=lambda i: (sim_free_at[i], i)):
+        for slot_idx in sorted(free_slots, key=lambda i: (sim_free_at[i], i)):
             if not pending:
                 break
             spec = self._pick_for_slot(self.slots[slot_idx].host, pending)
             if spec is None:
                 continue
             free_slots.remove(slot_idx)
-            self._submit(spec, slot_idx, in_flight, pool, run_task)
-            dispatched += 1
+            self._launch(spec, slot_idx, sim_free_at[slot_idx], running, run_task)
         if free_slots and pending:
             # at least one slot went idle waiting on locality: that is one
             # scheduling event each passed-over task has now waited through
             for spec in pending:
                 spec.skips += 1
-        return dispatched
 
     def _pick_for_slot(self, host: str,
                        pending: Deque[TaskSpec]) -> Optional[TaskSpec]:
@@ -380,20 +305,3 @@ class ThreadPoolStageRunner(StageRunner):
     def _locality_possible(self, spec: TaskSpec) -> bool:
         """Does any slot in the cluster live on one of the preferred hosts?"""
         return any(host in self._slot_hosts for host in spec.preferred)
-
-    def _submit(
-        self,
-        spec: TaskSpec,
-        slot_idx: int,
-        in_flight: Dict[Future, Tuple[TaskSpec, int]],
-        pool: ThreadPoolExecutor,
-        run_task: RunTaskFn,
-    ) -> None:
-        host = self.slots[slot_idx].host
-
-        def work() -> TaskOutcome:
-            outcome = run_task(spec, host, slot_idx)
-            self._emulate_io(outcome.ledger)
-            return outcome
-
-        in_flight[pool.submit(work)] = (spec, slot_idx)

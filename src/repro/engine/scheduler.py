@@ -7,11 +7,11 @@ the executor's host (so an HBase scan knows whether it is co-located with the
 region server) and a cost ledger; the stage's simulated duration is the
 makespan of task durations over the executor slots the tasks were placed on.
 
-Execution itself is delegated to a stage runner (:mod:`repro.engine.runner`):
-by default a thread-pool runner with one worker per executor slot, so a
-stage's tasks genuinely overlap in wall-clock time, with event-driven
-locality-aware placement (delay scheduling).  ``StageInfo`` reports both the
-simulated makespan and the measured wall-clock per stage.
+Execution itself is delegated to the stage runner (:mod:`repro.engine.runner`):
+event-driven, locality-aware placement (delay scheduling) over the slots'
+simulated timelines, with every task body run inline on the calling thread.
+``StageInfo`` reports both the simulated makespan and the measured
+wall-clock per stage.
 
 Fault tolerance follows Spark: a failing task is retried on another slot up
 to ``max_task_retries`` times before the job aborts -- recomputation is free
@@ -22,8 +22,6 @@ misreported as node-local.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,11 +35,9 @@ from repro.engine.cluster import ComputeCluster
 from repro.engine.rdd import Partition, RDD, ShuffledRDD
 from repro.engine.runner import (
     DEFAULT_LOCALITY_WAIT_SKIPS,
-    SerialStageRunner,
     StageRunner,
     TaskOutcome,
     TaskSpec,
-    ThreadPoolStageRunner,
 )
 from repro.engine.shuffle import (
     KeySketch,
@@ -160,11 +156,11 @@ class JobResult:
 class TaskScheduler:
     """Runs RDD jobs over a compute cluster with simulated timing.
 
-    ``parallel`` selects the thread-pool stage runner (one worker per
-    executor slot, event-driven placement); with it off, tasks run serially
-    on the driver thread -- the measured baseline the parallelism ablation
-    compares against.  Either way the simulated cost ledger is identical
-    modulo placement.
+    One scheduler serves one query on one thread: its stages run inline
+    through the :class:`~repro.engine.runner.StageRunner`, so the
+    scheduler's own bookkeeping (blacklist, span map) needs no locking.
+    Concurrent queries each get their own scheduler; what they share (block
+    cache, connection cache, fault injector) synchronises itself.
     """
 
     def __init__(
@@ -173,7 +169,6 @@ class TaskScheduler:
         cost_model: CostModel,
         locality_enabled: bool = True,
         max_task_retries: int = 3,
-        parallel: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         realtime_scale: float = 0.0,
         faults=None,
@@ -194,7 +189,6 @@ class TaskScheduler:
         #: parent span for stage spans; NOOP_SPAN = tracing disabled
         self.trace = trace if trace is not None else NOOP_SPAN
         self._stage_span = NOOP_SPAN
-        self._trace_lock = threading.Lock()
         self._span_ledgers: Dict[int, object] = {}
         #: optional FaultInjector for engine fault points (slow hosts,
         #: shuffle-fetch failures); None keeps every point a no-op
@@ -202,7 +196,6 @@ class TaskScheduler:
         self.blacklist_max_failures = blacklist_max_failures
         self.retry_backoff_s = retry_backoff_s
         self.retry_backoff_max_s = retry_backoff_max_s
-        self._blacklist_lock = threading.Lock()
         self._host_failures: Dict[str, int] = {}
         self._blacklisted: set[str] = set()
         self.block_store = ShuffleBlockStore()
@@ -220,8 +213,7 @@ class TaskScheduler:
         #: slot partitions -- one tenant's scan storm cannot occupy another
         #: tenant's reserved slots)
         self._slots = list(slots) if slots is not None else cluster.slots()
-        runner_cls = ThreadPoolStageRunner if parallel else SerialStageRunner
-        self._runner: StageRunner = runner_cls(
+        self._runner = StageRunner(
             self._slots,
             cost_model.task_launch_s,
             locality_enabled=locality_enabled,
@@ -500,8 +492,7 @@ class TaskScheduler:
             loser_span = self._span_ledgers.get(id(lost))
             if loser_span is not None:
                 loser_span.set(wasted=True, wasted_sim_s=lost.seconds)
-        with self._trace_lock:
-            self._span_ledgers.clear()
+        self._span_ledgers.clear()
         info = StageInfo(
             stage_id=self._stage_ids,
             kind=kind,
@@ -558,8 +549,6 @@ class TaskScheduler:
                 # decorator) record events against the running attempt
                 ledger.trace_span = attempt_span
             ctx = TaskContext(host, ledger, self, span=attempt_span)
-            spec.live_host = host
-            spec.live_ledger = ledger
             try:
                 value = spec.body(ctx)
                 self._apply_host_faults(ledger, host)
@@ -590,8 +579,7 @@ class TaskScheduler:
                 task_span.set(ran_on_host=host, failures=attempts)
                 task_span.finish(sim_seconds=ledger.seconds,
                                  metrics=ledger.metrics.snapshot())
-                with self._trace_lock:
-                    self._span_ledgers[id(ledger)] = task_span
+                self._span_ledgers[id(ledger)] = task_span
             return TaskOutcome(
                 index=spec.index,
                 value=value,
@@ -611,12 +599,10 @@ class TaskScheduler:
     def _apply_host_faults(self, ledger: CostLedger, host: str) -> None:
         """Consult the ``engine.slow_host`` fault point for a finished attempt.
 
-        A matching rule returns a ``SlowHostEffect``: ``factor`` inflates the
-        attempt's accrued simulated cost (the straggler), and ``sleep_s``
-        holds the task open in wall-clock time so speculative execution can
-        observe a still-running tail task and race a duplicate against it.
-        The inflation lands *before* the sleep, so the dispatcher sees the
-        straggler's cost on its live ledger while the task is still running.
+        A matching rule returns a ``SlowHostEffect`` whose ``factor``
+        inflates the attempt's accrued simulated cost: the task finishes
+        late in simulated time, which is what lets speculative execution
+        race a duplicate against it.
         """
         faults = self.faults
         if faults is None:
@@ -628,9 +614,6 @@ class TaskScheduler:
         if factor > 1.0 and ledger.seconds > 0.0:
             extra = ledger.seconds * (factor - 1.0)
             ledger.charge(extra, "faults.slowdown_s", extra)
-        sleep_s = getattr(effect, "sleep_s", 0.0)
-        if sleep_s > 0.0:
-            time.sleep(sleep_s)
 
     def _note_host_failure(self, host: str, ledger: CostLedger) -> None:
         """Count a failed attempt against its host; blacklist repeat offenders.
@@ -640,14 +623,13 @@ class TaskScheduler:
         """
         if self.blacklist_max_failures <= 0:
             return
-        with self._blacklist_lock:
-            count = self._host_failures.get(host, 0) + 1
-            self._host_failures[host] = count
-            if count >= self.blacklist_max_failures and host not in self._blacklisted:
-                live_hosts = {s.host for s in self._slots}
-                if len(self._blacklisted) + 1 < len(live_hosts):
-                    self._blacklisted.add(host)
-                    ledger.count("engine.hosts_blacklisted")
+        count = self._host_failures.get(host, 0) + 1
+        self._host_failures[host] = count
+        if count >= self.blacklist_max_failures and host not in self._blacklisted:
+            live_hosts = {s.host for s in self._slots}
+            if len(self._blacklisted) + 1 < len(live_hosts):
+                self._blacklisted.add(host)
+                ledger.count("engine.hosts_blacklisted")
 
     def _retry_backoff(self, task_index: int, attempt: int) -> float:
         """Capped exponential inter-retry backoff with deterministic jitter."""
@@ -658,10 +640,8 @@ class TaskScheduler:
     def _retry_host(self, slot_idx: int, attempts: int) -> str:
         """The next host in the retry rotation, skipping blacklisted hosts."""
         n = len(self._slots)
-        with self._blacklist_lock:
-            blacklisted = set(self._blacklisted)
         for step in range(attempts, attempts + n):
             candidate = self._slots[(slot_idx + step) % n].host
-            if candidate not in blacklisted:
+            if candidate not in self._blacklisted:
                 return candidate
         return self._slots[(slot_idx + attempts) % n].host

@@ -27,7 +27,38 @@ def estimate_size(value: object) -> int:
     Deterministic and cheap; mirrors the flat binary encoding an engine's
     row serializer would produce (fixed 8 bytes for numbers, payload length
     for strings/bytes, recursive for tuples/lists/dicts).
+
+    Called once per row on every shuffle, broadcast and result path, so the
+    common shape -- a plain tuple or list of plain scalars -- is sized by
+    exact-type checks in one flat loop.  Anything else (subclasses, bytes,
+    dicts, Row-likes) takes :func:`_estimate_size_general`, whose byte
+    counts the fast path must reproduce exactly.
     """
+    kind = type(value)
+    if kind is tuple or kind is list:
+        total = _OBJ_OVERHEAD
+        for v in value:  # type: ignore[attr-defined]
+            k = type(v)
+            if k is int or k is float:
+                total += 8
+            elif k is str:
+                total += len(v) + 4
+            elif v is None or k is bool:
+                total += 1
+            else:
+                total += estimate_size(v)
+        return total
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return len(value) + 4  # type: ignore[arg-type]
+    if value is None or kind is bool:
+        return 1
+    return _estimate_size_general(value)
+
+
+def _estimate_size_general(value: object) -> int:
+    """:func:`estimate_size` by ``isinstance``: the definition of every size."""
     if value is None:
         return 1
     if isinstance(value, bool):

@@ -21,8 +21,8 @@ time: requests carry explicit arrival times, every admit/shed/throttle/
 breaker decision is a pure function of ``(config, request sequence, seed)``,
 and the chaos suite asserts the decisions byte-identical across runs.
 Queries themselves still execute through the real session (each one runs
-its stages on the thread-pool runner), so served results are the same rows
-a direct ``session.sql().run()`` would produce.
+its stages through the engine's stage runner), so served results are the
+same rows a direct ``session.sql().run()`` would produce.
 """
 
 from __future__ import annotations

@@ -137,13 +137,10 @@ DEFAULT_CONF: Dict[str, object] = {
     "sql.cache.enabled": True,
     "sql.cache.max.bytes": 64 * 1024 * 1024,
     "engine.locality.enabled": True,
-    # thread-pool stage runner: one worker per executor slot; turn off for
-    # the serial driver-thread baseline the parallelism ablation measures
-    "engine.parallel.enabled": True,
     # delay scheduling: events a task waits for a preferred slot (locality)
     "engine.locality.wait.skips": 2,
-    # real seconds slept per simulated task-second, to emulate the I/O wait
-    # a real scan spends off-CPU (0 = off; benchmarks opt in)
+    # real seconds slept per simulated second of stage makespan, to emulate
+    # the I/O wait a real scan spends off-CPU (0 = off; benchmarks opt in)
     "engine.realtime.scale": 0.0,
     # workers in the session's concurrent-query pool (Table I "Thread pool")
     "engine.query.pool.size": 8,
@@ -258,7 +255,6 @@ class SparkSession:
             slots=slots,
             queued_s=queued_s,
             locality_enabled=bool(self.conf.get("engine.locality.enabled", True)),
-            parallel=bool(self.conf.get("engine.parallel.enabled", True)),
             locality_wait_skips=int(self.conf.get("engine.locality.wait.skips", 2)),
             realtime_scale=float(self.conf.get("engine.realtime.scale", 0.0)),
             faults=self.faults,

@@ -158,7 +158,7 @@ def test_admission_schedule_is_seeded_and_keyed():
 
 def test_slow_host_effect_is_returned_not_raised():
     injector = FaultInjector()
-    effect = SlowHostEffect(factor=3.0, sleep_s=0.1)
+    effect = SlowHostEffect(factor=3.0)
     injector.inject("engine.slow_host", rate=1.0, key="h1", action=effect)
     got = injector.check("engine.slow_host", key="h1")
     assert got is effect

@@ -160,7 +160,7 @@ def test_retried_task_records_every_attempt():
 def test_speculative_loser_is_marked_wasted():
     injector = FaultInjector(seed=1)
     injector.inject(FAULT_SLOW_HOST, rate=1.0, times=1, key="h1",
-                    action=SlowHostEffect(factor=4.0, sleep_s=0.6))
+                    action=SlowHostEffect(factor=4.0))
     trace = Span("query", "query")
     scheduler = make_scheduler(faults=injector, speculation_enabled=True,
                                speculation_multiplier=1.5,

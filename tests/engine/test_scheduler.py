@@ -145,20 +145,41 @@ def test_wall_clock_reported_per_stage():
     )
 
 
-def test_serial_and_parallel_agree_on_rows_and_work():
-    """The thread-pool runner must change wall-clock behaviour only: rows and
-    simulated work metrics are identical to the serial baseline."""
-    def run(parallel):
+def test_same_job_twice_yields_identical_stage_timeline():
+    """Placement runs in simulated time on the calling thread, so nothing
+    about a job depends on thread timing: two runs agree on every stage's
+    makespan and locality and on every task's slot and simulated interval."""
+    def skewed(rows, ctx):
+        rows = list(rows)
+        ctx.ledger.charge(0.1 * (rows[0] % 7))
+        return rows
+
+    def run():
         cluster = ComputeCluster(["h1", "h2"], executors_requested=2)
-        scheduler = TaskScheduler(cluster, DEFAULT_COST_MODEL, parallel=parallel)
-        rdd = ParallelCollectionRDD(range(32), 8) \
+        scheduler = TaskScheduler(cluster, DEFAULT_COST_MODEL)
+        timeline = []
+        run_stage = scheduler._runner.run
+
+        def recording_run(specs, run_task):
+            execution = run_stage(specs, run_task)
+            timeline.append([(o.slot_index, o.sim_start_s, o.sim_end_s)
+                             for o in execution.outcomes])
+            return execution
+
+        scheduler._runner.run = recording_run
+        # skewed task costs and mixed locality make placement non-trivial
+        rdd = ParallelCollectionRDD(range(32), 8, hosts=["h1", "h2", "h2"]) \
+            .map_partitions(skewed) \
             .map(lambda x: (x % 4, x)) \
             .partition_by(4, key_fn=lambda kv: kv[0])
-        return scheduler.run_job(rdd)
+        return scheduler.run_job(rdd), timeline
 
-    serial, pooled = run(False), run(True)
-    assert sorted(serial.rows()) == sorted(pooled.rows())
-    for key in ("engine.tasks", "engine.shuffle_write_bytes",
-                "engine.shuffle_read_bytes"):
-        assert serial.metrics.get(key) == pooled.metrics.get(key)
-    assert serial.seconds == pytest.approx(pooled.seconds)
+    (first, first_tasks), (second, second_tasks) = run(), run()
+    assert first.rows() == second.rows()
+    assert [(s.kind, s.num_tasks, s.duration_s, s.local_tasks)
+            for s in first.stages] == \
+        [(s.kind, s.num_tasks, s.duration_s, s.local_tasks)
+         for s in second.stages]
+    assert first_tasks == second_tasks
+    assert [len(stage) for stage in first_tasks] == [8, 4]
+    assert first.metrics.snapshot() == second.metrics.snapshot()

@@ -64,7 +64,6 @@ def test_aqe_on_preserves_answers_full_stack():
         "sql.aqe.enabled": True,
         # force the shuffled plan so the adaptive join actually decides
         "sql.autoBroadcastJoinThreshold": 1,
-        "engine.parallel.enabled": False,
     })
     assert sorted(tuple(r.values) for r in adaptive.rows) == \
         sorted(tuple(r.values) for r in baseline.rows)

@@ -77,10 +77,10 @@ def test_speculated_task_never_publishes_duplicate_partition():
     baseline = rows(env.new_session().sql(QUERY).run())
 
     injector = FaultInjector(seed=505)
-    # the first finished attempt becomes a straggler held open long enough
-    # for the dispatcher to race a duplicate attempt against it
+    # the first finished attempt becomes an 8x straggler, still running in
+    # simulated time when the dispatcher races a duplicate attempt
     injector.inject(FAULT_SLOW_HOST, rate=1.0, times=1,
-                    action=SlowHostEffect(factor=8.0, sleep_s=0.5))
+                    action=SlowHostEffect(factor=8.0))
     session = env.new_session(conf=SPECULATION_CONF)
     session.install_fault_injector(injector)
 

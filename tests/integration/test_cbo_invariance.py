@@ -66,7 +66,6 @@ def test_cbo_on_preserves_answers_full_stack():
         "sql.cbo.enabled": True,
         # force the shuffled plan so semi-join reduction has work to do
         "sql.autoBroadcastJoinThreshold": 1,
-        "engine.parallel.enabled": False,
     }, analyze=["store_sales", "item"])
     assert sorted(tuple(r.values) for r in cbo.rows) == \
         sorted(tuple(r.values) for r in baseline.rows)

@@ -37,11 +37,7 @@ HOSTS = ["h1", "h2", "h3"]
 
 
 def make_session(aqe: bool, **extra):
-    conf = {
-        "sql.aqe.enabled": aqe,
-        # deterministic stage timing for simulated-latency comparisons
-        "engine.parallel.enabled": False,
-    }
+    conf = {"sql.aqe.enabled": aqe}
     conf.update(extra)
     return SparkSession(HOSTS, conf=conf)
 

@@ -74,8 +74,7 @@ def test_views_dashboard(benchmark, views_env):
             base_session, DASHBOARD, REPEATS)
         base_session.shutdown()
 
-        view_session = views_env.new_session(
-            conf={"sql.view.enabled": True})
+        view_session = views_env.new_session()
         # build cost via the shared simulated clock: the CREATE statement's
         # QueryResult only prices its summary relation, while the
         # materializing scan+write advances the clock inline

@@ -22,7 +22,7 @@ Usage::
         [--baselines benchmarks/baselines] [--results benchmarks/results] \
         [--tolerance 0.15] [--require <name> ...]
 
-``--require vectorized`` makes a *missing* ``BENCH_vectorized.json``
+``--require views`` makes a *missing* ``BENCH_views.json``
 baseline a named failure instead of a silent skip -- the glob-driven loop
 otherwise only gates benches that already have a committed baseline.
 

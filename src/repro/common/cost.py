@@ -63,12 +63,13 @@ class CostModel:
     task_launch_s: float = 0.35
     #: driver-side planning/compilation overhead per query (s)
     driver_overhead_s: float = 1.2
-    #: per-row CPU cost of engine-side operators (filter/project/join probe) (s)
+    #: per-row CPU cost of the row-at-a-time operators (sort, join reduce,
+    #: aggregate merge, adaptive / semi-join-reduced / nested-loop joins) (s)
     row_cpu_s: float = 1.2e-5
-    #: per-row CPU cost of the same operators under vectorized batch
-    #: execution (``sql.vectorized.enabled``): column kernels amortise the
-    #: per-row interpreter dispatch across a RecordBatch, modeled as a flat
-    #: 4x reduction (docs/vectorized.md)
+    #: per-row CPU cost of the batch operators (scan stage, filter, project,
+    #: aggregate build, hash-join keying and broadcast probe): column kernels
+    #: amortise the per-row interpreter dispatch across a RecordBatch,
+    #: modeled as a flat 4x reduction (docs/vectorized.md)
     vector_row_cpu_s: float = 3.0e-6
     #: shuffle write+read bandwidth (bytes/s)
     shuffle_bytes_per_sec: float = 7_000.0

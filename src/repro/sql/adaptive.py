@@ -34,11 +34,11 @@ from repro.sql import expressions as E
 from repro.sql.physical import (
     ExecContext,
     PhysicalPlan,
-    _cpu_charged,
     _combine_rows,
     _join_output,
     _make_broadcast_probe,
     _make_join_reducer,
+    _row_tagger,
 )
 
 #: a read spec: (shuffle_id, reduce_partition, optional map-id subset)
@@ -195,17 +195,9 @@ class AdaptiveJoinExec(PhysicalPlan):
         def on_output(rows_out: int, bytes_out: int) -> None:
             ctx.accumulate_operator(self, rows_out=rows_out, bytes_out=bytes_out)
 
-        def tag_side(bound_keys, side: int):
-            def tag(rows, task_ctx):
-                tagged = ((tuple(k.eval(r) for k in bound_keys), side, r)
-                          for r in rows)
-                return _cpu_charged(tagged, task_ctx, per_row)
-
-            return tag
-
         # stage barrier 1: materialise the build (right) side's exchange
         shuffled_r = right_stage.execute(ctx).map_partitions(
-            tag_side(bound_right, 1)
+            _row_tagger(bound_right, 1, per_row)
         ).partition_by(num_parts, key_fn=lambda e: e[0])
         stats_r = ctx.materialize_stage(shuffled_r)
 
@@ -229,7 +221,7 @@ class AdaptiveJoinExec(PhysicalPlan):
 
         # stage barrier 2: materialise the stream (left) side's exchange
         shuffled_l = left_stage.execute(ctx).map_partitions(
-            tag_side(bound_left, 0)
+            _row_tagger(bound_left, 0, per_row)
         ).partition_by(num_parts, key_fn=lambda e: e[0])
         stats_l = ctx.materialize_stage(shuffled_l)
 

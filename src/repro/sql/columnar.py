@@ -1,20 +1,20 @@
 """Columnar batches and vectorized expression kernels.
 
-The row-at-a-time interpreter walks a bound expression tree once per row --
+A row-at-a-time interpreter walks a bound expression tree once per row --
 for a 100k-row scan with a three-conjunct filter that is ~a million Python
-frame pushes.  Vectorized execution amortises the dispatch: rows are packed
-into :class:`RecordBatch` column vectors (``sql.vectorized.batchSize`` rows
-per batch) and :func:`compile_kernel` turns a bound expression tree into a
+frame pushes.  Batch execution amortises the dispatch: rows are packed
+into :class:`RecordBatch` column vectors (:data:`BATCH_SIZE` rows per
+batch) and :func:`compile_kernel` turns a bound expression tree into a
 closure evaluating one *column* per call, with the inner loops running as
 list comprehensions over C-level iterators (``zip``, ``operator.lt``,
 ``itertools.compress``).
 
 Semantics are bit-for-bit those of :mod:`repro.sql.expressions`: SQL
 three-valued NULL logic, ``/ 0 -> NULL``, ``IN`` with NULL options, invalid
-casts to NULL.  Any expression node the compiler does not understand makes
-:func:`compile_kernel` return ``None`` and the planner keeps that operator
-on the row path -- vectorization is an optimisation, never a semantics
-change.  Parity is enforced by randomized kernel-vs-``eval`` tests
+casts to NULL.  The compiler is total: a node with no column form compiles
+to a kernel that calls ``expr.eval`` once per row of the batch, so every
+operator runs on batches whatever its expressions are.  Parity is enforced
+by randomized kernel-vs-``eval`` tests
 (``tests/sql/test_vectorized_kernels.py``).  See docs/vectorized.md.
 """
 
@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Sequence
 
 from repro.sql import expressions as E
 from repro.sql.types import BooleanType, StringType
 
 #: a compiled kernel: (columns, num_rows) -> one output column
 Kernel = Callable[[Sequence[list], int], list]
+
+#: rows per RecordBatch at scan and row->batch transition boundaries; read
+#: when an operator executes, so tests shrink it to force batch seams
+BATCH_SIZE = 1024
 
 
 class RecordBatch:
@@ -74,12 +78,6 @@ def batches_from_rows(rows: Iterable[tuple], width: int,
         yield RecordBatch.from_rows(chunk, width)
 
 
-def rows_from_batches(batches: Iterable[RecordBatch]) -> Iterator[tuple]:
-    """Flatten a batch stream back into row tuples."""
-    for batch in batches:
-        yield from batch.to_rows()
-
-
 def apply_mask(batch: RecordBatch, mask: Sequence[object]) -> RecordBatch:
     """Keep the rows whose mask entry is exactly ``True``.
 
@@ -121,11 +119,9 @@ def _compile_division(op: str, left: Kernel, right: Kernel) -> Kernel:
     return kernel
 
 
-def _compile_in(expr: E.In, value: Kernel) -> Optional[Kernel]:
-    # only literal option lists vectorize; the row path's linear ``==``
-    # probe and a set membership test agree for hashable scalar literals
-    if not all(isinstance(o, E.Literal) for o in expr.options):
-        return None
+def _compile_in(expr: E.In, value: Kernel) -> Kernel:
+    # literal option lists only: the interpreter's linear ``==`` probe and a
+    # set membership test agree for hashable scalar literals
     present = {o.value for o in expr.options if o.value is not None}
     saw_null = any(o.value is None for o in expr.options)
     miss = None if saw_null else False
@@ -137,18 +133,11 @@ def _compile_in(expr: E.In, value: Kernel) -> Optional[Kernel]:
     return kernel
 
 
-def _compile_case(expr: E.CaseWhen) -> Optional[Kernel]:
-    branch_fns = []
-    for cond, value in expr.branches():
-        cond_fn = compile_kernel(cond)
-        value_fn = compile_kernel(value)
-        if cond_fn is None or value_fn is None:
-            return None
-        branch_fns.append((cond_fn, value_fn))
+def _compile_case(expr: E.CaseWhen) -> Kernel:
+    branch_fns = [(compile_kernel(cond), compile_kernel(value))
+                  for cond, value in expr.branches()]
     tail = expr.else_value()
     else_fn = compile_kernel(tail) if tail is not None else None
-    if tail is not None and else_fn is None:
-        return None
 
     def kernel(cols: Sequence[list], n: int) -> list:
         out = list(else_fn(cols, n)) if else_fn is not None else [None] * n
@@ -186,13 +175,26 @@ def _compile_cast(expr: E.Cast, child: Kernel) -> Kernel:
     return kernel
 
 
-def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
-    """Compile a *bound* expression into a column kernel, or ``None``.
+def _compile_row_fallback(expr: E.Expression) -> Kernel:
+    """The kernel of a node with no column form: ``expr.eval`` per row."""
+    evaluate = expr.eval
 
-    ``None`` means "not vectorizable": the caller must leave the enclosing
-    operator on the row path.  The compiled closure returns a fresh column
-    whose element ``r`` equals ``expr.eval(row_r)`` for every row of the
-    batch -- the parity contract the property tests pin down.
+    def kernel(cols: Sequence[list], n: int) -> list:
+        if not cols:
+            return [evaluate(()) for _ in range(n)]
+        return [evaluate(row) for row in zip(*cols)]
+
+    return kernel
+
+
+def compile_kernel(expr: E.Expression) -> Kernel:
+    """Compile a *bound* expression into a column kernel.
+
+    The compiled closure returns a fresh column whose element ``r`` equals
+    ``expr.eval(row_r)`` for every row of the batch -- the parity contract
+    the property tests pin down.  Nodes without a column form (a non-literal
+    ``IN`` list, expression classes defined outside this module) fall back
+    to evaluating ``expr.eval`` per row, so compilation never fails.
     """
     if isinstance(expr, E.Alias):
         return compile_kernel(expr.child)
@@ -207,8 +209,6 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
     if isinstance(expr, (E.Comparison, E.BinaryArithmetic)):
         left = compile_kernel(expr.children[0])
         right = compile_kernel(expr.children[1])
-        if left is None or right is None:
-            return None
         if isinstance(expr, E.Comparison):
             return _binary_null_propagating(_CMP_FNS[expr.op], left, right)
         if expr.op in _ARITH_FNS:
@@ -217,8 +217,6 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
     if isinstance(expr, E.And):
         left = compile_kernel(expr.children[0])
         right = compile_kernel(expr.children[1])
-        if left is None or right is None:
-            return None
 
         def and_kernel(cols: Sequence[list], n: int) -> list:
             return [False if a is False or b is False else
@@ -229,8 +227,6 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
     if isinstance(expr, E.Or):
         left = compile_kernel(expr.children[0])
         right = compile_kernel(expr.children[1])
-        if left is None or right is None:
-            return None
 
         def or_kernel(cols: Sequence[list], n: int) -> list:
             return [True if a is True or b is True else
@@ -240,29 +236,19 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
         return or_kernel
     if isinstance(expr, E.Not):
         child = compile_kernel(expr.children[0])
-        if child is None:
-            return None
         return lambda cols, n: [None if v is None else (not v)
                                 for v in child(cols, n)]
     if isinstance(expr, E.IsNull):
         child = compile_kernel(expr.children[0])
-        if child is None:
-            return None
         return lambda cols, n: [v is None for v in child(cols, n)]
     if isinstance(expr, E.IsNotNull):
         child = compile_kernel(expr.children[0])
-        if child is None:
-            return None
         return lambda cols, n: [v is not None for v in child(cols, n)]
-    if isinstance(expr, E.In):
-        value = compile_kernel(expr.value)
-        if value is None:
-            return None
-        return _compile_in(expr, value)
+    if isinstance(expr, E.In) and all(
+            isinstance(o, E.Literal) for o in expr.options):
+        return _compile_in(expr, compile_kernel(expr.value))
     if isinstance(expr, E.Like):
         child = compile_kernel(expr.children[0])
-        if child is None:
-            return None
         regex = expr._regex
 
         return lambda cols, n: [None if v is None else bool(regex.match(str(v)))
@@ -270,14 +256,9 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
     if isinstance(expr, E.CaseWhen):
         return _compile_case(expr)
     if isinstance(expr, E.Cast):
-        child = compile_kernel(expr.children[0])
-        if child is None:
-            return None
-        return _compile_cast(expr, child)
+        return _compile_cast(expr, compile_kernel(expr.children[0]))
     if isinstance(expr, E.ScalarFunction):
         args = [compile_kernel(c) for c in expr.children]
-        if any(a is None for a in args):
-            return None
         fn, __ = E.ScalarFunction._FUNCTIONS[expr.name]
         if len(args) == 1:
             only = args[0]
@@ -288,23 +269,17 @@ def compile_kernel(expr: E.Expression) -> Optional[Kernel]:
             return [fn(vals) for vals in zip(*(a(cols, n) for a in args))]
 
         return fn_kernel
-    return None
+    return _compile_row_fallback(expr)
 
 
-def compile_bound(expr: E.Expression,
-                  attrs: Sequence[E.Attribute]) -> Optional[Kernel]:
-    """Bind ``expr`` against ``attrs`` and compile it; ``None`` if either fails."""
-    try:
-        bound = E.bind_expression(expr, attrs)
-    except Exception:
-        return None
-    return compile_kernel(bound)
+def compile_bound(expr: E.Expression, attrs: Sequence[E.Attribute]) -> Kernel:
+    """Bind ``expr`` against ``attrs`` and compile it.
 
-
-def supports_vectorized(expr: E.Expression,
-                        attrs: Sequence[E.Attribute]) -> bool:
-    """True when ``expr`` compiles to a kernel over ``attrs``' schema."""
-    return compile_bound(expr, attrs) is not None
+    A reference ``attrs`` does not provide is a planner bug: the
+    ``AnalysisError`` from binding (it names the attribute and what the
+    child offers) propagates instead of demoting the operator.
+    """
+    return compile_kernel(E.bind_expression(expr, attrs))
 
 
 def key_tuples(key_kernels: Sequence[Kernel], cols: Sequence[list],
@@ -316,6 +291,7 @@ def key_tuples(key_kernels: Sequence[Kernel], cols: Sequence[list],
 
 
 __all__: List[str] = [
+    "BATCH_SIZE",
     "Kernel",
     "RecordBatch",
     "apply_mask",
@@ -323,6 +299,4 @@ __all__: List[str] = [
     "compile_bound",
     "compile_kernel",
     "key_tuples",
-    "rows_from_batches",
-    "supports_vectorized",
 ]

@@ -39,28 +39,16 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
         if stage.scope is not None:
             stages_by_scope.setdefault(stage.scope, []).append(stage)
 
-    # once any operator executed in batch mode, every other operator is
-    # explicitly marked row-mode so the report shows each transition
-    vectorized_run = any(
-        "vec_mode" in (s or {}) for s in result.operator_stats.values()
-    )
-
     annotations: Dict[int, List[str]] = {}
     for op in physical.walk():
         notes: List[str] = []
         stats = result.operator_stats.get(op.op_id)
         if stats:
-            vec_mode = stats.get("vec_mode")
-            if vec_mode == "batch":
-                if "batches" in stats:
-                    notes.append(
-                        f"mode: batch (batches={int(stats['batches'])}, "
-                        f"rows={int(stats.get('rows', 0))})"
-                    )
-                else:
-                    notes.append("mode: batch")
-            elif vec_mode == "row":
-                notes.append("mode: row")
+            if "batches" in stats:
+                notes.append(
+                    f"batches: {int(stats['batches'])} "
+                    f"(rows={int(stats.get('rows', 0))})"
+                )
             if "fused" in stats:
                 notes.append(
                     f"fused: {int(stats['fused'])} operators in one pass")
@@ -160,8 +148,6 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
             setop_rows = sum(s.setop_rows_out for s in scan_stages)
             if setop_rows:
                 notes.append(f"setop stages: rows_out={setop_rows}")
-        if vectorized_run and not (stats and "vec_mode" in stats):
-            notes.append("mode: row")
         if notes:
             annotations[op.op_id] = notes
     return annotations
@@ -219,23 +205,19 @@ def _summary(result) -> List[str]:
 
 def _vectorized_section(result) -> List[str]:
     """The batch-execution section: totals of the ``engine.vectorized.*``
-    counters this run produced.  Empty (section omitted) for row-only runs,
-    so reports are unchanged unless ``sql.vectorized.enabled`` did work.
-    The per-operator ``mode: batch`` notes sum to exactly these numbers --
-    both sides read the same ledger (tests/sql/test_vectorized_exec.py).
+    counters this run produced.  The per-operator ``batches:`` notes sum to
+    exactly these numbers -- both sides read the same ledger
+    (tests/sql/test_vectorized_exec.py).
     """
     m = result.metrics
-    batches = int(m.get("engine.vectorized.batches"))
-    transitions = int(m.get("engine.vectorized.transitions"))
-    if not (batches or transitions):
-        return []
     return [
         "",
         "== Vectorized Execution ==",
-        f"batches processed: {batches} "
+        f"batches processed: {int(m.get('engine.vectorized.batches'))} "
         f"({int(m.get('engine.vectorized.rows'))} rows)",
         f"operators fused: {int(m.get('engine.vectorized.fused_operators'))}",
-        f"columnar/row transitions: {transitions}",
+        f"columnar/row transitions: "
+        f"{int(m.get('engine.vectorized.transitions'))}",
     ]
 
 
@@ -384,7 +366,7 @@ def views_section_lines(events) -> List[str]:
 
 
 def _views_section(result) -> List[str]:
-    """Materialized-view decisions for this execution (sql.view.enabled)."""
+    """Materialized-view decisions for this execution."""
     return views_section_lines(getattr(result, "view_events", []))
 
 

@@ -30,7 +30,7 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
     pruning, which then minimises the reordered tree's projections.
 
     With ``views`` (a :class:`repro.sql.views.ViewRewriteContext`, built only
-    when ``sql.view.enabled`` is on and a view exists), the materialized-view
+    once the session has run a view statement), the materialized-view
     rewrite runs after predicate pushdown -- so group-column filters already
     sit directly over the base relation, which is exactly the shape the
     matcher prices -- and before join reordering, so a rewritten aggregate

@@ -1,8 +1,13 @@
 """Physical operators: resolved logical plans compiled onto engine RDDs.
 
-Each operator's ``execute(ctx)`` returns an RDD of positional tuples aligned
-with its ``output`` attributes.  Narrow operators (scan residual filters,
-projections) pipeline via ``map_partitions`` inside the upstream task; wide
+Each operator's ``execute(ctx)`` returns an RDD aligned with its ``output``
+attributes: :class:`~repro.sql.columnar.RecordBatch` column vectors when
+``columnar_output`` is set (scans, filters, projections), positional tuples
+otherwise.  Filters, projections, aggregate builds and hash-join key
+evaluation run compiled column kernels over batches (docs/vectorized.md);
+the planner places an explicit adapter (:mod:`repro.sql.vectorized`)
+wherever a producer's format differs from what its consumer reads.  Narrow
+operators pipeline via ``map_partitions`` inside the upstream task; wide
 operators (aggregation, shuffled joins, distinct, intersect) introduce
 exchanges whose volume the scheduler meters -- that metering is Figure 5.
 
@@ -25,6 +30,7 @@ from repro.common.tracing import NOOP_SPAN
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import JobResult, TaskScheduler
 from repro.engine.shuffle import estimate_size
+from repro.sql import columnar as C
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.sources import BaseRelation, Filter as SourceFilter
@@ -143,8 +149,8 @@ class PhysicalPlan:
 
     #: True when ``execute`` returns an RDD of
     #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples; the
-    #: vectorizing planner pass (:mod:`repro.sql.vectorized`) inserts
-    #: explicit transitions wherever producer and consumer modes differ
+    #: planner inserts an explicit transition (:mod:`repro.sql.vectorized`)
+    #: wherever producer and consumer formats differ
     columnar_output = False
 
     def __init__(self, output: Sequence[E.Attribute],
@@ -201,8 +207,53 @@ def _cpu_charged(rows: Iterable[tuple], ctx_task, per_row: float) -> Iterable[tu
     ctx_task.ledger.charge(per_row * count, "engine.rows_processed", count)
 
 
+def _metered(ctx: ExecContext, op: "PhysicalPlan", batches: Iterable[C.RecordBatch],
+             task_ctx, per_row: Optional[float]) -> Iterable[C.RecordBatch]:
+    """Pass one partition's batches through to ``op``, then book them.
+
+    Once the stream is exhausted: counts the ``engine.vectorized.*`` totals
+    on the task ledger, charges ``per_row`` CPU seconds per input row
+    (``None``: the caller charges elsewhere) and accumulates the same
+    numbers onto the operator, which is what lets EXPLAIN ANALYZE's
+    per-operator notes sum to the counters.
+    """
+    nbatches = 0
+    nrows = 0
+    for batch in batches:
+        nbatches += 1
+        nrows += batch.num_rows
+        yield batch
+    task_ctx.ledger.count("engine.vectorized.batches", nbatches)
+    task_ctx.ledger.count("engine.vectorized.rows", nrows)
+    if per_row is not None:
+        task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
+    ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
+
+
+def _named_output(items: Sequence[E.Expression], what: str) -> List[E.Attribute]:
+    """Output attributes of a projection / aggregate list (all items named)."""
+    output = []
+    for item in items:
+        if isinstance(item, E.Alias):
+            output.append(item.to_attribute())
+        elif isinstance(item, E.Attribute):
+            output.append(item)
+        else:
+            raise AnalysisError(f"unnamed {what} {item!r}")
+    return output
+
+
+def _strip_alias(item: E.Expression) -> E.Expression:
+    return item.child if isinstance(item, E.Alias) else item
+
+
 class DataSourceScanExec(PhysicalPlan):
-    """Scan a pluggable relation with pruned columns and offered filters."""
+    """Scan a pluggable relation with pruned columns and offered filters.
+
+    Produces the relation's rows as the source hands them over; the
+    ``residual`` the relation could not handle is applied, batch-at-a-time,
+    by the :class:`WholeStageExec` the planner always puts on top.
+    """
 
     def __init__(
         self,
@@ -229,14 +280,7 @@ class DataSourceScanExec(PhysicalPlan):
         #: enforced engine-side by whoever injected them
         self.runtime_filters: List[SourceFilter] = []
 
-    def execute_source(self, ctx: ExecContext) -> RDD:
-        """Build the relation scan and record its stats -- residual not applied.
-
-        Split out of :meth:`execute` so the vectorized scan
-        (:class:`~repro.sql.vectorized.VectorScanExec`) can reuse the exact
-        pushdown/pruning/accounting path while applying the residual filter
-        batch-at-a-time instead of row-at-a-time.
-        """
+    def execute(self, ctx: ExecContext) -> RDD:
         required = [a.name for a in self.output]
         span = ctx.trace.child(
             f"scan-plan:{self.relation_name or type(self.relation).__name__}",
@@ -290,19 +334,6 @@ class DataSourceScanExec(PhysicalPlan):
         if span.enabled:
             span.set(**stats)
             span.finish()
-        return rdd
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        rdd = self.execute_source(ctx)
-        if self.residual is not None:
-            bound = E.bind_expression(self.residual, self.output)
-            per_row = ctx.cost.row_cpu_s
-
-            def apply_residual(rows, task_ctx):
-                kept = (r for r in rows if bound.eval(r) is True)
-                return _cpu_charged(kept, task_ctx, per_row)
-
-            rdd = rdd.map_partitions(apply_residual)
         return rdd
 
     def describe(self) -> str:
@@ -400,20 +431,94 @@ class LocalScanExec(PhysicalPlan):
         return f"LocalScan({len(self.rows)} rows)"
 
 
+class WholeStageExec(PhysicalPlan):
+    """The batch-producing scan stage: scan, then fused filters and projection.
+
+    Sits on every :class:`DataSourceScanExec` / :class:`LocalScanExec`.  One
+    ``map_partitions`` pass per partition decodes the source's rows into
+    batches once, applies the scan's residual and every fused predicate as
+    a column mask, then evaluates the fused projection -- so each batch is
+    traversed once per kernel instead of once per row per expression node.
+    ``fused`` names the operators the planner collapsed into the pass.
+    """
+
+    columnar_output = True
+
+    def __init__(self, scan: PhysicalPlan) -> None:
+        super().__init__(scan.output, [scan])
+        residual = getattr(scan, "residual", None)
+        self.conditions: List[E.Expression] = (
+            E.split_conjuncts(residual) if residual is not None else [])
+        self.project_list: Optional[List[E.Expression]] = None
+        self.fused = ["Scan"]
+
+    def fuse_filter(self, condition: E.Expression) -> "WholeStageExec":
+        """Fold a filter directly above this stage into its pass."""
+        self.conditions.extend(E.split_conjuncts(condition))
+        self.fused.append("Filter")
+        return self
+
+    def fuse_project(self, project_list: Sequence[E.Expression]) -> "WholeStageExec":
+        """Fold a projection directly above this stage into its pass."""
+        self.output = _named_output(project_list, "projection")
+        self.project_list = list(project_list)
+        self.fused.append("Project")
+        return self
+
+    def execute(self, ctx: ExecContext) -> RDD:
+        scan = self.children[0]
+        width = len(scan.output)
+        batch_size = C.BATCH_SIZE
+        cond_kernels = [C.compile_bound(c, scan.output) for c in self.conditions]
+        proj_kernels = None
+        if self.project_list is not None:
+            proj_kernels = [C.compile_bound(_strip_alias(item), scan.output)
+                            for item in self.project_list]
+        per_row = ctx.cost.vector_row_cpu_s
+        if len(self.fused) > 1:
+            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused))
+            ctx.record_operator(self, fused=len(self.fused))
+
+        def scan_batches(rows, task_ctx):
+            for batch in _metered(ctx, self,
+                                  C.batches_from_rows(rows, width, batch_size),
+                                  task_ctx, per_row):
+                for kernel in cond_kernels:
+                    if batch.num_rows:
+                        mask = kernel(batch.columns, batch.num_rows)
+                        batch = C.apply_mask(batch, mask)
+                if proj_kernels is not None:
+                    n = batch.num_rows
+                    batch = C.RecordBatch(
+                        [k(batch.columns, n) for k in proj_kernels], n)
+                yield batch
+
+        return scan.execute(ctx).map_partitions(scan_batches)
+
+    def describe(self) -> str:
+        return f"WholeStage({'+'.join(self.fused)})"
+
+
 class FilterExec(PhysicalPlan):
-    """Engine-side filter (the "second layer" of section VI.A.3)."""
+    """Engine-side filter (the "second layer" of section VI.A.3):
+    predicate kernel -> mask -> ``itertools.compress``, batch by batch."""
+
+    columnar_output = True
 
     def __init__(self, condition: E.Expression, child: PhysicalPlan) -> None:
         super().__init__(child.output, [child])
         self.condition = condition
 
     def execute(self, ctx: ExecContext) -> RDD:
-        bound = E.bind_expression(self.condition, self.children[0].output)
-        per_row = ctx.cost.row_cpu_s
+        kernel = C.compile_bound(self.condition, self.children[0].output)
+        per_row = ctx.cost.vector_row_cpu_s
 
-        def apply(rows, task_ctx):
-            kept = (r for r in rows if bound.eval(r) is True)
-            return _cpu_charged(kept, task_ctx, per_row)
+        def apply(batches, task_ctx):
+            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+                if batch.num_rows:
+                    batch = C.apply_mask(
+                        batch, kernel(batch.columns, batch.num_rows))
+                yield batch
 
         return self.children[0].execute(ctx).map_partitions(apply)
 
@@ -422,33 +527,24 @@ class FilterExec(PhysicalPlan):
 
 
 class ProjectExec(PhysicalPlan):
-    """Row-by-row expression evaluation into a new tuple layout."""
+    """Expression evaluation into a new column layout: one compiled kernel
+    per output column, applied batch by batch."""
+
+    columnar_output = True
 
     def __init__(self, project_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
-        output = []
-        for item in project_list:
-            if isinstance(item, E.Alias):
-                output.append(item.to_attribute())
-            elif isinstance(item, E.Attribute):
-                output.append(item)
-            else:
-                raise AnalysisError(f"unnamed projection {item!r}")
-        super().__init__(output, [child])
+        super().__init__(_named_output(project_list, "projection"), [child])
         self.project_list = list(project_list)
 
     def execute(self, ctx: ExecContext) -> RDD:
-        bound = [
-            E.bind_expression(
-                item.child if isinstance(item, E.Alias) else item,
-                self.children[0].output,
-            )
-            for item in self.project_list
-        ]
-        per_row = ctx.cost.row_cpu_s
+        kernels = [C.compile_bound(_strip_alias(item), self.children[0].output)
+                   for item in self.project_list]
+        per_row = ctx.cost.vector_row_cpu_s
 
-        def apply(rows, task_ctx):
-            projected = (tuple(b.eval(r) for b in bound) for r in rows)
-            return _cpu_charged(projected, task_ctx, per_row)
+        def apply(batches, task_ctx):
+            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+                n = batch.num_rows
+                yield C.RecordBatch([k(batch.columns, n) for k in kernels], n)
 
         return self.children[0].execute(ctx).map_partitions(apply)
 
@@ -493,30 +589,23 @@ class _AggRef(E.Expression):
 
 
 class HashAggregateExec(PhysicalPlan):
-    """Two-phase hash aggregation (partial -> shuffle by key -> final)."""
+    """Two-phase hash aggregation (partial -> shuffle by key -> final).
+
+    The map-side build consumes batches: grouping keys and aggregate
+    arguments evaluate as column kernels, and the accumulator table updates
+    through the ``AggregateExpression`` protocol (each aggregate rebound to
+    read its precomputed argument slot).  The ``(key, accs)`` pairs it
+    emits, the shuffle, merge and result evaluation are row-at-a-time.
+    """
 
     def __init__(self, groupings: Sequence[E.Expression],
                  aggregate_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
-        output = []
-        for item in aggregate_list:
-            if isinstance(item, E.Alias):
-                output.append(item.to_attribute())
-            elif isinstance(item, E.Attribute):
-                output.append(item)
-            else:
-                raise AnalysisError(f"unnamed aggregate output {item!r}")
-        super().__init__(output, [child])
+        super().__init__(_named_output(aggregate_list, "aggregate output"), [child])
         self.groupings = list(groupings)
         self.aggregate_list = list(aggregate_list)
 
     def _agg_setup(self):
-        """Bind groupings, aggregate instances and result expressions.
-
-        Shared with the vectorized subclass
-        (:class:`~repro.sql.vectorized.VectorHashAggregateExec`), which only
-        swaps the partial-build closure: accumulator protocol, merge and
-        result evaluation stay this exact code on both paths.
-        """
+        """Bind groupings, aggregate instances and result expressions."""
         child_attrs = self.children[0].output
         bound_groupings = [E.bind_expression(g, child_attrs) for g in self.groupings]
 
@@ -524,8 +613,7 @@ class HashAggregateExec(PhysicalPlan):
         agg_instances: List[E.AggregateExpression] = []
         seen_ids: set = set()
         for item in self.aggregate_list:
-            expr = item.child if isinstance(item, E.Alias) else item
-            for node in expr.collect(lambda e: isinstance(e, E.AggregateExpression)):
+            for node in item.collect(lambda e: isinstance(e, E.AggregateExpression)):
                 if id(node) not in seen_ids:
                     seen_ids.add(id(node))
                     agg_instances.append(node)
@@ -549,23 +637,112 @@ class HashAggregateExec(PhysicalPlan):
         ]
         return bound_groupings, bound_aggs, result_exprs
 
-    def _make_partial(self, ctx: ExecContext, bound_groupings, bound_aggs):
-        """The map-side build closure: rows in, ``(key, accs)`` pairs out."""
-        per_row = ctx.cost.row_cpu_s
+    @staticmethod
+    def _column_fold(agg: E.AggregateExpression):
+        """A whole-column accumulator fold for ``agg``, or ``None``.
 
-        def partial(rows, task_ctx):
+        Each fold visits values in row order and performs the *same*
+        arithmetic in the same order as per-row ``update`` calls, so float
+        accumulation is bit-identical to updating row by row -- only the
+        per-row dispatch (method call, argument-tuple build) is amortised.
+        """
+        if type(agg) is E.Count and not agg.distinct:
+            if agg.child is None:
+                return lambda acc, col, n: acc + n
+            return lambda acc, col, n: acc + (n - col.count(None))
+        if type(agg) is E.Sum and not agg.distinct:
+            def fold_sum(acc, col, n):
+                for v in col:
+                    if v is not None:
+                        acc = v if acc is None else acc + v
+                return acc
+
+            return fold_sum
+        if type(agg) is E.Avg and not agg.distinct:
+            def fold_avg(acc, col, n):
+                total, count = acc
+                for v in col:
+                    if v is not None:
+                        total = total + v
+                        count += 1
+                return (total, count)
+
+            return fold_avg
+        if type(agg) is E.Min:
+            def fold_min(acc, col, n):
+                for v in col:
+                    if v is not None and (acc is None or v < acc):
+                        acc = v
+                return acc
+
+            return fold_min
+        if type(agg) is E.Max:
+            def fold_max(acc, col, n):
+                for v in col:
+                    if v is not None and (acc is None or v > acc):
+                        acc = v
+                return acc
+
+            return fold_max
+        return None
+
+    def _make_partial(self, ctx: ExecContext, bound_groupings, bound_aggs):
+        """The map-side build closure: batches in, ``(key, accs)`` pairs out."""
+        key_kernels = [C.compile_kernel(g) for g in bound_groupings]
+        arg_kernels = [
+            C.compile_kernel(agg.children[0]) if agg.children else None
+            for agg in bound_aggs
+        ]
+        slot_aggs = [
+            agg.with_new_children(
+                (E.BoundReference(j, agg.children[0].data_type()),)
+            ) if agg.children else agg
+            for j, agg in enumerate(bound_aggs)
+        ]
+        has_args = any(k is not None for k in arg_kernels)
+        per_row = ctx.cost.vector_row_cpu_s
+
+        folds = ([self._column_fold(a) for a in bound_aggs]
+                 if not self.groupings else [])
+        if folds and all(f is not None for f in folds):
+            # global aggregation over foldable aggregates: fold whole
+            # argument columns instead of materialising per-row arg tuples.
+            # Nothing is emitted for an empty partition.
+            def fold_partial(batches, task_ctx):
+                accs = None
+                for batch in _metered(ctx, self, batches, task_ctx, per_row):
+                    cols, n = batch.columns, batch.num_rows
+                    if not n:
+                        continue
+                    if accs is None:
+                        accs = [a.init_acc() for a in bound_aggs]
+                    for j, fold in enumerate(folds):
+                        kernel = arg_kernels[j]
+                        col = kernel(cols, n) if kernel is not None else None
+                        accs[j] = fold(accs[j], col, n)
+                return iter([] if accs is None else [((), accs)])
+
+            return fold_partial
+
+        def partial(batches, task_ctx):
             table: Dict[tuple, list] = {}
-            count = 0
-            for row in rows:
-                count += 1
-                key = tuple(g.eval(row) for g in bound_groupings)
-                accs = table.get(key)
-                if accs is None:
-                    accs = [a.init_acc() for a in bound_aggs]
-                    table[key] = accs
-                for i, agg in enumerate(bound_aggs):
-                    accs[i] = agg.update(accs[i], row)
-            task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
+            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+                cols, n = batch.columns, batch.num_rows
+                if not n:
+                    continue
+                keys = C.key_tuples(key_kernels, cols, n)
+                if has_args:
+                    arg_rows = zip(*(k(cols, n) if k is not None else [None] * n
+                                     for k in arg_kernels))
+                else:
+                    arg_rows = itertools.repeat((), n)
+                for key, arg_row in zip(keys, arg_rows):
+                    accs = table.get(key)
+                    if accs is None:
+                        accs = [a.init_acc() for a in slot_aggs]
+                        table[key] = accs
+                    for j, agg in enumerate(slot_aggs):
+                        accs[j] = agg.update(accs[j], arg_row)
             return iter(table.items())
 
         return partial
@@ -611,7 +788,7 @@ class HashAggregateExec(PhysicalPlan):
     def _result_expr(self, item: E.Expression, key_position: Dict[int, int],
                      agg_position: Dict[int, int],
                      groupings: Sequence[E.Expression]) -> E.Expression:
-        expr = item.child if isinstance(item, E.Alias) else item
+        expr = _strip_alias(item)
 
         # AggregateExpression children are bound separately, so the rewrite
         # is top-down and stops at aggregate / grouping-expression boundaries
@@ -716,10 +893,10 @@ def _make_keyed_probe(table: Dict[tuple, List[tuple]], how: str,
                       on_output: Callable[[int, int], None]):
     """Probe a broadcast ``table`` with pre-keyed ``(key, row)`` pairs.
 
-    The join body shared by the row probe (:func:`_make_broadcast_probe`)
-    and the vectorized probe, which computes its keys batch-at-a-time
-    (:class:`~repro.sql.vectorized.VectorBroadcastHashJoinExec`); both paths
-    therefore match, filter and count output identically.
+    The join body shared by :class:`BroadcastHashJoinExec`, which computes
+    its stream keys batch-at-a-time, and the adaptive executor's row probe
+    (:func:`_make_broadcast_probe`); both therefore match, filter and count
+    output identically.
     """
 
     def probe_keyed(keyed_rows, task_ctx):
@@ -767,9 +944,9 @@ def _make_broadcast_probe(table: Dict[tuple, List[tuple]],
 
     Streams the big side against the broadcast ``table``; like
     :func:`_make_join_reducer` it counts its output rows/bytes so join
-    volume is observable regardless of strategy.  Shared between
-    :class:`BroadcastHashJoinExec` and the adaptive executor's
-    broadcast-conversion rule.
+    volume is observable regardless of strategy.  Used by the adaptive
+    executor's broadcast-conversion rule, whose stream side is the row
+    output of a stage barrier.
     """
     probe_keyed = _make_keyed_probe(table, how, left_width, right_width,
                                     residual_bound, per_row, on_output)
@@ -781,8 +958,23 @@ def _make_broadcast_probe(table: Dict[tuple, List[tuple]],
     return probe
 
 
+def _row_tagger(bound_keys: Sequence[E.Expression], side: int, per_row: float):
+    """Map-side closure of a row-fed shuffled join: ``(key, side, row)``."""
+
+    def tag(rows, task_ctx):
+        tagged = ((tuple(k.eval(r) for k in bound_keys), side, r) for r in rows)
+        return _cpu_charged(tagged, task_ctx, per_row)
+
+    return tag
+
+
 class ShuffledHashJoinExec(PhysicalPlan):
-    """Equi-join where both sides are shuffled by the join key."""
+    """Equi-join where both sides are shuffled by the join key.
+
+    Both inputs arrive as batches: join keys evaluate as column kernels and
+    rows re-materialise through a C-level transpose into the tagged
+    ``(key, side, row)`` stream the reduce side joins row by row.
+    """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
                  left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
@@ -796,33 +988,37 @@ class ShuffledHashJoinExec(PhysicalPlan):
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left, right = self.children
-        bound_left = [E.bind_expression(k, left.output) for k in self.left_keys]
-        bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
+        left_kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
+        right_kernels = [C.compile_bound(k, right.output) for k in self.right_keys]
         left_width, right_width = len(left.output), len(right.output)
         combined_attrs = list(left.output) + list(right.output)
         residual_bound = (
             E.bind_expression(self.residual, combined_attrs)
             if self.residual is not None else None
         )
-        how = self.how
-        per_row = ctx.cost.row_cpu_s
+        vec_row = ctx.cost.vector_row_cpu_s
 
-        def tag_left(rows, task_ctx):
-            tagged = ((tuple(k.eval(r) for k in bound_left), 0, r) for r in rows)
-            return _cpu_charged(tagged, task_ctx, per_row)
+        def make_tag(kernels, side):
+            def tag(batches, task_ctx):
+                for batch in _metered(ctx, self, batches, task_ctx, vec_row):
+                    cols, n = batch.columns, batch.num_rows
+                    if not n:
+                        continue
+                    for key, row in zip(C.key_tuples(kernels, cols, n),
+                                        batch.to_rows()):
+                        yield (key, side, row)
 
-        def tag_right(rows, task_ctx):
-            tagged = ((tuple(k.eval(r) for k in bound_right), 1, r) for r in rows)
-            return _cpu_charged(tagged, task_ctx, per_row)
+            return tag
 
         join_partition = _make_join_reducer(
-            how, left_width, right_width, residual_bound, per_row,
+            self.how, left_width, right_width, residual_bound,
+            ctx.cost.row_cpu_s,
             lambda rows_out, bytes_out: ctx.accumulate_operator(
                 self, rows_out=rows_out, bytes_out=bytes_out),
         )
 
-        tagged = left.execute(ctx).map_partitions(tag_left).union(
-            right.execute(ctx).map_partitions(tag_right)
+        tagged = left.execute(ctx).map_partitions(make_tag(left_kernels, 0)).union(
+            right.execute(ctx).map_partitions(make_tag(right_kernels, 1))
         )
         shuffled = tagged.partition_by(
             ctx.shuffle_partitions(), key_fn=lambda e: e[0], post_shuffle=join_partition
@@ -838,7 +1034,11 @@ class ShuffledHashJoinExec(PhysicalPlan):
 
 
 class BroadcastHashJoinExec(PhysicalPlan):
-    """Equi-join broadcasting the (small) right side to every executor."""
+    """Equi-join broadcasting the (small) right side to every executor.
+
+    The build side is a row sub-job collected at the driver; the probe reads
+    the left side's batches, computing stream keys as column kernels.
+    """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
                  left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
@@ -850,11 +1050,7 @@ class BroadcastHashJoinExec(PhysicalPlan):
         self.residual = residual
 
     def _broadcast_build(self, ctx: ExecContext) -> Dict[tuple, List[tuple]]:
-        """Collect the (small) right side as a driver sub-job and hash it.
-
-        Shared with the vectorized variant: broadcast volume accounting and
-        table layout are identical whichever probe consumes the table.
-        """
+        """Collect the (small) right side as a driver sub-job and hash it."""
         right = self.children[1]
         bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
         build_rows = ctx.run_job(right.execute(ctx)).rows()
@@ -874,23 +1070,32 @@ class BroadcastHashJoinExec(PhysicalPlan):
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left, right = self.children
-        bound_left = [E.bind_expression(k, left.output) for k in self.left_keys]
+        kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
         left_width, right_width = len(left.output), len(right.output)
         combined_attrs = list(left.output) + list(right.output)
         residual_bound = (
             E.bind_expression(self.residual, combined_attrs)
             if self.residual is not None else None
         )
-        how = self.how
-        per_row = ctx.cost.row_cpu_s
         table = self._broadcast_build(ctx)
-
-        probe = _make_broadcast_probe(
-            table, bound_left, how, left_width, right_width, residual_bound,
-            per_row,
+        probe_keyed = _make_keyed_probe(
+            table, self.how, left_width, right_width, residual_bound,
+            ctx.cost.vector_row_cpu_s,
             lambda rows_out, bytes_out: ctx.accumulate_operator(
                 self, rows_out=rows_out, bytes_out=bytes_out),
         )
+
+        def probe(batches, task_ctx):
+            def keyed():
+                # the probe charges per output row; input rows are only counted
+                for batch in _metered(ctx, self, batches, task_ctx, None):
+                    cols, n = batch.columns, batch.num_rows
+                    if n:
+                        yield from zip(C.key_tuples(kernels, cols, n),
+                                       batch.to_rows())
+
+            return probe_keyed(keyed(), task_ctx)
+
         # no scope stamp: the probe pipelines inside the big side's scan
         # stage, whose scope already belongs to the scan operator
         return left.execute(ctx).map_partitions(probe)
@@ -972,26 +1177,16 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
             E.bind_expression(self.residual, combined_attrs)
             if self.residual is not None else None
         )
-        how = self.how
-
-        def tag_left(rows, task_ctx):
-            tagged = ((tuple(k.eval(r) for k in bound_left), 0, r) for r in rows)
-            return _cpu_charged(tagged, task_ctx, per_row)
-
-        def tag_right(rows, task_ctx):
-            tagged = ((tuple(k.eval(r) for k in bound_right), 1, r) for r in rows)
-            return _cpu_charged(tagged, task_ctx, per_row)
-
         join_partition = _make_join_reducer(
-            how, left_width, right_width, residual_bound, per_row,
+            self.how, left_width, right_width, residual_bound, per_row,
             lambda rows_out, bytes_out: ctx.accumulate_operator(
                 self, rows_out=rows_out, bytes_out=bytes_out),
         )
         build_rdd = ParallelCollectionRDD(
             build_rows, min(ctx.shuffle_partitions(), max(1, len(build_rows)))
         )
-        tagged = probe.map_partitions(tag_left).union(
-            build_rdd.map_partitions(tag_right)
+        tagged = probe.map_partitions(_row_tagger(bound_left, 0, per_row)).union(
+            build_rdd.map_partitions(_row_tagger(bound_right, 1, per_row))
         )
         shuffled = tagged.partition_by(
             ctx.shuffle_partitions(), key_fn=lambda e: e[0],

@@ -14,6 +14,12 @@ Two strategies matter for the paper:
   from ``BaseRelation.size_in_bytes()``: SHC computes real region sizes, the
   generic connector returns unknown (treated as huge), which is what forces
   vanilla Spark SQL into shuffling entire fact tables (Figure 5).
+
+Operators exchange column batches or row tuples (docs/vectorized.md): every
+scan is planned as a batch-producing :class:`~repro.sql.physical.WholeStageExec`
+that absorbs the filters and the projection directly above it, and each
+strategy below hands its children to ``adapt`` (:mod:`repro.sql.vectorized`)
+in the format the operator it builds reads.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql import physical as P
 from repro.sql.sources import translate_expression
+from repro.sql.vectorized import adapt
 
 #: size assigned to relations that cannot estimate themselves
 UNKNOWN_SIZE = 1 << 60
@@ -109,9 +116,6 @@ class Planner:
         #: strategy from size estimates
         self.adaptive = bool(conf.get("sql.aqe.enabled", False))
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
-        #: vectorized batch execution (docs/vectorized.md): plan_query rewrites
-        #: the finished tree into batch-at-a-time operators where kernels exist
-        self.vectorized = bool(conf.get("sql.vectorized.enabled", False))
         #: replica-aware scan routing (docs/replication.md): the session-level
         #: hbase.read.replica flag, stamped onto scans so EXPLAIN ANALYZE can
         #: surface routing intent (the relation re-reads the flag at scan
@@ -121,19 +125,12 @@ class Planner:
                                                             "yes", "on")
 
     def plan_query(self, node: L.LogicalPlan) -> P.PhysicalPlan:
-        """Compile a whole query: :meth:`plan` plus the vectorization pass.
+        """Compile a whole query: :meth:`plan`, handing rows to the caller.
 
-        ``plan`` recurses per subtree, so the batch-mode rewrite (which must
-        see the finished tree to place columnar/row transitions) hangs off
-        this entry point instead; execution paths call ``plan_query``, tests
-        poking at individual strategies keep calling ``plan``.
+        The session root and the write sink read row tuples, so a tree
+        whose root produces batches gets a trailing ``ColumnarToRowExec``.
         """
-        physical = self.plan(node)
-        if self.vectorized:
-            from repro.sql.vectorized import vectorize_plan
-
-            physical = vectorize_plan(physical, self.conf)
-        return physical
+        return adapt(self.plan(node), False)
 
     def plan(self, node: L.LogicalPlan) -> P.PhysicalPlan:
         if self.cache is not None and self.cache.has_registrations():
@@ -148,8 +145,8 @@ class Planner:
                         list(node.output), fingerprint, snapshot, description
                     )
                 return P.CacheMaterializeExec(
-                    fingerprint, self.cache, self._plan_dispatch(node),
-                    description,
+                    fingerprint, self.cache,
+                    adapt(self._plan_dispatch(node), False), description,
                 )
         return self._plan_dispatch(node)
 
@@ -166,7 +163,7 @@ class Planner:
             relation = _as_relation(child)
             if relation is not None and child is not node:
                 return self._plan_scan(node.project_list, None, relation)
-            return P.ProjectExec(node.project_list, self.plan(child))
+            return self._project(node.project_list, self.plan(child))
 
         if isinstance(node, L.Filter):
             relation = _as_relation(node.children[0])
@@ -175,14 +172,14 @@ class Planner:
                 return self._plan_scan(
                     list(node.children[0].output), node.condition, relation
                 )
-            return P.FilterExec(node.condition, self.plan(node.children[0]))
+            return self._filter(node.condition, self.plan(node.children[0]))
 
         if isinstance(node, L.LogicalRelation):
             return self._plan_scan(None, None, node)
 
         if isinstance(node, L.LocalRelation):
-            return P.LocalScanExec(node.output, node.rows,
-                                   num_partitions=self.local_scan_partitions)
+            return P.WholeStageExec(P.LocalScanExec(
+                node.output, node.rows, num_partitions=self.local_scan_partitions))
 
         if isinstance(node, L.Join):
             return self._plan_join(node)
@@ -192,27 +189,48 @@ class Planner:
             if pushed is not None:
                 return pushed
             return P.HashAggregateExec(
-                node.groupings, node.aggregate_list, self.plan(node.children[0])
+                node.groupings, node.aggregate_list,
+                adapt(self.plan(node.children[0]), True),
             )
 
+        # sorts, limits and set operators read rows
         if isinstance(node, L.Sort):
-            return P.SortExec(node.orders, self.plan(node.children[0]))
+            return P.SortExec(node.orders, self._plan_rows(node.children[0]))
 
         if isinstance(node, L.Limit):
-            return P.LimitExec(node.n, self.plan(node.children[0]))
+            return P.LimitExec(node.n, self._plan_rows(node.children[0]))
 
         if isinstance(node, L.Distinct):
-            return P.DistinctExec(self.plan(node.children[0]))
+            return P.DistinctExec(self._plan_rows(node.children[0]))
 
         if isinstance(node, L.SetOperation):
-            left = self.plan(node.children[0])
-            right = self.plan(node.children[1])
+            left = self._plan_rows(node.children[0])
+            right = self._plan_rows(node.children[1])
             if node.op == "union":
                 union: P.PhysicalPlan = P.UnionExec(left, right)
                 return union if node.all_rows else P.DistinctExec(union)
             return P.IntersectExec(left, right)
 
         raise AnalysisError(f"no physical strategy for {node.describe()}")
+
+    def _plan_rows(self, node: L.LogicalPlan) -> P.PhysicalPlan:
+        return adapt(self.plan(node), False)
+
+    @staticmethod
+    def _filter(condition: E.Expression, child: P.PhysicalPlan) -> P.PhysicalPlan:
+        """A filter over ``child``, fused into its scan stage when it can be
+        (a stage that already projects evaluates its predicates first)."""
+        if isinstance(child, P.WholeStageExec) and child.project_list is None:
+            return child.fuse_filter(condition)
+        return P.FilterExec(condition, adapt(child, True))
+
+    @staticmethod
+    def _project(project_list: Sequence[E.Expression],
+                 child: P.PhysicalPlan) -> P.PhysicalPlan:
+        """A projection over ``child``, fused into its scan stage when it can be."""
+        if isinstance(child, P.WholeStageExec) and child.project_list is None:
+            return child.fuse_project(project_list)
+        return P.ProjectExec(project_list, adapt(child, True))
 
     # -- data source strategy ----------------------------------------------------
     def _plan_scan(
@@ -255,11 +273,12 @@ class Planner:
         )
         if self.replica_reads:
             scan.replica_reads = True
+        stage = P.WholeStageExec(scan)
         if project_list is None:
-            return scan
+            return stage
         if _is_identity_projection(project_list, scan.output):
-            return scan
-        return P.ProjectExec(project_list, scan)
+            return stage
+        return stage.fuse_project(project_list)
 
     # -- aggregate pushdown (coprocessor-style connectors) --------------------------
     def _try_aggregate_pushdown(self, node: L.Aggregate) -> Optional[P.PhysicalPlan]:
@@ -358,19 +377,22 @@ class Planner:
                 h_left = left_size <= self.broadcast_threshold and node.how == "inner"
                 if bc_right != h_right or (not bc_right and bc_left != h_left):
                     self._incr("sql.cbo.aqe_priors_used")
+            # a broadcast join streams batches against a row-collected build
             if bc_right:
                 return self._stamp(P.BroadcastHashJoinExec(
-                    left_plan, right_plan, left_keys, right_keys, node.how, residual
+                    adapt(left_plan, True), adapt(right_plan, False),
+                    left_keys, right_keys, node.how, residual
                 ), est_join)
             if bc_left:
                 swapped = self._stamp(P.BroadcastHashJoinExec(
-                    right_plan, left_plan, right_keys, left_keys, "inner", None
+                    adapt(right_plan, True), adapt(left_plan, False),
+                    right_keys, left_keys, "inner", None
                 ), est_join)
-                reordered = P.ProjectExec(
+                reordered = self._project(
                     list(node.left.output) + list(node.right.output), swapped
                 )
                 if residual is not None:
-                    return P.FilterExec(residual, reordered)
+                    return self._filter(residual, reordered)
                 return reordered
             semijoin = self._try_semijoin_reduction(
                 node, left_plan, right_plan, left_keys, right_keys, residual,
@@ -381,17 +403,20 @@ class Planner:
             if self.adaptive:
                 from repro.sql.adaptive import AdaptiveJoinExec
 
+                # stage barriers materialise row shuffles
                 return self._stamp(AdaptiveJoinExec(
-                    left_plan, right_plan, left_keys, right_keys, node.how,
-                    residual,
+                    adapt(left_plan, False), adapt(right_plan, False),
+                    left_keys, right_keys, node.how, residual,
                 ), est_join)
             return self._stamp(P.ShuffledHashJoinExec(
-                left_plan, right_plan, left_keys, right_keys, node.how, residual
+                adapt(left_plan, True), adapt(right_plan, True),
+                left_keys, right_keys, node.how, residual
             ), est_join)
 
         # no equi keys: nested loop with the right side broadcast
         return P.BroadcastNestedLoopJoinExec(
-            left_plan, right_plan, node.how, node.condition
+            adapt(left_plan, False), adapt(right_plan, False),
+            node.how, node.condition
         )
 
     def _try_semijoin_reduction(self, node, left_plan, right_plan, left_keys,
@@ -413,8 +438,10 @@ class Planner:
             self._incr("sql.cbo.semijoins_rejected")
             return None
         self._incr("sql.cbo.semijoins_applied")
+        # the probe pre-filter and the driver-collected build are row-at-a-time
         return self._stamp(P.SemiJoinReducedJoinExec(
-            left_plan, right_plan, left_keys, right_keys, node.how, residual,
+            adapt(left_plan, False), adapt(right_plan, False),
+            left_keys, right_keys, node.how, residual,
             max_keys=self.semijoin_max_keys,
         ), est_join)
 

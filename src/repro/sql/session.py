@@ -56,8 +56,7 @@ class QueryResult:
     #: queue wait, breaker state, leased slots); None for direct runs --
     #: see docs/serving.md and the EXPLAIN ANALYZE serving section
     serving: Optional[Dict[str, object]] = None
-    #: materialized-view rewrite decisions (sql.view.enabled), in match
-    #: order; empty when no view was considered -- see docs/views.md and
+    #: materialized-view rewrite decisions, in match order; empty when no view was considered -- see docs/views.md and
     #: the EXPLAIN ANALYZE "Materialized Views" section
     view_events: List[Dict[str, object]] = field(default_factory=list)
 
@@ -121,15 +120,6 @@ DEFAULT_CONF: Dict[str, object] = {
     # ... and (checked at runtime) the build yields at most this many
     # distinct keys; above it the reduction aborts and joins normally
     "sql.cbo.semijoin.maxKeys": 16384,
-    # vectorized batch execution (docs/vectorized.md): rewrite planned trees
-    # into batch-at-a-time operators over RecordBatch column vectors.  Off by
-    # default -- the row path must stay byte-identical
-    "sql.vectorized.enabled": False,
-    # rows per RecordBatch at scan/transition boundaries
-    "sql.vectorized.batchSize": 1024,
-    # collapse scan -> filter -> project chains into one whole-stage pass;
-    # turned off only by the fusion ablation leg
-    "sql.vectorized.fusion": True,
     # DataFrame.cache()/persist(): executor-memory partition cache.  The
     # enabled flag gates persist() itself -- with it off (or with no
     # persist() calls, the default state) planning and execution are
@@ -171,14 +161,11 @@ DEFAULT_CONF: Dict[str, object] = {
     "serving.breaker.probe.count": 2,       # half-open probe arrivals
     "serving.breaker.retry.signal": 2,      # hbase.retries that flag degraded
     "serving.breaker.latency.threshold.s": None,
-    # materialized views (docs/views.md): CREATE MATERIALIZED VIEW persists
-    # aggregations/joins as HBase tables maintained incrementally from a
-    # WAL-tailing CDC feed, and the optimizer rewrites matching queries onto
-    # fresh-enough views.  Off by default -- with the flag off (or on but no
-    # view created) planning and every ledger are byte-identical to the seed
-    "sql.view.enabled": False,
-    # maximum CDC lag (simulated seconds of unshipped WAL tail) a view may
-    # carry and still answer queries; 0.0 = only fully caught-up views
+    # materialized views (docs/views.md): CREATE MATERIALIZED VIEW is the
+    # opt-in -- a session that never creates a view plans and costs exactly
+    # as if the feature did not exist.  This is the maximum CDC lag
+    # (simulated seconds of unshipped WAL tail) a view may carry and still
+    # answer queries; 0.0 = only fully caught-up views
     "sql.view.staleness": 0.0,
 }
 
@@ -201,14 +188,10 @@ class SparkSession:
         self.conf: Dict[str, object] = dict(DEFAULT_CONF)
         # CI's flag-matrix tier-1 legs flip defaults without editing every
         # test; an explicit session conf still wins (applied after)
-        if os.environ.get("REPRO_SQL_VECTORIZED"):
-            self.conf["sql.vectorized.enabled"] = True
         if os.environ.get("REPRO_SQL_CBO"):
             self.conf["sql.cbo.enabled"] = True
         if os.environ.get("REPRO_SQL_AQE"):
             self.conf["sql.aqe.enabled"] = True
-        if os.environ.get("REPRO_SQL_VIEWS"):
-            self.conf["sql.view.enabled"] = True
         if conf:
             self.conf.update(conf)
         self.cluster = ComputeCluster(
@@ -340,13 +323,11 @@ class SparkSession:
     def view_rewrite_context(self):
         """Per-query rewrite state, or None when views cannot apply.
 
-        None is the common case -- flag off, or no view ever created in
-        this session -- and keeps the planning path allocation-identical
-        to the seed.
+        None is the common case -- no view statement ever ran in this
+        session -- and keeps the planning path allocation-identical to a
+        build without views.
         """
         if self._view_manager is None:
-            return None
-        if not bool(self.conf.get("sql.view.enabled", False)):
             return None
         from repro.sql.views import build_rewrite_context
 
@@ -360,10 +341,6 @@ class SparkSession:
             RefreshMaterializedView,
         )
 
-        if not bool(self.conf.get("sql.view.enabled", False)):
-            raise AnalysisError(
-                "materialized views are disabled; set sql.view.enabled"
-            )
         if isinstance(plan, CreateMaterializedView):
             schema, rows, metrics = self.views.create(
                 plan.name, plan.children[0], text)

@@ -1,47 +1,23 @@
-"""Vectorized physical operators and the batch-mode planner pass.
+"""Batch/row adapters: the explicit seams of the batch execution model.
 
-With ``sql.vectorized.enabled`` the planner hands its finished physical tree
-to :func:`vectorize_plan`, which rewrites it bottom-up into batch-at-a-time
-form: scans decode rows into :class:`~repro.sql.columnar.RecordBatch` column
-vectors once at the scan boundary, filters/projections/aggregate builds and
-hash-join build+probe run compiled column kernels, and adjacent narrow
-operators over a scan (scan -> filter -> project) fuse into a single
-whole-stage pass (:class:`VectorScanExec`) so each batch is traversed once.
-
-Operators that stay on the row path (sorts, limits, set operators, adaptive
-joins, anything whose expressions the kernel compiler rejects) interoperate
-through explicit :class:`ColumnarToRowExec` / :class:`RowToColumnarExec`
-transitions inserted here -- never implicitly.  Execution surfaces
-``engine.vectorized.*`` counters (batches, rows, fused operators,
-transitions) that EXPLAIN ANALYZE reconciles against per-operator stats.
-With the flag off none of this module runs and cost ledgers stay
-byte-identical to the row engine (tests/integration/test_vectorized_invariance.py).
-See docs/vectorized.md.
+Scans, filters, projections, aggregate builds and hash-join key evaluation
+exchange :class:`~repro.sql.columnar.RecordBatch` column vectors
+(:mod:`repro.sql.physical`).  Consumers that are inherently row-ordered --
+sorts, limits, set operators, nested-loop / semi-join-reduced / adaptive
+joins, the partition cache, the write sink and the session root -- read row
+tuples.  Wherever a producer's format differs from what its consumer reads,
+the planner calls :func:`adapt`, which inserts :class:`ColumnarToRowExec`
+or :class:`RowToColumnarExec`: a format change is always a visible plan
+node, never implicit.  Each adapter counts one
+``engine.vectorized.transitions`` per partition it converts, which EXPLAIN
+ANALYZE reconciles against its per-operator notes.  See docs/vectorized.md.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence
-
 from repro.engine.rdd import RDD
 from repro.sql import columnar as C
-from repro.sql import expressions as E
 from repro.sql import physical as P
-
-
-def _as_columnar(child: P.PhysicalPlan, batch_size: int) -> P.PhysicalPlan:
-    """Ensure ``child`` produces batches, inserting a transition if needed."""
-    if child.columnar_output:
-        return child
-    return RowToColumnarExec(child, batch_size)
-
-
-def _as_rows(child: P.PhysicalPlan) -> P.PhysicalPlan:
-    """Ensure ``child`` produces rows, inserting a transition if needed."""
-    if child.columnar_output:
-        return ColumnarToRowExec(child)
-    return child
 
 
 class RowToColumnarExec(P.PhysicalPlan):
@@ -49,45 +25,36 @@ class RowToColumnarExec(P.PhysicalPlan):
 
     columnar_output = True
 
-    def __init__(self, child: P.PhysicalPlan, batch_size: int) -> None:
+    def __init__(self, child: P.PhysicalPlan) -> None:
         super().__init__(child.output, [child])
-        self.batch_size = batch_size
 
     def execute(self, ctx: P.ExecContext) -> RDD:
         width = len(self.output)
-        batch_size = self.batch_size
-        op = self
-        ctx.record_operator(self, vec_mode="batch")
+        batch_size = C.BATCH_SIZE
 
         def to_batches(rows, task_ctx):
-            for batch in C.batches_from_rows(rows, width, batch_size):
-                yield batch
+            yield from C.batches_from_rows(rows, width, batch_size)
             task_ctx.ledger.count("engine.vectorized.transitions", 1)
-            ctx.accumulate_operator(op, conversions=1)
+            ctx.accumulate_operator(self, conversions=1)
 
         return self.children[0].execute(ctx).map_partitions(to_batches)
 
     def describe(self) -> str:
-        return f"RowToColumnar(batch={self.batch_size})"
+        return "RowToColumnar"
 
 
 class ColumnarToRowExec(P.PhysicalPlan):
     """Transition: unpack column batches back into row tuples."""
 
-    columnar_output = False
-
     def __init__(self, child: P.PhysicalPlan) -> None:
         super().__init__(child.output, [child])
 
     def execute(self, ctx: P.ExecContext) -> RDD:
-        op = self
-        ctx.record_operator(self, vec_mode="row")
-
         def to_rows(batches, task_ctx):
             for batch in batches:
                 yield from batch.to_rows()
             task_ctx.ledger.count("engine.vectorized.transitions", 1)
-            ctx.accumulate_operator(op, conversions=1)
+            ctx.accumulate_operator(self, conversions=1)
 
         return self.children[0].execute(ctx).map_partitions(to_rows)
 
@@ -95,575 +62,12 @@ class ColumnarToRowExec(P.PhysicalPlan):
         return "ColumnarToRow"
 
 
-class VectorScanExec(P.PhysicalPlan):
-    """Batch-producing scan, optionally fused with filters and a projection.
-
-    Wraps a :class:`~repro.sql.physical.DataSourceScanExec` (reusing its
-    pushdown / pruning / stats path via ``execute_source``) or a
-    :class:`~repro.sql.physical.LocalScanExec`.  One ``map_partitions`` pass
-    per partition: decode rows into batches once, apply every fused
-    predicate as a column mask, then evaluate the fused projection --
-    so each batch is traversed once per kernel instead of once per row per
-    expression node.  The scan's own residual filter always runs here
-    (vectorized); ``fused`` additionally names collapsed upstream operators
-    when ``sql.vectorized.fusion`` folded them in.
-    """
-
-    columnar_output = True
-
-    def __init__(self, scan: P.PhysicalPlan, conditions: Sequence[E.Expression],
-                 project_list: Optional[Sequence[E.Expression]],
-                 output: Sequence[E.Attribute], batch_size: int,
-                 fused: Sequence[str] = ("Scan",)) -> None:
-        super().__init__(output, [scan])
-        self.conditions = list(conditions)
-        self.project_list = list(project_list) if project_list is not None else None
-        self.batch_size = batch_size
-        self.fused = list(fused)
-
-    def with_condition(self, condition: E.Expression) -> "VectorScanExec":
-        """Fuse an upstream filter's predicate into the whole-stage pass."""
-        return VectorScanExec(
-            self.children[0],
-            self.conditions + E.split_conjuncts(condition),
-            self.project_list, self.output, self.batch_size,
-            self.fused + ["Filter"],
-        )
-
-    def with_project(self, project: P.ProjectExec) -> "VectorScanExec":
-        """Fuse an upstream projection into the whole-stage pass."""
-        return VectorScanExec(
-            self.children[0], self.conditions, project.project_list,
-            project.output, self.batch_size, self.fused + ["Project"],
-        )
-
-    def execute(self, ctx: P.ExecContext) -> RDD:
-        scan = self.children[0]
-        if isinstance(scan, P.DataSourceScanExec):
-            rdd = scan.execute_source(ctx)
-        else:
-            rdd = scan.execute(ctx)
-        width = len(scan.output)
-        batch_size = self.batch_size
-        cond_kernels = [C.compile_bound(c, scan.output) for c in self.conditions]
-        proj_kernels = None
-        if self.project_list is not None:
-            proj_kernels = [
-                C.compile_bound(
-                    item.child if isinstance(item, E.Alias) else item,
-                    scan.output,
-                )
-                for item in self.project_list
-            ]
-        if any(k is None for k in cond_kernels) or (
-                proj_kernels is not None and any(k is None for k in proj_kernels)):
-            raise RuntimeError(
-                "planner fused a non-vectorizable expression into a "
-                "VectorScanExec -- vectorize_plan must keep such operators "
-                "on the row path"
-            )
-        per_row = ctx.cost.vector_row_cpu_s
-        stats: Dict[str, object] = {"vec_mode": "batch"}
-        if len(self.fused) > 1:
-            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused))
-            stats["fused"] = len(self.fused)
-        ctx.record_operator(self, **stats)
-        op = self
-
-        def scan_batches(rows, task_ctx):
-            nbatches = 0
-            nrows = 0
-            for batch in C.batches_from_rows(rows, width, batch_size):
-                nbatches += 1
-                nrows += batch.num_rows
-                for kernel in cond_kernels:
-                    if batch.num_rows:
-                        mask = kernel(batch.columns, batch.num_rows)
-                        batch = C.apply_mask(batch, mask)
-                if proj_kernels is not None:
-                    n = batch.num_rows
-                    batch = C.RecordBatch(
-                        [k(batch.columns, n) for k in proj_kernels], n)
-                yield batch
-            task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-            task_ctx.ledger.count("engine.vectorized.rows", nrows)
-            task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
-            ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-
-        return rdd.map_partitions(scan_batches)
-
-    def describe(self) -> str:
-        if len(self.fused) > 1:
-            return (f"VectorizedWholeStage({'+'.join(self.fused)}, "
-                    f"batch={self.batch_size})")
-        return (f"VectorizedScan(batch={self.batch_size}, "
-                f"residual={len(self.conditions)})")
-
-
-class VectorFilterExec(P.FilterExec):
-    """Batch filter: predicate kernel -> mask -> ``itertools.compress``."""
-
-    columnar_output = True
-
-    def execute(self, ctx: P.ExecContext) -> RDD:
-        kernel = C.compile_bound(self.condition, self.children[0].output)
-        if kernel is None:
-            raise RuntimeError(f"non-vectorizable filter {self.condition!r}")
-        per_row = ctx.cost.vector_row_cpu_s
-        ctx.record_operator(self, vec_mode="batch")
-        op = self
-
-        def apply(batches, task_ctx):
-            nbatches = 0
-            nrows = 0
-            for batch in batches:
-                nbatches += 1
-                nrows += batch.num_rows
-                if batch.num_rows:
-                    batch = C.apply_mask(
-                        batch, kernel(batch.columns, batch.num_rows))
-                yield batch
-            task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-            task_ctx.ledger.count("engine.vectorized.rows", nrows)
-            task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
-            ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-
-        return self.children[0].execute(ctx).map_partitions(apply)
-
-    def describe(self) -> str:
-        return f"VectorizedFilter({self.condition!r})"
-
-
-class VectorProjectExec(P.ProjectExec):
-    """Batch projection: one compiled kernel per output column."""
-
-    columnar_output = True
-
-    def execute(self, ctx: P.ExecContext) -> RDD:
-        kernels = [
-            C.compile_bound(
-                item.child if isinstance(item, E.Alias) else item,
-                self.children[0].output,
-            )
-            for item in self.project_list
-        ]
-        if any(k is None for k in kernels):
-            raise RuntimeError(f"non-vectorizable projection {self.project_list!r}")
-        per_row = ctx.cost.vector_row_cpu_s
-        ctx.record_operator(self, vec_mode="batch")
-        op = self
-
-        def apply(batches, task_ctx):
-            nbatches = 0
-            nrows = 0
-            for batch in batches:
-                nbatches += 1
-                nrows += batch.num_rows
-                n = batch.num_rows
-                yield C.RecordBatch([k(batch.columns, n) for k in kernels], n)
-            task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-            task_ctx.ledger.count("engine.vectorized.rows", nrows)
-            task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
-            ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-
-        return self.children[0].execute(ctx).map_partitions(apply)
-
-    def describe(self) -> str:
-        return f"VectorizedProject({[a.name for a in self.output]})"
-
-
-class VectorHashAggregateExec(P.HashAggregateExec):
-    """Hash aggregation whose map-side build consumes batches.
-
-    Grouping keys and aggregate arguments evaluate as column kernels; the
-    accumulator table then updates through the *same* bound
-    ``AggregateExpression`` protocol as the row path (each aggregate rebound
-    to read its precomputed argument slot), so partial states, merge and
-    finish semantics are shared code.  Output pairs flow into the exact
-    shuffle/final machinery of the parent class.
-    """
-
-    columnar_output = False  # emits (key, accs) pairs into the row shuffle
-
-    @staticmethod
-    def _column_fold(agg: E.AggregateExpression):
-        """A whole-column accumulator fold for ``agg``, or ``None``.
-
-        Each fold visits values in row order and performs the *same*
-        arithmetic in the same order as per-row ``update`` calls, so float
-        accumulation is bit-identical to the row path -- only the per-row
-        dispatch (method call, argument-tuple build) is amortised away.
-        """
-        if type(agg) is E.Count and not agg.distinct:
-            if agg.child is None:
-                return lambda acc, col, n: acc + n
-            return lambda acc, col, n: acc + (n - col.count(None))
-        if type(agg) is E.Sum and not agg.distinct:
-            def fold_sum(acc, col, n):
-                for v in col:
-                    if v is not None:
-                        acc = v if acc is None else acc + v
-                return acc
-
-            return fold_sum
-        if type(agg) is E.Avg and not agg.distinct:
-            def fold_avg(acc, col, n):
-                total, count = acc
-                for v in col:
-                    if v is not None:
-                        total = total + v
-                        count += 1
-                return (total, count)
-
-            return fold_avg
-        if type(agg) is E.Min:
-            def fold_min(acc, col, n):
-                for v in col:
-                    if v is not None and (acc is None or v < acc):
-                        acc = v
-                return acc
-
-            return fold_min
-        if type(agg) is E.Max:
-            def fold_max(acc, col, n):
-                for v in col:
-                    if v is not None and (acc is None or v > acc):
-                        acc = v
-                return acc
-
-            return fold_max
-        return None
-
-    def _make_partial(self, ctx: P.ExecContext, bound_groupings, bound_aggs):
-        key_kernels = [C.compile_kernel(g) for g in bound_groupings]
-        arg_kernels = [
-            C.compile_kernel(agg.children[0]) if agg.children else None
-            for agg in bound_aggs
-        ]
-        if any(k is None for k in key_kernels) or any(
-                agg.children and k is None
-                for agg, k in zip(bound_aggs, arg_kernels)):
-            raise RuntimeError(
-                f"non-vectorizable aggregate {self.aggregate_list!r}")
-        slot_aggs = [
-            agg.with_new_children(
-                (E.BoundReference(j, agg.children[0].data_type()),)
-            ) if agg.children else agg
-            for j, agg in enumerate(bound_aggs)
-        ]
-        has_args = any(k is not None for k in arg_kernels)
-        per_row = ctx.cost.vector_row_cpu_s
-        ctx.record_operator(self, vec_mode="batch")
-        op = self
-
-        folds = ([self._column_fold(a) for a in bound_aggs]
-                 if not self.groupings else [])
-        if folds and all(f is not None for f in folds):
-            # global aggregation over foldable aggregates: fold whole
-            # argument columns instead of materialising per-row arg tuples.
-            # Emission matches the row path: nothing for empty partitions.
-            def fold_partial(batches, task_ctx):
-                accs = None
-                nbatches = 0
-                nrows = 0
-                for batch in batches:
-                    cols, n = batch.columns, batch.num_rows
-                    nbatches += 1
-                    nrows += n
-                    if not n:
-                        continue
-                    if accs is None:
-                        accs = [a.init_acc() for a in bound_aggs]
-                    for j, fold in enumerate(folds):
-                        kernel = arg_kernels[j]
-                        col = kernel(cols, n) if kernel is not None else None
-                        accs[j] = fold(accs[j], col, n)
-                task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-                task_ctx.ledger.count("engine.vectorized.rows", nrows)
-                task_ctx.ledger.charge(per_row * nrows,
-                                       "engine.rows_processed", nrows)
-                ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-                return iter([] if accs is None else [((), accs)])
-
-            return fold_partial
-
-        def partial(batches, task_ctx):
-            table: Dict[tuple, list] = {}
-            nbatches = 0
-            nrows = 0
-            for batch in batches:
-                cols, n = batch.columns, batch.num_rows
-                nbatches += 1
-                nrows += n
-                if not n:
-                    continue
-                keys = C.key_tuples(key_kernels, cols, n)
-                if has_args:
-                    arg_rows = zip(*(k(cols, n) if k is not None else [None] * n
-                                     for k in arg_kernels))
-                else:
-                    arg_rows = itertools.repeat((), n)
-                for key, arg_row in zip(keys, arg_rows):
-                    accs = table.get(key)
-                    if accs is None:
-                        accs = [a.init_acc() for a in slot_aggs]
-                        table[key] = accs
-                    for j, agg in enumerate(slot_aggs):
-                        accs[j] = agg.update(accs[j], arg_row)
-            task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-            task_ctx.ledger.count("engine.vectorized.rows", nrows)
-            task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
-            ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-            return iter(table.items())
-
-        return partial
-
-    def describe(self) -> str:
-        return (f"VectorizedHashAggregate(keys={self.groupings!r}, "
-                f"out={[a.name for a in self.output]})")
-
-
-class VectorShuffledHashJoinExec(P.ShuffledHashJoinExec):
-    """Shuffled hash join whose build/stream tagging is batch-at-a-time.
-
-    Join keys evaluate as column kernels and rows re-materialise through a
-    C-level transpose; the tagged stream then feeds the *same* reduce
-    closure as the row join (``_make_join_reducer``), so matching, residual
-    filtering and ``engine.join.*`` accounting are shared code.
-    """
-
-    def execute(self, ctx: P.ExecContext) -> RDD:
-        left, right = self.children
-        left_kernels = [
-            C.compile_bound(k, left.output) for k in self.left_keys]
-        right_kernels = [
-            C.compile_bound(k, right.output) for k in self.right_keys]
-        if any(k is None for k in left_kernels + right_kernels):
-            raise RuntimeError(f"non-vectorizable join keys {self.left_keys!r}")
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        per_row = ctx.cost.row_cpu_s
-        vec_row = ctx.cost.vector_row_cpu_s
-        ctx.record_operator(self, vec_mode="batch")
-        op = self
-
-        def make_tag(kernels, side):
-            def tag(batches, task_ctx):
-                nbatches = 0
-                nrows = 0
-                for batch in batches:
-                    cols, n = batch.columns, batch.num_rows
-                    nbatches += 1
-                    nrows += n
-                    if not n:
-                        continue
-                    for key, row in zip(C.key_tuples(kernels, cols, n),
-                                        batch.to_rows()):
-                        yield (key, side, row)
-                task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-                task_ctx.ledger.count("engine.vectorized.rows", nrows)
-                task_ctx.ledger.charge(vec_row * nrows,
-                                       "engine.rows_processed", nrows)
-                ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-
-            return tag
-
-        join_partition = P._make_join_reducer(
-            self.how, left_width, right_width, residual_bound, per_row,
-            lambda rows_out, bytes_out: ctx.accumulate_operator(
-                self, rows_out=rows_out, bytes_out=bytes_out),
-        )
-        tagged = left.execute(ctx).map_partitions(make_tag(left_kernels, 0)).union(
-            right.execute(ctx).map_partitions(make_tag(right_kernels, 1))
-        )
-        shuffled = tagged.partition_by(
-            ctx.shuffle_partitions(), key_fn=lambda e: e[0],
-            post_shuffle=join_partition,
-        )
-        shuffled.scope = self.op_id
-        return shuffled
-
-    def describe(self) -> str:
-        return (f"VectorizedShuffledHashJoin({self.how}, "
-                f"{self.left_keys!r} = {self.right_keys!r})")
-
-
-class VectorBroadcastHashJoinExec(P.BroadcastHashJoinExec):
-    """Broadcast hash join probing the build table batch-at-a-time.
-
-    The build side stays a row sub-job (identical collection/broadcast
-    accounting via ``_broadcast_build``); the probe computes stream keys as
-    column kernels and delegates matching to the shared keyed probe
-    (``_make_keyed_probe``), so output rows and ``engine.join.*`` counters
-    are computed by the same code as the row path.
-    """
-
-    def execute(self, ctx: P.ExecContext) -> RDD:
-        left, right = self.children
-        kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        if any(k is None for k in kernels):
-            raise RuntimeError(f"non-vectorizable join keys {self.left_keys!r}")
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        table = self._broadcast_build(ctx)
-        probe_keyed = P._make_keyed_probe(
-            table, self.how, left_width, right_width, residual_bound,
-            ctx.cost.vector_row_cpu_s,
-            lambda rows_out, bytes_out: ctx.accumulate_operator(
-                self, rows_out=rows_out, bytes_out=bytes_out),
-        )
-        ctx.record_operator(self, vec_mode="batch")
-        op = self
-
-        def probe(batches, task_ctx):
-            nbatches = 0
-            nrows = 0
-
-            def keyed():
-                nonlocal nbatches, nrows
-                for batch in batches:
-                    cols, n = batch.columns, batch.num_rows
-                    nbatches += 1
-                    nrows += n
-                    if not n:
-                        continue
-                    yield from zip(C.key_tuples(kernels, cols, n),
-                                   batch.to_rows())
-
-            yield from probe_keyed(keyed(), task_ctx)
-            task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-            task_ctx.ledger.count("engine.vectorized.rows", nrows)
-            ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
-
-        # like the row probe, pipelines inside the stream side's stage
-        return left.execute(ctx).map_partitions(probe)
-
-    def describe(self) -> str:
-        return (f"VectorizedBroadcastHashJoin({self.how}, "
-                f"{self.left_keys!r} = {self.right_keys!r})")
-
-
-# -- the planner pass ---------------------------------------------------------
-
-def _aggregate_vectorizable(op: P.HashAggregateExec,
-                            attrs: Sequence[E.Attribute]) -> bool:
-    """All grouping keys and aggregate arguments compile to kernels."""
-    if not all(C.supports_vectorized(g, attrs) for g in op.groupings):
-        return False
-    for item in op.aggregate_list:
-        expr = item.child if isinstance(item, E.Alias) else item
-        for agg in expr.collect(lambda e: isinstance(e, E.AggregateExpression)):
-            if agg.children and not C.supports_vectorized(agg.children[0], attrs):
-                return False
-    return True
-
-
-def _reattach(op: P.PhysicalPlan,
-              children: List[P.PhysicalPlan]) -> P.PhysicalPlan:
-    """Keep ``op`` (same op_id) with its rewritten children."""
-    op.children = children
-    return op
-
-
-def _rewrite(op: P.PhysicalPlan, batch_size: int,
-             fusion: bool) -> P.PhysicalPlan:
-    """Bottom-up rewrite of one subtree into batch form where supported."""
-    if isinstance(op, P.DataSourceScanExec):
-        if op.residual is None or C.supports_vectorized(op.residual, op.output):
-            conditions = (E.split_conjuncts(op.residual)
-                          if op.residual is not None else [])
-            return VectorScanExec(op, conditions, None, list(op.output),
-                                  batch_size)
-        return op  # residual the compiler rejects: stay row-at-a-time
-    if isinstance(op, P.LocalScanExec):
-        return VectorScanExec(op, [], None, list(op.output), batch_size)
-    if not op.children:
-        return op
-
-    children = [_rewrite(c, batch_size, fusion) for c in op.children]
-
-    if type(op) is P.FilterExec:
-        child = children[0]
-        if C.supports_vectorized(op.condition, child.output):
-            if (fusion and isinstance(child, VectorScanExec)
-                    and child.project_list is None):
-                return child.with_condition(op.condition)
-            return VectorFilterExec(op.condition,
-                                    _as_columnar(child, batch_size))
-        return _reattach(op, [_as_rows(child)])
-    if type(op) is P.ProjectExec:
-        child = children[0]
-        exprs = [item.child if isinstance(item, E.Alias) else item
-                 for item in op.project_list]
-        if all(C.supports_vectorized(e, child.output) for e in exprs):
-            if (fusion and isinstance(child, VectorScanExec)
-                    and child.project_list is None):
-                return child.with_project(op)
-            return VectorProjectExec(op.project_list,
-                                     _as_columnar(child, batch_size))
-        return _reattach(op, [_as_rows(child)])
-    if type(op) is P.HashAggregateExec:
-        child = children[0]
-        if _aggregate_vectorizable(op, child.output):
-            return VectorHashAggregateExec(op.groupings, op.aggregate_list,
-                                           _as_columnar(child, batch_size))
-        return _reattach(op, [_as_rows(child)])
-    if type(op) is P.ShuffledHashJoinExec:
-        left, right = children
-        if (all(C.supports_vectorized(k, left.output) for k in op.left_keys)
-                and all(C.supports_vectorized(k, right.output)
-                        for k in op.right_keys)):
-            return VectorShuffledHashJoinExec(
-                _as_columnar(left, batch_size), _as_columnar(right, batch_size),
-                op.left_keys, op.right_keys, op.how, op.residual,
-            )
-        return _reattach(op, [_as_rows(left), _as_rows(right)])
-    if type(op) is P.BroadcastHashJoinExec:
-        left, right = children
-        if all(C.supports_vectorized(k, left.output) for k in op.left_keys):
-            # the build side is collected as rows by a driver sub-job
-            return VectorBroadcastHashJoinExec(
-                _as_columnar(left, batch_size), _as_rows(right),
-                op.left_keys, op.right_keys, op.how, op.residual,
-            )
-        return _reattach(op, [_as_rows(left), _as_rows(right)])
-    # every other operator consumes rows: sorts, limits, set operators,
-    # adaptive joins, cache wrappers, writes ... transition as needed
-    return _reattach(op, [_as_rows(c) for c in children])
-
-
-def vectorize_plan(physical: P.PhysicalPlan,
-                   conf: Dict[str, object]) -> P.PhysicalPlan:
-    """Rewrite a planned tree for batch execution (``sql.vectorized.enabled``).
-
-    Applies :func:`_rewrite` bottom-up and guarantees the root hands rows to
-    the session (a trailing :class:`ColumnarToRowExec` if the root is
-    columnar).  ``sql.vectorized.fusion`` (default on) controls whether
-    scan -> filter -> project chains collapse into one whole-stage pass;
-    with it off each vector operator traverses its batches separately --
-    the ablation axis of ``benchmarks/bench_ablation_vectorized.py``.
-    """
-    batch_size = max(1, int(conf.get("sql.vectorized.batchSize", 1024)))
-    fusion = bool(conf.get("sql.vectorized.fusion", True))
-    return _as_rows(_rewrite(physical, batch_size, fusion))
-
-
-__all__ = [
-    "ColumnarToRowExec",
-    "RowToColumnarExec",
-    "VectorBroadcastHashJoinExec",
-    "VectorFilterExec",
-    "VectorHashAggregateExec",
-    "VectorProjectExec",
-    "VectorScanExec",
-    "VectorShuffledHashJoinExec",
-    "vectorize_plan",
-]
+def adapt(child: P.PhysicalPlan, columnar: bool) -> P.PhysicalPlan:
+    """``child`` in the format its consumer reads (``columnar`` batches or
+    rows), behind a transition node when it produces the other one."""
+    if child.columnar_output == columnar:
+        return child
+    return RowToColumnarExec(child) if columnar else ColumnarToRowExec(child)
+
+
+__all__ = ["ColumnarToRowExec", "RowToColumnarExec", "adapt"]

@@ -32,9 +32,9 @@ rewriting).  Three cooperating pieces live here:
   ``sql.cbo.enabled`` provides them, else by relation size -- and every
   decision surfaces in EXPLAIN's "Materialized Views" section.
 
-Everything is gated on ``sql.view.enabled``; with the flag off (or on but
-no view created) no code here runs and every ledger stays byte-identical
-to the seed (tests/integration/test_view_invariance.py).
+``CREATE MATERIALIZED VIEW`` is the opt-in: in a session that never ran a
+view statement no code here runs and every ledger is what it would be
+without this module (tests/integration/test_view_invariance.py).
 """
 
 from __future__ import annotations

@@ -114,14 +114,13 @@ def test_chaos_schedule_preserves_every_query_answer(seed):
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS[:1])
-def test_chaos_schedule_preserves_answers_in_vectorized_mode(seed):
-    """Batch execution under the pinned crash+straggler schedule.
+def test_chaos_crash_mid_scan_rebatches_the_partition(seed):
+    """Batch building under the pinned crash+straggler schedule.
 
     Batches are built inside ``map_partitions`` over the resumable scan
     stream (PR 2), so a region-server crash mid-scan makes the retried task
     re-batch the partition from scratch -- rows must come back byte-identical
-    to a fault-free *row-mode* run, proving the batch path introduces no
-    resume-visible state.
+    to a fault-free run, proving batching introduces no resume-visible state.
     """
     env = load_tpcds(5, Q39_TABLES)
     baseline_session = env.new_session()
@@ -130,9 +129,7 @@ def test_chaos_schedule_preserves_answers_in_vectorized_mode(seed):
 
     injector = chaos_injector(seed)
     env.cluster.install_fault_injector(injector)
-    conf = dict(SPECULATION_CONF)
-    conf["sql.vectorized.enabled"] = True
-    chaos_session = env.new_session(conf=conf,
+    chaos_session = env.new_session(conf=SPECULATION_CONF,
                                     extra_options=CHAOS_READER_OPTIONS)
     chaos_session.install_fault_injector(injector)
     totals = {"hbase.retries": 0.0, "shc.scan_resumes": 0.0}

@@ -135,7 +135,7 @@ def test_flaky_task_recovers_via_retry(linked):
     from repro.sql.planner import Planner
     from repro.sql.optimizer import optimize
 
-    physical = Planner(session.conf).plan(optimize(df.plan))
+    physical = Planner(session.conf).plan_query(optimize(df.plan))
     ctx = ExecContext(session.new_scheduler(), session.cost, session.conf)
     rdd = physical.execute(ctx).map_partitions(flaky)
     result = ctx.run_job(rdd)
@@ -151,7 +151,7 @@ def test_permanently_failing_query_raises(linked):
     from repro.sql.planner import Planner
     from repro.sql.optimizer import optimize
 
-    physical = Planner(session.conf).plan(optimize(df.plan))
+    physical = Planner(session.conf).plan_query(optimize(df.plan))
     ctx = ExecContext(session.new_scheduler(), session.cost, session.conf)
 
     def broken(rows, ctx_):

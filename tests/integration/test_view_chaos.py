@@ -56,7 +56,7 @@ def put_batch(env, rng, count):
 def test_view_converges_after_crash_mid_maintenance(seed):
     rng = random.Random(seed)
     env = load_tpcds(2, ["inventory"])
-    session = env.new_session(conf={"sql.view.enabled": True})
+    session = env.new_session()
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {VIEW_SQL}").run()
 
     # a batch lands, then a seeded-random server dies before the CDC feed
@@ -87,7 +87,7 @@ def test_stale_window_spans_a_crash(seed):
     """A crash inside the lag window must not let the stale view answer."""
     rng = random.Random(seed)
     env = load_tpcds(2, ["inventory"])
-    session = env.new_session(conf={"sql.view.enabled": True})
+    session = env.new_session()
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {VIEW_SQL}").run()
 
     put_batch(env, rng, 15)

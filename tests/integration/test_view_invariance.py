@@ -1,14 +1,15 @@
-"""View-off invariance: materialized views dormant means the seed, byte for byte.
+"""View invariance: a session without views costs nothing, byte for byte.
 
 The view machinery hooks four layers: the session (statement dispatch and
 the per-query rewrite context), the optimizer (``rewrite_with_views``),
 EXPLAIN (the "Materialized Views" section) and the HBase substrate (the
-CDC stream pumped from ``run_maintenance``).  The guarantee pinned here is
-that every hook is dormant unless ``sql.view.enabled`` is set *and* a view
-was actually created: default conf, flag explicitly off, and flag on but
-unused must all produce byte-identical cost ledgers -- every metric, every
-simulated second -- and no ``sql.view.*`` or ``hbase.cdc.*`` counter may
-ever leak into them.  Stale views must never answer a query.
+CDC stream pumped from ``run_maintenance``).  ``CREATE MATERIALIZED VIEW``
+is the only opt-in, so the guarantee pinned here is that every hook is
+dormant until a view is actually created: a session that never ran a view
+statement and one whose view manager exists but holds no view must produce
+byte-identical cost ledgers -- every metric, every simulated second -- and
+no ``sql.view.*`` or ``hbase.cdc.*`` counter may ever leak into them.
+Stale views must never answer a query.
 """
 
 from repro.core.catalog import HBaseTableCatalog
@@ -22,11 +23,11 @@ AGG_QUERY = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus, "
              "FROM inventory GROUP BY inv_date_sk")
 
 
-def run_fresh(query, conf, create=None):
+def run_fresh(query, before=None):
     env = load_tpcds(2, ["inventory"])
-    session = env.new_session(conf=conf)
-    if create is not None:
-        session.sql(create).run()
+    session = env.new_session()
+    if before is not None:
+        session.sql(before).run()
     result = session.sql(query).run()
     session.shutdown()
     return result
@@ -44,24 +45,19 @@ def assert_no_view_counters(result):
         assert not key.startswith("hbase.cdc."), key
 
 
-def test_default_conf_is_byte_identical_to_views_disabled():
-    default = run_fresh(AGG_QUERY, None)
-    disabled = run_fresh(AGG_QUERY, {"sql.view.enabled": False})
-    assert_ledgers_identical(default, disabled)
-    assert_no_view_counters(default)
-    assert default.view_events == []
-
-
-def test_flag_on_but_unused_is_byte_identical_to_off():
-    off = run_fresh(AGG_QUERY, None)
-    unused = run_fresh(AGG_QUERY, {"sql.view.enabled": True})
-    assert_ledgers_identical(off, unused)
+def test_view_manager_but_unused_is_byte_identical_to_untouched():
+    untouched = run_fresh(AGG_QUERY)
+    # SHOW instantiates the session's view manager; no view exists
+    unused = run_fresh(AGG_QUERY, before="SHOW MATERIALIZED VIEWS")
+    assert_ledgers_identical(untouched, unused)
     assert_no_view_counters(unused)
+    assert untouched.view_events == unused.view_events == []
 
 
 def test_cluster_ledger_has_no_view_counters_without_views():
     env = load_tpcds(2, ["inventory"])
-    session = env.new_session(conf={"sql.view.enabled": True})
+    session = env.new_session()
+    session.sql("SHOW MATERIALIZED VIEWS").run()
     session.sql(AGG_QUERY).run()
     session.shutdown()
     for key in env.cluster.metrics.snapshot():
@@ -72,7 +68,7 @@ def test_cluster_ledger_has_no_view_counters_without_views():
 
 def test_stale_view_never_answers_and_base_result_is_exact():
     env = load_tpcds(2, ["inventory"])
-    session = env.new_session(conf={"sql.view.enabled": True})
+    session = env.new_session()
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_QUERY}").run()
 
     options = env.reader_options("inventory")

@@ -76,7 +76,7 @@ def run_both_ways(session, sql_text):
     planner = Planner(session.conf)
 
     def execute(plan: L.LogicalPlan):
-        physical = planner.plan(plan)
+        physical = planner.plan_query(plan)
         ctx = ExecContext(session.new_scheduler(), session.cost, session.conf)
         return sorted(ctx.run_job(physical.execute(ctx)).rows(),
                       key=_null_safe_key)

@@ -208,8 +208,10 @@ def test_swapped_broadcast_restores_column_order():
     project = find(physical, P.ProjectExec)[0]
     # the reordering projection directly above the swapped join lists the
     # original left output first, then the right output
+    # (it reads batches, so the row-producing join sits behind an adapter)
     projects_above_join = [
-        p for p in find(physical, P.ProjectExec) if join in p.children
+        p for p in find(physical, P.ProjectExec)
+        if join in p.children[0].children
     ]
     assert projects_above_join
     reorder = projects_above_join[0]

@@ -1,21 +1,26 @@
-"""End-to-end vectorized execution: parity, transitions, fusion, EXPLAIN.
+"""End-to-end batch execution: an outside referee, transitions, fusion, EXPLAIN.
 
-Row mode is the semantics oracle: every query here runs three ways -- row,
-vectorized, vectorized without fusion -- and must return identical rows.
-The planner's transition placement is checked structurally (columnar
-operators never feed row operators without an explicit ColumnarToRowExec),
-and EXPLAIN ANALYZE's per-operator batch notes must sum to exactly the
-run's ``engine.vectorized.*`` counters, the acceptance contract of ISSUE 6.
+There is one execution path, so the semantics oracle cannot be "the other
+mode": every parity query runs against stdlib ``sqlite3`` loaded with the
+same rows, at batch sizes 1, 7 and the default (batch seams inside every
+partition) and with joins planned both broadcast and shuffled.  The
+planner's transition placement is checked structurally (an operator's child
+hands it exactly the format it reads), and EXPLAIN ANALYZE's per-operator
+batch notes must sum to exactly the run's ``engine.vectorized.*`` counters.
 """
 
-import os
 import random
+import sqlite3
 
 import pytest
 
+from repro.common.errors import AnalysisError
 from repro.sql import SparkSession
+from repro.sql import columnar as C
+from repro.sql import expressions as E
 from repro.sql import physical as P
 from repro.sql import vectorized as V
+from repro.sql.adaptive import AdaptiveJoinExec, QueryStageExec
 from repro.sql.optimizer import optimize
 from repro.sql.planner import Planner
 from repro.sql.types import DoubleType, LongType, StringType, StructField, StructType
@@ -64,47 +69,75 @@ QUERIES = [
     # join + aggregation + residual-free keys
     "SELECT d.label, count(*) AS n FROM t JOIN d ON t.k = d.k "
     "GROUP BY d.label ORDER BY d.label",
-    # row-only tail operators downstream of batch operators
+    # row-ordered tail operators downstream of batch operators
     "SELECT DISTINCT tag FROM t WHERE k > 10 ORDER BY tag",
     "SELECT tag FROM t WHERE k < 5 UNION SELECT tag FROM t WHERE k > 45",
-    # expressions the kernel compiler supports inside CASE/IN/LIKE
+    # CASE/IN/LIKE kernels
     "SELECT id, CASE WHEN v > 50.0 THEN 'hi' WHEN v > 20.0 THEN 'mid' "
     "ELSE 'lo' END AS band FROM t WHERE k IN (1, 2, 3, 4) "
     "AND tag LIKE 'a%' ORDER BY id",
 ]
 
+#: a non-literal IN list has no column form: the per-row fallback kernel
+FALLBACK_QUERY = "SELECT id, k FROM t WHERE k IN (id, 3, 7)"
+
 
 def fresh_session(conf=None):
-    merged = {"sql.vectorized.enabled": False}
-    merged.update(conf or {})
-    session = SparkSession(["h1", "h2"], conf=merged)
+    session = SparkSession(["h1", "h2"], conf=conf)
     session.create_dataframe(make_rows(), SCHEMA).create_or_replace_temp_view("t")
     session.create_dataframe(DIM_ROWS, DIM_SCHEMA).create_or_replace_temp_view("d")
     return session
 
 
-def run_rows(query, conf):
+def run_rows(query, conf=None):
     session = fresh_session(conf)
     result = session.sql(query).run()
     session.shutdown()
     return [tuple(r.values) for r in result.rows], result
 
 
-@pytest.mark.parametrize("query", QUERIES)
-def test_vectorized_returns_identical_rows(query):
-    expected, __ = run_rows(query, None)
-    for conf in (
-        {"sql.vectorized.enabled": True},
-        {"sql.vectorized.enabled": True, "sql.vectorized.fusion": False},
-        {"sql.vectorized.enabled": True, "sql.vectorized.batchSize": 7},
-        {"sql.vectorized.enabled": True, "sql.autoBroadcastJoinThreshold": 1},
-    ):
+@pytest.fixture(scope="module")
+def oracle():
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE t (id INTEGER, k INTEGER, v REAL, tag TEXT)")
+    db.execute("CREATE TABLE d (k INTEGER, label TEXT)")
+    db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", make_rows())
+    db.executemany("INSERT INTO d VALUES (?, ?)", DIM_ROWS)
+    yield lambda query: db.execute(query).fetchall()
+    db.close()
+
+
+def _null_safe(row):
+    return tuple((v is None, 0 if v is None else v) for v in row)
+
+
+def assert_same_multiset(got, expected, context):
+    got, expected = sorted(got, key=_null_safe), sorted(expected, key=_null_safe)
+    assert len(got) == len(expected), context
+    for g, e in zip(got, expected):
+        assert len(g) == len(e), context
+        for a, b in zip(g, e):
+            if isinstance(a, float) and b is not None:
+                assert a == pytest.approx(b, abs=1e-9, rel=1e-9), context
+            else:
+                assert a == b, context
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, None])
+@pytest.mark.parametrize("query", QUERIES + [FALLBACK_QUERY])
+def test_answers_agree_with_sqlite(query, batch_size, oracle, monkeypatch):
+    if batch_size is not None:
+        monkeypatch.setattr(C, "BATCH_SIZE", batch_size)
+    expected = oracle(query)
+    assert expected, query  # the comparison must compare something
+    # default threshold broadcasts d; threshold 1 shuffles both join sides
+    for conf in (None, {"sql.autoBroadcastJoinThreshold": 1}):
         got, result = run_rows(query, conf)
-        assert got == expected, (query, conf)
-        assert result.metrics.get("engine.vectorized.batches") > 0, (query, conf)
+        assert_same_multiset(got, expected, (query, batch_size, conf))
+        assert result.metrics.get("engine.vectorized.batches") > 0
 
 
-def plan_for(query, conf):
+def plan_for(query, conf=None):
     session = fresh_session(conf)
     df = session.sql(query)
     physical = Planner(session.conf).plan_query(optimize(session.analyze(df.plan)))
@@ -112,55 +145,117 @@ def plan_for(query, conf):
     return physical
 
 
-def test_transitions_are_explicit_everywhere():
-    """No columnar operator ever feeds a row operator directly."""
+def reads_batches(op, child_index):
+    """Does ``op`` read its ``child_index``-th child as batches?"""
+    if isinstance(op, (V.ColumnarToRowExec, P.FilterExec, P.ProjectExec,
+                       P.HashAggregateExec)):
+        return True
+    if type(op) is P.ShuffledHashJoinExec:
+        return True
+    if isinstance(op, P.BroadcastHashJoinExec):
+        return child_index == 0  # the build side is collected as rows
+    return False  # incl. WholeStageExec, which batches its source's rows
+
+
+@pytest.mark.parametrize("conf", [
+    None,
+    {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": False},
+    {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": True},
+])
+def test_transitions_are_explicit_everywhere(conf):
+    """Every operator's child produces exactly the format it reads."""
+    seen = set()
     for query in QUERIES:
-        physical = plan_for(query, {"sql.vectorized.enabled": True})
+        physical = plan_for(query, conf)
         assert physical.columnar_output is False  # session gets rows
         for op in physical.walk():
-            for child in op.children:
-                if child.columnar_output:
-                    assert isinstance(op, (
-                        V.ColumnarToRowExec, V.VectorFilterExec,
-                        V.VectorProjectExec, V.VectorHashAggregateExec,
-                        V.VectorShuffledHashJoinExec,
-                        V.VectorBroadcastHashJoinExec,
-                    )), (query, op.describe(), child.describe())
-            if isinstance(op, V.RowToColumnarExec):
-                assert not op.children[0].columnar_output
-            # the broadcast build side must stay on the row path
-            if isinstance(op, V.VectorBroadcastHashJoinExec):
-                assert not op.children[1].columnar_output
+            seen.add(type(op))
+            for i, child in enumerate(op.children):
+                assert child.columnar_output == reads_batches(op, i), \
+                    (query, op.describe(), child.describe())
+            if isinstance(op, (V.RowToColumnarExec, V.ColumnarToRowExec)):
+                # an adapter always changes the format
+                assert op.children[0].columnar_output != op.columnar_output
+    assert {P.WholeStageExec, P.HashAggregateExec, V.ColumnarToRowExec,
+            V.RowToColumnarExec, P.SortExec, P.DistinctExec} <= seen
+    if conf is None:
+        assert P.BroadcastHashJoinExec in seen
+    elif conf["sql.aqe.enabled"]:
+        assert {AdaptiveJoinExec, QueryStageExec} <= seen
+    else:
+        assert P.ShuffledHashJoinExec in seen
 
 
 def test_fusion_collapses_scan_filter_project():
-    physical = plan_for(QUERIES[0], {"sql.vectorized.enabled": True})
-    fused = [op for op in physical.walk()
-             if isinstance(op, V.VectorScanExec) and len(op.fused) > 1]
-    assert fused, "scan->filter->project did not fuse"
-    assert "Filter" in fused[0].fused or "Project" in fused[0].fused
+    physical = plan_for(QUERIES[0])
+    stages = [op for op in physical.walk() if isinstance(op, P.WholeStageExec)]
+    assert len(stages) == 1
+    assert stages[0].fused[0] == "Scan" and len(stages[0].fused) > 1
+    assert stages[0].describe() == "WholeStage(" + "+".join(stages[0].fused) + ")"
 
 
-def test_fusion_off_keeps_separate_vector_operators():
-    physical = plan_for(
-        QUERIES[0],
-        {"sql.vectorized.enabled": True, "sql.vectorized.fusion": False})
-    assert not [op for op in physical.walk()
-                if isinstance(op, V.VectorScanExec) and len(op.fused) > 1]
-    kinds = {type(op) for op in physical.walk()}
-    assert V.VectorProjectExec in kinds
+def test_projection_over_missing_attribute_raises_at_plan_time():
+    """A mis-bound reference is a planner bug: it must fail while the plan
+    is compiled onto RDDs, naming what the child offers, not run slowly."""
+    ghost = E.Attribute("ghost", LongType)
+    source = P.LocalScanExec([E.Attribute("x", LongType)], [(1,), (2,)])
+    project = P.ProjectExec([E.Alias(ghost, "g")], P.WholeStageExec(source))
+    session = SparkSession(["h1"])
+    ctx = P.ExecContext(session.new_scheduler(), session.cost, session.conf)
+    with pytest.raises(AnalysisError, match=r"cannot bind ghost#\d+; available"):
+        project.execute(ctx)
+    assert ctx.all_stages == [] and ctx.metrics.get("engine.tasks") == 0
+    session.shutdown()
 
 
-def test_row_mode_plan_is_untouched():
-    for query in QUERIES:
-        physical = plan_for(query, None)
-        for op in physical.walk():
-            assert not isinstance(op, (
-                V.RowToColumnarExec, V.ColumnarToRowExec, V.VectorScanExec)), \
-                query
+def test_each_expression_compiles_exactly_once(monkeypatch):
+    """Planning compiles nothing; executing compiles every operator's
+    expressions once (root calls, not the compiler's own recursion)."""
+    real = C.compile_kernel
+    roots = []
+    depth = [0]
+
+    def counting(expr):
+        if depth[0] == 0:
+            roots.append(expr)
+        depth[0] += 1
+        try:
+            return real(expr)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(C, "compile_kernel", counting)
+    session = fresh_session()
+    df = session.sql("SELECT k, sum(v * 2.0) AS s FROM t WHERE k > 5 "
+                     "AND v > 1.0 GROUP BY k HAVING sum(v) > 10.0")
+    physical = Planner(session.conf).plan_query(
+        optimize(session.analyze(df.plan)))
+    assert roots == []
+    # the 3 batch operator kinds of this plan, each with its expression count
+    expected = 0
+    kinds = set()
+    for op in physical.walk():
+        if isinstance(op, P.WholeStageExec):
+            expected += len(op.conditions) + len(op.project_list or ())
+        elif isinstance(op, P.FilterExec):
+            expected += 1
+        elif isinstance(op, P.ProjectExec):
+            expected += len(op.project_list)
+        elif isinstance(op, P.HashAggregateExec):
+            aggs = {id(a) for item in op.aggregate_list for a in item.collect(
+                lambda e: isinstance(e, E.AggregateExpression)) if a.children}
+            expected += len(op.groupings) + len(aggs)
+        else:
+            continue
+        kinds.add(type(op))
+    assert kinds == {P.WholeStageExec, P.FilterExec, P.ProjectExec,
+                     P.HashAggregateExec}
+    session.execute_physical(physical)
+    assert len(roots) == expected
+    session.shutdown()
 
 
-def explain_analyze(query, conf):
+def explain_analyze(query, conf=None):
     session = fresh_session(conf)
     df = session.sql(query)
     report = df.explain(analyze=True)
@@ -171,7 +266,7 @@ def explain_analyze(query, conf):
 
 @pytest.mark.parametrize("query", [QUERIES[0], QUERIES[2], QUERIES[4]])
 def test_explain_analyze_reconciles_with_counters(query):
-    report, result = explain_analyze(query, {"sql.vectorized.enabled": True})
+    report, result = explain_analyze(query)
     stats = result.operator_stats.values()
     assert sum(int(s.get("batches", 0)) for s in stats) == int(
         result.metrics.get("engine.vectorized.batches"))
@@ -187,32 +282,22 @@ def test_explain_analyze_reconciles_with_counters(query):
     assert f"batches processed: {batches}" in report
 
 
-def test_explain_analyze_marks_every_operator_mode():
-    report, result = explain_analyze(
-        QUERIES[5], {"sql.vectorized.enabled": True})
+def test_explain_analyze_annotates_batch_operators_and_adapters():
+    report, result = explain_analyze(QUERIES[5])
     plan_section = report.split("== Stages ==")[0]
-    assert "mode: batch" in plan_section
-    assert "mode: row" in plan_section
-    # every operator line is followed by a mode note somewhere in its notes
-    modes = [s.get("vec_mode") for s in result.operator_stats.values()]
-    assert "batch" in modes and "row" in modes
+    # plain operator names, batch notes on batch operators, a transition
+    # note on every adapter
+    assert "WholeStage(Scan+" in plan_section
+    assert "Vectorized" not in plan_section and "mode:" not in plan_section
+    assert "+- batches: " in plan_section
+    assert plan_section.count("+- transition: partitions=") == \
+        plan_section.count("ColumnarToRow\n") + plan_section.count("RowToColumnar\n")
 
 
-def test_explain_analyze_row_mode_has_no_vectorized_section():
-    report, result = explain_analyze(QUERIES[0], None)
-    assert "== Vectorized Execution ==" not in report
-    assert "mode:" not in report.split("== Stages ==")[0]
-
-
-@pytest.mark.parametrize("conf", [
-    None,
-    {"sql.vectorized.enabled": True},
-    {"sql.aqe.enabled": True},
-    {"sql.vectorized.enabled": True, "sql.aqe.enabled": True},
-])
+@pytest.mark.parametrize("conf", [None, {"sql.aqe.enabled": True}])
 def test_setop_rows_reconcile_ledger_stages_operators(conf):
     """UnionExec/DistinctExec/IntersectExec output accounting agrees across
-    the metrics ledger, StageInfo and per-operator stats -- both modes."""
+    the metrics ledger, StageInfo and per-operator stats."""
     for query in (
         "SELECT tag FROM t WHERE k < 10 UNION SELECT tag FROM t WHERE k > 40",
         "SELECT k FROM t INTERSECT SELECT k FROM d",
@@ -233,8 +318,7 @@ def test_setop_rows_reconcile_ledger_stages_operators(conf):
 
 def test_setop_notes_in_explain_analyze():
     report, result = explain_analyze(
-        "SELECT tag FROM t WHERE k < 10 UNION SELECT tag FROM t WHERE k > 40",
-        None)
+        "SELECT tag FROM t WHERE k < 10 UNION SELECT tag FROM t WHERE k > 40")
     assert "setop: rows_out=" in report
     ledger = int(result.metrics.get("engine.setop.rows_out"))
     total = sum(int(s.get("setop_rows_out", 0))
@@ -242,43 +326,11 @@ def test_setop_notes_in_explain_analyze():
     assert total == ledger
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_VECTORIZED")),
-                    reason="vectorized mode forced on by the environment")
-def test_flag_off_ledger_is_byte_identical():
-    """SQL-layer invariance: default conf == explicit off, key for key."""
-    for query in (QUERIES[0], QUERIES[2], QUERIES[4]):
-        __, default = run_rows(query, None)
-        __, off = run_rows(query, {"sql.vectorized.enabled": False})
-        assert default.seconds == off.seconds, query
-        assert dict(default.metrics.snapshot()) == dict(off.metrics.snapshot())
-        for key in default.metrics.snapshot():
-            assert not key.startswith("engine.vectorized."), key
-
-
-def test_unsupported_residual_keeps_scan_on_row_path():
-    """A scan whose residual the compiler rejects must not vectorize."""
-    from repro.sql import expressions as E
-
-    attrs = [E.Attribute("x", LongType), E.Attribute("y", LongType)]
-    residual = E.In(attrs[0], [attrs[1]])  # non-literal IN: unsupported
-
-    class FakeScan(P.DataSourceScanExec):
-        def __init__(self):
-            PhysicalPlan_init = P.PhysicalPlan.__init__
-            PhysicalPlan_init(self, attrs, [])
-            self.residual = residual
-
-    rewritten = V._rewrite(FakeScan(), 1024, True)
-    assert isinstance(rewritten, FakeScan)
-
-
-def test_vectorized_respects_batch_size_conf():
-    session = fresh_session({"sql.vectorized.enabled": True,
-                             "sql.vectorized.batchSize": 100})
-    result = session.sql(QUERIES[0]).run()
+def test_batch_size_constant_is_read_at_execution(monkeypatch):
+    monkeypatch.setattr(C, "BATCH_SIZE", 100)
+    __, result = run_rows(QUERIES[0])
     # 3000 rows over 2 partitions at 100 rows/batch: >= 30 scan batches
     assert result.metrics.get("engine.vectorized.batches") >= 30
-    session.shutdown()
 
 
 if __name__ == "__main__":

@@ -4,9 +4,13 @@ The contract of :func:`repro.sql.columnar.compile_kernel` is that the
 compiled closure returns, for every row of a batch, exactly what
 ``expr.eval(row)`` returns -- including SQL three-valued NULL logic,
 ``/ 0 -> NULL``, ``IN`` over NULL options and invalid-cast-to-NULL.  These
-tests generate random expression trees over random batches (NULL-heavy and
-empty ones included) and compare element-wise against the row path, plus the
-mask/transpose/key helpers the vectorized operators are built from.
+tests generate random expression trees over random batches (NULL-heavy,
+empty and zero-width ones included) and compare element-wise against
+``Expression.eval``, plus the mask/transpose/key helpers the batch operators
+are built from.  The generators also emit nodes that have no column form (a
+non-literal ``IN`` list, an expression class the compiler has never seen),
+so the per-row fallback kernel is held to the same contract wherever it
+nests inside compiled parents.
 """
 
 import random
@@ -31,6 +35,23 @@ ATTRS = [
 ]
 
 
+class Opaque(E.Expression):
+    """An expression class the compiler knows nothing about: ``child + 1``."""
+
+    def __init__(self, child: E.Expression) -> None:
+        self.children = (child,)
+
+    def eval(self, row: tuple) -> object:
+        value = self.children[0].eval(row)
+        return None if value is None else value + 1
+
+    def data_type(self):
+        return self.children[0].data_type()
+
+    def with_new_children(self, children):
+        return Opaque(children[0])
+
+
 def random_rows(rng: random.Random, n: int, null_p: float):
     rows = []
     for _ in range(n):
@@ -52,7 +73,9 @@ def num_expr(rng: random.Random, depth: int) -> E.Expression:
             E.Literal(round(rng.uniform(-3, 3), 2), DoubleType),
             E.Literal(None, LongType),
         ])
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
+    if kind == 4:
+        return Opaque(num_expr(rng, depth - 1))
     if kind == 0:
         op = rng.choice(["+", "-", "*", "/", "%"])
         return E.BinaryArithmetic(op, num_expr(rng, depth - 1),
@@ -71,7 +94,10 @@ def num_expr(rng: random.Random, depth: int) -> E.Expression:
 def bool_expr(rng: random.Random, depth: int) -> E.Expression:
     """A random boolean-valued expression over ATTRS."""
     if depth <= 0 or rng.random() < 0.3:
-        kind = rng.randrange(4)
+        kind = rng.randrange(5)
+        if kind == 4:
+            # a non-literal option list: no column form
+            return E.In(ATTRS[1], [ATTRS[0], E.Literal(rng.randint(0, 9), LongType)])
         if kind == 0:
             op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
             return E.Comparison(op, num_expr(rng, 1), num_expr(rng, 1))
@@ -97,7 +123,6 @@ def bool_expr(rng: random.Random, depth: int) -> E.Expression:
 def assert_kernel_parity(expr: E.Expression, rows):
     bound = E.bind_expression(expr, ATTRS)
     kernel = C.compile_kernel(bound)
-    assert kernel is not None, f"generator produced unsupported {expr!r}"
     batch = C.RecordBatch.from_rows(rows, len(ATTRS))
     got = kernel(batch.columns, batch.num_rows)
     expected = [bound.eval(r) for r in rows]
@@ -124,6 +149,34 @@ def test_kernels_on_empty_batches(seed):
     rng = random.Random(seed)
     assert_kernel_parity(bool_expr(rng, 3), [])
     assert_kernel_parity(num_expr(rng, 3), [])
+
+
+def _without_columns(rng: random.Random, expr: E.Expression) -> E.Expression:
+    """``expr`` with every attribute replaced by a literal of its type."""
+    def fill(node):
+        if not isinstance(node, E.Attribute):
+            return None
+        if rng.random() < 0.3:
+            return E.Literal(None, node.dtype)
+        value = "ab" if node.dtype is StringType else rng.randint(-5, 5)
+        return E.Literal(float(value) if node.dtype is DoubleType else value,
+                         node.dtype)
+
+    return expr.transform(fill)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(0, 5))
+def test_kernels_on_zero_width_batches(seed, n):
+    """A batch with no columns (``COUNT(*)`` input) still has ``n`` rows:
+    column-free expressions evaluate once per row, fallback nodes included."""
+    rng = random.Random(seed)
+    for expr in (_without_columns(rng, bool_expr(rng, 3)),
+                 _without_columns(rng, num_expr(rng, 3))):
+        batch = C.RecordBatch.from_rows([()] * n, 0)
+        assert batch.columns == [] and batch.num_rows == n
+        got = C.compile_kernel(expr)(batch.columns, n)
+        assert list(got) == [expr.eval(())] * n, f"kernel mismatch for {expr!r}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +206,7 @@ def test_batch_round_trip_identity(seed, width, batch_size):
     batches = list(C.batches_from_rows(iter(rows), width, batch_size))
     assert all(b.num_rows <= batch_size for b in batches)
     assert sum(b.num_rows for b in batches) == n
-    assert list(C.rows_from_batches(batches)) == rows
+    assert [r for b in batches for r in b.to_rows()] == rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +219,6 @@ def test_key_tuples_match_row_key_eval(seed, null_p):
     keys = [num_expr(rng, 2) for _ in range(rng.randint(1, 3))]
     bound = [E.bind_expression(k, ATTRS) for k in keys]
     kernels = [C.compile_kernel(b) for b in bound]
-    assert all(k is not None for k in kernels)
     batch = C.RecordBatch.from_rows(rows, len(ATTRS))
     got = list(C.key_tuples(kernels, batch.columns, batch.num_rows))
     expected = [tuple(b.eval(r) for b in bound) for r in rows]
@@ -203,18 +255,31 @@ def test_invalid_cast_yields_null():
     assert_kernel_parity(expr, rows)
 
 
-def test_non_vectorizable_expression_compiles_to_none():
-    """Unsupported nodes make the compiler refuse, not mistranslate."""
-    # IN over a non-literal option list stays on the row path
-    expr = E.In(ATTRS[0], [ATTRS[1]])
-    assert not C.supports_vectorized(expr, ATTRS)
-    # an unbound Attribute cannot appear in a compiled tree
-    assert C.compile_kernel(ATTRS[0]) is None
+def test_nodes_without_a_column_form_fall_back_to_row_eval():
+    """The compiler is total: unknown nodes evaluate ``expr.eval`` per row,
+    also underneath parents that do have a column form."""
+    rows = [(1, 1, 0.5, "aa"), (2, 5, None, None), (None, 2, 1.0, "ab"),
+            (7, None, 2.0, "")]
+    non_literal_in = E.In(ATTRS[0], [ATTRS[1], E.Literal(7, LongType)])
+    assert_kernel_parity(non_literal_in, rows)
+    assert_kernel_parity(E.Not(non_literal_in), rows)
+    assert_kernel_parity(
+        E.BinaryArithmetic("*", Opaque(ATTRS[0]), E.Literal(2, LongType)), rows)
+    assert_kernel_parity(non_literal_in, [])
+
+
+def test_compile_bound_reports_a_missing_attribute():
+    """Binding errors propagate: they name the reference and the schema."""
+    from repro.common.errors import AnalysisError
+
+    ghost = E.Attribute("ghost", LongType)
+    with pytest.raises(AnalysisError, match="cannot bind ghost.*available.*a#"):
+        C.compile_bound(E.Comparison(">", ghost, E.Literal(1, LongType)), ATTRS)
 
 
 def test_aggregate_column_folds_match_row_updates():
     """The global-agg column folds replay update() exactly, NULLs included."""
-    from repro.sql.vectorized import VectorHashAggregateExec
+    from repro.sql.physical import HashAggregateExec
 
     rng = random.Random(11)
     col = [None if rng.random() < 0.3 else round(rng.uniform(-5, 5), 3)
@@ -222,7 +287,7 @@ def test_aggregate_column_folds_match_row_updates():
     ref = E.BoundReference(0, DoubleType)
     for agg in (E.Count(ref), E.Count(None), E.Sum(ref), E.Avg(ref),
                 E.Min(ref), E.Max(ref)):
-        fold = VectorHashAggregateExec._column_fold(agg)
+        fold = HashAggregateExec._column_fold(agg)
         assert fold is not None
         acc_row = agg.init_acc()
         for v in col:
@@ -233,10 +298,10 @@ def test_aggregate_column_folds_match_row_updates():
 
 
 def test_distinct_aggregates_have_no_fold():
-    from repro.sql.vectorized import VectorHashAggregateExec
+    from repro.sql.physical import HashAggregateExec
 
     ref = E.BoundReference(0, LongType)
-    assert VectorHashAggregateExec._column_fold(
+    assert HashAggregateExec._column_fold(
         E.Count(ref, distinct=True)) is None
 
 

@@ -5,8 +5,6 @@ SHOW, CDC-driven incremental maintenance (delta, recount, invalidation),
 and the optimizer's freshness- and cost-gated automatic rewriting.
 """
 
-import os
-
 import pytest
 
 from repro.common.errors import AnalysisError
@@ -37,7 +35,7 @@ def env():
 
 @pytest.fixture
 def vsession(env):
-    return env.new_session(conf={"sql.view.enabled": True})
+    return env.new_session()
 
 
 def rows_of(result):
@@ -86,16 +84,6 @@ def test_parse_other_view_statements():
 
 
 # -- gating ----------------------------------------------------------------
-
-
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_VIEWS")),
-                    reason="views mode forced on by the environment")
-def test_statements_require_the_flag(env):
-    session = env.new_session()  # sql.view.enabled defaults to False
-    with pytest.raises(AnalysisError, match="sql.view.enabled"):
-        session.sql(f"CREATE MATERIALIZED VIEW mv AS {AGG_SQL}")
-    with pytest.raises(AnalysisError, match="sql.view.enabled"):
-        session.sql("SHOW MATERIALIZED VIEWS")
 
 
 # -- aggregate views -------------------------------------------------------
@@ -175,8 +163,7 @@ def test_stale_view_never_answers(env, vsession):
 
 
 def test_staleness_budget_admits_a_lagging_view(env):
-    session = env.new_session(conf={"sql.view.enabled": True,
-                                    "sql.view.staleness": 1e9})
+    session = env.new_session(conf={"sql.view.staleness": 1e9})
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     put_inventory(env, 2456100, 1, 1, 40)
     lagging = session.sql(AGG_SQL).run()
@@ -368,7 +355,7 @@ def test_hydrate_adopts_views_from_an_earlier_session(env, vsession):
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     vsession.shutdown()
 
-    later = env.new_session(conf={"sql.view.enabled": True})
+    later = env.new_session()
     assert later.views.hydrate(env.cluster) == ["inv_by_date"]
     answered = later.sql(AGG_SQL).run()
     assert [e["action"] for e in answered.view_events] == ["rewrites"]

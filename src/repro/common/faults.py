@@ -6,7 +6,7 @@ mid-scan page fetches, pushed-down filter evaluation, shuffle fetches,
 executor hosts).  Whether a given invocation of a fault point fires is a
 pure function of ``(seed, point, key, invocation index)`` -- no wall clock,
 no ``random`` module -- so a chaos schedule replays identically for a given
-seed even with concurrent queries on the session's thread pool: each
+seed even with queries driven from several caller threads: each
 ``(point, key)`` pair keeps its own invocation counter, and per-key
 invocation order is determined by the task that owns the key, not by
 thread interleaving.

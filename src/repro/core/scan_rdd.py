@@ -132,7 +132,19 @@ class HBaseTableScanRDD(RDD):
                             decoded_cells += ncells
                             yield values
             if gets:
-                for result in table.bulk_get(gets, ctx.ledger):
+                try:
+                    results = table.bulk_get(gets, ctx.ledger)
+                except FilterEvalError:
+                    # the degradation _scan_range makes: fetch again without
+                    # the pushed filter and apply the predicate client-side
+                    ctx.ledger.count("shc.filter_fallbacks")
+                    for get in gets:
+                        get.filter = None
+                    results = [
+                        r for r in table.bulk_get(gets, ctx.ledger)
+                        if not r.is_empty()
+                        and self.hbase_filter.filter_row(r.row, r.cells)]
+                for result in results:
                     if result.is_empty():
                         continue
                     values, ncells = self._decode_result(result)
@@ -280,6 +292,8 @@ class HBaseTableScanRDD(RDD):
         if columns is not None:
             for family, qualifier in columns:
                 get.add_column(family, qualifier)
+        if self.hbase_filter is not None:
+            get.set_filter(self.hbase_filter)
         if time_range is not None:
             get.set_time_range(time_range.min_ts, time_range.max_ts)
         if max_versions != 1:

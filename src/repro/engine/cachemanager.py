@@ -73,7 +73,7 @@ class _Entry:
 class CacheManager:
     """Byte-budgeted LRU store of materialised plan fragments.
 
-    All mutation happens under one lock: the session thread-pool can run
+    All mutation happens under one lock: callers' own threads can run
     queries over the same cached plan concurrently, each publishing
     partitions from its own thread.
     """

@@ -13,14 +13,11 @@ loop places it: its ledger is therefore known at once and its simulated
 completion can be queued.  Stage execution creates no thread, pool, future
 or lock, and the same job always yields the same placement, task order and
 simulated timeline (docs/engine.md says why worker threads were removed).
-Concurrent *queries* still run on threads, each driving its own stages.
 
 A task's simulated start is the moment its slot freed, so the stage's
 simulated makespan is consistent with the placement even when durations are
-heavily skewed.  Wall-clock time is measured around the whole stage;
-``realtime_scale`` optionally sleeps ``makespan * scale`` once per stage, so
-a wall-clock benchmark sees the simulated schedule (more slots, shorter
-wall) and concurrent queries overlap their emulated I/O waits.
+heavily skewed.  Wall-clock time is measured around the whole stage and
+never fed back into it: real time does not enter the engine.
 """
 
 from __future__ import annotations
@@ -109,7 +106,6 @@ class StageRunner:
         task_launch_s: float,
         locality_enabled: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
-        realtime_scale: float = 0.0,
         speculation_enabled: bool = False,
         speculation_multiplier: float = 1.5,
         speculation_quantile: float = 0.5,
@@ -121,7 +117,6 @@ class StageRunner:
         self.task_launch_s = task_launch_s
         self.locality_enabled = locality_enabled
         self.locality_wait_skips = max(0, locality_wait_skips)
-        self.realtime_scale = realtime_scale
         self.speculation_enabled = speculation_enabled
         self.speculation_multiplier = speculation_multiplier
         self.speculation_quantile = speculation_quantile
@@ -173,8 +168,6 @@ class StageRunner:
             sim_free_at[outcome.slot_index] = sim_end
 
         makespan = max(sim_free_at)
-        if self.realtime_scale > 0.0:
-            time.sleep(makespan * self.realtime_scale)
         wall = time.perf_counter() - wall_start
         return StageExecution([done[i] for i in sorted(done)], makespan, wall,
                               speculative_launched=spec_launched,

@@ -170,7 +170,6 @@ class TaskScheduler:
         locality_enabled: bool = True,
         max_task_retries: int = 3,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
-        realtime_scale: float = 0.0,
         faults=None,
         speculation_enabled: bool = False,
         speculation_multiplier: float = 1.5,
@@ -218,7 +217,6 @@ class TaskScheduler:
             cost_model.task_launch_s,
             locality_enabled=locality_enabled,
             locality_wait_skips=locality_wait_skips,
-            realtime_scale=realtime_scale,
             speculation_enabled=speculation_enabled,
             speculation_multiplier=speculation_multiplier,
             speculation_quantile=speculation_quantile,

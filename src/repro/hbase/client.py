@@ -131,12 +131,13 @@ class Delete:
 
 
 class Get:
-    """A point read of one row."""
+    """A point read of one row, with optional server-side filter."""
 
     def __init__(self, row: bytes) -> None:
         self.row = row
         self.columns: Optional[Set[Tuple[str, str]]] = None
         self.families: Optional[Set[str]] = None
+        self.filter: Optional[Filter] = None
         self.time_range: Optional[TimeRange] = None
         self.max_versions = 1
 
@@ -150,6 +151,10 @@ class Get:
         if self.families is None:
             self.families = set()
         self.families.add(family)
+        return self
+
+    def set_filter(self, row_filter: Filter) -> "Get":
+        self.filter = row_filter
         return self
 
     def set_time_range(self, min_ts: int, max_ts: int) -> "Get":
@@ -487,7 +492,7 @@ class Table:
         server = self.cluster.region_servers[location.server_id]
         hit = server.get(
             location.region_name, get.row, get.columns, get.families,
-            get.time_range, get.max_versions, ledger,
+            get.time_range, get.max_versions, ledger, get.filter,
         )
         payload = sum(c.heap_size() for __, cells in [hit] for c in cells) if hit else 0
         self._charge_rpc(ledger, location.host, payload)
@@ -513,7 +518,7 @@ class Table:
             for get, location in group:
                 hit = server.get(
                     location.region_name, get.row, get.columns, get.families,
-                    get.time_range, get.max_versions, ledger,
+                    get.time_range, get.max_versions, ledger, get.filter,
                 )
                 result = Result(get.row, hit[1] if hit else [])
                 payload += result.size_bytes()

@@ -10,6 +10,7 @@ themselves by ZooKeeper quorum name so ``ConnectionFactory`` can resolve a
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.cost import DEFAULT_COST_MODEL, CostModel
@@ -71,6 +72,7 @@ class HBaseCluster:
         self.zookeeper = ZooKeeper()
         self.hdfs = DistributedFileSystem(self.hosts, hdfs_replication)
         self._regions: Dict[str, Region] = {}
+        self._region_ids = itertools.count(1)
         #: optional :class:`~repro.hbase.replication.ReplicationManager`;
         #: while None, every replication hook is a single ``is None`` check
         self.replication = None
@@ -228,6 +230,10 @@ class HBaseCluster:
         return master
 
     # -- persistent region registry ("HDFS") ----------------------------------
+    def next_region_id(self) -> int:
+        """The id of this cluster's next region (see :class:`Region`)."""
+        return next(self._region_ids)
+
     def register_region(self, region: Region) -> None:
         self._regions[region.name] = region
 

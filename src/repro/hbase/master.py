@@ -135,7 +135,8 @@ class HMaster:
         for i, start in enumerate(boundaries):
             end = boundaries[i + 1] if i + 1 < len(boundaries) else b""
             region = Region(name, list(families), start, end,
-                            flush_threshold=self.cluster.flush_threshold)
+                            flush_threshold=self.cluster.flush_threshold,
+                            region_id=self.cluster.next_region_id())
             self.cluster.register_region(region)
             self._assign(region)
         self._save_state()
@@ -298,7 +299,8 @@ class HMaster:
         self.cluster.region_servers[right_owner].flush_region(right_name)
 
         merged = Region(left.table_name, list(left.stores), left.start_row,
-                        right.end_row, flush_threshold=left.flush_threshold)
+                        right.end_row, flush_threshold=left.flush_threshold,
+                        region_id=self.cluster.next_region_id())
         for family in merged.stores:
             merged.stores[family].files = (
                 list(left.stores[family].files)
@@ -323,7 +325,7 @@ class HMaster:
         region = server.regions.get(region_name)
         if region is None:
             raise HBaseError(f"region {region_name} is offline")
-        daughters = region.split()
+        daughters = region.split(self.cluster.next_region_id)
         if daughters is None:
             return None
         server.close_region(region_name)

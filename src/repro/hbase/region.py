@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import HBaseError
 from repro.hbase.cell import Cell
@@ -83,9 +83,13 @@ class Store:
 
 
 class Region:
-    """A ``[start_row, end_row)`` slice of one table."""
+    """A ``[start_row, end_row)`` slice of one table.
 
-    _ids = itertools.count(1)
+    ``region_id`` comes from the owning cluster's counter
+    (``HBaseCluster.next_region_id``), never from process-wide state: the
+    region name keys retry jitter, the fault schedule and CDC cursors, so
+    it must be a function of that cluster's own history.
+    """
 
     def __init__(
         self,
@@ -94,11 +98,13 @@ class Region:
         start_row: bytes = b"",
         end_row: bytes = b"",
         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD_BYTES,
+        *,
+        region_id: int,
     ) -> None:
         self.table_name = table_name
         self.start_row = start_row
         self.end_row = end_row  # b"" means unbounded
-        self.region_id = next(Region._ids)
+        self.region_id = region_id
         self.name = f"{table_name},{start_row.hex()},{self.region_id}"
         self.stores: Dict[str, Store] = {f: Store(f) for f in families}
         self.flush_threshold = flush_threshold
@@ -304,14 +310,21 @@ class Region:
             return None
         return mid
 
-    def split(self) -> Optional[Tuple["Region", "Region"]]:
-        """Split into two daughter regions at the midpoint (HBase-style)."""
+    def split(self, next_region_id: Callable[[], int]
+              ) -> Optional[Tuple["Region", "Region"]]:
+        """Split into two daughter regions at the midpoint (HBase-style).
+
+        Daughter ids are drawn from ``next_region_id`` only once the split
+        is known to happen, so an unsplittable region consumes none.
+        """
         point = self.split_point()
         if point is None:
             return None
         families = list(self.stores)
-        left = Region(self.table_name, families, self.start_row, point, self.flush_threshold)
-        right = Region(self.table_name, families, point, self.end_row, self.flush_threshold)
+        left = Region(self.table_name, families, self.start_row, point,
+                      self.flush_threshold, region_id=next_region_id())
+        right = Region(self.table_name, families, point, self.end_row,
+                       self.flush_threshold, region_id=next_region_id())
         for family, store in self.stores.items():
             cells = list(store.scan(self.start_row or b"", None))
             left_cells = [c for c in cells if c.row < point]

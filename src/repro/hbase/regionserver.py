@@ -263,30 +263,34 @@ class RegionServer:
             start_row, stop_row, families, columns, time_range, max_versions
         ):
             rows_visited += 1
-            if row_filter is not None:
-                ledger.charge(
-                    self.cost.cell_filter_cost_s * row_filter.cells_evaluated(),
-                    "hbase.filter_evals",
-                )
-                try:
-                    keep = row_filter.filter_row(row, cells)
-                except FilterEvalError:
-                    raise
-                except Exception as exc:
-                    # a broken pushed-down filter must not look like a server
-                    # bug: surface it as retryable-without-the-filter
-                    raise FilterEvalError(
-                        f"server-side filter failed on {region_name} "
-                        f"at row {row!r}: {exc}"
-                    ) from exc
-                if not keep:
-                    continue
+            if row_filter is not None and not self._filter_keeps(
+                    row_filter, region_name, row, cells, ledger):
+                continue
             results.append((row, cells))
         ledger.count("hbase.rows_visited", rows_visited)
         ledger.count("hbase.rows_returned", len(results))
         returned = sum(c.heap_size() for __, cells in results for c in cells)
         ledger.count("hbase.bytes_returned", returned)
         return results
+
+    def _filter_keeps(self, row_filter: Filter, region_name: str, row: bytes,
+                      cells: List[Cell], ledger: CostLedger) -> bool:
+        """Evaluate a pushed-down filter on one row, charging its cell evals."""
+        ledger.charge(
+            self.cost.cell_filter_cost_s * row_filter.cells_evaluated(),
+            "hbase.filter_evals",
+        )
+        try:
+            return row_filter.filter_row(row, cells)
+        except FilterEvalError:
+            raise
+        except Exception as exc:
+            # a broken pushed-down filter must not look like a server
+            # bug: surface it as retryable-without-the-filter
+            raise FilterEvalError(
+                f"server-side filter failed on {region_name} "
+                f"at row {row!r}: {exc}"
+            ) from exc
 
     def _charge_scan_cached(
         self,
@@ -367,8 +371,10 @@ class RegionServer:
         time_range: Optional[TimeRange] = None,
         max_versions: int = 1,
         ledger: Optional[CostLedger] = None,
+        row_filter: Optional[Filter] = None,
     ) -> Optional[RowResult]:
-        """Point lookup.  Bloom filters skip store files that can't match."""
+        """Point lookup.  Bloom filters skip store files that can't match;
+        a row the pushed-down ``row_filter`` rejects is a miss, as in a scan."""
         region = self._read_region(region_name)
         ledger = ledger if ledger is not None else CostLedger()
         chosen = region._chosen_families(families, columns)
@@ -382,6 +388,9 @@ class RegionServer:
         stop = row + b"\x00"
         for got_row, cells in region.scan_rows(row, stop, families, columns, time_range, max_versions):
             if got_row == row:
+                if row_filter is not None and not self._filter_keeps(
+                        row_filter, region_name, row, cells, ledger):
+                    return None
                 returned = sum(c.heap_size() for c in cells)
                 ledger.count("hbase.bytes_returned", returned)
                 ledger.count("hbase.rows_returned", 1)

@@ -127,12 +127,11 @@ class ReplicationManager:
 
     def _open_replica(self, region_name: str, target) -> RegionReplica:
         source = self.cluster.get_region(region_name)
+        # a replica IS the region, just elsewhere: same identity (and so the
+        # same name), own stores
         clone = Region(source.table_name, list(source.stores),
                        source.start_row, source.end_row,
-                       source.flush_threshold)
-        # a replica IS the region, just elsewhere: same identity, own stores
-        clone.name = source.name
-        clone.region_id = source.region_id
+                       source.flush_threshold, region_id=source.region_id)
         wal = self._primary_wal(region_name)
         flushed = wal.flushed_sequence_id(region_name) if wal else 0
         replica = RegionReplica(

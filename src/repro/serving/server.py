@@ -73,7 +73,6 @@ class TenantSpec:
 class ServingConfig:
     """Front-door tuning knobs, read from ``serving.*`` session conf keys."""
 
-    enabled: bool = True
     max_queue_depth: int = 16
     slots_per_query: int = 2
     deadline_s: Optional[float] = None
@@ -102,7 +101,6 @@ class ServingConfig:
                 "serving.breaker.latency.threshold.s"),
         )
         return cls(
-            enabled=bool(conf.get("serving.enabled", True)),
             max_queue_depth=int(conf.get("serving.queue.max.depth", 16)),
             slots_per_query=int(conf.get("serving.slots.per.query", 2)),
             deadline_s=_opt_float("serving.deadline.s"),
@@ -162,18 +160,15 @@ class QueryServer:
 
     Submit requests with :meth:`submit` (thread-safe; deterministic when
     arrival times are pinned), then :meth:`drain` runs the discrete-event
-    loop to completion.  ``enabled=False`` is the invariance escape hatch:
-    every request executes directly through the session with zero serving
-    bookkeeping, byte-identical to calling ``session.sql().run()`` yourself.
+    loop to completion.  Constructing a server is the opt-in: a session
+    nobody wraps in one runs exactly as it always did.
     """
 
     def __init__(self, session, config: Optional[ServingConfig] = None,
-                 enabled: Optional[bool] = None, faults=None,
-                 hbase_cluster=None) -> None:
+                 faults=None, hbase_cluster=None) -> None:
         self.session = session
         self.config = config if config is not None \
             else ServingConfig.from_conf(session.conf)
-        self.enabled = self.config.enabled if enabled is None else enabled
         #: optional FaultInjector checked at the FAULT_ADMISSION point
         self.faults = faults
         #: optional HBaseCluster whose region-server deaths feed the breaker
@@ -260,10 +255,6 @@ class QueryServer:
             tickets, self._pending = self._pending, []
         if not tickets:
             return tickets
-        if not self.enabled:
-            for ticket in tickets:
-                self._run_direct(ticket)
-            return tickets
         self._ensure_partitions()
         for ticket in tickets:
             heapq.heappush(
@@ -277,16 +268,6 @@ class QueryServer:
                 self._on_arrival(now, ticket)
             self._dispatch(now)
         return tickets
-
-    def _run_direct(self, ticket: Ticket) -> None:
-        """The disabled front door: a bare session run, nothing recorded."""
-        df = self.session.sql(ticket.sql)
-        try:
-            ticket.query_result = self.session.execute_plan(df.plan)
-            ticket.status = COMPLETED
-        except ReproError as exc:
-            ticket.error = exc
-            ticket.status = FAILED
 
     # -- bulkhead partitions -----------------------------------------------
     def _ensure_partitions(self) -> None:
@@ -424,22 +405,19 @@ class QueryServer:
         df = self.session.sql(ticket.sql)
         try:
             if ticket.analyze:
-                from repro.sql.explain import explain_analyze_report
-                from repro.sql.optimizer import optimize
-                from repro.sql.planner import Planner
-
-                optimized = optimize(df.plan)
-                physical = Planner(
-                    self.session.conf,
-                    cache=self.session.cache_manager).plan_query(optimized)
-                result = self.session.execute_physical(
-                    physical, trace=trace, slots=lease, queued_s=wait)
-                self._stamp(ticket, result, wait, lease)
-                ticket.report = explain_analyze_report(physical, result)
+                # execute_plan's two steps, keeping the plan for the report
+                planned = self.session.plan_query(df.plan, trace)
+                result = self.session.execute_planned(
+                    planned, trace, slots=lease, queued_s=wait)
             else:
                 result = self.session.execute_plan(
                     df.plan, trace=trace, slots=lease, queued_s=wait)
-                self._stamp(ticket, result, wait, lease)
+            self._stamp(ticket, result, wait, lease)
+            if ticket.analyze:
+                from repro.sql.explain import explain_analyze_report
+
+                ticket.report = explain_analyze_report(planned.physical,
+                                                       result)
         except ReproError as exc:
             ticket.error = exc
             ticket.status = FAILED
@@ -549,6 +527,5 @@ class QueryServer:
         return [(t.seq, t.reason or "?") for t in tickets if t.status == SHED]
 
     def __repr__(self) -> str:
-        return (f"QueryServer(enabled={self.enabled}, "
-                f"tenants={sorted(self._tenants)}, "
+        return (f"QueryServer(tenants={sorted(self._tenants)}, "
                 f"breaker={self.breaker.state})")

@@ -250,49 +250,21 @@ class DataFrame:
         see docs/observability.md.  The executed ``QueryResult`` is kept
         on ``self.last_analyzed`` for callers that want the trace object.
         """
-        from repro.common.metrics import MetricsRegistry
-        from repro.sql.optimizer import optimize
-        from repro.sql.planner import Planner
+        from repro.common.tracing import NOOP_SPAN, Span
+        from repro.sql.explain import explain_analyze_report, views_section_lines
 
-        stats = self.session.cbo_stats()
-        views_ctx = self.session.view_rewrite_context()
-        plan_metrics = MetricsRegistry() \
-            if stats is not None or views_ctx is not None else None
-        if views_ctx is not None:
-            views_ctx.metrics = plan_metrics
-        optimized = optimize(self.plan, conf=self.session.conf,
-                             stats=stats, metrics=plan_metrics,
-                             views=views_ctx)
-        physical = Planner(self.session.conf,
-                           cache=self.session.cache_manager,
-                           stats=stats,
-                           metrics=plan_metrics).plan_query(optimized)
+        trace = Span("query", "query") if analyze else NOOP_SPAN
+        planned = self.session.plan_query(self.plan, trace)
+        head = "== Optimized Logical Plan ==\n" + planned.optimized.pretty()
         if not analyze:
-            from repro.sql.explain import views_section_lines
-
-            extra = ""
-            if views_ctx is not None:
-                lines = views_section_lines(views_ctx.events)
-                if lines:
-                    extra = "\n" + "\n".join(lines)
+            lines = views_section_lines(planned.view_events)
             return (
-                "== Optimized Logical Plan ==\n" + optimized.pretty()
-                + "\n== Physical Plan ==\n" + physical.pretty()
-                + extra
+                head + "\n== Physical Plan ==\n" + planned.physical.pretty()
+                + ("\n" + "\n".join(lines) if lines else "")
             )
-        from repro.common.tracing import Span
-        from repro.sql.explain import explain_analyze_report
-
-        trace = Span("query", "query")
-        result = self.session.execute_physical(physical, trace=trace,
-                                               extra_metrics=plan_metrics)
-        if views_ctx is not None:
-            result.view_events = views_ctx.events
+        result = self.session.execute_planned(planned, trace)
         self.last_analyzed = result
-        return (
-            "== Optimized Logical Plan ==\n" + optimized.pretty()
-            + "\n" + explain_analyze_report(physical, result)
-        )
+        return head + "\n" + explain_analyze_report(planned.physical, result)
 
     def create_or_replace_temp_view(self, name: str) -> None:
         self.session.catalog.register(name, self.plan)

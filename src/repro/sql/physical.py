@@ -39,10 +39,10 @@ from repro.sql.sources import BaseRelation, Filter as SourceFilter
 class ExecContext:
     """Per-query execution context: scheduler access + cost accounting.
 
-    Accumulation is guarded by a lock: operators that run sub-jobs (the
-    broadcast joins) may be evaluated from a session thread-pool worker
-    while other plan fragments of the same query charge driver time, and
-    the accounting must stay consistent either way.
+    Accumulation is guarded by a lock, like the other accounting objects
+    (docs/engine.md, "Shared state and thread safety"): the engine runs a
+    query on one thread, but the lock stays until the DB-API's
+    thread-safety level is decided.
     """
 
     def __init__(self, scheduler: TaskScheduler, cost, conf: Dict[str, object],

@@ -1,17 +1,18 @@
 """The SparkSession-like entry point tying the SQL layer to the engine.
 
 A session owns a compute cluster (hosts + executors granted by the YARN-like
-resource manager), the temp-view catalog, the session configuration, and a
-thread pool for concurrent query execution (Table I's "Thread pool" row).
-``execute_plan`` runs the full Catalyst pipeline -- analyze, optimize, plan,
-execute -- and returns rows together with simulated seconds and metrics.
+resource manager), the temp-view catalog and the session configuration.
+Every way of running a statement -- ``execute_plan``, ``DataFrame.explain``,
+``submit_sql`` (Table I's "Thread pool" row), the serving front door, the
+write paths -- plans through ``plan_query`` and executes through
+``execute_physical``, on the calling thread, so what is explained is what
+runs and a rerun reproduces it.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -24,15 +25,29 @@ from repro.engine.cachemanager import CacheManager
 from repro.engine.cluster import ComputeCluster, YarnResourceManager
 from repro.engine.scheduler import StageInfo, TaskScheduler
 from repro.sql.analyzer import Analyzer, Catalog
-from repro.sql.logical import LocalRelation, LogicalPlan, LogicalRelation
+from repro.sql.logical import InsertIntoTable, LocalRelation, LogicalPlan, LogicalRelation
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
-from repro.sql.physical import ExecContext
+from repro.sql.physical import ExecContext, PhysicalPlan
 from repro.sql.planner import Planner
 from repro.sql.row import Row
 from repro.sql.sources import lookup_provider
 from repro.sql.stats import StatsStore
 from repro.sql.types import StructType, type_from_name
+
+
+@dataclass
+class PlannedQuery:
+    """What ``SparkSession.plan_query`` made of one analyzed logical plan."""
+
+    optimized: LogicalPlan
+    physical: PhysicalPlan
+    #: planning-time CBO/view counters (reorders, estimates, rewrites) that
+    #: ride into the query's registry; None when neither is in play, which
+    #: keeps the default path allocation-identical
+    metrics: Optional[MetricsRegistry] = None
+    #: materialized-view rewrite decisions, in match order
+    view_events: List[Dict[str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -129,11 +144,6 @@ DEFAULT_CONF: Dict[str, object] = {
     "engine.locality.enabled": True,
     # delay scheduling: events a task waits for a preferred slot (locality)
     "engine.locality.wait.skips": 2,
-    # real seconds slept per simulated second of stage makespan, to emulate
-    # the I/O wait a real scan spends off-CPU (0 = off; benchmarks opt in)
-    "engine.realtime.scale": 0.0,
-    # workers in the session's concurrent-query pool (Table I "Thread pool")
-    "engine.query.pool.size": 8,
     # speculative execution: duplicate a tail task once `quantile` of the
     # stage finished and it has run `multiplier` x the median task duration
     # (off by default; chaos/straggler runs opt in)
@@ -149,7 +159,6 @@ DEFAULT_CONF: Dict[str, object] = {
     # affect a session used directly -- they are only read when a
     # repro.serving.QueryServer is constructed over the session, which is
     # itself the opt-in (the direct path stays byte-identical)
-    "serving.enabled": True,
     "serving.queue.max.depth": 16,          # bounded admission queue
     "serving.slots.per.query": 2,           # executor slots leased per query
     "serving.deadline.s": None,             # shed when queue wait eats this
@@ -202,8 +211,6 @@ class SparkSession:
         #: ANALYZE statistics catalog (docs/optimizer.md); read only when
         #: sql.cbo.enabled is on
         self.stats = StatsStore()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
         #: executor-side partition cache behind DataFrame.persist(); None
@@ -239,7 +246,6 @@ class SparkSession:
             queued_s=queued_s,
             locality_enabled=bool(self.conf.get("engine.locality.enabled", True)),
             locality_wait_skips=int(self.conf.get("engine.locality.wait.skips", 2)),
-            realtime_scale=float(self.conf.get("engine.realtime.scale", 0.0)),
             faults=self.faults,
             speculation_enabled=bool(
                 self.conf.get("engine.speculation.enabled", False)),
@@ -275,7 +281,6 @@ class SparkSession:
     # -- SQL ---------------------------------------------------------------------------
     def sql(self, text: str):
         from repro.sql.dataframe import DataFrame
-        from repro.sql.logical import InsertIntoTable, LocalRelation
 
         plan = parse(text)
         from repro.sql.logical import (
@@ -401,26 +406,27 @@ class SparkSession:
         return DataFrame(self, LocalRel(schema, rows), pending_metrics=collected)
 
     def submit_sql(self, text: str) -> "Future[QueryResult]":
-        """Run a SQL query on the session's thread pool (concurrent execution)."""
-        with self._pool_lock:
-            if self._pool is None:
-                workers = int(self.conf.get("engine.query.pool.size", 8))
-                self._pool = ThreadPoolExecutor(max_workers=max(1, workers),
-                                                thread_name_prefix="shc-query")
-            pool = self._pool
-        return pool.submit(lambda: self.sql(text).run())
+        """Run a SQL query and hand back its already-resolved ``Future``.
+
+        The query runs inline, exactly as ``sql(text).run()`` would: under
+        the GIL a worker thread bought no overlap and cost determinism.  A
+        failure is captured on the future, so it surfaces at ``.result()``
+        as it would from an executor.
+        """
+        future: "Future[QueryResult]" = Future()
+        try:
+            future.set_result(self.sql(text).run())
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def shutdown(self) -> None:
-        """Stop the query pool and release cached partitions.
+        """Release cached partitions.
 
         Dropping the partition cache here mirrors the shuffle-store cleanup
         on job abort: a long-lived process that opens and closes sessions
         must not accumulate unreachable cached rows.
         """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if self.cache_manager is not None:
             self.cache_manager.clear()
 
@@ -434,35 +440,43 @@ class SparkSession:
             return Span("query", "query")
         return NOOP_SPAN
 
-    def execute_plan(self, plan: LogicalPlan, trace=None, slots=None,
-                     queued_s: float = 0.0) -> QueryResult:
-        from repro.sql.logical import InsertIntoTable
-
-        if isinstance(plan, InsertIntoTable):
-            return self._execute_insert(plan)
-        trace = self.query_trace(trace)
+    def plan_query(self, plan: LogicalPlan, trace=NOOP_SPAN) -> PlannedQuery:
+        """Optimize and plan one analyzed logical plan -- the only place
+        the session runs the optimizer and the planner."""
         stats = self.cbo_stats()
         views_ctx = self.view_rewrite_context()
-        # planning-time CBO/view counters (reorders, estimates, rewrites)
-        # ride into the query's registry; None keeps the default path
-        # allocation-identical
-        plan_metrics = MetricsRegistry() \
+        metrics = MetricsRegistry() \
             if stats is not None or views_ctx is not None else None
         if views_ctx is not None:
-            views_ctx.metrics = plan_metrics
+            views_ctx.metrics = metrics
         span = trace.child("optimize", "plan", order=(0, 0))
         optimized = optimize(plan, conf=self.conf, stats=stats,
-                             metrics=plan_metrics, views=views_ctx)
+                             metrics=metrics, views=views_ctx)
         span.finish()
         span = trace.child("plan", "plan", order=(0, 1))
         physical = Planner(self.conf, cache=self.cache_manager, stats=stats,
-                           metrics=plan_metrics).plan_query(optimized)
+                           metrics=metrics).plan_query(optimized)
         span.finish()
-        result = self.execute_physical(physical, trace=trace, slots=slots,
-                                       queued_s=queued_s,
-                                       extra_metrics=plan_metrics)
-        if views_ctx is not None:
-            result.view_events = views_ctx.events
+        return PlannedQuery(optimized, physical, metrics,
+                            views_ctx.events if views_ctx is not None else [])
+
+    def execute_plan(self, plan: LogicalPlan, trace=None, slots=None,
+                     queued_s: float = 0.0) -> QueryResult:
+        if isinstance(plan, InsertIntoTable):
+            return self._write(plan.children[0], plan.relation, plan.overwrite)
+        trace = self.query_trace(trace)
+        return self.execute_planned(self.plan_query(plan, trace), trace,
+                                    slots, queued_s)
+
+    def execute_planned(self, planned: PlannedQuery, trace=NOOP_SPAN,
+                        slots=None, queued_s: float = 0.0) -> QueryResult:
+        """Run what ``plan_query`` returned.  ``execute_plan`` is the two
+        calls in turn; EXPLAIN ANALYZE makes them itself because it keeps
+        the physical plan to annotate."""
+        result = self.execute_physical(planned.physical, trace=trace,
+                                       slots=slots, queued_s=queued_s,
+                                       extra_metrics=planned.metrics)
+        result.view_events = planned.view_events
         return result
 
     def cbo_stats(self) -> Optional[StatsStore]:
@@ -476,15 +490,25 @@ class SparkSession:
                          extra_metrics: Optional[MetricsRegistry] = None) -> QueryResult:
         """Run an already-planned physical operator tree.
 
-        Shared by ``execute_plan`` and ``DataFrame.explain(analyze=True)``,
-        which needs the physical plan object itself to annotate.  ``slots``
-        restricts execution to a leased subset of the cluster's executor
-        slots and ``queued_s`` is admission-queue wait charged against
-        client operation deadlines -- both set only by the serving front
-        door (:mod:`repro.serving`), and both defaulting to the
+        ``slots`` restricts execution to a leased subset of the cluster's
+        executor slots and ``queued_s`` is admission-queue wait charged
+        against client operation deadlines -- both set only by the serving
+        front door (:mod:`repro.serving`), and both defaulting to the
         byte-identical direct path.
         """
-        trace = trace if trace is not None else NOOP_SPAN
+        def collect(rdd, schema, ctx):
+            return schema, [Row(values, schema)
+                            for values in ctx.run_job(rdd).rows()]
+
+        return self._run(physical, collect,
+                         trace if trace is not None else NOOP_SPAN,
+                         slots, queued_s, extra_metrics)
+
+    def _run(self, physical, consume, trace, slots, queued_s,
+             extra_metrics) -> QueryResult:
+        """Execute ``physical`` and account for it.  ``consume(rdd, schema,
+        ctx)`` runs the job and returns the result's (schema, rows): a read
+        collects the plan's output, a write inserts it and reports a count."""
         ctx = ExecContext(self.new_scheduler(trace, slots=slots,
                                              queued_s=queued_s),
                           self.cost, self.conf,
@@ -492,11 +516,10 @@ class SparkSession:
         if extra_metrics is not None:
             ctx.metrics.merge(extra_metrics)
         rdd = physical.execute(ctx)
-        job = ctx.run_job(rdd)
         schema = StructType()
         for attr in physical.output:
             schema = schema.add(attr.name, attr.dtype)
-        rows = [Row(values, schema) for values in job.rows()]
+        schema, rows = consume(rdd, schema, ctx)
         seconds = self.cost.driver_overhead_s + ctx.driver_seconds + ctx.job_seconds
         self.clock.advance(seconds)
         if trace.enabled:
@@ -508,26 +531,20 @@ class SparkSession:
                            trace=trace if trace.enabled else None,
                            reopt_events=ctx.reopt_events)
 
-    def _execute_insert(self, plan) -> QueryResult:
-        """Run ``INSERT INTO view SELECT/VALUES`` through the relation."""
-        ctx = ExecContext(self.new_scheduler(), self.cost, self.conf)
-        stats = self.cbo_stats()
-        optimized = optimize(plan.children[0], conf=self.conf, stats=stats,
-                             metrics=ctx.metrics if stats is not None else None)
-        physical = Planner(self.conf, stats=stats,
-                           metrics=ctx.metrics if stats is not None else None
-                           ).plan_query(optimized)
-        rdd = physical.execute(ctx)
-        schema = StructType()
-        for attr in physical.output:
-            schema = schema.add(attr.name, attr.dtype)
-        written = plan.relation.insert(rdd, schema, ctx,
-                                       overwrite=plan.overwrite) or 0
-        seconds = self.cost.driver_overhead_s + ctx.driver_seconds + ctx.job_seconds
-        self.clock.advance(seconds)
-        result_schema = StructType().add("rows_written", type_from_name("bigint"))
-        return QueryResult([Row((written,), result_schema)], result_schema,
-                           seconds, ctx.metrics, ctx.all_stages)
+    def _write(self, source: LogicalPlan, relation,
+               overwrite: bool) -> QueryResult:
+        """Insert ``source``'s rows into ``relation`` -- the one write path
+        behind ``INSERT INTO`` and ``DataFrameWriter.save``, planned exactly
+        like a read."""
+        def insert(rdd, schema, ctx):
+            written = relation.insert(rdd, schema, ctx,
+                                      overwrite=overwrite) or 0
+            schema = StructType().add("rows_written", type_from_name("bigint"))
+            return schema, [Row((written,), schema)]
+
+        planned = self.plan_query(source)
+        return self._run(planned.physical, insert, NOOP_SPAN, None, 0.0,
+                         planned.metrics)
 
     def execute_write(self, plan: LogicalPlan, format_name: str,
                       options: Dict[str, str], overwrite: bool = False,
@@ -546,22 +563,8 @@ class SparkSession:
                 )
             if exists and mode == "ignore":
                 return WriteResult(0, 0.0, MetricsRegistry())
-        ctx = ExecContext(self.new_scheduler(), self.cost, self.conf)
-        stats = self.cbo_stats()
-        optimized = optimize(plan, conf=self.conf, stats=stats,
-                             metrics=ctx.metrics if stats is not None else None)
-        physical = Planner(self.conf, stats=stats,
-                           metrics=ctx.metrics if stats is not None else None
-                           ).plan_query(optimized)
-        rdd = physical.execute(ctx)
-        schema = StructType()
-        for attr in physical.output:
-            schema = schema.add(attr.name, attr.dtype)
-        rows_written = relation.insert(rdd, schema, ctx,
-                                       overwrite=(mode == "overwrite"))
-        seconds = self.cost.driver_overhead_s + ctx.driver_seconds + ctx.job_seconds
-        self.clock.advance(seconds)
-        return WriteResult(rows_written or 0, seconds, ctx.metrics)
+        result = self._write(plan, relation, mode == "overwrite")
+        return WriteResult(result.rows[0][0], result.seconds, result.metrics)
 
 
 class DataFrameReader:

@@ -528,7 +528,14 @@ class ViewManager:
         if vdef.kind == "join":
             tables.append(vdef.right_table)
         stream.subscribe(vdef.subscription_name, tables, maintainer.on_change)
-        write = self._materialize(vdef)
+        # as in create(), the view is unregistered while it materializes:
+        # the write plans like any query, and the defining query must not be
+        # rewritten onto the very table it is overwriting
+        del self._views[vdef.name]
+        try:
+            write = self._materialize(vdef)
+        finally:
+            self._views[vdef.name] = vdef
         vdef.invalidated = False
         self._persist(cluster, vdef)
         metrics = MetricsRegistry()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.simclock import SimClock
@@ -13,6 +15,14 @@ from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
 from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
 from repro.hbase.security import KeytabStore
 from repro.sql.session import SparkSession
+
+# tier-1 is a deterministic budget: examples derive from each test's own
+# source instead of a fresh seed per run, and no example database carries
+# state from one run to the next.  The nightly hypothesis-explore job sets
+# HYPOTHESIS_PROFILE=explore to keep searching off the merge path.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 _ids = itertools.count(1)
 

@@ -10,7 +10,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import BASELINE_FORMAT
 from repro.core.catalog import HBaseTableCatalog
@@ -50,32 +50,60 @@ ROWS = [
     for uid in (1, 2)
 ]
 
-comparison = st.builds(
-    lambda col, op, val: f"{col} {op} {val}",
-    st.sampled_from(["ts", "uid", "score"]),
-    st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-    st.integers(-12, 12),
-)
-tag_predicate = st.builds(
-    lambda op, val: f"tag {op} '{val}'",
-    st.sampled_from(["=", "!="]),
-    st.sampled_from(["t0", "t1", "t2"]),
-)
-in_predicate = st.builds(
-    lambda col, vals: f"{col} in ({', '.join(map(str, vals))})",
-    st.sampled_from(["ts", "uid"]),
-    st.lists(st.integers(-12, 12), min_size=1, max_size=3),
-)
-atom = st.one_of(comparison, tag_predicate, in_predicate)
-predicate = st.recursive(
-    atom,
-    lambda inner: st.builds(
-        lambda l, op, r, neg: (f"not ({l} {op} {r})" if neg
-                               else f"({l} {op} {r})"),
-        inner, st.sampled_from(["and", "or"]), inner, st.booleans(),
-    ),
-    max_leaves=4,
-)
+#: a single-dimension row key: ``k = <literal>`` alone is a full-key
+#: equality, so the scan plans point Gets without the allDimensions extension
+SINGLE_SCHEMA = StructType([
+    StructField("k", IntegerType),
+    StructField("tag", StringType),
+    StructField("score", DoubleType),
+])
+SINGLE_ROWS = [(k, "t%d" % (k % 3), float(k)) for k in range(20)]
+
+
+def make_single_catalog(coder):
+    return json.dumps({
+        "table": {"namespace": "default", "name": "single", "tableCoder": coder},
+        "rowkey": "k",
+        "columns": {
+            "k": {"cf": "rowkey", "col": "k", "type": "int",
+                  **({"length": 10} if coder == "Avro" else {})},
+            "tag": {"cf": "cf1", "col": "tag", "type": "string"},
+            "score": {"cf": "cf2", "col": "score", "type": "double"},
+        },
+    })
+
+
+def predicates(key_columns):
+    """Random predicate trees over ``key_columns`` + ``score`` + ``tag``."""
+    comparison = st.builds(
+        lambda col, op, val: f"{col} {op} {val}",
+        st.sampled_from(key_columns + ["score"]),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.integers(-12, 12),
+    )
+    tag_predicate = st.builds(
+        lambda op, val: f"tag {op} '{val}'",
+        st.sampled_from(["=", "!="]),
+        st.sampled_from(["t0", "t1", "t2"]),
+    )
+    in_predicate = st.builds(
+        lambda col, vals: f"{col} in ({', '.join(map(str, vals))})",
+        st.sampled_from(key_columns),
+        st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+    )
+    return st.recursive(
+        st.one_of(comparison, tag_predicate, in_predicate),
+        lambda inner: st.builds(
+            lambda l, op, r, neg: (f"not ({l} {op} {r})" if neg
+                                   else f"({l} {op} {r})"),
+            inner, st.sampled_from(["and", "or"]), inner, st.booleans(),
+        ),
+        max_leaves=4,
+    )
+
+
+predicate = predicates(["ts", "uid"])
+single_predicate = predicates(["k"])
 
 
 @pytest.fixture(scope="module", params=["PrimitiveType", "Phoenix", "Avro"])
@@ -91,14 +119,18 @@ def loaded(request):
     }
     session.create_dataframe(ROWS, SCHEMA).write \
         .format(DEFAULT_FORMAT).options(options).save()
+    single = dict(options)
+    single[HBaseTableCatalog.tableCatalog] = make_single_catalog(coder)
+    session.create_dataframe(SINGLE_ROWS, SINGLE_SCHEMA).write \
+        .format(DEFAULT_FORMAT).options(single).save()
     return cluster, session, options, coder
 
 
-def reference(where):
+def reference(where, schema=SCHEMA, rows=ROWS):
     from repro.sql import expressions as E
     from repro.sql.parser import parse_expression
 
-    attrs = [E.Attribute(f.name, f.dtype) for f in SCHEMA]
+    attrs = [E.Attribute(f.name, f.dtype) for f in schema]
     mapping = {a.name: a for a in attrs}
     bound = E.bind_expression(
         parse_expression(where).transform(
@@ -107,7 +139,7 @@ def reference(where):
         ),
         attrs,
     )
-    return sorted(r for r in ROWS if bound.eval(r) is True)
+    return sorted(r for r in rows if bound.eval(r) is True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,8 +154,26 @@ def test_any_predicate_matches_reference(loaded, where):
     assert got == reference(where), where
 
 
+@settings(max_examples=40, deadline=None)
+@given(where=single_predicate)
+# a point Get must apply the pushed value filter, not just fetch the row
+@example(where="k = 5 and tag = 't1'")
+@example(where="k = 5 and score > 100")
+def test_any_predicate_matches_reference_on_a_single_key(loaded, where):
+    cluster, session, options, coder = loaded
+    from repro.hbase.cluster import _CLUSTER_REGISTRY
+
+    _CLUSTER_REGISTRY[cluster.quorum] = cluster  # survive the registry cleaner
+    single = dict(options)
+    single[HBaseTableCatalog.tableCatalog] = make_single_catalog(coder)
+    df = session.read.format(DEFAULT_FORMAT).options(single).load()
+    got = sorted(map(tuple, df.filter(where).collect()))
+    assert got == reference(where, SINGLE_SCHEMA, SINGLE_ROWS), where
+
+
 @settings(max_examples=25, deadline=None)
 @given(where=predicate)
+@example(where="(uid = 1 and (ts = 0 and tag = 't1'))")
 def test_all_dimension_pruning_preserves_answers(loaded, where):
     """The future-work extension must stay exact under arbitrary predicates."""
     from repro.core.catalog import HBaseSparkConf

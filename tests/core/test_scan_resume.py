@@ -120,18 +120,40 @@ def test_filter_failure_falls_back_to_client_side(linked):
     assert metrics.get("shc.filter_fallbacks") >= 1
 
 
-def test_same_seed_reproduces_the_same_chaos(clock, monkeypatch):
-    # fractional rates hash the region name, which embeds the cluster name
-    # and a process-global region-id counter; fixture-counted names would
-    # re-roll this schedule whenever an earlier test grows the suite, so
-    # pin the cluster name and the region ids for a fixed schedule
-    import itertools
+def test_filter_failure_on_a_get_falls_back_to_client_side(linked, monkeypatch):
+    from repro.common.errors import FilterEvalError
+    from repro.hbase.regionserver import RegionServer
 
+    cluster, session, options = load(linked)
+    # full-key equality is a Get, and the value predicate rides on it
+    hit = (col("k") == 31) & (col("v") == "v31")
+    miss = (col("k") == 31) & (col("v") == "v30")
+    expected, baseline = run(session, options, hit)
+    assert expected == [(31, "v31")]
+    assert baseline.get("hbase.bloom_probes") > 0  # a Get, not a scan
+    assert baseline.get("hbase.filter_evals") > 0
+
+    # no fault point sits on the Get path: break the server-side evaluation
+    def broken(self, row_filter, region_name, row, cells, ledger):
+        raise FilterEvalError(f"broken filter on {region_name}")
+
+    monkeypatch.setattr(RegionServer, "_filter_keeps", broken)
+    got, metrics = run(session, options, hit)
+    assert got == [(31, "v31")]  # fetched unfiltered, predicate kept the row
+    assert metrics.get("shc.filter_fallbacks") == 1
+    got, metrics = run(session, options, miss)
+    assert got == []  # ... and applied client-side, it still rejects
+    assert metrics.get("shc.filter_fallbacks") == 1
+
+
+def test_same_seed_reproduces_the_same_chaos(clock):
+    # fractional rates hash the region name, which embeds the cluster name
+    # and the cluster's own region-id counter; fixture-counted names would
+    # re-roll this schedule whenever an earlier test grows the suite, so
+    # pin the cluster name for a fixed schedule
     from repro.hbase.cluster import HBaseCluster
-    from repro.hbase.region import Region
     from repro.sql.session import SparkSession
 
-    monkeypatch.setattr(Region, "_ids", itertools.count(9000))
     cluster = HBaseCluster("scan-resume-chaos", ["h1", "h2", "h3"],
                            clock=clock)
     session = SparkSession(["h1", "h2", "h3"], executors_requested=3,
@@ -139,7 +161,7 @@ def test_same_seed_reproduces_the_same_chaos(clock, monkeypatch):
     cluster, session, options = load((cluster, session))
 
     def chaos_run():
-        injector = FaultInjector(seed=21)
+        injector = FaultInjector(seed=23)
         injector.inject(FAULT_RPC, rate=0.4)
         cluster.install_fault_injector(injector)
         rows, metrics = run(session, options)

@@ -142,24 +142,15 @@ def test_first_task_error_aborts_the_stage_and_is_reraised():
     assert started == [0, 1]  # task 2 never started
 
 
-def test_realtime_scale_sleeps_the_simulated_schedule():
-    """Wall clock follows the stage's simulated makespan, so more slots
-    mean less wall: 4 x 50 ms overlap on four slots and chain on one."""
-    costs = [0.05] * 4
-    wide = StageRunner(slots_on("h1", "h1", "h1", "h1"), 0.0, realtime_scale=1.0)
-    narrow = StageRunner(slots_on("h1"), 0.0, realtime_scale=1.0)
-    assert wide.run(specs(4), charging_run_task(costs)).wall_clock_s < 0.15
-    assert narrow.run(specs(4), charging_run_task(costs)).wall_clock_s >= 0.2
-
-
 def test_runner_requires_slots():
     with pytest.raises(ValueError):
         StageRunner([], LAUNCH_S)
 
 
-def test_stage_execution_starts_no_threads(monkeypatch):
+def test_query_execution_starts_no_threads(monkeypatch):
     """The perf property itself: a multi-stage query runs every task on the
-    calling thread -- no worker thread is ever started for a stage."""
+    calling thread -- no worker thread is ever started for a stage, nor for
+    a query handed to ``submit_sql``."""
     started = []
     thread_start = threading.Thread.start
 
@@ -175,11 +166,14 @@ def test_stage_execution_starts_no_threads(monkeypatch):
                          StructField("v", IntegerType)])
     session.create_dataframe([(i % 5, i) for i in range(200)], schema) \
         .create_or_replace_temp_view("t")
-    result = session.sql(
-        "SELECT a.k, count(*) AS n FROM t a JOIN t b ON a.v = b.v "
-        "GROUP BY a.k ORDER BY a.k").run()
+    query = ("SELECT a.k, count(*) AS n FROM t a JOIN t b ON a.v = b.v "
+             "GROUP BY a.k ORDER BY a.k")
+    futures = [session.submit_sql(query) for __ in range(4)]
+    assert all(f.done() for f in futures)
 
-    assert [tuple(r.values) for r in result.rows] == [(k, 40) for k in range(5)]
-    assert len(result.stages) >= 3
-    assert started == []  # in particular nothing named shc-task-*
+    for result in [session.sql(query).run()] + [f.result() for f in futures]:
+        assert [tuple(r.values) for r in result.rows] == \
+            [(k, 40) for k in range(5)]
+        assert len(result.stages) >= 3
+    assert started == []  # in particular nothing named shc-task-* / shc-query-*
     assert threading.active_count() == before

@@ -158,3 +158,31 @@ def test_split_then_merge_roundtrip(hbase_cluster):
     merged = master.merge_regions(daughters[0], daughters[1])
     assert len(hbase_cluster.region_locations("m")) == 1
     assert len(table.scan(Scan())) == 80
+
+
+def test_region_names_are_a_function_of_the_clusters_own_history(clock):
+    """Two clusters with one name and one history name every region alike,
+    wherever in the process's life they are built: region names key retry
+    jitter, the seeded fault schedule and CDC cursors, so a replay in the
+    same process must see the same names."""
+    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
+    from repro.hbase.cluster import clear_cluster_registry
+
+    def history():
+        clear_cluster_registry()
+        DEFAULT_CONNECTION_CACHE.clear()
+        cluster = HBaseCluster("replayed", ["h1", "h2", "h3"], clock=clock)
+        cluster.create_table("m", ["f"], split_keys=[b"r030"])
+        cluster.create_table("s", ["f"])
+        _fill(cluster, "s", n=80)
+        cluster.flush_table("s")
+        master = cluster.active_master
+        names = [[loc.region_name for loc in cluster.region_locations(t)]
+                 for t in ("m", "s")]
+        names.append(master.split_region(names[1][0]))
+        names.append(master.merge_regions(*names[0]))
+        return names
+
+    first = history()
+    assert first == history()
+    assert first[0] == ["m,,1", f"m,{b'r030'.hex()},2"]

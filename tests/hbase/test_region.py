@@ -6,7 +6,8 @@ from repro.hbase.region import Region, TimeRange
 
 
 def region(families=("f",), start=b"", end=b"", flush_threshold=10_000_000):
-    return Region("t", list(families), start, end, flush_threshold)
+    return Region("t", list(families), start, end, flush_threshold,
+                  region_id=1)
 
 
 def put(r: Region, row: bytes, value: bytes = b"v", ts: int = 1,
@@ -151,7 +152,8 @@ def test_split_partitions_rows():
     for i in range(20):
         put(r, bytes([i]))
     r.flush()
-    left, right = r.split()
+    left, right = r.split(iter((2, 3)).__next__)
+    assert (left.region_id, right.region_id) == (2, 3)
     assert left.end_row == right.start_row
     left_rows = rows_of(left)
     right_rows = rows_of(right)
@@ -159,8 +161,10 @@ def test_split_partitions_rows():
     assert max(left_rows) < min(right_rows)
 
 
-def test_split_empty_region_returns_none():
-    assert region().split() is None
+def test_split_empty_region_returns_none_and_draws_no_id():
+    ids = iter((2, 3))
+    assert region().split(ids.__next__) is None
+    assert next(ids) == 2
 
 
 def test_clamp_respects_region_bounds():

@@ -18,7 +18,7 @@ QUALIFIERS = ["q1", "q2"]
 class RegionModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.region = Region("t", ["f"], flush_threshold=10**9)
+        self.region = Region("t", ["f"], flush_threshold=10**9, region_id=1)
         #: (row, qualifier) -> list of (ts, value or DELETE sentinel)
         self.history = {}
         self.clock = 0

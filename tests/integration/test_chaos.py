@@ -150,8 +150,9 @@ def test_chaos_crash_mid_scan_rebatches_the_partition(seed):
 def test_same_seed_replays_the_same_chaos_schedule(monkeypatch):
     """Two full runs of one seed inject identical fault sequences.
 
-    Fractional fault rates hash region names, which embed process-global
-    cluster/region counters; both runs reset those counters (and the
+    Fractional fault rates hash region names, which embed the cluster name
+    (the loader numbers its clusters process-wide) and the cluster's own
+    region counter; both runs reset the loader's counter (and the
     registries keyed by the resulting names) so the replay compares the
     same schedule rather than two re-rolls of it.
     """
@@ -159,14 +160,12 @@ def test_same_seed_replays_the_same_chaos_schedule(monkeypatch):
 
     from repro.core.conncache import DEFAULT_CONNECTION_CACHE
     from repro.hbase.cluster import clear_cluster_registry
-    from repro.hbase.region import Region
     from repro.workloads import loader
 
     def run_once():
         DEFAULT_CONNECTION_CACHE.clear()
         clear_cluster_registry()
         monkeypatch.setattr(loader, "_env_ids", itertools.count(9000))
-        monkeypatch.setattr(Region, "_ids", itertools.count(9000))
         env = load_tpcds(5, Q39_TABLES)
         injector = chaos_injector(CHAOS_SEEDS[0])
         env.cluster.install_fault_injector(injector)

@@ -1,11 +1,14 @@
-"""Concurrent query execution through one session (Table I "Thread pool").
+"""Many queries through one session (Table I "Thread pool") and through
+the serving front door.
 
-Four or more jobs run simultaneously on a shared SparkSession: they share
-the connection cache, the metrics registries, the simulated clock and the
-compute cluster, while each job owns a private shuffle block store.  The
-assertions pin down exactly the shared state the parallel engine must keep
-safe: result rows stay deterministic (shuffle isolation), and every pooled
-HBase connection is handed back (refcounts return to zero).
+Four or more jobs are submitted back to back on a shared SparkSession: they
+share the connection cache, the simulated clock and the compute cluster,
+while each job owns a private shuffle block store.  Every query runs inline
+on the submitting thread, so the assertions pin down isolation and replay,
+not thread safety: result rows stay what a serial run returns (no shuffle
+block leaks from job to job), every pooled HBase connection is handed back
+(refcounts return to zero), and a served chaos run replays its whole
+ticket log bit for bit.
 """
 
 import itertools
@@ -80,7 +83,7 @@ def test_concurrent_jobs_match_serial_and_release_connections(linked):
     # the serial ground truth, one query at a time
     expected = _row_sets([session.sql(q).run() for q in QUERIES])
 
-    # now 2 copies of each query -- 8 jobs -- through the session pool at once
+    # now 2 copies of each query -- 8 jobs -- through submit_sql
     futures = [session.submit_sql(q) for q in QUERIES + QUERIES]
     results = [f.result(timeout=60) for f in futures]
     session.shutdown()
@@ -138,13 +141,12 @@ def _serving_chaos_run(seed):
         HBaseSparkConf.CACHED_ROWS: "40",
     }).load().create_or_replace_temp_view("events")
     # the crash fires once, on a pinned (region, invocation) pair; admission
-    # faults fire on pinned (tenant, arrival-index) pairs.  Random-rate RPC
-    # faults are deliberately absent: their *cost attribution* across a
-    # query's task threads is timing-dependent (a pre-existing engine
-    # property), while the decisions this test pins must replay exactly.
+    # faults fire on pinned (tenant, arrival-index) pairs; random-rate RPC
+    # faults fire on seeded (region, invocation) pairs
     injector.inject(FAULT_SCAN_STREAM, rate=1.0, after=1, times=1,
                     action=crash_region_server)
     injector.inject(FAULT_ADMISSION, rate=0.35, times=2)
+    injector.inject(FAULT_RPC, rate=0.3, times=5)
     cluster.install_fault_injector(injector)
     session.install_fault_injector(injector)
 
@@ -164,36 +166,39 @@ def _serving_chaos_run(seed):
         t.seq: sorted(tuple(r.values) for r in t.result().rows)
         for t in tickets if t.status == COMPLETED
     }
-    # decision metrics are pinned exactly; the two time-valued sums
-    # (queue_wait_s / slot_busy_s) inherit the engine's fault-charging
-    # timing noise and are asserted positive, not byte-identical
-    decisions = {name: value
-                 for name, value in server.metrics.snapshot().items()
-                 if not name.endswith("_s")}
+    ticket_log = [
+        (t.seq, t.status, t.reason, t.start_s, t.finish_s, t.degraded,
+         t.probe, t.leased_slots)
+        + ((t.query_result.seconds, t.query_result.metrics.snapshot())
+           if t.status == COMPLETED else (None, None))
+        for t in tickets
+    ]
     return {
         "rows": admitted_rows,
         "shed": server.shed_set(tickets),
-        "decisions": decisions,
-        "waited_s": server.metrics.get("serving.queue_wait_s"),
+        "tickets": ticket_log,
+        "server_metrics": server.metrics.snapshot(),
         "crashes": injector.injected(FAULT_SCAN_STREAM),
         "admission_faults": injector.injected(FAULT_ADMISSION),
+        "rpc_faults": injector.injected(FAULT_RPC),
     }
 
 
 @pytest.mark.parametrize("seed", SERVING_CHAOS_SEEDS)
 def test_served_tenants_survive_chaos_deterministically(seed):
     """Admitted queries return byte-identical rows despite the mid-scan
-    region-server crash, and the shed set replays identically for a seed."""
+    region-server crash, and the whole run -- every ticket's decisions,
+    simulated times and ledger, every server metric -- replays identically
+    for a seed."""
     first = _serving_chaos_run(seed)
     second = _serving_chaos_run(seed)
-    waited_first = first.pop("waited_s")
-    waited_second = second.pop("waited_s")
     assert first == second
-    assert waited_first > 0.0 and waited_second > 0.0
+    assert first["server_metrics"]["serving.queue_wait_s"] > 0.0
 
     # the chaos actually happened: the crash fired and faults were injected
     assert first["crashes"] == 1
     assert first["admission_faults"] >= 1
+    assert first["rpc_faults"] >= 1
     assert first["shed"], "expected at least one deterministic shed"
 
     # admitted queries answer exactly like a fault-free serial run

@@ -1,6 +1,8 @@
 """QueryServer behaviour: admission, shedding, bulkheads, breaker wiring,
 tracing/EXPLAIN integration and deterministic decision schedules."""
 
+import re
+
 import pytest
 
 from repro.common.errors import OverloadedError, ReproError
@@ -246,17 +248,52 @@ def test_explain_analyze_carries_serving_section(session):
     assert "== Serving ==" not in direct
 
 
-# -- disabled passthrough and determinism ----------------------------------
-def test_disabled_server_is_pure_passthrough(session):
-    _with_table(session)
-    server = _server(session, enabled=False)
-    ticket = server.submit(QUERY, tenant="ignored")
+def test_served_explain_analyze_runs_the_plan_it_explains(session):
+    """``analyze=True`` only adds a report: the ticket plans through the
+    same seam as a plain ticket and as ``DataFrame.explain(analyze=True)``,
+    so CBO statistics reorder its joins too."""
+    session.conf["sql.cbo.enabled"] = True
+    schema = (StructType()
+              .add("k", type_from_name("int"))
+              .add("g", type_from_name("string")))
+    # a-b explodes (low-NDV key), a-c is selective: the CBO hoists c
+    tables = {
+        "a": [(i % 10, f"g{i % 100}") for i in range(1000)],
+        "b": [(i % 10, "x") for i in range(1000)],
+        "c": [(i, f"g{i}") for i in range(10)],
+    }
+    for name, rows in tables.items():
+        session.create_dataframe(rows, schema).createOrReplaceTempView(name)
+        session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS").collect()
+    query = ("SELECT a.k, count(*) AS n FROM a JOIN b ON a.k = b.k "
+             "JOIN c ON a.g = c.g GROUP BY a.k")
+
+    server = _server(session)
+    plain = server.submit(query, at=0.0)
+    explained = server.submit(query, at=10_000.0, analyze=True)
     server.drain()
-    assert ticket.status == COMPLETED
-    assert ticket.result().serving is None
-    assert dict(server.metrics.snapshot()) == {}
+    assert plain.report is None and explained.report is not None
+
+    got, want = explained.result(), plain.result()
+    assert sorted(tuple(r.values) for r in got.rows) == \
+        sorted(tuple(r.values) for r in want.rows)
+    assert got.seconds == want.seconds
+    assert got.metrics.get("sql.cbo.reorders_applied") == \
+        want.metrics.get("sql.cbo.reorders_applied") == 1.0
+
+    def physical_plan(report):
+        # the annotated operator tree: each analysis of the statement draws
+        # fresh attribute ids, and only the served report has a Serving
+        # section after the summary
+        plan = report.split("== Physical Plan (EXPLAIN ANALYZE) ==")[1]
+        return re.sub(r"#\d+", "#", plan.split("== Stages ==")[0])
+
+    assert "Join" in physical_plan(explained.report)
+    assert physical_plan(explained.report) == \
+        physical_plan(session.sql(query).explain(analyze=True))
 
 
+# -- determinism -------------------------------------------------------------
 def test_decision_schedule_is_deterministic():
     from repro.common.simclock import SimClock
     from repro.sql.session import SparkSession

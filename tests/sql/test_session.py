@@ -1,6 +1,6 @@
 import pytest
 
-from repro.common.errors import AnalysisError
+from repro.common.errors import AnalysisError, ReproError
 from repro.sql import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 
@@ -53,6 +53,15 @@ def test_concurrent_queries_thread_pool(session):
     session.shutdown()
     for result in results:
         assert sorted((r.g, r.n) for r in result.rows) == [("g0", 25), ("g1", 25)]
+
+
+def test_submit_sql_failure_surfaces_at_result(session):
+    session.create_dataframe([(1, "a")], SCHEMA).create_or_replace_temp_view("t")
+    for bad in ("select nope from t", "selec k from t"):
+        future = session.submit_sql(bad)  # must not raise here
+        assert future.done()
+        with pytest.raises(ReproError):
+            future.result()
 
 
 def test_query_result_metrics_exposed(session):

@@ -239,6 +239,27 @@ def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
     assert rows_of(recovered) == rows_of(env.new_session().sql(item_sql).run())
 
 
+def test_refresh_recomputes_from_base_not_from_the_view_itself(env, vsession):
+    # with count(*) the storage query (which always carries a count(*)
+    # helper) is one the view itself could answer, and REFRESH re-bases the
+    # feed first, so the view looks fresh: rewritten onto itself it would
+    # read the table it is overwriting and come back empty
+    star_sql = ("SELECT inv_date_sk, count(*) AS n, "
+                "sum(inv_quantity_on_hand) AS on_hand "
+                "FROM inventory GROUP BY inv_date_sk")
+    vsession.sql(f"CREATE MATERIALIZED VIEW inv_star AS {star_sql}").run()
+    put_inventory(env, 2456100, 1, 1, 40)    # unshipped: only base has it
+
+    refreshed = vsession.sql("REFRESH MATERIALIZED VIEW inv_star").run()
+    assert not refreshed.metrics.get("sql.view.rewrites")
+    baseline = env.new_session().sql(star_sql).run()
+    assert refreshed.rows[0].values == ("inv_star", len(baseline.rows))
+    answered = vsession.sql(star_sql).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows_of(answered) == rows_of(baseline)
+    assert any(r.values[0] == 2456100 for r in answered.rows)
+
+
 def test_view_not_smaller_than_base_is_rejected_on_cost(env, vsession):
     # grouping by the whole base row key keeps one view row per base row,
     # and the avg helpers make the view *wider* than the base table

@@ -5,7 +5,7 @@ relations sized by ``BENCH_SMOKE``:
 
 * **skewed join** -- a fact table where one hot key holds ~80% of the rows.
   The static plan hashes the hot key into a single reduce partition whose
-  shuffle read dominates the makespan; AQE (rule 3) splits that partition
+  shuffle read dominates the makespan; AQE (rule 2) splits that partition
   into per-map-chunk tasks that run in parallel.  Acceptance bar from the
   issue: >= 1.5x lower simulated latency.
 * **small-dimension join** -- a filtered dimension the size model estimates
@@ -45,12 +45,9 @@ HOT_KEY = 7
 DIM_KEYS = 64
 
 SKEW_CONF = {
-    "sql.autoBroadcastJoinThreshold": 1,   # isolate rule 3 from rule 1
+    "sql.autoBroadcastJoinThreshold": 1,   # isolate rule 2 from rule 1
     "sql.shuffle.partitions": 8,
     "sql.local.scan.partitions": 8,
-    "sql.aqe.targetPartitionBytes": 16 * 1024,
-    "sql.aqe.skewedPartitionFactor": 2.0,
-    "sql.aqe.skewedPartitionThresholdBytes": 16 * 1024,
 }
 BROADCAST_CONF = {
     "sql.autoBroadcastJoinThreshold": 1024,

@@ -5,21 +5,21 @@ same-cardinality dimension first (nothing is eliminated, every wide fact
 row crosses the shuffle), and only then the tiny selective dimension that
 keeps ~5% of the keys.  Three legs:
 
-* **cbo off** -- the seed path: shuffle everything in syntactic order.
-* **reorder** -- ``sql.cbo.enabled`` with semi-join reduction disabled:
-  the DP search hoists the selective tiny join next to the fact table, so
-  the expensive dimension join sees an already-reduced input.
-* **reorder + semijoin** -- the full CBO: additionally pre-filters the
-  fact side by the tiny build's distinct keys *before* the first shuffle
-  (``sql.cbo.semijoin.rows_pruned``).
+* **cbo off** -- the session ran no ANALYZE: shuffle everything in
+  syntactic order.
+* **reorder** -- every table ANALYZEd, semi-join reduction disabled: the
+  DP search hoists the selective tiny join next to the fact table, so the
+  expensive dimension join sees an already-reduced input.
+* **reorder + semijoin** -- every table ANALYZEd: additionally pre-filters
+  the fact side by the tiny build's distinct keys *before* the first
+  shuffle (``sql.cbo.semijoin.rows_pruned``).
 
-Statistics come free here (driver-local relations compute exact stats),
-so the legs isolate the *decisions*, not ANALYZE cost.  The broadcast
-threshold is pinned tiny to keep every join shuffled -- the ablation
-measures reordering and reduction, not broadcast conversion -- and the
-thread-pool runner is disabled for deterministic simulated totals.
+The ANALYZE statements run before the measured query, so the legs isolate
+the *decisions*, not ANALYZE cost.  The broadcast threshold is pinned tiny
+to keep every join shuffled -- the ablation measures reordering and
+reduction, not broadcast conversion.
 Acceptance bar from the issue: the full CBO leg must be >= 5x cheaper in
-simulated seconds than the CBO-off leg.  Every leg must return identical
+simulated seconds than the un-ANALYZEd leg.  Every leg must return identical
 rows.  Totals are exported as ``BENCH_cbo.json`` for the CI regression
 gate (``check_regression.py --require cbo``).
 """
@@ -70,16 +70,17 @@ STAR_SQL = (
     "JOIN tiny t ON f.fk2 = t.tk"
 )
 
+#: leg -> (ANALYZE every table first?, session conf on top of BASE_CONF)
 LEGS = {
-    "cbo off": {},
-    "reorder": {"sql.cbo.enabled": True, "sql.cbo.semijoin": False},
-    "reorder + semijoin": {"sql.cbo.enabled": True},
+    "cbo off": (False, {}),
+    "reorder": (True, {"sql.cbo.semijoin": False}),
+    "reorder + semijoin": (True, {}),
 }
 
 _RESULTS = {}
 
 
-def _run(leg_conf):
+def _run(analyze, leg_conf):
     session = SparkSession(HOSTS, conf=dict(BASE_CONF, **leg_conf))
     fact = [(i % DIM_KEYS, i % FACT_TK_KEYS, float(i),
              f"payload-{i:06d}-" + "x" * 320) for i in range(FACT_ROWS)]
@@ -91,6 +92,9 @@ def _run(leg_conf):
         .create_or_replace_temp_view("dim")
     session.create_dataframe(tiny, TINY_SCHEMA) \
         .create_or_replace_temp_view("tiny")
+    if analyze:
+        for table in ("fact", "dim", "tiny"):
+            session.sql(f"ANALYZE TABLE {table} COMPUTE STATISTICS")
     result = session.sql(STAR_SQL).run()
     session.shutdown()
     return result
@@ -99,7 +103,7 @@ def _run(leg_conf):
 @pytest.mark.parametrize("label", list(LEGS))
 def test_cbo(benchmark, label):
     _RESULTS[label] = benchmark.pedantic(
-        lambda: _run(LEGS[label]), iterations=1, rounds=1)
+        lambda: _run(*LEGS[label]), iterations=1, rounds=1)
 
 
 def test_cbo_report(benchmark):
@@ -131,7 +135,7 @@ def test_cbo_report(benchmark):
         for label, run in _RESULTS.items():
             assert sorted(tuple(r.values) for r in run.rows) == expected, label
 
-        # the seed leg must not touch any CBO machinery
+        # without statistics nothing cost-based runs
         for key in _RESULTS["cbo off"].metrics.snapshot():
             assert not key.startswith("sql.cbo."), key
 

@@ -191,9 +191,9 @@ class ShuffleReadRDD(RDD):
     Where :class:`ShuffledRDD` reads exactly one reduce partition of one
     shuffle per task, this RDD's partitions are arbitrary groups of
     ``(shuffle_id, reduce_partition, map_ids)`` read specs: the adaptive
-    executor coalesces several small reduce partitions into one task, or
-    splits a skewed partition into several tasks that each fetch a disjoint
-    ``map_ids`` subset (docs/adaptive.md).  It has no lineage parents -- the
+    join reads the same reduce partition of both its shuffles in one task,
+    or splits a skewed partition into several tasks that each fetch a
+    disjoint ``map_ids`` subset (docs/adaptive.md).  It has no lineage parents -- the
     caller guarantees every referenced shuffle is already materialised in
     the block store (that is what the stage barrier did).
     """

@@ -1,27 +1,27 @@
-"""Adaptive query execution: re-optimise plans from runtime shuffle stats.
+"""Adaptive query execution: one join operator that decides at runtime.
 
 The compile-time planner fixes join strategy and shuffle layout from *size
-estimates* before a single byte is scanned.  With ``sql.aqe.enabled`` the
-physical plan instead gains :class:`QueryStageExec` barriers at shuffle
-boundaries: each exchange's map side materialises eagerly, the scheduler
-hands back :class:`~repro.engine.shuffle.ShuffleRuntimeStats` (actual rows,
-bytes and hot keys per reduce partition), and the reduce side is re-planned
-before it runs.  Three rules, mirroring Spark's AQE:
+estimates* before a single byte is scanned.  With ``sql.aqe.enabled`` a
+non-broadcast equi-join is planned as an :class:`AdaptiveJoinExec` instead:
+its inputs sit behind :class:`QueryStageExec` barriers, each exchange's map
+side materialises eagerly, the scheduler hands back
+:class:`~repro.engine.shuffle.ShuffleRuntimeStats` (actual rows, bytes and
+hot keys per reduce partition), and the reduce side is planned from those.
+Two rules, mirroring Spark's AQE:
 
 1. **Broadcast conversion** -- a planned shuffled join whose build side
    *measured* under ``sql.autoBroadcastJoinThreshold`` becomes a broadcast
    hash join (for inner joins the small *left* side can also swap into the
    build role).
-2. **Partition coalescing** -- adjacent small reduce partitions merge until
-   each task reads about ``sql.aqe.targetPartitionBytes``, cutting task
-   launch overhead on near-empty exchanges.
-3. **Skew splitting** -- a reduce partition much larger than the median
+2. **Skew splitting** -- a reduce partition much larger than the median
    splits into several tasks that each fetch a disjoint subset of map
-   outputs (joins only: the build side is duplicated per split, so every
-   stream row still sees the full build table).
+   outputs (the build side is duplicated per split, so every stream row
+   still sees the full build table).
 
-When the flag is off none of this code runs and cost ledgers stay
-byte-identical to the non-adaptive engine.  See docs/adaptive.md.
+Nothing else in the engine is adaptive: aggregations, set operators and
+every join the planner could settle statically run the same with the option
+on or off.  See docs/adaptive.md (which also says why merging small reduce
+partitions, Spark's third rule, is not here).
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ from repro.sql.physical import (
 #: a read spec: (shuffle_id, reduce_partition, optional map-id subset)
 ReadSpec = Tuple[int, int, Optional[frozenset]]
 
+#: a stream partition is skewed when larger than this many times the
+#: stage's median partition ...
+SKEW_FACTOR = 4.0
+#: ... and than this many bytes
+SKEW_MIN_BYTES = 64 * 1024
+
 
 class QueryStageExec(PhysicalPlan):
     """Stage barrier: this subtree materialises before downstream planning.
@@ -64,34 +70,8 @@ class QueryStageExec(PhysicalPlan):
         return "QueryStage"
 
 
-def plan_coalesced_reads(
-    stats_list: Sequence[ShuffleRuntimeStats], target_bytes: int
-) -> Tuple[List[List[ReadSpec]], int]:
-    """Group adjacent reduce partitions toward ``target_bytes`` per task.
-
-    All stats in ``stats_list`` share the same partitioning (e.g. the two
-    sides of a join keyed identically), so partition ``p`` of every shuffle
-    lands in the same group and key co-location is preserved.  Returns the
-    read specs plus how many partitions were merged away.
-    """
-    num = stats_list[0].num_partitions
-    specs: List[List[ReadSpec]] = []
-    group: List[ReadSpec] = []
-    group_bytes = 0
-    for p in range(num):
-        p_bytes = sum(s.partition_bytes[p] for s in stats_list)
-        if group and group_bytes + p_bytes > target_bytes:
-            specs.append(group)
-            group, group_bytes = [], 0
-        group.extend((s.shuffle_id, p, None) for s in stats_list)
-        group_bytes += p_bytes
-    if group:
-        specs.append(group)
-    return specs, num - len(specs)
-
-
 def plan_skew_chunks(stats: ShuffleRuntimeStats, partition: int,
-                     target_bytes: int) -> List[List[int]]:
+                     target_bytes: float) -> List[List[int]]:
     """Partition the map outputs feeding one reduce partition into chunks.
 
     Each chunk groups map tasks whose blocks for ``partition`` total about
@@ -115,35 +95,6 @@ def plan_skew_chunks(stats: ShuffleRuntimeStats, partition: int,
     return chunks or [[]]
 
 
-def adaptive_exchange(ctx: ExecContext, rdd: RDD, num_partitions: int,
-                      key_fn, post_shuffle, op: PhysicalPlan) -> RDD:
-    """Materialise an exchange, then coalesce small reduce partitions.
-
-    Used by aggregation/distinct/intersect operators: the map side runs at a
-    stage barrier, and the reduce side is re-planned as
-    :class:`~repro.engine.rdd.ShuffleReadRDD` tasks sized toward
-    ``sql.aqe.targetPartitionBytes``.  Coalescing never splits a key across
-    tasks, so hash-grouped ``post_shuffle`` closures are unaffected.  (Skew
-    splitting is join-only -- a split would hand the same group key to two
-    aggregation tasks.)
-    """
-    shuffled = rdd.partition_by(num_partitions, key_fn)
-    stats = ctx.materialize_stage(shuffled)
-    target = int(ctx.conf.get("sql.aqe.targetPartitionBytes", 64 * 1024))
-    specs, merged = plan_coalesced_reads([stats], target)
-    if merged:
-        ctx.metrics.incr("engine.aqe.partitions_coalesced", merged)
-        ctx.record_reopt(
-            op, "coalesce",
-            f"{num_partitions} -> {len(specs)} reduce tasks "
-            f"(target {target}B, shuffle wrote {stats.total_bytes}B)",
-        )
-        ctx.record_operator(op, aqe_partitions=len(specs))
-    out = ShuffleReadRDD(specs, post_shuffle)
-    out.scope = op.op_id
-    return out
-
-
 class AdaptiveJoinExec(PhysicalPlan):
     """Equi-join whose strategy is finalised at runtime, not plan time.
 
@@ -151,8 +102,8 @@ class AdaptiveJoinExec(PhysicalPlan):
     :class:`~repro.sql.physical.ShuffledHashJoinExec`.  Both inputs sit
     behind :class:`QueryStageExec` barriers; executing materialises the
     build-side exchange first and then picks, from measured bytes: broadcast
-    conversion (rule 1, including the swapped inner-join variant), partition
-    coalescing (rule 2) or skew splitting (rule 3) for the shuffled fallback.
+    conversion (rule 1, including the swapped inner-join variant) or the
+    shuffled join, its skewed partitions split (rule 2).
     Join closures are shared with the static operators, so rows, bytes and
     ledger charges are computed identically whichever strategy wins.
     """
@@ -187,9 +138,6 @@ class AdaptiveJoinExec(PhysicalPlan):
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
         threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
-        target = int(ctx.conf.get("sql.aqe.targetPartitionBytes", 64 * 1024))
-        skew_factor = float(ctx.conf.get("sql.aqe.skewedPartitionFactor", 4.0))
-        skew_min = int(ctx.conf.get("sql.aqe.skewedPartitionThresholdBytes", 64 * 1024))
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
         def on_output(rows_out: int, bytes_out: int) -> None:
@@ -230,14 +178,13 @@ class AdaptiveJoinExec(PhysicalPlan):
         if how == "inner" and stats_l.total_bytes <= threshold:
             return self._swapped_broadcast(
                 ctx, stats_l, stats_r, residual_bound,
-                left_width, right_width, per_row, target, threshold, on_output,
+                left_width, right_width, per_row, threshold, on_output,
             )
 
-        # rules 2+3: shuffled join with coalesced / split reduce tasks
+        # rule 2: shuffled join, skewed reduce partitions split
         return self._shuffled_with_layout(
             ctx, stats_l, stats_r, how, left_width, right_width,
-            residual_bound, per_row, num_parts, target,
-            skew_factor, skew_min, on_output,
+            residual_bound, per_row, num_parts, on_output,
         )
 
     def _collect_build_table(
@@ -273,8 +220,7 @@ class AdaptiveJoinExec(PhysicalPlan):
                            stats_l: ShuffleRuntimeStats,
                            stats_r: ShuffleRuntimeStats,
                            residual_bound, left_width: int, right_width: int,
-                           per_row: float, target: int, threshold: int,
-                           on_output) -> RDD:
+                           per_row: float, threshold: int, on_output) -> RDD:
         """Rule 1's swapped variant: broadcast the small left, stream right."""
         table = self._collect_build_table(ctx, stats_l)
         ctx.metrics.incr("engine.aqe.broadcast_conversions", 1)
@@ -285,14 +231,10 @@ class AdaptiveJoinExec(PhysicalPlan):
         )
         ctx.record_operator(
             self, final_strategy="BroadcastHashJoin (build side swapped)")
-        specs, merged = plan_coalesced_reads([stats_r], target)
-        if merged:
-            ctx.metrics.incr("engine.aqe.partitions_coalesced", merged)
-            ctx.record_reopt(
-                self, "coalesce",
-                f"{stats_r.num_partitions} -> {len(specs)} stream tasks "
-                f"(target {target}B)",
-            )
+        specs: List[List[ReadSpec]] = [
+            [(stats_r.shuffle_id, p, None)]
+            for p in range(stats_r.num_partitions)
+        ]
 
         def probe_tagged(entries, task_ctx):
             out_count = 0
@@ -321,36 +263,31 @@ class AdaptiveJoinExec(PhysicalPlan):
                               stats_r: ShuffleRuntimeStats,
                               how: str, left_width: int, right_width: int,
                               residual_bound, per_row: float, num_parts: int,
-                              target: int, skew_factor: float, skew_min: int,
                               on_output) -> RDD:
-        """Rules 2+3: re-plan the reduce layout of a shuffled join.
+        """Rule 2: the shuffled join, its skewed reduce partitions split.
 
         Skewed stream partitions split into per-chunk tasks (the build
         partition is duplicated into each chunk, so every stream row still
         sees the full build table -- correct for all supported join types
-        because out rows derive from exactly one stream row).  The
-        remaining partitions coalesce toward the target task size.
+        because out rows derive from exactly one stream row).  A chunk is
+        sized like the stage's median partition, so the split tasks finish
+        with their siblings, and never below the bytes whose shuffle read
+        takes as long as launching the task that reads them.
         """
         reducer = _make_join_reducer(how, left_width, right_width,
                                      residual_bound, per_row, on_output)
         stream_bytes = stats_l.partition_bytes
         ordered = sorted(stream_bytes)
         median = ordered[len(ordered) // 2]
+        chunk_bytes = max(
+            median, ctx.cost.task_launch_s * ctx.cost.shuffle_bytes_per_sec)
         specs: List[List[ReadSpec]] = []
-        group: List[ReadSpec] = []
-        group_bytes = 0
-        plain_parts = 0
-        plain_specs = 0
         splits = 0
         for p in range(num_parts):
-            skewed = (stream_bytes[p] > skew_min
-                      and stream_bytes[p] > skew_factor * max(median, 1))
-            chunks = plan_skew_chunks(stats_l, p, target) if skewed else []
-            if skewed and len(chunks) > 1:
-                if group:
-                    specs.append(group)
-                    plain_specs += 1
-                    group, group_bytes = [], 0
+            skewed = (stream_bytes[p] > SKEW_MIN_BYTES
+                      and stream_bytes[p] > SKEW_FACTOR * max(median, 1))
+            chunks = plan_skew_chunks(stats_l, p, chunk_bytes) if skewed else []
+            if len(chunks) > 1:
                 for maps in chunks:
                     specs.append([
                         (stats_l.shuffle_id, p, frozenset(maps)),
@@ -358,35 +295,17 @@ class AdaptiveJoinExec(PhysicalPlan):
                     ])
                 splits += 1
                 detail = (f"partition {p} ({stream_bytes[p]}B > "
-                          f"{skew_factor:g}x median {median}B) split into "
+                          f"{SKEW_FACTOR:g}x median {median}B) split into "
                           f"{len(chunks)} tasks")
                 hot = stats_l.hot_key(p)
                 if hot is not None:
                     detail += f"; hot key {hot[0]!r} ~{int(hot[1])}B"
                 ctx.record_reopt(self, "skew-split", detail)
                 continue
-            combined = stream_bytes[p] + stats_r.partition_bytes[p]
-            if group and group_bytes + combined > target:
-                specs.append(group)
-                plain_specs += 1
-                group, group_bytes = [], 0
-            group.append((stats_l.shuffle_id, p, None))
-            group.append((stats_r.shuffle_id, p, None))
-            group_bytes += combined
-            plain_parts += 1
-        if group:
-            specs.append(group)
-            plain_specs += 1
-        merged = plain_parts - plain_specs
+            specs.append([(stats_l.shuffle_id, p, None),
+                          (stats_r.shuffle_id, p, None)])
         if splits:
             ctx.metrics.incr("engine.aqe.skew_splits", splits)
-        if merged:
-            ctx.metrics.incr("engine.aqe.partitions_coalesced", merged)
-            ctx.record_reopt(
-                self, "coalesce",
-                f"{plain_parts} -> {plain_specs} reduce tasks "
-                f"(target {target}B)",
-            )
         ctx.record_operator(
             self, final_strategy=f"ShuffledHashJoin ({len(specs)} tasks)",
             aqe_partitions=len(specs),

@@ -8,15 +8,15 @@ Built on the ANALYZE statistics in :mod:`repro.sql.stats` (docs/optimizer.md):
   for ranges, ``|L||R| / max(ndv_l, ndv_r)`` for equi-joins).
 - :func:`reorder_joins` flattens maximal inner-join clusters and re-orders
   them by estimated cost -- exact left-deep dynamic programming up to
-  ``sql.cbo.joinReorder.dpThreshold`` inputs, greedy smallest-intermediate
-  above it.  Clusters whose inputs lack (or have stale) statistics keep
-  their syntactic order, so un-ANALYZE'd queries behave exactly as before.
+  :data:`DP_THRESHOLD` inputs, greedy smallest-intermediate above it.
+  Clusters whose inputs lack (or have stale) statistics keep their
+  syntactic order.
 - :func:`semijoin_keep_fraction` is the planner's profitability test for
   semi-join reduction (:class:`~repro.sql.physical.SemiJoinReducedJoinExec`).
 
-Everything here is gated by ``sql.cbo.enabled``: the optimizer and planner
-only construct an estimator when the flag is on, so the default path never
-touches this module.
+``ANALYZE TABLE`` is the opt-in: :func:`estimator_for` hands a planning pass
+an estimator only when some leaf of the plan has statistics, so a query over
+un-ANALYZEd tables is planned syntactically and touches nothing else here.
 """
 
 from __future__ import annotations
@@ -27,14 +27,18 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.stats import (
-    Histogram, StatsStore, compute_table_stats, hydrate_relation_stats,
-    stats_key,
+    Histogram, StatsStore, TableStats, hydrate_relation_stats, stats_key,
 )
 
 #: selectivity guessed for predicates the estimator cannot model
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 #: rows assumed for leaves with no statistics (estimates stay unconfident)
 UNKNOWN_ROWS = float(1 << 30)
+#: exact left-deep DP join ordering up to this many inputs; greedy above
+DP_THRESHOLD = 6
+#: statistics whose recorded source size drifted by more than this factor
+#: from the relation's current size are treated as absent
+STALENESS_RATIO = 2.0
 
 _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -71,15 +75,69 @@ class Estimate:
         return self.rows * self.avg_row_bytes
 
 
-class CardinalityEstimator:
-    """Bottom-up estimates from the session's :class:`StatsStore`."""
+def _leaf_stats(store: StatsStore, leaf: L.LogicalPlan,
+                absent: Set[str]) -> Optional[TableStats]:
+    """ANALYZE statistics of a relation leaf: the session store's, else the
+    ones persisted with the table (hydrated into the store).  A table found
+    to have none lands in ``absent`` and is not asked about again."""
+    if isinstance(leaf, L.LocalRelation) and not len(store):
+        return None  # nothing was analyzed: the rows need not be hashed
+    key = stats_key(leaf)
+    if key in absent:
+        return None
+    stats = store.get(key)
+    if stats is None and isinstance(leaf, L.LogicalRelation):
+        stats = hydrate_relation_stats(store, key, leaf)
+    if stats is None:
+        absent.add(key)
+    return stats
 
-    def __init__(self, store: StatsStore, conf: Dict[str, object],
-                 metrics=None) -> None:
+
+def estimator_for(stats, plan: L.LogicalPlan, metrics=None,
+                  pricing_views: bool = False) -> Optional["CardinalityEstimator"]:
+    """The estimator of one planning pass over ``plan``, or None when the
+    pass has no use for one: nothing in it is decided by cost (no join to
+    order, size or reduce, and no materialized view to price, which is what
+    ``pricing_views`` says), or no leaf of it has statistics.
+
+    ``stats`` is the session's :class:`StatsStore` -- or the estimator an
+    earlier phase of the same pass already got from here, handed back as
+    is, so the optimizer, the view pricer and the planner share one memo.
+    """
+    if stats is None or isinstance(stats, CardinalityEstimator):
+        return stats
+    # one walk, on every statement's way to a plan: keep it to a loop
+    leaves, cost_based, stack = [], pricing_views, [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (L.LogicalRelation, L.LocalRelation)):
+            leaves.append(node)
+        elif isinstance(node, L.Join):
+            cost_based = True
+        stack.extend(node.children)
+    if not cost_based:
+        return None
+    absent: Set[str] = set()
+    if not any(_leaf_stats(stats, leaf, absent) is not None for leaf in leaves):
+        return None
+    return CardinalityEstimator(stats, metrics, absent)
+
+
+class CardinalityEstimator:
+    """Bottom-up estimates from the session's :class:`StatsStore`.
+
+    One instance serves one planning pass: estimates are memoised per plan
+    node, so however many rules ask about a subtree it is walked once.
+    """
+
+    def __init__(self, store: StatsStore, metrics=None,
+                 absent: Optional[Set[str]] = None) -> None:
         self.store = store
-        self.conf = conf
         self.metrics = metrics
-        self.staleness_ratio = float(conf.get("sql.cbo.staleness.ratio", 2.0))
+        #: stats keys already found to have no statistics (see _leaf_stats)
+        self._absent: Set[str] = absent if absent is not None else set()
+        #: id(node) -> (node, its estimate); holding the node pins its id
+        self._memo: Dict[int, Tuple[L.LogicalPlan, Estimate]] = {}
 
     def _incr(self, name: str, amount: float = 1) -> None:
         if self.metrics is not None:
@@ -90,12 +148,16 @@ class CardinalityEstimator:
         self._incr("sql.cbo.estimates")
         return est
 
-    # -- node dispatch -------------------------------------------------------
     def _est(self, node: L.LogicalPlan) -> Estimate:
-        if isinstance(node, L.LogicalRelation):
-            return self._est_relation(node)
-        if isinstance(node, L.LocalRelation):
-            return self._est_local(node)
+        known = self._memo.get(id(node))
+        if known is None:
+            known = self._memo[id(node)] = (node, self._est_node(node))
+        return known[1]
+
+    # -- node dispatch -------------------------------------------------------
+    def _est_node(self, node: L.LogicalPlan) -> Estimate:
+        if isinstance(node, (L.LogicalRelation, L.LocalRelation)):
+            return self._est_leaf(node)
         if isinstance(node, L.SubqueryAlias):
             return self._est(node.children[0])
         if isinstance(node, L.Filter):
@@ -140,20 +202,20 @@ class CardinalityEstimator:
                 )
         return Estimate(rows, ts.avg_row_bytes, cols, confident=True)
 
-    def _est_relation(self, node: L.LogicalRelation) -> Estimate:
-        key = stats_key(node)
-        ts = self.store.get(key) if key is not None else None
-        if ts is None and key is not None:
-            ts = hydrate_relation_stats(self.store, key, node)
-        if ts is not None and self._stale(node, ts):
-            ts = None
-        if ts is not None:
+    def _est_leaf(self, node: L.LogicalPlan) -> Estimate:
+        """A relation of any kind is estimated confidently if and only if
+        ANALYZE TABLE ran on it and its statistics are still fresh."""
+        ts = _leaf_stats(self.store, node, self._absent)
+        if ts is not None and not self._stale(node, ts):
             return self._table_estimate(node, ts)
-        size = node.relation.size_in_bytes()
-        rows = max(1.0, size / 64.0) if size is not None else UNKNOWN_ROWS
+        if isinstance(node, L.LocalRelation):
+            rows = float(len(node.rows))
+        else:
+            size = node.relation.size_in_bytes()
+            rows = max(1.0, size / 64.0) if size is not None else UNKNOWN_ROWS
         return Estimate(rows, 64.0, {}, confident=False)
 
-    def _stale(self, node: L.LogicalRelation, ts) -> bool:
+    def _stale(self, node: L.LogicalPlan, ts) -> bool:
         """Stats whose recorded source size drifted too far are treated as
         absent (the query then keeps its syntactic plan)."""
         if ts.source_bytes is None or ts.source_bytes <= 0:
@@ -161,22 +223,11 @@ class CardinalityEstimator:
         current = node.relation.size_in_bytes()
         if current is None:
             return False
-        ratio = max(1.0, self.staleness_ratio)
-        if current > ts.source_bytes * ratio or current * ratio < ts.source_bytes:
+        if current > ts.source_bytes * STALENESS_RATIO \
+                or current * STALENESS_RATIO < ts.source_bytes:
             self._incr("sql.cbo.stats_stale")
             return True
         return False
-
-    def _est_local(self, node: L.LocalRelation) -> Estimate:
-        # driver-local rows are already in memory: exact stats are free and
-        # deterministic, so LocalRelation never needs an ANALYZE
-        key = stats_key(node)
-        ts = self.store.get(key) if key is not None else None
-        if ts is None:
-            ts = compute_table_stats(node.rows, node.local_schema)
-            if key is not None:
-                self.store.put(key, ts)
-        return self._table_estimate(node, ts)
 
     # -- unary operators -----------------------------------------------------
     def _est_filter(self, node: L.Filter) -> Estimate:
@@ -349,8 +400,8 @@ class CardinalityEstimator:
 
 # -- join reordering ---------------------------------------------------------
 
-def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
-                  conf: Dict[str, object], metrics=None) -> L.LogicalPlan:
+def reorder_joins(plan: L.LogicalPlan,
+                  estimator: CardinalityEstimator) -> L.LogicalPlan:
     """Re-order maximal inner-join clusters by estimated cost.
 
     Each reordered cluster is rebuilt left-deep and wrapped in a Project
@@ -358,16 +409,12 @@ def reorder_joins(plan: L.LogicalPlan, store: StatsStore,
     query's answer) are unaffected.  Clusters with any unconfident input
     estimate are left in syntactic order (``sql.cbo.reorders_rejected``).
     """
-    estimator = CardinalityEstimator(store, conf, metrics)
-    dp_threshold = int(conf.get("sql.cbo.joinReorder.dpThreshold", 6))
-
     def transform(node: L.LogicalPlan) -> L.LogicalPlan:
         if isinstance(node, L.Join) and node.how == "inner":
             inputs, conjuncts = _flatten_inner(node)
             if len(inputs) >= 3:
                 new_inputs = [transform(i) for i in inputs]
-                replaced = _try_reorder(node, new_inputs, conjuncts,
-                                        estimator, dp_threshold, metrics)
+                replaced = _try_reorder(node, new_inputs, conjuncts, estimator)
                 if replaced is not None:
                     return replaced
                 if all(n is o for n, o in zip(new_inputs, inputs)):
@@ -400,70 +447,100 @@ def _rebuild(node: L.LogicalPlan, mapping: Dict[int, L.LogicalPlan]) -> L.Logica
     return mapping[id(node)]
 
 
+#: a partial left-deep order: (cost, rows out, inputs joined so far, conjuncts used)
+_State = Tuple[float, float, Tuple[int, ...], frozenset]
+
+
+@dataclass
+class _JoinGraph:
+    """What the join search sees of an inner-join cluster: a row estimate
+    per input and, per conjunct, the inputs it references and how selective
+    it is.  Cost counts rows read and produced by every join."""
+
+    rows: List[float]
+    conj_inputs: List[frozenset]
+    conj_sel: List[float]
+
+    def start(self, i: int) -> _State:
+        return 0.0, self.rows[i], (i,), frozenset()
+
+    def extend(self, state: _State, j: int) -> _State:
+        cost, state_rows, order, used = state
+        members = set(order) | {j}
+        applicable = frozenset(
+            c for c in range(len(self.conj_inputs))
+            if c not in used and self.conj_inputs[c] <= members
+        )
+        sel = 1.0
+        for c in applicable:
+            sel *= self.conj_sel[c]
+        new_rows = state_rows * self.rows[j] * sel
+        new_cost = cost + state_rows + self.rows[j] + new_rows
+        return new_cost, new_rows, order + (j,), used | applicable
+
+    def cost(self, order: Sequence[int]) -> float:
+        state = self.start(order[0])
+        for j in order[1:]:
+            state = self.extend(state, j)
+        return state[0]
+
+    def linked(self, order: Sequence[int], j: int) -> bool:
+        """True when some conjunct joins input ``j`` to the inputs in ``order``."""
+        members = set(order) | {j}
+        return any(j in refs and len(refs) > 1 and refs <= members
+                   for refs in self.conj_inputs)
+
+    def candidates(self, order: Sequence[int]) -> List[int]:
+        """The inputs that may come next: those a conjunct joins to the
+        order so far.  Row counts alone make a product of two small inputs
+        look cheap, and it then meets the big input on a wide multi-column
+        key; only where no remaining input is joined to the order at all (a
+        genuinely disconnected cluster) is a Cartesian product allowed."""
+        remaining = [j for j in range(len(self.rows)) if j not in order]
+        return [j for j in remaining if self.linked(order, j)] or remaining
+
+
 def _try_reorder(node: L.Join, inputs: List[L.LogicalPlan],
                  conjuncts: List[E.Expression],
-                 estimator: CardinalityEstimator, dp_threshold: int,
-                 metrics) -> Optional[L.LogicalPlan]:
+                 estimator: CardinalityEstimator) -> Optional[L.LogicalPlan]:
     ests = [estimator.estimate(i) for i in inputs]
     if not all(e.confident for e in ests):
-        if metrics is not None:
-            metrics.incr("sql.cbo.reorders_rejected", 1)
+        estimator._incr("sql.cbo.reorders_rejected")
         return None
     n = len(inputs)
-    rows = [max(e.rows, 1.0) for e in ests]
 
     attr_to_input: Dict[int, int] = {}
     for i, inp in enumerate(inputs):
         for a in inp.output:
             attr_to_input[a.attr_id] = i
 
-    conj_inputs: List[frozenset] = []
-    conj_sel: List[float] = []
+    graph = _JoinGraph([max(e.rows, 1.0) for e in ests], [], [])
     for conjunct in conjuncts:
         refs = conjunct.references()
         idxs = {attr_to_input[r] for r in refs if r in attr_to_input}
         if not idxs or any(r not in attr_to_input for r in refs):
             idxs = set(range(n))  # defensive: only applicable at the very top
-        conj_inputs.append(frozenset(idxs))
-        conj_sel.append(_conjunct_selectivity(conjunct, ests, attr_to_input))
+        graph.conj_inputs.append(frozenset(idxs))
+        graph.conj_sel.append(_conjunct_selectivity(conjunct, ests, attr_to_input))
 
-    def extend(state: Tuple[float, float, Tuple[int, ...], frozenset], j: int):
-        cost, state_rows, order, used = state
-        members = set(order) | {j}
-        applicable = frozenset(
-            c for c in range(len(conjuncts))
-            if c not in used and conj_inputs[c] <= members
-        )
-        sel = 1.0
-        for c in applicable:
-            sel *= conj_sel[c]
-        new_rows = state_rows * rows[j] * sel
-        new_cost = cost + state_rows + rows[j] + new_rows
-        return new_cost, new_rows, order + (j,), used | applicable
-
-    if n <= dp_threshold:
-        order = _dp_order(n, rows, extend)
-    else:
-        order = _greedy_order(n, rows, extend)
-
-    if list(order) == list(range(n)):
-        return None  # the syntactic order was already the cheapest
+    order = _cheaper_order(graph)
+    if order is None:
+        return None
 
     # build the left-deep tree along `order`, attaching each conjunct at the
     # first join where all its inputs are available
     current = inputs[order[0]]
-    state = (0.0, rows[order[0]], (order[0],), frozenset())
+    state = graph.start(order[0])
     for j in order[1:]:
         prev_used = state[3]
-        state = extend(state, j)
+        state = graph.extend(state, j)
         newly = state[3] - prev_used
         cond = E.combine_conjuncts([conjuncts[c] for c in sorted(newly)])
         current = L.Join(current, inputs[j], "inner", cond)
     leftover = [conjuncts[c] for c in range(len(conjuncts)) if c not in state[3]]
     if leftover:
         current = L.Filter(E.combine_conjuncts(leftover), current)
-    if metrics is not None:
-        metrics.incr("sql.cbo.reorders_applied", 1)
+    estimator._incr("sql.cbo.reorders_applied")
     return L.Project(list(node.output), current)
 
 
@@ -484,20 +561,27 @@ def _conjunct_selectivity(conjunct: E.Expression, ests: List[Estimate],
     return DEFAULT_SELECTIVITY
 
 
-def _dp_order(n: int, rows: List[float], extend) -> Tuple[int, ...]:
+def _cheaper_order(graph: _JoinGraph) -> Optional[Tuple[int, ...]]:
+    """The order the search prefers to the query's own, or None.  A tie
+    keeps the syntactic order, and a tie is judged to rounding: orders that
+    apply the same conjuncts differ only in the last bits of their cost."""
+    n = len(graph.rows)
+    order = _dp_order(graph) if n <= DP_THRESHOLD else _greedy_order(graph)
+    if graph.cost(order) < graph.cost(range(n)) * (1.0 - 1e-9):
+        return order
+    return None
+
+
+def _dp_order(graph: _JoinGraph) -> Tuple[int, ...]:
     """Exact left-deep join order by DP over input subsets."""
-    best: Dict[int, Tuple[float, float, Tuple[int, ...], frozenset]] = {}
-    for i in range(n):
-        best[1 << i] = (0.0, rows[i], (i,), frozenset())
+    n = len(graph.rows)
+    best: Dict[int, _State] = {1 << i: graph.start(i) for i in range(n)}
     for mask in range(1, 1 << n):
         if mask not in best or bin(mask).count("1") == n:
             continue
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            candidate = extend(best[mask], j)
-            new_mask = mask | bit
+        for j in graph.candidates(best[mask][2]):
+            candidate = graph.extend(best[mask], j)
+            new_mask = mask | (1 << j)
             incumbent = best.get(new_mask)
             # deterministic tie-break on the order tuple itself
             if incumbent is None or (candidate[0], candidate[2]) < \
@@ -506,15 +590,14 @@ def _dp_order(n: int, rows: List[float], extend) -> Tuple[int, ...]:
     return best[(1 << n) - 1][2]
 
 
-def _greedy_order(n: int, rows: List[float], extend) -> Tuple[int, ...]:
+def _greedy_order(graph: _JoinGraph) -> Tuple[int, ...]:
     """Smallest-intermediate-first greedy order for wide join sets."""
-    start = min(range(n), key=lambda i: (rows[i], i))
-    state = (0.0, rows[start], (start,), frozenset())
-    remaining = set(range(n)) - {start}
-    while remaining:
-        choice = min(remaining, key=lambda j: (extend(state, j)[1], j))
-        state = extend(state, choice)
-        remaining.discard(choice)
+    n = len(graph.rows)
+    state = graph.start(min(range(n), key=lambda i: (graph.rows[i], i)))
+    while len(state[2]) < n:
+        choice = min(graph.candidates(state[2]),
+                     key=lambda j: (graph.extend(state, j)[1], j))
+        state = graph.extend(state, choice)
     return state[2]
 
 

@@ -224,8 +224,8 @@ def _vectorized_section(result) -> List[str]:
 def _adaptive_section(physical: PhysicalPlan, result) -> List[str]:
     """The adaptive-execution section: reopt events plus the final plan.
 
-    Empty (section omitted entirely) for non-adaptive runs, so existing
-    reports are unchanged unless ``sql.aqe.enabled`` re-optimised something.
+    Empty (section omitted entirely) unless an ``AdaptiveJoinExec``
+    (``sql.aqe.enabled``) re-optimised something.
     The initial plan is the tree EXPLAIN ANALYZE already printed; the final
     plan re-renders it with each adapted operator's executed strategy.
     """
@@ -254,8 +254,8 @@ def _adaptive_section(physical: PhysicalPlan, result) -> List[str]:
 def _cbo_section(physical: PhysicalPlan, result) -> List[str]:
     """The cost-based-optimizer section: what the stats-driven planner did.
 
-    Empty (section omitted entirely) unless ``sql.cbo.enabled`` produced at
-    least one estimate, so default-path reports are byte-identical.  The
+    Empty (section omitted entirely) unless the query's tables had ANALYZE
+    statistics and planning produced at least one estimate.  The
     per-operator ``est=`` join annotations elaborate the same run; the
     estimation-error lines here make mis-estimates visible at a glance.
     """

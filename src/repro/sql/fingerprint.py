@@ -47,11 +47,7 @@ def _describe(node: L.LogicalPlan) -> str:
         return (_relation_identity(node)
                 + ":" + ",".join(repr(a) for a in node.output))
     if isinstance(node, L.LocalRelation):
-        rows_digest = hashlib.sha256(
-            repr(node.rows).encode("utf-8")
-        ).hexdigest()[:16]
-        cols = ",".join(f"{a.name}:{a.dtype}" for a in node.output)
-        return f"local:{cols}:{rows_digest}"
+        return node.identity()
     return node.describe()
 
 

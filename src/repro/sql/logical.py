@@ -9,6 +9,7 @@ then rewrites resolved plans into cheaper equivalents.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -124,10 +125,22 @@ class LocalRelation(LogicalPlan):
         if output is None:
             output = [E.Attribute(f.name, f.dtype) for f in schema]
         self._output = output
+        self._identity: Optional[str] = None
 
     @property
     def output(self) -> List[E.Attribute]:
         return self._output
+
+    def identity(self) -> str:
+        """``local:<columns>:<digest of the rows>``: what the statistics
+        store and the plan fingerprint know these rows by.  Two inline
+        datasets share it only when their data is identical; the rows are
+        hashed once per node."""
+        if self._identity is None:
+            digest = hashlib.sha256(repr(self.rows).encode("utf-8")).hexdigest()[:16]
+            cols = ",".join(f"{a.name}:{a.dtype}" for a in self._output)
+            self._identity = f"local:{cols}:{digest}"
+        return self._identity
 
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "LocalRelation":
         return self

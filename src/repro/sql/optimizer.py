@@ -24,10 +24,14 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
              stats=None, metrics=None, views=None) -> L.LogicalPlan:
     """Run the full rule pipeline to (practical) fixpoint.
 
-    With ``sql.cbo.enabled`` and a stats store, the cost-based join-reorder
-    rule (:func:`repro.sql.cbo.reorder_joins`) runs after predicate pushdown
-    -- so its input cardinalities see pushed filters -- and before column
+    ``stats`` is the session's statistics store (or the planning pass's
+    estimator, see :func:`repro.sql.cbo.estimator_for`).  When a leaf of the
+    plan has ANALYZE statistics, the cost-based join-reorder rule
+    (:func:`repro.sql.cbo.reorder_joins`) runs after predicate pushdown --
+    so its input cardinalities see pushed filters -- and before column
     pruning, which then minimises the reordered tree's projections.
+    ``conf`` is the session's, taken for callers that spell the session's
+    planning out; no rule reads it.
 
     With ``views`` (a :class:`repro.sql.views.ViewRewriteContext`, built only
     once the session has run a view statement), the materialized-view
@@ -36,6 +40,11 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
     matcher prices -- and before join reordering, so a rewritten aggregate
     no longer participates in the CBO's join search.
     """
+    estimator = None
+    if stats is not None:
+        from repro.sql.cbo import estimator_for, reorder_joins
+
+        estimator = estimator_for(stats, plan, metrics, views is not None)
     plan = eliminate_subquery_aliases(plan)
     for __ in range(3):
         plan = combine_filters(plan)
@@ -44,13 +53,11 @@ def optimize(plan: L.LogicalPlan, conf: Optional[Dict[str, object]] = None,
     if views is not None:
         from repro.sql.views import rewrite_with_views
 
+        views.estimator = estimator
         plan = rewrite_with_views(plan, views)
         plan = push_down_predicates(plan)
-    if stats is not None and conf is not None \
-            and bool(conf.get("sql.cbo.enabled", False)):
-        from repro.sql.cbo import reorder_joins
-
-        plan = reorder_joins(plan, stats, conf, metrics)
+    if estimator is not None:
+        plan = reorder_joins(plan, estimator)
         plan = push_down_predicates(plan)
     plan = prune_columns(plan)
     plan = combine_filters(plan)

@@ -62,11 +62,9 @@ class ExecContext:
         #: these as plan annotations.  Always on: a couple of dict writes
         #: per operator per query.
         self.operator_stats: Dict[int, Dict[str, object]] = {}
-        #: adaptive query execution (docs/adaptive.md); off by default so
-        #: the non-adaptive path stays byte-identical
-        self.adaptive = bool(conf.get("sql.aqe.enabled", False))
-        #: re-optimisation decisions taken at stage barriers, in decision
-        #: order; EXPLAIN ANALYZE renders these as the adaptive section
+        #: what each AdaptiveJoinExec decided at its stage barriers, in
+        #: decision order; EXPLAIN ANALYZE renders these as the adaptive
+        #: section (docs/adaptive.md)
         self.reopt_events: List[Dict[str, object]] = []
         self._lock = threading.Lock()
 
@@ -192,8 +190,8 @@ class PhysicalPlan:
 
     def _record_cbo_estimate(self, ctx: ExecContext) -> None:
         """Surface the planner's row estimate (``cbo_rows``, stamped only
-        under ``sql.cbo.enabled``) so EXPLAIN ANALYZE can print estimated
-        vs. actual cardinality per join."""
+        where ANALYZE statistics made it confident) so EXPLAIN ANALYZE can
+        print estimated vs. actual cardinality per join."""
         estimate = getattr(self, "cbo_rows", None)
         if estimate is not None:
             ctx.record_operator(self, cbo_rows=estimate)
@@ -777,11 +775,6 @@ class HashAggregateExec(PhysicalPlan):
 
         partial_rdd = child.execute(ctx).map_partitions(partial)
         num_parts = 1 if global_agg else ctx.shuffle_partitions()
-        if ctx.adaptive and num_parts > 1:
-            from repro.sql.adaptive import adaptive_exchange
-
-            return adaptive_exchange(ctx, partial_rdd, num_parts,
-                                     lambda kv: kv[0], final, self)
         return partial_rdd.partition_by(num_parts, key_fn=lambda kv: kv[0],
                                         post_shuffle=final)
 
@@ -1104,6 +1097,10 @@ class BroadcastHashJoinExec(PhysicalPlan):
         return f"BroadcastHashJoin({self.how}, {self.left_keys!r} = {self.right_keys!r})"
 
 
+#: distinct build keys above which a semi-join reduction aborts at runtime
+SEMIJOIN_MAX_KEYS = 16384
+
+
 class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
     """Shuffled equi-join with a semi-join reduction on the probe side.
 
@@ -1119,17 +1116,10 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
     3. the already-collected build rows re-enter the join as a driver-local
        collection, so the build side is neither scanned nor shuffled twice.
 
-    If the build yields more than ``max_keys`` distinct tuples the reduction
-    aborts at runtime (``sql.cbo.semijoins_rejected``) and the operator
-    degrades to the plain shuffled join it subclasses.
+    If the build yields more than :data:`SEMIJOIN_MAX_KEYS` distinct tuples
+    the reduction aborts at runtime (``sql.cbo.semijoins_rejected``) and the
+    operator degrades to the plain shuffled join it subclasses.
     """
-
-    def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
-                 left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
-                 how: str, residual: Optional[E.Expression],
-                 max_keys: int = 16384) -> None:
-        super().__init__(left, right, left_keys, right_keys, how, residual)
-        self.max_keys = max_keys
 
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
@@ -1146,11 +1136,11 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
             if None not in key:
                 keys.add(key)
 
-        if len(keys) > self.max_keys:
+        if len(keys) > SEMIJOIN_MAX_KEYS:
             # runtime abort: stats undercounted the build's distinct keys
             ctx.metrics.incr("sql.cbo.semijoins_rejected", 1)
             ctx.record_operator(
-                self, semijoin=f"aborted ({len(keys)} keys > max {self.max_keys})"
+                self, semijoin=f"aborted ({len(keys)} keys > max {SEMIJOIN_MAX_KEYS})"
             )
             probe = left.execute(ctx)
         else:
@@ -1427,11 +1417,6 @@ class DistinctExec(PhysicalPlan):
 
         child_rdd = self.children[0].execute(ctx)
         num_parts = ctx.shuffle_partitions()
-        if ctx.adaptive and num_parts > 1:
-            from repro.sql.adaptive import adaptive_exchange
-
-            return adaptive_exchange(ctx, child_rdd, num_parts,
-                                     lambda r: r, dedupe, self)
         shuffled = child_rdd.partition_by(
             num_parts, key_fn=lambda r: r, post_shuffle=dedupe
         )
@@ -1468,11 +1453,6 @@ class IntersectExec(PhysicalPlan):
             self.children[1].execute(ctx).map_partitions(tag(1))
         )
         num_parts = ctx.shuffle_partitions()
-        if ctx.adaptive and num_parts > 1:
-            from repro.sql.adaptive import adaptive_exchange
-
-            return adaptive_exchange(ctx, tagged, num_parts,
-                                     lambda p: p[0], intersect, self)
         shuffled = tagged.partition_by(
             num_parts, key_fn=lambda p: p[0], post_shuffle=intersect
         )

@@ -35,6 +35,11 @@ from repro.sql.vectorized import adapt
 
 #: size assigned to relations that cannot estimate themselves
 UNKNOWN_SIZE = 1 << 60
+#: semi-join reduction applies only when the build side is estimated at or
+#: under this many rows ...
+SEMIJOIN_MAX_BUILD_ROWS = 10000
+#: ... and the probe is expected to shrink by at least this factor
+SEMIJOIN_MIN_REDUCTION = 2.0
 
 
 def estimate_plan_size(plan: L.LogicalPlan) -> int:
@@ -85,6 +90,11 @@ class Planner:
     :class:`~repro.sql.physical.CacheMaterializeExec` that fills the cache
     as it runs.  With no manager (or nothing persisted) planning is exactly
     the uncached pipeline.
+
+    ``stats`` is the session's statistics store, or the planning pass's
+    estimator (:func:`repro.sql.cbo.estimator_for`).  Where the plan's
+    tables have ANALYZE statistics (docs/optimizer.md), join sizing uses
+    the estimates and the semi-join reduction strategy becomes available.
     """
 
     def __init__(self, conf: Dict[str, object], cache=None, stats=None,
@@ -94,26 +104,15 @@ class Planner:
         self.broadcast_threshold = int(
             conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024)
         )
-        #: cost-based planning (docs/optimizer.md): with sql.cbo.enabled and
-        #: a stats store, join sizing uses ANALYZE-based estimates and the
-        #: semi-join reduction strategy becomes available
         self.metrics = metrics
+        #: resolved to the pass's estimator (or None) by the first plan() call
+        self._stats = stats
         self.estimator = None
-        self.semijoin_enabled = False
-        if stats is not None and bool(conf.get("sql.cbo.enabled", False)):
-            from repro.sql.cbo import CardinalityEstimator
-
-            self.estimator = CardinalityEstimator(stats, conf, metrics)
-            self.semijoin_enabled = bool(conf.get("sql.cbo.semijoin", True))
-            self.semijoin_max_build = int(
-                conf.get("sql.cbo.semijoin.maxBuildRows", 10000))
-            self.semijoin_min_reduction = float(
-                conf.get("sql.cbo.semijoin.minReduction", 2.0))
-            self.semijoin_max_keys = int(
-                conf.get("sql.cbo.semijoin.maxKeys", 16384))
-        #: adaptive query execution (docs/adaptive.md): shuffled joins plan
-        #: as AdaptiveJoinExec stage barriers instead of committing to a
-        #: strategy from size estimates
+        self.semijoin_enabled = bool(conf.get("sql.cbo.semijoin", True))
+        #: adaptive query execution (docs/adaptive.md), the one place the
+        #: option is read: a non-broadcast equi-join plans as an
+        #: AdaptiveJoinExec, which settles its strategy from measured sizes,
+        #: instead of the static Spark 2 ShuffledHashJoinExec
         self.adaptive = bool(conf.get("sql.aqe.enabled", False))
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
         #: replica-aware scan routing (docs/replication.md): the session-level
@@ -133,6 +132,12 @@ class Planner:
         return adapt(self.plan(node), False)
 
     def plan(self, node: L.LogicalPlan) -> P.PhysicalPlan:
+        if self._stats is not None:
+            from repro.sql.cbo import estimator_for
+
+            # the first call is the caller's, with the whole plan
+            self.estimator = estimator_for(self._stats, node, self.metrics)
+            self._stats = None
         if self.cache is not None and self.cache.has_registrations():
             from repro.sql.fingerprint import plan_fingerprint
 
@@ -424,17 +429,17 @@ class Planner:
                                 est_join) -> Optional[P.PhysicalPlan]:
         """Semi-join reduction (docs/optimizer.md): pre-filter the probe side
         by the build side's distinct keys before shuffling, when statistics
-        predict the probe shrinks by ``sql.cbo.semijoin.minReduction``."""
+        predict the probe shrinks by :data:`SEMIJOIN_MIN_REDUCTION`."""
         if not self.semijoin_enabled or node.how not in ("inner", "semi"):
             return None
         if est_left is None or not (est_left.confident and est_right.confident):
             return None
-        if est_right.rows > self.semijoin_max_build:
+        if est_right.rows > SEMIJOIN_MAX_BUILD_ROWS:
             return None
         from repro.sql.cbo import semijoin_keep_fraction
 
         keep = semijoin_keep_fraction(est_left, est_right, left_keys, right_keys)
-        if keep is None or keep > 1.0 / max(self.semijoin_min_reduction, 1.0):
+        if keep is None or keep > 1.0 / SEMIJOIN_MIN_REDUCTION:
             self._incr("sql.cbo.semijoins_rejected")
             return None
         self._incr("sql.cbo.semijoins_applied")
@@ -442,7 +447,6 @@ class Planner:
         return self._stamp(P.SemiJoinReducedJoinExec(
             adapt(left_plan, False), adapt(right_plan, False),
             left_keys, right_keys, node.how, residual,
-            max_keys=self.semijoin_max_keys,
         ), est_join)
 
     def _incr(self, name: str) -> None:

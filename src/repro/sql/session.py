@@ -11,7 +11,6 @@ runs and a rerun reproduces it.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -25,6 +24,7 @@ from repro.engine.cachemanager import CacheManager
 from repro.engine.cluster import ComputeCluster, YarnResourceManager
 from repro.engine.scheduler import StageInfo, TaskScheduler
 from repro.sql.analyzer import Analyzer, Catalog
+from repro.sql.cbo import estimator_for
 from repro.sql.logical import InsertIntoTable, LocalRelation, LogicalPlan, LogicalRelation
 from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
@@ -43,8 +43,8 @@ class PlannedQuery:
     optimized: LogicalPlan
     physical: PhysicalPlan
     #: planning-time CBO/view counters (reorders, estimates, rewrites) that
-    #: ride into the query's registry; None when neither is in play, which
-    #: keeps the default path allocation-identical
+    #: ride into the query's registry; None when the plan's tables have no
+    #: statistics and the session no views
     metrics: Optional[MetricsRegistry] = None
     #: materialized-view rewrite decisions, in match order
     view_events: List[Dict[str, object]] = field(default_factory=list)
@@ -64,8 +64,8 @@ class QueryResult:
     operator_stats: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: root Span of the query trace, or None when tracing was disabled
     trace: Optional[Span] = None
-    #: adaptive re-optimisation decisions (sql.aqe.enabled), in decision
-    #: order; empty for non-adaptive runs
+    #: what each AdaptiveJoinExec decided at its stage barriers, in decision
+    #: order; empty when the plan has none (static planning, the default)
     reopt_events: List[Dict[str, object]] = field(default_factory=list)
     #: front-door admission record stamped by the serving layer (tenant,
     #: queue wait, breaker state, leased slots); None for direct runs --
@@ -99,42 +99,18 @@ DEFAULT_CONF: Dict[str, object] = {
     # the hot path runs against the no-op recorder
     "tracing.enabled": False,
     "sql.autoBroadcastJoinThreshold": 128 * 1024,
-    # adaptive query execution (docs/adaptive.md): re-optimise plans at
-    # shuffle-stage barriers from measured partition sizes.  Off by default
-    # -- the non-adaptive path must stay byte-identical
+    # join planning (docs/adaptive.md): False is the paper's static Spark 2
+    # planning, which fixes every join strategy from size estimates; True
+    # plans a non-broadcast equi-join as an AdaptiveJoinExec, which settles
+    # its strategy from measured shuffle sizes.  An option, not a default:
+    # each wins somewhere, and the paper's SparkSQL baseline is the static one
     "sql.aqe.enabled": False,
-    # rule 2/3 sizing: coalesce small reduce partitions toward this many
-    # bytes per task, and cap each skew-split chunk at it
-    "sql.aqe.targetPartitionBytes": 64 * 1024,
-    # rule 3 trigger: a partition is skewed when larger than `factor` x the
-    # median partition AND over the absolute threshold
-    "sql.aqe.skewedPartitionFactor": 4.0,
-    "sql.aqe.skewedPartitionThresholdBytes": 64 * 1024,
     # partitions for driver-local (VALUES / createDataFrame) scans
     "sql.local.scan.partitions": 2,
-    # cost-based optimization (docs/optimizer.md): use ANALYZE statistics to
-    # estimate cardinalities, re-order multi-way inner joins, and inform the
-    # planner's broadcast decisions.  Off by default -- without it planning
-    # is purely syntactic and byte-identical to the seed
-    "sql.cbo.enabled": False,
-    # semi-join reduction (needs sql.cbo.enabled): pre-filter a large probe
-    # scan by the distinct join keys of a small build side before shuffling
+    # semi-join reduction (docs/optimizer.md; takes ANALYZE statistics, like
+    # all cost-based planning): pre-filter a large probe scan by the distinct
+    # join keys of a small build side before shuffling
     "sql.cbo.semijoin": True,
-    # exact left-deep DP join ordering up to this many inputs; greedy above
-    "sql.cbo.joinReorder.dpThreshold": 6,
-    # equi-height histogram buckets collected per column by ANALYZE
-    "sql.cbo.histogram.buckets": 8,
-    # stats whose recorded size drifted by more than this factor from the
-    # relation's current size are treated as absent (fall back to syntactic)
-    "sql.cbo.staleness.ratio": 2.0,
-    # semi-join reduction applies only when the build side is estimated at
-    # or under this many rows ...
-    "sql.cbo.semijoin.maxBuildRows": 10000,
-    # ... and the probe is expected to shrink by at least this factor ...
-    "sql.cbo.semijoin.minReduction": 2.0,
-    # ... and (checked at runtime) the build yields at most this many
-    # distinct keys; above it the reduction aborts and joins normally
-    "sql.cbo.semijoin.maxKeys": 16384,
     # DataFrame.cache()/persist(): executor-memory partition cache.  The
     # enabled flag gates persist() itself -- with it off (or with no
     # persist() calls, the default state) planning and execution are
@@ -195,12 +171,6 @@ class SparkSession:
         self.cost = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.clock = clock if clock is not None else SimClock()
         self.conf: Dict[str, object] = dict(DEFAULT_CONF)
-        # CI's flag-matrix tier-1 legs flip defaults without editing every
-        # test; an explicit session conf still wins (applied after)
-        if os.environ.get("REPRO_SQL_CBO"):
-            self.conf["sql.cbo.enabled"] = True
-        if os.environ.get("REPRO_SQL_AQE"):
-            self.conf["sql.aqe.enabled"] = True
         if conf:
             self.conf.update(conf)
         self.cluster = ComputeCluster(
@@ -208,8 +178,8 @@ class SparkSession:
         )
         self.catalog = Catalog()
         self._analyzer = Analyzer(self.catalog)
-        #: ANALYZE statistics catalog (docs/optimizer.md); read only when
-        #: sql.cbo.enabled is on
+        #: ANALYZE statistics catalog (docs/optimizer.md): what ANALYZE TABLE
+        #: collected or a query hydrated from a table's persisted attribute
         self.stats = StatsStore()
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
@@ -376,9 +346,8 @@ class SparkSession:
 
         analyzed = self.analyze(UnresolvedRelation(name))
         result = self.execute_plan(analyzed)
-        buckets = int(self.conf.get("sql.cbo.histogram.buckets", 8))
         stats = compute_table_stats(
-            [tuple(r.values) for r in result.rows], result.schema, buckets
+            [tuple(r.values) for r in result.rows], result.schema
         )
         # the collection scan's ledger rides onto the summary row the
         # statement returns, so ANALYZE's cost and counters are observable
@@ -443,18 +412,21 @@ class SparkSession:
     def plan_query(self, plan: LogicalPlan, trace=NOOP_SPAN) -> PlannedQuery:
         """Optimize and plan one analyzed logical plan -- the only place
         the session runs the optimizer and the planner."""
-        stats = self.cbo_stats()
         views_ctx = self.view_rewrite_context()
+        estimator = estimator_for(self.stats, plan,
+                                  pricing_views=views_ctx is not None)
         metrics = MetricsRegistry() \
-            if stats is not None or views_ctx is not None else None
+            if estimator is not None or views_ctx is not None else None
+        if estimator is not None:
+            estimator.metrics = metrics
         if views_ctx is not None:
             views_ctx.metrics = metrics
         span = trace.child("optimize", "plan", order=(0, 0))
-        optimized = optimize(plan, conf=self.conf, stats=stats,
+        optimized = optimize(plan, conf=self.conf, stats=estimator,
                              metrics=metrics, views=views_ctx)
         span.finish()
         span = trace.child("plan", "plan", order=(0, 1))
-        physical = Planner(self.conf, cache=self.cache_manager, stats=stats,
+        physical = Planner(self.conf, cache=self.cache_manager, stats=estimator,
                            metrics=metrics).plan_query(optimized)
         span.finish()
         return PlannedQuery(optimized, physical, metrics,
@@ -479,11 +451,10 @@ class SparkSession:
         result.view_events = planned.view_events
         return result
 
-    def cbo_stats(self) -> Optional[StatsStore]:
-        """The stats store when ``sql.cbo.enabled`` is on, else None."""
-        if bool(self.conf.get("sql.cbo.enabled", False)):
-            return self.stats
-        return None
+    def cbo_stats(self) -> StatsStore:
+        """The statistics store a caller that spells ``plan_query`` out
+        itself hands to ``optimize`` and ``Planner`` as ``stats=``."""
+        return self.stats
 
     def execute_physical(self, physical, trace=NOOP_SPAN, slots=None,
                          queued_s: float = 0.0,

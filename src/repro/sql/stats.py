@@ -18,16 +18,19 @@ See docs/optimizer.md.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.common.errors import CatalogError, NoSuchTableError
 from repro.sql import expressions as E
 from repro.sql import logical as L
 
 #: table-attribute key under which TableStats JSON is persisted
 STATS_ATTRIBUTE = "shc.table.stats"
+
+#: equi-height histogram buckets ANALYZE collects per column
+HISTOGRAM_BUCKETS = 8
 
 #: JSON-representable scalar types allowed into min/max/histogram bounds
 _ORDERED_SCALARS = (int, float, str)
@@ -143,7 +146,7 @@ class TableStats:
         )
 
 
-def build_histogram(values: Sequence[object], buckets: int = 8) -> Optional[Histogram]:
+def build_histogram(values: Sequence[object], buckets: int) -> Optional[Histogram]:
     """Equi-height histogram over non-null ``values`` (None when unorderable)."""
     if not values or buckets < 1:
         return None
@@ -166,8 +169,7 @@ def build_histogram(values: Sequence[object], buckets: int = 8) -> Optional[Hist
     return Histogram(bounds, heights)
 
 
-def compute_table_stats(rows: Sequence[tuple], schema,
-                        histogram_buckets: int = 8) -> TableStats:
+def compute_table_stats(rows: Sequence[tuple], schema) -> TableStats:
     """Distil collected rows into :class:`TableStats` (deterministic)."""
     from repro.engine.shuffle import estimate_size
 
@@ -180,7 +182,7 @@ def compute_table_stats(rows: Sequence[tuple], schema,
             ndv = len(set(non_null))
         except TypeError:  # unhashable values: every row its own group
             ndv = len(non_null)
-        histogram = build_histogram(non_null, histogram_buckets)
+        histogram = build_histogram(non_null, HISTOGRAM_BUCKETS)
         min_value = histogram.bounds[0] if histogram else None
         max_value = histogram.bounds[-1] if histogram else None
         columns[field_.name] = ColumnStats(
@@ -212,9 +214,7 @@ def stats_key(plan: L.LogicalPlan) -> Optional[str]:
 
         return _relation_identity(node)
     if isinstance(node, L.LocalRelation):
-        digest = hashlib.sha256(repr(node.rows).encode("utf-8")).hexdigest()[:16]
-        cols = ",".join(f"{a.name}:{a.dtype}" for a in node.output)
-        return f"local:{cols}:{digest}"
+        return node.identity()
     return None
 
 
@@ -297,10 +297,15 @@ def hydrate_relation_stats(store: StatsStore, key: str,
         return None
     try:
         raw = getter(qualified, STATS_ATTRIBUTE)
-    except Exception:
+    except NoSuchTableError:
         return None
     if not raw:
         return None
-    stats = TableStats.from_json(json.loads(raw))
+    try:
+        stats = TableStats.from_json(json.loads(raw))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CatalogError(
+            f"persisted statistics of table {qualified} are corrupt "
+            f"(re-run ANALYZE TABLE): {exc!r}") from exc
     store.put(key, stats)
     return stats

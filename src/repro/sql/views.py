@@ -28,9 +28,9 @@ rewriting).  Three cooperating pieces live here:
   replaced by a scan of the view -- but only when the view is *fresh
   enough*: not invalidated, and its CDC lag (simulated seconds of
   unshipped WAL tail) is within ``sql.view.staleness``.  The replacement
-  is priced against the base plan -- with PR-8's statistics when
-  ``sql.cbo.enabled`` provides them, else by relation size -- and every
-  decision surfaces in EXPLAIN's "Materialized Views" section.
+  is priced against the base plan -- with ANALYZE statistics where the
+  base tables have them, else by relation size -- and every decision
+  surfaces in EXPLAIN's "Materialized Views" section.
 
 ``CREATE MATERIALIZED VIEW`` is the opt-in: in a session that never ran a
 view statement no code here runs and every ledger is what it would be
@@ -1058,11 +1058,12 @@ class ViewCandidate:
 class ViewRewriteContext:
     """Per-query rewrite state threaded through :func:`optimize`."""
 
-    def __init__(self, session, candidates: List[ViewCandidate],
-                 estimator=None) -> None:
+    def __init__(self, session, candidates: List[ViewCandidate]) -> None:
         self.session = session
         self.candidates = candidates
-        self.estimator = estimator
+        #: the planning pass's cardinality estimator, set by ``optimize``;
+        #: None when no table of the query has ANALYZE statistics
+        self.estimator = None
         self.events: List[Dict[str, object]] = []
         #: planning-time registry the session merges into the query result
         self.metrics: Optional[MetricsRegistry] = None
@@ -1115,13 +1116,7 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
         candidates.append(ViewCandidate(vdef, fresh, lag, invalidated, size))
     if not candidates:
         return None
-    estimator = None
-    stats = session.cbo_stats()
-    if stats is not None:
-        from repro.sql.cbo import CardinalityEstimator
-
-        estimator = CardinalityEstimator(stats, session.conf, None)
-    return ViewRewriteContext(session, candidates, estimator)
+    return ViewRewriteContext(session, candidates)
 
 
 def rewrite_with_views(plan: L.LogicalPlan,
@@ -1151,22 +1146,16 @@ def _base_subtree_bytes(node: L.LogicalPlan, ctx: ViewRewriteContext) -> float:
     Priced at the *leaves*: answering from base means scanning the base
     tables, however small the aggregated output ends up.  With ANALYZE
     statistics the estimator refines each leaf's size; without them it
-    falls back to the relation's metadata size, so the decision is the
-    same with ``sql.cbo.enabled`` on or off until stats exist.
+    falls back to the relation's metadata size.
     """
     total = 0.0
     for leaf in node.collect_nodes(lambda n: isinstance(n, L.LogicalRelation)):
-        size = None
-        if ctx.estimator is not None:
-            try:
-                estimate = ctx.estimator.estimate(leaf)
-                if estimate.confident:
-                    size = float(estimate.bytes)
-            except Exception:
-                size = None
-        if size is None:
-            size = float(leaf.relation.size_in_bytes())
-        total += size
+        estimate = ctx.estimator.estimate(leaf) \
+            if ctx.estimator is not None else None
+        if estimate is not None and estimate.confident:
+            total += float(estimate.bytes)
+        else:
+            total += float(leaf.relation.size_in_bytes())
     return total
 
 

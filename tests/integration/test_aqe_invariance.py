@@ -1,18 +1,13 @@
 """AQE-off invariance: with adaptivity disabled the simulation is the seed.
 
-Adaptive execution hooks the planner (AdaptiveJoinExec), the exchange
-operators (adaptive_exchange) and the shuffle-map stage (runtime statistics
-collection).  The load-bearing guarantee is that the hooks cost nothing when
+Adaptive execution hooks the planner (AdaptiveJoinExec) and the shuffle-map
+stage (runtime statistics collection).  The load-bearing guarantee is that the hooks cost nothing when
 dormant: a run under the default configuration must produce a byte-identical
 cost ledger -- every metric, every simulated second -- to a run with
 ``sql.aqe.enabled`` forced off, and no ``engine.aqe.*`` counter may leak
 into either ledger.  A third run with AQE *on* checks answers (not costs)
 are unchanged, full-stack through the HBase substrate.
 """
-
-import os
-
-import pytest
 
 from repro.workloads import load_tpcds
 
@@ -47,8 +42,6 @@ def test_default_conf_is_byte_identical_to_aqe_disabled():
         assert not key.startswith("engine.aqe."), key
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_AQE")),
-                    reason="AQE mode forced on by the environment")
 def test_join_ledger_is_byte_identical_with_aqe_off():
     default = run_fresh(JOIN_QUERY, None)
     disabled = run_fresh(JOIN_QUERY, {"sql.aqe.enabled": False})

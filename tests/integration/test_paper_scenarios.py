@@ -1,13 +1,17 @@
 """Scenario tests lifted directly from the paper's running examples."""
 
 import json
-import os
 
 import pytest
 
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
+from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.relation import DEFAULT_FORMAT
+from repro.hbase.cluster import clear_cluster_registry
+from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
+from repro.workloads import load_tpcds, queries
+from repro.workloads.tpcds_schema import TABLES
 
 USERS_CATALOG = json.dumps({
     "table": {"namespace": "default", "name": "users", "tableCoder": "Phoenix"},
@@ -63,9 +67,6 @@ def test_in_list_on_rowkey_becomes_gets(users):
         full.metrics.get("hbase.bytes_scanned")
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_AQE")),
-                    reason="AQE mode forced on by the environment: the "
-                           "runtime converts the shuffle join it pins")
 def test_broadcast_threshold_zero_forces_shuffle_join(users):
     cluster, session, options, rows = users
     from repro.sql.session import SparkSession
@@ -156,3 +157,96 @@ def test_max_versions_window(linked):
     windowed[HBaseSparkConf.MAX_VERSIONS] = "3"
     df = session.read.format(DEFAULT_FORMAT).options(windowed).load()
     assert df.collect()[0].v == "v2"
+
+
+# -- the paper's queries never lose to an optimiser ---------------------------
+
+PAPER_QUERIES = {"q39a": queries.q39a, "q39b": queries.q39b, "q38": queries.q38}
+
+
+def _paper_session(setup):
+    """A warm 2 GB session over its own cluster (ANALYZE persists with the
+    tables, so set-ups must not share one): ``plain`` plans syntactically,
+    ``analyzed`` ran ANALYZE on every table, ``aqe`` sets the option."""
+    env = load_tpcds(2, TABLES)
+    session = env.new_session(
+        conf={"sql.aqe.enabled": True} if setup == "aqe" else None)
+    if setup == "analyzed":
+        for table in TABLES:
+            session.sql(f"ANALYZE TABLE {table} COMPUTE STATISTICS")
+    for build_sql in PAPER_QUERIES.values():
+        session.sql(build_sql()).run()  # connections, block cache
+    return session
+
+
+@pytest.fixture(scope="module")
+def paper_runs():
+    runs = {}
+    for setup in ("plain", "analyzed", "aqe"):
+        clear_cluster_registry()
+        DEFAULT_CONNECTION_CACHE.clear()
+        session = _paper_session(setup)
+        runs[setup] = {label: session.sql(build_sql()).run()
+                       for label, build_sql in PAPER_QUERIES.items()}
+        if setup == "analyzed":
+            for build_sql in PAPER_QUERIES.values():
+                planned = session.plan_query(session.sql(build_sql()).plan)
+                assert "NestedLoopJoin" not in planned.physical.pretty()
+        session.shutdown()
+    return runs
+
+
+@pytest.mark.parametrize("label", list(PAPER_QUERIES))
+def test_paper_query_costs_the_same_however_it_is_planned(paper_runs, label):
+    """ROADMAP 2(a): statistics and the adaptive join may only help."""
+    plain = paper_runs["plain"][label]
+    assert plain.rows
+    for setup in ("analyzed", "aqe"):
+        other = paper_runs[setup][label]
+        assert sorted(map(tuple, other.rows)) == sorted(map(tuple, plain.rows))
+        assert other.seconds == pytest.approx(plain.seconds, rel=0.005), setup
+    assert paper_runs["analyzed"][label].metrics.get("sql.cbo.estimates") > 0
+
+
+def _star_join_runs():
+    """The CBO ablation's star join, scaled down: (syntactic, ANALYZEd)."""
+    def schema(*names):
+        return StructType([StructField(n, IntegerType) for n in names[:-1]]
+                          + [StructField(names[-1], StringType)])
+
+    tables = {
+        "fact": ([(i % 100, i % 40, f"payload-{i:05d}-" + "x" * 120)
+                  for i in range(2000)], schema("fk1", "fk2", "payload")),
+        "dim": ([(k, f"dim-{k:03d}") for k in range(100)], schema("dk", "dname")),
+        "tiny": ([(k, f"tiny-{k}") for k in range(2)], schema("tk", "tname")),
+    }
+    sql = ("SELECT t.tname, d.dname, f.payload FROM fact f "
+           "JOIN dim d ON f.fk1 = d.dk JOIN tiny t ON f.fk2 = t.tk")
+    runs = []
+    for analyze in (False, True):
+        session = SparkSession(["h1", "h2", "h3"], conf={
+            "sql.autoBroadcastJoinThreshold": 1, "sql.cbo.semijoin": False})
+        for name, (rows, table_schema) in tables.items():
+            session.create_dataframe(rows, table_schema) \
+                .create_or_replace_temp_view(name)
+            if analyze:
+                session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
+        runs.append(session.sql(sql).run())
+    return runs
+
+
+def test_a_reordered_join_never_measures_worse_than_the_syntactic_plan(paper_runs):
+    """The cost model must be right about its own ledger: wherever the join
+    search chose another order than the query's, the chosen plan's measured
+    simulated seconds are no higher."""
+    pairs = {label: (paper_runs["plain"][label], paper_runs["analyzed"][label])
+             for label in PAPER_QUERIES}
+    pairs["star join"] = _star_join_runs()
+    reordered = []
+    for label, (syntactic, chosen) in pairs.items():
+        assert sorted(map(tuple, chosen.rows)) == \
+            sorted(map(tuple, syntactic.rows)), label
+        if chosen.metrics.get("sql.cbo.reorders_applied"):
+            reordered.append(label)
+            assert chosen.seconds <= syntactic.seconds, label
+    assert "star join" in reordered

@@ -252,7 +252,6 @@ def test_served_explain_analyze_runs_the_plan_it_explains(session):
     """``analyze=True`` only adds a report: the ticket plans through the
     same seam as a plain ticket and as ``DataFrame.explain(analyze=True)``,
     so CBO statistics reorder its joins too."""
-    session.conf["sql.cbo.enabled"] = True
     schema = (StructType()
               .add("k", type_from_name("int"))
               .add("g", type_from_name("string")))

@@ -7,22 +7,14 @@ make.  Every adaptive run is checked row-identical to its non-adaptive
 twin -- re-optimisation may only move work around, never change answers.
 """
 
-import os
-
 import pytest
 
 from repro.common.tracing import Span
 from repro.engine.shuffle import KeySketch, ShuffleRuntimeStats
-from repro.sql.adaptive import plan_coalesced_reads, plan_skew_chunks
+from repro.sql import adaptive
+from repro.sql.adaptive import plan_skew_chunks
 from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
-
-# the conversion scenarios need the planner to *misestimate* the filtered
-# dimension; with CBO forced on, LocalRelation statistics are exact and the
-# initial plan already broadcasts -- there is no adaptive decision to test
-needs_misestimates = pytest.mark.skipif(
-    bool(os.environ.get("REPRO_SQL_CBO")),
-    reason="CBO mode forced on by the environment")
 
 FACT_SCHEMA = StructType([
     StructField("fk", IntegerType),
@@ -115,16 +107,6 @@ def test_hot_key_filters_by_partition_hash():
     assert hot is not None and hot[0] == ("a",)
 
 
-def test_plan_coalesced_reads_groups_toward_target():
-    stats = ShuffleRuntimeStats(shuffle_id=9, num_partitions=6)
-    stats.add_map_output([1] * 6, [100, 100, 100, 1000, 100, 100], KeySketch())
-    specs, merged = plan_coalesced_reads([stats], target_bytes=300)
-    # [100+100+100][1000][100+100] -> 3 tasks from 6 partitions
-    assert merged == 3
-    assert [len(group) for group in specs] == [3, 1, 2]
-    assert specs[0] == [(9, 0, None), (9, 1, None), (9, 2, None)]
-
-
 def test_plan_skew_chunks_partitions_map_outputs():
     stats = ShuffleRuntimeStats(shuffle_id=3, num_partitions=2)
     for __ in range(4):
@@ -149,7 +131,6 @@ def conversion_conf():
     return {"sql.autoBroadcastJoinThreshold": 1024}
 
 
-@needs_misestimates
 def test_broadcast_conversion_fires_and_preserves_rows():
     baseline_session = make_session(False, **conversion_conf())
     register(baseline_session, fact_rows(), dim_rows(64))
@@ -167,7 +148,6 @@ def test_broadcast_conversion_fires_and_preserves_rows():
     assert "BroadcastHashJoin" in strategies
 
 
-@needs_misestimates
 def test_swapped_conversion_builds_on_small_left():
     conf = conversion_conf()
     sql = """
@@ -210,17 +190,21 @@ def test_small_left_not_swapped_for_outer_join():
     assert any(s.startswith("ShuffledHashJoin") for s in strategies)
 
 
-# -- rules 2+3: coalescing and skew splitting -------------------------------------
+# -- rule 2: skew splitting ---------------------------------------------------------
 
 def skew_conf():
     return {
         "sql.autoBroadcastJoinThreshold": 1,     # isolate the skew rule
         "sql.shuffle.partitions": 8,
         "sql.local.scan.partitions": 8,
-        "sql.aqe.targetPartitionBytes": 4 * 1024,
-        "sql.aqe.skewedPartitionFactor": 2.0,
-        "sql.aqe.skewedPartitionThresholdBytes": 4 * 1024,
     }
+
+
+@pytest.fixture
+def small_skew(monkeypatch):
+    """Skew bounds scaled down to these tests' few-hundred-row tables."""
+    monkeypatch.setattr(adaptive, "SKEW_FACTOR", 2.0)
+    monkeypatch.setattr(adaptive, "SKEW_MIN_BYTES", 4 * 1024)
 
 
 SKEW_SQL = """
@@ -228,7 +212,7 @@ SKEW_SQL = """
 """
 
 
-def test_skew_split_fires_and_preserves_rows():
+def test_skew_split_fires_and_preserves_rows(small_skew):
     fact = fact_rows(n=600, hot_fraction=0.8)
     baseline_session = make_session(False, **skew_conf())
     register(baseline_session, fact, dim_rows())
@@ -246,40 +230,30 @@ def test_skew_split_fires_and_preserves_rows():
     assert res.seconds < base.seconds
 
 
-def test_small_partitions_coalesce_in_aggregation():
-    fact = fact_rows(n=60)
-    sql = "SELECT fk, count(*) AS c FROM fact GROUP BY fk"
+@pytest.mark.parametrize("sql", [
+    "SELECT fk, count(*) AS c FROM fact GROUP BY fk",
+    "SELECT DISTINCT fk FROM fact",
+    "SELECT fk FROM fact INTERSECT SELECT id FROM dim",
+], ids=["aggregate", "distinct", "intersect"])
+def test_only_joins_are_adaptive(sql):
+    """AQE is one operator: an aggregation, DISTINCT or INTERSECT runs with
+    no stage barrier and costs exactly what it does statically."""
     baseline_session = make_session(False)
-    register(baseline_session, fact, dim_rows())
+    register(baseline_session, fact_rows(n=60), dim_rows())
     base_rows, base = run_rows(baseline_session, sql)
 
     aqe_session = make_session(True)
-    register(aqe_session, fact, dim_rows())
+    register(aqe_session, fact_rows(n=60), dim_rows())
     aqe_rows, res = run_rows(aqe_session, sql)
 
     assert aqe_rows == base_rows
-    assert res.metrics.get("engine.aqe.partitions_coalesced") >= 1.0
-    # fewer reduce tasks -> fewer task launches
-    assert res.metrics.get("engine.tasks") < base.metrics.get("engine.tasks")
-
-
-def test_distinct_and_intersect_coalesce():
-    fact = fact_rows(n=40)
-    sql = "SELECT DISTINCT fk FROM fact"
-    baseline_session = make_session(False)
-    register(baseline_session, fact, dim_rows())
-    base_rows, __ = run_rows(baseline_session, sql)
-
-    aqe_session = make_session(True)
-    register(aqe_session, fact, dim_rows())
-    aqe_rows, res = run_rows(aqe_session, sql)
-    assert aqe_rows == base_rows
-    assert res.metrics.get("engine.aqe.partitions_coalesced") >= 1.0
+    assert res.seconds == base.seconds
+    assert dict(res.metrics.snapshot()) == dict(base.metrics.snapshot())
+    assert not res.reopt_events
 
 
 # -- observability -----------------------------------------------------------------
 
-@needs_misestimates
 def test_explain_analyze_shows_adaptive_section():
     session = make_session(True, **conversion_conf())
     register(session, fact_rows(), dim_rows(64))
@@ -298,7 +272,6 @@ def test_explain_analyze_has_no_adaptive_section_when_disabled():
     assert "== Adaptive Execution ==" not in report
 
 
-@needs_misestimates
 def test_reopt_events_land_in_the_trace():
     session = make_session(True, **conversion_conf())
     register(session, fact_rows(), dim_rows(64))
@@ -323,7 +296,7 @@ def test_join_stage_surfaces_row_counts():
     assert all(s.scope is not None for s in join_stages)
 
 
-def test_adaptive_latency_improves_on_skew():
+def test_adaptive_latency_improves_on_skew(small_skew):
     """End-to-end guard for the bench claim: splitting a hot partition
     shortens the simulated makespan materially (>=1.2x here; the committed
     benchmark pins >=1.5x on the full workload)."""

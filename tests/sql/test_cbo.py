@@ -1,23 +1,28 @@
 """The cost-based optimizer: estimation formulas, join reordering, semi-join
 reduction gates and the EXPLAIN surface (docs/optimizer.md)."""
 
-import os
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.metrics import MetricsRegistry
+from repro.sql import cbo, physical, planner
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.analyzer import Analyzer, Catalog
 from repro.sql.cbo import (
     DEFAULT_SELECTIVITY,
     CardinalityEstimator,
+    _cheaper_order,
+    _dp_order,
+    _greedy_order,
+    _JoinGraph,
     reorder_joins,
     semijoin_keep_fraction,
 )
+from repro.sql.optimizer import optimize
 from repro.sql.parser import parse
-from repro.sql.session import DEFAULT_CONF
-from repro.sql.stats import StatsStore
+from repro.sql.planner import Planner
+from repro.sql.stats import StatsStore, compute_table_stats, stats_key
 from repro.sql.types import (
     DoubleType,
     IntegerType,
@@ -32,14 +37,21 @@ SCHEMA = StructType([
 ])
 
 
+#: what ANALYZE TABLE would have stored for every table `analyzed` registers
+#: (local rows are keyed by content, so tests cannot collide)
+STORE = StatsStore()
+
+
 def estimator(metrics=None):
-    return CardinalityEstimator(StatsStore(), dict(DEFAULT_CONF), metrics)
+    return CardinalityEstimator(STORE, metrics)
 
 
 def analyzed(sql, **tables):
     catalog = Catalog()
     for name, rows in tables.items():
-        catalog.register(name, L.LocalRelation(SCHEMA, rows))
+        relation = L.LocalRelation(SCHEMA, rows)
+        catalog.register(name, relation)
+        STORE.put(stats_key(relation), compute_table_stats(rows, SCHEMA))
     return Analyzer(catalog).analyze(parse(sql))
 
 
@@ -150,7 +162,7 @@ def _star_plan():
 def test_dp_reorder_moves_selective_join_first():
     metrics = MetricsRegistry()
     plan = _star_plan()
-    out = reorder_joins(plan, StatsStore(), dict(DEFAULT_CONF), metrics)
+    out = reorder_joins(plan, estimator(metrics))
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
     # output columns (names and ids) are preserved by the restoring Project
     assert [a.attr_id for a in out.output] == [a.attr_id for a in plan.output]
@@ -167,12 +179,11 @@ def test_dp_reorder_moves_selective_join_first():
     assert metrics.get("sql.cbo.reorders_rejected") == 0.0
 
 
-def test_greedy_reorder_above_dp_threshold():
-    conf = dict(DEFAULT_CONF)
-    conf["sql.cbo.joinReorder.dpThreshold"] = 2  # forces the greedy path
+def test_greedy_reorder_above_dp_threshold(monkeypatch):
+    monkeypatch.setattr(cbo, "DP_THRESHOLD", 2)  # forces the greedy path
     metrics = MetricsRegistry()
     plan = _star_plan()
-    out = reorder_joins(plan, StatsStore(), conf, metrics)
+    out = reorder_joins(plan, estimator(metrics))
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
     assert [a.name for a in out.output] == [a.name for a in plan.output]
 
@@ -181,7 +192,7 @@ def test_two_way_join_is_never_reordered():
     metrics = MetricsRegistry()
     plan = analyzed("select * from a join b on a.k = b.k",
                     a=[(1, "x")], b=[(1, "y")])
-    out = reorder_joins(plan, StatsStore(), dict(DEFAULT_CONF), metrics)
+    out = reorder_joins(plan, estimator(metrics))
     assert out is plan
     assert metrics.get("sql.cbo.reorders_applied") == 0.0
 
@@ -218,22 +229,23 @@ DIM_SCHEMA = StructType([
 ])
 
 
-def _load_join(session, dim_keys):
+def _load_join(session, dim_keys, analyze=True):
     fact = [(i % 5, i, float(i)) for i in range(2000)]
     dim = [(k, f"d{k}") for k in dim_keys]
     session.create_dataframe(fact, FACT_SCHEMA).create_or_replace_temp_view("fact")
     session.create_dataframe(dim, DIM_SCHEMA).create_or_replace_temp_view("dim")
+    if analyze:
+        session.sql("ANALYZE TABLE fact COMPUTE STATISTICS")
+        session.sql("ANALYZE TABLE dim COMPUTE STATISTICS")
     return "select name, v from fact join dim on fk = dk"
 
 
-def _cbo_conf(session, **extra):
-    session.conf["sql.cbo.enabled"] = True
+def _shuffle_conf(session):
     session.conf["sql.autoBroadcastJoinThreshold"] = 1  # force the shuffle path
-    session.conf.update(extra)
 
 
 def test_semijoin_reduction_prunes_probe_rows(session):
-    _cbo_conf(session)
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0
@@ -243,17 +255,21 @@ def test_semijoin_reduction_prunes_probe_rows(session):
 
 
 def test_semijoin_answers_match_cbo_off(session):
-    _cbo_conf(session)
+    """"CBO off" is a session with no statistics: the syntactic plan."""
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
-    with_cbo = sorted(tuple(r.values) for r in session.sql(query).collect())
-    session.conf["sql.cbo.enabled"] = False
-    without = sorted(tuple(r.values) for r in session.sql(query).collect())
-    assert with_cbo == without
+    with_stats = session.sql(query).run()
+    assert with_stats.metrics.get("sql.cbo.semijoins_applied") == 1.0
+    session.stats.clear()  # no statistics: planned syntactically
+    without = session.sql(query).run()
+    assert not [k for k in without.metrics.snapshot() if k.startswith("sql.cbo.")]
+    assert sorted(tuple(r.values) for r in with_stats.rows) == \
+        sorted(tuple(r.values) for r in without.rows)
 
 
 def test_semijoin_rejected_when_unprofitable(session):
-    # every probe key survives (dim covers all 5): keep=1 > 1/minReduction
-    _cbo_conf(session)
+    # every probe key survives (dim covers all 5): keep=1 > 1/SEMIJOIN_MIN_REDUCTION
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1, 2, 3, 4])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 0.0
@@ -261,18 +277,20 @@ def test_semijoin_rejected_when_unprofitable(session):
     assert len(result.rows) == 2000
 
 
-def test_semijoin_skipped_when_build_too_large(session):
-    _cbo_conf(session, **{"sql.cbo.semijoin.maxBuildRows": 1})
+def test_semijoin_skipped_when_build_too_large(session, monkeypatch):
+    monkeypatch.setattr(planner, "SEMIJOIN_MAX_BUILD_ROWS", 1)
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 0.0
     assert len(result.rows) == 800
 
 
-def test_semijoin_runtime_abort_on_key_blowup(session):
+def test_semijoin_runtime_abort_on_key_blowup(session, monkeypatch):
     # the planner commits, but at runtime the build has more distinct keys
-    # than sql.cbo.semijoin.maxKeys allows: fall back to the plain join
-    _cbo_conf(session, **{"sql.cbo.semijoin.maxKeys": 1})
+    # than SEMIJOIN_MAX_KEYS allows: fall back to the plain join
+    monkeypatch.setattr(physical, "SEMIJOIN_MAX_KEYS", 1)
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0
@@ -282,7 +300,6 @@ def test_semijoin_runtime_abort_on_key_blowup(session):
 
 
 def test_join_reorder_end_to_end_answers(session):
-    session.conf["sql.cbo.enabled"] = True
     tables = {
         "a": ([(i % 10, i, float(i)) for i in range(500)], FACT_SCHEMA),
         "b": ([(i % 10, "x") for i in range(200)], DIM_SCHEMA),
@@ -290,20 +307,21 @@ def test_join_reorder_end_to_end_answers(session):
     }
     for name, (rows, schema) in tables.items():
         session.create_dataframe(rows, schema).create_or_replace_temp_view(name)
+        session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
     query = ("select a.v, b.name, c.name from a "
              "join b on a.fk = b.dk join c on a.fk = c.dk")
-    with_cbo = session.sql(query).run()
-    assert with_cbo.metrics.get("sql.cbo.estimates") >= 1.0
-    session.conf["sql.cbo.enabled"] = False
+    with_stats = session.sql(query).run()
+    assert with_stats.metrics.get("sql.cbo.estimates") >= 1.0
+    session.stats.clear()
     without = session.sql(query).collect()
-    assert sorted(tuple(r.values) for r in with_cbo.rows) == \
+    assert sorted(tuple(r.values) for r in with_stats.rows) == \
         sorted(tuple(r.values) for r in without)
 
 
 # -- EXPLAIN surface ----------------------------------------------------------
 
 def test_explain_analyze_has_cbo_section(session):
-    _cbo_conf(session)
+    _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
     report = session.sql(query).explain(analyze=True)
     assert "== Cost-Based Optimization ==" in report
@@ -311,10 +329,8 @@ def test_explain_analyze_has_cbo_section(session):
     assert "est=" in report  # per-operator est-vs-actual annotation
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_SQL_CBO")),
-                    reason="CBO mode forced on by the environment")
-def test_explain_has_no_cbo_section_when_off(session):
-    query = _load_join(session, dim_keys=[0, 1])
+def test_explain_has_no_cbo_section_without_statistics(session):
+    query = _load_join(session, dim_keys=[0, 1], analyze=False)
     report = session.sql(query).explain(analyze=True)
     assert "Cost-Based Optimization" not in report
     assert "sql.cbo" not in report
@@ -326,13 +342,173 @@ def test_stats_act_as_aqe_priors(session):
     # the heuristic sees a big filtered side (size//4 is still over the
     # threshold) but the estimate knows only ~10 rows survive: the prior
     # settles broadcast without waiting for a stage barrier
-    session.conf["sql.cbo.enabled"] = True
     session.conf["sql.aqe.enabled"] = True
     session.conf["sql.autoBroadcastJoinThreshold"] = 2000
     fact = [(i % 5, i, float(i)) for i in range(2000)]
     session.create_dataframe(fact, FACT_SCHEMA).create_or_replace_temp_view("fact")
+    session.sql("ANALYZE TABLE fact COMPUTE STATISTICS")
     query = ("select a.v, b.v from fact a "
              "join (select * from fact where id < 10) b on a.fk = b.fk")
     result = session.sql(query).run()
     assert result.metrics.get("sql.cbo.aqe_priors_used") >= 1.0
     assert len(result.rows) == 4000  # 10 build rows x 400 matching fact rows
+
+
+# -- ANALYZE is the opt-in: one estimator per planning pass, or none ----------
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts CardinalityEstimator constructions."""
+    built = []
+    init = CardinalityEstimator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CardinalityEstimator, "__init__", counting)
+    return built
+
+
+def test_plan_query_builds_no_estimator_without_statistics(session, constructions):
+    query = _load_join(session, dim_keys=[0, 1], analyze=False)
+    planned = session.plan_query(session.sql(query).plan)
+    assert constructions == []
+    assert planned.metrics is None
+
+
+def test_plan_query_builds_no_estimator_for_a_plan_without_joins(
+        session, constructions):
+    # statistics exist, but nothing in a single-table scan is decided by cost
+    _load_join(session, dim_keys=[0, 1])
+    del constructions[:]
+    result = session.sql("select v from fact where fk = 3").run()
+    assert constructions == []
+    assert not [k for k in result.metrics.snapshot() if k.startswith("sql.cbo.")]
+
+
+def test_plan_query_shares_one_estimator(session, constructions):
+    _shuffle_conf(session)
+    query = _load_join(session, dim_keys=[0, 1])
+    del constructions[:]  # ANALYZE's own collection scans planned too
+    planned = session.plan_query(session.sql(query).plan)
+    assert len(constructions) == 1
+    assert planned.metrics.get("sql.cbo.semijoins_applied") == 1.0
+
+
+def test_optimize_and_planner_take_the_stats_store_directly(session):
+    """The spelled-out pipeline (benchmarks/e2e/tracing.py) hands each phase
+    the store; both plan as the session's one call does."""
+    _shuffle_conf(session)
+    query = _load_join(session, dim_keys=[0, 1])
+    plan = session.sql(query).plan
+    metrics = MetricsRegistry()
+    optimized = optimize(plan, conf=session.conf, stats=session.cbo_stats(),
+                         metrics=metrics, views=None)
+    physical_plan = Planner(session.conf, cache=session.cache_manager,
+                            stats=session.cbo_stats(),
+                            metrics=metrics).plan_query(optimized)
+    assert metrics.get("sql.cbo.semijoins_applied") == 1.0
+    via_session = session.plan_query(plan)
+    assert physical_plan.pretty().count("SemiJoinReducedJoin") == \
+        via_session.physical.pretty().count("SemiJoinReducedJoin") == 1
+    stepwise = session.execute_physical(physical_plan, extra_metrics=metrics)
+    direct = session.execute_planned(via_session)
+    assert stepwise.seconds == direct.seconds
+    assert dict(stepwise.metrics.snapshot()) == dict(direct.metrics.snapshot())
+
+
+def test_subtree_estimated_once_per_pass(session):
+    """Every rule that asks about a subtree shares one walk of it."""
+    query = _load_join(session, dim_keys=[0, 1])
+    plan = optimize(session.sql(query).plan)
+    est = CardinalityEstimator(session.stats)
+    calls = []
+    inner = est._est_node
+    est._est_node = lambda node: calls.append(node) or inner(node)
+    join = plan.collect_nodes(lambda n: isinstance(n, L.Join))[0]
+    for node in (join.left, join.right, join, plan):
+        est.estimate(node)
+    assert len(calls) == len({id(n) for n in calls})
+    assert len(calls) == len(plan.collect_nodes(lambda n: True))
+
+
+# -- the join search never builds a Cartesian product it can avoid ------------
+
+def _conjunct_free_joins(graph, order):
+    return [j for i, j in enumerate(order) if i and not graph.linked(order[:i], j)]
+
+
+@pytest.mark.parametrize("search", [_dp_order, _greedy_order])
+def test_star_join_is_never_ordered_through_a_product(search):
+    # q39's shape: one fact input, three small dimensions each joined to the
+    # fact only.  Counting rows alone, (14 x 4) x 31 looks cheaper than any
+    # order that touches the fact first.
+    graph = _JoinGraph(
+        rows=[100_000.0, 31.0, 14.0, 4.0],
+        conj_inputs=[frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})],
+        conj_sel=[1 / 365, 1 / 14, 1 / 4],
+    )
+    order = search(graph)
+    assert sorted(order) == [0, 1, 2, 3]
+    assert _conjunct_free_joins(graph, order) == []
+
+
+def test_estimated_tie_keeps_the_syntactic_order():
+    # q38's web_sales branch at 2 GB: both orders apply the same two
+    # conjuncts to the same rows, and their costs differ by 5e-13
+    graph = _JoinGraph(
+        rows=[177.87162162162159, 1095.0, 30.0],
+        conj_inputs=[frozenset({0, 1}), frozenset({0, 2})],
+        conj_sel=[0.0009132420091324201, 0.03333333333333333],
+    )
+    assert _dp_order(graph) == (0, 2, 1)
+    assert _cheaper_order(graph) is None
+
+
+@st.composite
+def connected_join_graphs(draw):
+    n = draw(st.integers(3, 7))
+    rows = draw(st.lists(st.floats(1.0, 1e7), min_size=n, max_size=n))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = {frozenset({i, draw(st.integers(0, i - 1))}) for i in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    edges |= {frozenset(e) for e in extra if e[0] != e[1]}
+    edges = sorted(edges, key=sorted)
+    sels = draw(st.lists(st.floats(1e-6, 1.0),
+                         min_size=len(edges), max_size=len(edges)))
+    return _JoinGraph(rows, edges, sels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_join_graphs())
+def test_connected_graph_orders_have_no_conjunct_free_join(graph):
+    for search in (_dp_order, _greedy_order):
+        order = search(graph)
+        assert sorted(order) == list(range(len(graph.rows)))
+        assert _conjunct_free_joins(graph, order) == []
+
+
+def test_disconnected_cluster_is_ordered_not_rejected():
+    # {0,1} and {2,3} share no conjunct: one product is unavoidable, and it
+    # is taken once, after each side's real join
+    graph = _JoinGraph(
+        rows=[1000.0, 10.0, 500.0, 5.0],
+        conj_inputs=[frozenset({0, 1}), frozenset({2, 3})],
+        conj_sel=[1 / 10, 1 / 5],
+    )
+    for search in (_dp_order, _greedy_order):
+        order = search(graph)
+        assert sorted(order) == [0, 1, 2, 3]
+        assert len(_conjunct_free_joins(graph, order)) == 1
+    metrics = MetricsRegistry()
+    plan = analyzed(
+        "select * from a join b on a.k = b.k cross join c",
+        a=[(i % 10, "a") for i in range(300)],
+        b=[(i, "b") for i in range(10)],
+        c=[(i, "c") for i in range(2)],
+    )
+    out = reorder_joins(plan, estimator(metrics))
+    assert metrics.get("sql.cbo.reorders_rejected") == 0.0
+    assert [a.attr_id for a in out.output] == [a.attr_id for a in plan.output]

@@ -3,7 +3,11 @@
 The optimizer and planner may only change *cost*, never results.  Hypothesis
 generates random small tables and random predicate trees; each query runs
 through (a) the full optimize-then-plan pipeline and (b) the planner applied
-to the raw analyzed plan, and the row sets must match.
+to the raw analyzed plan, and the row sets must match.  The join properties
+run once with the default conf (the small side is broadcast) and, with a
+broadcast threshold that forces the shuffled path, over the two things that
+change how such a join is planned: the adaptive join (``sql.aqe.enabled``) and
+ANALYZE statistics (reordering, semi-join reduction).
 """
 
 import pytest
@@ -73,15 +77,31 @@ def _null_safe_key(row):
 
 def run_both_ways(session, sql_text):
     analyzed = session.analyze(parse(sql_text))
-    planner = Planner(session.conf)
 
-    def execute(plan: L.LogicalPlan):
-        physical = planner.plan_query(plan)
+    def execute(plan: L.LogicalPlan, stats=None):
+        physical = Planner(session.conf, stats=stats).plan_query(plan)
         ctx = ExecContext(session.new_scheduler(), session.cost, session.conf)
         return sorted(ctx.run_job(physical.execute(ctx)).rows(),
                       key=_null_safe_key)
 
-    return execute(optimize(analyzed)), execute(analyzed)
+    stats = session.cbo_stats()  # empty unless the test ran ANALYZE
+    return execute(optimize(analyzed, stats=stats), stats), execute(analyzed)
+
+
+SHUFFLED = {"sql.autoBroadcastJoinThreshold": 1}
+#: (session conf, run ANALYZE first?) -- every example runs under each
+JOIN_SETUPS = [(None, False)] + [
+    (dict(SHUFFLED, **{"sql.aqe.enabled": aqe}), analyze)
+    for aqe in (False, True) for analyze in (False, True)
+]
+
+
+def join_session(rows, conf, analyze):
+    session = SparkSession(["h1", "h2"], conf=conf)
+    session.create_dataframe(rows, SCHEMA).create_or_replace_temp_view("t")
+    if analyze:
+        session.sql("ANALYZE TABLE t COMPUTE STATISTICS")
+    return session
 
 
 @settings(max_examples=40, deadline=None)
@@ -114,23 +134,23 @@ def test_aggregate_queries_agree(rows, where):
 @settings(max_examples=20, deadline=None)
 @given(rows=rows_strategy, inner=predicate)
 def test_semi_join_queries_agree(rows, inner):
-    session = SparkSession(["h1", "h2"])
-    session.create_dataframe(rows, SCHEMA).create_or_replace_temp_view("t")
     sql_text = f"select k, g from t where k in (select k from t where {inner})"
-    optimized, raw = run_both_ways(session, sql_text)
-    assert optimized == raw
+    for conf, analyze in JOIN_SETUPS:
+        session = join_session(rows, conf, analyze)
+        optimized, raw = run_both_ways(session, sql_text)
+        assert optimized == raw, (conf, analyze)
 
 
 @settings(max_examples=25, deadline=None)
 @given(rows=rows_strategy, lhs=predicate, rhs=predicate)
 def test_join_queries_agree(rows, lhs, rhs):
-    session = SparkSession(["h1", "h2"])
-    session.create_dataframe(rows, SCHEMA).create_or_replace_temp_view("t")
     sql_text = f"""
         select a.k, b.g from
           (select k, g, v from t where {lhs}) a
           join (select k, g, v from t where {rhs}) b
           on a.k = b.k
     """
-    optimized, raw = run_both_ways(session, sql_text)
-    assert optimized == raw
+    for conf, analyze in JOIN_SETUPS:
+        session = join_session(rows, conf, analyze)
+        optimized, raw = run_both_ways(session, sql_text)
+        assert optimized == raw, (conf, analyze)

@@ -2,13 +2,15 @@
 staleness fallback and master-side persistence (docs/optimizer.md)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.common.errors import CatalogError
 from repro.sql import expressions as E
 from repro.sql import logical as L
-from repro.sql.cbo import CardinalityEstimator, reorder_joins
-from repro.sql.session import DEFAULT_CONF
+from repro.sql import stats as stats_module
+from repro.sql.cbo import CardinalityEstimator, estimator_for, reorder_joins
 from repro.sql.stats import (
     STATS_ATTRIBUTE,
     ColumnStats,
@@ -17,6 +19,7 @@ from repro.sql.stats import (
     TableStats,
     build_histogram,
     compute_table_stats,
+    hydrate_relation_stats,
     stats_key,
 )
 from repro.sql.types import (
@@ -137,7 +140,6 @@ def test_local_relation_stats_key_is_content_addressed():
 # -- ANALYZE through the session ---------------------------------------------
 
 def test_analyze_table_is_idempotent(session):
-    session.conf["sql.cbo.enabled"] = True
     data = [(i % 5, f"g{i % 3}") for i in range(60)]
     session.create_dataframe(data, SCHEMA).create_or_replace_temp_view("t")
     first = session.sql("ANALYZE TABLE t COMPUTE STATISTICS").collect()[0]
@@ -150,9 +152,8 @@ def test_analyze_table_is_idempotent(session):
     assert session.stats.get(key).columns["k"].ndv == 5
 
 
-def test_analyze_respects_histogram_bucket_conf(session):
-    session.conf["sql.cbo.enabled"] = True
-    session.conf["sql.cbo.histogram.buckets"] = 2
+def test_analyze_respects_histogram_bucket_conf(session, monkeypatch):
+    monkeypatch.setattr(stats_module, "HISTOGRAM_BUCKETS", 2)
     data = [(i, "g") for i in range(40)]
     session.create_dataframe(data, SCHEMA).create_or_replace_temp_view("t")
     session.sql("ANALYZE TABLE t COMPUTE STATISTICS").collect()
@@ -187,11 +188,11 @@ def test_stale_stats_are_discarded_and_counted():
     ts.source_bytes = 1000
     store.put(stats_key(node), ts)
     metrics = MetricsRegistry()
-    est = CardinalityEstimator(store, dict(DEFAULT_CONF), metrics)
-    assert est.estimate(node).confident  # fresh: sizes match
+    # fresh: sizes match
+    assert CardinalityEstimator(store, metrics).estimate(node).confident
 
     rel._size = 5000  # table grew 5x past the 2x staleness ratio
-    assert not est.estimate(node).confident
+    assert not CardinalityEstimator(store, metrics).estimate(node).confident
     assert metrics.get("sql.cbo.stats_stale") == 1.0
 
 
@@ -222,12 +223,12 @@ def test_stale_stats_keep_syntactic_join_order():
 
     plan = star([n for n, __ in nodes])
     metrics = MetricsRegistry()
-    reorder_joins(plan, store, dict(DEFAULT_CONF), metrics)
+    reorder_joins(plan, CardinalityEstimator(store, metrics))
     assert metrics.get("sql.cbo.reorders_applied") == 1.0
 
     nodes[0][1]._size = 50000  # fact table grew: its stats are now stale
     metrics2 = MetricsRegistry()
-    out2 = reorder_joins(plan, store, dict(DEFAULT_CONF), metrics2)
+    out2 = reorder_joins(plan, CardinalityEstimator(store, metrics2))
     assert out2 is plan  # syntactic order untouched
     assert metrics2.get("sql.cbo.reorders_rejected") == 1.0
     assert metrics2.get("sql.cbo.reorders_applied") == 0.0
@@ -251,3 +252,55 @@ def test_drop_table_discards_stats_attribute(hbase_cluster):
     hbase_cluster.drop_table("t")
     hbase_cluster.create_table("t", ["f"])
     assert hbase_cluster.get_table_attribute("t", STATS_ATTRIBUTE) is None
+
+
+def _stored_relation(cluster, table):
+    """A relation leaf the way the connector exposes it to ANALYZE."""
+    rel = _FakeRelation(SCHEMA, 1000)
+    rel.cluster = cluster
+    rel.catalog = SimpleNamespace(qualified_name=table)
+    return L.LogicalRelation(rel, table)
+
+
+def test_hydrate_loads_persisted_stats_and_ignores_a_missing_table(hbase_cluster):
+    hbase_cluster.create_table("t", ["f"])
+    payload = json.dumps(TableStats(42, 420).to_json())
+    hbase_cluster.set_table_attribute("t", STATS_ATTRIBUTE, payload)
+    store = StatsStore()
+    node = _stored_relation(hbase_cluster, "t")
+    assert hydrate_relation_stats(store, stats_key(node), node).row_count == 42
+    assert store.get(stats_key(node)).row_count == 42
+    gone = _stored_relation(hbase_cluster, "dropped")
+    assert hydrate_relation_stats(store, stats_key(gone), gone) is None
+
+
+def test_corrupt_persisted_stats_name_the_table(hbase_cluster):
+    hbase_cluster.create_table("t", ["f"])
+    node = _stored_relation(hbase_cluster, "t")
+    for raw in ("{not json", '{"row_count": "many"}', "[1, 2]"):
+        hbase_cluster.set_table_attribute("t", STATS_ATTRIBUTE, raw)
+        with pytest.raises(CatalogError, match="table t "):
+            hydrate_relation_stats(StatsStore(), stats_key(node), node)
+
+
+def test_missing_persisted_stats_are_fetched_once_per_pass(hbase_cluster):
+    hbase_cluster.create_table("plain", ["f"])
+    hbase_cluster.create_table("analyzed", ["f"])
+    hbase_cluster.set_table_attribute(
+        "analyzed", STATS_ATTRIBUTE,
+        json.dumps(compute_table_stats([(1, "a")], SCHEMA).to_json()))
+    fetched = []
+    fetch = hbase_cluster.get_table_attribute
+
+    def counting(name, key):
+        fetched.append(name)
+        return fetch(name, key)
+
+    hbase_cluster.get_table_attribute = counting
+    # a self-join of the un-ANALYZEd table next to an ANALYZEd one
+    first, second = (_stored_relation(hbase_cluster, "plain") for __ in range(2))
+    other = _stored_relation(hbase_cluster, "analyzed")
+    plan = L.Join(L.Join(first, second, "cross", None), other, "cross", None)
+    estimator = estimator_for(StatsStore(), plan)
+    assert not estimator.estimate(plan).confident
+    assert sorted(fetched) == ["analyzed", "plain"]

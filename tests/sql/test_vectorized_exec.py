@@ -3,7 +3,8 @@
 There is one execution path, so the semantics oracle cannot be "the other
 mode": every parity query runs against stdlib ``sqlite3`` loaded with the
 same rows, at batch sizes 1, 7 and the default (batch seams inside every
-partition) and with joins planned both broadcast and shuffled.  The
+partition), with joins planned broadcast and -- shuffled -- statically or
+adaptively, with and without ANALYZE statistics.  The
 planner's transition placement is checked structurally (an operator's child
 hands it exactly the format it reads), and EXPLAIN ANALYZE's per-operator
 batch notes must sum to exactly the run's ``engine.vectorized.*`` counters.
@@ -82,15 +83,18 @@ QUERIES = [
 FALLBACK_QUERY = "SELECT id, k FROM t WHERE k IN (id, 3, 7)"
 
 
-def fresh_session(conf=None):
+def fresh_session(conf=None, analyze=False):
     session = SparkSession(["h1", "h2"], conf=conf)
     session.create_dataframe(make_rows(), SCHEMA).create_or_replace_temp_view("t")
     session.create_dataframe(DIM_ROWS, DIM_SCHEMA).create_or_replace_temp_view("d")
+    if analyze:
+        session.sql("ANALYZE TABLE t COMPUTE STATISTICS")
+        session.sql("ANALYZE TABLE d COMPUTE STATISTICS")
     return session
 
 
-def run_rows(query, conf=None):
-    session = fresh_session(conf)
+def run_rows(query, conf=None, analyze=False):
+    session = fresh_session(conf, analyze)
     result = session.sql(query).run()
     session.shutdown()
     return [tuple(r.values) for r in result.rows], result
@@ -130,10 +134,15 @@ def test_answers_agree_with_sqlite(query, batch_size, oracle, monkeypatch):
         monkeypatch.setattr(C, "BATCH_SIZE", batch_size)
     expected = oracle(query)
     assert expected, query  # the comparison must compare something
-    # default threshold broadcasts d; threshold 1 shuffles both join sides
-    for conf in (None, {"sql.autoBroadcastJoinThreshold": 1}):
-        got, result = run_rows(query, conf)
-        assert_same_multiset(got, expected, (query, batch_size, conf))
+    # default threshold broadcasts d; threshold 1 shuffles both join sides,
+    # which is where the two things that change a plan apply: the adaptive
+    # join (sql.aqe.enabled) and ANALYZE statistics (semi-join reduction)
+    shuffled = {"sql.autoBroadcastJoinThreshold": 1}
+    for conf, analyze in [(None, False)] + [
+            (dict(shuffled, **{"sql.aqe.enabled": aqe}), analyze)
+            for aqe in (False, True) for analyze in (False, True)]:
+        got, result = run_rows(query, conf, analyze)
+        assert_same_multiset(got, expected, (query, batch_size, conf, analyze))
         assert result.metrics.get("engine.vectorized.batches") > 0
 
 

@@ -29,9 +29,8 @@ import time
 import pytest
 
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders import get_coder
-from repro.core.keys import encode_rowkey
-from repro.hbase import ConnectionFactory, Put
+from repro.core.keys import RowCodec
+from repro.hbase import ConnectionFactory
 from repro.workloads.loader import load_tpcds
 
 from conftest import write_bench_json, write_report
@@ -101,22 +100,15 @@ def test_views_maintenance(benchmark, views_env):
         cluster = views_env.cluster
         maintainer = session.views.maintainer("inv_by_date")
 
-        options = views_env.reader_options("inventory")
-        catalog = HBaseTableCatalog.from_json(options["catalog"])
-        coder = get_coder(catalog.table_coder)
+        catalog = HBaseTableCatalog.from_json(
+            views_env.reader_options("inventory")["catalog"])
+        codec = RowCodec(catalog)
         table = ConnectionFactory.create_connection(
             cluster.configuration()).get_table(catalog.qualified_name)
-        column = catalog.column("inv_quantity_on_hand")
-        puts = []
-        for item_sk in range(1, MAINTENANCE_BATCH + 1):
-            row = encode_rowkey(catalog, coder, {
-                "inv_date_sk": 2456100, "inv_item_sk": item_sk,
-                "inv_warehouse_sk": 1,
-            })
-            puts.append(Put(row).add_column(
-                column.family, column.qualifier,
-                coder.encode(40, column.dtype)))
-        table.put(puts)
+        table.put([codec.encode_row({
+            "inv_date_sk": 2456100, "inv_item_sk": item_sk,
+            "inv_warehouse_sk": 1, "inv_quantity_on_hand": 40,
+        }) for item_sk in range(1, MAINTENANCE_BATCH + 1)])
 
         before = maintainer.ledger.seconds + cluster.cdc.ledger.seconds
         cluster.run_maintenance()

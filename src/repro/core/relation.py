@@ -14,9 +14,9 @@ from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import CatalogError, HBaseError
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
-from repro.core.coders import get_coder
 from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
+from repro.core.keys import RowCodec
 from repro.core.partitions import build_partitions, build_replica_partitions
 from repro.core.pushdown import PushdownCompiler
 from repro.core.ranges import FULL_SCAN, RangeBuilder
@@ -52,8 +52,11 @@ class HBaseRelation(BaseRelation):
                 f'HBase relations need the {HBaseTableCatalog.tableCatalog!r} option'
             )
         self.catalog = HBaseTableCatalog.from_json(catalog_json)
-        self.coder = get_coder(self.catalog.table_coder)
-        self.field_coders = self._resolve_field_coders()
+        #: the row format's one owner (docs/architecture.md "Row format");
+        #: Avro-schema references resolve against the read options
+        self.codec = RowCodec(self.catalog, self.options)
+        self.coder = self.codec.coder
+        self.field_coders = self.codec.field_coders
         quorum = self.options.get(QUORUM_OPTION)
         if not quorum:
             raise CatalogError(f"HBase relations need the {QUORUM_OPTION!r} option")
@@ -62,24 +65,6 @@ class HBaseRelation(BaseRelation):
         self._schema = self._resolve_schema()
         self.connection_cache = DEFAULT_CONNECTION_CACHE
         self.credentials_manager = DEFAULT_CREDENTIALS_MANAGER
-
-    def _resolve_field_coders(self):
-        """Per-column coders: Avro-schema columns override the table coder.
-
-        The catalog's ``"avro": "<ref>"`` names a read-option key holding the
-        schema JSON (paper Code 3's ``avroSchema``); inline JSON also works.
-        """
-        from repro.core.coders.avro import AvroRecordCoder
-
-        coders = {}
-        for column in self.catalog.columns.values():
-            if column.avro_schema is None:
-                coders[column.name] = self.coder
-                continue
-            reference = column.avro_schema
-            schema_json = self.options.get(reference, reference)
-            coders[column.name] = AvroRecordCoder(str(schema_json))
-        return coders
 
     def _resolve_schema(self) -> StructType:
         from repro.core.coders.avro import AvroRecordCoder
@@ -92,10 +77,6 @@ class HBaseRelation(BaseRelation):
             else:
                 schema = schema.add(field.name, field.dtype)
         return schema
-
-    def field_coder(self, column_name: str):
-        """The coder for one column (Avro-schema columns differ)."""
-        return self.field_coders[column_name]
 
     # -- feature toggles -------------------------------------------------------
     def _flag(self, key: str, default: bool = True) -> bool:

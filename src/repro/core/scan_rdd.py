@@ -19,7 +19,6 @@ from repro.common.errors import (
     TransientRpcError,
 )
 from repro.core.catalog import ColumnDef
-from repro.core.keys import decode_rowkey
 from repro.core.partitions import HBaseScanPartition
 from repro.engine.rdd import Partition, RDD
 from repro.hbase.client import Get, Result, Scan
@@ -52,25 +51,12 @@ class HBaseTableScanRDD(RDD):
         #: gotcha SHC works around by widening the scan)
         self.filter_columns = set(filter_columns or ())
         catalog = relation.catalog
-        self._key_columns = [c for c in required_columns if catalog.column(c).is_rowkey()]
         self._data_columns: List[ColumnDef] = [
             catalog.column(c) for c in required_columns
             if not catalog.column(c).is_rowkey()
         ]
-        #: per-column decode plan, resolved once per RDD instead of per row:
-        #: (key_name, (family, qualifier), decode_fn, dtype) -- key columns
-        #: carry only key_name, data columns carry the other three
-        self._decode_plan: List[tuple] = []
-        for name in required_columns:
-            column = catalog.column(name)
-            if column.is_rowkey():
-                self._decode_plan.append((name, None, None, None))
-            else:
-                coder = relation.field_coder(name)
-                self._decode_plan.append(
-                    (None, (column.family, column.qualifier), coder.decode,
-                     column.dtype)
-                )
+        #: the row codec's decode plan, resolved once per RDD, not per row
+        self._decode = relation.codec.decoder(self.required_columns)
 
     # -- the three overridden methods ------------------------------------------
     def partitions(self) -> List[Partition]:
@@ -87,7 +73,7 @@ class HBaseTableScanRDD(RDD):
 
         No intermediate ``List[Result]`` is materialised: each region scan's
         results are decoded and yielded as they are produced, through the
-        per-column decode plan resolved at RDD construction.  Decode cost is
+        row codec's plan resolved at RDD construction.  Decode cost is
         charged for exactly the cells actually decoded -- a downstream
         consumer that stops early (a LIMIT) never pays for rows it did not
         pull -- via the ``finally`` block that runs when the generator
@@ -97,6 +83,7 @@ class HBaseTableScanRDD(RDD):
         relation = self.relation
         connection = relation.acquire_connection(ctx)
         decode_cost = relation.decode_cell_cost()
+        decode = self._decode
         decoded_cells = 0
         # replica provenance rides on the span only when routing engaged, so
         # replica-off traces keep their exact historical shape
@@ -128,7 +115,7 @@ class HBaseTableScanRDD(RDD):
                             hbase_columns, time_range, max_versions, caching,
                             ctx, span,
                         ):
-                            values, ncells = self._decode_result(result)
+                            values, ncells = decode(result.row, result.cells)
                             decoded_cells += ncells
                             yield values
             if gets:
@@ -147,7 +134,7 @@ class HBaseTableScanRDD(RDD):
                 for result in results:
                     if result.is_empty():
                         continue
-                    values, ncells = self._decode_result(result)
+                    values, ncells = decode(result.row, result.cells)
                     decoded_cells += ncells
                     yield values
         finally:
@@ -298,31 +285,3 @@ class HBaseTableScanRDD(RDD):
             get.set_time_range(time_range.min_ts, time_range.max_ts)
         if max_versions != 1:
             get.set_max_versions(max_versions)
-
-    # -- decoding ------------------------------------------------------------------
-    def _decode_result(self, result: Result) -> Tuple[tuple, int]:
-        """Decode one HBase row through the precomputed column plan.
-
-        Returns the positional tuple plus the number of cells decoded (for
-        the decode-cost charge the streaming ``compute`` accumulates).
-        """
-        relation = self.relation
-        catalog = relation.catalog
-        decoded_cells = 0
-        key_values = None
-        if self._key_columns:
-            key_values = decode_rowkey(catalog, relation.coder, result.row)
-            decoded_cells += len(catalog.row_key)
-        cells = result.cells_map()
-        values = []
-        for key_name, fq, decode, dtype in self._decode_plan:
-            if key_name is not None:
-                values.append(key_values[key_name])
-            else:
-                raw = cells.get(fq)
-                if raw is None:
-                    values.append(None)
-                else:
-                    values.append(decode(raw, dtype))
-                    decoded_cells += 1
-        return tuple(values), decoded_cells

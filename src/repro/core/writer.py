@@ -14,7 +14,6 @@ from typing import List, TYPE_CHECKING
 
 from repro.common.errors import CatalogError
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.keys import encode_rowkey
 from repro.hbase.client import Put
 from repro.sql.types import StructType
 
@@ -41,10 +40,7 @@ def insert_into_hbase(relation: "HBaseRelation", rdd: "RDD", schema: StructType,
         split_keys = _sample_split_keys(relation, rdd, schema, ctx, num_regions)
         cluster.create_table(catalog.qualified_name, catalog.families(), split_keys)
 
-    column_index = {name: i for i, name in enumerate(schema.names)}
-    key_names = list(catalog.row_key)
-    data_columns = [c for c in catalog.data_columns() if c.name in column_index]
-    coder = relation.coder
+    encode = relation.codec.encoder(schema.names)
     encode_cost = relation.encode_cell_cost()
 
     def write_partition(rows, task_ctx):
@@ -55,19 +51,8 @@ def insert_into_hbase(relation: "HBaseRelation", rdd: "RDD", schema: StructType,
             written = 0
             encoded_cells = 0
             for row in rows:
-                key_values = {name: row[column_index[name]] for name in key_names}
-                put = Put(encode_rowkey(catalog, coder, key_values))
-                encoded_cells += len(key_names)
-                for column in data_columns:
-                    value = row[column_index[column.name]]
-                    if value is None:
-                        continue  # NULL means "no cell" in HBase
-                    put.add_column(
-                        column.family, column.qualifier,
-                        relation.field_coder(column.name).encode(
-                            value, column.dtype),
-                    )
-                    encoded_cells += 1
+                put, ncells = encode(row)
+                encoded_cells += ncells
                 batch.append(put)
                 written += 1
                 if len(batch) >= PUT_BATCH_SIZE:
@@ -108,15 +93,10 @@ def _sample_split_keys(relation: "HBaseRelation", rdd: "RDD", schema: StructType
     """Quantile split keys so the new table's regions are balanced."""
     if num_regions <= 1:
         return []
-    catalog = relation.catalog
-    coder = relation.coder
-    column_index = {name: i for i, name in enumerate(schema.names)}
-    key_names = list(catalog.row_key)
+    encode_key = relation.codec.key_encoder(schema.names)
 
     def encode_keys(rows, task_ctx):
-        for row in rows:
-            values = {name: row[column_index[name]] for name in key_names}
-            yield encode_rowkey(catalog, coder, values)
+        return map(encode_key, rows)
 
     keys = sorted(ctx.run_job(rdd.map_partitions(encode_keys)).rows())
     if not keys:

@@ -75,10 +75,11 @@ class CacheManager:
 
     All mutation happens under one lock: callers' own threads can run
     queries over the same cached plan concurrently, each publishing
-    partitions from its own thread.
+    partitions from its own thread.  The default budget is a session's
+    partition cache: 64 MiB.
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(self, capacity_bytes: int = 64 * 1024 * 1024) -> None:
         if capacity_bytes <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity_bytes = capacity_bytes

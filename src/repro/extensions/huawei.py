@@ -71,9 +71,8 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
     )
     ledger.charge(io_bytes / cost.scan_bytes_per_sec, "hbase.bytes_scanned", io_bytes)
 
-    from repro.core.keys import decode_rowkey
-
     decode_cost = relation.decode_cell_cost()
+    decode = relation.codec.decoder(input_columns)
     column_index = {name: i for i, name in enumerate(input_columns)}
     table: Dict[tuple, list] = {}
     decoded = 0
@@ -86,23 +85,8 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
             )
             if not hbase_filter.filter_row(row_key, cells):
                 continue
-        key_values = decode_rowkey(catalog, relation.coder, row_key)
-        decoded += len(catalog.row_key)
-        cell_map = {(c.family, c.qualifier): c.value for c in reversed(cells)}
-        values = []
-        for name in input_columns:
-            column = catalog.column(name)
-            if column.is_rowkey():
-                values.append(key_values[name])
-            else:
-                raw = cell_map.get((column.family, column.qualifier))
-                if raw is None:
-                    values.append(None)
-                else:
-                    values.append(
-                        relation.field_coder(name).decode(raw, column.dtype))
-                    decoded += 1
-        row = tuple(values)
+        row, ncells = decode(row_key, cells)
+        decoded += ncells
         if residual is not None and residual.eval(row) is not True:
             continue
         key = tuple(row[column_index[g]] for g in group_columns)

@@ -229,13 +229,6 @@ class Result:
                 return cell.value
         return None
 
-    def cells_map(self) -> Dict[Tuple[str, str], bytes]:
-        """Newest value per (family, qualifier)."""
-        out: Dict[Tuple[str, str], bytes] = {}
-        for cell in self.cells:
-            out.setdefault((cell.family, cell.qualifier), cell.value)
-        return out
-
     def is_empty(self) -> bool:
         return not self.cells
 

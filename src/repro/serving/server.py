@@ -71,7 +71,7 @@ class TenantSpec:
 
 @dataclass
 class ServingConfig:
-    """Front-door tuning knobs, read from ``serving.*`` session conf keys."""
+    """Front-door tuning knobs (docs/serving.md lists them)."""
 
     max_queue_depth: int = 16
     slots_per_query: int = 2
@@ -80,34 +80,6 @@ class ServingConfig:
     #: a completed query counts as a degradation signal when it needed at
     #: least this many hbase client retries (or any mid-scan resume)
     breaker_retry_signal: int = 2
-
-    @classmethod
-    def from_conf(cls, conf: Dict[str, object]) -> "ServingConfig":
-        """Build a config from a session conf dict (``serving.*`` keys)."""
-        def _opt_float(key: str) -> Optional[float]:
-            value = conf.get(key)
-            return None if value is None else float(value)
-
-        breaker = BreakerConfig(
-            window=int(conf.get("serving.breaker.window", 8)),
-            min_samples=int(conf.get("serving.breaker.min.samples", 4)),
-            failure_threshold=float(
-                conf.get("serving.breaker.failure.threshold", 0.5)),
-            cooldown_s=float(conf.get("serving.breaker.cooldown.s", 30.0)),
-            max_cooldown_s=float(
-                conf.get("serving.breaker.max.cooldown.s", 240.0)),
-            probe_count=int(conf.get("serving.breaker.probe.count", 2)),
-            latency_threshold_s=_opt_float(
-                "serving.breaker.latency.threshold.s"),
-        )
-        return cls(
-            max_queue_depth=int(conf.get("serving.queue.max.depth", 16)),
-            slots_per_query=int(conf.get("serving.slots.per.query", 2)),
-            deadline_s=_opt_float("serving.deadline.s"),
-            breaker=breaker,
-            breaker_retry_signal=int(
-                conf.get("serving.breaker.retry.signal", 2)),
-        )
 
 
 @dataclass
@@ -167,8 +139,7 @@ class QueryServer:
     def __init__(self, session, config: Optional[ServingConfig] = None,
                  faults=None, hbase_cluster=None) -> None:
         self.session = session
-        self.config = config if config is not None \
-            else ServingConfig.from_conf(session.conf)
+        self.config = config if config is not None else ServingConfig()
         #: optional FaultInjector checked at the FAULT_ADMISSION point
         self.faults = faults
         #: optional HBaseCluster whose region-server deaths feed the breaker
@@ -227,7 +198,7 @@ class QueryServer:
         ``at`` is the request's *simulated* arrival time; omitted, it
         reuses the latest arrival seen (same instant, later sequence), so a
         plain burst of submits stays deterministic.  ``deadline_s``
-        overrides ``serving.deadline.s`` for this request.
+        overrides ``ServingConfig.deadline_s`` for this request.
         """
         with self._lock:
             at_s = self._last_arrival_s if at is None else float(at)
@@ -279,7 +250,7 @@ class QueryServer:
         per_query = self.config.slots_per_query
         if per_query < 1 or per_query > total:
             raise ReproError(
-                f"serving.slots.per.query={per_query} must be in "
+                f"slots_per_query={per_query} must be in "
                 f"[1, {total}] for this cluster")
         reserved_total = sum(
             t.reserved_slots for t in self._tenants.values())

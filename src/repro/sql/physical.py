@@ -41,8 +41,8 @@ class ExecContext:
 
     Accumulation is guarded by a lock, like the other accounting objects
     (docs/engine.md, "Shared state and thread safety"): the engine runs a
-    query on one thread, but the lock stays until the DB-API's
-    thread-safety level is decided.
+    query on one thread, but callers' threads may share a session under the
+    DB-API's declared ``threadsafety = 2``.
     """
 
     def __init__(self, scheduler: TaskScheduler, cost, conf: Dict[str, object],

@@ -32,7 +32,7 @@ from repro.sql.physical import ExecContext, PhysicalPlan
 from repro.sql.planner import Planner
 from repro.sql.row import Row
 from repro.sql.sources import lookup_provider
-from repro.sql.stats import StatsStore
+from repro.sql.stats import StatsStore, stats_key
 from repro.sql.types import StructType, type_from_name
 
 
@@ -116,36 +116,12 @@ DEFAULT_CONF: Dict[str, object] = {
     # persist() calls, the default state) planning and execution are
     # byte-identical to an uncached session
     "sql.cache.enabled": True,
-    "sql.cache.max.bytes": 64 * 1024 * 1024,
-    "engine.locality.enabled": True,
-    # delay scheduling: events a task waits for a preferred slot (locality)
-    "engine.locality.wait.skips": 2,
     # speculative execution: duplicate a tail task once `quantile` of the
     # stage finished and it has run `multiplier` x the median task duration
     # (off by default; chaos/straggler runs opt in)
     "engine.speculation.enabled": False,
     "engine.speculation.multiplier": 1.5,
     "engine.speculation.quantile": 0.5,
-    # blacklist a host after this many failed task attempts (0 disables)
-    "engine.blacklist.max.failures": 2,
-    # capped exponential backoff between task retries (simulated seconds)
-    "engine.retry.backoff.s": 0.05,
-    "engine.retry.backoff.max.s": 2.0,
-    # multi-tenant serving front door (docs/serving.md).  None of these keys
-    # affect a session used directly -- they are only read when a
-    # repro.serving.QueryServer is constructed over the session, which is
-    # itself the opt-in (the direct path stays byte-identical)
-    "serving.queue.max.depth": 16,          # bounded admission queue
-    "serving.slots.per.query": 2,           # executor slots leased per query
-    "serving.deadline.s": None,             # shed when queue wait eats this
-    "serving.breaker.window": 8,            # sliding outcome window
-    "serving.breaker.min.samples": 4,
-    "serving.breaker.failure.threshold": 0.5,
-    "serving.breaker.cooldown.s": 30.0,     # open -> half-open (simulated)
-    "serving.breaker.max.cooldown.s": 240.0,
-    "serving.breaker.probe.count": 2,       # half-open probe arrivals
-    "serving.breaker.retry.signal": 2,      # hbase.retries that flag degraded
-    "serving.breaker.latency.threshold.s": None,
     # materialized views (docs/views.md): CREATE MATERIALIZED VIEW is the
     # opt-in -- a session that never creates a view plans and costs exactly
     # as if the feature did not exist.  This is the maximum CDC lag
@@ -187,9 +163,7 @@ class SparkSession:
         #: when sql.cache.enabled is off (persist() then no-ops)
         self.cache_manager: Optional[CacheManager] = None
         if bool(self.conf.get("sql.cache.enabled", True)):
-            self.cache_manager = CacheManager(
-                int(self.conf.get("sql.cache.max.bytes", 64 * 1024 * 1024))
-            )
+            self.cache_manager = CacheManager()
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
@@ -214,8 +188,6 @@ class SparkSession:
             trace=trace,
             slots=slots,
             queued_s=queued_s,
-            locality_enabled=bool(self.conf.get("engine.locality.enabled", True)),
-            locality_wait_skips=int(self.conf.get("engine.locality.wait.skips", 2)),
             faults=self.faults,
             speculation_enabled=bool(
                 self.conf.get("engine.speculation.enabled", False)),
@@ -223,11 +195,6 @@ class SparkSession:
                 self.conf.get("engine.speculation.multiplier", 1.5)),
             speculation_quantile=float(
                 self.conf.get("engine.speculation.quantile", 0.5)),
-            blacklist_max_failures=int(
-                self.conf.get("engine.blacklist.max.failures", 2)),
-            retry_backoff_s=float(self.conf.get("engine.retry.backoff.s", 0.05)),
-            retry_backoff_max_s=float(
-                self.conf.get("engine.retry.backoff.max.s", 2.0)),
         )
 
     # -- data ingestion --------------------------------------------------------------
@@ -335,16 +302,24 @@ class SparkSession:
         query over the table).  Stats land in the session's
         :class:`~repro.sql.stats.StatsStore` under the leaf's durable
         identity, and -- for HBase-backed tables -- are persisted alongside
-        the table's schema metadata so later sessions start warm.  Works
-        for temp views too, keyed by plan fingerprint.
+        the table's schema metadata so later sessions start warm.  ``name``
+        is a table or a temp view that *is* one (a plain relation, local
+        rows); statistics are kept per table, so a view over a query is
+        refused with the tables to ANALYZE instead.
         """
         from repro.sql.dataframe import DataFrame
-        from repro.sql.logical import LocalRelation as LocalRel, UnresolvedRelation
-        from repro.sql.stats import (
-            analysis_keys, compute_table_stats, persist_relation_stats,
-        )
+        from repro.sql.logical import UnresolvedRelation
+        from repro.sql.stats import compute_table_stats, persist_relation_stats
 
         analyzed = self.analyze(UnresolvedRelation(name))
+        key = stats_key(analyzed)
+        if key is None:
+            raise AnalysisError(
+                f"ANALYZE TABLE takes a table or a view that is a plain "
+                f"relation; {name!r} is a view over a query -- ANALYZE the "
+                f"tables it reads instead: "
+                f"{', '.join(self._tables_read_by(analyzed))}"
+            )
         result = self.execute_plan(analyzed)
         stats = compute_table_stats(
             [tuple(r.values) for r in result.rows], result.schema
@@ -354,16 +329,14 @@ class SparkSession:
         collected = MetricsRegistry()
         collected.merge(result.metrics)
         collected.incr("sql.cbo.stats_collected", len(stats.columns))
-        leaves = analyzed.collect_nodes(lambda n: isinstance(n, LogicalRelation))
-        if len(leaves) == 1:
+        persisted = False
+        for leaf in analyzed.collect_nodes(
+                lambda n: isinstance(n, LogicalRelation)):
             # baseline for the staleness check: the source's own size, the
             # same number a later session will compare against
-            stats.source_bytes = leaves[0].relation.size_in_bytes()
-        for key in analysis_keys(analyzed):
-            self.stats.put(key, stats)
-        persisted = False
-        for leaf in leaves:
-            persisted = persist_relation_stats(leaf, stats) or persisted
+            stats.source_bytes = leaf.relation.size_in_bytes()
+            persisted = persist_relation_stats(leaf, stats)
+        self.stats.put(key, stats)
         schema = (
             StructType()
             .add("table", type_from_name("string"))
@@ -372,7 +345,28 @@ class SparkSession:
             .add("persisted", type_from_name("boolean"))
         )
         rows = [(name, stats.row_count, len(stats.columns), persisted)]
-        return DataFrame(self, LocalRel(schema, rows), pending_metrics=collected)
+        return DataFrame(self, LocalRelation(schema, rows), pending_metrics=collected)
+
+    def _tables_read_by(self, analyzed: LogicalPlan) -> List[str]:
+        """One ANALYZE-able name per leaf of ``analyzed``."""
+        leaf_types = (LogicalRelation, LocalRelation)
+        registered: Dict[Optional[str], str] = {}
+        for table in self.catalog.names():
+            plan = self.catalog.lookup(table)
+            # a table's own name wins over a SELECT * alias of it
+            if isinstance(plan, leaf_types) or stats_key(plan) not in registered:
+                registered[stats_key(plan)] = table
+
+        def name_of(leaf: LogicalPlan) -> str:
+            if stats_key(leaf) in registered:
+                return registered[stats_key(leaf)]
+            # read through a DataFrame that was never given a name
+            source = getattr(getattr(leaf, "relation", None), "catalog", None)
+            return (f"{getattr(source, 'qualified_name', leaf.describe())} "
+                    f"(register it as a temp view first)")
+
+        return sorted({name_of(leaf) for leaf in analyzed.collect_nodes(
+            lambda n: isinstance(n, leaf_types))})
 
     def submit_sql(self, text: str) -> "Future[QueryResult]":
         """Run a SQL query and hand back its already-resolved ``Future``.

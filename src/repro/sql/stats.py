@@ -195,8 +195,8 @@ def stats_key(plan: L.LogicalPlan) -> Optional[str]:
     """Durable stats-store key for a plan whose leaf identity is stable.
 
     Sees through scoping/identity nodes the optimizer would strip anyway;
-    returns None for plans with no durable leaf identity (composite trees
-    fall back to plan fingerprints -- see :func:`analysis_keys`).
+    returns None for plans with no durable leaf identity (composite trees:
+    statistics are kept per table, and ANALYZE refuses these).
     """
     node = plan
     while True:
@@ -218,34 +218,14 @@ def stats_key(plan: L.LogicalPlan) -> Optional[str]:
     return None
 
 
-def analysis_keys(plan: L.LogicalPlan) -> List[str]:
-    """Every key an ANALYZE of ``plan`` should be stored under."""
-    key = stats_key(plan)
-    if key is not None:
-        return [key]
-    from repro.sql.fingerprint import plan_fingerprint
-    from repro.sql.optimizer import optimize
-
-    keys = [plan_fingerprint(plan)]
-    optimized = plan_fingerprint(optimize(plan))
-    if optimized not in keys:
-        keys.append(optimized)
-    return keys
-
-
 class StatsStore:
     """In-session stats catalog: durable leaf keys -> :class:`TableStats`."""
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableStats] = {}
-        #: True once any fingerprint-keyed (derived-view) entry exists, so
-        #: the estimator only pays per-node fingerprinting when it can help
-        self.has_plan_keys = False
 
     def put(self, key: str, stats: TableStats) -> None:
         self._tables[key] = stats
-        if not (key.startswith("relation:") or key.startswith("local:")):
-            self.has_plan_keys = True
 
     def get(self, key: str) -> Optional[TableStats]:
         return self._tables.get(key)
@@ -255,7 +235,6 @@ class StatsStore:
 
     def clear(self) -> None:
         self._tables.clear()
-        self.has_plan_keys = False
 
     def __len__(self) -> int:
         return len(self._tables)

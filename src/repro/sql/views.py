@@ -44,9 +44,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AnalysisError
 from repro.common.metrics import CostLedger, MetricsRegistry
+from repro.core.catalog import HBaseTableCatalog
+from repro.core.keys import RowCodec, prefix_successor
+from repro.core.relation import DEFAULT_FORMAT, QUORUM_OPTION, HBaseRelation
+from repro.hbase.client import ConnectionFactory, Delete, Get, Scan
+from repro.hbase.cluster import get_cluster
 from repro.sql import expressions as E
 from repro.sql import logical as L
-from repro.sql.types import type_from_name
+from repro.sql.types import StructType, type_from_name
 
 #: table attribute under which a view's definition JSON is persisted
 VIEW_ATTRIBUTE = "shc.view.definition"
@@ -110,6 +115,20 @@ class ViewDefinition:
     @property
     def subscription_name(self) -> str:
         return f"view:{self.name}"
+
+    @property
+    def tables(self) -> List[str]:
+        """The base tables whose changes the view's CDC feed carries."""
+        if self.kind == "join":
+            return [self.base_table, self.right_table]
+        return [self.base_table]
+
+    def cdc_lag_s(self, cluster) -> float:
+        """Simulated seconds of unshipped WAL tail behind this view."""
+        if cluster.cdc is None or self.subscription_name not in \
+                cluster.cdc.subscription_names():
+            return 0.0
+        return cluster.cdc.lag_s(self.subscription_name)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -178,74 +197,87 @@ def derive_view_definition(name: str, analyzed: L.LogicalPlan,
         return _derive_aggregate(name, node, sql_text)
     if isinstance(node, L.Project) and node.children \
             and isinstance(_strip_scopes(node.children[0]), L.Join):
-        return _derive_join(name, node, _strip_scopes(node.children[0]),
-                            sql_text)
+        return _derive_join(name, node, sql_text)
     raise AnalysisError(
         "a materialized view must be a GROUP BY aggregate over one HBase "
         "table or a two-table inner equi-join select"
     )
 
 
-def _derive_aggregate(name: str, agg: L.Aggregate,
-                      sql_text: str) -> ViewDefinition:
-    leaf = _hbase_leaf(agg.children[0])
-    if leaf is None:
-        raise AnalysisError(
-            "an aggregate materialized view must group one HBase table "
-            "directly (no filters, joins or subqueries in the definition)"
-        )
-    relation = leaf.relation
-    catalog = relation.catalog
-    attr_names = {a.attr_id: a.name for a in leaf.output}
+_NOT_ONE_TABLE = (
+    "an aggregate materialized view must group one HBase table "
+    "directly (no filters, joins or subqueries in the definition)"
+)
 
+
+def _read_aggregate(agg: L.Aggregate):
+    """The shape of a GROUP BY a view can hold, read once for both users.
+
+    Returns ``(leaf, condition, items)`` -- the grouped HBase leaf, the
+    filter between it and the Aggregate (None without one) and one
+    ``(select item, fn, arg)`` per select-list entry, ``fn`` None for a
+    grouping column named ``arg`` -- or, as a string, the reason no view
+    holds this shape: the definition raises it, the rewriter declines on it.
+    """
+    child = agg.children[0]
+    condition = None
+    if isinstance(child, L.Filter):
+        condition = child.condition
+        child = child.children[0]
+    leaf = _hbase_leaf(child)
+    if leaf is None:
+        return _NOT_ONE_TABLE
+    attr_names = {a.attr_id: a.name for a in leaf.output}
     if not agg.groupings:
-        raise AnalysisError(
-            "a materialized view needs at least one GROUP BY column"
-        )
-    group_by: List[str] = []
+        return "a materialized view needs at least one GROUP BY column"
     for g in agg.groupings:
         if not isinstance(g, E.Attribute) or g.attr_id not in attr_names:
-            raise AnalysisError(
-                f"materialized-view GROUP BY supports plain columns only, "
-                f"not {g!r}"
-            )
-        group_by.append(g.name)
-    if len(set(group_by)) != len(group_by):
-        raise AnalysisError("duplicate GROUP BY column in view definition")
-
+            return (f"materialized-view GROUP BY supports plain columns only, "
+                    f"not {g!r}")
     grouping_ids = {g.attr_id for g in agg.groupings}
-    aggregates: List[dict] = []
+    items: List[Tuple[E.Expression, Optional[str], Optional[str]]] = []
     for item in agg.aggregate_list:
-        if isinstance(item, E.Attribute):
-            if item.attr_id not in grouping_ids:
-                raise AnalysisError(f"{item!r} is not a grouping column")
-            continue
-        expr = item.child
+        expr = item if isinstance(item, E.Attribute) else item.child
         if isinstance(expr, E.Attribute):
             if expr.attr_id not in grouping_ids:
-                raise AnalysisError(f"{expr!r} is not a grouping column")
+                return f"{expr!r} is not a grouping column"
+            items.append((item, None, expr.name))
             continue
         fn = _AGG_NAMES.get(type(expr))
         if fn is None or not isinstance(expr, E.AggregateExpression):
-            raise AnalysisError(
-                f"materialized views support count/sum/avg/min/max, "
-                f"not {item!r}"
-            )
+            return (f"materialized views support count/sum/avg/min/max, "
+                    f"not {item!r}")
         if expr.distinct:
-            raise AnalysisError(
-                "DISTINCT aggregates cannot be maintained incrementally"
-            )
+            return "DISTINCT aggregates cannot be maintained incrementally"
         arg: Optional[str] = None
         if expr.children:
-            child = expr.children[0]
-            if not isinstance(child, E.Attribute) \
-                    or child.attr_id not in attr_names:
-                raise AnalysisError(
-                    f"aggregate arguments must be plain columns, not {child!r}"
-                )
-            arg = child.name
-        aggregates.append({"fn": fn, "arg": arg, "out": item.name,
-                           "type": expr.data_type().name})
+            operand = expr.children[0]
+            if not isinstance(operand, E.Attribute) \
+                    or operand.attr_id not in attr_names:
+                return (f"aggregate arguments must be plain columns, "
+                        f"not {operand!r}")
+            arg = operand.name
+        items.append((item, fn, arg))
+    return leaf, condition, items
+
+
+def _derive_aggregate(name: str, agg: L.Aggregate,
+                      sql_text: str) -> ViewDefinition:
+    shape = _read_aggregate(agg)
+    if isinstance(shape, str):
+        raise AnalysisError(shape)
+    leaf, condition, items = shape
+    if condition is not None:
+        raise AnalysisError(_NOT_ONE_TABLE)
+    relation = leaf.relation
+    catalog = relation.catalog
+
+    group_by = [g.name for g in agg.groupings]
+    if len(set(group_by)) != len(group_by):
+        raise AnalysisError("duplicate GROUP BY column in view definition")
+    aggregates = [{"fn": fn, "arg": arg, "out": item.name,
+                   "type": item.child.data_type().name}
+                  for item, fn, arg in items if fn is not None]
     if not aggregates:
         raise AnalysisError("a materialized view needs at least one aggregate")
 
@@ -306,34 +338,54 @@ def _derive_aggregate(name: str, agg: L.Aggregate,
     )
 
 
-def _derive_join(name: str, project: L.Project, join: L.Join,
-                 sql_text: str) -> ViewDefinition:
-    if join.how != "inner":
-        raise AnalysisError("join materialized views must be INNER joins")
+def _read_join(project: L.Project):
+    """The shape of a join select a view can hold, read once for both users.
+
+    Returns ``(left, right, keys, items)`` -- the two HBase leaves, the
+    equi-join column per side (``{"left": name, "right": name}``) and one
+    ``(select item, side, column attribute)`` per select-list entry -- or,
+    as a string, the reason no view holds this shape.
+    """
+    join = _strip_scopes(project.children[0])
+    if not isinstance(join, L.Join) or join.how != "inner":
+        return "join materialized views must be INNER joins"
     left = _hbase_leaf(join.children[0])
     right = _hbase_leaf(join.children[1])
     if left is None or right is None:
-        raise AnalysisError(
-            "join materialized views must join two HBase tables directly"
-        )
+        return "join materialized views must join two HBase tables directly"
     if left.relation.cluster is not right.relation.cluster:
-        raise AnalysisError("both join sides must live on the same cluster")
+        return "both join sides must live on the same cluster"
     cond = join.condition
     if not isinstance(cond, E.Comparison) or cond.op != "=":
-        raise AnalysisError(
-            "join materialized views need a single equi-join condition"
-        )
-    left_ids = {a.attr_id: a.name for a in left.output}
-    right_ids = {a.attr_id: a.name for a in right.output}
-    a, b = cond.children
-    if not (isinstance(a, E.Attribute) and isinstance(b, E.Attribute)):
-        raise AnalysisError("the join condition must compare plain columns")
-    if a.attr_id in left_ids and b.attr_id in right_ids:
-        left_key, right_key = a.name, b.name
-    elif b.attr_id in left_ids and a.attr_id in right_ids:
-        left_key, right_key = b.name, a.name
-    else:
-        raise AnalysisError("the join condition must span both tables")
+        return "join materialized views need a single equi-join condition"
+    if not all(isinstance(c, E.Attribute) for c in cond.children):
+        return "the join condition must compare plain columns"
+    sides = {a.attr_id: (side, a.name)
+             for side, leaf in (("left", left), ("right", right))
+             for a in leaf.output}
+    keys = dict(sides[c.attr_id] for c in cond.children
+                if c.attr_id in sides)
+    if len(keys) != 2:
+        return "the join condition must span both tables"
+    items: List[Tuple[E.Expression, str, E.Attribute]] = []
+    for item in project.project_list:
+        attr = item.child if isinstance(item, E.Alias) else item
+        if not isinstance(attr, E.Attribute):
+            return (f"join view select lists support plain columns, "
+                    f"not {item!r}")
+        if attr.attr_id not in sides:
+            return f"cannot place {item!r} on either join side"
+        items.append((item, sides[attr.attr_id][0], attr))
+    return left, right, keys, items
+
+
+def _derive_join(name: str, project: L.Project,
+                 sql_text: str) -> ViewDefinition:
+    shape = _read_join(project)
+    if isinstance(shape, str):
+        raise AnalysisError(shape)
+    left, right, keys, items = shape
+    left_key, right_key = keys["left"], keys["right"]
 
     right_catalog = right.relation.catalog
     if list(right_catalog.row_key) != [right_key]:
@@ -345,24 +397,12 @@ def _derive_join(name: str, project: L.Project, join: L.Join,
 
     columns: List[dict] = []
     taken: Set[str] = set()
-    for item in project.project_list:
-        attr = item.child if isinstance(item, E.Alias) else item
-        if not isinstance(attr, E.Attribute):
+    for item, side, attr in items:
+        if item.name in taken:
             raise AnalysisError(
-                f"join view select lists support plain columns, not {item!r}"
-            )
-        if attr.attr_id in left_ids:
-            side = "left"
-        elif attr.attr_id in right_ids:
-            side = "right"
-        else:
-            raise AnalysisError(f"cannot place {item!r} on either join side")
-        out = item.name
-        if out in taken:
-            raise AnalysisError(
-                f"view output name {out!r} is used more than once")
-        taken.add(out)
-        columns.append({"side": side, "col": attr.name, "out": out,
+                f"view output name {item.name!r} is used more than once")
+        taken.add(item.name)
+        columns.append({"side": side, "col": attr.name, "out": item.name,
                         "type": attr.dtype.name})
     if not columns:
         raise AnalysisError("a join view must select at least one column")
@@ -396,18 +436,12 @@ def _derive_join(name: str, project: L.Project, join: L.Join,
 # -- materialization -------------------------------------------------------------
 
 def _view_relation(vdef: ViewDefinition, session, public: bool = True):
-    from repro.core.catalog import HBaseTableCatalog
-    from repro.core.relation import QUORUM_OPTION, HBaseRelation
-
     catalog = vdef.public_catalog if public else vdef.storage_catalog
     return HBaseRelation({HBaseTableCatalog.tableCatalog: catalog,
                           QUORUM_OPTION: vdef.quorum}, session)
 
 
 def _base_relation(vdef: ViewDefinition, session, right: bool = False):
-    from repro.core.catalog import HBaseTableCatalog
-    from repro.core.relation import QUORUM_OPTION, HBaseRelation
-
     catalog = vdef.right_catalog if right else vdef.base_catalog
     return HBaseRelation({HBaseTableCatalog.tableCatalog: catalog,
                           QUORUM_OPTION: vdef.quorum}, session)
@@ -456,8 +490,6 @@ def definition_plan(vdef: ViewDefinition, session) -> L.LogicalPlan:
 
 
 def _left_row_key(vdef: ViewDefinition) -> List[str]:
-    from repro.core.catalog import HBaseTableCatalog
-
     return list(HBaseTableCatalog.from_json(vdef.base_catalog).row_key)
 
 
@@ -474,8 +506,6 @@ class ViewManager:
     # -- statements --------------------------------------------------------
     def create(self, name: str, child: L.LogicalPlan, sql_text: str):
         """CREATE MATERIALIZED VIEW: derive, subscribe, materialize, persist."""
-        from repro.hbase.cluster import get_cluster
-
         name = name.lower()
         if name in self._views:
             raise AnalysisError(f"materialized view {name!r} already exists")
@@ -488,13 +518,11 @@ class ViewManager:
             )
         stream = cluster.enable_cdc()
         maintainer = ViewMaintainer(vdef, cluster)
-        tables = [vdef.base_table]
-        if vdef.kind == "join":
-            tables.append(vdef.right_table)
         # subscribe *before* materializing: the snapshot then covers exactly
         # the WAL history before the subscription baseline, and the feed
         # exactly what lands after it
-        stream.subscribe(vdef.subscription_name, tables, maintainer.on_change)
+        stream.subscribe(vdef.subscription_name, vdef.tables,
+                         maintainer.on_change)
         try:
             write = self._materialize(vdef)
         except Exception:
@@ -515,8 +543,6 @@ class ViewManager:
 
     def refresh(self, name: str):
         """REFRESH MATERIALIZED VIEW: full recompute, feed re-based."""
-        from repro.hbase.cluster import get_cluster
-
         vdef = self._lookup(name)
         cluster = get_cluster(vdef.quorum)
         stream = cluster.enable_cdc()
@@ -524,10 +550,8 @@ class ViewManager:
         # re-base the subscription first: the fresh snapshot includes every
         # change up to this instant, so the old cursor state must not replay
         stream.unsubscribe(vdef.subscription_name)
-        tables = [vdef.base_table]
-        if vdef.kind == "join":
-            tables.append(vdef.right_table)
-        stream.subscribe(vdef.subscription_name, tables, maintainer.on_change)
+        stream.subscribe(vdef.subscription_name, vdef.tables,
+                         maintainer.on_change)
         # as in create(), the view is unregistered while it materializes:
         # the write plans like any query, and the defining query must not be
         # rewritten onto the very table it is overwriting
@@ -548,8 +572,6 @@ class ViewManager:
 
     def drop(self, name: str):
         """DROP MATERIALIZED VIEW: storage, subscription and registration."""
-        from repro.hbase.cluster import get_cluster
-
         vdef = self._lookup(name)
         cluster = get_cluster(vdef.quorum)
         if cluster.cdc is not None:
@@ -565,16 +587,10 @@ class ViewManager:
 
     def show(self):
         """SHOW MATERIALIZED VIEWS: one row per registered view."""
-        from repro.hbase.cluster import get_cluster
-
         rows = []
         for name in sorted(self._views):
             vdef = self._views[name]
-            cluster = get_cluster(vdef.quorum)
-            lag = 0.0
-            if cluster.cdc is not None and vdef.subscription_name in \
-                    cluster.cdc.subscription_names():
-                lag = cluster.cdc.lag_s(vdef.subscription_name)
+            lag = vdef.cdc_lag_s(get_cluster(vdef.quorum))
             rows.append((name, vdef.kind, vdef.base_table,
                          vdef.storage_table, bool(vdef.invalidated), lag))
         return _summary(
@@ -610,10 +626,7 @@ class ViewManager:
                 stream = cluster.enable_cdc()
             maintainer = ViewMaintainer(vdef, cluster)
             if vdef.subscription_name not in stream.subscription_names():
-                tables = [vdef.base_table]
-                if vdef.kind == "join":
-                    tables.append(vdef.right_table)
-                stream.subscribe(vdef.subscription_name, tables,
+                stream.subscribe(vdef.subscription_name, vdef.tables,
                                  maintainer.on_change)
             self._views[vdef.name] = vdef
             self._maintainers[vdef.name] = maintainer
@@ -631,9 +644,6 @@ class ViewManager:
         return vdef
 
     def _materialize(self, vdef: ViewDefinition):
-        from repro.core.catalog import HBaseTableCatalog
-        from repro.core.relation import DEFAULT_FORMAT, QUORUM_OPTION
-
         plan = definition_plan(vdef, self.session)
         options = {
             HBaseTableCatalog.tableCatalog: vdef.storage_catalog,
@@ -650,8 +660,6 @@ class ViewManager:
 
 
 def _summary(*cols: Tuple[str, str], rows, metrics):
-    from repro.sql.types import StructType
-
     schema = StructType()
     for name, type_name in cols:
         schema = schema.add(name, type_from_name(type_name))
@@ -663,33 +671,29 @@ def _summary(*cols: Tuple[str, str], rows, metrics):
 class ViewMaintainer:
     """Applies one view's CDC feed to its storage table.
 
-    Pure HBase-client consumer: maintenance reads and writes go through
-    :class:`~repro.hbase.client.Table` with a cluster-owned
-    :class:`~repro.common.metrics.CostLedger`, so every byte of maintenance
-    I/O is billed (``sql.view.*`` counters name the work, the standard
-    ``hbase.*`` counters the I/O).
+    An HBase client plus three row codecs -- base table, view storage,
+    dimension table (docs/architecture.md "Row format"): maintenance reads
+    and writes go through :class:`~repro.hbase.client.Table` with a
+    cluster-owned :class:`~repro.common.metrics.CostLedger`, so every byte
+    of maintenance I/O is billed (``sql.view.*`` counters name the work,
+    the standard ``hbase.*`` counters the I/O).
     """
 
     def __init__(self, vdef: ViewDefinition, cluster) -> None:
-        from repro.core.catalog import HBaseTableCatalog
-        from repro.core.coders import get_coder
-
         self.vdef = vdef
         self.cluster = cluster
         self.ledger = CostLedger(cluster.metrics)
-        self.base_catalog = HBaseTableCatalog.from_json(vdef.base_catalog)
-        self.storage_catalog = HBaseTableCatalog.from_json(vdef.storage_catalog)
-        self.right_catalog = (
-            HBaseTableCatalog.from_json(vdef.right_catalog)
+        self.base = RowCodec(HBaseTableCatalog.from_json(vdef.base_catalog))
+        self.storage = RowCodec(
+            HBaseTableCatalog.from_json(vdef.storage_catalog))
+        self.dimension = (
+            RowCodec(HBaseTableCatalog.from_json(vdef.right_catalog))
             if vdef.right_catalog else None
         )
-        self.coder = get_coder(self.base_catalog.table_coder)
         self._connection = None
 
     # -- plumbing ----------------------------------------------------------
     def _table(self, qualified_name: str):
-        from repro.hbase.client import ConnectionFactory
-
         if self._connection is None or self._connection.closed:
             self._connection = ConnectionFactory.create_connection(
                 self.cluster.configuration("view-maintainer"))
@@ -702,6 +706,14 @@ class ViewMaintainer:
         self.cluster.set_table_attribute(self.vdef.storage_table,
                                          VIEW_ATTRIBUTE, self.vdef.to_json())
         self.ledger.count("sql.view.invalidations")
+
+    def _put_view_row(self, values: Dict[str, object]) -> None:
+        self._table(self.vdef.storage_table).put(
+            self.storage.encode_row(values), self.ledger)
+
+    def _delete_view_row(self, key_values: Dict[str, object]) -> None:
+        self._table(self.vdef.storage_table).delete(
+            Delete(self.storage.encode_key(key_values)), self.ledger)
 
     # -- the CDC callback --------------------------------------------------
     def on_change(self, table: str, cells) -> None:
@@ -733,8 +745,6 @@ class ViewMaintainer:
 
         fresh_rows: List[Tuple[bytes, object]] = []
         if put_rows:
-            from repro.hbase.client import Get
-
             base = self._table(self.vdef.base_table)
             ordered = sorted(put_rows)
             gets = [Get(row).set_max_versions(2) for row in ordered]
@@ -753,7 +763,7 @@ class ViewMaintainer:
 
         deltas: Dict[Tuple, "_GroupDelta"] = {}
         for row, result in fresh_rows:
-            values = self._base_values(row, result)
+            values = self.base.decode_row(row, result.cells)
             group = tuple(values.get(g) for g in self.vdef.group_by)
             if any(v is None for v in group):
                 self._invalidate()
@@ -778,166 +788,78 @@ class ViewMaintainer:
 
     def _group_from_rowkey(self, row: bytes) -> Optional[Tuple]:
         """Group-key values recoverable from the base row key, else None."""
-        from repro.core.keys import decode_rowkey
-
-        if not set(self.vdef.group_by) <= set(self.base_catalog.row_key):
+        if not set(self.vdef.group_by) <= set(self.base.catalog.row_key):
             return None
-        decoded = decode_rowkey(self.base_catalog, self.coder, row)
+        decoded = self.base.decode_key(row)
         return tuple(decoded[g] for g in self.vdef.group_by)
 
-    def _base_values(self, row: bytes, result) -> Dict[str, object]:
-        from repro.core.keys import decode_rowkey
-
-        values = dict(decode_rowkey(self.base_catalog, self.coder, row))
-        for column in self.base_catalog.data_columns():
-            raw = result.get_value(column.family, column.qualifier)
-            values[column.name] = (
-                self.coder.decode(raw, column.dtype) if raw is not None
-                else None
-            )
-        return values
-
-    def _view_row_key(self, group: Tuple) -> bytes:
-        from repro.core.keys import encode_rowkey
-
-        values = dict(zip(self.storage_catalog.row_key, group))
-        return encode_rowkey(self.storage_catalog, self.coder, values)
-
-    def _read_view_row(self, key: bytes) -> Dict[str, object]:
-        from repro.hbase.client import Get
-
-        view = self._table(self.vdef.storage_table)
-        result = view.get(Get(key), self.ledger)
-        stored: Dict[str, object] = {}
-        for column in self.storage_catalog.data_columns():
-            raw = result.get_value(column.family, column.qualifier)
-            stored[column.name] = (
-                self.coder.decode(raw, column.dtype) if raw is not None
-                else None
-            )
-        return stored
-
-    def _write_view_row(self, key: bytes, group: Tuple,
-                        stored: Dict[str, object]) -> None:
-        from repro.hbase.client import Put
-
-        put = Put(key)
-        for column in self.storage_catalog.data_columns():
-            value = stored.get(column.name)
-            if value is None:
-                continue
-            put.add_column(column.family, column.qualifier,
-                           self.coder.encode(value, column.dtype))
-        self._table(self.vdef.storage_table).put(put, self.ledger)
-
-    def _delete_view_row(self, key: bytes) -> None:
-        from repro.hbase.client import Delete
-
-        self._table(self.vdef.storage_table).delete(Delete(key), self.ledger)
-
     def _apply_delta(self, group: Tuple, delta: "_GroupDelta") -> None:
-        key = self._view_row_key(group)
-        stored = self._read_view_row(key)
+        key = self.storage.encode_key(dict(zip(self.vdef.group_by, group)))
+        view = self._table(self.vdef.storage_table)
+        stored = self.storage.decode_row(
+            key, view.get(Get(key), self.ledger).cells)
         delta.merge_into(stored)
-        self._write_view_row(key, group, stored)
+        self._put_view_row(stored)
 
     def _recount_group(self, group: Tuple) -> None:
         """Recompute one group from a base row-key prefix range scan."""
-        from repro.core.keys import encode_key_dimension, prefix_successor
-        from repro.hbase.client import Scan
-
-        parts = []
-        for dim, value in zip(self.base_catalog.row_key, group):
-            parts.append(encode_key_dimension(
-                self.base_catalog, self.coder, dim, value))
-        prefix = b"".join(parts)
-        stop = prefix_successor(prefix)
+        prefix = self.base.key_prefix(group)
         base = self._table(self.vdef.base_table)
-        results = base.scan(Scan(prefix, stop), self.ledger)
-        key = self._view_row_key(group)
+        results = base.scan(Scan(prefix, prefix_successor(prefix)),
+                            self.ledger)
+        stored: Dict[str, object] = dict(zip(self.vdef.group_by, group))
         if not results:
-            self._delete_view_row(key)
+            self._delete_view_row(stored)
             return
         delta = _GroupDelta(self.vdef)
         for result in results:
-            delta.add(self._base_values(result.row, result))
-        stored: Dict[str, object] = {}
+            delta.add(self.base.decode_row(result.row, result.cells))
         delta.merge_into(stored)
-        self._write_view_row(key, group, stored)
+        self._put_view_row(stored)
 
     # -- join views --------------------------------------------------------
     def _apply_join_fact(self, cells) -> None:
-        from repro.hbase.client import Get
-
         put_rows: Set[bytes] = set()
         delete_rows: Set[bytes] = set()
         for cell in cells:
             (delete_rows if cell.is_delete() else put_rows).add(cell.row)
         for row in sorted(delete_rows):
-            self._delete_view_row(self._join_view_key(row))
+            self._delete_view_row(
+                self._join_view_key(self.base.decode_key(row)))
         put_rows -= delete_rows
         if not put_rows:
             return
         base = self._table(self.vdef.base_table)
         ordered = sorted(put_rows)
         results = base.bulk_get([Get(row) for row in ordered], self.ledger)
-        upserts = 0
         for row, result in zip(ordered, results):
-            values = self._base_values(row, result)
-            self._upsert_join_row(row, values)
-            upserts += 1
-        self.ledger.count("sql.view.delta_rows", upserts)
+            self._upsert_join_row(self.base.decode_row(row, result.cells))
+        self.ledger.count("sql.view.delta_rows", len(ordered))
 
-    def _join_view_key(self, fact_row: bytes) -> bytes:
-        from repro.core.keys import decode_rowkey, encode_rowkey
-
-        decoded = decode_rowkey(self.base_catalog, self.coder, fact_row)
-        values = {
-            f"_k{i}": decoded[dim]
-            for i, dim in enumerate(self.base_catalog.row_key)
-        }
-        return encode_rowkey(self.storage_catalog, self.coder, values)
+    def _join_view_key(self, fact_values: Dict[str, object]) -> Dict[str, object]:
+        """The view row's key columns (``_k<i>``): the fact row's own key."""
+        return {f"_k{i}": fact_values[dim]
+                for i, dim in enumerate(self.base.catalog.row_key)}
 
     def _right_row(self, key_value) -> Optional[Dict[str, object]]:
-        from repro.core.keys import encode_rowkey
-        from repro.hbase.client import Get
-
         if key_value is None:
             return None
-        row = encode_rowkey(self.right_catalog, self.coder,
-                            {self.vdef.right_key: key_value})
-        dim = self._table(self.vdef.right_table)
-        result = dim.get(Get(row), self.ledger)
+        row = self.dimension.encode_key({self.vdef.right_key: key_value})
+        result = self._table(self.vdef.right_table).get(Get(row), self.ledger)
         if result.is_empty():
             return None
-        values: Dict[str, object] = {self.vdef.right_key: key_value}
-        for column in self.right_catalog.data_columns():
-            raw = result.get_value(column.family, column.qualifier)
-            values[column.name] = (
-                self.coder.decode(raw, column.dtype) if raw is not None
-                else None
-            )
-        return values
+        return self.dimension.decode_row(row, result.cells)
 
-    def _upsert_join_row(self, fact_row: bytes,
-                         fact_values: Dict[str, object]) -> None:
-        from repro.hbase.client import Put
-
-        view_key = self._join_view_key(fact_row)
+    def _upsert_join_row(self, fact_values: Dict[str, object]) -> None:
+        values = self._join_view_key(fact_values)
         right_values = self._right_row(fact_values.get(self.vdef.left_key))
         if right_values is None:
-            self._delete_view_row(view_key)
+            self._delete_view_row(values)
             return
-        put = Put(view_key)
         for c in self.vdef.columns:
             source = fact_values if c["side"] == "left" else right_values
-            value = source.get(c["col"])
-            if value is None:
-                continue
-            column = self.storage_catalog.column(c["out"])
-            put.add_column(column.family, column.qualifier,
-                           self.coder.encode(value, column.dtype))
-        self._table(self.vdef.storage_table).put(put, self.ledger)
+            values[c["out"]] = source.get(c["col"])
+        self._put_view_row(values)
 
     def _apply_join_dim(self, cells) -> None:
         """A dimension-side change re-joins every matching fact row.
@@ -945,30 +867,20 @@ class ViewMaintainer:
         Needs the join key to lead the fact row key (one prefix scan per
         changed dimension row); otherwise the view is invalidated.
         """
-        from repro.core.keys import (
-            decode_rowkey, encode_key_dimension, prefix_successor,
-        )
-        from repro.hbase.client import Scan
-
         if not self.vdef.prefix_recountable:
             self._invalidate()
             return
         changed: Set[bytes] = {cell.row for cell in cells}
         base = self._table(self.vdef.base_table)
-        recounts = 0
         for row in sorted(changed):
-            key_value = decode_rowkey(
-                self.right_catalog, self.coder, row)[self.vdef.right_key]
-            prefix = encode_key_dimension(
-                self.base_catalog, self.coder,
-                self.base_catalog.row_key[0], key_value)
+            prefix = self.base.key_prefix(
+                [self.dimension.decode_key(row)[self.vdef.right_key]])
             results = base.scan(Scan(prefix, prefix_successor(prefix)),
                                 self.ledger)
             for result in results:
-                self._upsert_join_row(result.row,
-                                      self._base_values(result.row, result))
-            recounts += 1
-        self.ledger.count("sql.view.recounts", recounts)
+                self._upsert_join_row(
+                    self.base.decode_row(result.row, result.cells))
+        self.ledger.count("sql.view.recounts", len(changed))
 
 
 def _has_prior_version(result) -> bool:
@@ -1087,8 +999,6 @@ class ViewRewriteContext:
 
 def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
     """The query's rewrite context, or None when views cannot apply."""
-    from repro.hbase.cluster import get_cluster
-
     manager = getattr(session, "_view_manager", None)
     if manager is None:
         return None
@@ -1107,10 +1017,7 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
         invalidated = vdef.invalidated
         if raw is not None:
             invalidated = bool(json.loads(raw).get("invalidated", False))
-        lag = 0.0
-        if cluster.cdc is not None and vdef.subscription_name in \
-                cluster.cdc.subscription_names():
-            lag = cluster.cdc.lag_s(vdef.subscription_name)
+        lag = vdef.cdc_lag_s(cluster)
         fresh = (not invalidated) and lag <= staleness
         size = cluster.table_size_bytes(vdef.storage_table)
         candidates.append(ViewCandidate(vdef, fresh, lag, invalidated, size))
@@ -1124,17 +1031,20 @@ def rewrite_with_views(plan: L.LogicalPlan,
     """Replace matching subtrees with view scans (post-pushdown rule)."""
 
     def rule(node: L.LogicalPlan) -> Optional[L.LogicalPlan]:
+        if isinstance(node, L.Aggregate):
+            kind, shape, match = ("aggregate", _read_aggregate(node),
+                                  _try_aggregate_rewrite)
+        elif isinstance(node, L.Project):
+            kind, shape, match = "join", _read_join(node), _try_join_rewrite
+        else:
+            return None
+        if isinstance(shape, str):
+            return None  # the reason no view holds this shape
         for candidate in ctx.candidates:
-            if candidate.vdef.kind == "aggregate" \
-                    and isinstance(node, L.Aggregate):
-                replacement = _try_aggregate_rewrite(node, candidate, ctx)
-            elif candidate.vdef.kind == "join" \
-                    and isinstance(node, L.Project):
-                replacement = _try_join_rewrite(node, candidate, ctx)
-            else:
-                replacement = None
-            if replacement is not None:
-                return replacement
+            if candidate.vdef.kind == kind:
+                replacement = match(node, shape, candidate, ctx)
+                if replacement is not None:
+                    return replacement
         return None
 
     return plan.transform_up(rule)
@@ -1176,58 +1086,27 @@ def _decide(node: L.LogicalPlan, candidate: ViewCandidate,
     return replacement
 
 
-def _try_aggregate_rewrite(agg: L.Aggregate, candidate: ViewCandidate,
+def _try_aggregate_rewrite(agg: L.Aggregate, shape, candidate: ViewCandidate,
                            ctx: ViewRewriteContext) -> Optional[L.LogicalPlan]:
     vdef = candidate.vdef
-    child = agg.children[0]
-    condition = None
-    if isinstance(child, L.Filter):
-        condition = child.condition
-        child = child.children[0]
-    leaf = _hbase_leaf(child)
-    if leaf is None or leaf.relation.catalog.qualified_name != vdef.base_table:
+    leaf, condition, select_items = shape
+    if leaf.relation.catalog.qualified_name != vdef.base_table:
         return None
-
-    groupings = agg.groupings
-    if not all(isinstance(g, E.Attribute) for g in groupings):
+    group_names = {g.attr_id: g.name for g in agg.groupings}
+    if set(group_names.values()) != set(vdef.group_by):
         return None
-    if {g.name for g in groupings} != set(vdef.group_by):
-        return None
-    grouping_ids = {g.attr_id for g in groupings}
     if condition is not None \
-            and not condition.references() <= grouping_ids:
+            and not condition.references() <= group_names.keys():
         return None
 
     spec_aggs = {(a["fn"], a["arg"]): a["out"] for a in vdef.aggregates}
-    group_names = {g.attr_id: g.name for g in groupings}
-
     # (output name, attr_id, view column) for every select item
     mapping: List[Tuple[str, int, str]] = []
-    for item in agg.aggregate_list:
-        if isinstance(item, E.Attribute):
-            if item.attr_id not in group_names:
-                return None
-            mapping.append((item.name, item.attr_id, item.name))
-            continue
-        expr = item.child
-        if isinstance(expr, E.Attribute):
-            if expr.attr_id not in group_names:
-                return None
-            mapping.append((item.name, item.attr_id, expr.name))
-            continue
-        fn = _AGG_NAMES.get(type(expr))
-        if fn is None or not isinstance(expr, E.AggregateExpression) \
-                or expr.distinct:
+    for item, fn, arg in select_items:
+        view_col = arg if fn is None else spec_aggs.get((fn, arg))
+        if view_col is None:
             return None
-        arg = None
-        if expr.children:
-            if not isinstance(expr.children[0], E.Attribute):
-                return None
-            arg = expr.children[0].name
-        out = spec_aggs.get((fn, arg))
-        if out is None:
-            return None
-        mapping.append((item.name, item.attr_id, out))
+        mapping.append((item.name, item.attr_id, view_col))
 
     def build() -> L.LogicalPlan:
         view_leaf = L.LogicalRelation(
@@ -1255,43 +1134,23 @@ def _try_aggregate_rewrite(agg: L.Aggregate, candidate: ViewCandidate,
     return _decide(agg, candidate, ctx, build)
 
 
-def _try_join_rewrite(project: L.Project, candidate: ViewCandidate,
+def _try_join_rewrite(project: L.Project, shape, candidate: ViewCandidate,
                       ctx: ViewRewriteContext) -> Optional[L.LogicalPlan]:
     vdef = candidate.vdef
-    join = project.children[0]
-    if not isinstance(join, L.Join) or join.how != "inner":
-        return None
-    left = _hbase_leaf(join.children[0])
-    right = _hbase_leaf(join.children[1])
-    if left is None or right is None:
-        return None
+    left, right, keys, select_items = shape
     if left.relation.catalog.qualified_name != vdef.base_table \
             or right.relation.catalog.qualified_name != vdef.right_table:
         return None
-    cond = join.condition
-    if not isinstance(cond, E.Comparison) or cond.op != "=":
-        return None
-    names = {}
-    for side, leaf_node in (("left", left), ("right", right)):
-        for a in leaf_node.output:
-            names[a.attr_id] = (side, a.name)
-    a, b = cond.children
-    if not (isinstance(a, E.Attribute) and isinstance(b, E.Attribute)):
-        return None
-    key_pair = {names.get(a.attr_id), names.get(b.attr_id)}
-    if key_pair != {("left", vdef.left_key), ("right", vdef.right_key)}:
+    if keys != {"left": vdef.left_key, "right": vdef.right_key}:
         return None
 
     spec_cols = {(c["side"], c["col"]): c["out"] for c in vdef.columns}
     mapping: List[Tuple[str, int, str]] = []
-    for item in project.project_list:
-        attr = item.child if isinstance(item, E.Alias) else item
-        if not isinstance(attr, E.Attribute) or attr.attr_id not in names:
-            return None
-        out = spec_cols.get(names[attr.attr_id])
+    for item, side, attr in select_items:
+        out = spec_cols.get((side, attr.name))
         if out is None:
             return None
-        mapping.append((item.name, _item_id(item), out))
+        mapping.append((item.name, item.attr_id, out))
 
     def build() -> L.LogicalPlan:
         view_leaf = L.LogicalRelation(
@@ -1304,7 +1163,3 @@ def _try_join_rewrite(project: L.Project, candidate: ViewCandidate,
         return L.Project(items, view_leaf)
 
     return _decide(project, candidate, ctx, build)
-
-
-def _item_id(item: E.Expression) -> int:
-    return item.attr_id if isinstance(item, (E.Alias, E.Attribute)) else -1

@@ -1,12 +1,24 @@
+import itertools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import CoderError
+from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
-from repro.core.keys import decode_rowkey, encode_key_dimension, encode_rowkey, prefix_successor
+from repro.core.keys import (
+    RowCodec, decode_rowkey, encode_key_dimension, encode_rowkey,
+    prefix_successor,
+)
+from repro.core.relation import DEFAULT_FORMAT
+from repro.hbase.cell import Cell
+from repro.hbase.cluster import HBaseCluster
+from repro.sql.session import SparkSession
+from repro.sql.types import (
+    DoubleType, IntegerType, LongType, StringType, StructField, StructType,
+)
 
 
 def composite_catalog(coder="PrimitiveType"):
@@ -22,16 +34,123 @@ def composite_catalog(coder="PrimitiveType"):
     }))
 
 
-@given(a=st.integers(-(2**31), 2**31 - 1),
-       b=st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=127),
-                 max_size=6),
-       c=st.text(max_size=12))
-def test_composite_roundtrip(a, b, c):
-    catalog = composite_catalog()
-    coder = get_coder("PrimitiveType")
-    key = encode_rowkey(catalog, coder, {"a": a, "b": b, "c": c})
-    decoded = decode_rowkey(catalog, coder, key)
-    assert decoded == {"a": a, "b": b, "c": c}
+_ids = itertools.count(1)
+_HOSTS = ["node1", "node2", "node3"]
+_ANY_TEXT = st.text(max_size=12)  # multi-byte UTF-8 and embedded NUL included
+
+
+def _padded_text(coder):
+    """Strings for a padded dimension: up to 6 chars, so one fills its width.
+
+    Raw UTF-8 (PrimitiveType, Phoenix) is padded with NUL and stripped on
+    read, so NUL is the one codepoint it cannot hold; Avro's length prefix
+    makes the value self-delimiting and NUL is as good as any other.
+    """
+    first = 0 if coder == "Avro" else 1
+    return st.text(alphabet=st.characters(min_codepoint=first, max_codepoint=127),
+                   max_size=6)
+
+
+@st.composite
+def row_formats(draw, key_shapes=("a:b:c",)):
+    """(catalog JSON, SQL schema, rows): a generated catalog and data for it.
+
+    A composite key ``a:b:c`` -- an int, a padded string, a variable-width
+    terminal string; ``key_shapes`` may name others -- under any of the
+    three table coders, nullable data columns and one Avro-schema column
+    that overrides the table coder.  ``n`` is never NULL, so every row keeps
+    a cell and stays visible to a scan.
+    """
+    coder = draw(st.sampled_from(["PrimitiveType", "Phoenix", "Avro"]))
+    avro = coder == "Avro"
+    dimensions = {
+        # a varint has no native width: Avro needs one declared
+        "a": (IntegerType, st.integers(-(2**31), 2**31 - 1),
+              {"length": 8} if avro else {}),
+        # Avro spends two bytes of the width on the union branch and length
+        "b": (StringType, _padded_text(coder), {"length": 8 if avro else 6}),
+        "c": (StringType, _ANY_TEXT, {}),
+    }
+    key = [(name, *dimensions[name])
+           for name in draw(st.sampled_from(key_shapes)).split(":")]
+    data = [
+        ("n", LongType, st.integers(-(2**63), 2**63 - 1), {}),
+        ("d", DoubleType, st.none() | st.floats(allow_nan=False), {}),
+        ("s", StringType, st.none() | _ANY_TEXT, {}),
+        ("r", StringType, st.none() | _ANY_TEXT, {"avro": '{"type": "string"}'}),
+    ]
+    columns = {}
+    for name, dtype, __, extra in key:
+        columns[name] = {"cf": "rowkey", "col": name, "type": dtype.name, **extra}
+    for name, dtype, __, extra in data:
+        columns[name] = {"cf": "f", "col": name, **(extra or {"type": dtype.name})}
+    catalog = json.dumps({
+        "table": {"namespace": "default", "name": "t", "tableCoder": coder},
+        "rowkey": ":".join(name for name, *__ in key),
+        "columns": columns,
+    })
+    rows = draw(st.lists(
+        st.tuples(*(values for __, __, values, __ in key + data)),
+        min_size=1, max_size=5, unique_by=lambda row: row[:len(key)]))
+    schema = StructType([StructField(name, dtype)
+                         for name, dtype, __, __ in key + data])
+    return catalog, schema, rows
+
+
+def check_codec_roundtrip(catalog_json, schema, rows):
+    """Every row survives the codec both ways; returns the cells it counted."""
+    catalog = HBaseTableCatalog.from_json(catalog_json)
+    codec = RowCodec(catalog)
+    names = schema.names
+    encode, decode = codec.encoder(names), codec.decoder(names)
+    nkeys = len(catalog.row_key)
+    total_cells = 0
+    for row in rows:
+        key_values = {name: row[names.index(name)] for name in catalog.row_key}
+        key = encode_rowkey(catalog, codec.coder, key_values)
+        assert decode_rowkey(catalog, codec.coder, key) == key_values
+        assert codec.key_prefix(row[:nkeys]) == key
+        put, ncells = encode(row)
+        assert put.row == codec.encode_key(key_values) == key
+        # NULL means no cell; the cell count is the key plus what is there
+        assert ncells == nkeys + sum(v is not None for v in row[nkeys:])
+        cells = put.to_cells(2)
+        # an older version of every cell, listed after it: the newest wins
+        stale = [Cell(c.row, c.family, c.qualifier, 1, b"stale") for c in cells]
+        assert decode(put.row, cells + stale) == (row, ncells)
+        assert codec.decode_row(put.row, cells) == dict(zip(names, row))
+        assert codec.encode_row(dict(zip(names, row))).to_cells(2) == cells
+        total_cells += ncells
+    return total_cells
+
+
+# 300 examples: each of the three coders gets the default hundred
+@settings(max_examples=300, deadline=None)
+@given(row_formats())
+def test_composite_roundtrip(case):
+    check_codec_roundtrip(*case)
+
+
+@settings(deadline=None)
+@given(row_formats(key_shapes=("a:b:c", "a:b", "a:c", "a")))
+def test_codec_counts_are_what_the_connector_charges(case):
+    catalog_json, schema, rows = case
+    total_cells = check_codec_roundtrip(*case)
+    nkeys = len(HBaseTableCatalog.from_json(catalog_json).row_key)
+    clock = SimClock()
+    cluster = HBaseCluster(f"codec{next(_ids)}", _HOSTS, clock=clock)
+    session = SparkSession(_HOSTS, executors_requested=3, clock=clock)
+    options = {HBaseTableCatalog.tableCatalog: catalog_json,
+               HBaseTableCatalog.newTable: "2",
+               "hbase.zookeeper.quorum": cluster.quorum}
+    written = session.create_dataframe(rows, schema).write \
+        .format(DEFAULT_FORMAT).options(options).save()
+    assert written.metrics.get("shc.cells_encoded") == total_cells
+    scanned = session.read.format(DEFAULT_FORMAT).options(options).load() \
+        .select(*schema.names).run()
+    assert {tuple(r.values)[:nkeys]: tuple(r.values) for r in scanned.rows} \
+        == {row[:nkeys]: row for row in rows}
+    assert scanned.metrics.get("shc.cells_decoded") == total_cells
 
 
 def test_padding_to_declared_length():

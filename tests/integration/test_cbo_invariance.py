@@ -12,6 +12,10 @@ substrate.
 
 import pytest
 
+from repro.common.errors import AnalysisError
+from repro.core.relation import DEFAULT_FORMAT
+from repro.sql.session import SparkSession
+from repro.sql.stats import STATS_ATTRIBUTE
 from repro.workloads import load_tpcds
 
 SCAN_QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
@@ -64,3 +68,39 @@ def test_analyze_persists_stats_across_sessions():
     assert result.metrics.get("sql.cbo.estimates") >= 1.0
     assert result.metrics.get("sql.cbo.stats_stale") == 0.0
     second.shutdown()
+
+
+def test_analyze_of_a_view_over_a_query_is_refused_and_touches_no_table():
+    # it used to run the view's query and persist *its* statistics onto every
+    # base table underneath: ``item`` (6 rows) then claimed 4 rows, durably
+    env = load_tpcds(2, ["store_sales", "item"])
+    session = env.new_session()
+    row = session.sql("ANALYZE TABLE item COMPUTE STATISTICS").collect()[0]
+    persisted = env.cluster.get_table_attribute("item", STATS_ATTRIBUTE)
+    keys = session.stats.keys()
+    session.sql("SELECT * FROM item WHERE i_item_sk < 5") \
+        .create_or_replace_temp_view("few")
+    session.sql(JOIN_QUERY).create_or_replace_temp_view("joined")
+    for view, tables in (("few", "item"), ("joined", "item, store_sales")):
+        with pytest.raises(AnalysisError, match=f"instead: {tables}$"):
+            session.sql(f"ANALYZE TABLE {view} COMPUTE STATISTICS")
+    assert env.cluster.get_table_attribute("item", STATS_ATTRIBUTE) == persisted
+    assert env.cluster.get_table_attribute(
+        "store_sales", STATS_ATTRIBUTE) is None
+    assert session.stats.keys() == keys
+    # a view that *is* the table still analyzes the table
+    session.sql("SELECT * FROM item").create_or_replace_temp_view("all_items")
+    again = session.sql("ANALYZE TABLE all_items COMPUTE STATISTICS").collect()[0]
+    assert (again.row_count, again.persisted) == (row.row_count, True)
+    assert session.stats.keys() == keys
+    # the refusal names each table once, by its own name rather than the alias
+    with pytest.raises(AnalysisError, match="instead: item, store_sales$"):
+        session.sql("ANALYZE TABLE joined COMPUTE STATISTICS")
+    # and a base relation the session has no name for by where it lives
+    bare = SparkSession(env.hosts, clock=env.cluster.clock)
+    bare.read.format(DEFAULT_FORMAT).options(env.reader_options("item")).load() \
+        .filter("i_item_sk < 5").create_or_replace_temp_view("few")
+    with pytest.raises(AnalysisError, match=(
+            r"instead: item \(register it as a temp view first\)$")):
+        bare.sql("ANALYZE TABLE few COMPUTE STATISTICS")
+    session.shutdown()

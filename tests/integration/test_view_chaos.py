@@ -14,9 +14,8 @@ import random
 import pytest
 
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders import get_coder
-from repro.core.keys import encode_rowkey
-from repro.hbase import ConnectionFactory, Put
+from repro.core.keys import RowCodec
+from repro.hbase import ConnectionFactory
 from repro.workloads import load_tpcds
 
 #: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
@@ -33,23 +32,17 @@ def rows(result):
 
 
 def put_batch(env, rng, count):
-    options = env.reader_options("inventory")
-    catalog = HBaseTableCatalog.from_json(options["catalog"])
-    coder = get_coder(catalog.table_coder)
+    catalog = HBaseTableCatalog.from_json(
+        env.reader_options("inventory")["catalog"])
+    codec = RowCodec(catalog)
     table = ConnectionFactory.create_connection(
         env.cluster.configuration()).get_table(catalog.qualified_name)
-    column = catalog.column("inv_quantity_on_hand")
-    puts = []
-    for _ in range(count):
-        row = encode_rowkey(catalog, coder, {
-            "inv_date_sk": rng.randint(2456000, 2456005),
-            "inv_item_sk": rng.randint(1, 4000),
-            "inv_warehouse_sk": rng.randint(1, 10),
-        })
-        puts.append(Put(row).add_column(
-            column.family, column.qualifier,
-            coder.encode(rng.randint(1, 999), column.dtype)))
-    table.put(puts)
+    table.put([codec.encode_row({
+        "inv_date_sk": rng.randint(2456000, 2456005),
+        "inv_item_sk": rng.randint(1, 4000),
+        "inv_warehouse_sk": rng.randint(1, 10),
+        "inv_quantity_on_hand": rng.randint(1, 999),
+    }) for _ in range(count)])
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -13,9 +13,8 @@ Stale views must never answer a query.
 """
 
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders import get_coder
-from repro.core.keys import encode_rowkey
-from repro.hbase import ConnectionFactory, Put
+from repro.core.keys import RowCodec
+from repro.hbase import ConnectionFactory
 from repro.workloads import load_tpcds
 
 AGG_QUERY = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus, "
@@ -71,16 +70,13 @@ def test_stale_view_never_answers_and_base_result_is_exact():
     session = env.new_session()
     session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_QUERY}").run()
 
-    options = env.reader_options("inventory")
-    catalog = HBaseTableCatalog.from_json(options["catalog"])
-    coder = get_coder(catalog.table_coder)
+    catalog = HBaseTableCatalog.from_json(
+        env.reader_options("inventory")["catalog"])
     table = ConnectionFactory.create_connection(
         env.cluster.configuration()).get_table(catalog.qualified_name)
-    column = catalog.column("inv_quantity_on_hand")
-    row = encode_rowkey(catalog, coder, {
-        "inv_date_sk": 2456100, "inv_item_sk": 1, "inv_warehouse_sk": 1})
-    table.put(Put(row).add_column(
-        column.family, column.qualifier, coder.encode(40, column.dtype)))
+    table.put(RowCodec(catalog).encode_row({
+        "inv_date_sk": 2456100, "inv_item_sk": 1, "inv_warehouse_sk": 1,
+        "inv_quantity_on_hand": 40}))
 
     stale = session.sql(AGG_QUERY).run()
     assert [e["action"] for e in stale.view_events] == ["rejected_stale"]

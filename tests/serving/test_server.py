@@ -25,10 +25,7 @@ QUERY = "SELECT k, COUNT(*) AS n FROM t GROUP BY k"
 
 
 def _server(session, **kwargs):
-    config = kwargs.pop("config", None)
-    if config is None:
-        config = ServingConfig.from_conf(session.conf)
-    return QueryServer(session, config=config, **kwargs)
+    return QueryServer(session, **kwargs)
 
 
 # -- happy path ------------------------------------------------------------

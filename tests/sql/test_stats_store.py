@@ -120,13 +120,11 @@ def test_store_put_get_drop():
     ts = TableStats(10, 100)
     store.put("relation:q:t:", ts)
     assert store.get("relation:q:t:") is ts
-    assert not store.has_plan_keys
-    store.put("fingerprint-abc", ts)
-    assert store.has_plan_keys
     store.drop("relation:q:t:")
     assert store.get("relation:q:t:") is None
+    store.put("relation:q:t:", ts)
     store.clear()
-    assert len(store) == 0 and not store.has_plan_keys
+    assert len(store) == 0
 
 
 def test_local_relation_stats_key_is_content_addressed():

@@ -5,16 +5,21 @@ SHOW, CDC-driven incremental maintenance (delta, recount, invalidation),
 and the optimizer's freshness- and cost-gated automatic rewriting.
 """
 
+import json
+
 import pytest
 
 from repro.common.errors import AnalysisError
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders import get_coder
-from repro.core.keys import encode_rowkey
-from repro.hbase import ConnectionFactory, Delete, Put
+from repro.core.keys import RowCodec
+from repro.core.relation import DEFAULT_FORMAT
+from repro.hbase import ConnectionFactory, Delete
 from repro.sql import logical as L
 from repro.sql.parser import parse
+from repro.sql.session import SparkSession
+from repro.sql.types import IntegerType, StringType, StructField, StructType
 from repro.workloads import load_tpcds
+from repro.workloads.tpcds_schema import TABLES, catalog_json
 
 AGG_SQL = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus, "
            "sum(inv_quantity_on_hand) AS on_hand, "
@@ -42,26 +47,23 @@ def rows_of(result):
     return sorted(tuple(r.values) for r in result.rows)
 
 
-def base_writer(env, table_name):
-    """(table client, catalog, coder) for direct base-table mutations."""
-    options = env.reader_options(table_name)
-    catalog = HBaseTableCatalog.from_json(options["catalog"])
-    coder = get_coder(catalog.table_coder)
+def base_writer(env, table_name, options=None):
+    """(table client, row codec) for direct base-table mutations."""
+    catalog = HBaseTableCatalog.from_json(
+        (options or env.reader_options(table_name))["catalog"])
     table = ConnectionFactory.create_connection(
         env.cluster.configuration()).get_table(catalog.qualified_name)
-    return table, catalog, coder
+    return table, RowCodec(catalog)
 
 
 def put_inventory(env, date_sk, item_sk, warehouse_sk, quantity):
-    table, catalog, coder = base_writer(env, "inventory")
-    row = encode_rowkey(catalog, coder, {
+    table, codec = base_writer(env, "inventory")
+    put = codec.encode_row({
         "inv_date_sk": date_sk, "inv_item_sk": item_sk,
-        "inv_warehouse_sk": warehouse_sk,
+        "inv_warehouse_sk": warehouse_sk, "inv_quantity_on_hand": quantity,
     })
-    column = catalog.column("inv_quantity_on_hand")
-    table.put(Put(row).add_column(
-        column.family, column.qualifier, coder.encode(quantity, column.dtype)))
-    return row
+    table.put(put)
+    return put.row
 
 
 # -- parsing ---------------------------------------------------------------
@@ -205,7 +207,7 @@ def test_delete_recounts_and_removes_emptied_group(env, vsession):
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     row = put_inventory(env, 2456100, 7, 1, 10)
     env.cluster.run_maintenance()
-    table, _, _ = base_writer(env, "inventory")
+    table, _ = base_writer(env, "inventory")
     table.delete(Delete(row))
     env.cluster.run_maintenance()
 
@@ -216,6 +218,64 @@ def test_delete_recounts_and_removes_emptied_group(env, vsession):
     assert all(r.values[0] != 2456100 for r in answered.rows)
 
 
+def test_view_over_a_table_with_an_avro_column_is_maintained(linked):
+    # the maintainer decodes base rows through per-field coders: a column
+    # with its own Avro schema beside the aggregated one must not disturb it
+    cluster, session = linked
+    options = {
+        HBaseTableCatalog.tableCatalog: json.dumps({
+            "table": {"namespace": "default", "name": "events"},
+            "rowkey": "day:id",
+            "columns": {
+                "day": {"cf": "rowkey", "col": "day", "type": "int"},
+                "id": {"cf": "rowkey", "col": "id", "type": "int"},
+                "qty": {"cf": "f", "col": "qty", "type": "int"},
+                "note": {"cf": "f", "col": "note",
+                         "avro": '{"type": "string"}'},
+            },
+        }),
+        HBaseTableCatalog.newTable: "2",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    schema = StructType([StructField("day", IntegerType),
+                         StructField("id", IntegerType),
+                         StructField("qty", IntegerType),
+                         StructField("note", StringType)])
+
+    def write(rows):
+        session.create_dataframe(rows, schema).write \
+            .format(DEFAULT_FORMAT).options(options).save()
+
+    write([(day, i, i + 1, f"note-{day}-{i}")
+           for day in (1, 2, 3) for i in range(10)])
+    # a second session that never saw a view statement runs the base plan
+    plain = SparkSession(session.cluster.hosts, clock=session.clock)
+    for each in (session, plain):
+        each.read.format(DEFAULT_FORMAT).options(options).load() \
+            .create_or_replace_temp_view("events")
+    by_day = ("SELECT day, count(qty) AS n, sum(qty) AS total "
+              "FROM events GROUP BY day")
+    session.sql(f"CREATE MATERIALIZED VIEW by_day AS {by_day}").run()
+
+    def answer():
+        answered = session.sql(by_day).run()
+        assert [e["action"] for e in answered.view_events] == ["rewrites"]
+        base = plain.sql(by_day).run()
+        assert not base.view_events
+        assert rows_of(answered) == rows_of(base)
+        return rows_of(answered)
+
+    assert answer() == [(1, 10, 55), (2, 10, 55), (3, 10, 55)]
+    write([(2, 99, 7, "an insert")])         # additive delta
+    write([(1, 0, 500, "an overwrite")])     # second version: day 1 recounts
+    write([(4, 0, 3, None)])                 # a new group, and no note cell
+    assert answer() == [(1, 10, 554), (2, 11, 62), (3, 10, 55), (4, 1, 3)]
+    snapshot = cluster.metrics.snapshot()
+    assert snapshot["sql.view.delta_rows"] == 2
+    assert snapshot["sql.view.recounts"] == 1
+    assert not snapshot.get("sql.view.invalidations")
+
+
 def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
     # inv_item_sk is not a prefix of inventory's row key, so a tombstone
     # cannot be repaired with a prefix recount: the view must invalidate
@@ -223,7 +283,7 @@ def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
                 "FROM inventory GROUP BY inv_item_sk")
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_item AS {item_sql}").run()
     row = put_inventory(env, 2456100, 7, 1, 10)
-    table, _, _ = base_writer(env, "inventory")
+    table, _ = base_writer(env, "inventory")
     table.delete(Delete(row))
     env.cluster.run_maintenance()
     assert env.cluster.metrics.snapshot()["sql.view.invalidations"] == 1
@@ -328,29 +388,53 @@ def test_join_view_rewrite_and_fact_upsert(env, vsession):
     assert rows_of(caught_up) == rows_of(fresh)
 
 
-def test_join_view_dimension_change_rejoins_by_prefix(env, vsession):
+def phoenix_date_dim(env):
+    """Reader options for a copy of ``date_dim`` written under the Phoenix
+    coder, while ``inventory`` stays PrimitiveType."""
+    catalog = json.loads(catalog_json(TABLES["date_dim"], table_coder="Phoenix"))
+    catalog["table"]["name"] = "date_phx"
+    options = {HBaseTableCatalog.tableCatalog: json.dumps(catalog),
+               "hbase.zookeeper.quorum": env.cluster.quorum}
+    env.new_session().sql("SELECT * FROM date_dim").write.format(DEFAULT_FORMAT) \
+        .options({**options, HBaseTableCatalog.newTable: "2"}).save()
+    return options
+
+
+def test_join_view_dimension_change_rejoins_by_prefix(env):
     # inv_date_sk leads inventory's row key, so a date_dim change re-joins
     # the matching fact rows with one prefix scan per changed dimension row
-    vsession.sql(f"CREATE MATERIALIZED VIEW inv_dates AS {DIM_JOIN_SQL}").run()
-    answered = vsession.sql(DIM_JOIN_SQL).run()
-    assert [e["action"] for e in answered.view_events] == ["rewrites"]
-    date_sk = env.new_session().sql(
-        "SELECT inv_date_sk, count(inv_quantity_on_hand) AS c "
-        "FROM inventory GROUP BY inv_date_sk").run().rows[0].values[0]
+    # -- decoding each table with its own coder
+    for dim_options in (env.reader_options("date_dim"), phoenix_date_dim(env)):
+        def new_session():
+            session = env.new_session()
+            session.read.format(DEFAULT_FORMAT).options(dim_options).load() \
+                .create_or_replace_temp_view("date_dim")
+            return session
 
-    table, catalog, coder = base_writer(env, "date_dim")
-    row = encode_rowkey(catalog, coder, {"d_date_sk": date_sk})
-    column = catalog.column("d_year")
-    table.put(Put(row).add_column(
-        column.family, column.qualifier, coder.encode(1776, column.dtype)))
-    env.cluster.run_maintenance()
+        def answers_like_the_base_plan():
+            caught_up = vsession.sql(DIM_JOIN_SQL).run()
+            assert [e["action"] for e in caught_up.view_events] == ["rewrites"]
+            assert rows_of(caught_up) == rows_of(new_session().sql(DIM_JOIN_SQL).run())
+            return caught_up.rows
 
-    fresh = env.new_session().sql(DIM_JOIN_SQL).run()
-    caught_up = vsession.sql(DIM_JOIN_SQL).run()
-    assert [e["action"] for e in caught_up.view_events] == ["rewrites"]
-    assert rows_of(caught_up) == rows_of(fresh)
-    assert any(r.values[1] == 1776 for r in caught_up.rows)
-    assert env.cluster.metrics.snapshot()["sql.view.recounts"] >= 1
+        vsession = new_session()
+        vsession.sql(f"CREATE MATERIALIZED VIEW inv_dates AS {DIM_JOIN_SQL}").run()
+        answers_like_the_base_plan()
+        date_sk = new_session().sql(
+            "SELECT inv_date_sk, count(inv_quantity_on_hand) AS c "
+            "FROM inventory GROUP BY inv_date_sk").run().rows[0].values[0]
+        recounts = env.cluster.metrics.snapshot().get("sql.view.recounts", 0)
+
+        put_inventory(env, date_sk, 1, 99, 4321)    # a fact insert
+        env.cluster.run_maintenance()
+        answers_like_the_base_plan()
+
+        table, codec = base_writer(env, "date_dim", dim_options)
+        table.put(codec.encode_row({"d_date_sk": date_sk, "d_year": 1776}))
+        env.cluster.run_maintenance()
+        assert (4321, 1776) in {tuple(r.values) for r in answers_like_the_base_plan()}
+        assert env.cluster.metrics.snapshot()["sql.view.recounts"] > recounts
+        vsession.sql("DROP MATERIALIZED VIEW inv_dates").run()
 
 
 def test_join_view_dimension_change_invalidates_when_key_not_leading(
@@ -358,11 +442,8 @@ def test_join_view_dimension_change_invalidates_when_key_not_leading(
     # inv_item_sk does not lead inventory's row key: an item change cannot
     # be re-joined by prefix scan, so the view invalidates
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_items AS {JOIN_SQL}").run()
-    table, catalog, coder = base_writer(env, "item")
-    row = encode_rowkey(catalog, coder, {"i_item_sk": 1})
-    column = catalog.column("i_category")
-    table.put(Put(row).add_column(
-        column.family, column.qualifier, coder.encode("Books", column.dtype)))
+    table, codec = base_writer(env, "item")
+    table.put(codec.encode_row({"i_item_sk": 1, "i_category": "Books"}))
     env.cluster.run_maintenance()
     assert env.cluster.metrics.snapshot()["sql.view.invalidations"] == 1
     rejected = vsession.sql(JOIN_SQL).run()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import CoderError
 from repro.core.coders.base import FieldCoder
@@ -230,6 +230,19 @@ class AvroSchema:
         return False
 
 
+def _checked_read(schema: AvroSchema, label: str) -> Callable[[bytes], object]:
+    """``read(data)`` under ``schema``; bytes it cannot hold are a
+    :class:`CoderError` naming ``label``, whatever the reader tripped on."""
+
+    def read(data: bytes) -> object:
+        try:
+            return schema.read(data)[0]
+        except (CoderError, IndexError, struct.error, UnicodeDecodeError) as exc:
+            raise CoderError(f"malformed Avro {label}: {exc}") from None
+
+    return read
+
+
 _AVRO_TYPE_FOR = {
     BooleanType: "boolean",
     ByteType: "int",
@@ -248,6 +261,10 @@ class AvroCoder(FieldCoder):
     """``tableCoder: Avro`` -- every cell is a one-field nullable record."""
 
     name = "Avro"
+
+    def __init__(self) -> None:
+        #: dtype -> ``decode(data)`` over the cell schema, parsed once each
+        self._decoders: Dict[DataType, Callable[[bytes], object]] = {}
 
     def _schema_for(self, dtype: DataType) -> AvroSchema:
         avro_type = _AVRO_TYPE_FOR.get(dtype)
@@ -269,11 +286,22 @@ class AvroCoder(FieldCoder):
         return self._schema_for(dtype).write({"value": value})
 
     def decode(self, data: bytes, dtype: DataType) -> object:
-        record, __ = self._schema_for(dtype).read(data)
-        value = record["value"]
-        if dtype.python_type is int and value is not None:
-            return int(value)
-        return value
+        return self.decoder_for(dtype)(data)
+
+    def decoder_for(self, dtype: DataType) -> Callable[[bytes], object]:
+        decode = self._decoders.get(dtype)
+        if decode is None:
+            read = _checked_read(self._schema_for(dtype), _AVRO_TYPE_FOR[dtype])
+            as_int = dtype.python_type is int
+
+            def decode(data: bytes) -> object:
+                value = read(data)["value"]
+                if as_int and value is not None:
+                    return int(value)
+                return value
+
+            self._decoders[dtype] = decode
+        return decode
 
     def order_preserving(self, dtype: DataType) -> bool:
         return False  # varints and length prefixes scramble byte order
@@ -298,6 +326,8 @@ class AvroRecordCoder(FieldCoder):
     def __init__(self, schema_json: str) -> None:
         self.schema = AvroSchema.parse(schema_json)
         self.name = f"Avro[{self.schema.name or self.schema.kind}]"
+        self._read = _checked_read(self.schema,
+                                   self.schema.name or self.schema.kind)
 
     def encode(self, value: object, dtype: DataType) -> bytes:
         if value is None:
@@ -305,8 +335,10 @@ class AvroRecordCoder(FieldCoder):
         return self.schema.write(value)
 
     def decode(self, data: bytes, dtype: DataType) -> object:
-        value, __ = self.schema.read(data)
-        return value
+        return self._read(data)
+
+    def decoder_for(self, dtype: DataType) -> Callable[[bytes], object]:
+        return self._read
 
     def order_preserving(self, dtype: DataType) -> bool:
         return False

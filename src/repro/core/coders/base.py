@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import CoderError
 from repro.sql.types import (
@@ -93,6 +94,16 @@ class FieldCoder:
 
     def decode(self, data: bytes, dtype: DataType) -> object:
         raise NotImplementedError
+
+    def decoder_for(self, dtype: DataType) -> Callable[[bytes], object]:
+        """``decode(data)`` with ``dtype`` resolved once.
+
+        What a scan binds per column, so a cell costs one call and no type
+        dispatch.  The shipped coders resolve it from a table and define
+        :meth:`decode` through it; a custom coder that only writes
+        :meth:`decode` gets this wrapper.
+        """
+        return functools.partial(self.decode, dtype=dtype)
 
     def order_preserving(self, dtype: DataType) -> bool:
         """True when byte order equals value order for ``dtype``."""

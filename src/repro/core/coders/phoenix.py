@@ -7,6 +7,8 @@ so every comparison predicate translates directly into a single byte range.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
 from repro.common.errors import CoderError
 from repro.core.coders.base import FieldCoder
 from repro.hbase.hbytes import Bytes, OrderedBytes
@@ -23,6 +25,20 @@ from repro.sql.types import (
     StringType,
     TimestampType,
 )
+
+#: dtype -> ``decode(data)``; each keeps the width check ``OrderedBytes`` makes
+_DECODERS: Dict[DataType, Callable[[bytes], object]] = {
+    StringType: Bytes.to_string,
+    BinaryType: bytes,
+    BooleanType: lambda data: data != b"\x00",
+    ByteType: OrderedBytes.to_byte,
+    ShortType: OrderedBytes.to_short,
+    IntegerType: OrderedBytes.to_int,
+    LongType: OrderedBytes.to_long,
+    TimestampType: OrderedBytes.to_long,
+    FloatType: OrderedBytes.to_float,
+    DoubleType: OrderedBytes.to_double,
+}
 
 
 class PhoenixCoder(FieldCoder):
@@ -56,25 +72,13 @@ class PhoenixCoder(FieldCoder):
         raise CoderError(f"Phoenix cannot encode {dtype}")
 
     def decode(self, data: bytes, dtype: DataType) -> object:
-        if dtype is StringType:
-            return Bytes.to_string(data)
-        if dtype is BinaryType:
-            return bytes(data)
-        if dtype is BooleanType:
-            return data != b"\x00"
-        if dtype is ByteType:
-            return OrderedBytes.to_byte(data)
-        if dtype is ShortType:
-            return OrderedBytes.to_short(data)
-        if dtype is IntegerType:
-            return OrderedBytes.to_int(data)
-        if dtype in (LongType, TimestampType):
-            return OrderedBytes.to_long(data)
-        if dtype is FloatType:
-            return OrderedBytes.to_float(data)
-        if dtype is DoubleType:
-            return OrderedBytes.to_double(data)
-        raise CoderError(f"Phoenix cannot decode {dtype}")
+        return self.decoder_for(dtype)(data)
+
+    def decoder_for(self, dtype: DataType) -> Callable[[bytes], object]:
+        decode = _DECODERS.get(dtype)
+        if decode is None:
+            raise CoderError(f"Phoenix cannot decode {dtype}")
+        return decode
 
     def order_preserving(self, dtype: DataType) -> bool:
         return True

@@ -11,7 +11,7 @@ before they are pushed into HBase, so no data is lost to misordered scans.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import CoderError
 from repro.core.coders.base import (
@@ -46,6 +46,20 @@ _INT_BOUNDS = {
 
 _FLOAT_INF = {FloatType: float("inf"), DoubleType: float("inf")}
 
+#: dtype -> ``decode(data)``; each keeps the width check ``Bytes`` makes
+_DECODERS: Dict[DataType, Callable[[bytes], object]] = {
+    StringType: Bytes.to_string,
+    BinaryType: bytes,
+    BooleanType: Bytes.to_bool,
+    ByteType: Bytes.to_byte,
+    ShortType: Bytes.to_short,
+    IntegerType: Bytes.to_int,
+    LongType: Bytes.to_long,
+    TimestampType: Bytes.to_long,
+    FloatType: Bytes.to_float,
+    DoubleType: Bytes.to_double,
+}
+
 
 class PrimitiveTypeCoder(FieldCoder):
     """``tableCoder: PrimitiveType`` (the default)."""
@@ -78,25 +92,13 @@ class PrimitiveTypeCoder(FieldCoder):
         raise CoderError(f"PrimitiveType cannot encode {dtype}")
 
     def decode(self, data: bytes, dtype: DataType) -> object:
-        if dtype is StringType:
-            return Bytes.to_string(data)
-        if dtype is BinaryType:
-            return bytes(data)
-        if dtype is BooleanType:
-            return Bytes.to_bool(data)
-        if dtype is ByteType:
-            return Bytes.to_byte(data)
-        if dtype is ShortType:
-            return Bytes.to_short(data)
-        if dtype is IntegerType:
-            return Bytes.to_int(data)
-        if dtype in (LongType, TimestampType):
-            return Bytes.to_long(data)
-        if dtype is FloatType:
-            return Bytes.to_float(data)
-        if dtype is DoubleType:
-            return Bytes.to_double(data)
-        raise CoderError(f"PrimitiveType cannot decode {dtype}")
+        return self.decoder_for(dtype)(data)
+
+    def decoder_for(self, dtype: DataType) -> Callable[[bytes], object]:
+        decode = _DECODERS.get(dtype)
+        if decode is None:
+            raise CoderError(f"PrimitiveType cannot decode {dtype}")
+        return decode
 
     def order_preserving(self, dtype: DataType) -> bool:
         # UTF-8 preserves code-point order; booleans and raw binary compare

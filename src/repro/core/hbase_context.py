@@ -144,7 +144,9 @@ class HBaseContext:
                 for cell in region_cells:
                     by_family.setdefault(cell.family, []).append(cell)
                 for family, group in by_family.items():
-                    store_file = StoreFile(group)
+                    # later rows first: a store file keeps the order of
+                    # equal keys, and the newest write wins a tie
+                    store_file = StoreFile(group[::-1])
                     region.stores[family].files.append(store_file)
                     # sequential HFile write: no WAL sync, no memstore
                     task_ctx.ledger.charge(

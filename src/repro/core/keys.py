@@ -4,14 +4,15 @@ A catalog's row key is the concatenation of its key dimensions' encodings.
 Every dimension but the last must be fixed-width (a native width or an
 explicit catalog ``length``); variable-width values in non-terminal
 dimensions are padded with ``0x00`` up to the declared length so the key can
-be sliced apart again on read.  The free functions are that layout's single
-implementation; :class:`RowCodec` binds them to one catalog and adds the
-cell half of a row, and is what every reader and writer of an HBase row
-goes through.
+be sliced apart again on read.  :func:`key_layout` states the slicing rules
+once; the free functions interpret them per call, and :class:`RowCodec`
+binds them to one catalog, adds the cell half of a row, and is what every
+reader and writer of an HBase row goes through.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import CoderError
@@ -19,6 +20,7 @@ from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders.avro import AvroRecordCoder
 from repro.core.coders.base import FieldCoder, get_coder
 from repro.hbase.client import Put
+from repro.sql.types import DataType
 
 
 def prefix_successor(prefix: bytes) -> Optional[bytes]:
@@ -78,31 +80,48 @@ def encode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
     return b"".join(parts)
 
 
-def decode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
-                  key: bytes) -> Dict[str, object]:
-    """Slice a composite row key back into per-dimension values."""
-    values: Dict[str, object] = {}
-    pos = 0
+def key_layout(catalog: HBaseTableCatalog, coder: FieldCoder
+               ) -> List[Tuple[str, DataType, int, Optional[int], bool]]:
+    """Where each key dimension sits: ``(name, dtype, start, stop, strip)``.
+
+    The slicing rules, stated once.  A dimension is as wide as its declared
+    ``length``, else its native width under ``coder``; only the last may
+    have neither, and then runs to the end of the key (``stop`` None).  A
+    declared length means the writer padded the value with ``0x00``:
+    ``strip`` says the padding must come off before decoding, which a
+    self-delimiting coder does not need.  :func:`decode_rowkey` interprets
+    this per call; :meth:`RowCodec.decoder` binds it once per scan.
+    """
+    slots = []
+    start = 0
+    last = len(catalog.row_key) - 1
     for i, name in enumerate(catalog.row_key):
         column = catalog.column(name)
-        is_last = i == len(catalog.row_key) - 1
-        if is_last and column.length is None:
-            chunk = key[pos:]
-            pos = len(key)
+        if i == last and column.length is None:
+            stop = None
         else:
             width = dimension_width(catalog, coder, name)
             if width is None:
                 raise CoderError(
                     f"cannot slice variable-width key dimension {name!r}"
                 )
-            chunk = key[pos:pos + width]
-            pos += width
-        padded = column.length is not None or (
-            not is_last and coder.encoded_width(column.dtype) is None
-        )
-        if padded and not coder.self_delimiting(column.dtype):
+            stop = start + width
+        strip = column.length is not None \
+            and not coder.self_delimiting(column.dtype)
+        slots.append((name, column.dtype, start, stop, strip))
+        start = stop
+    return slots
+
+
+def decode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
+                  key: bytes) -> Dict[str, object]:
+    """Slice a composite row key back into per-dimension values."""
+    values: Dict[str, object] = {}
+    for name, dtype, start, stop, strip in key_layout(catalog, coder):
+        chunk = key[start:stop]
+        if strip:
             chunk = chunk.rstrip(b"\x00")
-        values[name] = coder.decode(chunk, column.dtype)
+        values[name] = coder.decode(chunk, dtype)
     return values
 
 
@@ -134,8 +153,13 @@ class RowCodec:
                                                   column.avro_schema)
                 self.field_coders[column.name] = AvroRecordCoder(str(schema_json))
         self._names = list(catalog.columns)
-        self._decode_all = self.decoder(self._names)
         self._encode_all = self.encoder(self._names)
+
+    @functools.cached_property
+    def _decode_all(self) -> Callable[[bytes, Sequence], Tuple[tuple, int]]:
+        # bound on first use: a key the coder cannot slice apart is an error
+        # of the first read, as it is for :func:`decode_rowkey`
+        return self.decoder(self._names)
 
     # -- the key half ------------------------------------------------------
     def encode_key(self, values: Mapping[str, object]) -> bytes:
@@ -167,41 +191,56 @@ class RowCodec:
     # -- whole rows, positional (the scan and write hot loops) -------------
     def decoder(self, columns: Sequence[str]
                 ) -> Callable[[bytes, Sequence], Tuple[tuple, int]]:
-        """Resolve the plan for ``columns`` once; the returned
+        """Bind the plan for ``columns`` once; the returned
         ``decode(row_key, cells)`` gives the positional tuple and the number
-        of cells it decoded.  ``cells`` arrive newest first per column."""
-        catalog, coder = self.catalog, self.coder
-        #: (key_name, (family, qualifier), decode_fn, dtype) -- key columns
-        #: carry only key_name, data columns carry the other three
-        plan: List[tuple] = []
-        for name in columns:
+        of cells it decoded.  ``cells`` arrive newest first per column.
+
+        Everything the catalog or a coder can answer is answered here: the
+        key is a list of ``(start, stop, strip, decode)`` slots from
+        :func:`key_layout`, a data column is its ``(family, qualifier)`` and
+        one ``decode(data)``.  The closure only slices, looks up and calls.
+        """
+        catalog = self.catalog
+        dimension = {name: i for i, name in enumerate(catalog.row_key)}
+        #: (output position, key dimension) / (output position, (family,
+        #: qualifier), decode) -- one entry per requested column
+        key_out: List[Tuple[int, int]] = []
+        cell_out: List[Tuple[int, Tuple[str, str], Callable]] = []
+        for position, name in enumerate(columns):
             column = catalog.column(name)
             if column.is_rowkey():
-                plan.append((name, None, None, None))
+                key_out.append((position, dimension[name]))
             else:
-                plan.append((None, (column.family, column.qualifier),
-                             self.field_coders[name].decode, column.dtype))
-        key_cells = len(catalog.row_key) \
-            if any(key_name is not None for key_name, *__ in plan) else 0
+                cell_out.append((position, (column.family, column.qualifier),
+                                 self.field_coders[name].decoder_for(column.dtype)))
+        # the whole key is sliced and checked whenever any of it is asked for
+        key_slots = [
+            (start, stop, strip, self.coder.decoder_for(dtype))
+            for __, dtype, start, stop, strip in key_layout(catalog, self.coder)
+        ] if key_out else []
+        key_cells = len(key_slots)
+        blank = [None] * len(columns)
 
         def decode(row_key: bytes, cells: Sequence) -> Tuple[tuple, int]:
-            key_values = decode_rowkey(catalog, coder, row_key) \
-                if key_cells else None
+            values = blank[:]
+            if key_cells:
+                dimensions = []
+                for start, stop, strip, decode_dimension in key_slots:
+                    chunk = row_key[start:stop]
+                    if strip:
+                        chunk = chunk.rstrip(b"\x00")
+                    dimensions.append(decode_dimension(chunk))
+                for position, i in key_out:
+                    values[position] = dimensions[i]
             newest: Dict[Tuple[str, str], bytes] = {}
             for cell in cells:
                 newest.setdefault((cell.family, cell.qualifier), cell.value)
             decoded_cells = key_cells
-            values = []
-            for key_name, fq, decode_cell, dtype in plan:
-                if key_name is not None:
-                    values.append(key_values[key_name])
-                else:
-                    raw = newest.get(fq)
-                    if raw is None:
-                        values.append(None)
-                    else:
-                        values.append(decode_cell(raw, dtype))
-                        decoded_cells += 1
+            for position, fq, decode_cell in cell_out:
+                raw = newest.get(fq)
+                if raw is not None:
+                    values[position] = decode_cell(raw)
+                    decoded_cells += 1
             return tuple(values), decoded_cells
 
         return decode

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders.base import ByteRange, FieldCoder
+from repro.core.coders.base import ByteRange
+from repro.core.keys import RowCodec
 from repro.hbase.filters import (
     CompareOp,
     Filter as HFilter,
@@ -47,16 +47,13 @@ class CompiledPushdown:
 
 
 class PushdownCompiler:
-    """Compiles source filters for one catalog + coder."""
+    """Compiles source filters for one table's row format."""
 
-    def __init__(self, catalog: HBaseTableCatalog, coder: FieldCoder,
-                 field_coders: "dict | None" = None) -> None:
-        self.catalog = catalog
-        self.coder = coder
-        self._field_coders = field_coders or {}
-
-    def _coder_for(self, column_name: str) -> FieldCoder:
-        return self._field_coders.get(column_name, self.coder)
+    def __init__(self, codec: RowCodec) -> None:
+        self.catalog = codec.catalog
+        #: the key's coder; a data column's comes from ``field_coders``
+        self.coder = codec.coder
+        self._field_coders = codec.field_coders
 
     def compile(self, filters: Sequence[S.Filter]) -> CompiledPushdown:
         handled: List[S.Filter] = []
@@ -147,7 +144,7 @@ class PushdownCompiler:
                 return None, exact, exact
             return None, False, False
         column = self.catalog.column(name)
-        ranges = self._coder_for(name).byte_ranges(op, flt.value, column.dtype)
+        ranges = self._field_coders[name].byte_ranges(op, flt.value, column.dtype)
         if ranges is None:
             return None, False, False
         branches: List[HFilter] = []
@@ -171,7 +168,7 @@ class PushdownCompiler:
             # expensive point filters are not worth building server-side
             return None, False, False
         column = self.catalog.column(name)
-        in_coder = self._coder_for(name)
+        in_coder = self._field_coders[name]
         equals: List[HFilter] = []
         for v in flt.values:
             ranges = in_coder.byte_ranges("=", v, column.dtype)

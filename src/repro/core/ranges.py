@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.catalog import HBaseTableCatalog
-from repro.core.coders.base import ByteRange, FieldCoder
-from repro.core.keys import dimension_width, encode_key_dimension, prefix_successor
+from repro.core.coders.base import ByteRange
+from repro.core.keys import (
+    RowCodec, dimension_width, encode_key_dimension, prefix_successor,
+)
 from repro.sql import sources as S
 
 
@@ -135,15 +136,15 @@ def _byte_range_to_scan_range(br: ByteRange, complete_key: bool) -> Optional[Sca
 
 
 class RangeBuilder:
-    """Compiles source filters into scan ranges for one catalog + coder."""
+    """Compiles source filters into scan ranges for one table's row format."""
 
-    def __init__(self, catalog: HBaseTableCatalog, coder: FieldCoder,
+    def __init__(self, codec: RowCodec,
                  prune_all_dimensions: bool = False) -> None:
-        self.catalog = catalog
-        self.coder = coder
+        self.catalog = codec.catalog
+        self.coder = codec.coder
         self.prune_all_dimensions = prune_all_dimensions
-        self._first_dim = catalog.row_key[0]
-        self._single_dim_key = len(catalog.row_key) == 1
+        self._first_dim = self.catalog.row_key[0]
+        self._single_dim_key = len(self.catalog.row_key) == 1
 
     def ranges_for_filters(self, filters: Sequence[S.Filter]) -> List[ScanRange]:
         """AND-combine the scan ranges of the given (conjunctive) filters."""

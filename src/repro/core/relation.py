@@ -55,8 +55,6 @@ class HBaseRelation(BaseRelation):
         #: the row format's one owner (docs/architecture.md "Row format");
         #: Avro-schema references resolve against the read options
         self.codec = RowCodec(self.catalog, self.options)
-        self.coder = self.codec.coder
-        self.field_coders = self.codec.field_coders
         quorum = self.options.get(QUORUM_OPTION)
         if not quorum:
             raise CatalogError(f"HBase relations need the {QUORUM_OPTION!r} option")
@@ -71,7 +69,7 @@ class HBaseRelation(BaseRelation):
 
         schema = StructType()
         for field in self.catalog.sql_schema():
-            coder = self.field_coders[field.name]
+            coder = self.codec.field_coders[field.name]
             if isinstance(coder, AvroRecordCoder):
                 schema = schema.add(field.name, coder.sql_type())
             else:
@@ -155,8 +153,7 @@ class HBaseRelation(BaseRelation):
     def unhandled_filters(self, filters: Sequence[SourceFilter]) -> Sequence[SourceFilter]:
         if not self.pushdown_enabled:
             return list(filters)
-        compiled = PushdownCompiler(self.catalog, self.coder,
-                                    self.field_coders).compile(filters)
+        compiled = PushdownCompiler(self.codec).compile(filters)
         unhandled = list(compiled.unhandled)
         if not self.pruning_enabled:
             # row-key predicates were only "handled" because pruning would
@@ -167,16 +164,14 @@ class HBaseRelation(BaseRelation):
     def build_scan(self, required_columns: Sequence[str],
                    filters: Sequence[SourceFilter]) -> "RDD":
         if self.pruning_enabled:
-            builder = RangeBuilder(self.catalog, self.coder,
-                                   self.prune_all_dimensions)
+            builder = RangeBuilder(self.codec, self.prune_all_dimensions)
             ranges = builder.ranges_for_filters(filters)
         else:
             ranges = list(FULL_SCAN)
         hbase_filter = None
         filter_columns = set()
         if self.pushdown_enabled:
-            compiled = PushdownCompiler(self.catalog, self.coder,
-                                        self.field_coders).compile(filters)
+            compiled = PushdownCompiler(self.codec).compile(filters)
             hbase_filter = compiled.hbase_filter
             if hbase_filter is not None:
                 filter_columns = _filter_columns(hbase_filter)
@@ -284,11 +279,11 @@ class HBaseRelation(BaseRelation):
     # -- connections & security ------------------------------------------------------
     def decode_cell_cost(self) -> float:
         cost = self.session.cost
-        return cost.decode_cell_s * cost.coder_factor(self.coder.name)
+        return cost.decode_cell_s * cost.coder_factor(self.codec.coder.name)
 
     def encode_cell_cost(self) -> float:
         cost = self.session.cost
-        return cost.encode_cell_s * cost.coder_factor(self.coder.name)
+        return cost.encode_cell_s * cost.coder_factor(self.codec.coder.name)
 
     def _ugi(self, ledger) -> Optional[UserGroupInformation]:
         if not self.cluster.secure:

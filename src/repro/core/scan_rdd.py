@@ -152,8 +152,9 @@ class HBaseTableScanRDD(RDD):
                     ctx: "TaskContext", span=None) -> Iterator[Result]:
         """Scan one clipped range, surviving crashes and filter failures.
 
-        Exactly-once resumption: ``resume`` tracks the successor of the last
-        row key *yielded*, so when the serving region server crashes mid-scan
+        Exactly-once resumption: ``resume`` is the successor of the last row
+        key *received* (worked out when a failure needs it, not per row), so
+        when the serving region server crashes mid-scan
         (or meta goes stale) the generator backs off per the connection's
         retry policy, re-locates the region -- by then the master has
         reassigned it and WAL replay restored unflushed cells -- and re-issues
@@ -178,14 +179,18 @@ class HBaseTableScanRDD(RDD):
                 scan.filter = None
             if caching is not None:
                 scan.set_caching(caching)
+            result = None
             try:
-                for result in table.scan_region(location, scan, ctx.ledger):
-                    if client_filter is not None and not client_filter.filter_row(
-                            result.row, result.cells):
+                try:
+                    for result in table.scan_region(location, scan, ctx.ledger):
+                        if client_filter is None or client_filter.filter_row(
+                                result.row, result.cells):
+                            yield result
+                finally:
+                    # however this attempt ended, the next one starts after
+                    # the last row it received (kept or filtered out)
+                    if result is not None:
                         resume = result.row + b"\x00"
-                        continue
-                    yield result
-                    resume = result.row + b"\x00"
             except FilterEvalError:
                 # graceful degradation: rerun the scan without the pushed
                 # filter and evaluate the predicate as a client-side residual

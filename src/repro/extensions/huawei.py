@@ -250,12 +250,11 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
                 input_columns.append(attr.name)
 
         ranges = (
-            RangeBuilder(self.catalog, self.coder,
+            RangeBuilder(self.codec,
                          self.prune_all_dimensions).ranges_for_filters(filters)
             if self.pruning_enabled else list(FULL_SCAN)
         )
-        compiled = PushdownCompiler(self.catalog, self.coder,
-                                    self.field_coders).compile(filters)
+        compiled = PushdownCompiler(self.codec).compile(filters)
         from repro.core.relation import _filter_columns
 
         filter_columns = (

@@ -22,9 +22,10 @@ class CellType(enum.IntEnum):
     DELETE_FAMILY = 14   # delete a whole column family for the row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """One immutable HBase cell."""
+    """One immutable HBase cell (slotted: a loaded cluster holds hundreds of
+    thousands, and a ``__dict__`` apiece is most of their footprint)."""
 
     row: bytes
     family: str
@@ -50,7 +51,12 @@ class Cell:
         return self.cell_type != CellType.PUT
 
     def shadows(self, other: "Cell") -> bool:
-        """True when this delete marker hides ``other`` from readers."""
+        """True when this delete marker hides ``other`` from readers.
+
+        The rule, pair by pair; a scan applies it by position instead
+        (``region._visible_rows``): in KeyValue order a marker precedes
+        everything it hides.
+        """
         if not self.is_delete() or self.row != other.row or self.family != other.family:
             return False
         if self.cell_type == CellType.DELETE_FAMILY:

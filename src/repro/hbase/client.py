@@ -232,9 +232,6 @@ class Result:
     def is_empty(self) -> bool:
         return not self.cells
 
-    def size_bytes(self) -> int:
-        return sum(c.heap_size() for c in self.cells)
-
     def __repr__(self) -> str:
         return f"Result({self.row!r}, {len(self.cells)} cells)"
 
@@ -487,11 +484,9 @@ class Table:
             location.region_name, get.row, get.columns, get.families,
             get.time_range, get.max_versions, ledger, get.filter,
         )
-        payload = sum(c.heap_size() for __, cells in [hit] for c in cells) if hit else 0
+        row, cells, payload = hit if hit is not None else (get.row, [], 0)
         self._charge_rpc(ledger, location.host, payload)
-        if hit is None:
-            return Result(get.row, [])
-        return Result(hit[0], hit[1])
+        return Result(row, cells)
 
     @_retries
     def bulk_get(self, gets: Sequence[Get], ledger: Optional[CostLedger] = None) -> List[Result]:
@@ -513,9 +508,9 @@ class Table:
                     location.region_name, get.row, get.columns, get.families,
                     get.time_range, get.max_versions, ledger, get.filter,
                 )
-                result = Result(get.row, hit[1] if hit else [])
-                payload += result.size_bytes()
-                results[get.row] = result
+                __, cells, nbytes = hit if hit is not None else (get.row, [], 0)
+                results[get.row] = Result(get.row, cells)
+                payload += nbytes
             # a single multi-get RPC per server carries the whole batch
             self._charge_rpc(ledger, group[0][1].host, payload)
         return [results[g.row] for g in gets]
@@ -598,7 +593,7 @@ class Table:
             if scan.filter is not None:
                 self._fault(FAULT_FILTER, location.region_name, ledger)
         server = self.cluster.region_servers[location.server_id]
-        rows = server.scan(
+        rows, row_bytes = server.scan(
             location.region_name,
             start_row=scan.start_row,
             stop_row=scan.stop_row,
@@ -611,14 +606,14 @@ class Table:
         )
         results = [Result(row, cells) for row, cells in rows]
         if faults is None:
-            payload = sum(r.size_bytes() for r in results)
             rpcs = max(1, -(-len(results) // scan.caching))  # ceil division
-            self._charge_rpc(ledger, location.host, payload, rpcs=rpcs)
+            self._charge_rpc(ledger, location.host, sum(row_bytes), rpcs=rpcs)
             return results
-        return self._stream_scan_pages(location, scan, results, ledger)
+        return self._stream_scan_pages(location, scan, results, row_bytes,
+                                       ledger)
 
     def _stream_scan_pages(self, location: RegionLocation, scan: Scan,
-                           results: List[Result],
+                           results: List[Result], row_bytes: List[int],
                            ledger: CostLedger) -> Iterable[Result]:
         """Yield scan results one scanner-caching page per simulated RPC.
 
@@ -627,14 +622,11 @@ class Table:
         the stream after some rows were already delivered -- exactly the
         mid-scan failure a resumable scan has to survive.
         """
-        pages = [results[i:i + scan.caching]
-                 for i in range(0, len(results), scan.caching)]
-        if not pages:  # empty scans still cost one RPC round trip
-            pages = [[]]
-        for page in pages:
+        # an empty scan still costs one RPC round trip
+        for start in range(0, max(1, len(results)), scan.caching):
+            stop = start + scan.caching
             self._fault(FAULT_SCAN_STREAM, location.region_name, ledger,
                         server_id=location.server_id)
-            payload = sum(r.size_bytes() for r in page)
-            self._charge_rpc(ledger, location.host, payload, rpcs=1)
-            for result in page:
-                yield result
+            self._charge_rpc(ledger, location.host,
+                             sum(row_bytes[start:stop]), rpcs=1)
+            yield from results[start:stop]

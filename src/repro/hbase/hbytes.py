@@ -30,6 +30,26 @@ BYTE_MIN = -(2**7)
 BYTE_MAX = 2**7 - 1
 
 
+def _unpacker(fmt: str, type_name: str):
+    """``decode(data)`` for one fixed-width value, its ``struct`` bound once.
+
+    ``Struct.unpack`` itself enforces the width, so the check costs nothing
+    on well-formed input; a wrong width is still a :class:`CoderError`.
+    """
+    packed = struct.Struct(fmt)
+    unpack, width = packed.unpack, packed.size
+
+    def decode(data: bytes):
+        try:
+            return unpack(data)[0]
+        except struct.error:
+            raise CoderError(
+                f"{type_name} decoder expects {width} bytes, got {len(data)}"
+            ) from None
+
+    return decode
+
+
 class Bytes:
     """Java-style primitive <-> byte-array conversions (HBase ``Bytes``)."""
 
@@ -76,39 +96,19 @@ class Bytes:
         _check_width(data, 1, "boolean")
         return data != b"\x00"
 
-    @staticmethod
-    def to_byte(data: bytes) -> int:
-        _check_width(data, 1, "tinyint")
-        return struct.unpack(">b", data)[0]
-
-    @staticmethod
-    def to_short(data: bytes) -> int:
-        _check_width(data, 2, "smallint")
-        return struct.unpack(">h", data)[0]
-
-    @staticmethod
-    def to_int(data: bytes) -> int:
-        _check_width(data, 4, "int")
-        return struct.unpack(">i", data)[0]
-
-    @staticmethod
-    def to_long(data: bytes) -> int:
-        _check_width(data, 8, "bigint")
-        return struct.unpack(">q", data)[0]
-
-    @staticmethod
-    def to_float(data: bytes) -> float:
-        _check_width(data, 4, "float")
-        return struct.unpack(">f", data)[0]
-
-    @staticmethod
-    def to_double(data: bytes) -> float:
-        _check_width(data, 8, "double")
-        return struct.unpack(">d", data)[0]
+    to_byte = staticmethod(_unpacker(">b", "tinyint"))
+    to_short = staticmethod(_unpacker(">h", "smallint"))
+    to_int = staticmethod(_unpacker(">i", "int"))
+    to_long = staticmethod(_unpacker(">q", "bigint"))
+    to_float = staticmethod(_unpacker(">f", "float"))
+    to_double = staticmethod(_unpacker(">d", "double"))
 
     @staticmethod
     def to_string(data: bytes) -> str:
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CoderError(f"string decoder expects UTF-8: {exc}") from None
 
 
 class OrderedBytes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.hbase.cell import Cell
 
@@ -42,7 +42,11 @@ class BloomFilter:
 
 
 class StoreFile:
-    """An immutable, sorted run of cells plus its index structures."""
+    """An immutable, sorted run of cells plus its index structures.
+
+    Cells with equal :meth:`Cell.sort_key` keep the order they were handed
+    over in, so whoever builds a file lists the newer write first.
+    """
 
     _next_id = 0
 
@@ -51,10 +55,16 @@ class StoreFile:
         self._rows: List[bytes] = [c.row for c in self._cells]
         self._block_cells = block_cells
         self._block_index: List[bytes] = self._rows[::block_cells] if self._rows else []
-        self.size_bytes = sum(c.heap_size() for c in self._cells)
-        distinct_rows = len(set(self._rows))
-        self._bloom = BloomFilter(max(1, distinct_rows))
-        for row in set(self._rows):
+        #: bytes per block, summed once: the file never changes, and every
+        #: scan is charged by the block
+        self._block_bytes: List[int] = [
+            sum(c.heap_size() for c in self._cells[i:i + block_cells])
+            for i in range(0, len(self._cells), block_cells)
+        ]
+        self.size_bytes = sum(self._block_bytes)
+        distinct_rows = set(self._rows)
+        self._bloom = BloomFilter(max(1, len(distinct_rows)))
+        for row in distinct_rows:
             self._bloom.add(row)
         StoreFile._next_id += 1
         self.file_id = StoreFile._next_id
@@ -85,17 +95,17 @@ class StoreFile:
         """
         return list(self._block_index)
 
-    def seek_index(self, start_row: bytes) -> int:
-        """Index of the first cell whose row is >= ``start_row`` (block seek)."""
-        return bisect.bisect_left(self._rows, start_row)
+    def _cell_span(self, start_row: bytes, stop_row: Optional[bytes]) -> Tuple[int, int]:
+        """Cell indexes ``[lo, hi)`` holding ``start_row <= row < stop_row``."""
+        lo = bisect.bisect_left(self._rows, start_row) if start_row else 0
+        hi = len(self._rows) if stop_row is None \
+            else bisect.bisect_left(self._rows, stop_row, lo)
+        return lo, hi
 
-    def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> Iterator[Cell]:
-        """Yield cells with ``start_row <= row < stop_row`` in KeyValue order."""
-        idx = self.seek_index(start_row) if start_row else 0
-        for cell in self._cells[idx:]:
-            if stop_row is not None and cell.row >= stop_row:
-                break
-            yield cell
+    def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> List[Cell]:
+        """The cells with ``start_row <= row < stop_row``, in KeyValue order."""
+        lo, hi = self._cell_span(start_row, stop_row)
+        return self._cells[lo:hi]
 
     def scanned_bytes(self, start_row: bytes = b"", stop_row: bytes | None = None) -> int:
         """Bytes a scan over the given range touches (block-granular)."""
@@ -103,7 +113,7 @@ class StoreFile:
 
     def blocks_for_range(
         self, start_row: bytes = b"", stop_row: bytes | None = None
-    ) -> List[tuple]:
+    ) -> List[Tuple[int, int]]:
         """The ``(block_index, nbytes)`` pairs a scan of the range reads.
 
         HBase reads whole blocks, so the range is rounded out to block
@@ -112,17 +122,11 @@ class StoreFile:
         this (immutable) file, which is what lets the region-server block
         cache key on ``(file_id, block_index)``.
         """
-        lo = self.seek_index(start_row) if start_row else 0
-        hi = bisect.bisect_left(self._rows, stop_row) if stop_row is not None else len(self._cells)
+        lo, hi = self._cell_span(start_row, stop_row)
         if lo >= hi:
             return []
         bc = self._block_cells
         first_block = lo // bc
         last_block = (hi + bc - 1) // bc  # exclusive
-        blocks: List[tuple] = []
-        for block_idx in range(first_block, last_block):
-            start = block_idx * bc
-            stop = min(len(self._cells), start + bc)
-            nbytes = sum(c.heap_size() for c in self._cells[start:stop])
-            blocks.append((block_idx, nbytes))
-        return blocks
+        return list(enumerate(self._block_bytes[first_block:last_block],
+                              first_block))

@@ -8,7 +8,7 @@ file in one pass.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.hbase.cell import Cell
 
@@ -17,8 +17,11 @@ class MemStore:
     """A sorted, size-tracked buffer of cells."""
 
     def __init__(self) -> None:
-        # entries are (sort_key, insertion_seq, cell); the sequence number
-        # breaks ties so identical coordinates never compare Cell objects
+        # entries are (sort_key, -insertion_seq, cell): the sequence number
+        # makes every entry distinct, so sorting never compares Cell objects,
+        # and its sign lists the later of two writes to the same coordinates
+        # and timestamp first -- the newest write wins, as in HBase, where
+        # the later mutation carries the higher sequence id
         self._entries: List[Tuple[tuple, int, Cell]] = []
         self._seq = 0
         self._size_bytes = 0
@@ -26,7 +29,7 @@ class MemStore:
     def add(self, cell: Cell) -> None:
         """Insert one cell keeping KeyValue order."""
         self._seq += 1
-        bisect.insort(self._entries, (cell.sort_key(), self._seq, cell))
+        bisect.insort(self._entries, (cell.sort_key(), -self._seq, cell))
         self._size_bytes += cell.heap_size()
 
     def add_all(self, cells: List[Cell]) -> None:
@@ -35,21 +38,22 @@ class MemStore:
             return
         for cell in cells:
             self._seq += 1
-            self._entries.append((cell.sort_key(), self._seq, cell))
-        self._entries.sort(key=lambda e: (e[0], e[1]))
+            self._entries.append((cell.sort_key(), -self._seq, cell))
+        self._entries.sort()
         self._size_bytes += sum(c.heap_size() for c in cells)
 
-    def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> Iterator[Cell]:
-        """Yield cells with ``start_row <= row < stop_row`` in KeyValue order."""
+    def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> List[Cell]:
+        """The cells with ``start_row <= row < stop_row``, in KeyValue order."""
+        # ((row,),) sorts before every entry of ``row``: a 1-tuple is less
+        # than any longer sort key it prefixes
         lo = bisect.bisect_left(self._entries, ((start_row,),)) if start_row else 0
-        for __, __seq, cell in self._entries[lo:]:
-            if stop_row is not None and cell.row >= stop_row:
-                break
-            yield cell
+        hi = len(self._entries) if stop_row is None \
+            else bisect.bisect_left(self._entries, ((stop_row,),), lo)
+        return [cell for __, __seq, cell in self._entries[lo:hi]]
 
     def snapshot(self) -> List[Cell]:
         """The current contents, sorted, for flushing to a store file."""
-        return [cell for __, __seq, cell in self._entries]
+        return self.scan()
 
     def clear(self) -> None:
         self._entries.clear()

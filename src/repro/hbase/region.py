@@ -10,13 +10,14 @@ shadowed cells and tombstones.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import HBaseError
-from repro.hbase.cell import Cell
+from repro.hbase.cell import Cell, CellType
 from repro.hbase.hfile import StoreFile
 from repro.hbase.memstore import MemStore
 
@@ -61,19 +62,28 @@ class Store:
         """
         if len(self.files) <= 1 and not drop_deletes:
             return
-        merged = list(heapq.merge(*(f.scan() for f in self.files), key=Cell.sort_key))
+        merged = _merge_runs([f.scan() for f in reversed(self.files)])
         if drop_deletes:
-            merged = _drop_shadowed(merged)
+            merged = [
+                cell
+                for __, cells in _visible_rows(merged, None, None, sys.maxsize)
+                for cell in cells
+            ]
         self.files = [StoreFile(merged)] if merged else []
 
     def size_bytes(self) -> int:
         return self.memstore.size_bytes + sum(f.size_bytes for f in self.files)
 
-    def scan(self, start_row: bytes, stop_row: Optional[bytes]) -> Iterator[Cell]:
+    def runs(self, start_row: bytes, stop_row: Optional[bytes]) -> List[List[Cell]]:
+        """The sorted runs holding cells of the row range, newest source
+        first: the memstore, then the files from youngest to oldest."""
+        runs = [self.memstore.scan(start_row, stop_row)]
+        runs.extend(f.scan(start_row, stop_row) for f in reversed(self.files))
+        return [run for run in runs if run]
+
+    def scan(self, start_row: bytes, stop_row: Optional[bytes]) -> List[Cell]:
         """Merged view over memstore + files for the row range."""
-        sources = [self.memstore.scan(start_row, stop_row)]
-        sources.extend(f.scan(start_row, stop_row) for f in self.files)
-        return heapq.merge(*sources, key=Cell.sort_key)
+        return _merge_runs(self.runs(start_row, stop_row))
 
     def scanned_bytes(self, start_row: bytes, stop_row: Optional[bytes]) -> int:
         """I/O bytes a scan of the range touches in this store."""
@@ -161,14 +171,14 @@ class Region:
         return written
 
     def compact(self, major: bool = False) -> None:
-        before = {
-            id(f) for store in self.stores.values() for f in store.files
-        }
+        # by file_id, not id(): a merged-away file's address can be handed
+        # to the next store's new file, which would then pass for an old one
+        before = self.store_file_ids()
         for store in self.stores.values():
             store.compact(drop_deletes=major)
         self.last_new_files = [
             f for store in self.stores.values() for f in store.files
-            if id(f) not in before
+            if f.file_id not in before
         ]
 
     def size_bytes(self) -> int:
@@ -192,15 +202,13 @@ class Region:
         """
         lo, hi = self.clamp(start_row, stop_row)
         if hi is not None and lo >= hi:
-            return
-        chosen = self._chosen_families(families, columns)
-        merged = heapq.merge(
-            *(self.stores[f].scan(lo, hi) for f in chosen), key=Cell.sort_key
-        )
-        for row, group in itertools.groupby(merged, key=lambda c: c.row):
-            visible = _visible_cells(list(group), columns, time_range, max_versions)
-            if visible:
-                yield row, visible
+            return iter(())
+        runs = [
+            run
+            for family in self._chosen_families(families, columns)
+            for run in self.stores[family].runs(lo, hi)
+        ]
+        return _visible_rows(_merge_runs(runs), columns, time_range, max_versions)
 
     def io_bytes_for_range(
         self,
@@ -339,46 +347,92 @@ class Region:
         return f"Region({self.name}, [{self.start_row!r}, {self.end_row!r}))"
 
 
-def _visible_cells(
-    cells: List[Cell],
+def _merge_runs(runs: List[List[Cell]]) -> List[Cell]:
+    """One KeyValue-ordered list out of sorted runs.
+
+    Cells with equal sort keys -- one column rewritten at one timestamp --
+    come out in run order, which is why callers list the newest source
+    first.  A single run is already the answer; several are concatenated
+    and sorted, which for a stable merge sort over presorted runs is the
+    merge, ties included.
+    """
+    if len(runs) == 1:
+        return runs[0]
+    merged = list(itertools.chain.from_iterable(runs))
+    merged.sort(key=Cell.sort_key)
+    return merged
+
+
+def _visible_rows(
+    cells: Sequence[Cell],
     columns: Optional[Set[Tuple[str, str]]],
     time_range: Optional[TimeRange],
     max_versions: int,
-) -> List[Cell]:
-    """Resolve deletes/versions/column selection for one row's raw cells."""
-    deletes = [c for c in cells if c.is_delete()]
-    result: List[Cell] = []
-    versions_seen: Dict[Tuple[str, str], int] = {}
-    for cell in cells:  # already in KeyValue order: newest versions first
-        if cell.is_delete():
-            continue
-        if columns is not None and (cell.family, cell.qualifier) not in columns:
-            continue
-        if any(d.shadows(cell) for d in deletes):
-            continue
-        # HBase applies the time range while scanning, then counts the
-        # newest max_versions among the *qualifying* versions
-        if time_range is not None and not time_range.contains(cell.timestamp):
-            continue
-        key = (cell.family, cell.qualifier)
-        seen = versions_seen.get(key, 0)
-        if seen >= max_versions:
-            continue
-        versions_seen[key] = seen + 1
-        result.append(cell)
-    return result
+) -> Iterator[Tuple[bytes, List[Cell]]]:
+    """Resolve deletes, versions, time range and column selection in one
+    pass over cells in KeyValue order; yields ``(row, visible cells)``.
 
-
-def _drop_shadowed(cells: List[Cell]) -> List[Cell]:
-    """Major-compaction cleanup: remove tombstones and the cells they hide."""
-    out: List[Cell] = []
-    for row, group in itertools.groupby(cells, key=lambda c: c.row):
-        row_cells = list(group)
-        deletes = [c for c in row_cells if c.is_delete()]
-        for cell in row_cells:
-            if cell.is_delete():
-                continue
-            if any(d.shadows(cell) for d in deletes):
-                continue
-            out.append(cell)
-    return out
+    The order does the work (it is HBase's ScanQueryMatcher's too).  A
+    tombstone sorts before every cell it shadows -- a family delete carries
+    the empty qualifier and so leads its family, a column or version delete
+    leads the versions of its column it covers -- so what is deleted is
+    known by the time a put arrives.  The versions of a column are adjacent,
+    newest first, so counting them needs no table; and of two puts to one
+    column at one timestamp the first is the later write, the second a
+    rewritten value nobody can see.  HBase applies the time range while
+    scanning and then keeps the newest ``max_versions`` of what qualified.
+    """
+    never = -math.inf
+    min_ts, max_ts = (time_range.min_ts, time_range.max_ts) \
+        if time_range is not None else (never, math.inf)
+    put = CellType.PUT
+    row = family = qualifier = None
+    # newest tombstone over the current family / column, the single versions
+    # deleted in it, and what the column has yielded so far
+    family_deleted = column_deleted = never
+    versions_deleted: Tuple[int, ...] = ()
+    wanted = True
+    kept, kept_ts = 0, None
+    visible: List[Cell] = []
+    for cell in cells:
+        if cell.row != row:
+            if visible:
+                yield row, visible
+                visible = []
+            row = cell.row
+            family = None
+        if cell.family != family:
+            family = cell.family
+            family_deleted = never
+            qualifier = None
+        if cell.qualifier != qualifier:
+            qualifier = cell.qualifier
+            column_deleted = never
+            versions_deleted = ()
+            wanted = columns is None or (family, qualifier) in columns
+            kept, kept_ts = 0, None
+        timestamp = cell.timestamp
+        kind = cell.cell_type
+        if kind != put:
+            if kind == CellType.DELETE_FAMILY:
+                family_deleted = max(family_deleted, timestamp)
+            elif kind == CellType.DELETE_COLUMN:
+                column_deleted = max(column_deleted, timestamp)
+            else:
+                versions_deleted += (timestamp,)
+            continue
+        if (
+            not wanted
+            or timestamp <= family_deleted
+            or timestamp <= column_deleted
+            or timestamp in versions_deleted
+            or not min_ts <= timestamp < max_ts
+            or timestamp == kept_ts
+            or kept >= max_versions
+        ):
+            continue
+        kept += 1
+        kept_ts = timestamp
+        visible.append(cell)
+    if visible:
+        yield row, visible

@@ -219,7 +219,7 @@ class RegionServer:
         time_range: Optional[TimeRange] = None,
         max_versions: int = 1,
         ledger: Optional[CostLedger] = None,
-    ) -> List[RowResult]:
+    ) -> Tuple[List[RowResult], List[int]]:
         """Execute a scan over one region, applying the server-side filter.
 
         The ledger is charged for every byte the range *touches* (HBase reads
@@ -227,6 +227,10 @@ class RegionServer:
         only surviving rows are returned, so the caller pays transfer and
         decode costs for matches only -- that asymmetry is the entire point of
         predicate pushdown.
+
+        Returns the rows and, beside them, the bytes each one carries: they
+        are sized once, here, for ``hbase.bytes_returned`` and for whatever
+        the client charges per RPC page.
         """
         region = self._read_region(region_name)
         ledger = ledger if ledger is not None else CostLedger()
@@ -258,6 +262,7 @@ class RegionServer:
                 )
 
         results: List[RowResult] = []
+        row_bytes: List[int] = []
         rows_visited = 0
         for row, cells in region.scan_rows(
             start_row, stop_row, families, columns, time_range, max_versions
@@ -267,11 +272,11 @@ class RegionServer:
                     row_filter, region_name, row, cells, ledger):
                 continue
             results.append((row, cells))
+            row_bytes.append(sum(map(Cell.heap_size, cells)))
         ledger.count("hbase.rows_visited", rows_visited)
         ledger.count("hbase.rows_returned", len(results))
-        returned = sum(c.heap_size() for __, cells in results for c in cells)
-        ledger.count("hbase.bytes_returned", returned)
-        return results
+        ledger.count("hbase.bytes_returned", sum(row_bytes))
+        return results, row_bytes
 
     def _filter_keeps(self, row_filter: Filter, region_name: str, row: bytes,
                       cells: List[Cell], ledger: CostLedger) -> bool:
@@ -372,9 +377,11 @@ class RegionServer:
         max_versions: int = 1,
         ledger: Optional[CostLedger] = None,
         row_filter: Optional[Filter] = None,
-    ) -> Optional[RowResult]:
-        """Point lookup.  Bloom filters skip store files that can't match;
-        a row the pushed-down ``row_filter`` rejects is a miss, as in a scan."""
+    ) -> Optional[Tuple[bytes, List[Cell], int]]:
+        """Point lookup: the row, its visible cells and the bytes they carry
+        (sized once, as in :meth:`scan`), or None.  Bloom filters skip store
+        files that can't match; a row the pushed-down ``row_filter`` rejects
+        is a miss, as in a scan."""
         region = self._read_region(region_name)
         ledger = ledger if ledger is not None else CostLedger()
         chosen = region._chosen_families(families, columns)
@@ -391,10 +398,10 @@ class RegionServer:
                 if row_filter is not None and not self._filter_keeps(
                         row_filter, region_name, row, cells, ledger):
                     return None
-                returned = sum(c.heap_size() for c in cells)
+                returned = sum(map(Cell.heap_size, cells))
                 ledger.count("hbase.bytes_returned", returned)
                 ledger.count("hbase.rows_returned", 1)
-                return got_row, cells
+                return got_row, cells, returned
         return None
 
     # -- atomic row operations ----------------------------------------------

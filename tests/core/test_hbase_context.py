@@ -114,6 +114,26 @@ def test_bulk_load_bypasses_wal_and_memstore(context):
         assert region.memstore_size() == 0
 
 
+def test_bulk_load_later_row_wins_a_rewritten_key(context):
+    """Same key, same timestamp, twice in one load: the later row reads
+    back, whether the two fell into one partition's file or into two."""
+    from repro.hbase.cell import Cell
+
+    cluster, session, ctx = context
+    data = [(b"a", 1), (b"a", 2), (b"z", 3), (b"z", 4)]
+
+    def to_cells(pair):
+        key, value = pair
+        return [Cell(key, "f", "q", 7, Bytes.from_int(value))]
+
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("kv")
+    for partitions in (1, 4):
+        ctx.bulk_load(ParallelCollectionRDD(data, partitions), "kv", to_cells)
+        assert [Bytes.to_int(r.get_value("f", "q")) for r in table.scan(Scan())] \
+            == [2, 4]
+
+
 def test_bulk_load_cheaper_than_puts(context):
     """Same rows, two ingestion paths: the HFile path skips WAL syncs."""
     from repro.hbase.cell import Cell

@@ -97,6 +97,30 @@ def row_formats(draw, key_shapes=("a:b:c",)):
     return catalog, schema, rows
 
 
+def decode_per_call(codec, columns, row_key, cells):
+    """The reference a bound decoder must equal: ``decode_rowkey`` and
+    ``coder.decode``, walking the catalog per call -- values and count."""
+    catalog = codec.catalog
+    newest = {}
+    for cell in cells:
+        newest.setdefault((cell.family, cell.qualifier), cell.value)
+    values, ncells = [], 0
+    if any(catalog.column(name).is_rowkey() for name in columns):
+        key_values = decode_rowkey(catalog, codec.coder, row_key)
+        ncells = len(key_values)
+    for name in columns:
+        column = catalog.column(name)
+        raw = newest.get((column.family, column.qualifier))
+        if column.is_rowkey():
+            values.append(key_values[name])
+        elif raw is None:
+            values.append(None)
+        else:
+            values.append(codec.field_coders[name].decode(raw, column.dtype))
+            ncells += 1
+    return tuple(values), ncells
+
+
 def check_codec_roundtrip(catalog_json, schema, rows):
     """Every row survives the codec both ways; returns the cells it counted."""
     catalog = HBaseTableCatalog.from_json(catalog_json)
@@ -104,6 +128,9 @@ def check_codec_roundtrip(catalog_json, schema, rows):
     names = schema.names
     encode, decode = codec.encoder(names), codec.decoder(names)
     nkeys = len(catalog.row_key)
+    # the whole row, the key alone, the data alone, and a reordered mix
+    projections = [names, names[:nkeys], names[nkeys:],
+                   names[:nkeys - 1:-1] + names[:1]]
     total_cells = 0
     for row in rows:
         key_values = {name: row[names.index(name)] for name in catalog.row_key}
@@ -118,6 +145,9 @@ def check_codec_roundtrip(catalog_json, schema, rows):
         # an older version of every cell, listed after it: the newest wins
         stale = [Cell(c.row, c.family, c.qualifier, 1, b"stale") for c in cells]
         assert decode(put.row, cells + stale) == (row, ncells)
+        for columns in projections:
+            assert codec.decoder(columns)(put.row, cells + stale) \
+                == decode_per_call(codec, columns, put.row, cells + stale)
         assert codec.decode_row(put.row, cells) == dict(zip(names, row))
         assert codec.encode_row(dict(zip(names, row))).to_cells(2) == cells
         total_cells += ncells
@@ -151,6 +181,51 @@ def test_codec_counts_are_what_the_connector_charges(case):
     assert {tuple(r.values)[:nkeys]: tuple(r.values) for r in scanned.rows} \
         == {row[:nkeys]: row for row in rows}
     assert scanned.metrics.get("shc.cells_decoded") == total_cells
+
+
+_MALFORMED = {
+    # coder: (an int cell, a string cell) no value encodes to
+    "PrimitiveType": (b"\x00\x00\x01", b"\xff\xfe"),
+    "Phoenix": (b"\x80\x00\x01", b"\xff\xfe"),
+    # an empty varint; union branch 1, a 2-byte string that is not UTF-8
+    "Avro": (b"", b"\x02\x04\xff\xfe"),
+}
+
+
+@pytest.mark.parametrize("coder", sorted(_MALFORMED))
+def test_malformed_bytes_are_coder_errors_naming_the_type(coder):
+    """What the per-call coders reject, the bound decoder rejects alike."""
+    width = {"length": 8} if coder == "Avro" else {}
+    catalog = HBaseTableCatalog.from_json(json.dumps({
+        "table": {"namespace": "default", "name": "t", "tableCoder": coder},
+        "rowkey": "a:c",
+        "columns": {
+            "a": {"cf": "rowkey", "col": "a", "type": "int", **width},
+            "c": {"cf": "rowkey", "col": "c", "type": "string"},
+            "i": {"cf": "f", "col": "i", "type": "int"},
+            "s": {"cf": "f", "col": "s", "type": "string"},
+            "r": {"cf": "f", "col": "r", "avro": '{"type": "string"}'},
+        },
+    }))
+    codec = RowCodec(catalog)
+    names = ["a", "c", "i", "s", "r"]
+    good = codec.encode_row(dict(zip(names, (7, "x", 1, "y", "z"))))
+    bad_int, bad_string = _MALFORMED[coder]
+    cases = [
+        # (row key, {qualifier: bytes swapped in}, what the error names)
+        (good.row, {"i": bad_int}, "int"),
+        (good.row, {"s": bad_string}, "string"),
+        (good.row, {"r": b"\x10ab"}, "Avro string"),   # 8 announced, 2 there
+        (good.row[:2], {}, "int"),                     # the key, cut short
+    ]
+    for row_key, swapped, named in cases:
+        cells = [Cell(c.row, c.family, c.qualifier, c.timestamp,
+                      swapped.get(c.qualifier, c.value))
+                 for c in good.to_cells(1)]
+        for decode in (codec.decoder(names),
+                       lambda key, cells: decode_per_call(codec, names, key, cells)):
+            with pytest.raises(CoderError, match=named):
+                decode(row_key, cells)
 
 
 def test_padding_to_declared_length():

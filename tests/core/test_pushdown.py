@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
+from repro.core.keys import RowCodec
 from repro.core.pushdown import MAX_PUSHED_IN_VALUES, PushdownCompiler
 from repro.hbase.cell import Cell
 from repro.hbase.filters import FilterList, SingleColumnValueFilter
@@ -25,7 +26,7 @@ def catalog(coder="PrimitiveType"):
 
 def compiler(coder="PrimitiveType"):
     cat = catalog(coder)
-    return PushdownCompiler(cat, get_coder(coder)), cat, get_coder(coder)
+    return PushdownCompiler(RowCodec(cat)), cat, get_coder(coder)
 
 
 def row_cells(cod, cat, **values):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
+from repro.core.keys import RowCodec
 from repro.core.ranges import (
     FULL_SCAN,
     RangeBuilder,
@@ -39,7 +40,7 @@ def catalog_composite(coder="PrimitiveType"):
 
 
 def builder(catalog, **kwargs):
-    return RangeBuilder(catalog, get_coder(catalog.table_coder), **kwargs)
+    return RangeBuilder(RowCodec(catalog), **kwargs)
 
 
 # -- ScanRange algebra -------------------------------------------------------

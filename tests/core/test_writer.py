@@ -53,6 +53,21 @@ def test_written_data_reads_back(linked):
     assert sorted(map(tuple, out)) == sorted(rows)
 
 
+def test_last_row_of_a_batch_wins_its_key(linked):
+    """One batch is one ``now_millis()``: two rows with one key land on the
+    same timestamp, and the later row must be the one that reads back --
+    before and after the memstore is flushed."""
+    cluster, session = linked
+    rows = [(1, "first", 1.0), (1, "second", 2.0), (2, "only", 3.0)]
+    session.create_dataframe(rows, SCHEMA).write \
+        .format(DEFAULT_FORMAT).options(options(cluster, "1")).save()
+    frame = session.read.format(DEFAULT_FORMAT).options(options(cluster)).load()
+    expected = [(1, "second", 2.0), (2, "only", 3.0)]
+    assert sorted(map(tuple, frame.collect())) == expected
+    cluster.flush_table("w")
+    assert sorted(map(tuple, frame.collect())) == expected
+
+
 def test_split_keys_balance_regions(linked):
     cluster, session = linked
     rows = [(i, "x", 0.0) for i in range(400)]

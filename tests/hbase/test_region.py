@@ -60,6 +60,29 @@ def test_newest_version_wins_across_files():
     assert len(cells) == 1  # max_versions defaults to 1
 
 
+def test_same_timestamp_rewrite_resolves_to_the_later_write():
+    """HBase gives the later mutation the higher sequence id and it wins;
+    the answer must not depend on where flushes and compactions fell."""
+    def visible(r):
+        (__, cells), = r.scan_rows(max_versions=10)
+        return [c.value for c in cells]
+
+    r = region()
+    put(r, b"a", b"A", ts=5)
+    put(r, b"a", b"B", ts=5)
+    assert visible(r) == [b"B"]              # both in the memstore
+    r.flush()
+    put(r, b"a", b"C", ts=5)
+    assert visible(r) == [b"C"]              # memstore over a file
+    r.flush()
+    assert visible(r) == [b"C"]              # young file over an old one
+    r.compact(major=False)
+    assert visible(r) == [b"C"]
+    r.compact(major=True)
+    assert visible(r) == [b"C"]
+    assert len(r.stores["f"].files[0]) == 1  # the rewritten values are gone
+
+
 def test_max_versions_returns_multiple():
     r = region()
     for ts in (1, 2, 3):
@@ -179,3 +202,16 @@ def test_contains_row():
     assert r.contains_row(b"b")
     assert r.contains_row(b"c")
     assert not r.contains_row(b"d")
+
+
+def test_compaction_reports_every_file_it_wrote():
+    """``last_new_files`` is what gets an HDFS placement; a new file must
+    not pass for an old one because it reuses a freed file's address."""
+    families = [f"f{i}" for i in range(8)]
+    r = region(families=families)
+    for __ in range(2):
+        for family in families:
+            put(r, b"a", family=family)
+        r.flush()
+    r.compact(major=True)
+    assert len(r.last_new_files) == len(families)

@@ -23,7 +23,7 @@ def loaded(hbase_cluster):
 def scan_once(cluster, location):
     server = cluster.region_servers[location.server_id]
     ledger = CostLedger()
-    results = server.scan(location.region_name, ledger=ledger)
+    results, __ = server.scan(location.region_name, ledger=ledger)
     return results, ledger
 
 

@@ -32,16 +32,13 @@ def build_moved_region():
     cluster.flush_table("t")
     master = cluster.active_master
     region_name = cluster.region_locations("t")[0].region_name
-    owner = master.assignments[region_name]
-    region = cluster.region_servers[owner].close_region(region_name)
     replica_hosts = {
-        h for store in region.stores.values() for f in store.files
-        for h in f.hdfs_file.replica_hosts
+        h for store in cluster.get_region(region_name).stores.values()
+        for f in store.files for h in f.hdfs_file.replica_hosts
     }
     target = next(s for s in cluster.region_servers.values()
                   if s.host not in replica_hosts)
-    target.open_region(region)
-    master.assignments[region_name] = target.server_id
+    master.move_region(region_name, target.server_id)
     return cluster, target, region_name
 
 

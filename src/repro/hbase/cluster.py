@@ -166,8 +166,8 @@ class HBaseCluster:
         Creates a :class:`~repro.hbase.cdc.CDCStream` (idempotent: repeated
         calls return the same stream, keeping existing subscriptions) and
         keeps it pumped from :meth:`run_maintenance`.  Until this is called
-        no WAL tail is ever polled and every cost path is byte-identical to
-        the seed.
+        no WAL has a reader and every cost path is byte-identical to the
+        seed.
         """
         from repro.hbase.cdc import CDCStream
 
@@ -176,7 +176,10 @@ class HBaseCluster:
         return self.cdc
 
     def disable_cdc(self) -> None:
-        """Drop every subscription and detach the CDC stream."""
+        """Drop every subscription (so none pins a log) and the stream."""
+        if self.cdc is not None:
+            for name in self.cdc.subscription_names():
+                self.cdc.unsubscribe(name)
         self.cdc = None
 
     def disable_region_replication(self) -> None:
@@ -303,6 +306,11 @@ class HBaseCluster:
             self.replication.pump()
         if self.cdc is not None:
             self.cdc.pump()
+        # last, after the pumps have read what they will.  A log lets go of
+        # what is flushed and behind every attached reader; a replica is not
+        # attached, but all it ever applies is its region's unflushed tail
+        for server in self.region_servers.values():
+            server.wal.truncate()
         return {"splits": splits, "moves": moves}
 
     def kill_region_server(self, server_id: str) -> List[str]:

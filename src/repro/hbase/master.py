@@ -238,14 +238,13 @@ class HMaster:
             if owner != server_id:
                 continue
             dead.regions.pop(region_name, None)
-            if replication is not None:
-                new_owner = replication.promote(region_name, dead.wal)
-                if new_owner is not None:
-                    self.assignments[region_name] = new_owner
-                    moved.append(region_name)
-                    continue
-            region = self.cluster.get_region(region_name)
-            self._assign(region, replay_wal=dead.wal)
+            new_owner = None if replication is None \
+                else replication.promote(region_name, dead.wal)
+            if new_owner is None:
+                self._assign(self.cluster.get_region(region_name),
+                             replay_wal=dead.wal)
+            else:
+                self.assignments[region_name] = new_owner
             moved.append(region_name)
         if replication is not None:
             replication.drop_server_replicas(server_id)
@@ -265,18 +264,28 @@ class HMaster:
             idlest = min(live, key=lambda s: len(s.regions))
             if len(busiest.regions) - len(idlest.regions) <= 1:
                 return moves
-            region_name = next(iter(busiest.regions))
-            region = busiest.close_region(region_name)
-            idlest.open_region(region)
-            self.assignments[region_name] = idlest.server_id
+            self.move_region(next(iter(busiest.regions)), idlest.server_id)
             moves += 1
-            self._save_state()
+
+    def move_region(self, region_name: str, server_id: str) -> None:
+        """Move a live region: flush, close, open on ``server_id``, reassign
+        (the hand-over rule, docs/fault_tolerance.md)."""
+        self._require_active()
+        owner = self.cluster.region_servers[self.assignments[region_name]]
+        target = self.cluster.region_servers[server_id]
+        if not target.alive:
+            raise HBaseError(f"cannot move {region_name} to dead server {server_id}")
+        target.open_region(owner.release_region(region_name))
+        self.assignments[region_name] = server_id
+        if self.cluster.replication is not None:
+            self.cluster.replication.primary_moved(region_name, target.wal)
+        self._save_state()
 
     def merge_regions(self, left_name: str, right_name: str) -> str:
         """Merge two adjacent regions into one (HBase ``merge_region``).
 
-        Both regions' memstores are flushed first; the merged region adopts
-        every store file (a follow-up major compaction collapses them).
+        Both regions are released (flushed, then closed) first; the merged
+        region adopts every store file (a major compaction collapses them).
         """
         self._require_active()
         left_owner = self.assignments.get(left_name)
@@ -295,8 +304,10 @@ class HMaster:
             raise HBaseError(
                 f"regions {left_name} and {right_name} are not adjacent"
             )
-        self.cluster.region_servers[left_owner].flush_region(left_name)
-        self.cluster.region_servers[right_owner].flush_region(right_name)
+        for name, owner in ((left_name, left_owner), (right_name, right_owner)):
+            self.cluster.region_servers[owner].release_region(name)
+            del self.assignments[name]
+            self.cluster.unregister_region(name)
 
         merged = Region(left.table_name, list(left.stores), left.start_row,
                         right.end_row, flush_threshold=left.flush_threshold,
@@ -306,10 +317,6 @@ class HMaster:
                 list(left.stores[family].files)
                 + list(right.stores[family].files)
             )
-        for name, owner in ((left_name, left_owner), (right_name, right_owner)):
-            self.cluster.region_servers[owner].close_region(name)
-            del self.assignments[name]
-            self.cluster.unregister_region(name)
         self.cluster.register_region(merged)
         self._assign(merged)
         self._save_state()
@@ -328,6 +335,7 @@ class HMaster:
         daughters = region.split(self.cluster.next_region_id)
         if daughters is None:
             return None
+        # no flush: the daughters' files hold the parent's memstore and tail
         server.close_region(region_name)
         del self.assignments[region_name]
         self.cluster.unregister_region(region_name)

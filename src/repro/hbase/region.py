@@ -97,8 +97,8 @@ class Region:
 
     ``region_id`` comes from the owning cluster's counter
     (``HBaseCluster.next_region_id``), never from process-wide state: the
-    region name keys retry jitter, the fault schedule and CDC cursors, so
-    it must be a function of that cluster's own history.
+    region name keys retry jitter, the fault schedule and the logs' flush
+    watermarks, so it must be a function of that cluster's own history.
     """
 
     def __init__(
@@ -118,7 +118,6 @@ class Region:
         self.name = f"{table_name},{start_row.hex()},{self.region_id}"
         self.stores: Dict[str, Store] = {f: Store(f) for f in families}
         self.flush_threshold = flush_threshold
-        self.max_flushed_seq = 0
         #: store files created by the last flush/compaction (for placement)
         self.last_new_files: list = []
 

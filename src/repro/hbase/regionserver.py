@@ -61,30 +61,47 @@ class RegionServer:
 
     # -- region lifecycle -----------------------------------------------------
     def open_region(self, region: Region, replay_wal: Optional[WriteAheadLog] = None) -> None:
-        """Start serving a region, optionally replaying a dead server's WAL."""
+        """Start serving a region, optionally replaying a dead server's WAL.
+
+        Recovered edits are in no live server's log, so they are flushed
+        before the region serves; only then does the dead log let them go.
+        """
         self._check_alive()
-        if replay_wal is not None:
-            recovered = list(replay_wal.replay(region.name))
-            if recovered:
-                region.put_cells(recovered)
         self.regions[region.name] = region
+        recovered = list(replay_wal.replay(region.name)) if replay_wal else ()
+        if recovered:
+            region.put_cells(recovered)
+            self.flush_region(region.name)
+            replay_wal.mark_flushed(region.name, replay_wal.last_sequence_id())
 
     def close_region(self, region_name: str) -> Region:
         """Stop serving a region; drops its cached blocks and flush debts.
 
-        Every way a region leaves a server (balance move, split, merge,
-        table drop) funnels through here, so evicting the region's store
-        files from the block cache at this single point keeps the cache
-        free of blocks this server can no longer legitimately serve.
+        Every way a region leaves a server (move, split, merge, table drop)
+        funnels through here, so evicting the region's store files from the
+        block cache at this single point keeps the cache free of blocks this
+        server can no longer legitimately serve.  The log lets the region's
+        tail go too: its edits are flushed (:meth:`release_region`), in the
+        daughters' files (split), or dropped with the table.
         """
         self._check_alive()
         region = self.regions.pop(region_name, None)
         if region is None:
             raise RegionOfflineError(f"{region_name} not served by {self.server_id}")
         self._flush_debts.pop(region_name, None)
+        self.wal.mark_flushed(region_name, self.wal.last_sequence_id())
         if self.block_cache is not None:
             self.block_cache.invalidate_files(region.store_file_ids())
         return region
+
+    def release_region(self, region_name: str) -> Region:
+        """Give a live region away: flush what its memstore holds (billed
+        like ``flush_table``), then close -- it changes servers with nothing
+        unflushed (the hand-over rule, docs/fault_tolerance.md)."""
+        with self._write_lock:
+            if self._region(region_name).memstore_size():
+                self.flush_region(region_name)
+            return self.close_region(region_name)
 
     def crash(self) -> None:
         """Simulate process death: memstores and the block cache vanish."""
@@ -142,9 +159,9 @@ class RegionServer:
         with self._write_lock:
             region = self._region(region_name)
             batch = list(cells)
-            seq = self.wal.append(region_name, batch)
-            region.put_cells(batch)
             payload = sum(c.heap_size() for c in batch)
+            seq = self.wal.append(region_name, batch, region.table_name, payload)
+            region.put_cells(batch)
             ledger.charge(self.cost.wal_sync_cost_s, "hbase.wal_syncs")
             ledger.charge(payload / self.cost.write_bytes_per_sec,
                           "hbase.bytes_written", payload)
@@ -154,7 +171,6 @@ class RegionServer:
             if region.should_flush():
                 written = region.flush()
                 self._place_new_files(region)
-                region.max_flushed_seq = seq
                 self.wal.mark_flushed(region_name, seq)
                 self._bill_flush(region_name, written, ledger)
                 if (
@@ -172,8 +188,8 @@ class RegionServer:
         for contributor, contributed in debts.values():
             contributor.charge(contributed / self.cost.write_bytes_per_sec)
             billed += contributed
-        # memstore bytes with no live debtor (WAL replay, increments) fall
-        # to the put that triggered the flush, as they always did
+        # memstore bytes with no live debtor (increments) fall to the put
+        # that triggered the flush, as they always did
         if written > billed:
             trigger.charge((written - billed) / self.cost.write_bytes_per_sec)
         trigger.count("hbase.flushes")
@@ -184,7 +200,8 @@ class RegionServer:
             region.flush()
             self._flush_debts.pop(region_name, None)
             self._place_new_files(region)
-            self.wal.mark_flushed(region_name, self.wal.append(region_name, []))
+            self.wal.mark_flushed(
+                region_name, self.wal.append(region_name, [], region.table_name))
 
     def compact_region(self, region_name: str, major: bool = False) -> None:
         with self._write_lock:
@@ -429,7 +446,7 @@ class RegionServer:
             new_value = current + amount
             cell = Cell(row, family, qualifier, timestamp,
                         struct.pack(">q", new_value))
-            self.wal.append(region_name, [cell])
+            self.wal.append(region_name, [cell], region.table_name)
             region.put_cells([cell])
             ledger.charge(self.cost.wal_sync_cost_s, "hbase.wal_syncs")
             return new_value

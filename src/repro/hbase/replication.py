@@ -132,12 +132,10 @@ class ReplicationManager:
         clone = Region(source.table_name, list(source.stores),
                        source.start_row, source.end_row,
                        source.flush_threshold, region_id=source.region_id)
-        wal = self._primary_wal(region_name)
-        flushed = wal.flushed_sequence_id(region_name) if wal else 0
         replica = RegionReplica(
             replica_id=len(self._replicas.get(region_name, [])) + 1,
             server_id=target.server_id, host=target.host,
-            region=clone, applied_seq=flushed,
+            region=clone, applied_seq=0,    # the first sync ships the tail
         )
         target.replica_regions[region_name] = clone
         self._sync_replica(region_name, replica)
@@ -194,19 +192,16 @@ class ReplicationManager:
         if wal is None or source is None:
             return 0
         cost = self.cluster.cost
-        pending = wal.entries_since(region_name, replica.applied_seq)
-        flushed = wal.flushed_sequence_id(region_name)
-        to_ship = [e for e in pending if e.sequence_id > flushed]
+        to_ship = wal.entries_since(region_name, max(
+            replica.applied_seq, wal.flushed_sequence_id(region_name)))
         if to_ship:
-            nbytes = sum(c.heap_size() for e in to_ship for c in e.cells)
+            nbytes = sum(e.nbytes for e in to_ship)
             self.ledger.charge(cost.rpc_latency_s, "hbase.replica.ship_batches")
             self.ledger.charge(nbytes / cost.replication_bytes_per_sec,
                                "hbase.replica.shipped_bytes", nbytes)
         replica.applied_seq = wal.last_sequence_id()
-        tail = [c for e in wal.entries_since(region_name, flushed)
-                for c in e.cells]
-        self._refresh_copy(replica.region, source, tail)
-        return len(pending)
+        self._refresh_copy(replica.region, source, list(wal.replay(region_name)))
+        return len(to_ship)
 
     @staticmethod
     def _refresh_copy(copy: Region, source: Region, tail) -> None:
@@ -229,8 +224,8 @@ class ReplicationManager:
         if wal is None:
             return 0.0
         pending = wal.entries_since(region_name, replica.applied_seq)
-        nbytes = sum(c.heap_size() for e in pending for c in e.cells)
-        return nbytes / self.cluster.cost.replication_bytes_per_sec
+        return (sum(e.nbytes for e in pending)
+                / self.cluster.cost.replication_bytes_per_sec)
 
     # -- replica-aware read routing ----------------------------------------
     def read_candidates(
@@ -291,11 +286,11 @@ class ReplicationManager:
 
         Every surviving replica first catches up from the dead server's WAL
         (billed as ``hbase.replica.catchup_bytes``); the lowest-server-id
-        one becomes the new primary, re-logging the recovered unflushed tail
-        through its own WAL -- the log-splitting step -- so a later flush or
-        a second failure cannot lose it.  Returns the new owner's server id,
-        or None when no live replica exists (the caller falls back to cold
-        reassignment + WAL replay).
+        one's host then opens its copy like any recovered region -- the dead
+        log's tail replayed and flushed before it serves -- so a second
+        failure cannot lose the tail and no log holds it twice.  Returns the
+        new owner's server id, or None when no live replica exists (the
+        caller falls back to cold reassignment + WAL replay).
         """
         live = sorted(
             (r for r in self._replicas.get(region_name, [])
@@ -309,28 +304,28 @@ class ReplicationManager:
         for replica in live:
             pending = dead_wal.entries_since(
                 region_name, max(replica.applied_seq, flushed))
-            nbytes = sum(c.heap_size() for e in pending for c in e.cells)
+            nbytes = sum(e.nbytes for e in pending)
             if nbytes:
                 self.ledger.charge(nbytes / cost.replication_bytes_per_sec,
                                    "hbase.replica.catchup_bytes", nbytes)
         chosen, rest = live[0], live[1:]
-        old_region = self.cluster.get_region(region_name)
-        tail = list(dead_wal.replay(region_name))
         new_server = self.cluster.region_servers[chosen.server_id]
-        if tail:
-            new_seq = new_server.wal.append(region_name, tail)
-        else:
-            new_seq = new_server.wal.last_sequence_id()
-        for replica in live:
-            self._refresh_copy(replica.region, old_region, tail)
+        self._refresh_copy(chosen.region, self.cluster.get_region(region_name), ())
         new_server.replica_regions.pop(region_name, None)
-        new_server.regions[region_name] = chosen.region
+        new_server.open_region(chosen.region, replay_wal=dead_wal)
         self.cluster.register_region(chosen.region)
         self._replicas[region_name] = rest
         for replica in rest:
-            replica.applied_seq = new_seq
+            self._refresh_copy(replica.region, chosen.region, ())
+        self.primary_moved(region_name, new_server.wal)
         self.ledger.count("hbase.replica.promotions")
         return chosen.server_id
+
+    def primary_moved(self, region_name: str, wal: "WriteAheadLog") -> None:
+        """The region now logs to ``wal``, where none of it is unflushed yet
+        (a hand-over flushes): its replicas count from that log's end."""
+        for replica in self._replicas.get(region_name, ()):
+            replica.applied_seq = wal.last_sequence_id()
 
     def stats(self) -> Dict[str, int]:
         """Replica topology snapshot for tests and reports."""

@@ -19,9 +19,13 @@ from repro.sql.session import SparkSession
 # tier-1 is a deterministic budget: examples derive from each test's own
 # source instead of a fresh seed per run, and no example database carries
 # state from one run to the next.  The nightly hypothesis-explore job sets
-# HYPOTHESIS_PROFILE=explore to keep searching off the merge path.
-settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("explore", print_blob=True)
+# HYPOTHESIS_PROFILE=explore to keep searching off the merge path; a state
+# machine that leaves its step count to the profile runs ten times as long
+# there, so the nightly run is a search and not a replay.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          stateful_step_count=40)
+settings.register_profile("explore", print_blob=True,
+                          stateful_step_count=400)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 _ids = itertools.count(1)

@@ -46,6 +46,16 @@ def test_enable_cdc_is_idempotent_and_disable_detaches(hbase_cluster):
     assert hbase_cluster.cdc is None
 
 
+def test_disabled_stream_does_not_pin_any_log(cdc_cluster):
+    cluster, table = cdc_cluster
+    cluster.cdc.subscribe("s", ["t"], Collector())
+    put_rows(table, [b"a"])
+    cluster.flush_table("t")
+    cluster.disable_cdc()
+    cluster.run_maintenance()
+    assert [len(s.wal) for s in cluster.region_servers.values()] == [0, 0, 0]
+
+
 def test_baseline_excludes_pre_subscription_history(cdc_cluster):
     cluster, table = cdc_cluster
     put_rows(table, [b"before-1", b"before-2"])
@@ -153,20 +163,27 @@ def test_delivery_survives_a_region_split(clock):
 
 
 def test_split_parent_cursors_retired_after_drain(clock):
+    """Read-and-flushed history leaves the log: once the feed has shipped a
+    split parent's tail, nothing of the parent is kept anywhere."""
     cluster = HBaseCluster("cdcretire", ["h1", "h2"], clock=clock,
                            flush_threshold=2_000, region_max_bytes=6_000)
     cluster.create_table("t", ["f"])
     cluster.enable_cdc()
-    subscription = cluster.cdc.subscribe("s", ["t"], Collector())
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
     table = ConnectionFactory.create_connection(
         cluster.configuration()).get_table("t")
-    for i in range(400):
-        table.put(Put(b"row%04d" % i).add_column("f", "q", b"x" * 40))
-    [parent] = subscription.seen_regions["t"]
-    cluster.run_maintenance()   # split + pump drains the parent's tail
-    cluster.run_maintenance()   # second pass notices the drained region
-    assert parent not in subscription.seen_regions["t"]
-    assert all(region != parent for _, region in subscription.cursors)
+    [location] = cluster.region_locations("t")
+    wal = cluster.region_servers[location.server_id].wal
+    rows = [b"row%04d" % i for i in range(400)]
+    for row in rows:
+        table.put(Put(row).add_column("f", "q", b"x" * 40))
+    assert len(wal.entries_since(location.region_name, 0)) >= 400
+    report = cluster.run_maintenance()  # split, pump, truncate
+    assert report["splits"] >= 1
+    assert collector.rows == rows
+    assert wal.entries_since(location.region_name, 0) == []
+    assert sum(len(s.wal) for s in cluster.region_servers.values()) == 0
 
 
 def test_crash_recovery_does_not_double_deliver(cdc_cluster):
@@ -176,13 +193,81 @@ def test_crash_recovery_does_not_double_deliver(cdc_cluster):
     put_rows(table, [b"a", b"b"])
     [location] = cluster.region_locations("t")
     cluster.kill_region_server(location.server_id)
-    # recovery replayed the unflushed cells into the replacement region's
-    # memstore without re-logging them, so the WAL history is unchanged
     cluster.cdc.pump()
     assert collector.rows == [b"a", b"b"]
     put_rows(table, [b"c"])     # lands on the replacement server's WAL
     cluster.cdc.pump()
     assert collector.rows == [b"a", b"b", b"c"]
+
+
+def test_promotion_delivers_a_change_once(cdc_cluster):
+    """A promoted replica recovers the dead log's tail like any new owner --
+    flushed, not logged again -- so the feed sees each change in one log."""
+    cluster, table = cdc_cluster
+    cluster.enable_region_replication(replicas=1)
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    put_rows(table, [b"a"])
+    cluster.run_maintenance()
+    [location] = cluster.region_locations("t")
+    cluster.kill_region_server(location.server_id)
+    assert cluster.metrics.get("hbase.replica.promotions") == 1
+    cluster.run_maintenance()
+    put_rows(table, [b"b"])     # unflushed on the promoted primary
+    cluster.kill_region_server(cluster.region_locations("t")[0].server_id)
+    cluster.run_maintenance()
+    assert collector.rows == [b"a", b"b"]
+
+
+def test_log_is_bounded_by_one_round_of_writes(cdc_cluster):
+    cluster, table = cdc_cluster
+    cluster.cdc.subscribe("s", ["t"], Collector())
+    for i in range(50):
+        put_rows(table, [b"row-%d-%d" % (i, j) for j in range(5)])
+        cluster.flush_table("t")
+        in_flight = max(len(s.wal) for s in cluster.region_servers.values())
+        assert in_flight <= 6   # five puts and the flush marker
+        cluster.run_maintenance()
+        assert all(len(s.wal) == 0 for s in cluster.region_servers.values())
+
+
+def test_unpumped_subscriber_holds_its_tail_until_its_first_pump(clock):
+    cluster = HBaseCluster("cdchold", ["h1", "h2"], clock=clock,
+                           flush_threshold=2_000, region_max_bytes=6_000)
+    cluster.create_table("t", ["f"])
+    cluster.enable_cdc()
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    rows = [b"row%04d" % i for i in range(400)]
+    for row in rows:
+        table.put(Put(row).add_column("f", "q", b"x" * 40))
+    [location] = cluster.region_locations("t")
+    # flushes, a split and truncation, none of them with a pump in between
+    assert cluster.active_master.split_region(location.region_name)
+    cluster.flush_table("t")
+    for server in cluster.region_servers.values():
+        server.wal.truncate()
+    assert cluster.cdc.pending("s")[0] >= 400
+    cluster.cdc.pump()
+    assert collector.rows == rows
+
+
+def test_dead_servers_log_drains_once_it_is_read(cdc_cluster):
+    cluster, table = cdc_cluster
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    put_rows(table, [b"a", b"b"])
+    [location] = cluster.region_locations("t")
+    dead_wal = cluster.region_servers[location.server_id].wal
+    cluster.kill_region_server(location.server_id)
+    # recovered and flushed by the new owner, but the feed has not read it
+    assert list(dead_wal.replay(location.region_name)) == []
+    assert len(dead_wal) == 2
+    cluster.run_maintenance()
+    assert collector.rows == [b"a", b"b"]
+    assert len(dead_wal) == 0
 
 
 def test_multiple_subscriptions_track_independent_cursors(cdc_cluster):

@@ -147,9 +147,7 @@ def test_client_retries_after_region_move(hbase_cluster):
     owner = master.assignments[region_name]
     target = next(s for s in hbase_cluster.region_servers.values()
                   if s.server_id != owner)
-    region = hbase_cluster.region_servers[owner].close_region(region_name)
-    target.open_region(region)
-    master.assignments[region_name] = target.server_id
+    master.move_region(region_name, target.server_id)
     # the same Table object keeps working without manual invalidation
     assert table.get(Get(b"r1")).get_value("f", "q") == b"v"
     table.put(Put(b"r2").add_column("f", "q", b"w"))

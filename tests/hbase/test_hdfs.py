@@ -59,16 +59,13 @@ def moved_region(clock):
     cluster.flush_table("mv")
     master = cluster.active_master
     region_name = cluster.region_locations("mv")[0].region_name
-    owner = master.assignments[region_name]
-    region = cluster.region_servers[owner].close_region(region_name)
     replica_hosts = {
-        h for store in region.stores.values() for f in store.files
-        for h in f.hdfs_file.replica_hosts
+        h for store in cluster.get_region(region_name).stores.values()
+        for f in store.files for h in f.hdfs_file.replica_hosts
     }
     target = next(s for s in cluster.region_servers.values()
                   if s.host not in replica_hosts)
-    target.open_region(region)
-    master.assignments[region_name] = target.server_id
+    master.move_region(region_name, target.server_id)
     return cluster, target, region_name
 
 
@@ -131,11 +128,8 @@ def test_replication_means_nearby_hosts_stay_local(hbase_cluster):
         if s.host in replica_hosts and s.server_id != location.server_id
     ]
     assert candidates, "3-way replication should cover multiple hosts"
-    owner = cluster.region_servers[location.server_id]
-    moved = owner.close_region(location.region_name)
-    candidates[0].open_region(moved)
-    cluster.active_master.assignments[location.region_name] = \
-        candidates[0].server_id
+    cluster.active_master.move_region(location.region_name,
+                                      candidates[0].server_id)
     ledger = CostLedger()
     candidates[0].scan(location.region_name, ledger=ledger)
     assert ledger.metrics.get("hbase.remote_hdfs_bytes", 0) == 0

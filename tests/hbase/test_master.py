@@ -48,16 +48,52 @@ def test_balance_evens_out_regions(hbase_cluster):
     hbase_cluster.create_table("t", ["f"],
                                split_keys=[bytes([i]) for i in range(1, 9)])
     # unbalance on purpose: move everything to one server
-    target = next(iter(hbase_cluster.region_servers.values()))
-    for name, owner in list(master.assignments.items()):
-        if owner != target.server_id:
-            region = hbase_cluster.region_servers[owner].close_region(name)
-            target.open_region(region)
-            master.assignments[name] = target.server_id
+    target = next(iter(hbase_cluster.region_servers))
+    for name in list(master.assignments):
+        master.move_region(name, target)
     moves = master.balance()
     assert moves > 0
     counts = [len(s.regions) for s in hbase_cluster.region_servers.values()]
     assert max(counts) - min(counts) <= 1
+
+
+def test_balance_then_crash_keeps_unflushed_rows(hbase_cluster):
+    """A balance move flushes the region first, so its acknowledged edits
+    are not left in a log that the new owner's crash would never replay."""
+    from repro.hbase import ConnectionFactory, Get, Put
+
+    cluster = hbase_cluster
+    # the first server ends up with the two pads only; dropping them makes
+    # balance() move one written, unflushed region onto it
+    cluster.create_table("pad1", ["f"])
+    cluster.create_table("t", ["f"], split_keys=[b"m"])
+    cluster.create_table("pad2", ["f"])
+    cluster.create_table("u", ["f"], split_keys=[b"m"])
+    conn = ConnectionFactory.create_connection(cluster.configuration())
+    written = [(name, row) for name in ("t", "u") for row in (b"a", b"z")]
+    for name, row in written:
+        conn.get_table(name).put(Put(row).add_column("f", "q", b"v"))
+    cluster.drop_table("pad1")
+    cluster.drop_table("pad2")
+    before = dict(cluster.active_master.assignments)
+    assert cluster.run_maintenance()["moves"] == 1
+    after = cluster.active_master.assignments
+    [moved] = [name for name in after if after[name] != before[name]]
+    cluster.kill_region_server(after[moved])
+    fresh = ConnectionFactory.create_connection(cluster.configuration())
+    for name, row in written:
+        assert fresh.get_table(name).get(Get(row)).get_value("f", "q") == b"v"
+
+
+def test_move_region_to_a_dead_server_is_refused(hbase_cluster):
+    hbase_cluster.create_table("t", ["f"])
+    [location] = hbase_cluster.region_locations("t")
+    other = next(s for s in hbase_cluster.region_servers
+                 if s != location.server_id)
+    hbase_cluster.kill_region_server(other)
+    with pytest.raises(HBaseError):
+        hbase_cluster.active_master.move_region(location.region_name, other)
+    assert hbase_cluster.region_locations("t") == [location]
 
 
 def test_split_region_creates_daughters(hbase_cluster, clock):

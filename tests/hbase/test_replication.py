@@ -172,6 +172,33 @@ def test_promotion_catches_up_from_the_dead_wal(replicated):
     assert table.get(Get(b"c")).get_value("f", "q") == b"post"
 
 
+def test_replica_keeps_serving_a_row_across_a_move_of_its_primary(replicated):
+    cluster, table = replicated
+    replication = cluster.replication
+    table.put(Put(b"a").add_column("f", "q", b"v"))
+    cluster.run_maintenance()   # ships the unflushed tail
+    location = cluster.active_master.locate("t", b"a")
+    name = location.region_name
+    (replica,) = replication.replicas_for(name)
+    assert replica_values(replica, b"a") == [b"v"]
+    target = next(s for s in cluster.region_servers
+                  if s not in (location.server_id, replica.server_id))
+    cluster.active_master.move_region(name, target)
+    # the move flushed the row, and the replica counts from the new log
+    assert replication.lag_s(name, replica) == 0
+    cluster.run_maintenance()
+    assert replication.replicas_for(name) == [replica]
+    assert replica_values(replica, b"a") == [b"v"]
+    fresh = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    fresh.put(Put(b"b").add_column("f", "q", b"w"))
+    assert replication.lag_s(name, replica) > 0
+    before = cluster.metrics.get("hbase.replica.shipped_bytes")
+    cluster.run_maintenance()
+    assert cluster.metrics.get("hbase.replica.shipped_bytes") > before
+    assert replica_values(replica, b"b") == [b"w"]
+
+
 def test_maintenance_replaces_replicas_lost_with_their_server(replicated):
     cluster, _ = replicated
     replication = cluster.replication

@@ -97,20 +97,23 @@ def test_entries_since_ignores_flush_watermark():
 
 
 def test_entries_survive_region_split(clock):
-    """A split retires the parent region, but its WAL history stays
-    readable under the parent's name -- CDC consumers drain it after the
-    daughters are already serving."""
+    """A split retires the parent region, but what a reader has not read of
+    it stays in the log under the parent's name -- through the flushes, the
+    split and the truncation -- and is handed over whole; only then does
+    the log let it go."""
     cluster = HBaseCluster("walsplit", ["h1", "h2"], clock=clock,
                            flush_threshold=2_000, region_max_bytes=6_000)
     cluster.create_table("big", ["f"])
     [location] = cluster.region_locations("big")
     parent, server_id = location.region_name, location.server_id
+    wal = cluster.region_servers[server_id].wal
+    wal.attach("tailer")
     table = ConnectionFactory.create_connection(
         cluster.configuration()).get_table("big")
-    for i in range(400):
-        table.put(Put(b"row%04d" % i).add_column("f", "q", b"x" * 40))
+    rows = [b"row%04d" % i for i in range(400)]
+    for row in rows:
+        table.put(Put(row).add_column("f", "q", b"x" * 40))
 
-    wal = cluster.region_servers[server_id].wal
     before = wal.entries_since(parent, 0)
     assert before, "expected WAL history for the parent region"
 
@@ -119,7 +122,55 @@ def test_entries_survive_region_split(clock):
     daughters = [loc.region_name for loc in cluster.region_locations("big")]
     assert parent not in daughters and len(daughters) >= 2
 
-    after = wal.entries_since(parent, 0)
-    assert [e.sequence_id for e in after] == [e.sequence_id for e in before]
-    assert [c.row for e in after for c in e.cells] \
-        == [c.row for e in before for c in e.cells]
+    assert list(wal.replay(parent)) == []   # the daughters' files hold it
+    assert wal.entries_since(parent, 0) == before
+    handed = wal.read("tailer")
+    assert [c.row for e in handed if e.region_name == parent
+            for c in e.cells] == rows
+    wal.truncate()
+    assert wal.entries_since(parent, 0) == []
+
+
+# --- attached readers ---------------------------------------------------
+
+
+def test_reader_attaches_at_the_end_and_reads_each_entry_once():
+    wal = WriteAheadLog()
+    wal.append("r1", [cell(b"old")], "t")
+    wal.attach("reader")
+    assert wal.unread("reader") == [] and wal.read("reader") == []
+    wal.append("r1", [cell(b"a")], "t")
+    wal.append("r2", [cell(b"b")], "u")
+    assert wal.unread("reader") == wal.unread("reader")     # a peek
+    first = wal.read("reader")
+    assert [(e.table_name, e.region_name, e.cells[0].row) for e in first] \
+        == [("t", "r1", b"a"), ("u", "r2", b"b")]
+    assert all(e.nbytes == e.cells[0].heap_size() for e in first)
+    assert wal.read("reader") == []
+    wal.append("r1", [cell(b"c")], "t")
+    assert [e.cells[0].row for e in wal.read("reader")] == [b"c"]
+
+
+def test_truncate_keeps_what_is_unflushed_or_unread():
+    wal = WriteAheadLog()
+    wal.attach("slow")
+    wal.attach("fast")
+    s1 = wal.append("r1", [cell(b"a")])
+    wal.append("r2", [cell(b"b")])
+    wal.mark_flushed("r1", s1)
+    wal.read("fast")
+    wal.truncate()
+    assert len(wal) == 2            # "slow" has read neither
+    wal.read("slow")
+    wal.truncate()
+    assert [c.row for c in wal.replay("r2")] == [b"b"] and len(wal) == 1
+    s3 = wal.append("r1", [cell(b"c")])
+    wal.mark_flushed("r1", s3)
+    wal.detach("slow")
+    wal.detach("fast")              # nobody left to wait for
+    wal.truncate()
+    assert [e.region_name for e in wal.entries_since("r2", 0)] == ["r2"]
+    assert len(wal) == 1
+    # the tail after a gap is still found by sequence id
+    s4 = wal.append("r2", [cell(b"d")])
+    assert [e.sequence_id for e in wal.entries_since("r2", s3)] == [s4]

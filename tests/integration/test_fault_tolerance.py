@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.errors import FatalTaskError, HBaseError
 from repro.core.catalog import HBaseTableCatalog
+from repro.core.keys import RowCodec
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase import ConnectionFactory, Get, Put, Scan
 from repro.hbase.cluster import HBaseCluster
@@ -53,6 +54,22 @@ def test_unflushed_edits_survive_server_crash(linked):
     assert fresh.get(Get(b"durable")).get_value("f", "q") == b"yes"
 
 
+def test_unflushed_edits_survive_two_crashes(linked):
+    """The server that recovered an edit flushes it before serving, so its
+    own crash -- with servers to spare -- cannot lose it."""
+    cluster, session = linked
+    cluster.create_table("wal2", ["f"])
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("wal2")
+    table.put(Put(b"durable").add_column("f", "q", b"yes"))
+    for _ in range(2):
+        [location] = cluster.region_locations("wal2")
+        cluster.kill_region_server(location.server_id)
+        fresh = ConnectionFactory.create_connection(
+            cluster.configuration()).get_table("wal2")
+        assert fresh.get(Get(b"durable")).get_value("f", "q") == b"yes"
+
+
 def test_flushed_data_survives_without_wal(linked):
     cluster, session = linked
     cluster.create_table("flushed", ["f"])
@@ -75,11 +92,19 @@ def test_cascading_server_failures(linked):
     options = load(cluster, session)
     df = session.read.format(DEFAULT_FORMAT).options(options).load()
     assert df.count() == 60
+    # acknowledged but unflushed: every region takes edits after the load
+    codec = RowCodec(HBaseTableCatalog.from_json(CATALOG))
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("ft")
+    table.put([codec.encode_row({"k": k, "v": "late"}) for k in range(60)])
+    assert all(cluster.get_region(loc.region_name).memstore_size()
+               for loc in cluster.region_locations("ft"))
     servers = list(cluster.region_servers)
     for victim in servers[:-1]:
         cluster.kill_region_server(victim)
         df = session.read.format(DEFAULT_FORMAT).options(options).load()
-        assert df.count() == 60
+        assert [tuple(r.values) for r in df.collect()] \
+            == [(k, "late") for k in range(60)]
     survivors = [s for s in cluster.region_servers.values() if s.alive]
     assert len(survivors) == 1
     assert len(survivors[0].regions) == 3
@@ -177,9 +202,7 @@ def test_stale_meta_cache_after_region_move(linked):
     ))
     target = next(s for s in cluster.region_servers.values()
                   if s.server_id != owner)
-    region = cluster.region_servers[owner].close_region(region_name)
-    target.open_region(region)
-    master.assignments[region_name] = target.server_id
+    master.move_region(region_name, target.server_id)
 
     stale = {loc.region_name: loc.server_id
              for loc in conn.region_locations("movable")}

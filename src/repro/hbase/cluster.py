@@ -278,8 +278,11 @@ class HBaseCluster:
             self.region_servers[location.server_id].flush_region(location.region_name)
 
     def compact_table(self, table_name: str, major: bool = False) -> None:
+        """Compact every region; a major one enforces the table's version limit."""
+        keep = self.active_master.describe_table(table_name).max_versions
         for location in self.region_locations(table_name):
-            self.region_servers[location.server_id].compact_region(location.region_name, major)
+            self.region_servers[location.server_id].compact_region(
+                location.region_name, major, keep)
 
     def run_maintenance(self) -> Dict[str, int]:
         """Split outgrown regions and rebalance -- HBase's background chores.

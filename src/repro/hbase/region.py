@@ -22,6 +22,8 @@ from repro.hbase.hfile import StoreFile
 from repro.hbase.memstore import MemStore
 
 DEFAULT_FLUSH_THRESHOLD_BYTES = 256 * 1024
+#: a version limit that limits nothing
+ALL_VERSIONS = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,14 @@ class Store:
         self.memstore.clear()
         return store_file
 
-    def compact(self, drop_deletes: bool) -> None:
+    def compact(self, drop_deletes: bool, max_versions: int = ALL_VERSIONS) -> None:
         """Merge every store file into one.
 
-        Major compactions (``drop_deletes=True``) also discard tombstones and
-        the cells they shadow; minor compactions keep them so older files on
-        other stores still get masked correctly.
+        Major compactions (``drop_deletes=True``) also discard tombstones,
+        the cells they shadow and the versions of a column beyond the newest
+        ``max_versions`` (the family's limit: nobody can ask for more); minor
+        compactions keep them all so older files on other stores still get
+        masked correctly.
         """
         if len(self.files) <= 1 and not drop_deletes:
             return
@@ -66,7 +70,7 @@ class Store:
         if drop_deletes:
             merged = [
                 cell
-                for __, cells in _visible_rows(merged, None, None, sys.maxsize)
+                for __, cells in _visible_rows(merged, None, None, max_versions)
                 for cell in cells
             ]
         self.files = [StoreFile(merged)] if merged else []
@@ -169,12 +173,12 @@ class Region:
                 self.last_new_files.append(store_file)
         return written
 
-    def compact(self, major: bool = False) -> None:
+    def compact(self, major: bool = False, max_versions: int = ALL_VERSIONS) -> None:
         # by file_id, not id(): a merged-away file's address can be handed
         # to the next store's new file, which would then pass for an old one
         before = self.store_file_ids()
         for store in self.stores.values():
-            store.compact(drop_deletes=major)
+            store.compact(drop_deletes=major, max_versions=max_versions)
         self.last_new_files = [
             f for store in self.stores.values() for f in store.files
             if f.file_id not in before

@@ -23,7 +23,7 @@ from repro.common.metrics import CostLedger
 from repro.hbase.blockcache import BlockCache
 from repro.hbase.cell import Cell
 from repro.hbase.filters import Filter, PageFilter
-from repro.hbase.region import Region, TimeRange
+from repro.hbase.region import ALL_VERSIONS, Region, TimeRange
 from repro.hbase.wal import WriteAheadLog
 
 RowResult = Tuple[bytes, List[Cell]]
@@ -203,11 +203,12 @@ class RegionServer:
             self.wal.mark_flushed(
                 region_name, self.wal.append(region_name, [], region.table_name))
 
-    def compact_region(self, region_name: str, major: bool = False) -> None:
+    def compact_region(self, region_name: str, major: bool = False,
+                       max_versions: int = ALL_VERSIONS) -> None:
         with self._write_lock:
             region = self._region(region_name)
             before = region.store_file_ids()
-            region.compact(major=major)
+            region.compact(major, max_versions)
             # compactions write fresh files on THIS server's host, which is how
             # HBase re-localises a region after it has been moved
             self._place_new_files(region)

@@ -89,6 +89,23 @@ def test_timestamp_versions(table, clock):
     assert len(both.cells) == 2
 
 
+def test_major_compaction_enforces_the_tables_version_limit(hbase_cluster):
+    hbase_cluster.create_table("v", ["f"], max_versions=2)
+    table = ConnectionFactory.create_connection(
+        hbase_cluster.configuration()).get_table("v")
+    for ts in (100, 200, 300, 400):
+        table.put(Put(b"r").add_column("f", "q", b"v%d" % ts, timestamp=ts))
+        hbase_cluster.flush_table("v")
+    every = Get(b"r").set_max_versions(10)
+    assert len(table.get(every).cells) == 4
+    before = hbase_cluster.table_size_bytes("v")
+    hbase_cluster.compact_table("v", major=False)   # minor: nothing is dropped
+    assert len(table.get(every).cells) == 4
+    hbase_cluster.compact_table("v", major=True)
+    assert [c.value for c in table.get(every).cells] == [b"v400", b"v300"]
+    assert hbase_cluster.table_size_bytes("v") < before
+
+
 def test_unknown_table_fails_fast(hbase_cluster):
     conn = ConnectionFactory.create_connection(hbase_cluster.configuration())
     with pytest.raises(NoSuchTableError):

@@ -6,11 +6,18 @@ column families, and now and then draws a new *query* -- a row sub-range, a
 column subset, a version limit, a time range.  After every step both a full
 scan and the current query must agree with a trivially-correct in-memory
 model, so every query shape is checked before and after whatever flush or
-compaction follows it.
+compaction follows it.  The families' own version limit is drawn once per
+run: a major compaction enforces it, so a scan after one sees ``min(asked,
+limit)`` versions and a scan before it whatever was asked.
 """
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.hbase.cell import Cell, CellType
 from repro.hbase.region import Region, TimeRange
@@ -40,6 +47,11 @@ class RegionModel(RuleBasedStateMachine):
         self.versions_deleted = {}
         self.clock = 0
         self.query = dict(FULL_SCAN)
+        self.family_limit = ALL_VERSIONS
+
+    @initialize(limit=st.sampled_from([1, 2, 3, ALL_VERSIONS]))
+    def draw_family_limit(self, limit):
+        self.family_limit = limit
 
     def _tick(self) -> int:
         self.clock += 1
@@ -106,7 +118,16 @@ class RegionModel(RuleBasedStateMachine):
 
     @rule()
     def major_compact(self):
-        self.region.compact(major=True)
+        self.region.compact(major=True, max_versions=self.family_limit)
+        # what a full-history scan could still see beyond the limit is gone
+        for (row, *column), versions in self.puts.items():
+            deleted_through = self._deleted_through(row, tuple(column))
+            gone = self.versions_deleted.get((row, *column), ())
+            live = sorted((ts for ts in versions
+                           if ts > deleted_through and ts not in gone),
+                          reverse=True)
+            for ts in live[self.family_limit:]:
+                del versions[ts]
 
     # -- the query every later step is checked under ----------------------------
     @rule(bounds=st.tuples(_rows, st.none() | _rows),

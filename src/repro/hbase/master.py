@@ -238,8 +238,8 @@ class HMaster:
             if owner != server_id:
                 continue
             dead.regions.pop(region_name, None)
-            new_owner = None if replication is None \
-                else replication.promote(region_name, dead.wal)
+            new_owner = (replication.promote(region_name, dead.wal)
+                         if replication is not None else None)
             if new_owner is None:
                 self._assign(self.cluster.get_region(region_name),
                              replay_wal=dead.wal)

@@ -68,7 +68,7 @@ class RegionServer:
         """
         self._check_alive()
         self.regions[region.name] = region
-        recovered = list(replay_wal.replay(region.name)) if replay_wal else ()
+        recovered = [] if replay_wal is None else list(replay_wal.replay(region.name))
         if recovered:
             region.put_cells(recovered)
             self.flush_region(region.name)

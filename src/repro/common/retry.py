@@ -14,6 +14,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.errors import OperationTimeoutError, RetriesExhaustedError
+
 
 def stable_fraction(*parts: object) -> float:
     """A deterministic pseudo-random fraction in ``[0, 1)`` from ``parts``.
@@ -58,3 +60,36 @@ class RetryPolicy:
     def within_deadline(self, spent_s: float) -> bool:
         """Whether an operation that already spent ``spent_s`` may continue."""
         return self.deadline_s is None or spent_s < self.deadline_s
+
+    def before_retry(self, attempt: int, cause: Exception, ledger,
+                     started_s: float, key: object, op: str, table: str) -> None:
+        """The one retry step: failure number ``attempt`` of ``op`` either
+        ends the operation or is paid for.
+
+        Out of attempts raises :class:`RetriesExhaustedError`; a backoff that
+        would carry the operation past its deadline raises
+        :class:`OperationTimeoutError`.  The deadline caps everything since
+        ``started_s`` (the ledger's seconds when the operation began) plus
+        the admission-queue wait: queue + attempts + backoff together.
+        Otherwise the backoff is charged to ``ledger``, the retry counted
+        and, when tracing is on, recorded against the running attempt's span
+        (the scheduler parks it on the ledger).  ``key`` seeds the jitter;
+        each caller keeps its own so schedules replay.
+        """
+        if not self.allows_retry(attempt):
+            raise RetriesExhaustedError(
+                f"{op} on {table} failed after {attempt} attempts: {cause}"
+            ) from cause
+        backoff = self.backoff_s(attempt, key=key)
+        spent = ledger.seconds - started_s + ledger.queued_s
+        if not self.within_deadline(spent + backoff):
+            raise OperationTimeoutError(
+                f"{op} on {table} exceeded its {self.deadline_s:g}s operation "
+                f"deadline after {attempt} attempts: {cause}"
+            ) from cause
+        ledger.charge(backoff, "hbase.backoff_s", backoff)
+        ledger.count("hbase.retries")
+        span = getattr(ledger, "trace_span", None)
+        if span is not None and span.enabled:
+            span.event("hbase-retry", op=op, table=table, attempt=attempt,
+                       backoff_s=backoff)

@@ -25,9 +25,11 @@ DEFAULT_CLOSE_DELAY_S = 600.0  # the paper's 10-minute default
 
 
 def _cache_key(conf: Configuration) -> str:
-    """Cache key: cluster + client host (one JVM-local cache per executor)."""
-    host = conf.get(Configuration.CLIENT_HOST, "client")
-    return f"{conf.cluster_key()}|{host}"
+    """Cache key: the configuration -- the cluster, the client host (one
+    JVM-local cache per executor) and whatever retry knobs the connection
+    is built with, so a read never inherits another's deadline."""
+    conf.cluster_key()  # a configuration without a quorum names no cluster
+    return "|".join(f"{key}={conf[key]}" for key in sorted(conf))
 
 
 @dataclass

@@ -44,9 +44,20 @@ def build_partitions(
     locations: Sequence[RegionLocation],
     ranges: Sequence[ScanRange],
     fusion_enabled: bool = True,
+    candidates: Optional[Dict[str, List[RegionLocation]]] = None,
+    split_keys: Optional[Callable[[RegionLocation, bytes, Optional[bytes]],
+                                  List[bytes]]] = None,
+    estimate_bytes: Optional[Callable[[RegionLocation, ScanRange], int]] = None,
 ) -> List[HBaseScanPartition]:
-    """Prune regions against ranges and group the survivors into partitions."""
-    work_per_region: List[RegionWork] = []
+    """Prune regions against ranges, route the survivors' work to the
+    servers that will do it, and group it into partitions.
+
+    ``candidates`` maps a region name to the locations eligible to serve
+    it, primary first (``ReplicationManager.read_candidates``).  It is empty
+    when replica routing is off: every region is then read whole, where it
+    lives, and ``split_keys`` / ``estimate_bytes`` are never called.
+    """
+    works: List[RegionWork] = []
     for location in locations:
         clamped = []
         for scan_range in ranges:
@@ -55,82 +66,52 @@ def build_partitions(
                 if clipped is not None:
                     clamped.append(clipped)
         if clamped:  # regions with no overlapping range get no task at all
-            work_per_region.append(RegionWork(location, tuple(clamped)))
+            works.append(RegionWork(location, tuple(clamped)))
+    if candidates:
+        works = _spread(works, candidates, split_keys, estimate_bytes)
 
-    partitions: List[HBaseScanPartition] = []
     if fusion_enabled:
         by_server: Dict[str, List[RegionWork]] = {}
-        for work in work_per_region:
+        for work in works:
             by_server.setdefault(work.location.server_id, []).append(work)
-        for index, (server_id, works) in enumerate(sorted(by_server.items())):
-            partitions.append(
-                HBaseScanPartition(index, server_id, works[0].location.host,
-                                   tuple(works))
-            )
+        groups = [tuple(group) for __, group in sorted(by_server.items())]
     else:
         # one task per Scan/Get, the unfused baseline of section VI.A.4
-        index = 0
-        for work in work_per_region:
-            for scan_range in work.ranges:
-                partitions.append(
-                    HBaseScanPartition(
-                        index, work.location.server_id, work.location.host,
-                        (RegionWork(work.location, (scan_range,)),),
-                    )
-                )
-                index += 1
-    return partitions
+        groups = [(RegionWork(work.location, (scan_range,)),)
+                  for work in works for scan_range in work.ranges]
+    return [
+        HBaseScanPartition(index, group[0].location.server_id,
+                           group[0].location.host, group)
+        for index, group in enumerate(groups)
+    ]
 
 
-def build_replica_partitions(
-    locations: Sequence[RegionLocation],
-    ranges: Sequence[ScanRange],
-    candidates: Dict[str, List[RegionLocation]],
-    split_keys: Callable[[RegionLocation, bytes, Optional[bytes]], List[bytes]],
-    estimate_bytes: Callable[[RegionLocation, ScanRange], int],
-) -> Tuple[List[HBaseScanPartition], Dict[str, int]]:
-    """Replica-aware variant of :func:`build_partitions` (always fused).
+def _spread(works, candidates, split_keys, estimate_bytes) -> List[RegionWork]:
+    """Replica routing: hand each region's work to its candidate servers.
 
-    ``candidates`` maps each region name to the locations eligible to serve
-    it, primary first (see ``ReplicationManager.read_candidates``).  A region
-    with more than one candidate has its clamped ranges *split* at store-file
-    block boundaries (``split_keys``) into one piece per candidate, then the
-    pieces are spread greedily -- largest first onto the least-loaded
-    candidate server -- so a hot region's scan parallelises across its
-    replica hosts instead of serialising on the primary.  Regions with a
-    single candidate behave exactly like the fused baseline.
-
-    Returns ``(partitions, routing)`` where ``routing`` counts
-    ``replica_scans`` (pieces routed to a secondary) and ``split_regions``
-    (regions actually split).
+    A region with more than one candidate has its clamped ranges *split* at
+    store-file block boundaries (``split_keys``) into one piece per
+    candidate, and the pieces are spread greedily -- largest first onto the
+    least-loaded candidate server -- so a hot region's scan parallelises
+    across its replica hosts instead of serialising on the primary.  A
+    region with a single candidate stays whole and only weighs on its
+    server.
     """
-    routing = {"replica_scans": 0, "split_regions": 0}
     #: bytes of scan work assigned per server, across all regions
     load: Dict[str, int] = {}
-    assigned: List[RegionWork] = []
-
-    for location in locations:
-        clamped = []
-        for scan_range in ranges:
-            if scan_range.overlaps_region(location.start_row, location.end_row):
-                clipped = scan_range.clamp_to_region(location.start_row,
-                                                     location.end_row)
-                if clipped is not None:
-                    clamped.append(clipped)
-        if not clamped:
-            continue
+    spread: List[RegionWork] = []
+    for work in works:
+        location = work.location
         cands = candidates.get(location.region_name) or [location]
         for cand in cands:
             load.setdefault(cand.server_id, 0)
+        pieces = [(r, estimate_bytes(location, r)) for r in work.ranges]
         if len(cands) == 1:
-            assigned.append(RegionWork(location, tuple(clamped)))
-            load[location.server_id] += sum(
-                estimate_bytes(location, r) for r in clamped)
+            spread.append(work)
+            load[location.server_id] += sum(nbytes for __, nbytes in pieces)
             continue
-
-        # split the region's ranges into up to len(cands) block-aligned
-        # pieces: repeatedly halve the largest splittable piece
-        pieces = [(r, estimate_bytes(location, r)) for r in clamped]
+        # up to len(cands) block-aligned pieces: repeatedly halve the
+        # largest splittable one at the middle block start key inside it
         exhausted: set = set()
         while len(pieces) < len(cands):
             splittable = [p for p in pieces
@@ -147,24 +128,10 @@ def build_replica_partitions(
             pieces.remove((rng, nbytes))
             for part in (ScanRange(rng.start, mid), ScanRange(mid, rng.stop)):
                 pieces.append((part, estimate_bytes(location, part)))
-        if len(pieces) > len(clamped):
-            routing["split_regions"] += 1
-
         # greedy LPT: biggest piece onto the least-loaded candidate server
         for rng, nbytes in sorted(pieces, key=lambda p: (-p[1], p[0].start)):
             target = min(cands, key=lambda c: (load[c.server_id],
                                                c.replica_id, c.server_id))
             load[target.server_id] += nbytes
-            if target.replica_id:
-                routing["replica_scans"] += 1
-            assigned.append(RegionWork(target, (rng,)))
-
-    by_server: Dict[str, List[RegionWork]] = {}
-    for work in assigned:
-        by_server.setdefault(work.location.server_id, []).append(work)
-    partitions = [
-        HBaseScanPartition(index, server_id, works[0].location.host,
-                           tuple(works))
-        for index, (server_id, works) in enumerate(sorted(by_server.items()))
-    ]
-    return partitions, routing
+            spread.append(RegionWork(target, (rng,)))
+    return spread

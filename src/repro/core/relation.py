@@ -10,6 +10,7 @@ benchmarks can isolate its contribution.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import CatalogError, HBaseError
@@ -17,7 +18,7 @@ from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
 from repro.core.keys import RowCodec
-from repro.core.partitions import build_partitions, build_replica_partitions
+from repro.core.partitions import build_partitions
 from repro.core.pushdown import PushdownCompiler
 from repro.core.ranges import FULL_SCAN, RangeBuilder
 from repro.core.scan_rdd import HBaseTableScanRDD
@@ -176,14 +177,17 @@ class HBaseRelation(BaseRelation):
             if hbase_filter is not None:
                 filter_columns = _filter_columns(hbase_filter)
         locations = self.cluster.region_locations(self.catalog.qualified_name)
-        routing = None
-        replication = self.cluster.replication
-        if self.replica_read_enabled and replication is not None:
-            partitions, routing = self._build_replica_partitions(
-                replication, locations, ranges)
-        else:
-            partitions = build_partitions(locations, ranges,
-                                          self.fusion_enabled)
+        candidates, routing = self._read_candidates(locations)
+        partitions = build_partitions(
+            locations, ranges, self.fusion_enabled, candidates,
+            split_keys=self._split_keys, estimate_bytes=self._range_bytes)
+        if routing is not None:
+            served = [w.location for p in partitions for w in p.work]
+            routing["replica_scans"] = sum(1 for loc in served if loc.replica_id)
+            # a region is split when more than one server reads a piece of it
+            readers = {(loc.region_name, loc.server_id) for loc in served}
+            routing["split_regions"] = sum(
+                1 for n in Counter(name for name, __ in readers).values() if n > 1)
         rdd = HBaseTableScanRDD(self, required_columns, hbase_filter,
                                 partitions, filter_columns)
         #: table-wide region count before pruning, so EXPLAIN ANALYZE can
@@ -194,26 +198,26 @@ class HBaseRelation(BaseRelation):
         rdd.replica_routing = routing
         return rdd
 
-    def _build_replica_partitions(self, replication, locations, ranges):
-        """Route scan work across replica hosts (docs/replication.md)."""
+    def _read_candidates(self, locations):
+        """Who may serve each region's scans (docs/replication.md): the
+        candidate map for the partition builder -- empty, with no routing
+        record, unless ``hbase.read.replica`` is on *and* the cluster
+        replicates -- and what the staleness bound did to it."""
+        replication = self.cluster.replication
+        if not self.replica_read_enabled or replication is None:
+            return {}, None
         staleness = self.replica_staleness_s()
         candidates = {}
-        stale_excluded = 0
-        primary_fallbacks = 0
+        routing = {"stale_excluded": 0, "primary_fallbacks": 0}
         for location in locations:
             cands, excluded = replication.read_candidates(location, staleness)
             candidates[location.region_name] = cands
-            stale_excluded += excluded
+            routing["stale_excluded"] += excluded
             if excluded and len(cands) == 1:
                 # replicas exist but none qualified: this region's reads
                 # fell back to the primary
-                primary_fallbacks += 1
-        partitions, routing = build_replica_partitions(
-            locations, ranges, candidates,
-            split_keys=self._split_keys, estimate_bytes=self._range_bytes)
-        routing["stale_excluded"] = stale_excluded
-        routing["primary_fallbacks"] = primary_fallbacks
-        return partitions, routing
+                routing["primary_fallbacks"] += 1
+        return candidates, routing
 
     def _split_keys(self, location, lo: bytes, hi):
         """Store-file block start keys strictly inside ``(lo, hi)``."""

@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 from repro.common.errors import (
     FilterEvalError,
     RegionOfflineError,
-    RetriesExhaustedError,
     TransientRpcError,
 )
 from repro.core.catalog import ColumnDef
@@ -106,9 +105,9 @@ class HBaseTableScanRDD(RDD):
             for work in scan_partition.work:
                 for scan_range in work.ranges:
                     if scan_range.point:
-                        get = Get(scan_range.start)
-                        self._configure_get(get, hbase_columns, time_range, max_versions)
-                        gets.append(get)
+                        gets.append(self._configure(
+                            Get(scan_range.start), hbase_columns, time_range,
+                            max_versions))
                     else:
                         for result in self._scan_range(
                             table, connection, work.location, scan_range,
@@ -154,9 +153,11 @@ class HBaseTableScanRDD(RDD):
 
         Exactly-once resumption: ``resume`` is the successor of the last row
         key *received* (worked out when a failure needs it, not per row), so
-        when the serving region server crashes mid-scan
-        (or meta goes stale) the generator backs off per the connection's
-        retry policy, re-locates the region -- by then the master has
+        when the serving region server crashes mid-scan (or meta goes stale)
+        the generator takes the connection's retry step
+        (:meth:`RetryPolicy.before_retry`: attempts, backoff, and the
+        operation deadline, whose clock starts here, when the range's first
+        Scan is issued), re-locates the region -- by then the master has
         reassigned it and WAL replay restored unflushed cells -- and re-issues
         the scan from ``resume``: no row is lost or duplicated.  A pushed-down
         filter that fails server-side degrades gracefully: the scan is
@@ -166,15 +167,15 @@ class HBaseTableScanRDD(RDD):
         it always made.
         """
         relation = self.relation
-        policy = connection.retry_policy
         table_name = relation.catalog.qualified_name
         resume = scan_range.start
         stop = scan_range.stop
         client_filter: Optional[HFilter] = None
         failures = 0
+        started_s = ctx.ledger.seconds
         while True:
-            scan = Scan(resume, stop)
-            self._configure_scan(scan, columns, time_range, max_versions)
+            scan = self._configure(Scan(resume, stop), columns, time_range,
+                                   max_versions)
             if client_filter is not None:
                 scan.filter = None
             if caching is not None:
@@ -201,11 +202,7 @@ class HBaseTableScanRDD(RDD):
                 continue
             except (RegionOfflineError, TransientRpcError) as exc:
                 failures += 1
-                if not policy.allows_retry(failures):
-                    raise RetriesExhaustedError(
-                        f"scan of {table_name} gave up after {failures} "
-                        f"failures: {exc}"
-                    ) from exc
+                connection.invalidate_location_cache(table_name)
                 # warm failover (docs/replication.md): when the master has
                 # already promoted a replica, resume there immediately --
                 # the resume key is preserved, so no row repeats, and the
@@ -213,24 +210,19 @@ class HBaseTableScanRDD(RDD):
                 failover = relation.replica_failover_location(location, resume)
                 if failover is not None:
                     ctx.ledger.count("hbase.replica.failovers")
-                    ctx.ledger.count("shc.scan_resumes")
                     if span is not None and span.enabled:
                         span.event("replica-failover",
                                    region=location.region_name,
                                    server=failover.server_id,
                                    failures=failures)
-                    connection.invalidate_location_cache(table_name)
                     location = failover
-                    continue
-                backoff = policy.backoff_s(failures, key=location.region_name)
-                ctx.ledger.charge(backoff, "hbase.backoff_s", backoff)
-                ctx.ledger.count("hbase.retries")
+                else:
+                    connection.retry_policy.before_retry(
+                        failures, exc, ctx.ledger, started_s,
+                        key=location.region_name, op="scan_range",
+                        table=table_name)
+                    location = connection.locate(table_name, resume)
                 ctx.ledger.count("shc.scan_resumes")
-                if span is not None and span.enabled:
-                    span.event("scan-resume", region=location.region_name,
-                               failures=failures, backoff_s=backoff)
-                connection.invalidate_location_cache(table_name)
-                location = self._relocate(connection, table_name, resume)
                 continue
             # this region is exhausted; a range extending past its end (the
             # region split since the partition was planned) continues in the
@@ -239,19 +231,7 @@ class HBaseTableScanRDD(RDD):
             if not end or (stop is not None and end >= stop):
                 return
             resume = max(resume, end)
-            location = self._relocate(connection, table_name, resume)
-
-    @staticmethod
-    def _relocate(connection, table_name: str, row: bytes):
-        """Fresh meta lookup: the region currently serving ``row``."""
-        for location in connection.region_locations(table_name):
-            if row < location.start_row:
-                continue
-            if not location.end_row or row < location.end_row:
-                return location
-        raise RegionOfflineError(
-            f"no region of {table_name} covers row {row!r} after relocation"
-        )
+            location = connection.locate(table_name, resume)
 
     # -- request shaping ---------------------------------------------------------
     def _hbase_columns(self) -> Optional[Set[Tuple[str, str]]]:
@@ -269,24 +249,15 @@ class HBaseTableScanRDD(RDD):
             return fetched
         return None
 
-    def _configure_scan(self, scan: Scan, columns, time_range, max_versions) -> None:
+    def _configure(self, read, columns, time_range, max_versions):
+        """Shape a Get or a Scan: columns, pushed filter, time range, versions."""
         if columns is not None:
             for family, qualifier in columns:
-                scan.add_column(family, qualifier)
+                read.add_column(family, qualifier)
         if self.hbase_filter is not None:
-            scan.set_filter(self.hbase_filter)
+            read.set_filter(self.hbase_filter)
         if time_range is not None:
-            scan.set_time_range(time_range.min_ts, time_range.max_ts)
+            read.set_time_range(time_range.min_ts, time_range.max_ts)
         if max_versions != 1:
-            scan.set_max_versions(max_versions)
-
-    def _configure_get(self, get: Get, columns, time_range, max_versions) -> None:
-        if columns is not None:
-            for family, qualifier in columns:
-                get.add_column(family, qualifier)
-        if self.hbase_filter is not None:
-            get.set_filter(self.hbase_filter)
-        if time_range is not None:
-            get.set_time_range(time_range.min_ts, time_range.max_ts)
-        if max_versions != 1:
-            get.set_max_versions(max_versions)
+            read.set_max_versions(max_versions)
+        return read

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, TYPE_CHECKING,
+)
 
 import functools
 
 from repro.common.errors import (
     HBaseError,
-    OperationTimeoutError,
     RegionOfflineError,
-    RetriesExhaustedError,
     TransientRpcError,
 )
 from repro.common.faults import FAULT_FILTER, FAULT_RPC, FAULT_STALE_META, FAULT_SCAN_STREAM
@@ -35,6 +35,8 @@ from repro.hbase.security import UserGroupInformation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hbase.cluster import HBaseCluster
+
+_R = TypeVar("_R", bound="_Read")
 
 
 class Configuration(dict):
@@ -130,82 +132,61 @@ class Delete:
         return cells
 
 
-class Get:
+class _Read:
+    """What a Get and a Scan both say: which cells of a row to return."""
+
+    def __init__(self) -> None:
+        self.columns: Optional[Set[Tuple[str, str]]] = None
+        self.families: Optional[Set[str]] = None
+        self.filter: Optional[Filter] = None
+        self.time_range: Optional[TimeRange] = None
+        self.max_versions = 1
+
+    def add_column(self: _R, family: str, qualifier: str) -> _R:
+        if self.columns is None:
+            self.columns = set()
+        self.columns.add((family, qualifier))
+        return self
+
+    def add_family(self: _R, family: str) -> _R:
+        if self.families is None:
+            self.families = set()
+        self.families.add(family)
+        return self
+
+    def set_filter(self: _R, row_filter: Filter) -> _R:
+        self.filter = row_filter
+        return self
+
+    def set_time_range(self: _R, min_ts: int, max_ts: int) -> _R:
+        self.time_range = TimeRange(min_ts, max_ts)
+        return self
+
+    def set_max_versions(self: _R, n: int) -> _R:
+        self.max_versions = n
+        return self
+
+
+class Get(_Read):
     """A point read of one row, with optional server-side filter."""
 
     def __init__(self, row: bytes) -> None:
+        super().__init__()
         self.row = row
-        self.columns: Optional[Set[Tuple[str, str]]] = None
-        self.families: Optional[Set[str]] = None
-        self.filter: Optional[Filter] = None
-        self.time_range: Optional[TimeRange] = None
-        self.max_versions = 1
-
-    def add_column(self, family: str, qualifier: str) -> "Get":
-        if self.columns is None:
-            self.columns = set()
-        self.columns.add((family, qualifier))
-        return self
-
-    def add_family(self, family: str) -> "Get":
-        if self.families is None:
-            self.families = set()
-        self.families.add(family)
-        return self
-
-    def set_filter(self, row_filter: Filter) -> "Get":
-        self.filter = row_filter
-        return self
-
-    def set_time_range(self, min_ts: int, max_ts: int) -> "Get":
-        self.time_range = TimeRange(min_ts, max_ts)
-        return self
-
-    def set_max_versions(self, n: int) -> "Get":
-        self.max_versions = n
-        return self
 
 
-class Scan:
+class Scan(_Read):
     """A range read ``[start_row, stop_row)`` with optional server-side filter."""
 
     def __init__(self, start_row: bytes = b"", stop_row: Optional[bytes] = None) -> None:
+        super().__init__()
         self.start_row = start_row
         self.stop_row = stop_row
-        self.columns: Optional[Set[Tuple[str, str]]] = None
-        self.families: Optional[Set[str]] = None
-        self.filter: Optional[Filter] = None
-        self.time_range: Optional[TimeRange] = None
-        self.max_versions = 1
         #: rows fetched per RPC round trip (HBase scanner caching)
         self.caching = 1000
 
-    def add_column(self, family: str, qualifier: str) -> "Scan":
-        if self.columns is None:
-            self.columns = set()
-        self.columns.add((family, qualifier))
-        return self
-
-    def add_family(self, family: str) -> "Scan":
-        if self.families is None:
-            self.families = set()
-        self.families.add(family)
-        return self
-
-    def set_filter(self, row_filter: Filter) -> "Scan":
-        self.filter = row_filter
-        return self
-
-    def set_time_range(self, min_ts: int, max_ts: int) -> "Scan":
-        self.time_range = TimeRange(min_ts, max_ts)
-        return self
-
     def set_timestamp(self, timestamp: int) -> "Scan":
         self.time_range = TimeRange(timestamp, timestamp + 1)
-        return self
-
-    def set_max_versions(self, n: int) -> "Scan":
-        self.max_versions = n
         return self
 
     def set_caching(self, rows_per_rpc: int) -> "Scan":
@@ -285,6 +266,22 @@ class Connection:
                 self._location_cache[table_name] = cached
         return cached
 
+    def locate(self, table_name: str, row: bytes) -> RegionLocation:
+        """The cached location of the region holding ``row``.
+
+        A cached layout that no longer covers the row is stale: it is
+        dropped, and the caller's retry step relocates instead of failing.
+        """
+        for location in self.region_locations(table_name):
+            if row < location.start_row:
+                continue
+            if not location.end_row or row < location.end_row:
+                return location
+        self.invalidate_location_cache(table_name)
+        raise RegionOfflineError(
+            f"no region of {table_name} holds row {row!r} (stale meta?)"
+        )
+
     def invalidate_location_cache(self, table_name: Optional[str] = None) -> None:
         with self._meta_lock:
             if table_name is None:
@@ -319,11 +316,10 @@ def _retries(method):
     Mirrors HBase's retrying caller: NotServingRegion-style errors (a region
     that split, merged, balanced or failed over) invalidate the cached
     location so the retry relocates; transient RPC failures just back off.
-    Backoff follows the connection's :class:`~repro.common.retry.RetryPolicy`
-    and is charged as *simulated* seconds to the operation's cost ledger, so
-    recovery latency shows up in query time like any other work.  Exhausting
-    the policy raises :class:`RetriesExhaustedError`; exceeding the optional
-    per-operation deadline raises :class:`OperationTimeoutError`.
+    What a retry costs and when the operation gives up instead is the
+    connection's :meth:`RetryPolicy.before_retry
+    <repro.common.retry.RetryPolicy.before_retry>`; the operation's clock
+    starts at the call.
     """
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
@@ -348,30 +344,10 @@ def _retries(method):
                 if isinstance(exc, RegionOfflineError):
                     self.connection.invalidate_location_cache(self.name)
                 attempt += 1
-                if not policy.allows_retry(attempt):
-                    raise RetriesExhaustedError(
-                        f"{method.__name__} on {self.name} failed after "
-                        f"{attempt} attempts: {exc}"
-                    ) from exc
-                backoff = policy.backoff_s(attempt, key=(self.name, method.__name__))
-                # admission-queue wait counts against the operation deadline:
-                # the timeout caps queue wait + attempts + backoff together
-                spent = ledger.seconds - start_s + ledger.queued_s
-                if not policy.within_deadline(spent + backoff):
-                    raise OperationTimeoutError(
-                        f"{method.__name__} on {self.name} exceeded its "
-                        f"{policy.deadline_s:g}s operation deadline after "
-                        f"{attempt} attempts: {exc}"
-                    ) from exc
-                ledger.charge(backoff, "hbase.backoff_s", backoff)
-                ledger.count("hbase.retries")
-                # the scheduler parks the running attempt's span on the
-                # ledger when tracing is on; record the retry against it
-                span = getattr(ledger, "trace_span", None)
-                if span is not None and span.enabled:
-                    span.event("hbase-retry", op=method.__name__,
-                               table=self.name, attempt=attempt,
-                               backoff_s=backoff)
+                policy.before_retry(
+                    attempt, exc, ledger, start_s,
+                    key=(self.name, method.__name__),
+                    op=method.__name__, table=self.name)
 
     return wrapper
 
@@ -423,24 +399,50 @@ class Table:
 
     def _locate(self, row: bytes) -> RegionLocation:
         self._fault(FAULT_STALE_META, self.name)
-        for location in self.connection.region_locations(self.name):
-            if row < location.start_row:
-                continue
-            if not location.end_row or row < location.end_row:
-                return location
-        # stale meta: the cached layout no longer covers the row, so drop it
-        # and let the retry policy relocate instead of failing outright
-        self.connection.invalidate_location_cache(self.name)
-        raise RegionOfflineError(
-            f"no region of {self.name} holds row {row!r} (stale meta?)"
+        return self.connection.locate(self.name, row)
+
+    def _rpc(self, location: RegionLocation, ledger: CostLedger, call,
+             request_bytes: Optional[int] = None):
+        """The one way a data request leaves the client for a region server.
+
+        Authenticate, consult the ``hbase.rpc`` fault point, look the server
+        up, run ``call(server)`` on it.  A write states its
+        ``request_bytes`` and is billed before it is applied (a refused
+        write still crossed the wire); a read bills what came back once it
+        knows how many pages that took.  Reads hand the server
+        ``location.replica_id`` so that it answers for the copy the client
+        believes it is talking to, or refuses.
+        """
+        self._check_auth()
+        self._fault(FAULT_RPC, location.region_name, ledger,
+                    server_id=location.server_id)
+        server = self.cluster.region_servers[location.server_id]
+        if request_bytes is not None:
+            self._charge_rpc(ledger, location.host, request_bytes)
+        return call(server)
+
+    def _mutate(self, location: RegionLocation, cells: List[Cell],
+                ledger: CostLedger) -> None:
+        self._rpc(location, ledger,
+                  lambda server: server.put(location.region_name, cells, ledger),
+                  request_bytes=sum(c.heap_size() for c in cells))
+
+    @staticmethod
+    def _serve_get(server, location: RegionLocation, get: Get,
+                   ledger: CostLedger) -> Tuple[Result, int]:
+        """One Get on ``server``: the Result and the bytes it carries."""
+        hit = server.get(
+            location.region_name, get.row, get.columns, get.families,
+            get.time_range, get.max_versions, ledger, get.filter,
+            replica_id=location.replica_id,
         )
+        __, cells, nbytes = hit if hit is not None else (get.row, [], 0)
+        return Result(get.row, cells), nbytes
 
     # -- writes ------------------------------------------------------------------
     @_retries
     def put(self, puts: "Put | Iterable[Put]", ledger: Optional[CostLedger] = None) -> None:
         """Apply one or many Puts, batched per region server."""
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         batch = [puts] if isinstance(puts, Put) else list(puts)
         now_ms = self.cluster.clock.now_millis()
         by_region: Dict[str, List[Cell]] = {}
@@ -450,69 +452,43 @@ class Table:
             by_region.setdefault(location.region_name, []).extend(put.to_cells(now_ms))
             locations[location.region_name] = location
         for region_name, cells in by_region.items():
-            location = locations[region_name]
-            self._fault(FAULT_RPC, region_name, ledger,
-                        server_id=location.server_id)
-            server = self.cluster.region_servers[location.server_id]
-            payload = sum(c.heap_size() for c in cells)
-            self._charge_rpc(ledger, location.host, payload)
-            server.put(region_name, cells, ledger)
+            self._mutate(locations[region_name], cells, ledger)
 
     @_retries
     def delete(self, delete: Delete, ledger: Optional[CostLedger] = None) -> None:
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         descriptor = self.cluster.active_master.describe_table(self.name)
         cells = delete.to_cells(descriptor.families, self.cluster.clock.now_millis())
-        location = self._locate(delete.row)
-        self._fault(FAULT_RPC, location.region_name, ledger,
-                    server_id=location.server_id)
-        server = self.cluster.region_servers[location.server_id]
-        self._charge_rpc(ledger, location.host, sum(c.heap_size() for c in cells))
-        server.put(location.region_name, cells, ledger)
+        self._mutate(self._locate(delete.row), cells, ledger)
 
     # -- reads -------------------------------------------------------------------
     @_retries
     def get(self, get: Get, ledger: Optional[CostLedger] = None) -> Result:
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         location = self._locate(get.row)
-        self._fault(FAULT_RPC, location.region_name, ledger,
-                    server_id=location.server_id)
-        server = self.cluster.region_servers[location.server_id]
-        hit = server.get(
-            location.region_name, get.row, get.columns, get.families,
-            get.time_range, get.max_versions, ledger, get.filter,
-        )
-        row, cells, payload = hit if hit is not None else (get.row, [], 0)
+        result, payload = self._rpc(
+            location, ledger,
+            lambda server: self._serve_get(server, location, get, ledger))
         self._charge_rpc(ledger, location.host, payload)
-        return Result(row, cells)
+        return result
 
     @_retries
     def bulk_get(self, gets: Sequence[Get], ledger: Optional[CostLedger] = None) -> List[Result]:
         """Batched Gets grouped per region server -- HBase's multi-get."""
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         by_server: Dict[str, List[Tuple[Get, RegionLocation]]] = {}
         for get in gets:
             location = self._locate(get.row)
             by_server.setdefault(location.server_id, []).append((get, location))
         results: Dict[bytes, Result] = {}
-        for server_id, group in by_server.items():
-            self._fault(FAULT_RPC, group[0][1].region_name, ledger,
-                        server_id=server_id)
-            server = self.cluster.region_servers[server_id]
-            payload = 0
-            for get, location in group:
-                hit = server.get(
-                    location.region_name, get.row, get.columns, get.families,
-                    get.time_range, get.max_versions, ledger, get.filter,
-                )
-                __, cells, nbytes = hit if hit is not None else (get.row, [], 0)
-                results[get.row] = Result(get.row, cells)
-                payload += nbytes
+        for group in by_server.values():
+            first = group[0][1]
+            served = self._rpc(
+                first, ledger,
+                lambda server: [self._serve_get(server, location, get, ledger)
+                                for get, location in group])
+            for result, __ in served:
+                results[result.row] = result
             # a single multi-get RPC per server carries the whole batch
-            self._charge_rpc(ledger, group[0][1].host, payload)
+            self._charge_rpc(ledger, first.host,
+                             sum(nbytes for __, nbytes in served))
         return [results[g.row] for g in gets]
 
     @_retries
@@ -520,40 +496,31 @@ class Table:
                   amount: int = 1,
                   ledger: Optional[CostLedger] = None) -> int:
         """Atomic counter increment (HBase ``Table.incrementColumnValue``)."""
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         location = self._locate(row)
-        self._fault(FAULT_RPC, location.region_name, ledger,
-                    server_id=location.server_id)
-        server = self.cluster.region_servers[location.server_id]
-        self._charge_rpc(ledger, location.host, 16)
-        return server.increment(
-            location.region_name, row, family, qualifier, amount,
-            self.cluster.clock.now_millis(), ledger,
-        )
+        return self._rpc(
+            location, ledger,
+            lambda server: server.increment(
+                location.region_name, row, family, qualifier, amount,
+                self.cluster.clock.now_millis(), ledger),
+            request_bytes=16)
 
     @_retries
     def check_and_put(self, row: bytes, family: str, qualifier: str,
                       expected: Optional[bytes], put: "Put",
                       ledger: Optional[CostLedger] = None) -> bool:
         """Atomic compare-and-set (HBase ``Table.checkAndPut``)."""
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         location = self._locate(row)
-        server = self.cluster.region_servers[location.server_id]
         cells = put.to_cells(self.cluster.clock.now_millis())
-        self._charge_rpc(ledger, location.host,
-                         sum(c.heap_size() for c in cells))
-        return server.check_and_put(
-            location.region_name, row, family, qualifier, expected, cells,
-            ledger,
-        )
+        return self._rpc(
+            location, ledger,
+            lambda server: server.check_and_put(
+                location.region_name, row, family, qualifier, expected, cells,
+                ledger),
+            request_bytes=sum(c.heap_size() for c in cells))
 
     @_retries
     def scan(self, scan: Scan, ledger: Optional[CostLedger] = None) -> List[Result]:
         """Run a scan across every region overlapping the range."""
-        self._check_auth()
-        ledger = ledger if ledger is not None else CostLedger()
         results: List[Result] = []
         for location in self.connection.region_locations(self.name):
             if scan.stop_row is not None and location.start_row and location.start_row >= scan.stop_row:
@@ -574,7 +541,6 @@ class Table:
         pages -- the situation resumable scans exist for -- while the summed
         per-page charges equal the lump charge.
         """
-        self._check_auth()
         ledger = ledger if ledger is not None else CostLedger()
         if location.replica_id:
             # tag the read with its replica provenance: the counter feeds
@@ -585,27 +551,27 @@ class Table:
                 span.event("replica-read", region=location.region_name,
                            server=location.server_id,
                            replica_id=location.replica_id)
-        faults = self.cluster.faults
-        if faults is not None:
-            self._fault(FAULT_STALE_META, location.region_name, ledger)
-            self._fault(FAULT_RPC, location.region_name, ledger,
-                        server_id=location.server_id)
+        self._fault(FAULT_STALE_META, location.region_name, ledger)
+
+        def serve(server):
             if scan.filter is not None:
                 self._fault(FAULT_FILTER, location.region_name, ledger)
-        server = self.cluster.region_servers[location.server_id]
-        rows, row_bytes = server.scan(
-            location.region_name,
-            start_row=scan.start_row,
-            stop_row=scan.stop_row,
-            columns=scan.columns,
-            families=scan.families,
-            row_filter=scan.filter,
-            time_range=scan.time_range,
-            max_versions=scan.max_versions,
-            ledger=ledger,
-        )
+            return server.scan(
+                location.region_name,
+                start_row=scan.start_row,
+                stop_row=scan.stop_row,
+                columns=scan.columns,
+                families=scan.families,
+                row_filter=scan.filter,
+                time_range=scan.time_range,
+                max_versions=scan.max_versions,
+                ledger=ledger,
+                replica_id=location.replica_id,
+            )
+
+        rows, row_bytes = self._rpc(location, ledger, serve)
         results = [Result(row, cells) for row, cells in rows]
-        if faults is None:
+        if self.cluster.faults is None:
             rpcs = max(1, -(-len(results) // scan.caching))  # ceil division
             self._charge_rpc(ledger, location.host, sum(row_bytes), rpcs=rpcs)
             return results

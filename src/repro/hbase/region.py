@@ -227,36 +227,6 @@ class Region:
         chosen = self._chosen_families(families, columns)
         return sum(self.stores[f].scanned_bytes(lo, hi) for f in chosen)
 
-    def io_bytes_by_locality(
-        self,
-        host: str,
-        start_row: bytes = b"",
-        stop_row: Optional[bytes] = None,
-        families: Optional[Set[str]] = None,
-        columns: Optional[Set[Tuple[str, str]]] = None,
-    ) -> Tuple[int, int]:
-        """Split the range's I/O into (HDFS-local, HDFS-remote) bytes.
-
-        A store file without placement metadata counts as local; the
-        memstore always is.
-        """
-        lo, hi = self.clamp(start_row, stop_row)
-        if hi is not None and lo >= hi:
-            return 0, 0
-        local = 0
-        remote = 0
-        for family in self._chosen_families(families, columns):
-            store = self.stores[family]
-            for store_file in store.files:
-                nbytes = store_file.scanned_bytes(lo, hi)
-                placed = store_file.hdfs_file
-                if placed is None or placed.is_local_to(host):
-                    local += nbytes
-                else:
-                    remote += nbytes
-            local += sum(c.heap_size() for c in store.memstore.scan(lo, hi))
-        return local, remote
-
     def touched_blocks_by_file(
         self,
         host: str,
@@ -268,26 +238,25 @@ class Region:
         """Block-granular view of the I/O a range scan performs.
 
         Returns ``(files, memstore_bytes)`` where ``files`` lists, for every
-        store file the scan touches, the file itself, whether its HDFS
-        replica is local to ``host``, and its ``(block_index, nbytes)``
-        pairs.  Summing all block bytes plus ``memstore_bytes`` reproduces
-        :meth:`io_bytes_by_locality` exactly -- the block cache uses this
-        decomposition to charge hits and misses per block while keeping
-        cache-off totals byte-identical.
+        store file of the chosen families (one the range misses has no
+        blocks), the file itself, whether its HDFS replica is local to
+        ``host`` -- a file without placement metadata counts as local, the
+        memstore always is -- and its ``(block_index, nbytes)`` pairs.  All
+        block bytes plus ``memstore_bytes`` are what
+        :meth:`io_bytes_for_range` reports; the region server bills the
+        scan from this decomposition, block by block.
         """
+        # an empty clamp (lo >= hi) lists every file and no block of any
         lo, hi = self.clamp(start_row, stop_row)
-        if hi is not None and lo >= hi:
-            return [], 0
         files: List[Tuple[StoreFile, bool, List[tuple]]] = []
         memstore_bytes = 0
         for family in self._chosen_families(families, columns):
             store = self.stores[family]
             for store_file in store.files:
-                blocks = store_file.blocks_for_range(lo, hi)
-                if blocks:
-                    placed = store_file.hdfs_file
-                    is_local = placed is None or placed.is_local_to(host)
-                    files.append((store_file, is_local, blocks))
+                placed = store_file.hdfs_file
+                is_local = placed is None or placed.is_local_to(host)
+                files.append((store_file, is_local,
+                              store_file.blocks_for_range(lo, hi)))
             memstore_bytes += sum(c.heap_size() for c in store.memstore.scan(lo, hi))
         return files, memstore_bytes
 

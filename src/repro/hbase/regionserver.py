@@ -39,8 +39,8 @@ class RegionServer:
         self.wal = WriteAheadLog()
         self.regions: Dict[str, Region] = {}
         #: read-only secondary copies served by this server; populated only
-        #: by a cluster's ReplicationManager (docs/replication.md).  Writes
-        #: never land here -- only the read path falls through to these.
+        #: by a cluster's ReplicationManager (docs/replication.md).  Only a
+        #: read that names a secondary is answered from here (:meth:`_region`).
         self.replica_regions: Dict[str, Region] = {}
         self.alive = True
         #: (region_name) -> None callback fired when a region outgrows the
@@ -49,8 +49,8 @@ class RegionServer:
         self.region_max_bytes: Optional[int] = None
         #: the cluster's HDFS, set at wiring time; placement is skipped if None
         self.hdfs = None
-        #: optional LRU block cache fronting HFile reads; None (the default)
-        #: keeps the scan cost path byte-identical to the uncached simulation
+        #: optional LRU block cache fronting HFile reads; with None (the
+        #: default) every block a scan touches is a miss
         self.block_cache: Optional[BlockCache] = None
         #: serialises WAL append + memstore apply + flush decisions; parallel
         #: engine tasks write into the same regions concurrently
@@ -123,23 +123,20 @@ class RegionServer:
                 f"region server {self.server_id} is down"
             )
 
-    def _region(self, region_name: str) -> Region:
-        self._check_alive()
-        region = self.regions.get(region_name)
-        if region is None:
-            raise RegionOfflineError(f"{region_name} not served by {self.server_id}")
-        return region
+    def _region(self, region_name: str, replica_id: int = 0) -> Region:
+        """The copy of a region that answers a request, or region-offline.
 
-    def _read_region(self, region_name: str) -> Region:
-        """Like :meth:`_region` but read paths may serve a replica copy.
-
-        Write paths must keep using :meth:`_region`: a mutation routed at a
-        secondary has to fail region-offline so the client relocates to the
-        primary, exactly like real HBase's read-only replicas.
+        A request names the copy it believes it is talking to.  Replica 0 is
+        the primary: writes and strong reads are answered from
+        :attr:`regions` or refused, so that a client with stale meta
+        relocates instead of reading (or mutating) a secondary -- real
+        HBase's read-only replicas.  A timeline read (a positive id) takes
+        whichever copy this server holds; the primary, should it have
+        arrived here since the read was planned, is never the staler one.
         """
         self._check_alive()
         region = self.regions.get(region_name)
-        if region is None:
+        if region is None and replica_id:
             region = self.replica_regions.get(region_name)
         if region is None:
             raise RegionOfflineError(f"{region_name} not served by {self.server_id}")
@@ -237,6 +234,7 @@ class RegionServer:
         time_range: Optional[TimeRange] = None,
         max_versions: int = 1,
         ledger: Optional[CostLedger] = None,
+        replica_id: int = 0,
     ) -> Tuple[List[RowResult], List[int]]:
         """Execute a scan over one region, applying the server-side filter.
 
@@ -250,34 +248,12 @@ class RegionServer:
         are sized once, here, for ``hbase.bytes_returned`` and for whatever
         the client charges per RPC page.
         """
-        region = self._read_region(region_name)
+        region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
         if isinstance(row_filter, PageFilter):
             row_filter.reset()
-
-        if self.block_cache is not None:
-            self._charge_scan_cached(region, ledger, start_row, stop_row,
-                                     families, columns)
-        else:
-            local_bytes, remote_bytes = region.io_bytes_by_locality(
-                self.host, start_row, stop_row, families, columns
-            )
-            io_bytes = local_bytes + remote_bytes
-            touched_files = sum(
-                len(region.stores[f].files)
-                for f in region._chosen_families(families, columns)
-            )
-            ledger.charge(self.cost.seek_cost_s * max(1, touched_files), "hbase.seeks", max(1, touched_files))
-            ledger.charge(local_bytes / self.cost.scan_bytes_per_sec,
-                          "hbase.bytes_scanned", io_bytes)
-            if remote_bytes:
-                # short-circuit-read is gone: the remote datanode still reads
-                # the blocks off disk AND streams them over the network
-                ledger.charge(
-                    remote_bytes / self.cost.scan_bytes_per_sec
-                    + remote_bytes / self.cost.network_bytes_per_sec,
-                    "hbase.remote_hdfs_bytes", remote_bytes,
-                )
+        self._charge_scan_io(region, ledger, start_row, stop_row,
+                             families, columns)
 
         results: List[RowResult] = []
         row_bytes: List[int] = []
@@ -315,7 +291,7 @@ class RegionServer:
                 f"at row {row!r}: {exc}"
             ) from exc
 
-    def _charge_scan_cached(
+    def _charge_scan_io(
         self,
         region: Region,
         ledger: CostLedger,
@@ -324,51 +300,58 @@ class RegionServer:
         families: Optional[Set[str]],
         columns: Optional[Set[Tuple[str, str]]],
     ) -> None:
-        """Bill a range scan block-by-block through the block cache.
+        """Bill a range scan's I/O block by block.
 
-        Cached blocks cost a memory read (``blockcache_bytes_per_sec``);
-        missed blocks cost exactly what the uncached path charges for them
-        -- HDFS scan bandwidth, plus the network for remote replicas -- and
-        are admitted to the cache as they are read.  Memstore bytes are
-        always read directly (they live in this process's heap already) and
-        never enter the block cache.  Seeks are charged per store file that
-        needed at least one disk read; a fully cached file costs none.
+        A block found in the block cache costs a memory read
+        (``blockcache_bytes_per_sec``); any other block costs the HDFS read
+        -- scan bandwidth, plus the network when the file's replica is
+        remote -- and is admitted to the cache as it is read.  A server
+        without a block cache is the case where every block misses.
+        Memstore bytes are always read directly (they live in this process's
+        heap already) and never enter the cache.  Every store file of the
+        chosen families costs one seek -- the scanner opens it even to learn
+        that the range is not in it -- unless the cache held every block the
+        scan needed of it.
         """
         cache = self.block_cache
-        assert cache is not None
         files, memstore_bytes = region.touched_blocks_by_file(
             self.host, start_row, stop_row, families, columns
         )
-        hits = misses = evictions = miss_files = 0
+        hits = misses = evictions = seeks = 0
         hit_bytes = local_miss_bytes = remote_miss_bytes = 0
         for store_file, is_local, blocks in files:
-            file_missed = False
+            missed_bytes = 0
             for block_idx, nbytes in blocks:
-                outcome = cache.access(store_file.file_id, block_idx, nbytes)
-                if outcome.hit:
-                    hits += 1
-                    hit_bytes += nbytes
-                else:
-                    misses += 1
-                    file_missed = True
-                    if is_local:
-                        local_miss_bytes += nbytes
-                    else:
-                        remote_miss_bytes += nbytes
-                evictions += outcome.evicted_blocks
-            if file_missed:
-                miss_files += 1
-        ledger.charge(self.cost.seek_cost_s * max(1, miss_files),
-                      "hbase.seeks", max(1, miss_files))
+                if cache is not None:
+                    outcome = cache.access(store_file.file_id, block_idx, nbytes)
+                    evictions += outcome.evicted_blocks
+                    if outcome.hit:
+                        hits += 1
+                        hit_bytes += nbytes
+                        continue
+                misses += 1
+                missed_bytes += nbytes
+            if missed_bytes or not blocks:
+                seeks += 1
+            if is_local:
+                local_miss_bytes += missed_bytes
+            else:
+                remote_miss_bytes += missed_bytes
+        ledger.charge(self.cost.seek_cost_s * max(1, seeks),
+                      "hbase.seeks", max(1, seeks))
         disk_local = local_miss_bytes + memstore_bytes
         ledger.charge(disk_local / self.cost.scan_bytes_per_sec,
                       "hbase.bytes_scanned", disk_local + remote_miss_bytes)
         if remote_miss_bytes:
+            # short-circuit-read is gone: the remote datanode still reads
+            # the blocks off disk AND streams them over the network
             ledger.charge(
                 remote_miss_bytes / self.cost.scan_bytes_per_sec
                 + remote_miss_bytes / self.cost.network_bytes_per_sec,
                 "hbase.remote_hdfs_bytes", remote_miss_bytes,
             )
+        if cache is None:
+            return      # no cache, no cache counters
         if hits:
             ledger.charge(hit_bytes / self.cost.blockcache_bytes_per_sec,
                           "hbase.blockcache.hit_bytes", hit_bytes)
@@ -395,12 +378,13 @@ class RegionServer:
         max_versions: int = 1,
         ledger: Optional[CostLedger] = None,
         row_filter: Optional[Filter] = None,
+        replica_id: int = 0,
     ) -> Optional[Tuple[bytes, List[Cell], int]]:
         """Point lookup: the row, its visible cells and the bytes they carry
         (sized once, as in :meth:`scan`), or None.  Bloom filters skip store
         files that can't match; a row the pushed-down ``row_filter`` rejects
         is a miss, as in a scan."""
-        region = self._read_region(region_name)
+        region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
         chosen = region._chosen_families(families, columns)
         probed = 0

@@ -177,32 +177,25 @@ class DataFrame:
         Lazy, like Spark: nothing materialises until an action runs.  The
         first execution fills the cache partition by partition; later
         executions of a structurally identical plan serve from memory and
-        skip the scan entirely.  No-op when ``sql.cache.enabled`` is off.
+        skip the scan entirely.
         """
-        manager = self.session.cache_manager
-        if manager is not None:
-            description = self.plan.describe()
-            for fingerprint in self._cache_fingerprints():
-                manager.register(fingerprint, description)
+        description = self.plan.describe()
+        for fingerprint in self._cache_fingerprints():
+            self.session.cache_manager.register(fingerprint, description)
         return self
 
     cache = persist
 
     def unpersist(self) -> "DataFrame":
         """Drop this plan's cache registration and any materialised rows."""
-        manager = self.session.cache_manager
-        if manager is not None:
-            for fingerprint in self._cache_fingerprints():
-                manager.unregister(fingerprint)
+        for fingerprint in self._cache_fingerprints():
+            self.session.cache_manager.unregister(fingerprint)
         return self
 
     @property
     def is_cached(self) -> bool:
         """Whether this plan is currently registered in the partition cache."""
-        manager = self.session.cache_manager
-        if manager is None:
-            return False
-        return any(manager.is_registered(fp)
+        return any(self.session.cache_manager.is_registered(fp)
                    for fp in self._cache_fingerprints())
 
     # -- actions -----------------------------------------------------------------

@@ -111,11 +111,6 @@ DEFAULT_CONF: Dict[str, object] = {
     # all cost-based planning): pre-filter a large probe scan by the distinct
     # join keys of a small build side before shuffling
     "sql.cbo.semijoin": True,
-    # DataFrame.cache()/persist(): executor-memory partition cache.  The
-    # enabled flag gates persist() itself -- with it off (or with no
-    # persist() calls, the default state) planning and execution are
-    # byte-identical to an uncached session
-    "sql.cache.enabled": True,
     # speculative execution: duplicate a tail task once `quantile` of the
     # stage finished and it has run `multiplier` x the median task duration
     # (off by default; chaos/straggler runs opt in)
@@ -159,11 +154,10 @@ class SparkSession:
         self.stats = StatsStore()
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
-        #: executor-side partition cache behind DataFrame.persist(); None
-        #: when sql.cache.enabled is off (persist() then no-ops)
-        self.cache_manager: Optional[CacheManager] = None
-        if bool(self.conf.get("sql.cache.enabled", True)):
-            self.cache_manager = CacheManager()
+        #: executor-side partition cache behind DataFrame.persist(), which
+        #: is the opt-in: a session that never calls it plans and costs
+        #: exactly as if the cache did not exist
+        self.cache_manager = CacheManager()
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
@@ -390,8 +384,7 @@ class SparkSession:
         on job abort: a long-lived process that opens and closes sessions
         must not accumulate unreachable cached rows.
         """
-        if self.cache_manager is not None:
-            self.cache_manager.clear()
+        self.cache_manager.clear()
 
     # -- execution -----------------------------------------------------------------------
     def query_trace(self, trace=None) -> "Span | object":

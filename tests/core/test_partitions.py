@@ -68,3 +68,94 @@ def test_partition_hosts_follow_servers():
     for p in partitions:
         for w in p.work:
             assert w.location.host == p.host
+
+
+# -- replica routing: the same builder, with a candidate map ------------------
+
+BLOCK_KEYS = [b"b", b"c", b"d", b"e", b"i", b"k"]   # every file's block starts
+BLOCK_BYTES = 100
+
+
+def split_keys(location, lo, hi):
+    return [k for k in BLOCK_KEYS if k > lo and (hi is None or k < hi)]
+
+
+def estimate_bytes(location, scan_range):
+    """One block per start key the range covers, plus the block it starts in."""
+    return BLOCK_BYTES * (1 + len(split_keys(
+        location, scan_range.start, scan_range.stop)))
+
+
+def secondary_of(location, server, host):
+    return RegionLocation(location.region_name, location.table_name,
+                          location.start_row, location.end_row, server, host,
+                          replica_id=1)
+
+
+def test_an_empty_candidate_map_is_the_plain_builder():
+    ranges = [ScanRange(b"a", b"b"), ScanRange(b"h", b"i"), ScanRange(b"o", b"p")]
+
+    def never(*args):
+        raise AssertionError("replica routing is off: nothing to balance")
+
+    for fused in (True, False):
+        assert build_partitions(locations(), ranges, fused, {},
+                                split_keys=never, estimate_bytes=never) \
+            == build_partitions(locations(), ranges, fused)
+
+
+def test_a_single_candidate_keeps_the_region_whole():
+    locs = locations()
+    candidates = {loc.region_name: [loc] for loc in locs}
+    assert build_partitions(locs, [ScanRange()], True, candidates,
+                            split_keys, estimate_bytes) \
+        == build_partitions(locs, [ScanRange()])
+
+
+def test_two_candidates_split_the_region_at_a_block_start_key():
+    region0 = locations()[0]
+    whole = ScanRange(b"", b"g")
+    candidates = {"region0": [region0, secondary_of(region0, "rs9", "host9")]}
+    partitions = build_partitions([region0], [whole], True, candidates,
+                                  split_keys, estimate_bytes)
+    assert [p.server_id for p in partitions] == ["rs0", "rs9"]
+    assert [p.host for p in partitions] == ["host0", "host9"]
+    pieces = sorted((r for p in partitions for w in p.work for r in w.ranges),
+                    key=lambda r: r.start)
+    # cut once, at the middle block start key: the pieces tile the range...
+    assert pieces == [ScanRange(b"", b"d"), ScanRange(b"d", b"g")]
+    # ...and weigh together what the unsplit range weighs
+    assert sum(estimate_bytes(region0, r) for r in pieces) \
+        == estimate_bytes(region0, whole)
+    # the secondary's share says so: the read names its replica
+    (secondary,) = [w.location for p in partitions for w in p.work
+                    if w.location.replica_id]
+    assert secondary.server_id == "rs9"
+
+
+def test_pieces_go_to_the_least_loaded_candidate():
+    """region0 lives on rs0 alone and weighs on it, so both pieces of
+    region1 stay on its primary, rs1, though rs0 holds a copy."""
+    region0, region1 = locations()[:2]
+    candidates = {"region1": [region1, secondary_of(region1, "rs0", "host0")]}
+
+    def weigh(location, scan_range):
+        return 10_000 if location is region0 else estimate_bytes(location, scan_range)
+
+    partitions = build_partitions([region0, region1], [ScanRange(b"", b"n")],
+                                  True, candidates, split_keys, weigh)
+    assert {p.server_id: [(w.location.region_name, w.ranges) for w in p.work]
+            for p in partitions} == {
+        "rs0": [("region0", (ScanRange(b"", b"g"),))],
+        "rs1": [("region1", (ScanRange(b"g", b"k"),)),
+                ("region1", (ScanRange(b"k", b"n"),))],
+    }
+
+
+def test_a_range_with_no_block_key_inside_is_not_split():
+    region0 = locations()[0]
+    candidates = {"region0": [region0, secondary_of(region0, "rs9", "host9")]}
+    partitions = build_partitions([region0], [ScanRange(b"a", b"aa")], True,
+                                  candidates, split_keys, estimate_bytes)
+    assert [(p.server_id, p.work[0].ranges) for p in partitions] \
+        == [("rs0", (ScanRange(b"a", b"aa"),))]

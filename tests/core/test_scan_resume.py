@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.common.errors import FatalTaskError, OperationTimeoutError
 from repro.common.faults import (
     FAULT_FILTER,
     FAULT_RPC,
@@ -98,6 +101,53 @@ def test_transient_rpc_faults_are_absorbed(linked):
 
     assert got == expected
     assert metrics.get("hbase.retries") >= 3
+
+
+def faulted_read(linked, deadline_s, times=2):
+    """A read under ``hbase.client.operation.timeout`` whose first ``times``
+    scan RPCs fail (two: 0.16 s of backoff when nothing bounds it)."""
+    cluster, session, options = load(linked)
+    options = dict(options, **{"hbase.client.operation.timeout": deadline_s})
+    injector = FaultInjector(seed=2)
+    injector.inject(FAULT_RPC, rate=1.0, times=times)
+    cluster.install_fault_injector(injector)
+    return session.read.format(DEFAULT_FORMAT).options(options).load()
+
+
+def test_operation_deadline_bounds_a_resumable_scan(linked):
+    """The deadline ``Table.scan`` obeys holds for the scan a query runs:
+    no backoff is paid past it.  The scheduler retries a failed task, so two
+    faults cost two task attempts and the third answers."""
+    result = faulted_read(linked, "0.01").run()
+    assert len(result.rows) == 60
+    assert result.metrics.get("engine.task_failures") == 2
+    assert result.metrics.get("hbase.retries") == 0
+    assert result.metrics.get("hbase.backoff_s") == 0
+
+
+def test_unrelenting_faults_time_the_query_out(linked):
+    with pytest.raises(FatalTaskError) as failure:
+        faulted_read(linked, "0.01", times=None).run()
+    assert isinstance(failure.value.__cause__, OperationTimeoutError)
+
+
+def test_a_roomy_deadline_lets_the_scan_retry(linked):
+    result = faulted_read(linked, "5.0").run()
+    assert len(result.rows) == 60
+    assert result.metrics.get("hbase.retries") == 2
+    assert 0 < result.metrics.get("hbase.backoff_s") < 5.0
+
+
+def test_queue_wait_eats_a_scans_budget(linked):
+    """Admission-queue wait counts against a scan's deadline as it does
+    against a get's (tests/common/test_retry_deadline.py): the schedule that
+    fits 5 s does not once 4.999 s of it were spent queued."""
+    cluster, session = linked
+    df = faulted_read(linked, "5.0")
+    result = session.execute_plan(df.plan, queued_s=4.999)
+    assert len(result.rows) == 60
+    assert result.metrics.get("engine.task_failures") == 2
+    assert result.metrics.get("hbase.retries") == 0
 
 
 def test_filter_failure_falls_back_to_client_side(linked):

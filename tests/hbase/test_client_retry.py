@@ -6,6 +6,7 @@ from repro.common.errors import (
     OperationTimeoutError,
     RegionOfflineError,
     RetriesExhaustedError,
+    TransientRpcError,
 )
 from repro.common.faults import (
     FAULT_RPC,
@@ -14,7 +15,7 @@ from repro.common.faults import (
     raise_stale_meta,
 )
 from repro.common.metrics import CostLedger
-from repro.hbase import ConnectionFactory, Get, Put, Scan
+from repro.hbase import ConnectionFactory, Delete, Get, Put, Scan
 from repro.hbase.client import Configuration
 
 
@@ -52,6 +53,68 @@ def test_unrelenting_faults_exhaust_retries(hbase_cluster):
     with pytest.raises(RetriesExhaustedError):
         table.get(Get(b"r001"))
     assert injector.injected(FAULT_RPC) == 2
+
+
+#: every data-plane ``Table`` method, as a call on row r001 of the seeded table
+OPERATIONS = {
+    "put": lambda t, ledger: t.put(
+        Put(b"r001").add_column("f", "q", b"x"), ledger=ledger),
+    "delete": lambda t, ledger: t.delete(Delete(b"r001"), ledger=ledger),
+    "get": lambda t, ledger: t.get(Get(b"r001"), ledger=ledger),
+    "bulk_get": lambda t, ledger: t.bulk_get([Get(b"r001")], ledger=ledger),
+    "increment": lambda t, ledger: t.increment(
+        b"r001", "f", "n", ledger=ledger),
+    "check_and_put": lambda t, ledger: t.check_and_put(
+        b"r001", "f", "q", b"v1", Put(b"r001").add_column("f", "q", b"x"),
+        ledger=ledger),
+    "scan": lambda t, ledger: t.scan(Scan(), ledger=ledger),
+    "scan_region": lambda t, ledger: list(t.scan_region(
+        t.connection.region_locations(t.name)[0], Scan(), ledger)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_every_operation_reaches_the_rpc_fault_point(hbase_cluster, name):
+    """One seam, so one fault point: a transient fault on any of the eight is
+    retried and billed by the operation's retrying caller (``scan_region``
+    is the primitive under ``scan`` and the scan RDD -- its callers retry),
+    and an unrelenting one exhausts the policy."""
+    table = seeded_table(hbase_cluster)
+    injector = FaultInjector(seed=1)
+    injector.inject(FAULT_RPC, rate=1.0, times=2)
+    hbase_cluster.install_fault_injector(injector)
+    ledger = CostLedger()
+    if name == "scan_region":
+        for __ in range(2):
+            with pytest.raises(TransientRpcError):
+                OPERATIONS[name](table, ledger)
+    OPERATIONS[name](table, ledger)
+    assert injector.injected(FAULT_RPC) == 2
+    assert ledger.metrics.get("faults.injected") == 2
+    if name != "scan_region":
+        assert ledger.metrics.get("hbase.retries") == 2
+        assert ledger.metrics.get("hbase.backoff_s") > 0
+
+    injector.inject(FAULT_RPC, rate=1.0)
+    with pytest.raises(TransientRpcError if name == "scan_region"
+                       else RetriesExhaustedError):
+        OPERATIONS[name](table, CostLedger())
+
+
+def test_an_unauthenticated_call_never_reaches_a_server(clock):
+    """...and one auth check: every operation is refused alike."""
+    from repro.common.errors import SecurityError
+    from repro.hbase.cluster import HBaseCluster
+    from repro.hbase.security import KeyDistributionCenter
+
+    cluster = HBaseCluster("secure-seam", ["h1", "h2"], clock=clock,
+                           secure=True, kdc=KeyDistributionCenter(clock))
+    cluster.create_table("t", ["f"])
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    for name, operation in sorted(OPERATIONS.items()):
+        with pytest.raises(SecurityError):
+            operation(table, CostLedger())
 
 
 def test_operation_deadline_beats_retry_budget(hbase_cluster):

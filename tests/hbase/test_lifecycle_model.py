@@ -6,9 +6,11 @@ with a CDC subscriber attached, with region replicas drawn on or off.  The
 rule under test (docs/fault_tolerance.md, "Hand-over") is that a region's
 unflushed edits live in the log of the server that serves it and nowhere
 else; what it buys is checked after every step: every acknowledged put is
-readable through a fresh connection, and the change feed has delivered
-nothing twice and nothing that was not written -- and, once maintenance has
-run a last time, everything that was.
+readable -- through a fresh connection and through one as old as the
+cluster, whose cached locations every move, split, merge and crash has
+left behind -- and the change feed has delivered nothing twice and nothing
+that was not written -- and, once maintenance has run a last time,
+everything that was.
 
 The step count comes from the loaded profile (``tests/conftest.py``): a
 small fixed budget in tier-1, ten times that in the nightly explore job.
@@ -27,7 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-from repro.hbase import ConnectionFactory, Put, Scan
+from repro.hbase import ConnectionFactory, Get, Put, Scan
 from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
 
 HOSTS = ["h1", "h2", "h3", "h4"]
@@ -53,6 +55,8 @@ class LifecycleModel(RuleBasedStateMachine):
             lambda table, cells: self.delivered.update(
                 (c.row, c.value) for c in cells))
         self.latest = {}
+        #: a client that never reconnects: what it has cached goes stale
+        self.veteran = self._table()
 
     def teardown(self):
         self.cluster.run_maintenance()
@@ -117,9 +121,13 @@ class LifecycleModel(RuleBasedStateMachine):
     # -- what the rule buys -------------------------------------------------------
     @invariant()
     def every_acknowledged_put_is_readable(self):
-        served = {r.row: r.get_value("f", "q")
-                  for r in self._table().scan(Scan())}
-        assert served == self.latest
+        sampled = ROWS[len(self.written) % len(ROWS)]
+        for table in (self._table(), self.veteran):
+            served = {r.row: r.get_value("f", "q")
+                      for r in table.scan(Scan())}
+            assert served == self.latest
+            assert table.get(Get(sampled)).get_value("f", "q") \
+                == self.latest.get(sampled)
 
     @invariant()
     def feed_delivers_only_what_was_written_and_only_once(self):

@@ -137,10 +137,13 @@ def test_writes_never_touch_a_secondary(replicated):
     location = cluster.active_master.locate("t", b"a")
     (replica,) = cluster.replication.replicas_for(location.region_name)
     replica_server = cluster.region_servers[replica.server_id]
-    # the replica host serves reads for the region...
-    got = replica_server.get(location.region_name, b"a")
+    # the replica host serves a read that names its copy...
+    got = replica_server.get(location.region_name, b"a",
+                             replica_id=replica.replica_id)
     assert got is not None and got[0] == b"a"
-    # ...but a write routed there still sees the region as offline
+    # ...but refuses a primary read, and a write routed there, as offline
+    with pytest.raises(RegionOfflineError):
+        replica_server.get(location.region_name, b"a")
     with pytest.raises(RegionOfflineError):
         replica_server.put(
             location.region_name,
@@ -230,3 +233,46 @@ def test_replication_off_cluster_has_no_replica_counters(hbase_cluster):
     assert [r.row for r in table.scan(Scan())] == [b"a"]
     for key in hbase_cluster.metrics.snapshot():
         assert not key.startswith("hbase.replica."), key
+
+
+def test_a_stale_client_never_reads_the_primary_from_a_secondary(hbase_cluster):
+    """A long-lived connection's cached location can point at a server that
+    has since become the region's *secondary*.  Its primary read must be
+    refused there and relocated -- visibly, as a retry -- not answered from
+    the older copy."""
+    cluster = hbase_cluster
+    cluster.create_table("t", ["f"])
+    cluster.enable_region_replication(replicas=1)
+    # two long-lived connections, each with the region's location cached
+    getter, scanner = (
+        ConnectionFactory.create_connection(
+            cluster.configuration()).get_table("t") for __ in range(2))
+    getter.put(Put(b"a").add_column("f", "q", b"v1"))
+    assert getter.get(Get(b"a")).get_value("f", "q") == b"v1"
+    assert len(scanner.scan(Scan())) == 1
+    location = cluster.active_master.locate("t", b"a")
+    name = location.region_name
+    (replica,) = cluster.replication.replicas_for(name)
+    (third,) = [s for s in cluster.region_servers
+                if s not in (location.server_id, replica.server_id)]
+
+    cluster.active_master.move_region(name, third)
+    cluster.kill_region_server(replica.server_id)
+    cluster.run_maintenance()
+    # the only live non-primary server is the old primary's: it now holds
+    # the secondary, which is where the old connections still point
+    (secondary,) = cluster.replication.replicas_for(name)
+    assert secondary.server_id == location.server_id
+
+    cluster.clock.advance(0.001)
+    fresh = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    fresh.put(Put(b"a").add_column("f", "q", b"v2"))
+
+    ledger = CostLedger()
+    assert getter.get(Get(b"a"), ledger=ledger).get_value("f", "q") == b"v2"
+    assert ledger.metrics.get("hbase.retries") >= 1
+    ledger = CostLedger()
+    (row,) = scanner.scan(Scan(), ledger=ledger)
+    assert row.get_value("f", "q") == b"v2"
+    assert ledger.metrics.get("hbase.retries") >= 1

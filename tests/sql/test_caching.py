@@ -1,6 +1,5 @@
 """DataFrame.persist(): the executor partition cache at the SQL layer."""
 
-from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 
 SCHEMA = StructType([
@@ -53,37 +52,6 @@ def test_unpersist_recomputes(session):
     result = df.run()
     assert result.metrics.get("engine.cache.hits", 0) == 0
     assert rows_of(result) == rows_of(df.run())
-
-
-def test_cache_disabled_conf_makes_persist_a_noop(clock):
-    disabled = SparkSession(["node1", "node2", "node3"], clock=clock,
-                            conf={"sql.cache.enabled": False})
-    assert disabled.cache_manager is None
-    df = disabled.create_dataframe(ROWS, SCHEMA).persist()
-    assert not df.is_cached
-    result = df.run()
-    assert result.metrics.get("engine.cache.hits", 0) == 0
-    assert result.metrics.get("engine.cache.misses", 0) == 0
-
-
-def test_cache_off_is_byte_identical_to_cache_enabled_but_unused(clock):
-    """The invariance bar: with no persist() call, the cache feature being
-    merely *available* must not change a single charged metric."""
-    from repro.common.simclock import SimClock
-
-    def run(conf):
-        s = SparkSession(["node1", "node2", "node3"], clock=SimClock(),
-                         conf=conf)
-        df = s.create_dataframe(ROWS, SCHEMA).filter("k >= 10")
-        result = df.run()
-        s.shutdown()
-        return result
-
-    enabled = run(None)                              # default: cache on, unused
-    disabled = run({"sql.cache.enabled": False})
-    assert rows_of(enabled) == rows_of(disabled)
-    assert enabled.seconds == disabled.seconds
-    assert dict(enabled.metrics.snapshot()) == dict(disabled.metrics.snapshot())
 
 
 def test_shutdown_releases_cached_partitions(session):

@@ -26,18 +26,19 @@ partitions, Spark's third rule, is not here).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.rdd import RDD, ShuffleReadRDD
-from repro.engine.shuffle import ShuffleRuntimeStats, estimate_size
+from repro.engine.shuffle import ShuffleRuntimeStats
 from repro.sql import expressions as E
 from repro.sql.physical import (
     ExecContext,
+    HashJoinExec,
     PhysicalPlan,
-    _combine_rows,
-    _join_output,
-    _make_broadcast_probe,
-    _make_join_reducer,
+    _charge_broadcast,
+    _hash_build,
+    _keyed,
     _row_tagger,
 )
 
@@ -95,7 +96,7 @@ def plan_skew_chunks(stats: ShuffleRuntimeStats, partition: int,
     return chunks or [[]]
 
 
-class AdaptiveJoinExec(PhysicalPlan):
+class AdaptiveJoinExec(HashJoinExec):
     """Equi-join whose strategy is finalised at runtime, not plan time.
 
     Planned where the compile-time planner would emit a
@@ -104,93 +105,70 @@ class AdaptiveJoinExec(PhysicalPlan):
     build-side exchange first and then picks, from measured bytes: broadcast
     conversion (rule 1, including the swapped inner-join variant) or the
     shuffled join, its skewed partitions split (rule 2).
-    Join closures are shared with the static operators, so rows, bytes and
-    ledger charges are computed identically whichever strategy wins.
+    The probe loop and the build seam are :class:`HashJoinExec`'s, so rows,
+    bytes and ledger charges are computed identically whichever strategy
+    wins.
     """
 
-    def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
-                 left_keys: Sequence[E.Expression],
-                 right_keys: Sequence[E.Expression],
-                 how: str, residual: Optional[E.Expression]) -> None:
-        super().__init__(_join_output(left, right, how),
-                         [QueryStageExec(left), QueryStageExec(right)])
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.how = how
-        self.residual = residual
-
-    def describe(self) -> str:
-        return f"AdaptiveJoin({self.how}, {self.left_keys!r} = {self.right_keys!r})"
+    def __init__(self, left: PhysicalPlan, right: PhysicalPlan, *join) -> None:
+        super().__init__(QueryStageExec(left), QueryStageExec(right), *join)
 
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left_stage, right_stage = self.children
         bound_left = [E.bind_expression(k, left_stage.output) for k in self.left_keys]
         bound_right = [E.bind_expression(k, right_stage.output) for k in self.right_keys]
-        left_width = len(left_stage.output)
-        right_width = len(right_stage.output)
-        combined_attrs = list(left_stage.output) + list(right_stage.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        how = self.how
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
         threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
-        def on_output(rows_out: int, bytes_out: int) -> None:
-            ctx.accumulate_operator(self, rows_out=rows_out, bytes_out=bytes_out)
+        def barrier(stage, bound_keys, side) -> ShuffleRuntimeStats:
+            """Materialise one side's exchange; what it actually wrote."""
+            return ctx.materialize_stage(stage.execute(ctx).map_partitions(
+                _row_tagger(bound_keys, side, per_row)
+            ).partition_by(num_parts, key_fn=lambda e: e[0]))
 
-        # stage barrier 1: materialise the build (right) side's exchange
-        shuffled_r = right_stage.execute(ctx).map_partitions(
-            _row_tagger(bound_right, 1, per_row)
-        ).partition_by(num_parts, key_fn=lambda e: e[0])
-        stats_r = ctx.materialize_stage(shuffled_r)
-
-        # rule 1: the build side measured small -> broadcast instead
+        # rule 1: the build (right) side measured small -> broadcast instead
+        stats_r = barrier(right_stage, bound_right, 1)
         if stats_r.total_bytes <= threshold:
-            table = self._collect_build_table(ctx, stats_r)
-            ctx.metrics.incr("engine.aqe.broadcast_conversions", 1)
-            ctx.record_reopt(
-                self, "broadcast-conversion",
+            table = self._convert_to_broadcast(
+                ctx, stats_r, "BroadcastHashJoin",
                 f"build side wrote {stats_r.total_bytes}B "
-                f"<= threshold {threshold}B",
-            )
-            ctx.record_operator(self, final_strategy="BroadcastHashJoin")
-            probe = _make_broadcast_probe(
-                table, bound_left, how, left_width, right_width,
-                residual_bound, per_row, on_output,
-            )
+                f"<= threshold {threshold}B")
+            probe = self._probe_loop(ctx, per_row)
             # like the static broadcast join, the probe pipelines inside the
             # stream side's stage -- no scope stamp of its own
-            return left_stage.execute(ctx).map_partitions(probe)
-
-        # stage barrier 2: materialise the stream (left) side's exchange
-        shuffled_l = left_stage.execute(ctx).map_partitions(
-            _row_tagger(bound_left, 0, per_row)
-        ).partition_by(num_parts, key_fn=lambda e: e[0])
-        stats_l = ctx.materialize_stage(shuffled_l)
+            return left_stage.execute(ctx).map_partitions(
+                lambda rows, task_ctx: probe(table, _keyed(rows, bound_left),
+                                             task_ctx))
 
         # rule 1 (swapped): inner joins can build on a small *left* side and
         # stream the already-shuffled right side against it
-        if how == "inner" and stats_l.total_bytes <= threshold:
-            return self._swapped_broadcast(
-                ctx, stats_l, stats_r, residual_bound,
-                left_width, right_width, per_row, threshold, on_output,
-            )
+        stats_l = barrier(left_stage, bound_left, 0)
+        if self.how == "inner" and stats_l.total_bytes <= threshold:
+            table = self._convert_to_broadcast(
+                ctx, stats_l, "BroadcastHashJoin (build side swapped)",
+                f"left side wrote {stats_l.total_bytes}B <= threshold "
+                f"{threshold}B; sides swapped")
+            probe = self._probe_loop(ctx, per_row, build_left=True)
+            key_and_row = itemgetter(0, 2)   # of a (key, side, row) entry
+            rdd = ShuffleReadRDD(
+                [[(stats_r.shuffle_id, p, None)] for p in range(num_parts)],
+                post_shuffle=lambda entries, task_ctx: probe(
+                    table, map(key_and_row, entries), task_ctx))
+            rdd.scope = self.op_id
+            return rdd
 
         # rule 2: shuffled join, skewed reduce partitions split
-        return self._shuffled_with_layout(
-            ctx, stats_l, stats_r, how, left_width, right_width,
-            residual_bound, per_row, num_parts, on_output,
-        )
+        return self._shuffled_with_layout(ctx, stats_l, stats_r, per_row,
+                                          num_parts)
 
-    def _collect_build_table(
-        self, ctx: ExecContext, stats: ShuffleRuntimeStats
-    ) -> Dict[tuple, List[tuple]]:
-        """Gather a materialised (tagged) shuffle into a broadcast table.
+    def _convert_to_broadcast(self, ctx: ExecContext, stats: ShuffleRuntimeStats,
+                              final_strategy: str, detail: str
+                              ) -> Dict[tuple, List[tuple]]:
+        """Rule 1 fired: a materialised (tagged) shuffle becomes the build
+        table, and the decision goes on record.
 
         The blocks already paid their shuffle *write*; collecting them at
         the driver charges the read, and shipping the build table to every
@@ -198,72 +176,23 @@ class AdaptiveJoinExec(PhysicalPlan):
         :class:`~repro.sql.physical.BroadcastHashJoinExec`.
         """
         store = ctx.scheduler.block_store
-        table: Dict[tuple, List[tuple]] = {}
-        build_bytes = 0
-        for p in range(stats.num_partitions):
-            for key, __side, row in store.fetch(stats.shuffle_id, p):
-                build_bytes += estimate_size(row)
-                if None not in key:
-                    table.setdefault(key, []).append(row)
+        table, build_bytes = _hash_build(
+            (key, row) for p in range(stats.num_partitions)
+            for key, __side, row in store.fetch(stats.shuffle_id, p))
         ctx.charge_driver(
             stats.total_bytes / ctx.cost.shuffle_bytes_per_sec,
             "engine.shuffle_read_bytes", stats.total_bytes,
         )
-        executors = len(ctx.scheduler.cluster.executors)
-        ctx.charge_driver(
-            build_bytes * executors / ctx.cost.network_bytes_per_sec,
-            "engine.broadcast_bytes", build_bytes * executors,
-        )
-        return table
-
-    def _swapped_broadcast(self, ctx: ExecContext,
-                           stats_l: ShuffleRuntimeStats,
-                           stats_r: ShuffleRuntimeStats,
-                           residual_bound, left_width: int, right_width: int,
-                           per_row: float, threshold: int, on_output) -> RDD:
-        """Rule 1's swapped variant: broadcast the small left, stream right."""
-        table = self._collect_build_table(ctx, stats_l)
+        _charge_broadcast(ctx, build_bytes)
         ctx.metrics.incr("engine.aqe.broadcast_conversions", 1)
-        ctx.record_reopt(
-            self, "broadcast-conversion",
-            f"left side wrote {stats_l.total_bytes}B <= threshold "
-            f"{threshold}B; sides swapped",
-        )
-        ctx.record_operator(
-            self, final_strategy="BroadcastHashJoin (build side swapped)")
-        specs: List[List[ReadSpec]] = [
-            [(stats_r.shuffle_id, p, None)]
-            for p in range(stats_r.num_partitions)
-        ]
-
-        def probe_tagged(entries, task_ctx):
-            out_count = 0
-            out_bytes = 0
-            for key, __side, right_row in entries:
-                matches = table.get(key, []) if None not in key else []
-                for left_row in matches:
-                    combined = _combine_rows(left_row, right_row,
-                                             left_width, right_width)
-                    if residual_bound is None or residual_bound.eval(combined) is True:
-                        out_count += 1
-                        out_bytes += estimate_size(combined)
-                        yield combined
-            task_ctx.ledger.count("engine.join.rows_out", out_count)
-            task_ctx.ledger.count("engine.join.bytes_out", out_bytes)
-            on_output(out_count, out_bytes)
-            task_ctx.ledger.charge(per_row * out_count,
-                                   "engine.rows_processed", out_count)
-
-        rdd = ShuffleReadRDD(specs, post_shuffle=probe_tagged)
-        rdd.scope = self.op_id
-        return rdd
+        ctx.record_reopt(self, "broadcast-conversion", detail)
+        ctx.record_operator(self, final_strategy=final_strategy)
+        return table
 
     def _shuffled_with_layout(self, ctx: ExecContext,
                               stats_l: ShuffleRuntimeStats,
                               stats_r: ShuffleRuntimeStats,
-                              how: str, left_width: int, right_width: int,
-                              residual_bound, per_row: float, num_parts: int,
-                              on_output) -> RDD:
+                              per_row: float, num_parts: int) -> RDD:
         """Rule 2: the shuffled join, its skewed reduce partitions split.
 
         Skewed stream partitions split into per-chunk tasks (the build
@@ -274,8 +203,6 @@ class AdaptiveJoinExec(PhysicalPlan):
         with their siblings, and never below the bytes whose shuffle read
         takes as long as launching the task that reads them.
         """
-        reducer = _make_join_reducer(how, left_width, right_width,
-                                     residual_bound, per_row, on_output)
         stream_bytes = stats_l.partition_bytes
         ordered = sorted(stream_bytes)
         median = ordered[len(ordered) // 2]
@@ -310,6 +237,6 @@ class AdaptiveJoinExec(PhysicalPlan):
             self, final_strategy=f"ShuffledHashJoin ({len(specs)} tasks)",
             aqe_partitions=len(specs),
         )
-        rdd = ShuffleReadRDD(specs, post_shuffle=reducer)
+        rdd = ShuffleReadRDD(specs, post_shuffle=self._reducer(ctx, per_row))
         rdd.scope = self.op_id
         return rdd

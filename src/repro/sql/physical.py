@@ -66,6 +66,11 @@ class ExecContext:
         #: decision order; EXPLAIN ANALYZE renders these as the adaptive
         #: section (docs/adaptive.md)
         self.reopt_events: List[Dict[str, object]] = []
+        #: source filters a join pushed to a scan *for this execution* (the
+        #: build side's keys as an ``In`` list), keyed by the scan's
+        #: ``op_id``.  They live here and not on the plan node: a planned
+        #: tree is never written to by executing it, so it can run again
+        self.runtime_filters: Dict[int, List[SourceFilter]] = {}
         self._lock = threading.Lock()
 
     def record_operator(self, op: "PhysicalPlan", **stats: object) -> None:
@@ -188,39 +193,34 @@ class PhysicalPlan:
     def describe(self) -> str:
         return type(self).__name__
 
-    def _record_cbo_estimate(self, ctx: ExecContext) -> None:
-        """Surface the planner's row estimate (``cbo_rows``, stamped only
-        where ANALYZE statistics made it confident) so EXPLAIN ANALYZE can
-        print estimated vs. actual cardinality per join."""
-        estimate = getattr(self, "cbo_rows", None)
-        if estimate is not None:
-            ctx.record_operator(self, cbo_rows=estimate)
 
-
-def _cpu_charged(rows: Iterable[tuple], ctx_task, per_row: float) -> Iterable[tuple]:
-    count = 0
-    for row in rows:
-        count += 1
-        yield row
-    ctx_task.ledger.charge(per_row * count, "engine.rows_processed", count)
-
+# Book-keeping tails.  An operator that counts what streams through it books
+# the total *after* its loop, once per partition.  The loop ends in one of
+# three ways and the rule is the same everywhere below: exhaustion books;
+# ``close()`` -- a LIMIT downstream stopped pulling -- books what was pulled
+# so far (``except GeneratorExit: pass`` falls through to the tail); an
+# exception skips the tail, so a failed attempt's ledger holds only what was
+# charged before it failed.
 
 def _metered(ctx: ExecContext, op: "PhysicalPlan", batches: Iterable[C.RecordBatch],
              task_ctx, per_row: Optional[float]) -> Iterable[C.RecordBatch]:
     """Pass one partition's batches through to ``op``, then book them.
 
-    Once the stream is exhausted: counts the ``engine.vectorized.*`` totals
-    on the task ledger, charges ``per_row`` CPU seconds per input row
-    (``None``: the caller charges elsewhere) and accumulates the same
-    numbers onto the operator, which is what lets EXPLAIN ANALYZE's
-    per-operator notes sum to the counters.
+    Once the stream is exhausted or closed: counts the
+    ``engine.vectorized.*`` totals on the task ledger, charges ``per_row``
+    CPU seconds per input row (``None``: the caller charges elsewhere) and
+    accumulates the same numbers onto the operator, which is what lets
+    EXPLAIN ANALYZE's per-operator notes sum to the counters.
     """
     nbatches = 0
     nrows = 0
-    for batch in batches:
-        nbatches += 1
-        nrows += batch.num_rows
-        yield batch
+    try:
+        for batch in batches:
+            nbatches += 1
+            nrows += batch.num_rows
+            yield batch
+    except GeneratorExit:
+        pass
     task_ctx.ledger.count("engine.vectorized.batches", nbatches)
     task_ctx.ledger.count("engine.vectorized.rows", nrows)
     if per_row is not None:
@@ -273,10 +273,6 @@ class DataSourceScanExec(PhysicalPlan):
         self.handled_filters = (list(handled_filters)
                                 if handled_filters is not None
                                 else list(pushed_filters))
-        #: best-effort source filters injected after planning (the semi-join
-        #: reduction's build-key IN list); advisory only -- exactness is
-        #: enforced engine-side by whoever injected them
-        self.runtime_filters: List[SourceFilter] = []
 
     def execute(self, ctx: ExecContext) -> RDD:
         required = [a.name for a in self.output]
@@ -284,8 +280,11 @@ class DataSourceScanExec(PhysicalPlan):
             f"scan-plan:{self.relation_name or type(self.relation).__name__}",
             "scan-plan", order=(1, self.op_id), op=self.op_id,
         )
-        offered = (self.pushed_filters + self.runtime_filters
-                   if self.runtime_filters else self.pushed_filters)
+        # best-effort filters a join pushed for this execution (its build
+        # side's keys); exactness is enforced engine-side by the join
+        runtime_filters = ctx.runtime_filters.get(self.op_id)
+        offered = (self.pushed_filters + runtime_filters
+                   if runtime_filters else self.pushed_filters)
         rdd = self.relation.build_scan(required, offered)
         #: stamp the scan operator onto the RDD so the scheduler can
         #: attribute downstream stages (and their locality) back to this
@@ -298,8 +297,8 @@ class DataSourceScanExec(PhysicalPlan):
             "filters_pushed": len(self.handled_filters),
             "filters_residual": residual_count,
         }
-        if self.runtime_filters:
-            stats["filters_runtime"] = len(self.runtime_filters)
+        if runtime_filters:
+            stats["filters_runtime"] = len(runtime_filters)
         # counters never charge simulated seconds, so cost totals are
         # unchanged whether or not anyone is looking
         ctx.metrics.incr("shc.filters_pushed", len(self.handled_filters))
@@ -813,7 +812,7 @@ class HashAggregateExec(PhysicalPlan):
         return f"HashAggregate(keys={self.groupings!r}, out={[a.name for a in self.output]})"
 
 
-# -- joins ------------------------------------------------------------------------
+# -- joins (docs/engine.md, "Joins") ------------------------------------------------
 
 def _combine_rows(left: Optional[tuple], right: Optional[tuple],
                   left_width: int, right_width: int) -> tuple:
@@ -828,146 +827,73 @@ def _join_output(left: PhysicalPlan, right: PhysicalPlan, how: str):
     return list(left.output) + list(right.output)
 
 
-def _make_join_reducer(how: str, left_width: int, right_width: int,
-                       residual_bound: Optional[E.Expression], per_row: float,
-                       on_output: Callable[[int, int], None]):
-    """Build the reduce-side closure of a shuffled hash join.
-
-    Consumes ``(key, side, row)`` entries for one reduce partition (side 1
-    builds, side 0 streams), emits joined rows, and surfaces its output
-    through the ``engine.join.rows_out`` / ``engine.join.bytes_out``
-    counters plus the ``on_output(rows, bytes)`` callback -- that is how
-    EXPLAIN ANALYZE join rows reconcile with the ledger.  Shared between
-    :class:`ShuffledHashJoinExec` and the adaptive executor so both paths
-    join (and count) identically.
-    """
-
-    def join_partition(entries, task_ctx):
-        build: Dict[tuple, List[tuple]] = {}
-        stream: List[Tuple[tuple, tuple]] = []
-        for key, side, row in entries:
-            if side == 1:
-                build.setdefault(key, []).append(row)
-            else:
-                stream.append((key, row))
-        out = []
-        for key, left_row in stream:
-            if None in key:
-                matches: List[tuple] = []
-            else:
-                matches = build.get(key, [])
-            emitted = False
-            for right_row in matches:
-                combined = _combine_rows(left_row, right_row, left_width, right_width)
-                if residual_bound is None or residual_bound.eval(combined) is True:
-                    emitted = True
-                    if how in ("semi", "anti"):
-                        break
-                    out.append(combined)
-            if how == "left" and not emitted:
-                out.append(_combine_rows(left_row, None, left_width, right_width))
-            elif how == "semi" and emitted:
-                out.append(left_row)
-            elif how == "anti" and not emitted:
-                out.append(left_row)
-        nbytes = sum(estimate_size(r) for r in out)
-        task_ctx.ledger.count("engine.join.rows_out", len(out))
-        task_ctx.ledger.count("engine.join.bytes_out", nbytes)
-        on_output(len(out), nbytes)
-        task_ctx.ledger.charge(per_row * len(out), "engine.rows_processed", len(out))
-        return iter(out)
-
-    return join_partition
-
-
-def _make_keyed_probe(table: Dict[tuple, List[tuple]], how: str,
-                      left_width: int, right_width: int,
-                      residual_bound: Optional[E.Expression], per_row: float,
-                      on_output: Callable[[int, int], None]):
-    """Probe a broadcast ``table`` with pre-keyed ``(key, row)`` pairs.
-
-    The join body shared by :class:`BroadcastHashJoinExec`, which computes
-    its stream keys batch-at-a-time, and the adaptive executor's row probe
-    (:func:`_make_broadcast_probe`); both therefore match, filter and count
-    output identically.
-    """
-
-    def probe_keyed(keyed_rows, task_ctx):
-        out_count = 0
-        out_bytes = 0
-        for key, left_row in keyed_rows:
-            matches = table.get(key, []) if None not in key else []
-            emitted = False
-            for right_row in matches:
-                combined = _combine_rows(left_row, right_row, left_width, right_width)
-                if residual_bound is None or residual_bound.eval(combined) is True:
-                    emitted = True
-                    if how in ("semi", "anti"):
-                        break
-                    out_count += 1
-                    out_bytes += estimate_size(combined)
-                    yield combined
-            if how == "left" and not emitted:
-                filled = _combine_rows(left_row, None, left_width, right_width)
-                out_count += 1
-                out_bytes += estimate_size(filled)
-                yield filled
-            elif how == "semi" and emitted:
-                out_count += 1
-                out_bytes += estimate_size(left_row)
-                yield left_row
-            elif how == "anti" and not emitted:
-                out_count += 1
-                out_bytes += estimate_size(left_row)
-                yield left_row
-        task_ctx.ledger.count("engine.join.rows_out", out_count)
-        task_ctx.ledger.count("engine.join.bytes_out", out_bytes)
-        on_output(out_count, out_bytes)
-        task_ctx.ledger.charge(per_row * out_count, "engine.rows_processed", out_count)
-
-    return probe_keyed
-
-
-def _make_broadcast_probe(table: Dict[tuple, List[tuple]],
-                          bound_keys: Sequence[E.Expression], how: str,
-                          left_width: int, right_width: int,
-                          residual_bound: Optional[E.Expression], per_row: float,
-                          on_output: Callable[[int, int], None]):
-    """Build the probe-side closure of a broadcast hash join.
-
-    Streams the big side against the broadcast ``table``; like
-    :func:`_make_join_reducer` it counts its output rows/bytes so join
-    volume is observable regardless of strategy.  Used by the adaptive
-    executor's broadcast-conversion rule, whose stream side is the row
-    output of a stage barrier.
-    """
-    probe_keyed = _make_keyed_probe(table, how, left_width, right_width,
-                                    residual_bound, per_row, on_output)
-
-    def probe(rows, task_ctx):
-        keyed = ((tuple(k.eval(r) for k in bound_keys), r) for r in rows)
-        return probe_keyed(keyed, task_ctx)
-
-    return probe
+def _keyed(rows: Iterable[tuple], bound_keys: Sequence[E.Expression]):
+    """A row stream as the ``(key, row)`` pairs builds and probes read."""
+    return ((tuple(k.eval(r) for k in bound_keys), r) for r in rows)
 
 
 def _row_tagger(bound_keys: Sequence[E.Expression], side: int, per_row: float):
-    """Map-side closure of a row-fed shuffled join: ``(key, side, row)``."""
+    """Map-side closure of a row-fed shuffled join: ``(key, side, row)``
+    entries, side 1 builds and side 0 streams."""
 
     def tag(rows, task_ctx):
-        tagged = ((tuple(k.eval(r) for k in bound_keys), side, r) for r in rows)
-        return _cpu_charged(tagged, task_ctx, per_row)
+        count = 0
+        try:
+            for row in rows:
+                count += 1
+                yield (tuple(k.eval(row) for k in bound_keys), side, row)
+        except GeneratorExit:
+            pass
+        task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
 
     return tag
 
 
-class ShuffledHashJoinExec(PhysicalPlan):
-    """Equi-join where both sides are shuffled by the join key.
+def _hash_build(keyed_rows: Iterable[Tuple[tuple, tuple]]
+                ) -> Tuple[Dict[tuple, List[tuple]], int]:
+    """Hash a build side gathered at the driver: ``(table, row bytes)``.
 
-    Both inputs arrive as batches: join keys evaluate as column kernels and
-    rows re-materialise through a C-level transpose into the tagged
-    ``(key, side, row)`` stream the reduce side joins row by row.
+    ``keyed_rows`` is a build sub-job's result or a materialised shuffle's
+    blocks, as ``(key, row)`` pairs.  A key holding a NULL can never match,
+    so its rows stay out of the table; the byte count covers every row
+    gathered, because every row is shipped.
     """
+    table: Dict[tuple, List[tuple]] = {}
+    row_bytes = 0
+    for key, row in keyed_rows:
+        row_bytes += estimate_size(row)
+        if None not in key:
+            table.setdefault(key, []).append(row)
+    return table, row_bytes
+
+
+def _charge_broadcast(ctx: ExecContext, nbytes: int) -> None:
+    """Ship ``nbytes`` of build side from the driver to every executor."""
+    executors = len(ctx.scheduler.cluster.executors)
+    ctx.charge_driver(
+        nbytes * executors / ctx.cost.network_bytes_per_sec,
+        "engine.broadcast_bytes", nbytes * executors,
+    )
+
+
+class HashJoinExec(PhysicalPlan):
+    """The equi-join shell: everything the join strategies share.
+
+    A strategy is how the build (right) side reaches the probe -- collected
+    and broadcast, shuffled with the stream, or decided at a stage barrier
+    -- and that is all a subclass's ``execute`` says.  The match-and-emit
+    rule with its output accounting (:meth:`_probe_loop`), the exchange
+    (:meth:`_shuffle_join`) and the hand-over of build keys to the probe's
+    scan (:meth:`_push_runtime_filters`) are stated here once, so every
+    strategy joins, counts and charges alike.
+    """
+
+    #: the format each child is read in (True: batches); the planner adapts
+    #: the children it hands over to this
+    child_formats = (False, False)
+    #: the planner's row estimate, stamped only where ANALYZE statistics
+    #: made it confident
+    cbo_rows: Optional[float] = None
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
                  left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
@@ -978,20 +904,161 @@ class ShuffledHashJoinExec(PhysicalPlan):
         self.how = how
         self.residual = residual
 
-    def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
+    def describe(self) -> str:
+        return (f"{type(self).__name__.removesuffix('Exec')}({self.how}, "
+                f"{self.left_keys!r} = {self.right_keys!r})")
+
+    def _record_cbo_estimate(self, ctx: ExecContext) -> None:
+        """Surface the planner's row estimate so EXPLAIN ANALYZE can print
+        estimated vs. actual cardinality per join."""
+        if self.cbo_rows is not None:
+            ctx.record_operator(self, cbo_rows=self.cbo_rows)
+
+    def _probe_loop(self, ctx: ExecContext, per_row: float,
+                    build_left: bool = False):
+        """The match-and-emit rule of a hash join, bound to this operator.
+
+        Returns ``probe(table, keyed_rows, task_ctx)``: a generator that
+        looks each ``(key, row)`` of the stream up in ``table``, never
+        matches a key holding a NULL, keeps the pairs the residual accepts
+        and emits by join type.  Its tail books what it emitted: the
+        ``engine.join.rows_out`` / ``bytes_out`` counters, the same numbers
+        onto the operator (how EXPLAIN ANALYZE join rows reconcile with
+        the ledger) and ``per_row`` CPU seconds per output row.
+
+        The stream is the left side; with ``build_left`` the table holds
+        left rows and the right side streams, which only an inner join can
+        do (the other types emit per *left* row).
+        """
         left, right = self.children
-        left_kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        right_kernels = [C.compile_bound(k, right.output) for k in self.right_keys]
         left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
+        residual = (
+            E.bind_expression(self.residual, list(left.output) + list(right.output))
             if self.residual is not None else None
         )
+        how = self.how
+
+        def probe(table, keyed_rows, task_ctx):
+            out_count = 0
+            out_bytes = 0
+            try:
+                for key, row in keyed_rows:
+                    matches = table.get(key, ()) if None not in key else ()
+                    emitted = False
+                    for match in matches:
+                        if build_left:
+                            combined = _combine_rows(match, row, left_width, right_width)
+                        else:
+                            combined = _combine_rows(row, match, left_width, right_width)
+                        if residual is None or residual.eval(combined) is True:
+                            emitted = True
+                            if how in ("semi", "anti"):
+                                break
+                            out_count += 1
+                            out_bytes += estimate_size(combined)
+                            yield combined
+                    if emitted:
+                        if how != "semi":
+                            continue   # inner, left: emitted per match above
+                    elif how == "left":
+                        row = _combine_rows(row, None, left_width, right_width)
+                    elif how != "anti":
+                        continue
+                    out_count += 1
+                    out_bytes += estimate_size(row)
+                    yield row
+            except GeneratorExit:
+                pass
+            task_ctx.ledger.count("engine.join.rows_out", out_count)
+            task_ctx.ledger.count("engine.join.bytes_out", out_bytes)
+            ctx.accumulate_operator(self, rows_out=out_count, bytes_out=out_bytes)
+            task_ctx.ledger.charge(per_row * out_count, "engine.rows_processed", out_count)
+
+        return probe
+
+    def _reducer(self, ctx: ExecContext, per_row: float):
+        """The reduce side of a shuffled join, as a ``post_shuffle`` closure.
+
+        One reduce partition's ``(key, side, row)`` entries split into the
+        build table (side 1) and the stream (side 0), then run the probe
+        loop.  The output is materialised: the loop's charges are the reduce
+        task's, whether or not a consumer drains it.
+        """
+        probe = self._probe_loop(ctx, per_row)
+
+        def join_partition(entries, task_ctx):
+            table: Dict[tuple, List[tuple]] = {}
+            stream: List[Tuple[tuple, tuple]] = []
+            for key, side, row in entries:
+                if side == 1:
+                    table.setdefault(key, []).append(row)
+                else:
+                    stream.append((key, row))
+            return iter(list(probe(table, stream, task_ctx)))
+
+        return join_partition
+
+    def _shuffle_join(self, ctx: ExecContext, tagged: RDD, per_row: float) -> RDD:
+        """Shuffle a tagged union of both sides by key and join it."""
+        shuffled = tagged.partition_by(
+            ctx.shuffle_partitions(), key_fn=lambda e: e[0],
+            post_shuffle=self._reducer(ctx, per_row),
+        )
+        # the reduce stage's lineage stops at this exchange, so stamping the
+        # join operator here attributes that stage to the join in EXPLAIN
+        # ANALYZE (like DataSourceScanExec stamps scan stages)
+        shuffled.scope = self.op_id
+        return shuffled
+
+    def _push_runtime_filters(self, ctx: ExecContext, keys: Iterable[tuple]) -> int:
+        """Offer the build's distinct ``keys`` to the probe's single scan.
+
+        One ``In`` source filter per bare-attribute key on a column the scan
+        outputs, kept on ``ctx`` for this execution only; with zero or
+        several scans under the probe nothing is pushed.  Advisory: whoever
+        pushes still filters exactly, engine-side.  Returns the count.
+        """
+        from repro.sql import sources as S
+
+        scans = [op for op in self.children[0].walk()
+                 if isinstance(op, DataSourceScanExec)]
+        if len(scans) != 1:
+            return 0
+        scan = scans[0]
+        scan_ids = {a.attr_id for a in scan.output}
+        pushed = 0
+        for i, key in enumerate(self.left_keys):
+            if not isinstance(key, E.Attribute) or key.attr_id not in scan_ids:
+                continue
+            values = {k[i] for k in keys}
+            try:
+                ordered = sorted(values)
+            except TypeError:
+                ordered = sorted(values, key=repr)
+            ctx.runtime_filters.setdefault(scan.op_id, []).append(
+                S.In(key.name, tuple(ordered)))
+            pushed += 1
+        return pushed
+
+
+class ShuffledHashJoinExec(HashJoinExec):
+    """Both sides are shuffled by the join key; each reduce task builds its
+    partition's table.
+
+    Both inputs arrive as batches: join keys evaluate as column kernels and
+    rows re-materialise through a C-level transpose into the tagged
+    ``(key, side, row)`` stream the reduce side joins row by row.
+    """
+
+    child_formats = (True, True)
+
+    def execute(self, ctx: ExecContext) -> RDD:
+        self._record_cbo_estimate(ctx)
         vec_row = ctx.cost.vector_row_cpu_s
 
-        def make_tag(kernels, side):
+        def tagged(child, keys, side):
+            kernels = [C.compile_bound(k, child.output) for k in keys]
+
             def tag(batches, task_ctx):
                 for batch in _metered(ctx, self, batches, task_ctx, vec_row):
                     cols, n = batch.columns, batch.num_rows
@@ -1001,84 +1068,34 @@ class ShuffledHashJoinExec(PhysicalPlan):
                                         batch.to_rows()):
                         yield (key, side, row)
 
-            return tag
+            return child.execute(ctx).map_partitions(tag)
 
-        join_partition = _make_join_reducer(
-            self.how, left_width, right_width, residual_bound,
-            ctx.cost.row_cpu_s,
-            lambda rows_out, bytes_out: ctx.accumulate_operator(
-                self, rows_out=rows_out, bytes_out=bytes_out),
-        )
-
-        tagged = left.execute(ctx).map_partitions(make_tag(left_kernels, 0)).union(
-            right.execute(ctx).map_partitions(make_tag(right_kernels, 1))
-        )
-        shuffled = tagged.partition_by(
-            ctx.shuffle_partitions(), key_fn=lambda e: e[0], post_shuffle=join_partition
-        )
-        # the reduce stage's lineage stops at this exchange, so stamping the
-        # join operator here attributes that stage to the join in EXPLAIN
-        # ANALYZE (like DataSourceScanExec stamps scan stages)
-        shuffled.scope = self.op_id
-        return shuffled
-
-    def describe(self) -> str:
-        return f"ShuffledHashJoin({self.how}, {self.left_keys!r} = {self.right_keys!r})"
+        left, right = self.children
+        return self._shuffle_join(
+            ctx, tagged(left, self.left_keys, 0).union(
+                tagged(right, self.right_keys, 1)),
+            ctx.cost.row_cpu_s)
 
 
-class BroadcastHashJoinExec(PhysicalPlan):
-    """Equi-join broadcasting the (small) right side to every executor.
-
-    The build side is a row sub-job collected at the driver; the probe reads
-    the left side's batches, computing stream keys as column kernels.
+class BroadcastHashJoinExec(HashJoinExec):
+    """The (small) right side is collected at the driver by a row sub-job
+    and broadcast to every executor; the probe pipelines inside the left
+    side's stage, computing stream keys as column kernels over its batches.
     """
 
-    def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
-                 left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
-                 how: str, residual: Optional[E.Expression]) -> None:
-        super().__init__(_join_output(left, right, how), [left, right])
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
-        self.how = how
-        self.residual = residual
-
-    def _broadcast_build(self, ctx: ExecContext) -> Dict[tuple, List[tuple]]:
-        """Collect the (small) right side as a driver sub-job and hash it."""
-        right = self.children[1]
-        bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
-        build_rows = ctx.run_job(right.execute(ctx)).rows()
-        build_bytes = sum(estimate_size(r) for r in build_rows)
-        executors = len(ctx.scheduler.cluster.executors)
-        ctx.charge_driver(
-            build_bytes * executors / ctx.cost.network_bytes_per_sec,
-            "engine.broadcast_bytes", build_bytes * executors,
-        )
-        table: Dict[tuple, List[tuple]] = {}
-        for row in build_rows:
-            key = tuple(k.eval(row) for k in bound_right)
-            if None not in key:
-                table.setdefault(key, []).append(row)
-        return table
+    child_formats = (True, False)
 
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left, right = self.children
         kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        table = self._broadcast_build(ctx)
-        probe_keyed = _make_keyed_probe(
-            table, self.how, left_width, right_width, residual_bound,
-            ctx.cost.vector_row_cpu_s,
-            lambda rows_out, bytes_out: ctx.accumulate_operator(
-                self, rows_out=rows_out, bytes_out=bytes_out),
-        )
+        bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
+        probe = self._probe_loop(ctx, ctx.cost.vector_row_cpu_s)
+        table, build_bytes = _hash_build(
+            _keyed(ctx.run_job(right.execute(ctx)).rows(), bound_right))
+        _charge_broadcast(ctx, build_bytes)
 
-        def probe(batches, task_ctx):
+        def probe_batches(batches, task_ctx):
             def keyed():
                 # the probe charges per output row; input rows are only counted
                 for batch in _metered(ctx, self, batches, task_ctx, None):
@@ -1087,27 +1104,25 @@ class BroadcastHashJoinExec(PhysicalPlan):
                         yield from zip(C.key_tuples(kernels, cols, n),
                                        batch.to_rows())
 
-            return probe_keyed(keyed(), task_ctx)
+            return probe(table, keyed(), task_ctx)
 
         # no scope stamp: the probe pipelines inside the big side's scan
         # stage, whose scope already belongs to the scan operator
-        return left.execute(ctx).map_partitions(probe)
-
-    def describe(self) -> str:
-        return f"BroadcastHashJoin({self.how}, {self.left_keys!r} = {self.right_keys!r})"
+        return left.execute(ctx).map_partitions(probe_batches)
 
 
 #: distinct build keys above which a semi-join reduction aborts at runtime
 SEMIJOIN_MAX_KEYS = 16384
 
 
-class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
-    """Shuffled equi-join with a semi-join reduction on the probe side.
+class SemiJoinReducedJoinExec(HashJoinExec):
+    """A shuffled join whose build side's keys go ahead of the shuffle.
 
     Chosen by the cost-based planner (docs/optimizer.md) when statistics say
     the build side is small and its join keys prune most probe rows.  The
     build side runs once as a driver sub-job; its distinct key tuples are
-    broadcast (charged like a broadcast build) and applied in three places:
+    broadcast (charged by *key* bytes, not row bytes) and applied in three
+    places:
 
     1. as best-effort ``In`` source filters on the probe's scan -- for an
        HBase row-key column this prunes whole regions before any I/O;
@@ -1117,8 +1132,8 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
        collection, so the build side is neither scanned nor shuffled twice.
 
     If the build yields more than :data:`SEMIJOIN_MAX_KEYS` distinct tuples
-    the reduction aborts at runtime (``sql.cbo.semijoins_rejected``) and the
-    operator degrades to the plain shuffled join it subclasses.
+    the reduction aborts at runtime (``sql.cbo.semijoins_rejected``): no
+    keys are sent and the probe enters the shuffle unreduced.
     """
 
     def execute(self, ctx: ExecContext) -> RDD:
@@ -1128,14 +1143,8 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
         bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
         per_row = ctx.cost.row_cpu_s
 
-        # collect the (small) build side once at the driver
         build_rows = list(ctx.run_job(right.execute(ctx)).rows())
-        keys = set()
-        for row in build_rows:
-            key = tuple(k.eval(row) for k in bound_right)
-            if None not in key:
-                keys.add(key)
-
+        keys, __ = _hash_build(_keyed(build_rows, bound_right))
         if len(keys) > SEMIJOIN_MAX_KEYS:
             # runtime abort: stats undercounted the build's distinct keys
             ctx.metrics.incr("sql.cbo.semijoins_rejected", 1)
@@ -1146,47 +1155,24 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
         else:
             ctx.metrics.incr("sql.cbo.semijoin.keys", len(keys))
             ctx.record_operator(self, semijoin_keys=len(keys))
-            key_bytes = sum(estimate_size(k) for k in keys)
-            executors = len(ctx.scheduler.cluster.executors)
-            ctx.charge_driver(
-                key_bytes * executors / ctx.cost.network_bytes_per_sec,
-                "engine.broadcast_bytes", key_bytes * executors,
-            )
-            pushed = self._push_runtime_filters(left, keys)
+            _charge_broadcast(ctx, sum(estimate_size(k) for k in keys))
+            pushed = self._push_runtime_filters(ctx, keys)
             if pushed:
                 ctx.record_operator(self, semijoin_scan_filters=pushed)
             probe = left.execute(ctx).map_partitions(
                 self._make_prefilter(ctx, bound_left, keys, per_row)
             )
 
-        # from here on: the plain shuffled-join body over the reduced probe,
-        # with the already-collected build rows re-parallelised
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
-        residual_bound = (
-            E.bind_expression(self.residual, combined_attrs)
-            if self.residual is not None else None
-        )
-        join_partition = _make_join_reducer(
-            self.how, left_width, right_width, residual_bound, per_row,
-            lambda rows_out, bytes_out: ctx.accumulate_operator(
-                self, rows_out=rows_out, bytes_out=bytes_out),
-        )
         build_rdd = ParallelCollectionRDD(
             build_rows, min(ctx.shuffle_partitions(), max(1, len(build_rows)))
         )
         tagged = probe.map_partitions(_row_tagger(bound_left, 0, per_row)).union(
             build_rdd.map_partitions(_row_tagger(bound_right, 1, per_row))
         )
-        shuffled = tagged.partition_by(
-            ctx.shuffle_partitions(), key_fn=lambda e: e[0],
-            post_shuffle=join_partition,
-        )
-        shuffled.scope = self.op_id
-        return shuffled
+        return self._shuffle_join(ctx, tagged, per_row)
 
     def _make_prefilter(self, ctx: ExecContext,
-                        bound_left: Sequence[E.Expression], keys: set,
+                        bound_left: Sequence[E.Expression], keys,
                         per_row: float):
         """Exact membership filter the probe pays per row seen."""
 
@@ -1205,40 +1191,13 @@ class SemiJoinReducedJoinExec(ShuffledHashJoinExec):
 
         return prefilter
 
-    def _push_runtime_filters(self, left: PhysicalPlan, keys: set) -> int:
-        """Attach per-column ``In`` source filters to the probe's single scan.
-
-        Only bare-attribute keys on columns the scan outputs qualify; with
-        zero or several scans under the probe nothing is pushed (the exact
-        engine-side pre-filter still applies either way).
-        """
-        from repro.sql import sources as S
-
-        scans = [op for op in left.walk() if isinstance(op, DataSourceScanExec)]
-        if len(scans) != 1:
-            return 0
-        scan = scans[0]
-        scan_ids = {a.attr_id for a in scan.output}
-        pushed = 0
-        for i, key in enumerate(self.left_keys):
-            if not isinstance(key, E.Attribute) or key.attr_id not in scan_ids:
-                continue
-            values = {k[i] for k in keys}
-            try:
-                ordered = sorted(values)
-            except TypeError:
-                ordered = sorted(values, key=repr)
-            scan.runtime_filters.append(S.In(key.name, tuple(ordered)))
-            pushed += 1
-        return pushed
-
-    def describe(self) -> str:
-        return (f"SemiJoinReducedJoin({self.how}, "
-                f"{self.left_keys!r} = {self.right_keys!r})")
-
 
 class BroadcastNestedLoopJoinExec(PhysicalPlan):
-    """Fallback join without equi keys: broadcast right, test the condition."""
+    """Fallback join without equi keys: broadcast right, test the condition.
+
+    Not a :class:`HashJoinExec`: it is charged per *pair compared*, which
+    the hash probe would have to count on every match to share a loop.
+    """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan, how: str,
                  condition: Optional[E.Expression]) -> None:
@@ -1256,32 +1215,30 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
         )
         how = self.how
         build_rows = ctx.run_job(right.execute(ctx)).rows()
-        build_bytes = sum(estimate_size(r) for r in build_rows)
-        executors = len(ctx.scheduler.cluster.executors)
-        ctx.charge_driver(
-            build_bytes * executors / ctx.cost.network_bytes_per_sec,
-            "engine.broadcast_bytes", build_bytes * executors,
-        )
+        _charge_broadcast(ctx, sum(estimate_size(r) for r in build_rows))
         per_row = ctx.cost.row_cpu_s
 
         def probe(rows, task_ctx):
             count = 0
-            for left_row in rows:
-                emitted = False
-                for right_row in build_rows:
-                    combined = _combine_rows(left_row, right_row, left_width, right_width)
-                    count += 1
-                    if bound is None or bound.eval(combined) is True:
-                        emitted = True
-                        if how in ("semi", "anti"):
-                            break
-                        yield combined
-                if how == "left" and not emitted:
-                    yield _combine_rows(left_row, None, left_width, right_width)
-                elif how == "semi" and emitted:
-                    yield left_row
-                elif how == "anti" and not emitted:
-                    yield left_row
+            try:
+                for left_row in rows:
+                    emitted = False
+                    for right_row in build_rows:
+                        combined = _combine_rows(left_row, right_row, left_width, right_width)
+                        count += 1
+                        if bound is None or bound.eval(combined) is True:
+                            emitted = True
+                            if how in ("semi", "anti"):
+                                break
+                            yield combined
+                    if how == "left" and not emitted:
+                        yield _combine_rows(left_row, None, left_width, right_width)
+                    elif how == "semi" and emitted:
+                        yield left_row
+                    elif how == "anti" and not emitted:
+                        yield left_row
+            except GeneratorExit:
+                pass
             task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
 
         return left.execute(ctx).map_partitions(probe)
@@ -1352,19 +1309,22 @@ class LimitExec(PhysicalPlan):
     def execute(self, ctx: ExecContext) -> RDD:
         n = self.n
 
-        def local_limit(rows, task_ctx):
+        def limit(rows, task_ctx):
             out = []
             for row in rows:
                 if len(out) >= n:
+                    # stopping early closes the input, so the operators
+                    # upstream book the rows this task did pull (see
+                    # "Book-keeping tails")
+                    close = getattr(rows, "close", None)
+                    if close is not None:
+                        close()
                     break
                 out.append(row)
             return iter(out)
 
-        def global_limit(rows, task_ctx):
-            return local_limit(rows, task_ctx)
-
-        limited = self.children[0].execute(ctx).map_partitions(local_limit)
-        return limited.coalesce_to_driver().map_partitions(global_limit)
+        limited = self.children[0].execute(ctx).map_partitions(limit)
+        return limited.coalesce_to_driver().map_partitions(limit)
 
     def describe(self) -> str:
         return f"Limit({self.n})"
@@ -1386,9 +1346,12 @@ class UnionExec(PhysicalPlan):
     def execute(self, ctx: ExecContext) -> RDD:
         def count_side(rows, task_ctx):
             out = 0
-            for row in rows:
-                out += 1
-                yield row
+            try:
+                for row in rows:
+                    out += 1
+                    yield row
+            except GeneratorExit:
+                pass
             task_ctx.ledger.count("engine.setop.rows_out", out)
             ctx.accumulate_operator(self, setop_rows_out=out)
 
@@ -1407,11 +1370,14 @@ class DistinctExec(PhysicalPlan):
         def dedupe(rows, task_ctx):
             seen = set()
             out = 0
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    out += 1
-                    yield row
+            try:
+                for row in rows:
+                    if row not in seen:
+                        seen.add(row)
+                        out += 1
+                        yield row
+            except GeneratorExit:
+                pass
             task_ctx.ledger.count("engine.setop.rows_out", out)
             ctx.accumulate_operator(self, setop_rows_out=out)
 

@@ -244,21 +244,7 @@ class Planner:
         condition: Optional[E.Expression],
         rel_node: L.LogicalRelation,
     ) -> P.PhysicalPlan:
-        conjuncts = E.split_conjuncts(condition) if condition is not None else []
-        offered = []
-        pairs: List[Tuple[E.Expression, Optional[object]]] = []
-        for conjunct in conjuncts:
-            source_filter = translate_expression(conjunct)
-            pairs.append((conjunct, source_filter))
-            if source_filter is not None:
-                offered.append(source_filter)
-
-        unhandled = set(rel_node.relation.unhandled_filters(offered))
-        residual_exprs = [
-            conjunct for conjunct, source_filter in pairs
-            if source_filter is None or source_filter in unhandled
-        ]
-        residual = E.combine_conjuncts(residual_exprs)
+        offered, handled, residual = _offer_filters(rel_node.relation, condition)
 
         needed_ids = set()
         if project_list is not None:
@@ -274,7 +260,7 @@ class Planner:
             scan_attrs = rel_node.output[:1]
         scan = P.DataSourceScanExec(
             rel_node.relation, scan_attrs, offered, residual, rel_node.name,
-            handled_filters=[f for f in offered if f not in unhandled],
+            handled_filters=handled,
         )
         if self.replica_reads:
             scan.replica_reads = True
@@ -312,25 +298,8 @@ class Planner:
         if plan_aggregate is None:
             return None
 
-        condition = E.combine_conjuncts(
-            [c for cond in conditions for c in E.split_conjuncts(cond)]
-        )
-        conjuncts = E.split_conjuncts(condition) if condition is not None else []
-        offered = []
-        residual_exprs = []
-        for conjunct in conjuncts:
-            source_filter = translate_expression(conjunct)
-            if source_filter is not None:
-                offered.append(source_filter)
-            else:
-                residual_exprs.append(conjunct)
-        unhandled = set(current.relation.unhandled_filters(offered))
-        residual_exprs.extend(
-            conjunct for conjunct in conjuncts
-            if (sf := translate_expression(conjunct)) is not None
-            and sf in unhandled
-        )
-        residual = E.combine_conjuncts(residual_exprs)
+        offered, __, residual = _offer_filters(
+            current.relation, E.combine_conjuncts(conditions))
 
         needed_ids = set()
         for g in node.groupings:
@@ -382,41 +351,28 @@ class Planner:
                 h_left = left_size <= self.broadcast_threshold and node.how == "inner"
                 if bc_right != h_right or (not bc_right and bc_left != h_left):
                     self._incr("sql.cbo.aqe_priors_used")
-            # a broadcast join streams batches against a row-collected build
+            equi = (left_plan, right_plan, left_keys, right_keys, node.how,
+                    residual, est_join)
             if bc_right:
-                return self._stamp(P.BroadcastHashJoinExec(
-                    adapt(left_plan, True), adapt(right_plan, False),
-                    left_keys, right_keys, node.how, residual
-                ), est_join)
+                return self._equi_join(P.BroadcastHashJoinExec, *equi)
             if bc_left:
-                swapped = self._stamp(P.BroadcastHashJoinExec(
-                    adapt(right_plan, True), adapt(left_plan, False),
-                    right_keys, left_keys, "inner", None
-                ), est_join)
+                swapped = self._equi_join(
+                    P.BroadcastHashJoinExec, right_plan, left_plan,
+                    right_keys, left_keys, "inner", None, est_join)
                 reordered = self._project(
                     list(node.left.output) + list(node.right.output), swapped
                 )
                 if residual is not None:
                     return self._filter(residual, reordered)
                 return reordered
-            semijoin = self._try_semijoin_reduction(
-                node, left_plan, right_plan, left_keys, right_keys, residual,
-                est_left, est_right, est_join,
-            )
-            if semijoin is not None:
-                return semijoin
+            if self._semijoin_reduces(node, left_keys, right_keys,
+                                      est_left, est_right):
+                return self._equi_join(P.SemiJoinReducedJoinExec, *equi)
             if self.adaptive:
                 from repro.sql.adaptive import AdaptiveJoinExec
 
-                # stage barriers materialise row shuffles
-                return self._stamp(AdaptiveJoinExec(
-                    adapt(left_plan, False), adapt(right_plan, False),
-                    left_keys, right_keys, node.how, residual,
-                ), est_join)
-            return self._stamp(P.ShuffledHashJoinExec(
-                adapt(left_plan, True), adapt(right_plan, True),
-                left_keys, right_keys, node.how, residual
-            ), est_join)
+                return self._equi_join(AdaptiveJoinExec, *equi)
+            return self._equi_join(P.ShuffledHashJoinExec, *equi)
 
         # no equi keys: nested loop with the right side broadcast
         return P.BroadcastNestedLoopJoinExec(
@@ -424,41 +380,60 @@ class Planner:
             node.how, node.condition
         )
 
-    def _try_semijoin_reduction(self, node, left_plan, right_plan, left_keys,
-                                right_keys, residual, est_left, est_right,
-                                est_join) -> Optional[P.PhysicalPlan]:
+    def _semijoin_reduces(self, node, left_keys, right_keys,
+                          est_left, est_right) -> bool:
         """Semi-join reduction (docs/optimizer.md): pre-filter the probe side
         by the build side's distinct keys before shuffling, when statistics
         predict the probe shrinks by :data:`SEMIJOIN_MIN_REDUCTION`."""
         if not self.semijoin_enabled or node.how not in ("inner", "semi"):
-            return None
+            return False
         if est_left is None or not (est_left.confident and est_right.confident):
-            return None
+            return False
         if est_right.rows > SEMIJOIN_MAX_BUILD_ROWS:
-            return None
+            return False
         from repro.sql.cbo import semijoin_keep_fraction
 
         keep = semijoin_keep_fraction(est_left, est_right, left_keys, right_keys)
         if keep is None or keep > 1.0 / SEMIJOIN_MIN_REDUCTION:
             self._incr("sql.cbo.semijoins_rejected")
-            return None
+            return False
         self._incr("sql.cbo.semijoins_applied")
-        # the probe pre-filter and the driver-collected build are row-at-a-time
-        return self._stamp(P.SemiJoinReducedJoinExec(
-            adapt(left_plan, False), adapt(right_plan, False),
-            left_keys, right_keys, node.how, residual,
-        ), est_join)
+        return True
 
     def _incr(self, name: str) -> None:
         if self.metrics is not None:
             self.metrics.incr(name, 1)
 
     @staticmethod
-    def _stamp(op: P.PhysicalPlan, est) -> P.PhysicalPlan:
-        """Attach the join-level row estimate for EXPLAIN's est-vs-actual."""
+    def _equi_join(strategy, left: P.PhysicalPlan, right: P.PhysicalPlan,
+                   left_keys, right_keys, how: str, residual, est) -> P.PhysicalPlan:
+        """One equi-join operator: each child in the format ``strategy``
+        reads it in, stamped with the join-level row estimate (where
+        confident) for EXPLAIN's est-vs-actual."""
+        left_batches, right_batches = strategy.child_formats
+        op = strategy(adapt(left, left_batches), adapt(right, right_batches),
+                      left_keys, right_keys, how, residual)
         if est is not None and est.confident:
             op.cbo_rows = est.rows
         return op
+
+
+def _offer_filters(relation, condition: Optional[E.Expression]):
+    """The ``unhandledFilters`` handshake (section VI.A.3), stated once.
+
+    Every conjunct of ``condition`` that translates to a source filter is
+    *offered* to ``relation``; the ones it does not report back as
+    unhandled are *handled*; what did not translate or was not handled
+    stays an engine-side *residual*.  Returns ``(offered, handled,
+    residual)``.
+    """
+    conjuncts = E.split_conjuncts(condition) if condition is not None else []
+    translated = [translate_expression(c) for c in conjuncts]
+    offered = [f for f in translated if f is not None]
+    unhandled = set(relation.unhandled_filters(offered))
+    residual = E.combine_conjuncts(
+        [c for c, f in zip(conjuncts, translated) if f is None or f in unhandled])
+    return offered, [f for f in offered if f not in unhandled], residual
 
 
 def _as_relation(node: L.LogicalPlan) -> Optional[L.LogicalRelation]:

@@ -33,7 +33,10 @@ class RowToColumnarExec(P.PhysicalPlan):
         batch_size = C.BATCH_SIZE
 
         def to_batches(rows, task_ctx):
-            yield from C.batches_from_rows(rows, width, batch_size)
+            try:
+                yield from C.batches_from_rows(rows, width, batch_size)
+            except GeneratorExit:  # booked like exhaustion: physical.py, "Book-keeping tails"
+                pass
             task_ctx.ledger.count("engine.vectorized.transitions", 1)
             ctx.accumulate_operator(self, conversions=1)
 
@@ -51,8 +54,11 @@ class ColumnarToRowExec(P.PhysicalPlan):
 
     def execute(self, ctx: P.ExecContext) -> RDD:
         def to_rows(batches, task_ctx):
-            for batch in batches:
-                yield from batch.to_rows()
+            try:
+                for batch in batches:
+                    yield from batch.to_rows()
+            except GeneratorExit:  # booked like exhaustion: physical.py, "Book-keeping tails"
+                pass
             task_ctx.ledger.count("engine.vectorized.transitions", 1)
             ctx.accumulate_operator(self, conversions=1)
 

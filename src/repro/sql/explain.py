@@ -72,7 +72,7 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
             if "filters_runtime" in stats:
                 notes.append(
                     f"runtime filters: {int(stats['filters_runtime'])} "
-                    f"(semi-join build keys)"
+                    f"(join build keys)"
                 )
             if "rows_out" in stats:
                 actual = int(stats["rows_out"])
@@ -96,6 +96,14 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
                 )
             elif "semijoin" in stats:
                 notes.append(f"semi-join reduction: {stats['semijoin']}")
+            if "build_reused_from" in stats:
+                notes.append(f"build: reused from op {stats['build_reused_from']}")
+            if "runtime_keys" in stats:
+                scan = result.operator_stats.get(op.probe_scan().op_id, {})
+                notes.append(   # only an HBase scan says what the keys became
+                    f"runtime keys: {int(stats['runtime_keys'])} keys" + (
+                        f" -> {scan['scan_ranges']} ranges"
+                        if "scan_ranges" in scan else ""))
             if "final_strategy" in stats:
                 notes.append(
                     f"aqe: {stats.get('initial_strategy', '?')} -> "

@@ -71,6 +71,10 @@ class ExecContext:
         #: ``op_id``.  They live here and not on the plan node: a planned
         #: tree is never written to by executing it, so it can run again
         self.runtime_filters: Dict[int, List[SourceFilter]] = {}
+        #: build sides hashed *in this execution*, by the planner's stamp:
+        #: ``(table, row bytes, op_id of the join that built it)``; a later
+        #: broadcast join with the same stamp probes the same table
+        self.shared_builds: Dict[tuple, Tuple[Dict[tuple, List[tuple]], int, int]] = {}
         self._lock = threading.Lock()
 
     def record_operator(self, op: "PhysicalPlan", **stats: object) -> None:
@@ -312,6 +316,10 @@ class DataSourceScanExec(PhysicalPlan):
                          partitions=len(scan_parts))
             ctx.metrics.incr("shc.regions_scanned", scanned)
             ctx.metrics.incr("shc.regions_pruned", max(0, total - scanned))
+            if runtime_filters:
+                # what the pushed keys became: merged ranges, clamped per region
+                stats["scan_ranges"] = sum(
+                    len(w.ranges) for p in scan_parts for w in p.work)
         routing = getattr(rdd, "replica_routing", None)
         if routing is not None:
             # replica-aware routing engaged (docs/replication.md): surface
@@ -1010,21 +1018,37 @@ class HashJoinExec(PhysicalPlan):
         shuffled.scope = self.op_id
         return shuffled
 
+    def probe_scan(self) -> Optional[DataSourceScanExec]:
+        """The scan at the foot of the stream spine, or None.
+
+        The spine is what a probe row flows through: the left child of a
+        broadcast join (its build side is another table's rows), the child
+        of a unary operator.  It stops at any other fork and at the two
+        operators a filtered scan would change the meaning of: a LIMIT and
+        a cache fill (which publishes what it read under the plan's name).
+        """
+        op = self.children[0]
+        while not isinstance(op, DataSourceScanExec):
+            if isinstance(op, (LimitExec, CacheMaterializeExec)):
+                return None
+            if not (isinstance(op, BroadcastHashJoinExec) or len(op.children) == 1):
+                return None
+            op = op.children[0]
+        return op
+
     def _push_runtime_filters(self, ctx: ExecContext, keys: Iterable[tuple]) -> int:
-        """Offer the build's distinct ``keys`` to the probe's single scan.
+        """Offer the build's distinct ``keys`` to the probe's scan.
 
         One ``In`` source filter per bare-attribute key on a column the scan
-        outputs, kept on ``ctx`` for this execution only; with zero or
-        several scans under the probe nothing is pushed.  Advisory: whoever
+        outputs, kept on ``ctx`` for this execution only; with no scan at
+        the foot of the stream spine nothing is pushed.  Advisory: whoever
         pushes still filters exactly, engine-side.  Returns the count.
         """
         from repro.sql import sources as S
 
-        scans = [op for op in self.children[0].walk()
-                 if isinstance(op, DataSourceScanExec)]
-        if len(scans) != 1:
+        scan = self.probe_scan()
+        if scan is None:
             return 0
-        scan = scans[0]
         scan_ids = {a.attr_id for a in scan.output}
         pushed = 0
         for i, key in enumerate(self.left_keys):
@@ -1081,19 +1105,42 @@ class BroadcastHashJoinExec(HashJoinExec):
     """The (small) right side is collected at the driver by a row sub-job
     and broadcast to every executor; the probe pipelines inside the left
     side's stage, computing stream keys as column kernels over its batches.
+
+    The planner stamps two decisions on it where ANALYZE statistics made it
+    confident (docs/optimizer.md): ``push_keys`` hands the build's distinct
+    keys to the probe's scan, where a row-key column turns them into merged
+    scan ranges; ``build_stamp`` names the build side, so a later join with
+    the same stamp in this execution probes this one's table -- no sub-job,
+    no broadcast.  The probe filters exactly either way.
     """
 
     child_formats = (True, False)
+    push_keys = False
+    build_stamp: Optional[tuple] = None
 
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left, right = self.children
         kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
         probe = self._probe_loop(ctx, ctx.cost.vector_row_cpu_s)
-        table, build_bytes = _hash_build(
-            _keyed(ctx.run_job(right.execute(ctx)).rows(), bound_right))
-        _charge_broadcast(ctx, build_bytes)
+        shared = ctx.shared_builds.get(self.build_stamp)
+        if shared is None:
+            bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
+            table, build_bytes = _hash_build(
+                _keyed(ctx.run_job(right.execute(ctx)).rows(), bound_right))
+            _charge_broadcast(ctx, build_bytes)
+            if self.build_stamp is not None:
+                ctx.shared_builds[self.build_stamp] = (table, build_bytes, self.op_id)
+        else:
+            table, build_bytes, builder = shared
+            ctx.metrics.incr("sql.cbo.shared_build.reuses", 1)
+            ctx.metrics.incr("sql.cbo.shared_build.bytes_saved",
+                             build_bytes * len(ctx.scheduler.cluster.executors))
+            ctx.record_operator(self, build_reused_from=builder)
+        if self.push_keys and len(table) <= SEMIJOIN_MAX_KEYS \
+                and self._push_runtime_filters(ctx, table.keys()):
+            ctx.metrics.incr("sql.cbo.runtime_keys.pushed", len(table))
+            ctx.record_operator(self, runtime_keys=len(table))
 
         def probe_batches(batches, task_ctx):
             def keyed():

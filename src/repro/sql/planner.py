@@ -94,7 +94,8 @@ class Planner:
     ``stats`` is the session's statistics store, or the planning pass's
     estimator (:func:`repro.sql.cbo.estimator_for`).  Where the plan's
     tables have ANALYZE statistics (docs/optimizer.md), join sizing uses
-    the estimates and the semi-join reduction strategy becomes available.
+    the estimates, the semi-join reduction strategy becomes available and a
+    broadcast join may push its keys and share its build.
     """
 
     def __init__(self, conf: Dict[str, object], cache=None, stats=None,
@@ -354,11 +355,15 @@ class Planner:
             equi = (left_plan, right_plan, left_keys, right_keys, node.how,
                     residual, est_join)
             if bc_right:
-                return self._equi_join(P.BroadcastHashJoinExec, *equi)
+                return self._stamp_broadcast(
+                    self._equi_join(P.BroadcastHashJoinExec, *equi),
+                    node.right, est_left, est_right)
             if bc_left:
-                swapped = self._equi_join(
-                    P.BroadcastHashJoinExec, right_plan, left_plan,
-                    right_keys, left_keys, "inner", None, est_join)
+                swapped = self._stamp_broadcast(
+                    self._equi_join(
+                        P.BroadcastHashJoinExec, right_plan, left_plan,
+                        right_keys, left_keys, "inner", None, est_join),
+                    node.left, est_right, est_left)
                 reordered = self._project(
                     list(node.left.output) + list(node.right.output), swapped
                 )
@@ -379,6 +384,31 @@ class Planner:
             adapt(left_plan, False), adapt(right_plan, False),
             node.how, node.condition
         )
+
+    def _stamp_broadcast(self, join: P.BroadcastHashJoinExec, build: L.LogicalPlan,
+                         est_probe, est_build) -> P.BroadcastHashJoinExec:
+        """The two decisions a broadcast join carries (docs/optimizer.md),
+        made only on confident estimates.  *Runtime keys*: push when the keys
+        should skip more probe rows than there are keys to send -- a key
+        range costs a seek, not the sub-job and pre-shuffle filter
+        :data:`SEMIJOIN_MIN_REDUCTION` prices.  *One build per fingerprint*:
+        name the build by subplan and key positions, so an equal one
+        elsewhere in the query is collected and broadcast once."""
+        if est_probe is None or not (est_probe.confident and est_build.confident):
+            return join
+        from repro.sql.cbo import semijoin_keep_fraction
+        from repro.sql.fingerprint import plan_fingerprint
+
+        keep = semijoin_keep_fraction(est_probe, est_build,
+                                      join.left_keys, join.right_keys)
+        join.push_keys = (join.how in ("inner", "semi") and keep is not None
+                          and est_probe.rows * (1.0 - keep) > est_build.rows)
+        build_ids = [a.attr_id for a in build.output]
+        if all(isinstance(k, E.Attribute) and k.attr_id in build_ids
+               for k in join.right_keys):
+            join.build_stamp = (plan_fingerprint(build), tuple(
+                build_ids.index(k.attr_id) for k in join.right_keys))
+        return join
 
     def _semijoin_reduces(self, node, left_keys, right_keys,
                           est_left, est_right) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
 from repro.core.keys import RowCodec
+from repro.core.partitions import build_partitions
 from repro.core.ranges import (
     FULL_SCAN,
     RangeBuilder,
@@ -13,6 +14,7 @@ from repro.core.ranges import (
     intersect_range_lists,
     merge_ranges,
 )
+from repro.hbase.master import RegionLocation
 from repro.sql import sources as S
 
 
@@ -245,3 +247,74 @@ def test_intersect_lists_matches_pointwise(pairs_a, pairs_b):
         assert covered(out, probe) == (
             covered(lists_a, probe) and covered(lists_b, probe)
         )
+
+
+# -- a join's build keys as an In list (ROADMAP 2(a)) ------------------------
+
+#: q39's date join at its real values: January 2001 as date surrogate keys
+JANUARY = tuple(range(2451911, 2451942))
+
+
+def _encode_k1(value, coder="PrimitiveType"):
+    cat = catalog_composite(coder)
+    return get_coder(coder).encode(value, cat.column("k1").dtype)
+
+
+@pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
+def test_consecutive_keys_on_a_composite_key_merge_into_one_range(coder):
+    ranges = builder(catalog_composite(coder)).ranges_for_filters(
+        [S.In("k1", JANUARY)])
+    # 31 key prefixes, each [enc(d), enc(d + 1)): adjacent, so one scan
+    assert ranges == [ScanRange(_encode_k1(JANUARY[0], coder),
+                                _encode_k1(JANUARY[-1] + 1, coder))]
+
+
+def test_merged_keys_cost_one_range_per_region_not_one_per_key():
+    ranges = builder(catalog_composite()).ranges_for_filters([S.In("k1", JANUARY)])
+    splits = [b"", _encode_k1(JANUARY[10]), _encode_k1(JANUARY[20]),
+              _encode_k1(JANUARY[-1] + 50), b""]
+    regions = [RegionLocation(f"r{i}", "t", lo, hi, f"rs{i % 2}", f"h{i % 2}")
+               for i, (lo, hi) in enumerate(zip(splits, splits[1:]))]
+    work = [w for p in build_partitions(regions, ranges) for w in p.work]
+    # the month spans three of the four regions: a range each, the last pruned
+    assert sorted((w.location.region_name, len(w.ranges)) for w in work) == \
+        [("r0", 1), ("r1", 1), ("r2", 1)]
+
+
+def test_non_adjacent_keys_stay_separate_ranges():
+    weekly = JANUARY[::7]
+    ranges = builder(catalog_composite()).ranges_for_filters([S.In("k1", weekly)])
+    assert ranges == [ScanRange(_encode_k1(d), _encode_k1(d + 1)) for d in weekly]
+    # two runs with a gap between them: two ranges
+    runs = JANUARY[:5] + JANUARY[9:12]
+    ranges = builder(catalog_composite()).ranges_for_filters([S.In("k1", runs)])
+    assert ranges == [ScanRange(_encode_k1(JANUARY[0]), _encode_k1(JANUARY[5])),
+                      ScanRange(_encode_k1(JANUARY[9]), _encode_k1(JANUARY[12]))]
+
+
+def test_pushed_keys_intersect_the_statements_own_range_never_widen_it():
+    between = [S.GreaterThanOrEqual("k1", JANUARY[10]),
+               S.LessThanOrEqual("k1", JANUARY[-1] + 300)]
+    b = builder(catalog_composite())
+    own = b.ranges_for_filters(between)
+    both = b.ranges_for_filters(between + [S.In("k1", JANUARY)])
+    # the ten days before the BETWEEN's lower bound are not read
+    assert both == [ScanRange(_encode_k1(JANUARY[10]), _encode_k1(JANUARY[-1] + 1))]
+    assert intersect_range_lists(both, own) == both
+    # keys wholly outside the statement's range leave nothing to scan
+    assert b.ranges_for_filters(
+        [S.LessThan("k1", JANUARY[0]), S.In("k1", JANUARY)]) == []
+    # and no keys at all (an empty build side) is an empty scan, not a full one
+    assert b.ranges_for_filters(between + [S.In("k1", ())]) == []
+
+
+def test_keys_under_a_coder_that_is_not_order_preserving():
+    cat = catalog_single("Avro")
+    # equality needs only an injective encoding: the keys become points, but
+    # zig-zag varints put no two neighbours next to each other, so none merge
+    ranges = builder(cat).ranges_for_filters([S.In("k", JANUARY[:4])])
+    assert len(ranges) == 4 and all(r.point for r in ranges)
+    # a key the coder cannot place (wrong literal type) gives up the range:
+    # the scan stays as wide as the statement made it
+    assert builder(cat).ranges_for_filters(
+        [S.In("k", (JANUARY[0], "2451912"))]) == list(FULL_SCAN)

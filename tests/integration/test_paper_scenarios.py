@@ -198,14 +198,65 @@ def paper_runs():
 
 @pytest.mark.parametrize("label", list(PAPER_QUERIES))
 def test_paper_query_costs_the_same_however_it_is_planned(paper_runs, label):
-    """ROADMAP 2(a): statistics and the adaptive join may only help."""
+    """Statistics and the adaptive join may only help.  Without statistics
+    the adaptive join costs what the static plan costs; with them every
+    paper query is strictly cheaper (ROADMAP 2: q39's date join hands its
+    keys to the inventory scan, equal build sides are built once)."""
     plain = paper_runs["plain"][label]
+    analyzed = paper_runs["analyzed"][label]
+    aqe = paper_runs["aqe"][label]
     assert plain.rows
-    for setup in ("analyzed", "aqe"):
-        other = paper_runs[setup][label]
+    for other in (analyzed, aqe):
         assert sorted(map(tuple, other.rows)) == sorted(map(tuple, plain.rows))
-        assert other.seconds == pytest.approx(plain.seconds, rel=0.005), setup
-    assert paper_runs["analyzed"][label].metrics.get("sql.cbo.estimates") > 0
+    assert aqe.seconds == pytest.approx(plain.seconds, rel=0.005)
+    assert analyzed.seconds < plain.seconds
+    assert analyzed.metrics.get("sql.cbo.estimates") > 0
+    if label == "q38":
+        # three fact tables, date_dim once, customer once (9 scans before)
+        scans = [s for s in analyzed.operator_stats.values() if "relation" in s]
+        assert len(scans) == 5
+        assert len([s for s in plain.operator_stats.values()
+                    if "relation" in s]) == 9
+
+
+def test_q39_branch_prunes_inventory_in_whatever_order_its_joins_run(monkeypatch):
+    """The date join hands its keys to the inventory scan through the
+    broadcast joins below it: with ``item`` and ``warehouse`` joined first
+    (and the join search held to the statement's order) the scan still
+    reads one month, not the year."""
+    from repro.sql import cbo
+    from repro.workloads.tpcds_gen import date_sk_range_for_year
+
+    monkeypatch.setattr(cbo, "_cheaper_order", lambda graph: None)
+    clear_cluster_registry()
+    DEFAULT_CONNECTION_CACHE.clear()
+    session = _paper_session("analyzed")
+    lo, hi = date_sk_range_for_year(queries.Q39_YEAR)
+    keys = {"date_dim": ("inv_date_sk", "d_date_sk"),
+            "item": ("inv_item_sk", "i_item_sk"),
+            "warehouse": ("inv_warehouse_sk", "w_warehouse_sk")}
+    runs = {}
+    for order in (("date_dim", "item", "warehouse"), ("item", "warehouse", "date_dim")):
+        frame = session.sql(f"""
+            select w_warehouse_sk, i_item_sk, d_moy, avg(inv_quantity_on_hand) as mean
+            from inventory {" ".join("join %s on %s = %s" % (t, *keys[t]) for t in order)}
+            where d_year = {queries.Q39_YEAR} and inv_date_sk between {lo} and {hi}
+              and d_moy = 1
+            group by w_warehouse_sk, i_item_sk, d_moy""")
+        physical = session.plan_query(frame.plan).physical
+        built = [op.children[1].output[0].name for op in physical.walk()
+                 if type(op).__name__ == "BroadcastHashJoinExec"]
+        assert built == [keys[t][1] for t in reversed(order)]   # outermost first
+        runs[order[0]] = result = frame.run()
+        (inventory,) = [s for s in result.operator_stats.values()
+                        if "filters_runtime" in s]
+        assert inventory["regions_scanned"] < inventory["regions_total"]
+        assert inventory["scan_ranges"] == inventory["regions_scanned"]
+    first, last = runs["date_dim"], runs["item"]
+    assert sorted(map(tuple, first.rows)) == sorted(map(tuple, last.rows))
+    assert last.metrics.get("shc.cells_decoded") == \
+        first.metrics.get("shc.cells_decoded")
+    session.shutdown()
 
 
 def _star_join_runs():

@@ -11,11 +11,15 @@ with one number: ``engine.join.rows_out``, the operator's ``rows_out``
 and the rows themselves.
 
 The second half covers what the build side's keys do to an HBase scan
-(``filters_runtime``, ``semijoin_scan_filters``, regions pruned) and the
+(``filters_runtime``, ``semijoin_scan_filters``, regions pruned), the two
+decisions a broadcast join carries -- its keys pushed to the probe's scan,
+its build shared with an equal one -- as metamorphic relations ("pushed is
+not pushed", "shared is rebuilt") over generated tables, and the
 machine-independent cost of one probed row.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -26,11 +30,15 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.common.cost import DEFAULT_COST_MODEL
+from repro.common.faults import FAULT_RPC, FaultInjector
+from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.engine.shuffle import estimate_size
+from repro.hbase.cluster import HBaseCluster
 from repro.sql import adaptive, physical as P
 from repro.sql import expressions as E
+from repro.sql.functions import col
 from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 from repro.sql.vectorized import adapt
@@ -199,10 +207,10 @@ FACT = StructType([StructField("k", IntegerType), StructField("v", IntegerType)]
 DIM = StructType([StructField("dk", IntegerType), StructField("name", StringType)])
 
 
-def _options(cluster, table, key, column, ctype, regions):
+def _options(cluster, table, key, column, ctype, regions, **table_attrs):
     return {
         HBaseTableCatalog.tableCatalog: json.dumps({
-            "table": {"namespace": "default", "name": table},
+            "table": {"namespace": "default", "name": table, **table_attrs},
             "rowkey": key,
             "columns": {
                 key: {"cf": "rowkey", "col": key, "type": "int"},
@@ -214,12 +222,9 @@ def _options(cluster, table, key, column, ctype, regions):
     }
 
 
-@pytest.fixture
-def star(linked):
+def _load_star(cluster, session, analyze=True):
     """A six-region fact table keyed by ``k`` and a two-row dimension, both
-    ANALYZEd, with broadcast ruled out: the planner reduces the join."""
-    cluster, session = linked
-    session.conf["sql.autoBroadcastJoinThreshold"] = 1
+    ANALYZEd unless told otherwise."""
     for name, schema, rows, regions in (
         ("fact", FACT, [(i, i * 10) for i in range(600)], 6),
         ("dim", DIM, [(7, "seven"), (8, "eight")], 1),
@@ -231,17 +236,39 @@ def star(linked):
             .format(DEFAULT_FORMAT).options(opts).save()
         session.read.format(DEFAULT_FORMAT).options(opts).load() \
             .create_or_replace_temp_view(name)
-        session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
+        if analyze:
+            session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
     return cluster, session
+
+
+@pytest.fixture
+def star(linked):
+    """The star with broadcast ruled out: the planner reduces the join."""
+    cluster, session = linked
+    session.conf["sql.autoBroadcastJoinThreshold"] = 1
+    return _load_star(cluster, session)
+
+
+@pytest.fixture
+def broadcast_star(linked):
+    """The star at the default threshold: the dimension is broadcast."""
+    return _load_star(*linked)
 
 
 QUERY = "select name, v from fact join dim on k = dk"
 
 
+FACT_REGIONS, DIM_REGIONS = 6, 1
+
+
+def _scans_of(result, regions):
+    """Every executed scan of the table created with ``regions`` regions."""
+    return [s for s in result.operator_stats.values()
+            if s.get("regions_total") == regions]
+
+
 def _scan_stats(result, regions):
-    """The scan of the table that was created with ``regions`` regions."""
-    return next(s for s in result.operator_stats.values()
-                if s.get("regions_total") == regions)
+    return _scans_of(result, regions)[0]
 
 
 def test_build_keys_prune_the_probe_scan(star):
@@ -281,6 +308,307 @@ def test_executing_a_planned_tree_leaves_it_as_planned(star):
     assert planned.physical.pretty() == before
     assert not any(hasattr(op, "runtime_filters")
                    for op in planned.physical.walk())
+
+
+# -- the two decisions a broadcast join carries -------------------------------
+
+UNION = QUERY + " union all " + QUERY
+
+
+def _joins(physical, how=None):
+    return [op for op in physical.walk()
+            if isinstance(op, P.BroadcastHashJoinExec) and how in (None, op.how)]
+
+
+def test_a_broadcast_joins_keys_become_the_probe_scans_ranges(broadcast_star):
+    cluster, session = broadcast_star
+    planned = session.plan_query(session.sql(QUERY).plan)
+    (join,) = _joins(planned.physical)
+    assert join.push_keys and join.build_stamp is not None
+    result = session.execute_planned(planned)
+    assert sorted(tuple(r.values) for r in result.rows) == \
+        [("eight", 80), ("seven", 70)]
+    assert result.operator_stats[join.op_id]["runtime_keys"] == 2
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
+    (fact,) = _scans_of(result, FACT_REGIONS)
+    # 7 and 8 are neighbours on the row key: one range in one region
+    assert (fact["filters_runtime"], fact["scan_ranges"]) == (1, 1)
+    assert fact["regions_scanned"] == 1 and fact["regions_pruned"] >= 5
+    assert result.operator_stats[join.op_id]["rows"] == 2   # rows the probe saw
+    report = session.sql(QUERY).explain(analyze=True)
+    assert "runtime keys: 2 keys -> 1 ranges" in report
+    assert "runtime filters: 1 (join build keys)" in report
+
+
+def test_left_and_anti_joins_never_push(broadcast_star):
+    cluster, session = broadcast_star
+    fact, dim = session.sql("select * from fact"), session.sql("select * from dim")
+    for how, nrows in (("left", 600), ("anti", 598), ("semi", 2), ("inner", 2)):
+        frame = fact.join(dim, on=col("k") == col("dk"), how=how)
+        planned = session.plan_query(frame.plan)
+        (join,) = _joins(planned.physical, how)
+        # every probe row of a left or anti join may reach the output
+        assert join.push_keys == (how in ("semi", "inner")), how
+        result = session.execute_planned(planned)
+        assert len(result.rows) == nrows
+        (scan,) = _scans_of(result, FACT_REGIONS)
+        assert ("filters_runtime" in scan) == join.push_keys
+
+
+def test_keys_are_not_pushed_where_they_would_skip_nothing(broadcast_star):
+    """The pricing rule (docs/optimizer.md): a dimension that holds every
+    key of the fact table prunes nothing, so its keys stay home."""
+    cluster, session = broadcast_star
+    opts = _options(cluster, "dim", "dk", "name", "string", 1)
+    session.create_dataframe([(i, "d%d" % i) for i in range(600)], DIM).write \
+        .format(DEFAULT_FORMAT).options(opts).save()
+    session.sql("ANALYZE TABLE dim COMPUTE STATISTICS")
+    planned = session.plan_query(session.sql(QUERY).plan)
+    (join,) = _joins(planned.physical)
+    assert not join.push_keys
+    result = session.execute_planned(planned)
+    assert len(result.rows) == 600
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 0.0
+
+
+def test_without_statistics_neither_decision_is_made(linked):
+    cluster, session = _load_star(*linked, analyze=False)
+    planned = session.plan_query(session.sql(UNION).plan)
+    assert [(j.push_keys, j.build_stamp) for j in _joins(planned.physical)] == \
+        [(False, None)] * 2
+    result = session.execute_planned(planned)
+    assert not [k for k in result.metrics.snapshot() if k.startswith("sql.cbo.")]
+    assert len(_scans_of(result, DIM_REGIONS)) == 2
+
+
+def test_an_equal_build_side_is_built_once(broadcast_star):
+    cluster, session = broadcast_star
+    planned = session.plan_query(session.sql(UNION).plan)
+    first, second = _joins(planned.physical)
+    assert first.build_stamp == second.build_stamp is not None
+    result = session.execute_planned(planned)
+    assert sorted(r.v for r in result.rows) == [70, 70, 80, 80]
+    # one sub-job, one broadcast: the other join probes the same table
+    assert len(_scans_of(result, DIM_REGIONS)) == 1 and len(_scans_of(result, FACT_REGIONS)) == 2
+    assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+    alone = session.sql(QUERY).run()
+    assert result.metrics.get("engine.broadcast_bytes") == \
+        alone.metrics.get("engine.broadcast_bytes") == \
+        result.metrics.get("sql.cbo.shared_build.bytes_saved")
+    builder, reuser = sorted(
+        (first, second),
+        key=lambda op: "build_reused_from" in result.operator_stats[op.op_id])
+    assert result.operator_stats[reuser.op_id]["build_reused_from"] == builder.op_id
+    report = session.sql(UNION).explain(analyze=True)
+    assert report.count("build: reused from op ") == 1
+
+
+def test_a_second_execution_of_the_planned_tree_rebuilds(broadcast_star):
+    """Nothing outlives its ``ExecContext``: the table a join shared in one
+    execution is not there for the next, which sees the dimension's new row."""
+    cluster, session = broadcast_star
+    planned = session.plan_query(session.sql(UNION).plan)
+    first = session.execute_planned(planned)
+    opts = _options(cluster, "dim", "dk", "name", "string", 1)
+    session.create_dataframe([(300, "three hundred")], DIM).write \
+        .format(DEFAULT_FORMAT).options(opts).save()
+    again = session.execute_planned(planned)
+    assert sorted(r.v for r in first.rows) == [70, 70, 80, 80]
+    assert sorted(r.v for r in again.rows) == [70, 70, 80, 80, 3000, 3000]
+    for result in (first, again):
+        assert len(_scans_of(result, DIM_REGIONS)) == 1
+        assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+    assert not any(hasattr(op, "shared_builds") for op in planned.physical.walk())
+
+
+def test_a_retried_build_sub_job_publishes_once(broadcast_star):
+    cluster, session = broadcast_star
+    injector = FaultInjector(seed=23)
+    injector.inject(FAULT_RPC, rate=1.0, times=2)   # the build's first RPCs
+    cluster.install_fault_injector(injector)
+    session.install_fault_injector(injector)
+    result = session.sql(UNION).run()
+    assert injector.injected(FAULT_RPC) == 2
+    assert sorted(r.v for r in result.rows) == [70, 70, 80, 80]
+    assert len(_scans_of(result, DIM_REGIONS)) == 1
+    assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+
+
+def test_equal_build_sides_joined_on_different_columns_share_nothing(linked):
+    cluster, session = _load_star(*linked)
+    pairs = StructType([StructField("a", IntegerType), StructField("b", IntegerType)])
+    session.create_dataframe([(7, 8), (8, 9), (9, 9)], pairs) \
+        .create_or_replace_temp_view("pairs")
+    session.sql("ANALYZE TABLE pairs COMPUTE STATISTICS")
+    sql = ("select v, a, b from fact join pairs on k = a union all "
+           "select v, a, b from fact join pairs on k = b")
+    planned = session.plan_query(session.sql(sql).plan)
+    on_a, on_b = _joins(planned.physical)
+    # one subplan, two key positions: two tables
+    assert on_a.build_stamp[0] == on_b.build_stamp[0]
+    assert on_a.build_stamp != on_b.build_stamp
+    result = session.execute_planned(planned)
+    assert sorted(tuple(r.values) for r in result.rows) == sorted(
+        [(70, 7, 8), (80, 8, 9), (90, 9, 9), (80, 7, 8), (90, 8, 9), (90, 9, 9)])
+    assert result.metrics.get("sql.cbo.shared_build.reuses") == 0.0
+
+
+def _fact_scan(session):
+    relation = session.sql("select k, v from fact").plan.collect_nodes(
+        lambda n: hasattr(n, "relation"))[0]
+    return P.DataSourceScanExec(relation.relation, relation.output, [], None, "fact")
+
+
+def _local(name, rows):
+    attrs = [E.Attribute(name, IntegerType), E.Attribute(name + "w", IntegerType)]
+    return attrs, adapt(P.WholeStageExec(P.LocalScanExec(attrs, rows, 2)), False)
+
+
+def test_keys_travel_down_the_stream_spine_only(broadcast_star):
+    """The pushing join finds the probe's scan through the broadcast joins
+    below it (their build sides are other tables' rows), and stops at a
+    LIMIT, under which a filtered scan would answer a different question."""
+    cluster, session = broadcast_star
+
+    def nested(limit):
+        scan = _fact_scan(session)
+        (ik, __), inner_build = _local("ik", [(i, i) for i in range(0, 600, 2)])
+        (ok, __), outer_build = _local("ok", [(8, 0), (9, 0), (10, 0)])
+        stream = P.WholeStageExec(scan)
+        if limit:
+            stream = adapt(P.LimitExec(500, adapt(stream, False)), True)
+        inner = P.BroadcastHashJoinExec(
+            stream, inner_build, [scan.output[0]], [ik], "inner", None)
+        outer = P.BroadcastHashJoinExec(
+            adapt(inner, True), outer_build, [scan.output[0]], [ok], "inner", None)
+        outer.push_keys = True
+        assert outer.probe_scan() is (None if limit else scan)
+        result = session.execute_physical(adapt(outer, False))
+        return scan, result
+
+    scan, result = nested(limit=False)
+    assert sorted(r.values[1] for r in result.rows) == [80, 100]
+    stats = result.operator_stats[scan.op_id]
+    assert (stats["filters_runtime"], stats["scan_ranges"]) == (1, 1)
+    assert stats["regions_scanned"] == 1
+    scan, result = nested(limit=True)
+    assert sorted(r.values[1] for r in result.rows) == [80, 100]
+    assert "filters_runtime" not in result.operator_stats[scan.op_id]
+
+
+PROBE = StructType([StructField(n, IntegerType) for n in ("k", "n", "v", "c")])
+_referee_ids = itertools.count(1)
+#: ``k`` is a row-key column (never NULL), ``v`` an ordinary one; both draw
+#: from the build side's key domain so either can be the join key
+probe_tables = st.lists(st.tuples(st.integers(0, 3), keys), min_size=3, max_size=9)
+
+
+def _probe_relation(session, cluster, coder, rows):
+    """``rows`` in a three-region table keyed by ``(k, n)``; ``c`` is never
+    NULL, so a row whose ``v`` is NULL still exists."""
+    opts = {
+        HBaseTableCatalog.tableCatalog: json.dumps({
+            "table": {"namespace": "default", "name": "probe", "tableCoder": coder},
+            "rowkey": "k:n",
+            "columns": {
+                "k": {"cf": "rowkey", "col": "k", "type": "int"},
+                "n": {"cf": "rowkey", "col": "n", "type": "int"},
+                "v": {"cf": "cf", "col": "v", "type": "int"},
+                "c": {"cf": "cf", "col": "c", "type": "int"},
+            },
+        }),
+        HBaseTableCatalog.newTable: "3",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    session.create_dataframe(rows, PROBE).write \
+        .format(DEFAULT_FORMAT).options(opts).save()
+    return session.read.format(DEFAULT_FORMAT).options(opts).load().plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe=probe_tables, build=tables, how=st.sampled_from(("inner", "semi")),
+       residual=st.booleans(), on=st.sampled_from(("k", "v")),
+       coder=st.sampled_from(("PrimitiveType", "Phoenix")))
+def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
+                                                          residual, on, coder):
+    """Two metamorphic relations over one generated pair of tables, the
+    probe an HBase table with a composite row key: a join answers alike
+    whether or not it pushed its keys (onto the leading key column they
+    become ranges, onto ``v`` -- NULLs and all -- a server-side filter), and
+    two joins answer alike whether they share a build or each make their
+    own."""
+    clock = SimClock()
+    cluster = HBaseCluster(f"referee{next(_referee_ids)}", HOSTS, clock=clock)
+    session = SparkSession(HOSTS, clock=clock)
+    relation = _probe_relation(
+        session, cluster, coder, [(k, n, v, 1) for n, (k, v) in enumerate(probe)])
+    by_name = {a.name: a for a in relation.output}
+    # key first, residual operand second: the order ``reference`` reads
+    attrs = [by_name[n] for n in ([on] + [c for c in "kvnc" if c != on])]
+    left_rows = [tuple(dict(zip("knvc", (k, n, v, 1)))[a.name] for a in attrs)
+                 for n, (k, v) in enumerate(probe)]
+    rk, rw = E.Attribute("k2", IntegerType), E.Attribute("w", IntegerType)
+    condition = E.Comparison("<", attrs[1], rw) if residual else None
+    expected = reference(left_rows, build, how, residual)
+
+    def join(push, stamp=None):
+        scan = P.DataSourceScanExec(relation.relation, attrs, [], None, "probe")
+        op = P.BroadcastHashJoinExec(
+            P.WholeStageExec(scan),
+            adapt(P.WholeStageExec(P.LocalScanExec([rk, rw], build, 2)), False),
+            [attrs[0]], [rk], how, condition)
+        op.push_keys, op.build_stamp = push, stamp
+        return scan, op
+
+    def execute(op):
+        result = session.execute_physical(adapt(op, False))
+        return Counter(tuple(r.values) for r in result.rows), result
+
+    answers = {}
+    for push in (False, True):
+        scan, op = join(push)
+        answers[push], result = execute(op)
+        check_counted(op, result, sum(expected.values()))
+        stats = result.operator_stats[scan.op_id]
+        assert ("filters_runtime" in stats) == push
+        if push and on == "k" and not {r[0] for r in build} - {None}:
+            # an empty build is an empty In: zero ranges, nothing read
+            assert stats["scan_ranges"] == stats["regions_scanned"] == 0
+    assert answers[False] == answers[True] == expected
+
+    doubled = Counter({row: 2 * n for row, n in expected.items()})
+    for stamp in (None, ("build", (0,))):
+        (__, a), (__, b) = join(True, stamp), join(False, stamp)
+        got, result = execute(P.UnionExec(adapt(a, False), adapt(b, False)))
+        assert got == doubled
+        assert result.metrics.get("sql.cbo.shared_build.reuses") == \
+            (stamp is not None)
+    session.shutdown()
+
+
+def test_keys_on_an_avro_coded_row_key_prune_without_merging(linked):
+    """A coder that is not order-preserving still places a key by equality:
+    the pushed keys are point reads, none merged with its neighbour."""
+    cluster, session = linked
+    opts = _options(cluster, "avro_fact", "k", "v", "int", 3, tableCoder="Avro")
+    rows = [(i, i * 10) for i in range(-20, 40)]
+    session.create_dataframe(rows, FACT).write \
+        .format(DEFAULT_FORMAT).options(opts).save()
+    relation = session.read.format(DEFAULT_FORMAT).options(opts).load().plan
+    (bk, __), build = _local("bk", [(k, 0) for k in (5, 6, 7, 8, -2)] + [(None, 0)])
+    answers = []
+    for push in (False, True):
+        scan = P.DataSourceScanExec(relation.relation, relation.output, [], None, "t")
+        op = P.BroadcastHashJoinExec(
+            P.WholeStageExec(scan), build, [relation.output[0]], [bk], "inner", None)
+        op.push_keys = push
+        result = session.execute_physical(adapt(op, False))
+        answers.append(sorted(r.values[1] for r in result.rows))
+        if push:
+            stats = result.operator_stats[scan.op_id]
+            assert stats["scan_ranges"] == 5
+            assert stats["regions_scanned"] < stats["regions_total"]
+    assert answers[0] == answers[1] == [-20, 50, 60, 70, 80]
 
 
 # -- a LIMIT is charged for what it pulled -----------------------------------

@@ -377,12 +377,12 @@ class QueryServer:
         try:
             if ticket.analyze:
                 # execute_plan's two steps, keeping the plan for the report
-                planned = self.session.plan_query(df.plan, trace)
+                planned = self.session.plan_query(df.query, trace)
                 result = self.session.execute_planned(
                     planned, trace, slots=lease, queued_s=wait)
             else:
                 result = self.session.execute_plan(
-                    df.plan, trace=trace, slots=lease, queued_s=wait)
+                    df.query, trace=trace, slots=lease, queued_s=wait)
             self._stamp(ticket, result, wait, lease)
             if ticket.analyze:
                 from repro.sql.explain import explain_analyze_report

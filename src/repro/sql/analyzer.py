@@ -28,12 +28,16 @@ class Catalog:
 
     def __init__(self) -> None:
         self._views: Dict[str, L.LogicalPlan] = {}
+        #: bumped by every register/drop; what the plan cache is stamped with
+        self.generation = 0
 
     def register(self, name: str, plan: L.LogicalPlan) -> None:
         self._views[name.lower()] = plan
+        self.generation += 1
 
     def drop(self, name: str) -> None:
         self._views.pop(name.lower(), None)
+        self.generation += 1
 
     def lookup(self, name: str) -> L.LogicalPlan:
         plan = self._views.get(name.lower())
@@ -74,27 +78,13 @@ def fresh_plan(plan: L.LogicalPlan) -> L.LogicalPlan:
         return expr.transform(rewrite)
 
     def visit(node: L.LogicalPlan) -> L.LogicalPlan:
-        children = [visit(c) for c in node.children]
         if isinstance(node, (L.LogicalRelation, L.LocalRelation)):
             fresh = node.new_instance()
             for old, new in zip(node.output, fresh.output):
                 mapping[old.attr_id] = new
             return fresh
-        if isinstance(node, L.Project):
-            return L.Project([remap_expr(e) for e in node.project_list], children[0])
-        if isinstance(node, L.Filter):
-            return L.Filter(remap_expr(node.condition), children[0])
-        if isinstance(node, L.Join):
-            condition = remap_expr(node.condition) if node.condition is not None else None
-            return L.Join(children[0], children[1], node.how, condition)
-        if isinstance(node, L.Aggregate):
-            groupings = [remap_expr(g) for g in node.groupings]
-            aggs = [remap_expr(a) for a in node.aggregate_list]
-            return L.Aggregate(groupings, aggs, children[0])
-        if isinstance(node, L.Sort):
-            orders = [L.SortOrder(remap_expr(o.expression), o.ascending) for o in node.orders]
-            return L.Sort(orders, children[0])
-        return node.with_new_children(children)
+        children = [visit(c) for c in node.children]
+        return node.with_new_children(children).map_expressions(remap_expr)
 
     return visit(plan)
 
@@ -467,16 +457,15 @@ def _comparable(left: E.Expression, right: E.Expression) -> bool:
     """May these operands meet in a comparison / IN?  NULL matches anything."""
     from repro.sql.types import is_numeric
 
-    for side in (left, right):
-        if isinstance(side, E.Literal) and side.value is None:
-            return True
     try:
         left_t, right_t = left.data_type(), right.data_type()
     except AnalysisError:
         return True  # a deeper error will surface with a better message
-    if left_t is right_t:
+    if left_t is right_t or (is_numeric(left_t) and is_numeric(right_t)):
         return True
-    return is_numeric(left_t) and is_numeric(right_t)
+    # types first: a literal's value is only looked at when they differ
+    return any(isinstance(side, E.Literal) and side.value is None
+               for side in (left, right))
 
 
 def _check_expression_types(expr: E.Expression) -> None:

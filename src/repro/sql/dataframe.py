@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Union, TYPE_CHECKING
 from repro.common.errors import AnalysisError
 from repro.sql import expressions as E
 from repro.sql import logical as L
+from repro.sql.fingerprint import BoundPlan
 from repro.sql.functions import Column, col
 from repro.sql.parser import parse_expression
 from repro.sql.row import Row
@@ -28,13 +29,25 @@ ColumnLike = Union[str, Column]
 class DataFrame:
     """An analyzed logical plan bound to a session."""
 
-    def __init__(self, session: "SparkSession", plan: L.LogicalPlan,
-                 pending_metrics=None) -> None:
+    def __init__(self, session: "SparkSession",
+                 plan: "L.LogicalPlan | BoundPlan", pending_metrics=None,
+                 cache_note: Optional[str] = None) -> None:
         self.session = session
-        self.plan = session.analyze(plan)
+        #: what ``plan_query`` takes: the analyzed plan, or (from ``sql()``) a
+        #: plan-cache entry with this statement's values, analyzed on demand
+        self.query = plan if isinstance(plan, BoundPlan) \
+            else session.analyze(plan)
         # counters charged while *building* this frame (ANALYZE TABLE's
         # collection scan) that must surface on the result it returns
         self._pending_metrics = pending_metrics
+        #: what the plan cache did with the statement (None: not from text)
+        self._cache_note = cache_note
+
+    @property
+    def plan(self) -> L.LogicalPlan:
+        """The analyzed logical plan."""
+        query = self.query
+        return query.analyzed() if isinstance(query, BoundPlan) else query
 
     # -- schema ----------------------------------------------------------------
     @property
@@ -201,7 +214,7 @@ class DataFrame:
     # -- actions -----------------------------------------------------------------
     def run(self) -> "QueryResult":
         """Execute and return rows *plus* simulated time and metrics."""
-        result = self.session.execute_plan(self.plan)
+        result = self.session.execute_plan(self.query)
         if self._pending_metrics is not None:
             result.metrics.merge(self._pending_metrics)
         return result
@@ -247,17 +260,20 @@ class DataFrame:
         from repro.sql.explain import explain_analyze_report, views_section_lines
 
         trace = Span("query", "query") if analyze else NOOP_SPAN
-        planned = self.session.plan_query(self.plan, trace)
+        planned = self.session.plan_query(self.query, trace)
         head = "== Optimized Logical Plan ==\n" + planned.optimized.pretty()
+        tail = "" if self._cache_note is None \
+            else "\n== Plan cache ==\n" + self._cache_note
         if not analyze:
             lines = views_section_lines(planned.view_events)
             return (
                 head + "\n== Physical Plan ==\n" + planned.physical.pretty()
-                + ("\n" + "\n".join(lines) if lines else "")
+                + ("\n" + "\n".join(lines) if lines else "") + tail
             )
         result = self.session.execute_planned(planned, trace)
         self.last_analyzed = result
-        return head + "\n" + explain_analyze_report(planned.physical, result)
+        return head + "\n" + explain_analyze_report(planned.physical, result) \
+            + tail
 
     def create_or_replace_temp_view(self, name: str) -> None:
         self.session.catalog.register(name, self.plan)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.common.errors import SqlError
+from repro.common.errors import ParseError, SqlError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sql.session import SparkSession
@@ -94,8 +94,10 @@ class Cursor:
     def execute(self, operation: str,
                 parameters: Sequence[object] = ()) -> "Cursor":
         self._check_open()
-        sql = _bind_parameters(operation, parameters)
-        result = self._session.sql(sql).run()
+        try:  # a ? is a token and a parameter a value: nothing is rendered
+            result = self._session.sql(operation, parameters).run()
+        except ParseError as exc:
+            raise ProgrammingError(str(exc)) from exc
         self._rows = [tuple(r.values) for r in result.rows]
         self._pos = 0
         self.rowcount = len(self._rows)
@@ -154,34 +156,3 @@ class Cursor:
         self._check_open()
         if self._rows is None:
             raise ProgrammingError("no query has been executed")
-
-
-def _bind_parameters(operation: str, parameters: Sequence[object]) -> str:
-    """Substitute ``?`` placeholders with SQL-escaped literals."""
-    if not parameters:
-        if "?" in operation:
-            raise ProgrammingError("statement has placeholders but no parameters")
-        return operation
-    parts = operation.split("?")
-    if len(parts) - 1 != len(parameters):
-        raise ProgrammingError(
-            f"statement has {len(parts) - 1} placeholders, "
-            f"got {len(parameters)} parameters"
-        )
-    out = [parts[0]]
-    for value, tail in zip(parameters, parts[1:]):
-        out.append(_literal(value))
-        out.append(tail)
-    return "".join(out)
-
-
-def _literal(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    raise ProgrammingError(f"cannot bind parameter of type {type(value).__name__}")

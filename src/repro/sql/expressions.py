@@ -104,6 +104,28 @@ class Literal(Expression):
         return repr(self.value)
 
 
+class BindSlot(Literal):
+    """A literal of the statement's text (token ``index``), as a parameter
+    of the plan cache: to every rule a ``Literal``, but reading ``value`` is
+    remembered.  A slot that reaches the optimized plan unread can be
+    :meth:`bound` to another statement's value; one read or dropped decided
+    something (docs/caching.md, "Plan cache")."""
+
+    def __init__(self, index: int, dtype: DataType, value: object) -> None:
+        self.index = index
+        self.dtype = dtype
+        self._value = value
+        self.read = False
+
+    @property
+    def value(self) -> object:
+        self.read = True
+        return self._value
+
+    def bound(self, values: Sequence[object]) -> Literal:
+        return Literal(values[self.index], self.dtype)
+
+
 def lit_of(value: object) -> Literal:
     """Infer a Literal from a Python value."""
     if value is None:

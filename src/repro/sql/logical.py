@@ -52,6 +52,10 @@ class LogicalPlan:
         replacement = fn(node)
         return replacement if replacement is not None else node
 
+    def map_expressions(self, fn) -> "LogicalPlan":
+        """This node with ``fn`` applied to each expression it holds."""
+        return self
+
     def collect_nodes(self, predicate) -> List["LogicalPlan"]:
         found = [n for c in self.children for n in c.collect_nodes(predicate)]
         if predicate(self):
@@ -179,6 +183,9 @@ class Project(LogicalPlan):
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "Project":
         return Project(self.project_list, children[0])
 
+    def map_expressions(self, fn) -> "Project":
+        return Project([fn(e) for e in self.project_list], self.children[0])
+
     def describe(self) -> str:
         return f"Project({self.project_list!r})"
 
@@ -200,6 +207,9 @@ class Filter(LogicalPlan):
 
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "Filter":
         return Filter(self.condition, children[0])
+
+    def map_expressions(self, fn) -> "Filter":
+        return Filter(fn(self.condition), self.children[0])
 
     def describe(self) -> str:
         return f"Filter({self.condition!r})"
@@ -235,6 +245,10 @@ class Join(LogicalPlan):
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "Join":
         return Join(children[0], children[1], self.how, self.condition)
 
+    def map_expressions(self, fn) -> "Join":
+        return Join(*self.children, self.how,
+                    None if self.condition is None else fn(self.condition))
+
     def describe(self) -> str:
         return f"Join({self.how}, {self.condition!r})"
 
@@ -267,6 +281,10 @@ class Aggregate(LogicalPlan):
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "Aggregate":
         return Aggregate(self.groupings, self.aggregate_list, children[0])
 
+    def map_expressions(self, fn) -> "Aggregate":
+        return Aggregate([fn(g) for g in self.groupings],
+                         [fn(a) for a in self.aggregate_list], self.children[0])
+
     def describe(self) -> str:
         return f"Aggregate(by {self.groupings!r})"
 
@@ -288,6 +306,10 @@ class Sort(LogicalPlan):
 
     def with_new_children(self, children: Sequence[LogicalPlan]) -> "Sort":
         return Sort(self.orders, children[0])
+
+    def map_expressions(self, fn) -> "Sort":
+        return Sort([SortOrder(fn(o.expression), o.ascending)
+                     for o in self.orders], self.children[0])
 
 
 class Limit(LogicalPlan):

@@ -10,22 +10,26 @@ usual precedence, and aggregate calls including COUNT(DISTINCT x).
 
 from __future__ import annotations
 
+import math
 import re
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ParseError
 from repro.sql import expressions as E
 from repro.sql import logical as L
-from repro.sql.types import DoubleType, LongType, StringType, type_from_name
+from repro.sql.types import LongType, StringType, type_from_name
 
+# each token swallows the whitespace after it: one match per token
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*|/\*.*?\*/)
-  | (?P<number>\d+\.\d*|\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.)
+    (?: (?P<ws>\s+)
+      | (?P<comment>--[^\n]*|/\*.*?\*/)
+      | (?P<number>\d+\.\d*|\.\d+|\d+)
+      | (?P<string>'(?:[^']|'')*')
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|%|\(|\)|,|\.)
+      | (?P<param>\?)
+    ) \s*
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -42,13 +46,16 @@ KEYWORDS = {
 
 
 class Token:
-    """One lexical token."""
+    """One lexical token; ``value`` is what a literal token stands for (a
+    number, a string's unquoted text, what a ``?`` was bound to), else None."""
 
-    __slots__ = ("kind", "text")
+    __slots__ = ("kind", "text", "value")
 
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind  # "number" | "string" | "ident" | "keyword" | "op" | "eof"
+    def __init__(self, kind: str, text: str, value: object = None) -> None:
+        # "number" | "string" | "ident" | "keyword" | "op" | "param" | "eof"
+        self.kind = kind
         self.text = text
+        self.value = value
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r})"
@@ -63,29 +70,61 @@ def tokenize(sql: str) -> List[Token]:
         if match is None:
             raise ParseError(f"unexpected character {sql[pos]!r} at offset {pos}")
         pos = match.end()
-        if match.lastgroup in ("ws", "comment"):
-            continue
-        text = match.group()
         kind = match.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        text = match.group(kind)
+        value = None
         if kind == "ident" and text.lower() in KEYWORDS:
-            tokens.append(Token("keyword", text.lower()))
+            kind, text = "keyword", text.lower()
         elif kind == "op" and text == "<>":
-            tokens.append(Token("op", "!="))
-        else:
-            tokens.append(Token(kind, text))
+            text = "!="
+        elif kind == "number":
+            value = float(text) if "." in text else int(text)
+        elif kind == "string":
+            value = text[1:-1].replace("''", "'")
+        tokens.append(Token(kind, text, value))
     tokens.append(Token("eof", ""))
     return tokens
 
 
-class Parser:
-    """Recursive-descent parser over the token stream."""
+def bind_parameters(tokens: List[Token], parameters: Sequence[object]) -> None:
+    """Turn each ``?`` token (never one in a string or comment) into the
+    literal token its parameter's type spells, carrying the Python value
+    itself: nothing is rendered to text and lexed again (DB-API qmark)."""
+    holes = [i for i, token in enumerate(tokens) if token.kind == "param"]
+    if len(holes) != len(parameters):
+        raise ParseError(f"statement has {len(holes)} placeholders, "
+                         f"got {len(parameters)} parameters")
+    for i, value in zip(holes, parameters):
+        if value is None or isinstance(value, bool):
+            tokens[i] = Token("keyword", "null" if value is None else
+                              "true" if value else "false")
+        elif isinstance(value, int):
+            tokens[i] = Token("number", "?", int(value))
+        elif isinstance(value, float) and math.isfinite(value):
+            tokens[i] = Token("number", "?", float(value))
+        elif isinstance(value, str):
+            tokens[i] = Token("string", "?", str(value))
+        else:
+            raise ParseError(
+                f"cannot bind parameter {value!r} of type {type(value).__name__}")
 
-    def __init__(self, sql: str) -> None:
-        self._tokens = tokenize(sql)
+
+class Parser:
+    """Recursive-descent parser over SQL text or its ``tokenize``d form.
+    With ``slots`` a literal parses to a ``BindSlot`` numbered by its
+    token's position (for the session's plan cache), else to a ``Literal``."""
+
+    def __init__(self, sql: Union[str, List[Token]], slots: bool = False) -> None:
+        self._tokens = tokenize(sql) if isinstance(sql, str) else sql
         self._pos = 0
+        self._slots = slots
 
     # -- token helpers ------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
+        if not offset:  # _advance never moves past eof
+            return self._tokens[self._pos]
         return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
@@ -285,9 +324,9 @@ class Parser:
 
         if self._accept_keyword("limit"):
             token = self._advance()
-            if token.kind != "number" or "." in token.text:
+            if not isinstance(token.value, int):
                 raise ParseError(f"LIMIT expects an integer, found {token.text!r}")
-            plan = L.Limit(int(token.text), plan)
+            plan = L.Limit(token.value, plan)
         return plan
 
     def _parse_select_item(self) -> E.Expression:
@@ -313,9 +352,9 @@ class Parser:
     def _parse_sort_order(self) -> L.SortOrder:
         # ORDER BY <ordinal> refers to the select-list position (1-based)
         token = self._peek()
-        if token.kind == "number" and "." not in token.text:
+        if isinstance(token.value, int):
             self._advance()
-            expr: E.Expression = E.SortOrdinal(int(token.text))
+            expr: E.Expression = E.SortOrdinal(token.value)
         else:
             expr = self._parse_expression()
         ascending = True
@@ -433,7 +472,7 @@ class Parser:
                 token = self._advance()
                 if token.kind != "string":
                     raise ParseError("LIKE expects a string pattern")
-                expr = E.Like(expr, _unquote(token.text))
+                expr = E.Like(expr, token.value)
                 if negate:
                     expr = E.Not(expr)
                 continue
@@ -482,14 +521,12 @@ class Parser:
 
     def _parse_primary(self) -> E.Expression:
         token = self._peek()
-        if token.kind == "number":
+        if token.kind in ("number", "string"):
             self._advance()
-            if "." in token.text:
-                return E.Literal(float(token.text), DoubleType)
-            return E.Literal(int(token.text), LongType)
-        if token.kind == "string":
-            self._advance()
-            return E.Literal(_unquote(token.text), StringType)
+            literal = E.lit_of(token.value)
+            if self._slots:
+                return E.BindSlot(self._pos - 1, literal.dtype, token.value)
+            return literal
         if token.kind == "keyword" and token.text in ("true", "false"):
             self._advance()
             from repro.sql.types import BooleanType
@@ -578,10 +615,6 @@ class Parser:
             else_value = self._parse_expression()
         self._expect_keyword("end")
         return E.CaseWhen(branches, else_value)
-
-
-def _unquote(text: str) -> str:
-    return text[1:-1].replace("''", "'")
 
 
 def _contains_agg_call(expr: E.Expression) -> bool:

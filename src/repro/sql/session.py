@@ -6,7 +6,8 @@ Every way of running a statement -- ``execute_plan``, ``DataFrame.explain``,
 ``submit_sql`` (Table I's "Thread pool" row), the serving front door, the
 write paths -- plans through ``plan_query`` and executes through
 ``execute_physical``, on the calling thread, so what is explained is what
-runs and a rerun reproduces it.
+runs and a rerun reproduces it.  Text arrives through ``sql`` and its
+bounded cache of optimized plans (docs/caching.md, "Plan cache").
 """
 
 from __future__ import annotations
@@ -25,9 +26,18 @@ from repro.engine.cluster import ComputeCluster, YarnResourceManager
 from repro.engine.scheduler import StageInfo, TaskScheduler
 from repro.sql.analyzer import Analyzer, Catalog
 from repro.sql.cbo import estimator_for
-from repro.sql.logical import InsertIntoTable, LocalRelation, LogicalPlan, LogicalRelation
+from repro.sql.dataframe import DataFrame
+from repro.sql.fingerprint import (
+    BoundPlan, CachedPlan, PlanCache, bind_plan, bind_slots, statement_shape,
+)
+from repro.sql.logical import (
+    AnalyzeTable, CreateMaterializedView, DropMaterializedView, DropView,
+    ExplainStatement, InsertIntoTable, Join, LocalRelation, LogicalPlan,
+    LogicalRelation, RefreshMaterializedView, ShowMaterializedViews,
+    ShowTables, UnresolvedRelation,
+)
 from repro.sql.optimizer import optimize
-from repro.sql.parser import parse
+from repro.sql.parser import Parser, bind_parameters, tokenize
 from repro.sql.physical import ExecContext, PhysicalPlan
 from repro.sql.planner import Planner
 from repro.sql.row import Row
@@ -126,6 +136,10 @@ DEFAULT_CONF: Dict[str, object] = {
 }
 
 
+#: keys (statement shapes and their plans) the plan cache holds, LRU
+PLAN_CACHE_CAPACITY = 256
+
+
 class SparkSession:
     """One application context."""
 
@@ -161,6 +175,11 @@ class SparkSession:
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
+        #: session-level counters (``sql.plancache.*``), in no query's ledger
+        self.metrics = MetricsRegistry()
+        #: the plan cache, and the (temp-view generation, conf contents) its
+        #: plans were made under: they die when either moves
+        self._plan_cache = self._plan_cache_stamp = None
 
     def install_fault_injector(self, injector) -> None:
         """Attach a :class:`~repro.common.faults.FaultInjector` (None removes it).
@@ -193,8 +212,6 @@ class SparkSession:
 
     # -- data ingestion --------------------------------------------------------------
     def create_dataframe(self, data: Sequence[tuple], schema: StructType):
-        from repro.sql.dataframe import DataFrame
-
         return DataFrame(self, LocalRelation(schema, data))
 
     createDataFrame = create_dataframe
@@ -204,22 +221,70 @@ class SparkSession:
         return DataFrameReader(self)
 
     def table(self, name: str):
-        from repro.sql.dataframe import DataFrame
-        from repro.sql.logical import UnresolvedRelation
-
         return DataFrame(self, UnresolvedRelation(name))
 
     # -- SQL ---------------------------------------------------------------------------
-    def sql(self, text: str):
-        from repro.sql.dataframe import DataFrame
+    def sql(self, text: str, params: Sequence[object] = ()):
+        """The DataFrame of one statement; ``params`` fill its ``?`` tokens.
 
-        plan = parse(text)
-        from repro.sql.logical import (
-            AnalyzeTable, CreateMaterializedView, DropMaterializedView,
-            DropView, ExplainStatement, RefreshMaterializedView,
-            ShowMaterializedViews, ShowTables,
-        )
+        Lexed once, then looked up in the plan cache by shape (docs/caching.md,
+        "Plan cache"): on a hit nothing is parsed, analyzed or optimized, the
+        frame carries the cached plan and this statement's values.  Never
+        cached, by rule: commands, plans with a join, sessions with a view
+        context -- what size, statistics or freshness decide.
+        """
+        tokens = tokenize(text)
+        if params or "?" in text:
+            bind_parameters(tokens, params)
+        if tokens[0].kind == "keyword" and tokens[0].text != "select":
+            return self._uncached(tokens, text, "statement")
+        if self._view_manager is not None:
+            return self._uncached(tokens, text, "view context")
+        if (self.catalog.generation, self.conf) != self._plan_cache_stamp:
+            self._plan_cache = PlanCache(PLAN_CACHE_CAPACITY, self.metrics)
+            self._plan_cache_stamp = (self.catalog.generation, dict(self.conf))
+        cache, metrics = self._plan_cache, self.metrics
+        shape = statement_shape(tokens)
+        pinned = cache.get(shape)
+        if isinstance(pinned, str):  # a negative entry: why it is not cached
+            return self._uncached(tokens, text, pinned)
+        values = [t.value for t in tokens]
+        if pinned is not None:
+            entry = cache.get((shape, pinned, tuple([values[i] for i in pinned])))
+            if entry is not None:
+                metrics.incr("sql.plancache.hits")
+                return DataFrame(self, BoundPlan(entry, values),
+                                 cache_note="hit, " + entry.summary)
+        analyzed = self.analyze(Parser(tokens, slots=True).parse_query())
+        if analyzed.collect_nodes(lambda n: isinstance(n, Join)):
+            cache.put(shape, "join")
+            metrics.incr("sql.plancache.uncacheable")
+            return DataFrame(self, bind_plan(analyzed, values),
+                             cache_note="miss (join)")
+        metrics.incr("sql.plancache.misses")
+        optimized = optimize(analyzed)  # plan_query's call: no join, no views
+        # a slot no rule read or dropped is a parameter; the others' values
+        # join the key, at every position ever pinned for this shape
+        slots = {s.index for s in bind_slots(optimized) if not s.read}
+        pinned = tuple(sorted(set(pinned or ()).union(
+            i for i, v in enumerate(values) if v is not None and i not in slots)))
+        summary = f"{len(slots)} slots"
+        if pinned:
+            metrics.incr("sql.plancache.pinned")
+            summary += "; pinned: " + ", ".join(dict.fromkeys(  # named by
+                next(t.text.upper() for t in tokens[i::-1]  # the keyword before
+                     if t.kind == "keyword") for i in pinned))
+        entry = CachedPlan(analyzed, optimized, summary)
+        cache.put(shape, pinned)
+        cache.put((shape, pinned, tuple([values[i] for i in pinned])), entry)
+        return DataFrame(self, BoundPlan(entry, values),
+                         cache_note="miss, " + summary)
 
+    def _uncached(self, tokens, text: str, reason: str):
+        """A statement the plan cache does not take: parsed and run as is."""
+        self.metrics.incr("sql.plancache.uncacheable")
+        note = f"miss ({reason})"
+        plan = Parser(tokens).parse_query()
         if isinstance(plan, AnalyzeTable):
             return self.analyze_table(plan.name)
         if isinstance(plan, (CreateMaterializedView, DropMaterializedView,
@@ -234,7 +299,7 @@ class SparkSession:
             schema = StructType().add("dropped", type_from_name("string"))
             return DataFrame(self, LocalRelation(schema, [(plan.name,)]))
         if isinstance(plan, ExplainStatement):
-            inner = DataFrame(self, plan.children[0])
+            inner = DataFrame(self, plan.children[0], cache_note=note)
             schema = StructType().add("plan", type_from_name("string"))
             lines = [(line,) for line in inner.explain().splitlines()]
             return DataFrame(self, LocalRelation(schema, lines))
@@ -244,7 +309,7 @@ class SparkSession:
             result = self.execute_plan(self.analyze(plan))
             rows = [tuple(r.values) for r in result.rows]
             return DataFrame(self, LocalRelation(result.schema, rows))
-        return DataFrame(self, plan)
+        return DataFrame(self, plan, cache_note=note)
 
     # -- materialized views (docs/views.md) --------------------------------------
     @property
@@ -271,12 +336,6 @@ class SparkSession:
 
     def _view_statement(self, plan, text: str):
         """Run one of the eager MATERIALIZED VIEW statements."""
-        from repro.sql.dataframe import DataFrame
-        from repro.sql.logical import (
-            CreateMaterializedView, DropMaterializedView, LocalRelation,
-            RefreshMaterializedView,
-        )
-
         if isinstance(plan, CreateMaterializedView):
             schema, rows, metrics = self.views.create(
                 plan.name, plan.children[0], text)
@@ -301,8 +360,6 @@ class SparkSession:
         rows); statistics are kept per table, so a view over a query is
         refused with the tables to ANALYZE instead.
         """
-        from repro.sql.dataframe import DataFrame
-        from repro.sql.logical import UnresolvedRelation
         from repro.sql.stats import compute_table_stats, persist_relation_stats
 
         analyzed = self.analyze(UnresolvedRelation(name))
@@ -396,21 +453,30 @@ class SparkSession:
             return Span("query", "query")
         return NOOP_SPAN
 
-    def plan_query(self, plan: LogicalPlan, trace=NOOP_SPAN) -> PlannedQuery:
+    def plan_query(self, plan: "LogicalPlan | BoundPlan",
+                   trace=NOOP_SPAN) -> PlannedQuery:
         """Optimize and plan one analyzed logical plan -- the only place
-        the session runs the optimizer and the planner."""
-        views_ctx = self.view_rewrite_context()
-        estimator = estimator_for(self.stats, plan,
-                                  pricing_views=views_ctx is not None)
-        metrics = MetricsRegistry() \
-            if estimator is not None or views_ctx is not None else None
-        if estimator is not None:
-            estimator.metrics = metrics
-        if views_ctx is not None:
-            views_ctx.metrics = metrics
+        the session runs the optimizer and the planner.  For ``sql``'s
+        :class:`BoundPlan` optimizing is binding the cached plan; the planner
+        always runs: there values meet the source (pushdown, ranges, pruning)."""
+        if isinstance(plan, BoundPlan) and self._view_manager is not None:
+            plan = plan.analyzed()  # a view statement ran since sql() did
+        bound = isinstance(plan, BoundPlan)
+        views_ctx = estimator = metrics = None
+        if not bound:  # a bound plan has no join and the session no views
+            views_ctx = self.view_rewrite_context()
+            estimator = estimator_for(self.stats, plan,
+                                      pricing_views=views_ctx is not None)
+            metrics = MetricsRegistry() \
+                if estimator is not None or views_ctx is not None else None
+            if estimator is not None:
+                estimator.metrics = metrics
+            if views_ctx is not None:
+                views_ctx.metrics = metrics
         span = trace.child("optimize", "plan", order=(0, 0))
-        optimized = optimize(plan, conf=self.conf, stats=estimator,
-                             metrics=metrics, views=views_ctx)
+        optimized = plan.optimized() if bound else \
+            optimize(plan, conf=self.conf, stats=estimator, metrics=metrics,
+                     views=views_ctx)
         span.finish()
         span = trace.child("plan", "plan", order=(0, 1))
         physical = Planner(self.conf, cache=self.cache_manager, stats=estimator,
@@ -419,8 +485,8 @@ class SparkSession:
         return PlannedQuery(optimized, physical, metrics,
                             views_ctx.events if views_ctx is not None else [])
 
-    def execute_plan(self, plan: LogicalPlan, trace=None, slots=None,
-                     queued_s: float = 0.0) -> QueryResult:
+    def execute_plan(self, plan: "LogicalPlan | BoundPlan", trace=None,
+                     slots=None, queued_s: float = 0.0) -> QueryResult:
         if isinstance(plan, InsertIntoTable):
             return self._write(plan.children[0], plan.relation, plan.overwrite)
         trace = self.query_trace(trace)
@@ -546,8 +612,6 @@ class DataFrameReader:
         return self
 
     def load(self):
-        from repro.sql.dataframe import DataFrame
-
         if self._format is None:
             raise AnalysisError("read.format(...) must be set before load()")
         provider = lookup_provider(self._format)

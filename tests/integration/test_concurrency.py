@@ -225,3 +225,47 @@ def test_concurrent_jobs_report_both_clocks(linked):
     for qr in results:
         assert qr.seconds > 0          # simulated cost still accounted
         assert qr.wall_clock_s > 0     # and the measured view alongside it
+
+
+def test_two_threads_share_one_connection_and_one_plan_cache_entry(linked):
+    """Same statement shape, different values, 200 statements each, on one
+    DB-API connection: both threads bind one cached plan, and each must get
+    the rows of its own values (a lost update on the shared entry, or a
+    value written into it, would hand one thread the other's)."""
+    import sys
+    import threading
+
+    from repro.sql import dbapi
+
+    cluster, session = linked
+    _load_events(cluster, session)
+    connection = dbapi.connect(session)
+    statement = "select eid, page from events where eid = ? and stay >= ?"
+    failures = []
+
+    def client(offset):
+        cursor = connection.cursor()
+        for i in range(200):
+            eid = (offset + 2 * i) % 240
+            cursor.execute(statement, (eid, 0.0))
+            if cursor.fetchall() != [(eid, f"page{eid % 5}")]:
+                failures.append((offset, eid))
+
+    threads = [threading.Thread(target=client, args=(offset,))
+               for offset in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    counters = session.metrics.snapshot()
+    assert counters["sql.plancache.hits"] + counters["sql.plancache.misses"] == 400
+    assert counters["sql.plancache.misses"] <= 2  # both may miss the first time
+    session.shutdown()
+    assert DEFAULT_CONNECTION_CACHE.active_refcount() == 0

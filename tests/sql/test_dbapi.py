@@ -110,3 +110,52 @@ def test_rollback_unsupported(connection):
 def test_timing_extension(connection):
     cursor = connection.cursor().execute("select count(*) from t")
     assert cursor.last_query_seconds > 0
+
+
+# -- a ? is a token: never inside a string or a comment ------------------------
+
+def test_question_mark_inside_a_string_is_not_a_placeholder(connection):
+    cursor = connection.cursor()
+    cursor.execute("select count(*) from t where g = 'why?'")
+    assert cursor.fetchone() == (0,)
+
+
+def test_question_mark_in_a_string_beside_a_real_placeholder(connection):
+    cursor = connection.cursor()
+    cursor.execute("select k from t where g != 'why?' and k = ?", (3,))
+    assert cursor.fetchall() == [(3,)]
+    with pytest.raises(dbapi.ProgrammingError, match="1 placeholders, got 2"):
+        cursor.execute("select k from t where g != 'why?' and k = ?", (3, 4))
+
+
+def test_question_mark_in_a_comment_is_not_counted(connection):
+    cursor = connection.cursor()
+    cursor.execute("select k from t where k = ? -- which k?\n and g = 'g1'", (3,))
+    assert cursor.fetchall() == [(3,)]
+    cursor.execute("select k /* really? */ from t where k = 4")
+    assert cursor.fetchall() == [(4,)]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_do_not_become_identifiers(connection, value):
+    cursor = connection.cursor()
+    with pytest.raises(dbapi.ProgrammingError, match="cannot bind"):
+        cursor.execute("select k from t where v < ?", (value,))
+
+
+def test_parameters_are_values_not_text(connection):
+    """Every bindable type, a negative number, a float repr() would write in
+    exponent form, and NULL / booleans -- through one statement shape."""
+    cursor = connection.cursor()
+    cursor.execute("select k from t where k > ? and v < ? order by k", (-1, 2.5))
+    assert cursor.fetchall() == [(0,), (1,), (2,)]
+    cursor.execute("select k from t where k > ? and v < ? order by k", (7, 1e22))
+    assert cursor.fetchall() == [(8,), (9,)]
+    cursor.execute("select k from t where v > ? and v < 1.0", (1e-05,))
+    assert cursor.fetchall() == []
+    cursor.execute("select count(*) from t where g = ? or ?", (None, False))
+    assert cursor.fetchone() == (0,)
+    cursor.execute("select k from t where k = ? limit ?", (5, 1))
+    assert cursor.fetchall() == [(5,)]
+    cursor.executemany("select k from t where k = ?", [(1,), (2,)])
+    assert cursor.fetchall() == [(2,)]

@@ -66,7 +66,7 @@ def ingest(mode: str, rows: int) -> float:
                         break
             for region_name, group in by_region.items():
                 region = cluster.get_region(region_name)
-                store_file = StoreFile(group)
+                store_file = StoreFile(sorted(group, key=Cell.sort_key))
                 region.stores["f"].files.append(store_file)
                 task_ctx.ledger.charge(
                     store_file.size_bytes / session.cost.write_bytes_per_sec,

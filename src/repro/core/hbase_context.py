@@ -144,9 +144,10 @@ class HBaseContext:
                 for cell in region_cells:
                     by_family.setdefault(cell.family, []).append(cell)
                 for family, group in by_family.items():
-                    # later rows first: a store file keeps the order of
-                    # equal keys, and the newest write wins a tie
-                    store_file = StoreFile(group[::-1])
+                    # a store file takes its cells in KeyValue order; the
+                    # stable sort keeps later rows first among equal keys,
+                    # so the newest write wins a tie
+                    store_file = StoreFile(sorted(group[::-1], key=Cell.sort_key))
                     region.stores[family].files.append(store_file)
                     # sequential HFile write: no WAL sync, no memstore
                     task_ctx.ledger.charge(

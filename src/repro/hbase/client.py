@@ -472,24 +472,26 @@ class Table:
 
     @_retries
     def bulk_get(self, gets: Sequence[Get], ledger: Optional[CostLedger] = None) -> List[Result]:
-        """Batched Gets grouped per region server -- HBase's multi-get."""
-        by_server: Dict[str, List[Tuple[Get, RegionLocation]]] = {}
-        for get in gets:
+        """Batched Gets grouped per region server -- HBase's multi-get.
+        One Result per Get, in the order asked: two Gets of one row may
+        ask for different cells."""
+        by_server: Dict[str, List[Tuple[int, RegionLocation]]] = {}
+        for i, get in enumerate(gets):
             location = self._locate(get.row)
-            by_server.setdefault(location.server_id, []).append((get, location))
-        results: Dict[bytes, Result] = {}
+            by_server.setdefault(location.server_id, []).append((i, location))
+        results: List[Optional[Result]] = [None] * len(gets)
         for group in by_server.values():
             first = group[0][1]
             served = self._rpc(
                 first, ledger,
-                lambda server: [self._serve_get(server, location, get, ledger)
-                                for get, location in group])
-            for result, __ in served:
-                results[result.row] = result
+                lambda server: [self._serve_get(server, location, gets[i], ledger)
+                                for i, location in group])
+            for (i, __), (result, __) in zip(group, served):
+                results[i] = result
             # a single multi-get RPC per server carries the whole batch
             self._charge_rpc(ledger, first.host,
                              sum(nbytes for __, nbytes in served))
-        return [results[g.row] for g in gets]
+        return results
 
     @_retries
     def increment(self, row: bytes, family: str, qualifier: str,

@@ -11,61 +11,86 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hbase.cell import Cell
 
 DEFAULT_BLOCK_CELLS = 64
 
 
+#: the two 64-bit halves a row's bloom positions are derived from
+RowHash = Tuple[int, int]
+_LOW_64 = (1 << 64) - 1
+
+
+def row_hash(row: bytes) -> RowHash:
+    """Hash a row key once; every bloom it is added to or probed against
+    derives its bit positions from this pair (double hashing)."""
+    digest = int.from_bytes(hashlib.blake2b(row, digest_size=16).digest(), "big")
+    return digest >> 64, (digest & _LOW_64) | 1
+
+
 class BloomFilter:
-    """A classic k-hash bloom filter over row keys."""
+    """A classic k-hash bloom filter over row keys, fed :func:`row_hash`."""
 
     def __init__(self, expected_keys: int, bits_per_key: int = 10, num_hashes: int = 3) -> None:
         self._num_bits = max(64, expected_keys * bits_per_key)
         self._bits = bytearray((self._num_bits + 7) // 8)
         self._num_hashes = num_hashes
 
-    def _positions(self, key: bytes) -> Iterator[int]:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
+    def add(self, hashed: RowHash) -> None:
+        h1, h2 = hashed
+        bits, num_bits = self._bits, self._num_bits
         for i in range(self._num_hashes):
-            yield (h1 + i * h2) % self._num_bits
+            pos = (h1 + i * h2) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
 
-    def add(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self._bits[pos // 8] |= 1 << (pos % 8)
-
-    def might_contain(self, key: bytes) -> bool:
-        return all(self._bits[p // 8] & (1 << (p % 8)) for p in self._positions(key))
+    def might_contain(self, hashed: RowHash) -> bool:
+        h1, h2 = hashed
+        bits, num_bits = self._bits, self._num_bits
+        for i in range(self._num_hashes):
+            pos = (h1 + i * h2) % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
 
 class StoreFile:
     """An immutable, sorted run of cells plus its index structures.
 
-    Cells with equal :meth:`Cell.sort_key` keep the order they were handed
-    over in, so whoever builds a file lists the newer write first.
+    The cells arrive in KeyValue order -- a memstore snapshot, a merge of
+    files, a split half; a bulk load sorts its loose cells first -- and the
+    file keeps that order, so of two cells with equal :meth:`Cell.sort_key`
+    the builder lists the newer write first.
     """
 
     _next_id = 0
 
     def __init__(self, cells: Sequence[Cell], block_cells: int = DEFAULT_BLOCK_CELLS) -> None:
-        self._cells: List[Cell] = sorted(cells, key=Cell.sort_key)
+        self._cells: List[Cell] = list(cells)
         self._rows: List[bytes] = [c.row for c in self._cells]
         self._block_cells = block_cells
-        self._block_index: List[bytes] = self._rows[::block_cells] if self._rows else []
+        self._block_index: List[bytes] = self._rows[::block_cells]
         #: bytes per block, summed once: the file never changes, and every
         #: scan is charged by the block
-        self._block_bytes: List[int] = [
-            sum(c.heap_size() for c in self._cells[i:i + block_cells])
-            for i in range(0, len(self._cells), block_cells)
-        ]
+        self._block_bytes: List[int] = []
+        # one pass: each cell sized once, each distinct row hashed once (in
+        # KeyValue order a row's cells are adjacent)
+        hashes: List[RowHash] = []
+        last_row = None
+        for start in range(0, len(self._cells), block_cells):
+            nbytes = 0
+            for cell in self._cells[start:start + block_cells]:
+                nbytes += cell.heap_size()
+                if cell.row != last_row:
+                    last_row = cell.row
+                    hashes.append(row_hash(last_row))
+            self._block_bytes.append(nbytes)
         self.size_bytes = sum(self._block_bytes)
-        distinct_rows = set(self._rows)
-        self._bloom = BloomFilter(max(1, len(distinct_rows)))
-        for row in distinct_rows:
-            self._bloom.add(row)
+        # the bloom is sized by the distinct rows, so it is filled after them
+        self._bloom = BloomFilter(max(1, len(hashes)))
+        for hashed in hashes:
+            self._bloom.add(hashed)
         StoreFile._next_id += 1
         self.file_id = StoreFile._next_id
         #: HDFS placement; None means "assume local" (tests, bulk loads)
@@ -82,9 +107,10 @@ class StoreFile:
     def last_row(self) -> Optional[bytes]:
         return self._rows[-1] if self._rows else None
 
-    def might_contain_row(self, row: bytes) -> bool:
-        """Bloom-filter check used by Get to skip files."""
-        return self._bloom.might_contain(row)
+    def might_contain_row(self, hashed: RowHash) -> bool:
+        """Bloom check of a :func:`row_hash`: False means the row is
+        certainly not in this file, so a Get neither seeks nor reads it."""
+        return self._bloom.might_contain(hashed)
 
     def block_start_keys(self) -> List[bytes]:
         """First row key of every block -- the sparse block index.

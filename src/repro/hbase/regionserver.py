@@ -23,6 +23,7 @@ from repro.common.metrics import CostLedger
 from repro.hbase.blockcache import BlockCache
 from repro.hbase.cell import Cell
 from repro.hbase.filters import Filter, PageFilter
+from repro.hbase.hfile import StoreFile, row_hash
 from repro.hbase.region import ALL_VERSIONS, Region, TimeRange
 from repro.hbase.wal import WriteAheadLog
 
@@ -381,21 +382,28 @@ class RegionServer:
         replica_id: int = 0,
     ) -> Optional[Tuple[bytes, List[Cell], int]]:
         """Point lookup: the row, its visible cells and the bytes they carry
-        (sized once, as in :meth:`scan`), or None.  Bloom filters skip store
-        files that can't match; a row the pushed-down ``row_filter`` rejects
-        is a miss, as in a scan."""
+        (sized once, as in :meth:`scan`), or None.  The row is hashed once
+        and every store file of the chosen families asks its bloom; the
+        files it admits are the ones charged a seek and the only ones read
+        (with the memstore), as HBase's store-file scanner does for a Get.
+        A row the pushed-down ``row_filter`` rejects is a miss, as in a
+        scan."""
         region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
-        chosen = region._chosen_families(families, columns)
+        hashed = row_hash(row)
+        admitted: Dict[str, List[StoreFile]] = {}
         probed = 0
-        for family in chosen:
-            for store_file in region.stores[family].files:
-                probed += 1
-                if store_file.might_contain_row(row):
-                    ledger.charge(self.cost.seek_cost_s, "hbase.seeks")
+        for family in region._chosen_families(families, columns):
+            files = region.stores[family].files
+            probed += len(files)
+            admitted[family] = [f for f in reversed(files)
+                                if f.might_contain_row(hashed)]
+            for __ in admitted[family]:
+                ledger.charge(self.cost.seek_cost_s, "hbase.seeks")
         ledger.count("hbase.bloom_probes", probed)
         stop = row + b"\x00"
-        for got_row, cells in region.scan_rows(row, stop, families, columns, time_range, max_versions):
+        for got_row, cells in region.scan_rows(row, stop, families, columns, time_range,
+                                               max_versions, admitted):
             if got_row == row:
                 if row_filter is not None and not self._filter_keeps(
                         row_filter, region_name, row, cells, ledger):

@@ -84,11 +84,18 @@ def load_tpcds(
     seed: int = 42,
     clock: Optional[SimClock] = None,
     regions_per_table: Optional[int] = None,
+    name: Optional[str] = None,
 ) -> TpcdsEnvironment:
-    """Generate and load the requested tables; returns the environment."""
+    """Generate and load the requested tables; returns the environment.
+
+    ``name`` names the cluster; by default clusters are numbered across the
+    process (``tpcds1``, ``tpcds2``, ...).  The name keys hashed placement,
+    retry jitter and fault schedules, so a run that must replay another
+    passes the same one.
+    """
     cost = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     cluster = HBaseCluster(
-        f"tpcds{next(_env_ids)}", list(hosts),
+        name if name is not None else f"tpcds{next(_env_ids)}", list(hosts),
         clock=clock if clock is not None else SimClock(),
         cost_model=cost,
     )

@@ -179,6 +179,7 @@ def _writer_via(ctx, to_put):
 
 
 def _loader_via(ctx, to_cells):
+    from repro.hbase.cell import Cell
     from repro.hbase.hfile import StoreFile
 
     def fn(rows, task_ctx):
@@ -193,7 +194,7 @@ def _loader_via(ctx, to_cells):
                     break
         for region_name, group in by_region.items():
             region = cluster.get_region(region_name)
-            store_file = StoreFile(group)
+            store_file = StoreFile(sorted(group, key=Cell.sort_key))
             region.stores["f"].files.append(store_file)
             task_ctx.ledger.charge(
                 store_file.size_bytes / ctx.session.cost.write_bytes_per_sec,

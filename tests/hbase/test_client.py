@@ -71,6 +71,31 @@ def test_bulk_get_preserves_request_order(table):
     assert results[1].is_empty()
 
 
+def test_bulk_get_answers_two_gets_of_one_row_each_with_its_own_cells(table):
+    table.put(Put(b"r").add_column("f", "a", b"1", timestamp=100)
+              .add_column("g", "b", b"2", timestamp=100))
+    table.put(Put(b"r").add_column("f", "a", b"3", timestamp=200))
+    table.put(Put(b"c").add_column("f", "a", b"4"))   # the other region
+    gets = [Get(b"r").add_column("f", "a"), Get(b"c"),
+            Get(b"r").add_column("g", "b"),
+            Get(b"r").add_column("f", "a").set_max_versions(2),
+            Get(b"r").add_column("f", "a").set_time_range(0, 150)]
+    ledger, alone = CostLedger(), CostLedger()
+    results = table.bulk_get(gets, ledger)
+    assert [[(c.family, c.qualifier, c.value) for c in r.cells]
+            for r in results] == [
+        [("f", "a", b"3")], [("f", "a", b"4")], [("g", "b", b"2")],
+        [("f", "a", b"3"), ("f", "a", b"1")], [("f", "a", b"1")]]
+    # one multi-get RPC per server, billed for every answer it carried
+    for get in gets:
+        table.get(get, alone)
+    servers = {table.connection.locate("t", get.row).server_id for get in gets}
+    assert ledger.metrics.get("hbase.rpcs") == len(servers)
+    for counter in ("hbase.local_ipc_bytes", "hbase.network_bytes",
+                    "hbase.bytes_returned"):
+        assert ledger.metrics.get(counter) == alone.metrics.get(counter)
+
+
 def test_bulk_get_batches_rpcs_per_server(table):
     for i in range(20):
         table.put(Put(b"a%02d" % i).add_column("f", "q", b"v"))

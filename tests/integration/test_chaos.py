@@ -147,26 +147,21 @@ def test_chaos_crash_mid_scan_rebatches_the_partition(seed):
     assert totals["shc.scan_resumes"] >= 1
 
 
-def test_same_seed_replays_the_same_chaos_schedule(monkeypatch):
+def test_same_seed_replays_the_same_chaos_schedule():
     """Two full runs of one seed inject identical fault sequences.
 
     Fractional fault rates hash region names, which embed the cluster name
-    (the loader numbers its clusters process-wide) and the cluster's own
-    region counter; both runs reset the loader's counter (and the
-    registries keyed by the resulting names) so the replay compares the
-    same schedule rather than two re-rolls of it.
+    and the cluster's own region counter; both runs name their cluster the
+    same (and clear the registries keyed by that name) so the replay
+    compares the same schedule rather than two re-rolls of it.
     """
-    import itertools
-
     from repro.core.conncache import DEFAULT_CONNECTION_CACHE
     from repro.hbase.cluster import clear_cluster_registry
-    from repro.workloads import loader
 
     def run_once():
         DEFAULT_CONNECTION_CACHE.clear()
         clear_cluster_registry()
-        monkeypatch.setattr(loader, "_env_ids", itertools.count(9000))
-        env = load_tpcds(5, Q39_TABLES)
+        env = load_tpcds(5, Q39_TABLES, name="tpcds9000")
         injector = chaos_injector(CHAOS_SEEDS[0])
         env.cluster.install_fault_injector(injector)
         session = env.new_session(

@@ -26,7 +26,7 @@ from repro.hbase.cluster import _CLUSTER_REGISTRY, clear_cluster_registry
 from repro.sql import dbapi
 from repro.sql.parser import parse, tokenize
 from repro.sql.types import IntegerType, StringType, StructField, StructType
-from repro.workloads import load_tpcds, loader
+from repro.workloads import load_tpcds
 
 TABLES = ["item", "inventory", "customer", "date_dim"]
 CHAOS_SEEDS = (101, 202, 303)
@@ -392,8 +392,8 @@ def _chaos_run(seed, through_the_cache):
     of hashed placement and jitter keys, so both runs use one name."""
     DEFAULT_CONNECTION_CACHE.clear()
     clear_cluster_registry()
-    loader._env_ids = iter([f"-plan-cache-chaos-{seed}"])
-    environment = load_tpcds(5, ["date_dim"])
+    environment = load_tpcds(5, ["date_dim"],
+                             name=f"tpcds-plan-cache-chaos-{seed}")
     injector = FaultInjector(seed=seed)
     injector.inject(FAULT_SCAN_STREAM, rate=1.0, after=1, times=1,
                     action=crash_region_server)
@@ -415,12 +415,8 @@ def _chaos_run(seed, through_the_cache):
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_cached_and_uncached_agree_under_chaos(seed):
-    ids = loader._env_ids
-    try:
-        through, cache_hits, crashes = _chaos_run(seed, True)
-        spelled_out, no_hits, __ = _chaos_run(seed, False)
-    finally:
-        loader._env_ids = ids
+    through, cache_hits, crashes = _chaos_run(seed, True)
+    spelled_out, no_hits, __ = _chaos_run(seed, False)
     assert through == spelled_out
     assert (cache_hits, no_hits, crashes) == (38, 0, 1)
     assert sum(o["metrics"].get("hbase.retries", 0) for o in through) >= 1

@@ -29,7 +29,9 @@ from repro.core.relation import HBaseRelation, HBaseRelationProvider
 from repro.core.partitions import build_partitions
 from repro.engine.rdd import Partition, RDD
 from repro.sql import expressions as E
-from repro.sql.physical import ExecContext, PhysicalPlan, _AggRef, _KeyRef
+from repro.sql.columnar import compile_row
+from repro.sql.physical import (ExecContext, PhysicalPlan, aggregate_instances,
+                                 finish_aggregate)
 from repro.sql.sources import Filter as SourceFilter, register_provider
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,9 +53,11 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
     relation: HuaweiSparkHBaseRelation = params["relation"]
     scan_range = params["scan_range"]
     hbase_filter = params["hbase_filter"]
-    residual = params["residual"]
+    residual = (compile_row(params["residual"])
+                if params["residual"] is not None else None)
     group_columns: List[str] = params["group_columns"]
     aggregates: List[E.AggregateExpression] = params["aggregates"]
+    arguments = [compile_row(a) for a in params["arguments"]]
     input_columns: List[str] = params["input_columns"]
 
     catalog = relation.catalog
@@ -87,7 +91,7 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
                 continue
         row, ncells = decode(row_key, cells)
         decoded += ncells
-        if residual is not None and residual.eval(row) is not True:
+        if residual is not None and residual(row) is not True:
             continue
         key = tuple(row[column_index[g]] for g in group_columns)
         accs = table.get(key)
@@ -95,7 +99,7 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
             accs = [a.init_acc() for a in aggregates]
             table[key] = accs
         for i, agg in enumerate(aggregates):
-            accs[i] = agg.update(accs[i], row)
+            accs[i] = agg.update(accs[i], arguments[i](row))
     ledger.charge(decode_cost * decoded, "hbase.server_side_decodes", decoded)
     return [(key, tuple(accs)) for key, accs in table.items()]
 
@@ -136,7 +140,6 @@ class CoprocessorAggregateExec(PhysicalPlan):
     def __init__(self, relation: "HuaweiSparkHBaseRelation",
                  groupings: Sequence[E.Attribute],
                  aggregate_list: Sequence[E.Expression],
-                 bound_aggregates: Sequence[E.AggregateExpression],
                  scan_partitions, params_base: dict) -> None:
         output = []
         for item in aggregate_list:
@@ -145,73 +148,21 @@ class CoprocessorAggregateExec(PhysicalPlan):
         self.relation = relation
         self.groupings = list(groupings)
         self.aggregate_list = list(aggregate_list)
-        self.bound_aggregates = list(bound_aggregates)
         self.scan_partitions = scan_partitions
         self.params_base = params_base
 
     def execute(self, ctx: ExecContext) -> RDD:
-        aggregates = self.bound_aggregates
-        key_position = {g.attr_id: i for i, g in enumerate(self.groupings)}
-        agg_position = {id(a): i for i, a in enumerate(
-            self.params_base["source_aggregates"])}
-        result_exprs = [
-            _result_expr(item, key_position, agg_position)
-            for item in self.aggregate_list
-        ]
-        per_row = ctx.cost.row_cpu_s
-        global_agg = not self.groupings
-
-        def final(pairs, task_ctx):
-            table: Dict[tuple, list] = {}
-            for key, accs in pairs:
-                merged = table.get(key)
-                if merged is None:
-                    table[key] = list(accs)
-                else:
-                    for i, agg in enumerate(aggregates):
-                        merged[i] = agg.merge(merged[i], accs[i])
-            if not table and global_agg:
-                # a global aggregate over no rows still yields one row
-                table[()] = [a.init_acc() for a in aggregates]
-            out = []
-            for key, accs in table.items():
-                finished = tuple(
-                    agg.finish(accs[i]) for i, agg in enumerate(aggregates)
-                )
-                out.append(tuple(expr.eval((key, finished))
-                                 for expr in result_exprs))
-            task_ctx.ledger.charge(per_row * len(out), "engine.rows_processed",
-                                   len(out))
-            return iter(out)
-
-        partial = CoprocessorAggregateRDD(
+        partials = CoprocessorAggregateRDD(
             self.relation, self.scan_partitions, self.params_base
         )
-        num_parts = 1 if global_agg else ctx.shuffle_partitions()
-        return partial.partition_by(
-            num_parts, key_fn=lambda kv: kv[0], post_shuffle=final
-        )
+        return finish_aggregate(ctx, partials, self.groupings, self.aggregate_list,
+                                self.params_base["aggregates"])
 
     def describe(self) -> str:
         return (
             f"CoprocessorAggregate(keys={[g.name for g in self.groupings]}, "
             f"out={[a.name for a in self.output]})"
         )
-
-
-def _result_expr(item, key_position, agg_position):
-    expr = item.child if isinstance(item, E.Alias) else item
-
-    def rewrite(node):
-        if isinstance(node, E.AggregateExpression):
-            return _AggRef(agg_position[id(node)], node.data_type())
-        if isinstance(node, E.Attribute):
-            return _KeyRef(key_position[node.attr_id], node.dtype)
-        if not node.children:
-            return node
-        return node.with_new_children([rewrite(c) for c in node.children])
-
-    return rewrite(expr)
 
 
 class HuaweiSparkHBaseRelation(HBaseRelation):
@@ -230,19 +181,12 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
         if not all(isinstance(g, E.Attribute) and g.name in schema_names
                    for g in groupings):
             return None
-        source_aggregates: List[E.AggregateExpression] = []
-        for item in aggregate_list:
-            expr = item.child if isinstance(item, E.Alias) else item
-            for node in expr.collect(
-                lambda e: isinstance(e, E.AggregateExpression)
-            ):
-                if not isinstance(node, _SUPPORTED_AGGREGATES) or node.distinct:
-                    return None
-                child = node.child
-                if child is not None and not isinstance(child, E.Attribute):
-                    return None
-                if id(node) not in {id(a) for a in source_aggregates}:
-                    source_aggregates.append(node)
+        source_aggregates = aggregate_instances(aggregate_list)
+        for node in source_aggregates:
+            if not isinstance(node, _SUPPORTED_AGGREGATES) or node.distinct:
+                return None
+            if node.child is not None and not isinstance(node.child, E.Attribute):
+                return None
 
         input_columns: List[str] = []
         for attr in input_attrs:
@@ -265,10 +209,10 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
         # coprocessor calls are per region (one endpoint invocation each)
         scan_partitions = build_partitions(locations, ranges,
                                            self.fusion_enabled)
-        bound_aggregates = [
-            agg.with_new_children(
-                (E.bind_expression(agg.children[0], list(input_attrs)),)
-            ) if agg.children else agg
+        # each aggregate's argument (COUNT(*) reads a NULL), run server-side
+        arguments = [
+            E.bind_expression(agg.children[0], list(input_attrs))
+            if agg.children else E.lit_of(None)
             for agg in source_aggregates
         ]
         bound_residual = (
@@ -280,14 +224,14 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
             "hbase_filter": compiled.hbase_filter,
             "residual": bound_residual,
             "group_columns": [g.name for g in groupings],
-            "aggregates": bound_aggregates,
-            "source_aggregates": source_aggregates,
+            "aggregates": source_aggregates,
+            "arguments": arguments,
             "input_columns": [a.name for a in input_attrs],
             "filter_columns": filter_columns,
         }
         return CoprocessorAggregateExec(
-            self, list(groupings), list(aggregate_list), bound_aggregates,
-            scan_partitions, params_base,
+            self, list(groupings), list(aggregate_list), scan_partitions,
+            params_base,
         )
 
 

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.rdd import RDD, ShuffleReadRDD
 from repro.engine.shuffle import ShuffleRuntimeStats
-from repro.sql import expressions as E
 from repro.sql.physical import (
     ExecContext,
     HashJoinExec,
@@ -39,6 +38,7 @@ from repro.sql.physical import (
     _charge_broadcast,
     _hash_build,
     _keyed,
+    _row_key,
     _row_tagger,
 )
 
@@ -116,21 +116,21 @@ class AdaptiveJoinExec(HashJoinExec):
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left_stage, right_stage = self.children
-        bound_left = [E.bind_expression(k, left_stage.output) for k in self.left_keys]
-        bound_right = [E.bind_expression(k, right_stage.output) for k in self.right_keys]
+        left_key = _row_key(self.left_keys, left_stage.output)
+        right_key = _row_key(self.right_keys, right_stage.output)
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
         threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
-        def barrier(stage, bound_keys, side) -> ShuffleRuntimeStats:
+        def barrier(stage, key, side) -> ShuffleRuntimeStats:
             """Materialise one side's exchange; what it actually wrote."""
             return ctx.materialize_stage(stage.execute(ctx).map_partitions(
-                _row_tagger(bound_keys, side, per_row)
+                _row_tagger(key, side, per_row)
             ).partition_by(num_parts, key_fn=lambda e: e[0]))
 
         # rule 1: the build (right) side measured small -> broadcast instead
-        stats_r = barrier(right_stage, bound_right, 1)
+        stats_r = barrier(right_stage, right_key, 1)
         if stats_r.total_bytes <= threshold:
             table = self._convert_to_broadcast(
                 ctx, stats_r, "BroadcastHashJoin",
@@ -140,12 +140,12 @@ class AdaptiveJoinExec(HashJoinExec):
             # like the static broadcast join, the probe pipelines inside the
             # stream side's stage -- no scope stamp of its own
             return left_stage.execute(ctx).map_partitions(
-                lambda rows, task_ctx: probe(table, _keyed(rows, bound_left),
+                lambda rows, task_ctx: probe(table, _keyed(rows, left_key),
                                              task_ctx))
 
         # rule 1 (swapped): inner joins can build on a small *left* side and
         # stream the already-shuffled right side against it
-        stats_l = barrier(left_stage, bound_left, 0)
+        stats_l = barrier(left_stage, left_key, 0)
         if self.how == "inner" and stats_l.total_bytes <= threshold:
             table = self._convert_to_broadcast(
                 ctx, stats_l, "BroadcastHashJoin (build side swapped)",

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import AnalysisError
 from repro.sql import expressions as E
+from repro.sql.columnar import compile_row
 from repro.sql import logical as L
 
 
@@ -187,7 +188,7 @@ class Analyzer:
             values = []
             for expr, field in zip(exprs, target_schema):
                 resolved = self._resolve_expr(expr, [])
-                value = resolved.eval(())
+                value = compile_row(resolved)(())
                 if value is not None and field.dtype.python_type is float:
                     value = float(value)
                 values.append(value)

@@ -4,18 +4,24 @@ Lifecycle: the parser emits trees containing :class:`UnresolvedAttribute`
 leaves; the analyzer rewrites those into :class:`Attribute` leaves (unique
 ``attr_id`` per column, like Catalyst's ``exprId``); just before execution
 :func:`bind_expression` turns attributes into positional
-:class:`BoundReference` leaves so ``eval`` runs against plain tuples.
+:class:`BoundReference` leaves, and :mod:`repro.sql.columnar` compiles the
+bound tree into a row closure or a column kernel.
 
-Null semantics follow SQL: arithmetic and comparisons propagate NULL,
-AND/OR use three-valued logic, and filters keep a row only when the
-predicate evaluates to exactly True.
+A node states its value once, in :meth:`Expression.value_fn`: a plain
+function of its operands' values, not a tree walk.  Null semantics follow
+SQL (Spark 2.1 where SQL leaves a choice): arithmetic and comparisons
+propagate NULL, AND/OR use three-valued logic, and filters keep a row only
+when the predicate evaluates to exactly True.  Every value function is
+total -- what Spark answers with NULL or Infinity never raises.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AnalysisError
@@ -41,8 +47,19 @@ class Expression:
 
     children: Tuple["Expression", ...] = ()
 
-    def eval(self, row: tuple) -> object:
-        raise NotImplementedError(f"{type(self).__name__} must be bound before eval")
+    def value_fn(self) -> Callable[..., object]:
+        """This node's value as a function of its :meth:`operands`' values.
+
+        The function holds all of the node's semantics; it never evaluates
+        a child itself.  Leaves (``Literal``, ``BoundReference``) and
+        ``Alias`` are the compiler's, and an unbound or aggregate node has
+        no row value.
+        """
+        raise AnalysisError(f"{self!r} has no row value (unbound or aggregate)")
+
+    def operands(self) -> Tuple["Expression", ...]:
+        """The children whose values :meth:`value_fn` takes, in order."""
+        return self.children
 
     def data_type(self) -> DataType:
         raise NotImplementedError
@@ -84,9 +101,6 @@ class Literal(Expression):
     def __init__(self, value: object, dtype: DataType) -> None:
         self.value = value
         self.dtype = dtype
-
-    def eval(self, row: tuple) -> object:
-        return self.value
 
     def data_type(self) -> DataType:
         return self.dtype
@@ -201,9 +215,6 @@ class BoundReference(Expression):
         self.dtype = dtype
         self.name = name
 
-    def eval(self, row: tuple) -> object:
-        return row[self.ordinal]
-
     def data_type(self) -> DataType:
         return self.dtype
 
@@ -225,9 +236,6 @@ class Alias(Expression):
     @property
     def child(self) -> Expression:
         return self.children[0]
-
-    def eval(self, row: tuple) -> object:
-        return self.child.eval(row)
 
     def data_type(self) -> DataType:
         return self.child.data_type()
@@ -303,12 +311,26 @@ class Star(Expression):
 
 # -- arithmetic / comparison ---------------------------------------------------
 
+def _binary(op: Callable[[object, object], object]) -> Callable[..., object]:
+    """``op`` over two values, NULL when either is NULL."""
+    return lambda a, b: None if a is None or b is None else op(a, b)
+
+
+def _java_remainder(a, b):
+    """Spark's ``%`` is Java's: it truncates, so the sign is the dividend's
+    (``-7 % 3`` is -1); ``x % 0`` is NULL."""
+    if b == 0:
+        return None
+    rest = abs(a) % abs(b)
+    return -rest if a < 0 else rest
+
+
 _ARITH_OPS: dict = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": lambda a, b: a / b if b != 0 else None,
-    "%": lambda a, b: a % b if b != 0 else None,
+    "%": _java_remainder,
 }
 
 
@@ -321,12 +343,8 @@ class BinaryArithmetic(Expression):
         self.op = op
         self.children = (left, right)
 
-    def eval(self, row: tuple) -> object:
-        a = self.children[0].eval(row)
-        b = self.children[1].eval(row)
-        if a is None or b is None:
-            return None
-        return _ARITH_OPS[self.op](a, b)
+    def value_fn(self) -> Callable[..., object]:
+        return _binary(_ARITH_OPS[self.op])
 
     def data_type(self) -> DataType:
         left_t = self.children[0].data_type()
@@ -347,12 +365,8 @@ class BinaryArithmetic(Expression):
 
 
 _CMP_OPS: dict = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
 
 
@@ -365,12 +379,8 @@ class Comparison(Expression):
         self.op = op
         self.children = (left, right)
 
-    def eval(self, row: tuple) -> object:
-        a = self.children[0].eval(row)
-        b = self.children[1].eval(row)
-        if a is None or b is None:
-            return None
-        return _CMP_OPS[self.op](a, b)
+    def value_fn(self) -> Callable[..., object]:
+        return _binary(_CMP_OPS[self.op])
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -392,16 +402,9 @@ class And(Expression):
     def __init__(self, left: Expression, right: Expression) -> None:
         self.children = (left, right)
 
-    def eval(self, row: tuple) -> object:
-        a = self.children[0].eval(row)
-        if a is False:
-            return False
-        b = self.children[1].eval(row)
-        if b is False:
-            return False
-        if a is None or b is None:
-            return None
-        return True
+    def value_fn(self) -> Callable[..., object]:
+        return lambda a, b: False if a is False or b is False else (
+            None if a is None or b is None else True)
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -419,16 +422,9 @@ class Or(Expression):
     def __init__(self, left: Expression, right: Expression) -> None:
         self.children = (left, right)
 
-    def eval(self, row: tuple) -> object:
-        a = self.children[0].eval(row)
-        if a is True:
-            return True
-        b = self.children[1].eval(row)
-        if b is True:
-            return True
-        if a is None or b is None:
-            return None
-        return False
+    def value_fn(self) -> Callable[..., object]:
+        return lambda a, b: True if a is True or b is True else (
+            None if a is None or b is None else False)
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -446,11 +442,8 @@ class Not(Expression):
     def __init__(self, child: Expression) -> None:
         self.children = (child,)
 
-    def eval(self, row: tuple) -> object:
-        value = self.children[0].eval(row)
-        if value is None:
-            return None
-        return not value
+    def value_fn(self) -> Callable[..., object]:
+        return lambda v: None if v is None else not v
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -476,18 +469,28 @@ class In(Expression):
     def options(self) -> Tuple[Expression, ...]:
         return self.children[1:]
 
-    def eval(self, row: tuple) -> object:
-        needle = self.value.eval(row)
-        if needle is None:
-            return None
-        saw_null = False
-        for option in self.options:
-            candidate = option.eval(row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == needle:
+    def _literal_options(self) -> bool:
+        return all(isinstance(o, Literal) for o in self.options)
+
+    def operands(self) -> Tuple[Expression, ...]:
+        # a literal option list is folded into the value function's set
+        return (self.value,) if self._literal_options() else self.children
+
+    def value_fn(self) -> Callable[..., object]:
+        if self._literal_options():
+            values = [o.value for o in self.options]
+            present = {v for v in values if v is not None}
+            miss = None if None in values else False
+            return lambda v: None if v is None else (True if v in present else miss)
+
+        def in_list(needle, *options):
+            if needle is None:
+                return None
+            if needle in options:
                 return True
-        return None if saw_null else False
+            return None if None in options else False
+
+        return in_list
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -509,11 +512,9 @@ class Like(Expression):
         regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
         self._regex = re.compile(f"^{regex}$", re.DOTALL)
 
-    def eval(self, row: tuple) -> object:
-        value = self.children[0].eval(row)
-        if value is None:
-            return None
-        return bool(self._regex.match(str(value)))
+    def value_fn(self) -> Callable[..., object]:
+        match = self._regex.match
+        return lambda v: None if v is None else bool(match(str(v)))
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -531,8 +532,8 @@ class IsNull(Expression):
     def __init__(self, child: Expression) -> None:
         self.children = (child,)
 
-    def eval(self, row: tuple) -> object:
-        return self.children[0].eval(row) is None
+    def value_fn(self) -> Callable[..., object]:
+        return lambda v: v is None
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -550,8 +551,8 @@ class IsNotNull(Expression):
     def __init__(self, child: Expression) -> None:
         self.children = (child,)
 
-    def eval(self, row: tuple) -> object:
-        return self.children[0].eval(row) is not None
+    def value_fn(self) -> Callable[..., object]:
+        return lambda v: v is not None
 
     def data_type(self) -> DataType:
         return BooleanType
@@ -586,12 +587,18 @@ class CaseWhen(Expression):
     def else_value(self) -> Optional[Expression]:
         return self.children[-1] if self.else_value_present else None
 
-    def eval(self, row: tuple) -> object:
-        for cond, value in self.branches():
-            if cond.eval(row) is True:
-                return value.eval(row)
-        tail = self.else_value()
-        return tail.eval(row) if tail is not None else None
+    def value_fn(self) -> Callable[..., object]:
+        ends = 2 * self._num_branches
+        has_else = self.else_value_present
+
+        def case(*values):
+            # (cond, value) pairs, then the ELSE value; the first TRUE wins
+            for i in range(0, ends, 2):
+                if values[i] is True:
+                    return values[i + 1]
+            return values[ends] if has_else else None
+
+        return case
 
     def data_type(self) -> DataType:
         return self.children[1].data_type()
@@ -608,6 +615,22 @@ class CaseWhen(Expression):
         return f"CASE {parts}{tail} END"
 
 
+_BOOLEAN_STRINGS = {
+    **dict.fromkeys(("t", "true", "y", "yes", "1"), True),
+    **dict.fromkeys(("f", "false", "n", "no", "0"), False),
+}
+
+
+def _to_boolean(value: object) -> object:
+    """Spark's string-to-boolean cast: anything but those words is NULL."""
+    if isinstance(value, str):
+        return _BOOLEAN_STRINGS.get(value.lower())
+    return bool(value)
+
+
+_CONVERSIONS = {bool: _to_boolean, str: str, int: int, float: float}
+
+
 class Cast(Expression):
     """Type conversion; invalid casts yield NULL (Spark semantics)."""
 
@@ -615,22 +638,20 @@ class Cast(Expression):
         self.children = (child,)
         self.dtype = dtype
 
-    def eval(self, row: tuple) -> object:
-        value = self.children[0].eval(row)
-        if value is None:
-            return None
-        try:
-            if self.dtype is BooleanType:
-                return bool(value)
-            if self.dtype is StringType:
-                return str(value)
-            if self.dtype.python_type is int:
-                return int(value)
-            if self.dtype.python_type is float:
-                return float(value)
-            return value
-        except (TypeError, ValueError):
-            return None
+    def value_fn(self) -> Callable[..., object]:
+        convert = _CONVERSIONS.get(self.dtype.python_type)
+        if convert is None:
+            return lambda v: v
+
+        def cast(v):
+            if v is None:
+                return None
+            try:
+                return convert(v)
+            except (TypeError, ValueError, OverflowError):
+                return None
+
+        return cast
 
     def data_type(self) -> DataType:
         return self.dtype
@@ -642,84 +663,80 @@ class Cast(Expression):
         return f"CAST({self.children[0]!r} AS {self.dtype})"
 
 
+def _strict(fn: Callable[..., object]) -> Callable[..., object]:
+    """``fn`` over its arguments, NULL when any of them is NULL."""
+    return lambda *args: None if None in args else fn(*args)
+
+
+def _round(x, scale=0):
+    """Spark's ``round``: HALF_UP on the value as written, so ``round(2.5)``
+    is 3.0 and ``round(1.005, 2)`` is 1.01 (a binary float would say 1.0)."""
+    try:
+        exact = Decimal(repr(x)).quantize(Decimal(1).scaleb(-int(scale)),
+                                          rounding=ROUND_HALF_UP)
+    except InvalidOperation:  # ±Infinity, or finer than the value's digits
+        return x
+    return type(x)(exact)
+
+
+def _substring(s, pos, length=None):
+    start = max(0, int(pos) - 1)  # 1-based like SQL SUBSTRING(s, pos, len)
+    return s[start:] if length is None else s[start:start + int(length)]
+
+
+def _to_long(fn: Callable[[float], int]) -> Callable[..., object]:
+    """``floor``/``ceil`` as Spark's ``(long) Math.floor(x)``: NaN is 0 and
+    ±Infinity saturates."""
+    def apply(x):
+        try:
+            return fn(x)
+        except ValueError:  # NaN
+            return 0
+        except OverflowError:  # ±Infinity
+            return 2 ** 63 - 1 if x > 0 else -2 ** 63
+
+    return _strict(apply)
+
+
+def _power(base, exponent):
+    """Java's ``Math.pow``: overflow is ±Infinity, not an error."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return -math.inf if base < 0 and exponent % 2 == 1 else math.inf
+    except ValueError:  # 0 to a negative power, or a negative base to a fraction
+        return math.inf if base == 0 else math.nan
+
+
 class ScalarFunction(Expression):
-    """Built-in scalar functions (abs, round, coalesce, ...)."""
+    """Built-in scalar functions (abs, round, coalesce, ...): each is a value
+    function of the arguments' values and a result type (``None``: the
+    first argument's)."""
 
     _FUNCTIONS: dict = {
-        "abs": (lambda args: abs(args[0]) if args[0] is not None else None, None),
-        "round": (
-            lambda args: round(args[0], int(args[1]) if len(args) > 1 else 0)
-            if args[0] is not None else None,
-            DoubleType,
-        ),
-        "sqrt": (
-            lambda args: math.sqrt(args[0])
-            if args[0] is not None and args[0] >= 0 else None,
-            DoubleType,
-        ),
-        "coalesce": (
-            lambda args: next((a for a in args if a is not None), None), None
-        ),
-        "lower": (lambda args: args[0].lower() if args[0] is not None else None, StringType),
-        "upper": (lambda args: args[0].upper() if args[0] is not None else None, StringType),
-        "length": (lambda args: len(args[0]) if args[0] is not None else None, LongType),
-        "concat": (
-            lambda args: "".join(str(a) for a in args)
-            if all(a is not None for a in args) else None,
-            StringType,
-        ),
-        # 1-based start like SQL SUBSTRING(s, pos, len)
-        "substring": (
-            lambda args: None if args[0] is None else (
-                args[0][max(0, int(args[1]) - 1):]
-                if len(args) < 3
-                else args[0][max(0, int(args[1]) - 1):
-                             max(0, int(args[1]) - 1) + int(args[2])]
-            ),
-            StringType,
-        ),
-        "trim": (lambda args: args[0].strip() if args[0] is not None else None,
-                 StringType),
-        "ltrim": (lambda args: args[0].lstrip() if args[0] is not None else None,
-                  StringType),
-        "rtrim": (lambda args: args[0].rstrip() if args[0] is not None else None,
-                  StringType),
-        "replace": (
-            lambda args: args[0].replace(str(args[1]), str(args[2]))
-            if all(a is not None for a in args) else None,
-            StringType,
-        ),
+        "abs": (_strict(abs), None),
+        "round": (_strict(_round), DoubleType),
+        "sqrt": (_strict(lambda x: math.sqrt(x) if x >= 0 else None), DoubleType),
+        "coalesce": (lambda *args: next((a for a in args if a is not None), None),
+                     None),
+        "lower": (_strict(str.lower), StringType),
+        "upper": (_strict(str.upper), StringType),
+        "length": (_strict(len), LongType),
+        "concat": (_strict(lambda *args: "".join(map(str, args))), StringType),
+        "substring": (_strict(_substring), StringType),
+        "trim": (_strict(str.strip), StringType),
+        "ltrim": (_strict(str.lstrip), StringType),
+        "rtrim": (_strict(str.rstrip), StringType),
+        "replace": (_strict(lambda s, old, new: s.replace(str(old), str(new))),
+                    StringType),
         # 1-based position of needle in haystack; 0 when absent (SQL INSTR)
-        "instr": (
-            lambda args: None if args[0] is None or args[1] is None
-            else args[0].find(str(args[1])) + 1,
-            LongType,
-        ),
-        "floor": (
-            lambda args: None if args[0] is None else math.floor(args[0]),
-            LongType,
-        ),
-        "ceil": (
-            lambda args: None if args[0] is None else math.ceil(args[0]),
-            LongType,
-        ),
-        "power": (
-            lambda args: None if args[0] is None or args[1] is None
-            else float(args[0]) ** float(args[1]),
-            DoubleType,
-        ),
-        "greatest": (
-            lambda args: None if any(a is None for a in args) else max(args),
-            None,
-        ),
-        "least": (
-            lambda args: None if any(a is None for a in args) else min(args),
-            None,
-        ),
-        "if": (
-            lambda args: args[1] if args[0] is True else args[2],
-            None,
-        ),
+        "instr": (_strict(lambda s, needle: s.find(str(needle)) + 1), LongType),
+        "floor": (_to_long(math.floor), LongType),
+        "ceil": (_to_long(math.ceil), LongType),
+        "power": (_strict(_power), DoubleType),
+        "greatest": (_strict(lambda *args: max(args)), None),
+        "least": (_strict(lambda *args: min(args)), None),
+        "if": (lambda cond, yes, no: yes if cond is True else no, None),
     }
 
     @classmethod
@@ -733,9 +750,8 @@ class ScalarFunction(Expression):
         self.name = key
         self.children = tuple(args)
 
-    def eval(self, row: tuple) -> object:
-        fn, __ = self._FUNCTIONS[self.name]
-        return fn([c.eval(row) for c in self.children])
+    def value_fn(self) -> Callable[..., object]:
+        return self._FUNCTIONS[self.name][0]
 
     def data_type(self) -> DataType:
         __, dtype = self._FUNCTIONS[self.name]
@@ -752,7 +768,11 @@ class ScalarFunction(Expression):
 # -- aggregates -------------------------------------------------------------------
 
 class AggregateExpression(Expression):
-    """Base for aggregate functions with partial-aggregation support."""
+    """Base for aggregate functions with partial-aggregation support.
+
+    The protocol never evaluates the argument: ``update`` takes its value
+    for one row (``None`` for ``COUNT(*)``), which the caller computes.
+    """
 
     def __init__(self, child: Optional[Expression], distinct: bool = False) -> None:
         self.children = (child,) if child is not None else ()
@@ -766,7 +786,7 @@ class AggregateExpression(Expression):
     def init_acc(self) -> object:
         raise NotImplementedError
 
-    def update(self, acc: object, row: tuple) -> object:
+    def update(self, acc: object, value: object) -> object:
         raise NotImplementedError
 
     def merge(self, acc1: object, acc2: object) -> object:
@@ -774,12 +794,6 @@ class AggregateExpression(Expression):
 
     def finish(self, acc: object) -> object:
         raise NotImplementedError
-
-    def eval(self, row: tuple) -> object:
-        raise AnalysisError("aggregate expressions cannot be row-evaluated")
-
-    def _arg(self, row: tuple) -> object:
-        return self.child.eval(row) if self.child is not None else None
 
 
 class Count(AggregateExpression):
@@ -791,12 +805,9 @@ class Count(AggregateExpression):
     def init_acc(self) -> object:
         return set() if self.distinct else 0
 
-    def update(self, acc: object, row: tuple) -> object:
-        if self.child is None:
-            return acc + 1
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
-            return acc
+            return acc if self.children else acc + 1
         if self.distinct:
             acc.add(value)
             return acc
@@ -828,8 +839,7 @@ class Sum(AggregateExpression):
     def init_acc(self) -> object:
         return None
 
-    def update(self, acc: object, row: tuple) -> object:
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
             return acc
         return value if acc is None else acc + value
@@ -860,8 +870,7 @@ class Avg(AggregateExpression):
     def init_acc(self) -> object:
         return (0.0, 0)
 
-    def update(self, acc: object, row: tuple) -> object:
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
             return acc
         total, count = acc
@@ -890,8 +899,7 @@ class Min(AggregateExpression):
     def init_acc(self) -> object:
         return None
 
-    def update(self, acc: object, row: tuple) -> object:
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
             return acc
         return value if acc is None or value < acc else acc
@@ -922,8 +930,7 @@ class Max(AggregateExpression):
     def init_acc(self) -> object:
         return None
 
-    def update(self, acc: object, row: tuple) -> object:
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
             return acc
         return value if acc is None or value > acc else acc
@@ -954,8 +961,7 @@ class StddevSamp(AggregateExpression):
     def init_acc(self) -> object:
         return (0, 0.0, 0.0)  # count, mean, M2
 
-    def update(self, acc: object, row: tuple) -> object:
-        value = self._arg(row)
+    def update(self, acc: object, value: object) -> object:
         if value is None:
             return acc
         count, mean, m2 = acc

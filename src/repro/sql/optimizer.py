@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.sql import expressions as E
+from repro.sql.columnar import compile_row
 from repro.sql import logical as L
 
 
@@ -236,7 +237,7 @@ def _fold_expr(expr: E.Expression) -> E.Expression:
         if isinstance(node, _FOLDABLE) and node.children and all(
             isinstance(c, E.Literal) for c in node.children
         ):
-            return E.Literal(node.eval(()), node.data_type())
+            return E.Literal(compile_row(node)(()), node.data_type())
         return None
 
     return expr.transform(rewrite)

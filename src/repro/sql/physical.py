@@ -559,48 +559,80 @@ class ProjectExec(PhysicalPlan):
 
 # -- aggregation -----------------------------------------------------------------
 
-class _KeyRef(E.Expression):
-    """Evaluates a grouping value out of the (key, finished_aggs) pair."""
-
-    def __init__(self, position: int, dtype) -> None:
-        self.position = position
-        self.dtype = dtype
-
-    def eval(self, row: tuple) -> object:
-        return row[0][self.position]
-
-    def data_type(self):
-        return self.dtype
-
-    def with_new_children(self, children):
-        return self
+def aggregate_instances(aggregate_list: Sequence[E.Expression]
+                        ) -> List[E.AggregateExpression]:
+    """The distinct aggregate function calls of an output list, in plan order."""
+    found: Dict[int, E.AggregateExpression] = {}
+    for item in aggregate_list:
+        for node in item.collect(lambda e: isinstance(e, E.AggregateExpression)):
+            found.setdefault(id(node), node)
+    return list(found.values())
 
 
-class _AggRef(E.Expression):
-    """Evaluates a finished aggregate out of the (key, finished_aggs) pair."""
+def finish_aggregate(ctx: ExecContext, partials: RDD,
+                     groupings: Sequence[E.Expression],
+                     aggregate_list: Sequence[E.Expression],
+                     aggregates: Sequence[E.AggregateExpression]) -> RDD:
+    """The reduce side of a two-phase aggregation over ``(key, accs)`` pairs.
 
-    def __init__(self, position: int, dtype) -> None:
-        self.position = position
-        self.dtype = dtype
+    Shuffles by key (a global aggregate, key ``()``, to one partition),
+    merges each key's accumulators, finishes them and evaluates every output
+    item over the row ``key + finished``: an item's subtree equal to
+    grouping ``i`` reads position ``i`` and aggregate ``j`` reads
+    ``len(key) + j``.  A global aggregate over no rows still yields a row.
+    """
+    slot = {id(a): len(groupings) + j for j, a in enumerate(aggregates)}
 
-    def eval(self, row: tuple) -> object:
-        return row[1][self.position]
+    def rebind(node: E.Expression, item: E.Expression) -> E.Expression:
+        if isinstance(node, E.AggregateExpression):
+            return E.BoundReference(slot[id(node)], node.data_type())
+        for position, grouping in enumerate(groupings):
+            if E.same_expression(node, grouping):
+                return E.BoundReference(position, grouping.data_type())
+        if isinstance(node, E.Attribute):
+            raise AnalysisError(f"aggregate output {item!r} references "
+                                f"non-grouping column {node!r}")
+        if not node.children:
+            return node
+        return node.with_new_children([rebind(c, item) for c in node.children])
 
-    def data_type(self):
-        return self.dtype
+    results = [C.compile_row(rebind(_strip_alias(item), item))
+               for item in aggregate_list]
+    per_row = ctx.cost.row_cpu_s
+    global_agg = not groupings
 
-    def with_new_children(self, children):
-        return self
+    def final(pairs, task_ctx):
+        table: Dict[tuple, list] = {}
+        for key, accs in pairs:
+            merged = table.get(key)
+            if merged is None:
+                table[key] = list(accs)
+            else:
+                for i, agg in enumerate(aggregates):
+                    merged[i] = agg.merge(merged[i], accs[i])
+        if not table and global_agg:
+            table[()] = [a.init_acc() for a in aggregates]
+        out = []
+        for key, accs in table.items():
+            row = key + tuple([agg.finish(acc) for agg, acc in zip(aggregates, accs)])
+            out.append(tuple([result(row) for result in results]))
+        task_ctx.ledger.charge(per_row * len(out), "engine.rows_processed", len(out))
+        return iter(out)
+
+    num_parts = 1 if global_agg else ctx.shuffle_partitions()
+    return partials.partition_by(num_parts, key_fn=lambda kv: kv[0],
+                                 post_shuffle=final)
 
 
 class HashAggregateExec(PhysicalPlan):
     """Two-phase hash aggregation (partial -> shuffle by key -> final).
 
     The map-side build consumes batches: grouping keys and aggregate
-    arguments evaluate as column kernels, and the accumulator table updates
-    through the ``AggregateExpression`` protocol (each aggregate rebound to
-    read its precomputed argument slot).  The ``(key, accs)`` pairs it
-    emits, the shuffle, merge and result evaluation are row-at-a-time.
+    arguments evaluate as column kernels, and each row's argument values
+    update its group's accumulators through the ``AggregateExpression``
+    protocol; a global aggregate is the one group ``()``.  The
+    ``(key, accs)`` pairs it emits, the shuffle, merge and result evaluation
+    are row-at-a-time (:func:`finish_aggregate`).
     """
 
     def __init__(self, groupings: Sequence[E.Expression],
@@ -609,125 +641,13 @@ class HashAggregateExec(PhysicalPlan):
         self.groupings = list(groupings)
         self.aggregate_list = list(aggregate_list)
 
-    def _agg_setup(self):
-        """Bind groupings, aggregate instances and result expressions."""
-        child_attrs = self.children[0].output
-        bound_groupings = [E.bind_expression(g, child_attrs) for g in self.groupings]
-
-        # collect the distinct aggregate function instances, in plan order
-        agg_instances: List[E.AggregateExpression] = []
-        seen_ids: set = set()
-        for item in self.aggregate_list:
-            for node in item.collect(lambda e: isinstance(e, E.AggregateExpression)):
-                if id(node) not in seen_ids:
-                    seen_ids.add(id(node))
-                    agg_instances.append(node)
-        bound_aggs = [
-            agg.with_new_children(
-                (E.bind_expression(agg.children[0], child_attrs),)
-            ) if agg.children else agg
-            for agg in agg_instances
-        ]
-
-        # map grouping attr ids to key positions for result evaluation
-        key_position: Dict[int, int] = {}
-        for i, g in enumerate(self.groupings):
-            if isinstance(g, E.Attribute):
-                key_position[g.attr_id] = i
-        agg_position = {id(agg): i for i, agg in enumerate(agg_instances)}
-
-        result_exprs = [
-            self._result_expr(item, key_position, agg_position, self.groupings)
-            for item in self.aggregate_list
-        ]
-        return bound_groupings, bound_aggs, result_exprs
-
-    @staticmethod
-    def _column_fold(agg: E.AggregateExpression):
-        """A whole-column accumulator fold for ``agg``, or ``None``.
-
-        Each fold visits values in row order and performs the *same*
-        arithmetic in the same order as per-row ``update`` calls, so float
-        accumulation is bit-identical to updating row by row -- only the
-        per-row dispatch (method call, argument-tuple build) is amortised.
-        """
-        if type(agg) is E.Count and not agg.distinct:
-            if agg.child is None:
-                return lambda acc, col, n: acc + n
-            return lambda acc, col, n: acc + (n - col.count(None))
-        if type(agg) is E.Sum and not agg.distinct:
-            def fold_sum(acc, col, n):
-                for v in col:
-                    if v is not None:
-                        acc = v if acc is None else acc + v
-                return acc
-
-            return fold_sum
-        if type(agg) is E.Avg and not agg.distinct:
-            def fold_avg(acc, col, n):
-                total, count = acc
-                for v in col:
-                    if v is not None:
-                        total = total + v
-                        count += 1
-                return (total, count)
-
-            return fold_avg
-        if type(agg) is E.Min:
-            def fold_min(acc, col, n):
-                for v in col:
-                    if v is not None and (acc is None or v < acc):
-                        acc = v
-                return acc
-
-            return fold_min
-        if type(agg) is E.Max:
-            def fold_max(acc, col, n):
-                for v in col:
-                    if v is not None and (acc is None or v > acc):
-                        acc = v
-                return acc
-
-            return fold_max
-        return None
-
-    def _make_partial(self, ctx: ExecContext, bound_groupings, bound_aggs):
+    def _make_partial(self, ctx: ExecContext, aggregates):
         """The map-side build closure: batches in, ``(key, accs)`` pairs out."""
-        key_kernels = [C.compile_kernel(g) for g in bound_groupings]
-        arg_kernels = [
-            C.compile_kernel(agg.children[0]) if agg.children else None
-            for agg in bound_aggs
-        ]
-        slot_aggs = [
-            agg.with_new_children(
-                (E.BoundReference(j, agg.children[0].data_type()),)
-            ) if agg.children else agg
-            for j, agg in enumerate(bound_aggs)
-        ]
-        has_args = any(k is not None for k in arg_kernels)
+        child_attrs = self.children[0].output
+        key_kernels = [C.compile_bound(g, child_attrs) for g in self.groupings]
+        arg_kernels = [C.compile_bound(a.children[0], child_attrs)
+                       if a.children else None for a in aggregates]
         per_row = ctx.cost.vector_row_cpu_s
-
-        folds = ([self._column_fold(a) for a in bound_aggs]
-                 if not self.groupings else [])
-        if folds and all(f is not None for f in folds):
-            # global aggregation over foldable aggregates: fold whole
-            # argument columns instead of materialising per-row arg tuples.
-            # Nothing is emitted for an empty partition.
-            def fold_partial(batches, task_ctx):
-                accs = None
-                for batch in _metered(ctx, self, batches, task_ctx, per_row):
-                    cols, n = batch.columns, batch.num_rows
-                    if not n:
-                        continue
-                    if accs is None:
-                        accs = [a.init_acc() for a in bound_aggs]
-                    for j, fold in enumerate(folds):
-                        kernel = arg_kernels[j]
-                        col = kernel(cols, n) if kernel is not None else None
-                        accs[j] = fold(accs[j], col, n)
-                return iter([] if accs is None else [((), accs)])
-
-            return fold_partial
 
         def partial(batches, task_ctx):
             table: Dict[tuple, list] = {}
@@ -735,86 +655,26 @@ class HashAggregateExec(PhysicalPlan):
                 cols, n = batch.columns, batch.num_rows
                 if not n:
                     continue
-                keys = C.key_tuples(key_kernels, cols, n)
-                if has_args:
-                    arg_rows = zip(*(k(cols, n) if k is not None else [None] * n
-                                     for k in arg_kernels))
-                else:
-                    arg_rows = itertools.repeat((), n)
-                for key, arg_row in zip(keys, arg_rows):
+                nulls = [None] * n  # COUNT(*) takes no argument
+                args = (zip(*[k(cols, n) if k is not None else nulls
+                              for k in arg_kernels])
+                        if arg_kernels else itertools.repeat((), n))
+                for key, values in zip(C.key_tuples(key_kernels, cols, n), args):
                     accs = table.get(key)
                     if accs is None:
-                        accs = [a.init_acc() for a in slot_aggs]
-                        table[key] = accs
-                    for j, agg in enumerate(slot_aggs):
-                        accs[j] = agg.update(accs[j], arg_row)
+                        accs = table[key] = [a.init_acc() for a in aggregates]
+                    for j, agg in enumerate(aggregates):
+                        accs[j] = agg.update(accs[j], values[j])
             return iter(table.items())
 
         return partial
 
     def execute(self, ctx: ExecContext) -> RDD:
-        child = self.children[0]
-        bound_groupings, bound_aggs, result_exprs = self._agg_setup()
-        per_row = ctx.cost.row_cpu_s
-        global_agg = not self.groupings
-        partial = self._make_partial(ctx, bound_groupings, bound_aggs)
-
-        def final(pairs, task_ctx):
-            table: Dict[tuple, list] = {}
-            for key, accs in pairs:
-                merged = table.get(key)
-                if merged is None:
-                    table[key] = list(accs)
-                else:
-                    for i, agg in enumerate(bound_aggs):
-                        merged[i] = agg.merge(merged[i], accs[i])
-            if not table and global_agg:
-                table[()] = [a.init_acc() for a in bound_aggs]
-            out = []
-            for key, accs in table.items():
-                finished = tuple(
-                    agg.finish(accs[i]) for i, agg in enumerate(bound_aggs)
-                )
-                env = (key, finished)
-                out.append(tuple(expr.eval(env) for expr in result_exprs))
-            task_ctx.ledger.charge(per_row * len(out), "engine.rows_processed", len(out))
-            return iter(out)
-
-        partial_rdd = child.execute(ctx).map_partitions(partial)
-        num_parts = 1 if global_agg else ctx.shuffle_partitions()
-        return partial_rdd.partition_by(num_parts, key_fn=lambda kv: kv[0],
-                                        post_shuffle=final)
-
-    def _result_expr(self, item: E.Expression, key_position: Dict[int, int],
-                     agg_position: Dict[int, int],
-                     groupings: Sequence[E.Expression]) -> E.Expression:
-        expr = _strip_alias(item)
-
-        # AggregateExpression children are bound separately, so the rewrite
-        # is top-down and stops at aggregate / grouping-expression boundaries
-        def safe_transform(node: E.Expression) -> E.Expression:
-            if isinstance(node, E.AggregateExpression):
-                return _AggRef(agg_position[id(node)], node.data_type())
-            # a subtree that IS one of the grouping expressions evaluates to
-            # that key component (covers expression groupings like "k % 2")
-            for position, grouping in enumerate(groupings):
-                if E.same_expression(node, grouping):
-                    return _KeyRef(position, grouping.data_type()
-                                   if not isinstance(grouping, E.Attribute)
-                                   else grouping.dtype)
-            if isinstance(node, E.Attribute):
-                position = key_position.get(node.attr_id)
-                if position is None:
-                    raise AnalysisError(
-                        f"aggregate output {item!r} references non-grouping "
-                        f"column {node!r}"
-                    )
-                return _KeyRef(position, node.dtype)
-            if not node.children:
-                return node
-            return node.with_new_children([safe_transform(c) for c in node.children])
-
-        return safe_transform(expr)
+        aggregates = aggregate_instances(self.aggregate_list)
+        partials = self.children[0].execute(ctx).map_partitions(
+            self._make_partial(ctx, aggregates))
+        return finish_aggregate(ctx, partials, self.groupings,
+                                self.aggregate_list, aggregates)
 
     def describe(self) -> str:
         return f"HashAggregate(keys={self.groupings!r}, out={[a.name for a in self.output]})"
@@ -835,12 +695,19 @@ def _join_output(left: PhysicalPlan, right: PhysicalPlan, how: str):
     return list(left.output) + list(right.output)
 
 
-def _keyed(rows: Iterable[tuple], bound_keys: Sequence[E.Expression]):
+def _row_key(keys: Sequence[E.Expression], attrs: Sequence[E.Attribute]
+             ) -> Callable[[tuple], tuple]:
+    """A row's join key tuple, from the keys bound against ``attrs``."""
+    fns = [C.compile_row(E.bind_expression(k, attrs)) for k in keys]
+    return lambda row: tuple([fn(row) for fn in fns])
+
+
+def _keyed(rows: Iterable[tuple], key: Callable[[tuple], tuple]):
     """A row stream as the ``(key, row)`` pairs builds and probes read."""
-    return ((tuple(k.eval(r) for k in bound_keys), r) for r in rows)
+    return ((key(r), r) for r in rows)
 
 
-def _row_tagger(bound_keys: Sequence[E.Expression], side: int, per_row: float):
+def _row_tagger(key: Callable[[tuple], tuple], side: int, per_row: float):
     """Map-side closure of a row-fed shuffled join: ``(key, side, row)``
     entries, side 1 builds and side 0 streams."""
 
@@ -849,7 +716,7 @@ def _row_tagger(bound_keys: Sequence[E.Expression], side: int, per_row: float):
         try:
             for row in rows:
                 count += 1
-                yield (tuple(k.eval(row) for k in bound_keys), side, row)
+                yield (key(row), side, row)
         except GeneratorExit:
             pass
         task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
@@ -941,7 +808,8 @@ class HashJoinExec(PhysicalPlan):
         left, right = self.children
         left_width, right_width = len(left.output), len(right.output)
         residual = (
-            E.bind_expression(self.residual, list(left.output) + list(right.output))
+            C.compile_row(E.bind_expression(
+                self.residual, list(left.output) + list(right.output)))
             if self.residual is not None else None
         )
         how = self.how
@@ -958,7 +826,7 @@ class HashJoinExec(PhysicalPlan):
                             combined = _combine_rows(match, row, left_width, right_width)
                         else:
                             combined = _combine_rows(row, match, left_width, right_width)
-                        if residual is None or residual.eval(combined) is True:
+                        if residual is None or residual(combined) is True:
                             emitted = True
                             if how in ("semi", "anti"):
                                 break
@@ -1125,9 +993,9 @@ class BroadcastHashJoinExec(HashJoinExec):
         probe = self._probe_loop(ctx, ctx.cost.vector_row_cpu_s)
         shared = ctx.shared_builds.get(self.build_stamp)
         if shared is None:
-            bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
             table, build_bytes = _hash_build(
-                _keyed(ctx.run_job(right.execute(ctx)).rows(), bound_right))
+                _keyed(ctx.run_job(right.execute(ctx)).rows(),
+                       _row_key(self.right_keys, right.output)))
             _charge_broadcast(ctx, build_bytes)
             if self.build_stamp is not None:
                 ctx.shared_builds[self.build_stamp] = (table, build_bytes, self.op_id)
@@ -1186,12 +1054,12 @@ class SemiJoinReducedJoinExec(HashJoinExec):
     def execute(self, ctx: ExecContext) -> RDD:
         self._record_cbo_estimate(ctx)
         left, right = self.children
-        bound_left = [E.bind_expression(k, left.output) for k in self.left_keys]
-        bound_right = [E.bind_expression(k, right.output) for k in self.right_keys]
+        left_key = _row_key(self.left_keys, left.output)
+        right_key = _row_key(self.right_keys, right.output)
         per_row = ctx.cost.row_cpu_s
 
         build_rows = list(ctx.run_job(right.execute(ctx)).rows())
-        keys, __ = _hash_build(_keyed(build_rows, bound_right))
+        keys, __ = _hash_build(_keyed(build_rows, right_key))
         if len(keys) > SEMIJOIN_MAX_KEYS:
             # runtime abort: stats undercounted the build's distinct keys
             ctx.metrics.incr("sql.cbo.semijoins_rejected", 1)
@@ -1207,19 +1075,19 @@ class SemiJoinReducedJoinExec(HashJoinExec):
             if pushed:
                 ctx.record_operator(self, semijoin_scan_filters=pushed)
             probe = left.execute(ctx).map_partitions(
-                self._make_prefilter(ctx, bound_left, keys, per_row)
+                self._make_prefilter(ctx, left_key, keys, per_row)
             )
 
         build_rdd = ParallelCollectionRDD(
             build_rows, min(ctx.shuffle_partitions(), max(1, len(build_rows)))
         )
-        tagged = probe.map_partitions(_row_tagger(bound_left, 0, per_row)).union(
-            build_rdd.map_partitions(_row_tagger(bound_right, 1, per_row))
+        tagged = probe.map_partitions(_row_tagger(left_key, 0, per_row)).union(
+            build_rdd.map_partitions(_row_tagger(right_key, 1, per_row))
         )
         return self._shuffle_join(ctx, tagged, per_row)
 
     def _make_prefilter(self, ctx: ExecContext,
-                        bound_left: Sequence[E.Expression], keys,
+                        left_key: Callable[[tuple], tuple], keys,
                         per_row: float):
         """Exact membership filter the probe pays per row seen."""
 
@@ -1228,7 +1096,7 @@ class SemiJoinReducedJoinExec(HashJoinExec):
             seen = 0
             for row in rows:
                 seen += 1
-                if tuple(k.eval(row) for k in bound_left) in keys:
+                if left_key(row) in keys:
                     kept.append(row)
             task_ctx.ledger.count("sql.cbo.semijoin.rows_pruned", seen - len(kept))
             task_ctx.ledger.charge(per_row * seen, "engine.rows_processed", seen)
@@ -1257,7 +1125,7 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
         left_width, right_width = len(left.output), len(right.output)
         combined_attrs = list(left.output) + list(right.output)
         bound = (
-            E.bind_expression(self.condition, combined_attrs)
+            C.compile_row(E.bind_expression(self.condition, combined_attrs))
             if self.condition is not None else None
         )
         how = self.how
@@ -1273,7 +1141,7 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
                     for right_row in build_rows:
                         combined = _combine_rows(left_row, right_row, left_width, right_width)
                         count += 1
-                        if bound is None or bound.eval(combined) is True:
+                        if bound is None or bound(combined) is True:
                             emitted = True
                             if how in ("semi", "anti"):
                                 break
@@ -1293,11 +1161,12 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
 
 # -- ordering / limiting / set ops --------------------------------------------------
 
-def _sort_key(orders_bound: Sequence[Tuple[E.Expression, bool]]) -> Callable:
+def _sort_key(orders_bound: Sequence[Tuple[Callable[[tuple], object], bool]]
+              ) -> Callable:
     def key(row: tuple):
         parts = []
-        for expr, ascending in orders_bound:
-            value = expr.eval(row)
+        for value_of, ascending in orders_bound:
+            value = value_of(row)
             # NULLS FIRST on ascending, LAST on descending (Spark default)
             null_rank = value is None
             rank = (null_rank, value) if value is not None else (null_rank, 0)
@@ -1331,7 +1200,8 @@ class SortExec(PhysicalPlan):
 
     def execute(self, ctx: ExecContext) -> RDD:
         bound = [
-            (E.bind_expression(o.expression, self.children[0].output), o.ascending)
+            (C.compile_row(E.bind_expression(o.expression, self.children[0].output)),
+             o.ascending)
             for o in self.orders
         ]
         key = _sort_key(bound)

@@ -128,18 +128,19 @@ def loaded(request):
 
 def reference(where, schema=SCHEMA, rows=ROWS):
     from repro.sql import expressions as E
+    from repro.sql.columnar import compile_row
     from repro.sql.parser import parse_expression
 
     attrs = [E.Attribute(f.name, f.dtype) for f in schema]
     mapping = {a.name: a for a in attrs}
-    bound = E.bind_expression(
+    keep = compile_row(E.bind_expression(
         parse_expression(where).transform(
             lambda n: mapping[n.name]
             if isinstance(n, E.UnresolvedAttribute) else None
         ),
         attrs,
-    )
-    return sorted(r for r in rows if bound.eval(r) is True)
+    ))
+    return sorted(r for r in rows if keep(r) is True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -85,6 +85,7 @@ def test_shc_matches_baseline_for_predicate(loaded, predicate):
 def _reference(predicate):
     from repro.sql.parser import parse_expression
     from repro.sql import expressions as E
+    from repro.sql.columnar import compile_row
 
     expr = parse_expression(predicate)
     attrs = [E.Attribute(f.name, f.dtype) for f in SCHEMA]
@@ -95,8 +96,8 @@ def _reference(predicate):
             return mapping[node.name]
         return None
 
-    bound = E.bind_expression(expr.transform(resolve), attrs)
-    return sorted(r for r in ROWS if bound.eval(r) is True)
+    keep = compile_row(E.bind_expression(expr.transform(resolve), attrs))
+    return sorted(r for r in ROWS if keep(r) is True)
 
 
 def test_pruning_reduces_rows_visited(loaded):

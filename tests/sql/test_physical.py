@@ -182,3 +182,55 @@ def test_simple_case_in_query(sql):
         from t where k < 3 order by k
     """)
     assert [r.lbl for r in rows] == ["zero", "one", "many"]
+
+
+# -- the cost of one aggregated row --------------------------------------------
+
+#: Python calls inside ``repro.sql`` + ``repro.engine`` that one more row of
+#: a grouped ``count``/``sum``/``avg`` may cost, end to end: one ``update``
+#: per aggregate.  Measured when ``update`` began taking the argument's
+#: value: 3.00; the code before it measured 16.00, each aggregate paying
+#: ``update -> _arg -> child -> eval`` per row.  A helper per row and aggregate shows up
+#: here as +3 -- raise the number only with a measurement that pays for it.
+AGGREGATE_CALLS_PER_ROW_BUDGET = 3
+
+
+def test_marginal_python_calls_per_aggregated_row():
+    """Aggregate N and 2N local rows and count Python ``call`` events in the
+    SQL layer and the engine: their difference per row is what an
+    aggregated row costs, whatever the machine."""
+    import os
+    import sys
+
+    import repro
+
+    package = os.path.dirname(repro.__file__)
+    counted = tuple(os.path.join(package, part) + os.sep
+                    for part in ("sql", "engine"))
+    schema = StructType([StructField("k", IntegerType),
+                         StructField("x", DoubleType)])
+
+    def calls_to_aggregate(nrows: int) -> int:
+        session = SparkSession(["h1", "h2"])
+        session.create_dataframe([(i % 8, float(i)) for i in range(nrows)],
+                                 schema).create_or_replace_temp_view("t")
+        frame = session.sql(
+            "SELECT k, count(x), sum(x), avg(x) FROM t GROUP BY k")
+        calls = 0
+
+        def count(frame_, event, arg):
+            nonlocal calls
+            if event == "call" and frame_.f_code.co_filename.startswith(counted):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            groups = frame.collect()
+        finally:
+            sys.setprofile(None)
+        assert len(groups) == 8
+        return calls
+
+    n = 600
+    marginal = (calls_to_aggregate(2 * n) - calls_to_aggregate(n)) / n
+    assert marginal <= AGGREGATE_CALLS_PER_ROW_BUDGET, marginal

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sql import expressions as E
 from repro.sql import sources as S
+from repro.sql.columnar import compile_row
 from repro.sql.types import IntegerType, StringType
 
 
@@ -94,8 +95,8 @@ def test_translated_filter_agrees_with_expression(value, bound):
         expr = E.Comparison(op, a, E.Literal(bound, IntegerType))
         flt = S.translate_expression(expr)
         assert flt is not None
-        bound_expr = E.bind_expression(expr, [a])
-        assert S.evaluate_filter(flt, {"x": value}) == bound_expr.eval((value,))
+        row_fn = compile_row(E.bind_expression(expr, [a]))
+        assert S.evaluate_filter(flt, {"x": value}) == row_fn((value,))
 
 
 def test_references():

@@ -58,7 +58,7 @@ QUERIES = [
     # fused scan -> filter -> project
     "SELECT id, v * 2.0 + 1.0 AS vv, k % 7 AS kb FROM t "
     "WHERE k > 5 AND k < 45 AND v > 10.0 AND tag IS NOT NULL",
-    # global aggregation (column-fold fast path)
+    # global aggregation (the one group ())
     "SELECT count(*) AS n, sum(v) AS sv, min(k) AS mn, max(v) AS mx, "
     "avg(v) AS av FROM t WHERE k > 3",
     # grouped aggregation
@@ -79,8 +79,8 @@ QUERIES = [
     "AND tag LIKE 'a%' ORDER BY id",
 ]
 
-#: a non-literal IN list has no column form: the per-row fallback kernel
-FALLBACK_QUERY = "SELECT id, k FROM t WHERE k IN (id, 3, 7)"
+#: a non-literal IN list compares per row, not against a literal set
+NON_LITERAL_IN_QUERY = "SELECT id, k FROM t WHERE k IN (id, 3, 7)"
 
 
 def fresh_session(conf=None, analyze=False):
@@ -128,7 +128,7 @@ def assert_same_multiset(got, expected, context):
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, None])
-@pytest.mark.parametrize("query", QUERIES + [FALLBACK_QUERY])
+@pytest.mark.parametrize("query", QUERIES + [NON_LITERAL_IN_QUERY])
 def test_answers_agree_with_sqlite(query, batch_size, oracle, monkeypatch):
     if batch_size is not None:
         monkeypatch.setattr(C, "BATCH_SIZE", batch_size)

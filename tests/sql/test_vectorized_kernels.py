@@ -1,19 +1,25 @@
-"""Property-based parity: every compiled kernel equals the row interpreter.
+"""Property-based referee: the one compiler's two forms against ``sqlite3``.
 
-The contract of :func:`repro.sql.columnar.compile_kernel` is that the
-compiled closure returns, for every row of a batch, exactly what
-``expr.eval(row)`` returns -- including SQL three-valued NULL logic,
-``/ 0 -> NULL``, ``IN`` over NULL options and invalid-cast-to-NULL.  These
-tests generate random expression trees over random batches (NULL-heavy,
-empty and zero-width ones included) and compare element-wise against
-``Expression.eval``, plus the mask/transpose/key helpers the batch operators
-are built from.  The generators also emit nodes that have no column form (a
-non-literal ``IN`` list, an expression class the compiler has never seen),
-so the per-row fallback kernel is held to the same contract wherever it
-nests inside compiled parents.
+Every expression is compiled from its nodes' value functions into a column
+kernel (:func:`repro.sql.columnar.compile_kernel`) and a row closure
+(:func:`repro.sql.columnar.compile_row`).  These tests generate random
+expression trees over random batches (NULL-heavy, empty and zero-width ones
+included) and evaluate each tree three ways: the kernel over the batch, the
+row closure per row, and ``SELECT <rendered expr> FROM`` the same rows in
+stdlib ``sqlite3``, an outside SQL engine.  All three must agree
+element-wise -- SQL three-valued logic, ``/ 0 -> NULL``, ``IN`` over NULL
+options, Java's truncating ``%`` and HALF_UP ``round`` included -- as must
+the mask/transpose/key helpers the batch operators are built from.
+
+What sqlite cannot referee is left out, not bent to fit: string casts
+(sqlite reads a non-numeric string as 0 where Spark gives NULL), ``%`` over
+non-integers (sqlite truncates its operands to integers first) and ``/``
+over integers (sqlite divides integers as integers; it is rendered as
+``CAST(l AS REAL) / r``).  ``LIKE`` runs under ``case_sensitive_like``.
 """
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,22 +40,9 @@ ATTRS = [
     E.Attribute("s", StringType),
 ]
 
-
-class Opaque(E.Expression):
-    """An expression class the compiler knows nothing about: ``child + 1``."""
-
-    def __init__(self, child: E.Expression) -> None:
-        self.children = (child,)
-
-    def eval(self, row: tuple) -> object:
-        value = self.children[0].eval(row)
-        return None if value is None else value + 1
-
-    def data_type(self):
-        return self.children[0].data_type()
-
-    def with_new_children(self, children):
-        return Opaque(children[0])
+_DB = sqlite3.connect(":memory:")
+_DB.execute("PRAGMA case_sensitive_like=ON")
+_DB.execute("CREATE TABLE t (a INTEGER, b INTEGER, c REAL, s TEXT)")
 
 
 def random_rows(rng: random.Random, n: int, null_p: float):
@@ -64,6 +57,27 @@ def random_rows(rng: random.Random, n: int, null_p: float):
     return rows
 
 
+def int_expr(rng: random.Random, depth: int) -> E.Expression:
+    """A random integer-valued expression over ATTRS (``%`` lives here)."""
+    if depth <= 0 or rng.random() < 0.35:
+        return rng.choice([ATTRS[0], ATTRS[1],
+                           E.Literal(rng.randint(-5, 5), LongType),
+                           E.Literal(None, LongType)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        op = rng.choice(["+", "-", "*", "%"])
+        return E.BinaryArithmetic(op, int_expr(rng, depth - 1),
+                                  int_expr(rng, depth - 1))
+    if kind == 1:
+        name = rng.choice(["abs", "coalesce"])
+        args = [int_expr(rng, depth - 1)
+                for _ in range(1 if name == "abs" else rng.randint(2, 3))]
+        return E.ScalarFunction(name, args)
+    if kind == 2:
+        return case_expr(rng, depth, int_expr)
+    return E.Cast(num_expr(rng, depth - 1), LongType)
+
+
 def num_expr(rng: random.Random, depth: int) -> E.Expression:
     """A random numeric-valued expression over ATTRS."""
     if depth <= 0 or rng.random() < 0.35:
@@ -73,22 +87,29 @@ def num_expr(rng: random.Random, depth: int) -> E.Expression:
             E.Literal(round(rng.uniform(-3, 3), 2), DoubleType),
             E.Literal(None, LongType),
         ])
-    kind = rng.randrange(5)
-    if kind == 4:
-        return Opaque(num_expr(rng, depth - 1))
+    kind = rng.randrange(6)
     if kind == 0:
-        op = rng.choice(["+", "-", "*", "/", "%"])
+        op = rng.choice(["+", "-", "*", "/"])
         return E.BinaryArithmetic(op, num_expr(rng, depth - 1),
                                   num_expr(rng, depth - 1))
     if kind == 1:
         return E.ScalarFunction("abs", [num_expr(rng, depth - 1)])
     if kind == 2:
-        branches = [(bool_expr(rng, depth - 1), num_expr(rng, depth - 1))
-                    for _ in range(rng.randint(1, 2))]
-        tail = num_expr(rng, depth - 1) if rng.random() < 0.5 else None
-        return E.CaseWhen(branches, tail)
-    dtype = rng.choice([LongType, DoubleType])
-    return E.Cast(num_expr(rng, depth - 1), dtype)
+        return case_expr(rng, depth, num_expr)
+    if kind == 3:
+        return E.Cast(num_expr(rng, depth - 1), rng.choice([LongType, DoubleType]))
+    if kind == 4:
+        # the column's three decimals make HALF_UP ties at scale 2 common
+        return E.ScalarFunction("round", [ATTRS[2], E.Literal(
+            rng.randint(0, 2), LongType)])
+    return int_expr(rng, depth - 1)
+
+
+def case_expr(rng: random.Random, depth: int, values) -> E.Expression:
+    branches = [(bool_expr(rng, depth - 1), values(rng, depth - 1))
+                for _ in range(rng.randint(1, 2))]
+    tail = values(rng, depth - 1) if rng.random() < 0.5 else None
+    return E.CaseWhen(branches, tail)
 
 
 def bool_expr(rng: random.Random, depth: int) -> E.Expression:
@@ -96,7 +117,7 @@ def bool_expr(rng: random.Random, depth: int) -> E.Expression:
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.randrange(5)
         if kind == 4:
-            # a non-literal option list: no column form
+            # a non-literal option list: evaluated per row, not as a set
             return E.In(ATTRS[1], [ATTRS[0], E.Literal(rng.randint(0, 9), LongType)])
         if kind == 0:
             op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
@@ -120,35 +141,94 @@ def bool_expr(rng: random.Random, depth: int) -> E.Expression:
     return E.Not(bool_expr(rng, depth - 1))
 
 
-def assert_kernel_parity(expr: E.Expression, rows):
+# -- the referee ---------------------------------------------------------------
+
+def render(expr: E.Expression) -> str:
+    """``expr`` as sqlite SQL over table ``t``."""
+    if isinstance(expr, E.Attribute):
+        return expr.name
+    if isinstance(expr, E.Literal):
+        if expr.value is None:
+            return "NULL"
+        if isinstance(expr.value, str):
+            return "'" + expr.value.replace("'", "''") + "'"
+        return repr(expr.value)
+    kids = [render(c) for c in expr.children]
+    if isinstance(expr, E.BinaryArithmetic):
+        if expr.op == "/":
+            return f"(CAST({kids[0]} AS REAL) / {kids[1]})"
+        return f"({kids[0]} {expr.op} {kids[1]})"
+    if isinstance(expr, E.Comparison):
+        return f"({kids[0]} {expr.op} {kids[1]})"
+    if isinstance(expr, (E.And, E.Or)):
+        return f"({kids[0]} {type(expr).__name__.upper()} {kids[1]})"
+    if isinstance(expr, E.Not):
+        return f"(NOT {kids[0]})"
+    if isinstance(expr, E.IsNull):
+        return f"({kids[0]} IS NULL)"
+    if isinstance(expr, E.IsNotNull):
+        return f"({kids[0]} IS NOT NULL)"
+    if isinstance(expr, E.In):
+        return f"({kids[0]} IN ({', '.join(kids[1:])}))"
+    if isinstance(expr, E.Like):
+        return f"({kids[0]} LIKE '{expr.pattern}')"
+    if isinstance(expr, E.CaseWhen):
+        whens = " ".join(f"WHEN {render(c)} THEN {render(v)}"
+                         for c, v in expr.branches())
+        tail = f" ELSE {kids[-1]}" if expr.else_value_present else ""
+        return f"(CASE {whens}{tail} END)"
+    if isinstance(expr, E.Cast):
+        target = "INTEGER" if expr.dtype is LongType else "REAL"
+        return f"CAST({kids[0]} AS {target})"
+    if isinstance(expr, E.ScalarFunction):
+        return f"{expr.name}({', '.join(kids)})"
+    raise AssertionError(f"no sqlite rendering for {expr!r}")
+
+
+def sqlite_values(expr: E.Expression, rows, width: int = len(ATTRS)):
+    """What sqlite says ``expr`` is for each row, booleans mapped back."""
+    _DB.execute("DELETE FROM t")
+    filler = (None,) * (len(ATTRS) - width)
+    _DB.executemany("INSERT INTO t VALUES (?, ?, ?, ?)",
+                    [tuple(r) + filler for r in rows])
+    got = [v for (v,) in _DB.execute(
+        f"SELECT {render(expr)} FROM t ORDER BY rowid")]
+    if expr.data_type() is BooleanType:
+        got = [None if v is None else bool(v) for v in got]
+    return got
+
+
+def assert_three_way(expr: E.Expression, rows):
+    """Kernel over the batch == row closure per row == sqlite."""
     bound = E.bind_expression(expr, ATTRS)
-    kernel = C.compile_kernel(bound)
     batch = C.RecordBatch.from_rows(rows, len(ATTRS))
-    got = kernel(batch.columns, batch.num_rows)
-    expected = [bound.eval(r) for r in rows]
-    assert list(got) == expected, f"kernel mismatch for {expr!r}"
+    by_column = C.compile_kernel(bound)(batch.columns, batch.num_rows)
+    row_fn = C.compile_row(bound)
+    by_row = [row_fn(r) for r in rows]
+    assert list(by_column) == by_row, f"kernel and row closure differ: {expr!r}"
+    assert by_row == sqlite_values(expr, rows), f"sqlite disagrees: {expr!r}"
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**9), null_p=st.sampled_from([0.0, 0.2, 0.7]))
 def test_numeric_kernels_match_row_eval(seed, null_p):
     rng = random.Random(seed)
-    assert_kernel_parity(num_expr(rng, 3), random_rows(rng, 64, null_p))
+    assert_three_way(num_expr(rng, 3), random_rows(rng, 64, null_p))
 
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 10**9), null_p=st.sampled_from([0.0, 0.2, 0.7]))
 def test_predicate_kernels_match_row_eval(seed, null_p):
     rng = random.Random(seed)
-    assert_kernel_parity(bool_expr(rng, 3), random_rows(rng, 64, null_p))
+    assert_three_way(bool_expr(rng, 3), random_rows(rng, 64, null_p))
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_kernels_on_empty_batches(seed):
     rng = random.Random(seed)
-    assert_kernel_parity(bool_expr(rng, 3), [])
-    assert_kernel_parity(num_expr(rng, 3), [])
+    assert_three_way(bool_expr(rng, 3), [])
+    assert_three_way(num_expr(rng, 3), [])
 
 
 def _without_columns(rng: random.Random, expr: E.Expression) -> E.Expression:
@@ -169,28 +249,30 @@ def _without_columns(rng: random.Random, expr: E.Expression) -> E.Expression:
 @given(seed=st.integers(0, 10**9), n=st.integers(0, 5))
 def test_kernels_on_zero_width_batches(seed, n):
     """A batch with no columns (``COUNT(*)`` input) still has ``n`` rows:
-    column-free expressions evaluate once per row, fallback nodes included."""
+    column-free expressions evaluate once per row."""
     rng = random.Random(seed)
     for expr in (_without_columns(rng, bool_expr(rng, 3)),
                  _without_columns(rng, num_expr(rng, 3))):
         batch = C.RecordBatch.from_rows([()] * n, 0)
         assert batch.columns == [] and batch.num_rows == n
         got = C.compile_kernel(expr)(batch.columns, n)
-        assert list(got) == [expr.eval(())] * n, f"kernel mismatch for {expr!r}"
+        expected = sqlite_values(expr, [()] * n, width=0)
+        assert list(got) == [C.compile_row(expr)(())] * n == expected, \
+            f"mismatch for {expr!r}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), null_p=st.sampled_from([0.0, 0.5]))
 def test_apply_mask_matches_row_filter(seed, null_p):
-    """apply_mask keeps exactly the rows a row-at-a-time filter keeps."""
+    """apply_mask keeps exactly the rows sqlite's WHERE keeps."""
     rng = random.Random(seed)
     rows = random_rows(rng, 80, null_p)
     predicate = bool_expr(rng, 3)
-    bound = E.bind_expression(predicate, ATTRS)
-    kernel = C.compile_kernel(bound)
+    kernel = C.compile_kernel(E.bind_expression(predicate, ATTRS))
     batch = C.RecordBatch.from_rows(rows, len(ATTRS))
     filtered = C.apply_mask(batch, kernel(batch.columns, batch.num_rows))
-    expected = [r for r in rows if bound.eval(r) is True]
+    expected = [r for r, keep in zip(rows, sqlite_values(predicate, rows))
+                if keep is True]
     assert list(filtered.to_rows()) == expected
     assert filtered.num_rows == len(expected)
 
@@ -212,8 +294,8 @@ def test_batch_round_trip_identity(seed, width, batch_size):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9), null_p=st.sampled_from([0.0, 0.4]))
 def test_key_tuples_match_row_key_eval(seed, null_p):
-    """Join/aggregate key vectors equal per-row key evaluation (the hash
-    build and probe sides both consume these tuples)."""
+    """Join/aggregate key vectors equal per-row key tuples and sqlite's
+    (the hash build and probe sides both consume these tuples)."""
     rng = random.Random(seed)
     rows = random_rows(rng, 50, null_p)
     keys = [num_expr(rng, 2) for _ in range(rng.randint(1, 3))]
@@ -221,8 +303,9 @@ def test_key_tuples_match_row_key_eval(seed, null_p):
     kernels = [C.compile_kernel(b) for b in bound]
     batch = C.RecordBatch.from_rows(rows, len(ATTRS))
     got = list(C.key_tuples(kernels, batch.columns, batch.num_rows))
-    expected = [tuple(b.eval(r) for b in bound) for r in rows]
-    assert got == expected
+    row_fns = [C.compile_row(b) for b in bound]
+    assert got == [tuple(fn(r) for fn in row_fns) for r in rows]
+    assert got == list(zip(*(sqlite_values(k, rows) for k in keys)))
 
 
 def test_key_tuples_no_keys_yields_empty_tuples():
@@ -231,41 +314,49 @@ def test_key_tuples_no_keys_yields_empty_tuples():
 
 
 def test_division_and_modulo_by_zero_yield_null():
-    expr = E.BinaryArithmetic("/", ATTRS[0], ATTRS[1])
-    rows = [(10, 0, None, None), (10, 2, None, None), (None, 3, None, None)]
-    assert_kernel_parity(expr, rows)
-    expr = E.BinaryArithmetic("%", ATTRS[0], ATTRS[1])
-    assert_kernel_parity(expr, rows)
+    rows = [(10, 0, None, None), (10, 2, None, None), (None, 3, None, None),
+            (-7, 3, None, None)]
+    assert_three_way(E.BinaryArithmetic("/", ATTRS[0], ATTRS[1]), rows)
+    remainder = E.BinaryArithmetic("%", ATTRS[0], ATTRS[1])
+    assert_three_way(remainder, rows)
+    assert sqlite_values(remainder, rows) == [None, 0, None, -1]
+
+
+def test_round_is_half_up():
+    rows = [(0, 0, c, None) for c in (2.5, -2.5, 1.005, 2.675, 0.125, None)]
+    for scale in (0, 2):
+        assert_three_way(E.ScalarFunction(
+            "round", [ATTRS[2], E.Literal(scale, LongType)]), rows)
+    assert sqlite_values(E.ScalarFunction(
+        "round", [ATTRS[2], E.Literal(2, LongType)]), rows) == [
+            2.5, -2.5, 1.01, 2.68, 0.13, None]
 
 
 def test_in_with_null_needle_and_null_options():
     expr = E.In(ATTRS[1], [E.Literal(1, LongType), E.Literal(None, LongType)])
     rows = [(0, 1, None, None), (0, 2, None, None), (0, None, None, None)]
-    assert_kernel_parity(expr, rows)
+    assert_three_way(expr, rows)
     # miss with NULL among the options is NULL, not False
-    bound = E.bind_expression(expr, ATTRS)
-    kernel = C.compile_kernel(bound)
-    batch = C.RecordBatch.from_rows(rows, len(ATTRS))
-    assert kernel(batch.columns, 3) == [True, None, None]
+    assert sqlite_values(expr, rows) == [True, None, None]
 
 
-def test_invalid_cast_yields_null():
-    expr = E.Cast(ATTRS[3], LongType)
-    rows = [(0, 0, 0.0, "12"), (0, 0, 0.0, "xy"), (0, 0, 0.0, None)]
-    assert_kernel_parity(expr, rows)
-
-
-def test_nodes_without_a_column_form_fall_back_to_row_eval():
-    """The compiler is total: unknown nodes evaluate ``expr.eval`` per row,
-    also underneath parents that do have a column form."""
+def test_non_literal_in_list_matches_sqlite():
+    """Options that are not all literals are compared per row."""
     rows = [(1, 1, 0.5, "aa"), (2, 5, None, None), (None, 2, 1.0, "ab"),
             (7, None, 2.0, "")]
     non_literal_in = E.In(ATTRS[0], [ATTRS[1], E.Literal(7, LongType)])
-    assert_kernel_parity(non_literal_in, rows)
-    assert_kernel_parity(E.Not(non_literal_in), rows)
-    assert_kernel_parity(
-        E.BinaryArithmetic("*", Opaque(ATTRS[0]), E.Literal(2, LongType)), rows)
-    assert_kernel_parity(non_literal_in, [])
+    assert_three_way(non_literal_in, rows)
+    assert_three_way(E.Not(non_literal_in), rows)
+    assert_three_way(non_literal_in, [])
+
+
+def test_invalid_cast_yields_null():
+    """A string cast is refereed by hand: sqlite would say 0 for 'xy'."""
+    bound = E.bind_expression(E.Cast(ATTRS[3], LongType), ATTRS)
+    rows = [(0, 0, 0.0, "12"), (0, 0, 0.0, "xy"), (0, 0, 0.0, None)]
+    batch = C.RecordBatch.from_rows(rows, len(ATTRS))
+    assert C.compile_kernel(bound)(batch.columns, 3) == [12, None, None]
+    assert [C.compile_row(bound)(r) for r in rows] == [12, None, None]
 
 
 def test_compile_bound_reports_a_missing_attribute():
@@ -275,34 +366,6 @@ def test_compile_bound_reports_a_missing_attribute():
     ghost = E.Attribute("ghost", LongType)
     with pytest.raises(AnalysisError, match="cannot bind ghost.*available.*a#"):
         C.compile_bound(E.Comparison(">", ghost, E.Literal(1, LongType)), ATTRS)
-
-
-def test_aggregate_column_folds_match_row_updates():
-    """The global-agg column folds replay update() exactly, NULLs included."""
-    from repro.sql.physical import HashAggregateExec
-
-    rng = random.Random(11)
-    col = [None if rng.random() < 0.3 else round(rng.uniform(-5, 5), 3)
-           for _ in range(200)]
-    ref = E.BoundReference(0, DoubleType)
-    for agg in (E.Count(ref), E.Count(None), E.Sum(ref), E.Avg(ref),
-                E.Min(ref), E.Max(ref)):
-        fold = HashAggregateExec._column_fold(agg)
-        assert fold is not None
-        acc_row = agg.init_acc()
-        for v in col:
-            acc_row = agg.update(acc_row, (v,))
-        acc_fold = fold(agg.init_acc(), col, len(col))
-        assert acc_fold == acc_row
-        assert agg.finish(acc_fold) == agg.finish(acc_row)
-
-
-def test_distinct_aggregates_have_no_fold():
-    from repro.sql.physical import HashAggregateExec
-
-    ref = E.BoundReference(0, LongType)
-    assert HashAggregateExec._column_fold(
-        E.Count(ref, distinct=True)) is None
 
 
 if __name__ == "__main__":

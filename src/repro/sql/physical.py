@@ -974,12 +974,13 @@ class BroadcastHashJoinExec(HashJoinExec):
     and broadcast to every executor; the probe pipelines inside the left
     side's stage, computing stream keys as column kernels over its batches.
 
-    The planner stamps two decisions on it where ANALYZE statistics made it
-    confident (docs/optimizer.md): ``push_keys`` hands the build's distinct
-    keys to the probe's scan, where a row-key column turns them into merged
-    scan ranges; ``build_stamp`` names the build side, so a later join with
-    the same stamp in this execution probes this one's table -- no sub-job,
-    no broadcast.  The probe filters exactly either way.
+    The planner stamps two things on it.  ``build_stamp`` names the build
+    side, always (docs/engine.md), so a later join with the same stamp in
+    this execution probes this one's table -- no sub-job, no broadcast.
+    ``push_keys``, set only where ANALYZE statistics made it confident
+    (docs/optimizer.md), hands the build's distinct keys to the probe's
+    scan, where a row-key column turns them into merged scan ranges.  The
+    probe filters exactly either way.
     """
 
     child_formats = (True, False)
@@ -1001,8 +1002,8 @@ class BroadcastHashJoinExec(HashJoinExec):
                 ctx.shared_builds[self.build_stamp] = (table, build_bytes, self.op_id)
         else:
             table, build_bytes, builder = shared
-            ctx.metrics.incr("sql.cbo.shared_build.reuses", 1)
-            ctx.metrics.incr("sql.cbo.shared_build.bytes_saved",
+            ctx.metrics.incr("engine.broadcast_reuses", 1)
+            ctx.metrics.incr("engine.broadcast_bytes_saved",
                              build_bytes * len(ctx.scheduler.cluster.executors))
             ctx.record_operator(self, build_reused_from=builder)
         if self.push_keys and len(table) <= SEMIJOIN_MAX_KEYS \

@@ -95,7 +95,8 @@ class Planner:
     estimator (:func:`repro.sql.cbo.estimator_for`).  Where the plan's
     tables have ANALYZE statistics (docs/optimizer.md), join sizing uses
     the estimates, the semi-join reduction strategy becomes available and a
-    broadcast join may push its keys and share its build.
+    broadcast join may push its keys.  A broadcast join shares an equal
+    build side with or without statistics.
     """
 
     def __init__(self, conf: Dict[str, object], cache=None, stats=None,
@@ -355,15 +356,11 @@ class Planner:
             equi = (left_plan, right_plan, left_keys, right_keys, node.how,
                     residual, est_join)
             if bc_right:
-                return self._stamp_broadcast(
-                    self._equi_join(P.BroadcastHashJoinExec, *equi),
-                    node.right, est_left, est_right)
+                return self._broadcast(node.right, est_left, est_right, *equi)
             if bc_left:
-                swapped = self._stamp_broadcast(
-                    self._equi_join(
-                        P.BroadcastHashJoinExec, right_plan, left_plan,
-                        right_keys, left_keys, "inner", None, est_join),
-                    node.left, est_right, est_left)
+                swapped = self._broadcast(
+                    node.left, est_right, est_left, right_plan, left_plan,
+                    right_keys, left_keys, "inner", None, est_join)
                 reordered = self._project(
                     list(node.left.output) + list(node.right.output), swapped
                 )
@@ -385,30 +382,37 @@ class Planner:
             node.how, node.condition
         )
 
-    def _stamp_broadcast(self, join: P.BroadcastHashJoinExec, build: L.LogicalPlan,
-                         est_probe, est_build) -> P.BroadcastHashJoinExec:
-        """The two decisions a broadcast join carries (docs/optimizer.md),
-        made only on confident estimates.  *Runtime keys*: push when the keys
-        should skip more probe rows than there are keys to send -- a key
-        range costs a seek, not the sub-job and pre-shuffle filter
-        :data:`SEMIJOIN_MIN_REDUCTION` prices.  *One build per fingerprint*:
-        name the build by subplan and key positions, so an equal one
-        elsewhere in the query is collected and broadcast once."""
-        if est_probe is None or not (est_probe.confident and est_build.confident):
-            return join
-        from repro.sql.cbo import semijoin_keep_fraction
+    def _broadcast(self, build: L.LogicalPlan, est_probe, est_build,
+                   *equi) -> P.BroadcastHashJoinExec:
+        """A broadcast hash join whose build side is named by subplan and key
+        positions, with or without statistics: an equal build elsewhere in
+        the query is collected and broadcast once (docs/engine.md), as
+        Spark's ``ReuseExchange`` does."""
         from repro.sql.fingerprint import plan_fingerprint
 
-        keep = semijoin_keep_fraction(est_probe, est_build,
-                                      join.left_keys, join.right_keys)
-        join.push_keys = (join.how in ("inner", "semi") and keep is not None
-                          and est_probe.rows * (1.0 - keep) > est_build.rows)
+        join = self._equi_join(P.BroadcastHashJoinExec, *equi)
         build_ids = [a.attr_id for a in build.output]
         if all(isinstance(k, E.Attribute) and k.attr_id in build_ids
                for k in join.right_keys):
             join.build_stamp = (plan_fingerprint(build), tuple(
                 build_ids.index(k.attr_id) for k in join.right_keys))
+        join.push_keys = self._pushes_keys(join, est_probe, est_build)
         return join
+
+    def _pushes_keys(self, join: P.BroadcastHashJoinExec,
+                     est_probe, est_build) -> bool:
+        """Runtime keys (docs/optimizer.md), decided only on confident
+        estimates: push when the keys should skip more probe rows than there
+        are keys to send -- a key range costs a seek, not the sub-job and
+        pre-shuffle filter :data:`SEMIJOIN_MIN_REDUCTION` prices."""
+        if est_probe is None or not (est_probe.confident and est_build.confident):
+            return False
+        from repro.sql.cbo import semijoin_keep_fraction
+
+        keep = semijoin_keep_fraction(est_probe, est_build,
+                                      join.left_keys, join.right_keys)
+        return (join.how in ("inner", "semi") and keep is not None
+                and est_probe.rows * (1.0 - keep) > est_build.rows)
 
     def _semijoin_reduces(self, node, left_keys, right_keys,
                           est_left, est_right) -> bool:

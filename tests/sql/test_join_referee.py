@@ -12,10 +12,10 @@ and the rows themselves.
 
 The second half covers what the build side's keys do to an HBase scan
 (``filters_runtime``, ``semijoin_scan_filters``, regions pruned), the two
-decisions a broadcast join carries -- its keys pushed to the probe's scan,
-its build shared with an equal one -- as metamorphic relations ("pushed is
-not pushed", "shared is rebuilt") over generated tables, and the
-machine-independent cost of one probed row.
+things a broadcast join carries -- its keys pushed to the probe's scan (a
+cost decision), its build shared with an equal one (always) -- as
+metamorphic relations ("pushed is not pushed", "shared is rebuilt") over
+generated tables, and the machine-independent cost of one probed row.
 """
 
 import dataclasses
@@ -310,7 +310,7 @@ def test_executing_a_planned_tree_leaves_it_as_planned(star):
                    for op in planned.physical.walk())
 
 
-# -- the two decisions a broadcast join carries -------------------------------
+# -- pushed keys and shared builds ---------------------------------------------
 
 UNION = QUERY + " union all " + QUERY
 
@@ -371,14 +371,20 @@ def test_keys_are_not_pushed_where_they_would_skip_nothing(broadcast_star):
     assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 0.0
 
 
-def test_without_statistics_neither_decision_is_made(linked):
+def test_without_statistics_builds_are_shared_and_keys_stay_home(linked):
+    """Sharing an equal build is not a cost decision (Spark's
+    ``ReuseExchange``): it needs no statistics.  Pushing keys is one, and
+    stays off."""
     cluster, session = _load_star(*linked, analyze=False)
     planned = session.plan_query(session.sql(UNION).plan)
-    assert [(j.push_keys, j.build_stamp) for j in _joins(planned.physical)] == \
-        [(False, None)] * 2
+    first, second = _joins(planned.physical)
+    assert first.build_stamp == second.build_stamp is not None
+    assert not first.push_keys and not second.push_keys
     result = session.execute_planned(planned)
+    assert sorted(r.v for r in result.rows) == [70, 70, 80, 80]
     assert not [k for k in result.metrics.snapshot() if k.startswith("sql.cbo.")]
-    assert len(_scans_of(result, DIM_REGIONS)) == 2
+    assert len(_scans_of(result, DIM_REGIONS)) == 1
+    assert result.metrics.get("engine.broadcast_reuses") == 1.0
 
 
 def test_an_equal_build_side_is_built_once(broadcast_star):
@@ -390,11 +396,11 @@ def test_an_equal_build_side_is_built_once(broadcast_star):
     assert sorted(r.v for r in result.rows) == [70, 70, 80, 80]
     # one sub-job, one broadcast: the other join probes the same table
     assert len(_scans_of(result, DIM_REGIONS)) == 1 and len(_scans_of(result, FACT_REGIONS)) == 2
-    assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+    assert result.metrics.get("engine.broadcast_reuses") == 1.0
     alone = session.sql(QUERY).run()
     assert result.metrics.get("engine.broadcast_bytes") == \
         alone.metrics.get("engine.broadcast_bytes") == \
-        result.metrics.get("sql.cbo.shared_build.bytes_saved")
+        result.metrics.get("engine.broadcast_bytes_saved")
     builder, reuser = sorted(
         (first, second),
         key=lambda op: "build_reused_from" in result.operator_stats[op.op_id])
@@ -417,12 +423,11 @@ def test_a_second_execution_of_the_planned_tree_rebuilds(broadcast_star):
     assert sorted(r.v for r in again.rows) == [70, 70, 80, 80, 3000, 3000]
     for result in (first, again):
         assert len(_scans_of(result, DIM_REGIONS)) == 1
-        assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+        assert result.metrics.get("engine.broadcast_reuses") == 1.0
     assert not any(hasattr(op, "shared_builds") for op in planned.physical.walk())
 
 
-def test_a_retried_build_sub_job_publishes_once(broadcast_star):
-    cluster, session = broadcast_star
+def _retried_build_publishes_once(cluster, session):
     injector = FaultInjector(seed=23)
     injector.inject(FAULT_RPC, rate=1.0, times=2)   # the build's first RPCs
     cluster.install_fault_injector(injector)
@@ -431,7 +436,15 @@ def test_a_retried_build_sub_job_publishes_once(broadcast_star):
     assert injector.injected(FAULT_RPC) == 2
     assert sorted(r.v for r in result.rows) == [70, 70, 80, 80]
     assert len(_scans_of(result, DIM_REGIONS)) == 1
-    assert result.metrics.get("sql.cbo.shared_build.reuses") == 1.0
+    assert result.metrics.get("engine.broadcast_reuses") == 1.0
+
+
+def test_a_retried_build_sub_job_publishes_once(broadcast_star):
+    _retried_build_publishes_once(*broadcast_star)
+
+
+def test_a_retried_build_sub_job_publishes_once_without_statistics(linked):
+    _retried_build_publishes_once(*_load_star(*linked, analyze=False))
 
 
 def test_equal_build_sides_joined_on_different_columns_share_nothing(linked):
@@ -450,7 +463,7 @@ def test_equal_build_sides_joined_on_different_columns_share_nothing(linked):
     result = session.execute_planned(planned)
     assert sorted(tuple(r.values) for r in result.rows) == sorted(
         [(70, 7, 8), (80, 8, 9), (90, 9, 9), (80, 7, 8), (90, 8, 9), (90, 9, 9)])
-    assert result.metrics.get("sql.cbo.shared_build.reuses") == 0.0
+    assert result.metrics.get("engine.broadcast_reuses") == 0.0
 
 
 def _fact_scan(session):
@@ -581,7 +594,7 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
         (__, a), (__, b) = join(True, stamp), join(False, stamp)
         got, result = execute(P.UnionExec(adapt(a, False), adapt(b, False)))
         assert got == doubled
-        assert result.metrics.get("sql.cbo.shared_build.reuses") == \
+        assert result.metrics.get("engine.broadcast_reuses") == \
             (stamp is not None)
     session.shutdown()
 

@@ -3,7 +3,7 @@
 A :class:`FaultInjector` holds a set of :class:`FaultRule`\\ s keyed by
 named *fault points* threaded through the substrate (HBase client RPCs,
 mid-scan page fetches, pushed-down filter evaluation, shuffle fetches,
-executor hosts).  Whether a given invocation of a fault point fires is a
+serving admission).  Whether a given invocation of a fault point fires is a
 pure function of ``(seed, point, key, invocation index)`` -- no wall clock,
 no ``random`` module -- so a chaos schedule replays identically for a given
 seed even with queries driven from several caller threads: each
@@ -23,7 +23,6 @@ Fault points currently wired in:
 ``hbase.scan_stream``   between scan result pages (crash a server mid-scan)
 ``hbase.filter``        pushed-down filter blows up server-side
 ``engine.shuffle_fetch`` reduce-side block fetch fails (task retry)
-``engine.slow_host``    inflates a task's simulated cost (straggler)
 ``serving.admission``   front-door overload (queue-full / degraded server)
 ======================  ======================================================
 """
@@ -51,11 +50,11 @@ FAULT_STALE_META = "hbase.stale_meta"
 FAULT_SCAN_STREAM = "hbase.scan_stream"
 FAULT_FILTER = "hbase.filter"
 FAULT_SHUFFLE_FETCH = "engine.shuffle_fetch"
-FAULT_SLOW_HOST = "engine.slow_host"
 FAULT_ADMISSION = "serving.admission"
 
-#: an action gets the site's context dict and either raises or returns an effect
-FaultAction = Callable[[dict], object]
+#: an action gets the site's context dict; it raises the injected failure
+#: (or, like a crash, acts on the cluster first and then raises)
+FaultAction = Callable[[dict], None]
 
 
 def raise_transient(ctx: dict) -> None:
@@ -124,22 +123,6 @@ def crash_region_server(ctx: dict) -> None:
     )
 
 
-@dataclass
-class SlowHostEffect:
-    """Returned (not raised) by a slow-host rule: the straggler knob.
-
-    ``factor`` multiplies the simulated cost the task accrued, so the task
-    finishes late in simulated time -- which is where the stage runner's
-    speculative execution sees a straggler and races a copy against it.
-    """
-
-    factor: float = 4.0
-
-    def __call__(self, ctx: dict) -> "SlowHostEffect":
-        """Acting on a slow-host fault just hands the effect to the site."""
-        return self
-
-
 #: per-point default actions for rules registered without an explicit one;
 #: every point not listed here injects a retryable RPC failure
 _DEFAULT_ACTIONS: Dict[str, FaultAction] = {
@@ -180,8 +163,8 @@ class FaultInjector:
 
     Install one on an :class:`~repro.hbase.cluster.HBaseCluster` (substrate
     faults) and/or a :class:`~repro.sql.session.SparkSession` (engine
-    faults); sites call :meth:`check` and either nothing happens, an
-    injected error is raised, or an effect object is returned.  Thread-safe:
+    faults); sites call :meth:`check` and either nothing happens or an
+    injected error is raised.  Thread-safe:
     invocation counters and fire caps mutate under one lock.
     """
 
@@ -209,17 +192,16 @@ class FaultInjector:
                                        key_substr=key_substr, action=action))
 
     # -- the hot path ------------------------------------------------------
-    def check(self, point: str, key: str = "", ledger=None, **ctx) -> object:
+    def check(self, point: str, key: str = "", ledger=None, **ctx) -> None:
         """Decide whether the fault point fires for this invocation.
 
-        Returns ``None`` (nothing injected) or whatever the matched rule's
-        action returns; most actions raise instead.  The decision is made
+        When a rule fires, its action runs and raises.  The decision is made
         under the injector lock; the action runs outside it, because crash
         actions take cluster-level locks of their own.
         """
         rules = self._rules.get(point)
         if not rules:
-            return None
+            return
         with self._lock:
             index = self._counts.get((point, key), 0)
             self._counts[(point, key)] = index + 1
@@ -236,7 +218,7 @@ class FaultInjector:
                     chosen = rule
                     break
         if chosen is None:
-            return None
+            return
         self.metrics.incr("faults.injected")
         self.metrics.incr(f"faults.injected.{point}")
         if ledger is not None:
@@ -246,7 +228,7 @@ class FaultInjector:
         else:
             action = _DEFAULT_ACTIONS.get(point, raise_transient)
         ctx.update({"point": point, "key": key})
-        return action(ctx)
+        action(ctx)
 
     # -- inspection --------------------------------------------------------
     def injected(self, point: Optional[str] = None) -> float:

@@ -9,12 +9,13 @@ the byte budget overflows -- a dropped entry is simply recomputed on the
 next reference, exactly like Spark's ``MEMORY_ONLY`` storage level.
 
 Correctness under the fault-tolerant runner is the delicate part.  Task
-attempts can fail mid-partition, be retried on another host, or race a
-speculative duplicate, so :class:`CachingRDD` buffers rows *per attempt*
-and publishes the whole partition atomically only when the attempt's
-iterator is exhausted; :meth:`CacheManager.publish` is put-if-absent, so
-the losing attempt of a speculative race becomes a no-op and a cached
-partition can never mix rows from different attempts.  Consumers that stop
+attempts can fail mid-partition and be retried on another host, so
+:class:`CachingRDD` buffers rows *per attempt* and publishes the whole
+partition atomically only when the attempt's iterator is exhausted: a
+failed attempt publishes nothing.  :meth:`CacheManager.publish` is
+put-if-absent, so when two computations of one partition overlap (queries
+on two caller threads over one persisted frame) the later publish is a
+no-op and a cached partition can never mix rows from different attempts.  Consumers that stop
 early (LIMIT) never exhaust the iterator and therefore never publish.
 
 The session owns one manager and drops every entry on ``shutdown()``, the
@@ -165,8 +166,8 @@ class CacheManager:
 
         Returns ``(published, evicted_entries, evicted_bytes)``.  The first
         attempt to exhaust a partition's iterator wins; later publishes for
-        the same ``(fingerprint, index)`` -- a speculative duplicate, a
-        retried sibling -- are no-ops, so exactly one attempt's output is
+        the same ``(fingerprint, index)`` -- an overlapping computation on
+        another caller thread -- are no-ops, so exactly one attempt's output is
         ever visible.  Publishing past the byte budget evicts other entries
         LRU-first; an entry that alone cannot fit is marked oversized and
         excluded from caching until unpersisted or dropped.
@@ -263,7 +264,7 @@ class CachingRDD(RDD):
     ``cached_partition_bytes_per_sec``; everything else computes through the
     parent lineage, buffering rows per attempt and publishing atomically on
     exhaustion -- see the module docstring for why that ordering is what
-    makes speculation and retries safe.
+    makes retries safe.
     """
 
     def __init__(self, parent: RDD, manager: CacheManager, fingerprint: str) -> None:

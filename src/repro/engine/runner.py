@@ -25,8 +25,8 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.metrics import CostLedger
 from repro.engine.cluster import Executor
@@ -43,8 +43,6 @@ class TaskSpec:
     body: Callable[..., object]          # Callable[[TaskContext], object]
     preferred: Tuple[str, ...] = ()
     skips: int = 0                       # delay-scheduling bookkeeping
-    #: True for a duplicate launched by speculative execution
-    speculative: bool = False
 
 
 @dataclass
@@ -74,19 +72,14 @@ class StageExecution:
     outcomes: List[TaskOutcome]          # in task-index order
     sim_makespan_s: float                # event-simulated stage duration
     wall_clock_s: float                  # measured on the driver
-    speculative_launched: int = 0        # duplicates launched for stragglers
-    speculative_won: int = 0             # duplicates that beat the original
-    #: ledgers of race losers: their results were discarded but their
-    #: simulated work still happened and must be counted by the scheduler
-    wasted: List[CostLedger] = field(default_factory=list)
 
 
 #: the scheduler-provided task executor: (spec, host, slot_index) -> outcome
 RunTaskFn = Callable[[TaskSpec, str, int], TaskOutcome]
 
-#: a launched task queued on its simulated completion; (sim_end, task index,
-#: speculative) is unique within a stage, so the heap never compares further
-_Running = Tuple[float, int, bool, TaskSpec, TaskOutcome]
+#: a launched task queued on its simulated completion; (sim_end, task index)
+#: is unique within a stage, so the heap never compares the outcome
+_Running = Tuple[float, int, TaskOutcome]
 
 
 class StageRunner:
@@ -106,9 +99,6 @@ class StageRunner:
         task_launch_s: float,
         locality_enabled: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
-        speculation_enabled: bool = False,
-        speculation_multiplier: float = 1.5,
-        speculation_quantile: float = 0.5,
     ) -> None:
         if not slots:
             raise ValueError("a stage runner needs at least one slot")
@@ -117,9 +107,6 @@ class StageRunner:
         self.task_launch_s = task_launch_s
         self.locality_enabled = locality_enabled
         self.locality_wait_skips = max(0, locality_wait_skips)
-        self.speculation_enabled = speculation_enabled
-        self.speculation_multiplier = speculation_multiplier
-        self.speculation_quantile = speculation_quantile
 
     def run(self, tasks: Sequence[TaskSpec], run_task: RunTaskFn) -> StageExecution:
         """Execute one stage: place and run every task, return the outcomes.
@@ -135,10 +122,6 @@ class StageRunner:
         free_slots: List[int] = list(range(len(self.slots)))
         running: List[_Running] = []         # heap, earliest completion first
         done: Dict[int, TaskOutcome] = {}
-        speculated: Set[int] = set()
-        wasted: List[CostLedger] = []
-        spec_launched = 0
-        spec_won = 0
         wall_start = time.perf_counter()
 
         while pending or running:
@@ -151,27 +134,14 @@ class StageRunner:
                 free_slots.remove(slot_idx)
                 self._launch(pending.popleft(), slot_idx,
                              sim_free_at[slot_idx], running, run_task)
-            if self.speculation_enabled and not pending and free_slots:
-                spec_launched += self._speculate(
-                    done, speculated, len(tasks), free_slots, sim_free_at,
-                    running, run_task)
-            sim_end, index, speculative, __, outcome = heapq.heappop(running)
+            sim_end, index, outcome = heapq.heappop(running)
             free_slots.append(outcome.slot_index)
-            if index in done:
-                # lost the speculation race: the result is discarded but
-                # the simulated work still gets counted
-                wasted.append(outcome.ledger)
-                continue
             done[index] = outcome
-            if speculative:
-                spec_won += 1
             sim_free_at[outcome.slot_index] = sim_end
 
         makespan = max(sim_free_at)
         wall = time.perf_counter() - wall_start
-        return StageExecution([done[i] for i in sorted(done)], makespan, wall,
-                              speculative_launched=spec_launched,
-                              speculative_won=spec_won, wasted=wasted)
+        return StageExecution([done[i] for i in sorted(done)], makespan, wall)
 
     def _launch(self, spec: TaskSpec, slot_idx: int, sim_start: float,
                 running: List[_Running], run_task: RunTaskFn) -> None:
@@ -180,69 +150,12 @@ class StageRunner:
         outcome.slot_index = slot_idx
         outcome.sim_start_s = sim_start
         outcome.sim_end_s = sim_start + self.task_launch_s + outcome.ledger.seconds
-        heapq.heappush(running, (outcome.sim_end_s, spec.index,
-                                 spec.speculative, spec, outcome))
+        heapq.heappush(running, (outcome.sim_end_s, spec.index, outcome))
 
     def _least_loaded(self, candidates: Sequence[int],
                       sim_free_at: Sequence[float]) -> int:
         """The candidate slot that frees earliest in *simulated* time."""
         return min(candidates, key=lambda i: (sim_free_at[i], i))
-
-    # -- speculative execution ---------------------------------------------
-    def _speculate(
-        self,
-        done: Dict[int, TaskOutcome],
-        speculated: Set[int],
-        total: int,
-        free_slots: List[int],
-        sim_free_at: Sequence[float],
-        running: List[_Running],
-        run_task: RunTaskFn,
-    ) -> int:
-        """Duplicate straggling running tasks onto free slots (tail mitigation).
-
-        Spark-style: once a quantile of the stage has finished, a running
-        task turns straggler when it has worked ``multiplier x median`` of
-        the completed durations without finishing, and gets one duplicate on
-        a *different* host, starting at that simulated moment.  The earlier
-        simulated finish wins; the loser's ledger lands in ``wasted``.  The
-        winner alone advances its slot's simulated timeline -- in the
-        simulated cluster the loser is killed the moment the winner reports,
-        which is exactly the tail-latency cut speculation exists to buy.
-        """
-        needed = max(1, int(self.speculation_quantile * total))
-        if len(done) < needed:
-            return 0
-        durations = sorted(o.ledger.seconds for o in done.values())
-        median = durations[len(durations) // 2]
-        if median <= 0.0:
-            return 0
-        threshold = self.speculation_multiplier * median
-        launched = 0
-        for __, index, speculative, spec, original in sorted(running):
-            if not free_slots:
-                break
-            if speculative or index in speculated:
-                continue
-            straggles_at = original.sim_start_s + self.task_launch_s + threshold
-            if original.sim_end_s <= straggles_at:
-                continue
-            candidates = [i for i in free_slots
-                          if self.slots[i].host != original.ran_on_host]
-            if not candidates:
-                continue
-            slot_idx = self._least_loaded(candidates, sim_free_at)
-            free_slots.remove(slot_idx)
-            speculated.add(index)
-            launched += 1
-            copy = TaskSpec(index=index, body=spec.body, speculative=True)
-            try:
-                self._launch(copy, slot_idx,
-                             max(sim_free_at[slot_idx], straggles_at),
-                             running, run_task)
-            except Exception:  # noqa: BLE001 - a failed copy just loses the race
-                free_slots.append(slot_idx)
-        return launched
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch_round(

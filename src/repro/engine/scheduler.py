@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.cost import CostModel
 from repro.common.errors import FatalTaskError
-from repro.common.faults import FAULT_SHUFFLE_FETCH, FAULT_SLOW_HOST
+from repro.common.faults import FAULT_SHUFFLE_FETCH
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.common.retry import stable_fraction
 from repro.common.tracing import NOOP_SPAN
@@ -158,7 +158,7 @@ class TaskScheduler:
 
     One scheduler serves one query on one thread: its stages run inline
     through the :class:`~repro.engine.runner.StageRunner`, so the
-    scheduler's own bookkeeping (blacklist, span map) needs no locking.
+    scheduler's own bookkeeping (stage ids, shuffle maps) needs no locking.
     Concurrent queries each get their own scheduler; what they share (block
     cache, connection cache, fault injector) synchronises itself.
     """
@@ -171,10 +171,6 @@ class TaskScheduler:
         max_task_retries: int = 3,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         faults=None,
-        speculation_enabled: bool = False,
-        speculation_multiplier: float = 1.5,
-        speculation_quantile: float = 0.5,
-        blacklist_max_failures: int = 2,
         retry_backoff_s: float = 0.05,
         retry_backoff_max_s: float = 2.0,
         trace=NOOP_SPAN,
@@ -188,15 +184,11 @@ class TaskScheduler:
         #: parent span for stage spans; NOOP_SPAN = tracing disabled
         self.trace = trace if trace is not None else NOOP_SPAN
         self._stage_span = NOOP_SPAN
-        self._span_ledgers: Dict[int, object] = {}
-        #: optional FaultInjector for engine fault points (slow hosts,
-        #: shuffle-fetch failures); None keeps every point a no-op
+        #: optional FaultInjector for the engine's shuffle-fetch fault
+        #: point; None keeps it a no-op
         self.faults = faults
-        self.blacklist_max_failures = blacklist_max_failures
         self.retry_backoff_s = retry_backoff_s
         self.retry_backoff_max_s = retry_backoff_max_s
-        self._host_failures: Dict[str, int] = {}
-        self._blacklisted: set[str] = set()
         self.block_store = ShuffleBlockStore()
         self._materialized_shuffles: set[int] = set()
         #: runtime statistics per shuffle_id, populated only for shuffles
@@ -217,9 +209,6 @@ class TaskScheduler:
             cost_model.task_launch_s,
             locality_enabled=locality_enabled,
             locality_wait_skips=locality_wait_skips,
-            speculation_enabled=speculation_enabled,
-            speculation_multiplier=speculation_multiplier,
-            speculation_quantile=speculation_quantile,
         )
 
     # -- public API -------------------------------------------------------
@@ -477,20 +466,6 @@ class TaskScheduler:
             if preferred and outcome.ran_on_host in preferred:
                 local_tasks += 1
         metrics.incr("engine.local_tasks", local_tasks)
-        if execution.speculative_launched:
-            metrics.incr("engine.speculative_launched",
-                         execution.speculative_launched)
-        if execution.speculative_won:
-            metrics.incr("engine.speculative_won", execution.speculative_won)
-        for lost in execution.wasted:
-            # the race loser's work still happened: count its metrics and
-            # record the duplicated simulated seconds as waste
-            metrics.merge(lost.metrics)
-            metrics.incr("engine.speculative_wasted_s", lost.seconds)
-            loser_span = self._span_ledgers.get(id(lost))
-            if loser_span is not None:
-                loser_span.set(wasted=True, wasted_sim_s=lost.seconds)
-        self._span_ledgers.clear()
         info = StageInfo(
             stage_id=self._stage_ids,
             kind=kind,
@@ -509,33 +484,28 @@ class TaskScheduler:
             setop_rows_out=int(metrics.get("engine.setop.rows_out")),
         )
         if stage_span.enabled:
-            stage_span.set(local_tasks=local_tasks,
-                           speculative_launched=execution.speculative_launched,
-                           speculative_won=execution.speculative_won)
+            stage_span.set(local_tasks=local_tasks)
             stage_span.finish(sim_seconds=execution.sim_makespan_s,
                               metrics=metrics.snapshot())
         return results, info, metrics
 
     def _run_with_retries(self, spec: TaskSpec, host: str,
                           slot_idx: int) -> TaskOutcome:
-        """Run one task, rotating hosts on failure like Spark's blacklisting.
+        """Run one task, moving to the next host after each failed attempt.
 
         The returned outcome records the host that *actually* ran the task so
         locality accounting stays truthful across retries.  Failed attempts'
         ledgers are *not* discarded: their simulated work plus the inter-retry
         backoff is folded into the final outcome, so a task that needed three
-        tries costs what three tries cost.  Hosts that keep failing tasks get
-        blacklisted and retries rotate around them.
+        tries costs what three tries cost.
         """
         placed_host = host
         attempts = 0
         carry: Optional[CostLedger] = None
         last_error: Optional[Exception] = None
         task_span = self._stage_span.child(
-            f"task-{spec.index}" + ("-spec" if spec.speculative else ""),
-            "task", order=(spec.index, 1 if spec.speculative else 0),
+            f"task-{spec.index}", "task", order=spec.index,
             index=spec.index, placed_host=placed_host,
-            speculative=spec.speculative,
         )
         while attempts <= self.max_task_retries:
             ledger = CostLedger()
@@ -549,7 +519,6 @@ class TaskScheduler:
             ctx = TaskContext(host, ledger, self, span=attempt_span)
             try:
                 value = spec.body(ctx)
-                self._apply_host_faults(ledger, host)
             except Exception as exc:  # noqa: BLE001 - task code is user code
                 attempts += 1
                 last_error = exc
@@ -557,15 +526,13 @@ class TaskScheduler:
                     attempt_span.set(failed=True, error=repr(exc))
                     attempt_span.finish(sim_seconds=ledger.seconds,
                                         metrics=ledger.metrics.snapshot())
-                self._note_host_failure(host, ledger)
                 if carry is None:
                     carry = CostLedger()
                 carry.merge(ledger)
                 if attempts <= self.max_task_retries:
                     backoff = self._retry_backoff(spec.index, attempts)
                     carry.charge(backoff, "engine.retry_backoff_s", backoff)
-                    # Spark would retry on another executor; rotate hosts,
-                    # skipping any that are blacklisted
+                    # Spark would retry on another executor; rotate hosts
                     host = self._retry_host(slot_idx, attempts)
                 continue
             if attempt_span.enabled:
@@ -577,7 +544,6 @@ class TaskScheduler:
                 task_span.set(ran_on_host=host, failures=attempts)
                 task_span.finish(sim_seconds=ledger.seconds,
                                  metrics=ledger.metrics.snapshot())
-                self._span_ledgers[id(ledger)] = task_span
             return TaskOutcome(
                 index=spec.index,
                 value=value,
@@ -593,42 +559,7 @@ class TaskScheduler:
             f"task failed after {attempts} attempts: {last_error}"
         ) from last_error
 
-    # -- retry/blacklist/straggler plumbing ---------------------------------
-    def _apply_host_faults(self, ledger: CostLedger, host: str) -> None:
-        """Consult the ``engine.slow_host`` fault point for a finished attempt.
-
-        A matching rule returns a ``SlowHostEffect`` whose ``factor``
-        inflates the attempt's accrued simulated cost: the task finishes
-        late in simulated time, which is what lets speculative execution
-        race a duplicate against it.
-        """
-        faults = self.faults
-        if faults is None:
-            return
-        effect = faults.check(FAULT_SLOW_HOST, key=host, ledger=ledger)
-        if effect is None:
-            return
-        factor = getattr(effect, "factor", 1.0)
-        if factor > 1.0 and ledger.seconds > 0.0:
-            extra = ledger.seconds * (factor - 1.0)
-            ledger.charge(extra, "faults.slowdown_s", extra)
-
-    def _note_host_failure(self, host: str, ledger: CostLedger) -> None:
-        """Count a failed attempt against its host; blacklist repeat offenders.
-
-        A host is never blacklisted if doing so would leave no usable host,
-        mirroring Spark's refusal to blacklist its way out of a cluster.
-        """
-        if self.blacklist_max_failures <= 0:
-            return
-        count = self._host_failures.get(host, 0) + 1
-        self._host_failures[host] = count
-        if count >= self.blacklist_max_failures and host not in self._blacklisted:
-            live_hosts = {s.host for s in self._slots}
-            if len(self._blacklisted) + 1 < len(live_hosts):
-                self._blacklisted.add(host)
-                ledger.count("engine.hosts_blacklisted")
-
+    # -- retry plumbing ----------------------------------------------------
     def _retry_backoff(self, task_index: int, attempt: int) -> float:
         """Capped exponential inter-retry backoff with deterministic jitter."""
         raw = min(self.retry_backoff_max_s,
@@ -636,10 +567,5 @@ class TaskScheduler:
         return raw * (0.5 + stable_fraction("engine.retry", task_index, attempt))
 
     def _retry_host(self, slot_idx: int, attempts: int) -> str:
-        """The next host in the retry rotation, skipping blacklisted hosts."""
-        n = len(self._slots)
-        for step in range(attempts, attempts + n):
-            candidate = self._slots[(slot_idx + step) % n].host
-            if candidate not in self._blacklisted:
-                return candidate
-        return self._slots[(slot_idx + attempts) % n].host
+        """The next host in the retry rotation: ``attempts`` slots further on."""
+        return self._slots[(slot_idx + attempts) % len(self._slots)].host

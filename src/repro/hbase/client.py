@@ -389,13 +389,12 @@ class Table:
             )
 
     def _fault(self, point: str, key: str, ledger: Optional[CostLedger] = None,
-               **ctx) -> object:
+               **ctx) -> None:
         """Consult the cluster's fault injector at one fault point (or no-op)."""
         faults = self.cluster.faults
-        if faults is None:
-            return None
-        return faults.check(point, key=key, ledger=ledger,
-                            cluster=self.cluster, **ctx)
+        if faults is not None:
+            faults.check(point, key=key, ledger=ledger,
+                         cluster=self.cluster, **ctx)
 
     def _locate(self, row: bytes) -> RegionLocation:
         self._fault(FAULT_STALE_META, self.name)

@@ -6,7 +6,7 @@ here.  The report annotates each operator with what actually happened --
 regions pruned vs. scanned, filters pushed vs. residual, locality hits and
 misses -- then appends a per-stage table (tasks, locality, simulated and
 wall-clock time, bytes moved) and a query summary (shuffle/broadcast volume,
-retries, speculation).  Every number is read from ``QueryResult.operator_stats``,
+task failures, HBase retries).  Every number is read from ``QueryResult.operator_stats``,
 ``QueryResult.stages`` and the run's ``MetricsRegistry``; nothing is
 re-derived, so the report always agrees with the counters for the same run.
 """
@@ -192,10 +192,7 @@ def _summary(result) -> List[str]:
         f"filters pushed={int(m.get('shc.filters_pushed'))} "
         f"residual={int(m.get('shc.filters_residual'))}",
         f"resilience: {int(m.get('engine.task_failures'))} task failures, "
-        f"{int(m.get('hbase.retries'))} hbase retries, "
-        f"speculative launched={int(m.get('engine.speculative_launched'))} "
-        f"won={int(m.get('engine.speculative_won'))} "
-        f"wasted={m.get('engine.speculative_wasted_s'):.4f}s",
+        f"{int(m.get('hbase.retries'))} hbase retries",
     ]
     cache_hits = int(m.get("engine.cache.hits"))
     cache_misses = int(m.get("engine.cache.misses"))

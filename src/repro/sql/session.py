@@ -121,12 +121,6 @@ DEFAULT_CONF: Dict[str, object] = {
     # all cost-based planning): pre-filter a large probe scan by the distinct
     # join keys of a small build side before shuffling
     "sql.cbo.semijoin": True,
-    # speculative execution: duplicate a tail task once `quantile` of the
-    # stage finished and it has run `multiplier` x the median task duration
-    # (off by default; chaos/straggler runs opt in)
-    "engine.speculation.enabled": False,
-    "engine.speculation.multiplier": 1.5,
-    "engine.speculation.quantile": 0.5,
     # materialized views (docs/views.md): CREATE MATERIALIZED VIEW is the
     # opt-in -- a session that never creates a view plans and costs exactly
     # as if the feature did not exist.  This is the maximum CDC lag
@@ -202,12 +196,6 @@ class SparkSession:
             slots=slots,
             queued_s=queued_s,
             faults=self.faults,
-            speculation_enabled=bool(
-                self.conf.get("engine.speculation.enabled", False)),
-            speculation_multiplier=float(
-                self.conf.get("engine.speculation.multiplier", 1.5)),
-            speculation_quantile=float(
-                self.conf.get("engine.speculation.quantile", 0.5)),
         )
 
     # -- data ingestion --------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.common.faults import (
     FAULT_RPC,
     FaultInjector,
     FaultRule,
-    SlowHostEffect,
     raise_overloaded,
     raise_stale_meta,
 )
@@ -154,15 +153,6 @@ def test_admission_schedule_is_seeded_and_keyed():
     assert schedule(101) == schedule(101)
     assert schedule(101) != schedule(202)
     assert 0 < sum(schedule(101)) < 30
-
-
-def test_slow_host_effect_is_returned_not_raised():
-    injector = FaultInjector()
-    effect = SlowHostEffect(factor=3.0)
-    injector.inject("engine.slow_host", rate=1.0, key="h1", action=effect)
-    got = injector.check("engine.slow_host", key="h1")
-    assert got is effect
-    assert injector.check("engine.slow_host", key="h2") is None
 
 
 def test_stable_fraction_is_stable_and_bounded():

@@ -3,7 +3,6 @@
 import json
 
 from repro.common.cost import DEFAULT_COST_MODEL
-from repro.common.faults import FAULT_SLOW_HOST, FaultInjector, SlowHostEffect
 from repro.common.tracing import (
     NOOP_SPAN,
     Span,
@@ -155,31 +154,6 @@ def test_retried_task_records_every_attempt():
     assert task.sim_seconds >= 3 * 0.7 + backoff
     for attempt in tries:
         assert 0.7 <= attempt.sim_seconds < task.sim_seconds
-
-
-def test_speculative_loser_is_marked_wasted():
-    injector = FaultInjector(seed=1)
-    injector.inject(FAULT_SLOW_HOST, rate=1.0, times=1, key="h1",
-                    action=SlowHostEffect(factor=4.0))
-    trace = Span("query", "query")
-    scheduler = make_scheduler(faults=injector, speculation_enabled=True,
-                               speculation_multiplier=1.5,
-                               speculation_quantile=0.5, trace=trace)
-    rdd = ParallelCollectionRDD(range(8), 4).map_partitions(charging(1.0))
-    result = scheduler.run_job(rdd)
-    trace.finish(sim_seconds=result.seconds)
-
-    tasks = trace.find("task")
-    spec = [t for t in tasks if t.attrs.get("speculative")]
-    assert len(spec) == 1  # the duplicate launched against the straggler
-    wasted = [t for t in tasks if t.attrs.get("wasted")]
-    assert len(wasted) == 1
-    assert wasted[0].attrs["wasted_sim_s"] > 0
-    assert abs(sum(t.attrs["wasted_sim_s"] for t in wasted)
-               - result.metrics.get("engine.speculative_wasted_s")) < 1e-9
-    (stage,) = trace.find("stage")
-    assert stage.attrs["speculative_launched"] == 1
-    assert stage.attrs["speculative_won"] == 1
 
 
 def test_disabled_tracing_changes_nothing():

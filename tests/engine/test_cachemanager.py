@@ -30,7 +30,7 @@ def test_publish_requires_registration():
 
 
 def test_publish_is_put_if_absent():
-    """The speculative race: the second attempt's publish is a no-op."""
+    """A retried attempt: the second publish of a partition is a no-op."""
     m = CacheManager(1000)
     m.register("fp")
     m.expect_partitions("fp", 1)

@@ -1,4 +1,4 @@
-"""Caching under chaos: crashes, speculation and retries must stay correct.
+"""Caching under chaos: crashes and retries must stay correct.
 
 The two cache tiers interact with the resilience machinery in ways that
 could silently corrupt answers if the invalidation/publish protocols were
@@ -7,7 +7,7 @@ wrong, so this suite drives both through the seeded fault injector:
 * a region-server crash mid-scan must clear that server's block cache (the
   process died; its memory is gone) and the query must still return
   byte-identical rows through the recovered regions;
-* a speculative duplicate of a caching task must never publish a second
+* a caching task whose first attempt fails must never publish a second
   copy of a partition -- exactly one attempt's output may enter the
   partition cache, and reruns must serve that single copy.
 """
@@ -17,9 +17,8 @@ import pytest
 from repro.common.faults import (
     FAULT_RPC,
     FAULT_SCAN_STREAM,
-    FAULT_SLOW_HOST,
+    FAULT_SHUFFLE_FETCH,
     FaultInjector,
-    SlowHostEffect,
     crash_region_server,
 )
 from repro.core.catalog import HBaseSparkConf
@@ -27,14 +26,12 @@ from repro.workloads import load_tpcds
 
 BLOCK_CACHE_BYTES = 64 * 1024 * 1024
 
-SPECULATION_CONF = {
-    "engine.speculation.enabled": True,
-    "engine.speculation.quantile": 0.25,
-    "engine.speculation.multiplier": 1.5,
-}
-
 QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
          "WHERE ss_quantity > 1")
+
+#: a persisted aggregate: its cache-filling tasks read a shuffle
+GROUPED_QUERY = ("SELECT ss_item_sk, count(*) AS n, sum(ss_quantity) AS q "
+                 "FROM store_sales GROUP BY ss_item_sk")
 
 
 def rows(result):
@@ -72,26 +69,26 @@ def test_crash_invalidates_block_cache_and_answers_survive():
     assert rows(session.sql(QUERY).run()) == baseline
 
 
-def test_speculated_task_never_publishes_duplicate_partition():
+def test_retried_task_never_publishes_duplicate_partition():
+    """A cache-filling task fails its first shuffle fetch and is retried;
+    only the attempt that finished may publish, and only once."""
     env = load_tpcds(2, ["store_sales"])
-    baseline = rows(env.new_session().sql(QUERY).run())
+    baseline = rows(env.new_session().sql(GROUPED_QUERY).run())
 
     injector = FaultInjector(seed=505)
-    # the first finished attempt becomes an 8x straggler, still running in
-    # simulated time when the dispatcher races a duplicate attempt
-    injector.inject(FAULT_SLOW_HOST, rate=1.0, times=1,
-                    action=SlowHostEffect(factor=8.0))
-    session = env.new_session(conf=SPECULATION_CONF)
+    injector.inject(FAULT_SHUFFLE_FETCH, rate=1.0, times=1)
+    session = env.new_session()
     session.install_fault_injector(injector)
 
-    df = session.sql(QUERY).persist()
+    df = session.sql(GROUPED_QUERY).persist()
     cold = df.run()
     assert rows(cold) == baseline
-    assert cold.metrics.get("engine.speculative_launched") >= 1
+    assert injector.injected(FAULT_SHUFFLE_FETCH) == 1
+    assert cold.metrics.get("engine.task_failures") >= 1
 
     manager = session.cache_manager
     stats = manager.stats()
-    # every published byte was counted exactly once: had the race loser
+    # every published byte was counted exactly once: had a failed attempt
     # also published, write_bytes would exceed the cache's occupancy
     assert cold.metrics.get("engine.cache.write_bytes") == stats.current_bytes
     # the cached entry holds one copy per partition, nothing doubled

@@ -15,10 +15,11 @@ def test_session_defaults():
 
 def test_conf_overrides():
     session = SparkSession(["h1"], conf={"sql.shuffle.partitions": 2,
-                                         "engine.speculation.multiplier": 3.0})
+                                         "sql.aqe.enabled": True})
     assert session.conf["sql.shuffle.partitions"] == 2
-    # scheduler options are read from the same dict, once per job
-    assert session.new_scheduler()._runner.speculation_multiplier == 3.0
+    assert session.conf["sql.aqe.enabled"] is True
+    # keys the caller did not name keep their defaults
+    assert session.conf["sql.local.scan.partitions"] == 2
 
 
 def test_sql_query_advances_clock(session):

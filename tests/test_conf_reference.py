@@ -7,12 +7,17 @@ benchmark or example sets to something other than the default -- a key only
 ever run at its default is a constant.  The benchmark under
 ``benchmarks/e2e`` does not count as a setter: it may not change with the
 source, so it cannot be what keeps a key alive.
+
+The reference runs the other way too: the "Session options" table in
+``docs/architecture.md`` lists exactly the dict's keys, and its prose
+states how many there are, so a retired key cannot linger in the docs.
 """
 
 from __future__ import annotations
 
 import ast
 import operator
+import re
 from pathlib import Path
 from typing import Iterator, Set, Tuple
 
@@ -20,6 +25,9 @@ from repro.sql.session import DEFAULT_CONF
 
 REPO = Path(__file__).resolve().parent.parent
 SETTER_ROOTS = ("tests", "benchmarks", "examples")
+ARCHITECTURE = REPO / "docs" / "architecture.md"
+_NUMBER_WORDS = ("zero one two three four five six seven eight nine ten "
+                 "eleven twelve").split()
 
 
 def _trees(root: Path) -> Iterator[ast.AST]:
@@ -108,3 +116,27 @@ def test_every_key_is_set_to_a_non_default_value_somewhere():
         f"DEFAULT_CONF keys no test, benchmark or example sets to a "
         f"non-default value (make them constants beside their reader): "
         f"{constants}")
+
+
+def _session_options_section() -> str:
+    text = ARCHITECTURE.read_text(encoding="utf-8")
+    start = text.index("## Session options")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_session_options_table_lists_exactly_the_keys():
+    section = _session_options_section()
+    tabled = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert len(tabled) == len(set(tabled)), f"a key is tabled twice: {tabled}"
+    assert set(tabled) == set(DEFAULT_CONF), (
+        f"tabled but not in DEFAULT_CONF: {sorted(set(tabled) - set(DEFAULT_CONF))}; "
+        f"in DEFAULT_CONF but not tabled: {sorted(set(DEFAULT_CONF) - set(tabled))}")
+
+
+def test_session_options_prose_counts_the_keys():
+    match = re.search(r"understands (\w+) keys", _session_options_section())
+    assert match, "the Session options prose no longer states the key count"
+    word = match.group(1)
+    stated = int(word) if word.isdigit() else _NUMBER_WORDS.index(word)
+    assert stated == len(DEFAULT_CONF)

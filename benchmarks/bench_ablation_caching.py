@@ -1,18 +1,14 @@
-"""Ablation: multi-tier caching (region-server block cache + DataFrame persist).
+"""Ablation: the region-server block cache.
 
 A repeated-scan workload -- the same analytical query executed several times
-within one application, the pattern both cache tiers exist for:
+within one application, the pattern the per-region-server **block cache**
+exists for: it absorbs repeat HFile block reads so later scans bill memory
+bandwidth instead of (local or remote) HDFS I/O.
 
-* tier 1, the per-region-server **block cache**, absorbs repeat HFile block
-  reads so later scans bill memory bandwidth instead of (local or remote)
-  HDFS I/O;
-* tier 2, the executor **partition cache** (``DataFrame.persist``), skips
-  the scan entirely and serves materialised partitions.
-
-Every configuration must return identical rows; with both tiers off the
-metrics must be byte-identical to the seed (no cache counters at all).  The
-acceptance bar from the issue: the block cache alone cuts the simulated
-HDFS-read volume of the repeated workload by >= 2x.
+Both configurations must return identical rows; with the cache off the
+metrics must carry no block-cache counter at all.  The acceptance bar from
+the issue: the block cache cuts the simulated HDFS-read volume of the
+repeated workload by >= 2x.
 
 Deterministic simulated totals are exported as ``BENCH_caching.json`` for
 the CI regression gate (``check_regression.py``).
@@ -44,12 +40,12 @@ def caching_env():
     return load_tpcds(FIXED_SIZE_GB, ["store_sales"])
 
 
-def _run_workload(env, block_cache: bool, persist: bool):
-    """Run the repeated-scan workload under one cache configuration.
+def _run_workload(env, block_cache: bool):
+    """Run the repeated-scan workload with the block cache on or off.
 
     The block cache is re-created (cold) or torn down before each
-    configuration, and each configuration gets a fresh session, so its
-    partition cache starts cold too.  Returns the per-iteration results.
+    configuration, and each configuration gets a fresh session.  Returns
+    the per-iteration results.
     """
     if block_cache:
         env.cluster.enable_block_cache(BLOCK_CACHE_BYTES)
@@ -60,8 +56,6 @@ def _run_workload(env, block_cache: bool, persist: bool):
     DEFAULT_CONNECTION_CACHE.clear()
     session = env.new_session(DEFAULT_FORMAT)
     df = session.sql(QUERY)
-    if persist:
-        df.persist()
     runs = [df.run() for _ in range(REPEATS)]
     session.shutdown()
     env.cluster.disable_block_cache()
@@ -73,15 +67,13 @@ def _hdfs_read_bytes(run) -> float:
     return run.metrics.get("hbase.bytes_scanned", 0.0)
 
 
-@pytest.mark.parametrize("label,block_cache,persist", [
-    ("no caches", False, False),
-    ("block cache", True, False),
-    ("partition cache", False, True),
-    ("block + partition", True, True),
+@pytest.mark.parametrize("label,block_cache", [
+    ("no caches", False),
+    ("block cache", True),
 ])
-def test_caching(benchmark, caching_env, label, block_cache, persist):
+def test_caching(benchmark, caching_env, label, block_cache):
     runs = benchmark.pedantic(
-        lambda: _run_workload(caching_env, block_cache, persist),
+        lambda: _run_workload(caching_env, block_cache),
         iterations=1, rounds=1,
     )
     _RESULTS[label] = runs
@@ -91,8 +83,6 @@ def test_caching_report(benchmark):
     def report():
         baseline = _RESULTS["no caches"]
         blockcache = _RESULTS["block cache"]
-        partition = _RESULTS["partition cache"]
-        both = _RESULTS["block + partition"]
 
         totals = {}
         rows = []
@@ -101,39 +91,35 @@ def test_caching_report(benchmark):
             hdfs = sum(_hdfs_read_bytes(r) for r in runs)
             bc_hits = sum(r.metrics.get("hbase.blockcache.hits", 0.0)
                           for r in runs)
-            pc_hits = sum(r.metrics.get("engine.cache.hits", 0.0)
-                          for r in runs)
             totals[label] = {"seconds": seconds, "hdfs_bytes": hdfs}
             rows.append([
                 label,
                 f"{seconds:.2f}s",
                 f"{hdfs / (1024 * 1024):.1f}MB",
                 f"{bc_hits:.0f}",
-                f"{pc_hits:.0f}",
             ])
         write_report(
             "ablation_caching",
             format_table(
                 ["configuration", f"sim latency x{REPEATS}",
-                 "hdfs read", "block hits", "partition hits"],
+                 "hdfs read", "block hits"],
                 rows,
-                f"Ablation: multi-tier caching ({REPEATS}x repeated scan, "
-                f"{FIXED_SIZE_GB} GB store_sales)",
+                f"Ablation: region-server block cache ({REPEATS}x repeated "
+                f"scan, {FIXED_SIZE_GB} GB store_sales)",
             ),
         )
 
-        # identical answers under every configuration, every iteration
+        # identical answers under both configurations, every iteration
         expected = sorted(tuple(r.values) for r in baseline[0].rows)
         for label, runs in _RESULTS.items():
             for run in runs:
                 assert sorted(tuple(r.values) for r in run.rows) == expected, \
                     label
 
-        # caches off is the seed path: no cache counters may appear
+        # cache off is the seed path: no block-cache counter may appear
         for run in baseline:
             for key in run.metrics.snapshot():
                 assert not key.startswith("hbase.blockcache."), key
-                assert not key.startswith("engine.cache."), key
 
         # the issue's acceptance bar: >= 2x lower simulated HDFS-read cost
         # on the repeated-scan workload with the block cache on
@@ -141,15 +127,6 @@ def test_caching_report(benchmark):
         assert totals["block cache"]["hdfs_bytes"] <= base_hdfs / 2.0
         # warm block-cache iterations must also be faster end to end
         assert blockcache[-1].seconds < baseline[-1].seconds
-
-        # the partition cache skips the scan entirely on warm runs
-        warm = partition[-1]
-        assert warm.metrics.get("engine.cache.hits", 0) > 0
-        assert "hbase.bytes_scanned" not in warm.metrics
-        assert warm.seconds < baseline[-1].seconds
-        # stacking both tiers is never worse than the block cache alone
-        assert sum(r.seconds for r in both) <= \
-            totals["block cache"]["seconds"] + 1e-9
 
         write_bench_json("caching", {
             "baseline_sim_seconds": {
@@ -167,12 +144,6 @@ def test_caching_report(benchmark):
                 "value": base_hdfs / max(
                     totals["block cache"]["hdfs_bytes"], 1.0),
                 "direction": "higher"},
-            "partition_cache_sim_seconds": {
-                "value": totals["partition cache"]["seconds"],
-                "direction": "lower"},
-            "both_tiers_sim_seconds": {
-                "value": totals["block + partition"]["seconds"],
-                "direction": "lower"},
         })
 
     benchmark.pedantic(report, iterations=1, rounds=1)

@@ -75,9 +75,6 @@ class CostModel:
     shuffle_bytes_per_sec: float = 7_000.0
     #: fixed cost per shuffle exchange (s)
     shuffle_setup_s: float = 0.1
-    #: executor partition-cache memory read bandwidth (bytes/s); reading a
-    #: cached partition skips the scan + decode pipeline entirely
-    cached_partition_bytes_per_sec: float = 600_000.0
 
     # -- coders -----------------------------------------------------------------
     #: base per-cell decode cost (s); multiplied by each coder's cpu_factor

@@ -116,10 +116,7 @@ class StageInfo:
     #: op_id of the scan operator this stage's lineage reads (None when the
     #: stage reads no scan, or more than one -- e.g. a union of scans)
     scope: Optional[int] = None
-    #: partition-cache outcomes for this stage's tasks (tier 2)
-    cache_hit_partitions: int = 0
-    cache_miss_partitions: int = 0
-    #: region-server block-cache bytes this stage's scans served / missed (tier 1)
+    #: region-server block-cache bytes this stage's scans served / missed
     blockcache_hit_bytes: int = 0
     blockcache_miss_bytes: int = 0
     #: join output surfaced per stage so EXPLAIN ANALYZE join rows reconcile
@@ -475,8 +472,6 @@ class TaskScheduler:
             output_bytes=0,
             wall_clock_s=execution.wall_clock_s,
             scope=scope,
-            cache_hit_partitions=int(metrics.get("engine.cache.hits")),
-            cache_miss_partitions=int(metrics.get("engine.cache.misses")),
             blockcache_hit_bytes=int(metrics.get("hbase.blockcache.hit_bytes")),
             blockcache_miss_bytes=int(metrics.get("hbase.blockcache.miss_bytes")),
             join_rows_out=int(metrics.get("engine.join.rows_out")),

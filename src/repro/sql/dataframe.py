@@ -167,50 +167,6 @@ class DataFrame:
             self.session, L.SetOperation("intersect", self.plan, other.plan)
         )
 
-    # -- caching -----------------------------------------------------------------
-    def _cache_fingerprints(self) -> List[str]:
-        """Fingerprints of this plan's analyzed and optimized forms.
-
-        Both are registered so the planner matches whether the cached plan
-        appears verbatim or in the shape the optimizer rewrites it to when
-        the DataFrame itself is executed.
-        """
-        from repro.sql.fingerprint import plan_fingerprint
-        from repro.sql.optimizer import optimize
-
-        fingerprints = [plan_fingerprint(self.plan)]
-        optimized_fp = plan_fingerprint(optimize(self.plan))
-        if optimized_fp not in fingerprints:
-            fingerprints.append(optimized_fp)
-        return fingerprints
-
-    def persist(self) -> "DataFrame":
-        """Mark this plan for executor-memory caching (Spark ``MEMORY_ONLY``).
-
-        Lazy, like Spark: nothing materialises until an action runs.  The
-        first execution fills the cache partition by partition; later
-        executions of a structurally identical plan serve from memory and
-        skip the scan entirely.
-        """
-        description = self.plan.describe()
-        for fingerprint in self._cache_fingerprints():
-            self.session.cache_manager.register(fingerprint, description)
-        return self
-
-    cache = persist
-
-    def unpersist(self) -> "DataFrame":
-        """Drop this plan's cache registration and any materialised rows."""
-        for fingerprint in self._cache_fingerprints():
-            self.session.cache_manager.unregister(fingerprint)
-        return self
-
-    @property
-    def is_cached(self) -> bool:
-        """Whether this plan is currently registered in the partition cache."""
-        return any(self.session.cache_manager.is_registered(fp)
-                   for fp in self._cache_fingerprints())
-
     # -- actions -----------------------------------------------------------------
     def run(self) -> "QueryResult":
         """Execute and return rows *plus* simulated time and metrics."""

@@ -109,16 +109,6 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
                     f"aqe: {stats.get('initial_strategy', '?')} -> "
                     f"{stats['final_strategy']}"
                 )
-            if "cached_partitions" in stats:
-                notes.append(
-                    f"cache: serving {stats['cached_partitions']} partitions "
-                    f"({_fmt_bytes(stats['cached_bytes'])}) from memory"
-                )
-            elif "cached_fingerprint" in stats:
-                notes.append(
-                    f"cache: materializing as {stats['cached_fingerprint']} "
-                    f"({_fmt_bytes(stats['cached_bytes'])} cached)"
-                )
         scan_stages = stages_by_scope.get(op.op_id)
         if scan_stages:
             local = sum(s.local_tasks for s in scan_stages)
@@ -130,14 +120,6 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
                 f"of {tasks} tasks"
             )
             notes.append(f"stages: [{ids}] sim={sim:.4f}s")
-            cache_hits = sum(s.cache_hit_partitions for s in scan_stages)
-            cache_misses = sum(s.cache_miss_partitions for s in scan_stages)
-            if cache_hits or cache_misses:
-                ratio = cache_hits / (cache_hits + cache_misses)
-                notes.append(
-                    f"partition cache: hits={cache_hits} "
-                    f"misses={cache_misses} ({ratio:.0%} hit ratio)"
-                )
             bc_hit = sum(s.blockcache_hit_bytes for s in scan_stages)
             bc_miss = sum(s.blockcache_miss_bytes for s in scan_stages)
             if bc_hit or bc_miss:
@@ -194,15 +176,11 @@ def _summary(result) -> List[str]:
         f"resilience: {int(m.get('engine.task_failures'))} task failures, "
         f"{int(m.get('hbase.retries'))} hbase retries",
     ]
-    cache_hits = int(m.get("engine.cache.hits"))
-    cache_misses = int(m.get("engine.cache.misses"))
     bc_hits = int(m.get("hbase.blockcache.hits"))
     bc_misses = int(m.get("hbase.blockcache.misses"))
-    if cache_hits or cache_misses or bc_hits or bc_misses:
+    if bc_hits or bc_misses:
         lines.append(
-            f"caches: partition hits={cache_hits} misses={cache_misses} "
-            f"read={_fmt_bytes(m.get('engine.cache.read_bytes'))}; "
-            f"block hits={bc_hits} misses={bc_misses} "
+            f"block cache: hits={bc_hits} misses={bc_misses} "
             f"hit_bytes={_fmt_bytes(m.get('hbase.blockcache.hit_bytes'))}"
         )
     return lines

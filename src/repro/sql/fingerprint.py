@@ -1,24 +1,25 @@
-"""Fingerprints: the keys of the session's two caches.
+"""Fingerprints: the keys of the plan cache and the broadcast build stamp.
 
 The *plan* cache (end of this file; docs/caching.md, "Plan cache") keys a
-statement by its tokens, literals replaced by typed markers.  The
-*partition* cache keys a logical plan by structure:
+statement by its tokens, literals replaced by typed markers.  A broadcast
+join's ``build_stamp`` (docs/engine.md, "One build per fingerprint") keys
+its build side's logical plan by structure:
 
-Two independently-built DataFrames over the same table with the same
-transformations must hit the same cache entry, but every analysis pass
-mints fresh attribute ids (``name#17`` vs ``name#42``), so a naive
-``pretty()`` hash would never match.  The fingerprint therefore renders the
-plan tree to text and then *canonicalises* attribute ids by order of first
-appearance -- the same trick Spark's ``QueryPlan.canonicalized`` uses --
-so structurally identical plans collapse to one key.
+Two equal subplans -- q38's three ``date_dim`` builds -- must get the same
+stamp, but each mints its own attribute ids (``name#17`` vs ``name#42``),
+so a naive ``pretty()`` hash would never match.  The fingerprint therefore
+renders the plan tree to text and then *canonicalises* attribute ids by
+order of first appearance -- the same trick Spark's
+``QueryPlan.canonicalized`` uses -- so structurally identical plans
+collapse to one key.
 
 Leaf identity needs care too: a ``LogicalRelation``'s repr says nothing
 about *which* table it reads, so relations contribute their durable
 coordinates (cluster quorum + qualified table name + source options) when
 they expose them, and fall back to Python object identity otherwise --
-a conservative default that can only cause cache misses, never wrong hits.
-``LocalRelation`` hashes its actual rows, so two inline datasets only share
-an entry when their data is identical.
+a conservative default that can only miss a shared build, never share a
+wrong one.  ``LocalRelation`` hashes its actual rows, so two inline
+datasets only share a key when their data is identical.
 """
 
 from __future__ import annotations

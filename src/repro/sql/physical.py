@@ -349,77 +349,6 @@ class DataSourceScanExec(PhysicalPlan):
         )
 
 
-class CachedRelationExec(PhysicalPlan):
-    """Serve a fully-materialised partition-cache entry, skipping its subtree.
-
-    The planner substitutes this leaf for any persisted subtree whose every
-    partition is already published -- the in-memory relation of Spark's
-    ``InMemoryTableScanExec``.  Rows come from an eviction-safe snapshot, so
-    the job cannot lose partitions to concurrent cache pressure mid-run.
-    """
-
-    def __init__(self, output: Sequence[E.Attribute], fingerprint: str,
-                 snapshot: Dict[int, object], description: str = "") -> None:
-        super().__init__(output)
-        self.fingerprint = fingerprint
-        self.snapshot = snapshot
-        self.description = description
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        from repro.engine.cachemanager import CachedRDD
-
-        span = ctx.trace.child(
-            f"cached-scan:{self.description or self.fingerprint}",
-            "scan-plan", order=(1, self.op_id), op=self.op_id,
-        )
-        rdd = CachedRDD(self.fingerprint, self.snapshot)
-        rdd.scope = self.op_id
-        nbytes = sum(p.nbytes for p in self.snapshot.values())
-        stats: Dict[str, object] = {
-            "relation": self.description or "cached",
-            "cached_partitions": len(self.snapshot),
-            "cached_bytes": nbytes,
-        }
-        ctx.record_operator(self, **stats)
-        if span.enabled:
-            span.set(**stats)
-            span.finish()
-        return rdd
-
-    def describe(self) -> str:
-        return (f"CachedRelation({self.description or self.fingerprint}, "
-                f"partitions={len(self.snapshot)})")
-
-
-class CacheMaterializeExec(PhysicalPlan):
-    """Write-through wrapper filling the partition cache as its child runs.
-
-    Used for persisted plans whose cache entry is absent or partial: each
-    partition serves from cache when published and otherwise computes the
-    child lineage, publishing atomically on completion (attempt-safe -- see
-    :mod:`repro.engine.cachemanager`).
-    """
-
-    def __init__(self, fingerprint: str, manager, child: PhysicalPlan,
-                 description: str = "") -> None:
-        super().__init__(child.output, [child])
-        self.fingerprint = fingerprint
-        self.manager = manager
-        self.description = description
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        from repro.engine.cachemanager import CachingRDD
-
-        rdd = CachingRDD(self.children[0].execute(ctx), self.manager,
-                         self.fingerprint)
-        ctx.record_operator(self, cached_fingerprint=self.fingerprint,
-                            cached_bytes=self.manager.cached_bytes(self.fingerprint))
-        return rdd
-
-    def describe(self) -> str:
-        return f"CacheMaterialize({self.description or self.fingerprint})"
-
-
 class LocalScanExec(PhysicalPlan):
     """Driver-local rows distributed over a few partitions."""
 
@@ -891,13 +820,12 @@ class HashJoinExec(PhysicalPlan):
 
         The spine is what a probe row flows through: the left child of a
         broadcast join (its build side is another table's rows), the child
-        of a unary operator.  It stops at any other fork and at the two
-        operators a filtered scan would change the meaning of: a LIMIT and
-        a cache fill (which publishes what it read under the plan's name).
+        of a unary operator.  It stops at any other fork and at a LIMIT,
+        whose rows a filtered scan would change.
         """
         op = self.children[0]
         while not isinstance(op, DataSourceScanExec):
-            if isinstance(op, (LimitExec, CacheMaterializeExec)):
+            if isinstance(op, LimitExec):
                 return None
             if not (isinstance(op, BroadcastHashJoinExec) or len(op.children) == 1):
                 return None

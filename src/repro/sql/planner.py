@@ -83,13 +83,11 @@ def estimate_plan_size(plan: L.LogicalPlan) -> int:
 class Planner:
     """Compiles one optimized logical plan.
 
-    When a partition-cache manager is attached (``session.cache_manager``),
-    every subtree is fingerprinted against the persisted plans: a complete
-    entry compiles to a :class:`~repro.sql.physical.CachedRelationExec`
-    leaf, a registered-but-incomplete one wraps its normal compilation in a
-    :class:`~repro.sql.physical.CacheMaterializeExec` that fills the cache
-    as it runs.  With no manager (or nothing persisted) planning is exactly
-    the uncached pipeline.
+    The planner runs on every execution, a plan-cache hit included
+    (docs/caching.md, "Plan cache"): values meet the source here.  The one
+    subtree it fingerprints (:func:`repro.sql.fingerprint.plan_fingerprint`)
+    is a broadcast join's build side, whose fingerprint is the join's
+    ``build_stamp``.
 
     ``stats`` is the session's statistics store, or the planning pass's
     estimator (:func:`repro.sql.cbo.estimator_for`).  Where the plan's
@@ -102,7 +100,8 @@ class Planner:
     def __init__(self, conf: Dict[str, object], cache=None, stats=None,
                  metrics=None) -> None:
         self.conf = conf
-        self.cache = cache
+        # ``cache`` is unread: ROADMAP item 1(b), a benchmark-only change,
+        # stops benchmarks/e2e/tracing.py passing it and then deletes it
         self.broadcast_threshold = int(
             conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024)
         )
@@ -140,24 +139,6 @@ class Planner:
             # the first call is the caller's, with the whole plan
             self.estimator = estimator_for(self._stats, node, self.metrics)
             self._stats = None
-        if self.cache is not None and self.cache.has_registrations():
-            from repro.sql.fingerprint import plan_fingerprint
-
-            fingerprint = plan_fingerprint(node)
-            if self.cache.is_registered(fingerprint):
-                description = node.describe()
-                snapshot = self.cache.snapshot(fingerprint)
-                if snapshot is not None:
-                    return P.CachedRelationExec(
-                        list(node.output), fingerprint, snapshot, description
-                    )
-                return P.CacheMaterializeExec(
-                    fingerprint, self.cache,
-                    adapt(self._plan_dispatch(node), False), description,
-                )
-        return self._plan_dispatch(node)
-
-    def _plan_dispatch(self, node: L.LogicalPlan) -> P.PhysicalPlan:
         if isinstance(node, L.SubqueryAlias):
             return self.plan(node.children[0])
 

@@ -21,7 +21,6 @@ from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
 from repro.common.simclock import SimClock
 from repro.common.tracing import NOOP_SPAN, Span
-from repro.engine.cachemanager import CacheManager
 from repro.engine.cluster import ComputeCluster, YarnResourceManager
 from repro.engine.scheduler import StageInfo, TaskScheduler
 from repro.sql.analyzer import Analyzer, Catalog
@@ -162,10 +161,8 @@ class SparkSession:
         self.stats = StatsStore()
         #: optional FaultInjector for engine-side fault points; None = off
         self.faults = None
-        #: executor-side partition cache behind DataFrame.persist(), which
-        #: is the opt-in: a session that never calls it plans and costs
-        #: exactly as if the cache did not exist
-        self.cache_manager = CacheManager()
+        #: always None; ROADMAP item 1(b) deletes it with benchmarks/e2e
+        self.cache_manager = None
         #: lazy ViewManager (docs/views.md); stays None until the first
         #: view statement, so view-free sessions never touch the module
         self._view_manager = None
@@ -178,8 +175,8 @@ class SparkSession:
     def install_fault_injector(self, injector) -> None:
         """Attach a :class:`~repro.common.faults.FaultInjector` (None removes it).
 
-        Covers the engine fault points (slow hosts, shuffle fetches) of
-        schedulers created *after* the call; substrate faults are installed
+        Covers the engine fault point (shuffle fetches) of schedulers
+        created *after* the call; substrate faults are installed
         separately via ``HBaseCluster.install_fault_injector``.
         """
         self.faults = injector
@@ -423,13 +420,12 @@ class SparkSession:
         return future
 
     def shutdown(self) -> None:
-        """Release cached partitions.
+        """Release the plan cache, the one store a session keeps.
 
-        Dropping the partition cache here mirrors the shuffle-store cleanup
-        on job abort: a long-lived process that opens and closes sessions
-        must not accumulate unreachable cached rows.
+        The next ``sql`` call builds a fresh one.  Connections belong to
+        the process-wide connection cache, not to the session.
         """
-        self.cache_manager.clear()
+        self._plan_cache = self._plan_cache_stamp = None
 
     # -- execution -----------------------------------------------------------------------
     def query_trace(self, trace=None) -> "Span | object":
@@ -467,7 +463,7 @@ class SparkSession:
                      views=views_ctx)
         span.finish()
         span = trace.child("plan", "plan", order=(0, 1))
-        physical = Planner(self.conf, cache=self.cache_manager, stats=estimator,
+        physical = Planner(self.conf, stats=estimator,
                            metrics=metrics).plan_query(optimized)
         span.finish()
         return PlannedQuery(optimized, physical, metrics,

@@ -1,4 +1,4 @@
-"""Plan fingerprinting: the partition-cache key must be canonical."""
+"""Plan fingerprinting: the broadcast build stamp's key must be canonical."""
 
 from repro.sql.fingerprint import plan_fingerprint
 from repro.sql.types import IntegerType, StringType, StructField, StructType

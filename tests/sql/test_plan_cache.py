@@ -316,22 +316,6 @@ def test_a_replaced_temp_view_is_seen_by_the_next_statement(env):
     assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (2, 2)
 
 
-def test_persist_and_unpersist_show_in_the_next_plan(env):
-    session, referee = env.new_session(), env.new_session()
-    text = "select d_date_sk from date_dim where d_moy = 2"
-    plain = cached(session, text)
-    assert plain == uncached(referee, text)
-    session.sql(text).persist()
-    referee.sql(text).persist()
-    for __ in range(2):  # the run that fills the cache, the run it serves
-        served = cached(session, text)
-        assert served == uncached(referee, text)
-        assert "Cache" in served["physical"] and served["rows"] == plain["rows"]
-    session.sql(text).unpersist()
-    assert cached(session, text) == plain
-    assert hits(session) >= 3
-
-
 def test_a_conf_write_is_seen_by_the_next_statement(env):
     session, referee = env.new_session(), env.new_session()
     local_view(session, "v", [(i, "g") for i in range(8)])

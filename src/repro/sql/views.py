@@ -1,36 +1,36 @@
 """Materialized views: storage, CDC-driven maintenance, query rewriting.
 
-``CREATE MATERIALIZED VIEW <name> AS <select>`` persists an aggregation (or
-a two-table equi-join) as a real HBase table whose composite row key is
-derived from the group-by (or join) keys -- so a dashboard query that the
+``CREATE MATERIALIZED VIEW <name> AS <select>`` persists a GROUP BY
+aggregate over one HBase table as a real HBase table whose composite row
+key is derived from the group-by keys -- so a dashboard query that the
 optimizer answers from the view becomes a pruned point-range read instead
 of a full base-table scan (ROADMAP item 1, after Hive's materialized-view
 rewriting).  Three cooperating pieces live here:
 
 - **Definition & storage** (:func:`derive_view_definition`).  The defining
-  query is analyzed and restricted to shapes we can maintain exactly:
-  ``GROUP BY`` over one HBase table with Count/Sum/Avg/Min/Max aggregates,
-  or an inner equi-join of a fact table against a dimension table keyed by
-  its whole row key.  The view's storage catalog leads with the group-by
-  columns (fact row key for joins) so group predicates prune regions, and
-  Avg additionally persists hidden ``(sum, count)`` helper columns so it
-  can be maintained incrementally without losing exactness.
+  query is analyzed and restricted to the one shape we can maintain
+  exactly: ``GROUP BY`` plain columns of one HBase table with
+  Count/Sum/Avg/Min/Max aggregates.  The view's storage catalog leads with
+  the group-by columns so group predicates prune regions, and Avg
+  additionally persists hidden ``(sum, count)`` helper columns so it can
+  be maintained incrementally without losing exactness.
 - **Incremental maintenance** (:class:`ViewMaintainer`).  A WAL-tailing
   :class:`~repro.hbase.cdc.CDCStream` subscription delivers base-table
   Puts and Deletes; fresh inserts apply as additive deltas, overwrites and
   tombstones recount just the affected groups through a row-key prefix
-  scan (the Min/Max tombstone-recount path), and join views upsert by key.
-  Shapes the incremental path cannot repair exactly invalidate the view
-  until ``REFRESH MATERIALIZED VIEW`` recomputes it.  All maintenance I/O
-  is billed to a cluster-owned cost ledger under ``sql.view.*`` counters.
+  scan (the Min/Max tombstone-recount path).  Shapes the incremental path
+  cannot repair exactly invalidate the view, before any view row is
+  written, until ``REFRESH MATERIALIZED VIEW`` recomputes it.  All
+  maintenance I/O is billed to a cluster-owned cost ledger under
+  ``sql.view.*`` counters.
 - **Automatic rewriting** (:func:`rewrite_with_views`).  During
-  optimization, a matching Aggregate (or Project-over-Join) subtree is
-  replaced by a scan of the view -- but only when the view is *fresh
-  enough*: not invalidated, and its CDC lag (simulated seconds of
-  unshipped WAL tail) is within ``sql.view.staleness``.  The replacement
-  is priced against the base plan -- with ANALYZE statistics where the
-  base tables have them, else by relation size -- and every decision
-  surfaces in EXPLAIN's "Materialized Views" section.
+  optimization, a matching Aggregate subtree is replaced by a scan of the
+  view -- but only when the view is *fresh enough*: not invalidated, and
+  its CDC lag (simulated seconds of unshipped WAL tail) is within
+  ``sql.view.staleness``.  The replacement is priced against the base
+  plan -- with ANALYZE statistics where the base table has them, else by
+  relation size -- and every decision surfaces in EXPLAIN's "Materialized
+  Views" section.
 
 ``CREATE MATERIALIZED VIEW`` is the opt-in: in a session that never ran a
 view statement no code here runs and every ledger is what it would be
@@ -74,38 +74,26 @@ KEY_DIMENSION_LENGTH = 64
 class ViewDefinition:
     """Everything needed to rebuild, maintain and match one view."""
 
-    def __init__(self, name: str, kind: str, sql: str, quorum: str,
+    def __init__(self, name: str, sql: str, quorum: str,
                  base_table: str, base_catalog: str,
                  group_by: Sequence[str], aggregates: Sequence[dict],
                  storage_catalog: str, public_catalog: str,
                  prefix_recountable: bool = False,
-                 right_table: Optional[str] = None,
-                 right_catalog: Optional[str] = None,
-                 left_key: Optional[str] = None,
-                 right_key: Optional[str] = None,
-                 columns: Sequence[dict] = (),
                  invalidated: bool = False) -> None:
         self.name = name
-        self.kind = kind  # "aggregate" | "join"
         self.sql = sql
         self.quorum = quorum
         self.base_table = base_table
         self.base_catalog = base_catalog
-        #: group-by columns in storage row-key order (aggregate views)
+        #: group-by columns in storage row-key order
         self.group_by = list(group_by)
-        #: [{"fn", "arg", "out", "type"}] (aggregate views)
+        #: [{"fn", "arg", "out", "type"}]
         self.aggregates = [dict(a) for a in aggregates]
         self.storage_catalog = storage_catalog
         self.public_catalog = public_catalog
         #: group-by columns form a prefix of the base row key, so affected
         #: groups can be recounted with one range scan
         self.prefix_recountable = prefix_recountable
-        self.right_table = right_table
-        self.right_catalog = right_catalog
-        self.left_key = left_key
-        self.right_key = right_key
-        #: [{"side", "col", "out", "type"}] (join views)
-        self.columns = [dict(c) for c in columns]
         self.invalidated = invalidated
 
     @property
@@ -119,8 +107,6 @@ class ViewDefinition:
     @property
     def tables(self) -> List[str]:
         """The base tables whose changes the view's CDC feed carries."""
-        if self.kind == "join":
-            return [self.base_table, self.right_table]
         return [self.base_table]
 
     def cdc_lag_s(self, cluster) -> float:
@@ -132,17 +118,14 @@ class ViewDefinition:
 
     def to_json(self) -> str:
         return json.dumps({
-            "name": self.name, "kind": self.kind, "sql": self.sql,
+            "name": self.name, "sql": self.sql,
             "quorum": self.quorum, "base_table": self.base_table,
             "base_catalog": self.base_catalog, "group_by": self.group_by,
             "aggregates": self.aggregates,
             "storage_catalog": self.storage_catalog,
             "public_catalog": self.public_catalog,
             "prefix_recountable": self.prefix_recountable,
-            "right_table": self.right_table,
-            "right_catalog": self.right_catalog,
-            "left_key": self.left_key, "right_key": self.right_key,
-            "columns": self.columns, "invalidated": self.invalidated,
+            "invalidated": self.invalidated,
         }, sort_keys=True)
 
     @classmethod
@@ -187,21 +170,6 @@ def _view_catalog_json(table_name: str, coder: str, key_columns: List[dict],
         "rowkey": ":".join(spec["col"] for spec in key_columns),
         "columns": {spec["col"]: dict(spec) for spec in key_columns + data_columns},
     })
-
-
-def derive_view_definition(name: str, analyzed: L.LogicalPlan,
-                           sql_text: str) -> ViewDefinition:
-    """Validate a defining query and derive the view's stored layout."""
-    node = _strip_scopes(analyzed)
-    if isinstance(node, L.Aggregate):
-        return _derive_aggregate(name, node, sql_text)
-    if isinstance(node, L.Project) and node.children \
-            and isinstance(_strip_scopes(node.children[0]), L.Join):
-        return _derive_join(name, node, sql_text)
-    raise AnalysisError(
-        "a materialized view must be a GROUP BY aggregate over one HBase "
-        "table or a two-table inner equi-join select"
-    )
 
 
 _NOT_ONE_TABLE = (
@@ -261,8 +229,14 @@ def _read_aggregate(agg: L.Aggregate):
     return leaf, condition, items
 
 
-def _derive_aggregate(name: str, agg: L.Aggregate,
-                      sql_text: str) -> ViewDefinition:
+def derive_view_definition(name: str, analyzed: L.LogicalPlan,
+                           sql_text: str) -> ViewDefinition:
+    """Validate a defining query and derive the view's stored layout."""
+    agg = _strip_scopes(analyzed)
+    if not isinstance(agg, L.Aggregate):
+        raise AnalysisError(
+            "a materialized view must be a GROUP BY aggregate over one "
+            "HBase table")
     shape = _read_aggregate(agg)
     if isinstance(shape, str):
         raise AnalysisError(shape)
@@ -328,7 +302,7 @@ def _derive_aggregate(name: str, agg: L.Aggregate,
                                  data_columns + helper_columns)
     public = _view_catalog_json(table_name, coder, key_columns, data_columns)
     return ViewDefinition(
-        name=name, kind="aggregate", sql=sql_text,
+        name=name, sql=sql_text,
         quorum=relation.cluster.quorum,
         base_table=catalog.qualified_name,
         base_catalog=relation.options.get("catalog"),
@@ -338,111 +312,10 @@ def _derive_aggregate(name: str, agg: L.Aggregate,
     )
 
 
-def _read_join(project: L.Project):
-    """The shape of a join select a view can hold, read once for both users.
-
-    Returns ``(left, right, keys, items)`` -- the two HBase leaves, the
-    equi-join column per side (``{"left": name, "right": name}``) and one
-    ``(select item, side, column attribute)`` per select-list entry -- or,
-    as a string, the reason no view holds this shape.
-    """
-    join = _strip_scopes(project.children[0])
-    if not isinstance(join, L.Join) or join.how != "inner":
-        return "join materialized views must be INNER joins"
-    left = _hbase_leaf(join.children[0])
-    right = _hbase_leaf(join.children[1])
-    if left is None or right is None:
-        return "join materialized views must join two HBase tables directly"
-    if left.relation.cluster is not right.relation.cluster:
-        return "both join sides must live on the same cluster"
-    cond = join.condition
-    if not isinstance(cond, E.Comparison) or cond.op != "=":
-        return "join materialized views need a single equi-join condition"
-    if not all(isinstance(c, E.Attribute) for c in cond.children):
-        return "the join condition must compare plain columns"
-    sides = {a.attr_id: (side, a.name)
-             for side, leaf in (("left", left), ("right", right))
-             for a in leaf.output}
-    keys = dict(sides[c.attr_id] for c in cond.children
-                if c.attr_id in sides)
-    if len(keys) != 2:
-        return "the join condition must span both tables"
-    items: List[Tuple[E.Expression, str, E.Attribute]] = []
-    for item in project.project_list:
-        attr = item.child if isinstance(item, E.Alias) else item
-        if not isinstance(attr, E.Attribute):
-            return (f"join view select lists support plain columns, "
-                    f"not {item!r}")
-        if attr.attr_id not in sides:
-            return f"cannot place {item!r} on either join side"
-        items.append((item, sides[attr.attr_id][0], attr))
-    return left, right, keys, items
-
-
-def _derive_join(name: str, project: L.Project,
-                 sql_text: str) -> ViewDefinition:
-    shape = _read_join(project)
-    if isinstance(shape, str):
-        raise AnalysisError(shape)
-    left, right, keys, items = shape
-    left_key, right_key = keys["left"], keys["right"]
-
-    right_catalog = right.relation.catalog
-    if list(right_catalog.row_key) != [right_key]:
-        raise AnalysisError(
-            f"the dimension side's join key must be its whole row key "
-            f"({right_catalog.row_key!r}), so maintenance can re-join by "
-            f"point lookup"
-        )
-
-    columns: List[dict] = []
-    taken: Set[str] = set()
-    for item, side, attr in items:
-        if item.name in taken:
-            raise AnalysisError(
-                f"view output name {item.name!r} is used more than once")
-        taken.add(item.name)
-        columns.append({"side": side, "col": attr.name, "out": item.name,
-                        "type": attr.dtype.name})
-    if not columns:
-        raise AnalysisError("a join view must select at least one column")
-
-    left_catalog = left.relation.catalog
-    key_columns = []
-    for i, dim in enumerate(left_catalog.row_key):
-        col = left_catalog.column(dim)
-        key_columns.append(_key_column_spec(
-            f"_k{i}", col.dtype, col.length,
-            i == len(left_catalog.row_key) - 1))
-    data_columns = [{"cf": "m", "col": c["out"], "type": c["type"]}
-                    for c in columns]
-    table_name = VIEW_TABLE_PREFIX + name
-    coder = left_catalog.table_coder
-    storage = _view_catalog_json(table_name, coder, key_columns, data_columns)
-    return ViewDefinition(
-        name=name, kind="join", sql=sql_text,
-        quorum=left.relation.cluster.quorum,
-        base_table=left_catalog.qualified_name,
-        base_catalog=left.relation.options.get("catalog"),
-        group_by=[], aggregates=[],
-        storage_catalog=storage, public_catalog=storage,
-        prefix_recountable=(left_key == left_catalog.row_key[0]),
-        right_table=right_catalog.qualified_name,
-        right_catalog=right.relation.options.get("catalog"),
-        left_key=left_key, right_key=right_key, columns=columns,
-    )
-
-
 # -- materialization -------------------------------------------------------------
 
-def _view_relation(vdef: ViewDefinition, session, public: bool = True):
-    catalog = vdef.public_catalog if public else vdef.storage_catalog
-    return HBaseRelation({HBaseTableCatalog.tableCatalog: catalog,
-                          QUORUM_OPTION: vdef.quorum}, session)
-
-
-def _base_relation(vdef: ViewDefinition, session, right: bool = False):
-    catalog = vdef.right_catalog if right else vdef.base_catalog
+def _relation(vdef: ViewDefinition, catalog: str, session) -> HBaseRelation:
+    """The relation reading ``catalog`` on the view's cluster."""
     return HBaseRelation({HBaseTableCatalog.tableCatalog: catalog,
                           QUORUM_OPTION: vdef.quorum}, session)
 
@@ -453,44 +326,22 @@ def definition_plan(vdef: ViewDefinition, session) -> L.LogicalPlan:
     Rebuilt from the persisted definition (never from the user's original
     plan object) so CREATE and REFRESH materialize the exact same query.
     """
-    if vdef.kind == "aggregate":
-        leaf = L.LogicalRelation(_base_relation(vdef, session))
-        by_name = {a.name: a for a in leaf.output}
-        groupings = [by_name[g] for g in vdef.group_by]
-        items: List[E.Expression] = [
-            E.Alias(by_name[g], g) for g in vdef.group_by
-        ]
-        for a in vdef.aggregates:
-            builder = _AGG_BUILDERS[a["fn"]]
-            arg = by_name[a["arg"]] if a["arg"] is not None else None
-            items.append(E.Alias(builder(arg), a["out"]))
-        items.append(E.Alias(E.Count(None), ROWS_HELPER))
-        for a in vdef.aggregates:
-            if a["fn"] != "avg":
-                continue
-            arg = by_name[a["arg"]]
-            items.append(E.Alias(E.Sum(arg), f"_sum_{a['out']}"))
-            items.append(E.Alias(E.Count(arg), f"_cnt_{a['out']}"))
-        return L.Aggregate(groupings, items, leaf)
-
-    left = L.LogicalRelation(_base_relation(vdef, session))
-    right = L.LogicalRelation(_base_relation(vdef, session, right=True))
-    left_by_name = {a.name: a for a in left.output}
-    right_by_name = {a.name: a for a in right.output}
-    condition = E.Comparison("=", left_by_name[vdef.left_key],
-                             right_by_name[vdef.right_key])
-    join = L.Join(left, right, "inner", condition)
-    items = []
-    for i, dim in enumerate(_left_row_key(vdef)):
-        items.append(E.Alias(left_by_name[dim], f"_k{i}"))
-    for c in vdef.columns:
-        side = left_by_name if c["side"] == "left" else right_by_name
-        items.append(E.Alias(side[c["col"]], c["out"]))
-    return L.Project(items, join)
-
-
-def _left_row_key(vdef: ViewDefinition) -> List[str]:
-    return list(HBaseTableCatalog.from_json(vdef.base_catalog).row_key)
+    leaf = L.LogicalRelation(_relation(vdef, vdef.base_catalog, session))
+    by_name = {a.name: a for a in leaf.output}
+    groupings = [by_name[g] for g in vdef.group_by]
+    items: List[E.Expression] = [E.Alias(by_name[g], g) for g in vdef.group_by]
+    for a in vdef.aggregates:
+        builder = _AGG_BUILDERS[a["fn"]]
+        arg = by_name[a["arg"]] if a["arg"] is not None else None
+        items.append(E.Alias(builder(arg), a["out"]))
+    items.append(E.Alias(E.Count(None), ROWS_HELPER))
+    for a in vdef.aggregates:
+        if a["fn"] != "avg":
+            continue
+        arg = by_name[a["arg"]]
+        items.append(E.Alias(E.Sum(arg), f"_sum_{a['out']}"))
+        items.append(E.Alias(E.Count(arg), f"_cnt_{a['out']}"))
+    return L.Aggregate(groupings, items, leaf)
 
 
 # -- the manager -----------------------------------------------------------------
@@ -535,9 +386,9 @@ class ViewManager:
         metrics.merge(write.metrics)
         metrics.incr("sql.view.created")
         return _summary(
-            ("view", "string"), ("kind", "string"), ("table", "string"),
+            ("view", "string"), ("table", "string"),
             ("rows_written", "bigint"),
-            rows=[(name, vdef.kind, vdef.storage_table, write.rows_written)],
+            rows=[(name, vdef.storage_table, write.rows_written)],
             metrics=metrics,
         )
 
@@ -591,10 +442,10 @@ class ViewManager:
         for name in sorted(self._views):
             vdef = self._views[name]
             lag = vdef.cdc_lag_s(get_cluster(vdef.quorum))
-            rows.append((name, vdef.kind, vdef.base_table,
-                         vdef.storage_table, bool(vdef.invalidated), lag))
+            rows.append((name, vdef.base_table, vdef.storage_table,
+                         bool(vdef.invalidated), lag))
         return _summary(
-            ("view", "string"), ("kind", "string"), ("base", "string"),
+            ("view", "string"), ("base", "string"),
             ("table", "string"), ("invalidated", "boolean"),
             ("lag_s", "double"), rows=rows, metrics=None,
         )
@@ -671,8 +522,8 @@ def _summary(*cols: Tuple[str, str], rows, metrics):
 class ViewMaintainer:
     """Applies one view's CDC feed to its storage table.
 
-    An HBase client plus three row codecs -- base table, view storage,
-    dimension table (docs/architecture.md "Row format"): maintenance reads
+    An HBase client plus two row codecs -- base table and view storage
+    (docs/architecture.md "Row format"): maintenance reads
     and writes go through :class:`~repro.hbase.client.Table` with a
     cluster-owned :class:`~repro.common.metrics.CostLedger`, so every byte
     of maintenance I/O is billed (``sql.view.*`` counters name the work,
@@ -686,10 +537,6 @@ class ViewMaintainer:
         self.base = RowCodec(HBaseTableCatalog.from_json(vdef.base_catalog))
         self.storage = RowCodec(
             HBaseTableCatalog.from_json(vdef.storage_catalog))
-        self.dimension = (
-            RowCodec(HBaseTableCatalog.from_json(vdef.right_catalog))
-            if vdef.right_catalog else None
-        )
         self._connection = None
 
     # -- plumbing ----------------------------------------------------------
@@ -717,32 +564,25 @@ class ViewMaintainer:
 
     # -- the CDC callback --------------------------------------------------
     def on_change(self, table: str, cells) -> None:
+        """Apply one batch: fresh puts fold in as deltas, deletes and
+        overwrites recount their groups.  Whatever invalidates the view is
+        decided before the first view row is written."""
         if self.vdef.invalidated:
             return  # feed keeps draining; REFRESH re-bases it
         self.ledger.count("sql.view.maintenance_batches")
-        if self.vdef.kind == "aggregate":
-            self._apply_aggregate(cells)
-        elif table == self.vdef.base_table:
-            self._apply_join_fact(cells)
-        else:
-            self._apply_join_dim(cells)
-
-    # -- aggregate views ---------------------------------------------------
-    def _apply_aggregate(self, cells) -> None:
         put_rows: Set[bytes] = set()
         delete_rows: Set[bytes] = set()
         for cell in cells:
             (delete_rows if cell.is_delete() else put_rows).add(cell.row)
-
-        recount_groups: Dict[Tuple, None] = {}
-        for row in sorted(delete_rows):
-            group = self._group_from_rowkey(row)
-            if group is None:
-                self._invalidate()
-                return
-            recount_groups[group] = None
         put_rows -= delete_rows
+        # a recount is one prefix scan, so it needs the group-by columns to
+        # lead the base row key
+        recountable = self.vdef.prefix_recountable
+        if delete_rows and not recountable:
+            self._invalidate()
+            return
 
+        recount_rows = sorted(delete_rows)
         fresh_rows: List[Tuple[bytes, object]] = []
         if put_rows:
             base = self._table(self.vdef.base_table)
@@ -750,16 +590,16 @@ class ViewMaintainer:
             gets = [Get(row).set_max_versions(2) for row in ordered]
             results = base.bulk_get(gets, self.ledger)
             for row, result in zip(ordered, results):
-                if _has_prior_version(result):
+                if not _has_prior_version(result):
+                    fresh_rows.append((row, result))
+                elif recountable:
                     # an overwrite: the delta would double-count, so the
                     # affected group recounts instead
-                    group = self._group_from_rowkey(row)
-                    if group is None:
-                        self._invalidate()
-                        return
-                    recount_groups[group] = None
+                    recount_rows.append(row)
                 else:
-                    fresh_rows.append((row, result))
+                    self._invalidate()
+                    return
+        recount_groups = {self._group_of(row) for row in recount_rows}
 
         deltas: Dict[Tuple, "_GroupDelta"] = {}
         for row, result in fresh_rows:
@@ -779,17 +619,12 @@ class ViewMaintainer:
             self.ledger.count("sql.view.delta_rows",
                               sum(d.rows for d in deltas.values()))
         for group in sorted(recount_groups):
-            if not self.vdef.prefix_recountable:
-                self._invalidate()
-                return
             self._recount_group(group)
         if recount_groups:
             self.ledger.count("sql.view.recounts", len(recount_groups))
 
-    def _group_from_rowkey(self, row: bytes) -> Optional[Tuple]:
-        """Group-key values recoverable from the base row key, else None."""
-        if not set(self.vdef.group_by) <= set(self.base.catalog.row_key):
-            return None
+    def _group_of(self, row: bytes) -> Tuple:
+        """The group-key values of a base row key (a recountable view's)."""
         decoded = self.base.decode_key(row)
         return tuple(decoded[g] for g in self.vdef.group_by)
 
@@ -816,71 +651,6 @@ class ViewMaintainer:
             delta.add(self.base.decode_row(result.row, result.cells))
         delta.merge_into(stored)
         self._put_view_row(stored)
-
-    # -- join views --------------------------------------------------------
-    def _apply_join_fact(self, cells) -> None:
-        put_rows: Set[bytes] = set()
-        delete_rows: Set[bytes] = set()
-        for cell in cells:
-            (delete_rows if cell.is_delete() else put_rows).add(cell.row)
-        for row in sorted(delete_rows):
-            self._delete_view_row(
-                self._join_view_key(self.base.decode_key(row)))
-        put_rows -= delete_rows
-        if not put_rows:
-            return
-        base = self._table(self.vdef.base_table)
-        ordered = sorted(put_rows)
-        results = base.bulk_get([Get(row) for row in ordered], self.ledger)
-        for row, result in zip(ordered, results):
-            self._upsert_join_row(self.base.decode_row(row, result.cells))
-        self.ledger.count("sql.view.delta_rows", len(ordered))
-
-    def _join_view_key(self, fact_values: Dict[str, object]) -> Dict[str, object]:
-        """The view row's key columns (``_k<i>``): the fact row's own key."""
-        return {f"_k{i}": fact_values[dim]
-                for i, dim in enumerate(self.base.catalog.row_key)}
-
-    def _right_row(self, key_value) -> Optional[Dict[str, object]]:
-        if key_value is None:
-            return None
-        row = self.dimension.encode_key({self.vdef.right_key: key_value})
-        result = self._table(self.vdef.right_table).get(Get(row), self.ledger)
-        if result.is_empty():
-            return None
-        return self.dimension.decode_row(row, result.cells)
-
-    def _upsert_join_row(self, fact_values: Dict[str, object]) -> None:
-        values = self._join_view_key(fact_values)
-        right_values = self._right_row(fact_values.get(self.vdef.left_key))
-        if right_values is None:
-            self._delete_view_row(values)
-            return
-        for c in self.vdef.columns:
-            source = fact_values if c["side"] == "left" else right_values
-            values[c["out"]] = source.get(c["col"])
-        self._put_view_row(values)
-
-    def _apply_join_dim(self, cells) -> None:
-        """A dimension-side change re-joins every matching fact row.
-
-        Needs the join key to lead the fact row key (one prefix scan per
-        changed dimension row); otherwise the view is invalidated.
-        """
-        if not self.vdef.prefix_recountable:
-            self._invalidate()
-            return
-        changed: Set[bytes] = {cell.row for cell in cells}
-        base = self._table(self.vdef.base_table)
-        for row in sorted(changed):
-            prefix = self.base.key_prefix(
-                [self.dimension.decode_key(row)[self.vdef.right_key]])
-            results = base.scan(Scan(prefix, prefix_successor(prefix)),
-                                self.ledger)
-            for result in results:
-                self._upsert_join_row(
-                    self.base.decode_row(result.row, result.cells))
-        self.ledger.count("sql.view.recounts", len(changed))
 
 
 def _has_prior_version(result) -> bool:
@@ -1028,66 +798,45 @@ def build_rewrite_context(session) -> Optional[ViewRewriteContext]:
 
 def rewrite_with_views(plan: L.LogicalPlan,
                        ctx: ViewRewriteContext) -> L.LogicalPlan:
-    """Replace matching subtrees with view scans (post-pushdown rule)."""
+    """Replace matching Aggregates with view scans (post-pushdown rule)."""
 
     def rule(node: L.LogicalPlan) -> Optional[L.LogicalPlan]:
-        if isinstance(node, L.Aggregate):
-            kind, shape, match = ("aggregate", _read_aggregate(node),
-                                  _try_aggregate_rewrite)
-        elif isinstance(node, L.Project):
-            kind, shape, match = "join", _read_join(node), _try_join_rewrite
-        else:
+        if not isinstance(node, L.Aggregate):
             return None
+        shape = _read_aggregate(node)
         if isinstance(shape, str):
             return None  # the reason no view holds this shape
         for candidate in ctx.candidates:
-            if candidate.vdef.kind == kind:
-                replacement = match(node, shape, candidate, ctx)
-                if replacement is not None:
-                    return replacement
+            replacement = _try_rewrite(node, shape, candidate, ctx)
+            if replacement is not None:
+                return replacement
         return None
 
     return plan.transform_up(rule)
 
 
-def _base_subtree_bytes(node: L.LogicalPlan, ctx: ViewRewriteContext) -> float:
-    """Bytes the base plan must scan to answer this subtree.
+def _base_bytes(leaf: L.LogicalRelation, ctx: ViewRewriteContext) -> float:
+    """Bytes the base plan must scan to answer the aggregate.
 
-    Priced at the *leaves*: answering from base means scanning the base
-    tables, however small the aggregated output ends up.  With ANALYZE
-    statistics the estimator refines each leaf's size; without them it
+    Priced at the *leaf*: answering from base means scanning the base
+    table, however small the aggregated output ends up.  With ANALYZE
+    statistics the estimator refines the leaf's size; without them it
     falls back to the relation's metadata size.
     """
-    total = 0.0
-    for leaf in node.collect_nodes(lambda n: isinstance(n, L.LogicalRelation)):
-        estimate = ctx.estimator.estimate(leaf) \
-            if ctx.estimator is not None else None
-        if estimate is not None and estimate.confident:
-            total += float(estimate.bytes)
-        else:
-            total += float(leaf.relation.size_in_bytes())
-    return total
+    estimate = ctx.estimator.estimate(leaf) \
+        if ctx.estimator is not None else None
+    if estimate is not None and estimate.confident:
+        return float(estimate.bytes)
+    return float(leaf.relation.size_in_bytes())
 
 
-def _decide(node: L.LogicalPlan, candidate: ViewCandidate,
-            ctx: ViewRewriteContext, build) -> Optional[L.LogicalPlan]:
-    """Shared freshness + pricing gate once a structural match is found."""
-    base_bytes = _base_subtree_bytes(node, ctx)
-    if not candidate.fresh:
-        ctx.record("rejected_stale", candidate, candidate.size_bytes,
-                   base_bytes)
-        return None
-    if candidate.size_bytes >= base_bytes:
-        ctx.record("rejected_cost", candidate, candidate.size_bytes,
-                   base_bytes)
-        return None
-    replacement = build()
-    ctx.record("rewrites", candidate, candidate.size_bytes, base_bytes)
-    return replacement
+def _try_rewrite(agg: L.Aggregate, shape, candidate: ViewCandidate,
+                 ctx: ViewRewriteContext) -> Optional[L.LogicalPlan]:
+    """The scan of ``candidate`` that answers ``agg``, or None.
 
-
-def _try_aggregate_rewrite(agg: L.Aggregate, shape, candidate: ViewCandidate,
-                           ctx: ViewRewriteContext) -> Optional[L.LogicalPlan]:
+    A structural match must then pass two gates, each decision recorded:
+    the view is fresh, and it is strictly smaller than the base table.
+    """
     vdef = candidate.vdef
     leaf, condition, select_items = shape
     if leaf.relation.catalog.qualified_name != vdef.base_table:
@@ -1108,58 +857,35 @@ def _try_aggregate_rewrite(agg: L.Aggregate, shape, candidate: ViewCandidate,
             return None
         mapping.append((item.name, item.attr_id, view_col))
 
-    def build() -> L.LogicalPlan:
-        view_leaf = L.LogicalRelation(
-            _view_relation(vdef, ctx.session), name=vdef.storage_table)
-        view_attrs = {a.name: a for a in view_leaf.output}
-        scan: L.LogicalPlan = view_leaf
-        if condition is not None:
-            substitution = {
-                attr_id: view_attrs[name]
-                for attr_id, name in group_names.items()
-            }
-
-            def remap(expr_node: E.Expression) -> Optional[E.Expression]:
-                if isinstance(expr_node, E.Attribute):
-                    return substitution.get(expr_node.attr_id)
-                return None
-
-            scan = L.Filter(condition.transform(remap), view_leaf)
-        items = [
-            E.Alias(view_attrs[view_col], out_name, attr_id=attr_id)
-            for out_name, attr_id, view_col in mapping
-        ]
-        return L.Project(items, scan)
-
-    return _decide(agg, candidate, ctx, build)
-
-
-def _try_join_rewrite(project: L.Project, shape, candidate: ViewCandidate,
-                      ctx: ViewRewriteContext) -> Optional[L.LogicalPlan]:
-    vdef = candidate.vdef
-    left, right, keys, select_items = shape
-    if left.relation.catalog.qualified_name != vdef.base_table \
-            or right.relation.catalog.qualified_name != vdef.right_table:
+    base_bytes = _base_bytes(leaf, ctx)
+    if not candidate.fresh:
+        ctx.record("rejected_stale", candidate, candidate.size_bytes,
+                   base_bytes)
         return None
-    if keys != {"left": vdef.left_key, "right": vdef.right_key}:
+    if candidate.size_bytes >= base_bytes:
+        ctx.record("rejected_cost", candidate, candidate.size_bytes,
+                   base_bytes)
         return None
 
-    spec_cols = {(c["side"], c["col"]): c["out"] for c in vdef.columns}
-    mapping: List[Tuple[str, int, str]] = []
-    for item, side, attr in select_items:
-        out = spec_cols.get((side, attr.name))
-        if out is None:
+    view_leaf = L.LogicalRelation(
+        _relation(vdef, vdef.public_catalog, ctx.session),
+        name=vdef.storage_table)
+    view_attrs = {a.name: a for a in view_leaf.output}
+    scan: L.LogicalPlan = view_leaf
+    if condition is not None:
+        substitution = {
+            attr_id: view_attrs[name] for attr_id, name in group_names.items()
+        }
+
+        def remap(expr_node: E.Expression) -> Optional[E.Expression]:
+            if isinstance(expr_node, E.Attribute):
+                return substitution.get(expr_node.attr_id)
             return None
-        mapping.append((item.name, item.attr_id, out))
 
-    def build() -> L.LogicalPlan:
-        view_leaf = L.LogicalRelation(
-            _view_relation(vdef, ctx.session), name=vdef.storage_table)
-        view_attrs = {a.name: a for a in view_leaf.output}
-        items = [
-            E.Alias(view_attrs[view_col], out_name, attr_id=attr_id)
-            for out_name, attr_id, view_col in mapping
-        ]
-        return L.Project(items, view_leaf)
-
-    return _decide(project, candidate, ctx, build)
+        scan = L.Filter(condition.transform(remap), view_leaf)
+    items = [
+        E.Alias(view_attrs[view_col], out_name, attr_id=attr_id)
+        for out_name, attr_id, view_col in mapping
+    ]
+    ctx.record("rewrites", candidate, candidate.size_bytes, base_bytes)
+    return L.Project(items, scan)

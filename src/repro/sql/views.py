@@ -16,12 +16,12 @@ rewriting).  Three cooperating pieces live here:
   be maintained incrementally without losing exactness.
 - **Incremental maintenance** (:class:`ViewMaintainer`).  A WAL-tailing
   :class:`~repro.hbase.cdc.CDCStream` subscription delivers base-table
-  Puts and Deletes; fresh inserts apply as additive deltas, overwrites and
-  tombstones recount just the affected groups through a row-key prefix
-  scan (the Min/Max tombstone-recount path).  Shapes the incremental path
-  cannot repair exactly invalidate the view, before any view row is
-  written, until ``REFRESH MATERIALIZED VIEW`` recomputes it.  All
-  maintenance I/O is billed to a cluster-owned cost ledger under
+  Puts and Deletes; fresh inserts apply as additive deltas, a count/sum/avg
+  overwrite retracts the prior version, other overwrites and tombstones
+  recount just the affected groups through a row-key prefix scan.  Shapes
+  the incremental path cannot repair exactly invalidate the view, before
+  any view row is written, until ``REFRESH MATERIALIZED VIEW`` recomputes
+  it.  All maintenance I/O is billed to a cluster-owned cost ledger under
   ``sql.view.*`` counters.
 - **Automatic rewriting** (:func:`rewrite_with_views`).  During
   optimization, a matching Aggregate subtree is replaced by a scan of the
@@ -40,6 +40,7 @@ without this module (tests/integration/test_view_invariance.py).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AnalysisError
@@ -47,7 +48,8 @@ from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec, prefix_successor
 from repro.core.relation import DEFAULT_FORMAT, QUORUM_OPTION, HBaseRelation
-from repro.hbase.client import ConnectionFactory, Delete, Get, Scan
+from repro.hbase.cell import Cell
+from repro.hbase.client import ConnectionFactory, Delete, Get, Result, Scan
 from repro.hbase.cluster import get_cluster
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -538,6 +540,25 @@ class ViewMaintainer:
         self.storage = RowCodec(
             HBaseTableCatalog.from_json(vdef.storage_catalog))
         self._connection = None
+        #: every running value can be taken back exactly: counts, and sums
+        #: of integers (a float sum depends on the order of its adds)
+        self._retractable = all(
+            a["fn"] == "count" or (a["fn"] in ("sum", "avg") and self.base
+                                   .catalog.column(a["arg"]).dtype.python_type is int)
+            for a in vdef.aggregates)
+        self._args = sorted({a["arg"] for a in vdef.aggregates if a["arg"]})
+        #: the data columns the definition's scan reads: a row with no cell
+        #: in any of them is not in the view (a key-only view sees every row)
+        self._read = [c for c in dict.fromkeys(vdef.group_by + self._args)
+                      if not self.base.catalog.column(c).is_rowkey()]
+        counted = {a["arg"]: a["out"] if a["fn"] == "count" else f"_cnt_{a['out']}"
+                   for a in vdef.aggregates
+                   if a["fn"] in ("count", "avg") and a["arg"]}
+        #: (sum, the column counting its argument's non-NULL values): a row
+        #: may leave its group only if every sum has one
+        self._sum_counts = [(a["out"], counted.get(a["arg"]))
+                            for a in vdef.aggregates if a["fn"] == "sum"]
+        self._movable = all(column for __, column in self._sum_counts)
 
     # -- plumbing ----------------------------------------------------------
     def _table(self, qualified_name: str):
@@ -554,27 +575,40 @@ class ViewMaintainer:
                                          VIEW_ATTRIBUTE, self.vdef.to_json())
         self.ledger.count("sql.view.invalidations")
 
-    def _put_view_row(self, values: Dict[str, object]) -> None:
-        self._table(self.vdef.storage_table).put(
-            self.storage.encode_row(values), self.ledger)
+    def _group(self, values: Dict[str, object]) -> Tuple:
+        return tuple([values[g] for g in self.vdef.group_by])
 
-    def _delete_view_row(self, key_values: Dict[str, object]) -> None:
-        self._table(self.vdef.storage_table).delete(
-            Delete(self.storage.encode_key(key_values)), self.ledger)
+    def _decode(self, row: bytes, cells) -> Optional[Dict[str, object]]:
+        """A base row as the definition's scan sees it (None: not in it)."""
+        values = self.base.decode_row(row, cells)
+        seen = not self._read or any(values[c] is not None for c in self._read)
+        return values if seen else None
 
     # -- the CDC callback --------------------------------------------------
     def on_change(self, table: str, cells) -> None:
-        """Apply one batch: fresh puts fold in as deltas, deletes and
-        overwrites recount their groups.  Whatever invalidates the view is
-        decided before the first view row is written."""
+        """Apply one batch: a fresh row folds into its group as a delta, an
+        exact overwrite swaps its prior version for the new one, and any
+        other overwrite or delete recounts its group.  Whatever invalidates
+        the view is decided before the first view row is written."""
         if self.vdef.invalidated:
             return  # feed keeps draining; REFRESH re-bases it
         self.ledger.count("sql.view.maintenance_batches")
-        put_rows: Set[bytes] = set()
         delete_rows: Set[bytes] = set()
+        #: columns and versions the batch wrote; a row with a column written
+        #: twice may hide its prior version past max_versions=2
+        written: Set[Tuple[bytes, str, str]] = set()
+        batch: Set[Tuple[bytes, str, str, int]] = set()
+        twice: Set[bytes] = set()
         for cell in cells:
-            (delete_rows if cell.is_delete() else put_rows).add(cell.row)
-        put_rows -= delete_rows
+            if cell.is_delete():
+                delete_rows.add(cell.row)
+                continue
+            column = (cell.row, cell.family, cell.qualifier)
+            if column in written:
+                twice.add(cell.row)
+            written.add(column)
+            batch.add(column + (cell.timestamp,))
+        put_rows = {row for row, __, __ in written} - delete_rows
         # a recount is one prefix scan, so it needs the group-by columns to
         # lead the base row key
         recountable = self.vdef.prefix_recountable
@@ -583,107 +617,140 @@ class ViewMaintainer:
             return
 
         recount_rows = sorted(delete_rows)
-        fresh_rows: List[Tuple[bytes, object]] = []
+        #: per changed row, (group, values, sign) of the version before the
+        #: batch (none for a fresh row), which retracts, and of the new one
+        changes: List[List[Tuple[Tuple, Dict[str, object], int]]] = []
         if put_rows:
             base = self._table(self.vdef.base_table)
             ordered = sorted(put_rows)
             gets = [Get(row).set_max_versions(2) for row in ordered]
-            results = base.bulk_get(gets, self.ledger)
-            for row, result in zip(ordered, results):
-                if not _has_prior_version(result):
-                    fresh_rows.append((row, result))
-                elif recountable:
-                    # an overwrite: the delta would double-count, so the
-                    # affected group recounts instead
+            for row, result in zip(ordered, base.bulk_get(gets, self.ledger)):
+                new = self._decode(row, result.cells)
+                if new is None:
+                    continue  # puts only add cells: not in the view before either
+                prior = _prior_cells(result, batch)
+                old = self._decode(row, prior) if prior else None
+                if row in twice or (old is not None and not self._exact(old, new)):
+                    if not recountable:
+                        self._invalidate()
+                        return
                     recount_rows.append(row)
-                else:
+                    continue
+                versions = [(self._group(v), v, sign)
+                            for v, sign in ((old, -1), (new, 1)) if v is not None]
+                if any(None in group for group, __, __ in versions):
                     self._invalidate()
                     return
-        recount_groups = {self._group_of(row) for row in recount_rows}
+                changes.append(versions)
+        recount_groups = {self._group(self.base.decode_key(row))
+                          for row in recount_rows}
 
-        deltas: Dict[Tuple, "_GroupDelta"] = {}
-        for row, result in fresh_rows:
-            values = self.base.decode_row(row, result.cells)
-            group = tuple(values.get(g) for g in self.vdef.group_by)
-            if any(v is None for v in group):
-                self._invalidate()
-                return
-            if group in recount_groups:
-                continue
-            delta = deltas.setdefault(group, _GroupDelta(self.vdef))
-            delta.add(values)
-
-        for group in sorted(deltas):
-            self._apply_delta(group, deltas[group])
-        if deltas:
-            self.ledger.count("sql.view.delta_rows",
-                              sum(d.rows for d in deltas.values()))
-        for group in sorted(recount_groups):
-            self._recount_group(group)
+        deltas: Dict[Tuple, "_GroupDelta"] = defaultdict(lambda: _GroupDelta(self.vdef))
+        applied = 0
+        for versions in changes:
+            if versions[-1][0] in recount_groups:
+                continue  # the recount reads the new version itself
+            applied += 1
+            for group, values, sign in versions:
+                deltas[group].add(values, sign)
+        if applied:
+            self.ledger.count("sql.view.delta_rows", applied)
         if recount_groups:
             self.ledger.count("sql.view.recounts", len(recount_groups))
+        self._write(deltas, recount_groups)
 
-    def _group_of(self, row: bytes) -> Tuple:
-        """The group-key values of a base row key (a recountable view's)."""
-        decoded = self.base.decode_key(row)
-        return tuple(decoded[g] for g in self.vdef.group_by)
+    def _exact(self, old: Dict[str, object], new: Dict[str, object]) -> bool:
+        """Can an overwrite retract ``old`` and add ``new`` exactly?"""
+        return (self._retractable
+                and all(old[a] is not None and new[a] is not None
+                        for a in self._args)
+                and (self._movable or self._group(old) == self._group(new)))
 
-    def _apply_delta(self, group: Tuple, delta: "_GroupDelta") -> None:
-        key = self.storage.encode_key(dict(zip(self.vdef.group_by, group)))
-        view = self._table(self.vdef.storage_table)
-        stored = self.storage.decode_row(
-            key, view.get(Get(key), self.ledger).cells)
-        delta.merge_into(stored)
-        self._put_view_row(stored)
-
-    def _recount_group(self, group: Tuple) -> None:
-        """Recompute one group from a base row-key prefix range scan."""
-        prefix = self.base.key_prefix(group)
-        base = self._table(self.vdef.base_table)
-        results = base.scan(Scan(prefix, prefix_successor(prefix)),
-                            self.ledger)
-        stored: Dict[str, object] = dict(zip(self.vdef.group_by, group))
-        if not results:
-            self._delete_view_row(stored)
+    def _write(self, deltas: Dict[Tuple, "_GroupDelta"],
+               recount_groups: Set[Tuple]) -> None:
+        """Read every view row the batch touches with one multi-get, fold in
+        its delta or recount, and write the rows back with one put; an
+        emptied group's row, and a column that became NULL, are deleted."""
+        groups = sorted(set(deltas) | recount_groups)
+        if not groups:
             return
+        view = self._table(self.vdef.storage_table)
+        keys = [self.storage.encode_key(dict(zip(self.vdef.group_by, group)))
+                for group in groups]
+        puts, deletes = [], []
+        for group, key, result in zip(groups, keys, view.bulk_get(
+                [Get(key) for key in keys], self.ledger)):
+            before = self.storage.decode_row(key, result.cells)
+            if group in recount_groups:
+                stored = dict(zip(self.vdef.group_by, group))
+                self._recount(group).merge_into(stored)
+            else:
+                stored = dict(before)
+                deltas[group].merge_into(stored)
+            for out, count_column in self._sum_counts:
+                if count_column and not stored[count_column]:
+                    stored[out] = None  # the group's last non-NULL value left
+            if not stored[ROWS_HELPER]:
+                if not result.is_empty():
+                    deletes.append(Delete(key))
+                continue
+            puts.append(self.storage.encode_row(stored))
+            cleared = [c for c in self.storage.catalog.data_columns()
+                       if stored.get(c.name) is None
+                       and before.get(c.name) is not None]
+            if cleared:
+                deletes.append(Delete(key))
+                for column in cleared:
+                    deletes[-1].add_column(column.family, column.qualifier)
+        if puts:
+            view.put(puts, self.ledger)
+        for delete in deletes:
+            view.delete(delete, self.ledger)
+
+    def _recount(self, group: Tuple) -> "_GroupDelta":
+        """One group recomputed from a base row-key prefix range scan."""
+        prefix = self.base.key_prefix(group)
         delta = _GroupDelta(self.vdef)
-        for result in results:
-            delta.add(self.base.decode_row(result.row, result.cells))
-        delta.merge_into(stored)
-        self._put_view_row(stored)
+        for result in self._table(self.vdef.base_table).scan(
+                Scan(prefix, prefix_successor(prefix)), self.ledger):
+            values = self._decode(result.row, result.cells)
+            if values is not None:
+                delta.add(values)
+        return delta
 
 
-def _has_prior_version(result) -> bool:
-    """Did any column of this row exist before the newest write?"""
-    seen: Dict[Tuple[str, str], int] = {}
+def _prior_cells(result: Result,
+                 batch: Set[Tuple[bytes, str, str, int]]) -> List[Cell]:
+    """The row as it stood before the batch: per column, the newest of the
+    (up to two) versions returned that the batch did not write."""
+    prior: Dict[Tuple[str, str], Cell] = {}
     for cell in result.cells:
-        if cell.is_delete():
-            continue
-        coord = (cell.family, cell.qualifier)
-        seen[coord] = seen.get(coord, 0) + 1
-        if seen[coord] > 1:
-            return True
-    return False
+        if (cell.row, cell.family, cell.qualifier, cell.timestamp) not in batch:
+            prior.setdefault((cell.family, cell.qualifier), cell)
+    return list(prior.values())
 
 
 class _GroupDelta:
-    """Additive per-group accumulators for a batch of fresh base rows."""
+    """Signed per-group accumulators: a base row folds in with ``add`` and a
+    retracted version folds out with ``add(values, -1)`` (count, and sum
+    and avg of integers, only)."""
 
     def __init__(self, vdef: ViewDefinition) -> None:
         self.vdef = vdef
         self.rows = 0
-        self.values: Dict[str, List[object]] = {
-            a["out"]: [] for a in vdef.aggregates if a["arg"] is not None
-        }
+        with_args = [a["out"] for a in vdef.aggregates if a["arg"] is not None]
+        self.values: Dict[str, List[object]] = {out: [] for out in with_args}
+        self.counts: Dict[str, int] = dict.fromkeys(with_args, 0)
 
-    def add(self, base_values: Dict[str, object]) -> None:
-        self.rows += 1
+    def add(self, base_values: Dict[str, object], sign: int = 1) -> None:
+        self.rows += sign
         for a in self.vdef.aggregates:
             if a["arg"] is None:
                 continue
             value = base_values.get(a["arg"])
             if value is not None:
-                self.values[a["out"]].append(value)
+                self.values[a["out"]].append(value if sign > 0 else -value)
+                self.counts[a["out"]] += sign
 
     def merge_into(self, stored: Dict[str, object]) -> None:
         stored[ROWS_HELPER] = (stored.get(ROWS_HELPER) or 0) + self.rows
@@ -692,33 +759,26 @@ class _GroupDelta:
             fn = a["fn"]
             nonnull = self.values.get(out, [])
             if fn == "count":
-                amount = self.rows if a["arg"] is None else len(nonnull)
+                amount = self.rows if a["arg"] is None else self.counts[out]
                 stored[out] = (stored.get(out) or 0) + amount
-            elif fn == "sum":
+            elif fn in ("sum", "avg"):
+                total_col = out if fn == "sum" else f"_sum_{out}"
                 if nonnull:
-                    old = stored.get(out)
+                    old = stored.get(total_col)
                     total = sum(nonnull)
-                    stored[out] = total if old is None else old + total
-            elif fn == "min":
-                if nonnull:
-                    old = stored.get(out)
-                    best = min(nonnull)
-                    stored[out] = best if old is None else min(old, best)
-            elif fn == "max":
-                if nonnull:
-                    old = stored.get(out)
-                    best = max(nonnull)
-                    stored[out] = best if old is None else max(old, best)
-            elif fn == "avg":
-                sum_col, cnt_col = f"_sum_{out}", f"_cnt_{out}"
-                if nonnull:
-                    old_sum = stored.get(sum_col)
-                    total = sum(nonnull)
-                    stored[sum_col] = (
-                        total if old_sum is None else old_sum + total)
-                    stored[cnt_col] = (stored.get(cnt_col) or 0) + len(nonnull)
-                count = stored.get(cnt_col) or 0
-                stored[out] = (stored[sum_col] / count) if count else None
+                    stored[total_col] = total if old is None else old + total
+                if fn == "avg":
+                    cnt_col = f"_cnt_{out}"
+                    count = (stored.get(cnt_col) or 0) + self.counts[out]
+                    stored[cnt_col] = count
+                    if not count:
+                        stored[total_col] = None
+                    stored[out] = (stored[total_col] / count) if count else None
+            elif nonnull:
+                pick = min if fn == "min" else max
+                old = stored.get(out)
+                best = pick(nonnull)
+                stored[out] = best if old is None else pick(old, best)
 
 
 # -- automatic query rewriting ---------------------------------------------------

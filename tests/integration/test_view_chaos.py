@@ -8,7 +8,8 @@ server that has just recovered the first one's regions.  Every edit is in
 exactly one log and is flushed before it changes hands
 (docs/fault_tolerance.md, "Hand-over"), so the base table loses nothing,
 the feed delivers nothing twice, and the view must converge byte-identical
-to a fresh recomputation, under every seed.
+to a fresh recomputation, under every seed -- overwrites included, whose
+prior versions the maintainer reads back after WAL replay.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec
-from repro.hbase import ConnectionFactory
+from repro.hbase import ConnectionFactory, Scan
 from repro.workloads import load_tpcds
 
 #: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
@@ -76,6 +77,42 @@ def test_view_converges_after_crash_mid_maintenance(seed):
     assert rows(answered) == rows(fresh)
     snapshot = env.cluster.metrics.snapshot()
     assert snapshot["sql.view.maintenance_batches"] >= 1
+    assert not snapshot.get("sql.view.invalidations")
+    session.shutdown()
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_overwrites_swap_after_a_crash_mid_maintenance(seed):
+    """Overwrites of loaded rows land, then a server dies before the feed
+    ships them: the maintainer's multi-get must find each row's prior
+    version in what WAL replay and reassignment left behind, and retract
+    exactly that."""
+    rng = random.Random(seed)
+    env = load_tpcds(2, ["inventory"])
+    session = env.new_session()
+    session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {VIEW_SQL}").run()
+    catalog = HBaseTableCatalog.from_json(
+        env.reader_options("inventory")["catalog"])
+    codec = RowCodec(catalog)
+    table = ConnectionFactory.create_connection(
+        env.cluster.configuration()).get_table(catalog.qualified_name)
+    loaded = {}
+    for result in table.scan(Scan()):
+        values = codec.decode_row(result.row, result.cells)
+        loaded.setdefault(values["inv_date_sk"], values)
+    table.put([codec.encode_row({
+        **loaded[day], "inv_quantity_on_hand": rng.randint(1, 999),
+    }) for day in rng.sample(sorted(loaded), 20)])
+    env.cluster.kill_region_server(
+        rng.choice(sorted(env.cluster.region_servers)))
+    env.cluster.run_maintenance()
+
+    answered = session.sql(VIEW_SQL).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows(answered) == rows(env.new_session().sql(VIEW_SQL).run())
+    snapshot = env.cluster.metrics.snapshot()
+    assert snapshot["sql.view.delta_rows"] == 20
+    assert "sql.view.recounts" not in snapshot
     assert not snapshot.get("sql.view.invalidations")
     session.shutdown()
 

@@ -1,7 +1,7 @@
 """Materialized views: statements, derivation, maintenance, rewriting.
 
 Covers the full lifecycle from docs/views.md -- CREATE / REFRESH / DROP /
-SHOW, CDC-driven incremental maintenance (delta, recount, invalidation),
+SHOW, CDC-driven incremental maintenance (delta, swap, recount, invalidation),
 and the optimizer's freshness- and cost-gated automatic rewriting.
 """
 
@@ -17,7 +17,8 @@ from repro.hbase import ConnectionFactory, Delete, Scan
 from repro.sql import logical as L
 from repro.sql.parser import parse
 from repro.sql.session import SparkSession
-from repro.sql.types import IntegerType, StringType, StructField, StructType
+from repro.sql.types import (IntegerType, StringType, StructField, StructType,
+                              type_from_name)
 from repro.workloads import load_tpcds
 from repro.workloads.tpcds_schema import TABLES, catalog_json
 
@@ -200,10 +201,10 @@ def phoenix_inventory(env):
     return options
 
 
-@pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
-def test_overwrite_recounts_the_group(env, coder):
-    # the maintainer decodes base rows and encodes view rows with the base
-    # table's own coder
+def coded_session(env, coder):
+    """(inventory reader options, session factory) under one coder: the
+    maintainer decodes base rows and encodes view rows with the base
+    table's own coder."""
     options = env.reader_options("inventory") if coder == "PrimitiveType" \
         else phoenix_inventory(env)
 
@@ -212,25 +213,58 @@ def test_overwrite_recounts_the_group(env, coder):
         session.read.format(DEFAULT_FORMAT).options(options).load() \
             .create_or_replace_temp_view("inventory")
         return session
+    return options, new_session
 
+
+@pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
+def test_overwrite_swaps_the_prior_version(env, coder):
+    # a count/sum/avg view takes an overwrite as retract(prior) + add(new):
+    # the multi-get already returned the prior version, nothing is rescanned
+    options, new_session = coded_session(env, coder)
     vsession = new_session()
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     put_inventory(env, 2456100, 7, 1, 10, options)
     env.cluster.run_maintenance()            # fresh insert: additive delta
     put_inventory(env, 2456100, 7, 1, 99, options)  # second version of the row
-    env.cluster.run_maintenance()            # overwrite: recount the group
+    env.cluster.run_maintenance()            # overwrite: swap 10 for 99
 
     fresh = new_session().sql(AGG_SQL).run()
     answered = vsession.sql(AGG_SQL).run()
     assert [e["action"] for e in answered.view_events] == ["rewrites"]
     assert rows_of(answered) == rows_of(fresh)
-    assert any(r.values[0] == 2456100 for r in answered.rows)
-    assert env.cluster.metrics.snapshot()["sql.view.recounts"] >= 1
+    assert (2456100, 1, 99, 99.0) in rows_of(answered)
+    snapshot = env.cluster.metrics.snapshot()
+    assert "sql.view.recounts" not in snapshot
+    assert snapshot["sql.view.delta_rows"] == 2
 
 
-def test_overwrite_of_a_row_flushed_under_newer_files_recounts(env, vsession):
+@pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
+def test_overwrite_recounts_the_group(env, coder):
+    # min and max cannot take a value back: an overwrite recounts the group
+    minmax_sql = ("SELECT inv_date_sk, min(inv_quantity_on_hand) AS lo, "
+                  "max(inv_quantity_on_hand) AS hi "
+                  "FROM inventory GROUP BY inv_date_sk")
+    options, new_session = coded_session(env, coder)
+    vsession = new_session()
+    vsession.sql(f"CREATE MATERIALIZED VIEW inv_range AS {minmax_sql}").run()
+    put_inventory(env, 2456100, 7, 1, 10, options)
+    put_inventory(env, 2456100, 8, 1, 50, options)
+    env.cluster.run_maintenance()            # fresh inserts: additive delta
+    put_inventory(env, 2456100, 8, 1, 20, options)  # the max is overwritten
+    env.cluster.run_maintenance()            # overwrite: recount the group
+
+    fresh = new_session().sql(minmax_sql).run()
+    answered = vsession.sql(minmax_sql).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows_of(answered) == rows_of(fresh)
+    assert (2456100, 10, 20) in rows_of(answered)
+    assert env.cluster.metrics.snapshot()["sql.view.recounts"] == 1
+
+
+def test_overwrite_of_a_row_flushed_under_newer_files_swaps(env, vsession):
     """The maintainer's Get must still find a row's only prior version in
-    an old store file when newer files, which its bloom skips, sit above."""
+    an old store file when newer files, which its bloom skips, sit above:
+    the swap retracts what it finds there."""
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     table, _ = base_writer(env, "inventory")
     row = put_inventory(env, 2456100, 7, 1, 10)
@@ -246,10 +280,53 @@ def test_overwrite_of_a_row_flushed_under_newer_files_recounts(env, vsession):
     assert len(files) == 1
     assert sum(len(store.files) for store in region.stores.values()) >= 4
 
-    recounts = env.cluster.metrics.snapshot().get("sql.view.recounts", 0)
+    delta_rows = env.cluster.metrics.snapshot()["sql.view.delta_rows"]
     put_inventory(env, 2456100, 7, 1, 99)             # second version of it
     env.cluster.run_maintenance()
-    assert env.cluster.metrics.snapshot()["sql.view.recounts"] == recounts + 1
+    snapshot = env.cluster.metrics.snapshot()
+    assert snapshot["sql.view.delta_rows"] == delta_rows + 1
+    assert "sql.view.recounts" not in snapshot
+    fresh = env.new_session().sql(AGG_SQL).run()
+    answered = vsession.sql(AGG_SQL).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows_of(answered) == rows_of(fresh)
+    assert (2456100, 4, 159, 39.75) in rows_of(answered)
+
+
+def test_one_batch_reads_and_writes_the_view_once(env, vsession):
+    """400 fresh rows on a new day and 20 overwrites on 20 loaded days:
+    one base multi-get RPC per region server touched, one view multi-get,
+    one view put, and no scan."""
+    vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
+    table, codec = base_writer(env, "inventory")
+    loaded = {}
+    for result in table.scan(Scan()):
+        values = codec.decode_row(result.row, result.cells)
+        loaded.setdefault(values["inv_date_sk"], values)
+    assert len(loaded) >= 20
+    puts = [codec.encode_row({
+        "inv_date_sk": 2456100, "inv_item_sk": 1 + i // 4,
+        "inv_warehouse_sk": 1 + i % 4, "inv_quantity_on_hand": i,
+    }) for i in range(400)]
+    puts += [codec.encode_row({
+        **loaded[day],
+        "inv_quantity_on_hand": loaded[day]["inv_quantity_on_hand"] + 1,
+    }) for day in sorted(loaded)[:20]]
+    table.put(puts)
+    servers = {table.connection.locate(table.name, put.row).server_id
+               for put in puts}
+
+    before = env.cluster.metrics.snapshot()
+    env.cluster.run_maintenance()
+    after = env.cluster.metrics.snapshot()
+
+    def spent(name):
+        return after.get(name, 0) - before.get(name, 0)
+    assert spent("hbase.rpcs") == len(servers) + 2
+    assert spent("hbase.rows_visited") == 0          # no scan
+    assert spent("hbase.wal_syncs") == 1             # the one view put
+    assert spent("sql.view.delta_rows") == 420
+    assert spent("sql.view.recounts") == 0
     fresh = env.new_session().sql(AGG_SQL).run()
     answered = vsession.sql(AGG_SQL).run()
     assert [e["action"] for e in answered.view_events] == ["rewrites"]
@@ -320,13 +397,110 @@ def test_view_over_a_table_with_an_avro_column_is_maintained(linked):
 
     assert answer() == [(1, 10, 55), (2, 10, 55), (3, 10, 55)]
     write([(2, 99, 7, "an insert")])         # additive delta
-    write([(1, 0, 500, "an overwrite")])     # second version: day 1 recounts
+    write([(1, 0, 500, "an overwrite")])     # second version: swap 1 for 500
     write([(4, 0, 3, None)])                 # a new group, and no note cell
     assert answer() == [(1, 10, 554), (2, 11, 62), (3, 10, 55), (4, 1, 3)]
     snapshot = cluster.metrics.snapshot()
-    assert snapshot["sql.view.delta_rows"] == 2
-    assert snapshot["sql.view.recounts"] == 1
+    assert snapshot["sql.view.delta_rows"] == 3
+    assert "sql.view.recounts" not in snapshot
     assert not snapshot.get("sql.view.invalidations")
+
+
+def small_table(linked, name, rowkey, columns, rows):
+    """A fresh table ``name`` with ``columns`` (``(name, type)`` pairs, the
+    ``rowkey`` ones leading), loaded with ``rows``.  Returns ``(write,
+    session, plain)``: ``plain`` never ran a view statement, so it answers
+    from the base table."""
+    cluster, session = linked
+    keys = rowkey.split(":")
+    options = {
+        HBaseTableCatalog.tableCatalog: json.dumps({
+            "table": {"namespace": "default", "name": name},
+            "rowkey": rowkey,
+            "columns": {c: {"cf": "rowkey" if c in keys else "f", "col": c,
+                            "type": t} for c, t in columns},
+        }),
+        HBaseTableCatalog.newTable: "2",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    schema = StructType([StructField(c, type_from_name(t)) for c, t in columns])
+
+    def write(new_rows):
+        session.create_dataframe(new_rows, schema).write \
+            .format(DEFAULT_FORMAT).options(options).save()
+
+    write(rows)
+    plain = SparkSession(session.cluster.hosts, clock=session.clock)
+    for each in (session, plain):
+        each.read.format(DEFAULT_FORMAT).options(options).load() \
+            .create_or_replace_temp_view(name)
+    return write, session, plain
+
+
+def test_exact_overwrite_moves_a_row_between_groups(linked):
+    # GROUP BY a data column: an overwrite may move its row to another
+    # group.  The swap takes it out of the old group and into the new one,
+    # and the group it empties is deleted -- on a view whose group does
+    # not lead the row key, with no recount and no invalidation
+    cluster, __ = linked
+    # enough rows that the three-group view is cheaper than the base scan
+    rows = {i: (i % 3, i) for i in range(60)}
+    rows.update({60: (7, 5), 61: (1, None)})
+    write, session, plain = small_table(
+        linked, "moves", "id", [("id", "int"), ("grp", "int"), ("qty", "int")],
+        [(i, grp, qty) for i, (grp, qty) in rows.items()])
+    by_grp = ("SELECT grp, count(*) AS n, count(qty) AS c, sum(qty) AS s, "
+              "avg(qty) AS a FROM moves GROUP BY grp")
+    session.sql(f"CREATE MATERIALIZED VIEW by_grp AS {by_grp}").run()
+
+    for i, grp, qty in ((60, 1, 6),          # leaves group 7, empty now
+                        (1, 2, 11)):         # leaves group 1 for group 2
+        write([(i, grp, qty)])
+        rows[i] = (grp, qty)
+    expected = []
+    for grp in sorted({g for g, __ in rows.values()}):
+        values = [q for g, q in rows.values() if g == grp and q is not None]
+        expected.append((grp, sum(1 for g, __ in rows.values() if g == grp),
+                         len(values), sum(values), sum(values) / len(values)))
+    answered = session.sql(by_grp).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows_of(answered) == rows_of(plain.sql(by_grp).run()) == expected
+    assert [g for g, *__ in expected] == [0, 1, 2]
+    snapshot = cluster.metrics.snapshot()
+    assert snapshot["sql.view.delta_rows"] == 2
+    assert "sql.view.recounts" not in snapshot
+    assert not snapshot.get("sql.view.invalidations")
+
+
+def test_maintenance_sees_rows_as_the_definition_scan_does(linked):
+    # the definition's scan reads only the columns the view names: a row
+    # with no cell in any of them is in no group, and a recount that leaves
+    # a group without a non-NULL argument clears the stored sum
+    write, session, plain = small_table(
+        linked, "notes", "day:id",
+        [("day", "int"), ("id", "int"), ("qty", "int"), ("note", "string"),
+         ("tag", "string")],
+        [(i % 4, i, i, None, None) for i in range(40)]
+        + [(9, 0, 5, "x", None), (9, 1, None, "y", None)])
+    by_day = ("SELECT day, count(note) AS notes, sum(qty) AS total "
+              "FROM notes GROUP BY day")
+    session.sql(f"CREATE MATERIALIZED VIEW by_day AS {by_day}").run()
+
+    def answer():
+        answered = session.sql(by_day).run()
+        assert [e["action"] for e in answered.view_events] == ["rewrites"]
+        assert rows_of(answered) == rows_of(plain.sql(by_day).run())
+        return rows_of(answered)
+
+    write([(5, 0, None, None, "only a tag")])   # not in the definition's scan
+    assert [r for r in answer() if r[0] >= 5] == [(9, 2, 5)]
+    table = ConnectionFactory.create_connection(
+        linked[0].configuration()).get_table("notes")
+    table.delete(Delete(RowCodec(HBaseTableCatalog.from_json(
+        session.views.maintainer("by_day").vdef.base_catalog)).encode_key(
+            {"day": 9, "id": 0})))
+    linked[0].run_maintenance()                 # recount: day 9 has no qty
+    assert [r for r in answer() if r[0] >= 5] == [(9, 1, None)]
 
 
 def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
@@ -354,16 +528,19 @@ def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
 
 @pytest.mark.parametrize("change", ["delete", "overwrite"])
 def test_batch_that_invalidates_writes_no_view_row(env, vsession, change):
-    # one batch holds a fresh insert and a delete or an overwrite; neither
-    # can be recounted for a group that does not lead the row key, so the
-    # view invalidates -- before the insert is folded into its group
-    item_sql = ("SELECT inv_item_sk, sum(inv_quantity_on_hand) AS on_hand "
-                "FROM inventory GROUP BY inv_item_sk")
-    vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_item AS {item_sql}").run()
-    row = put_inventory(env, 2456100, 7, 1, 10)
+    # one batch holds a fresh insert and a delete or an overwrite that
+    # gives a NULL argument a value; neither can be repaired exactly for a
+    # group that does not lead the row key, so the view invalidates --
+    # before the insert is folded into its group
+    brand_sql = ("SELECT i_brand, count(i_category) AS n "
+                 "FROM item GROUP BY i_brand")
+    vsession.sql(f"CREATE MATERIALIZED VIEW by_brand AS {brand_sql}").run()
+    table, codec = base_writer(env, "item")
+    row = codec.encode_row({"i_item_sk": 90001, "i_brand": "b1"})
+    table.put(row)                           # i_category is NULL
     env.cluster.run_maintenance()
     view = ConnectionFactory.create_connection(
-        env.cluster.configuration()).get_table("mv_inv_by_item")
+        env.cluster.configuration()).get_table("mv_by_brand")
 
     def view_cells():
         return [(r.row, [(c.qualifier, c.value) for c in r.cells])
@@ -371,12 +548,12 @@ def test_batch_that_invalidates_writes_no_view_row(env, vsession, change):
 
     before = view_cells()
     delta_rows = env.cluster.metrics.snapshot()["sql.view.delta_rows"]
-    put_inventory(env, 2456100, 8, 1, 10)
+    table.put(codec.encode_row({"i_item_sk": 90002, "i_brand": "b1",
+                                "i_category": "c"}))
     if change == "delete":
-        table, _ = base_writer(env, "inventory")
-        table.delete(Delete(row))
+        table.delete(Delete(row.row))
     else:
-        put_inventory(env, 2456100, 7, 1, 99)
+        table.put(codec.encode_row({"i_item_sk": 90001, "i_category": "c"}))
     env.cluster.run_maintenance()
 
     snapshot = env.cluster.metrics.snapshot()

@@ -3,21 +3,19 @@
 A star query written in the worst syntactic order: the fact table joins a
 same-cardinality dimension first (nothing is eliminated, every wide fact
 row crosses the shuffle), and only then the tiny selective dimension that
-keeps ~5% of the keys.  Three legs:
+keeps ~5% of the keys.  Two legs:
 
 * **cbo off** -- the session ran no ANALYZE: shuffle everything in
   syntactic order.
-* **reorder** -- every table ANALYZEd, semi-join reduction disabled: the
-  DP search hoists the selective tiny join next to the fact table, so the
-  expensive dimension join sees an already-reduced input.
-* **reorder + semijoin** -- every table ANALYZEd: additionally pre-filters
-  the fact side by the tiny build's distinct keys *before* the first
-  shuffle (``sql.cbo.semijoin.rows_pruned``).
+* **analyze** -- every table ANALYZEd: the DP search hoists the selective
+  tiny join next to the fact table, and that shuffled join pushes the tiny
+  build's distinct keys, dropping the fact rows that cannot match *before*
+  the first shuffle.  The shuffle-bytes column shows both effects.
 
 The ANALYZE statements run before the measured query, so the legs isolate
 the *decisions*, not ANALYZE cost.  The broadcast threshold is pinned tiny
-to keep every join shuffled -- the ablation measures reordering and
-reduction, not broadcast conversion.
+to keep every join shuffled -- the ablation measures reordering and the
+runtime key filter, not broadcast conversion.
 Acceptance bar from the issue: the full CBO leg must be >= 5x cheaper in
 simulated seconds than the un-ANALYZEd leg.  Every leg must return identical
 rows.  Totals are exported as ``BENCH_cbo.json`` for the CI regression
@@ -70,18 +68,14 @@ STAR_SQL = (
     "JOIN tiny t ON f.fk2 = t.tk"
 )
 
-#: leg -> (ANALYZE every table first?, session conf on top of BASE_CONF)
-LEGS = {
-    "cbo off": (False, {}),
-    "reorder": (True, {"sql.cbo.semijoin": False}),
-    "reorder + semijoin": (True, {}),
-}
+#: leg -> ANALYZE every table first?
+LEGS = {"cbo off": False, "analyze": True}
 
 _RESULTS = {}
 
 
-def _run(analyze, leg_conf):
-    session = SparkSession(HOSTS, conf=dict(BASE_CONF, **leg_conf))
+def _run(analyze):
+    session = SparkSession(HOSTS, conf=dict(BASE_CONF))
     fact = [(i % DIM_KEYS, i % FACT_TK_KEYS, float(i),
              f"payload-{i:06d}-" + "x" * 320) for i in range(FACT_ROWS)]
     dim = [(k, f"dim-{k:03d}") for k in range(DIM_KEYS)]
@@ -103,7 +97,7 @@ def _run(analyze, leg_conf):
 @pytest.mark.parametrize("label", list(LEGS))
 def test_cbo(benchmark, label):
     _RESULTS[label] = benchmark.pedantic(
-        lambda: _run(*LEGS[label]), iterations=1, rounds=1)
+        lambda: _run(LEGS[label]), iterations=1, rounds=1)
 
 
 def test_cbo_report(benchmark):
@@ -114,15 +108,12 @@ def test_cbo_report(benchmark):
                 label,
                 f"{run.seconds:.2f}s",
                 f"{int(run.metrics.get('sql.cbo.reorders_applied'))}",
-                f"{int(run.metrics.get('sql.cbo.semijoins_applied'))}",
-                f"{int(run.metrics.get('sql.cbo.semijoin.rows_pruned'))}",
                 f"{int(run.metrics.get('engine.shuffle_write_bytes'))}",
             ])
         write_report(
             "ablation_cbo",
             format_table(
-                ["configuration", "sim latency", "reorders", "semi-joins",
-                 "rows pruned", "shuffle bytes"],
+                ["configuration", "sim latency", "reorders", "shuffle bytes"],
                 rows,
                 f"Ablation: cost-based optimizer on a star join "
                 f"({FACT_ROWS} fact rows, {TINY_KEYS}/{FACT_TK_KEYS} "
@@ -139,32 +130,21 @@ def test_cbo_report(benchmark):
         for key in _RESULTS["cbo off"].metrics.snapshot():
             assert not key.startswith("sql.cbo."), key
 
-        reorder = _RESULTS["reorder"]
-        full = _RESULTS["reorder + semijoin"]
-        assert reorder.metrics.get("sql.cbo.reorders_applied") >= 1.0
-        assert reorder.metrics.get("sql.cbo.semijoins_applied") == 0.0
-        assert full.metrics.get("sql.cbo.semijoins_applied") >= 1.0
-        assert full.metrics.get("sql.cbo.semijoin.rows_pruned") > 0.0
+        full = _RESULTS["analyze"]
+        assert full.metrics.get("sql.cbo.reorders_applied") >= 1.0
 
         off_seconds = _RESULTS["cbo off"].seconds
         speedup = off_seconds / full.seconds
         # the issue's acceptance bar: the full CBO plan is >= 5x cheaper
         assert speedup >= 5.0, speedup
-        # and the semi-join leg must not be slower than reorder alone
-        assert full.seconds <= reorder.seconds * 1.05
 
         write_bench_json("cbo", {
             "cbo_off_sim_seconds": {
                 "value": off_seconds, "direction": "lower"},
-            "cbo_reorder_sim_seconds": {
-                "value": reorder.seconds, "direction": "lower"},
             "cbo_full_sim_seconds": {
                 "value": full.seconds, "direction": "lower"},
             "cbo_speedup": {
                 "value": speedup, "direction": "higher"},
-            "semijoin_rows_pruned": {
-                "value": full.metrics.get("sql.cbo.semijoin.rows_pruned"),
-                "direction": "higher"},
         })
 
     benchmark.pedantic(report, iterations=1, rounds=1)

@@ -64,7 +64,7 @@ class CostModel:
     #: driver-side planning/compilation overhead per query (s)
     driver_overhead_s: float = 1.2
     #: per-row CPU cost of the row-at-a-time operators (sort, join reduce,
-    #: aggregate merge, adaptive / semi-join-reduced / nested-loop joins) (s)
+    #: aggregate merge, adaptive / nested-loop joins) (s)
     row_cpu_s: float = 1.2e-5
     #: per-row CPU cost of the batch operators (scan stage, filter, project,
     #: aggregate build, hash-join keying and broadcast probe): column kernels

@@ -11,8 +11,9 @@ Built on the ANALYZE statistics in :mod:`repro.sql.stats` (docs/optimizer.md):
   :data:`DP_THRESHOLD` inputs, greedy smallest-intermediate above it.
   Clusters whose inputs lack (or have stale) statistics keep their
   syntactic order.
-- :func:`semijoin_keep_fraction` is the planner's profitability test for
-  semi-join reduction (:class:`~repro.sql.physical.SemiJoinReducedJoinExec`).
+- :func:`semijoin_keep_fraction` prices the runtime key filter: whether a
+  hash join hands its build's distinct keys to its probe
+  (``HashJoinExec.push_keys``).
 
 ``ANALYZE TABLE`` is the opt-in: :func:`estimator_for` hands a planning pass
 an estimator only when some leaf of the plan has statistics, so a query over
@@ -601,7 +602,7 @@ def _greedy_order(graph: _JoinGraph) -> Tuple[int, ...]:
     return state[2]
 
 
-# -- semi-join reduction profitability --------------------------------------
+# -- runtime key filter profitability ---------------------------------------
 
 def semijoin_keep_fraction(est_left: Estimate, est_right: Estimate,
                            left_keys: Sequence[E.Expression],
@@ -609,7 +610,7 @@ def semijoin_keep_fraction(est_left: Estimate, est_right: Estimate,
     """Expected fraction of probe rows surviving a build-key pre-filter.
 
     ``None`` when any key column lacks NDV statistics -- the planner then
-    skips the reduction rather than guessing.
+    pushes no keys rather than guessing.
     """
     keep = 1.0
     for a, b in zip(left_keys, right_keys):

@@ -85,17 +85,6 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
                 notes.append(line)
             elif "cbo_rows" in stats:
                 notes.append(f"cbo: est rows={float(stats['cbo_rows']):.0f}")
-            if "semijoin_keys" in stats:
-                pruned = int(stats.get("semijoin_rows_in", 0)) \
-                    - int(stats.get("semijoin_rows_kept", 0))
-                notes.append(
-                    f"semi-join reduction: {int(stats['semijoin_keys'])} build "
-                    f"keys, probe {int(stats.get('semijoin_rows_in', 0))} -> "
-                    f"{int(stats.get('semijoin_rows_kept', 0))} rows "
-                    f"({pruned} pruned)"
-                )
-            elif "semijoin" in stats:
-                notes.append(f"semi-join reduction: {stats['semijoin']}")
             if "build_reused_from" in stats:
                 notes.append(f"build: reused from op {stats['build_reused_from']}")
             if "runtime_keys" in stats:
@@ -248,8 +237,7 @@ def _cbo_section(physical: PhysicalPlan, result) -> List[str]:
         for name in (
             "sql.cbo.estimates", "sql.cbo.stats_stale",
             "sql.cbo.reorders_applied", "sql.cbo.reorders_rejected",
-            "sql.cbo.semijoins_applied", "sql.cbo.semijoins_rejected",
-            "sql.cbo.semijoin.keys", "sql.cbo.semijoin.rows_pruned",
+            "sql.cbo.runtime_keys.pushed",
             "sql.cbo.aqe_priors_used",
         )
     }
@@ -262,11 +250,7 @@ def _cbo_section(physical: PhysicalPlan, result) -> List[str]:
         f"(stale stats skipped: {int(counters['sql.cbo.stats_stale'])})",
         f"join reorders: applied={int(counters['sql.cbo.reorders_applied'])} "
         f"rejected={int(counters['sql.cbo.reorders_rejected'])}",
-        f"semi-join reductions: "
-        f"applied={int(counters['sql.cbo.semijoins_applied'])} "
-        f"rejected={int(counters['sql.cbo.semijoins_rejected'])}; "
-        f"{int(counters['sql.cbo.semijoin.keys'])} build keys broadcast, "
-        f"{int(counters['sql.cbo.semijoin.rows_pruned'])} probe rows pruned",
+        f"runtime keys pushed: {int(counters['sql.cbo.runtime_keys.pushed'])}",
     ]
     if counters["sql.cbo.aqe_priors_used"]:
         lines.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
@@ -680,6 +680,10 @@ def _charge_broadcast(ctx: ExecContext, nbytes: int) -> None:
     )
 
 
+#: distinct build keys above which a join sends none to its probe
+SEMIJOIN_MAX_KEYS = 16384
+
+
 class HashJoinExec(PhysicalPlan):
     """The equi-join shell: everything the join strategies share.
 
@@ -698,6 +702,9 @@ class HashJoinExec(PhysicalPlan):
     #: the planner's row estimate, stamped only where ANALYZE statistics
     #: made it confident
     cbo_rows: Optional[float] = None
+    #: hand the build's distinct keys to the probe (docs/optimizer.md), set
+    #: only where ANALYZE statistics made the planner confident
+    push_keys = False
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan,
                  left_keys: Sequence[E.Expression], right_keys: Sequence[E.Expression],
@@ -832,21 +839,24 @@ class HashJoinExec(PhysicalPlan):
             op = op.children[0]
         return op
 
-    def _push_runtime_filters(self, ctx: ExecContext, keys: Iterable[tuple]) -> int:
-        """Offer the build's distinct ``keys`` to the probe's scan.
+    def _push_runtime_filters(self, ctx: ExecContext, keys: Collection[tuple]) -> bool:
+        """Offer the build's distinct ``keys`` to the probe's scan; False,
+        and nothing offered, over the :data:`SEMIJOIN_MAX_KEYS` cap.
 
         One ``In`` source filter per bare-attribute key on a column the scan
         outputs, kept on ``ctx`` for this execution only; with no scan at
-        the foot of the stream spine nothing is pushed.  Advisory: whoever
-        pushes still filters exactly, engine-side.  Returns the count.
+        the foot of the stream spine nothing is pushed.  A scan that took a
+        filter counts ``sql.cbo.runtime_keys.pushed`` and records
+        ``runtime_keys``.  Advisory: whoever pushes still filters exactly,
+        engine-side.
         """
         from repro.sql import sources as S
 
+        if len(keys) > SEMIJOIN_MAX_KEYS:
+            return False
         scan = self.probe_scan()
-        if scan is None:
-            return 0
-        scan_ids = {a.attr_id for a in scan.output}
-        pushed = 0
+        scan_ids = {a.attr_id for a in scan.output} if scan is not None else ()
+        pushed = False
         for i, key in enumerate(self.left_keys):
             if not isinstance(key, E.Attribute) or key.attr_id not in scan_ids:
                 continue
@@ -857,8 +867,11 @@ class HashJoinExec(PhysicalPlan):
                 ordered = sorted(values, key=repr)
             ctx.runtime_filters.setdefault(scan.op_id, []).append(
                 S.In(key.name, tuple(ordered)))
-            pushed += 1
-        return pushed
+            pushed = True
+        if pushed:
+            ctx.metrics.incr("sql.cbo.runtime_keys.pushed", len(keys))
+            ctx.record_operator(self, runtime_keys=len(keys))
+        return True
 
 
 class ShuffledHashJoinExec(HashJoinExec):
@@ -868,6 +881,12 @@ class ShuffledHashJoinExec(HashJoinExec):
     Both inputs arrive as batches: join keys evaluate as column kernels and
     rows re-materialise through a C-level transpose into the tagged
     ``(key, side, row)`` stream the reduce side joins row by row.
+
+    With ``push_keys`` the build's tagged stream runs first, as a driver
+    sub-job.  Its distinct keys, broadcast at key bytes, go to the probe's
+    scan and drop the probe rows that cannot match before the shuffle; the
+    collected entries re-enter the shuffle as a driver-local collection.
+    Over the :data:`SEMIJOIN_MAX_KEYS` cap nothing is sent or dropped.
     """
 
     child_formats = (True, True)
@@ -876,7 +895,7 @@ class ShuffledHashJoinExec(HashJoinExec):
         self._record_cbo_estimate(ctx)
         vec_row = ctx.cost.vector_row_cpu_s
 
-        def tagged(child, keys, side):
+        def tagged(child, keys, side, keep=None):
             kernels = [C.compile_bound(k, child.output) for k in keys]
 
             def tag(batches, task_ctx):
@@ -884,16 +903,30 @@ class ShuffledHashJoinExec(HashJoinExec):
                     cols, n = batch.columns, batch.num_rows
                     if not n:
                         continue
-                    for key, row in zip(C.key_tuples(kernels, cols, n),
-                                        batch.to_rows()):
-                        yield (key, side, row)
+                    pairs = zip(C.key_tuples(kernels, cols, n), batch.to_rows())
+                    if keep is None:
+                        for key, row in pairs:
+                            yield (key, side, row)
+                    else:
+                        for key, row in pairs:
+                            if key in keep:
+                                yield (key, side, row)
 
             return child.execute(ctx).map_partitions(tag)
 
         left, right = self.children
+        build = tagged(right, self.right_keys, 1)
+        keep = None
+        if self.push_keys:
+            entries = ctx.run_job(build).rows()
+            keys = {key for key, __, __ in entries if None not in key}
+            if self._push_runtime_filters(ctx, keys):
+                _charge_broadcast(ctx, sum(estimate_size(k) for k in keys))
+                keep = keys
+            build = ParallelCollectionRDD(
+                entries, min(ctx.shuffle_partitions(), max(1, len(entries))))
         return self._shuffle_join(
-            ctx, tagged(left, self.left_keys, 0).union(
-                tagged(right, self.right_keys, 1)),
+            ctx, tagged(left, self.left_keys, 0, keep).union(build),
             ctx.cost.row_cpu_s)
 
 
@@ -902,17 +935,15 @@ class BroadcastHashJoinExec(HashJoinExec):
     and broadcast to every executor; the probe pipelines inside the left
     side's stage, computing stream keys as column kernels over its batches.
 
-    The planner stamps two things on it.  ``build_stamp`` names the build
-    side, always (docs/engine.md), so a later join with the same stamp in
-    this execution probes this one's table -- no sub-job, no broadcast.
-    ``push_keys``, set only where ANALYZE statistics made it confident
-    (docs/optimizer.md), hands the build's distinct keys to the probe's
-    scan, where a row-key column turns them into merged scan ranges.  The
-    probe filters exactly either way.
+    The planner stamps ``build_stamp`` on it, always (docs/engine.md): it
+    names the build side, so a later join with the same stamp in this
+    execution probes this one's table -- no sub-job, no broadcast.  With
+    ``push_keys`` the hashed table's keys go to the probe's scan, where a
+    row-key column turns them into merged scan ranges.  The probe filters
+    exactly either way.
     """
 
     child_formats = (True, False)
-    push_keys = False
     build_stamp: Optional[tuple] = None
 
     def execute(self, ctx: ExecContext) -> RDD:
@@ -934,10 +965,8 @@ class BroadcastHashJoinExec(HashJoinExec):
             ctx.metrics.incr("engine.broadcast_bytes_saved",
                              build_bytes * len(ctx.scheduler.cluster.executors))
             ctx.record_operator(self, build_reused_from=builder)
-        if self.push_keys and len(table) <= SEMIJOIN_MAX_KEYS \
-                and self._push_runtime_filters(ctx, table.keys()):
-            ctx.metrics.incr("sql.cbo.runtime_keys.pushed", len(table))
-            ctx.record_operator(self, runtime_keys=len(table))
+        if self.push_keys:
+            self._push_runtime_filters(ctx, table.keys())
 
         def probe_batches(batches, task_ctx):
             def keyed():
@@ -953,87 +982,6 @@ class BroadcastHashJoinExec(HashJoinExec):
         # no scope stamp: the probe pipelines inside the big side's scan
         # stage, whose scope already belongs to the scan operator
         return left.execute(ctx).map_partitions(probe_batches)
-
-
-#: distinct build keys above which a semi-join reduction aborts at runtime
-SEMIJOIN_MAX_KEYS = 16384
-
-
-class SemiJoinReducedJoinExec(HashJoinExec):
-    """A shuffled join whose build side's keys go ahead of the shuffle.
-
-    Chosen by the cost-based planner (docs/optimizer.md) when statistics say
-    the build side is small and its join keys prune most probe rows.  The
-    build side runs once as a driver sub-job; its distinct key tuples are
-    broadcast (charged by *key* bytes, not row bytes) and applied in three
-    places:
-
-    1. as best-effort ``In`` source filters on the probe's scan -- for an
-       HBase row-key column this prunes whole regions before any I/O;
-    2. as an exact engine-side membership pre-filter, so rows the source
-       could not eliminate never enter the shuffle;
-    3. the already-collected build rows re-enter the join as a driver-local
-       collection, so the build side is neither scanned nor shuffled twice.
-
-    If the build yields more than :data:`SEMIJOIN_MAX_KEYS` distinct tuples
-    the reduction aborts at runtime (``sql.cbo.semijoins_rejected``): no
-    keys are sent and the probe enters the shuffle unreduced.
-    """
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
-        left, right = self.children
-        left_key = _row_key(self.left_keys, left.output)
-        right_key = _row_key(self.right_keys, right.output)
-        per_row = ctx.cost.row_cpu_s
-
-        build_rows = list(ctx.run_job(right.execute(ctx)).rows())
-        keys, __ = _hash_build(_keyed(build_rows, right_key))
-        if len(keys) > SEMIJOIN_MAX_KEYS:
-            # runtime abort: stats undercounted the build's distinct keys
-            ctx.metrics.incr("sql.cbo.semijoins_rejected", 1)
-            ctx.record_operator(
-                self, semijoin=f"aborted ({len(keys)} keys > max {SEMIJOIN_MAX_KEYS})"
-            )
-            probe = left.execute(ctx)
-        else:
-            ctx.metrics.incr("sql.cbo.semijoin.keys", len(keys))
-            ctx.record_operator(self, semijoin_keys=len(keys))
-            _charge_broadcast(ctx, sum(estimate_size(k) for k in keys))
-            pushed = self._push_runtime_filters(ctx, keys)
-            if pushed:
-                ctx.record_operator(self, semijoin_scan_filters=pushed)
-            probe = left.execute(ctx).map_partitions(
-                self._make_prefilter(ctx, left_key, keys, per_row)
-            )
-
-        build_rdd = ParallelCollectionRDD(
-            build_rows, min(ctx.shuffle_partitions(), max(1, len(build_rows)))
-        )
-        tagged = probe.map_partitions(_row_tagger(left_key, 0, per_row)).union(
-            build_rdd.map_partitions(_row_tagger(right_key, 1, per_row))
-        )
-        return self._shuffle_join(ctx, tagged, per_row)
-
-    def _make_prefilter(self, ctx: ExecContext,
-                        left_key: Callable[[tuple], tuple], keys,
-                        per_row: float):
-        """Exact membership filter the probe pays per row seen."""
-
-        def prefilter(rows, task_ctx):
-            kept = []
-            seen = 0
-            for row in rows:
-                seen += 1
-                if left_key(row) in keys:
-                    kept.append(row)
-            task_ctx.ledger.count("sql.cbo.semijoin.rows_pruned", seen - len(kept))
-            task_ctx.ledger.charge(per_row * seen, "engine.rows_processed", seen)
-            ctx.accumulate_operator(self, semijoin_rows_in=seen,
-                                    semijoin_rows_kept=len(kept))
-            return iter(kept)
-
-        return prefilter
 
 
 class BroadcastNestedLoopJoinExec(PhysicalPlan):

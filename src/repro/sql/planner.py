@@ -35,11 +35,6 @@ from repro.sql.vectorized import adapt
 
 #: size assigned to relations that cannot estimate themselves
 UNKNOWN_SIZE = 1 << 60
-#: semi-join reduction applies only when the build side is estimated at or
-#: under this many rows ...
-SEMIJOIN_MAX_BUILD_ROWS = 10000
-#: ... and the probe is expected to shrink by at least this factor
-SEMIJOIN_MIN_REDUCTION = 2.0
 
 
 def estimate_plan_size(plan: L.LogicalPlan) -> int:
@@ -92,9 +87,8 @@ class Planner:
     ``stats`` is the session's statistics store, or the planning pass's
     estimator (:func:`repro.sql.cbo.estimator_for`).  Where the plan's
     tables have ANALYZE statistics (docs/optimizer.md), join sizing uses
-    the estimates, the semi-join reduction strategy becomes available and a
-    broadcast join may push its keys.  A broadcast join shares an equal
-    build side with or without statistics.
+    the estimates and a hash join may push its build's keys to its probe.
+    A broadcast join shares an equal build side with or without statistics.
     """
 
     def __init__(self, conf: Dict[str, object], cache=None, stats=None,
@@ -109,7 +103,6 @@ class Planner:
         #: resolved to the pass's estimator (or None) by the first plan() call
         self._stats = stats
         self.estimator = None
-        self.semijoin_enabled = bool(conf.get("sql.cbo.semijoin", True))
         #: adaptive query execution (docs/adaptive.md), the one place the
         #: option is read: a non-broadcast equi-join plans as an
         #: AdaptiveJoinExec, which settles its strategy from measured sizes,
@@ -348,14 +341,16 @@ class Planner:
                 if residual is not None:
                     return self._filter(residual, reordered)
                 return reordered
-            if self._semijoin_reduces(node, left_keys, right_keys,
-                                      est_left, est_right):
-                return self._equi_join(P.SemiJoinReducedJoinExec, *equi)
-            if self.adaptive:
+            # a join that pushes runs its build first, before any AQE barrier
+            pushes = self._pushes_keys(node.how, left_keys, right_keys,
+                                       est_left, est_right)
+            if self.adaptive and not pushes:
                 from repro.sql.adaptive import AdaptiveJoinExec
 
                 return self._equi_join(AdaptiveJoinExec, *equi)
-            return self._equi_join(P.ShuffledHashJoinExec, *equi)
+            join = self._equi_join(P.ShuffledHashJoinExec, *equi)
+            join.push_keys = pushes
+            return join
 
         # no equi keys: nested loop with the right side broadcast
         return P.BroadcastNestedLoopJoinExec(
@@ -377,43 +372,22 @@ class Planner:
                for k in join.right_keys):
             join.build_stamp = (plan_fingerprint(build), tuple(
                 build_ids.index(k.attr_id) for k in join.right_keys))
-        join.push_keys = self._pushes_keys(join, est_probe, est_build)
+        join.push_keys = self._pushes_keys(join.how, join.left_keys,
+                                           join.right_keys, est_probe, est_build)
         return join
 
-    def _pushes_keys(self, join: P.BroadcastHashJoinExec,
-                     est_probe, est_build) -> bool:
-        """Runtime keys (docs/optimizer.md), decided only on confident
-        estimates: push when the keys should skip more probe rows than there
-        are keys to send -- a key range costs a seek, not the sub-job and
-        pre-shuffle filter :data:`SEMIJOIN_MIN_REDUCTION` prices."""
-        if est_probe is None or not (est_probe.confident and est_build.confident):
+    @staticmethod
+    def _pushes_keys(how, probe_keys, build_keys, est_probe, est_build) -> bool:
+        """The runtime key filter (docs/optimizer.md), for every hash join
+        and decided only on confident estimates: push when the keys should
+        skip more probe rows than there are keys to send."""
+        if how not in ("inner", "semi") or est_probe is None \
+                or not (est_probe.confident and est_build.confident):
             return False
         from repro.sql.cbo import semijoin_keep_fraction
 
-        keep = semijoin_keep_fraction(est_probe, est_build,
-                                      join.left_keys, join.right_keys)
-        return (join.how in ("inner", "semi") and keep is not None
-                and est_probe.rows * (1.0 - keep) > est_build.rows)
-
-    def _semijoin_reduces(self, node, left_keys, right_keys,
-                          est_left, est_right) -> bool:
-        """Semi-join reduction (docs/optimizer.md): pre-filter the probe side
-        by the build side's distinct keys before shuffling, when statistics
-        predict the probe shrinks by :data:`SEMIJOIN_MIN_REDUCTION`."""
-        if not self.semijoin_enabled or node.how not in ("inner", "semi"):
-            return False
-        if est_left is None or not (est_left.confident and est_right.confident):
-            return False
-        if est_right.rows > SEMIJOIN_MAX_BUILD_ROWS:
-            return False
-        from repro.sql.cbo import semijoin_keep_fraction
-
-        keep = semijoin_keep_fraction(est_left, est_right, left_keys, right_keys)
-        if keep is None or keep > 1.0 / SEMIJOIN_MIN_REDUCTION:
-            self._incr("sql.cbo.semijoins_rejected")
-            return False
-        self._incr("sql.cbo.semijoins_applied")
-        return True
+        keep = semijoin_keep_fraction(est_probe, est_build, probe_keys, build_keys)
+        return keep is not None and est_probe.rows * (1.0 - keep) > est_build.rows
 
     def _incr(self, name: str) -> None:
         if self.metrics is not None:

@@ -116,10 +116,6 @@ DEFAULT_CONF: Dict[str, object] = {
     "sql.aqe.enabled": False,
     # partitions for driver-local (VALUES / createDataFrame) scans
     "sql.local.scan.partitions": 2,
-    # semi-join reduction (docs/optimizer.md; takes ANALYZE statistics, like
-    # all cost-based planning): pre-filter a large probe scan by the distinct
-    # join keys of a small build side before shuffling
-    "sql.cbo.semijoin": True,
     # materialized views (docs/views.md): CREATE MATERIALIZED VIEW is the
     # opt-in -- a session that never creates a view plans and costs exactly
     # as if the feature did not exist.  This is the maximum CDC lag

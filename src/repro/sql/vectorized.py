@@ -3,9 +3,9 @@
 Scans, filters, projections, aggregate builds and hash-join key evaluation
 exchange :class:`~repro.sql.columnar.RecordBatch` column vectors
 (:mod:`repro.sql.physical`).  Consumers that are inherently row-ordered --
-sorts, limits, set operators, nested-loop / semi-join-reduced / adaptive
-joins, the write sink and the session root -- read row tuples.  Wherever a
-producer's format differs from what its consumer reads, the planner calls
+sorts, limits, set operators, nested-loop / adaptive joins, the write
+sink and the session root -- read row tuples.  Wherever a producer's
+format differs from what its consumer reads, the planner calls
 :func:`adapt`, which inserts :class:`ColumnarToRowExec`
 or :class:`RowToColumnarExec`: a format change is always a visible plan
 node, never implicit.  Each adapter counts one

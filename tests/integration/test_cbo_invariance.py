@@ -1,8 +1,8 @@
 """ANALYZE is the opt-in: without statistics the cost-based optimizer is absent.
 
 The CBO hooks three layers: the optimizer (join reordering), the planner
-(semi-join reduction, broadcast decisions from estimated sizes) and the
-physical layer (SemiJoinReducedJoinExec, ``cbo_rows`` stamping).  The
+(broadcast decisions from estimated sizes, the runtime key filter) and the
+physical layer (``push_keys``, ``cbo_rows`` stamping).  The
 load-bearing guarantee is that every hook is dormant until ``ANALYZE TABLE``
 has run on a table the query reads: no ``sql.cbo.*`` counter may appear in an
 un-ANALYZEd query's ledger, which is then the syntactic planner's.  Runs
@@ -25,6 +25,9 @@ JOIN_QUERY = (
     "FROM store_sales ss JOIN item i ON ss.ss_item_sk = i.i_item_sk "
     "GROUP BY i.i_category"
 )
+#: the join over a selective slice of the dimension
+SELECTIVE_JOIN_QUERY = JOIN_QUERY.replace(
+    "GROUP BY", "WHERE i.i_item_sk < 3 GROUP BY")
 
 
 def run_fresh(query, conf, analyze=()):
@@ -45,14 +48,15 @@ def test_unanalyzed_ledger_carries_no_cbo_key(query):
 
 
 def test_cbo_on_preserves_answers_full_stack():
-    baseline = run_fresh(JOIN_QUERY, None)
-    cbo = run_fresh(JOIN_QUERY, {
-        # force the shuffled plan so semi-join reduction has work to do
+    baseline = run_fresh(SELECTIVE_JOIN_QUERY, None)
+    cbo = run_fresh(SELECTIVE_JOIN_QUERY, {
+        # force the shuffled plan, whose keys then go to the fact scan
         "sql.autoBroadcastJoinThreshold": 1,
     }, analyze=["store_sales", "item"])
     assert sorted(tuple(r.values) for r in cbo.rows) == \
         sorted(tuple(r.values) for r in baseline.rows)
     assert cbo.metrics.get("sql.cbo.estimates") >= 1.0
+    assert cbo.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
 
 
 def test_analyze_persists_stats_across_sessions():

@@ -1,11 +1,15 @@
-"""The cost-based optimizer: estimation formulas, join reordering, semi-join
-reduction gates and the EXPLAIN surface (docs/optimizer.md)."""
+"""The cost-based optimizer: estimation formulas, join reordering, the
+runtime key filter's pricing and the EXPLAIN surface (docs/optimizer.md)."""
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.metrics import MetricsRegistry
-from repro.sql import cbo, physical, planner
+from repro.core.catalog import HBaseTableCatalog
+from repro.core.relation import DEFAULT_FORMAT
+from repro.sql import cbo, physical
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.analyzer import Analyzer, Catalog
@@ -197,7 +201,7 @@ def test_two_way_join_is_never_reordered():
     assert metrics.get("sql.cbo.reorders_applied") == 0.0
 
 
-# -- semi-join profitability --------------------------------------------------
+# -- runtime key filter profitability ----------------------------------------
 
 def test_keep_fraction_is_ndv_ratio():
     l_plan = analyzed("select * from t", t=[(i % 10, "l") for i in range(100)])
@@ -240,63 +244,114 @@ def _load_join(session, dim_keys, analyze=True):
     return "select name, v from fact join dim on fk = dk"
 
 
+def _load_hbase_join(cluster, session, dim_keys):
+    """``_load_join``'s tables stored in HBase (fact keyed by ``id``, dim by
+    ``dk``), where a scan takes the pushed keys as a filter."""
+    for name, schema, rows, types in (
+        ("fact", FACT_SCHEMA, [(i % 5, i, float(i)) for i in range(2000)],
+         {"fk": "int", "id": "int", "v": "double"}),
+        ("dim", DIM_SCHEMA, [(k, f"d{k}") for k in dim_keys],
+         {"dk": "int", "name": "string"}),
+    ):
+        rowkey = "id" if name == "fact" else "dk"
+        opts = {
+            HBaseTableCatalog.tableCatalog: json.dumps({
+                "table": {"namespace": "default", "name": name},
+                "rowkey": rowkey,
+                "columns": {c: {"cf": "rowkey" if c == rowkey else "cf",
+                                "col": c, "type": t} for c, t in types.items()},
+            }),
+            HBaseTableCatalog.newTable: "3",
+            "hbase.zookeeper.quorum": cluster.quorum,
+        }
+        session.create_dataframe(rows, schema).write \
+            .format(DEFAULT_FORMAT).options(opts).save()
+        session.read.format(DEFAULT_FORMAT).options(opts).load() \
+            .create_or_replace_temp_view(name)
+        session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
+    return "select name, v from fact join dim on fk = dk"
+
+
 def _shuffle_conf(session):
     session.conf["sql.autoBroadcastJoinThreshold"] = 1  # force the shuffle path
 
 
-def test_semijoin_reduction_prunes_probe_rows(session):
+def _planned_join(physical_plan):
+    (join,) = [op for op in physical_plan.walk()
+               if isinstance(op, physical.HashJoinExec)]
+    return join
+
+
+def _pushes(session, query):
+    join = _planned_join(session.plan_query(session.sql(query).plan).physical)
+    assert type(join) is physical.ShuffledHashJoinExec
+    return join.push_keys
+
+
+def _shuffled(result):
+    return result.metrics.get("engine.shuffle_write_bytes")
+
+
+def test_semijoin_reduction_prunes_probe_rows(linked):
+    """The shuffled join sends the dimension's two keys to the fact scan,
+    which returns only the rows that can match."""
+    cluster, session = linked
     _shuffle_conf(session)
-    query = _load_join(session, dim_keys=[0, 1])
+    query = _load_hbase_join(cluster, session, dim_keys=[0, 1])
+    assert _pushes(session, query)
     result = session.sql(query).run()
-    assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0
-    assert result.metrics.get("sql.cbo.semijoin.keys") == 2.0
-    assert result.metrics.get("sql.cbo.semijoin.rows_pruned") == 1200.0
     assert len(result.rows) == 800
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
+    assert result.metrics.get("hbase.rows_returned") == 800 + 2
 
 
 def test_semijoin_answers_match_cbo_off(session):
-    """"CBO off" is a session with no statistics: the syntactic plan."""
+    """"CBO off" is a session with no statistics: the syntactic plan.  A
+    local scan takes no filter, so the probe rows that cannot match are
+    dropped before the shuffle instead."""
     _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1])
+    assert _pushes(session, query)
     with_stats = session.sql(query).run()
-    assert with_stats.metrics.get("sql.cbo.semijoins_applied") == 1.0
+    assert with_stats.metrics.get("sql.cbo.runtime_keys.pushed") == 0.0
     session.stats.clear()  # no statistics: planned syntactically
     without = session.sql(query).run()
     assert not [k for k in without.metrics.snapshot() if k.startswith("sql.cbo.")]
     assert sorted(tuple(r.values) for r in with_stats.rows) == \
         sorted(tuple(r.values) for r in without.rows)
+    assert _shuffled(with_stats) < _shuffled(without)
 
 
 def test_semijoin_rejected_when_unprofitable(session):
-    # every probe key survives (dim covers all 5): keep=1 > 1/SEMIJOIN_MIN_REDUCTION
+    # every probe key survives (dim covers all 5): keep=1 skips no probe row
     _shuffle_conf(session)
     query = _load_join(session, dim_keys=[0, 1, 2, 3, 4])
+    assert not _pushes(session, query)
     result = session.sql(query).run()
-    assert result.metrics.get("sql.cbo.semijoins_applied") == 0.0
-    assert result.metrics.get("sql.cbo.semijoins_rejected") >= 1.0
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 0.0
     assert len(result.rows) == 2000
+    session.stats.clear()
+    assert _shuffled(result) == _shuffled(session.sql(query).run())
 
 
-def test_semijoin_skipped_when_build_too_large(session, monkeypatch):
-    monkeypatch.setattr(planner, "SEMIJOIN_MAX_BUILD_ROWS", 1)
-    _shuffle_conf(session)
-    query = _load_join(session, dim_keys=[0, 1])
-    result = session.sql(query).run()
-    assert result.metrics.get("sql.cbo.semijoins_applied") == 0.0
-    assert len(result.rows) == 800
-
-
-def test_semijoin_runtime_abort_on_key_blowup(session, monkeypatch):
+def test_semijoin_runtime_abort_on_key_blowup(linked, monkeypatch):
     # the planner commits, but at runtime the build has more distinct keys
-    # than SEMIJOIN_MAX_KEYS allows: fall back to the plain join
-    monkeypatch.setattr(physical, "SEMIJOIN_MAX_KEYS", 1)
+    # than SEMIJOIN_MAX_KEYS allows: nothing is sent, the probe is whole
+    cluster, session = linked
     _shuffle_conf(session)
-    query = _load_join(session, dim_keys=[0, 1])
+    query = _load_hbase_join(cluster, session, dim_keys=[0, 1])
+    pushed = session.sql(query).run()
+    monkeypatch.setattr(physical, "SEMIJOIN_MAX_KEYS", 1)
+    assert _pushes(session, query)
     result = session.sql(query).run()
-    assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0
-    assert result.metrics.get("sql.cbo.semijoins_rejected") == 1.0
-    assert result.metrics.get("sql.cbo.semijoin.rows_pruned") == 0.0
-    assert len(result.rows) == 800
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 0.0
+    assert result.metrics.get("engine.broadcast_bytes") == 0.0
+    assert sorted(tuple(r.values) for r in result.rows) == \
+        sorted(tuple(r.values) for r in pushed.rows)
+    assert _shuffled(result) > _shuffled(pushed)
+    # the whole fact table, and the dimension once: its collected rows
+    # feed the shuffle, it is not scanned again
+    assert result.metrics.get("hbase.rows_returned") == 2000 + 2
 
 
 def test_join_reorder_end_to_end_answers(session):
@@ -320,12 +375,14 @@ def test_join_reorder_end_to_end_answers(session):
 
 # -- EXPLAIN surface ----------------------------------------------------------
 
-def test_explain_analyze_has_cbo_section(session):
+def test_explain_analyze_has_cbo_section(linked):
+    cluster, session = linked
     _shuffle_conf(session)
-    query = _load_join(session, dim_keys=[0, 1])
+    query = _load_hbase_join(cluster, session, dim_keys=[0, 1])
     report = session.sql(query).explain(analyze=True)
     assert "== Cost-Based Optimization ==" in report
-    assert "semi-join reductions: applied=1" in report
+    assert "runtime keys pushed: 2" in report
+    assert "runtime keys: 2 keys" in report
     assert "est=" in report  # per-operator est-vs-actual annotation
 
 
@@ -393,7 +450,7 @@ def test_plan_query_shares_one_estimator(session, constructions):
     del constructions[:]  # ANALYZE's own collection scans planned too
     planned = session.plan_query(session.sql(query).plan)
     assert len(constructions) == 1
-    assert planned.metrics.get("sql.cbo.semijoins_applied") == 1.0
+    assert _planned_join(planned.physical).push_keys
 
 
 def test_optimize_and_planner_take_the_stats_store_directly(session):
@@ -408,10 +465,9 @@ def test_optimize_and_planner_take_the_stats_store_directly(session):
     physical_plan = Planner(session.conf, cache=session.cache_manager,
                             stats=session.cbo_stats(),
                             metrics=metrics).plan_query(optimized)
-    assert metrics.get("sql.cbo.semijoins_applied") == 1.0
     via_session = session.plan_query(plan)
-    assert physical_plan.pretty().count("SemiJoinReducedJoin") == \
-        via_session.physical.pretty().count("SemiJoinReducedJoin") == 1
+    assert _planned_join(physical_plan).push_keys
+    assert _planned_join(via_session.physical).push_keys
     stepwise = session.execute_physical(physical_plan, extra_metrics=metrics)
     direct = session.execute_planned(via_session)
     assert stepwise.seconds == direct.seconds

@@ -7,7 +7,7 @@ to the raw analyzed plan, and the row sets must match.  The join properties
 run once with the default conf (the small side is broadcast) and, with a
 broadcast threshold that forces the shuffled path, over the two things that
 change how such a join is planned: the adaptive join (``sql.aqe.enabled``) and
-ANALYZE statistics (reordering, semi-join reduction).
+ANALYZE statistics (reordering, the runtime key filter).
 """
 
 import pytest

@@ -2,20 +2,22 @@
 
 One generated pair of tables (NULL and duplicate keys on both sides) runs
 through every way the engine can join them -- broadcast, the planner's
-swapped broadcast, shuffled, semi-join-reduced (and its runtime abort),
-adaptive settling on broadcast / swapped broadcast / the skew-split
-shuffle, and the nested loop -- for each join type, with and without a
-residual, and must agree as a multiset with a reference written here.
+swapped broadcast, shuffled, shuffled with its build keys pushed (under
+and over the key cap), adaptive settling on broadcast / swapped broadcast /
+the skew-split shuffle, and the nested loop -- for each join type, with
+and without a residual, and must agree as a multiset with a reference
+written here.
 Every hash-join strategy must also report its output three times over
 with one number: ``engine.join.rows_out``, the operator's ``rows_out``
 and the rows themselves.
 
 The second half covers what the build side's keys do to an HBase scan
-(``filters_runtime``, ``semijoin_scan_filters``, regions pruned), the two
-things a broadcast join carries -- its keys pushed to the probe's scan (a
-cost decision), its build shared with an equal one (always) -- as
-metamorphic relations ("pushed is not pushed", "shared is rebuilt") over
-generated tables, and the machine-independent cost of one probed row.
+(``filters_runtime``, ``runtime_keys``, regions pruned), the two things a
+hash join may carry -- its keys pushed to the probe (a cost decision, for
+the broadcast and the shuffled strategy alike), a broadcast build shared
+with an equal one (always) -- as metamorphic relations ("pushed is not
+pushed", "shared is rebuilt") over generated tables, and the
+machine-independent cost of one probed row.
 """
 
 import dataclasses
@@ -132,10 +134,11 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
         sides.left(False), sides.right(False), how, condition))
     assert got == expected
 
-    if how in ("inner", "semi"):   # the planner offers the reduction no other
+    if how in ("inner", "semi"):   # the planner pushes for no other
+        distinct = {r[0] for r in right_rows if r[0] is not None}
         for max_keys in (P.SEMIJOIN_MAX_KEYS, 1):
-            join = P.SemiJoinReducedJoinExec(
-                sides.left(False), sides.right(False), *equi)
+            join = P.ShuffledHashJoinExec(sides.left(True), sides.right(True), *equi)
+            join.push_keys = True
             saved, P.SEMIJOIN_MAX_KEYS = P.SEMIJOIN_MAX_KEYS, max_keys
             try:
                 got, result = run(join)
@@ -143,9 +146,9 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
                 P.SEMIJOIN_MAX_KEYS = saved
             assert got == expected
             check_counted(join, result, total)
-            distinct = {r[0] for r in right_rows if r[0] is not None}
-            aborted = len(distinct) > max_keys
-            assert result.metrics.get("sql.cbo.semijoins_rejected") == aborted
+            # the keys are shipped only under the cap (no key, no bytes)
+            sent = result.metrics.get("engine.broadcast_bytes") > 0
+            assert sent == (0 < len(distinct) <= max_keys)
 
     if how == "inner":
         # what the planner builds when only the left side fits: the sides
@@ -243,7 +246,7 @@ def _load_star(cluster, session, analyze=True):
 
 @pytest.fixture
 def star(linked):
-    """The star with broadcast ruled out: the planner reduces the join."""
+    """The star with broadcast ruled out: the shuffled join pushes its keys."""
     cluster, session = linked
     session.conf["sql.autoBroadcastJoinThreshold"] = 1
     return _load_star(cluster, session)
@@ -273,17 +276,20 @@ def _scan_stats(result, regions):
 
 def test_build_keys_prune_the_probe_scan(star):
     cluster, session = star
-    result = session.sql(QUERY).run()
+    planned = session.plan_query(session.sql(QUERY).plan)
+    (join,) = [op for op in planned.physical.walk() if isinstance(op, P.HashJoinExec)]
+    assert type(join) is P.ShuffledHashJoinExec and join.push_keys
+    result = session.execute_planned(planned)
     assert sorted(tuple(r.values) for r in result.rows) == \
         [("eight", 80), ("seven", 70)]
-    assert result.metrics.get("sql.cbo.semijoins_applied") == 1.0
-    join = next(s for s in result.operator_stats.values() if "semijoin_keys" in s)
-    assert join["semijoin_keys"] == 2 and join["semijoin_scan_filters"] == 1
+    assert result.operator_stats[join.op_id]["runtime_keys"] == 2
+    assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
     fact = _scan_stats(result, 6)
     assert fact["filters_runtime"] == 1
     # keys 7 and 8 live in one of the six regions: the others are never read
     assert fact["regions_scanned"] == 1 and fact["regions_pruned"] >= 5
-    assert join["semijoin_rows_in"] == 2     # the source already dropped the rest
+    # two build rows and the two probe rows the source let through were tagged
+    assert result.operator_stats[join.op_id]["rows"] == 4
     assert "filters_runtime" not in _scan_stats(result, 1)
 
 
@@ -545,10 +551,11 @@ def _probe_relation(session, cluster, coder, rows):
 def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
                                                           residual, on, coder):
     """Two metamorphic relations over one generated pair of tables, the
-    probe an HBase table with a composite row key: a join answers alike
-    whether or not it pushed its keys (onto the leading key column they
-    become ranges, onto ``v`` -- NULLs and all -- a server-side filter), and
-    two joins answer alike whether they share a build or each make their
+    probe an HBase table with a composite row key: a broadcast or shuffled
+    join answers alike whether or not it pushed its keys (onto the leading
+    key column they become ranges, onto ``v`` -- NULLs and all -- a
+    server-side filter), reading and shuffling no more for it, and two
+    joins answer alike whether they share a build or each make their
     own."""
     clock = SimClock()
     cluster = HBaseCluster(f"referee{next(_referee_ids)}", HOSTS, clock=clock)
@@ -564,30 +571,38 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
     condition = E.Comparison("<", attrs[1], rw) if residual else None
     expected = reference(left_rows, build, how, residual)
 
-    def join(push, stamp=None):
+    def join(push, stamp=None, shuffled=False):
         scan = P.DataSourceScanExec(relation.relation, attrs, [], None, "probe")
-        op = P.BroadcastHashJoinExec(
-            P.WholeStageExec(scan),
-            adapt(P.WholeStageExec(P.LocalScanExec([rk, rw], build, 2)), False),
-            [attrs[0]], [rk], how, condition)
-        op.push_keys, op.build_stamp = push, stamp
+        build_side = P.WholeStageExec(P.LocalScanExec([rk, rw], build, 2))
+        equi = ([attrs[0]], [rk], how, condition)
+        if shuffled:
+            op = P.ShuffledHashJoinExec(P.WholeStageExec(scan), build_side, *equi)
+        else:
+            op = P.BroadcastHashJoinExec(
+                P.WholeStageExec(scan), adapt(build_side, False), *equi)
+            op.build_stamp = stamp
+        op.push_keys = push
         return scan, op
 
     def execute(op):
         result = session.execute_physical(adapt(op, False))
         return Counter(tuple(r.values) for r in result.rows), result
 
-    answers = {}
-    for push in (False, True):
-        scan, op = join(push)
-        answers[push], result = execute(op)
-        check_counted(op, result, sum(expected.values()))
-        stats = result.operator_stats[scan.op_id]
-        assert ("filters_runtime" in stats) == push
-        if push and on == "k" and not {r[0] for r in build} - {None}:
-            # an empty build is an empty In: zero ranges, nothing read
-            assert stats["scan_ranges"] == stats["regions_scanned"] == 0
-    assert answers[False] == answers[True] == expected
+    for shuffled in (False, True):
+        answers, metrics = {}, {}
+        for push in (False, True):
+            scan, op = join(push, shuffled=shuffled)
+            answers[push], result = execute(op)
+            metrics[push] = result.metrics
+            check_counted(op, result, sum(expected.values()))
+            stats = result.operator_stats[scan.op_id]
+            assert ("filters_runtime" in stats) == push
+            if push and on == "k" and not {r[0] for r in build} - {None}:
+                # an empty build is an empty In: zero ranges, nothing read
+                assert stats["scan_ranges"] == stats["regions_scanned"] == 0
+        assert answers[False] == answers[True] == expected
+        for name in ("hbase.rows_returned", "engine.shuffle_write_bytes"):
+            assert metrics[True].get(name) <= metrics[False].get(name), name
 
     doubled = Counter({row: 2 * n for row, n in expected.items()})
     for stamp in (None, ("build", (0,))):

@@ -136,7 +136,7 @@ def test_answers_agree_with_sqlite(query, batch_size, oracle, monkeypatch):
     assert expected, query  # the comparison must compare something
     # default threshold broadcasts d; threshold 1 shuffles both join sides,
     # which is where the two things that change a plan apply: the adaptive
-    # join (sql.aqe.enabled) and ANALYZE statistics (semi-join reduction)
+    # join (sql.aqe.enabled) and ANALYZE statistics (the runtime key filter)
     shuffled = {"sql.autoBroadcastJoinThreshold": 1}
     for conf, analyze in [(None, False)] + [
             (dict(shuffled, **{"sql.aqe.enabled": aqe}), analyze)

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Dict, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 
 class MetricsRegistry:
     """A named bag of float counters and gauges.
 
     Counters only accumulate (:meth:`incr`); gauges track a maximum
-    (:meth:`record_peak`), which is how peak memory is metered.
+    (:meth:`record_peak`), which is how peak memory is metered.  An
+    increment may name the plan operator it belongs to (``op``, a
+    ``PhysicalPlan.op_id``): it still adds to the global counter, and the
+    same amount lands in that operator's entry, read by :meth:`for_op`.
+    The operators' entries of a counter therefore sum to its scoped share
+    by construction; :meth:`snapshot` and :meth:`get` never see them.
 
     Thread-safe: a registry may be shared by concurrently running tasks
     (the HBase cluster's registry is hit from every executor thread), so
@@ -31,17 +36,30 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = defaultdict(float)
         self._peaks: Dict[str, float] = defaultdict(float)
+        self._scoped: Dict[int, Dict[str, float]] = {}
 
     # -- counters ---------------------------------------------------------
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to counter ``name``."""
+    def incr(self, name: str, amount: float = 1.0, op: Optional[int] = None) -> None:
+        """Add ``amount`` to counter ``name`` (and to operator ``op``'s entry)."""
         with self._lock:
             self._counters[name] += amount
+            if op is not None:
+                entry = self._scoped.setdefault(op, {})
+                entry[name] = entry.get(name, 0.0) + amount
 
     def get(self, name: str, default: float = 0.0) -> float:
         """Current value of counter ``name``."""
         with self._lock:
             return self._counters.get(name, default)
+
+    def for_op(self, op: int) -> Dict[str, float]:
+        """Counter name -> amount, of the increments scoped to operator ``op``.
+
+        Empty when nothing named ``op``; a name is present once any
+        increment of it named ``op``, even one of zero.
+        """
+        with self._lock:
+            return dict(self._scoped.get(op, ()))
 
     # -- peak gauges ------------------------------------------------------
     def record_peak(self, name: str, value: float) -> None:
@@ -57,22 +75,29 @@ class MetricsRegistry:
 
     # -- plumbing ---------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s counters and peaks into this registry."""
+        """Fold ``other``'s counters, operator entries and peaks into this
+        registry."""
         with other._lock:
             counters = dict(other._counters)
             peaks = dict(other._peaks)
+            scoped = [(op, dict(entry)) for op, entry in other._scoped.items()]
         with self._lock:
             for name, value in counters.items():
                 self._counters[name] += value
             for name, value in peaks.items():
                 if value > self._peaks[name]:
                     self._peaks[name] = value
+            for op, entry in scoped:
+                mine = self._scoped.setdefault(op, {})
+                for name, value in entry.items():
+                    mine[name] = mine.get(name, 0.0) + value
 
     def reset(self) -> None:
-        """Zero every counter and gauge."""
+        """Zero every counter, operator entry and gauge."""
         with self._lock:
             self._counters.clear()
             self._peaks.clear()
+            self._scoped.clear()
 
     def snapshot(self) -> Mapping[str, float]:
         """An immutable view of all counters (peaks are prefixed ``peak.``)."""
@@ -118,18 +143,20 @@ class CostLedger:
         #: has less time left for attempts and backoff (docs/serving.md).
         self.queued_s: float = 0.0
 
-    def charge(self, seconds: float, counter: str | None = None, amount: float = 1.0) -> None:
-        """Add ``seconds`` of simulated work, optionally bumping a counter."""
+    def charge(self, seconds: float, counter: str | None = None, amount: float = 1.0,
+               op: Optional[int] = None) -> None:
+        """Add ``seconds`` of simulated work, optionally bumping a counter
+        (scoped to operator ``op``, see :meth:`MetricsRegistry.incr`)."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
         with self._lock:
             self.seconds += seconds
         if counter is not None:
-            self.metrics.incr(counter, amount)
+            self.metrics.incr(counter, amount, op)
 
-    def count(self, counter: str, amount: float = 1.0) -> None:
-        """Bump a counter without charging time."""
-        self.metrics.incr(counter, amount)
+    def count(self, counter: str, amount: float = 1.0, op: Optional[int] = None) -> None:
+        """Bump a counter without charging time (scoped to operator ``op``)."""
+        self.metrics.incr(counter, amount, op)
 
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger's time and counters into this one."""

@@ -116,16 +116,10 @@ class StageInfo:
     #: op_id of the scan operator this stage's lineage reads (None when the
     #: stage reads no scan, or more than one -- e.g. a union of scans)
     scope: Optional[int] = None
-    #: region-server block-cache bytes this stage's scans served / missed
-    blockcache_hit_bytes: int = 0
-    blockcache_miss_bytes: int = 0
-    #: join output surfaced per stage so EXPLAIN ANALYZE join rows reconcile
-    #: with the ledger counters, mirroring how scan stages report locality
-    join_rows_out: int = 0
-    join_bytes_out: int = 0
-    #: set-operator (union/distinct/intersect) output rows per stage, same
-    #: reconciliation contract as the join fields above
-    setop_rows_out: int = 0
+    #: the counters this stage booked (its span snapshots them); a job's
+    #: registry is the sum of its stages'
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry,
+                                     compare=False, repr=False)
 
 
 @dataclass
@@ -218,16 +212,16 @@ class TaskScheduler:
         try:
             for shuffled in self._pending_shuffles(rdd):
                 job_shuffles.append(shuffled.shuffle_id)
-                info, stage_metrics = self._run_shuffle_map_stage(shuffled)
+                info = self._run_shuffle_map_stage(shuffled)
                 stages.append(info)
-                metrics.merge(stage_metrics)
+                metrics.merge(info.metrics)
                 total_seconds += info.duration_s
-            partitions, info, stage_metrics = self._run_result_stage(rdd)
+            partitions, info = self._run_result_stage(rdd)
         except Exception:
             self._abort_job_shuffles(job_shuffles)
             raise
         stages.append(info)
-        metrics.merge(stage_metrics)
+        metrics.merge(info.metrics)
         total_seconds += info.duration_s
         peak = max((s.output_bytes for s in stages), default=0)
         metrics.record_peak("engine.peak_stage_bytes", peak)
@@ -284,10 +278,9 @@ class TaskScheduler:
         metrics = MetricsRegistry()
         for node in self._pending_shuffles(shuffled):
             collect = node.shuffle_id == shuffled.shuffle_id
-            info, stage_metrics = self._run_shuffle_map_stage(
-                node, collect_stats=collect)
+            info = self._run_shuffle_map_stage(node, collect_stats=collect)
             stages.append(info)
-            metrics.merge(stage_metrics)
+            metrics.merge(info.metrics)
         stats = self.shuffle_stats.get(shuffled.shuffle_id)
         if stats is None:
             # the shuffle was already materialised by an earlier job (e.g. a
@@ -324,7 +317,7 @@ class TaskScheduler:
 
     def _run_shuffle_map_stage(
         self, shuffled: ShuffledRDD, collect_stats: bool = False
-    ) -> Tuple[StageInfo, MetricsRegistry]:
+    ) -> StageInfo:
         parent = shuffled.parents[0]
 
         def make_runner(partition: Partition) -> Callable[[TaskContext], object]:
@@ -362,8 +355,8 @@ class TaskScheduler:
             (make_runner(p), tuple(parent.preferred_locations(p)))
             for p in parent.partitions()
         ]
-        outputs, info, metrics = self._execute(tasks, kind="shuffle-map",
-                                               scope=self._stage_scope(parent))
+        outputs, info = self._execute(tasks, kind="shuffle-map",
+                                      scope=self._stage_scope(parent))
         if collect_stats:
             stats = ShuffleRuntimeStats(shuffled.shuffle_id, shuffled.num_partitions)
             for nbytes, reduce_rows, reduce_bytes, sketch in outputs:
@@ -372,13 +365,13 @@ class TaskScheduler:
             info.output_bytes = stats.total_bytes
         else:
             info.output_bytes = sum(outputs)
-        metrics.incr("engine.shuffles", 1)
+        info.metrics.incr("engine.shuffles", 1)
         self._materialized_shuffles.add(shuffled.shuffle_id)
-        return info, metrics
+        return info
 
     def _run_result_stage(
         self, rdd: RDD
-    ) -> Tuple[List[List[object]], StageInfo, MetricsRegistry]:
+    ) -> Tuple[List[List[object]], StageInfo]:
         def make_runner(partition: Partition) -> Callable[[TaskContext], List[object]]:
             def run(ctx: TaskContext) -> List[object]:
                 return list(rdd.compute(partition, ctx))
@@ -389,12 +382,12 @@ class TaskScheduler:
             (make_runner(p), tuple(rdd.preferred_locations(p)))
             for p in rdd.partitions()
         ]
-        partitions, info, metrics = self._execute(tasks, kind="result",
-                                                  scope=self._stage_scope(rdd))
+        partitions, info = self._execute(tasks, kind="result",
+                                         scope=self._stage_scope(rdd))
         info.output_bytes = sum(
             estimate_size(row) for part in partitions for row in part
         )
-        return partitions, info, metrics
+        return partitions, info
 
     def _stage_scope(self, root: RDD) -> Optional[int]:
         """The scan-operator ``op_id`` this stage reads, if it is unique.
@@ -427,7 +420,7 @@ class TaskScheduler:
         tasks: Sequence[Tuple[Callable[[TaskContext], object], Tuple[str, ...]]],
         kind: str,
         scope: Optional[int] = None,
-    ) -> Tuple[List[object], StageInfo, MetricsRegistry]:
+    ) -> Tuple[List[object], StageInfo]:
         """Hand a stage to the runner; fold outcomes into ordered results."""
         self._stage_ids += 1
         # root-level spans sort by (phase, seq): planning phases come first,
@@ -472,17 +465,13 @@ class TaskScheduler:
             output_bytes=0,
             wall_clock_s=execution.wall_clock_s,
             scope=scope,
-            blockcache_hit_bytes=int(metrics.get("hbase.blockcache.hit_bytes")),
-            blockcache_miss_bytes=int(metrics.get("hbase.blockcache.miss_bytes")),
-            join_rows_out=int(metrics.get("engine.join.rows_out")),
-            join_bytes_out=int(metrics.get("engine.join.bytes_out")),
-            setop_rows_out=int(metrics.get("engine.setop.rows_out")),
+            metrics=metrics,
         )
         if stage_span.enabled:
             stage_span.set(local_tasks=local_tasks)
             stage_span.finish(sim_seconds=execution.sim_makespan_s,
                               metrics=metrics.snapshot())
-        return results, info, metrics
+        return results, info
 
     def _run_with_retries(self, spec: TaskSpec, host: str,
                           slot_idx: int) -> TaskOutcome:

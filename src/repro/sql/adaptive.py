@@ -114,7 +114,6 @@ class AdaptiveJoinExec(HashJoinExec):
         super().__init__(QueryStageExec(left), QueryStageExec(right), *join)
 
     def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
         left_stage, right_stage = self.children
         left_key = _row_key(self.left_keys, left_stage.output)
         right_key = _row_key(self.right_keys, right_stage.output)
@@ -136,7 +135,7 @@ class AdaptiveJoinExec(HashJoinExec):
                 ctx, stats_r, "BroadcastHashJoin",
                 f"build side wrote {stats_r.total_bytes}B "
                 f"<= threshold {threshold}B")
-            probe = self._probe_loop(ctx, per_row)
+            probe = self._probe_loop(per_row)
             # like the static broadcast join, the probe pipelines inside the
             # stream side's stage -- no scope stamp of its own
             return left_stage.execute(ctx).map_partitions(
@@ -151,7 +150,7 @@ class AdaptiveJoinExec(HashJoinExec):
                 ctx, stats_l, "BroadcastHashJoin (build side swapped)",
                 f"left side wrote {stats_l.total_bytes}B <= threshold "
                 f"{threshold}B; sides swapped")
-            probe = self._probe_loop(ctx, per_row, build_left=True)
+            probe = self._probe_loop(per_row, build_left=True)
             key_and_row = itemgetter(0, 2)   # of a (key, side, row) entry
             rdd = ShuffleReadRDD(
                 [[(stats_r.shuffle_id, p, None)] for p in range(num_parts)],
@@ -237,6 +236,6 @@ class AdaptiveJoinExec(HashJoinExec):
             self, final_strategy=f"ShuffledHashJoin ({len(specs)} tasks)",
             aqe_partitions=len(specs),
         )
-        rdd = ShuffleReadRDD(specs, post_shuffle=self._reducer(ctx, per_row))
+        rdd = ShuffleReadRDD(specs, post_shuffle=self._reducer(per_row))
         rdd.scope = self.op_id
         return rdd

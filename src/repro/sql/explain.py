@@ -6,9 +6,10 @@ here.  The report annotates each operator with what actually happened --
 regions pruned vs. scanned, filters pushed vs. residual, locality hits and
 misses -- then appends a per-stage table (tasks, locality, simulated and
 wall-clock time, bytes moved) and a query summary (shuffle/broadcast volume,
-task failures, HBase retries).  Every number is read from ``QueryResult.operator_stats``,
-``QueryResult.stages`` and the run's ``MetricsRegistry``; nothing is
-re-derived, so the report always agrees with the counters for the same run.
+task failures, HBase retries).  An operator's numbers are the run's counters
+scoped to it (``MetricsRegistry.for_op``), its facts come from
+``QueryResult.operator_stats`` and stage numbers from ``QueryResult.stages``;
+each is recorded once, so the notes sum to the counters by construction.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def _fmt_bytes(n: float) -> str:
 def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]:
     """Per-operator annotation lines keyed by ``op_id``.
 
-    Scan operators get their recorded stats (regions, filters) plus the
-    locality of every stage whose lineage reads that scan
-    (``StageInfo.scope``).
+    Each operator gets its scoped counters and recorded facts; scan
+    operators also get the locality of every stage whose lineage reads
+    that scan (``StageInfo.scope``).
     """
     stages_by_scope: Dict[int, List] = {}
     for stage in result.stages:
@@ -42,62 +43,61 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
     annotations: Dict[int, List[str]] = {}
     for op in physical.walk():
         notes: List[str] = []
-        stats = result.operator_stats.get(op.op_id)
-        if stats:
-            if "batches" in stats:
-                notes.append(
-                    f"batches: {int(stats['batches'])} "
-                    f"(rows={int(stats.get('rows', 0))})"
-                )
-            if "fused" in stats:
-                notes.append(
-                    f"fused: {int(stats['fused'])} operators in one pass")
-            if "conversions" in stats:
-                notes.append(
-                    f"transition: partitions={int(stats['conversions'])}")
-            if "setop_rows_out" in stats:
-                notes.append(
-                    f"setop: rows_out={int(stats['setop_rows_out'])}")
-            if "regions_scanned" in stats:
-                notes.append(
-                    f"regions: scanned={stats['regions_scanned']} "
-                    f"pruned={stats['regions_pruned']} "
-                    f"of {stats['regions_total']}"
-                )
-            if "filters_pushed" in stats:
-                notes.append(
-                    f"filters: pushed={stats['filters_pushed']} "
-                    f"residual={stats['filters_residual']}"
-                )
-            if "filters_runtime" in stats:
-                notes.append(
-                    f"runtime filters: {int(stats['filters_runtime'])} "
-                    f"(join build keys)"
-                )
-            if "rows_out" in stats:
-                actual = int(stats["rows_out"])
-                line = f"join: rows_out={actual} " \
-                       f"({_fmt_bytes(stats.get('bytes_out', 0))})"
-                if "cbo_rows" in stats:
-                    est = float(stats["cbo_rows"])
-                    err = actual / est if est > 0 else float("inf")
-                    line += f", est={est:.0f} (x{err:.2f} actual/est)"
-                notes.append(line)
-            elif "cbo_rows" in stats:
-                notes.append(f"cbo: est rows={float(stats['cbo_rows']):.0f}")
-            if "build_reused_from" in stats:
-                notes.append(f"build: reused from op {stats['build_reused_from']}")
-            if "runtime_keys" in stats:
-                scan = result.operator_stats.get(op.probe_scan().op_id, {})
-                notes.append(   # only an HBase scan says what the keys became
-                    f"runtime keys: {int(stats['runtime_keys'])} keys" + (
-                        f" -> {scan['scan_ranges']} ranges"
-                        if "scan_ranges" in scan else ""))
-            if "final_strategy" in stats:
-                notes.append(
-                    f"aqe: {stats.get('initial_strategy', '?')} -> "
-                    f"{stats['final_strategy']}"
-                )
+        stats = result.operator_stats.get(op.op_id, {})
+        counts = result.metrics.for_op(op.op_id)
+        if "engine.vectorized.batches" in counts:
+            notes.append(
+                f"batches: {int(counts['engine.vectorized.batches'])} "
+                f"(rows={int(counts['engine.vectorized.rows'])})"
+            )
+        if "engine.vectorized.fused_operators" in counts:
+            notes.append(f"fused: {int(counts['engine.vectorized.fused_operators'])}"
+                         f" operators in one pass")
+        if "engine.vectorized.transitions" in counts:
+            notes.append(f"transition: partitions="
+                         f"{int(counts['engine.vectorized.transitions'])}")
+        if "engine.setop.rows_out" in counts:
+            notes.append(f"setop: rows_out={int(counts['engine.setop.rows_out'])}")
+        if "shc.regions_scanned" in counts:
+            notes.append(
+                f"regions: scanned={int(counts['shc.regions_scanned'])} "
+                f"pruned={int(counts['shc.regions_pruned'])} "
+                f"of {stats['regions_total']}"
+            )
+        if "shc.filters_pushed" in counts:
+            notes.append(
+                f"filters: pushed={int(counts['shc.filters_pushed'])} "
+                f"residual={int(counts['shc.filters_residual'])}"
+            )
+        if "filters_runtime" in stats:
+            notes.append(
+                f"runtime filters: {int(stats['filters_runtime'])} "
+                f"(join build keys)"
+            )
+        est = getattr(op, "cbo_rows", None)
+        if "engine.join.rows_out" in counts:
+            actual = int(counts["engine.join.rows_out"])
+            line = f"join: rows_out={actual} " \
+                   f"({_fmt_bytes(counts['engine.join.bytes_out'])})"
+            if est is not None:
+                err = actual / est if est > 0 else float("inf")
+                line += f", est={est:.0f} (x{err:.2f} actual/est)"
+            notes.append(line)
+        elif est is not None:
+            notes.append(f"cbo: est rows={est:.0f}")
+        if "build_reused_from" in stats:
+            notes.append(f"build: reused from op {stats['build_reused_from']}")
+        if "sql.cbo.runtime_keys.pushed" in counts:
+            scan = result.operator_stats.get(op.probe_scan().op_id, {})
+            notes.append(   # only an HBase scan says what the keys became
+                f"runtime keys: {int(counts['sql.cbo.runtime_keys.pushed'])} keys"
+                + (f" -> {scan['scan_ranges']} ranges"
+                   if "scan_ranges" in scan else ""))
+        if "final_strategy" in stats:
+            notes.append(
+                f"aqe: {stats.get('initial_strategy', '?')} -> "
+                f"{stats['final_strategy']}"
+            )
         scan_stages = stages_by_scope.get(op.op_id)
         if scan_stages:
             local = sum(s.local_tasks for s in scan_stages)
@@ -109,24 +109,16 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
                 f"of {tasks} tasks"
             )
             notes.append(f"stages: [{ids}] sim={sim:.4f}s")
-            bc_hit = sum(s.blockcache_hit_bytes for s in scan_stages)
-            bc_miss = sum(s.blockcache_miss_bytes for s in scan_stages)
+            bc_hit = sum(s.metrics.get("hbase.blockcache.hit_bytes")
+                         for s in scan_stages)
+            bc_miss = sum(s.metrics.get("hbase.blockcache.miss_bytes")
+                          for s in scan_stages)
             if bc_hit or bc_miss:
                 ratio = bc_hit / (bc_hit + bc_miss)
                 notes.append(
                     f"block cache: hit={_fmt_bytes(bc_hit)} "
                     f"miss={_fmt_bytes(bc_miss)} ({ratio:.0%} byte hit ratio)"
                 )
-            join_rows = sum(s.join_rows_out for s in scan_stages)
-            join_bytes = sum(s.join_bytes_out for s in scan_stages)
-            if join_rows:
-                notes.append(
-                    f"join stages: rows_out={join_rows} "
-                    f"({_fmt_bytes(join_bytes)})"
-                )
-            setop_rows = sum(s.setop_rows_out for s in scan_stages)
-            if setop_rows:
-                notes.append(f"setop stages: rows_out={setop_rows}")
         if notes:
             annotations[op.op_id] = notes
     return annotations
@@ -177,8 +169,8 @@ def _summary(result) -> List[str]:
 
 def _vectorized_section(result) -> List[str]:
     """The batch-execution section: totals of the ``engine.vectorized.*``
-    counters this run produced.  The per-operator ``batches:`` notes sum to
-    exactly these numbers -- both sides read the same ledger
+    counters this run produced.  The per-operator ``batches:`` notes are the
+    same counters' operator-scoped entries, so they sum to these numbers
     (tests/sql/test_vectorized_exec.py).
     """
     m = result.metrics
@@ -258,10 +250,10 @@ def _cbo_section(physical: PhysicalPlan, result) -> List[str]:
             f"strategies settled from statistics (no stage barrier)"
         )
     for op in physical.walk():
-        stats = result.operator_stats.get(op.op_id) or {}
-        if "cbo_rows" in stats and "rows_out" in stats:
-            est = float(stats["cbo_rows"])
-            actual = int(stats["rows_out"])
+        est = getattr(op, "cbo_rows", None)
+        counts = result.metrics.for_op(op.op_id)
+        if est is not None and "engine.join.rows_out" in counts:
+            actual = int(counts["engine.join.rows_out"])
             err = actual / est if est > 0 else float("inf")
             lines.append(
                 f"  op {op.op_id}: est {est:.0f} rows, actual {actual} "

@@ -57,10 +57,11 @@ class ExecContext:
         self.all_stages = []
         #: root span of the query's trace (NOOP_SPAN = tracing disabled)
         self.trace = trace if trace is not None else NOOP_SPAN
-        #: per-operator runtime stats keyed by ``PhysicalPlan.op_id``,
-        #: recorded by operators as they execute; EXPLAIN ANALYZE renders
-        #: these as plan annotations.  Always on: a couple of dict writes
-        #: per operator per query.
+        #: per-operator facts keyed by ``PhysicalPlan.op_id`` that no
+        #: counter carries (relation name, regions in the table, AQE
+        #: strategies, ...), recorded by operators as they execute.  An
+        #: operator's numbers are its scoped counters instead
+        #: (``metrics.for_op(op_id)``); EXPLAIN ANALYZE renders both.
         self.operator_stats: Dict[int, Dict[str, object]] = {}
         #: what each AdaptiveJoinExec decided at its stage barriers, in
         #: decision order; EXPLAIN ANALYZE renders these as the adaptive
@@ -78,20 +79,9 @@ class ExecContext:
         self._lock = threading.Lock()
 
     def record_operator(self, op: "PhysicalPlan", **stats: object) -> None:
-        """Attach runtime stats to ``op`` for EXPLAIN ANALYZE."""
+        """Attach runtime facts to ``op`` for EXPLAIN ANALYZE."""
         with self._lock:
             self.operator_stats.setdefault(op.op_id, {}).update(stats)
-
-    def accumulate_operator(self, op: "PhysicalPlan", **deltas: float) -> None:
-        """Numerically accumulate runtime stats onto ``op`` (thread-safe).
-
-        Unlike :meth:`record_operator` this *adds* -- join tasks on several
-        partitions each contribute their slice of ``rows_out``.
-        """
-        with self._lock:
-            stats = self.operator_stats.setdefault(op.op_id, {})
-            for key, delta in deltas.items():
-                stats[key] = stats.get(key, 0) + delta
 
     def record_reopt(self, op: "PhysicalPlan", rule: str, detail: str) -> None:
         """Log one adaptive re-optimisation decision for ``op``."""
@@ -150,7 +140,8 @@ class PhysicalPlan:
     """Base class for physical operators.
 
     Every operator gets a unique ``op_id`` at construction;
-    ``ExecContext.operator_stats`` and ``StageInfo.scope`` refer back to it,
+    ``ExecContext.operator_stats``, scoped counters
+    (``MetricsRegistry.for_op``) and ``StageInfo.scope`` refer back to it,
     which is how EXPLAIN ANALYZE joins runtime numbers onto plan nodes.
     """
 
@@ -206,15 +197,14 @@ class PhysicalPlan:
 # exception skips the tail, so a failed attempt's ledger holds only what was
 # charged before it failed.
 
-def _metered(ctx: ExecContext, op: "PhysicalPlan", batches: Iterable[C.RecordBatch],
+def _metered(op: "PhysicalPlan", batches: Iterable[C.RecordBatch],
              task_ctx, per_row: Optional[float]) -> Iterable[C.RecordBatch]:
     """Pass one partition's batches through to ``op``, then book them.
 
     Once the stream is exhausted or closed: counts the
-    ``engine.vectorized.*`` totals on the task ledger, charges ``per_row``
-    CPU seconds per input row (``None``: the caller charges elsewhere) and
-    accumulates the same numbers onto the operator, which is what lets
-    EXPLAIN ANALYZE's per-operator notes sum to the counters.
+    ``engine.vectorized.*`` totals on the task ledger, scoped to ``op`` (what
+    EXPLAIN ANALYZE's per-operator notes read), and charges ``per_row`` CPU
+    seconds per input row (``None``: the caller charges elsewhere).
     """
     nbatches = 0
     nrows = 0
@@ -225,11 +215,10 @@ def _metered(ctx: ExecContext, op: "PhysicalPlan", batches: Iterable[C.RecordBat
             yield batch
     except GeneratorExit:
         pass
-    task_ctx.ledger.count("engine.vectorized.batches", nbatches)
-    task_ctx.ledger.count("engine.vectorized.rows", nrows)
+    task_ctx.ledger.count("engine.vectorized.batches", nbatches, op.op_id)
+    task_ctx.ledger.count("engine.vectorized.rows", nrows, op.op_id)
     if per_row is not None:
         task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
-    ctx.accumulate_operator(op, batches=nbatches, rows=nrows)
 
 
 def _named_output(items: Sequence[E.Expression], what: str) -> List[E.Attribute]:
@@ -296,48 +285,51 @@ class DataSourceScanExec(PhysicalPlan):
         rdd.scope = self.op_id
         residual_count = (len(E.split_conjuncts(self.residual))
                           if self.residual is not None else 0)
-        stats: Dict[str, object] = {
+        # the numbers are counters scoped to this operator, the rest are
+        # facts; counters never charge simulated seconds, so cost totals are
+        # unchanged whether or not anyone is looking
+        op = self.op_id
+        pushed = len(self.handled_filters)
+        ctx.metrics.incr("shc.filters_pushed", pushed, op)
+        ctx.metrics.incr("shc.filters_residual", residual_count, op)
+        # the scan-plan span carries the numbers beside the facts
+        counts = {"filters_pushed": pushed, "filters_residual": residual_count}
+        facts: Dict[str, object] = {
             "relation": self.relation_name or type(self.relation).__name__,
-            "filters_pushed": len(self.handled_filters),
-            "filters_residual": residual_count,
         }
         if runtime_filters:
-            stats["filters_runtime"] = len(runtime_filters)
-        # counters never charge simulated seconds, so cost totals are
-        # unchanged whether or not anyone is looking
-        ctx.metrics.incr("shc.filters_pushed", len(self.handled_filters))
-        ctx.metrics.incr("shc.filters_residual", residual_count)
+            facts["filters_runtime"] = len(runtime_filters)
         scan_parts = getattr(rdd, "scan_partitions", None)
         if scan_parts is not None:
             scanned = sum(len(p.work) for p in scan_parts)
             total = getattr(rdd, "regions_total", scanned)
-            stats.update(regions_total=total, regions_scanned=scanned,
-                         regions_pruned=max(0, total - scanned),
-                         partitions=len(scan_parts))
-            ctx.metrics.incr("shc.regions_scanned", scanned)
-            ctx.metrics.incr("shc.regions_pruned", max(0, total - scanned))
+            pruned = max(0, total - scanned)
+            ctx.metrics.incr("shc.regions_scanned", scanned, op)
+            ctx.metrics.incr("shc.regions_pruned", pruned, op)
+            counts.update(regions_scanned=scanned, regions_pruned=pruned)
+            facts.update(regions_total=total, partitions=len(scan_parts))
             if runtime_filters:
                 # what the pushed keys became: merged ranges, clamped per region
-                stats["scan_ranges"] = sum(
+                facts["scan_ranges"] = sum(
                     len(w.ranges) for p in scan_parts for w in p.work)
         routing = getattr(rdd, "replica_routing", None)
         if routing is not None:
             # replica-aware routing engaged (docs/replication.md): surface
             # the decisions in EXPLAIN ANALYZE and the per-query metrics
-            stats.update(
+            facts.update(
                 replica_scans=routing.get("replica_scans", 0),
                 replica_split_regions=routing.get("split_regions", 0),
                 replica_stale_excluded=routing.get("stale_excluded", 0),
             )
             fallbacks = routing.get("primary_fallbacks", 0)
             if fallbacks:
-                stats["replica_primary_fallbacks"] = fallbacks
-                ctx.metrics.incr("hbase.replica.primary_fallbacks", fallbacks)
+                ctx.metrics.incr("hbase.replica.primary_fallbacks", fallbacks, op)
+                counts["replica_primary_fallbacks"] = fallbacks
         if getattr(self, "replica_reads", False):
-            stats["replica_reads"] = True
-        ctx.record_operator(self, **stats)
+            facts["replica_reads"] = True
+        ctx.record_operator(self, **facts)
         if span.enabled:
-            span.set(**stats)
+            span.set(**facts, **counts)
             span.finish()
         return rdd
 
@@ -410,11 +402,11 @@ class WholeStageExec(PhysicalPlan):
                             for item in self.project_list]
         per_row = ctx.cost.vector_row_cpu_s
         if len(self.fused) > 1:
-            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused))
-            ctx.record_operator(self, fused=len(self.fused))
+            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused),
+                             self.op_id)
 
         def scan_batches(rows, task_ctx):
-            for batch in _metered(ctx, self,
+            for batch in _metered(self,
                                   C.batches_from_rows(rows, width, batch_size),
                                   task_ctx, per_row):
                 for kernel in cond_kernels:
@@ -448,7 +440,7 @@ class FilterExec(PhysicalPlan):
         per_row = ctx.cost.vector_row_cpu_s
 
         def apply(batches, task_ctx):
-            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+            for batch in _metered(self, batches, task_ctx, per_row):
                 if batch.num_rows:
                     batch = C.apply_mask(
                         batch, kernel(batch.columns, batch.num_rows))
@@ -476,7 +468,7 @@ class ProjectExec(PhysicalPlan):
         per_row = ctx.cost.vector_row_cpu_s
 
         def apply(batches, task_ctx):
-            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+            for batch in _metered(self, batches, task_ctx, per_row):
                 n = batch.num_rows
                 yield C.RecordBatch([k(batch.columns, n) for k in kernels], n)
 
@@ -580,7 +572,7 @@ class HashAggregateExec(PhysicalPlan):
 
         def partial(batches, task_ctx):
             table: Dict[tuple, list] = {}
-            for batch in _metered(ctx, self, batches, task_ctx, per_row):
+            for batch in _metered(self, batches, task_ctx, per_row):
                 cols, n = batch.columns, batch.num_rows
                 if not n:
                     continue
@@ -719,23 +711,16 @@ class HashJoinExec(PhysicalPlan):
         return (f"{type(self).__name__.removesuffix('Exec')}({self.how}, "
                 f"{self.left_keys!r} = {self.right_keys!r})")
 
-    def _record_cbo_estimate(self, ctx: ExecContext) -> None:
-        """Surface the planner's row estimate so EXPLAIN ANALYZE can print
-        estimated vs. actual cardinality per join."""
-        if self.cbo_rows is not None:
-            ctx.record_operator(self, cbo_rows=self.cbo_rows)
-
-    def _probe_loop(self, ctx: ExecContext, per_row: float,
-                    build_left: bool = False):
+    def _probe_loop(self, per_row: float, build_left: bool = False):
         """The match-and-emit rule of a hash join, bound to this operator.
 
         Returns ``probe(table, keyed_rows, task_ctx)``: a generator that
         looks each ``(key, row)`` of the stream up in ``table``, never
         matches a key holding a NULL, keeps the pairs the residual accepts
         and emits by join type.  Its tail books what it emitted: the
-        ``engine.join.rows_out`` / ``bytes_out`` counters, the same numbers
-        onto the operator (how EXPLAIN ANALYZE join rows reconcile with
-        the ledger) and ``per_row`` CPU seconds per output row.
+        ``engine.join.rows_out`` / ``bytes_out`` counters, scoped to this
+        operator (EXPLAIN ANALYZE's join note), and ``per_row`` CPU seconds
+        per output row.
 
         The stream is the left side; with ``build_left`` the table holds
         left rows and the right side streams, which only an inner join can
@@ -781,14 +766,13 @@ class HashJoinExec(PhysicalPlan):
                     yield row
             except GeneratorExit:
                 pass
-            task_ctx.ledger.count("engine.join.rows_out", out_count)
-            task_ctx.ledger.count("engine.join.bytes_out", out_bytes)
-            ctx.accumulate_operator(self, rows_out=out_count, bytes_out=out_bytes)
+            task_ctx.ledger.count("engine.join.rows_out", out_count, self.op_id)
+            task_ctx.ledger.count("engine.join.bytes_out", out_bytes, self.op_id)
             task_ctx.ledger.charge(per_row * out_count, "engine.rows_processed", out_count)
 
         return probe
 
-    def _reducer(self, ctx: ExecContext, per_row: float):
+    def _reducer(self, per_row: float):
         """The reduce side of a shuffled join, as a ``post_shuffle`` closure.
 
         One reduce partition's ``(key, side, row)`` entries split into the
@@ -796,7 +780,7 @@ class HashJoinExec(PhysicalPlan):
         loop.  The output is materialised: the loop's charges are the reduce
         task's, whether or not a consumer drains it.
         """
-        probe = self._probe_loop(ctx, per_row)
+        probe = self._probe_loop(per_row)
 
         def join_partition(entries, task_ctx):
             table: Dict[tuple, List[tuple]] = {}
@@ -814,7 +798,7 @@ class HashJoinExec(PhysicalPlan):
         """Shuffle a tagged union of both sides by key and join it."""
         shuffled = tagged.partition_by(
             ctx.shuffle_partitions(), key_fn=lambda e: e[0],
-            post_shuffle=self._reducer(ctx, per_row),
+            post_shuffle=self._reducer(per_row),
         )
         # the reduce stage's lineage stops at this exchange, so stamping the
         # join operator here attributes that stage to the join in EXPLAIN
@@ -846,8 +830,8 @@ class HashJoinExec(PhysicalPlan):
         One ``In`` source filter per bare-attribute key on a column the scan
         outputs, kept on ``ctx`` for this execution only; with no scan at
         the foot of the stream spine nothing is pushed.  A scan that took a
-        filter counts ``sql.cbo.runtime_keys.pushed`` and records
-        ``runtime_keys``.  Advisory: whoever pushes still filters exactly,
+        filter counts ``sql.cbo.runtime_keys.pushed``, scoped to this join.
+        Advisory: whoever pushes still filters exactly,
         engine-side.
         """
         from repro.sql import sources as S
@@ -869,8 +853,7 @@ class HashJoinExec(PhysicalPlan):
                 S.In(key.name, tuple(ordered)))
             pushed = True
         if pushed:
-            ctx.metrics.incr("sql.cbo.runtime_keys.pushed", len(keys))
-            ctx.record_operator(self, runtime_keys=len(keys))
+            ctx.metrics.incr("sql.cbo.runtime_keys.pushed", len(keys), self.op_id)
         return True
 
 
@@ -892,14 +875,13 @@ class ShuffledHashJoinExec(HashJoinExec):
     child_formats = (True, True)
 
     def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
         vec_row = ctx.cost.vector_row_cpu_s
 
         def tagged(child, keys, side, keep=None):
             kernels = [C.compile_bound(k, child.output) for k in keys]
 
             def tag(batches, task_ctx):
-                for batch in _metered(ctx, self, batches, task_ctx, vec_row):
+                for batch in _metered(self, batches, task_ctx, vec_row):
                     cols, n = batch.columns, batch.num_rows
                     if not n:
                         continue
@@ -947,10 +929,9 @@ class BroadcastHashJoinExec(HashJoinExec):
     build_stamp: Optional[tuple] = None
 
     def execute(self, ctx: ExecContext) -> RDD:
-        self._record_cbo_estimate(ctx)
         left, right = self.children
         kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        probe = self._probe_loop(ctx, ctx.cost.vector_row_cpu_s)
+        probe = self._probe_loop(ctx.cost.vector_row_cpu_s)
         shared = ctx.shared_builds.get(self.build_stamp)
         if shared is None:
             table, build_bytes = _hash_build(
@@ -971,7 +952,7 @@ class BroadcastHashJoinExec(HashJoinExec):
         def probe_batches(batches, task_ctx):
             def keyed():
                 # the probe charges per output row; input rows are only counted
-                for batch in _metered(ctx, self, batches, task_ctx, None):
+                for batch in _metered(self, batches, task_ctx, None):
                     cols, n = batch.columns, batch.num_rows
                     if n:
                         yield from zip(C.key_tuples(kernels, cols, n),
@@ -1127,11 +1108,9 @@ class LimitExec(PhysicalPlan):
 class UnionExec(PhysicalPlan):
     """Bag union (UNION ALL): concatenates partitions, no exchange.
 
-    Each side streams through a counting pass-through, so EXPLAIN ANALYZE
-    can reconcile the operator's output with ``engine.setop.rows_out``
-    exactly like joins reconcile with ``engine.join.rows_out`` (set
-    operators were left behind when joins gained this accounting).
-    Counters never charge simulated seconds.
+    Each side streams through a counting pass-through that books
+    ``engine.setop.rows_out`` scoped to the operator, as joins book
+    ``engine.join.rows_out``.  Counters never charge simulated seconds.
     """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan) -> None:
@@ -1146,8 +1125,7 @@ class UnionExec(PhysicalPlan):
                     yield row
             except GeneratorExit:
                 pass
-            task_ctx.ledger.count("engine.setop.rows_out", out)
-            ctx.accumulate_operator(self, setop_rows_out=out)
+            task_ctx.ledger.count("engine.setop.rows_out", out, self.op_id)
 
         return self.children[0].execute(ctx).map_partitions(count_side).union(
             self.children[1].execute(ctx).map_partitions(count_side)
@@ -1172,8 +1150,7 @@ class DistinctExec(PhysicalPlan):
                         yield row
             except GeneratorExit:
                 pass
-            task_ctx.ledger.count("engine.setop.rows_out", out)
-            ctx.accumulate_operator(self, setop_rows_out=out)
+            task_ctx.ledger.count("engine.setop.rows_out", out, self.op_id)
 
         child_rdd = self.children[0].execute(ctx)
         num_parts = ctx.shuffle_partitions()
@@ -1181,7 +1158,7 @@ class DistinctExec(PhysicalPlan):
             num_parts, key_fn=lambda r: r, post_shuffle=dedupe
         )
         # stamp the reduce stage onto this operator (like joins do), so
-        # StageInfo.setop_rows_out attributes back to the plan node
+        # EXPLAIN ANALYZE attributes the stage back to the plan node
         shuffled.scope = self.op_id
         return shuffled
 
@@ -1205,8 +1182,7 @@ class IntersectExec(PhysicalPlan):
             for row, side in pairs:
                 (left_seen if side == 0 else right_seen).add(row)
             both = left_seen & right_seen
-            task_ctx.ledger.count("engine.setop.rows_out", len(both))
-            ctx.accumulate_operator(self, setop_rows_out=len(both))
+            task_ctx.ledger.count("engine.setop.rows_out", len(both), self.op_id)
             return iter(both)
 
         tagged = self.children[0].execute(ctx).map_partitions(tag(0)).union(

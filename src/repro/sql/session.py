@@ -69,7 +69,8 @@ class QueryResult:
     metrics: MetricsRegistry
     stages: List[StageInfo] = field(default_factory=list)
     wall_clock_s: float = 0.0
-    #: per-operator runtime stats keyed by PhysicalPlan.op_id (always on)
+    #: per-operator facts keyed by PhysicalPlan.op_id (always on); an
+    #: operator's numbers are ``metrics.for_op(op_id)``
     operator_stats: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: root Span of the query trace, or None when tracing was disabled
     trace: Optional[Span] = None

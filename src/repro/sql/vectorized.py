@@ -9,8 +9,8 @@ format differs from what its consumer reads, the planner calls
 :func:`adapt`, which inserts :class:`ColumnarToRowExec`
 or :class:`RowToColumnarExec`: a format change is always a visible plan
 node, never implicit.  Each adapter counts one
-``engine.vectorized.transitions`` per partition it converts, which EXPLAIN
-ANALYZE reconciles against its per-operator notes.  See docs/vectorized.md.
+``engine.vectorized.transitions`` per partition it converts, scoped to
+itself, which is what its EXPLAIN ANALYZE note reads.  See docs/vectorized.md.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ class RowToColumnarExec(P.PhysicalPlan):
                 yield from C.batches_from_rows(rows, width, batch_size)
             except GeneratorExit:  # booked like exhaustion: physical.py, "Book-keeping tails"
                 pass
-            task_ctx.ledger.count("engine.vectorized.transitions", 1)
-            ctx.accumulate_operator(self, conversions=1)
+            task_ctx.ledger.count("engine.vectorized.transitions", 1, self.op_id)
 
         return self.children[0].execute(ctx).map_partitions(to_batches)
 
@@ -59,8 +58,7 @@ class ColumnarToRowExec(P.PhysicalPlan):
                     yield from batch.to_rows()
             except GeneratorExit:  # booked like exhaustion: physical.py, "Book-keeping tails"
                 pass
-            task_ctx.ledger.count("engine.vectorized.transitions", 1)
-            ctx.accumulate_operator(self, conversions=1)
+            task_ctx.ledger.count("engine.vectorized.transitions", 1, self.op_id)
 
         return self.children[0].execute(ctx).map_partitions(to_rows)
 

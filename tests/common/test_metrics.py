@@ -69,3 +69,90 @@ def test_ledger_merge():
     a.merge(b)
     assert a.seconds == 3.0
     assert a.metrics.get("x") == 2
+
+
+# -- operator scope ------------------------------------------------------------
+
+def test_a_scoped_increment_is_the_operators_share_of_the_counter():
+    metrics = MetricsRegistry()
+    metrics.incr("rows", 2)
+    metrics.incr("rows", 3, op=7)
+    metrics.incr("rows", 1, op=8)
+    metrics.incr("batches", 0, op=7)
+    metrics.record_peak("mem", 4)
+    assert metrics.get("rows") == 6
+    # a name is present once an increment named the operator, zero or not
+    assert metrics.for_op(7) == {"rows": 3, "batches": 0}
+    assert metrics.for_op(8) == {"rows": 1}
+    assert metrics.for_op(9) == {}
+    # the reader hands out a copy
+    metrics.for_op(7)["rows"] = 100
+    assert metrics.for_op(7)["rows"] == 3
+    # no scoped entry leaks into the snapshot, get() or iteration
+    assert dict(metrics.snapshot()) == {"rows": 6, "batches": 0, "peak.mem": 4}
+    assert dict(metrics) == dict(metrics.snapshot())
+
+
+def test_ledger_count_and_charge_pass_the_scope_through():
+    ledger = CostLedger()
+    ledger.count("rows", 4, op=3)
+    ledger.charge(0.5, "bytes", 10, op=3)
+    ledger.charge(0.25, "bytes", 1)
+    assert ledger.seconds == 0.75
+    assert ledger.metrics.for_op(3) == {"rows": 4, "bytes": 10}
+    assert ledger.metrics.get("bytes") == 11
+
+
+def test_merge_folds_operator_entries():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    a.incr("rows", 1, op=1)
+    b.incr("rows", 2, op=1)
+    b.incr("rows", 5, op=2)
+    b.incr("rows", 7)
+    a.merge(b)
+    assert a.for_op(1) == {"rows": 3}
+    assert a.for_op(2) == {"rows": 5}
+    assert a.get("rows") == 15
+    assert b.for_op(1) == {"rows": 2}   # the source is left as it was
+    ledger, other = CostLedger(), CostLedger()
+    other.count("rows", 2, op=1)
+    ledger.merge(other)
+    assert ledger.metrics.for_op(1) == {"rows": 2}
+
+
+def test_a_failed_attempts_scoped_counts_ride_the_retry_carry():
+    """The scheduler folds failed attempts' ledgers into the task's: their
+    scoped entries come along, so operator shares still sum to the counter."""
+    from repro.common.cost import DEFAULT_COST_MODEL
+    from repro.engine.cluster import ComputeCluster
+    from repro.engine.rdd import ParallelCollectionRDD
+    from repro.engine.scheduler import TaskScheduler
+
+    scheduler = TaskScheduler(ComputeCluster(["h1", "h2"], executors_requested=2),
+                              DEFAULT_COST_MODEL)
+    attempts = {"n": 0}
+
+    def flaky(rows, ctx):
+        rows = list(rows)
+        ctx.ledger.count("op.rows", len(rows), op=42)
+        attempts["n"] += 1
+        if attempts["n"] == 1:
+            raise RuntimeError("transient")
+        return rows
+
+    result = scheduler.run_job(ParallelCollectionRDD([1, 2, 3], 1).map_partitions(flaky))
+    assert sorted(result.rows()) == [1, 2, 3]
+    assert result.metrics.get("engine.task_failures") == 1
+    # both attempts counted three rows, and the operator carries both
+    assert result.metrics.get("op.rows") == 6
+    assert result.metrics.for_op(42) == {"op.rows": 6}
+    (stage,) = result.stages
+    assert stage.metrics.for_op(42) == {"op.rows": 6}
+
+
+def test_reset_clears_operator_entries():
+    metrics = MetricsRegistry()
+    metrics.incr("rows", 2, op=1)
+    metrics.reset()
+    assert metrics.for_op(1) == {}
+    assert metrics.get("rows") == 0

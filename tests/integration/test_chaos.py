@@ -140,3 +140,41 @@ def test_same_seed_replays_the_same_chaos_schedule():
     assert rows_a == rows_b
     assert total_a == total_b > 0
     assert rpc_a == rpc_b
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS[:1])
+def test_operator_counters_reconcile_under_task_retries(seed):
+    """An operator's numbers are counters scoped to it, so a retried task's
+    failed attempts land in the operator's share exactly as in the counter:
+    under the chaos schedule (a failed shuffle fetch costs a task attempt)
+    every scoped counter's operator shares still sum to the query's counter,
+    and so do the EXPLAIN ANALYZE notes that print them."""
+    import re
+
+    from repro.sql.explain import explain_analyze_report
+
+    env = load_tpcds(5, Q39_TABLES)
+    injector = chaos_injector(seed)
+    env.cluster.install_fault_injector(injector)
+    session = env.new_session(extra_options=CHAOS_READER_OPTIONS)
+    session.install_fault_injector(injector)
+    planned = session.plan_query(session.sql(q39a()).query)
+    result = session.execute_planned(planned)
+    metrics = result.metrics
+    assert metrics.get("engine.task_failures") >= 1
+
+    shares = {}
+    for op in planned.physical.walk():
+        for name, value in metrics.for_op(op.op_id).items():
+            shares[name] = shares.get(name, 0.0) + value
+    assert {"engine.join.rows_out", "engine.vectorized.batches",
+            "shc.regions_scanned"} <= set(shares)
+    for name, total in shares.items():
+        assert total == metrics.get(name), name
+
+    report = explain_analyze_report(planned.physical, result)
+    for pattern, name in ((r"join: rows_out=(\d+)", "engine.join.rows_out"),
+                          (r"batches: (\d+)", "engine.vectorized.batches"),
+                          (r"setop: rows_out=(\d+)", "engine.setop.rows_out")):
+        noted = sum(int(m) for m in re.findall(pattern, report))
+        assert noted == metrics.get(name), name

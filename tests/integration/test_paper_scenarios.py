@@ -287,10 +287,12 @@ def test_q39_branch_prunes_inventory_in_whatever_order_its_joins_run(monkeypatch
                  if type(op).__name__ == "BroadcastHashJoinExec"]
         assert built == [keys[t][1] for t in reversed(order)]   # outermost first
         runs[order[0]] = result = frame.run()
-        (inventory,) = [s for s in result.operator_stats.values()
-                        if "filters_runtime" in s]
-        assert inventory["regions_scanned"] < inventory["regions_total"]
-        assert inventory["scan_ranges"] == inventory["regions_scanned"]
+        (op,) = [op for op, s in result.operator_stats.items()
+                 if "filters_runtime" in s]
+        inventory = result.operator_stats[op]
+        scanned = result.metrics.for_op(op)["shc.regions_scanned"]
+        assert scanned < inventory["regions_total"]
+        assert inventory["scan_ranges"] == scanned
     first, last = runs["date_dim"], runs["item"]
     assert sorted(map(tuple, first.rows)) == sorted(map(tuple, last.rows))
     assert last.metrics.get("shc.cells_decoded") == \

@@ -286,14 +286,18 @@ def test_join_stage_surfaces_row_counts():
     session = make_session(False, **skew_conf())
     register(session, fact_rows(n=60), dim_rows())
     __, result = run_rows(session, SKEW_SQL)
-    join_stages = [s for s in result.stages if s.join_rows_out]
+    join_stages = [s for s in result.stages
+                   if s.metrics.get("engine.join.rows_out")]
     assert join_stages, "reduce stage of the shuffled join must report rows"
-    assert sum(s.join_rows_out for s in join_stages) == \
-        int(result.metrics.get("engine.join.rows_out"))
-    assert sum(s.join_bytes_out for s in join_stages) == \
-        int(result.metrics.get("engine.join.bytes_out"))
-    # and the stage is attributed to the join operator via scope
-    assert all(s.scope is not None for s in join_stages)
+    for name in ("engine.join.rows_out", "engine.join.bytes_out"):
+        assert sum(s.metrics.get(name) for s in join_stages) == \
+            result.metrics.get(name)
+    # and the stage is attributed (scope) to the join operator whose
+    # scoped counter it carries
+    for s in join_stages:
+        assert s.scope is not None
+        assert result.metrics.for_op(s.scope)["engine.join.rows_out"] == \
+            s.metrics.get("engine.join.rows_out")
 
 
 def test_adaptive_latency_improves_on_skew(small_skew):

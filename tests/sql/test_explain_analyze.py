@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from repro.sql.explain import explain_analyze_report
 from repro.workloads import load_tpcds
 from repro.workloads.queries import q39a
 from repro.workloads.tpcds_schema import Q39_TABLES
@@ -60,42 +61,39 @@ def test_explain_analyze_matches_metrics_on_q39a(session):
     assert f"{result.seconds:.4f}" in report
     assert f"{metrics.get('engine.tasks'):.0f}" in report
 
-    # per-operator stats mirror the trace and the report
-    scans = [s for s in result.operator_stats.values() if "relation" in s]
+    # the scan operators' scoped counters are the whole of the counters
+    scans = [op for op, s in result.operator_stats.items() if "relation" in s]
     assert scans, "no scan operators recorded stats"
-    assert sum(s["regions_scanned"] for s in scans) == \
-        metrics.get("shc.regions_scanned")
-    assert sum(s["regions_pruned"] for s in scans) == \
-        metrics.get("shc.regions_pruned")
+    for name in ("shc.regions_scanned", "shc.regions_pruned",
+                 "shc.filters_pushed", "shc.filters_residual"):
+        assert sum(metrics.for_op(op)[name] for op in scans) == \
+            metrics.get(name), name
 
 
 def test_explain_analyze_join_rows_match_ledger_on_q39a(session):
-    """Join operators must surface their output through the report, the
-    operator stats and StageInfo, and all three must agree with the
-    ``engine.join.rows_out`` ledger counter for the same run."""
-    df = session.sql(q39a())
-    report = df.explain(analyze=True)
-    result = df.last_analyzed
+    """Join operators surface their output through the report and their
+    scoped counters, and both are the ``engine.join.rows_out`` counter of
+    the same run."""
+    # DataFrame.explain's two calls spelled out, to keep the planned tree
+    planned = session.plan_query(session.sql(q39a()).query)
+    result = session.execute_planned(planned)
+    report = explain_analyze_report(planned.physical, result)
     metrics = result.metrics
 
     ledger_rows = metrics.get("engine.join.rows_out")
     assert ledger_rows > 0, "q39a must execute at least one hash join"
     # the per-operator annotation lines quote the same totals
     assert _sum_notes(report, r"join: rows_out=(\d+)") == ledger_rows
-    # per-operator stats reconcile with the ledger
-    joins = [s for s in result.operator_stats.values() if "rows_out" in s]
-    assert joins and sum(s["rows_out"] for s in joins) == ledger_rows
-    assert sum(s["bytes_out"] for s in joins) == \
+    # the join operators' scoped counters are the whole counter
+    joins = [metrics.for_op(op.op_id) for op in planned.physical.walk()]
+    joins = [c for c in joins if "engine.join.rows_out" in c]
+    assert joins and sum(c["engine.join.rows_out"] for c in joins) == ledger_rows
+    assert sum(c["engine.join.bytes_out"] for c in joins) == \
         metrics.get("engine.join.bytes_out")
-    # any reduce stage attributed to a join carries its share of the counter
-    stage_rows = sum(s.join_rows_out for s in result.stages)
-    assert stage_rows <= ledger_rows
-    # stages attributed to a single operator render "join stages" notes;
-    # multi-scope stages keep their counts only in StageInfo
-    scoped_rows = sum(s.join_rows_out for s in result.stages
-                      if s.scope is not None)
-    if scoped_rows:
-        assert _sum_notes(report, r"join stages: rows_out=(\d+)") == scoped_rows
+    # every join row was booked by a task, so the stages' registries hold it
+    assert sum(s.metrics.get("engine.join.rows_out")
+               for s in result.stages) == ledger_rows
+    assert "join stages:" not in report
 
 
 def test_explain_analyze_trace_totals_match(session):

@@ -7,12 +7,13 @@ and over the key cap), adaptive settling on broadcast / swapped broadcast /
 the skew-split shuffle, and the nested loop -- for each join type, with
 and without a residual, and must agree as a multiset with a reference
 written here.
-Every hash-join strategy must also report its output three times over
-with one number: ``engine.join.rows_out``, the operator's ``rows_out``
-and the rows themselves.
+Every hash-join strategy must also report its output with one number:
+``engine.join.rows_out``, the operator's scoped share of it and the rows
+themselves.
 
 The second half covers what the build side's keys do to an HBase scan
-(``filters_runtime``, ``runtime_keys``, regions pruned), the two things a
+(``filters_runtime``, ``sql.cbo.runtime_keys.pushed``, regions pruned),
+the two things a
 hash join may carry -- its keys pushed to the probe (a cost decision, for
 the broadcast and the shuffled strategy alike), a broadcast build shared
 with an equal one (always) -- as metamorphic relations ("pushed is not
@@ -100,9 +101,9 @@ def run(op, conf=None, cost_model=None):
 
 def check_counted(join, result, nrows=None):
     """One number, three places."""
-    stats = result.operator_stats.get(join.op_id, {})
+    scoped = result.metrics.for_op(join.op_id)
     counted = int(result.metrics.get("engine.join.rows_out"))
-    assert counted == stats.get("rows_out", 0)
+    assert counted == scoped.get("engine.join.rows_out", 0)
     if nrows is not None:
         assert counted == nrows
 
@@ -264,9 +265,14 @@ QUERY = "select name, v from fact join dim on k = dk"
 FACT_REGIONS, DIM_REGIONS = 6, 1
 
 
+def _scan(result, op_id):
+    """One executed scan's facts and scoped counters, in one dict."""
+    return {**result.operator_stats[op_id], **result.metrics.for_op(op_id)}
+
+
 def _scans_of(result, regions):
     """Every executed scan of the table created with ``regions`` regions."""
-    return [s for s in result.operator_stats.values()
+    return [_scan(result, op) for op, s in result.operator_stats.items()
             if s.get("regions_total") == regions]
 
 
@@ -282,14 +288,14 @@ def test_build_keys_prune_the_probe_scan(star):
     result = session.execute_planned(planned)
     assert sorted(tuple(r.values) for r in result.rows) == \
         [("eight", 80), ("seven", 70)]
-    assert result.operator_stats[join.op_id]["runtime_keys"] == 2
+    assert result.metrics.for_op(join.op_id)["sql.cbo.runtime_keys.pushed"] == 2
     assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
     fact = _scan_stats(result, 6)
     assert fact["filters_runtime"] == 1
     # keys 7 and 8 live in one of the six regions: the others are never read
-    assert fact["regions_scanned"] == 1 and fact["regions_pruned"] >= 5
+    assert fact["shc.regions_scanned"] == 1 and fact["shc.regions_pruned"] >= 5
     # two build rows and the two probe rows the source let through were tagged
-    assert result.operator_stats[join.op_id]["rows"] == 4
+    assert result.metrics.for_op(join.op_id)["engine.vectorized.rows"] == 4
     assert "filters_runtime" not in _scan_stats(result, 1)
 
 
@@ -334,13 +340,13 @@ def test_a_broadcast_joins_keys_become_the_probe_scans_ranges(broadcast_star):
     result = session.execute_planned(planned)
     assert sorted(tuple(r.values) for r in result.rows) == \
         [("eight", 80), ("seven", 70)]
-    assert result.operator_stats[join.op_id]["runtime_keys"] == 2
+    assert result.metrics.for_op(join.op_id)["sql.cbo.runtime_keys.pushed"] == 2
     assert result.metrics.get("sql.cbo.runtime_keys.pushed") == 2.0
     (fact,) = _scans_of(result, FACT_REGIONS)
     # 7 and 8 are neighbours on the row key: one range in one region
     assert (fact["filters_runtime"], fact["scan_ranges"]) == (1, 1)
-    assert fact["regions_scanned"] == 1 and fact["regions_pruned"] >= 5
-    assert result.operator_stats[join.op_id]["rows"] == 2   # rows the probe saw
+    assert fact["shc.regions_scanned"] == 1 and fact["shc.regions_pruned"] >= 5
+    assert result.metrics.for_op(join.op_id)["engine.vectorized.rows"] == 2   # rows the probe saw
     report = session.sql(QUERY).explain(analyze=True)
     assert "runtime keys: 2 keys -> 1 ranges" in report
     assert "runtime filters: 1 (join build keys)" in report
@@ -409,7 +415,7 @@ def test_an_equal_build_side_is_built_once(broadcast_star):
         result.metrics.get("engine.broadcast_bytes_saved")
     builder, reuser = sorted(
         (first, second),
-        key=lambda op: "build_reused_from" in result.operator_stats[op.op_id])
+        key=lambda op: "build_reused_from" in result.operator_stats.get(op.op_id, {}))
     assert result.operator_stats[reuser.op_id]["build_reused_from"] == builder.op_id
     report = session.sql(UNION).explain(analyze=True)
     assert report.count("build: reused from op ") == 1
@@ -507,9 +513,9 @@ def test_keys_travel_down_the_stream_spine_only(broadcast_star):
 
     scan, result = nested(limit=False)
     assert sorted(r.values[1] for r in result.rows) == [80, 100]
-    stats = result.operator_stats[scan.op_id]
+    stats = _scan(result, scan.op_id)
     assert (stats["filters_runtime"], stats["scan_ranges"]) == (1, 1)
-    assert stats["regions_scanned"] == 1
+    assert stats["shc.regions_scanned"] == 1
     scan, result = nested(limit=True)
     assert sorted(r.values[1] for r in result.rows) == [80, 100]
     assert "filters_runtime" not in result.operator_stats[scan.op_id]
@@ -595,11 +601,11 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
             answers[push], result = execute(op)
             metrics[push] = result.metrics
             check_counted(op, result, sum(expected.values()))
-            stats = result.operator_stats[scan.op_id]
+            stats = _scan(result, scan.op_id)
             assert ("filters_runtime" in stats) == push
             if push and on == "k" and not {r[0] for r in build} - {None}:
                 # an empty build is an empty In: zero ranges, nothing read
-                assert stats["scan_ranges"] == stats["regions_scanned"] == 0
+                assert stats["scan_ranges"] == stats["shc.regions_scanned"] == 0
         assert answers[False] == answers[True] == expected
         for name in ("hbase.rows_returned", "engine.shuffle_write_bytes"):
             assert metrics[True].get(name) <= metrics[False].get(name), name
@@ -633,9 +639,9 @@ def test_keys_on_an_avro_coded_row_key_prune_without_merging(linked):
         result = session.execute_physical(adapt(op, False))
         answers.append(sorted(r.values[1] for r in result.rows))
         if push:
-            stats = result.operator_stats[scan.op_id]
+            stats = _scan(result, scan.op_id)
             assert stats["scan_ranges"] == 5
-            assert stats["regions_scanned"] < stats["regions_total"]
+            assert stats["shc.regions_scanned"] < stats["regions_total"]
     assert answers[0] == answers[1] == [-20, 50, 60, 70, 80]
 
 
@@ -666,7 +672,8 @@ def test_limit_over_a_join_counts_the_rows_the_join_emitted():
     # each of the three probe tasks emitted one row more than the LIMIT
     # keeps before it was closed, and says so
     emitted = int(result.metrics.get("engine.join.rows_out"))
-    assert emitted == result.operator_stats[join.op_id]["rows_out"] == 3 * 4
+    assert emitted == \
+        result.metrics.for_op(join.op_id)["engine.join.rows_out"] == 3 * 4
     assert result.metrics.get("engine.rows_processed") >= emitted
 
 

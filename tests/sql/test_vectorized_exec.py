@@ -11,6 +11,7 @@ batch notes must sum to exactly the run's ``engine.vectorized.*`` counters.
 """
 
 import random
+import re
 import sqlite3
 
 import pytest
@@ -22,6 +23,7 @@ from repro.sql import expressions as E
 from repro.sql import physical as P
 from repro.sql import vectorized as V
 from repro.sql.adaptive import AdaptiveJoinExec, QueryStageExec
+from repro.sql.explain import explain_analyze_report
 from repro.sql.optimizer import optimize
 from repro.sql.planner import Planner
 from repro.sql.types import DoubleType, LongType, StringType, StructField, StructType
@@ -265,34 +267,41 @@ def test_each_expression_compiles_exactly_once(monkeypatch):
 
 
 def explain_analyze(query, conf=None):
+    """The EXPLAIN ANALYZE report, the run, and the executed plan's
+    operators' scoped counters (``DataFrame.explain``'s calls spelled out)."""
     session = fresh_session(conf)
-    df = session.sql(query)
-    report = df.explain(analyze=True)
-    result = df.last_analyzed
+    planned = session.plan_query(session.sql(query).query)
+    result = session.execute_planned(planned)
     session.shutdown()
-    return report, result
+    scoped = [result.metrics.for_op(op.op_id) for op in planned.physical.walk()]
+    return explain_analyze_report(planned.physical, result), result, scoped
+
+
+def _sum_notes(report, pattern):
+    return sum(int(m) for m in re.findall(pattern, report))
 
 
 @pytest.mark.parametrize("query", [QUERIES[0], QUERIES[2], QUERIES[4]])
 def test_explain_analyze_reconciles_with_counters(query):
-    report, result = explain_analyze(query)
-    stats = result.operator_stats.values()
-    assert sum(int(s.get("batches", 0)) for s in stats) == int(
-        result.metrics.get("engine.vectorized.batches"))
-    assert sum(int(s.get("rows", 0)) for s in stats if "batches" in s) == int(
-        result.metrics.get("engine.vectorized.rows"))
-    assert sum(int(s.get("conversions", 0)) for s in stats) == int(
-        result.metrics.get("engine.vectorized.transitions"))
-    assert sum(int(s.get("fused", 0)) for s in stats) == int(
-        result.metrics.get("engine.vectorized.fused_operators"))
-    # ... and the report prints those totals from the same ledger
+    report, result, scoped = explain_analyze(query)
+    for name, note in (
+            ("engine.vectorized.batches", r"batches: (\d+)"),
+            ("engine.vectorized.rows", r"batches: \d+ \(rows=(\d+)\)"),
+            ("engine.vectorized.transitions", r"transition: partitions=(\d+)"),
+            ("engine.vectorized.fused_operators", r"fused: (\d+) operators")):
+        total = result.metrics.get(name)
+        # the operators' scoped entries are the whole counter ...
+        assert sum(c.get(name, 0) for c in scoped) == total, name
+        # ... and the per-operator notes print them
+        assert _sum_notes(report, note) == total, name
+    # the section prints the totals of the same counters
     assert "== Vectorized Execution ==" in report
     batches = int(result.metrics.get("engine.vectorized.batches"))
     assert f"batches processed: {batches}" in report
 
 
 def test_explain_analyze_annotates_batch_operators_and_adapters():
-    report, result = explain_analyze(QUERIES[5])
+    report, __, __ = explain_analyze(QUERIES[5])
     plan_section = report.split("== Stages ==")[0]
     # plain operator names, batch notes on batch operators, a transition
     # note on every adapter
@@ -305,8 +314,9 @@ def test_explain_analyze_annotates_batch_operators_and_adapters():
 
 @pytest.mark.parametrize("conf", [None, {"sql.aqe.enabled": True}])
 def test_setop_rows_reconcile_ledger_stages_operators(conf):
-    """UnionExec/DistinctExec/IntersectExec output accounting agrees across
-    the metrics ledger, StageInfo and per-operator stats."""
+    """UnionExec/DistinctExec/IntersectExec output accounting: the
+    operators' scoped counters and the stages' registries both sum to the
+    query's ``engine.setop.rows_out``."""
     for query in (
         "SELECT tag FROM t WHERE k < 10 UNION SELECT tag FROM t WHERE k > 40",
         "SELECT k FROM t INTERSECT SELECT k FROM d",
@@ -315,24 +325,24 @@ def test_setop_rows_reconcile_ledger_stages_operators(conf):
         "SELECT tag FROM t WHERE k > 40",
     ):
         session = fresh_session(conf)
-        result = session.sql(query).run()
+        planned = session.plan_query(session.sql(query).query)
+        result = session.execute_planned(planned)
         ledger = int(result.metrics.get("engine.setop.rows_out"))
-        stage_sum = sum(s.setop_rows_out for s in result.stages)
-        op_sum = sum(int(s.get("setop_rows_out", 0))
-                     for s in result.operator_stats.values())
+        stage_sum = sum(s.metrics.get("engine.setop.rows_out")
+                        for s in result.stages)
+        op_sum = sum(result.metrics.for_op(op.op_id).get("engine.setop.rows_out", 0)
+                     for op in planned.physical.walk())
         assert ledger > 0, (query, conf)
         assert ledger == stage_sum == op_sum, (query, conf)
         session.shutdown()
 
 
 def test_setop_notes_in_explain_analyze():
-    report, result = explain_analyze(
+    report, result, __ = explain_analyze(
         "SELECT tag FROM t WHERE k < 10 UNION SELECT tag FROM t WHERE k > 40")
-    assert "setop: rows_out=" in report
+    assert "setop: rows_out=" in report and "setop stages:" not in report
     ledger = int(result.metrics.get("engine.setop.rows_out"))
-    total = sum(int(s.get("setop_rows_out", 0))
-                for s in result.operator_stats.values())
-    assert total == ledger
+    assert _sum_notes(report, r"setop: rows_out=(\d+)") == ledger
 
 
 def test_batch_size_constant_is_read_at_execution(monkeypatch):

@@ -46,3 +46,17 @@ def test_every_package_exports_all_or_is_leaf():
         module = importlib.import_module(module_name)
         if hasattr(module, "__path__"):  # a package
             assert hasattr(module, "__all__") or module.__doc__, module_name
+
+
+def test_counter_api_methods_are_documented():
+    """The counter API docs/metrics.md points readers at -- including the
+    operator-scoped reader EXPLAIN ANALYZE's notes come from -- documents
+    every public method, not only its classes."""
+    from repro.common.metrics import CostLedger, MetricsRegistry
+
+    for cls in (MetricsRegistry, CostLedger):
+        for name, member in vars(cls).items():
+            if not name.startswith("_") and inspect.isfunction(member):
+                assert member.__doc__ and member.__doc__.strip(), \
+                    f"{cls.__name__}.{name} lacks a docstring"
+    assert "operator" in MetricsRegistry.for_op.__doc__

@@ -23,7 +23,7 @@ misreported as node-local.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.cost import CostModel
 from repro.common.errors import FatalTaskError
@@ -39,13 +39,7 @@ from repro.engine.runner import (
     TaskOutcome,
     TaskSpec,
 )
-from repro.engine.shuffle import (
-    KeySketch,
-    ShuffleBlockStore,
-    ShuffleRuntimeStats,
-    estimate_size,
-    stable_hash,
-)
+from repro.engine.shuffle import ShuffleBlockStore, estimate_size, stable_hash
 
 
 class TaskContext:
@@ -69,8 +63,9 @@ class TaskContext:
         """Stream one reduce partition's rows, paying shuffle-read bandwidth.
 
         Rows are yielded block by block (one block per upstream map task) and
-        each block's bytes are charged as it is fetched, so a consumer that
-        stops early -- a LIMIT, say -- never pays for blocks it did not pull.
+        each block's bytes, as its map task sized them, are charged as it is
+        fetched, so a consumer that stops early -- a LIMIT, say -- never pays
+        for blocks it did not pull.
         ``map_ids`` restricts the fetch to blocks from those map tasks; the
         adaptive executor uses this to split a skewed reduce partition into
         several tasks that each read a disjoint subset of map outputs.
@@ -81,14 +76,13 @@ class TaskContext:
         fetched_bytes = 0
         fetched_blocks = 0
         try:
-            for map_id, rows in blocks:
+            for map_id, rows, nbytes in blocks:
                 if map_ids is not None and map_id not in map_ids:
                     continue
                 if faults is not None:
                     faults.check(FAULT_SHUFFLE_FETCH,
                                  key=f"{shuffle_id}:{reduce_partition}",
                                  ledger=self.ledger)
-                nbytes = sum(estimate_size(r) for r in rows)
                 self.ledger.charge(
                     nbytes / cost.shuffle_bytes_per_sec, "engine.shuffle_read_bytes", nbytes
                 )
@@ -182,9 +176,6 @@ class TaskScheduler:
         self.retry_backoff_max_s = retry_backoff_max_s
         self.block_store = ShuffleBlockStore()
         self._materialized_shuffles: set[int] = set()
-        #: runtime statistics per shuffle_id, populated only for shuffles
-        #: materialised through :meth:`materialize_shuffle` (adaptive runs)
-        self.shuffle_stats: Dict[int, ShuffleRuntimeStats] = {}
         self._stage_ids = 0
         #: simulated seconds the query spent in the serving admission queue
         #: before this scheduler ran; stamped onto every task ledger so
@@ -203,29 +194,33 @@ class TaskScheduler:
         )
 
     # -- public API -------------------------------------------------------
-    def run_job(self, rdd: RDD) -> JobResult:
-        """Execute the full lineage of ``rdd`` and gather its partitions."""
-        metrics = MetricsRegistry()
+    def run_job(self, rdd: RDD, map_stages_only: bool = False) -> JobResult:
+        """Execute the full lineage of ``rdd`` and gather its partitions.
+
+        With ``map_stages_only`` -- the adaptive executor's stage barrier,
+        ``rdd`` a :class:`ShuffledRDD` -- the job ends once that exchange's
+        map stage has written its blocks, and gathers no partitions.
+        """
         stages: List[StageInfo] = []
-        total_seconds = 0.0
+        partitions: List[List[object]] = []
         job_shuffles: List[int] = []
         try:
             for shuffled in self._pending_shuffles(rdd):
                 job_shuffles.append(shuffled.shuffle_id)
-                info = self._run_shuffle_map_stage(shuffled)
+                stages.append(self._run_shuffle_map_stage(shuffled))
+            if not map_stages_only:
+                partitions, info = self._run_result_stage(rdd)
                 stages.append(info)
-                metrics.merge(info.metrics)
-                total_seconds += info.duration_s
-            partitions, info = self._run_result_stage(rdd)
         except Exception:
             self._abort_job_shuffles(job_shuffles)
             raise
-        stages.append(info)
-        metrics.merge(info.metrics)
-        total_seconds += info.duration_s
+        metrics = MetricsRegistry()
+        for info in stages:
+            metrics.merge(info.metrics)
         peak = max((s.output_bytes for s in stages), default=0)
         metrics.record_peak("engine.peak_stage_bytes", peak)
-        return JobResult(partitions, total_seconds, metrics, stages)
+        return JobResult(partitions, sum(s.duration_s for s in stages),
+                         metrics, stages)
 
     def collect(self, rdd: RDD) -> List[object]:
         """Convenience: run the job and flatten the result partitions."""
@@ -262,92 +257,29 @@ class TaskScheduler:
         return ordered
 
     # -- stage execution ----------------------------------------------------
-    def materialize_shuffle(
-        self, shuffled: ShuffledRDD
-    ) -> Tuple[List[StageInfo], MetricsRegistry, ShuffleRuntimeStats]:
-        """Eagerly run map stages up to and including ``shuffled``'s exchange.
-
-        This is the adaptive executor's stage barrier: any unmaterialised
-        upstream shuffles run first (without stats -- they were either already
-        adapted or need none), then ``shuffled``'s own map stage runs with
-        runtime-statistics collection on.  The returned
-        :class:`~repro.engine.shuffle.ShuffleRuntimeStats` (also kept in
-        :attr:`shuffle_stats`) is what re-optimisation decides from.
-        """
-        stages: List[StageInfo] = []
-        metrics = MetricsRegistry()
-        for node in self._pending_shuffles(shuffled):
-            collect = node.shuffle_id == shuffled.shuffle_id
-            info = self._run_shuffle_map_stage(node, collect_stats=collect)
-            stages.append(info)
-            metrics.merge(info.metrics)
-        stats = self.shuffle_stats.get(shuffled.shuffle_id)
-        if stats is None:
-            # the shuffle was already materialised by an earlier job (e.g. a
-            # shared cached subplan); synthesise stats from the block store
-            stats = self._stats_from_store(shuffled)
-            self.shuffle_stats[shuffled.shuffle_id] = stats
-        return stages, metrics, stats
-
-    def _stats_from_store(self, shuffled: ShuffledRDD) -> ShuffleRuntimeStats:
-        """Rebuild runtime stats for an already-materialised shuffle.
-
-        Free of simulated cost: the blocks already sit in the store, so
-        sizing them again is driver-side bookkeeping, not data movement.
-        """
-        stats = ShuffleRuntimeStats(shuffled.shuffle_id, shuffled.num_partitions)
-        per_map: Dict[int, Tuple[List[int], List[int], KeySketch]] = {}
-        for reduce_idx in range(shuffled.num_partitions):
-            blocks = self.block_store.blocks_for(shuffled.shuffle_id, reduce_idx)
-            for map_id, rows in blocks:
-                rows_v, bytes_v, sketch = per_map.setdefault(
-                    map_id,
-                    ([0] * shuffled.num_partitions,
-                     [0] * shuffled.num_partitions, KeySketch()),
-                )
-                for row in rows:
-                    nbytes = estimate_size(row)
-                    rows_v[reduce_idx] += 1
-                    bytes_v[reduce_idx] += nbytes
-                    sketch.add(shuffled.key_fn(row), nbytes)
-        for map_id in sorted(per_map):
-            rows_v, bytes_v, sketch = per_map[map_id]
-            stats.add_map_output(rows_v, bytes_v, sketch)
-        return stats
-
-    def _run_shuffle_map_stage(
-        self, shuffled: ShuffledRDD, collect_stats: bool = False
-    ) -> StageInfo:
+    def _run_shuffle_map_stage(self, shuffled: ShuffledRDD) -> StageInfo:
         parent = shuffled.parents[0]
 
-        def make_runner(partition: Partition) -> Callable[[TaskContext], object]:
-            def run(ctx: TaskContext) -> object:
+        def make_runner(partition: Partition) -> Callable[[TaskContext], int]:
+            def run(ctx: TaskContext) -> int:
                 buckets: List[List[object]] = [[] for __ in range(shuffled.num_partitions)]
-                nbytes = 0
+                bucket_bytes = [0] * shuffled.num_partitions
                 for row in parent.compute(partition, ctx):
                     target = stable_hash(shuffled.key_fn(row)) % shuffled.num_partitions
                     buckets[target].append(row)
-                    nbytes += estimate_size(row)
+                    bucket_bytes[target] += estimate_size(row)
                 for reduce_idx, bucket in enumerate(buckets):
                     if bucket:
                         self.block_store.put_block(
-                            shuffled.shuffle_id, partition.index, reduce_idx, bucket
+                            shuffled.shuffle_id, partition.index, reduce_idx,
+                            bucket, bucket_bytes[reduce_idx],
                         )
+                nbytes = sum(bucket_bytes)
                 ctx.ledger.charge(
                     nbytes / self.cost.shuffle_bytes_per_sec,
                     "engine.shuffle_write_bytes", nbytes,
                 )
-                if not collect_stats:
-                    return nbytes
-                reduce_rows = [len(bucket) for bucket in buckets]
-                reduce_bytes = [
-                    sum(estimate_size(r) for r in bucket) for bucket in buckets
-                ]
-                sketch = KeySketch()
-                for bucket in buckets:
-                    for row in bucket:
-                        sketch.add(shuffled.key_fn(row), estimate_size(row))
-                return nbytes, reduce_rows, reduce_bytes, sketch
+                return nbytes
 
             return run
 
@@ -357,14 +289,7 @@ class TaskScheduler:
         ]
         outputs, info = self._execute(tasks, kind="shuffle-map",
                                       scope=self._stage_scope(parent))
-        if collect_stats:
-            stats = ShuffleRuntimeStats(shuffled.shuffle_id, shuffled.num_partitions)
-            for nbytes, reduce_rows, reduce_bytes, sketch in outputs:
-                stats.add_map_output(reduce_rows, reduce_bytes, sketch)
-            self.shuffle_stats[shuffled.shuffle_id] = stats
-            info.output_bytes = stats.total_bytes
-        else:
-            info.output_bytes = sum(outputs)
+        info.output_bytes = sum(outputs)
         info.metrics.incr("engine.shuffles", 1)
         self._materialized_shuffles.add(shuffled.shuffle_id)
         return info

@@ -1,22 +1,18 @@
-"""Shuffle bookkeeping: size estimation, the block store, runtime statistics.
+"""Shuffle bookkeeping: size estimation and the block store.
 
 Shuffle volume is a first-class paper metric (Figure 5 reports KB shuffled
-per query), so map tasks serialise their output buckets through
-:func:`estimate_size` and the scheduler charges both the write and the read
-side against the shuffle bandwidth of the cost model.
-
-Adaptive query execution (docs/adaptive.md) additionally collects
-:class:`ShuffleRuntimeStats` at map-write time: per-reduce-partition row and
-byte counts, per-``(map, reduce)`` block sizes (the split plan for skewed
-partitions), and a byte-weighted :class:`KeySketch` of the hottest join
-keys.  Collection is opt-in per stage so the non-adaptive path stays
-byte-identical.
+per query), so a map task sizes each row it buckets through
+:func:`estimate_size`, once, and the scheduler charges the write side
+against the shuffle bandwidth of the cost model.  The block store keeps
+each block's bytes next to its rows: a reduce task's fetch charges those
+bytes, and adaptive query execution (docs/adaptive.md) reads them to size
+its partitions and split skewed ones.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 _OBJ_OVERHEAD = 16
 
@@ -85,131 +81,54 @@ def _estimate_size_general(value: object) -> int:
 class ShuffleBlockStore:
     """Holds map-task output buckets between the two sides of an exchange.
 
-    Thread-safe: concurrent map tasks register blocks while reduce tasks of
-    an earlier shuffle stream theirs.  Blocks are indexed by
+    The one record of what an exchange wrote: each block keeps its rows and
+    the bytes the map task sized them at, so the read side charges and the
+    adaptive re-planner (docs/adaptive.md) decide from the same number
+    without sizing a row again.  Blocks are indexed by
     ``(shuffle_id, reduce_partition)`` so a fetch touches only its own
-    bucket instead of scanning every block in the store, and reads take a
-    snapshot under the lock so iteration never races a concurrent writer.
+    bucket.  A query's tasks run inline on one thread; the lock is for
+    callers' threads (docs/engine.md, "Shared state and thread safety").
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (shuffle_id, reduce_partition) -> {map_partition: rows}
-        self._buckets: Dict[Tuple[int, int], Dict[int, List[object]]] = {}
+        # (shuffle_id, reduce_partition) -> {map_partition: (rows, bytes)}
+        self._buckets: Dict[Tuple[int, int], Dict[int, Tuple[List[object], int]]] = {}
 
     def put_block(self, shuffle_id: int, map_partition: int,
-                  reduce_partition: int, rows: List[object]) -> None:
+                  reduce_partition: int, rows: List[object],
+                  nbytes: int) -> None:
+        """Keep one map task's rows for one reduce partition, and their bytes."""
         with self._lock:
             bucket = self._buckets.setdefault((shuffle_id, reduce_partition), {})
-            bucket[map_partition] = rows
+            bucket[map_partition] = (rows, nbytes)
 
-    def blocks_for(self, shuffle_id: int,
-                   reduce_partition: int) -> List[Tuple[int, List[object]]]:
-        """One ``(map_partition, rows)`` entry per upstream map output.
+    def blocks_for(self, shuffle_id: int, reduce_partition: int
+                   ) -> List[Tuple[int, List[object], int]]:
+        """One ``(map_partition, rows, bytes)`` entry per upstream map output.
 
         Deterministically ordered by map partition; the list is a snapshot,
         so callers may consume it lazily without holding the lock.
         """
         with self._lock:
             bucket = self._buckets.get((shuffle_id, reduce_partition), {})
-            return sorted(bucket.items())
+            return [(m, rows, nbytes) for m, (rows, nbytes) in sorted(bucket.items())]
 
     def fetch(self, shuffle_id: int, reduce_partition: int) -> Iterable[object]:
         """All rows destined for one reduce partition, across map outputs."""
-        for __, rows in self.blocks_for(shuffle_id, reduce_partition):
+        for __, rows, __ in self.blocks_for(shuffle_id, reduce_partition):
             yield from rows
+
+    def partition_bytes(self, shuffle_id: int, num_partitions: int) -> List[int]:
+        """The bytes each reduce partition of one shuffle was written."""
+        return [sum(nbytes for __, __, nbytes in self.blocks_for(shuffle_id, p))
+                for p in range(num_partitions)]
 
     def clear(self, shuffle_id: int) -> None:
         with self._lock:
             doomed = [k for k in self._buckets if k[0] == shuffle_id]
             for key in doomed:
                 del self._buckets[key]
-
-
-class KeySketch:
-    """Byte-weighted heavy-hitter sketch over shuffle keys (space-saving).
-
-    Tracks the approximately-heaviest ``capacity`` keys by serialized bytes.
-    When a new key arrives at a full sketch it inherits the weight of the
-    lightest tracked key (the classic space-saving overestimate), which is
-    exactly what skew diagnosis needs: a genuinely hot key can never be
-    missing from the sketch.  Deterministic: eviction ties resolve by
-    insertion order, and merges are applied in map-task order.
-    """
-
-    def __init__(self, capacity: int = 8) -> None:
-        self.capacity = capacity
-        self._weights: Dict[object, float] = {}
-
-    def add(self, key: object, weight: float) -> None:
-        """Fold one key occurrence of ``weight`` bytes into the sketch."""
-        weights = self._weights
-        if key in weights:
-            weights[key] += weight
-        elif len(weights) < self.capacity:
-            weights[key] = weight
-        else:
-            victim = min(weights, key=weights.__getitem__)
-            floor = weights.pop(victim)
-            weights[key] = floor + weight
-
-    def merge(self, other: "KeySketch") -> None:
-        """Fold another sketch into this one (map-output combination)."""
-        for key, weight in other._weights.items():
-            self.add(key, weight)
-
-    def top(self, n: Optional[int] = None) -> List[Tuple[object, float]]:
-        """Tracked ``(key, bytes)`` pairs, heaviest first (ties by repr)."""
-        ranked = sorted(self._weights.items(),
-                        key=lambda kv: (-kv[1], repr(kv[0])))
-        return ranked if n is None else ranked[:n]
-
-
-class ShuffleRuntimeStats:
-    """What one shuffle's map stage actually wrote, per reduce partition.
-
-    The raw material for adaptive re-optimization (docs/adaptive.md):
-    ``partition_bytes``/``partition_rows`` drive broadcast conversion and
-    partition coalescing, ``block_bytes[map][reduce]`` is the split plan for
-    skewed partitions, and ``sketch`` names the hot keys for EXPLAIN
-    ANALYZE's reoptimization events.
-    """
-
-    def __init__(self, shuffle_id: int, num_partitions: int) -> None:
-        self.shuffle_id = shuffle_id
-        self.num_partitions = num_partitions
-        self.partition_rows: List[int] = [0] * num_partitions
-        self.partition_bytes: List[int] = [0] * num_partitions
-        #: per map task, the bytes it wrote to each reduce partition
-        self.block_bytes: List[List[int]] = []
-        self.sketch = KeySketch()
-
-    def add_map_output(self, reduce_rows: Sequence[int],
-                       reduce_bytes: Sequence[int],
-                       sketch: "KeySketch") -> None:
-        """Fold one map task's per-reduce write counts into the totals."""
-        for p in range(self.num_partitions):
-            self.partition_rows[p] += reduce_rows[p]
-            self.partition_bytes[p] += reduce_bytes[p]
-        self.block_bytes.append(list(reduce_bytes))
-        self.sketch.merge(sketch)
-
-    @property
-    def total_rows(self) -> int:
-        """Rows written across every reduce partition."""
-        return sum(self.partition_rows)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes written across every reduce partition."""
-        return sum(self.partition_bytes)
-
-    def hot_key(self, partition: int) -> Optional[Tuple[object, float]]:
-        """The sketch's heaviest key hashing to ``partition``, if any."""
-        for key, weight in self.sketch.top():
-            if stable_hash(key) % self.num_partitions == partition:
-                return key, weight
-        return None
 
 
 def stable_hash(value: object) -> int:

@@ -4,9 +4,9 @@ The compile-time planner fixes join strategy and shuffle layout from *size
 estimates* before a single byte is scanned.  With ``sql.aqe.enabled`` a
 non-broadcast equi-join is planned as an :class:`AdaptiveJoinExec` instead:
 its inputs sit behind :class:`QueryStageExec` barriers, each exchange's map
-side materialises eagerly, the scheduler hands back
-:class:`~repro.engine.shuffle.ShuffleRuntimeStats` (actual rows, bytes and
-hot keys per reduce partition), and the reduce side is planned from those.
+side materialises eagerly, and the reduce side is planned from the bytes
+the map tasks actually wrote, which the
+:class:`~repro.engine.shuffle.ShuffleBlockStore` keeps per block.
 Two rules, mirroring Spark's AQE:
 
 1. **Broadcast conversion** -- a planned shuffled join whose build side
@@ -26,11 +26,12 @@ partitions, Spark's third rule, is not here).
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.rdd import RDD, ShuffleReadRDD
-from repro.engine.shuffle import ShuffleRuntimeStats
+from repro.engine.shuffle import ShuffleBlockStore
 from repro.sql.physical import (
     ExecContext,
     HashJoinExec,
@@ -57,8 +58,8 @@ class QueryStageExec(PhysicalPlan):
 
     A passthrough marker in the plan tree -- execution semantics live in the
     parent operator (e.g. :class:`AdaptiveJoinExec`), which materialises the
-    stage's exchange through :meth:`ExecContext.materialize_stage` and
-    re-plans from the resulting runtime statistics.
+    stage's exchange through :meth:`ExecContext.run_job` and re-plans from
+    the bytes its blocks were written.
     """
 
     def __init__(self, child: PhysicalPlan) -> None:
@@ -71,8 +72,8 @@ class QueryStageExec(PhysicalPlan):
         return "QueryStage"
 
 
-def plan_skew_chunks(stats: ShuffleRuntimeStats, partition: int,
-                     target_bytes: float) -> List[List[int]]:
+def plan_skew_chunks(store: ShuffleBlockStore, shuffle_id: int,
+                     partition: int, target_bytes: float) -> List[List[int]]:
     """Partition the map outputs feeding one reduce partition into chunks.
 
     Each chunk groups map tasks whose blocks for ``partition`` total about
@@ -82,10 +83,7 @@ def plan_skew_chunks(stats: ShuffleRuntimeStats, partition: int,
     chunks: List[List[int]] = []
     current: List[int] = []
     current_bytes = 0
-    for map_id, per_reduce in enumerate(stats.block_bytes):
-        nbytes = per_reduce[partition]
-        if nbytes <= 0:
-            continue
+    for map_id, __, nbytes in store.blocks_for(shuffle_id, partition):
         if current and current_bytes + nbytes > target_bytes:
             chunks.append(current)
             current, current_bytes = [], 0
@@ -120,20 +118,26 @@ class AdaptiveJoinExec(HashJoinExec):
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
         threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
+        store = ctx.scheduler.block_store
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
-        def barrier(stage, key, side) -> ShuffleRuntimeStats:
-            """Materialise one side's exchange; what it actually wrote."""
-            return ctx.materialize_stage(stage.execute(ctx).map_partitions(
+        def barrier(stage, key, side) -> Tuple[int, List[int]]:
+            """Materialise one side's exchange: its shuffle id and the bytes
+            each reduce partition was written."""
+            shuffled = stage.execute(ctx).map_partitions(
                 _row_tagger(key, side, per_row)
-            ).partition_by(num_parts, key_fn=lambda e: e[0]))
+            ).partition_by(num_parts, key_fn=lambda e: e[0])
+            stages = ctx.run_job(shuffled, map_stages_only=True).stages
+            ctx.metrics.incr("engine.aqe.stages_materialized", len(stages))
+            return (shuffled.shuffle_id,
+                    store.partition_bytes(shuffled.shuffle_id, num_parts))
 
         # rule 1: the build (right) side measured small -> broadcast instead
-        stats_r = barrier(right_stage, right_key, 1)
-        if stats_r.total_bytes <= threshold:
+        right_id, right_bytes = barrier(right_stage, right_key, 1)
+        if sum(right_bytes) <= threshold:
             table = self._convert_to_broadcast(
-                ctx, stats_r, "BroadcastHashJoin",
-                f"build side wrote {stats_r.total_bytes}B "
+                ctx, right_id, right_bytes, "BroadcastHashJoin",
+                f"build side wrote {sum(right_bytes)}B "
                 f"<= threshold {threshold}B")
             probe = self._probe_loop(per_row)
             # like the static broadcast join, the probe pipelines inside the
@@ -144,28 +148,28 @@ class AdaptiveJoinExec(HashJoinExec):
 
         # rule 1 (swapped): inner joins can build on a small *left* side and
         # stream the already-shuffled right side against it
-        stats_l = barrier(left_stage, left_key, 0)
-        if self.how == "inner" and stats_l.total_bytes <= threshold:
+        left_id, left_bytes = barrier(left_stage, left_key, 0)
+        if self.how == "inner" and sum(left_bytes) <= threshold:
             table = self._convert_to_broadcast(
-                ctx, stats_l, "BroadcastHashJoin (build side swapped)",
-                f"left side wrote {stats_l.total_bytes}B <= threshold "
+                ctx, left_id, left_bytes, "BroadcastHashJoin (build side swapped)",
+                f"left side wrote {sum(left_bytes)}B <= threshold "
                 f"{threshold}B; sides swapped")
             probe = self._probe_loop(per_row, build_left=True)
             key_and_row = itemgetter(0, 2)   # of a (key, side, row) entry
             rdd = ShuffleReadRDD(
-                [[(stats_r.shuffle_id, p, None)] for p in range(num_parts)],
+                [[(right_id, p, None)] for p in range(num_parts)],
                 post_shuffle=lambda entries, task_ctx: probe(
                     table, map(key_and_row, entries), task_ctx))
             rdd.scope = self.op_id
             return rdd
 
         # rule 2: shuffled join, skewed reduce partitions split
-        return self._shuffled_with_layout(ctx, stats_l, stats_r, per_row,
-                                          num_parts)
+        return self._shuffled_with_layout(ctx, left_id, left_bytes, right_id,
+                                          per_row)
 
-    def _convert_to_broadcast(self, ctx: ExecContext, stats: ShuffleRuntimeStats,
-                              final_strategy: str, detail: str
-                              ) -> Dict[tuple, List[tuple]]:
+    def _convert_to_broadcast(self, ctx: ExecContext, shuffle_id: int,
+                              written: List[int], final_strategy: str,
+                              detail: str) -> Dict[tuple, List[tuple]]:
         """Rule 1 fired: a materialised (tagged) shuffle becomes the build
         table, and the decision goes on record.
 
@@ -176,22 +180,20 @@ class AdaptiveJoinExec(HashJoinExec):
         """
         store = ctx.scheduler.block_store
         table, build_bytes = _hash_build(
-            (key, row) for p in range(stats.num_partitions)
-            for key, __side, row in store.fetch(stats.shuffle_id, p))
-        ctx.charge_driver(
-            stats.total_bytes / ctx.cost.shuffle_bytes_per_sec,
-            "engine.shuffle_read_bytes", stats.total_bytes,
-        )
+            (key, row) for p in range(len(written))
+            for key, __side, row in store.fetch(shuffle_id, p))
+        nbytes = sum(written)
+        ctx.charge_driver(nbytes / ctx.cost.shuffle_bytes_per_sec,
+                          "engine.shuffle_read_bytes", nbytes)
         _charge_broadcast(ctx, build_bytes)
         ctx.metrics.incr("engine.aqe.broadcast_conversions", 1)
         ctx.record_reopt(self, "broadcast-conversion", detail)
         ctx.record_operator(self, final_strategy=final_strategy)
         return table
 
-    def _shuffled_with_layout(self, ctx: ExecContext,
-                              stats_l: ShuffleRuntimeStats,
-                              stats_r: ShuffleRuntimeStats,
-                              per_row: float, num_parts: int) -> RDD:
+    def _shuffled_with_layout(self, ctx: ExecContext, left_id: int,
+                              stream_bytes: List[int], right_id: int,
+                              per_row: float) -> RDD:
         """Rule 2: the shuffled join, its skewed reduce partitions split.
 
         Skewed stream partitions split into per-chunk tasks (the build
@@ -200,36 +202,37 @@ class AdaptiveJoinExec(HashJoinExec):
         because out rows derive from exactly one stream row).  A chunk is
         sized like the stage's median partition, so the split tasks finish
         with their siblings, and never below the bytes whose shuffle read
-        takes as long as launching the task that reads them.
+        takes as long as launching the task that reads them.  The reopt
+        event names the split partition's heaviest key by rows, counted
+        from its blocks.
         """
-        stream_bytes = stats_l.partition_bytes
+        store = ctx.scheduler.block_store
         ordered = sorted(stream_bytes)
         median = ordered[len(ordered) // 2]
         chunk_bytes = max(
             median, ctx.cost.task_launch_s * ctx.cost.shuffle_bytes_per_sec)
         specs: List[List[ReadSpec]] = []
         splits = 0
-        for p in range(num_parts):
-            skewed = (stream_bytes[p] > SKEW_MIN_BYTES
-                      and stream_bytes[p] > SKEW_FACTOR * max(median, 1))
-            chunks = plan_skew_chunks(stats_l, p, chunk_bytes) if skewed else []
+        for p, nbytes in enumerate(stream_bytes):
+            skewed = (nbytes > SKEW_MIN_BYTES
+                      and nbytes > SKEW_FACTOR * max(median, 1))
+            chunks = (plan_skew_chunks(store, left_id, p, chunk_bytes)
+                      if skewed else [])
             if len(chunks) > 1:
                 for maps in chunks:
-                    specs.append([
-                        (stats_l.shuffle_id, p, frozenset(maps)),
-                        (stats_r.shuffle_id, p, None),
-                    ])
+                    specs.append([(left_id, p, frozenset(maps)),
+                                  (right_id, p, None)])
                 splits += 1
-                detail = (f"partition {p} ({stream_bytes[p]}B > "
-                          f"{SKEW_FACTOR:g}x median {median}B) split into "
-                          f"{len(chunks)} tasks")
-                hot = stats_l.hot_key(p)
-                if hot is not None:
-                    detail += f"; hot key {hot[0]!r} ~{int(hot[1])}B"
-                ctx.record_reopt(self, "skew-split", detail)
+                hot, rows = Counter(
+                    entry[0] for entry in store.fetch(left_id, p)
+                ).most_common(1)[0]
+                ctx.record_reopt(
+                    self, "skew-split",
+                    f"partition {p} ({nbytes}B > {SKEW_FACTOR:g}x median "
+                    f"{median}B) split into {len(chunks)} tasks; hot key "
+                    f"{hot!r} ({rows} rows)")
                 continue
-            specs.append([(stats_l.shuffle_id, p, None),
-                          (stats_r.shuffle_id, p, None)])
+            specs.append([(left_id, p, None), (right_id, p, None)])
         if splits:
             ctx.metrics.incr("engine.aqe.skew_splits", splits)
         ctx.record_operator(

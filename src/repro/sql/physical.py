@@ -93,26 +93,10 @@ class ExecContext:
         if self.trace.enabled:
             self.trace.event("reopt", op=op.op_id, rule=rule, detail=detail)
 
-    def materialize_stage(self, shuffled: RDD):
-        """Run map stages up to ``shuffled``'s exchange; fold in their cost.
-
-        The adaptive executor's stage barrier: returns the materialised
-        shuffle's :class:`~repro.engine.shuffle.ShuffleRuntimeStats` so the
-        caller can re-plan the reduce side from actual sizes.
-        """
-        stages, metrics, stats = self.scheduler.materialize_shuffle(shuffled)
-        with self._lock:
-            self.job_seconds += sum(s.duration_s for s in stages)
-            self.wall_seconds += sum(s.wall_clock_s for s in stages)
-            self.all_stages.extend(stages)
-        self.metrics.merge(metrics)
-        peak = max((s.output_bytes for s in stages), default=0)
-        self.metrics.record_peak("engine.peak_stage_bytes", peak)
-        self.metrics.incr("engine.aqe.stages_materialized", len(stages))
-        return stats
-
-    def run_job(self, rdd: RDD) -> JobResult:
-        result = self.scheduler.run_job(rdd)
+    def run_job(self, rdd: RDD, map_stages_only: bool = False) -> JobResult:
+        """Run a job (or, with ``map_stages_only``, a stage barrier's map
+        stages: :meth:`TaskScheduler.run_job`) and fold in its cost."""
+        result = self.scheduler.run_job(rdd, map_stages_only)
         with self._lock:
             self.job_seconds += result.seconds
             self.wall_seconds += result.wall_clock_s
@@ -325,8 +309,6 @@ class DataSourceScanExec(PhysicalPlan):
             if fallbacks:
                 ctx.metrics.incr("hbase.replica.primary_fallbacks", fallbacks, op)
                 counts["replica_primary_fallbacks"] = fallbacks
-        if getattr(self, "replica_reads", False):
-            facts["replica_reads"] = True
         ctx.record_operator(self, **facts)
         if span.enabled:
             span.set(**facts, **counts)

@@ -109,13 +109,6 @@ class Planner:
         #: instead of the static Spark 2 ShuffledHashJoinExec
         self.adaptive = bool(conf.get("sql.aqe.enabled", False))
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
-        #: replica-aware scan routing (docs/replication.md): the session-level
-        #: hbase.read.replica flag, stamped onto scans so EXPLAIN ANALYZE can
-        #: surface routing intent (the relation re-reads the flag at scan
-        #: build time, where per-read options can still override it)
-        self.replica_reads = str(
-            conf.get("hbase.read.replica", "")).lower() in ("true", "1",
-                                                            "yes", "on")
 
     def plan_query(self, node: L.LogicalPlan) -> P.PhysicalPlan:
         """Compile a whole query: :meth:`plan`, handing rows to the caller.
@@ -238,8 +231,6 @@ class Planner:
             rel_node.relation, scan_attrs, offered, residual, rel_node.name,
             handled_filters=handled,
         )
-        if self.replica_reads:
-            scan.replica_reads = True
         stage = P.WholeStageExec(scan)
         if project_list is None:
             return stage

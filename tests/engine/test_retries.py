@@ -50,8 +50,10 @@ def test_retry_backoff_is_deterministic():
     assert all(b > 0 for b in backoffs)
 
 
-def test_aborted_job_cleans_its_shuffle_output():
-    """Satellite: a failing job must not leak half-materialised shuffles."""
+@pytest.mark.parametrize("entry", ["job", "barrier"])
+def test_aborted_job_cleans_its_shuffle_output(entry):
+    """A failing job -- or an adaptive stage barrier, which runs only map
+    stages -- must not leak half-materialised shuffles."""
     scheduler = make_scheduler()
     runs = {"n": 0}
 
@@ -66,7 +68,13 @@ def test_aborted_job_cleans_its_shuffle_output():
         raise RuntimeError("always broken")
 
     with pytest.raises(FatalTaskError):
-        scheduler.run_job(shuffled.map_partitions(broken))
+        if entry == "job":
+            scheduler.run_job(shuffled.map_partitions(broken))
+        else:
+            # the barrier's own map stage fails after the upstream one wrote
+            scheduler.run_job(shuffled.map_partitions(broken)
+                              .partition_by(2, key_fn=lambda x: x),
+                              map_stages_only=True)
     map_runs = runs["n"]
     assert map_runs == 2  # the map stage did run before the abort
 

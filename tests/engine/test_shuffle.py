@@ -1,10 +1,19 @@
 import enum
+from operator import itemgetter
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.cost import DEFAULT_COST_MODEL
+from repro.common.metrics import CostLedger
+from repro.engine import scheduler as scheduler_module
+from repro.engine.cluster import ComputeCluster
+from repro.engine.rdd import ParallelCollectionRDD
+from repro.engine.scheduler import TaskContext, TaskScheduler
 from repro.engine.shuffle import ShuffleBlockStore, estimate_size, stable_hash
 from repro.sql.row import Row
+from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 
 
@@ -123,18 +132,77 @@ def test_stable_hash_spreads_keys():
 
 def test_block_store_fetch_by_reduce_partition():
     store = ShuffleBlockStore()
-    store.put_block(1, 0, 0, ["a"])
-    store.put_block(1, 1, 0, ["b"])
-    store.put_block(1, 0, 1, ["c"])
-    store.put_block(2, 0, 0, ["other"])
+    store.put_block(1, 0, 0, ["a"], 5)
+    store.put_block(1, 1, 0, ["b"], 5)
+    store.put_block(1, 0, 1, ["c"], 5)
+    store.put_block(2, 0, 0, ["other"], 9)
     assert sorted(store.fetch(1, 0)) == ["a", "b"]
     assert list(store.fetch(1, 1)) == ["c"]
 
 
 def test_block_store_clear_by_shuffle():
     store = ShuffleBlockStore()
-    store.put_block(1, 0, 0, ["a"])
-    store.put_block(2, 0, 0, ["b"])
+    store.put_block(1, 0, 0, ["a"], 5)
+    store.put_block(2, 0, 0, ["b"], 5)
     store.clear(1)
     assert list(store.fetch(1, 0)) == []
     assert list(store.fetch(2, 0)) == ["b"]
+
+
+# -- a shuffle is sized once -----------------------------------------------------
+
+def test_shuffle_rows_are_sized_once_by_the_map_task(monkeypatch):
+    """The map task sizes each row once and the block keeps those bytes;
+    a fetch charges them and calls ``estimate_size`` no more."""
+    calls = {"n": 0}
+
+    def counting(value):
+        calls["n"] += 1
+        return estimate_size(value)
+
+    monkeypatch.setattr(scheduler_module, "estimate_size", counting)
+    rows = [(i, f"row-{i}") for i in range(40)]
+    scheduler = TaskScheduler(ComputeCluster(["h1", "h2"]), DEFAULT_COST_MODEL)
+    shuffled = ParallelCollectionRDD(rows, 3).partition_by(4, key_fn=itemgetter(0))
+
+    written = scheduler.run_job(shuffled, map_stages_only=True)
+    assert calls["n"] == len(rows)
+    store = scheduler.block_store
+    for p in range(4):
+        for __, block, nbytes in store.blocks_for(shuffled.shuffle_id, p):
+            assert nbytes == sum(estimate_size(r) for r in block)
+
+    ctx = TaskContext("h1", CostLedger(), scheduler)
+    fetched = [r for p in range(4) for r in ctx.fetch_shuffle(shuffled.shuffle_id, p)]
+    assert sorted(fetched) == rows
+    assert calls["n"] == len(rows)  # the fetch sized nothing again
+    assert ctx.ledger.metrics.get("engine.shuffle_read_bytes") == \
+        written.metrics.get("engine.shuffle_write_bytes") == \
+        sum(estimate_size(r) for r in rows)
+
+
+FACT = [(i % 16, f"payload-{i:03d}") for i in range(120)]
+#: wide enough that the filtered dimension is *estimated* over 1 KB
+DIM = [(i, f"dim-name-{i:03d}-" + "z" * 60) for i in range(64)]
+
+
+@pytest.mark.parametrize("aqe, threshold, sql", [
+    (False, 1, "SELECT f.k, d.name FROM fact f JOIN dim d ON f.k = d.k"),
+    (False, 1, "SELECT k, count(*) FROM fact GROUP BY k"),
+    (True, 1024, "SELECT f.k, d.name FROM fact f "
+                 "JOIN (SELECT * FROM dim WHERE k < 3) d ON f.k = d.k"),
+], ids=["shuffled-join", "aggregate", "aqe-broadcast-conversion"])
+def test_a_fully_read_shuffle_reads_what_it_wrote(aqe, threshold, sql):
+    session = SparkSession(["h1", "h2"], conf={
+        "sql.aqe.enabled": aqe, "sql.autoBroadcastJoinThreshold": threshold})
+    key_schema = StructType([StructField("k", IntegerType),
+                             StructField("name", StringType)])
+    session.create_dataframe(FACT, key_schema).create_or_replace_temp_view("fact")
+    session.create_dataframe(DIM, key_schema).create_or_replace_temp_view("dim")
+    result = session.sql(sql).run()
+    assert result.rows
+    written = result.metrics.get("engine.shuffle_write_bytes")
+    assert written > 0
+    assert result.metrics.get("engine.shuffle_read_bytes") == written
+    conversions = result.metrics.get("engine.aqe.broadcast_conversions")
+    assert conversions == (1.0 if aqe else 0.0)

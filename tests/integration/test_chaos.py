@@ -21,6 +21,16 @@ from repro.common.faults import (
 from repro.core.catalog import HBaseSparkConf
 from repro.workloads import load_tpcds, q38, q39a, q39b
 from repro.workloads.tpcds_schema import Q38_TABLES, Q39_TABLES
+from tests.sql.test_adaptive import (  # noqa: F401 - small_skew is a fixture
+    SKEW_SQL,
+    dim_rows,
+    fact_rows,
+    make_session,
+    register,
+    run_rows,
+    skew_conf,
+    small_skew,
+)
 
 #: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
 CHAOS_SEEDS = (101, 202, 303)
@@ -178,3 +188,28 @@ def test_operator_counters_reconcile_under_task_retries(seed):
                           (r"setop: rows_out=(\d+)", "engine.setop.rows_out")):
         noted = sum(int(m) for m in re.findall(pattern, report))
         assert noted == metrics.get(name), name
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_chaos_fetch_fault_leaves_an_aqe_skew_split_unchanged(seed, small_skew):
+    """An adaptive skew split under the shuffle-fetch fault: the failed
+    fetch costs a task attempt, and the rows and every re-optimisation
+    decision equal the fault-free run's."""
+    fact = fact_rows(n=600, hot_fraction=0.8)
+
+    def run(injector):
+        session = make_session(True, **skew_conf())
+        session.install_fault_injector(injector)
+        register(session, fact, dim_rows())
+        got, result = run_rows(session, SKEW_SQL)
+        return got, [(e["rule"], e["detail"]) for e in result.reopt_events], result
+
+    want_rows, want_reopts, __ = run(None)
+    assert any(rule == "skew-split" for rule, __ in want_reopts)
+    injector = FaultInjector(seed=seed)
+    injector.inject(FAULT_SHUFFLE_FETCH, rate=1.0, times=1)
+    got_rows, got_reopts, result = run(injector)
+    assert got_rows == want_rows
+    assert got_reopts == want_reopts
+    assert injector.injected(FAULT_SHUFFLE_FETCH) == 1
+    assert result.metrics.get("engine.task_failures") == 1

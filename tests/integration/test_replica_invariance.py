@@ -18,11 +18,11 @@ SCAN_QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
               "WHERE ss_quantity > 1")
 
 
-def run_fresh(query, conf, replicas=0):
+def run_fresh(query, conf, replicas=0, options=None):
     env = load_tpcds(2, ["store_sales"])
     if replicas:
         env.cluster.enable_region_replication(replicas=replicas)
-    session = env.new_session(conf=conf)
+    session = env.new_session(conf=conf, extra_options=options)
     result = session.sql(query).run()
     session.shutdown()
     return env, result
@@ -66,13 +66,22 @@ def test_replicated_cluster_without_the_flag_is_answer_identical():
 
 def test_replica_reads_preserve_answers_full_stack():
     _, default = run_fresh(SCAN_QUERY, None)
-    env, on = run_fresh(SCAN_QUERY, {
-        "hbase.read.replica": True,
-        "hbase.read.replica.staleness": 60,
-    }, replicas=1)
-    # routing splits regions across hosts, so only global order may change
-    assert sorted(rows(on)) == sorted(rows(default))
-    assert on.metrics.get("hbase.replica.reads") >= 1
+    # the relation reads the flag, and a per-read option overrides the
+    # session conf either way; routing facts appear exactly when it engaged
+    for flag, option, engaged in ((True, None, True),
+                                  (False, "true", True),
+                                  (True, "false", False)):
+        env, on = run_fresh(SCAN_QUERY, {
+            "hbase.read.replica": flag,
+            "hbase.read.replica.staleness": 60,
+        }, replicas=1,
+            options=option and {"hbase.read.replica": option})
+        # routing splits regions across hosts, so only global order may change
+        assert sorted(rows(on)) == sorted(rows(default))
+        assert (on.metrics.get("hbase.replica.reads") >= 1) == engaged
+        routed = [facts for facts in on.operator_stats.values()
+                  if any(name.startswith("replica_") for name in facts)]
+        assert len(routed) == (1 if engaged else 0)
 
 
 def test_zero_staleness_bound_forces_primary_reads():

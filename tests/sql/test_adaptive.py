@@ -10,7 +10,7 @@ twin -- re-optimisation may only move work around, never change answers.
 import pytest
 
 from repro.common.tracing import Span
-from repro.engine.shuffle import KeySketch, ShuffleRuntimeStats
+from repro.engine.shuffle import ShuffleBlockStore
 from repro.sql import adaptive
 from repro.sql.adaptive import plan_skew_chunks
 from repro.sql.session import SparkSession
@@ -60,61 +60,27 @@ def register(session, fact, dim):
     session.create_dataframe(dim, DIM_SCHEMA).create_or_replace_temp_view("dim")
 
 
-# -- unit: statistics structures ---------------------------------------------------
-
-def test_key_sketch_tracks_heavy_hitters():
-    sketch = KeySketch(capacity=2)
-    for __ in range(50):
-        sketch.add("hot", 10.0)
-    sketch.add("warm", 30.0)
-    for i in range(10):
-        sketch.add(f"cold-{i}", 1.0)
-    top = sketch.top()
-    assert top[0][0] == "hot"
-    assert top[0][1] >= 500.0
-    assert len(top) == 2
-
-
-def test_key_sketch_merge_is_additive():
-    a, b = KeySketch(), KeySketch()
-    a.add("k", 5.0)
-    b.add("k", 7.0)
-    b.add("other", 1.0)
-    a.merge(b)
-    assert dict(a.top())["k"] == 12.0
-
+# -- unit: what the re-planner reads ----------------------------------------------
 
 def test_runtime_stats_accumulate_map_outputs():
-    stats = ShuffleRuntimeStats(shuffle_id=1, num_partitions=3)
-    stats.add_map_output([1, 0, 2], [10, 0, 20], KeySketch())
-    stats.add_map_output([0, 4, 0], [0, 40, 0], KeySketch())
-    assert stats.partition_rows == [1, 4, 2]
-    assert stats.partition_bytes == [10, 40, 20]
-    assert stats.block_bytes == [[10, 0, 20], [0, 40, 0]]
-    assert stats.total_rows == 7 and stats.total_bytes == 70
-
-
-def test_hot_key_filters_by_partition_hash():
-    from repro.engine.shuffle import stable_hash
-
-    stats = ShuffleRuntimeStats(shuffle_id=1, num_partitions=4)
-    sketch = KeySketch()
-    sketch.add(("a",), 100.0)
-    sketch.add(("b",), 50.0)
-    stats.add_map_output([0] * 4, [0] * 4, sketch)
-    partition = stable_hash(("a",)) % 4
-    hot = stats.hot_key(partition)
-    assert hot is not None and hot[0] == ("a",)
+    """The re-planner's statistics are the block store's per-block bytes."""
+    store = ShuffleBlockStore()
+    store.put_block(1, 0, 0, ["a"], 10)
+    store.put_block(1, 0, 2, ["b", "c"], 20)
+    store.put_block(1, 1, 1, ["d", "e", "f", "g"], 40)
+    store.put_block(2, 0, 0, ["other"], 99)
+    assert store.partition_bytes(1, 3) == [10, 40, 20]
+    assert [(m, n) for m, __, n in store.blocks_for(1, 2)] == [(0, 20)]
 
 
 def test_plan_skew_chunks_partitions_map_outputs():
-    stats = ShuffleRuntimeStats(shuffle_id=3, num_partitions=2)
-    for __ in range(4):
-        stats.add_map_output([1, 0], [500, 0], KeySketch())
-    chunks = plan_skew_chunks(stats, partition=0, target_bytes=1000)
+    store = ShuffleBlockStore()
+    for map_id in range(4):
+        store.put_block(3, map_id, 0, ["row"], 500)
+    chunks = plan_skew_chunks(store, 3, partition=0, target_bytes=1000)
     assert chunks == [[0, 1], [2, 3]]
     # a partition nothing wrote to yields one empty chunk (no split)
-    assert plan_skew_chunks(stats, partition=1, target_bytes=1000) == [[]]
+    assert plan_skew_chunks(store, 3, partition=1, target_bytes=1000) == [[]]
 
 
 # -- rule 1: broadcast conversion --------------------------------------------------
@@ -228,6 +194,22 @@ def test_skew_split_fires_and_preserves_rows(small_skew):
     assert skew_events and "hot key" in skew_events[0]["detail"]
     # splitting the hot partition must beat the serialized baseline
     assert res.seconds < base.seconds
+
+
+def test_skew_split_names_the_partitions_heaviest_key_by_rows(small_skew):
+    """The hot key is counted exactly from the split partition's blocks, by
+    rows: key 7's many short rows outnumber the few wide rows of key 15,
+    which hashes to the same partition and outweighs it in bytes."""
+    fact = ([(7, "short") for __ in range(400)]
+            + [(15, "wide-" + "w" * 400) for __ in range(100)]
+            + fact_rows(n=96))
+    session = make_session(True, **skew_conf())
+    register(session, fact, dim_rows())
+    __, res = run_rows(session, SKEW_SQL)
+    details = [e["detail"] for e in res.reopt_events if e["rule"] == "skew-split"]
+    hot_rows = sum(1 for fk, __ in fact if fk == 7)
+    assert len(details) == 1
+    assert details[0].endswith(f"hot key (7,) ({hot_rows} rows)")
 
 
 @pytest.mark.parametrize("sql", [

@@ -311,16 +311,8 @@ class ConnectionFactory:
 
 
 def _retries(method):
-    """Retry with fresh meta + capped exponential backoff on retryable errors.
-
-    Mirrors HBase's retrying caller: NotServingRegion-style errors (a region
-    that split, merged, balanced or failed over) invalidate the cached
-    location so the retry relocates; transient RPC failures just back off.
-    What a retry costs and when the operation gives up instead is the
-    connection's :meth:`RetryPolicy.before_retry
-    <repro.common.retry.RetryPolicy.before_retry>`; the operation's clock
-    starts at the call.
-    """
+    """Run a :class:`Table` operation under :meth:`Table._retrying`, with
+    the ledger it was handed (or a fresh one) and its name as the op."""
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         ledger = kwargs.get("ledger")
@@ -334,20 +326,8 @@ def _retries(method):
             # accumulate backoff for the deadline check
             ledger = CostLedger()
             kwargs["ledger"] = ledger
-        policy = self.connection.retry_policy
-        start_s = ledger.seconds
-        attempt = 0
-        while True:
-            try:
-                return method(self, *args, **kwargs)
-            except (RegionOfflineError, TransientRpcError) as exc:
-                if isinstance(exc, RegionOfflineError):
-                    self.connection.invalidate_location_cache(self.name)
-                attempt += 1
-                policy.before_retry(
-                    attempt, exc, ledger, start_s,
-                    key=(self.name, method.__name__),
-                    op=method.__name__, table=self.name)
+        return self._retrying(method.__name__, ledger,
+                              lambda: method(self, *args, **kwargs))
 
     return wrapper
 
@@ -370,6 +350,32 @@ class Table:
         ugi = self.connection.ugi
         token = ugi.get_token(self.cluster.service_name) if ugi else None
         self.cluster.token_authority.validate(token)
+
+    def _retrying(self, op: str, ledger: CostLedger, attempt):
+        """Call ``attempt()`` until it returns, retrying with fresh meta and
+        capped exponential backoff on retryable errors.
+
+        Mirrors HBase's retrying caller: NotServingRegion-style errors (a
+        region that split, merged, balanced or failed over) invalidate the
+        cached location so the retry relocates; transient RPC failures just
+        back off.  What a retry costs and when the operation gives up
+        instead is the connection's :meth:`RetryPolicy.before_retry
+        <repro.common.retry.RetryPolicy.before_retry>`; the operation's
+        clock starts at the call.
+        """
+        policy = self.connection.retry_policy
+        start_s = ledger.seconds
+        failures = 0
+        while True:
+            try:
+                return attempt()
+            except (RegionOfflineError, TransientRpcError) as exc:
+                if isinstance(exc, RegionOfflineError):
+                    self.connection.invalidate_location_cache(self.name)
+                failures += 1
+                policy.before_retry(failures, exc, ledger, start_s,
+                                    key=(self.name, op), op=op,
+                                    table=self.name)
 
     # -- RPC cost helpers ------------------------------------------------------
     def _charge_rpc(self, ledger: CostLedger, server_host: str, payload_bytes: int,
@@ -426,18 +432,6 @@ class Table:
                   lambda server: server.put(location.region_name, cells, ledger),
                   request_bytes=sum(c.heap_size() for c in cells))
 
-    @staticmethod
-    def _serve_get(server, location: RegionLocation, get: Get,
-                   ledger: CostLedger) -> Tuple[Result, int]:
-        """One Get on ``server``: the Result and the bytes it carries."""
-        hit = server.get(
-            location.region_name, get.row, get.columns, get.families,
-            get.time_range, get.max_versions, ledger, get.filter,
-            replica_id=location.replica_id,
-        )
-        __, cells, nbytes = hit if hit is not None else (get.row, [], 0)
-        return Result(get.row, cells), nbytes
-
     # -- writes ------------------------------------------------------------------
     @_retries
     def put(self, puts: "Put | Iterable[Put]", ledger: Optional[CostLedger] = None) -> None:
@@ -460,36 +454,54 @@ class Table:
         self._mutate(self._locate(delete.row), cells, ledger)
 
     # -- reads -------------------------------------------------------------------
-    @_retries
     def get(self, get: Get, ledger: Optional[CostLedger] = None) -> Result:
-        location = self._locate(get.row)
-        result, payload = self._rpc(
-            location, ledger,
-            lambda server: self._serve_get(server, location, get, ledger))
-        self._charge_rpc(ledger, location.host, payload)
-        return result
+        """One Get: the one-Get case of :meth:`bulk_get`."""
+        return self._read_rows("get", [get], ledger)[0]
 
-    @_retries
     def bulk_get(self, gets: Sequence[Get], ledger: Optional[CostLedger] = None) -> List[Result]:
-        """Batched Gets grouped per region server -- HBase's multi-get.
-        One Result per Get, in the order asked: two Gets of one row may
-        ask for different cells."""
-        by_server: Dict[str, List[Tuple[int, RegionLocation]]] = {}
-        for i, get in enumerate(gets):
-            location = self._locate(get.row)
-            by_server.setdefault(location.server_id, []).append((i, location))
+        """Batched Gets -- HBase's multi-get.  One Result per Get, in the
+        order asked: two Gets of one row may ask for different cells.
+
+        Each region server gets one RPC carrying its Gets grouped by
+        region, and serves each region's group in one
+        :meth:`RegionServer.get_rows
+        <repro.hbase.regionserver.RegionServer.get_rows>` pass.  A retry
+        re-sends only the Gets whose server failed: the servers that
+        answered are neither asked nor billed again.
+        """
+        return self._read_rows("bulk_get", gets, ledger)
+
+    def _read_rows(self, op: str, gets: Sequence[Get],
+                   ledger: Optional[CostLedger]) -> List[Result]:
+        """The multi-get behind :meth:`get` and :meth:`bulk_get`, retried
+        as ``op``: each attempt asks for the Gets still unanswered."""
+        ledger = ledger if ledger is not None else CostLedger()
         results: List[Optional[Result]] = [None] * len(gets)
-        for group in by_server.values():
-            first = group[0][1]
-            served = self._rpc(
-                first, ledger,
-                lambda server: [self._serve_get(server, location, gets[i], ledger)
-                                for i, location in group])
-            for (i, __), (result, __) in zip(group, served):
-                results[i] = result
-            # a single multi-get RPC per server carries the whole batch
-            self._charge_rpc(ledger, first.host,
-                             sum(nbytes for __, nbytes in served))
+
+        def unanswered() -> None:
+            # server -> region -> the indexes of its Gets, in request order
+            by_server: Dict[str, Dict[str, List[int]]] = {}
+            locations: Dict[str, RegionLocation] = {}
+            for i, result in enumerate(results):
+                if result is None:
+                    location = self._locate(gets[i].row)
+                    locations[location.region_name] = location
+                    by_server.setdefault(location.server_id, {}).setdefault(
+                        location.region_name, []).append(i)
+            for by_region in by_server.values():
+                first = locations[next(iter(by_region))]
+                served = self._rpc(first, ledger, lambda server: [
+                    server.get_rows(name, [gets[i] for i in group], ledger,
+                                    locations[name].replica_id)
+                    for name, group in by_region.items()])
+                # a single multi-get RPC per server carries the whole batch
+                self._charge_rpc(ledger, first.host, sum(
+                    nbytes for answers in served for __, nbytes in answers))
+                for group, answers in zip(by_region.values(), served):
+                    for i, (cells, __) in zip(group, answers):
+                        results[i] = Result(gets[i].row, cells)
+
+        self._retrying(op, ledger, unanswered)
         return results
 
     @_retries

@@ -46,13 +46,22 @@ class BloomFilter:
             bits[pos >> 3] |= 1 << (pos & 7)
 
     def might_contain(self, hashed: RowHash) -> bool:
-        h1, h2 = hashed
+        return bool(self.admitted((hashed,)))
+
+    def admitted(self, hashes: Sequence[RowHash]) -> List[int]:
+        """The indexes of the ``hashes`` the filter might contain, asked in
+        one loop: a batch of rows costs one call, not one per row."""
         bits, num_bits = self._bits, self._num_bits
-        for i in range(self._num_hashes):
-            pos = (h1 + i * h2) % num_bits
-            if not bits[pos >> 3] & (1 << (pos & 7)):
-                return False
-        return True
+        probes = range(self._num_hashes)
+        admitted = []
+        for index, (h1, h2) in enumerate(hashes):
+            for i in probes:
+                pos = (h1 + i * h2) % num_bits
+                if not bits[pos >> 3] & (1 << (pos & 7)):
+                    break
+            else:
+                admitted.append(index)
+        return admitted
 
 
 class StoreFile:
@@ -111,6 +120,21 @@ class StoreFile:
         """Bloom check of a :func:`row_hash`: False means the row is
         certainly not in this file, so a Get neither seeks nor reads it."""
         return self._bloom.might_contain(hashed)
+
+    def admitted_rows(self, hashes: Sequence[RowHash]) -> List[int]:
+        """Bloom check of a batch of :func:`row_hash` es: the indexes of the
+        rows that might be in this file, each asked as
+        :meth:`might_contain_row` asks it."""
+        return self._bloom.admitted(hashes)
+
+    def row_cells(self, row: bytes, lo: int = 0) -> Tuple[List[Cell], int]:
+        """The cells of ``row`` and the index where they start, bisecting
+        from ``lo``.  A batch read in row order passes each answer's index
+        on as the next ``lo``, so every bisect moves forward; a repeated row
+        starts where it started before."""
+        rows = self._rows
+        lo = bisect.bisect_left(rows, row, lo)
+        return self._cells[lo:bisect.bisect_right(rows, row, lo)], lo
 
     def block_start_keys(self) -> List[bytes]:
         """First row key of every block -- the sparse block index.

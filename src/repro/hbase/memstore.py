@@ -51,6 +51,15 @@ class MemStore:
             else bisect.bisect_left(self._entries, ((stop_row,),), lo)
         return [cell for __, __seq, cell in self._entries[lo:hi]]
 
+    def row_cells(self, row: bytes, lo: int = 0) -> Tuple[List[Cell], int]:
+        """The cells of ``row`` and the index where they start, bisecting
+        from ``lo`` (:meth:`StoreFile.row_cells
+        <repro.hbase.hfile.StoreFile.row_cells>`)."""
+        entries = self._entries
+        lo = bisect.bisect_left(entries, ((row,),), lo)
+        hi = bisect.bisect_left(entries, ((row + b"\x00",),), lo)
+        return [cell for __, __seq, cell in entries[lo:hi]], lo
+
     def snapshot(self) -> List[Cell]:
         """The current contents, sorted, for flushing to a store file."""
         return self.scan()

@@ -78,14 +78,11 @@ class Store:
     def size_bytes(self) -> int:
         return self.memstore.size_bytes + sum(f.size_bytes for f in self.files)
 
-    def runs(self, start_row: bytes, stop_row: Optional[bytes],
-             files: Optional[Sequence[StoreFile]] = None) -> List[List[Cell]]:
+    def runs(self, start_row: bytes, stop_row: Optional[bytes]) -> List[List[Cell]]:
         """The sorted runs holding cells of the row range, newest source
-        first: the memstore, then ``files`` (default: every file) from
-        youngest to oldest."""
+        first: the memstore, then the files from youngest to oldest."""
         runs = [self.memstore.scan(start_row, stop_row)]
-        runs.extend(f.scan(start_row, stop_row)
-                    for f in (reversed(self.files) if files is None else files))
+        runs.extend(f.scan(start_row, stop_row) for f in reversed(self.files))
         return [run for run in runs if run]
 
     def scan(self, start_row: bytes, stop_row: Optional[bytes]) -> List[Cell]:
@@ -199,26 +196,20 @@ class Region:
         columns: Optional[Set[Tuple[str, str]]] = None,
         time_range: Optional[TimeRange] = None,
         max_versions: int = 1,
-        files: Optional[Dict[str, Optional[List[StoreFile]]]] = None,
     ) -> Iterator[Tuple[bytes, List[Cell]]]:
         """Yield ``(row_key, visible cells)`` in row order.
 
         Applies delete-marker masking, version pruning and column selection.
         ``families`` limits which stores are read at all (column-family
         pruning); ``columns`` further restricts to specific qualifiers.
-        ``files`` maps each chosen family to the only store files to read,
-        youngest first -- a Get's bloom-admitted ones; the memstore is
-        always read.
         """
         lo, hi = self.clamp(start_row, stop_row)
         if hi is not None and lo >= hi:
             return iter(())
-        if files is None:
-            files = dict.fromkeys(self._chosen_families(families, columns))
         runs = [
             run
-            for family, chosen in files.items()
-            for run in self.stores[family].runs(lo, hi, chosen)
+            for family in self._chosen_families(families, columns)
+            for run in self.stores[family].runs(lo, hi)
         ]
         return _visible_rows(_merge_runs(runs), columns, time_range, max_versions)
 

@@ -22,9 +22,12 @@ from repro.common.errors import (
 from repro.common.metrics import CostLedger
 from repro.hbase.blockcache import BlockCache
 from repro.hbase.cell import Cell
+from repro.hbase.client import Get
 from repro.hbase.filters import Filter, PageFilter
 from repro.hbase.hfile import StoreFile, row_hash
-from repro.hbase.region import ALL_VERSIONS, Region, TimeRange
+from repro.hbase.region import (
+    ALL_VERSIONS, Region, TimeRange, _merge_runs, _visible_rows,
+)
 from repro.hbase.wal import WriteAheadLog
 
 RowResult = Tuple[bytes, List[Cell]]
@@ -381,38 +384,105 @@ class RegionServer:
         row_filter: Optional[Filter] = None,
         replica_id: int = 0,
     ) -> Optional[Tuple[bytes, List[Cell], int]]:
-        """Point lookup: the row, its visible cells and the bytes they carry
-        (sized once, as in :meth:`scan`), or None.  The row is hashed once
-        and every store file of the chosen families asks its bloom; the
-        files it admits are the ones charged a seek and the only ones read
-        (with the memstore), as HBase's store-file scanner does for a Get.
-        A row the pushed-down ``row_filter`` rejects is a miss, as in a
-        scan."""
+        """Point lookup, the one-Get case of :meth:`get_rows`: the row, its
+        visible cells and the bytes they carry, or None."""
+        get = Get(row)
+        get.columns, get.families, get.time_range = columns, families, time_range
+        get.max_versions, get.filter = max_versions, row_filter
+        [(cells, nbytes)] = self.get_rows(region_name, [get], ledger, replica_id)
+        return (row, cells, nbytes) if cells else None
+
+    def get_rows(self, region_name: str, gets: Sequence[Get],
+                 ledger: Optional[CostLedger] = None,
+                 replica_id: int = 0) -> List[Tuple[List[Cell], int]]:
+        """Serve a batch of Gets on one region in one pass: the server side
+        of a multi-get.
+
+        Answers, per Get in the order asked, its visible cells and the bytes
+        they carry (sized once, as in :meth:`scan`); a row that is absent,
+        outside the region or rejected by the Get's filter answers
+        ``([], 0)``.  The region is resolved once and each distinct row
+        hashed once.  Every store file of a family some Get chooses asks its
+        bloom about the whole batch in one loop.  The Gets are then read in
+        row order, each from the memstore and the files that admitted its
+        row -- HBase's store-file scanner for a Get -- every source bisected
+        forward from where the previous row started.
+
+        The ledger is what the Gets issued one by one, in the order asked,
+        are charged: per Get, one seek per admitted file of its families,
+        then its filter's cell evaluations on a row that was found.  The
+        seek, bloom-probe, row and byte counts are summed for the batch.
+        """
         region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
-        hashed = row_hash(row)
-        admitted: Dict[str, List[StoreFile]] = {}
-        probed = 0
-        for family in region._chosen_families(families, columns):
+        keys = [get.row for get in gets]
+        rows = sorted(set(keys))
+        slot = dict(zip(rows, range(len(rows))))
+        hashes = list(map(row_hash, rows))
+        chosen = [region._chosen_families(get.families, get.columns)
+                  for get in gets]
+        # per family: the files a Get asks, and the files that admit each
+        # distinct row (by its slot), youngest first
+        blooms: Dict[str, Tuple[int, Dict[int, List[StoreFile]]]] = {}
+        for family in set().union(*chosen):
             files = region.stores[family].files
-            probed += len(files)
-            admitted[family] = [f for f in reversed(files)
-                                if f.might_contain_row(hashed)]
-            for __ in admitted[family]:
-                ledger.charge(self.cost.seek_cost_s, "hbase.seeks")
-        ledger.count("hbase.bloom_probes", probed)
-        stop = row + b"\x00"
-        for got_row, cells in region.scan_rows(row, stop, families, columns, time_range,
-                                               max_versions, admitted):
-            if got_row == row:
-                if row_filter is not None and not self._filter_keeps(
-                        row_filter, region_name, row, cells, ledger):
-                    return None
-                returned = sum(map(Cell.heap_size, cells))
+            admitting: Dict[int, List[StoreFile]] = {}
+            for store_file in reversed(files):
+                for k in store_file.admitted_rows(hashes):
+                    admitting.setdefault(k, []).append(store_file)
+            blooms[family] = (len(files), admitting)
+
+        found: List[Optional[List[Cell]]] = [None] * len(gets)
+        cursors: Dict[object, int] = {}
+        for i in sorted(range(len(gets)), key=keys.__getitem__):
+            get, row = gets[i], keys[i]
+            if not region.contains_row(row):
+                continue
+            k = slot[row]
+            runs = []
+            for family in chosen[i]:
+                for source in (region.stores[family].memstore,
+                               *blooms[family][1].get(k, ())):
+                    cells, cursors[source] = source.row_cells(
+                        row, cursors.get(source, 0))
+                    if cells:
+                        runs.append(cells)
+            if runs:
+                for __, cells in _visible_rows(_merge_runs(runs), get.columns,
+                                               get.time_range, get.max_versions):
+                    found[i] = cells
+
+        answers: List[Tuple[List[Cell], int]] = []
+        seek_s = self.cost.seek_cost_s
+        probed = seeks = hits = returned = 0
+        try:
+            for i, get in enumerate(gets):
+                k = slot[keys[i]]
+                for family in chosen[i]:
+                    asked, admitting = blooms[family]
+                    probed += asked
+                    for __ in admitting.get(k, ()):
+                        ledger.charge(seek_s)
+                        seeks += 1
+                cells = found[i]
+                if not cells or get.filter is not None and not self._filter_keeps(
+                        get.filter, region_name, keys[i], cells, ledger):
+                    answers.append(([], 0))
+                    continue
+                nbytes = sum(map(Cell.heap_size, cells))
+                hits += 1
+                returned += nbytes
+                answers.append((cells, nbytes))
+        finally:
+            # a counter is created exactly when one-by-one Gets create it
+            if gets:
+                ledger.count("hbase.bloom_probes", probed)
+            if seeks:
+                ledger.count("hbase.seeks", seeks)
+            if hits:
+                ledger.count("hbase.rows_returned", hits)
                 ledger.count("hbase.bytes_returned", returned)
-                ledger.count("hbase.rows_returned", 1)
-                return got_row, cells, returned
-        return None
+        return answers
 
     # -- atomic row operations ----------------------------------------------
     def increment(self, region_name: str, row: bytes, family: str,

@@ -105,6 +105,34 @@ def test_bulk_get_batches_rpcs_per_server(table):
     assert ledger.metrics.get("hbase.rpcs") == 1
 
 
+def test_bulk_get_retry_resends_only_the_failed_servers_gets(table):
+    """HBase's multi-get resubmits only the failed actions: with a transient
+    fault on the ``n`` region's server, the server that answered ``a`` and
+    ``b`` is neither asked nor billed again."""
+    from repro.common.faults import FAULT_RPC, FaultInjector
+
+    rows = [b"a", b"b", b"n", b"z"]
+    for row in rows:
+        table.put(Put(row).add_column("f", "q", row))
+    clean = CostLedger()
+    want = [r.cells for r in table.bulk_get([Get(row) for row in rows], clean)]
+    assert (clean.metrics.get("hbase.rows_returned"),
+            clean.metrics.get("hbase.bytes_returned")) == (4, 64)
+    [first, second] = table.connection.region_locations("t")
+    assert first.server_id != second.server_id
+
+    injector = FaultInjector(seed=1)
+    injector.inject(FAULT_RPC, rate=1.0, times=1, key=second.region_name)
+    table.cluster.install_fault_injector(injector)
+    ledger = CostLedger()
+    got = [r.cells for r in table.bulk_get([Get(row) for row in rows], ledger)]
+    assert got == want
+    for counter in ("hbase.rows_returned", "hbase.bytes_returned"):
+        assert ledger.metrics.get(counter) == clean.metrics.get(counter)
+    assert ledger.metrics.get("hbase.retries") == 1
+    assert injector.injected(FAULT_RPC) == 1
+
+
 def test_timestamp_versions(table, clock):
     table.put(Put(b"r").add_column("f", "q", b"v1", timestamp=100))
     table.put(Put(b"r").add_column("f", "q", b"v2", timestamp=200))

@@ -1,4 +1,4 @@
-"""Referee for the bloom-gated point read.
+"""Referee for the bloom-gated point read and its batch form.
 
 ``RegionServer.get`` hashes the row once, asks every store file of the
 chosen families for it, charges a seek per file the bloom admits and reads
@@ -10,17 +10,28 @@ new query (families, columns, version limit, time range); after every step
 each region answers a Get of every row -- present, absent, or outside its
 bounds -- exactly as the referee does, and bills exactly one seek per
 admitted file.
+
+``RegionServer.get_rows`` serves a batch of Gets in one sorted pass.  Its
+referee is the same Gets issued one by one: after every step each region
+answers a drawn, shuffled batch -- present, absent, out-of-region and
+repeated rows, each Get with its own query and maybe a filter -- with the
+one-by-one answers, counters and (bit for bit) simulated seconds.
 """
 
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.metrics import CostLedger
 from repro.hbase.cell import Cell, CellType
+from repro.hbase.client import Get
+from repro.hbase.filters import (
+    CompareOp, FilterList, FilterListOp, RowFilter, SingleColumnValueFilter,
+)
 from repro.hbase.hfile import StoreFile, row_hash
 from repro.hbase.region import Region, TimeRange
 from repro.hbase.regionserver import RegionServer
@@ -31,8 +42,23 @@ COLUMNS = [("f", "q1"), ("f", "q2"), ("g", "q1")]
 ALL_VERSIONS = 10**6
 SEEK_S = DEFAULT_COST_MODEL.seek_cost_s
 
+#: one slot per row of a batch: every row, present or not, and four repeats
+BATCH_ROWS = ROWS + ABSENT + ROWS[:4]
+#: filters that cost one and two cell evaluations per found row
+FILTERS = [RowFilter(CompareOp.LESS, b"r3"),
+           FilterList(FilterListOp.MUST_PASS_ONE, [
+               RowFilter(CompareOp.GREATER, b"r4"),
+               SingleColumnValueFilter("f", "q1", CompareOp.GREATER, b"\x80")])]
+
 _rows = st.sampled_from(ROWS)
 _columns = st.sampled_from(COLUMNS)
+_queries = st.fixed_dictionaries(dict(
+    families=st.none() | st.sets(st.sampled_from(["f", "g"]), min_size=1),
+    columns=st.none() | st.sets(_columns, min_size=1),
+    max_versions=st.sampled_from([1, 2, ALL_VERSIONS]),
+    time_range=st.none() | st.builds(
+        lambda lo, span: TimeRange(lo, lo + span),
+        st.integers(0, 12), st.integers(0, 30))))
 
 
 def _ungated(region, row, query):
@@ -49,6 +75,14 @@ def _admitting(region, row, query):
                                                      query["columns"])
              for f in region.stores[family].files]
     return [f for f in files if f.might_contain_row(row_hash(row))], len(files)
+
+
+def _get(row, query, row_filter=None):
+    get = Get(row)
+    get.families, get.columns = query["families"], query["columns"]
+    get.time_range, get.max_versions = query["time_range"], query["max_versions"]
+    get.filter = row_filter
+    return get
 
 
 def _charged_seeks(admitted: int) -> float:
@@ -70,6 +104,7 @@ class PointReadReferee(RuleBasedStateMachine):
         self.newest = {}
         self.query = dict(families=None, columns=None, time_range=None,
                           max_versions=1)
+        self.batch = [_get(row, self.query) for row in reversed(BATCH_ROWS)]
 
     def _tick(self) -> int:
         self.clock += 1
@@ -132,16 +167,17 @@ class PointReadReferee(RuleBasedStateMachine):
             self.server.open_region(daughter)
 
     # -- the query every later step is checked under ---------------------------
-    @rule(families=st.none() | st.sets(st.sampled_from(["f", "g"]), min_size=1),
-          columns=st.none() | st.sets(_columns, min_size=1),
-          max_versions=st.sampled_from([1, 2, ALL_VERSIONS]),
-          time_range=st.none() | st.tuples(st.integers(0, 12),
-                                           st.integers(0, 30)))
-    def draw_query(self, families, columns, max_versions, time_range):
-        self.query = dict(
-            families=families, columns=columns, max_versions=max_versions,
-            time_range=None if time_range is None
-            else TimeRange(time_range[0], time_range[0] + time_range[1]))
+    @rule(query=_queries)
+    def draw_query(self, query):
+        self.query = query
+
+    @rule(queries=st.lists(_queries, min_size=len(BATCH_ROWS),
+                           max_size=len(BATCH_ROWS)),
+          filters=st.lists(st.none() | st.sampled_from(FILTERS),
+                           min_size=len(BATCH_ROWS), max_size=len(BATCH_ROWS)),
+          order=st.permutations(range(len(BATCH_ROWS))))
+    def draw_batch(self, queries, filters, order):
+        self.batch = [_get(BATCH_ROWS[i], queries[i], filters[i]) for i in order]
 
     # -- the referee -------------------------------------------------------------
     @invariant()
@@ -163,6 +199,19 @@ class PointReadReferee(RuleBasedStateMachine):
                 assert ledger.metrics.get("hbase.seeks") == len(admitted)
                 assert ledger.metrics.get("hbase.bloom_probes") == asked
                 assert ledger.seconds == _charged_seeks(len(admitted))
+
+    @invariant()
+    def a_batch_answers_as_its_gets_one_by_one(self):
+        for region in list(self.server.regions.values()):
+            batch, alone = CostLedger(), CostLedger()
+            answers = self.server.get_rows(region.name, self.batch, batch)
+            for get, (cells, nbytes) in zip(self.batch, answers):
+                got = self.server.get(region.name, get.row, get.columns,
+                                      get.families, get.time_range,
+                                      get.max_versions, alone, get.filter)
+                assert got == ((get.row, cells, nbytes) if cells else None)
+            assert batch.metrics.snapshot() == alone.metrics.snapshot()
+            assert batch.seconds == alone.seconds
 
 
 TestPointReadReferee = PointReadReferee.TestCase
@@ -222,3 +271,21 @@ def test_a_get_of_an_absent_row_hashes_once_and_reads_no_file(monkeypatch):
         assert (len(hashes), len(scans)) == (1, 0), n
         assert ledger.metrics.get("hbase.bloom_probes") == n
         assert ledger.metrics.get("hbase.seeks") == 0
+
+
+@pytest.mark.parametrize("files", [1, 8])
+def test_a_batch_hashes_each_row_once_and_resolves_its_region_once(
+        monkeypatch, files):
+    """A batch of n Gets over one region costs n row hashes, one region
+    lookup and no range read, however many store files the region has."""
+    server, region = _server_with_files(
+        [[b"a%d-%d" % (i, j) for j in range(5)] for i in range(files)])
+    rows = [b"a0-%d" % j for j in range(5)] + [b"a9-0", b"x"]
+    gets = [Get(row) for row in rows]
+    with monkeypatch.context() as patch:
+        hashes = _counting(patch, hashlib, "blake2b")
+        lookups = _counting(patch, RegionServer, "_region")
+        scans = _counting(patch, Region, "scan_rows")
+        answers = server.get_rows(region.name, gets, CostLedger())
+    assert (len(hashes), len(lookups), len(scans)) == (len(rows), 1, 0)
+    assert [bool(cells) for cells, __ in answers] == [True] * 5 + [False] * 2

@@ -7,7 +7,11 @@ shuffle-block fetch.  Every query must return byte-identical rows versus
 the fault-free run, and every leg of the schedule must actually fire: the
 crash resumes a scan, the RPC faults are retried inside the HBase client,
 and the failed fetch costs one task attempt that the scheduler retries.
+The multi-get case replays the same seeds over row-key Gets and ``IN``
+lists, with transient RPC faults and one crash at a multi-get.
 """
+
+import random
 
 import pytest
 
@@ -213,3 +217,65 @@ def test_chaos_fetch_fault_leaves_an_aqe_skew_split_unchanged(seed, small_skew):
     assert got_reopts == want_reopts
     assert injector.injected(FAULT_SHUFFLE_FETCH) == 1
     assert result.metrics.get("engine.task_failures") == 1
+
+
+def point_statements(seed):
+    """``point_lookup``-shaped reads of the scale-5 data: row-key Gets of
+    ``item`` (6 rows) and 3-key ``IN`` lists over ``customer`` (60 rows in
+    five regions), the keys a third of the table apart so each list spans
+    three regions."""
+    rng = random.Random(seed)
+    statements = [
+        "select i_item_sk, i_item_id, i_category, i_current_price "
+        f"from item where i_item_sk = {sk}"
+        for sk in rng.sample(range(1, 7), 4)]
+    for __ in range(8):
+        first = rng.randint(1, 20)
+        statements.append(
+            "select c_customer_sk, c_first_name, c_last_name from customer "
+            f"where c_customer_sk in ({first}, {first + 20}, {first + 40})")
+    rng.shuffle(statements)
+    return statements
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_point_reads_survive_chaos(seed):
+    """Multi-gets under the pinned seeds: transient RPC faults plus one
+    region-server crash at a ``customer`` multi-get.  A retry re-sends only
+    the Gets whose server failed, so every statement returns the clean
+    run's rows and the servers return the clean run's rows too."""
+    env = load_tpcds(5, ("item", "customer"))
+    statements = point_statements(seed)
+
+    def run_all(session):
+        got = []
+        for sql in statements:
+            result = session.sql(sql).run()
+            # the crash moves regions, and with them the order partitions
+            # answer in; the statements have no ORDER BY
+            got.append((sorted(rows(result)),
+                        result.metrics.get("hbase.rows_returned"),
+                        result.metrics.get("hbase.retries")))
+        return got
+
+    clean = run_all(env.new_session())
+    assert sum(returned for __, returned, __ in clean) > 0
+
+    injector = FaultInjector(seed=seed)
+    injector.inject(FAULT_RPC, rate=1.0, after=2, times=1, key_substr="customer",
+                    action=crash_region_server)
+    injector.inject(FAULT_RPC, rate=0.3, times=5)
+    env.cluster.install_fault_injector(injector)
+    session = env.new_session()
+    session.install_fault_injector(injector)
+    chaos = run_all(session)
+
+    for sql, (want, want_returned, __), (got, returned, __) in zip(
+            statements, clean, chaos):
+        assert got == want, sql
+        assert returned == want_returned, sql
+    # the whole schedule happened, and the client retried through it
+    assert sum(1 for s in env.cluster.region_servers.values()
+               if not s.alive) == 1
+    assert injector.injected(FAULT_RPC) >= 3
+    assert sum(retries for __, __, retries in chaos) >= injector.injected(FAULT_RPC)

@@ -105,6 +105,18 @@ class FieldCoder:
         """
         return functools.partial(self.decode, dtype=dtype)
 
+    def struct_code(self, dtype: DataType) -> Optional[str]:
+        """The ``struct`` format code (``>`` byte order, no prefix) whose
+        unpacking equals :meth:`decoder_for` on well-formed bytes, or None.
+
+        A coder that answers lets a scan decode a whole all-fixed-width key
+        with one ``struct.Struct`` call instead of one call per dimension
+        (:meth:`repro.core.keys.RowCodec.decoder`).  None, the default,
+        keeps the per-dimension decoders: right for any encoding ``struct``
+        cannot express, such as a flipped sign bit or a varint.
+        """
+        return None
+
     def order_preserving(self, dtype: DataType) -> bool:
         """True when byte order equals value order for ``dtype``."""
         return False

@@ -21,7 +21,7 @@ from repro.core.coders.base import (
     _ordered_ranges,
     normalize_bound,
 )
-from repro.hbase.hbytes import Bytes
+from repro.hbase.hbytes import STRUCT_CODES, Bytes
 from repro.sql.types import (
     BinaryType,
     BooleanType,
@@ -59,6 +59,14 @@ _DECODERS: Dict[DataType, Callable[[bytes], object]] = {
     FloatType: Bytes.to_float,
     DoubleType: Bytes.to_double,
 }
+
+#: dtype -> its decoder's ``struct`` code, from the table ``Bytes`` builds
+#: those decoders from (a timestamp is a bigint of epoch milliseconds)
+_STRUCT_CODES: Dict[DataType, str] = {
+    dtype: STRUCT_CODES[dtype.name]
+    for dtype in (ByteType, ShortType, IntegerType, LongType, FloatType, DoubleType)
+}
+_STRUCT_CODES[TimestampType] = _STRUCT_CODES[LongType]
 
 
 class PrimitiveTypeCoder(FieldCoder):
@@ -99,6 +107,9 @@ class PrimitiveTypeCoder(FieldCoder):
         if decode is None:
             raise CoderError(f"PrimitiveType cannot decode {dtype}")
         return decode
+
+    def struct_code(self, dtype: DataType) -> Optional[str]:
+        return _STRUCT_CODES.get(dtype)
 
     def order_preserving(self, dtype: DataType) -> bool:
         # UTF-8 preserves code-point order; booleans and raw binary compare

@@ -6,13 +6,15 @@ explicit catalog ``length``); variable-width values in non-terminal
 dimensions are padded with ``0x00`` up to the declared length so the key can
 be sliced apart again on read.  :func:`key_layout` states the slicing rules
 once; the free functions interpret them per call, and :class:`RowCodec`
-binds them to one catalog, adds the cell half of a row, and is what every
-reader and writer of an HBase row goes through.
+binds them to one catalog (an all-fixed-width key to one ``struct`` call,
+:func:`key_struct`), adds the cell half of a row, and is what every reader
+and writer of an HBase row goes through.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import CoderError
@@ -125,6 +127,34 @@ def decode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
     return values
 
 
+def key_struct(coder: FieldCoder,
+               layout: Sequence[Tuple[str, DataType, int, Optional[int], bool]]
+               ) -> Optional[Callable[[bytes], tuple]]:
+    """One ``struct`` call decoding every dimension of ``layout``, or None.
+
+    Binds when the key has dimensions, each has a
+    :meth:`~FieldCoder.struct_code`, none is padded (``strip``), and each
+    sliced one is exactly as wide as its code.  The result is
+    ``Struct.unpack`` when the last dimension runs to the end of the key --
+    the key must then be exactly as long as the struct, as the last slice
+    must be exactly as long as its value -- and ``Struct.unpack_from``
+    otherwise, which, like the slices, ignores bytes past the last
+    dimension.  A key it rejects raises ``struct.error``.
+    """
+    codes = []
+    for __, dtype, start, stop, strip in layout:
+        code = coder.struct_code(dtype)
+        if code is None or strip:
+            return None
+        if stop is not None and struct.calcsize(">" + code) != stop - start:
+            return None
+        codes.append(code)
+    if not codes:
+        return None
+    packed = struct.Struct(">" + "".join(codes))
+    return packed.unpack if layout[-1][3] is None else packed.unpack_from
+
+
 class RowCodec:
     """One catalog's mapping between an HBase row and a relational row.
 
@@ -195,10 +225,16 @@ class RowCodec:
         ``decode(row_key, cells)`` gives the positional tuple and the number
         of cells it decoded.  ``cells`` arrive newest first per column.
 
-        Everything the catalog or a coder can answer is answered here: the
-        key is a list of ``(start, stop, strip, decode)`` slots from
-        :func:`key_layout`, a data column is its ``(family, qualifier)`` and
-        one ``decode(data)``.  The closure only slices, looks up and calls.
+        Everything the catalog or a coder can answer is answered here: a
+        data column is its ``(family, qualifier)`` and one ``decode(data)``,
+        and the key is one ``unpack_key(row_key)`` giving every dimension.
+        When :func:`key_struct` binds (every dimension unpadded and with a
+        :meth:`~FieldCoder.struct_code`), that is one ``struct.Struct``
+        call; otherwise, and whenever the struct rejects a key, it is the
+        slot-by-slot loop over :func:`key_layout` -- the reference, and the
+        one path that raises, so a malformed key is the same named
+        :class:`CoderError` either way.  The closure only unpacks, looks up
+        and calls.
         """
         catalog = self.catalog
         dimension = {name: i for i, name in enumerate(catalog.row_key)}
@@ -213,23 +249,31 @@ class RowCodec:
             else:
                 cell_out.append((position, (column.family, column.qualifier),
                                  self.field_coders[name].decoder_for(column.dtype)))
-        # the whole key is sliced and checked whenever any of it is asked for
-        key_slots = [
-            (start, stop, strip, self.coder.decoder_for(dtype))
-            for __, dtype, start, stop, strip in key_layout(catalog, self.coder)
-        ] if key_out else []
+        # the whole key is unpacked and checked whenever any of it is asked for
+        layout = key_layout(catalog, self.coder) if key_out else []
+        key_slots = [(start, stop, strip, self.coder.decoder_for(dtype))
+                     for __, dtype, start, stop, strip in layout]
         key_cells = len(key_slots)
         blank = [None] * len(columns)
+
+        def slice_key(row_key: bytes) -> List[object]:
+            dimensions = []
+            for start, stop, strip, decode_dimension in key_slots:
+                chunk = row_key[start:stop]
+                if strip:
+                    chunk = chunk.rstrip(b"\x00")
+                dimensions.append(decode_dimension(chunk))
+            return dimensions
+
+        unpack_key = key_struct(self.coder, layout) or slice_key
 
         def decode(row_key: bytes, cells: Sequence) -> Tuple[tuple, int]:
             values = blank[:]
             if key_cells:
-                dimensions = []
-                for start, stop, strip, decode_dimension in key_slots:
-                    chunk = row_key[start:stop]
-                    if strip:
-                        chunk = chunk.rstrip(b"\x00")
-                    dimensions.append(decode_dimension(chunk))
+                try:
+                    dimensions = unpack_key(row_key)
+                except struct.error:
+                    dimensions = slice_key(row_key)
                 for position, i in key_out:
                     values[position] = dimensions[i]
             newest: Dict[Tuple[str, str], bytes] = {}

@@ -1,4 +1,4 @@
-"""Shuffle bookkeeping: size estimation and the block store.
+"""Shuffle bookkeeping: size estimation, placement and the block store.
 
 Shuffle volume is a first-class paper metric (Figure 5 reports KB shuffled
 per query), so a map task sizes each row it buckets through
@@ -12,9 +12,11 @@ its partitions and split skewed ones.
 from __future__ import annotations
 
 import threading
+import zlib
 from typing import Dict, Iterable, List, Tuple
 
 _OBJ_OVERHEAD = 16
+_crc32 = zlib.crc32
 
 
 def estimate_size(value: object) -> int:
@@ -137,9 +139,44 @@ def stable_hash(value: object) -> int:
     Python's built-in ``hash`` is salted per process for strings, which would
     make shuffle placement (and therefore per-partition metrics) vary between
     runs; this one is stable across processes.
-    """
-    import zlib
 
+    The partitioning contract is SQL equality: keys that compare equal hash
+    equal, so they meet in one reduce partition -- ``1``, ``1.0`` and
+    ``True``; ``0.0`` and ``-0.0``; and tuples of such, element by element.
+
+    Called once per row on every exchange, so the common shape -- a str, an
+    int, or a plain tuple of them -- is hashed by exact-type checks in one
+    flat loop.  Everything else (other scalars, subclasses, a tuple's
+    members of other types) takes :func:`_stable_hash_general`, whose
+    values the fast path must reproduce exactly.
+    """
+    kind = type(value)
+    if kind is tuple:
+        acc = 1
+        for item in value:  # type: ignore[attr-defined]
+            k = type(item)
+            if k is str:
+                h = _crc32(item.encode("utf-8"))
+            elif k is int:
+                h = item & 0x7FFFFFFF
+            else:
+                h = stable_hash(item)
+            acc = (acc * 31 + h) & 0x7FFFFFFF
+        return acc
+    if kind is str:
+        return _crc32(value.encode("utf-8"))  # type: ignore[attr-defined]
+    if kind is int:
+        return value & 0x7FFFFFFF  # type: ignore[operator]
+    return _stable_hash_general(value)
+
+
+def _stable_hash_general(value: object) -> int:
+    """:func:`stable_hash` by ``isinstance``: the definition of every hash.
+
+    A finite integral float hashes as the int it equals (``-0.0`` as 0), so
+    numeric keys that compare equal share a partition; any other float
+    hashes its ``repr``.
+    """
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -147,14 +184,16 @@ def stable_hash(value: object) -> int:
     if isinstance(value, int):
         return value & 0x7FFFFFFF
     if isinstance(value, float):
-        return zlib.crc32(repr(value).encode("utf-8"))
+        if value.is_integer():
+            return int(value) & 0x7FFFFFFF
+        return _crc32(repr(value).encode("utf-8"))
     if isinstance(value, str):
-        return zlib.crc32(value.encode("utf-8"))
+        return _crc32(value.encode("utf-8"))
     if isinstance(value, bytes):
-        return zlib.crc32(value)
+        return _crc32(value)
     if isinstance(value, tuple):
         acc = 1
         for item in value:
             acc = (acc * 31 + stable_hash(item)) & 0x7FFFFFFF
         return acc
-    return zlib.crc32(repr(value).encode("utf-8"))
+    return _crc32(repr(value).encode("utf-8"))

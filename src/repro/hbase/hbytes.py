@@ -30,13 +30,27 @@ BYTE_MIN = -(2**7)
 BYTE_MAX = 2**7 - 1
 
 
-def _unpacker(fmt: str, type_name: str):
+#: ``struct`` code of each fixed-width primitive, keyed by its SQL type
+#: name; big-endian (``>``) standard sizes, so a code's width is its Java
+#: width.  The one statement of those widths: :class:`Bytes`'s decoders and
+#: the PrimitiveType coder's whole-key ``struct`` are both built from it.
+STRUCT_CODES = {
+    "tinyint": "b",
+    "smallint": "h",
+    "int": "i",
+    "bigint": "q",
+    "float": "f",
+    "double": "d",
+}
+
+
+def _unpacker(type_name: str):
     """``decode(data)`` for one fixed-width value, its ``struct`` bound once.
 
     ``Struct.unpack`` itself enforces the width, so the check costs nothing
     on well-formed input; a wrong width is still a :class:`CoderError`.
     """
-    packed = struct.Struct(fmt)
+    packed = struct.Struct(">" + STRUCT_CODES[type_name])
     unpack, width = packed.unpack, packed.size
 
     def decode(data: bytes):
@@ -96,12 +110,12 @@ class Bytes:
         _check_width(data, 1, "boolean")
         return data != b"\x00"
 
-    to_byte = staticmethod(_unpacker(">b", "tinyint"))
-    to_short = staticmethod(_unpacker(">h", "smallint"))
-    to_int = staticmethod(_unpacker(">i", "int"))
-    to_long = staticmethod(_unpacker(">q", "bigint"))
-    to_float = staticmethod(_unpacker(">f", "float"))
-    to_double = staticmethod(_unpacker(">d", "double"))
+    to_byte = staticmethod(_unpacker("tinyint"))
+    to_short = staticmethod(_unpacker("smallint"))
+    to_int = staticmethod(_unpacker("int"))
+    to_long = staticmethod(_unpacker("bigint"))
+    to_float = staticmethod(_unpacker("float"))
+    to_double = staticmethod(_unpacker("double"))
 
     @staticmethod
     def to_string(data: bytes) -> str:

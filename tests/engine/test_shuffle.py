@@ -1,4 +1,5 @@
 import enum
+import zlib
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.metrics import CostLedger
 from repro.engine import scheduler as scheduler_module
+from repro.engine import shuffle as shuffle_module
 from repro.engine.cluster import ComputeCluster
 from repro.engine.rdd import ParallelCollectionRDD
 from repro.engine.scheduler import TaskContext, TaskScheduler
@@ -128,6 +130,75 @@ def test_stable_hash_deterministic_and_nonnegative(value):
 def test_stable_hash_spreads_keys():
     buckets = {stable_hash(f"key{i}") % 8 for i in range(100)}
     assert len(buckets) == 8
+
+
+def reference_hash(value):
+    """``stable_hash`` as first defined: one ``isinstance`` chain, one
+    recursive call per tuple member.  Kept here so the flat loop is pinned
+    to these values wherever a float is not integral."""
+    if value is None:
+        return 0
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value & 0x7FFFFFFF
+    if isinstance(value, float):
+        return zlib.crc32(repr(value).encode("utf-8"))
+    if isinstance(value, str):
+        return zlib.crc32(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return zlib.crc32(value)
+    if isinstance(value, tuple):
+        acc = 1
+        for item in value:
+            acc = (acc * 31 + reference_hash(item)) & 0x7FFFFFFF
+        return acc
+    return zlib.crc32(repr(value).encode("utf-8"))
+
+
+HASH_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats().filter(lambda f: not f.is_integer()),
+    st.text(max_size=8), st.binary(max_size=8),
+)
+
+
+@given(st.recursive(HASH_SCALARS,
+                    lambda children: st.lists(children, max_size=5).map(tuple),
+                    max_leaves=20))
+def test_stable_hash_matches_reference(value):
+    assert stable_hash(value) == reference_hash(value)
+
+
+@given(st.integers(-(2**53), 2**53), st.data())
+def test_equal_keys_hash_equal(n, data):
+    """SQL equality decides placement: ``a == b`` implies equal hashes,
+    for a number alone and inside a tuple next to other members."""
+    forms = [n, float(n)] + ([-0.0, False] if n == 0 else []) \
+        + ([True] if n == 1 else [])
+    a, b = data.draw(st.sampled_from(forms)), data.draw(st.sampled_from(forms))
+    assert a == b
+    assert stable_hash(a) == stable_hash(b)
+    rest = data.draw(st.tuples(st.text(max_size=4), st.integers()))
+    assert stable_hash((a, *rest)) == stable_hash((b, *rest))
+    assert stable_hash((*rest, a)) == stable_hash((*rest, b))
+    assert stable_hash((rest, (a,))) == stable_hash((rest, (b,)))
+
+
+def test_flat_key_takes_no_general_call(monkeypatch):
+    calls = {"n": 0}
+    general = shuffle_module._stable_hash_general
+
+    def counting(value):
+        calls["n"] += 1
+        return general(value)
+
+    monkeypatch.setattr(shuffle_module, "_stable_hash_general", counting)
+    key = ("web", 7, "catalog")
+    assert stable_hash(key) == reference_hash(key)
+    assert calls["n"] == 0
+    assert stable_hash((1.5, key)) == reference_hash((1.5, key))
+    assert calls["n"] == 1  # the float; the nested tuple stays flat
 
 
 def test_block_store_fetch_by_reduce_partition():

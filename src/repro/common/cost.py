@@ -73,18 +73,12 @@ class CostModel:
     vector_row_cpu_s: float = 3.0e-6
     #: shuffle write+read bandwidth (bytes/s)
     shuffle_bytes_per_sec: float = 7_000.0
-    #: fixed cost per shuffle exchange (s)
-    shuffle_setup_s: float = 0.1
 
     # -- coders -----------------------------------------------------------------
     #: base per-cell decode cost (s); multiplied by each coder's cpu_factor
     decode_cell_s: float = 4.0e-5
     #: base per-cell encode cost (s); multiplied by each coder's cpu_factor
     encode_cell_s: float = 4.0e-5
-
-    # -- memory accounting ---------------------------------------------------
-    #: bytes of engine heap charged per decoded value beyond its payload
-    row_object_overhead_bytes: int = 24
 
     #: per-coder CPU multipliers (native primitive = 1.0)
     coder_cpu_factors: Dict[str, float] = field(

@@ -38,7 +38,6 @@ from repro.common.errors import (
     OverloadedError,
     RegionOfflineError,
     RegionServerStoppedError,
-    ShuffleFetchError,
     TransientRpcError,
 )
 from repro.common.metrics import MetricsRegistry
@@ -92,13 +91,6 @@ def raise_overloaded(ctx: dict) -> None:
         reason="injected",
         retry_after_s=float(ctx.get("retry_after_s", 1.0)),
         tenant=str(ctx.get("key")) or None,
-    )
-
-
-def raise_shuffle_fetch_error(ctx: dict) -> None:
-    """A reduce-side shuffle block fetch fails (the task will be retried)."""
-    raise ShuffleFetchError(
-        f"injected shuffle-fetch failure at {ctx.get('point')} ({ctx.get('key')})"
     )
 
 

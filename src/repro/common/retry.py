@@ -43,7 +43,8 @@ class RetryPolicy:
     base_backoff_s: float = 0.05
     max_backoff_s: float = 2.0
     deadline_s: Optional[float] = None
-    jitter_seed: int = 0
+    #: what keeps this policy's jitter apart from another's
+    jitter_seed: object = 0
 
     def backoff_s(self, attempt: int, key: object = "") -> float:
         """Backoff before retry number ``attempt`` (first retry = 1)."""

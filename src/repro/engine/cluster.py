@@ -81,10 +81,6 @@ class ComputeCluster:
             self._slots = expanded
         return list(self._slots)
 
-    def num_slots(self) -> int:
-        """How many tasks can run concurrently across all executors."""
-        return len(self.slots())
-
     def hosts_with_executors(self) -> List[str]:
         return sorted({e.host for e in self.executors})
 

@@ -13,10 +13,10 @@ simulated timelines, with every task body run inline on the calling thread.
 ``StageInfo`` reports both the simulated makespan and the measured
 wall-clock per stage.
 
-Fault tolerance follows Spark: a failing task is retried on another slot up
-to ``max_task_retries`` times before the job aborts -- recomputation is free
-because compute() re-runs the lineage.  Locality is counted against the host
-that *actually* ran the task, so a retry that rotated hosts is not
+Fault tolerance follows Spark: a failing task is retried on another slot
+while :data:`TASK_RETRY_POLICY` allows, then the job aborts -- recomputation
+is free because compute() re-runs the lineage.  Locality is counted against
+the host that *actually* ran the task, so a retry that rotated hosts is not
 misreported as node-local.
 """
 
@@ -29,7 +29,7 @@ from repro.common.cost import CostModel
 from repro.common.errors import FatalTaskError
 from repro.common.faults import FAULT_SHUFFLE_FETCH
 from repro.common.metrics import CostLedger, MetricsRegistry
-from repro.common.retry import stable_fraction
+from repro.common.retry import RetryPolicy
 from repro.common.tracing import NOOP_SPAN
 from repro.engine.cluster import ComputeCluster
 from repro.engine.rdd import Partition, RDD, ShuffledRDD
@@ -40,6 +40,12 @@ from repro.engine.runner import (
     TaskSpec,
 )
 from repro.engine.shuffle import ShuffleBlockStore, estimate_size, stable_hash
+
+#: how a failed task is retried: four attempts in all, capped exponential
+#: backoff charged as ``engine.retry_backoff_s``, jitter keyed by the
+#: task's index -- the HBase client's retry policy with the engine's seed
+TASK_RETRY_POLICY = RetryPolicy(max_attempts=4, base_backoff_s=0.05,
+                                max_backoff_s=2.0, jitter_seed="engine.retry")
 
 
 class TaskContext:
@@ -153,11 +159,8 @@ class TaskScheduler:
         cluster: ComputeCluster,
         cost_model: CostModel,
         locality_enabled: bool = True,
-        max_task_retries: int = 3,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         faults=None,
-        retry_backoff_s: float = 0.05,
-        retry_backoff_max_s: float = 2.0,
         trace=NOOP_SPAN,
         slots=None,
         queued_s: float = 0.0,
@@ -165,15 +168,12 @@ class TaskScheduler:
         self.cluster = cluster
         self.cost = cost_model
         self.locality_enabled = locality_enabled
-        self.max_task_retries = max_task_retries
         #: parent span for stage spans; NOOP_SPAN = tracing disabled
         self.trace = trace if trace is not None else NOOP_SPAN
         self._stage_span = NOOP_SPAN
         #: optional FaultInjector for the engine's shuffle-fetch fault
         #: point; None keeps it a no-op
         self.faults = faults
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_max_s = retry_backoff_max_s
         self.block_store = ShuffleBlockStore()
         self._materialized_shuffles: set[int] = set()
         self._stage_ids = 0
@@ -416,7 +416,7 @@ class TaskScheduler:
             f"task-{spec.index}", "task", order=spec.index,
             index=spec.index, placed_host=placed_host,
         )
-        while attempts <= self.max_task_retries:
+        while True:
             ledger = CostLedger()
             ledger.queued_s = self.queued_s
             attempt_span = task_span.child(f"attempt-{attempts + 1}", "attempt",
@@ -438,11 +438,12 @@ class TaskScheduler:
                 if carry is None:
                     carry = CostLedger()
                 carry.merge(ledger)
-                if attempts <= self.max_task_retries:
-                    backoff = self._retry_backoff(spec.index, attempts)
-                    carry.charge(backoff, "engine.retry_backoff_s", backoff)
-                    # Spark would retry on another executor; rotate hosts
-                    host = self._retry_host(slot_idx, attempts)
+                if not TASK_RETRY_POLICY.allows_retry(attempts):
+                    break
+                backoff = TASK_RETRY_POLICY.backoff_s(attempts, key=spec.index)
+                carry.charge(backoff, "engine.retry_backoff_s", backoff)
+                # Spark would retry on another executor; rotate hosts
+                host = self._retry_host(slot_idx, attempts)
                 continue
             if attempt_span.enabled:
                 attempt_span.finish(sim_seconds=ledger.seconds,
@@ -469,12 +470,6 @@ class TaskScheduler:
         ) from last_error
 
     # -- retry plumbing ----------------------------------------------------
-    def _retry_backoff(self, task_index: int, attempt: int) -> float:
-        """Capped exponential inter-retry backoff with deterministic jitter."""
-        raw = min(self.retry_backoff_max_s,
-                  self.retry_backoff_s * 2 ** (attempt - 1))
-        return raw * (0.5 + stable_fraction("engine.retry", task_index, attempt))
-
     def _retry_host(self, slot_idx: int, attempts: int) -> str:
         """The next host in the retry rotation: ``attempts`` slots further on."""
         return self._slots[(slot_idx + attempts) % len(self._slots)].host

@@ -185,10 +185,6 @@ class Scan(_Read):
         #: rows fetched per RPC round trip (HBase scanner caching)
         self.caching = 1000
 
-    def set_timestamp(self, timestamp: int) -> "Scan":
-        self.time_range = TimeRange(timestamp, timestamp + 1)
-        return self
-
     def set_caching(self, rows_per_rpc: int) -> "Scan":
         if rows_per_rpc <= 0:
             raise ValueError("caching must be positive")

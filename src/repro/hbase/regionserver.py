@@ -549,10 +549,6 @@ class RegionServer:
         ledger.charge(self.cost.rpc_latency_s, "hbase.coprocessor_calls")
         return endpoint(region, params, self.cost, ledger)
 
-    def served_bytes(self) -> int:
-        """Total persisted bytes across this server's regions."""
-        return sum(r.size_bytes() for r in self.regions.values())
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "DOWN"
         return f"RegionServer({self.server_id}@{self.host}, {len(self.regions)} regions, {state})"

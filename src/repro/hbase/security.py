@@ -80,13 +80,6 @@ class DelegationToken:
     def is_expired(self, now: float) -> bool:
         return now >= self.expiry_time
 
-    def remaining_fraction(self, now: float) -> float:
-        """Fraction of the token's lifetime still ahead (0 when expired)."""
-        lifetime = self.expiry_time - self.issue_time
-        if lifetime <= 0:
-            return 0.0
-        return max(0.0, (self.expiry_time - now) / lifetime)
-
     # -- wire format (section V.B.2: token serialization/deserialization) --
     def serialize(self) -> bytes:
         payload = {

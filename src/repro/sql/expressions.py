@@ -89,9 +89,6 @@ class Expression:
             refs.add(node.attr_id)
         return refs
 
-    def is_resolved(self) -> bool:
-        return not self.collect(lambda e: isinstance(e, UnresolvedAttribute))
-
 
 # -- leaves --------------------------------------------------------------------
 
@@ -738,10 +735,6 @@ class ScalarFunction(Expression):
         "least": (_strict(lambda *args: min(args)), None),
         "if": (lambda cond, yes, no: yes if cond is True else no, None),
     }
-
-    @classmethod
-    def is_known(cls, name: str) -> bool:
-        return name.lower() in cls._FUNCTIONS
 
     def __init__(self, name: str, args: Sequence[Expression]) -> None:
         key = name.lower()

@@ -85,12 +85,6 @@ class Column:
     def like(self, pattern: str) -> "Column":
         return Column(E.Like(self.expr, pattern))
 
-    def is_null(self) -> "Column":
-        return Column(E.IsNull(self.expr))
-
-    def is_not_null(self) -> "Column":
-        return Column(E.IsNotNull(self.expr))
-
     def between(self, low: object, high: object) -> "Column":
         return Column(
             E.And(

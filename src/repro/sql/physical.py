@@ -5,8 +5,9 @@ attributes: :class:`~repro.sql.columnar.RecordBatch` column vectors when
 ``columnar_output`` is set (scans, filters, projections), positional tuples
 otherwise.  Filters, projections, aggregate builds and hash-join key
 evaluation run compiled column kernels over batches (docs/vectorized.md);
-the planner places an explicit adapter (:mod:`repro.sql.vectorized`)
-wherever a producer's format differs from what its consumer reads.  Narrow
+each operator declares the format it reads (``child_formats``), and one
+rule (:func:`repro.sql.vectorized.insert_transitions`) places an explicit
+adapter wherever a producer's format differs from that.  Narrow
 operators pipeline via ``map_partitions`` inside the upstream task; wide
 operators (aggregation, shuffled joins, distinct, intersect) introduce
 exchanges whose volume the scheduler meters -- that metering is Figure 5.
@@ -130,10 +131,13 @@ class PhysicalPlan:
     """
 
     #: True when ``execute`` returns an RDD of
-    #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples; the
-    #: planner inserts an explicit transition (:mod:`repro.sql.vectorized`)
-    #: wherever producer and consumer formats differ
+    #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples
     columnar_output = False
+    #: the format each child is read in, by position (True: batches); a
+    #: child past the end is read as rows.  One rule
+    #: (:func:`repro.sql.vectorized.insert_transitions`) puts a transition
+    #: on every edge whose child produces the other format
+    child_formats: Tuple[bool, ...] = ()
 
     def __init__(self, output: Sequence[E.Attribute],
                  children: Sequence["PhysicalPlan"] = ()) -> None:
@@ -222,27 +226,103 @@ def _strip_alias(item: E.Expression) -> E.Expression:
     return item.child if isinstance(item, E.Alias) else item
 
 
-class DataSourceScanExec(PhysicalPlan):
+class ScanExec(PhysicalPlan):
+    """The batch-producing scan stage: a source's rows, then the fused
+    filters and projection, in one partition pass.
+
+    A subclass says where the rows come from (:meth:`source_rdd`).  One
+    ``map_partitions`` pass per partition decodes them into batches once,
+    applies the scan's residual and every fused predicate as a column mask,
+    then evaluates the fused projection -- so each batch is traversed once
+    per kernel instead of once per row per expression node.  ``columns``
+    are the attributes the source produces; ``output`` stays ``columns``
+    until a projection is fused.  ``fused`` names the operators the planner
+    collapsed into the pass.
+    """
+
+    columnar_output = True
+
+    def __init__(self, columns: Sequence[E.Attribute],
+                 residual: Optional[E.Expression] = None) -> None:
+        super().__init__(columns)
+        self.columns = list(columns)
+        self.residual = residual
+        self.conditions: List[E.Expression] = (
+            E.split_conjuncts(residual) if residual is not None else [])
+        self.project_list: Optional[List[E.Expression]] = None
+        self.fused = ["Scan"]
+
+    def fuse_filter(self, condition: E.Expression) -> "ScanExec":
+        """Fold a filter directly above this scan into its pass."""
+        self.conditions.extend(E.split_conjuncts(condition))
+        self.fused.append("Filter")
+        return self
+
+    def fuse_project(self, project_list: Sequence[E.Expression]) -> "ScanExec":
+        """Fold a projection directly above this scan into its pass."""
+        self.output = _named_output(project_list, "projection")
+        self.project_list = list(project_list)
+        self.fused.append("Project")
+        return self
+
+    def source_rdd(self, ctx: ExecContext) -> RDD:
+        """The source's rows, positionally aligned with ``columns``."""
+        raise NotImplementedError
+
+    def execute(self, ctx: ExecContext) -> RDD:
+        columns = self.columns
+        width = len(columns)
+        batch_size = C.BATCH_SIZE
+        cond_kernels = [C.compile_bound(c, columns) for c in self.conditions]
+        proj_kernels = None
+        if self.project_list is not None:
+            proj_kernels = [C.compile_bound(_strip_alias(item), columns)
+                            for item in self.project_list]
+        per_row = ctx.cost.vector_row_cpu_s
+        if len(self.fused) > 1:
+            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused),
+                             self.op_id)
+
+        def scan_batches(rows, task_ctx):
+            for batch in _metered(self,
+                                  C.batches_from_rows(rows, width, batch_size),
+                                  task_ctx, per_row):
+                for kernel in cond_kernels:
+                    if batch.num_rows:
+                        mask = kernel(batch.columns, batch.num_rows)
+                        batch = C.apply_mask(batch, mask)
+                if proj_kernels is not None:
+                    n = batch.num_rows
+                    batch = C.RecordBatch(
+                        [k(batch.columns, n) for k in proj_kernels], n)
+                yield batch
+
+        return self.source_rdd(ctx).map_partitions(scan_batches)
+
+    def _fused_note(self) -> str:
+        return f", fused={'+'.join(self.fused[1:])}" if len(self.fused) > 1 else ""
+
+
+class DataSourceScanExec(ScanExec):
     """Scan a pluggable relation with pruned columns and offered filters.
 
-    Produces the relation's rows as the source hands them over; the
-    ``residual`` the relation could not handle is applied, batch-at-a-time,
-    by the :class:`WholeStageExec` the planner always puts on top.
+    The relation hands over the ``columns`` rows; the ``residual`` it could
+    not handle runs in the scan's batch pass, with whatever the planner
+    fused.
     """
 
     def __init__(
         self,
         relation: BaseRelation,
-        output: Sequence[E.Attribute],
+        columns: Sequence[E.Attribute],
         pushed_filters: Sequence[SourceFilter],
         residual: Optional[E.Expression],
         relation_name: str = "",
         handled_filters: Optional[Sequence[SourceFilter]] = None,
     ) -> None:
-        super().__init__(output)
+        super().__init__(columns, residual)
         self.relation = relation
         self.pushed_filters = list(pushed_filters)
-        self.residual = residual
         self.relation_name = relation_name
         #: the subset of ``pushed_filters`` the relation actually handles
         #: (offered minus ``unhandled_filters``); what EXPLAIN ANALYZE
@@ -251,8 +331,8 @@ class DataSourceScanExec(PhysicalPlan):
                                 if handled_filters is not None
                                 else list(pushed_filters))
 
-    def execute(self, ctx: ExecContext) -> RDD:
-        required = [a.name for a in self.output]
+    def source_rdd(self, ctx: ExecContext) -> RDD:
+        required = [a.name for a in self.columns]
         span = ctx.trace.child(
             f"scan-plan:{self.relation_name or type(self.relation).__name__}",
             "scan-plan", order=(1, self.op_id), op=self.op_id,
@@ -318,12 +398,13 @@ class DataSourceScanExec(PhysicalPlan):
     def describe(self) -> str:
         return (
             f"DataSourceScan({self.relation_name or type(self.relation).__name__}, "
-            f"columns={[a.name for a in self.output]}, "
-            f"pushed={self.pushed_filters!r}, residual={self.residual!r})"
+            f"columns={[a.name for a in self.columns]}, "
+            f"pushed={self.pushed_filters!r}, residual={self.residual!r}"
+            f"{self._fused_note()})"
         )
 
 
-class LocalScanExec(PhysicalPlan):
+class LocalScanExec(ScanExec):
     """Driver-local rows distributed over a few partitions."""
 
     def __init__(self, output: Sequence[E.Attribute], rows: Sequence[tuple],
@@ -332,79 +413,11 @@ class LocalScanExec(PhysicalPlan):
         self.rows = list(rows)
         self.num_partitions = num_partitions
 
-    def execute(self, ctx: ExecContext) -> RDD:
+    def source_rdd(self, ctx: ExecContext) -> RDD:
         return ParallelCollectionRDD(self.rows, self.num_partitions)
 
     def describe(self) -> str:
-        return f"LocalScan({len(self.rows)} rows)"
-
-
-class WholeStageExec(PhysicalPlan):
-    """The batch-producing scan stage: scan, then fused filters and projection.
-
-    Sits on every :class:`DataSourceScanExec` / :class:`LocalScanExec`.  One
-    ``map_partitions`` pass per partition decodes the source's rows into
-    batches once, applies the scan's residual and every fused predicate as
-    a column mask, then evaluates the fused projection -- so each batch is
-    traversed once per kernel instead of once per row per expression node.
-    ``fused`` names the operators the planner collapsed into the pass.
-    """
-
-    columnar_output = True
-
-    def __init__(self, scan: PhysicalPlan) -> None:
-        super().__init__(scan.output, [scan])
-        residual = getattr(scan, "residual", None)
-        self.conditions: List[E.Expression] = (
-            E.split_conjuncts(residual) if residual is not None else [])
-        self.project_list: Optional[List[E.Expression]] = None
-        self.fused = ["Scan"]
-
-    def fuse_filter(self, condition: E.Expression) -> "WholeStageExec":
-        """Fold a filter directly above this stage into its pass."""
-        self.conditions.extend(E.split_conjuncts(condition))
-        self.fused.append("Filter")
-        return self
-
-    def fuse_project(self, project_list: Sequence[E.Expression]) -> "WholeStageExec":
-        """Fold a projection directly above this stage into its pass."""
-        self.output = _named_output(project_list, "projection")
-        self.project_list = list(project_list)
-        self.fused.append("Project")
-        return self
-
-    def execute(self, ctx: ExecContext) -> RDD:
-        scan = self.children[0]
-        width = len(scan.output)
-        batch_size = C.BATCH_SIZE
-        cond_kernels = [C.compile_bound(c, scan.output) for c in self.conditions]
-        proj_kernels = None
-        if self.project_list is not None:
-            proj_kernels = [C.compile_bound(_strip_alias(item), scan.output)
-                            for item in self.project_list]
-        per_row = ctx.cost.vector_row_cpu_s
-        if len(self.fused) > 1:
-            ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused),
-                             self.op_id)
-
-        def scan_batches(rows, task_ctx):
-            for batch in _metered(self,
-                                  C.batches_from_rows(rows, width, batch_size),
-                                  task_ctx, per_row):
-                for kernel in cond_kernels:
-                    if batch.num_rows:
-                        mask = kernel(batch.columns, batch.num_rows)
-                        batch = C.apply_mask(batch, mask)
-                if proj_kernels is not None:
-                    n = batch.num_rows
-                    batch = C.RecordBatch(
-                        [k(batch.columns, n) for k in proj_kernels], n)
-                yield batch
-
-        return scan.execute(ctx).map_partitions(scan_batches)
-
-    def describe(self) -> str:
-        return f"WholeStage({'+'.join(self.fused)})"
+        return f"LocalScan({len(self.rows)} rows{self._fused_note()})"
 
 
 class FilterExec(PhysicalPlan):
@@ -412,6 +425,7 @@ class FilterExec(PhysicalPlan):
     predicate kernel -> mask -> ``itertools.compress``, batch by batch."""
 
     columnar_output = True
+    child_formats = (True,)
 
     def __init__(self, condition: E.Expression, child: PhysicalPlan) -> None:
         super().__init__(child.output, [child])
@@ -439,6 +453,7 @@ class ProjectExec(PhysicalPlan):
     per output column, applied batch by batch."""
 
     columnar_output = True
+    child_formats = (True,)
 
     def __init__(self, project_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
         super().__init__(_named_output(project_list, "projection"), [child])
@@ -537,6 +552,8 @@ class HashAggregateExec(PhysicalPlan):
     ``(key, accs)`` pairs it emits, the shuffle, merge and result evaluation
     are row-at-a-time (:func:`finish_aggregate`).
     """
+
+    child_formats = (True,)
 
     def __init__(self, groupings: Sequence[E.Expression],
                  aggregate_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
@@ -670,9 +687,6 @@ class HashJoinExec(PhysicalPlan):
     strategy joins, counts and charges alike.
     """
 
-    #: the format each child is read in (True: batches); the planner adapts
-    #: the children it hands over to this
-    child_formats = (False, False)
     #: the planner's row estimate, stamped only where ANALYZE statistics
     #: made it confident
     cbo_rows: Optional[float] = None
@@ -810,8 +824,9 @@ class HashJoinExec(PhysicalPlan):
         and nothing offered, over the :data:`SEMIJOIN_MAX_KEYS` cap.
 
         One ``In`` source filter per bare-attribute key on a column the scan
-        outputs, kept on ``ctx`` for this execution only; with no scan at
-        the foot of the stream spine nothing is pushed.  A scan that took a
+        reads (its ``columns``, before any fused projection), kept on
+        ``ctx`` for this execution only; with no scan at the foot of the
+        stream spine nothing is pushed.  A scan that took a
         filter counts ``sql.cbo.runtime_keys.pushed``, scoped to this join.
         Advisory: whoever pushes still filters exactly,
         engine-side.
@@ -821,7 +836,7 @@ class HashJoinExec(PhysicalPlan):
         if len(keys) > SEMIJOIN_MAX_KEYS:
             return False
         scan = self.probe_scan()
-        scan_ids = {a.attr_id for a in scan.output} if scan is not None else ()
+        scan_ids = {a.attr_id for a in scan.columns} if scan is not None else ()
         pushed = False
         for i, key in enumerate(self.left_keys):
             if not isinstance(key, E.Attribute) or key.attr_id not in scan_ids:
@@ -1007,9 +1022,9 @@ def _sort_key(orders_bound: Sequence[Tuple[Callable[[tuple], object], bool]]
         parts = []
         for value_of, ascending in orders_bound:
             value = value_of(row)
-            # NULLS FIRST on ascending, LAST on descending (Spark default)
-            null_rank = value is None
-            rank = (null_rank, value) if value is not None else (null_rank, 0)
+            # NULLS FIRST on ascending, LAST on descending (Spark default):
+            # a NULL ranks below every value, and descending reverses ranks
+            rank = (True, value) if value is not None else (False, 0)
             parts.append(_Reversed(rank) if not ascending else rank)
         return tuple(parts)
 

@@ -15,11 +15,11 @@ Two strategies matter for the paper:
   generic connector returns unknown (treated as huge), which is what forces
   vanilla Spark SQL into shuffling entire fact tables (Figure 5).
 
-Operators exchange column batches or row tuples (docs/vectorized.md): every
-scan is planned as a batch-producing :class:`~repro.sql.physical.WholeStageExec`
-that absorbs the filters and the projection directly above it, and each
-strategy below hands its children to ``adapt`` (:mod:`repro.sql.vectorized`)
-in the format the operator it builds reads.
+Every scan is one batch-producing operator that absorbs the filters and the
+projection directly above it.  The strategies below never say which format
+an operator exchanges: each operator declares that itself, and
+:meth:`Planner.plan_query` applies the one rule that places the seams
+between them (:mod:`repro.sql.vectorized`, docs/vectorized.md).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql import physical as P
 from repro.sql.sources import translate_expression
-from repro.sql.vectorized import adapt
+from repro.sql.vectorized import insert_transitions
 
 #: size assigned to relations that cannot estimate themselves
 UNKNOWN_SIZE = 1 << 60
@@ -111,12 +111,11 @@ class Planner:
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
 
     def plan_query(self, node: L.LogicalPlan) -> P.PhysicalPlan:
-        """Compile a whole query: :meth:`plan`, handing rows to the caller.
-
-        The session root and the write sink read row tuples, so a tree
-        whose root produces batches gets a trailing ``ColumnarToRowExec``.
+        """Compile a whole query: :meth:`plan`, then the one rule that puts
+        a format transition on every edge that needs one.  The session root
+        and the write sink read row tuples, so the root hands over rows.
         """
-        return adapt(self.plan(node), False)
+        return insert_transitions(self.plan(node))
 
     def plan(self, node: L.LogicalPlan) -> P.PhysicalPlan:
         if self._stats is not None:
@@ -152,8 +151,8 @@ class Planner:
             return self._plan_scan(None, None, node)
 
         if isinstance(node, L.LocalRelation):
-            return P.WholeStageExec(P.LocalScanExec(
-                node.output, node.rows, num_partitions=self.local_scan_partitions))
+            return P.LocalScanExec(node.output, node.rows,
+                                   num_partitions=self.local_scan_partitions)
 
         if isinstance(node, L.Join):
             return self._plan_join(node)
@@ -162,24 +161,21 @@ class Planner:
             pushed = self._try_aggregate_pushdown(node)
             if pushed is not None:
                 return pushed
-            return P.HashAggregateExec(
-                node.groupings, node.aggregate_list,
-                adapt(self.plan(node.children[0]), True),
-            )
+            return P.HashAggregateExec(node.groupings, node.aggregate_list,
+                                       self.plan(node.children[0]))
 
-        # sorts, limits and set operators read rows
         if isinstance(node, L.Sort):
-            return P.SortExec(node.orders, self._plan_rows(node.children[0]))
+            return P.SortExec(node.orders, self.plan(node.children[0]))
 
         if isinstance(node, L.Limit):
-            return P.LimitExec(node.n, self._plan_rows(node.children[0]))
+            return P.LimitExec(node.n, self.plan(node.children[0]))
 
         if isinstance(node, L.Distinct):
-            return P.DistinctExec(self._plan_rows(node.children[0]))
+            return P.DistinctExec(self.plan(node.children[0]))
 
         if isinstance(node, L.SetOperation):
-            left = self._plan_rows(node.children[0])
-            right = self._plan_rows(node.children[1])
+            left = self.plan(node.children[0])
+            right = self.plan(node.children[1])
             if node.op == "union":
                 union: P.PhysicalPlan = P.UnionExec(left, right)
                 return union if node.all_rows else P.DistinctExec(union)
@@ -187,24 +183,21 @@ class Planner:
 
         raise AnalysisError(f"no physical strategy for {node.describe()}")
 
-    def _plan_rows(self, node: L.LogicalPlan) -> P.PhysicalPlan:
-        return adapt(self.plan(node), False)
-
     @staticmethod
     def _filter(condition: E.Expression, child: P.PhysicalPlan) -> P.PhysicalPlan:
-        """A filter over ``child``, fused into its scan stage when it can be
-        (a stage that already projects evaluates its predicates first)."""
-        if isinstance(child, P.WholeStageExec) and child.project_list is None:
+        """A filter over ``child``, fused into it when it is a scan (a scan
+        that already projects evaluates its predicates first)."""
+        if isinstance(child, P.ScanExec) and child.project_list is None:
             return child.fuse_filter(condition)
-        return P.FilterExec(condition, adapt(child, True))
+        return P.FilterExec(condition, child)
 
     @staticmethod
     def _project(project_list: Sequence[E.Expression],
                  child: P.PhysicalPlan) -> P.PhysicalPlan:
-        """A projection over ``child``, fused into its scan stage when it can be."""
-        if isinstance(child, P.WholeStageExec) and child.project_list is None:
+        """A projection over ``child``, fused into it when it is a scan."""
+        if isinstance(child, P.ScanExec) and child.project_list is None:
             return child.fuse_project(project_list)
-        return P.ProjectExec(project_list, adapt(child, True))
+        return P.ProjectExec(project_list, child)
 
     # -- data source strategy ----------------------------------------------------
     def _plan_scan(
@@ -231,12 +224,10 @@ class Planner:
             rel_node.relation, scan_attrs, offered, residual, rel_node.name,
             handled_filters=handled,
         )
-        stage = P.WholeStageExec(scan)
-        if project_list is None:
-            return stage
-        if _is_identity_projection(project_list, scan.output):
-            return stage
-        return stage.fuse_project(project_list)
+        if project_list is None or _is_identity_projection(project_list,
+                                                           scan.output):
+            return scan
+        return scan.fuse_project(project_list)
 
     # -- aggregate pushdown (coprocessor-style connectors) --------------------------
     def _try_aggregate_pushdown(self, node: L.Aggregate) -> Optional[P.PhysicalPlan]:
@@ -344,10 +335,8 @@ class Planner:
             return join
 
         # no equi keys: nested loop with the right side broadcast
-        return P.BroadcastNestedLoopJoinExec(
-            adapt(left_plan, False), adapt(right_plan, False),
-            node.how, node.condition
-        )
+        return P.BroadcastNestedLoopJoinExec(left_plan, right_plan, node.how,
+                                             node.condition)
 
     def _broadcast(self, build: L.LogicalPlan, est_probe, est_build,
                    *equi) -> P.BroadcastHashJoinExec:
@@ -387,12 +376,9 @@ class Planner:
     @staticmethod
     def _equi_join(strategy, left: P.PhysicalPlan, right: P.PhysicalPlan,
                    left_keys, right_keys, how: str, residual, est) -> P.PhysicalPlan:
-        """One equi-join operator: each child in the format ``strategy``
-        reads it in, stamped with the join-level row estimate (where
-        confident) for EXPLAIN's est-vs-actual."""
-        left_batches, right_batches = strategy.child_formats
-        op = strategy(adapt(left, left_batches), adapt(right, right_batches),
-                      left_keys, right_keys, how, residual)
+        """One equi-join operator, stamped with the join-level row estimate
+        (where confident) for EXPLAIN's est-vs-actual."""
+        op = strategy(left, right, left_keys, right_keys, how, residual)
         if est is not None and est.confident:
             op.cbo_rows = est.rows
         return op

@@ -173,42 +173,6 @@ def _translate_comparison(expr: E.Comparison) -> Optional[Filter]:
     return LessThanOrEqual(name, value)
 
 
-def evaluate_filter(flt: Filter, row: Dict[str, object]) -> bool:
-    """Reference evaluator for source filters over a name->value mapping.
-
-    Used by tests and by relations that apply filters client-side.
-    NULL-handling matches SQL: comparisons against NULL never match.
-    """
-    if isinstance(flt, And):
-        return evaluate_filter(flt.left, row) and evaluate_filter(flt.right, row)
-    if isinstance(flt, Or):
-        return evaluate_filter(flt.left, row) or evaluate_filter(flt.right, row)
-    if isinstance(flt, Not):
-        return not evaluate_filter(flt.child, row)
-    if isinstance(flt, IsNull):
-        return row.get(flt.attribute) is None
-    if isinstance(flt, IsNotNull):
-        return row.get(flt.attribute) is not None
-    value = row.get(flt.attribute)
-    if value is None:
-        return False
-    if isinstance(flt, EqualTo):
-        return value == flt.value
-    if isinstance(flt, GreaterThan):
-        return value > flt.value
-    if isinstance(flt, GreaterThanOrEqual):
-        return value >= flt.value
-    if isinstance(flt, LessThan):
-        return value < flt.value
-    if isinstance(flt, LessThanOrEqual):
-        return value <= flt.value
-    if isinstance(flt, In):
-        return value in flt.values
-    if isinstance(flt, StringStartsWith):
-        return isinstance(value, str) and value.startswith(flt.prefix)
-    raise TypeError(f"unknown filter {flt!r}")
-
-
 # -- the relation plug-in API --------------------------------------------------------
 
 class BaseRelation:

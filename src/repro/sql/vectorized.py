@@ -4,11 +4,12 @@ Scans, filters, projections, aggregate builds and hash-join key evaluation
 exchange :class:`~repro.sql.columnar.RecordBatch` column vectors
 (:mod:`repro.sql.physical`).  Consumers that are inherently row-ordered --
 sorts, limits, set operators, nested-loop / adaptive joins, the write
-sink and the session root -- read row tuples.  Wherever a producer's
-format differs from what its consumer reads, the planner calls
-:func:`adapt`, which inserts :class:`ColumnarToRowExec`
-or :class:`RowToColumnarExec`: a format change is always a visible plan
-node, never implicit.  Each adapter counts one
+sink and the session root -- read row tuples.  Every operator declares the
+format it reads each child in (``PhysicalPlan.child_formats``), and one
+rule, :func:`insert_transitions`, applied once to a planned tree, puts a
+:class:`ColumnarToRowExec` or :class:`RowToColumnarExec` on every edge
+whose child produces the other format: a format change is always a visible
+plan node, never implicit.  Each adapter counts one
 ``engine.vectorized.transitions`` per partition it converts, scoped to
 itself, which is what its EXPLAIN ANALYZE note reads.  See docs/vectorized.md.
 """
@@ -48,6 +49,8 @@ class RowToColumnarExec(P.PhysicalPlan):
 class ColumnarToRowExec(P.PhysicalPlan):
     """Transition: unpack column batches back into row tuples."""
 
+    child_formats = (True,)
+
     def __init__(self, child: P.PhysicalPlan) -> None:
         super().__init__(child.output, [child])
 
@@ -66,12 +69,22 @@ class ColumnarToRowExec(P.PhysicalPlan):
         return "ColumnarToRow"
 
 
-def adapt(child: P.PhysicalPlan, columnar: bool) -> P.PhysicalPlan:
-    """``child`` in the format its consumer reads (``columnar`` batches or
-    rows), behind a transition node when it produces the other one."""
-    if child.columnar_output == columnar:
-        return child
-    return RowToColumnarExec(child) if columnar else ColumnarToRowExec(child)
+def insert_transitions(root: P.PhysicalPlan) -> P.PhysicalPlan:
+    """The one rule that places transitions: below every operator, each
+    child in the format the operator reads it in (``child_formats``), and
+    the root as rows.  A child producing the other format gets an adapter;
+    the tree is rewritten in place and its root returned.  Running the rule
+    on its own result changes nothing, since an adapter reads the format
+    its child produces."""
+    def place(op: P.PhysicalPlan, batches: bool) -> P.PhysicalPlan:
+        reads = op.child_formats
+        op.children = [place(child, i < len(reads) and reads[i])
+                       for i, child in enumerate(op.children)]
+        if op.columnar_output == batches:
+            return op
+        return RowToColumnarExec(op) if batches else ColumnarToRowExec(op)
+
+    return place(root, False)
 
 
-__all__ = ["ColumnarToRowExec", "RowToColumnarExec", "adapt"]
+__all__ = ["ColumnarToRowExec", "RowToColumnarExec", "insert_transitions"]

@@ -5,9 +5,10 @@ import pytest
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.errors import FatalTaskError
 from repro.common.faults import FAULT_SHUFFLE_FETCH, FaultInjector
+from repro.common.retry import stable_fraction
 from repro.engine.cluster import ComputeCluster
 from repro.engine.rdd import ParallelCollectionRDD
-from repro.engine.scheduler import TaskScheduler
+from repro.engine.scheduler import TASK_RETRY_POLICY, TaskScheduler
 
 
 def make_scheduler(hosts=("h1", "h2"), executors=2, **kwargs):
@@ -44,10 +45,39 @@ def test_failed_attempts_and_backoff_are_charged():
 
 
 def test_retry_backoff_is_deterministic():
-    backoffs = [make_scheduler()._retry_backoff(3, a) for a in (1, 2, 3)]
-    again = [make_scheduler()._retry_backoff(3, a) for a in (1, 2, 3)]
+    backoffs = [TASK_RETRY_POLICY.backoff_s(a, key=3) for a in (1, 2, 3)]
+    again = [TASK_RETRY_POLICY.backoff_s(a, key=3) for a in (1, 2, 3)]
     assert backoffs == again
     assert all(b > 0 for b in backoffs)
+
+
+def _scheduler_backoff(task_index, attempt):
+    """The scheduler's own backoff formula before it took the policy."""
+    raw = min(2.0, 0.05 * 2 ** (attempt - 1))
+    return raw * (0.5 + stable_fraction("engine.retry", task_index, attempt))
+
+
+def test_task_retry_policy_keeps_the_schedulers_backoffs_to_the_bit():
+    for task_index in range(4):
+        for attempt in range(1, 6):
+            assert TASK_RETRY_POLICY.backoff_s(attempt, key=task_index).hex() \
+                == _scheduler_backoff(task_index, attempt).hex()
+    # four attempts in all: retries after the first three failures only
+    assert [TASK_RETRY_POLICY.allows_retry(n) for n in range(1, 5)] == \
+        [True, True, True, False]
+
+
+def test_a_task_gets_four_attempts():
+    attempts = {"n": 0}
+
+    def failing(rows, ctx):
+        attempts["n"] += 1
+        raise RuntimeError("always")
+
+    with pytest.raises(FatalTaskError, match="after 4 attempts"):
+        make_scheduler().run_job(
+            ParallelCollectionRDD([1], 1).map_partitions(failing))
+    assert attempts["n"] == 4
 
 
 @pytest.mark.parametrize("entry", ["job", "barrier"])

@@ -44,7 +44,7 @@ from repro.sql import expressions as E
 from repro.sql.functions import col
 from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
-from repro.sql.vectorized import adapt
+from repro.sql.vectorized import insert_transitions
 
 HOSTS = ["h1", "h2", "h3"]
 HOWS = ("inner", "left", "semi", "anti")
@@ -73,7 +73,7 @@ def reference(left, right, how, residual):
 
 
 class Sides:
-    """Both inputs as fresh scan stages over the same attributes."""
+    """Both inputs as fresh scans over the same attributes."""
 
     def __init__(self, left_rows, right_rows, residual):
         self.lk, self.lv = E.Attribute("k", IntegerType), E.Attribute("v", IntegerType)
@@ -81,21 +81,20 @@ class Sides:
         self.left_rows, self.right_rows = left_rows, right_rows
         self.residual = E.Comparison("<", self.lv, self.rw) if residual else None
 
-    def left(self, columnar):
-        return adapt(P.WholeStageExec(
-            P.LocalScanExec([self.lk, self.lv], self.left_rows, 3)), columnar)
+    def left(self):
+        return P.LocalScanExec([self.lk, self.lv], self.left_rows, 3)
 
-    def right(self, columnar):
-        return adapt(P.WholeStageExec(
-            P.LocalScanExec([self.rk, self.rw], self.right_rows, 2)), columnar)
+    def right(self):
+        return P.LocalScanExec([self.rk, self.rw], self.right_rows, 2)
 
     def tagged_bytes(self, rows, side):
         return sum(estimate_size(((r[0],), side, r)) for r in rows)
 
 
 def run(op, conf=None, cost_model=None):
+    """Execute a hand-built tree, its transitions placed as the planner's are."""
     session = SparkSession(HOSTS, conf=conf, cost_model=cost_model)
-    result = session.execute_physical(adapt(op, False))
+    result = session.execute_physical(insert_transitions(op))
     return Counter(tuple(r.values) for r in result.rows), result
 
 
@@ -118,12 +117,12 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
     total = sum(expected.values())
     equi = ([sides.lk], [sides.rk], how, sides.residual)
 
-    join = P.BroadcastHashJoinExec(sides.left(True), sides.right(False), *equi)
+    join = P.BroadcastHashJoinExec(sides.left(), sides.right(), *equi)
     got, result = run(join)
     assert got == expected
     check_counted(join, result, total)
 
-    join = P.ShuffledHashJoinExec(sides.left(True), sides.right(True), *equi)
+    join = P.ShuffledHashJoinExec(sides.left(), sides.right(), *equi)
     got, result = run(join)
     assert got == expected
     check_counted(join, result, total)
@@ -132,13 +131,13 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
     if residual:
         condition = E.And(condition, sides.residual)
     got, result = run(P.BroadcastNestedLoopJoinExec(
-        sides.left(False), sides.right(False), how, condition))
+        sides.left(), sides.right(), how, condition))
     assert got == expected
 
     if how in ("inner", "semi"):   # the planner pushes for no other
         distinct = {r[0] for r in right_rows if r[0] is not None}
         for max_keys in (P.SEMIJOIN_MAX_KEYS, 1):
-            join = P.ShuffledHashJoinExec(sides.left(True), sides.right(True), *equi)
+            join = P.ShuffledHashJoinExec(sides.left(), sides.right(), *equi)
             join.push_keys = True
             saved, P.SEMIJOIN_MAX_KEYS = P.SEMIJOIN_MAX_KEYS, max_keys
             try:
@@ -155,10 +154,9 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
         # what the planner builds when only the left side fits: the sides
         # swap, a projection restores column order, the residual filters
         join = P.BroadcastHashJoinExec(
-            sides.right(True), sides.left(False), [sides.rk], [sides.lk],
+            sides.right(), sides.left(), [sides.rk], [sides.lk],
             "inner", None)
-        swapped = P.ProjectExec(
-            [sides.lk, sides.lv, sides.rk, sides.rw], adapt(join, True))
+        swapped = P.ProjectExec([sides.lk, sides.lv, sides.rk, sides.rw], join)
         if residual:
             swapped = P.FilterExec(sides.residual, swapped)
         got, result = run(swapped)
@@ -174,7 +172,7 @@ def test_every_strategy_agrees_with_the_nested_loop(left_rows, right_rows, how,
          if how == "inner" and right_bytes > left_bytes else None),
         (-1, "ShuffledHashJoin"),
     ):
-        join = adaptive.AdaptiveJoinExec(sides.left(False), sides.right(False), *equi)
+        join = adaptive.AdaptiveJoinExec(sides.left(), sides.right(), *equi)
         got, result = run(join, {"sql.autoBroadcastJoinThreshold": threshold})
         assert got == expected
         check_counted(join, result, total)
@@ -195,7 +193,7 @@ def test_skew_split_agrees_with_the_nested_loop(monkeypatch):
         for residual in (False, True):
             sides = Sides(left_rows, right_rows, residual)
             join = adaptive.AdaptiveJoinExec(
-                sides.left(False), sides.right(False),
+                sides.left(), sides.right(),
                 [sides.lk], [sides.rk], how, sides.residual)
             got, result = run(join, {"sql.autoBroadcastJoinThreshold": -1},
                               cost_model=cost)
@@ -486,7 +484,7 @@ def _fact_scan(session):
 
 def _local(name, rows):
     attrs = [E.Attribute(name, IntegerType), E.Attribute(name + "w", IntegerType)]
-    return attrs, adapt(P.WholeStageExec(P.LocalScanExec(attrs, rows, 2)), False)
+    return attrs, P.LocalScanExec(attrs, rows, 2)
 
 
 def test_keys_travel_down_the_stream_spine_only(broadcast_star):
@@ -499,16 +497,15 @@ def test_keys_travel_down_the_stream_spine_only(broadcast_star):
         scan = _fact_scan(session)
         (ik, __), inner_build = _local("ik", [(i, i) for i in range(0, 600, 2)])
         (ok, __), outer_build = _local("ok", [(8, 0), (9, 0), (10, 0)])
-        stream = P.WholeStageExec(scan)
-        if limit:
-            stream = adapt(P.LimitExec(500, adapt(stream, False)), True)
+        stream = P.LimitExec(500, scan) if limit else scan
         inner = P.BroadcastHashJoinExec(
             stream, inner_build, [scan.output[0]], [ik], "inner", None)
         outer = P.BroadcastHashJoinExec(
-            adapt(inner, True), outer_build, [scan.output[0]], [ok], "inner", None)
+            inner, outer_build, [scan.output[0]], [ok], "inner", None)
         outer.push_keys = True
+        planned = insert_transitions(outer)
         assert outer.probe_scan() is (None if limit else scan)
-        result = session.execute_physical(adapt(outer, False))
+        result = session.execute_physical(planned)
         return scan, result
 
     scan, result = nested(limit=False)
@@ -579,19 +576,18 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
 
     def join(push, stamp=None, shuffled=False):
         scan = P.DataSourceScanExec(relation.relation, attrs, [], None, "probe")
-        build_side = P.WholeStageExec(P.LocalScanExec([rk, rw], build, 2))
+        build_side = P.LocalScanExec([rk, rw], build, 2)
         equi = ([attrs[0]], [rk], how, condition)
         if shuffled:
-            op = P.ShuffledHashJoinExec(P.WholeStageExec(scan), build_side, *equi)
+            op = P.ShuffledHashJoinExec(scan, build_side, *equi)
         else:
-            op = P.BroadcastHashJoinExec(
-                P.WholeStageExec(scan), adapt(build_side, False), *equi)
+            op = P.BroadcastHashJoinExec(scan, build_side, *equi)
             op.build_stamp = stamp
         op.push_keys = push
         return scan, op
 
     def execute(op):
-        result = session.execute_physical(adapt(op, False))
+        result = session.execute_physical(insert_transitions(op))
         return Counter(tuple(r.values) for r in result.rows), result
 
     for shuffled in (False, True):
@@ -613,7 +609,7 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
     doubled = Counter({row: 2 * n for row, n in expected.items()})
     for stamp in (None, ("build", (0,))):
         (__, a), (__, b) = join(True, stamp), join(False, stamp)
-        got, result = execute(P.UnionExec(adapt(a, False), adapt(b, False)))
+        got, result = execute(P.UnionExec(a, b))
         assert got == doubled
         assert result.metrics.get("engine.broadcast_reuses") == \
             (stamp is not None)
@@ -634,9 +630,9 @@ def test_keys_on_an_avro_coded_row_key_prune_without_merging(linked):
     for push in (False, True):
         scan = P.DataSourceScanExec(relation.relation, relation.output, [], None, "t")
         op = P.BroadcastHashJoinExec(
-            P.WholeStageExec(scan), build, [relation.output[0]], [bk], "inner", None)
+            scan, build, [relation.output[0]], [bk], "inner", None)
         op.push_keys = push
-        result = session.execute_physical(adapt(op, False))
+        result = session.execute_physical(insert_transitions(op))
         answers.append(sorted(r.values[1] for r in result.rows))
         if push:
             stats = _scan(result, scan.op_id)
@@ -665,7 +661,7 @@ def test_limit_books_the_rows_it_pulled(session):
 def test_limit_over_a_join_counts_the_rows_the_join_emitted():
     sides = Sides([(i % 4, i) for i in range(500)], [(k, k) for k in range(4)],
                   residual=False)
-    join = P.BroadcastHashJoinExec(sides.left(True), sides.right(False),
+    join = P.BroadcastHashJoinExec(sides.left(), sides.right(),
                                    [sides.lk], [sides.rk], "inner", None)
     got, result = run(P.LimitExec(3, join))
     assert sum(got.values()) == 3

@@ -93,9 +93,38 @@ def test_sort_orders_and_null_placement(session):
     session.create_dataframe([(3,), (None,), (1,)], schema) \
         .create_or_replace_temp_view("s")
     asc = session.sql("select a from s order by a").collect()
-    assert [r.a for r in asc] == [1, 3, None]
+    assert [r.a for r in asc] == [None, 1, 3]
     desc = session.sql("select a from s order by a desc").collect()
-    assert [r.a for r in desc] == [None, 3, 1]
+    assert [r.a for r in desc] == [3, 1, None]
+
+
+NULL_ORDER_ROWS = [(1, None), (None, 2), (1, 3), (None, None), (2, 2),
+                   (None, 5), (2, None), (0, 1)]
+
+
+def test_mixed_direction_sort_places_nulls_like_sqlite(session):
+    """Two keys, one ascending and one descending, NULLs in both: SQL and
+    ``DataFrame.order_by`` order rows exactly as sqlite does (NULLs first
+    ascending, last descending)."""
+    import sqlite3
+
+    from repro.sql.functions import col
+
+    schema = StructType([StructField("a", IntegerType),
+                         StructField("b", IntegerType)])
+    df = session.create_dataframe(NULL_ORDER_ROWS, schema)
+    df.create_or_replace_temp_view("nulls")
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE nulls (a INTEGER, b INTEGER)")
+    db.executemany("INSERT INTO nulls VALUES (?, ?)", NULL_ORDER_ROWS)
+    for a_dir, b_dir in (("asc", "desc"), ("desc", "asc")):
+        query = f"select a, b from nulls order by a {a_dir}, b {b_dir}"
+        expected = db.execute(query).fetchall()
+        assert [tuple(r) for r in session.sql(query).collect()] == expected
+        ordered = df.order_by(getattr(col("a"), a_dir)(),
+                              getattr(col("b"), b_dir)())
+        assert [tuple(r) for r in ordered.collect()] == expected
+    db.close()
 
 
 def test_limit(sql):

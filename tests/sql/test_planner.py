@@ -99,7 +99,9 @@ def test_required_columns_pruned():
     relation = FakeRelation()
     physical = plan_for("select g from t where k > 1", {"t": relation})
     scan = find(physical, P.DataSourceScanExec)[0]
-    assert {a.name for a in scan.output} == {"g", "k"}
+    # what the relation reads; the fused projection then outputs ``g`` only
+    assert {a.name for a in scan.columns} == {"g", "k"}
+    assert [a.name for a in scan.output] == ["g"]
 
 
 def test_small_relation_broadcast():
@@ -207,11 +209,10 @@ def test_swapped_broadcast_restores_column_order():
     join = find(physical, P.BroadcastHashJoinExec)[0]
     project = find(physical, P.ProjectExec)[0]
     # the reordering projection directly above the swapped join lists the
-    # original left output first, then the right output
-    # (it reads batches, so the row-producing join sits behind an adapter)
+    # original left output first, then the right output (``plan`` places
+    # no format transitions: plan_query's rule adds them afterwards)
     projects_above_join = [
-        p for p in find(physical, P.ProjectExec)
-        if join in p.children[0].children
+        p for p in find(physical, P.ProjectExec) if p.children[0] is join
     ]
     assert projects_above_join
     reorder = projects_above_join[0]

@@ -1,3 +1,5 @@
+import operator
+
 from hypothesis import given, strategies as st
 
 from repro.common.errors import AnalysisError
@@ -74,18 +76,16 @@ def test_translate_arithmetic_fails():
     assert S.translate_expression(expr) is None
 
 
-def test_evaluate_filter_reference_semantics():
-    row = {"x": 5, "s": "abc", "n": None}
-    assert S.evaluate_filter(S.EqualTo("x", 5), row)
-    assert S.evaluate_filter(S.GreaterThan("x", 4), row)
-    assert not S.evaluate_filter(S.GreaterThan("n", 4), row)  # NULL never matches
-    assert S.evaluate_filter(S.IsNull("n"), row)
-    assert S.evaluate_filter(S.IsNotNull("x"), row)
-    assert S.evaluate_filter(S.In("x", (4, 5)), row)
-    assert S.evaluate_filter(S.StringStartsWith("s", "ab"), row)
-    assert S.evaluate_filter(S.And(S.EqualTo("x", 5), S.IsNull("n")), row)
-    assert S.evaluate_filter(S.Or(S.EqualTo("x", 9), S.EqualTo("x", 5)), row)
-    assert S.evaluate_filter(S.Not(S.EqualTo("x", 9)), row)
+#: what each translated comparison filter asserts of a non-NULL value
+HOLDS = {S.EqualTo: operator.eq, S.GreaterThan: operator.gt,
+         S.GreaterThanOrEqual: operator.ge, S.LessThan: operator.lt,
+         S.LessThanOrEqual: operator.le}
+
+
+def holds(flt, value):
+    if isinstance(flt, S.Not):
+        return not holds(flt.child, value)
+    return HOLDS[type(flt)](value, flt.value)
 
 
 @given(st.integers(-100, 100), st.integers(-100, 100))
@@ -96,7 +96,7 @@ def test_translated_filter_agrees_with_expression(value, bound):
         flt = S.translate_expression(expr)
         assert flt is not None
         row_fn = compile_row(E.bind_expression(expr, [a]))
-        assert S.evaluate_filter(flt, {"x": value}) == row_fn((value,))
+        assert holds(flt, value) == row_fn((value,))
 
 
 def test_references():

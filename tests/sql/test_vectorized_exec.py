@@ -5,11 +5,14 @@ mode": every parity query runs against stdlib ``sqlite3`` loaded with the
 same rows, at batch sizes 1, 7 and the default (batch seams inside every
 partition), with joins planned broadcast and -- shuffled -- statically or
 adaptively, with and without ANALYZE statistics.  The
-planner's transition placement is checked structurally (an operator's child
-hands it exactly the format it reads), and EXPLAIN ANALYZE's per-operator
-batch notes must sum to exactly the run's ``engine.vectorized.*`` counters.
+transition rule's placement is checked structurally (an operator's child
+hands it exactly the format it reads, on every way into the planner), and
+EXPLAIN ANALYZE's per-operator batch notes must sum to exactly the run's
+``engine.vectorized.*`` counters.
 """
 
+import itertools
+import json
 import random
 import re
 import sqlite3
@@ -17,6 +20,11 @@ import sqlite3
 import pytest
 
 from repro.common.errors import AnalysisError
+from repro.core.catalog import HBaseTableCatalog
+from repro.core.relation import DEFAULT_FORMAT
+from repro.extensions import HUAWEI_FORMAT
+from repro.extensions.huawei import CoprocessorAggregateExec
+from repro.hbase.cluster import HBaseCluster
 from repro.sql import SparkSession
 from repro.sql import columnar as C
 from repro.sql import expressions as E
@@ -27,6 +35,8 @@ from repro.sql.explain import explain_analyze_report
 from repro.sql.optimizer import optimize
 from repro.sql.planner import Planner
 from repro.sql.types import DoubleType, LongType, StringType, StructField, StructType
+from repro.workloads import load_tpcds, queries
+from repro.workloads.queries_df import q39a_dataframe
 
 SCHEMA = StructType([
     StructField("id", LongType),
@@ -165,7 +175,77 @@ def reads_batches(op, child_index):
         return True
     if isinstance(op, P.BroadcastHashJoinExec):
         return child_index == 0  # the build side is collected as rows
-    return False  # incl. WholeStageExec, which batches its source's rows
+    return False
+
+
+Q39_TABLES = ["inventory", "date_dim", "item", "warehouse"]
+KV_SCHEMA = StructType([StructField("k", LongType), StructField("w", DoubleType)])
+_cluster_ids = itertools.count(1)
+
+
+def beyond_select_plans(conf, monkeypatch):
+    """The trees every other way into the planner builds: the DataFrame-built
+    q39a over HBase tables, an ``INSERT ... SELECT`` (the write sink), an
+    ``INSERT ... VALUES`` (a local scan) and a coprocessor aggregate, each
+    as ``SparkSession.plan_query`` handed it to execution."""
+    planned = []
+    real = SparkSession.plan_query
+
+    def recording(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        planned.append(result.physical)
+        return result
+
+    env = load_tpcds(2, Q39_TABLES)
+    monkeypatch.setattr(SparkSession, "plan_query", recording)
+    session = env.new_session(conf=conf)
+    q39a_dataframe(session).run()
+    session.shutdown()
+
+    cluster = HBaseCluster(f"transitions{next(_cluster_ids)}", ["h1", "h2"])
+    session = SparkSession(["h1", "h2"], conf=conf, clock=cluster.clock)
+    options = {
+        HBaseTableCatalog.tableCatalog: json.dumps({
+            "table": {"namespace": "default", "name": "kv"},
+            "rowkey": "k",
+            "columns": {"k": {"cf": "rowkey", "col": "k", "type": "bigint"},
+                        "w": {"cf": "f", "col": "w", "type": "double"}},
+        }),
+        HBaseTableCatalog.newTable: "2",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    session.create_dataframe([(i, float(i)) for i in range(20)], KV_SCHEMA) \
+        .write.format(DEFAULT_FORMAT).options(options).save()
+    for fmt, name in ((DEFAULT_FORMAT, "kv"), (HUAWEI_FORMAT, "kv_hw")):
+        session.read.format(fmt).options(options).load() \
+            .create_or_replace_temp_view(name)
+    session.sql("INSERT INTO kv SELECT k + 100, w * 2.0 FROM kv WHERE w > 3.0")
+    session.sql("INSERT INTO kv VALUES (500, 1.5), (501, 2.5)")
+    session.sql("SELECT k % 3 AS g, count(*) AS n FROM kv_hw GROUP BY k % 3").run()
+    session.sql("SELECT count(*) AS n, sum(w) AS s FROM kv_hw").run()
+    session.shutdown()
+    return planned
+
+
+def assert_transitions_explicit(physical, context, seen):
+    """Every child produces exactly the format its operator reads, an
+    adapter always changes the format, the root hands over rows, and the
+    scan stage is one node: what reads a scan directly consumes it (an
+    adapter, an aggregate, or a filter or projection the scan could not
+    fuse because it already projects) and never just wraps it."""
+    assert physical.columnar_output is False, context  # session gets rows
+    for op in physical.walk():
+        seen.add(type(op))
+        for i, child in enumerate(op.children):
+            assert child.columnar_output == reads_batches(op, i), \
+                (context, op.describe(), child.describe())
+        if isinstance(op, (V.RowToColumnarExec, V.ColumnarToRowExec)):
+            assert op.children[0].columnar_output != op.columnar_output
+        if len(op.children) == 1 and isinstance(op.children[0], P.ScanExec):
+            assert isinstance(op, (V.ColumnarToRowExec, P.HashAggregateExec)) \
+                or (isinstance(op, (P.FilterExec, P.ProjectExec))
+                    and op.children[0].project_list is not None), \
+                (context, op.describe())
 
 
 @pytest.mark.parametrize("conf", [
@@ -173,22 +253,19 @@ def reads_batches(op, child_index):
     {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": False},
     {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": True},
 ])
-def test_transitions_are_explicit_everywhere(conf):
-    """Every operator's child produces exactly the format it reads."""
+def test_transitions_are_explicit_everywhere(conf, monkeypatch):
+    """Every operator's child produces exactly the format it reads: the
+    SELECTs over temp views, then every other way into the planner."""
     seen = set()
     for query in QUERIES:
-        physical = plan_for(query, conf)
-        assert physical.columnar_output is False  # session gets rows
-        for op in physical.walk():
-            seen.add(type(op))
-            for i, child in enumerate(op.children):
-                assert child.columnar_output == reads_batches(op, i), \
-                    (query, op.describe(), child.describe())
-            if isinstance(op, (V.RowToColumnarExec, V.ColumnarToRowExec)):
-                # an adapter always changes the format
-                assert op.children[0].columnar_output != op.columnar_output
-    assert {P.WholeStageExec, P.HashAggregateExec, V.ColumnarToRowExec,
-            V.RowToColumnarExec, P.SortExec, P.DistinctExec} <= seen
+        assert_transitions_explicit(plan_for(query, conf), query, seen)
+    others = beyond_select_plans(conf, monkeypatch)
+    assert len(others) == 6  # q39a, the seeding write, 2 INSERTs, 2 aggregates
+    for physical in others:
+        assert_transitions_explicit(physical, physical.pretty(), seen)
+    assert {P.LocalScanExec, P.DataSourceScanExec, P.HashAggregateExec,
+            CoprocessorAggregateExec, V.ColumnarToRowExec, V.RowToColumnarExec,
+            P.SortExec, P.DistinctExec} <= seen
     if conf is None:
         assert P.BroadcastHashJoinExec in seen
     elif conf["sql.aqe.enabled"]:
@@ -197,12 +274,29 @@ def test_transitions_are_explicit_everywhere(conf):
         assert P.ShuffledHashJoinExec in seen
 
 
+def test_the_transition_rule_is_idempotent():
+    """Applying the rule to a planned tree changes nothing: same root, same
+    operators, same edges."""
+    for query in QUERIES:
+        physical = plan_for(query)
+        before = [(op.op_id, [c.op_id for c in op.children])
+                  for op in physical.walk()]
+        assert V.insert_transitions(physical) is physical
+        assert [(op.op_id, [c.op_id for c in op.children])
+                for op in physical.walk()] == before
+
+
 def test_fusion_collapses_scan_filter_project():
     physical = plan_for(QUERIES[0])
-    stages = [op for op in physical.walk() if isinstance(op, P.WholeStageExec)]
-    assert len(stages) == 1
-    assert stages[0].fused[0] == "Scan" and len(stages[0].fused) > 1
-    assert stages[0].describe() == "WholeStage(" + "+".join(stages[0].fused) + ")"
+    scans = [op for op in physical.walk() if isinstance(op, P.ScanExec)]
+    assert len(scans) == 1
+    assert scans[0].fused[0] == "Scan" and len(scans[0].fused) > 1
+    assert scans[0].describe().endswith(
+        ", fused=" + "+".join(scans[0].fused[1:]) + ")")
+    # the source reads the pre-projection columns, the scan outputs the
+    # projection
+    assert [a.name for a in scans[0].columns] == ["id", "k", "v", "tag"]
+    assert [a.name for a in scans[0].output] == ["id", "vv", "kb"]
 
 
 def test_projection_over_missing_attribute_raises_at_plan_time():
@@ -210,7 +304,7 @@ def test_projection_over_missing_attribute_raises_at_plan_time():
     is compiled onto RDDs, naming what the child offers, not run slowly."""
     ghost = E.Attribute("ghost", LongType)
     source = P.LocalScanExec([E.Attribute("x", LongType)], [(1,), (2,)])
-    project = P.ProjectExec([E.Alias(ghost, "g")], P.WholeStageExec(source))
+    project = P.ProjectExec([E.Alias(ghost, "g")], source)
     session = SparkSession(["h1"])
     ctx = P.ExecContext(session.new_scheduler(), session.cost, session.conf)
     with pytest.raises(AnalysisError, match=r"cannot bind ghost#\d+; available"):
@@ -246,7 +340,7 @@ def test_each_expression_compiles_exactly_once(monkeypatch):
     expected = 0
     kinds = set()
     for op in physical.walk():
-        if isinstance(op, P.WholeStageExec):
+        if isinstance(op, P.ScanExec):
             expected += len(op.conditions) + len(op.project_list or ())
         elif isinstance(op, P.FilterExec):
             expected += 1
@@ -259,7 +353,7 @@ def test_each_expression_compiles_exactly_once(monkeypatch):
         else:
             continue
         kinds.add(type(op))
-    assert kinds == {P.WholeStageExec, P.FilterExec, P.ProjectExec,
+    assert kinds == {P.LocalScanExec, P.FilterExec, P.ProjectExec,
                      P.HashAggregateExec}
     session.execute_physical(physical)
     assert len(roots) == expected
@@ -305,11 +399,50 @@ def test_explain_analyze_annotates_batch_operators_and_adapters():
     plan_section = report.split("== Stages ==")[0]
     # plain operator names, batch notes on batch operators, a transition
     # note on every adapter
-    assert "WholeStage(Scan+" in plan_section
+    assert "LocalScan(3000 rows, fused=" in plan_section
     assert "Vectorized" not in plan_section and "mode:" not in plan_section
     assert "+- batches: " in plan_section
     assert plan_section.count("+- transition: partitions=") == \
         plan_section.count("ColumnarToRow\n") + plan_section.count("RowToColumnar\n")
+
+
+def notes_by_node(report):
+    """The plan section as ``(headline, {note kind})`` per operator."""
+    nodes = []
+    for line in report.split("== Stages ==")[0].splitlines()[1:]:
+        note = re.match(r"\s*\+- (\w[\w ]*):", line)
+        if note:
+            nodes[-1][1].add(note.group(1))
+        elif line.strip():
+            nodes.append((line.strip(), set()))
+    return nodes
+
+
+def test_explain_analyze_puts_a_scans_notes_on_its_node():
+    """A scan is one node, so everything its stage did is noted there:
+    regions, filters and batches, and the fusion where it fused one (q39a
+    reading inventory through a computed column fuses that projection).
+    Scans whose build side was shared did not run and carry no notes."""
+    env = load_tpcds(2, Q39_TABLES)
+    computed = ("from (select inv_date_sk, inv_item_sk, inv_warehouse_sk, "
+                "inv_quantity_on_hand * 2 as inv_quantity_on_hand "
+                "from inventory) inventory")
+    for query, fusing in ((queries.q39a(), 0),
+                          (queries.q39a().replace("from inventory", computed), 2)):
+        session = env.new_session()
+        report = session.sql(query).explain(analyze=True)
+        session.shutdown()
+        nodes = notes_by_node(report)
+        ran = [(head, kinds) for head, kinds in nodes
+               if head.startswith("DataSourceScan(") and kinds]
+        assert len(ran) == 6
+        for head, kinds in ran:
+            assert {"batches", "regions", "filters"} <= kinds, head
+            assert ("fused" in kinds) == (", fused=Project)" in head), head
+        assert sum("fused" in kinds for __, kinds in ran) == fusing
+        # ... and nowhere else
+        assert all(not kinds & {"regions", "filters", "fused"}
+                   for head, kinds in nodes if not head.startswith("DataSourceScan("))
 
 
 @pytest.mark.parametrize("conf", [None, {"sql.aqe.enabled": True}])

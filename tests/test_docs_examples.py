@@ -3,8 +3,13 @@
 Blocks execute in file order sharing one namespace per document, so a
 doc can set the stage once (build a cluster, load data) and let later
 examples build on it -- exactly how a reader would follow the chapter.
+
+Output a doc presents as a real run is one: docs/observability.md's
+EXPLAIN ANALYZE block is compared with what its example prints.
 """
 
+import contextlib
+import io
 import pathlib
 import re
 
@@ -35,3 +40,38 @@ def test_doc_examples_execute(doc):
     for index, block in enumerate(_python_blocks(doc)):
         code = compile(block, f"{doc.name}[example {index}]", "exec")
         exec(code, namespace)  # noqa: S102 - the docs are ours
+
+
+#: a row of EXPLAIN ANALYZE's stage table: stage kind tasks local sim_s
+#: wall_s output scan
+_STAGE_ROW = re.compile(r"^\s*\d+\s+\w+\s+\d+\s+\d+\s+[\d.]+\s+[\d.]+\s+\S+\s+\S+$")
+_REPORT_HEAD = "== Physical Plan (EXPLAIN ANALYZE) =="
+
+
+def _masked(line):
+    """``line`` without what varies between runs: wall-clock values, and
+    operator ids (the stage table's ``scan`` column, ``op N``), which come
+    from a process-wide counter and so depend on what ran before."""
+    if _STAGE_ROW.match(line):
+        fields = line.split()
+        fields[5] = "<wall>"
+        fields[7] = "<op>"
+        return " ".join(fields)
+    line = re.sub(r"wall-clock: [\d.]+s", "wall-clock: <wall>s", line)
+    return re.sub(r"\bop \d+", "op <op>", line)
+
+
+def test_observability_report_is_a_real_run_of_its_example():
+    doc = DOCS / "observability.md"
+    example = next(b for b in _python_blocks(doc) if "explain(analyze=True)" in b)
+    documented = re.search(rf"^```\n({re.escape(_REPORT_HEAD)}\n.*?)^```$",
+                           doc.read_text(), re.M | re.S).group(1).splitlines()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, f"{doc.name}[report example]", "exec"),
+             {"__name__": "docs.observability"})
+    printed = out.getvalue().splitlines()
+    start = printed.index(_REPORT_HEAD)
+    ran = printed[start:start + len(documented)]
+    assert [_masked(line) for line in ran] == \
+        [_masked(line) for line in documented]

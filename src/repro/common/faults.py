@@ -11,9 +11,10 @@ seed even with queries driven from several caller threads: each
 invocation order is determined by the task that owns the key, not by
 thread interleaving.
 
-With no injector installed every fault point is a single ``is None`` check,
-and the code path is byte-for-byte the fault-free one: turning fault
-injection off yields zero behavior or ledger difference.
+No code path depends on whether an injector is installed: every fault
+point is consulted either way, and with no injector the consultation is a
+single ``is None`` check.  Turning fault injection off yields zero behavior
+or ledger difference.
 
 Fault points currently wired in:
 

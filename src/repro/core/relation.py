@@ -240,14 +240,6 @@ class HBaseRelation(BaseRelation):
             return 0
         return region.io_bytes_for_range(scan_range.start, scan_range.stop)
 
-    def replica_failover_location(self, old_location, row: bytes):
-        """Warm location a crashed-primary scan should resume at (or None)."""
-        replication = self.cluster.replication
-        if replication is None or not self.replica_read_enabled:
-            return None
-        return replication.failover_location(
-            self.catalog.qualified_name, old_location, row)
-
     def insert(self, rdd: "RDD", schema: StructType, ctx: "ExecContext",
                overwrite: bool = False) -> int:
         from repro.core.writer import insert_into_hbase

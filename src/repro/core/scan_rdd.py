@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
-from repro.common.errors import (
-    FilterEvalError,
-    RegionOfflineError,
-    TransientRpcError,
-)
 from repro.core.catalog import ColumnDef
 from repro.core.partitions import HBaseScanPartition
 from repro.engine.rdd import Partition, RDD
-from repro.hbase.client import Get, Result, Scan
+from repro.hbase.client import Get, Scan
 from repro.hbase.filters import Filter as HFilter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,29 +103,19 @@ class HBaseTableScanRDD(RDD):
                         gets.append(self._configure(
                             Get(scan_range.start), hbase_columns, time_range,
                             max_versions))
-                    else:
-                        for result in self._scan_range(
-                            table, connection, work.location, scan_range,
-                            hbase_columns, time_range, max_versions, caching,
-                            ctx, span,
-                        ):
-                            values, ncells = decode(result.row, result.cells)
-                            decoded_cells += ncells
-                            yield values
+                        continue
+                    scan = self._configure(
+                        Scan(scan_range.start, scan_range.stop),
+                        hbase_columns, time_range, max_versions)
+                    if caching is not None:
+                        scan.set_caching(caching)
+                    for result in table.get_scanner(scan, ctx.ledger,
+                                                    work.location):
+                        values, ncells = decode(result.row, result.cells)
+                        decoded_cells += ncells
+                        yield values
             if gets:
-                try:
-                    results = table.bulk_get(gets, ctx.ledger)
-                except FilterEvalError:
-                    # the degradation _scan_range makes: fetch again without
-                    # the pushed filter and apply the predicate client-side
-                    ctx.ledger.count("shc.filter_fallbacks")
-                    for get in gets:
-                        get.filter = None
-                    results = [
-                        r for r in table.bulk_get(gets, ctx.ledger)
-                        if not r.is_empty()
-                        and self.hbase_filter.filter_row(r.row, r.cells)]
-                for result in results:
+                for result in table.bulk_get(gets, ctx.ledger):
                     if result.is_empty():
                         continue
                     values, ncells = decode(result.row, result.cells)
@@ -143,95 +128,6 @@ class HBaseTableScanRDD(RDD):
             if span.enabled:
                 span.set(cells_decoded=decoded_cells)
                 span.finish(sim_seconds=ctx.ledger.seconds - sim_start)
-
-    # -- fault-tolerant range scanning -------------------------------------------
-    def _scan_range(self, table, connection, location, scan_range,
-                    columns, time_range, max_versions,
-                    caching: Optional[int],
-                    ctx: "TaskContext", span=None) -> Iterator[Result]:
-        """Scan one clipped range, surviving crashes and filter failures.
-
-        Exactly-once resumption: ``resume`` is the successor of the last row
-        key *received* (worked out when a failure needs it, not per row), so
-        when the serving region server crashes mid-scan (or meta goes stale)
-        the generator takes the connection's retry step
-        (:meth:`RetryPolicy.before_retry`: attempts, backoff, and the
-        operation deadline, whose clock starts here, when the range's first
-        Scan is issued), re-locates the region -- by then the master has
-        reassigned it and WAL replay restored unflushed cells -- and re-issues
-        the scan from ``resume``: no row is lost or duplicated.  A pushed-down
-        filter that fails server-side degrades gracefully: the scan is
-        re-issued unfiltered from the same position and the predicate is
-        applied client-side (the scan already fetches the filter's columns).
-        Fault-free this makes exactly the one ``scan_region`` call per range
-        it always made.
-        """
-        relation = self.relation
-        table_name = relation.catalog.qualified_name
-        resume = scan_range.start
-        stop = scan_range.stop
-        client_filter: Optional[HFilter] = None
-        failures = 0
-        started_s = ctx.ledger.seconds
-        while True:
-            scan = self._configure(Scan(resume, stop), columns, time_range,
-                                   max_versions)
-            if client_filter is not None:
-                scan.filter = None
-            if caching is not None:
-                scan.set_caching(caching)
-            result = None
-            try:
-                try:
-                    for result in table.scan_region(location, scan, ctx.ledger):
-                        if client_filter is None or client_filter.filter_row(
-                                result.row, result.cells):
-                            yield result
-                finally:
-                    # however this attempt ended, the next one starts after
-                    # the last row it received (kept or filtered out)
-                    if result is not None:
-                        resume = result.row + b"\x00"
-            except FilterEvalError:
-                # graceful degradation: rerun the scan without the pushed
-                # filter and evaluate the predicate as a client-side residual
-                client_filter = self.hbase_filter
-                ctx.ledger.count("shc.filter_fallbacks")
-                if span is not None and span.enabled:
-                    span.event("filter-fallback", region=location.region_name)
-                continue
-            except (RegionOfflineError, TransientRpcError) as exc:
-                failures += 1
-                connection.invalidate_location_cache(table_name)
-                # warm failover (docs/replication.md): when the master has
-                # already promoted a replica, resume there immediately --
-                # the resume key is preserved, so no row repeats, and the
-                # retry backoff is never paid
-                failover = relation.replica_failover_location(location, resume)
-                if failover is not None:
-                    ctx.ledger.count("hbase.replica.failovers")
-                    if span is not None and span.enabled:
-                        span.event("replica-failover",
-                                   region=location.region_name,
-                                   server=failover.server_id,
-                                   failures=failures)
-                    location = failover
-                else:
-                    connection.retry_policy.before_retry(
-                        failures, exc, ctx.ledger, started_s,
-                        key=location.region_name, op="scan_range",
-                        table=table_name)
-                    location = connection.locate(table_name, resume)
-                ctx.ledger.count("shc.scan_resumes")
-                continue
-            # this region is exhausted; a range extending past its end (the
-            # region split since the partition was planned) continues in the
-            # next region -- otherwise the range is done
-            end = location.end_row
-            if not end or (stop is not None and end >= stop):
-                return
-            resume = max(resume, end)
-            location = connection.locate(table_name, resume)
 
     # -- request shaping ---------------------------------------------------------
     def _hbase_columns(self) -> Optional[Set[Tuple[str, str]]]:

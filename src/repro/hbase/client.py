@@ -3,7 +3,8 @@
 Mirrors the pieces of ``org.apache.hadoop.hbase.client`` SHC programs against:
 ``ConnectionFactory.create_connection`` (the heavyweight operation SHC's
 connection cache exists to avoid), ``Table`` with ``put``/``get``/``scan``/
-``delete``/``bulk_get``, and builder-style ``Scan``/``Get``/``Put``/``Delete``
+``delete``/``bulk_get`` and ``get_scanner`` (the one scan, resumable, that
+SHC reads through), and builder-style ``Scan``/``Get``/``Put``/``Delete``
 request objects.  Every data operation accepts a cost ledger and charges RPC
 latency plus network transfer when the caller is not co-located with the
 region server -- which is how data locality becomes measurable.
@@ -11,15 +12,18 @@ region server -- which is how data locality becomes measurable.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 from typing import (
-    Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar, TYPE_CHECKING,
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
+    TYPE_CHECKING,
 )
 
 import functools
 
 from repro.common.errors import (
+    FilterEvalError,
     HBaseError,
     RegionOfflineError,
     TransientRpcError,
@@ -429,19 +433,34 @@ class Table:
                   request_bytes=sum(c.heap_size() for c in cells))
 
     # -- writes ------------------------------------------------------------------
-    @_retries
     def put(self, puts: "Put | Iterable[Put]", ledger: Optional[CostLedger] = None) -> None:
-        """Apply one or many Puts, batched per region server."""
+        """Apply one or many Puts, batched per region.
+
+        A retry re-sends only the Puts whose region refused them, located
+        afresh: a region that applied its batch is neither written nor
+        billed again, so its cells reach the WAL (and the change feed) once.
+        """
         batch = [puts] if isinstance(puts, Put) else list(puts)
+        ledger = ledger if ledger is not None else CostLedger()
         now_ms = self.cluster.clock.now_millis()
-        by_region: Dict[str, List[Cell]] = {}
-        locations: Dict[str, RegionLocation] = {}
-        for put in batch:
-            location = self._locate(put.row)
-            by_region.setdefault(location.region_name, []).extend(put.to_cells(now_ms))
-            locations[location.region_name] = location
-        for region_name, cells in by_region.items():
-            self._mutate(locations[region_name], cells, ledger)
+        applied = [False] * len(batch)
+
+        def unapplied() -> None:
+            # region -> its location and the indexes of its Puts, in order
+            by_region: Dict[str, Tuple[RegionLocation, List[int]]] = {}
+            for i, done in enumerate(applied):
+                if not done:
+                    location = self._locate(batch[i].row)
+                    by_region.setdefault(location.region_name,
+                                         (location, []))[1].append(i)
+            for location, group in by_region.values():
+                self._mutate(location, [
+                    cell for i in group for cell in batch[i].to_cells(now_ms)],
+                    ledger)
+                for i in group:
+                    applied[i] = True
+
+        self._retrying("put", ledger, unapplied)
 
     @_retries
     def delete(self, delete: Delete, ledger: Optional[CostLedger] = None) -> None:
@@ -470,9 +489,15 @@ class Table:
     def _read_rows(self, op: str, gets: Sequence[Get],
                    ledger: Optional[CostLedger]) -> List[Result]:
         """The multi-get behind :meth:`get` and :meth:`bulk_get`, retried
-        as ``op``: each attempt asks for the Gets still unanswered."""
+        as ``op``: each attempt asks for the Gets still unanswered.
+
+        A server whose filtered batch fails (``FilterEvalError``) is asked
+        again without the filters, which are then applied here: a row its
+        filter rejects answers empty, as the server would have answered.
+        """
         ledger = ledger if ledger is not None else CostLedger()
         results: List[Optional[Result]] = [None] * len(gets)
+        filtered = any([get.filter is not None for get in gets])
 
         def unanswered() -> None:
             # server -> region -> the indexes of its Gets, in request order
@@ -485,17 +510,35 @@ class Table:
                     by_server.setdefault(location.server_id, {}).setdefault(
                         location.region_name, []).append(i)
             for by_region in by_server.values():
+                def serve(server, server_side=True):
+                    answers = []
+                    for name, group in by_region.items():
+                        if server_side and filtered:
+                            self._fault(FAULT_FILTER, name, ledger)
+                        answers.append(server.get_rows(name, [
+                            gets[i] if server_side else _unfiltered(gets[i])
+                            for i in group], ledger, locations[name].replica_id))
+                    return answers
+
                 first = locations[next(iter(by_region))]
-                served = self._rpc(first, ledger, lambda server: [
-                    server.get_rows(name, [gets[i] for i in group], ledger,
-                                    locations[name].replica_id)
-                    for name, group in by_region.items()])
+                client_side = False
+                try:
+                    served = self._rpc(first, ledger, serve)
+                except FilterEvalError:
+                    ledger.count("shc.filter_fallbacks")
+                    served = self._rpc(first, ledger, lambda server: serve(
+                        server, server_side=False))
+                    client_side = True
                 # a single multi-get RPC per server carries the whole batch
                 self._charge_rpc(ledger, first.host, sum(
                     nbytes for answers in served for __, nbytes in answers))
                 for group, answers in zip(by_region.values(), served):
                     for i, (cells, __) in zip(group, answers):
-                        results[i] = Result(gets[i].row, cells)
+                        get = gets[i]
+                        if client_side and cells and get.filter is not None \
+                                and not get.filter.filter_row(get.row, cells):
+                            cells = []
+                        results[i] = Result(get.row, cells)
 
         self._retrying(op, ledger, unanswered)
         return results
@@ -527,81 +570,133 @@ class Table:
                 ledger),
             request_bytes=sum(c.heap_size() for c in cells))
 
-    @_retries
     def scan(self, scan: Scan, ledger: Optional[CostLedger] = None) -> List[Result]:
-        """Run a scan across every region overlapping the range."""
-        results: List[Result] = []
-        for location in self.connection.region_locations(self.name):
-            if scan.stop_row is not None and location.start_row and location.start_row >= scan.stop_row:
-                continue
-            if location.end_row and scan.start_row and location.end_row <= scan.start_row:
-                continue
-            results.extend(self.scan_region(location, scan, ledger))
-        return results
+        """Run a scan across every region overlapping the range: every row
+        :meth:`get_scanner` yields, in a list."""
+        return list(self.get_scanner(scan, ledger))
 
-    def scan_region(self, location: RegionLocation, scan: Scan,
-                    ledger: Optional[CostLedger] = None) -> Iterable[Result]:
-        """Scan a single region -- the primitive SHC's scan RDD is built on.
+    def get_scanner(self, scan: Scan, ledger: Optional[CostLedger] = None,
+                    location: Optional[RegionLocation] = None) -> Iterator[Result]:
+        """The client's one scan (HBase's ``ResultScanner``): lazy, paged and
+        resumable.
 
-        Fault-free this returns the full result list with one lump RPC
-        charge, byte-identical to what it always did.  With a fault injector
-        installed it returns a page-at-a-time iterator instead, so the
-        ``hbase.scan_stream`` fault point can crash the server *between*
-        pages -- the situation resumable scans exist for -- while the summed
-        per-page charges equal the lump charge.
+        It starts at ``location`` when given (a planned location, which may
+        be a replica), else at the region holding ``scan.start_row``, and
+        serves each region in ``scan.caching``-row pages, consulting
+        ``hbase.scan_stream`` before each.  A region stream that ends, or
+        whose reader closes it, bills every page the server answered in one
+        :meth:`_charge_rpc`; one cut by a fault bills the pages delivered
+        before the cut.
+
+        It resumes after the last row received, so no row is lost or
+        repeated.  After ``RegionOfflineError`` / ``TransientRpcError`` a
+        replicated cluster first tries a warm failover (a promoted copy is
+        the new primary; no backoff is paid), else the retry step runs
+        (jitter keyed by region, op ``scan_range``, the clock started here)
+        and the region is located again.  After ``FilterEvalError`` the scan
+        is re-issued unfiltered and the filter applied here.  A range past
+        its region's end continues in the next region.
         """
         ledger = ledger if ledger is not None else CostLedger()
-        if location.replica_id:
-            # tag the read with its replica provenance: the counter feeds
-            # the replication bench, the span event feeds trace inspection
-            ledger.count("hbase.replica.reads")
-            span = getattr(ledger, "trace_span", None)
-            if span is not None and span.enabled:
-                span.event("replica-read", region=location.region_name,
-                           server=location.server_id,
-                           replica_id=location.replica_id)
-        self._fault(FAULT_STALE_META, location.region_name, ledger)
+        connection = self.connection
+        replication = self.cluster.replication
+        caching = scan.caching
+        stop = scan.stop_row
+        resume = scan.start_row
+        server_filter = scan.filter
+        client_filter: Optional[Filter] = None
+        failures = 0
+        started_s = ledger.seconds
+        if location is None:
+            location = connection.locate(self.name, resume)
 
         def serve(server):
-            if scan.filter is not None:
+            if server_filter is not None:
                 self._fault(FAULT_FILTER, location.region_name, ledger)
             return server.scan(
-                location.region_name,
-                start_row=scan.start_row,
-                stop_row=scan.stop_row,
-                columns=scan.columns,
-                families=scan.families,
-                row_filter=scan.filter,
-                time_range=scan.time_range,
-                max_versions=scan.max_versions,
-                ledger=ledger,
-                replica_id=location.replica_id,
-            )
+                location.region_name, start_row=resume, stop_row=stop,
+                columns=scan.columns, families=scan.families,
+                row_filter=server_filter, time_range=scan.time_range,
+                max_versions=scan.max_versions, ledger=ledger,
+                replica_id=location.replica_id)
 
-        rows, row_bytes = self._rpc(location, ledger, serve)
-        results = [Result(row, cells) for row, cells in rows]
-        if self.cluster.faults is None:
-            rpcs = max(1, -(-len(results) // scan.caching))  # ceil division
-            self._charge_rpc(ledger, location.host, sum(row_bytes), rpcs=rpcs)
-            return results
-        return self._stream_scan_pages(location, scan, results, row_bytes,
-                                       ledger)
+        while True:
+            try:
+                if location.replica_id:
+                    # replica provenance: the counter feeds the replication
+                    # bench, the span event feeds trace inspection
+                    ledger.count("hbase.replica.reads")
+                    _trace_event(ledger, "replica-read",
+                                 region=location.region_name,
+                                 server=location.server_id,
+                                 replica_id=location.replica_id)
+                self._fault(FAULT_STALE_META, location.region_name, ledger)
+                rows, row_bytes = self._rpc(location, ledger, serve)
+                pages = max(1, -(-len(rows) // caching))  # ceil division
+                delivered = 0
+                try:
+                    for first in range(0, pages * caching, caching):
+                        self._fault(FAULT_SCAN_STREAM, location.region_name,
+                                    ledger, server_id=location.server_id)
+                        delivered += 1
+                        for row, cells in rows[first:first + caching]:
+                            if client_filter is None or client_filter.filter_row(
+                                    row, cells):
+                                yield Result(row, cells)
+                except GeneratorExit:
+                    delivered = pages
+                    raise
+                finally:
+                    if delivered:
+                        received = min(delivered * caching, len(rows))
+                        if received:
+                            resume = rows[received - 1][0] + b"\x00"
+                        self._charge_rpc(ledger, location.host,
+                                         sum(row_bytes[:received]),
+                                         rpcs=delivered)
+            except FilterEvalError:
+                if server_filter is None:
+                    raise  # the filter failed on the client too
+                client_filter, server_filter = scan.filter, None
+                ledger.count("shc.filter_fallbacks")
+                _trace_event(ledger, "filter-fallback",
+                             region=location.region_name)
+                continue
+            except (RegionOfflineError, TransientRpcError) as exc:
+                failures += 1
+                connection.invalidate_location_cache(self.name)
+                failover = None if replication is None else \
+                    replication.failover_location(self.name, location, resume)
+                if failover is not None:
+                    ledger.count("hbase.replica.failovers")
+                    _trace_event(ledger, "replica-failover",
+                                 region=location.region_name,
+                                 server=failover.server_id, failures=failures)
+                    location = failover
+                else:
+                    connection.retry_policy.before_retry(
+                        failures, exc, ledger, started_s,
+                        key=location.region_name, op="scan_range",
+                        table=self.name)
+                    location = connection.locate(self.name, resume)
+                ledger.count("shc.scan_resumes")
+                continue
+            end = location.end_row
+            if not end or (stop is not None and end >= stop):
+                return
+            resume = max(resume, end)
+            location = connection.locate(self.name, resume)
 
-    def _stream_scan_pages(self, location: RegionLocation, scan: Scan,
-                           results: List[Result], row_bytes: List[int],
-                           ledger: CostLedger) -> Iterable[Result]:
-        """Yield scan results one scanner-caching page per simulated RPC.
 
-        Only used under fault injection: each page consults the
-        ``hbase.scan_stream`` fault point first, so an injected crash aborts
-        the stream after some rows were already delivered -- exactly the
-        mid-scan failure a resumable scan has to survive.
-        """
-        # an empty scan still costs one RPC round trip
-        for start in range(0, max(1, len(results)), scan.caching):
-            stop = start + scan.caching
-            self._fault(FAULT_SCAN_STREAM, location.region_name, ledger,
-                        server_id=location.server_id)
-            self._charge_rpc(ledger, location.host,
-                             sum(row_bytes[start:stop]), rpcs=1)
-            yield from results[start:stop]
+def _unfiltered(get: Get) -> Get:
+    """A copy of ``get`` without its filter."""
+    plain = copy.copy(get)
+    plain.filter = None
+    return plain
+
+
+def _trace_event(ledger: CostLedger, name: str, **attrs) -> None:
+    """Record ``name`` on the running task attempt's span, when tracing."""
+    span = getattr(ledger, "trace_span", None)
+    if span is not None and span.enabled:
+        span.event(name, **attrs)

@@ -1,4 +1,8 @@
-"""Resumable scans: crash mid-scan, stale meta, and filter fallback."""
+"""Resumable scans through the relation: transient faults, the operation
+deadline and the queue wait, a Get's filter fallback, seeded chaos.
+
+The client-level cases (a crash mid-scan, stale meta, a scan's filter
+fallback) are in tests/hbase/test_scanner.py."""
 
 import json
 
@@ -8,12 +12,8 @@ from repro.common.errors import FatalTaskError, OperationTimeoutError
 from repro.common.faults import (
     FAULT_FILTER,
     FAULT_RPC,
-    FAULT_SCAN_STREAM,
-    FAULT_STALE_META,
     FaultInjector,
-    crash_region_server,
     raise_filter_error,
-    raise_stale_meta,
 )
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
@@ -54,40 +54,6 @@ def run(session, options, predicate=None):
         df = df.filter(predicate)
     result = df.run()
     return sorted(tuple(r.values) for r in result.rows), result.metrics
-
-
-def test_mid_scan_crash_resumes_exactly_once(linked):
-    cluster, session, options = load(linked)
-    expected, __ = run(session, options)
-
-    injector = FaultInjector(seed=11)
-    injector.inject(FAULT_SCAN_STREAM, rate=1.0, after=1, times=1,
-                    action=crash_region_server)
-    cluster.install_fault_injector(injector)
-    got, metrics = run(session, options)
-
-    assert got == expected  # no row lost, none duplicated
-    assert injector.injected(FAULT_SCAN_STREAM) == 1
-    assert sum(1 for s in cluster.region_servers.values() if not s.alive) == 1
-    assert metrics.get("hbase.retries") >= 1
-    assert metrics.get("shc.scan_resumes") >= 1
-    assert metrics.get("hbase.backoff_s") > 0
-    assert metrics.get("faults.injected") == 1
-
-
-def test_stale_meta_during_scan_relocates(linked):
-    cluster, session, options = load(linked)
-    expected, __ = run(session, options)
-
-    injector = FaultInjector(seed=5)
-    injector.inject(FAULT_STALE_META, rate=1.0, times=2,
-                    action=raise_stale_meta)
-    cluster.install_fault_injector(injector)
-    got, metrics = run(session, options)
-
-    assert got == expected
-    assert metrics.get("hbase.retries") >= 2
-    assert all(s.alive for s in cluster.region_servers.values())
 
 
 def test_transient_rpc_faults_are_absorbed(linked):
@@ -150,30 +116,7 @@ def test_queue_wait_eats_a_scans_budget(linked):
     assert result.metrics.get("hbase.retries") == 0
 
 
-def test_filter_failure_falls_back_to_client_side(linked):
-    cluster, session, options = load(linked)
-    # a value-column predicate pushes down as a server-side filter (a rowkey
-    # predicate would prune scan ranges instead and never reach the filter)
-    predicate = col("v") == "v31"
-    expected, baseline = run(session, options, predicate)
-    assert expected == [(31, "v31")]
-    assert baseline.get("shc.filter_fallbacks") == 0
-
-    injector = FaultInjector(seed=4)
-    injector.inject(FAULT_FILTER, rate=1.0, times=1,
-                    action=raise_filter_error)
-    cluster.install_fault_injector(injector)
-    got, metrics = run(session, options, predicate)
-
-    assert got == expected  # predicate re-applied Spark-side
-    assert injector.injected(FAULT_FILTER) == 1
-    assert metrics.get("shc.filter_fallbacks") >= 1
-
-
-def test_filter_failure_on_a_get_falls_back_to_client_side(linked, monkeypatch):
-    from repro.common.errors import FilterEvalError
-    from repro.hbase.regionserver import RegionServer
-
+def test_filter_failure_on_a_get_falls_back_to_client_side(linked):
     cluster, session, options = load(linked)
     # full-key equality is a Get, and the value predicate rides on it
     hit = (col("k") == 31) & (col("v") == "v31")
@@ -183,17 +126,16 @@ def test_filter_failure_on_a_get_falls_back_to_client_side(linked, monkeypatch):
     assert baseline.get("hbase.bloom_probes") > 0  # a Get, not a scan
     assert baseline.get("hbase.filter_evals") > 0
 
-    # no fault point sits on the Get path: break the server-side evaluation
-    def broken(self, row_filter, region_name, row, cells, ledger):
-        raise FilterEvalError(f"broken filter on {region_name}")
-
-    monkeypatch.setattr(RegionServer, "_filter_keeps", broken)
+    injector = FaultInjector(seed=4)
+    injector.inject(FAULT_FILTER, rate=1.0, action=raise_filter_error)
+    cluster.install_fault_injector(injector)
     got, metrics = run(session, options, hit)
     assert got == [(31, "v31")]  # fetched unfiltered, predicate kept the row
     assert metrics.get("shc.filter_fallbacks") == 1
     got, metrics = run(session, options, miss)
     assert got == []  # ... and applied client-side, it still rejects
     assert metrics.get("shc.filter_fallbacks") == 1
+    assert injector.injected(FAULT_FILTER) == 2
 
 
 def test_same_seed_reproduces_the_same_chaos(clock):

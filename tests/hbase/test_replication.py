@@ -238,8 +238,9 @@ def test_replication_off_cluster_has_no_replica_counters(hbase_cluster):
 def test_a_stale_client_never_reads_the_primary_from_a_secondary(hbase_cluster):
     """A long-lived connection's cached location can point at a server that
     has since become the region's *secondary*.  Its primary read must be
-    refused there and relocated -- visibly, as a retry -- not answered from
-    the older copy."""
+    refused there and relocated -- visibly, as a retry or, for a scan on a
+    replicated cluster, a warm resume at the fresh primary -- not answered
+    from the older copy."""
     cluster = hbase_cluster
     cluster.create_table("t", ["f"])
     cluster.enable_region_replication(replicas=1)
@@ -275,4 +276,5 @@ def test_a_stale_client_never_reads_the_primary_from_a_secondary(hbase_cluster):
     ledger = CostLedger()
     (row,) = scanner.scan(Scan(), ledger=ledger)
     assert row.get_value("f", "q") == b"v2"
-    assert ledger.metrics.get("hbase.retries") >= 1
+    assert ledger.metrics.get("shc.scan_resumes") == 1
+    assert ledger.metrics.get("hbase.replica.failovers") == 1

@@ -51,9 +51,7 @@ def _run_workload(env, block_cache: bool):
         env.cluster.enable_block_cache(BLOCK_CACHE_BYTES)
     else:
         env.cluster.disable_block_cache()
-    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-
-    DEFAULT_CONNECTION_CACHE.clear()
+    env.cluster.connection_cache.clear()
     session = env.new_session(DEFAULT_FORMAT)
     df = session.sql(QUERY)
     runs = [df.run() for _ in range(REPEATS)]

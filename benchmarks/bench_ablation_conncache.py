@@ -28,9 +28,7 @@ def test_conncache(benchmark, q39_env_fixed, label, options):
     def run():
         # several queries in a row: exactly the repeated-connection pattern;
         # only the first query of the application may pay connection setups
-        from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-
-        DEFAULT_CONNECTION_CACHE.clear()
+        q39_env_fixed.cluster.connection_cache.clear()
         last = None
         for __ in range(3):
             last = run_query(q39_env_fixed, system, "q39a", q39a(),

@@ -101,7 +101,7 @@ def run_query(
 ) -> QueryRun:
     """Execute one query under one system and collect its measurements.
 
-    ``fresh_application`` clears the process-global connection cache first so
+    ``fresh_application`` clears the cluster's connection cache first so
     each measured run pays its own connection setups, like a newly launched
     Spark application -- otherwise whichever system ran first would subsidise
     the others.  ``tracing`` turns on span-tree tracing for the run; the
@@ -109,9 +109,7 @@ def run_query(
     unaffected either way -- the recorder only observes).
     """
     if fresh_application:
-        from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-
-        DEFAULT_CONNECTION_CACHE.clear()
+        env.cluster.connection_cache.clear()
     conf = dict(system.conf or {})
     if tracing:
         conf["tracing.enabled"] = True

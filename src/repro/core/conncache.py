@@ -7,19 +7,27 @@ the count last dropped to zero; a housekeeping pass lazily evicts entries
 that have been idle longer than ``connectionCloseDelay`` (10 minutes by
 default).  Cache hits skip the setup cost entirely -- the difference is
 metered and shows up in the ablation benchmark.
+
+Each :class:`~repro.hbase.cluster.HBaseCluster` owns one cache
+(``cluster.connection_cache``), shared by every session over that cluster,
+so a loader's writer session warms it for the readers and a new cluster
+starts cold whatever its name (docs/caching.md, "Connection cache").
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.cost import CostModel
 from repro.common.metrics import CostLedger
 from repro.common.simclock import SimClock
 from repro.hbase.client import Configuration, Connection, ConnectionFactory
 from repro.hbase.security import UserGroupInformation
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hbase.cluster import HBaseCluster
 
 DEFAULT_CLOSE_DELAY_S = 600.0  # the paper's 10-minute default
 
@@ -49,8 +57,11 @@ class SHCConnectionCache:
     key would otherwise both pay connection setup and leak one connection.
     """
 
-    def __init__(self, close_delay_s: float = DEFAULT_CLOSE_DELAY_S) -> None:
+    def __init__(self, close_delay_s: float = DEFAULT_CLOSE_DELAY_S,
+                 cluster: Optional["HBaseCluster"] = None) -> None:
         self.close_delay_s = close_delay_s
+        #: the owner every connection made here reaches (None: the quorum's)
+        self.cluster = cluster
         self._lock = threading.RLock()
         self._entries: Dict[str, _CacheEntry] = {}
         self.hits = 0
@@ -78,7 +89,7 @@ class SHCConnectionCache:
             self.misses += 1
             if ledger is not None:
                 ledger.charge(cost.connection_setup_s, "shc.connection_setups")
-            connection = ConnectionFactory.create_connection(conf, ugi)
+            connection = ConnectionFactory.create_connection(conf, ugi, self.cluster)
             self._entries[key] = _CacheEntry(connection, refcount=1)
             return connection
 
@@ -127,5 +138,6 @@ class SHCConnectionCache:
             self.misses = 0
 
 
-#: process-wide cache instance used by HBaseRelation (tests may swap it)
+#: unused: every cluster owns its cache.  Kept only because
+#: ``benchmarks/e2e`` still clears it between environments.
 DEFAULT_CONNECTION_CACHE = SHCConnectionCache()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.hbase.cell import Cell
 from repro.hbase.client import Configuration, Delete, Get, Put, Result
 from repro.hbase.cluster import get_cluster
@@ -32,7 +31,6 @@ class HBaseContext:
         self.session = session
         self.quorum = quorum
         self.cluster = get_cluster(quorum)
-        self.connection_cache = DEFAULT_CONNECTION_CACHE
 
     # -- connection plumbing ------------------------------------------------
     def _acquire(self, task_ctx):
@@ -40,12 +38,12 @@ class HBaseContext:
             Configuration.QUORUM: self.quorum,
             Configuration.CLIENT_HOST: task_ctx.host,
         })
-        return self.connection_cache.acquire(
+        return self.cluster.connection_cache.acquire(
             conf, self.cluster.clock, self.session.cost, task_ctx.ledger
         ), conf
 
     def _release(self, conf) -> None:
-        self.connection_cache.release(conf, self.cluster.clock)
+        self.cluster.connection_cache.release(conf, self.cluster.clock)
 
     # -- bulk writes ------------------------------------------------------------
     def bulk_put(self, rdd: "RDD", table_name: str,

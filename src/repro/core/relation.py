@@ -3,9 +3,9 @@
 Implements the engine-facing contract -- ``schema``, ``size_in_bytes``,
 ``build_scan(required_columns, filters)``, ``unhandled_filters``, ``insert``
 -- on top of the catalog, the coders, the range algebra, the pushdown
-compiler, partition pruning/fusion, the connection cache and the credentials
-manager.  Each optimization has an independent toggle so the ablation
-benchmarks can isolate its contribution.
+compiler, partition pruning/fusion, the cluster's connection cache and the
+credentials manager.  Each optimization has an independent toggle so the
+ablation benchmarks can isolate its contribution.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.errors import CatalogError, HBaseError
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
 from repro.core.keys import RowCodec
 from repro.core.partitions import build_partitions
@@ -42,7 +41,8 @@ _TRUE = ("true", "1", "yes", "on", True)
 
 
 class HBaseRelation(BaseRelation):
-    """One logical binding of a catalog to a physical HBase table."""
+    """One logical binding of a catalog to a physical HBase table; its tasks
+    take connections from the cache of the cluster its quorum named."""
 
     def __init__(self, options: Dict[str, object], session) -> None:
         self.options = dict(options)
@@ -62,7 +62,6 @@ class HBaseRelation(BaseRelation):
         self.quorum = str(quorum)
         self.cluster = get_cluster(self.quorum)
         self._schema = self._resolve_schema()
-        self.connection_cache = DEFAULT_CONNECTION_CACHE
         self.credentials_manager = DEFAULT_CREDENTIALS_MANAGER
 
     def _resolve_schema(self) -> StructType:
@@ -336,17 +335,17 @@ class HBaseRelation(BaseRelation):
             delay = self.options.get(HBaseSparkConf.CONNECTION_CLOSE_DELAY) \
                 or self.session.conf.get(HBaseSparkConf.CONNECTION_CLOSE_DELAY)
             if delay is not None:
-                self.connection_cache.close_delay_s = float(delay)
-            return self.connection_cache.acquire(
+                self.cluster.connection_cache.close_delay_s = float(delay)
+            return self.cluster.connection_cache.acquire(
                 conf, self.cluster.clock, self.session.cost, ctx.ledger, ugi
             )
         ctx.ledger.charge(self.session.cost.connection_setup_s,
                           "shc.connection_setups")
-        return ConnectionFactory.create_connection(conf, ugi)
+        return ConnectionFactory.create_connection(conf, ugi, self.cluster)
 
     def release_connection(self, ctx: "TaskContext") -> None:
         if self.connection_cache_enabled:
-            self.connection_cache.release(
+            self.cluster.connection_cache.release(
                 self.connection_conf(ctx.host), self.cluster.clock
             )
 

@@ -13,7 +13,6 @@ region server -- which is how data locality becomes measurable.
 from __future__ import annotations
 
 import copy
-import itertools
 import threading
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
@@ -227,16 +226,17 @@ class Connection:
     it and invalidation never races an in-progress read.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(self, conf: Configuration, ugi: Optional[UserGroupInformation] = None) -> None:
+    def __init__(self, conf: Configuration, ugi: Optional[UserGroupInformation] = None,
+                 cluster: Optional["HBaseCluster"] = None) -> None:
         from repro.hbase.cluster import get_cluster  # local import: cycle guard
 
         self.conf = conf
-        self.cluster: "HBaseCluster" = get_cluster(conf.cluster_key())
+        #: the cluster asked for, else the newest live one the quorum names
+        self.cluster: "HBaseCluster" = (
+            cluster if cluster is not None else get_cluster(conf.cluster_key()))
         self.ugi = ugi
         self.client_host = conf.get(Configuration.CLIENT_HOST, "client")
-        self.connection_id = next(Connection._ids)
+        self.connection_id = self.cluster.next_connection_id()
         self.closed = False
         self._meta_lock = threading.Lock()
         self._location_cache: Dict[str, List[RegionLocation]] = {}
@@ -249,7 +249,6 @@ class Connection:
         )
         # connection setup really is heavyweight: ZooKeeper round trips + meta
         self.cluster.metrics.incr("hbase.connections_created")
-        self.cluster.on_connection_created()
 
     def get_table(self, name: str) -> "Table":
         self._check_open()
@@ -306,8 +305,9 @@ class ConnectionFactory:
 
     @staticmethod
     def create_connection(conf: Configuration,
-                          ugi: Optional[UserGroupInformation] = None) -> Connection:
-        return Connection(conf, ugi)
+                          ugi: Optional[UserGroupInformation] = None,
+                          cluster: Optional["HBaseCluster"] = None) -> Connection:
+        return Connection(conf, ugi, cluster)
 
 
 def _retries(method):

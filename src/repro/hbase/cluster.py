@@ -3,14 +3,16 @@
 An :class:`HBaseCluster` builds a ZooKeeper ensemble, one region server per
 host, and an active + optional standby HMaster.  It also owns the *persistent
 region registry* (the stand-in for store files living in HDFS), the simulated
-clock, the cost model and a cluster-wide metrics registry.  Clusters register
-themselves by ZooKeeper quorum name so ``ConnectionFactory`` can resolve a
-``Configuration`` to a live cluster, exactly like a classpath ``hbase-site``.
+clock, the cost model, a cluster-wide metrics registry and SHC's connection
+cache.  Clusters register themselves by ZooKeeper quorum name so
+``ConnectionFactory`` can resolve a ``Configuration`` to a live cluster,
+exactly like a classpath ``hbase-site``.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.cost import DEFAULT_COST_MODEL, CostModel
@@ -25,8 +27,10 @@ from repro.hbase.regionserver import RegionServer
 from repro.hbase.security import KeyDistributionCenter, TokenAuthority
 from repro.hbase.zookeeper import ZooKeeper
 
-#: quorum name -> cluster, the moral equivalent of DNS + hbase-site.xml
-_CLUSTER_REGISTRY: Dict[str, "HBaseCluster"] = {}
+#: quorum name -> the newest live cluster of that name, the moral
+#: equivalent of DNS + hbase-site.xml; it keeps no cluster alive
+_CLUSTER_REGISTRY: "weakref.WeakValueDictionary[str, HBaseCluster]" = (
+    weakref.WeakValueDictionary())
 
 
 def get_cluster(quorum: str) -> "HBaseCluster":
@@ -38,7 +42,8 @@ def get_cluster(quorum: str) -> "HBaseCluster":
 
 
 def clear_cluster_registry() -> None:
-    """Test hook: forget every registered cluster."""
+    """Forget every registered cluster (kept for ``benchmarks/e2e``; the
+    registry holds no cluster alive, so nothing else needs it)."""
     _CLUSTER_REGISTRY.clear()
 
 
@@ -73,6 +78,7 @@ class HBaseCluster:
         self.hdfs = DistributedFileSystem(self.hosts, hdfs_replication)
         self._regions: Dict[str, Region] = {}
         self._region_ids = itertools.count(1)
+        self._connection_ids = itertools.count(1)
         #: optional :class:`~repro.hbase.replication.ReplicationManager`;
         #: while None, every replication hook is a single ``is None`` check
         self.replication = None
@@ -109,6 +115,11 @@ class HBaseCluster:
             self.kdc = kdc
             self.token_authority = None
 
+        from repro.core.conncache import SHCConnectionCache  # local import: cycle guard
+
+        #: SHC's connection cache (docs/caching.md, "Connection cache"):
+        #: every session over this cluster shares it, a new cluster starts cold
+        self.connection_cache = SHCConnectionCache(cluster=self)
         self.quorum = f"zk-{name}:2181"
         _CLUSTER_REGISTRY[self.quorum] = self
 
@@ -213,11 +224,6 @@ class HBaseCluster:
         """
         self.faults = injector
 
-    def on_connection_created(self) -> None:
-        """Hook for connection-setup accounting (the cache makes this rare)."""
-        # time is charged by the caller that owns a ledger; the counter above
-        # in Connection.__init__ is what the harness converts into seconds
-
     @property
     def active_master(self) -> HMaster:
         leader = self.zookeeper.leader("/hbase/master-election")
@@ -236,6 +242,10 @@ class HBaseCluster:
     def next_region_id(self) -> int:
         """The id of this cluster's next region (see :class:`Region`)."""
         return next(self._region_ids)
+
+    def next_connection_id(self) -> int:
+        """The id of this cluster's next client connection (#1 first)."""
+        return next(self._connection_ids)
 
     def register_region(self, region: Region) -> None:
         self._regions[region.name] = region

@@ -420,7 +420,7 @@ class SparkSession:
         """Release the plan cache, the one store a session keeps.
 
         The next ``sql`` call builds a fresh one.  Connections belong to
-        the process-wide connection cache, not to the session.
+        the cluster's connection cache, not to the session.
         """
         self._plan_cache = self._plan_cache_stamp = None
 

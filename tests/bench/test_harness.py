@@ -20,16 +20,8 @@ def env():
     return load_tpcds(5, Q39_TABLES)
 
 
-@pytest.fixture
-def registered_env(env):
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[env.cluster.quorum] = env.cluster
-    return env
-
-
-def test_run_query_collects_measurements(registered_env):
-    run = run_query(registered_env, SHC_SYSTEM, "count",
+def test_run_query_collects_measurements(env):
+    run = run_query(env, SHC_SYSTEM, "count",
                     "select count(*) from inventory")
     assert run.system == "SHC"
     assert run.size_gb == 5
@@ -38,17 +30,17 @@ def test_run_query_collects_measurements(registered_env):
     assert "hbase.bytes_scanned" in run.metrics
 
 
-def test_run_query_resets_connection_cache(registered_env):
-    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-
-    run_query(registered_env, SHC_SYSTEM, "count", "select count(*) from item")
-    first_misses = DEFAULT_CONNECTION_CACHE.misses
-    run_query(registered_env, SHC_SYSTEM, "count", "select count(*) from item")
+def test_run_query_resets_connection_cache(env):
+    cache = env.cluster.connection_cache
+    run_query(env, SHC_SYSTEM, "count", "select count(*) from item")
+    first_misses = cache.misses
+    run_query(env, SHC_SYSTEM, "count", "select count(*) from item")
     # the cache was cleared, so the second run pays its own setups again
-    assert DEFAULT_CONNECTION_CACHE.misses == first_misses
+    assert first_misses > 0
+    assert cache.misses == first_misses
 
 
-def test_system_under_test_options_flow(registered_env):
+def test_system_under_test_options_flow(env):
     from repro.core.catalog import HBaseSparkConf
 
     toggled = SystemUnderTest(
@@ -56,18 +48,18 @@ def test_system_under_test_options_flow(registered_env):
         extra_options={HBaseSparkConf.PRUNING: "false"},
     )
     sql = "select count(*) from inventory where inv_date_sk >= 2451800"
-    pruned = run_query(registered_env, SHC_SYSTEM, "q", sql)
-    full = run_query(registered_env, toggled, "q", sql)
+    pruned = run_query(env, SHC_SYSTEM, "q", sql)
+    full = run_query(env, toggled, "q", sql)
     assert pruned.rows == full.rows
     assert full.metrics["hbase.rows_visited"] > pruned.metrics["hbase.rows_visited"]
 
 
-def test_run_query_tracing_exports(registered_env, tmp_path):
+def test_run_query_tracing_exports(env, tmp_path):
     import json
 
     from repro.cli import print_trace
 
-    run = run_query(registered_env, SHC_SYSTEM, "count",
+    run = run_query(env, SHC_SYSTEM, "count",
                     "select count(*) from inventory", tracing=True)
     assert run.trace is not None
     assert run.trace["kind"] == "query"
@@ -89,8 +81,8 @@ def test_run_query_tracing_exports(registered_env, tmp_path):
     assert doc["metrics"] == run.metrics
 
 
-def test_untraced_run_refuses_trace_export(registered_env, tmp_path):
-    run = run_query(registered_env, SHC_SYSTEM, "count",
+def test_untraced_run_refuses_trace_export(env, tmp_path):
+    run = run_query(env, SHC_SYSTEM, "count",
                     "select count(*) from warehouse")
     assert run.trace is None
     with pytest.raises(ValueError, match="not traced"):

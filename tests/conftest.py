@@ -1,4 +1,4 @@
-"""Shared fixtures: isolated clusters/sessions per test, clean registries."""
+"""Shared fixtures: isolated clusters/sessions per test, clean credentials."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from hypothesis import settings
 
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.simclock import SimClock
-from repro.core.conncache import DEFAULT_CLOSE_DELAY_S, DEFAULT_CONNECTION_CACHE
 from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
-from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
+from repro.hbase.cluster import HBaseCluster
 from repro.hbase.security import KeytabStore
 from repro.sql.session import SparkSession
 
@@ -35,15 +34,12 @@ HOSTS = ["node1", "node2", "node3"]
 
 @pytest.fixture(autouse=True)
 def _clean_registries():
-    """Every test sees empty cluster/connection/token/keytab registries."""
-    clear_cluster_registry()
-    DEFAULT_CONNECTION_CACHE.clear()
-    DEFAULT_CONNECTION_CACHE.close_delay_s = DEFAULT_CLOSE_DELAY_S
+    """Every test sees empty token and keytab registries, the two stores
+    that stay process-wide.  Connections need no cleaning: each cluster
+    owns its cache, and the quorum registry keeps no cluster alive."""
     DEFAULT_CREDENTIALS_MANAGER.clear()
     KeytabStore.clear()
     yield
-    clear_cluster_registry()
-    DEFAULT_CONNECTION_CACHE.clear()
     DEFAULT_CREDENTIALS_MANAGER.clear()
     KeytabStore.clear()
 

@@ -1,9 +1,19 @@
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.metrics import CostLedger
+from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.conncache import SHCConnectionCache
-from repro.hbase.client import Configuration
+from repro.core.relation import DEFAULT_FORMAT
+from repro.hbase.cluster import HBaseCluster
+from repro.sql.session import SparkSession
+from repro.sql.types import IntegerType, StringType, StructField, StructType
+
+HOSTS = ["node1", "node2", "node3"]
 
 
 @pytest.fixture
@@ -79,29 +89,90 @@ def test_new_connection_after_eviction(hbase_cluster, conf, clock):
 
 
 def test_close_delay_option_plumbed(linked):
-    """The paper's connectionCloseDelay knob reaches the cache."""
-    import json
-
-    from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
-    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-    from repro.core.relation import DEFAULT_FORMAT
-    from repro.sql.types import IntegerType, StructField, StructType
-
+    """The paper's connectionCloseDelay knob reaches the cluster's cache."""
     cluster, session = linked
-    catalog = json.dumps({
-        "table": {"namespace": "default", "name": "delay"},
-        "rowkey": "k",
-        "columns": {"k": {"cf": "rowkey", "col": "k", "type": "int"},
-                    "v": {"cf": "f", "col": "v", "type": "int"}},
-    })
-    options = {
-        HBaseTableCatalog.tableCatalog: catalog,
-        HBaseTableCatalog.newTable: "1",
-        "hbase.zookeeper.quorum": cluster.quorum,
-        HBaseSparkConf.CONNECTION_CLOSE_DELAY: "120",
-    }
-    schema = StructType([StructField("k", IntegerType),
-                         StructField("v", IntegerType)])
-    session.create_dataframe([(1, 2)], schema).write \
-        .format(DEFAULT_FORMAT).options(options).save()
-    assert DEFAULT_CONNECTION_CACHE.close_delay_s == 120.0
+    _save(session, cluster, [(1, "a")],
+          {HBaseSparkConf.CONNECTION_CLOSE_DELAY: "120"})
+    assert cluster.connection_cache.close_delay_s == 120.0
+
+
+# -- the cluster owns its cache -------------------------------------------------------
+
+_CATALOG = json.dumps({
+    "table": {"namespace": "default", "name": "kv"},
+    "rowkey": "k",
+    "columns": {"k": {"cf": "rowkey", "col": "k", "type": "int"},
+                "v": {"cf": "f", "col": "v", "type": "string"}},
+})
+_SCHEMA = StructType([StructField("k", IntegerType), StructField("v", StringType)])
+
+
+def _options(cluster, extra=None):
+    return {HBaseTableCatalog.tableCatalog: _CATALOG,
+            "hbase.zookeeper.quorum": cluster.quorum, **(extra or {})}
+
+
+def _save(session, cluster, rows, extra=None):
+    session.create_dataframe(rows, _SCHEMA).write.format(DEFAULT_FORMAT) \
+        .options(_options(cluster, {HBaseTableCatalog.newTable: "2", **(extra or {})})) \
+        .save()
+
+
+def _frame(session, cluster):
+    return session.read.format(DEFAULT_FORMAT).options(_options(cluster)).load()
+
+
+def _rows(frame):
+    return sorted(map(tuple, frame.collect()))
+
+
+def _stored_rows(cluster):
+    """Rows in the cluster's own regions, read without any client."""
+    return sum(len(list(cluster.get_region(location.region_name).scan_rows()))
+               for location in cluster.region_locations("kv"))
+
+
+def test_a_rebuilt_cluster_never_reads_the_old_ones_rows():
+    """A second cluster under a reused name starts with a cold cache: its
+    writes and reads reach it, not the first cluster of that name.  A
+    relation built before it keeps reading the first cluster."""
+    first = HBaseCluster("same", HOSTS)
+    first_session = SparkSession(HOSTS, executors_requested=3, clock=first.clock)
+    _save(first_session, first, [(1, "a"), (2, "b")])
+    first_frame = _frame(first_session, first)
+    assert _rows(first_frame) == [(1, "a"), (2, "b")]
+
+    second = HBaseCluster("same", HOSTS)
+    second_session = SparkSession(HOSTS, executors_requested=3, clock=second.clock)
+    _save(second_session, second, [(3, "c")])
+    assert _rows(_frame(second_session, second)) == [(3, "c")]
+    assert _stored_rows(first) == 2
+    assert _stored_rows(second) == 1
+    first.connection_cache.clear()  # the old relation reconnects cold
+    assert _rows(first_frame) == [(1, "a"), (2, "b")]
+
+
+def test_sessions_share_their_clusters_cache_and_nothing_keeps_a_cluster_alive(clock):
+    """The connection rule: every session over one cluster shares that
+    cluster's cache, another cluster pays its own setups, and neither the
+    quorum registry nor a cache keeps a dropped cluster alive."""
+    def first_query_setups(session, cluster):
+        _frame(session, cluster).create_or_replace_temp_view("kv")
+        result = session.sql("select count(*) from kv").run()
+        return result.metrics.get("shc.connection_setups", 0)
+
+    cluster = HBaseCluster("warm", HOSTS, clock=clock)
+    writer = SparkSession(HOSTS, executors_requested=3, clock=clock)
+    _save(writer, cluster, [(i, "v") for i in range(20)])
+    first_query_setups(writer, cluster)  # every executor host is now warm
+    reader = SparkSession(HOSTS, executors_requested=3, clock=clock)
+    assert first_query_setups(reader, cluster) == 0
+
+    other = HBaseCluster("cold", HOSTS, clock=clock)
+    _save(writer, other, [(1, "v")], {HBaseSparkConf.CONNECTION_CACHE: "false"})
+    assert first_query_setups(reader, other) > 0
+
+    dropped = weakref.ref(cluster)
+    del cluster, writer, reader
+    gc.collect()
+    assert dropped() is None

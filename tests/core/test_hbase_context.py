@@ -87,7 +87,7 @@ def test_connections_are_pooled_across_tasks(context):
     data = [(b"k%02d" % i, i) for i in range(40)]
     ctx.bulk_put(ParallelCollectionRDD(data, 8), "kv", to_put)
     # at most one connection per executor host, not one per task
-    assert ctx.connection_cache.misses <= len(session.cluster.hosts_with_executors())
+    assert ctx.cluster.connection_cache.misses <= len(session.cluster.hosts_with_executors())
 
 
 def test_bulk_load_bypasses_wal_and_memstore(context):

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import pytest
@@ -35,7 +34,6 @@ def composite_catalog(coder="PrimitiveType"):
     }))
 
 
-_ids = itertools.count(1)
 _HOSTS = ["node1", "node2", "node3"]
 _ANY_TEXT = st.text(max_size=12)  # multi-byte UTF-8 and embedded NUL included
 
@@ -180,7 +178,7 @@ def test_codec_counts_are_what_the_connector_charges(case):
     total_cells = check_codec_roundtrip(*case)
     nkeys = len(HBaseTableCatalog.from_json(catalog_json).row_key)
     clock = SimClock()
-    cluster = HBaseCluster(f"codec{next(_ids)}", _HOSTS, clock=clock)
+    cluster = HBaseCluster("codec", _HOSTS, clock=clock)
     session = SparkSession(_HOSTS, executors_requested=3, clock=clock)
     options = {HBaseTableCatalog.tableCatalog: catalog_json,
                HBaseTableCatalog.newTable: "2",

@@ -6,7 +6,6 @@ equal the rows of a reference evaluation over the full dataset -- and equal
 what the no-optimization baseline returns.
 """
 
-import itertools
 import json
 
 import pytest
@@ -15,11 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from repro.baselines import BASELINE_FORMAT
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
-from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
+from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
-
-_counter = itertools.count(1)
 
 SCHEMA = StructType([
     StructField("ts", IntegerType),
@@ -109,8 +106,7 @@ single_predicate = predicates(["k"])
 @pytest.fixture(scope="module", params=["PrimitiveType", "Phoenix", "Avro"])
 def loaded(request):
     coder = request.param
-    clear_cluster_registry()
-    cluster = HBaseCluster(f"prop{next(_counter)}", ["h1", "h2", "h3"])
+    cluster = HBaseCluster("prop", ["h1", "h2", "h3"])
     session = SparkSession(["h1", "h2", "h3"], clock=cluster.clock)
     options = {
         HBaseTableCatalog.tableCatalog: make_catalog(coder),
@@ -147,9 +143,6 @@ def reference(where, schema=SCHEMA, rows=ROWS):
 @given(where=predicate)
 def test_any_predicate_matches_reference(loaded, where):
     cluster, session, options, coder = loaded
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[cluster.quorum] = cluster  # survive the registry cleaner
     df = session.read.format(DEFAULT_FORMAT).options(options).load()
     got = sorted(map(tuple, df.filter(where).collect()))
     assert got == reference(where), where
@@ -162,9 +155,6 @@ def test_any_predicate_matches_reference(loaded, where):
 @example(where="k = 5 and score > 100")
 def test_any_predicate_matches_reference_on_a_single_key(loaded, where):
     cluster, session, options, coder = loaded
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[cluster.quorum] = cluster  # survive the registry cleaner
     single = dict(options)
     single[HBaseTableCatalog.tableCatalog] = make_single_catalog(coder)
     df = session.read.format(DEFAULT_FORMAT).options(single).load()
@@ -178,10 +168,8 @@ def test_any_predicate_matches_reference_on_a_single_key(loaded, where):
 def test_all_dimension_pruning_preserves_answers(loaded, where):
     """The future-work extension must stay exact under arbitrary predicates."""
     from repro.core.catalog import HBaseSparkConf
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
 
     cluster, session, options, coder = loaded
-    _CLUSTER_REGISTRY[cluster.quorum] = cluster
     extended = dict(options)
     extended[HBaseSparkConf.PRUNE_ALL_DIMENSIONS] = "true"
     df = session.read.format(DEFAULT_FORMAT).options(extended).load()
@@ -195,9 +183,6 @@ def test_shc_agrees_with_baseline(loaded, where):
     cluster, session, options, coder = loaded
     if coder != "PrimitiveType":
         return  # the baseline only reads the native coding
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[cluster.quorum] = cluster
     shc = session.read.format(DEFAULT_FORMAT).options(options).load()
     base = session.read.format(BASELINE_FORMAT).options(options).load()
     assert sorted(map(tuple, shc.filter(where).collect())) == \

@@ -289,3 +289,14 @@ def test_delete_version_leaves_other_versions(table, clock):
     table.delete(Delete(b"vr").add_column("f", "q", timestamp=100))
     result = table.get(Get(b"vr").set_max_versions(3))
     assert [c.value for c in result.cells] == [b"v2"]
+
+
+def test_connection_ids_count_from_one_per_cluster(hbase_cluster):
+    from repro.hbase.cluster import HBaseCluster
+
+    for __ in range(3):
+        ConnectionFactory.create_connection(hbase_cluster.configuration())
+    fresh = HBaseCluster("fresh-ids", ["h1"])
+    assert ConnectionFactory.create_connection(fresh.configuration()).connection_id == 1
+    assert ConnectionFactory.create_connection(
+        hbase_cluster.configuration()).connection_id == 4

@@ -16,7 +16,6 @@ The step count comes from the loaded profile (``tests/conftest.py``): a
 small fixed budget in tier-1, ten times that in the nightly explore job.
 """
 
-import itertools
 from collections import Counter
 
 from hypothesis import settings, strategies as st
@@ -28,21 +27,19 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.hbase import ConnectionFactory, Get, Put, Scan
-from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
+from repro.hbase.cluster import HBaseCluster
 
 HOSTS = ["h1", "h2", "h3", "h4"]
 ROWS = [b"r%02d" % i for i in range(12)]
 
-_names = itertools.count(1)
 _index = st.integers(0, 11)
 
 
 class LifecycleModel(RuleBasedStateMachine):
     @initialize(replicas=st.booleans())
     def build(self, replicas):
-        self.cluster = HBaseCluster(f"life{next(_names)}", HOSTS)
+        self.cluster = HBaseCluster("life", HOSTS)
         self.cluster.create_table("t", ["f"], split_keys=[ROWS[4], ROWS[8]])
         if replicas:
             self.cluster.enable_region_replication(replicas=1)
@@ -61,8 +58,6 @@ class LifecycleModel(RuleBasedStateMachine):
     def teardown(self):
         self.cluster.run_maintenance()
         assert self.delivered == self.written
-        clear_cluster_registry()
-        DEFAULT_CONNECTION_CACHE.clear()
 
     def _table(self):
         """The table through a connection with nothing cached."""

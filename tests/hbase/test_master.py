@@ -201,12 +201,7 @@ def test_region_names_are_a_function_of_the_clusters_own_history(clock):
     wherever in the process's life they are built: region names key retry
     jitter, the seeded fault schedule and CDC cursors, so a replay in the
     same process must see the same names."""
-    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-    from repro.hbase.cluster import clear_cluster_registry
-
     def history():
-        clear_cluster_registry()
-        DEFAULT_CONNECTION_CACHE.clear()
         cluster = HBaseCluster("replayed", ["h1", "h2", "h3"], clock=clock)
         cluster.create_table("m", ["f"], split_keys=[b"r030"])
         cluster.create_table("s", ["f"])

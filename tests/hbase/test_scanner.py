@@ -9,7 +9,6 @@ summed sizes.  The crash, stale-meta and filter-fallback cases are pinned
 beside it, and ``Table.scan`` is checked against SHC's scan RDD.
 """
 
-import itertools
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -35,13 +34,11 @@ HOSTS = ["h1", "h2", "h3"]
 ROWS = 40
 KEYS = [b"r%03d" % i for i in range(ROWS)]
 
-_ids = itertools.count(1)
-
 
 def loaded_table(rows=ROWS, split_keys=()):
     """A fresh three-server cluster holding rows ``r000``... with ``f:q``
     set to the row's number, split before each of ``split_keys``."""
-    cluster = HBaseCluster(f"scanner{next(_ids)}", HOSTS, clock=SimClock())
+    cluster = HBaseCluster("scanner", HOSTS, clock=SimClock())
     cluster.create_table("t", ["f"], split_keys=sorted(split_keys) or None)
     table = ConnectionFactory.create_connection(
         cluster.configuration()).get_table("t")

@@ -132,15 +132,10 @@ def test_same_seed_replays_the_same_chaos_schedule():
 
     Fractional fault rates hash region names, which embed the cluster name
     and the cluster's own region counter; both runs name their cluster the
-    same (and clear the registries keyed by that name) so the replay
-    compares the same schedule rather than two re-rolls of it.
+    same so the replay compares the same schedule rather than two re-rolls
+    of it.
     """
-    from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-    from repro.hbase.cluster import clear_cluster_registry
-
     def run_once():
-        DEFAULT_CONNECTION_CACHE.clear()
-        clear_cluster_registry()
         env = load_tpcds(5, Q39_TABLES, name="tpcds9000")
         injector = chaos_injector(CHAOS_SEEDS[0])
         env.cluster.install_fault_injector(injector)

@@ -11,7 +11,6 @@ block leaks from job to job), every pooled HBase connection is handed back
 ticket log bit for bit.
 """
 
-import itertools
 import json
 
 import pytest
@@ -25,9 +24,8 @@ from repro.common.faults import (
 )
 from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.relation import DEFAULT_FORMAT
-from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
+from repro.hbase.cluster import HBaseCluster
 from repro.serving import COMPLETED, QueryServer, ServingConfig
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
@@ -92,7 +90,7 @@ def test_concurrent_jobs_match_serial_and_release_connections(linked):
     assert got[:4] == expected
     assert got[4:] == expected
     # every pooled connection was released by its task
-    assert DEFAULT_CONNECTION_CACHE.active_refcount() == 0
+    assert cluster.connection_cache.active_refcount() == 0
 
 
 def test_concurrent_shuffles_are_isolated(linked):
@@ -108,13 +106,11 @@ def test_concurrent_shuffles_are_isolated(linked):
         got = sorted(tuple(r.values) for r in future.result(timeout=60).rows)
         assert got == expected
     session.shutdown()
-    assert DEFAULT_CONNECTION_CACHE.active_refcount() == 0
+    assert cluster.connection_cache.active_refcount() == 0
 
 
 #: the pinned chaos schedules CI replays (same seeds as test_chaos.py)
 SERVING_CHAOS_SEEDS = (101, 202, 303)
-
-_chaos_ids = itertools.count(1)
 
 HOSTS = ["node1", "node2", "node3"]
 
@@ -124,10 +120,8 @@ def _serving_chaos_run(seed):
     crashes mid-scan and admission/RPC faults fire on a pinned schedule.
 
     The cluster name is part of hashed placement/jitter keys, so replays
-    reuse the same name (and reset the registries) to stay byte-identical.
+    reuse the same name to stay byte-identical.
     """
-    DEFAULT_CONNECTION_CACHE.clear()
-    clear_cluster_registry()
     clock = SimClock()
     cluster = HBaseCluster(f"chaos-serving-{seed}", HOSTS, clock=clock)
     session = SparkSession(HOSTS, executors_requested=3, clock=clock)
@@ -203,8 +197,7 @@ def test_served_tenants_survive_chaos_deterministically(seed):
 
     # admitted queries answer exactly like a fault-free serial run
     clean_clock = SimClock()
-    clean_cluster = HBaseCluster(f"chaos-serving{next(_chaos_ids)}", HOSTS,
-                                 clock=clean_clock)
+    clean_cluster = HBaseCluster("chaos-serving-clean", HOSTS, clock=clean_clock)
     clean_session = SparkSession(HOSTS, executors_requested=3,
                                  clock=clean_clock)
     _load_events(clean_cluster, clean_session)
@@ -268,4 +261,4 @@ def test_two_threads_share_one_connection_and_one_plan_cache_entry(linked):
     assert counters["sql.plancache.hits"] + counters["sql.plancache.misses"] == 400
     assert counters["sql.plancache.misses"] <= 2  # both may miss the first time
     session.shutdown()
-    assert DEFAULT_CONNECTION_CACHE.active_refcount() == 0
+    assert cluster.connection_cache.active_refcount() == 0

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.relation import DEFAULT_FORMAT
-from repro.hbase.cluster import clear_cluster_registry
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
 from repro.workloads import load_tpcds, queries
@@ -183,8 +181,6 @@ def _paper_session(setup):
 def paper_runs():
     runs = {}
     for setup in ("plain", "analyzed", "aqe"):
-        clear_cluster_registry()
-        DEFAULT_CONNECTION_CACHE.clear()
         session = _paper_session(setup)
         runs[setup] = {label: session.sql(build_sql()).run()
                        for label, build_sql in PAPER_QUERIES.items()}
@@ -231,8 +227,6 @@ def test_a_reused_build_answers_like_a_rebuilt_one():
     on the default conf, executes as planned and again with every
     ``build_stamp`` cleared.  The rows agree; no counter is higher with
     reuse, and scans, RPCs and broadcast bytes are strictly lower."""
-    clear_cluster_registry()
-    DEFAULT_CONNECTION_CACHE.clear()
     session = _paper_session("plain")
 
     def scans(result):
@@ -267,8 +261,6 @@ def test_q39_branch_prunes_inventory_in_whatever_order_its_joins_run(monkeypatch
     from repro.workloads.tpcds_gen import date_sk_range_for_year
 
     monkeypatch.setattr(cbo, "_cheaper_order", lambda graph: None)
-    clear_cluster_registry()
-    DEFAULT_CONNECTION_CACHE.clear()
     session = _paper_session("analyzed")
     lo, hi = date_sk_range_for_year(queries.Q39_YEAR)
     keys = {"date_dim": ("inv_date_sk", "d_date_sk"),

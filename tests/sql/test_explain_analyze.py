@@ -23,9 +23,6 @@ def env():
 
 @pytest.fixture
 def session(env):
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[env.cluster.quorum] = env.cluster
     return env.new_session()
 
 

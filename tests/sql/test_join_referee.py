@@ -22,7 +22,6 @@ machine-independent cost of one probed row.
 """
 
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -519,7 +518,6 @@ def test_keys_travel_down_the_stream_spine_only(broadcast_star):
 
 
 PROBE = StructType([StructField(n, IntegerType) for n in ("k", "n", "v", "c")])
-_referee_ids = itertools.count(1)
 #: ``k`` is a row-key column (never NULL), ``v`` an ordinary one; both draw
 #: from the build side's key domain so either can be the join key
 probe_tables = st.lists(st.tuples(st.integers(0, 3), keys), min_size=3, max_size=9)
@@ -561,7 +559,7 @@ def test_pushing_keys_and_sharing_builds_change_no_answer(probe, build, how,
     joins answer alike whether they share a build or each make their
     own."""
     clock = SimClock()
-    cluster = HBaseCluster(f"referee{next(_referee_ids)}", HOSTS, clock=clock)
+    cluster = HBaseCluster("referee", HOSTS, clock=clock)
     session = SparkSession(HOSTS, clock=clock)
     relation = _probe_relation(
         session, cluster, coder, [(k, n, v, 1) for n, (k, v) in enumerate(probe)])

@@ -21,8 +21,6 @@ from repro.common.faults import (
     FAULT_RPC, FAULT_SCAN_STREAM, FaultInjector, crash_region_server,
 )
 from repro.core.catalog import HBaseSparkConf
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
-from repro.hbase.cluster import _CLUSTER_REGISTRY, clear_cluster_registry
 from repro.sql import dbapi
 from repro.sql.parser import parse, tokenize
 from repro.sql.types import IntegerType, StringType, StructField, StructType
@@ -83,13 +81,11 @@ def warm(env):
     return env.new_session()
 
 
-@pytest.fixture(autouse=True)
-def _module_cluster_ready(env):
-    """conftest resets the cluster registry and the connection cache around
-    every test: put the module's cluster back, and scan each table once so
-    that every executor's connection exists and no statement under test is
-    the one that pays for setting it up."""
-    _CLUSTER_REGISTRY[env.cluster.quorum] = env.cluster
+@pytest.fixture(scope="module", autouse=True)
+def _module_cluster_warm(env):
+    """Scan each table once, so that every executor's connection exists in
+    the module cluster's cache and no statement under test is the one that
+    pays for setting it up."""
     warmup = env.new_session()
     for table in TABLES:
         warmup.sql(f"select * from {table}").run()
@@ -374,8 +370,6 @@ def _chaos_run(seed, through_the_cache):
     """Forty point statements of two shapes while a region server crashes
     mid-scan and RPCs fail on a pinned schedule.  The cluster's name is part
     of hashed placement and jitter keys, so both runs use one name."""
-    DEFAULT_CONNECTION_CACHE.clear()
-    clear_cluster_registry()
     environment = load_tpcds(5, ["date_dim"],
                              name=f"tpcds-plan-cache-chaos-{seed}")
     injector = FaultInjector(seed=seed)

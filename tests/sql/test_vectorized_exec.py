@@ -11,7 +11,6 @@ EXPLAIN ANALYZE's per-operator batch notes must sum to exactly the run's
 ``engine.vectorized.*`` counters.
 """
 
-import itertools
 import json
 import random
 import re
@@ -180,7 +179,6 @@ def reads_batches(op, child_index):
 
 Q39_TABLES = ["inventory", "date_dim", "item", "warehouse"]
 KV_SCHEMA = StructType([StructField("k", LongType), StructField("w", DoubleType)])
-_cluster_ids = itertools.count(1)
 
 
 def beyond_select_plans(conf, monkeypatch):
@@ -202,7 +200,7 @@ def beyond_select_plans(conf, monkeypatch):
     q39a_dataframe(session).run()
     session.shutdown()
 
-    cluster = HBaseCluster(f"transitions{next(_cluster_ids)}", ["h1", "h2"])
+    cluster = HBaseCluster("transitions", ["h1", "h2"])
     session = SparkSession(["h1", "h2"], conf=conf, clock=cluster.clock)
     options = {
         HBaseTableCatalog.tableCatalog: json.dumps({

@@ -24,7 +24,6 @@ order: that shape checks that its overwrites take the recount path, not
 rounding.
 """
 
-import itertools
 import json
 
 import pytest
@@ -32,11 +31,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseTableCatalog
-from repro.core.conncache import DEFAULT_CONNECTION_CACHE
 from repro.core.keys import RowCodec
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase import ConnectionFactory, Delete, Scan
-from repro.hbase.cluster import HBaseCluster, clear_cluster_registry
+from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StructField, StructType
 
@@ -56,7 +54,6 @@ VIEWS = {
     "dsum_by_k": ("k", [("sum", "d", "sd")]),
 }
 
-_ids = itertools.count(1)
 
 _keys = st.tuples(st.integers(0, 2), st.integers(0, 3))
 _row = st.fixed_dictionaries({
@@ -118,10 +115,8 @@ class Harness:
     """One cluster, one base table under ``coder``, and the five views."""
 
     def __init__(self, coder, initial):
-        clear_cluster_registry()
-        DEFAULT_CONNECTION_CACHE.clear()
         clock = SimClock()
-        self.cluster = HBaseCluster(f"referee{next(_ids)}", HOSTS, clock=clock)
+        self.cluster = HBaseCluster("referee", HOSTS, clock=clock)
         self.session = SparkSession(HOSTS, executors_requested=3, clock=clock)
         catalog = json.dumps({
             "table": {"namespace": "default", "name": "facts", "tableCoder": coder},

@@ -8,30 +8,13 @@ from repro.workloads.tpcds_schema import Q38_TABLES, Q39_TABLES
 
 
 @pytest.fixture(scope="module")
-def _q39_env_cached():
+def q39_env():
     return load_tpcds(5, Q39_TABLES)
 
 
 @pytest.fixture(scope="module")
-def _q38_env_cached():
+def q38_env():
     return load_tpcds(5, Q38_TABLES)
-
-
-@pytest.fixture
-def q39_env(_q39_env_cached):
-    # the autouse registry cleaner runs per test: re-register the cluster
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[_q39_env_cached.cluster.quorum] = _q39_env_cached.cluster
-    return _q39_env_cached
-
-
-@pytest.fixture
-def q38_env(_q38_env_cached):
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[_q38_env_cached.cluster.quorum] = _q38_env_cached.cluster
-    return _q38_env_cached
 
 
 def rows(result):

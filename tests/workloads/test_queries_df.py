@@ -8,16 +8,8 @@ from repro.workloads.tpcds_schema import Q39_TABLES
 
 
 @pytest.fixture(scope="module")
-def _env():
+def env():
     return load_tpcds(5, Q39_TABLES)
-
-
-@pytest.fixture
-def env(_env):
-    from repro.hbase.cluster import _CLUSTER_REGISTRY
-
-    _CLUSTER_REGISTRY[_env.cluster.quorum] = _env.cluster
-    return _env
 
 
 def close(a, b):

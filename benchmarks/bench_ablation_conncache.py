@@ -10,28 +10,37 @@ import pytest
 from repro.bench.harness import SHC_SYSTEM, SystemUnderTest, run_query
 from repro.bench.reporting import format_table
 from repro.core.catalog import HBaseSparkConf
+from repro.workloads.loader import load_tpcds
 from repro.workloads.queries import q39a
+from repro.workloads.tpcds_schema import Q39_TABLES
 
-from conftest import write_report
+from conftest import FIXED_SIZE_GB, write_report
 
 _RESULTS = {}
+
+
+@pytest.fixture(scope="module")
+def conncache_env():
+    """A cluster of its own: the cached configuration's first query must
+    find the cluster's connection cache empty, and no other bench's queries
+    may find the connections this one leaves behind."""
+    return load_tpcds(FIXED_SIZE_GB, Q39_TABLES)
 
 
 @pytest.mark.parametrize("label,options", [
     ("connection cache on", {}),
     ("connection cache off", {HBaseSparkConf.CONNECTION_CACHE: "false"}),
 ])
-def test_conncache(benchmark, q39_env_fixed, label, options):
+def test_conncache(benchmark, conncache_env, label, options):
     system = SystemUnderTest(label, SHC_SYSTEM.format_name,
                              extra_options=options)
 
     def run():
         # several queries in a row: exactly the repeated-connection pattern;
         # only the first query of the application may pay connection setups
-        q39_env_fixed.cluster.connection_cache.clear()
         last = None
         for __ in range(3):
-            last = run_query(q39_env_fixed, system, "q39a", q39a(),
+            last = run_query(conncache_env, system, "q39a", q39a(),
                              fresh_application=False)
         return last
 

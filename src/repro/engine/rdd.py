@@ -10,7 +10,6 @@ through the shuffle block store.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,10 +30,7 @@ class Partition:
 class RDD:
     """Base class.  Subclasses define partitions, locality and compute."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, parents: Sequence["RDD"] = ()) -> None:
-        self.rdd_id = next(RDD._ids)
         self.parents: Tuple[RDD, ...] = tuple(parents)
 
     # -- the three methods the paper's HBaseTableScanRDD overrides ---------
@@ -153,7 +149,8 @@ class ShuffledRDD(RDD):
     fetch -- aggregation and join operators live there.
     """
 
-    _shuffle_ids = itertools.count(1)
+    #: set by the query's scheduler when it plans the map stage (0 before)
+    shuffle_id = 0
 
     def __init__(
         self,
@@ -168,7 +165,6 @@ class ShuffledRDD(RDD):
         self.num_partitions = num_partitions
         self.key_fn = key_fn
         self.post_shuffle = post_shuffle
-        self.shuffle_id = next(ShuffledRDD._shuffle_ids)
 
     def partitions(self) -> List[Partition]:
         return [Partition(i) for i in range(self.num_partitions)]

@@ -23,7 +23,7 @@ misreported as node-local.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.cost import CostModel
 from repro.common.errors import FatalTaskError
@@ -176,6 +176,7 @@ class TaskScheduler:
         self.faults = faults
         self.block_store = ShuffleBlockStore()
         self._materialized_shuffles: set[int] = set()
+        self._shuffle_ids: Dict[ShuffledRDD, int] = {}
         self._stage_ids = 0
         #: simulated seconds the query spent in the serving admission queue
         #: before this scheduler ran; stamped onto every task ledger so
@@ -240,18 +241,22 @@ class TaskScheduler:
 
     # -- stage planning -----------------------------------------------------
     def _pending_shuffles(self, rdd: RDD) -> List[ShuffledRDD]:
-        """Every unmaterialised ShuffledRDD in the lineage, parents first."""
+        """Every unmaterialised ShuffledRDD in the lineage, parents first.  Each
+        gets its ``shuffle_id`` the first time this scheduler meets it, so the
+        ids count per query and the ``engine.shuffle_fetch`` key replays."""
         ordered: List[ShuffledRDD] = []
-        seen: set[int] = set()
+        seen: set[RDD] = set()
 
         def visit(node: RDD) -> None:
-            if node.rdd_id in seen:
+            if node in seen:
                 return
-            seen.add(node.rdd_id)
+            seen.add(node)
             for parent in node.parents:
                 visit(parent)
-            if isinstance(node, ShuffledRDD) and node.shuffle_id not in self._materialized_shuffles:
-                ordered.append(node)
+            if isinstance(node, ShuffledRDD):
+                node.shuffle_id = self._shuffle_ids.setdefault(node, len(self._shuffle_ids) + 1)
+                if node.shuffle_id not in self._materialized_shuffles:
+                    ordered.append(node)
 
         visit(rdd)
         return ordered
@@ -326,13 +331,13 @@ class TaskScheduler:
         of scans) yield ``None``.
         """
         scopes: set[int] = set()
-        seen: set[int] = set()
+        seen: set[RDD] = set()
         stack: List[RDD] = [root]
         while stack:
             node = stack.pop()
-            if node.rdd_id in seen:
+            if node in seen:
                 continue
-            seen.add(node.rdd_id)
+            seen.add(node)
             scope = getattr(node, "scope", None)
             if scope is not None:
                 scopes.add(scope)

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, NamedTuple, Set, Tuple
+from typing import Dict, Hashable, Iterable, NamedTuple, Set, Tuple
 
-#: a cached block: which immutable store file, and which block within it
-BlockId = Tuple[int, int]
+#: a cached block: which immutable store file (by identity), which block in it
+BlockId = Tuple[Hashable, int]
 
 
 class BlockAccess(NamedTuple):
@@ -57,11 +57,11 @@ class BlockCacheStats(NamedTuple):
 class BlockCache:
     """A byte-budgeted LRU cache of HFile blocks for one region server.
 
-    Keys are ``(file_id, block_index)`` pairs -- store files are immutable,
-    so the pair identifies the block's bytes forever.  ``access`` performs
-    the whole read-through protocol (lookup, admit on miss, evict past the
-    budget) in one critical section so concurrent scan tasks never observe
-    a half-updated LRU.
+    Keys are ``(store_file, block_index)`` pairs (the file by identity) --
+    store files are immutable, so the pair identifies the block's bytes
+    forever.  ``access`` performs the whole read-through protocol (lookup,
+    admit on miss, evict past the budget) in one critical section so
+    concurrent scan tasks never observe a half-updated LRU.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -71,8 +71,8 @@ class BlockCache:
         self._lock = threading.Lock()
         #: block id -> size in bytes, in LRU order (oldest first)
         self._blocks: "OrderedDict[BlockId, int]" = OrderedDict()
-        #: file id -> that file's cached block ids, for O(file) invalidation
-        self._by_file: Dict[int, Set[BlockId]] = {}
+        #: store file -> its cached block ids, for O(file) invalidation
+        self._by_file: Dict[Hashable, Set[BlockId]] = {}
         self._current_bytes = 0
         self._hits = 0
         self._misses = 0
@@ -80,7 +80,7 @@ class BlockCache:
         self._invalidations = 0
 
     # -- the read-through protocol ---------------------------------------
-    def access(self, file_id: int, block_index: int, nbytes: int) -> BlockAccess:
+    def access(self, store_file: Hashable, block_index: int, nbytes: int) -> BlockAccess:
         """Look up one block; admit it on a miss, evicting past the budget.
 
         Returns whether the block was already cached plus how many blocks
@@ -89,7 +89,7 @@ class BlockCache:
         whole budget is never admitted (it would evict everything for a
         cache that can still never hold it).
         """
-        block_id = (file_id, block_index)
+        block_id = (store_file, block_index)
         with self._lock:
             if block_id in self._blocks:
                 self._blocks.move_to_end(block_id)
@@ -99,7 +99,7 @@ class BlockCache:
             if nbytes > self.capacity_bytes:
                 return BlockAccess(False, 0, 0)
             self._blocks[block_id] = nbytes
-            self._by_file.setdefault(file_id, set()).add(block_id)
+            self._by_file.setdefault(store_file, set()).add(block_id)
             self._current_bytes += nbytes
             evicted_blocks = 0
             evicted_bytes = 0
@@ -112,13 +112,13 @@ class BlockCache:
             self._evictions += evicted_blocks
             return BlockAccess(False, evicted_blocks, evicted_bytes)
 
-    def contains(self, file_id: int, block_index: int) -> bool:
+    def contains(self, store_file: Hashable, block_index: int) -> bool:
         """Whether a block is currently cached (no LRU side effects)."""
         with self._lock:
-            return (file_id, block_index) in self._blocks
+            return (store_file, block_index) in self._blocks
 
     # -- lifecycle invalidation ------------------------------------------
-    def invalidate_files(self, file_ids: Iterable[int]) -> int:
+    def invalidate_files(self, store_files: Iterable[Hashable]) -> int:
         """Drop every cached block of the given store files.
 
         Called when files cease to exist on this server: a compaction
@@ -127,8 +127,8 @@ class BlockCache:
         """
         dropped = 0
         with self._lock:
-            for file_id in file_ids:
-                for block_id in self._by_file.pop(file_id, ()):
+            for store_file in store_files:
+                for block_id in self._by_file.pop(store_file, ()):
                     nbytes = self._blocks.pop(block_id, None)
                     if nbytes is not None:
                         self._current_bytes -= nbytes

@@ -73,8 +73,6 @@ class StoreFile:
     the builder lists the newer write first.
     """
 
-    _next_id = 0
-
     def __init__(self, cells: Sequence[Cell], block_cells: int = DEFAULT_BLOCK_CELLS) -> None:
         self._cells: List[Cell] = list(cells)
         self._rows: List[bytes] = [c.row for c in self._cells]
@@ -100,8 +98,6 @@ class StoreFile:
         self._bloom = BloomFilter(max(1, len(hashes)))
         for hashed in hashes:
             self._bloom.add(hashed)
-        StoreFile._next_id += 1
-        self.file_id = StoreFile._next_id
         #: HDFS placement; None means "assume local" (tests, bulk loads)
         self.hdfs_file = None
 
@@ -170,7 +166,7 @@ class StoreFile:
         boundaries; the per-block sizes sum exactly to ``scanned_bytes``
         for the same range.  Block indices are stable for the lifetime of
         this (immutable) file, which is what lets the region-server block
-        cache key on ``(file_id, block_index)``.
+        cache key on ``(store_file, block_index)``.
         """
         lo, hi = self._cell_span(start_row, stop_row)
         if lo >= hi:

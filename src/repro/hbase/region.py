@@ -174,14 +174,14 @@ class Region:
         return written
 
     def compact(self, major: bool = False, max_versions: int = ALL_VERSIONS) -> None:
-        # by file_id, not id(): a merged-away file's address can be handed
-        # to the next store's new file, which would then pass for an old one
-        before = self.store_file_ids()
+        # objects, not addresses: while ``before`` holds the old files, no
+        # new file can be handed one of their ids
+        before = self.store_files()
         for store in self.stores.values():
             store.compact(drop_deletes=major, max_versions=max_versions)
         self.last_new_files = [
             f for store in self.stores.values() for f in store.files
-            if f.file_id not in before
+            if f not in before
         ]
 
     def size_bytes(self) -> int:
@@ -260,9 +260,9 @@ class Region:
             memstore_bytes += sum(c.heap_size() for c in store.memstore.scan(lo, hi))
         return files, memstore_bytes
 
-    def store_file_ids(self) -> Set[int]:
-        """The ``file_id`` of every store file currently in this region."""
-        return {f.file_id for store in self.stores.values() for f in store.files}
+    def store_files(self) -> Set[StoreFile]:
+        """Every store file currently in this region."""
+        return {f for store in self.stores.values() for f in store.files}
 
     def _chosen_families(
         self,

@@ -95,7 +95,7 @@ class RegionServer:
         self._flush_debts.pop(region_name, None)
         self.wal.mark_flushed(region_name, self.wal.last_sequence_id())
         if self.block_cache is not None:
-            self.block_cache.invalidate_files(region.store_file_ids())
+            self.block_cache.invalidate_files(region.store_files())
         return region
 
     def release_region(self, region_name: str) -> Region:
@@ -208,14 +208,14 @@ class RegionServer:
                        max_versions: int = ALL_VERSIONS) -> None:
         with self._write_lock:
             region = self._region(region_name)
-            before = region.store_file_ids()
+            before = region.store_files()
             region.compact(major, max_versions)
             # compactions write fresh files on THIS server's host, which is how
             # HBase re-localises a region after it has been moved
             self._place_new_files(region)
             if self.block_cache is not None:
                 # the merged-away inputs no longer exist; their blocks must go
-                self.block_cache.invalidate_files(before - region.store_file_ids())
+                self.block_cache.invalidate_files(before - region.store_files())
 
     def _place_new_files(self, region: Region) -> None:
         if self.hdfs is None:
@@ -327,7 +327,7 @@ class RegionServer:
             missed_bytes = 0
             for block_idx, nbytes in blocks:
                 if cache is not None:
-                    outcome = cache.access(store_file.file_id, block_idx, nbytes)
+                    outcome = cache.access(store_file, block_idx, nbytes)
                     evictions += outcome.evicted_blocks
                     if outcome.hit:
                         hits += 1

@@ -116,19 +116,19 @@ class ExecContext:
         return int(self.conf.get("sql.shuffle.partitions", 8))
 
 
-#: process-wide operator id sequence; ids only need to be unique within a
-#: query, a global counter trivially guarantees it
-_op_ids = itertools.count(1)
-
-
 class PhysicalPlan:
     """Base class for physical operators.
 
-    Every operator gets a unique ``op_id`` at construction;
+    An operator's ``op_id`` is its pre-order position (1..n, the order
+    EXPLAIN prints) in its finished tree, numbered by
+    :func:`repro.sql.vectorized.insert_transitions` (0 before), so
+    planning a query again gives the same ids.
     ``ExecContext.operator_stats``, scoped counters
     (``MetricsRegistry.for_op``) and ``StageInfo.scope`` refer back to it,
     which is how EXPLAIN ANALYZE joins runtime numbers onto plan nodes.
     """
+
+    op_id = 0
 
     #: True when ``execute`` returns an RDD of
     #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples
@@ -143,7 +143,6 @@ class PhysicalPlan:
                  children: Sequence["PhysicalPlan"] = ()) -> None:
         self.output = list(output)
         self.children = list(children)
-        self.op_id = next(_op_ids)
 
     def execute(self, ctx: ExecContext) -> RDD:
         raise NotImplementedError

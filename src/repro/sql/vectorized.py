@@ -70,12 +70,12 @@ class ColumnarToRowExec(P.PhysicalPlan):
 
 
 def insert_transitions(root: P.PhysicalPlan) -> P.PhysicalPlan:
-    """The one rule that places transitions: below every operator, each
-    child in the format the operator reads it in (``child_formats``), and
-    the root as rows.  A child producing the other format gets an adapter;
-    the tree is rewritten in place and its root returned.  Running the rule
-    on its own result changes nothing, since an adapter reads the format
-    its child produces."""
+    """The one rule that places transitions and finishes a tree: below
+    every operator, each child in the format the operator reads it in
+    (``child_formats``), and the root as rows.  A child producing the other
+    format gets an adapter; the tree is rewritten in place, numbered 1..n
+    in pre-order (``op_id``), and its root returned.  Running the rule on
+    its own result changes nothing: an adapter reads its child's format."""
     def place(op: P.PhysicalPlan, batches: bool) -> P.PhysicalPlan:
         reads = op.child_formats
         op.children = [place(child, i < len(reads) and reads[i])
@@ -84,7 +84,10 @@ def insert_transitions(root: P.PhysicalPlan) -> P.PhysicalPlan:
             return op
         return RowToColumnarExec(op) if batches else ColumnarToRowExec(op)
 
-    return place(root, False)
+    root = place(root, False)
+    for op_id, op in enumerate(root.walk(), 1):
+        op.op_id = op_id
+    return root
 
 
 __all__ = ["ColumnarToRowExec", "RowToColumnarExec", "insert_transitions"]

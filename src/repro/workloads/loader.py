@@ -89,9 +89,9 @@ def load_tpcds(
     """Generate and load the requested tables; returns the environment.
 
     ``name`` names the cluster; by default clusters are numbered across the
-    process (``tpcds1``, ``tpcds2``, ...).  The name keys hashed placement,
-    retry jitter and fault schedules, so a run that must replay another
-    passes the same one.
+    process (``tpcds1``, ``tpcds2``, ...) to keep live quorums unique.  The
+    name keys no cost: placement, jitter and fault schedules hash what the
+    cluster numbers itself, so loads replay each other whatever their names.
     """
     cost = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     cluster = HBaseCluster(

@@ -274,14 +274,17 @@ def test_transitions_are_explicit_everywhere(conf, monkeypatch):
 
 def test_the_transition_rule_is_idempotent():
     """Applying the rule to a planned tree changes nothing: same root, same
-    operators, same edges."""
+    operator objects, same edges (by identity: op ids are positions, so an
+    operator swapped for another of the same shape would keep them)."""
     for query in QUERIES:
         physical = plan_for(query)
-        before = [(op.op_id, [c.op_id for c in op.children])
-                  for op in physical.walk()]
+        before = [(op, list(op.children)) for op in physical.walk()]
         assert V.insert_transitions(physical) is physical
-        assert [(op.op_id, [c.op_id for c in op.children])
-                for op in physical.walk()] == before
+        after = [(op, list(op.children)) for op in physical.walk()]
+        assert len(after) == len(before)
+        for (op, kids), (was, was_kids) in zip(after, before):
+            assert op is was and len(kids) == len(was_kids)
+            assert all(kid is was_kid for kid, was_kid in zip(kids, was_kids))
 
 
 def test_fusion_collapses_scan_filter_project():

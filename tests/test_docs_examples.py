@@ -44,21 +44,19 @@ def test_doc_examples_execute(doc):
 
 #: a row of EXPLAIN ANALYZE's stage table: stage kind tasks local sim_s
 #: wall_s output scan
-_STAGE_ROW = re.compile(r"^\s*\d+\s+\w+\s+\d+\s+\d+\s+[\d.]+\s+[\d.]+\s+\S+\s+\S+$")
+_STAGE_ROW = re.compile(r"^\s*\d+\s+[\w-]+\s+\d+\s+\d+\s+[\d.]+\s+[\d.]+\s+\S+\s+\S+$")
 _REPORT_HEAD = "== Physical Plan (EXPLAIN ANALYZE) =="
 
 
 def _masked(line):
-    """``line`` without what varies between runs: wall-clock values, and
-    operator ids (the stage table's ``scan`` column, ``op N``), which come
-    from a process-wide counter and so depend on what ran before."""
+    """``line`` without its wall-clock values, the only part of an EXPLAIN
+    ANALYZE report that varies between runs of one plan (operator ids are
+    positions in the plan, so they do not)."""
     if _STAGE_ROW.match(line):
         fields = line.split()
         fields[5] = "<wall>"
-        fields[7] = "<op>"
         return " ".join(fields)
-    line = re.sub(r"wall-clock: [\d.]+s", "wall-clock: <wall>s", line)
-    return re.sub(r"\bop \d+", "op <op>", line)
+    return re.sub(r"wall-clock: [\d.]+s", "wall-clock: <wall>s", line)
 
 
 def test_observability_report_is_a_real_run_of_its_example():

@@ -17,7 +17,7 @@ Three measurements:
   its simulated seconds and RPCs are reported (not part of the text table).
 * **invariance spot-check** -- the flag-off run carries no ``sql.view.*``
   or ``hbase.cdc.*`` counters (the full guarantee is pinned by
-  tests/integration/test_view_invariance.py).
+  tests/differential/test_relations.py).
 
 Inventory is loaded at a fixed nominal size (independent of BENCH_SMOKE:
 the simulated totals stay scale-comparable and the load is seconds of real

@@ -176,17 +176,28 @@ class HBaseRelation(BaseRelation):
             if hbase_filter is not None:
                 filter_columns = _filter_columns(hbase_filter)
         locations = self.cluster.region_locations(self.catalog.qualified_name)
-        candidates, routing = self._read_candidates(locations)
+        candidates, excluded = self._read_candidates(locations)
         partitions = build_partitions(
             locations, ranges, self.fusion_enabled, candidates,
             split_keys=self._split_keys, estimate_bytes=self._range_bytes)
-        if routing is not None:
+        routing = None
+        if excluded is not None:
             served = [w.location for p in partitions for w in p.work]
-            routing["replica_scans"] = sum(1 for loc in served if loc.replica_id)
             # a region is split when more than one server reads a piece of it
             readers = {(loc.region_name, loc.server_id) for loc in served}
-            routing["split_regions"] = sum(
-                1 for n in Counter(name for name, __ in readers).values() if n > 1)
+            # only the regions this scan reads: a pruned region routed nowhere
+            scanned = {loc.region_name for loc in served}
+            routing = {
+                "replica_scans": sum(1 for loc in served if loc.replica_id),
+                "split_regions": sum(1 for n in Counter(
+                    name for name, __ in readers).values() if n > 1),
+                "stale_excluded": sum(excluded[name] for name in scanned),
+                # replicas exist but none qualified: the region's reads
+                # fell back to the primary
+                "primary_fallbacks": sum(
+                    1 for name in scanned
+                    if excluded[name] and len(candidates[name]) == 1),
+            }
         rdd = HBaseTableScanRDD(self, required_columns, hbase_filter,
                                 partitions, filter_columns)
         #: table-wide region count before pruning, so EXPLAIN ANALYZE can
@@ -199,24 +210,18 @@ class HBaseRelation(BaseRelation):
 
     def _read_candidates(self, locations):
         """Who may serve each region's scans (docs/replication.md): the
-        candidate map for the partition builder -- empty, with no routing
-        record, unless ``hbase.read.replica`` is on *and* the cluster
-        replicates -- and what the staleness bound did to it."""
+        candidate map for the partition builder and, per region, how many
+        replicas the staleness bound excluded -- empty and None unless
+        ``hbase.read.replica`` is on *and* the cluster replicates."""
         replication = self.cluster.replication
         if not self.replica_read_enabled or replication is None:
             return {}, None
         staleness = self.replica_staleness_s()
-        candidates = {}
-        routing = {"stale_excluded": 0, "primary_fallbacks": 0}
+        candidates, excluded = {}, {}
         for location in locations:
-            cands, excluded = replication.read_candidates(location, staleness)
-            candidates[location.region_name] = cands
-            routing["stale_excluded"] += excluded
-            if excluded and len(cands) == 1:
-                # replicas exist but none qualified: this region's reads
-                # fell back to the primary
-                routing["primary_fallbacks"] += 1
-        return candidates, routing
+            candidates[location.region_name], excluded[location.region_name] = \
+                replication.read_candidates(location, staleness)
+        return candidates, excluded
 
     def _split_keys(self, location, lo: bytes, hi):
         """Store-file block start keys strictly inside ``(lo, hi)``."""

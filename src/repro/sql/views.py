@@ -34,7 +34,7 @@ rewriting).  Three cooperating pieces live here:
 
 ``CREATE MATERIALIZED VIEW`` is the opt-in: in a session that never ran a
 view statement no code here runs and every ledger is what it would be
-without this module (tests/integration/test_view_invariance.py).
+without this module (tests/differential/test_relations.py).
 """
 
 from __future__ import annotations

@@ -6,17 +6,15 @@ equal the rows of a reference evaluation over the full dataset -- and equal
 what the no-optimization baseline returns.
 """
 
-import json
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import BASELINE_FORMAT
-from repro.core.catalog import HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
+from tests.differential.strategies import CODERS, hbase_table
 
 SCHEMA = StructType([
     StructField("ts", IntegerType),
@@ -24,21 +22,6 @@ SCHEMA = StructType([
     StructField("tag", StringType),
     StructField("score", DoubleType),
 ])
-
-
-def make_catalog(coder):
-    return json.dumps({
-        "table": {"namespace": "default", "name": "events", "tableCoder": coder},
-        "rowkey": "ts:uid",
-        "columns": {
-            "ts": {"cf": "rowkey", "col": "ts", "type": "int",
-                   **({"length": 10} if coder == "Avro" else {})},
-            "uid": {"cf": "rowkey", "col": "uid", "type": "int",
-                    **({"length": 10} if coder == "Avro" else {})},
-            "tag": {"cf": "cf1", "col": "tag", "type": "string"},
-            "score": {"cf": "cf2", "col": "score", "type": "double"},
-        },
-    })
 
 
 ROWS = [
@@ -55,19 +38,6 @@ SINGLE_SCHEMA = StructType([
     StructField("score", DoubleType),
 ])
 SINGLE_ROWS = [(k, "t%d" % (k % 3), float(k)) for k in range(20)]
-
-
-def make_single_catalog(coder):
-    return json.dumps({
-        "table": {"namespace": "default", "name": "single", "tableCoder": coder},
-        "rowkey": "k",
-        "columns": {
-            "k": {"cf": "rowkey", "col": "k", "type": "int",
-                  **({"length": 10} if coder == "Avro" else {})},
-            "tag": {"cf": "cf1", "col": "tag", "type": "string"},
-            "score": {"cf": "cf2", "col": "score", "type": "double"},
-        },
-    })
 
 
 def predicates(key_columns):
@@ -103,23 +73,20 @@ predicate = predicates(["ts", "uid"])
 single_predicate = predicates(["k"])
 
 
-@pytest.fixture(scope="module", params=["PrimitiveType", "Phoenix", "Avro"])
+#: two families, so a scan reads across stores
+FAMILIES = {"tag": "cf1", "score": "cf2"}
+
+
+@pytest.fixture(scope="module", params=CODERS)
 def loaded(request):
     coder = request.param
     cluster = HBaseCluster("prop", ["h1", "h2", "h3"])
     session = SparkSession(["h1", "h2", "h3"], clock=cluster.clock)
-    options = {
-        HBaseTableCatalog.tableCatalog: make_catalog(coder),
-        HBaseTableCatalog.newTable: "4",
-        "hbase.zookeeper.quorum": cluster.quorum,
-    }
-    session.create_dataframe(ROWS, SCHEMA).write \
-        .format(DEFAULT_FORMAT).options(options).save()
-    single = dict(options)
-    single[HBaseTableCatalog.tableCatalog] = make_single_catalog(coder)
-    session.create_dataframe(SINGLE_ROWS, SINGLE_SCHEMA).write \
-        .format(DEFAULT_FORMAT).options(single).save()
-    return cluster, session, options, coder
+    options = hbase_table(session, cluster, "events", SCHEMA, ROWS, ("ts", "uid"),
+                          coder, regions=4, families=FAMILIES)
+    single = hbase_table(session, cluster, "single", SINGLE_SCHEMA, SINGLE_ROWS,
+                         ("k",), coder, regions=4, families=FAMILIES)
+    return cluster, session, options, single, coder
 
 
 def reference(where, schema=SCHEMA, rows=ROWS):
@@ -142,7 +109,7 @@ def reference(where, schema=SCHEMA, rows=ROWS):
 @settings(max_examples=40, deadline=None)
 @given(where=predicate)
 def test_any_predicate_matches_reference(loaded, where):
-    cluster, session, options, coder = loaded
+    cluster, session, options, single, coder = loaded
     df = session.read.format(DEFAULT_FORMAT).options(options).load()
     got = sorted(map(tuple, df.filter(where).collect()))
     assert got == reference(where), where
@@ -154,9 +121,7 @@ def test_any_predicate_matches_reference(loaded, where):
 @example(where="k = 5 and tag = 't1'")
 @example(where="k = 5 and score > 100")
 def test_any_predicate_matches_reference_on_a_single_key(loaded, where):
-    cluster, session, options, coder = loaded
-    single = dict(options)
-    single[HBaseTableCatalog.tableCatalog] = make_single_catalog(coder)
+    cluster, session, options, single, coder = loaded
     df = session.read.format(DEFAULT_FORMAT).options(single).load()
     got = sorted(map(tuple, df.filter(where).collect()))
     assert got == reference(where, SINGLE_SCHEMA, SINGLE_ROWS), where
@@ -169,7 +134,7 @@ def test_all_dimension_pruning_preserves_answers(loaded, where):
     """The future-work extension must stay exact under arbitrary predicates."""
     from repro.core.catalog import HBaseSparkConf
 
-    cluster, session, options, coder = loaded
+    cluster, session, options, single, coder = loaded
     extended = dict(options)
     extended[HBaseSparkConf.PRUNE_ALL_DIMENSIONS] = "true"
     df = session.read.format(DEFAULT_FORMAT).options(extended).load()
@@ -180,7 +145,7 @@ def test_all_dimension_pruning_preserves_answers(loaded, where):
 @settings(max_examples=15, deadline=None)
 @given(where=predicate)
 def test_shc_agrees_with_baseline(loaded, where):
-    cluster, session, options, coder = loaded
+    cluster, session, options, single, coder = loaded
     if coder != "PrimitiveType":
         return  # the baseline only reads the native coding
     shc = session.read.format(DEFAULT_FORMAT).options(options).load()

@@ -33,13 +33,18 @@ from repro.hbase.filters import (
     CompareOp, FilterList, FilterListOp, RowFilter, SingleColumnValueFilter,
 )
 from repro.hbase.hfile import StoreFile, row_hash
-from repro.hbase.region import Region, TimeRange
+from repro.hbase.region import Region
 from repro.hbase.regionserver import RegionServer
+from tests.differential.strategies import (
+    FAMILIES,
+    ROWS,
+    cell_columns as _columns,
+    cell_queries,
+    cell_rows as _rows,
+    version_limits,
+)
 
-ROWS = [b"r%d" % i for i in range(6)]
 ABSENT = [b"r", b"r00", b"r9", b"s"]
-COLUMNS = [("f", "q1"), ("f", "q2"), ("g", "q1")]
-ALL_VERSIONS = 10**6
 SEEK_S = DEFAULT_COST_MODEL.seek_cost_s
 
 #: one slot per row of a batch: every row, present or not, and four repeats
@@ -50,15 +55,8 @@ FILTERS = [RowFilter(CompareOp.LESS, b"r3"),
                RowFilter(CompareOp.GREATER, b"r4"),
                SingleColumnValueFilter("f", "q1", CompareOp.GREATER, b"\x80")])]
 
-_rows = st.sampled_from(ROWS)
-_columns = st.sampled_from(COLUMNS)
-_queries = st.fixed_dictionaries(dict(
-    families=st.none() | st.sets(st.sampled_from(["f", "g"]), min_size=1),
-    columns=st.none() | st.sets(_columns, min_size=1),
-    max_versions=st.sampled_from([1, 2, ALL_VERSIONS]),
-    time_range=st.none() | st.builds(
-        lambda lo, span: TimeRange(lo, lo + span),
-        st.integers(0, 12), st.integers(0, 30))))
+_queries = cell_queries(
+    families=st.none() | st.sets(st.sampled_from(FAMILIES), min_size=1))
 
 
 def _ungated(region, row, query):
@@ -97,7 +95,7 @@ class PointReadReferee(RuleBasedStateMachine):
         super().__init__()
         self.server = RegionServer("rs1", "node1", DEFAULT_COST_MODEL)
         self.region_ids = itertools.count(1)
-        self.server.open_region(Region("t", ["f", "g"], flush_threshold=10**9,
+        self.server.open_region(Region("t", FAMILIES, flush_threshold=10**9,
                                        region_id=next(self.region_ids)))
         self.clock = 0
         #: newest timestamp written per (row, family, qualifier)
@@ -139,7 +137,7 @@ class PointReadReferee(RuleBasedStateMachine):
         if ts is not None:
             self._apply(Cell(row, *column, ts, cell_type=CellType.DELETE))
 
-    @rule(row=_rows, family=st.sampled_from(["f", "g"]))
+    @rule(row=_rows, family=st.sampled_from(FAMILIES))
     def delete_family(self, row, family):
         self._apply(Cell(row, family, "", self._tick(),
                          cell_type=CellType.DELETE_FAMILY))
@@ -149,7 +147,7 @@ class PointReadReferee(RuleBasedStateMachine):
         for name in list(self.server.regions):
             self.server.flush_region(name)
 
-    @rule(major=st.booleans(), limit=st.sampled_from([1, 2, ALL_VERSIONS]))
+    @rule(major=st.booleans(), limit=version_limits)
     def compact(self, major, limit):
         for name in list(self.server.regions):
             self.server.compact_region(name, major, limit)

@@ -20,22 +20,23 @@ from hypothesis.stateful import (
 )
 
 from repro.hbase.cell import Cell, CellType
-from repro.hbase.region import Region, TimeRange
+from repro.hbase.region import Region
+from tests.differential.strategies import (
+    ALL_VERSIONS,
+    FAMILIES,
+    cell_columns as _columns,
+    cell_queries,
+    cell_rows as _rows,
+)
 
-ROWS = [b"r%d" % i for i in range(6)]
-COLUMNS = [("f", "q1"), ("f", "q2"), ("g", "q1")]
-ALL_VERSIONS = 10**6
 FULL_SCAN = dict(start_row=b"", stop_row=None, columns=None,
                  max_versions=1, time_range=None)
-
-_rows = st.sampled_from(ROWS)
-_columns = st.sampled_from(COLUMNS)
 
 
 class RegionModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.region = Region("t", ["f", "g"], flush_threshold=10**9,
+        self.region = Region("t", FAMILIES, flush_threshold=10**9,
                              region_id=1)
         #: (row, family, qualifier) -> {timestamp: value}; the last write
         #: to a timestamp is the one that counts
@@ -101,7 +102,7 @@ class RegionModel(RuleBasedStateMachine):
             [Cell(row, *column, ts, cell_type=CellType.DELETE)])
         self.versions_deleted.setdefault((row, *column), set()).add(ts)
 
-    @rule(row=_rows, family=st.sampled_from(["f", "g"]))
+    @rule(row=_rows, family=st.sampled_from(FAMILIES))
     def delete_family(self, row, family):
         ts = self._tick()
         self.region.put_cells(
@@ -130,17 +131,9 @@ class RegionModel(RuleBasedStateMachine):
                 del versions[ts]
 
     # -- the query every later step is checked under ----------------------------
-    @rule(bounds=st.tuples(_rows, st.none() | _rows),
-          columns=st.none() | st.sets(_columns, min_size=1),
-          max_versions=st.sampled_from([1, 2, ALL_VERSIONS]),
-          time_range=st.none() | st.tuples(st.integers(0, 12),
-                                           st.integers(0, 30)))
-    def draw_query(self, bounds, columns, max_versions, time_range):
-        self.query = dict(
-            start_row=bounds[0], stop_row=bounds[1], columns=columns,
-            max_versions=max_versions,
-            time_range=None if time_range is None
-            else TimeRange(time_range[0], time_range[0] + time_range[1]))
+    @rule(query=cell_queries(start_row=_rows, stop_row=st.none() | _rows))
+    def draw_query(self, query):
+        self.query = query
 
     # -- the model -------------------------------------------------------------
     def _deleted_through(self, row, column) -> int:

@@ -22,41 +22,22 @@ from repro.common.faults import (
     FaultInjector,
     crash_region_server,
 )
-from repro.core.catalog import HBaseSparkConf
 from repro.workloads import load_tpcds, q38, q39a, q39b
 from repro.workloads.tpcds_schema import Q38_TABLES, Q39_TABLES
-from tests.sql.test_adaptive import (  # noqa: F401 - small_skew is a fixture
+from tests.differential.strategies import (  # noqa: F401 - small_skew is a fixture
+    CHAOS_READER_OPTIONS,
+    CHAOS_SEEDS,
     SKEW_SQL,
+    chaos_injector,
     dim_rows,
     fact_rows,
     make_session,
     register,
+    rows,
     run_rows,
     skew_conf,
     small_skew,
 )
-
-#: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
-CHAOS_SEEDS = (101, 202, 303)
-
-#: small scanner pages so the injected crash lands *between* result pages
-CHAOS_READER_OPTIONS = {HBaseSparkConf.CACHED_ROWS: "40"}
-
-
-def chaos_injector(seed):
-    """The chaos schedule: one crash, >=5 transient RPCs, one failed fetch."""
-    injector = FaultInjector(seed=seed)
-    # crash one region server between scan pages, pepper the RPC path with
-    # transient failures, and fail one shuffle-block fetch
-    injector.inject(FAULT_SCAN_STREAM, rate=1.0, after=1, times=1,
-                    action=crash_region_server)
-    injector.inject(FAULT_RPC, rate=0.3, times=5)
-    injector.inject(FAULT_SHUFFLE_FETCH, rate=1.0, times=1)
-    return injector
-
-
-def rows(result):
-    return [tuple(r.values) for r in result.rows]
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -130,13 +111,12 @@ def test_chaos_crash_mid_scan_rebatches_the_partition(seed):
 def test_same_seed_replays_the_same_chaos_schedule():
     """Two full runs of one seed inject identical fault sequences.
 
-    Fractional fault rates hash region names, which embed the cluster name
-    and the cluster's own region counter; both runs name their cluster the
-    same so the replay compares the same schedule rather than two re-rolls
-    of it.
+    Fractional fault rates hash region names, ``table,start,region_id``
+    with the id numbered by the cluster itself.  The two clusters are named
+    apart, so the replay also pins that no cluster name keys the schedule.
     """
     def run_once():
-        env = load_tpcds(5, Q39_TABLES, name="tpcds9000")
+        env = load_tpcds(5, Q39_TABLES)
         injector = chaos_injector(CHAOS_SEEDS[0])
         env.cluster.install_fault_injector(injector)
         session = env.new_session(extra_options=CHAOS_READER_OPTIONS)

@@ -11,8 +11,6 @@ block leaks from job to job), every pooled HBase connection is handed back
 ticket log bit for bit.
 """
 
-import json
-
 import pytest
 
 from repro.common.faults import (
@@ -23,22 +21,13 @@ from repro.common.faults import (
     crash_region_server,
 )
 from repro.common.simclock import SimClock
-from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase.cluster import HBaseCluster
 from repro.serving import COMPLETED, QueryServer, ServingConfig
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
+from tests.differential.strategies import CHAOS_READER_OPTIONS, CHAOS_SEEDS, hbase_table
 
-EVENTS_CATALOG = json.dumps({
-    "table": {"namespace": "default", "name": "events", "tableCoder": "PrimitiveType"},
-    "rowkey": "eid",
-    "columns": {
-        "eid": {"cf": "rowkey", "col": "eid", "type": "int"},
-        "page": {"cf": "cf1", "col": "page", "type": "string"},
-        "stay": {"cf": "cf2", "col": "stay", "type": "double"},
-    },
-})
 EVENTS_SCHEMA = StructType([
     StructField("eid", IntegerType),
     StructField("page", StringType),
@@ -59,15 +48,8 @@ QUERIES = [
 
 def _load_events(cluster, session, rows=240, regions=6):
     data = [(i, f"page{i % 5}", float(i % 7)) for i in range(rows)]
-    options = {
-        HBaseTableCatalog.tableCatalog: EVENTS_CATALOG,
-        HBaseTableCatalog.newTable: str(regions),
-        "hbase.zookeeper.quorum": cluster.quorum,
-    }
-    session.create_dataframe(data, EVENTS_SCHEMA).write \
-        .format(DEFAULT_FORMAT).options(options).save()
-    session.read.format(DEFAULT_FORMAT).options(options).load() \
-        .create_or_replace_temp_view("events")
+    return hbase_table(session, cluster, "events", EVENTS_SCHEMA, data, ("eid",),
+                       regions=regions, families={"page": "cf1", "stay": "cf2"})
 
 
 def _row_sets(results):
@@ -109,9 +91,6 @@ def test_concurrent_shuffles_are_isolated(linked):
     assert cluster.connection_cache.active_refcount() == 0
 
 
-#: the pinned chaos schedules CI replays (same seeds as test_chaos.py)
-SERVING_CHAOS_SEEDS = (101, 202, 303)
-
 HOSTS = ["node1", "node2", "node3"]
 
 
@@ -125,15 +104,11 @@ def _serving_chaos_run(seed):
     clock = SimClock()
     cluster = HBaseCluster(f"chaos-serving-{seed}", HOSTS, clock=clock)
     session = SparkSession(HOSTS, executors_requested=3, clock=clock)
-    _load_events(cluster, session)
+    options = _load_events(cluster, session)
 
     injector = FaultInjector(seed=seed)
-    # small scanner pages so the crash lands *between* result pages
-    session.read.format(DEFAULT_FORMAT).options({
-        HBaseTableCatalog.tableCatalog: EVENTS_CATALOG,
-        "hbase.zookeeper.quorum": cluster.quorum,
-        HBaseSparkConf.CACHED_ROWS: "40",
-    }).load().create_or_replace_temp_view("events")
+    session.read.format(DEFAULT_FORMAT).options(
+        {**options, **CHAOS_READER_OPTIONS}).load().create_or_replace_temp_view("events")
     # the crash fires once, on a pinned (region, invocation) pair; admission
     # faults fire on pinned (tenant, arrival-index) pairs; random-rate RPC
     # faults fire on seeded (region, invocation) pairs
@@ -178,7 +153,7 @@ def _serving_chaos_run(seed):
     }
 
 
-@pytest.mark.parametrize("seed", SERVING_CHAOS_SEEDS)
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_served_tenants_survive_chaos_deterministically(seed):
     """Admitted queries return byte-identical rows despite the mid-scan
     region-server crash, and the whole run -- every ticket's decisions,

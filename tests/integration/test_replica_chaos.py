@@ -19,24 +19,14 @@ from repro.common.faults import (
     FaultInjector,
     crash_region_server,
 )
-from repro.core.catalog import HBaseSparkConf
 from repro.workloads import load_tpcds
-
-#: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
-CHAOS_SEEDS = (101, 202, 303)
+from tests.differential.strategies import CHAOS_READER_OPTIONS, CHAOS_SEEDS, rows
 
 QUERY = ("SELECT ss_item_sk, ss_quantity FROM store_sales "
          "WHERE ss_quantity > 1")
 
-#: small scanner pages so the injected crash lands *between* result pages
-CHAOS_READER_OPTIONS = {HBaseSparkConf.CACHED_ROWS: "40"}
-
 REPLICA_CONF = {"hbase.read.replica": True,
                 "hbase.read.replica.staleness": 0}
-
-
-def rows(result):
-    return [tuple(r.values) for r in result.rows]
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -20,9 +20,7 @@ from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec
 from repro.hbase import ConnectionFactory, Scan
 from repro.workloads import load_tpcds
-
-#: the pinned chaos schedules CI replays (see docs/fault_tolerance.md)
-CHAOS_SEEDS = (101, 202, 303)
+from tests.differential.strategies import CHAOS_SEEDS
 
 VIEW_SQL = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus, "
             "sum(inv_quantity_on_hand) AS on_hand, "

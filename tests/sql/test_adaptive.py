@@ -11,53 +11,17 @@ import pytest
 
 from repro.common.tracing import Span
 from repro.engine.shuffle import ShuffleBlockStore
-from repro.sql import adaptive
 from repro.sql.adaptive import plan_skew_chunks
-from repro.sql.session import SparkSession
-from repro.sql.types import IntegerType, StringType, StructField, StructType
-
-FACT_SCHEMA = StructType([
-    StructField("fk", IntegerType),
-    StructField("payload", StringType),
-])
-DIM_SCHEMA = StructType([
-    StructField("id", IntegerType),
-    StructField("name", StringType),
-])
-
-HOSTS = ["h1", "h2", "h3"]
-
-
-def make_session(aqe: bool, **extra):
-    conf = {"sql.aqe.enabled": aqe}
-    conf.update(extra)
-    return SparkSession(HOSTS, conf=conf)
-
-
-def fact_rows(n=120, hot_fraction=0.0, hot_key=7, keys=16):
-    rows = []
-    hot = int(n * hot_fraction)
-    for i in range(hot):
-        rows.append((hot_key, f"hot-payload-{i:04d}-" + "x" * 40))
-    for i in range(n - hot):
-        rows.append((i % keys, f"payload-{i:04d}-" + "y" * 40))
-    return rows
-
-
-def dim_rows(keys=16):
-    # wide enough that a filtered dimension is still *estimated* (parent//4)
-    # over the conversion threshold even though few rows survive the filter
-    return [(i, f"dim-name-{i:03d}-" + "z" * 60) for i in range(keys)]
-
-
-def run_rows(session, sql):
-    result = session.sql(sql).run()
-    return sorted(tuple(r.values) for r in result.rows), result
-
-
-def register(session, fact, dim):
-    session.create_dataframe(fact, FACT_SCHEMA).create_or_replace_temp_view("fact")
-    session.create_dataframe(dim, DIM_SCHEMA).create_or_replace_temp_view("dim")
+from tests.differential.strategies import (  # noqa: F401 - small_skew is a fixture
+    SKEW_SQL,
+    dim_rows,
+    fact_rows,
+    make_session,
+    register,
+    run_rows,
+    skew_conf,
+    small_skew,
+)
 
 
 # -- unit: what the re-planner reads ----------------------------------------------
@@ -157,26 +121,6 @@ def test_small_left_not_swapped_for_outer_join():
 
 
 # -- rule 2: skew splitting ---------------------------------------------------------
-
-def skew_conf():
-    return {
-        "sql.autoBroadcastJoinThreshold": 1,     # isolate the skew rule
-        "sql.shuffle.partitions": 8,
-        "sql.local.scan.partitions": 8,
-    }
-
-
-@pytest.fixture
-def small_skew(monkeypatch):
-    """Skew bounds scaled down to these tests' few-hundred-row tables."""
-    monkeypatch.setattr(adaptive, "SKEW_FACTOR", 2.0)
-    monkeypatch.setattr(adaptive, "SKEW_MIN_BYTES", 4 * 1024)
-
-
-SKEW_SQL = """
-    SELECT f.payload, d.name FROM fact f JOIN dim d ON f.fk = d.id
-"""
-
 
 def test_skew_split_fires_and_preserves_rows(small_skew):
     fact = fact_rows(n=600, hot_fraction=0.8)

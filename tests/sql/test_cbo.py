@@ -1,14 +1,10 @@
 """The cost-based optimizer: estimation formulas, join reordering, the
 runtime key filter's pricing and the EXPLAIN surface (docs/optimizer.md)."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.metrics import MetricsRegistry
-from repro.core.catalog import HBaseTableCatalog
-from repro.core.relation import DEFAULT_FORMAT
 from repro.sql import cbo, physical
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -39,6 +35,7 @@ SCHEMA = StructType([
     StructField("k", IntegerType),
     StructField("g", StringType),
 ])
+from tests.differential.strategies import hbase_table
 
 
 #: what ANALYZE TABLE would have stored for every table `analyzed` registers
@@ -247,27 +244,11 @@ def _load_join(session, dim_keys, analyze=True):
 def _load_hbase_join(cluster, session, dim_keys):
     """``_load_join``'s tables stored in HBase (fact keyed by ``id``, dim by
     ``dk``), where a scan takes the pushed keys as a filter."""
-    for name, schema, rows, types in (
-        ("fact", FACT_SCHEMA, [(i % 5, i, float(i)) for i in range(2000)],
-         {"fk": "int", "id": "int", "v": "double"}),
-        ("dim", DIM_SCHEMA, [(k, f"d{k}") for k in dim_keys],
-         {"dk": "int", "name": "string"}),
+    for name, schema, rows, key in (
+        ("fact", FACT_SCHEMA, [(i % 5, i, float(i)) for i in range(2000)], "id"),
+        ("dim", DIM_SCHEMA, [(k, f"d{k}") for k in dim_keys], "dk"),
     ):
-        rowkey = "id" if name == "fact" else "dk"
-        opts = {
-            HBaseTableCatalog.tableCatalog: json.dumps({
-                "table": {"namespace": "default", "name": name},
-                "rowkey": rowkey,
-                "columns": {c: {"cf": "rowkey" if c == rowkey else "cf",
-                                "col": c, "type": t} for c, t in types.items()},
-            }),
-            HBaseTableCatalog.newTable: "3",
-            "hbase.zookeeper.quorum": cluster.quorum,
-        }
-        session.create_dataframe(rows, schema).write \
-            .format(DEFAULT_FORMAT).options(opts).save()
-        session.read.format(DEFAULT_FORMAT).options(opts).load() \
-            .create_or_replace_temp_view(name)
+        hbase_table(session, cluster, name, schema, rows, (key,), regions=3)
         session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
     return "select name, v from fact join dim on fk = dk"
 

@@ -54,29 +54,15 @@ def test_hbase_relation_identity_is_durable(linked):
     """Two sessions reading the same physical table share the key; the
     fingerprint survives re-analysis because identity comes from quorum +
     qualified table name + options, not object ids."""
-    from repro.core.catalog import HBaseTableCatalog
-    from repro.core.relation import DEFAULT_FORMAT, QUORUM_OPTION
+    from repro.core.relation import DEFAULT_FORMAT
     from repro.sql.session import SparkSession
+    from tests.differential.strategies import hbase_table
 
     cluster, session = linked
-    catalog_json = """{
-        "table": {"namespace": "default", "name": "fp_t"},
-        "rowkey": "key",
-        "columns": {
-            "key": {"cf": "rowkey", "col": "key", "type": "int"},
-            "v": {"cf": "f", "col": "v", "type": "string"}
-        }
-    }"""
-    options = {HBaseTableCatalog.tableCatalog: catalog_json,
-               HBaseTableCatalog.newTable: "2",
-               QUORUM_OPTION: cluster.quorum}
     write_schema = StructType([
         StructField("key", IntegerType), StructField("v", StringType)])
-    session.create_dataframe([(1, "x"), (2, "y")], write_schema) \
-        .write.format(DEFAULT_FORMAT).options(options).save()
-
-    read_options = {HBaseTableCatalog.tableCatalog: catalog_json,
-                    QUORUM_OPTION: cluster.quorum}
+    read_options = hbase_table(session, cluster, "fp_t", write_schema,
+                               [(1, "x"), (2, "y")], ("key",), regions=2)
     df_a = session.read.format(DEFAULT_FORMAT).options(read_options).load()
     other = SparkSession(["node1", "node2", "node3"], clock=cluster.clock)
     df_b = other.read.format(DEFAULT_FORMAT).options(read_options).load()

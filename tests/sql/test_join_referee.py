@@ -22,7 +22,6 @@ machine-independent cost of one probed row.
 """
 
 import dataclasses
-import json
 import os
 import sys
 from collections import Counter
@@ -34,7 +33,6 @@ import repro
 from repro.common.cost import DEFAULT_COST_MODEL
 from repro.common.faults import FAULT_RPC, FaultInjector
 from repro.common.simclock import SimClock
-from repro.core.catalog import HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.engine.shuffle import estimate_size
 from repro.hbase.cluster import HBaseCluster
@@ -44,13 +42,10 @@ from repro.sql.functions import col
 from repro.sql.session import SparkSession
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 from repro.sql.vectorized import insert_transitions
+from tests.differential.strategies import hbase_table, keys, tables
 
 HOSTS = ["h1", "h2", "h3"]
 HOWS = ("inner", "left", "semi", "anti")
-
-keys = st.one_of(st.none(), st.integers(0, 3))
-values = st.one_of(st.none(), st.integers(0, 5))
-tables = st.lists(st.tuples(keys, values), max_size=9)
 
 
 def reference(left, right, how, residual):
@@ -208,21 +203,6 @@ FACT = StructType([StructField("k", IntegerType), StructField("v", IntegerType)]
 DIM = StructType([StructField("dk", IntegerType), StructField("name", StringType)])
 
 
-def _options(cluster, table, key, column, ctype, regions, **table_attrs):
-    return {
-        HBaseTableCatalog.tableCatalog: json.dumps({
-            "table": {"namespace": "default", "name": table, **table_attrs},
-            "rowkey": key,
-            "columns": {
-                key: {"cf": "rowkey", "col": key, "type": "int"},
-                column: {"cf": "cf", "col": column, "type": ctype},
-            },
-        }),
-        HBaseTableCatalog.newTable: str(regions),
-        "hbase.zookeeper.quorum": cluster.quorum,
-    }
-
-
 def _load_star(cluster, session, analyze=True):
     """A six-region fact table keyed by ``k`` and a two-row dimension, both
     ANALYZEd unless told otherwise."""
@@ -230,13 +210,8 @@ def _load_star(cluster, session, analyze=True):
         ("fact", FACT, [(i, i * 10) for i in range(600)], 6),
         ("dim", DIM, [(7, "seven"), (8, "eight")], 1),
     ):
-        opts = _options(cluster, name, schema.fields[0].name,
-                        schema.fields[1].name,
-                        "int" if name == "fact" else "string", regions)
-        session.create_dataframe(rows, schema).write \
-            .format(DEFAULT_FORMAT).options(opts).save()
-        session.read.format(DEFAULT_FORMAT).options(opts).load() \
-            .create_or_replace_temp_view(name)
+        hbase_table(session, cluster, name, schema, rows, (schema.fields[0].name,),
+                    regions=regions)
         if analyze:
             session.sql(f"ANALYZE TABLE {name} COMPUTE STATISTICS")
     return cluster, session
@@ -305,9 +280,7 @@ def test_executing_a_planned_tree_leaves_it_as_planned(star):
     first = session.execute_planned(planned)
     assert sorted(r.v for r in first.rows) == [70, 80]
 
-    opts = _options(cluster, "dim", "dk", "name", "string", 1)
-    session.create_dataframe([(300, "three hundred")], DIM).write \
-        .format(DEFAULT_FORMAT).options(opts).save()
+    hbase_table(session, cluster, "dim", DIM, [(300, "three hundred")], ("dk",))
 
     again = session.execute_planned(planned)
     fresh = session.sql(QUERY).run()
@@ -368,9 +341,8 @@ def test_keys_are_not_pushed_where_they_would_skip_nothing(broadcast_star):
     """The pricing rule (docs/optimizer.md): a dimension that holds every
     key of the fact table prunes nothing, so its keys stay home."""
     cluster, session = broadcast_star
-    opts = _options(cluster, "dim", "dk", "name", "string", 1)
-    session.create_dataframe([(i, "d%d" % i) for i in range(600)], DIM).write \
-        .format(DEFAULT_FORMAT).options(opts).save()
+    hbase_table(session, cluster, "dim", DIM, [(i, "d%d" % i) for i in range(600)],
+                ("dk",))
     session.sql("ANALYZE TABLE dim COMPUTE STATISTICS")
     planned = session.plan_query(session.sql(QUERY).plan)
     (join,) = _joins(planned.physical)
@@ -424,9 +396,7 @@ def test_a_second_execution_of_the_planned_tree_rebuilds(broadcast_star):
     cluster, session = broadcast_star
     planned = session.plan_query(session.sql(UNION).plan)
     first = session.execute_planned(planned)
-    opts = _options(cluster, "dim", "dk", "name", "string", 1)
-    session.create_dataframe([(300, "three hundred")], DIM).write \
-        .format(DEFAULT_FORMAT).options(opts).save()
+    hbase_table(session, cluster, "dim", DIM, [(300, "three hundred")], ("dk",))
     again = session.execute_planned(planned)
     assert sorted(r.v for r in first.rows) == [70, 70, 80, 80]
     assert sorted(r.v for r in again.rows) == [70, 70, 80, 80, 3000, 3000]
@@ -526,22 +496,8 @@ probe_tables = st.lists(st.tuples(st.integers(0, 3), keys), min_size=3, max_size
 def _probe_relation(session, cluster, coder, rows):
     """``rows`` in a three-region table keyed by ``(k, n)``; ``c`` is never
     NULL, so a row whose ``v`` is NULL still exists."""
-    opts = {
-        HBaseTableCatalog.tableCatalog: json.dumps({
-            "table": {"namespace": "default", "name": "probe", "tableCoder": coder},
-            "rowkey": "k:n",
-            "columns": {
-                "k": {"cf": "rowkey", "col": "k", "type": "int"},
-                "n": {"cf": "rowkey", "col": "n", "type": "int"},
-                "v": {"cf": "cf", "col": "v", "type": "int"},
-                "c": {"cf": "cf", "col": "c", "type": "int"},
-            },
-        }),
-        HBaseTableCatalog.newTable: "3",
-        "hbase.zookeeper.quorum": cluster.quorum,
-    }
-    session.create_dataframe(rows, PROBE).write \
-        .format(DEFAULT_FORMAT).options(opts).save()
+    opts = hbase_table(session, cluster, "probe", PROBE, rows, ("k", "n"), coder,
+                       regions=3)
     return session.read.format(DEFAULT_FORMAT).options(opts).load().plan
 
 
@@ -618,10 +574,8 @@ def test_keys_on_an_avro_coded_row_key_prune_without_merging(linked):
     """A coder that is not order-preserving still places a key by equality:
     the pushed keys are point reads, none merged with its neighbour."""
     cluster, session = linked
-    opts = _options(cluster, "avro_fact", "k", "v", "int", 3, tableCoder="Avro")
-    rows = [(i, i * 10) for i in range(-20, 40)]
-    session.create_dataframe(rows, FACT).write \
-        .format(DEFAULT_FORMAT).options(opts).save()
+    opts = hbase_table(session, cluster, "avro_fact", FACT,
+                       [(i, i * 10) for i in range(-20, 40)], ("k",), "Avro", regions=3)
     relation = session.read.format(DEFAULT_FORMAT).options(opts).load().plan
     (bk, __), build = _local("bk", [(k, 0) for k in (5, 6, 7, 8, -2)] + [(None, 0)])
     answers = []

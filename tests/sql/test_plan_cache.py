@@ -20,14 +20,13 @@ from repro.common.errors import ReproError
 from repro.common.faults import (
     FAULT_RPC, FAULT_SCAN_STREAM, FaultInjector, crash_region_server,
 )
-from repro.core.catalog import HBaseSparkConf
 from repro.sql import dbapi
 from repro.sql.parser import parse, tokenize
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 from repro.workloads import load_tpcds
+from tests.differential.strategies import CHAOS_READER_OPTIONS, CHAOS_SEEDS
 
 TABLES = ["item", "inventory", "customer", "date_dim"]
-CHAOS_SEEDS = (101, 202, 303)
 _ATTR_ID = re.compile(r"#\d+")
 
 
@@ -377,8 +376,7 @@ def _chaos_run(seed, through_the_cache):
                     action=crash_region_server)
     injector.inject(FAULT_RPC, rate=0.3, times=5)
     environment.cluster.install_fault_injector(injector)
-    session = environment.new_session(
-        extra_options={HBaseSparkConf.CACHED_ROWS: "40"})
+    session = environment.new_session(extra_options=CHAOS_READER_OPTIONS)
     rng = random.Random(seed)
     log = []
     for i in range(40):

@@ -6,11 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.common.errors import CatalogError
+from repro.common.errors import AnalysisError, CatalogError
+from repro.core.relation import DEFAULT_FORMAT
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql import stats as stats_module
 from repro.sql.cbo import CardinalityEstimator, estimator_for, reorder_joins
+from repro.sql.session import SparkSession
 from repro.sql.stats import (
     STATS_ATTRIBUTE,
     ColumnStats,
@@ -28,6 +30,7 @@ from repro.sql.types import (
     StructField,
     StructType,
 )
+from repro.workloads import load_tpcds
 
 SCHEMA = StructType([
     StructField("k", IntegerType),
@@ -302,3 +305,63 @@ def test_missing_persisted_stats_are_fetched_once_per_pass(hbase_cluster):
     estimator = estimator_for(StatsStore(), plan)
     assert not estimator.estimate(plan).confident
     assert sorted(fetched) == ["analyzed", "plain"]
+
+
+# -- ANALYZE through a session over TPC-DS ------------------------------------
+
+JOIN_QUERY = (
+    "SELECT i.i_category, sum(ss.ss_quantity) AS q "
+    "FROM store_sales ss JOIN item i ON ss.ss_item_sk = i.i_item_sk "
+    "GROUP BY i.i_category"
+)
+
+
+def test_analyze_persists_stats_across_sessions():
+    env = load_tpcds(2, ["store_sales", "item"])
+    first = env.new_session()
+    row = first.sql("ANALYZE TABLE item COMPUTE STATISTICS").collect()[0]
+    assert row.persisted is True
+    first.shutdown()
+    # a brand-new session over the same cluster hydrates from the master's
+    # table attribute and estimates confidently without a fresh ANALYZE
+    second = env.new_session()
+    result = second.sql(JOIN_QUERY).run()
+    assert result.metrics.get("sql.cbo.estimates") >= 1.0
+    assert result.metrics.get("sql.cbo.stats_stale") == 0.0
+    second.shutdown()
+
+
+def test_analyze_of_a_view_over_a_query_is_refused_and_touches_no_table():
+    # it used to run the view's query and persist *its* statistics onto every
+    # base table underneath: ``item`` (6 rows) then claimed 4 rows, durably
+    env = load_tpcds(2, ["store_sales", "item"])
+    session = env.new_session()
+    row = session.sql("ANALYZE TABLE item COMPUTE STATISTICS").collect()[0]
+    persisted = env.cluster.get_table_attribute("item", STATS_ATTRIBUTE)
+    keys = session.stats.keys()
+    session.sql("SELECT * FROM item WHERE i_item_sk < 5") \
+        .create_or_replace_temp_view("few")
+    session.sql(JOIN_QUERY).create_or_replace_temp_view("joined")
+    for view, tables in (("few", "item"), ("joined", "item, store_sales")):
+        with pytest.raises(AnalysisError, match=f"instead: {tables}$"):
+            session.sql(f"ANALYZE TABLE {view} COMPUTE STATISTICS")
+    assert env.cluster.get_table_attribute("item", STATS_ATTRIBUTE) == persisted
+    assert env.cluster.get_table_attribute(
+        "store_sales", STATS_ATTRIBUTE) is None
+    assert session.stats.keys() == keys
+    # a view that *is* the table still analyzes the table
+    session.sql("SELECT * FROM item").create_or_replace_temp_view("all_items")
+    again = session.sql("ANALYZE TABLE all_items COMPUTE STATISTICS").collect()[0]
+    assert (again.row_count, again.persisted) == (row.row_count, True)
+    assert session.stats.keys() == keys
+    # the refusal names each table once, by its own name rather than the alias
+    with pytest.raises(AnalysisError, match="instead: item, store_sales$"):
+        session.sql("ANALYZE TABLE joined COMPUTE STATISTICS")
+    # and a base relation the session has no name for by where it lives
+    bare = SparkSession(env.hosts, clock=env.cluster.clock)
+    bare.read.format(DEFAULT_FORMAT).options(env.reader_options("item")).load() \
+        .filter("i_item_sk < 5").create_or_replace_temp_view("few")
+    with pytest.raises(AnalysisError, match=(
+            r"instead: item \(register it as a temp view first\)$")):
+        bare.sql("ANALYZE TABLE few COMPUTE STATISTICS")
+    session.shutdown()

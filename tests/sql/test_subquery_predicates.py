@@ -89,29 +89,13 @@ def test_multi_column_in_subquery_rejected(views):
 
 
 def test_semi_join_against_hbase_table(linked):
-    import json
-
-    from repro.core.catalog import HBaseTableCatalog
-    from repro.core.relation import DEFAULT_FORMAT
+    from tests.differential.strategies import hbase_table
 
     cluster, session = linked
-    catalog = json.dumps({
-        "table": {"namespace": "default", "name": "facts"},
-        "rowkey": "k",
-        "columns": {"k": {"cf": "rowkey", "col": "k", "type": "int"},
-                    "v": {"cf": "f", "col": "v", "type": "string"}},
-    })
-    options = {
-        HBaseTableCatalog.tableCatalog: catalog,
-        HBaseTableCatalog.newTable: "2",
-        "hbase.zookeeper.quorum": cluster.quorum,
-    }
     schema = StructType([StructField("k", IntegerType),
                          StructField("v", StringType)])
-    session.create_dataframe([(i, "v%d" % i) for i in range(20)], schema) \
-        .write.format(DEFAULT_FORMAT).options(options).save()
-    session.read.format(DEFAULT_FORMAT).options(options).load() \
-        .create_or_replace_temp_view("facts")
+    hbase_table(session, cluster, "facts", schema,
+                [(i, "v%d" % i) for i in range(20)], ("k",), regions=2)
     session.create_dataframe([(3, "x"), (15, "y")], SCHEMA) \
         .create_or_replace_temp_view("wanted")
     rows = session.sql(

@@ -24,19 +24,17 @@ order: that shape checks that its overwrites take the recount path, not
 rounding.
 """
 
-import json
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec
-from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase import ConnectionFactory, Delete, Scan
 from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StructField, StructType
+from tests.differential.strategies import hbase_table
 
 HOSTS = ["node1", "node2", "node3"]
 SCHEMA = StructType([StructField("k", IntegerType), StructField("j", IntegerType),
@@ -118,28 +116,14 @@ class Harness:
         clock = SimClock()
         self.cluster = HBaseCluster("referee", HOSTS, clock=clock)
         self.session = SparkSession(HOSTS, executors_requested=3, clock=clock)
-        catalog = json.dumps({
-            "table": {"namespace": "default", "name": "facts", "tableCoder": coder},
-            "rowkey": "k:j",
-            "columns": {
-                "k": {"cf": "rowkey", "col": "k", "type": "int"},
-                "j": {"cf": "rowkey", "col": "j", "type": "int"},
-                "g": {"cf": "f", "col": "g", "type": "int"},
-                "a": {"cf": "f", "col": "a", "type": "int"},
-                "d": {"cf": "f", "col": "d", "type": "double"},
-            },
-        })
-        options = {HBaseTableCatalog.tableCatalog: catalog,
-                   "hbase.zookeeper.quorum": self.cluster.quorum}
         self.model = {key: {c: v for c, v in row.items() if v is not None}
                       for key, row in initial.items()}
         rows = [(k, j, row["g"], row["a"], row["d"])
                 for (k, j), row in sorted(initial.items())]
-        self.session.create_dataframe(rows, SCHEMA).write.format(DEFAULT_FORMAT) \
-            .options({**options, HBaseTableCatalog.newTable: "2"}).save()
-        self.session.read.format(DEFAULT_FORMAT).options(options).load() \
-            .create_or_replace_temp_view("facts")
-        self.codec = RowCodec(HBaseTableCatalog.from_json(catalog))
+        options = hbase_table(self.session, self.cluster, "facts", SCHEMA, rows,
+                              ("k", "j"), coder, regions=2)
+        self.codec = RowCodec(HBaseTableCatalog.from_json(
+            options[HBaseTableCatalog.tableCatalog]))
         connection = ConnectionFactory.create_connection(self.cluster.configuration())
         self.table = connection.get_table(self.codec.catalog.qualified_name)
         for name in VIEWS:

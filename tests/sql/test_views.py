@@ -644,3 +644,32 @@ def test_hydrate_adopts_views_from_an_earlier_session(env, vsession):
     answered = later.sql(AGG_SQL).run()
     assert [e["action"] for e in answered.view_events] == ["rewrites"]
     assert rows_of(answered) == rows_of(env.new_session().sql(AGG_SQL).run())
+
+
+#: the view a stale-view case materializes and then outruns
+AGG_QUERY = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus, "
+             "sum(inv_quantity_on_hand) AS on_hand "
+             "FROM inventory GROUP BY inv_date_sk")
+
+
+def test_stale_view_never_answers_and_base_result_is_exact():
+    env = load_tpcds(2, ["inventory"])
+    session = env.new_session()
+    session.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_QUERY}").run()
+
+    catalog = HBaseTableCatalog.from_json(
+        env.reader_options("inventory")["catalog"])
+    table = ConnectionFactory.create_connection(
+        env.cluster.configuration()).get_table(catalog.qualified_name)
+    table.put(RowCodec(catalog).encode_row({
+        "inv_date_sk": 2456100, "inv_item_sk": 1, "inv_warehouse_sk": 1,
+        "inv_quantity_on_hand": 40}))
+
+    stale = session.sql(AGG_QUERY).run()
+    assert [e["action"] for e in stale.view_events] == ["rejected_stale"]
+    assert not stale.metrics.get("sql.view.rewrites")
+    # answered from the base table: the unshipped row is visible
+    fresh = env.new_session().sql(AGG_QUERY).run()
+    assert sorted(tuple(r.values) for r in stale.rows) \
+        == sorted(tuple(r.values) for r in fresh.rows)
+    session.shutdown()

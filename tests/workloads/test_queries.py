@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import BASELINE_FORMAT
 from repro.workloads import load_tpcds, q38, q39a, q39b
 from repro.workloads.tpcds_schema import Q38_TABLES, Q39_TABLES
+from tests.differential.strategies import rows
 
 
 @pytest.fixture(scope="module")
@@ -15,10 +16,6 @@ def q39_env():
 @pytest.fixture(scope="module")
 def q38_env():
     return load_tpcds(5, Q38_TABLES)
-
-
-def rows(result):
-    return [tuple(r.values) for r in result.rows]
 
 
 def assert_rows_close(a, b):

@@ -14,7 +14,19 @@ class CatalogError(ReproError):
 
 
 class CoderError(ReproError):
-    """A value could not be encoded to / decoded from HBase bytes."""
+    """A value could not be encoded to / decoded from HBase bytes.
+
+    It is the data's fault, so a task that raises it is not retried: every
+    attempt would fail the same way.
+    """
+
+
+class NullKeyError(CoderError):
+    """A row's key dimension is NULL: the row has no row key to live under."""
+
+    def __init__(self, dimension: str) -> None:
+        super().__init__(f"row-key dimension {dimension!r} must not be NULL")
+        self.dimension = dimension
 
 
 class HBaseError(ReproError):

@@ -3,24 +3,12 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import CoderError
-from repro.sql.types import (
-    BooleanType,
-    ByteType,
-    DataType,
-    DoubleType,
-    FloatType,
-    IntegerType,
-    LongType,
-    ShortType,
-    StringType,
-    TimestampType,
-)
-
-_INT_DTYPES = (ByteType, ShortType, IntegerType, LongType, TimestampType)
+from repro.sql.types import BooleanType, DataType
 
 #: sentinel: the predicate is provably empty (e.g. int_col = 1.5)
 EMPTY_PREDICATE = object()
@@ -34,11 +22,12 @@ def normalize_bound(op: str, value: object, dtype: DataType):
     :data:`EMPTY_PREDICATE` when no value can satisfy it, or None when the
     literal's type makes byte translation unsafe (the engine filters instead).
     """
-    import math
-
     if isinstance(value, bool):
         return (op, value) if dtype is BooleanType else None
-    if dtype in _INT_DTYPES:
+    # the domain is the type's Python type: every integer type (timestamps
+    # included) is ``int``, ``float``/``double`` are ``float``
+    domain = dtype.python_type
+    if domain is int:
         if isinstance(value, float):
             if math.isnan(value) or math.isinf(value):
                 return None
@@ -53,11 +42,11 @@ def normalize_bound(op: str, value: object, dtype: DataType):
                 return "<=", math.floor(value)
             return None
         return (op, value) if isinstance(value, int) else None
-    if dtype in (FloatType, DoubleType):
+    if domain is float:
         if isinstance(value, int):
             return op, float(value)
         return (op, value) if isinstance(value, float) else None
-    if dtype is StringType:
+    if domain is str:
         return (op, value) if isinstance(value, str) else None
     return op, value
 

@@ -17,7 +17,7 @@ import functools
 import struct
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.errors import CoderError
+from repro.common.errors import CoderError, NullKeyError
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders.avro import AvroRecordCoder
 from repro.core.coders.base import FieldCoder, get_coder
@@ -77,7 +77,7 @@ def encode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
     parts: List[bytes] = []
     for name in catalog.row_key:
         if name not in values or values[name] is None:
-            raise CoderError(f"row-key dimension {name!r} must not be NULL")
+            raise NullKeyError(name)
         parts.append(encode_key_dimension(catalog, coder, name, values[name]))
     return b"".join(parts)
 

@@ -9,7 +9,9 @@ paper describes (``t in [a,b] ∩ [c,d] -> [c,b]``, ``[a,b] ∪ [c,d] -> [a,d]``
 
 Pruning is performed on the **first dimension** of composite keys (the
 paper's shipping behaviour); the all-dimension extension the paper lists as
-future work is implemented behind ``prune_all_dimensions=True``.
+future work is implemented behind ``prune_all_dimensions=True``.  The
+builder also owns the rule for which conjuncts pruning *handles*
+(:meth:`RangeBuilder.enforces`); the pushdown compiler asks it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.coders.base import ByteRange
+from repro.core.coders.base import ByteRange, normalize_bound
 from repro.core.keys import (
     RowCodec, dimension_width, encode_key_dimension, prefix_successor,
 )
@@ -76,6 +78,12 @@ class ScanRange:
 
 
 FULL_SCAN: List[ScanRange] = [ScanRange()]
+
+#: the comparison source filters, as the coders' ``byte_ranges`` operators
+COMPARISON_OPS: Dict[type, str] = {
+    S.EqualTo: "=", S.GreaterThan: ">", S.GreaterThanOrEqual: ">=",
+    S.LessThan: "<", S.LessThanOrEqual: "<=",
+}
 
 
 def merge_ranges(ranges: Sequence[ScanRange]) -> List[ScanRange]:
@@ -138,15 +146,14 @@ def _byte_range_to_scan_range(br: ByteRange, complete_key: bool) -> Optional[Sca
 class RangeBuilder:
     """Compiles source filters into scan ranges for one table's row format."""
 
-    def __init__(self, codec: RowCodec,
-                 prune_all_dimensions: bool = False) -> None:
+    def __init__(self, codec: RowCodec) -> None:
         self.catalog = codec.catalog
         self.coder = codec.coder
-        self.prune_all_dimensions = prune_all_dimensions
         self._first_dim = self.catalog.row_key[0]
         self._single_dim_key = len(self.catalog.row_key) == 1
 
-    def ranges_for_filters(self, filters: Sequence[S.Filter]) -> List[ScanRange]:
+    def ranges_for_filters(self, filters: Sequence[S.Filter],
+                           prune_all_dimensions: bool = False) -> List[ScanRange]:
         """AND-combine the scan ranges of the given (conjunctive) filters."""
         current = list(FULL_SCAN)
         for flt in filters:
@@ -156,11 +163,33 @@ class RangeBuilder:
             current = intersect_range_lists(current, ranges)
             if not current:
                 return []
-        if self.prune_all_dimensions and len(self.catalog.row_key) > 1:
+        if prune_all_dimensions and len(self.catalog.row_key) > 1:
             refined = self._refine_with_leading_equalities(filters)
             if refined is not None:
                 current = intersect_range_lists(current, refined)
         return current
+
+    def enforces(self, flt: S.Filter) -> bool:
+        """Do the scan ranges alone enforce the atom ``flt``?
+
+        The one rule for what pruning handles: a leading-key atom the
+        builder turns into ranges.  It is asked of atoms only -- under an
+        OR the ranges union the branches, so they never enforce a branch.
+        """
+        if isinstance(flt, S.In):
+            if flt.attribute != self._first_dim:
+                return False
+            # equality translates every value that normalizes to the key's
+            # domain (FieldCoder.byte_ranges); a NULL does not
+            dtype = self.catalog.column(self._first_dim).dtype
+            for value in flt.values:
+                if normalize_bound("=", value, dtype) is None:
+                    return False
+            return True
+        if isinstance(flt, S.StringStartsWith):
+            return flt.attribute == self._first_dim and \
+                self.coder.order_preserving(self.catalog.column(self._first_dim).dtype)
+        return self._key_bounds(flt) is not None
 
     # -- single filter -> ranges (None = unconstrained) ----------------------
     def _ranges_for(self, flt: S.Filter) -> Optional[List[ScanRange]]:
@@ -180,45 +209,35 @@ class RangeBuilder:
                 # (the paper's full-scan example in section VI.A.1)
                 return None
             return merge_ranges(left + right)
-        if isinstance(flt, S.In) and flt.attribute == self._first_dim:
-            points: List[ScanRange] = []
-            for value in flt.values:
-                converted = self._comparison_ranges("=", value)
-                if converted is None:
-                    return None
-                points.extend(converted)
-            return merge_ranges(points)
-        if isinstance(flt, S.EqualTo) and flt.attribute == self._first_dim:
-            return self._comparison_ranges("=", flt.value)
-        if isinstance(flt, S.GreaterThan) and flt.attribute == self._first_dim:
-            return self._comparison_ranges(">", flt.value)
-        if isinstance(flt, S.GreaterThanOrEqual) and flt.attribute == self._first_dim:
-            return self._comparison_ranges(">=", flt.value)
-        if isinstance(flt, S.LessThan) and flt.attribute == self._first_dim:
-            return self._comparison_ranges("<", flt.value)
-        if isinstance(flt, S.LessThanOrEqual) and flt.attribute == self._first_dim:
-            return self._comparison_ranges("<=", flt.value)
-        if isinstance(flt, S.StringStartsWith) and flt.attribute == self._first_dim:
+        if isinstance(flt, (S.In, S.StringStartsWith)) and not self.enforces(flt):
+            return None
+        if isinstance(flt, S.StringStartsWith):
             column = self.catalog.column(self._first_dim)
-            if not self.coder.order_preserving(column.dtype):
-                return None
             prefix = self.coder.encode(flt.prefix, column.dtype)
             return [ScanRange(prefix, prefix_successor(prefix))]
-        return None
-
-    def _comparison_ranges(self, op: str, value: object) -> Optional[List[ScanRange]]:
-        column = self.catalog.column(self._first_dim)
-        byte_ranges = self.coder.byte_ranges(op, value, column.dtype)
-        if byte_ranges is None:
+        bounds = self._key_bounds(flt)
+        if bounds is None:
             return None
         out: List[ScanRange] = []
-        for br in byte_ranges:
+        for br in bounds:
             # pad fixed-width dimensions the same way the writer does
-            br = self._pad(br)
-            converted = _byte_range_to_scan_range(br, self._single_dim_key)
+            converted = _byte_range_to_scan_range(self._pad(br), self._single_dim_key)
             if converted is not None:
                 out.append(converted)
         return merge_ranges(out)
+
+    def _key_bounds(self, flt: S.Filter) -> Optional[List[ByteRange]]:
+        """The coder's byte ranges for a leading-key comparison, or for an
+        IN list :meth:`enforces`; None for any other atom, or a comparison
+        whose literal does not translate."""
+        if not isinstance(flt, S.AttributeFilter) or flt.attribute != self._first_dim:
+            return None
+        dtype = self.catalog.column(self._first_dim).dtype
+        if isinstance(flt, S.In):
+            return [br for value in flt.values
+                    for br in self.coder.byte_ranges("=", value, dtype)]
+        op = COMPARISON_OPS.get(type(flt))
+        return None if op is None else self.coder.byte_ranges(op, flt.value, dtype)
 
     def _pad(self, br: ByteRange) -> ByteRange:
         if self._single_dim_key and self.catalog.column(self._first_dim).length is None:
@@ -317,14 +336,4 @@ def _flatten_and(filters: Sequence[S.Filter]) -> List[S.Filter]:
 def _simple_op(flt: S.Filter, attribute: str) -> Optional[str]:
     if not isinstance(flt, S.AttributeFilter) or flt.attribute != attribute:
         return None
-    if isinstance(flt, S.EqualTo):
-        return "="
-    if isinstance(flt, S.GreaterThan):
-        return ">"
-    if isinstance(flt, S.GreaterThanOrEqual):
-        return ">="
-    if isinstance(flt, S.LessThan):
-        return "<"
-    if isinstance(flt, S.LessThanOrEqual):
-        return "<="
-    return None
+    return COMPARISON_OPS.get(type(flt))

@@ -11,7 +11,7 @@ ablation benchmarks can isolate its contribution.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING, Tuple
 
 from repro.common.errors import CatalogError, HBaseError
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
@@ -19,10 +19,11 @@ from repro.core.credentials import DEFAULT_CREDENTIALS_MANAGER
 from repro.core.keys import RowCodec
 from repro.core.partitions import build_partitions
 from repro.core.pushdown import PushdownCompiler
-from repro.core.ranges import FULL_SCAN, RangeBuilder
+from repro.core.ranges import FULL_SCAN, RangeBuilder, ScanRange
 from repro.core.scan_rdd import HBaseTableScanRDD
 from repro.hbase.client import Configuration, ConnectionFactory
 from repro.hbase.cluster import get_cluster
+from repro.hbase.filters import Filter as HFilter
 from repro.hbase.region import TimeRange
 from repro.hbase.security import KeytabStore, UserGroupInformation
 from repro.sql.sources import BaseRelation, Filter as SourceFilter, RelationProvider, register_provider
@@ -151,34 +152,15 @@ class HBaseRelation(BaseRelation):
             return None
 
     def unhandled_filters(self, filters: Sequence[SourceFilter]) -> Sequence[SourceFilter]:
-        if not self.pushdown_enabled:
-            return list(filters)
-        compiled = PushdownCompiler(self.codec).compile(filters)
-        unhandled = list(compiled.unhandled)
-        if not self.pruning_enabled:
-            # row-key predicates were only "handled" because pruning would
-            # restrict the scan; with pruning off Spark must re-apply them
-            unhandled.extend(compiled.handled_by_pruning or [])
-        return unhandled
+        return FilterPlan(self, filters).unhandled
 
     def build_scan(self, required_columns: Sequence[str],
                    filters: Sequence[SourceFilter]) -> "RDD":
-        if self.pruning_enabled:
-            builder = RangeBuilder(self.codec, self.prune_all_dimensions)
-            ranges = builder.ranges_for_filters(filters)
-        else:
-            ranges = list(FULL_SCAN)
-        hbase_filter = None
-        filter_columns = set()
-        if self.pushdown_enabled:
-            compiled = PushdownCompiler(self.codec).compile(filters)
-            hbase_filter = compiled.hbase_filter
-            if hbase_filter is not None:
-                filter_columns = _filter_columns(hbase_filter)
+        plan = FilterPlan(self, filters)
         locations = self.cluster.region_locations(self.catalog.qualified_name)
         candidates, excluded = self._read_candidates(locations)
         partitions = build_partitions(
-            locations, ranges, self.fusion_enabled, candidates,
+            locations, plan.ranges(), self.fusion_enabled, candidates,
             split_keys=self._split_keys, estimate_bytes=self._range_bytes)
         routing = None
         if excluded is not None:
@@ -198,8 +180,8 @@ class HBaseRelation(BaseRelation):
                     1 for name in scanned
                     if excluded[name] and len(candidates[name]) == 1),
             }
-        rdd = HBaseTableScanRDD(self, required_columns, hbase_filter,
-                                partitions, filter_columns)
+        rdd = HBaseTableScanRDD(self, required_columns, plan.hbase_filter,
+                                partitions, plan.filter_columns)
         #: table-wide region count before pruning, so EXPLAIN ANALYZE can
         #: report scanned vs. pruned regions for this scan
         rdd.regions_total = len(locations)
@@ -358,19 +340,35 @@ class HBaseRelation(BaseRelation):
         return f"HBaseRelation({self.catalog.name} @ {self.quorum})"
 
 
-def _filter_columns(hbase_filter) -> set:
-    """Every (family, qualifier) a server-side filter tree reads."""
-    from repro.hbase.filters import FilterList, SingleColumnValueFilter
+class FilterPlan:
+    """One filter set's scan plan: the row-key ranges, the server-side
+    filter, the columns that filter reads, and what Spark must re-apply.
 
-    out = set()
-    stack = [hbase_filter]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SingleColumnValueFilter):
-            out.add((node.family, node.qualifier))
-        elif isinstance(node, FilterList):
-            stack.extend(node.filters)
-    return out
+    A row-key conjunct is handled only when the ranges enforce it, which the
+    range builder alone decides; with pruning off none is.  The ranges are
+    built on demand: planning asks only for ``unhandled``.
+    """
+
+    def __init__(self, relation: HBaseRelation,
+                 filters: Sequence[SourceFilter]) -> None:
+        self._relation = relation
+        self._filters = filters
+        self._builder = RangeBuilder(relation.codec) if relation.pruning_enabled else None
+        self.hbase_filter: Optional[HFilter] = None
+        self.filter_columns: Set[Tuple[str, str]] = set()
+        if relation.pushdown_enabled:
+            compiled = PushdownCompiler(relation.codec, self._builder).compile(filters)
+            self.hbase_filter = compiled.hbase_filter
+            self.filter_columns = compiled.columns
+            self.unhandled = compiled.unhandled
+        else:
+            self.unhandled = list(filters)
+
+    def ranges(self) -> List[ScanRange]:
+        if self._builder is None:
+            return list(FULL_SCAN)
+        return self._builder.ranges_for_filters(
+            self._filters, self._relation.prune_all_dimensions)
 
 
 class HBaseRelationProvider(RelationProvider):

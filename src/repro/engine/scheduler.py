@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.cost import CostModel
-from repro.common.errors import FatalTaskError
+from repro.common.errors import CoderError, FatalTaskError
 from repro.common.faults import FAULT_SHUFFLE_FETCH
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.common.retry import RetryPolicy
@@ -411,7 +411,8 @@ class TaskScheduler:
         locality accounting stays truthful across retries.  Failed attempts'
         ledgers are *not* discarded: their simulated work plus the inter-retry
         backoff is folded into the final outcome, so a task that needed three
-        tries costs what three tries cost.
+        tries costs what three tries cost.  A :class:`CoderError` is the
+        data's fault and fails the task at once: no host encodes it.
         """
         placed_host = host
         attempts = 0
@@ -443,7 +444,8 @@ class TaskScheduler:
                 if carry is None:
                     carry = CostLedger()
                 carry.merge(ledger)
-                if not TASK_RETRY_POLICY.allows_retry(attempts):
+                if isinstance(exc, CoderError) or \
+                        not TASK_RETRY_POLICY.allows_retry(attempts):
                     break
                 backoff = TASK_RETRY_POLICY.backoff_s(attempts, key=spec.index)
                 carry.charge(backoff, "engine.retry_backoff_s", backoff)

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.pushdown import PushdownCompiler
-from repro.core.ranges import FULL_SCAN, RangeBuilder
-from repro.core.relation import HBaseRelation, HBaseRelationProvider
+from repro.core.relation import FilterPlan, HBaseRelation, HBaseRelationProvider
 from repro.core.partitions import build_partitions
 from repro.engine.rdd import Partition, RDD
 from repro.sql import expressions as E
@@ -193,21 +191,10 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
             if attr.name in schema_names and attr.name not in input_columns:
                 input_columns.append(attr.name)
 
-        ranges = (
-            RangeBuilder(self.codec,
-                         self.prune_all_dimensions).ranges_for_filters(filters)
-            if self.pruning_enabled else list(FULL_SCAN)
-        )
-        compiled = PushdownCompiler(self.codec).compile(filters)
-        from repro.core.relation import _filter_columns
-
-        filter_columns = (
-            _filter_columns(compiled.hbase_filter)
-            if compiled.hbase_filter is not None else set()
-        )
+        plan = FilterPlan(self, filters)
         locations = self.cluster.region_locations(self.catalog.qualified_name)
         # coprocessor calls are per region (one endpoint invocation each)
-        scan_partitions = build_partitions(locations, ranges,
+        scan_partitions = build_partitions(locations, plan.ranges(),
                                            self.fusion_enabled)
         # each aggregate's argument (COUNT(*) reads a NULL), run server-side
         arguments = [
@@ -221,13 +208,13 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
         )
         params_base = {
             "relation": self,
-            "hbase_filter": compiled.hbase_filter,
+            "hbase_filter": plan.hbase_filter,
             "residual": bound_residual,
             "group_columns": [g.name for g in groupings],
             "aggregates": source_aggregates,
             "arguments": arguments,
             "input_columns": [a.name for a in input_attrs],
-            "filter_columns": filter_columns,
+            "filter_columns": plan.filter_columns,
         }
         return CoprocessorAggregateExec(
             self, list(groupings), list(aggregate_list), scan_partitions,

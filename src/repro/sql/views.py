@@ -43,7 +43,7 @@ import json
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.errors import AnalysisError
+from repro.common.errors import AnalysisError, NullKeyError
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec, prefix_successor
@@ -369,6 +369,7 @@ class ViewManager:
             raise AnalysisError(
                 f"table {vdef.storage_table!r} already exists on the cluster"
             )
+        feeding = cluster.cdc is not None
         stream = cluster.enable_cdc()
         maintainer = ViewMaintainer(vdef, cluster)
         # subscribe *before* materializing: the snapshot then covers exactly
@@ -378,8 +379,19 @@ class ViewManager:
                          maintainer.on_change)
         try:
             write = self._materialize(vdef)
-        except Exception:
+        except Exception as failure:
+            # leave the cluster as CREATE found it
             stream.unsubscribe(vdef.subscription_name)
+            if not feeding:
+                cluster.disable_cdc()
+            if cluster.has_table(vdef.storage_table):
+                cluster.drop_table(vdef.storage_table)
+            if isinstance(failure.__cause__, NullKeyError):
+                raise AnalysisError(
+                    f"materialized view {name!r}: group column "
+                    f"{failure.__cause__.dimension!r} holds NULL, and a view "
+                    f"row is keyed by its group"
+                ) from failure
             raise
         self._persist(cluster, vdef)
         self._views[name] = vdef

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.core.catalog import HBaseTableCatalog
+from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
 from repro.extensions import HUAWEI_FORMAT
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
+from tests.differential.strategies import CODERS, hbase_table
 
 CATALOG = json.dumps({
     "table": {"namespace": "default", "name": "metrics", "tableCoder": "Phoenix"},
@@ -140,3 +141,42 @@ def test_global_aggregate_over_empty_selection(loaded):
     views(session, options)
     rows = session.sql("select count(*) from hw_t where k > 99999").collect()
     assert [tuple(r) for r in rows] == [(0,)]
+
+
+#: a NULL among a leading-key IN list's values: the ranges cannot hold it,
+#: so the scan reads every row and the engine must keep the predicate
+IN_NULL_QUERIES = [
+    "select count(*) from {t} where k in (1, null)",
+    "select count(*) from {t} where k in (null)",
+    "select count(*) from {t} where k in (1, null) and v > 2",
+    "select grp, count(*), sum(v) from {t} where k in (1, null) group by grp",
+]
+IN_NULL_SCHEMA = StructType([
+    StructField("k", IntegerType),
+    StructField("n", IntegerType),
+    StructField("grp", StringType),
+    StructField("v", IntegerType),
+])
+
+
+@pytest.mark.parametrize("template", IN_NULL_QUERIES)
+@pytest.mark.parametrize("key", [("k",), ("k", "n")], ids=["key", "composite_key"])
+@pytest.mark.parametrize("coder", CODERS)
+def test_in_list_with_a_null_answers_as_the_reference(linked, coder, key, template):
+    """SHC, the coprocessor path and a scan without pruning all answer as
+    the engine does over local rows."""
+    cluster, session = linked
+    rows = [(i // len(key), i % 2, "g%d" % (i % 3), i) for i in range(20)]
+    options = hbase_table(session, cluster, "in_null", IN_NULL_SCHEMA, rows, key,
+                          coder, regions=3)
+    sides = {"shc_t": (DEFAULT_FORMAT, {}), "hw_t": (HUAWEI_FORMAT, {}),
+             "unpruned_t": (DEFAULT_FORMAT, {HBaseSparkConf.PRUNING: "false"})}
+    for name, (fmt, extra) in sides.items():
+        session.read.format(fmt).options({**options, **extra}).load() \
+            .create_or_replace_temp_view(name)
+    session.create_dataframe(rows, IN_NULL_SCHEMA).create_or_replace_temp_view("ref_t")
+    assert "CoprocessorAggregate" in session.sql(template.format(t="hw_t")).explain()
+    want = sorted(map(tuple, session.sql(template.format(t="ref_t")).collect()))
+    for name in sides:
+        got = sorted(map(tuple, session.sql(template.format(t=name)).collect()))
+        assert got == want, name

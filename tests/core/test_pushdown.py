@@ -6,6 +6,7 @@ from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
 from repro.core.keys import RowCodec
 from repro.core.pushdown import MAX_PUSHED_IN_VALUES, PushdownCompiler
+from repro.core.ranges import RangeBuilder
 from repro.hbase.cell import Cell
 from repro.hbase.filters import FilterList, SingleColumnValueFilter
 from repro.sql import sources as S
@@ -24,9 +25,13 @@ def catalog(coder="PrimitiveType"):
     }))
 
 
-def compiler(coder="PrimitiveType"):
+def compiler(coder="PrimitiveType", pruning=True):
+    """The compiler a scan builds: it asks the scan's range builder, or
+    none when pruning is off, which row-key atoms the ranges enforce."""
     cat = catalog(coder)
-    return PushdownCompiler(RowCodec(cat)), cat, get_coder(coder)
+    codec = RowCodec(cat)
+    ranges = RangeBuilder(codec) if pruning else None
+    return PushdownCompiler(codec, ranges), cat, get_coder(coder)
 
 
 def row_cells(cod, cat, **values):
@@ -99,6 +104,33 @@ def test_first_dim_rowkey_handled_by_pruning_without_filter():
     result = comp.compile([S.GreaterThan("k1", 5)])
     assert result.hbase_filter is None  # ranges cover it
     assert result.unhandled == []       # and it is fully handled
+    assert result.columns == set()      # no server-side filter reads a column
+
+
+@pytest.mark.parametrize("flt", [
+    S.GreaterThan("k1", 5), S.In("k1", (1, 2)), S.EqualTo("k1", 3),
+], ids=repr)
+def test_first_dim_rowkey_not_handled_without_pruning(flt):
+    comp, __, __c = compiler(pruning=False)
+    result = comp.compile([flt])
+    assert result.hbase_filter is None
+    assert result.unhandled == [flt]
+
+
+def test_first_dim_in_list_with_a_null_is_not_handled():
+    """The ranges cannot hold a NULL option, so the scan reads every row:
+    Spark must re-apply the IN list."""
+    comp, __, __c = compiler()
+    flt = S.In("k1", (1, None))
+    result = comp.compile([flt, S.In("k1", (1, 2))])
+    assert result.hbase_filter is None
+    assert result.unhandled == [flt]
+
+
+def test_rowkey_is_not_null_is_handled_with_or_without_pruning():
+    for pruning in (True, False):
+        comp, __, __c = compiler(pruning=pruning)
+        assert comp.compile([S.IsNotNull("k2")]).unhandled == []
 
 
 def test_second_dim_rowkey_not_handled():
@@ -118,12 +150,33 @@ def test_and_pushes_handled_subset():
     assert evaluate(result.hbase_filter, cod, cat, v=1, s="x")
 
 
+def test_and_with_first_dim_rowkey_is_handled_only_with_pruning():
+    flt = S.And(S.GreaterThan("k1", 5), S.EqualTo("v", 1))
+    for pruning in (True, False):
+        comp, __, __c = compiler(pruning=pruning)
+        result = comp.compile([flt])
+        assert isinstance(result.hbase_filter, SingleColumnValueFilter)
+        assert result.unhandled == ([] if pruning else [flt])
+
+
+def test_or_never_relies_on_the_ranges():
+    """Pruning unions an OR's branch ranges, so a row-key branch is not
+    enforced: the OR is pushed as a superset and Spark re-applies it."""
+    comp, __, __c = compiler()
+    flt = S.Or(S.EqualTo("s", "a"), S.And(S.EqualTo("k1", 0), S.EqualTo("s", "b")))
+    result = comp.compile([flt])
+    assert isinstance(result.hbase_filter, FilterList)
+    assert result.unhandled == [flt]
+
+
 def test_or_requires_both_sides():
     comp, __, __c = compiler()
     flt = S.Or(S.EqualTo("v", 1), S.Not(S.EqualTo("s", "x")))
     result = comp.compile([flt])
     assert result.hbase_filter is None
     assert result.unhandled == [flt]
+    # the v = 1 branch was compiled, but an OR not pushed reads no column
+    assert result.columns == set()
 
 
 def test_or_of_pushable_sides_pushes():
@@ -140,6 +193,7 @@ def test_multiple_filters_combined_with_and():
     comp, cat, cod = compiler()
     result = comp.compile([S.EqualTo("v", 1), S.EqualTo("s", "x")])
     assert isinstance(result.hbase_filter, FilterList)
+    assert result.columns == {("f", "v"), ("g", "s")}
     assert evaluate(result.hbase_filter, cod, cat, v=1, s="x")
     assert not evaluate(result.hbase_filter, cod, cat, v=1, s="y")
 

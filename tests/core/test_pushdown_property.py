@@ -41,12 +41,16 @@ SINGLE_ROWS = [(k, "t%d" % (k % 3), float(k)) for k in range(20)]
 
 
 def predicates(key_columns):
-    """Random predicate trees over ``key_columns`` + ``score`` + ``tag``."""
+    """Random predicate trees over ``key_columns`` + ``score`` + ``tag``.
+
+    Literals include NULL and a non-integral float, which an integer key's
+    coder cannot translate into one row key."""
+    literal = st.one_of(st.integers(-12, 12), st.sampled_from(["null", 2.5, -4.5]))
     comparison = st.builds(
         lambda col, op, val: f"{col} {op} {val}",
         st.sampled_from(key_columns + ["score"]),
         st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-        st.integers(-12, 12),
+        literal,
     )
     tag_predicate = st.builds(
         lambda op, val: f"tag {op} '{val}'",
@@ -56,7 +60,7 @@ def predicates(key_columns):
     in_predicate = st.builds(
         lambda col, vals: f"{col} in ({', '.join(map(str, vals))})",
         st.sampled_from(key_columns),
-        st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+        st.lists(literal, min_size=1, max_size=3),
     )
     return st.recursive(
         st.one_of(comparison, tag_predicate, in_predicate),
@@ -108,6 +112,9 @@ def reference(where, schema=SCHEMA, rows=ROWS):
 
 @settings(max_examples=40, deadline=None)
 @given(where=predicate)
+# a NULL in a leading-key IN list leaves it to Spark, which the ranges cannot
+@example(where="ts in (null) and tag = 't1'")
+@example(where="ts in (3, null) or score > 0")
 def test_any_predicate_matches_reference(loaded, where):
     cluster, session, options, single, coder = loaded
     df = session.read.format(DEFAULT_FORMAT).options(options).load()
@@ -120,6 +127,7 @@ def test_any_predicate_matches_reference(loaded, where):
 # a point Get must apply the pushed value filter, not just fetch the row
 @example(where="k = 5 and tag = 't1'")
 @example(where="k = 5 and score > 100")
+@example(where="k in (1, null)")
 def test_any_predicate_matches_reference_on_a_single_key(loaded, where):
     cluster, session, options, single, coder = loaded
     df = session.read.format(DEFAULT_FORMAT).options(single).load()

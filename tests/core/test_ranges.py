@@ -41,8 +41,8 @@ def catalog_composite(coder="PrimitiveType"):
     }))
 
 
-def builder(catalog, **kwargs):
-    return RangeBuilder(RowCodec(catalog), **kwargs)
+def builder(catalog):
+    return RangeBuilder(RowCodec(catalog))
 
 
 # -- ScanRange algebra -------------------------------------------------------
@@ -194,8 +194,9 @@ def test_composite_first_dimension_only_by_default():
 
 def test_all_dimension_extension_builds_composite_point():
     cat = catalog_composite()
-    b = builder(cat, prune_all_dimensions=True)
-    ranges = b.ranges_for_filters([S.EqualTo("k1", 7), S.EqualTo("k2", 3)])
+    b = builder(cat)
+    ranges = b.ranges_for_filters([S.EqualTo("k1", 7), S.EqualTo("k2", 3)],
+                                  prune_all_dimensions=True)
     assert len(ranges) == 1
     assert ranges[0].point
     coder = get_coder("PrimitiveType")
@@ -206,8 +207,8 @@ def test_all_dimension_extension_builds_composite_point():
 
 def test_all_dimension_extension_with_trailing_range():
     cat = catalog_composite()
-    b = builder(cat, prune_all_dimensions=True)
-    narrow = b.ranges_for_filters([S.EqualTo("k1", 7), S.GreaterThanOrEqual("k2", 0)])
+    narrow = builder(cat).ranges_for_filters(
+        [S.EqualTo("k1", 7), S.GreaterThanOrEqual("k2", 0)], prune_all_dimensions=True)
     wide = builder(cat).ranges_for_filters([S.EqualTo("k1", 7)])
     # with a leading equality + trailing range the span must be narrower
     def span(ranges):

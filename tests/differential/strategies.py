@@ -155,10 +155,17 @@ def drawn_tables(draw, coder, composite):
                      for i, cell in enumerate(cells))
     else:
         data = tuple((base + i, *cell) for i, cell in enumerate(cells))
-    op = draw(st.sampled_from(["<", "<=", "=", ">="]))
+    op = draw(st.sampled_from(["<", "<=", "=", ">=", "IN", "IN NULL"]))
     bound = draw(st.integers(base - 2, data[-1][0] + 1))
+    if op == "IN":
+        where = f"k IN ({bound}, {draw(st.integers(base - 2, data[-1][0] + 1))})"
+    elif op == "IN NULL":
+        # the ranges cannot hold a NULL option: the scan reads every row
+        where = f"k IN ({bound}, NULL)"
+    else:
+        where = f"k {op} {bound}"
     return DrawnTable(coder, ("k", "n") if composite else ("k",), regions,
-                      data, f"k {op} {bound}")
+                      data, where)
 
 
 # -- a skewed join over local relations ------------------------------------------

@@ -32,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.common.faults import FAULT_SCAN_STREAM
 from repro.common.simclock import SimClock
+from repro.core.catalog import HBaseSparkConf
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
@@ -187,6 +188,11 @@ def rewritten(outcome):
     assert actions == {"scan": [], "group": ["rewrites"], "join": []}
 
 
+def shc_off(key):
+    """A reader option that turns one of SHC's scan optimizations off."""
+    return Side(options=((key, "false"),))
+
+
 REPLICA_ON = ("hbase.read.replica", True)
 STALENESS_60 = ("hbase.read.replica.staleness", 60)
 SHUFFLED = ("sql.autoBroadcastJoinThreshold", 1)
@@ -195,6 +201,14 @@ SHUFFLED = ("sql.autoBroadcastJoinThreshold", 1)
 Relation = namedtuple("Relation", "name variant level prefixes check base",
                       defaults=((), None, SEED))
 RELATIONS = [
+    # SHC's scan optimizations (section VI.A) change how much is read, never
+    # what is answered
+    Relation("no partition pruning answers as the seed",
+             shc_off(HBaseSparkConf.PRUNING), "answers"),
+    Relation("no filter pushdown answers as the seed",
+             shc_off(HBaseSparkConf.PUSHDOWN), "answers"),
+    Relation("no operator fusion answers as the seed",
+             shc_off(HBaseSparkConf.FUSION), "answers"),
     # the seed broadcasts its join; a shuffled one is where AQE would engage
     Relation("aqe is off by default", Side(conf=(SHUFFLED,)), "ledger",
              ("engine.aqe.",), no_reopt, base=Side(conf=(SHUFFLED,))),

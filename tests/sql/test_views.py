@@ -503,6 +503,28 @@ def test_maintenance_sees_rows_as_the_definition_scan_does(linked):
     assert [r for r in answer() if r[0] >= 5] == [(9, 1, None)]
 
 
+def test_a_null_group_is_refused_and_leaves_nothing_behind(linked):
+    # a view row is keyed by its group, and a NULL group has no key: the
+    # write fails on its first task attempt (a NULL key fails on every
+    # host), and CREATE takes back its storage table and CDC subscription
+    cluster, __ = linked
+    __, session, __ = small_table(
+        linked, "gaps", "id", [("id", "int"), ("grp", "string"), ("qty", "int")],
+        [(i, None if i % 4 == 0 else f"g{i % 3}", i) for i in range(20)])
+    by_grp = "SELECT grp, count(*) AS n, sum(qty) AS s FROM gaps GROUP BY grp"
+    with pytest.raises(AnalysisError, match="group column 'grp' holds NULL") as refused:
+        session.sql(f"CREATE MATERIALIZED VIEW by_grp AS {by_grp}")
+    assert "after 1 attempts" in str(refused.value.__cause__)
+    assert not cluster.has_table("mv_by_grp")
+    assert cluster.cdc is None
+    assert session.views.definitions() == []
+    # the name is free again for a view the data can key
+    session.sql("CREATE MATERIALIZED VIEW by_grp AS "
+                "SELECT qty, count(*) AS n FROM gaps GROUP BY qty")
+    assert rows_of(session.sql("SELECT qty, count(*) AS n FROM gaps GROUP BY qty")
+                   .run()) == [(i, 1) for i in range(20)]
+
+
 def test_non_prefix_group_invalidates_then_refresh_recovers(env, vsession):
     # inv_item_sk is not a prefix of inventory's row key, so a tombstone
     # cannot be repaired with a prefix recount: the view must invalidate

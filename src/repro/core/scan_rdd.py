@@ -65,13 +65,14 @@ class HBaseTableScanRDD(RDD):
                 ctx: "TaskContext") -> Iterator[tuple]:
         """Stream decoded tuples straight out of the region scans.
 
-        No intermediate ``List[Result]`` is materialised: each region scan's
-        results are decoded and yielded as they are produced, through the
-        row codec's plan resolved at RDD construction.  Decode cost is
-        charged for exactly the cells actually decoded -- a downstream
-        consumer that stops early (a LIMIT) never pays for rows it did not
-        pull -- via the ``finally`` block that runs when the generator
-        finishes or is closed.
+        No ``Result`` is built: each region scan's pages, as the client
+        receives them (:meth:`Table.scan_pages
+        <repro.hbase.client.Table.scan_pages>`), are decoded row by row and
+        yielded through the row codec's plan resolved at RDD construction.
+        Decode cost is charged for exactly the cells actually decoded -- a
+        downstream consumer that stops early (a LIMIT) never pays for rows
+        it did not pull -- via the ``finally`` block that runs when the
+        generator finishes or is closed.
         """
         scan_partition: HBaseScanPartition = partition.payload
         relation = self.relation
@@ -109,11 +110,12 @@ class HBaseTableScanRDD(RDD):
                         hbase_columns, time_range, max_versions)
                     if caching is not None:
                         scan.set_caching(caching)
-                    for result in table.get_scanner(scan, ctx.ledger,
-                                                    work.location):
-                        values, ncells = decode(result.row, result.cells)
-                        decoded_cells += ncells
-                        yield values
+                    for page in table.scan_pages(scan, ctx.ledger,
+                                                 work.location):
+                        for row, cells in page:
+                            values, ncells = decode(row, cells)
+                            decoded_cells += ncells
+                            yield values
             if gets:
                 for result in table.bulk_get(gets, ctx.ledger):
                     if result.is_empty():

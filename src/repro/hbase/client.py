@@ -3,11 +3,12 @@
 Mirrors the pieces of ``org.apache.hadoop.hbase.client`` SHC programs against:
 ``ConnectionFactory.create_connection`` (the heavyweight operation SHC's
 connection cache exists to avoid), ``Table`` with ``put``/``get``/``scan``/
-``delete``/``bulk_get`` and ``get_scanner`` (the one scan, resumable, that
-SHC reads through), and builder-style ``Scan``/``Get``/``Put``/``Delete``
-request objects.  Every data operation accepts a cost ledger and charges RPC
-latency plus network transfer when the caller is not co-located with the
-region server -- which is how data locality becomes measurable.
+``delete``/``bulk_get``, ``scan_pages`` (the one scan, paged and resumable,
+that SHC reads through) and ``get_scanner`` (its per-row view), and
+builder-style ``Scan``/``Get``/``Put``/``Delete`` request objects.  Every
+data operation accepts a cost ledger and charges RPC latency plus network
+transfer when the caller is not co-located with the region server -- which
+is how data locality becomes measurable.
 """
 
 from __future__ import annotations
@@ -577,8 +578,24 @@ class Table:
 
     def get_scanner(self, scan: Scan, ledger: Optional[CostLedger] = None,
                     location: Optional[RegionLocation] = None) -> Iterator[Result]:
-        """The client's one scan (HBase's ``ResultScanner``): lazy, paged and
-        resumable.
+        """The client's one scan (HBase's ``ResultScanner``), one
+        :class:`Result` per row: a view over :meth:`scan_pages`, which it
+        closes when it is closed, so a reader that stops early bills what
+        the pages' reader would."""
+        pages = self.scan_pages(scan, ledger, location)
+        try:
+            for page in pages:
+                for row, cells in page:
+                    yield Result(row, cells)
+        finally:
+            pages.close()
+
+    def scan_pages(self, scan: Scan, ledger: Optional[CostLedger] = None,
+                   location: Optional[RegionLocation] = None
+                   ) -> Iterator[List[Tuple[bytes, List[Cell]]]]:
+        """The scan itself, lazy, paged and resumable: it yields each page
+        the servers answer as a list of ``(row, cells)``, and SHC's scan
+        RDD reads it page by page.
 
         It starts at ``location`` when given (a planned location, which may
         be a replica), else at the region holding ``scan.start_row``, and
@@ -594,8 +611,8 @@ class Table:
         the new primary; no backoff is paid), else the retry step runs
         (jitter keyed by region, op ``scan_range``, the clock started here)
         and the region is located again.  After ``FilterEvalError`` the scan
-        is re-issued unfiltered and the filter applied here.  A range past
-        its region's end continues in the next region.
+        is re-issued unfiltered and the filter applied here, page by page.
+        A range past its region's end continues in the next region.
         """
         ledger = ledger if ledger is not None else CostLedger()
         connection = self.connection
@@ -639,10 +656,11 @@ class Table:
                         self._fault(FAULT_SCAN_STREAM, location.region_name,
                                     ledger, server_id=location.server_id)
                         delivered += 1
-                        for row, cells in rows[first:first + caching]:
-                            if client_filter is None or client_filter.filter_row(
-                                    row, cells):
-                                yield Result(row, cells)
+                        page = rows[first:first + caching]
+                        if client_filter is not None:
+                            page = [(row, cells) for row, cells in page
+                                    if client_filter.filter_row(row, cells)]
+                        yield page
                 except GeneratorExit:
                     delivered = pages
                     raise

@@ -1,19 +1,24 @@
-"""Immutable store files (HBase HFiles) with block index and bloom filter.
+"""Immutable store files (HBase HFiles) with block index, bloom filter and
+row index.
 
 A flush writes the memstore snapshot into a :class:`StoreFile`.  The file
 keeps a sparse *block index* (first row key of every block) so scans starting
 mid-file seek instead of reading from the top, and a row-key *bloom filter*
 so point Gets can skip files that certainly do not contain the row -- both
-mechanisms HBase relies on and both metered by the cost model.
+mechanisms HBase relies on and both metered by the cost model.  Its *row
+index* (where each row's cells start) and :class:`RowFacts` (what a scan
+needs to hand rows out as slices) are what the simulator computes with,
+and are never billed.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.hbase.cell import Cell
+from repro.hbase.cell import Cell, CellType
 
 DEFAULT_BLOCK_CELLS = 64
 
@@ -64,6 +69,55 @@ class BloomFilter:
         return admitted
 
 
+class RowFacts:
+    """What a scan needs to hand a store file's rows out as slices.
+
+    ``row_bytes[i]`` is the bytes row ``i``'s cells carry.  ``dirty`` lists,
+    in order, the rows a reader must resolve: those holding a delete
+    marker, or two adjacent cells of one column (versions, or a rewrite at
+    one timestamp).  A row that is not dirty has one put per column, so a
+    read without a time range that asks for all of them sees exactly its
+    cells.  ``columns`` are the ``(family, qualifier)`` pairs of the file's
+    puts.
+    """
+
+    __slots__ = ("row_bytes", "dirty", "columns")
+
+    def __init__(self, cells: Sequence[Cell]) -> None:
+        row_bytes = array("I")
+        dirty: List[int] = []
+        columns: Set[Tuple[str, str]] = set()
+        put = CellType.PUT
+        row = column = None
+        nbytes, clean = 0, True
+        for cell in cells:
+            if cell.row != row:
+                if row is not None:
+                    row_bytes.append(nbytes)
+                    if not clean:
+                        dirty.append(len(row_bytes) - 1)
+                row, column = cell.row, None
+                nbytes, clean = 0, True
+            nbytes += cell.heap_size()
+            previous, column = column, (cell.family, cell.qualifier)
+            if cell.cell_type != put or column == previous:
+                clean = False
+            else:
+                columns.add(column)
+        if row is not None:
+            row_bytes.append(nbytes)
+            if not clean:
+                dirty.append(len(row_bytes) - 1)
+        self.row_bytes = row_bytes
+        self.dirty = dirty
+        self.columns: FrozenSet[Tuple[str, str]] = frozenset(columns)
+
+    def dirty_in(self, lo: int, hi: int) -> List[int]:
+        """The dirty rows among positions ``[lo, hi)``."""
+        dirty = self.dirty
+        return dirty[bisect.bisect_left(dirty, lo):bisect.bisect_left(dirty, hi)]
+
+
 class StoreFile:
     """An immutable, sorted run of cells plus its index structures.
 
@@ -71,46 +125,65 @@ class StoreFile:
     files, a split half; a bulk load sorts its loose cells first -- and the
     file keeps that order, so of two cells with equal :meth:`Cell.sort_key`
     the builder lists the newer write first.
+
+    The *row index* is built in the one pass that builds the file:
+    ``row_keys`` are the distinct row keys in order, and row ``i``'s cells
+    are ``cells[row_starts[i]:row_starts[i + 1]]`` (``row_starts`` ends with
+    the cell count).  Ranged scans, Gets and the block lookup bisect it.
+    The :class:`RowFacts` a sliced scan needs cost a second pass, so they
+    wait for the first scan that could slice this file and are kept from
+    then on: a flushed file that only Gets read, or that is compacted away
+    first, never builds them.
     """
 
     def __init__(self, cells: Sequence[Cell], block_cells: int = DEFAULT_BLOCK_CELLS) -> None:
         self._cells: List[Cell] = list(cells)
-        self._rows: List[bytes] = [c.row for c in self._cells]
         self._block_cells = block_cells
-        self._block_index: List[bytes] = self._rows[::block_cells]
         #: bytes per block, summed once: the file never changes, and every
         #: scan is charged by the block
         self._block_bytes: List[int] = []
-        # one pass: each cell sized once, each distinct row hashed once (in
+        self.row_keys: List[bytes] = []
+        self.row_starts = array("I")
+        # one pass: each cell sized once, each row's start noted once (in
         # KeyValue order a row's cells are adjacent)
-        hashes: List[RowHash] = []
-        last_row = None
-        for start in range(0, len(self._cells), block_cells):
+        cells, keys, starts = self._cells, self.row_keys, self.row_starts
+        row = None
+        for first in range(0, len(cells), block_cells):
             nbytes = 0
-            for cell in self._cells[start:start + block_cells]:
+            for i, cell in enumerate(cells[first:first + block_cells], first):
                 nbytes += cell.heap_size()
-                if cell.row != last_row:
-                    last_row = cell.row
-                    hashes.append(row_hash(last_row))
+                if cell.row != row:
+                    row = cell.row
+                    keys.append(row)
+                    starts.append(i)
             self._block_bytes.append(nbytes)
+        starts.append(len(cells))
         self.size_bytes = sum(self._block_bytes)
-        # the bloom is sized by the distinct rows, so it is filled after them
-        self._bloom = BloomFilter(max(1, len(hashes)))
-        for hashed in hashes:
-            self._bloom.add(hashed)
+        # the bloom is sized by the distinct rows, each hashed once
+        self._bloom = BloomFilter(max(1, len(keys)))
+        for key in keys:
+            self._bloom.add(row_hash(key))
+        self._facts: Optional[RowFacts] = None
         #: HDFS placement; None means "assume local" (tests, bulk loads)
         self.hdfs_file = None
 
     def __len__(self) -> int:
         return len(self._cells)
 
+    def row_facts(self) -> RowFacts:
+        """The file's :class:`RowFacts`, built on the first call."""
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = RowFacts(self._cells)
+        return facts
+
     @property
     def first_row(self) -> Optional[bytes]:
-        return self._rows[0] if self._rows else None
+        return self.row_keys[0] if self.row_keys else None
 
     @property
     def last_row(self) -> Optional[bytes]:
-        return self._rows[-1] if self._rows else None
+        return self.row_keys[-1] if self.row_keys else None
 
     def might_contain_row(self, hashed: RowHash) -> bool:
         """Bloom check of a :func:`row_hash`: False means the row is
@@ -124,13 +197,29 @@ class StoreFile:
         return self._bloom.admitted(hashes)
 
     def row_cells(self, row: bytes, lo: int = 0) -> Tuple[List[Cell], int]:
-        """The cells of ``row`` and the index where they start, bisecting
-        from ``lo``.  A batch read in row order passes each answer's index
-        on as the next ``lo``, so every bisect moves forward; a repeated row
-        starts where it started before."""
-        rows = self._rows
-        lo = bisect.bisect_left(rows, row, lo)
-        return self._cells[lo:bisect.bisect_right(rows, row, lo)], lo
+        """The cells of ``row`` and the row position the search stopped at,
+        bisecting the row index from position ``lo``.  A batch read in row
+        order passes each answer's position on as the next ``lo``, so every
+        bisect moves forward; a repeated row starts where it started
+        before."""
+        keys = self.row_keys
+        lo = bisect.bisect_left(keys, row, lo)
+        if lo < len(keys) and keys[lo] == row:
+            return self._cells[self.row_starts[lo]:self.row_starts[lo + 1]], lo
+        return [], lo
+
+    def row_span(self, start_row: bytes, stop_row: Optional[bytes]) -> Tuple[int, int]:
+        """Row positions ``[lo, hi)`` holding ``start_row <= row < stop_row``."""
+        keys = self.row_keys
+        lo = bisect.bisect_left(keys, start_row) if start_row else 0
+        hi = len(keys) if stop_row is None else bisect.bisect_left(keys, stop_row, lo)
+        return lo, hi
+
+    def row_slices(self, lo: int, hi: int) -> List[List[Cell]]:
+        """The cells of the rows at positions ``[lo, hi)``, one slice each."""
+        starts = self.row_starts
+        return list(map(self._cells.__getitem__,
+                        map(slice, starts[lo:hi], starts[lo + 1:hi + 1])))
 
     def block_start_keys(self) -> List[bytes]:
         """First row key of every block -- the sparse block index.
@@ -139,14 +228,12 @@ class StoreFile:
         keys, so each piece aligns with whole blocks and the per-piece
         charges sum exactly to the unsplit scan's charge.
         """
-        return list(self._block_index)
+        return [cell.row for cell in self._cells[::self._block_cells]]
 
     def _cell_span(self, start_row: bytes, stop_row: Optional[bytes]) -> Tuple[int, int]:
         """Cell indexes ``[lo, hi)`` holding ``start_row <= row < stop_row``."""
-        lo = bisect.bisect_left(self._rows, start_row) if start_row else 0
-        hi = len(self._rows) if stop_row is None \
-            else bisect.bisect_left(self._rows, stop_row, lo)
-        return lo, hi
+        lo, hi = self.row_span(start_row, stop_row)
+        return self.row_starts[lo], self.row_starts[hi]
 
     def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> List[Cell]:
         """The cells with ``start_row <= row < stop_row``, in KeyValue order."""

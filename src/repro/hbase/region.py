@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -22,6 +23,8 @@ from repro.hbase.hfile import StoreFile
 from repro.hbase.memstore import MemStore
 
 DEFAULT_FLUSH_THRESHOLD_BYTES = 256 * 1024
+#: one visible row: its key and its cells in KeyValue order
+RowResult = Tuple[bytes, List[Cell]]
 #: a version limit that limits nothing
 ALL_VERSIONS = sys.maxsize
 
@@ -196,22 +199,91 @@ class Region:
         columns: Optional[Set[Tuple[str, str]]] = None,
         time_range: Optional[TimeRange] = None,
         max_versions: int = 1,
-    ) -> Iterator[Tuple[bytes, List[Cell]]]:
-        """Yield ``(row_key, visible cells)`` in row order.
+    ) -> Tuple[List[RowResult], List[int]]:
+        """The range's visible rows, ``(row_key, cells)`` in row order, and
+        beside them the bytes each row's cells carry.
 
-        Applies delete-marker masking, version pruning and column selection.
-        ``families`` limits which stores are read at all (column-family
-        pruning); ``columns`` further restricts to specific qualifiers.
+        Applies delete-marker masking, version pruning, the time range and
+        column selection.  ``families`` limits which stores are read at all
+        (column-family pruning); ``columns`` further restricts to specific
+        qualifiers.
+
+        A row is a *slice* when nothing in it needs resolving: every chosen
+        family's cells in the range come from one store file, whose columns
+        are all asked for; the families holding cells there hold the same
+        rows; and there is no time range.  Then each row's cells are a slice
+        of its file (one per family), its bytes come off the file's
+        ``RowFacts``, and only the dirty rows there go through the
+        visibility pass.  Any other
+        read -- memstore cells, several files, a time range, families that
+        disagree on their rows -- merges the runs and passes every cell
+        through ``_visible_rows``, the reference both forms answer alike.
         """
         lo, hi = self.clamp(start_row, stop_row)
         if hi is not None and lo >= hi:
-            return iter(())
-        runs = [
-            run
-            for family in self._chosen_families(families, columns)
-            for run in self.stores[family].runs(lo, hi)
-        ]
-        return _visible_rows(_merge_runs(runs), columns, time_range, max_versions)
+            return [], []
+        chosen = self._chosen_families(families, columns)
+        if time_range is None and max_versions > 0:
+            sliced = self._sliced_rows(chosen, lo, hi, columns, max_versions)
+            if sliced is not None:
+                return sliced
+        runs = [run for family in chosen for run in self.stores[family].runs(lo, hi)]
+        rows = list(_visible_rows(_merge_runs(runs), columns, time_range, max_versions))
+        return rows, [sum(map(Cell.heap_size, cells)) for __, cells in rows]
+
+    def _sliced_rows(
+        self,
+        chosen: List[str],
+        lo: bytes,
+        hi: Optional[bytes],
+        columns: Optional[Set[Tuple[str, str]]],
+        max_versions: int,
+    ) -> Optional[Tuple[List[RowResult], List[int]]]:
+        """:meth:`scan_rows` by the slice, or None when the read is not one."""
+        spans: List[Tuple[StoreFile, int, int]] = []
+        for family in chosen:
+            store = self.stores[family]
+            if len(store.memstore) and store.memstore.scan(lo, hi):
+                return None
+            held = [(f, *f.row_span(lo, hi)) for f in store.files]
+            held = [span for span in held if span[1] < span[2]]
+            if not held:
+                continue
+            if len(held) > 1:
+                return None
+            if columns is not None and not held[0][0].row_facts().columns <= columns:
+                return None
+            spans.append(held[0])
+        if not spans:
+            return [], []
+        (store_file, first, end), *others = spans
+        keys = store_file.row_keys[first:end]
+        if any(other.row_keys[o_first:o_end] != keys
+               for other, o_first, o_end in others):
+            return None
+        facts = store_file.row_facts()
+        cells = store_file.row_slices(first, end)
+        row_bytes = facts.row_bytes[first:end].tolist()
+        dirty = {p - first for p in facts.dirty_in(first, end)}
+        for other, o_first, o_end in others:
+            o_facts = other.row_facts()
+            cells = list(map(operator.add, cells, other.row_slices(o_first, o_end)))
+            row_bytes = list(map(operator.add, row_bytes, o_facts.row_bytes[o_first:o_end]))
+            dirty.update(p - o_first for p in o_facts.dirty_in(o_first, o_end))
+        rows = list(zip(keys, cells))
+        if dirty:
+            gone = []
+            for p in sorted(dirty):
+                visible = [seen for __, seen in _visible_rows(
+                    cells[p], columns, None, max_versions)]
+                if visible:
+                    rows[p] = (keys[p], visible[0])
+                    row_bytes[p] = sum(map(Cell.heap_size, visible[0]))
+                else:
+                    gone.append(p)
+            for p in reversed(gone):
+                del rows[p], row_bytes[p]
+        return rows, row_bytes
 
     def io_bytes_for_range(
         self,

@@ -26,11 +26,9 @@ from repro.hbase.client import Get
 from repro.hbase.filters import Filter, PageFilter
 from repro.hbase.hfile import StoreFile, row_hash
 from repro.hbase.region import (
-    ALL_VERSIONS, Region, TimeRange, _merge_runs, _visible_rows,
+    ALL_VERSIONS, Region, RowResult, TimeRange, _merge_runs, _visible_rows,
 )
 from repro.hbase.wal import WriteAheadLog
-
-RowResult = Tuple[bytes, List[Cell]]
 
 
 class RegionServer:
@@ -248,9 +246,12 @@ class RegionServer:
         decode costs for matches only -- that asymmetry is the entire point of
         predicate pushdown.
 
-        Returns the rows and, beside them, the bytes each one carries: they
-        are sized once, here, for ``hbase.bytes_returned`` and for whatever
-        the client charges per RPC page.
+        The rows are :meth:`Region.scan_rows
+        <repro.hbase.region.Region.scan_rows>`' -- slices of the store
+        files' row indexes wherever nothing needs resolving -- and so are the
+        bytes each one carries, sized once, for ``hbase.bytes_returned`` and
+        for whatever the client charges per RPC page.  A filter's cost per
+        row is priced once per scan and charged row by row, in row order.
         """
         region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
@@ -259,30 +260,31 @@ class RegionServer:
         self._charge_scan_io(region, ledger, start_row, stop_row,
                              families, columns)
 
-        results: List[RowResult] = []
-        row_bytes: List[int] = []
-        rows_visited = 0
-        for row, cells in region.scan_rows(
-            start_row, stop_row, families, columns, time_range, max_versions
-        ):
-            rows_visited += 1
-            if row_filter is not None and not self._filter_keeps(
-                    row_filter, region_name, row, cells, ledger):
-                continue
-            results.append((row, cells))
-            row_bytes.append(sum(map(Cell.heap_size, cells)))
+        results, row_bytes = region.scan_rows(
+            start_row, stop_row, families, columns, time_range, max_versions)
+        rows_visited = len(results)
+        if row_filter is not None:
+            evals_s = self._filter_cost_s(row_filter)
+            kept = [i for i, (row, cells) in enumerate(results)
+                    if self._filter_keeps(row_filter, evals_s, region_name,
+                                          row, cells, ledger)]
+            results = list(map(results.__getitem__, kept))
+            row_bytes = list(map(row_bytes.__getitem__, kept))
         ledger.count("hbase.rows_visited", rows_visited)
         ledger.count("hbase.rows_returned", len(results))
         ledger.count("hbase.bytes_returned", sum(row_bytes))
         return results, row_bytes
 
-    def _filter_keeps(self, row_filter: Filter, region_name: str, row: bytes,
-                      cells: List[Cell], ledger: CostLedger) -> bool:
-        """Evaluate a pushed-down filter on one row, charging its cell evals."""
-        ledger.charge(
-            self.cost.cell_filter_cost_s * row_filter.cells_evaluated(),
-            "hbase.filter_evals",
-        )
+    def _filter_cost_s(self, row_filter: Filter) -> float:
+        """What evaluating a pushed-down filter on one row costs."""
+        return self.cost.cell_filter_cost_s * row_filter.cells_evaluated()
+
+    def _filter_keeps(self, row_filter: Filter, evals_s: float,
+                      region_name: str, row: bytes, cells: List[Cell],
+                      ledger: CostLedger) -> bool:
+        """Evaluate a pushed-down filter on one row, charging its
+        ``evals_s`` (:meth:`_filter_cost_s`, priced once per scan or batch)."""
+        ledger.charge(evals_s, "hbase.filter_evals")
         try:
             return row_filter.filter_row(row, cells)
         except FilterEvalError:
@@ -454,6 +456,11 @@ class RegionServer:
 
         answers: List[Tuple[List[Cell], int]] = []
         seek_s = self.cost.seek_cost_s
+        # each filter is priced once per batch, however many Gets share it
+        evals_s: Dict[int, float] = {}
+        for get in gets:
+            if get.filter is not None and id(get.filter) not in evals_s:
+                evals_s[id(get.filter)] = self._filter_cost_s(get.filter)
         probed = seeks = hits = returned = 0
         try:
             for i, get in enumerate(gets):
@@ -466,7 +473,8 @@ class RegionServer:
                         seeks += 1
                 cells = found[i]
                 if not cells or get.filter is not None and not self._filter_keeps(
-                        get.filter, region_name, keys[i], cells, ledger):
+                        get.filter, evals_s[id(get.filter)], region_name,
+                        keys[i], cells, ledger):
                     answers.append(([], 0))
                     continue
                 nbytes = sum(map(Cell.heap_size, cells))

@@ -128,7 +128,7 @@ def _rows(frame):
 
 def _stored_rows(cluster):
     """Rows in the cluster's own regions, read without any client."""
-    return sum(len(list(cluster.get_region(location.region_name).scan_rows()))
+    return sum(len(cluster.get_region(location.region_name).scan_rows()[0])
                for location in cluster.region_locations("kv"))
 
 

@@ -143,10 +143,12 @@ def test_filter_columns_exposed_on_rdd(loaded):
 
 #: Python calls inside ``repro.core`` + ``repro.hbase`` that one more scanned
 #: row may cost, end to end.  Measured when the scan path went block-wise and
-#: the codec bound its plan (PR 19): 13.01, down from 52.05; the budget
-#: leaves a fifth of headroom.  A helper per cell or per row shows up here as +1 or
-#: more -- raise the number only with a measurement that pays for it.
-CALLS_PER_ROW_BUDGET = 16
+#: the codec bound its plan: 13.01, down from 52.05; when a row with nothing
+#: to resolve became a slice of its store file's row index and the scan RDD
+#: began reading whole pages: 5.99, down from 10.99.  The budget leaves a
+#: fifth of headroom, rounded up.  A helper per cell or per row shows up here
+#: as +1 or more -- raise the number only with a measurement that pays for it.
+CALLS_PER_ROW_BUDGET = 8
 
 
 def test_marginal_python_calls_per_scanned_row(linked):

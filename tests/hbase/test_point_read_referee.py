@@ -61,9 +61,10 @@ _queries = cell_queries(
 
 def _ungated(region, row, query):
     """The referee: a one-row range read over every store file."""
-    return [cells for __, cells in region.scan_rows(
+    rows, __ = region.scan_rows(
         row, row + b"\x00", query["families"], query["columns"],
-        query["time_range"], query["max_versions"])]
+        query["time_range"], query["max_versions"])
+    return [cells for __, cells in rows]
 
 
 def _admitting(region, row, query):

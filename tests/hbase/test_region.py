@@ -16,7 +16,8 @@ def put(r: Region, row: bytes, value: bytes = b"v", ts: int = 1,
 
 
 def rows_of(r: Region, **kwargs):
-    return [row for row, __ in r.scan_rows(**kwargs)]
+    rows, __ = r.scan_rows(**kwargs)
+    return [row for row, __ in rows]
 
 
 def test_put_and_scan():
@@ -55,7 +56,7 @@ def test_newest_version_wins_across_files():
     put(r, b"a", b"old", ts=1)
     r.flush()
     put(r, b"a", b"new", ts=2)
-    __, cells = next(iter(r.scan_rows()))
+    __, cells = r.scan_rows()[0][0]
     assert cells[0].value == b"new"
     assert len(cells) == 1  # max_versions defaults to 1
 
@@ -64,7 +65,7 @@ def test_same_timestamp_rewrite_resolves_to_the_later_write():
     """HBase gives the later mutation the higher sequence id and it wins;
     the answer must not depend on where flushes and compactions fell."""
     def visible(r):
-        (__, cells), = r.scan_rows(max_versions=10)
+        (__, cells), = r.scan_rows(max_versions=10)[0]
         return [c.value for c in cells]
 
     r = region()
@@ -87,7 +88,7 @@ def test_max_versions_returns_multiple():
     r = region()
     for ts in (1, 2, 3):
         put(r, b"a", str(ts).encode(), ts=ts)
-    __, cells = next(iter(r.scan_rows(max_versions=2)))
+    __, cells = r.scan_rows(max_versions=2)[0][0]
     assert [c.value for c in cells] == [b"3", b"2"]
 
 
@@ -103,7 +104,7 @@ def test_delete_family_hides_whole_family():
     put(r, b"a", family="f")
     put(r, b"a", family="g", ts=1)
     r.put_cells([Cell(b"a", "f", "", 9, cell_type=CellType.DELETE_FAMILY)])
-    __, cells = next(iter(r.scan_rows()))
+    __, cells = r.scan_rows()[0][0]
     assert {c.family for c in cells} == {"g"}
 
 
@@ -111,7 +112,7 @@ def test_put_newer_than_delete_is_visible():
     r = region()
     r.put_cells([Cell(b"a", "f", "q", 5, cell_type=CellType.DELETE_COLUMN)])
     put(r, b"a", b"new", ts=6)
-    __, cells = next(iter(r.scan_rows()))
+    __, cells = r.scan_rows()[0][0]
     assert cells[0].value == b"new"
 
 
@@ -126,7 +127,7 @@ def test_column_selection_restricts_cells():
     r = region(families=("f", "g"))
     put(r, b"a", family="f", qualifier="q1")
     put(r, b"a", family="g", qualifier="q2", ts=1)
-    __, cells = next(iter(r.scan_rows(columns={("f", "q1")})))
+    __, cells = r.scan_rows(columns={("f", "q1")})[0][0]
     assert [(c.family, c.qualifier) for c in cells] == [("f", "q1")]
 
 

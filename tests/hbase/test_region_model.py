@@ -162,7 +162,8 @@ class RegionModel(RuleBasedStateMachine):
 
     def _scanned(self, **query):
         got = {}
-        for row, cells in self.region.scan_rows(**query):
+        rows, __ = self.region.scan_rows(**query)
+        for row, cells in rows:
             assert row not in got, "a row came back twice"
             for cell in cells:
                 got.setdefault(row, {}).setdefault(

@@ -27,7 +27,8 @@ def primary_of(cluster, region_name):
 
 def replica_values(replica, row):
     """Values the replica's own region copy serves for one row."""
-    for got_row, cells in replica.region.scan_rows(row, row + b"\x00"):
+    rows, __ = replica.region.scan_rows(row, row + b"\x00")
+    for got_row, cells in rows:
         if got_row == row:
             return [c.value for c in cells]
     return []

@@ -1,11 +1,12 @@
 """The client's one scan, ``Table.get_scanner``: paged, billed and resumable.
 
-A referee draws split layouts, scanner caching, a ``[start, stop)`` range
-and at most one fault, and checks the rows against the rows written (in
-order, each exactly once) and a clean scan's bill against its closed form:
-``hbase.rpcs`` is the sum over the regions the range overlaps of
-``max(1, ceil(rows_r / caching))``, and the bytes returned are the rows'
-summed sizes.  The crash, stale-meta and filter-fallback cases are pinned
+A referee draws split layouts, where the rows are (memstore, flushed, or
+major-compacted -- the last two are read by the slice), scanner caching, a
+``[start, stop)`` range and at most one fault, and checks the rows against
+the rows written (in order, each exactly once) and a clean scan's bill
+against its closed form: ``hbase.rpcs`` is the sum over the regions the
+range overlaps of ``max(1, ceil(rows_r / caching))``, and the bytes
+returned are the rows' summed sizes.  The crash, stale-meta and filter-fallback cases are pinned
 beside it, and ``Table.scan`` is checked against SHC's scan RDD.
 """
 
@@ -35,15 +36,26 @@ ROWS = 40
 KEYS = [b"r%03d" % i for i in range(ROWS)]
 
 
-def loaded_table(rows=ROWS, split_keys=()):
+#: where the rows are when the scan runs: in the memstore, flushed to one
+#: store file per region, or flushed and major-compacted -- the last two
+#: are read by the slice (``Region.scan_rows``)
+SETTLED = (None, "flush", "major")
+
+
+def loaded_table(rows=ROWS, split_keys=(), settled=None):
     """A fresh three-server cluster holding rows ``r000``... with ``f:q``
-    set to the row's number, split before each of ``split_keys``."""
+    set to the row's number, split before each of ``split_keys`` and
+    ``settled`` as :data:`SETTLED` names."""
     cluster = HBaseCluster("scanner", HOSTS, clock=SimClock())
     cluster.create_table("t", ["f"], split_keys=sorted(split_keys) or None)
     table = ConnectionFactory.create_connection(
         cluster.configuration()).get_table("t")
     table.put([Put(b"r%03d" % i).add_column("f", "q", Bytes.from_int(i))
                for i in range(rows)])
+    if settled is not None:
+        cluster.flush_table("t")
+    if settled == "major":
+        cluster.compact_table("t", major=True)
     return cluster, table
 
 
@@ -96,14 +108,15 @@ def scanner_cases(draw):
     fault = draw(st.sampled_from([None, *FAULTS]))
     threshold = draw(st.integers(0, ROWS) if fault == "filter"
                      else st.none() | st.integers(0, ROWS))
-    return splits, caching, start, stop, fault, draw(st.integers(0, 4)), threshold
+    return (splits, caching, start, stop, fault, draw(st.integers(0, 4)),
+            threshold, draw(st.sampled_from(SETTLED)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(scanner_cases())
 def test_the_scanner_returns_each_row_once_and_bills_its_closed_form(case):
-    splits, caching, start, stop, fault, k, threshold = case
-    cluster, table = loaded_table(split_keys=splits)
+    splits, caching, start, stop, fault, k, threshold, settled = case
+    cluster, table = loaded_table(split_keys=splits, settled=settled)
     locations = table.connection.region_locations("t")
     expected = [(key, Bytes.from_int(i)) for i, key in enumerate(KEYS)
                 if key >= start and (stop is None or key < stop)

@@ -14,8 +14,11 @@ and writer of an HBase row goes through.
 from __future__ import annotations
 
 import functools
+import operator
 import struct
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.common.errors import CoderError, NullKeyError
 from repro.core.catalog import HBaseTableCatalog
@@ -129,15 +132,15 @@ def decode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
 
 def key_struct(coder: FieldCoder,
                layout: Sequence[Tuple[str, DataType, int, Optional[int], bool]]
-               ) -> Optional[Callable[[bytes], tuple]]:
-    """One ``struct`` call decoding every dimension of ``layout``, or None.
+               ) -> Optional[struct.Struct]:
+    """One ``struct.Struct`` decoding every dimension of ``layout``, or None.
 
     Binds when the key has dimensions, each has a
     :meth:`~FieldCoder.struct_code`, none is padded (``strip``), and each
-    sliced one is exactly as wide as its code.  The result is
+    sliced one is exactly as wide as its code.  A reader unpacks a key with
     ``Struct.unpack`` when the last dimension runs to the end of the key --
     the key must then be exactly as long as the struct, as the last slice
-    must be exactly as long as its value -- and ``Struct.unpack_from``
+    must be exactly as long as its value -- and with ``Struct.unpack_from``
     otherwise, which, like the slices, ignores bytes past the last
     dimension.  A key it rejects raises ``struct.error``.
     """
@@ -151,8 +154,24 @@ def key_struct(coder: FieldCoder,
         codes.append(code)
     if not codes:
         return None
-    packed = struct.Struct(">" + "".join(codes))
-    return packed.unpack if layout[-1][3] is None else packed.unpack_from
+    return struct.Struct(">" + "".join(codes))
+
+
+class _DecodePlan(NamedTuple):
+    """A decode of some columns, bound (:meth:`RowCodec._decode_plan`)."""
+
+    width: int
+    #: (output position, key dimension), one per requested key column
+    key_out: List[Tuple[int, int]]
+    #: (output position, (family, qualifier), decode), one per data column
+    cell_out: List[Tuple[int, Tuple[str, str], Callable]]
+    #: cells a row's key counts: every dimension when any is asked for
+    key_cells: int
+    #: the whole key as one struct (:func:`key_struct`), or None
+    packed: Optional[struct.Struct]
+    unpack_key: Callable[[bytes], Sequence[object]]
+    #: the slot-by-slot reference, the one key path that raises
+    slice_key: Callable[[bytes], List[object]]
 
 
 class RowCodec:
@@ -219,6 +238,44 @@ class RowCodec:
         return encode_key
 
     # -- whole rows, positional (the scan and write hot loops) -------------
+    def _decode_plan(self, columns: Sequence[str]) -> "_DecodePlan":
+        """Everything the catalog or a coder can answer about decoding
+        ``columns``, answered once (:meth:`decoder`, :meth:`page_decoder`)."""
+        catalog = self.catalog
+        dimension = {name: i for i, name in enumerate(catalog.row_key)}
+        key_out: List[Tuple[int, int]] = []
+        cell_out: List[Tuple[int, Tuple[str, str], Callable]] = []
+        for position, name in enumerate(columns):
+            column = catalog.column(name)
+            if column.is_rowkey():
+                key_out.append((position, dimension[name]))
+            else:
+                cell_out.append((position, (column.family, column.qualifier),
+                                 self.field_coders[name].decoder_for(column.dtype)))
+        # the whole key is unpacked and checked whenever any of it is asked for
+        layout = key_layout(catalog, self.coder) if key_out else []
+        key_slots = [(start, stop, strip, self.coder.decoder_for(dtype))
+                     for __, dtype, start, stop, strip in layout]
+
+        def slice_key(row_key: bytes) -> List[object]:
+            dimensions = []
+            for start, stop, strip, decode_dimension in key_slots:
+                chunk = row_key[start:stop]
+                if strip:
+                    chunk = chunk.rstrip(b"\x00")
+                dimensions.append(decode_dimension(chunk))
+            return dimensions
+
+        packed = key_struct(self.coder, layout)
+        if packed is None:
+            unpack_key = slice_key
+        elif layout[-1][3] is None:
+            unpack_key = packed.unpack
+        else:
+            unpack_key = packed.unpack_from
+        return _DecodePlan(len(columns), key_out, cell_out, len(key_slots),
+                           packed, unpack_key, slice_key)
+
     def decoder(self, columns: Sequence[str]
                 ) -> Callable[[bytes, Sequence], Tuple[tuple, int]]:
         """Bind the plan for ``columns`` once; the returned
@@ -234,38 +291,13 @@ class RowCodec:
         slot-by-slot loop over :func:`key_layout` -- the reference, and the
         one path that raises, so a malformed key is the same named
         :class:`CoderError` either way.  The closure only unpacks, looks up
-        and calls.
+        and calls.  This is the reference for :meth:`page_decoder`, and
+        what every reader of one row at a time uses.
         """
-        catalog = self.catalog
-        dimension = {name: i for i, name in enumerate(catalog.row_key)}
-        #: (output position, key dimension) / (output position, (family,
-        #: qualifier), decode) -- one entry per requested column
-        key_out: List[Tuple[int, int]] = []
-        cell_out: List[Tuple[int, Tuple[str, str], Callable]] = []
-        for position, name in enumerate(columns):
-            column = catalog.column(name)
-            if column.is_rowkey():
-                key_out.append((position, dimension[name]))
-            else:
-                cell_out.append((position, (column.family, column.qualifier),
-                                 self.field_coders[name].decoder_for(column.dtype)))
-        # the whole key is unpacked and checked whenever any of it is asked for
-        layout = key_layout(catalog, self.coder) if key_out else []
-        key_slots = [(start, stop, strip, self.coder.decoder_for(dtype))
-                     for __, dtype, start, stop, strip in layout]
-        key_cells = len(key_slots)
-        blank = [None] * len(columns)
-
-        def slice_key(row_key: bytes) -> List[object]:
-            dimensions = []
-            for start, stop, strip, decode_dimension in key_slots:
-                chunk = row_key[start:stop]
-                if strip:
-                    chunk = chunk.rstrip(b"\x00")
-                dimensions.append(decode_dimension(chunk))
-            return dimensions
-
-        unpack_key = key_struct(self.coder, layout) or slice_key
+        plan = self._decode_plan(columns)
+        key_out, cell_out, key_cells = plan.key_out, plan.cell_out, plan.key_cells
+        unpack_key, slice_key = plan.unpack_key, plan.slice_key
+        blank = [None] * plan.width
 
         def decode(row_key: bytes, cells: Sequence) -> Tuple[tuple, int]:
             values = blank[:]
@@ -288,6 +320,75 @@ class RowCodec:
             return tuple(values), decoded_cells
 
         return decode
+
+    def page_decoder(self, columns: Sequence[str]
+                     ) -> Callable[[Sequence], Tuple[List[list], int]]:
+        """The page-shaped twin of :meth:`decoder`: ``decode_page(page)``
+        turns a list of ``(row_key, cells)`` into one list per requested
+        column (a column batch's columns) and the number of cells decoded
+        -- what :meth:`decoder` gives row by row, transposed and summed.
+
+        The keys are unpacked in one pass: one ``Struct.iter_unpack`` over
+        the joined keys when every key is exactly the :func:`key_struct`'s
+        size, else :meth:`decoder`'s unpack-or-slice per key (which raises
+        the same :class:`CoderError` on a malformed key).  The cells are
+        walked once, each row's backwards so that a column's newest cell is
+        written last, into one list of raw values per requested ``(family,
+        qualifier)``; each data column is then one decode pass.
+        """
+        plan = self._decode_plan(columns)
+        key_out, key_cells = plan.key_out, plan.key_cells
+        unpack_key, slice_key, packed = plan.unpack_key, plan.slice_key, plan.packed
+        width = plan.width
+        first = operator.itemgetter(0)
+        # one raw list per distinct (family, qualifier) a column asks for
+        slots: Dict[Tuple[str, str], int] = {}
+        for __, fq, __ in plan.cell_out:
+            slots.setdefault(fq, len(slots))
+        cell_out = [(position, slots[fq], decode_cell)
+                    for position, fq, decode_cell in plan.cell_out]
+        slot_of = slots.get
+
+        def unpack_keys(keys: List[bytes]) -> List[Sequence[object]]:
+            if packed is not None and set(map(len, keys)) == {packed.size}:
+                return list(packed.iter_unpack(b"".join(keys)))
+            dimensions = []
+            for row_key in keys:
+                try:
+                    dimensions.append(unpack_key(row_key))
+                except struct.error:
+                    dimensions.append(slice_key(row_key))
+            return dimensions
+
+        def decode_page(page: Sequence) -> Tuple[List[list], int]:
+            nrows = len(page)
+            if not nrows:
+                return [[] for __ in range(width)], 0
+            # every position is a key or a data column: all are filled below
+            out: List[list] = [None] * width  # type: ignore[list-item]
+            decoded_cells = key_cells * nrows
+            if key_out:
+                by_dimension = list(zip(*unpack_keys(list(map(first, page)))))
+                for position, i in key_out:
+                    out[position] = list(by_dimension[i])
+            if cell_out:
+                raw_columns = [[None] * nrows for __ in slots]
+                for r, (__, cells) in enumerate(page):
+                    # reversed: a column's newest cell is written last
+                    for cell in reversed(cells):
+                        j = slot_of((cell.family, cell.qualifier))
+                        if j is not None:
+                            raw_columns[j][r] = cell.value
+                for position, j, decode_cell in cell_out:
+                    raws = raw_columns[j]
+                    missing = raws.count(None)
+                    decoded_cells += nrows - missing
+                    out[position] = list(map(decode_cell, raws)) if not missing \
+                        else [None if raw is None else decode_cell(raw)
+                              for raw in raws]
+            return out, decoded_cells
+
+        return decode_page
 
     def encoder(self, columns: Sequence[str]
                 ) -> Callable[[Sequence], Tuple[Put, int]]:

@@ -78,13 +78,14 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
     column_index = {name: i for i, name in enumerate(input_columns)}
     table: Dict[tuple, list] = {}
     decoded = 0
+    keep = None if hbase_filter is None else hbase_filter.compile()
     evals_s = 0.0 if hbase_filter is None \
         else cost.cell_filter_cost_s * hbase_filter.cells_evaluated()
     rows, __ = region.scan_rows(scan_range.start, scan_range.stop, None, columns)
     for row_key, cells in rows:
-        if hbase_filter is not None:
+        if keep is not None:
             ledger.charge(evals_s, "hbase.filter_evals")
-            if not hbase_filter.filter_row(row_key, cells):
+            if not keep(row_key, cells):
                 continue
         row, ncells = decode(row_key, cells)
         decoded += ncells

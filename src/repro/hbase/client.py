@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import threading
+from itertools import compress, starmap
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
     TYPE_CHECKING,
@@ -32,7 +33,7 @@ from repro.common.faults import FAULT_FILTER, FAULT_RPC, FAULT_STALE_META, FAULT
 from repro.common.metrics import CostLedger
 from repro.common.retry import RetryPolicy
 from repro.hbase.cell import Cell, CellType
-from repro.hbase.filters import Filter
+from repro.hbase.filters import Filter, Predicate
 from repro.hbase.master import RegionLocation
 from repro.hbase.region import TimeRange
 from repro.hbase.security import UserGroupInformation
@@ -537,7 +538,7 @@ class Table:
                     for i, (cells, __) in zip(group, answers):
                         get = gets[i]
                         if client_side and cells and get.filter is not None \
-                                and not get.filter.filter_row(get.row, cells):
+                                and not get.filter.compile()(get.row, cells):
                             cells = []
                         results[i] = Result(get.row, cells)
 
@@ -621,7 +622,7 @@ class Table:
         stop = scan.stop_row
         resume = scan.start_row
         server_filter = scan.filter
-        client_filter: Optional[Filter] = None
+        client_filter: Optional[Predicate] = None
         failures = 0
         started_s = ledger.seconds
         if location is None:
@@ -658,8 +659,8 @@ class Table:
                         delivered += 1
                         page = rows[first:first + caching]
                         if client_filter is not None:
-                            page = [(row, cells) for row, cells in page
-                                    if client_filter.filter_row(row, cells)]
+                            page = list(compress(
+                                page, starmap(client_filter, page)))
                         yield page
                 except GeneratorExit:
                     delivered = pages
@@ -675,7 +676,8 @@ class Table:
             except FilterEvalError:
                 if server_filter is None:
                     raise  # the filter failed on the client too
-                client_filter, server_filter = scan.filter, None
+                # compiled once: the pages that follow share its state
+                client_filter, server_filter = scan.filter.compile(), None
                 ledger.count("shc.filter_fallbacks")
                 _trace_event(ledger, "filter-fallback",
                              region=location.region_name)

@@ -11,9 +11,13 @@ and AND/OR filter lists.
 from __future__ import annotations
 
 import enum
-from typing import List, Sequence
+import operator
+from typing import Callable, List, Sequence
 
 from repro.hbase.cell import Cell
+
+#: what a compiled filter is: ``keep(row, cells) -> bool``
+Predicate = Callable[[bytes, Sequence[Cell]], bool]
 
 
 class CompareOp(enum.Enum):
@@ -26,27 +30,49 @@ class CompareOp(enum.Enum):
     GREATER_OR_EQUAL = ">="
     GREATER = ">"
 
+    @property
+    def function(self) -> Callable[[bytes, bytes], bool]:
+        """The operator as a plain two-argument function (``operator.lt``
+        for ``LESS``, ...): what :meth:`evaluate` and compiled filters call."""
+        return _COMPARISONS[self]
+
     def evaluate(self, lhs: bytes, rhs: bytes) -> bool:
         """Apply the operator to two byte strings (lexicographic order)."""
-        if self is CompareOp.LESS:
-            return lhs < rhs
-        if self is CompareOp.LESS_OR_EQUAL:
-            return lhs <= rhs
-        if self is CompareOp.EQUAL:
-            return lhs == rhs
-        if self is CompareOp.NOT_EQUAL:
-            return lhs != rhs
-        if self is CompareOp.GREATER_OR_EQUAL:
-            return lhs >= rhs
-        return lhs > rhs
+        return _COMPARISONS[self](lhs, rhs)
+
+
+#: the six comparisons, defined once
+_COMPARISONS = {
+    CompareOp.LESS: operator.lt,
+    CompareOp.LESS_OR_EQUAL: operator.le,
+    CompareOp.EQUAL: operator.eq,
+    CompareOp.NOT_EQUAL: operator.ne,
+    CompareOp.GREATER_OR_EQUAL: operator.ge,
+    CompareOp.GREATER: operator.gt,
+}
 
 
 class Filter:
-    """Base class: decides whether a fully-assembled row survives the scan."""
+    """Base class: decides whether a fully-assembled row survives the scan.
+
+    :meth:`filter_row` is the reference: the rule, one row at a time, on
+    this object.  A scan runs :meth:`compile` instead -- once per scan (per
+    Get, per client-side fallback), then once per row -- so what a filter
+    can bind (its column, comparator and operator) is looked up once, and
+    whatever state it keeps (:class:`PageFilter`'s count) lives in the
+    closure and starts afresh with each scan.  ``compile()`` on a fresh
+    filter keeps exactly the rows ``filter_row`` keeps, and raises on the
+    same row.
+    """
 
     def filter_row(self, row: bytes, cells: Sequence[Cell]) -> bool:
         """Return True to keep the row, False to drop it."""
         raise NotImplementedError
+
+    def compile(self) -> Predicate:
+        """One ``keep(row, cells)`` closure for one scan; by default the
+        bound :meth:`filter_row`."""
+        return self.filter_row
 
     def cells_evaluated(self) -> int:
         """How many cell comparisons one row costs (for the cost model)."""
@@ -62,6 +88,10 @@ class RowFilter(Filter):
 
     def filter_row(self, row: bytes, cells: Sequence[Cell]) -> bool:
         return self.op.evaluate(row, self.comparator)
+
+    def compile(self) -> Predicate:
+        compare, comparator = self.op.function, self.comparator
+        return lambda row, cells: compare(row, comparator)
 
     def __repr__(self) -> str:
         return f"RowFilter(row {self.op.value} {self.comparator!r})"
@@ -109,6 +139,19 @@ class SingleColumnValueFilter(Filter):
                 return self.op.evaluate(cell.value, self.comparator)
         return not self.filter_if_missing
 
+    def compile(self) -> Predicate:
+        family, qualifier = self.family, self.qualifier
+        compare, comparator = self.op.function, self.comparator
+        missing = not self.filter_if_missing
+
+        def keep(row: bytes, cells: Sequence[Cell]) -> bool:
+            for cell in cells:
+                if cell.family == family and cell.qualifier == qualifier:
+                    return compare(cell.value, comparator)
+            return missing
+
+        return keep
+
     def __repr__(self) -> str:
         return (
             f"SingleColumnValueFilter({self.family}:{self.qualifier} "
@@ -135,6 +178,24 @@ class FilterList(Filter):
             return all(f.filter_row(row, cells) for f in self.filters)
         return any(f.filter_row(row, cells) for f in self.filters)
 
+    def compile(self) -> Predicate:
+        """The children compiled, tried in order until one decides (as
+        ``all`` / ``any`` stop)."""
+        children = [f.compile() for f in self.filters]
+        if self.operator is FilterListOp.MUST_PASS_ALL:
+            def keep(row: bytes, cells: Sequence[Cell]) -> bool:
+                for child in children:
+                    if not child(row, cells):
+                        return False
+                return True
+        else:
+            def keep(row: bytes, cells: Sequence[Cell]) -> bool:
+                for child in children:
+                    if child(row, cells):
+                        return True
+                return False
+        return keep
+
     def cells_evaluated(self) -> int:
         return sum(f.cells_evaluated() for f in self.filters)
 
@@ -144,7 +205,12 @@ class FilterList(Filter):
 
 
 class PageFilter(Filter):
-    """Stop returning rows once ``page_size`` rows have passed (LIMIT pushdown)."""
+    """Stop returning rows once ``page_size`` rows have passed (LIMIT pushdown).
+
+    :meth:`filter_row` counts on the object (the reference; :meth:`reset`
+    starts it over); a compiled filter counts in its closure, so every
+    scan, nested in a list or not, starts from zero.
+    """
 
     def __init__(self, page_size: int) -> None:
         if page_size <= 0:
@@ -157,6 +223,18 @@ class PageFilter(Filter):
             return False
         self._seen += 1
         return True
+
+    def compile(self) -> Predicate:
+        page_size, seen = self.page_size, 0
+
+        def keep(row: bytes, cells: Sequence[Cell]) -> bool:
+            nonlocal seen
+            if seen >= page_size:
+                return False
+            seen += 1
+            return True
+
+        return keep
 
     def reset(self) -> None:
         self._seen = 0

@@ -11,6 +11,8 @@ measurable savings.
 from __future__ import annotations
 
 import threading
+from itertools import compress, starmap
+from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.cost import CostModel
@@ -23,7 +25,7 @@ from repro.common.metrics import CostLedger
 from repro.hbase.blockcache import BlockCache
 from repro.hbase.cell import Cell
 from repro.hbase.client import Get
-from repro.hbase.filters import Filter, PageFilter
+from repro.hbase.filters import Filter
 from repro.hbase.hfile import StoreFile, row_hash
 from repro.hbase.region import (
     ALL_VERSIONS, Region, RowResult, TimeRange, _merge_runs, _visible_rows,
@@ -250,13 +252,17 @@ class RegionServer:
         <repro.hbase.region.Region.scan_rows>`' -- slices of the store
         files' row indexes wherever nothing needs resolving -- and so are the
         bytes each one carries, sized once, for ``hbase.bytes_returned`` and
-        for whatever the client charges per RPC page.  A filter's cost per
-        row is priced once per scan and charged row by row, in row order.
+        for whatever the client charges per RPC page.  The filter is
+        compiled once for the scan (:meth:`Filter.compile
+        <repro.hbase.filters.Filter.compile>`, so its state starts afresh)
+        and run over the rows in one pass; its per-row cost, priced once, is
+        then booked in one :meth:`CostLedger.charge_each` -- the seconds
+        added row by row, in row order, as per-row charges would add them.
+        A row the filter fails on is booked with every row before it, then
+        surfaces as :class:`FilterEvalError`.
         """
         region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
-        if isinstance(row_filter, PageFilter):
-            row_filter.reset()
         self._charge_scan_io(region, ledger, start_row, stop_row,
                              families, columns)
 
@@ -265,11 +271,19 @@ class RegionServer:
         rows_visited = len(results)
         if row_filter is not None:
             evals_s = self._filter_cost_s(row_filter)
-            kept = [i for i, (row, cells) in enumerate(results)
-                    if self._filter_keeps(row_filter, evals_s, region_name,
-                                          row, cells, ledger)]
-            results = list(map(results.__getitem__, kept))
-            row_bytes = list(map(row_bytes.__getitem__, kept))
+            keep = row_filter.compile()
+            unread = iter(results)
+            try:
+                mask = list(starmap(keep, unread))
+            except Exception as exc:
+                # the iterator stopped just past the row that raised
+                evaluated = rows_visited - length_hint(unread)
+                ledger.charge_each(evals_s, evaluated, "hbase.filter_evals")
+                raise self._filter_error(
+                    exc, region_name, results[evaluated - 1][0]) from exc
+            ledger.charge_each(evals_s, rows_visited, "hbase.filter_evals")
+            results = list(compress(results, mask))
+            row_bytes = list(compress(row_bytes, mask))
         ledger.count("hbase.rows_visited", rows_visited)
         ledger.count("hbase.rows_returned", len(results))
         ledger.count("hbase.bytes_returned", sum(row_bytes))
@@ -279,23 +293,18 @@ class RegionServer:
         """What evaluating a pushed-down filter on one row costs."""
         return self.cost.cell_filter_cost_s * row_filter.cells_evaluated()
 
-    def _filter_keeps(self, row_filter: Filter, evals_s: float,
-                      region_name: str, row: bytes, cells: List[Cell],
-                      ledger: CostLedger) -> bool:
-        """Evaluate a pushed-down filter on one row, charging its
-        ``evals_s`` (:meth:`_filter_cost_s`, priced once per scan or batch)."""
-        ledger.charge(evals_s, "hbase.filter_evals")
-        try:
-            return row_filter.filter_row(row, cells)
-        except FilterEvalError:
-            raise
-        except Exception as exc:
-            # a broken pushed-down filter must not look like a server
-            # bug: surface it as retryable-without-the-filter
-            raise FilterEvalError(
-                f"server-side filter failed on {region_name} "
-                f"at row {row!r}: {exc}"
-            ) from exc
+    @staticmethod
+    def _filter_error(exc: Exception, region_name: str,
+                      row: bytes) -> FilterEvalError:
+        """What a pushed-down filter that raised on ``row`` surfaces as: a
+        broken filter must not look like a server bug, so anything but a
+        :class:`FilterEvalError` becomes one (retryable without the
+        filter)."""
+        if isinstance(exc, FilterEvalError):
+            return exc
+        return FilterEvalError(
+            f"server-side filter failed on {region_name} "
+            f"at row {row!r}: {exc}")
 
     def _charge_scan_io(
         self,
@@ -472,9 +481,18 @@ class RegionServer:
                         ledger.charge(seek_s)
                         seeks += 1
                 cells = found[i]
-                if not cells or get.filter is not None and not self._filter_keeps(
-                        get.filter, evals_s[id(get.filter)], region_name,
-                        keys[i], cells, ledger):
+                if cells and get.filter is not None:
+                    # a Get is its own one-row scan: its filter is compiled
+                    # for it, and charged between its seeks and the next's
+                    ledger.charge(evals_s[id(get.filter)], "hbase.filter_evals")
+                    try:
+                        kept = get.filter.compile()(keys[i], cells)
+                    except Exception as exc:
+                        raise self._filter_error(
+                            exc, region_name, keys[i]) from exc
+                    if not kept:
+                        cells = None
+                if not cells:
                     answers.append(([], 0))
                     continue
                 nbytes = sum(map(Cell.heap_size, cells))

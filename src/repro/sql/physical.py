@@ -229,9 +229,13 @@ class ScanExec(PhysicalPlan):
     """The batch-producing scan stage: a source's rows, then the fused
     filters and projection, in one partition pass.
 
-    A subclass says where the rows come from (:meth:`source_rdd`).  One
-    ``map_partitions`` pass per partition decodes them into batches once,
-    applies the scan's residual and every fused predicate as a column mask,
+    A subclass says where the rows come from (:meth:`source_rdd`).  A
+    source that can hand over column batches itself (``column_batches``,
+    an SHC scan decoding each page into columns) does; any other source's
+    rows are cut into batches (:func:`~repro.sql.columnar.batches_from_rows`),
+    at the same ``BATCH_SIZE`` boundaries.  One ``map_partitions`` pass per
+    partition then applies the scan's residual and every fused predicate
+    as a column mask,
     then evaluates the fused projection -- so each batch is traversed once
     per kernel instead of once per row per expression node.  ``columns``
     are the attributes the source produces; ``output`` stays ``columns``
@@ -282,10 +286,8 @@ class ScanExec(PhysicalPlan):
             ctx.metrics.incr("engine.vectorized.fused_operators", len(self.fused),
                              self.op_id)
 
-        def scan_batches(rows, task_ctx):
-            for batch in _metered(self,
-                                  C.batches_from_rows(rows, width, batch_size),
-                                  task_ctx, per_row):
+        def scan_batches(batches, task_ctx):
+            for batch in _metered(self, batches, task_ctx, per_row):
                 for kernel in cond_kernels:
                     if batch.num_rows:
                         mask = kernel(batch.columns, batch.num_rows)
@@ -296,7 +298,14 @@ class ScanExec(PhysicalPlan):
                         [k(batch.columns, n) for k in proj_kernels], n)
                 yield batch
 
-        return self.source_rdd(ctx).map_partitions(scan_batches)
+        source = self.source_rdd(ctx)
+        column_batches = getattr(source, "column_batches", None)
+        if column_batches is not None:
+            batches = column_batches(batch_size)
+        else:
+            batches = source.map_partitions(
+                lambda rows, task_ctx: C.batches_from_rows(rows, width, batch_size))
+        return batches.map_partitions(scan_batches)
 
     def _fused_note(self) -> str:
         return f", fused={'+'.join(self.fused[1:])}" if len(self.fused) > 1 else ""

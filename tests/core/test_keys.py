@@ -193,6 +193,59 @@ def test_codec_counts_are_what_the_connector_charges(case):
     assert scanned.metrics.get("shc.cells_decoded") == total_cells
 
 
+def row_by_row(decode, page):
+    """The row decoder over a page, as the page decoder reports it: one
+    list per column and the cells summed -- or the first error raised."""
+    try:
+        decoded = [decode(row_key, cells) for row_key, cells in page]
+    except CoderError as exc:
+        return CoderError, str(exc)
+    width = len(decoded[0][0]) if decoded else 0
+    columns = [[values[i] for values, __ in decoded] for i in range(width)]
+    return columns, sum(ncells for __, ncells in decoded)
+
+
+def page_at_once(decode_page, page):
+    try:
+        return decode_page(page)
+    except CoderError as exc:
+        return CoderError, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_formats(key_shapes=("a:b:c", "a:e:g", "a", "e", "c")), st.data())
+def test_page_decoder_equals_the_row_decoder(case, data):
+    """Over drawn pages -- all three coders, single and composite keys,
+    rows missing columns, older versions listed after the newest, and now
+    and then one malformed key -- decoding a page at once equals decoding
+    it row by row: every value, the cells counted, or the same
+    :class:`CoderError`."""
+    catalog_json, schema, rows = case
+    codec = RowCodec(HBaseTableCatalog.from_json(catalog_json))
+    names = schema.names
+    encode = codec.encoder(names)
+    page = []
+    for row in rows:
+        cells = encode(row)[0].to_cells(5)
+        if data.draw(st.booleans(), label="older versions"):
+            cells = sorted(
+                cells + [Cell(c.row, c.family, c.qualifier, 4 - v, b"stale%d" % v)
+                         for c in cells for v in range(2)],
+                key=Cell.sort_key)
+        page.append((cells[0].row, cells))
+    if data.draw(st.booleans(), label="one malformed key"):
+        i = data.draw(st.integers(0, len(page) - 1), label="row")
+        row_key, cells = page[i]
+        row_key = data.draw(st.sampled_from([row_key[:-1], row_key + b"\x01"]),
+                            label="malformed")
+        page[i] = (row_key, cells)
+    columns = data.draw(st.lists(st.sampled_from(names), max_size=len(names)),
+                        label="columns")
+    assert page_at_once(codec.page_decoder(columns), page) \
+        == row_by_row(codec.decoder(columns), page)
+    assert codec.page_decoder(columns)([]) == ([[] for __ in columns], 0)
+
+
 _MALFORMED = {
     # coder: (an int cell, a string cell) no value encodes to
     "PrimitiveType": (b"\x00\x00\x01", b"\xff\xfe"),

@@ -141,14 +141,49 @@ def test_filter_columns_exposed_on_rdd(loaded):
     assert ("cf2", "b") in rdd.filter_columns
 
 
+def test_limit_closing_a_scan_inside_a_page_pays_for_the_rows_handed_on(
+        linked, monkeypatch):
+    """7-row pages, 10-row batches: ``LIMIT 13`` stops the scan after its
+    second batch, which ends at row 19, inside the page of rows 14-20.  The
+    scan pays for the 20 rows it handed on, not for the page it stopped in.
+    The numbers are pinned from the row-at-a-time decoder this scan path
+    replaced (60 cells = 20 rows of a key and two columns; a charge per
+    page would read 63)."""
+    from repro.sql import columnar as C
+
+    cluster, session = linked
+    monkeypatch.setattr(C, "BATCH_SIZE", 10)
+    opts = {
+        HBaseTableCatalog.tableCatalog: CATALOG,
+        HBaseTableCatalog.newTable: "1",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    session.create_dataframe([(i, "a%d" % i, i * i) for i in range(60)],
+                             SCHEMA).write.format(DEFAULT_FORMAT).options(opts).save()
+    cluster.flush_table("s")
+    read = dict(opts, **{HBaseSparkConf.CACHED_ROWS: "7"})
+    result = session.read.format(DEFAULT_FORMAT).options(read).load() \
+        .limit(13).run()
+    assert [tuple(r) for r in result.rows] == [
+        (i, "a%d" % i, i * i) for i in range(13)]
+    assert result.metrics.get("shc.cells_decoded") == 60
+    assert result.metrics.get("engine.vectorized.rows") == 20
+    assert result.metrics.get("hbase.rpcs") == 9
+    assert repr(result.seconds) == "2.2351058333333333"
+    assert [repr(stage.duration_s) for stage in result.stages] == [
+        "0.6141058333333334", "0.421"]
+
+
 #: Python calls inside ``repro.core`` + ``repro.hbase`` that one more scanned
 #: row may cost, end to end.  Measured when the scan path went block-wise and
 #: the codec bound its plan: 13.01, down from 52.05; when a row with nothing
 #: to resolve became a slice of its store file's row index and the scan RDD
-#: began reading whole pages: 5.99, down from 10.99.  The budget leaves a
-#: fifth of headroom, rounded up.  A helper per cell or per row shows up here
-#: as +1 or more -- raise the number only with a measurement that pays for it.
-CALLS_PER_ROW_BUDGET = 8
+#: began reading whole pages: 5.99, down from 10.99; when the scan RDD began
+#: decoding each page straight into columns: 3.99 (two cell decoders and the
+#: two cells' sizes in the file's row index).  The budget leaves a fifth of
+#: headroom, rounded up.  A helper per cell or per row shows up here as +1
+#: or more -- raise the number only with a measurement that pays for it.
+CALLS_PER_ROW_BUDGET = 5
 
 
 def test_marginal_python_calls_per_scanned_row(linked):

@@ -1,8 +1,12 @@
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hbase.cell import Cell
 from repro.hbase.filters import (
     CompareOp,
+    Filter,
     FilterList,
     FilterListOp,
     PageFilter,
@@ -91,3 +95,95 @@ def test_page_filter_limits_rows():
 def test_page_filter_rejects_bad_size():
     with pytest.raises(ValueError):
         PageFilter(0)
+
+
+def test_compare_op_functions_are_the_operators():
+    import operator
+
+    assert [op.function for op in CompareOp] == [
+        operator.lt, operator.le, operator.eq, operator.ne, operator.ge,
+        operator.gt]
+
+
+# -- referee: a compiled filter is its filter_row ------------------------------
+
+_COLUMNS = [("f", "a"), ("f", "b"), ("g", "a")]
+_VALUES = st.binary(max_size=2)
+#: now and then a comparator that cannot be ordered against bytes, so that
+#: a comparison raises ``TypeError`` on the rows that reach it
+_COMPARATORS = _VALUES | st.just(7)
+
+
+def _leaves():
+    column = st.sampled_from(_COLUMNS)
+    return st.one_of(
+        st.builds(lambda fq, op, value, missing: SingleColumnValueFilter(
+                      fq[0], fq[1], op, value, filter_if_missing=missing),
+                  column, st.sampled_from(CompareOp), _COMPARATORS,
+                  st.booleans()),
+        st.builds(RowFilter, st.sampled_from(CompareOp), _COMPARATORS),
+        st.builds(PrefixFilter, st.binary(max_size=1)),
+        st.builds(PageFilter, st.integers(1, 4)),
+    )
+
+
+_FILTERS = st.recursive(
+    _leaves(),
+    lambda children: st.builds(FilterList, st.sampled_from(FilterListOp),
+                               st.lists(children, min_size=1, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _rows(draw):
+    """Rows in KeyValue order: each column absent, or 1-3 versions, newest
+    first."""
+    rows = []
+    for row in sorted(draw(st.sets(st.binary(max_size=2), max_size=8))):
+        cells = []
+        for family, qualifier in _COLUMNS:
+            for ts in range(draw(st.integers(0, 3)), 0, -1):
+                cells.append(Cell(row, family, qualifier, ts, draw(_VALUES)))
+        rows.append((row, cells))
+    return rows
+
+
+def _outcomes(keep, rows):
+    """What ``keep`` answers row by row, up to the row it raises on."""
+    answers = []
+    for row, cells in rows:
+        try:
+            answers.append(keep(row, cells))
+        except Exception as exc:
+            answers.append((type(exc), str(exc)))
+            break
+    return answers
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FILTERS, _rows())
+def test_compiled_filter_is_filter_row(row_filter, rows):
+    """Over drawn AND/OR trees of every compare op, row/prefix/page filters,
+    missing columns and ``filter_if_missing`` both ways: a fresh filter's
+    ``compile()`` keeps exactly what its ``filter_row`` keeps, row by row,
+    and raises on the same row with the same error."""
+    fresh = copy.deepcopy(row_filter)
+    assert _outcomes(fresh.compile(), rows) \
+        == _outcomes(row_filter.filter_row, rows)
+
+
+def test_a_filter_that_only_has_filter_row_compiles_to_it():
+    class Odd(Filter):
+        def filter_row(self, row, cells):
+            return len(row) % 2 == 1
+
+    keep = FilterList(FilterListOp.MUST_PASS_ONE, [Odd()]).compile()
+    assert [keep(row, []) for row in (b"a", b"ab")] == [True, False]
+
+
+def test_each_compiled_page_filter_counts_from_zero():
+    nested = FilterList(FilterListOp.MUST_PASS_ALL, [PageFilter(2)])
+    for __ in range(2):
+        keep = nested.compile()
+        assert [keep(row, []) for row in (b"a", b"b", b"c")] \
+            == [True, True, False]

@@ -1,9 +1,12 @@
 import pytest
 
-from repro.common.errors import HBaseError, RegionOfflineError
+from repro.common.errors import FilterEvalError, HBaseError, RegionOfflineError
 from repro.common.metrics import CostLedger
 from repro.hbase import ConnectionFactory, Get, Put, Scan
-from repro.hbase.filters import CompareOp, SingleColumnValueFilter
+from repro.hbase.filters import (
+    CompareOp, Filter, FilterList, FilterListOp, PageFilter,
+    SingleColumnValueFilter,
+)
 
 
 @pytest.fixture
@@ -52,6 +55,46 @@ def test_filter_reduces_rows_returned_not_bytes_scanned(loaded):
     # the server still reads the same blocks -- pushdown saves transfer/decode
     assert filtered.metrics.get("hbase.bytes_scanned") == \
         unfiltered.metrics.get("hbase.bytes_scanned")
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_page_filter_counts_per_scan_nested_or_not(loaded, nested):
+    """Regression: a PageFilter inside a FilterList kept its count from one
+    region scan to the next, so the second scan of a region returned no
+    rows at all."""
+    cluster, table, location = loaded
+    server = cluster.region_servers[location.server_id]
+    page = PageFilter(3)
+    row_filter = FilterList(FilterListOp.MUST_PASS_ALL, [page]) if nested else page
+    for __ in range(2):
+        rows, __ = server.scan(location.region_name, row_filter=row_filter)
+        assert [row for row, __ in rows] == [b"r00", b"r01", b"r02"]
+
+
+def test_a_failing_filter_is_charged_through_the_row_it_failed_on(loaded):
+    """The rows up to and including the one a filter raises on are charged,
+    each its own addition in row order, then the error surfaces as
+    FilterEvalError naming that row."""
+    cluster, table, location = loaded
+    server = cluster.region_servers[location.server_id]
+
+    class FailsAtFive(Filter):
+        def filter_row(self, row, cells):
+            if row == b"r05":
+                raise ValueError("bad row")
+            return True
+
+    plain, failed = CostLedger(), CostLedger()
+    server.scan(location.region_name, ledger=plain)
+    with pytest.raises(FilterEvalError, match="r05.*bad row"):
+        server.scan(location.region_name, row_filter=FailsAtFive(),
+                    ledger=failed)
+    expected = plain.seconds
+    for __ in range(6):
+        expected += server.cost.cell_filter_cost_s
+    assert repr(failed.seconds) == repr(expected)
+    assert failed.metrics.get("hbase.filter_evals") == 6
+    assert failed.metrics.get("hbase.rows_returned") == 0
 
 
 def test_get_uses_bloom_probes(loaded):

@@ -601,10 +601,10 @@ class Table:
         It starts at ``location`` when given (a planned location, which may
         be a replica), else at the region holding ``scan.start_row``, and
         serves each region in ``scan.caching``-row pages, consulting
-        ``hbase.scan_stream`` before each.  A region stream that ends, or
-        whose reader closes it, bills every page the server answered in one
-        :meth:`_charge_rpc`; one cut by a fault bills the pages delivered
-        before the cut.
+        ``hbase.scan_stream`` before each.  A region stream bills the pages
+        it handed out, and the bytes of their rows, in one
+        :meth:`_charge_rpc`: every page when it ends, fewer when its reader
+        closes it early or a fault cuts it.
 
         It resumes after the last row received, so no row is lost or
         repeated.  After ``RegionOfflineError`` / ``TransientRpcError`` a
@@ -662,9 +662,6 @@ class Table:
                             page = list(compress(
                                 page, starmap(client_filter, page)))
                         yield page
-                except GeneratorExit:
-                    delivered = pages
-                    raise
                 finally:
                     if delivered:
                         received = min(delivered * caching, len(rows))

@@ -94,19 +94,13 @@ def _leaf_stats(store: StatsStore, leaf: L.LogicalPlan,
     return stats
 
 
-def estimator_for(stats, plan: L.LogicalPlan, metrics=None,
-                  pricing_views: bool = False) -> Optional["CardinalityEstimator"]:
-    """The estimator of one planning pass over ``plan``, or None when the
-    pass has no use for one: nothing in it is decided by cost (no join to
-    order, size or reduce, and no materialized view to price, which is what
-    ``pricing_views`` says), or no leaf of it has statistics.
-
-    ``stats`` is the session's :class:`StatsStore` -- or the estimator an
-    earlier phase of the same pass already got from here, handed back as
-    is, so the optimizer, the view pricer and the planner share one memo.
-    """
-    if stats is None or isinstance(stats, CardinalityEstimator):
-        return stats
+def statistics_decide(store: StatsStore, plan: L.LogicalPlan,
+                      pricing_views: bool = False,
+                      absent: Optional[Set[str]] = None) -> bool:
+    """Whether cost decides anything in ``plan``: it has a join to order,
+    size or reduce, or a materialized view to price (``pricing_views``), and
+    some leaf of it has statistics.  Leaves found to have none land in
+    ``absent``.  The plan cache asks this too: what it decides is not cached."""
     # one walk, on every statement's way to a plan: keep it to a loop
     leaves, cost_based, stack = [], pricing_views, [plan]
     while stack:
@@ -116,10 +110,24 @@ def estimator_for(stats, plan: L.LogicalPlan, metrics=None,
         elif isinstance(node, L.Join):
             cost_based = True
         stack.extend(node.children)
-    if not cost_based:
-        return None
+    absent = set() if absent is None else absent
+    return cost_based and any(
+        _leaf_stats(store, leaf, absent) is not None for leaf in leaves)
+
+
+def estimator_for(stats, plan: L.LogicalPlan, metrics=None,
+                  pricing_views: bool = False) -> Optional["CardinalityEstimator"]:
+    """The estimator of one planning pass over ``plan``, or None when
+    :func:`statistics_decide` finds nothing in it that cost decides.
+
+    ``stats`` is the session's :class:`StatsStore` -- or the estimator an
+    earlier phase of the same pass already got from here, handed back as
+    is, so the optimizer, the view pricer and the planner share one memo.
+    """
+    if stats is None or isinstance(stats, CardinalityEstimator):
+        return stats
     absent: Set[str] = set()
-    if not any(_leaf_stats(stats, leaf, absent) is not None for leaf in leaves):
+    if not statistics_decide(stats, plan, pricing_views, absent):
         return None
     return CardinalityEstimator(stats, metrics, absent)
 

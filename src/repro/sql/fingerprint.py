@@ -124,6 +124,7 @@ class CachedPlan(NamedTuple):
     analyzed: L.LogicalPlan  # both still hold their bind slots
     optimized: L.LogicalPlan
     summary: str  # "3 slots" / "2 slots; pinned: LIMIT", for EXPLAIN
+    joins: bool  # a join, which statistics that appear later decide
 
 
 class BoundPlan:

@@ -37,38 +37,53 @@ from repro.sql.vectorized import insert_transitions
 UNKNOWN_SIZE = 1 << 60
 
 
-def estimate_plan_size(plan: L.LogicalPlan) -> int:
-    """Coarse cardinality/size propagation (Catalyst statistics-lite)."""
+def estimate_plan_size(plan: L.LogicalPlan, memo: Optional[dict] = None) -> int:
+    """Coarse cardinality/size propagation (Catalyst statistics-lite).
+
+    ``memo`` is a planning pass's: one size per node and one
+    ``size_in_bytes()`` per relation, however many joins ask."""
+    if memo is None:
+        memo = {}
+    known = memo.get(id(plan))
+    if known is None:  # the entry holds the node, which pins its id
+        known = memo[id(plan)] = (plan, _plan_size(plan, memo))
+    return known[1]
+
+
+def _plan_size(plan: L.LogicalPlan, memo: dict) -> int:
     if isinstance(plan, L.LogicalRelation):
-        size = plan.relation.size_in_bytes()
+        relation = plan.relation
+        if id(relation) not in memo:
+            memo[id(relation)] = (relation, relation.size_in_bytes())
+        size = memo[id(relation)][1]
         return size if size is not None else UNKNOWN_SIZE
     if isinstance(plan, L.LocalRelation):
         from repro.engine.shuffle import estimate_size
 
         return sum(estimate_size(r) for r in plan.rows) + 1
     if isinstance(plan, L.Filter):
-        return max(1, estimate_plan_size(plan.children[0]) // 4)
+        return max(1, estimate_plan_size(plan.children[0], memo) // 4)
     if isinstance(plan, L.Project):
         child = plan.children[0]
-        child_size = estimate_plan_size(child)
+        child_size = estimate_plan_size(child, memo)
         if child_size >= UNKNOWN_SIZE:
             return UNKNOWN_SIZE
         width_ratio = max(1, len(plan.output)) / max(1, len(child.output))
         return max(1, int(child_size * min(1.0, width_ratio)))
     if isinstance(plan, L.Aggregate):
-        child_size = estimate_plan_size(plan.children[0])
+        child_size = estimate_plan_size(plan.children[0], memo)
         if child_size >= UNKNOWN_SIZE:
             return UNKNOWN_SIZE
         return max(1, child_size // 5)
     if isinstance(plan, L.Join):
-        sizes = [estimate_plan_size(c) for c in plan.children]
+        sizes = [estimate_plan_size(c, memo) for c in plan.children]
         if any(s >= UNKNOWN_SIZE for s in sizes):
             return UNKNOWN_SIZE
         return sum(sizes)
     if isinstance(plan, L.Limit):
-        return min(estimate_plan_size(plan.children[0]), plan.n * 64 + 1)
+        return min(estimate_plan_size(plan.children[0], memo), plan.n * 64 + 1)
     if plan.children:
-        sizes = [estimate_plan_size(c) for c in plan.children]
+        sizes = [estimate_plan_size(c, memo) for c in plan.children]
         if any(s >= UNKNOWN_SIZE for s in sizes):
             return UNKNOWN_SIZE
         return sum(sizes)
@@ -103,6 +118,8 @@ class Planner:
         #: resolved to the pass's estimator (or None) by the first plan() call
         self._stats = stats
         self.estimator = None
+        #: this pass's memo of estimate_plan_size
+        self._sizes: dict = {}
         #: adaptive query execution (docs/adaptive.md), the one place the
         #: option is read: a non-broadcast equi-join plans as an
         #: AdaptiveJoinExec, which settles its strategy from measured sizes,
@@ -282,8 +299,8 @@ class Planner:
         left_keys, right_keys, residual = _extract_equi_keys(
             node.condition, left_ids, right_ids
         )
-        left_size = estimate_plan_size(node.left)
-        right_size = estimate_plan_size(node.right)
+        left_size = estimate_plan_size(node.left, self._sizes)
+        right_size = estimate_plan_size(node.right, self._sizes)
 
         # cost-based sizing: confident ANALYZE-backed estimates override the
         # syntactic heuristic for the broadcast decision below

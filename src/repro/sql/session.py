@@ -24,7 +24,7 @@ from repro.common.tracing import NOOP_SPAN, Span
 from repro.engine.cluster import ComputeCluster, YarnResourceManager
 from repro.engine.scheduler import StageInfo, TaskScheduler
 from repro.sql.analyzer import Analyzer, Catalog
-from repro.sql.cbo import estimator_for
+from repro.sql.cbo import estimator_for, statistics_decide
 from repro.sql.dataframe import DataFrame
 from repro.sql.fingerprint import (
     BoundPlan, CachedPlan, PlanCache, bind_plan, bind_slots, statement_shape,
@@ -212,8 +212,8 @@ class SparkSession:
         Lexed once, then looked up in the plan cache by shape (docs/caching.md,
         "Plan cache"): on a hit nothing is parsed, analyzed or optimized, the
         frame carries the cached plan and this statement's values.  Never
-        cached, by rule: commands, plans with a join, sessions with a view
-        context -- what size, statistics or freshness decide.
+        cached, by rule: commands, sessions with a view context, and joins
+        over tables with statistics -- what freshness or cost decide.
         """
         tokens = tokenize(text)
         if params or "?" in text:
@@ -233,18 +233,19 @@ class SparkSession:
         values = [t.value for t in tokens]
         if pinned is not None:
             entry = cache.get((shape, pinned, tuple([values[i] for i in pinned])))
-            if entry is not None:
+            if entry is not None and not (entry.joins and statistics_decide(
+                    self.stats, entry.analyzed)):  # statistics appeared since
                 metrics.incr("sql.plancache.hits")
                 return DataFrame(self, BoundPlan(entry, values),
                                  cache_note="hit, " + entry.summary)
         analyzed = self.analyze(Parser(tokens, slots=True).parse_query())
-        if analyzed.collect_nodes(lambda n: isinstance(n, Join)):
-            cache.put(shape, "join")
+        if statistics_decide(self.stats, analyzed):
+            cache.put(shape, "statistics")
             metrics.incr("sql.plancache.uncacheable")
             return DataFrame(self, bind_plan(analyzed, values),
-                             cache_note="miss (join)")
+                             cache_note="miss (statistics)")
         metrics.incr("sql.plancache.misses")
-        optimized = optimize(analyzed)  # plan_query's call: no join, no views
+        optimized = optimize(analyzed)  # plan_query's call: no views, no cost
         # a slot no rule read or dropped is a parameter; the others' values
         # join the key, at every position ever pinned for this shape
         slots = {s.index for s in bind_slots(optimized) if not s.read}
@@ -256,7 +257,8 @@ class SparkSession:
             summary += "; pinned: " + ", ".join(dict.fromkeys(  # named by
                 next(t.text.upper() for t in tokens[i::-1]  # the keyword before
                      if t.kind == "keyword") for i in pinned))
-        entry = CachedPlan(analyzed, optimized, summary)
+        entry = CachedPlan(analyzed, optimized, summary, bool(
+            analyzed.collect_nodes(lambda n: isinstance(n, Join))))
         cache.put(shape, pinned)
         cache.put((shape, pinned, tuple([values[i] for i in pinned])), entry)
         return DataFrame(self, BoundPlan(entry, values),
@@ -440,11 +442,14 @@ class SparkSession:
         the session runs the optimizer and the planner.  For ``sql``'s
         :class:`BoundPlan` optimizing is binding the cached plan; the planner
         always runs: there values meet the source (pushdown, ranges, pruning)."""
-        if isinstance(plan, BoundPlan) and self._view_manager is not None:
-            plan = plan.analyzed()  # a view statement ran since sql() did
+        if isinstance(plan, BoundPlan) and (
+                self._view_manager is not None or plan.entry.joins
+                and statistics_decide(self.stats, plan.entry.analyzed)):
+            # a view statement ran, or statistics appeared, since sql() did
+            plan = plan.analyzed()
         bound = isinstance(plan, BoundPlan)
         views_ctx = estimator = metrics = None
-        if not bound:  # a bound plan has no join and the session no views
+        if not bound:  # no statistics decide a bound plan, no views price it
             views_ctx = self.view_rewrite_context()
             estimator = estimator_for(self.stats, plan,
                                       pricing_views=views_ctx is not None)

@@ -145,10 +145,11 @@ def test_limit_closing_a_scan_inside_a_page_pays_for_the_rows_handed_on(
         linked, monkeypatch):
     """7-row pages, 10-row batches: ``LIMIT 13`` stops the scan after its
     second batch, which ends at row 19, inside the page of rows 14-20.  The
-    scan pays for the 20 rows it handed on, not for the page it stopped in.
-    The numbers are pinned from the row-at-a-time decoder this scan path
-    replaced (60 cells = 20 rows of a key and two columns; a charge per
-    page would read 63)."""
+    decoder pays for the 20 rows it handed on, not for the page it stopped
+    in (60 cells = 20 rows of a key and two columns; a charge per page would
+    read 63).  The region stream bills the three pages it handed out, not
+    the nine the server answered."""
+    from repro.common.cost import DEFAULT_COST_MODEL as cost
     from repro.sql import columnar as C
 
     cluster, session = linked
@@ -168,10 +169,20 @@ def test_limit_closing_a_scan_inside_a_page_pays_for_the_rows_handed_on(
         (i, "a%d" % i, i * i) for i in range(13)]
     assert result.metrics.get("shc.cells_decoded") == 60
     assert result.metrics.get("engine.vectorized.rows") == 20
-    assert result.metrics.get("hbase.rpcs") == 9
-    assert repr(result.seconds) == "2.2351058333333333"
+    # a row's cells carry 46 bytes while "a%d" has two characters, 47 after;
+    # the server answered all 60 rows, the stream handed out rows 0-20
+    assert result.metrics.get("hbase.bytes_returned") == 10 * 46 + 50 * 47
+    handed = 10 * 46 + 11 * 47
+    assert result.metrics.get("hbase.rpcs") == 3
+    assert result.metrics.get("hbase.local_ipc_bytes") == handed == 977
+    # billing every page on close cost 9 RPCs and 2810 bytes: 2.2351058333...
+    # s, its scan stage 0.6141058333... s; both fall by the six pages unread
+    unread_s = 6 * cost.rpc_latency_s \
+        + (10 * 46 + 50 * 47 - handed) / cost.local_ipc_bytes_per_sec
+    assert result.seconds == pytest.approx(2.2351058333333333 - unread_s)
+    assert repr(result.seconds) == "2.1996495833333336"
     assert [repr(stage.duration_s) for stage in result.stages] == [
-        "0.6141058333333334", "0.421"]
+        "0.5786495833333334", "0.421"]
 
 
 #: Python calls inside ``repro.core`` + ``repro.hbase`` that one more scanned

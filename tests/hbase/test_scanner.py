@@ -269,15 +269,20 @@ def test_table_scan_and_the_scan_rdd_return_the_same_rows(linked):
         [(i, f"v{i}") for i in range(lo, hi)]
 
 
-def test_a_closed_scanner_bills_every_page_the_server_answered():
+def test_a_closed_scanner_bills_only_the_pages_it_handed_out():
     """A reader that stops early (a LIMIT) closes the scanner: the region it
-    was reading bills all its pages, as the clean lump does, and the
-    regions it never reached bill nothing."""
+    was reading bills the one page of its four it handed out, and the bytes
+    of that page's rows; the regions it never reached bill nothing."""
     cluster, table = loaded_table(60, split_keys=[b"r020", b"r040"])
     ledger = CostLedger()
     scanner = table.get_scanner(Scan().set_caching(5), ledger)
     assert next(scanner).row == b"r000"
     assert ledger.metrics.get("hbase.rpcs") == 0  # billed when it ends
     scanner.close()
-    assert ledger.metrics.get("hbase.rpcs") == 4
-    assert ledger.metrics.get("hbase.rows_returned") == 20
+    assert ledger.metrics.get("hbase.rpcs") == 1
+    assert ledger.metrics.get("hbase.rows_returned") == 20  # the server's
+    region = cluster.get_region(cluster.region_locations("t")[0].region_name)
+    page_bytes = sum(region.scan_rows()[1][:5])
+    billed = ledger.metrics.get("hbase.local_ipc_bytes") \
+        + ledger.metrics.get("hbase.network_bytes")
+    assert billed == page_bytes < ledger.metrics.get("hbase.bytes_returned")

@@ -9,6 +9,7 @@ equal rows, equal simulated seconds, equal per-query counters and an equal
 physical plan (attribute ids canonicalised), or the same error.
 """
 
+import os
 import random
 import re
 import sys
@@ -20,10 +21,12 @@ from repro.common.errors import ReproError
 from repro.common.faults import (
     FAULT_RPC, FAULT_SCAN_STREAM, FaultInjector, crash_region_server,
 )
+from repro.hbase.cluster import HBaseCluster
 from repro.sql import dbapi
+from repro.sql.fingerprint import statement_shape
 from repro.sql.parser import parse, tokenize
 from repro.sql.types import IntegerType, StringType, StructField, StructType
-from repro.workloads import load_tpcds
+from repro.workloads import load_tpcds, q38, q39a, q39b
 from tests.differential.strategies import CHAOS_READER_OPTIONS, CHAOS_SEEDS
 
 TABLES = ["item", "inventory", "customer", "date_dim"]
@@ -80,14 +83,19 @@ def warm(env):
     return env.new_session()
 
 
+def connected(environment, tables):
+    """``environment`` once each of its ``tables`` has been scanned, so that
+    every executor's connection exists in its cluster's cache and no
+    statement under test is the one that pays for setting it up."""
+    warmup = environment.new_session()
+    for table in tables:
+        warmup.sql(f"select * from {table}").run()
+    return environment
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _module_cluster_warm(env):
-    """Scan each table once, so that every executor's connection exists in
-    the module cluster's cache and no statement under test is the one that
-    pays for setting it up."""
-    warmup = env.new_session()
-    for table in TABLES:
-        warmup.sql(f"select * from {table}").run()
+    connected(env, TABLES)
 
 
 # -- generated statements ----------------------------------------------------------
@@ -118,19 +126,20 @@ ATOMS = st.sampled_from([
 ])
 
 
+def predicate(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return draw(ATOMS)
+    joiner = draw(st.sampled_from([" and ", " or "]))
+    inner = predicate(draw, depth - 1) + joiner + predicate(draw, depth - 1)
+    return "not (" + inner + ")" if draw(st.booleans()) else "(" + inner + ")"
+
+
 @st.composite
 def templates(draw):
-    def predicate(depth):
-        if depth == 0 or draw(st.booleans()):
-            return draw(ATOMS)
-        joiner = draw(st.sampled_from([" and ", " or "]))
-        inner = predicate(depth - 1) + joiner + predicate(depth - 1)
-        return "not (" + inner + ")" if draw(st.booleans()) else "(" + inner + ")"
-
     select = draw(st.sampled_from([
         "d_date_sk, d_date, d_moy", "d_date_sk", "d_date_sk + {m}, d_moy",
         "d_moy, {m} as c, d_date_sk"]))
-    text = f"select {select} from date_dim where " + predicate(2)
+    text = f"select {select} from date_dim where " + predicate(draw)
     if draw(st.booleans()):
         text += " order by 1"
     if draw(st.booleans()):
@@ -138,8 +147,36 @@ def templates(draw):
     return text
 
 
+INV_DATE = "inventory join date_dim on inv_date_sk = d_date_sk"
+INV_DATE_ITEM = INV_DATE + " join item on inv_item_sk = i_item_sk"
+
+
 @st.composite
-def template_and_values(draw):
+def join_templates(draw):
+    """The joins of the paper's queries, with filter slots: a two-table
+    equi-join, q39's self-join of one aggregated join, and q38's INTERSECT
+    of DISTINCT joins."""
+    shape = draw(st.sampled_from(["join", "self-join", "intersect"]))
+    if shape == "join":
+        return ("select d_moy, count(*) as c, sum(inv_quantity_on_hand) as q "
+                f"from {INV_DATE} where " + predicate(draw)
+                + " and inv_quantity_on_hand > {n} group by d_moy order by 1")
+    if shape == "self-join":
+        def month():
+            return ("(select inv_item_sk as i, d_moy, avg(inv_quantity_on_hand) "
+                    f"as mean from {INV_DATE_ITEM} where d_moy = {{m}} and "
+                    "inv_date_sk between {k} and {k} + 400 "
+                    "group by inv_item_sk, d_moy)")
+        return (f"select a.i, a.d_moy, a.mean, b.d_moy, b.mean from {month()} a "
+                f"join {month()} b on a.i = b.i where a.mean > {{n}} * 20 "
+                "order by 1")
+    return "select count(*) as hot from (" + " intersect ".join(
+        f"select distinct i_category, d_moy from {INV_DATE_ITEM} where "
+        + predicate(draw, 1) for __ in range(3)) + ") t"
+
+
+@st.composite
+def template_and_values(draw, templates=templates):
     template = draw(templates())
     holes = re.findall(r"\{(\w)\}", template)
     fill = lambda: [draw(HOLES[h]) for h in holes]
@@ -158,6 +195,19 @@ def test_generated_statements_agree_with_the_referee(env, warm, case):
     for values in (first, second):
         text = render(template, values)
         assert cached(warm, text) == uncached(env.new_session(), text), text
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=template_and_values(join_templates))
+def test_generated_joins_agree_with_the_referee(env, warm, case):
+    template, first, second = case
+    for values in (first, second):
+        text = render(template, values)
+        got = cached(warm, text)
+        assert got == uncached(env.new_session(), text), text
+    if isinstance(got, dict):  # planned, so taken by the cache
+        assert isinstance(warm._plan_cache.get(
+            statement_shape(tokenize(text))), tuple), text
 
 
 def test_empty_range_duplicate_keys_and_keys_outside_every_region(env, warm):
@@ -234,6 +284,61 @@ def test_second_execution_enters_the_front_end_for_lexing_only(env):
         assert set(calls) == {"tokenize", "__init__"}, calls
         assert len(calls) == 1 + len(tokenize(text))
         assert len(calls) <= 40
+
+
+# -- the paper's queries --------------------------------------------------------------
+
+PAPER_TABLES = ["inventory", "date_dim", "item", "warehouse", "store_sales",
+                "catalog_sales", "web_sales", "customer"]
+
+
+@pytest.fixture(scope="module")
+def paper():
+    return connected(load_tpcds(2, PAPER_TABLES), PAPER_TABLES)
+
+
+def test_the_paper_queries_hit_and_agree(paper):
+    session = paper.new_session()
+    for query in (q39a(), q39b(), q38()):
+        for __ in range(3):
+            assert cached(session, query) == uncached(paper.new_session(), query)
+    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (3, 6)
+
+
+def test_a_q39a_hit_is_lexed_only_and_sizes_each_table_once(paper, monkeypatch):
+    """What caching a join saves, as counts.  On a hit no Python call lands
+    in the analyzer or the optimizer, and the parser is entered only to lex
+    (one ``tokenize``, one ``Token`` per token).  The planner, which runs on
+    every execution, asks the cluster for each table's size once per pass:
+    26 times over q39a's four tables when every join sized its subtrees
+    afresh."""
+    session = paper.new_session()
+    text = q39a()
+    session.sql(text).run()
+    calls = []
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.endswith(
+                ("sql/parser.py", "sql/analyzer.py", "sql/optimizer.py")):
+            calls.append((os.path.basename(code.co_filename), code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        session.sql(text).run()
+    finally:
+        sys.setprofile(None)
+    assert hits(session) == 1
+    assert set(calls) == {("parser.py", "tokenize"), ("parser.py", "__init__")}
+    assert len(calls) == 1 + len(tokenize(text))
+
+    sized = []
+    size_of = HBaseCluster.table_size_bytes
+    monkeypatch.setattr(HBaseCluster, "table_size_bytes",
+                        lambda cluster, name: sized.append(name)
+                        or size_of(cluster, name))
+    session.plan_query(session.sql(text).query)
+    assert sorted(sized) == ["date_dim", "inventory", "item", "warehouse"]
 
 
 # -- parameters ---------------------------------------------------------------------
@@ -325,20 +430,40 @@ def test_a_conf_write_is_seen_by_the_next_statement(env):
     assert hits(session) == 0 and cached(session, text) == after
 
 
-def test_a_join_is_never_cached_and_analyze_changes_its_plan(env):
-    session, referee = env.new_session(), env.new_session()
+@pytest.mark.parametrize("analyst", ["this session", "a second session"])
+def test_a_join_is_cached_until_statistics_decide_its_plan(analyst):
+    """A join over tables without statistics is cached like any statement:
+    the optimizer reads no size, and the planner, which does, runs on every
+    execution.  Once statistics exist -- ANALYZEd in this session, or
+    persisted with the tables by another session on the cluster -- they
+    decide the join's order, sizes and key filters: a fresh frame and a
+    frame made before them both plan uncached, and the shape says so."""
+    tables = ["inventory", "date_dim"]
+    environment = connected(load_tpcds(2, tables), tables)
+    session, referee = environment.new_session(), environment.new_session()
     text = ("select d_moy, count(*) from inventory join date_dim on "
             "inv_date_sk = d_date_sk where d_moy = 3 group by d_moy")
-    assert cached(session, text) == uncached(referee, text)
-    for s in (session, referee):
+    first = cached(session, text)
+    assert first == uncached(referee, text)
+    assert cached(session, text) == first and hits(session) == 1
+    held = session.sql(text)
+    assert hits(session) == 2
+    assert not any(name.startswith("sql.cbo.") for name in first["metrics"])
+    analysts = [session, referee] if analyst == "this session" \
+        else [environment.new_session()]
+    for s in analysts:
         s.sql("ANALYZE TABLE inventory COMPUTE STATISTICS")
         s.sql("ANALYZE TABLE date_dim COMPUTE STATISTICS")
-    analyzed = cached(session, text)
-    assert analyzed == uncached(referee, text)
-    assert any(name.startswith("sql.cbo.") for name in analyzed["metrics"])
-    assert session.sql(text).explain().endswith("== Plan cache ==\nmiss (join)")
-    assert session.metrics.get("sql.plancache.misses") == 0 == hits(session)
-    assert session.metrics.get("sql.plancache.uncacheable") == 5
+    for frame in (session.sql(text), held):
+        analyzed = outcome(session, frame.query)
+        assert analyzed == uncached(referee, text)
+        assert any(name.startswith("sql.cbo.") for name in analyzed["metrics"])
+    assert session.sql(text).explain().endswith(
+        "== Plan cache ==\nmiss (statistics)")
+    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (1, 2)
+    # the two frames made since: ANALYZE here is two more statements
+    assert session.metrics.get("sql.plancache.uncacheable") == \
+        {"this session": 4, "a second session": 2}[analyst]
 
 
 def test_a_materialized_view_answers_the_next_statement_and_is_never_cached():

@@ -30,8 +30,7 @@ class DataFrame:
     """An analyzed logical plan bound to a session."""
 
     def __init__(self, session: "SparkSession",
-                 plan: "L.LogicalPlan | BoundPlan", pending_metrics=None,
-                 cache_note: Optional[str] = None) -> None:
+                 plan: "L.LogicalPlan | BoundPlan", pending_metrics=None) -> None:
         self.session = session
         #: what ``plan_query`` takes: the analyzed plan, or (from ``sql()``) a
         #: plan-cache entry with this statement's values, analyzed on demand
@@ -40,8 +39,6 @@ class DataFrame:
         # counters charged while *building* this frame (ANALYZE TABLE's
         # collection scan) that must surface on the result it returns
         self._pending_metrics = pending_metrics
-        #: what the plan cache did with the statement (None: not from text)
-        self._cache_note = cache_note
 
     @property
     def plan(self) -> L.LogicalPlan:
@@ -218,8 +215,8 @@ class DataFrame:
         trace = Span("query", "query") if analyze else NOOP_SPAN
         planned = self.session.plan_query(self.query, trace)
         head = "== Optimized Logical Plan ==\n" + planned.optimized.pretty()
-        tail = "" if self._cache_note is None \
-            else "\n== Plan cache ==\n" + self._cache_note
+        tail = "" if planned.plan_cache is None \
+            else "\n== Plan cache ==\n" + planned.plan_cache
         if not analyze:
             lines = views_section_lines(planned.view_events)
             return (

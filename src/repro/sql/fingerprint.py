@@ -124,16 +124,19 @@ class CachedPlan(NamedTuple):
     analyzed: L.LogicalPlan  # both still hold their bind slots
     optimized: L.LogicalPlan
     summary: str  # "3 slots" / "2 slots; pinned: LIMIT", for EXPLAIN
-    joins: bool  # a join, which statistics that appear later decide
+    joins: bool  # a join, which statistics may decide
 
 
 class BoundPlan:
     """A cached plan and one statement's values: what ``SparkSession.sql``
-    hands to ``plan_query`` in place of an analyzed plan."""
+    hands to ``plan_query`` in place of an analyzed plan.  ``lookup`` is
+    what the text lookup did, "hit" or "miss"."""
 
-    def __init__(self, entry: CachedPlan, values: Sequence[object]) -> None:
+    def __init__(self, entry: CachedPlan, values: Sequence[object],
+                 lookup: str) -> None:
         self.entry = entry
         self.values = values
+        self.lookup = lookup
         self._analyzed: Optional[L.LogicalPlan] = None
 
     def optimized(self) -> L.LogicalPlan:

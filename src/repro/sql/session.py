@@ -57,6 +57,9 @@ class PlannedQuery:
     metrics: Optional[MetricsRegistry] = None
     #: materialized-view rewrite decisions, in match order
     view_events: List[Dict[str, object]] = field(default_factory=list)
+    #: the plan cache's verdict for EXPLAIN ("hit, 1 slots; optimized
+    #: afresh (statistics)"); None for a frame not made by ``sql()``
+    plan_cache: Optional[str] = None
 
 
 @dataclass
@@ -209,41 +212,29 @@ class SparkSession:
     def sql(self, text: str, params: Sequence[object] = ()):
         """The DataFrame of one statement; ``params`` fill its ``?`` tokens.
 
-        Lexed once, then looked up in the plan cache by shape (docs/caching.md,
-        "Plan cache"): on a hit nothing is parsed, analyzed or optimized, the
-        frame carries the cached plan and this statement's values.  Never
-        cached, by rule: commands, sessions with a view context, and joins
-        over tables with statistics -- what freshness or cost decide.
-        """
+        Lexed once; a SELECT is looked up in the plan cache by shape
+        (docs/caching.md, "Plan cache").  A hit parses and analyzes nothing;
+        a miss parses with bind slots, analyzes, optimizes without cost and
+        stores.  ``plan_query`` alone decides whether the cached
+        optimization is reused.  Commands are never cached."""
         tokens = tokenize(text)
         if params or "?" in text:
             bind_parameters(tokens, params)
         if tokens[0].kind == "keyword" and tokens[0].text != "select":
-            return self._uncached(tokens, text, "statement")
-        if self._view_manager is not None:
-            return self._uncached(tokens, text, "view context")
+            return self._command(tokens, text)
         if (self.catalog.generation, self.conf) != self._plan_cache_stamp:
             self._plan_cache = PlanCache(PLAN_CACHE_CAPACITY, self.metrics)
             self._plan_cache_stamp = (self.catalog.generation, dict(self.conf))
         cache, metrics = self._plan_cache, self.metrics
         shape = statement_shape(tokens)
         pinned = cache.get(shape)
-        if isinstance(pinned, str):  # a negative entry: why it is not cached
-            return self._uncached(tokens, text, pinned)
         values = [t.value for t in tokens]
         if pinned is not None:
             entry = cache.get((shape, pinned, tuple([values[i] for i in pinned])))
-            if entry is not None and not (entry.joins and statistics_decide(
-                    self.stats, entry.analyzed)):  # statistics appeared since
+            if entry is not None:
                 metrics.incr("sql.plancache.hits")
-                return DataFrame(self, BoundPlan(entry, values),
-                                 cache_note="hit, " + entry.summary)
+                return DataFrame(self, BoundPlan(entry, values, "hit"))
         analyzed = self.analyze(Parser(tokens, slots=True).parse_query())
-        if statistics_decide(self.stats, analyzed):
-            cache.put(shape, "statistics")
-            metrics.incr("sql.plancache.uncacheable")
-            return DataFrame(self, bind_plan(analyzed, values),
-                             cache_note="miss (statistics)")
         metrics.incr("sql.plancache.misses")
         optimized = optimize(analyzed)  # plan_query's call: no views, no cost
         # a slot no rule read or dropped is a parameter; the others' values
@@ -261,13 +252,11 @@ class SparkSession:
             analyzed.collect_nodes(lambda n: isinstance(n, Join))))
         cache.put(shape, pinned)
         cache.put((shape, pinned, tuple([values[i] for i in pinned])), entry)
-        return DataFrame(self, BoundPlan(entry, values),
-                         cache_note="miss, " + summary)
+        return DataFrame(self, BoundPlan(entry, values, "miss"))
 
-    def _uncached(self, tokens, text: str, reason: str):
-        """A statement the plan cache does not take: parsed and run as is."""
+    def _command(self, tokens, text: str):
+        """A statement that is not a SELECT: parsed and run as is."""
         self.metrics.incr("sql.plancache.uncacheable")
-        note = f"miss ({reason})"
         plan = Parser(tokens).parse_query()
         if isinstance(plan, AnalyzeTable):
             return self.analyze_table(plan.name)
@@ -283,7 +272,7 @@ class SparkSession:
             schema = StructType().add("dropped", type_from_name("string"))
             return DataFrame(self, LocalRelation(schema, [(plan.name,)]))
         if isinstance(plan, ExplainStatement):
-            inner = DataFrame(self, plan.children[0], cache_note=note)
+            inner = DataFrame(self, plan.children[0])
             schema = StructType().add("plan", type_from_name("string"))
             lines = [(line,) for line in inner.explain().splitlines()]
             return DataFrame(self, LocalRelation(schema, lines))
@@ -293,7 +282,7 @@ class SparkSession:
             result = self.execute_plan(self.analyze(plan))
             rows = [tuple(r.values) for r in result.rows]
             return DataFrame(self, LocalRelation(result.schema, rows))
-        return DataFrame(self, plan, cache_note=note)
+        return DataFrame(self, plan)
 
     # -- materialized views (docs/views.md) --------------------------------------
     @property
@@ -438,15 +427,21 @@ class SparkSession:
 
     def plan_query(self, plan: "LogicalPlan | BoundPlan",
                    trace=NOOP_SPAN) -> PlannedQuery:
-        """Optimize and plan one analyzed logical plan -- the only place
-        the session runs the optimizer and the planner.  For ``sql``'s
-        :class:`BoundPlan` optimizing is binding the cached plan; the planner
-        always runs: there values meet the source (pushdown, ranges, pruning)."""
-        if isinstance(plan, BoundPlan) and (
-                self._view_manager is not None or plan.entry.joins
-                and statistics_decide(self.stats, plan.entry.analyzed)):
-            # a view statement ran, or statistics appeared, since sql() did
-            plan = plan.analyzed()
+        """Optimize and plan one analyzed logical plan -- the only place the
+        session runs the optimizer and the planner, and the one place that
+        decides whether ``sql``'s :class:`BoundPlan` reuses its cached
+        optimization: not when views or statistics decide it, which
+        optimizes its bound analysis afresh.  The planner always runs:
+        there values meet the source (pushdown, ranges, pruning)."""
+        verdict = None
+        if isinstance(plan, BoundPlan):
+            verdict = f"{plan.lookup}, {plan.entry.summary}"
+            decider = "views" if self._view_manager is not None else \
+                "statistics" if plan.entry.joins and statistics_decide(
+                    self.stats, plan.entry.analyzed) else None
+            if decider is not None:
+                verdict += f"; optimized afresh ({decider})"
+                plan = bind_plan(plan.entry.analyzed, plan.values)
         bound = isinstance(plan, BoundPlan)
         views_ctx = estimator = metrics = None
         if not bound:  # no statistics decide a bound plan, no views price it
@@ -469,7 +464,8 @@ class SparkSession:
                            metrics=metrics).plan_query(optimized)
         span.finish()
         return PlannedQuery(optimized, physical, metrics,
-                            views_ctx.events if views_ctx is not None else [])
+                            views_ctx.events if views_ctx is not None else [],
+                            verdict)
 
     def execute_plan(self, plan: "LogicalPlan | BoundPlan", trace=None,
                      slots=None, queued_s: float = 0.0) -> QueryResult:

@@ -195,20 +195,16 @@ def test_concurrent_jobs_report_both_clocks(linked):
         assert qr.wall_clock_s > 0     # and the measured view alongside it
 
 
-def test_two_threads_share_one_connection_and_one_plan_cache_entry(linked):
-    """Same statement shape, different values, 200 statements each, on one
-    DB-API connection: both threads bind one cached plan, and each must get
-    the rows of its own values (a lost update on the shared entry, or a
-    value written into it, would hand one thread the other's)."""
+def _two_clients(session, statement):
+    """Two threads on one DB-API connection send ``statement`` 200 times
+    each, every time with their own ``(eid, 0.0)``; returns the answers
+    that were not ``[(eid, page of eid)]`` and the session's counters."""
     import sys
     import threading
 
     from repro.sql import dbapi
 
-    cluster, session = linked
-    _load_events(cluster, session)
     connection = dbapi.connect(session)
-    statement = "select eid, page from events where eid = ? and stay >= ?"
     failures = []
 
     def client(offset):
@@ -231,9 +227,39 @@ def test_two_threads_share_one_connection_and_one_plan_cache_entry(linked):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return failures, session.metrics.snapshot()
+
+
+def test_two_threads_share_one_connection_and_one_plan_cache_entry(linked):
+    """Same statement shape, different values, 200 statements each, on one
+    DB-API connection: both threads bind one cached plan, and each must get
+    the rows of its own values (a lost update on the shared entry, or a
+    value written into it, would hand one thread the other's)."""
+    cluster, session = linked
+    _load_events(cluster, session)
+    failures, counters = _two_clients(
+        session, "select eid, page from events where eid = ? and stay >= ?")
     assert not failures
-    counters = session.metrics.snapshot()
     assert counters["sql.plancache.hits"] + counters["sql.plancache.misses"] == 400
     assert counters["sql.plancache.misses"] <= 2  # both may miss the first time
+    session.shutdown()
+    assert cluster.connection_cache.active_refcount() == 0
+
+
+def test_two_threads_reoptimize_one_entry_that_statistics_decide(linked):
+    """As above, but a self-join over an ANALYZEd table: each hit reuses
+    the entry's analysis and is optimized afresh with the estimator, on
+    whichever thread runs it, and still answers for its own values."""
+    cluster, session = linked
+    _load_events(cluster, session)
+    session.sql("ANALYZE TABLE events COMPUTE STATISTICS")
+    statement = ("select a.eid, b.page from events a join events b on "
+                 "a.eid = b.eid where a.eid = ? and b.stay >= ?")
+    failures, counters = _two_clients(session, statement)
+    assert not failures
+    assert counters["sql.plancache.hits"] + counters["sql.plancache.misses"] == 400
+    assert counters["sql.plancache.misses"] <= 2
+    assert session.sql(statement, (1, 0.0)).explain().endswith(
+        "; optimized afresh (statistics)")
     session.shutdown()
     assert cluster.connection_cache.active_refcount() == 0

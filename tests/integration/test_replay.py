@@ -55,6 +55,7 @@ def test_explain_analyze_prints_the_same_report_twice(q39_env):
     session = q39_env.new_session()
     for table in Q39_TABLES:
         session.sql(f"ANALYZE TABLE {table} COMPUTE STATISTICS")
+    session.sql(q39a())  # stored: both reports end with a plan-cache hit
 
     def report():
         text = session.sql(q39a()).explain(analyze=True)

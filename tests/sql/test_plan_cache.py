@@ -98,6 +98,59 @@ def _module_cluster_warm(env):
     connected(env, TABLES)
 
 
+def analyzed(environment):
+    """``environment`` once every table of it has been ANALYZEd.  The
+    statistics persist with the tables, so every later session on it plans
+    under them -- never do this to a shared ``env``."""
+    analyst = environment.new_session()
+    for table in environment.tables:
+        analyst.sql(f"ANALYZE TABLE {table} COMPUTE STATISTICS")
+    return environment
+
+
+INVENTORY_VIEW = ("CREATE MATERIALIZED VIEW inv_by_date AS SELECT inv_date_sk, "
+                  "count(inv_quantity_on_hand) AS skus, sum(inv_quantity_on_hand) "
+                  "AS on_hand FROM inventory GROUP BY inv_date_sk")
+
+
+def viewing(environment):
+    """A session of ``environment`` that has adopted its materialized views."""
+    session = environment.new_session()
+    session.views.hydrate(environment.cluster)
+    return session
+
+
+def afresh(with_statistics, with_a_view):
+    """(warm session, referee session factory) for the two ways a cached
+    statement is optimized afresh: statistics decide it, or the session has
+    a view context.  Each environment is its own copy of the tables, since
+    statistics and views persist with a cluster."""
+    with_a_view.new_session().sql(INVENTORY_VIEW)
+    return [(with_statistics.new_session(), with_statistics.new_session),
+            (viewing(with_a_view), lambda: viewing(with_a_view))]
+
+
+@pytest.fixture(scope="module")
+def warm_paths(warm, env):
+    """The generated joins' three paths: the plain warm session, then the
+    two that optimize afresh."""
+    return [(warm, env.new_session)] + afresh(
+        analyzed(connected(load_tpcds(5, TABLES), TABLES)),
+        connected(load_tpcds(5, TABLES), TABLES))
+
+
+def agree_twice(session, referee, text):
+    """``text`` through ``session`` twice, each time equal to the referee's;
+    the second is a text hit when the first was planned."""
+    want = uncached(referee(), text)
+    first = cached(session, text)
+    assert first == want, text
+    before = hits(session)
+    assert cached(session, text) == want, text
+    assert not isinstance(first, dict) or hits(session) == before + 1, text
+    return first
+
+
 # -- generated statements ----------------------------------------------------------
 #
 # A template is SQL text with typed holes; two value sets fill the same
@@ -199,15 +252,17 @@ def test_generated_statements_agree_with_the_referee(env, warm, case):
 
 @settings(max_examples=25, deadline=None)
 @given(case=template_and_values(join_templates))
-def test_generated_joins_agree_with_the_referee(env, warm, case):
+def test_generated_joins_agree_with_the_referee(warm_paths, case):
+    """Through the cache's three paths: a plain warm session, one whose
+    tables have statistics and one with a view context."""
     template, first, second = case
-    for values in (first, second):
-        text = render(template, values)
-        got = cached(warm, text)
-        assert got == uncached(env.new_session(), text), text
-    if isinstance(got, dict):  # planned, so taken by the cache
-        assert isinstance(warm._plan_cache.get(
-            statement_shape(tokenize(text))), tuple), text
+    for session, referee in warm_paths:
+        for values in (first, second):
+            text = render(template, values)
+            got = agree_twice(session, referee, text)
+        if isinstance(got, dict):  # planned, so taken by the cache
+            assert isinstance(session._plan_cache.get(
+                statement_shape(tokenize(text))), tuple), text
 
 
 def test_empty_range_duplicate_keys_and_keys_outside_every_region(env, warm):
@@ -297,12 +352,37 @@ def paper():
     return connected(load_tpcds(2, PAPER_TABLES), PAPER_TABLES)
 
 
-def test_the_paper_queries_hit_and_agree(paper):
-    session = paper.new_session()
-    for query in (q39a(), q39b(), q38()):
-        for __ in range(3):
-            assert cached(session, query) == uncached(paper.new_session(), query)
-    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (3, 6)
+@pytest.fixture(scope="module")
+def paper_analyzed():
+    return analyzed(connected(load_tpcds(2, PAPER_TABLES), PAPER_TABLES))
+
+
+def test_the_paper_queries_hit_and_agree(paper, paper_analyzed):
+    for session, referee in [(paper.new_session(), paper.new_session)] + afresh(
+            paper_analyzed, connected(load_tpcds(2, PAPER_TABLES), PAPER_TABLES)):
+        for query in (q39a(), q39b(), q38()):
+            for __ in range(3):
+                assert cached(session, query) == uncached(referee(), query)
+        assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (3, 6)
+
+
+def front_end_calls(run):
+    """``run()``'s value, and the (file, function) of every Python call it
+    made into parser.py, analyzer.py or optimizer.py."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.endswith(
+                ("sql/parser.py", "sql/analyzer.py", "sql/optimizer.py")):
+            calls.append((os.path.basename(code.co_filename), code.co_name))
+
+    sys.setprofile(profiler)
+    try:
+        value = run()
+    finally:
+        sys.setprofile(None)
+    return value, calls
 
 
 def test_a_q39a_hit_is_lexed_only_and_sizes_each_table_once(paper, monkeypatch):
@@ -315,19 +395,7 @@ def test_a_q39a_hit_is_lexed_only_and_sizes_each_table_once(paper, monkeypatch):
     session = paper.new_session()
     text = q39a()
     session.sql(text).run()
-    calls = []
-
-    def profiler(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.endswith(
-                ("sql/parser.py", "sql/analyzer.py", "sql/optimizer.py")):
-            calls.append((os.path.basename(code.co_filename), code.co_name))
-
-    sys.setprofile(profiler)
-    try:
-        session.sql(text).run()
-    finally:
-        sys.setprofile(None)
+    __, calls = front_end_calls(lambda: session.sql(text).run())
     assert hits(session) == 1
     assert set(calls) == {("parser.py", "tokenize"), ("parser.py", "__init__")}
     assert len(calls) == 1 + len(tokenize(text))
@@ -339,6 +407,25 @@ def test_a_q39a_hit_is_lexed_only_and_sizes_each_table_once(paper, monkeypatch):
                         or size_of(cluster, name))
     session.plan_query(session.sql(text).query)
     assert sorted(sized) == ["date_dim", "inventory", "item", "warehouse"]
+
+
+def test_a_q39a_hit_under_statistics_reoptimizes_but_neither_parses_nor_analyzes(
+        paper_analyzed):
+    """What caching a join saves once statistics decide it: on a hit no
+    Python call lands in the analyzer and the parser is entered only to lex,
+    while the optimizer runs again, now with the estimator."""
+    session = paper_analyzed.new_session()
+    text = q39a()
+    session.sql(text).run()
+    result, calls = front_end_calls(lambda: session.sql(text).run())
+    assert hits(session) == 1
+    assert result.metrics.get("sql.cbo.estimates") > 0
+    files = [name for name, __ in calls]
+    assert "analyzer.py" not in files
+    assert {c for c in calls if c[0] == "parser.py"} == {
+        ("parser.py", "tokenize"), ("parser.py", "__init__")}
+    assert files.count("parser.py") == 1 + len(tokenize(text))
+    assert "optimizer.py" in files
 
 
 # -- parameters ---------------------------------------------------------------------
@@ -437,7 +524,8 @@ def test_a_join_is_cached_until_statistics_decide_its_plan(analyst):
     execution.  Once statistics exist -- ANALYZEd in this session, or
     persisted with the tables by another session on the cluster -- they
     decide the join's order, sizes and key filters: a fresh frame and a
-    frame made before them both plan uncached, and the shape says so."""
+    frame made before them both reuse the cached analysis but are
+    optimized afresh, and EXPLAIN says so."""
     tables = ["inventory", "date_dim"]
     environment = connected(load_tpcds(2, tables), tables)
     session, referee = environment.new_session(), environment.new_session()
@@ -459,14 +547,14 @@ def test_a_join_is_cached_until_statistics_decide_its_plan(analyst):
         assert analyzed == uncached(referee, text)
         assert any(name.startswith("sql.cbo.") for name in analyzed["metrics"])
     assert session.sql(text).explain().endswith(
-        "== Plan cache ==\nmiss (statistics)")
-    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (1, 2)
-    # the two frames made since: ANALYZE here is two more statements
+        "== Plan cache ==\nhit, 1 slots; optimized afresh (statistics)")
+    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (1, 4)
+    # the two ANALYZE statements, when this session ran them
     assert session.metrics.get("sql.plancache.uncacheable") == \
-        {"this session": 4, "a second session": 2}[analyst]
+        {"this session": 2, "a second session": 0}[analyst]
 
 
-def test_a_materialized_view_answers_the_next_statement_and_is_never_cached():
+def test_a_materialized_view_answers_the_next_statement_through_its_cached_analysis():
     environment = load_tpcds(2, ["inventory"])
     session = environment.new_session()
     session.sql("select * from inventory").run()  # connections set up
@@ -484,8 +572,34 @@ def test_a_materialized_view_answers_the_next_statement_and_is_never_cached():
         assert [e["action"] for e in answered.view_events] == ["rewrites"]
         assert answered.seconds < base.seconds
         assert sorted(map(tuple, answered.rows)) == sorted(map(tuple, base.rows))
-    assert session.sql(text).explain().endswith("miss (view context)")
-    assert hits(session) == 1
+    assert session.sql(text).explain().endswith(
+        "== Plan cache ==\nhit, 0 slots; optimized afresh (views)")
+    assert (session.metrics.get("sql.plancache.misses"), hits(session)) == (2, 3)
+
+
+def test_a_frame_held_across_analyze_or_a_view_explains_its_fresh_plan():
+    """A frame ``sql()`` made before ANALYZE TABLE, or before CREATE
+    MATERIALIZED VIEW, is optimized afresh when it is planned -- and its
+    EXPLAIN names that, not only what the text lookup did."""
+    tables = ["inventory", "date_dim"]
+    environment = connected(load_tpcds(2, tables), tables)
+    session = environment.new_session()
+    join = ("select d_moy, count(*) from inventory join date_dim on "
+            "inv_date_sk = d_date_sk where d_moy = 3 group by d_moy")
+    aggregate = ("SELECT inv_date_sk, count(inv_quantity_on_hand) AS skus FROM "
+                 "inventory GROUP BY inv_date_sk")
+    session.sql(join).run()
+    held_join, held_aggregate = session.sql(join), session.sql(aggregate)
+    analyzed(environment)
+    assert held_join.explain().endswith(
+        "== Plan cache ==\nhit, 1 slots; optimized afresh (statistics)")
+    assert outcome(session, held_join.query) == uncached(
+        environment.new_session(), join)
+    session.sql(INVENTORY_VIEW)
+    assert held_aggregate.explain().endswith(
+        "== Plan cache ==\nmiss, 0 slots; optimized afresh (views)")
+    assert outcome(session, held_aggregate.query) == uncached(
+        viewing(environment), aggregate)
 
 
 # -- under the pinned chaos seeds ----------------------------------------------------

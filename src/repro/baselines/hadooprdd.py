@@ -33,6 +33,7 @@ from repro.core.partitions import build_partitions
 from repro.core.ranges import FULL_SCAN
 from repro.core.relation import HBaseRelation
 from repro.core.scan_rdd import HBaseTableScanRDD
+from repro.sql.columnar import RecordBatch
 from repro.sql.sources import Filter as SourceFilter, RelationProvider, register_provider
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,8 +103,9 @@ class SparkSqlGenericHBaseRelation(HBaseRelation):
         full_rdd = HBaseTableScanRDD(self, all_columns, None, partitions)
         indices = [all_columns.index(name) for name in required_columns]
 
-        def project(rows, task_ctx):
-            return (tuple(row[i] for i in indices) for row in rows)
+        def project(batches, task_ctx):
+            return (RecordBatch([batch.columns[i] for i in indices], batch.num_rows)
+                    for batch in batches)
 
         return full_rdd.map_partitions(project)
 

@@ -17,7 +17,7 @@ import functools
 import operator
 import struct
 from typing import (
-    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.common.errors import CoderError, NullKeyError
@@ -95,7 +95,7 @@ def key_layout(catalog: HBaseTableCatalog, coder: FieldCoder
     declared length means the writer padded the value with ``0x00``:
     ``strip`` says the padding must come off before decoding, which a
     self-delimiting coder does not need.  :func:`decode_rowkey` interprets
-    this per call; :meth:`RowCodec.decoder` binds it once per scan.
+    this per call; :meth:`RowCodec.page_decoder` binds it once per scan.
     """
     slots = []
     start = 0
@@ -157,23 +157,6 @@ def key_struct(coder: FieldCoder,
     return struct.Struct(">" + "".join(codes))
 
 
-class _DecodePlan(NamedTuple):
-    """A decode of some columns, bound (:meth:`RowCodec._decode_plan`)."""
-
-    width: int
-    #: (output position, key dimension), one per requested key column
-    key_out: List[Tuple[int, int]]
-    #: (output position, (family, qualifier), decode), one per data column
-    cell_out: List[Tuple[int, Tuple[str, str], Callable]]
-    #: cells a row's key counts: every dimension when any is asked for
-    key_cells: int
-    #: the whole key as one struct (:func:`key_struct`), or None
-    packed: Optional[struct.Struct]
-    unpack_key: Callable[[bytes], Sequence[object]]
-    #: the slot-by-slot reference, the one key path that raises
-    slice_key: Callable[[bytes], List[object]]
-
-
 class RowCodec:
     """One catalog's mapping between an HBase row and a relational row.
 
@@ -204,12 +187,6 @@ class RowCodec:
         self._names = list(catalog.columns)
         self._encode_all = self.encoder(self._names)
 
-    @functools.cached_property
-    def _decode_all(self) -> Callable[[bytes, Sequence], Tuple[tuple, int]]:
-        # bound on first use: a key the coder cannot slice apart is an error
-        # of the first read, as it is for :func:`decode_rowkey`
-        return self.decoder(self._names)
-
     # -- the key half ------------------------------------------------------
     def encode_key(self, values: Mapping[str, object]) -> bytes:
         return encode_rowkey(self.catalog, self.coder, values)
@@ -238,24 +215,52 @@ class RowCodec:
         return encode_key
 
     # -- whole rows, positional (the scan and write hot loops) -------------
-    def _decode_plan(self, columns: Sequence[str]) -> "_DecodePlan":
-        """Everything the catalog or a coder can answer about decoding
-        ``columns``, answered once (:meth:`decoder`, :meth:`page_decoder`)."""
+    def page_decoder(self, columns: Sequence[str]
+                     ) -> Callable[[Sequence], Tuple[List[list], int]]:
+        """Bind the decode of ``columns`` once; the returned
+        ``decode_page(page)`` turns a list of ``(row_key, cells)`` into one
+        list per requested column (a column batch's columns) and the number
+        of cells it decoded.  ``cells`` arrive newest first per column; one
+        row is a page of one.
+
+        Everything the catalog or a coder can answer is answered here: a
+        data column is its ``(family, qualifier)`` and one ``decode(data)``,
+        and the whole key is unpacked whenever any of it is asked for.  The
+        keys are unpacked in one pass: one ``Struct.iter_unpack`` over the
+        joined keys when :func:`key_struct` binds (every dimension unpadded
+        and with a :meth:`~FieldCoder.struct_code`) and every key is exactly
+        its size; else one ``unpack`` per key, falling back to the
+        slot-by-slot loop over :func:`key_layout` when there is no struct or
+        it rejects the key -- the one path that raises, so a malformed key
+        is the same named :class:`CoderError` either way.  The cells are
+        walked once, each row's backwards so that a column's newest cell is
+        written last, into one list of raw values per requested ``(family,
+        qualifier)``; each data column is then one decode pass.  The
+        reference is :func:`decode_rowkey` and ``coder.decode`` per call
+        (``tests/core/test_keys.py``).
+        """
         catalog = self.catalog
         dimension = {name: i for i, name in enumerate(catalog.row_key)}
+        #: (output position, key dimension), one per requested key column
         key_out: List[Tuple[int, int]] = []
-        cell_out: List[Tuple[int, Tuple[str, str], Callable]] = []
+        #: one raw list per distinct (family, qualifier) a column asks for
+        slots: Dict[Tuple[str, str], int] = {}
+        #: (output position, raw list, decode), one per data column
+        cell_out: List[Tuple[int, int, Callable]] = []
         for position, name in enumerate(columns):
             column = catalog.column(name)
             if column.is_rowkey():
                 key_out.append((position, dimension[name]))
             else:
-                cell_out.append((position, (column.family, column.qualifier),
-                                 self.field_coders[name].decoder_for(column.dtype)))
-        # the whole key is unpacked and checked whenever any of it is asked for
+                slot = slots.setdefault((column.family, column.qualifier),
+                                        len(slots))
+                cell_out.append((position, slot, self.field_coders[name]
+                                 .decoder_for(column.dtype)))
         layout = key_layout(catalog, self.coder) if key_out else []
         key_slots = [(start, stop, strip, self.coder.decoder_for(dtype))
                      for __, dtype, start, stop, strip in layout]
+        #: cells a row's key counts: every dimension when any is asked for
+        key_cells = len(key_slots)
 
         def slice_key(row_key: bytes) -> List[object]:
             dimensions = []
@@ -273,80 +278,8 @@ class RowCodec:
             unpack_key = packed.unpack
         else:
             unpack_key = packed.unpack_from
-        return _DecodePlan(len(columns), key_out, cell_out, len(key_slots),
-                           packed, unpack_key, slice_key)
-
-    def decoder(self, columns: Sequence[str]
-                ) -> Callable[[bytes, Sequence], Tuple[tuple, int]]:
-        """Bind the plan for ``columns`` once; the returned
-        ``decode(row_key, cells)`` gives the positional tuple and the number
-        of cells it decoded.  ``cells`` arrive newest first per column.
-
-        Everything the catalog or a coder can answer is answered here: a
-        data column is its ``(family, qualifier)`` and one ``decode(data)``,
-        and the key is one ``unpack_key(row_key)`` giving every dimension.
-        When :func:`key_struct` binds (every dimension unpadded and with a
-        :meth:`~FieldCoder.struct_code`), that is one ``struct.Struct``
-        call; otherwise, and whenever the struct rejects a key, it is the
-        slot-by-slot loop over :func:`key_layout` -- the reference, and the
-        one path that raises, so a malformed key is the same named
-        :class:`CoderError` either way.  The closure only unpacks, looks up
-        and calls.  This is the reference for :meth:`page_decoder`, and
-        what every reader of one row at a time uses.
-        """
-        plan = self._decode_plan(columns)
-        key_out, cell_out, key_cells = plan.key_out, plan.cell_out, plan.key_cells
-        unpack_key, slice_key = plan.unpack_key, plan.slice_key
-        blank = [None] * plan.width
-
-        def decode(row_key: bytes, cells: Sequence) -> Tuple[tuple, int]:
-            values = blank[:]
-            if key_cells:
-                try:
-                    dimensions = unpack_key(row_key)
-                except struct.error:
-                    dimensions = slice_key(row_key)
-                for position, i in key_out:
-                    values[position] = dimensions[i]
-            newest: Dict[Tuple[str, str], bytes] = {}
-            for cell in cells:
-                newest.setdefault((cell.family, cell.qualifier), cell.value)
-            decoded_cells = key_cells
-            for position, fq, decode_cell in cell_out:
-                raw = newest.get(fq)
-                if raw is not None:
-                    values[position] = decode_cell(raw)
-                    decoded_cells += 1
-            return tuple(values), decoded_cells
-
-        return decode
-
-    def page_decoder(self, columns: Sequence[str]
-                     ) -> Callable[[Sequence], Tuple[List[list], int]]:
-        """The page-shaped twin of :meth:`decoder`: ``decode_page(page)``
-        turns a list of ``(row_key, cells)`` into one list per requested
-        column (a column batch's columns) and the number of cells decoded
-        -- what :meth:`decoder` gives row by row, transposed and summed.
-
-        The keys are unpacked in one pass: one ``Struct.iter_unpack`` over
-        the joined keys when every key is exactly the :func:`key_struct`'s
-        size, else :meth:`decoder`'s unpack-or-slice per key (which raises
-        the same :class:`CoderError` on a malformed key).  The cells are
-        walked once, each row's backwards so that a column's newest cell is
-        written last, into one list of raw values per requested ``(family,
-        qualifier)``; each data column is then one decode pass.
-        """
-        plan = self._decode_plan(columns)
-        key_out, key_cells = plan.key_out, plan.key_cells
-        unpack_key, slice_key, packed = plan.unpack_key, plan.slice_key, plan.packed
-        width = plan.width
+        width = len(columns)
         first = operator.itemgetter(0)
-        # one raw list per distinct (family, qualifier) a column asks for
-        slots: Dict[Tuple[str, str], int] = {}
-        for __, fq, __ in plan.cell_out:
-            slots.setdefault(fq, len(slots))
-        cell_out = [(position, slots[fq], decode_cell)
-                    for position, fq, decode_cell in plan.cell_out]
         slot_of = slots.get
 
         def unpack_keys(keys: List[bytes]) -> List[Sequence[object]]:
@@ -416,9 +349,22 @@ class RowCodec:
         return encode
 
     # -- whole rows, by column name ----------------------------------------
+    @functools.cached_property
+    def _decode_all(self) -> Callable[[Sequence], Tuple[List[list], int]]:
+        # bound on first use: a key the coder cannot slice apart is an error
+        # of the first read, as it is for :func:`decode_rowkey`
+        return self.page_decoder(self._names)
+
+    def decode_rows(self, page: Sequence) -> List[Dict[str, object]]:
+        """Every catalog column of each ``(row_key, cells)`` in ``page``
+        (NULL where a row has no cell), decoded as one page."""
+        names = self._names
+        return [dict(zip(names, values))
+                for values in zip(*self._decode_all(page)[0])]
+
     def decode_row(self, row_key: bytes, cells: Sequence) -> Dict[str, object]:
-        """Every catalog column of one row (NULL where it has no cell)."""
-        return dict(zip(self._names, self._decode_all(row_key, cells)[0]))
+        """:meth:`decode_rows` of one row."""
+        return self.decode_rows([(row_key, cells)])[0]
 
     def encode_row(self, values: Mapping[str, object]) -> Put:
         """A :class:`Put` of the non-NULL columns ``values`` names."""

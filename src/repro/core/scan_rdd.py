@@ -5,8 +5,8 @@ The paper: "we propose HBaseTableScanRDD to scan the underlying HBase data
 Partitions are region-server-aligned (pruned + fused), preferred locations
 are the Region Server hosts (data locality), and ``compute`` turns each
 partition's ranges into HBase ``Scan``s and batched ``Get``s, decoding cells
-through the catalog's coder straight out of HBase's byte arrays -- for a
-scan operator, page by page into column batches (``column_batches``).
+through the catalog's coder straight out of HBase's byte arrays, page by
+page, into the column batches every scan operator reads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.partitions import HBaseScanPartition
 from repro.engine.rdd import Partition, RDD
 from repro.hbase.client import Get, Scan
 from repro.hbase.filters import Filter as HFilter
-from repro.sql.columnar import RecordBatch
+from repro.sql import columnar as C
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.relation import HBaseRelation
@@ -51,8 +51,7 @@ class HBaseTableScanRDD(RDD):
             catalog.column(c) for c in required_columns
             if not catalog.column(c).is_rowkey()
         ]
-        #: the row codec's decode plans, resolved once per RDD, not per row
-        self._decode = relation.codec.decoder(self.required_columns)
+        #: the row codec's decode plan, resolved once per RDD, not per page
         self._decode_page = relation.codec.page_decoder(self.required_columns)
 
     # -- the three overridden methods ------------------------------------------
@@ -65,93 +64,21 @@ class HBaseTableScanRDD(RDD):
         return (partition.payload.host,)
 
     def compute(self, partition: Partition,
-                ctx: "TaskContext") -> Iterator[tuple]:
-        """Stream decoded tuples straight out of the region scans, one per
-        row, through the row codec's row decoder (the reference for
-        :meth:`column_batches`, which is what a scan operator reads).
+                ctx: "TaskContext") -> Iterator[C.RecordBatch]:
+        """One partition as :class:`~repro.sql.columnar.RecordBatch` es of
+        ``BATCH_SIZE`` rows (the last shorter), columns ordered as
+        ``required_columns``.
 
-        Decode cost is charged for exactly the cells of the rows yielded --
-        a downstream consumer that stops early (a LIMIT) never pays for rows
-        it did not pull -- once the partition's pages are done or closed
-        (:meth:`_pages`).
-        """
-        decode = self._decode
-        decoded = [0]
-        pages = self._pages(partition, ctx, decoded)
-        try:
-            for page in pages:
-                for row, cells in page:
-                    values, ncells = decode(row, cells)
-                    decoded[0] += ncells
-                    yield values
-        finally:
-            pages.close()
-
-    def column_batches(self, batch_size: int) -> RDD:
-        """This scan as :class:`~repro.sql.columnar.RecordBatch` es of
-        ``batch_size`` rows (the last of a partition shorter): the RDD a
-        scan operator reads instead of cutting :meth:`compute`'s tuples
-        into batches, with the same batches and the same charges."""
-        return _ColumnBatchRDD(self, batch_size)
-
-    def compute_batches(self, partition: Partition, ctx: "TaskContext",
-                        batch_size: int) -> Iterator[RecordBatch]:
-        """One partition as column batches, decoded page by page.
-
-        Each page the client receives is decoded straight into columns by
-        the row codec's page decoder, in parts cut where a batch fills, so
-        a batch is yielded the moment its last row is decoded and before
-        the next page is fetched -- the batches, page fetches and ledger of
-        :meth:`compute`'s rows cut into ``batch_size`` batches.  Decode cost
-        is charged for the rows of the parts decoded, which are exactly the
-        rows handed on when a LIMIT closes the scan at a batch.  A part the
-        page decoder fails on is decoded again row by row, so the rows
-        before the bad one are charged and the error is the row decoder's.
-        """
-        decode_page, decode = self._decode_page, self._decode
-        decoded = [0]
-        pages = self._pages(partition, ctx, decoded)
-        columns: List[list] = []
-        filled = 0
-        try:
-            for page in pages:
-                start, nrows = 0, len(page)
-                while start < nrows:
-                    stop = min(nrows, start + batch_size - filled)
-                    part = page if stop - start == nrows else page[start:stop]
-                    try:
-                        part_columns, ncells = decode_page(part)
-                    except Exception:
-                        for row, cells in part:
-                            decoded[0] += decode(row, cells)[1]
-                        raise
-                    decoded[0] += ncells
-                    if filled:
-                        for column, tail in zip(columns, part_columns):
-                            column.extend(tail)
-                    else:
-                        columns = part_columns
-                    filled += stop - start
-                    start = stop
-                    if filled == batch_size:
-                        yield RecordBatch(columns, filled)
-                        columns, filled = [], 0
-            if filled:
-                yield RecordBatch(columns, filled)
-        finally:
-            pages.close()
-
-    def _pages(self, partition: Partition, ctx: "TaskContext",
-               decoded: List[int]) -> Iterator[Sequence[Tuple[bytes, list]]]:
-        """The partition's rows as the client receives them: every scan
-        range's pages (:meth:`Table.scan_pages
-        <repro.hbase.client.Table.scan_pages>`, no ``Result`` built), then
-        the point ranges' batched Gets as one page of the rows found.
-
-        The caller decodes them and counts the cells it decoded in
-        ``decoded[0]``; when the pages are done or closed (after the open
-        region stream bills its RPCs), ``shc.cells_decoded`` is charged for
-        that count, the connection released and the scan's span finished.
+        Each page the client receives (:meth:`_pages`) is decoded straight
+        into columns by the row codec's page decoder, in parts cut where a
+        batch fills, so a batch is yielded the moment its last row is
+        decoded and before the next page is fetched.  When the pages are
+        done or closed (after the open region stream bills its RPCs),
+        ``shc.cells_decoded`` is charged for the parts decoded -- exactly
+        the rows handed on when a LIMIT closes the scan at a batch -- the
+        connection released and the scan's span finished.  A malformed cell
+        raises the page decoder's :class:`~repro.common.errors.CoderError`,
+        which fails the task without a retry.
         """
         scan_partition: HBaseScanPartition = partition.payload
         relation = self.relation
@@ -168,39 +95,72 @@ class HBaseTableScanRDD(RDD):
             **extra,
         )
         sim_start = ctx.ledger.seconds if span.enabled else 0.0
+        decode_page, batch_size = self._decode_page, C.BATCH_SIZE
+        decoded = filled = 0
+        columns: List[list] = []
+        pages = self._pages(scan_partition, connection, ctx)
         try:
-            table = connection.get_table(relation.catalog.qualified_name)
-            hbase_columns = self._hbase_columns()
-            time_range = relation.time_range()
-            max_versions = relation.max_versions()
-            caching = relation.scan_caching()
-            gets: List[Get] = []
-            for work in scan_partition.work:
-                for scan_range in work.ranges:
-                    if scan_range.point:
-                        gets.append(self._configure(
-                            Get(scan_range.start), hbase_columns, time_range,
-                            max_versions))
-                        continue
-                    scan = self._configure(
-                        Scan(scan_range.start, scan_range.stop),
-                        hbase_columns, time_range, max_versions)
-                    if caching is not None:
-                        scan.set_caching(caching)
-                    yield from table.scan_pages(scan, ctx.ledger, work.location)
-            if gets:
-                found = [(result.row, result.cells)
-                         for result in table.bulk_get(gets, ctx.ledger)
-                         if not result.is_empty()]
-                if found:
-                    yield found
+            for page in pages:
+                start, nrows = 0, len(page)
+                while start < nrows:
+                    stop = min(nrows, start + batch_size - filled)
+                    part = page if stop - start == nrows else page[start:stop]
+                    part_columns, ncells = decode_page(part)
+                    decoded += ncells
+                    if filled:
+                        for column, tail in zip(columns, part_columns):
+                            column.extend(tail)
+                    else:
+                        columns = part_columns
+                    filled += stop - start
+                    start = stop
+                    if filled == batch_size:
+                        yield C.RecordBatch(columns, filled)
+                        columns, filled = [], 0
         finally:
-            ctx.ledger.charge(decode_cost * decoded[0],
-                              "shc.cells_decoded", decoded[0])
+            pages.close()
+            ctx.ledger.charge(decode_cost * decoded, "shc.cells_decoded", decoded)
             relation.release_connection(ctx)
             if span.enabled:
-                span.set(cells_decoded=decoded[0])
+                span.set(cells_decoded=decoded)
                 span.finish(sim_seconds=ctx.ledger.seconds - sim_start)
+        # the pages are done: the scan is charged before its last batch is
+        # handed on, so what a consumer charges for that batch comes after
+        if filled:
+            yield C.RecordBatch(columns, filled)
+
+    def _pages(self, scan_partition: HBaseScanPartition, connection,
+               ctx: "TaskContext") -> Iterator[Sequence[Tuple[bytes, list]]]:
+        """The partition's rows as the client receives them: every scan
+        range's pages (:meth:`Table.scan_pages
+        <repro.hbase.client.Table.scan_pages>`, no ``Result`` built), then
+        the point ranges' batched Gets as one page of the rows found."""
+        relation = self.relation
+        table = connection.get_table(relation.catalog.qualified_name)
+        hbase_columns = self._hbase_columns()
+        time_range = relation.time_range()
+        max_versions = relation.max_versions()
+        caching = relation.scan_caching()
+        gets: List[Get] = []
+        for work in scan_partition.work:
+            for scan_range in work.ranges:
+                if scan_range.point:
+                    gets.append(self._configure(
+                        Get(scan_range.start), hbase_columns, time_range,
+                        max_versions))
+                    continue
+                scan = self._configure(
+                    Scan(scan_range.start, scan_range.stop),
+                    hbase_columns, time_range, max_versions)
+                if caching is not None:
+                    scan.set_caching(caching)
+                yield from table.scan_pages(scan, ctx.ledger, work.location)
+        if gets:
+            found = [(result.row, result.cells)
+                     for result in table.bulk_get(gets, ctx.ledger)
+                     if not result.is_empty()]
+            if found:
+                yield found
 
     # -- request shaping ---------------------------------------------------------
     def _hbase_columns(self) -> Optional[Set[Tuple[str, str]]]:
@@ -231,19 +191,3 @@ class HBaseTableScanRDD(RDD):
             read.set_max_versions(max_versions)
         return read
 
-
-class _ColumnBatchRDD(RDD):
-    """A scan's partitions as column batches (:meth:`HBaseTableScanRDD.
-    column_batches`); the scan is its parent, so its lineage, locality and
-    scope are the scan's."""
-
-    def __init__(self, scan: HBaseTableScanRDD, batch_size: int) -> None:
-        super().__init__([scan])
-        self.batch_size = batch_size
-
-    def partitions(self) -> List[Partition]:
-        return self.parents[0].partitions()
-
-    def compute(self, partition: Partition,
-                ctx: "TaskContext") -> Iterator[RecordBatch]:
-        return self.parents[0].compute_batches(partition, ctx, self.batch_size)

@@ -73,22 +73,22 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
     )
     ledger.charge(io_bytes / cost.scan_bytes_per_sec, "hbase.bytes_scanned", io_bytes)
 
-    decode_cost = relation.decode_cell_cost()
-    decode = relation.codec.decoder(input_columns)
+    rows, __ = region.scan_rows(scan_range.start, scan_range.stop, None, columns)
+    if hbase_filter is not None:
+        keep = hbase_filter.compile()
+        evals_s = cost.cell_filter_cost_s * hbase_filter.cells_evaluated()
+        kept = []
+        for row_key, cells in rows:
+            ledger.charge(evals_s, "hbase.filter_evals")
+            if keep(row_key, cells):
+                kept.append((row_key, cells))
+        rows = kept
+    # the rows the filter kept, decoded as one page; a zero-column page
+    # (a bare COUNT(*)) is still one empty row per kept row
+    decoded_columns, decoded = relation.codec.page_decoder(input_columns)(rows)
     column_index = {name: i for i, name in enumerate(input_columns)}
     table: Dict[tuple, list] = {}
-    decoded = 0
-    keep = None if hbase_filter is None else hbase_filter.compile()
-    evals_s = 0.0 if hbase_filter is None \
-        else cost.cell_filter_cost_s * hbase_filter.cells_evaluated()
-    rows, __ = region.scan_rows(scan_range.start, scan_range.stop, None, columns)
-    for row_key, cells in rows:
-        if keep is not None:
-            ledger.charge(evals_s, "hbase.filter_evals")
-            if not keep(row_key, cells):
-                continue
-        row, ncells = decode(row_key, cells)
-        decoded += ncells
+    for row in (zip(*decoded_columns) if decoded_columns else [()] * len(rows)):
         if residual is not None and residual(row) is not True:
             continue
         key = tuple(row[column_index[g]] for g in group_columns)
@@ -98,7 +98,8 @@ def aggregation_endpoint(region, params: dict, cost, ledger) -> List[tuple]:
             table[key] = accs
         for i, agg in enumerate(aggregates):
             accs[i] = agg.update(accs[i], arguments[i](row))
-    ledger.charge(decode_cost * decoded, "hbase.server_side_decodes", decoded)
+    ledger.charge(relation.decode_cell_cost() * decoded,
+                  "hbase.server_side_decodes", decoded)
     return [(key, tuple(accs)) for key, accs in table.items()]
 
 

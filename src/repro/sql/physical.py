@@ -226,20 +226,17 @@ def _strip_alias(item: E.Expression) -> E.Expression:
 
 
 class ScanExec(PhysicalPlan):
-    """The batch-producing scan stage: a source's rows, then the fused
-    filters and projection, in one partition pass.
+    """The batch-producing scan stage: a source's column batches, then the
+    fused filters and projection, in one partition pass.
 
-    A subclass says where the rows come from (:meth:`source_rdd`).  A
-    source that can hand over column batches itself (``column_batches``,
-    an SHC scan decoding each page into columns) does; any other source's
-    rows are cut into batches (:func:`~repro.sql.columnar.batches_from_rows`),
-    at the same ``BATCH_SIZE`` boundaries.  One ``map_partitions`` pass per
-    partition then applies the scan's residual and every fused predicate
-    as a column mask,
-    then evaluates the fused projection -- so each batch is traversed once
-    per kernel instead of once per row per expression node.  ``columns``
-    are the attributes the source produces; ``output`` stays ``columns``
-    until a projection is fused.  ``fused`` names the operators the planner
+    A subclass says where the batches come from (:meth:`source_rdd`): a
+    relation's ``build_scan`` (an SHC scan decodes each page into columns),
+    or driver-local rows cut at ``BATCH_SIZE``.  One ``map_partitions``
+    pass per partition then applies the scan's residual and every fused
+    predicate as a column mask, then evaluates the fused projection -- so
+    each batch is traversed once per kernel instead of once per row per
+    expression node.  ``columns`` are the attributes the source produces;
+    ``output`` stays ``columns`` until a projection is fused.  ``fused`` names the operators the planner
     collapsed into the pass.
     """
 
@@ -269,13 +266,12 @@ class ScanExec(PhysicalPlan):
         return self
 
     def source_rdd(self, ctx: ExecContext) -> RDD:
-        """The source's rows, positionally aligned with ``columns``."""
+        """The source's :class:`~repro.sql.columnar.RecordBatch` es, columns
+        positionally aligned with ``columns``."""
         raise NotImplementedError
 
     def execute(self, ctx: ExecContext) -> RDD:
         columns = self.columns
-        width = len(columns)
-        batch_size = C.BATCH_SIZE
         cond_kernels = [C.compile_bound(c, columns) for c in self.conditions]
         proj_kernels = None
         if self.project_list is not None:
@@ -298,14 +294,7 @@ class ScanExec(PhysicalPlan):
                         [k(batch.columns, n) for k in proj_kernels], n)
                 yield batch
 
-        source = self.source_rdd(ctx)
-        column_batches = getattr(source, "column_batches", None)
-        if column_batches is not None:
-            batches = column_batches(batch_size)
-        else:
-            batches = source.map_partitions(
-                lambda rows, task_ctx: C.batches_from_rows(rows, width, batch_size))
-        return batches.map_partitions(scan_batches)
+        return self.source_rdd(ctx).map_partitions(scan_batches)
 
     def _fused_note(self) -> str:
         return f", fused={'+'.join(self.fused[1:])}" if len(self.fused) > 1 else ""
@@ -314,9 +303,9 @@ class ScanExec(PhysicalPlan):
 class DataSourceScanExec(ScanExec):
     """Scan a pluggable relation with pruned columns and offered filters.
 
-    The relation hands over the ``columns`` rows; the ``residual`` it could
-    not handle runs in the scan's batch pass, with whatever the planner
-    fused.
+    The relation hands over the ``columns`` as column batches; the
+    ``residual`` it could not handle runs in the scan's batch pass, with
+    whatever the planner fused.
     """
 
     def __init__(
@@ -422,7 +411,9 @@ class LocalScanExec(ScanExec):
         self.num_partitions = num_partitions
 
     def source_rdd(self, ctx: ExecContext) -> RDD:
-        return ParallelCollectionRDD(self.rows, self.num_partitions)
+        width, batch_size = len(self.columns), C.BATCH_SIZE
+        return ParallelCollectionRDD(self.rows, self.num_partitions).map_partitions(
+            lambda rows, task_ctx: C.batches_from_rows(rows, width, batch_size))
 
     def describe(self) -> str:
         return f"LocalScan({len(self.rows)} rows{self._fused_note()})"

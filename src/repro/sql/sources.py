@@ -188,7 +188,8 @@ class BaseRelation:
 
     def build_scan(self, required_columns: Sequence[str],
                    filters: Sequence[Filter]) -> "RDD":
-        """Return an RDD of tuples ordered as ``required_columns``.
+        """Return an RDD of :class:`~repro.sql.columnar.RecordBatch` es whose
+        columns are ``required_columns``, in that order.
 
         ``filters`` is advisory: the relation may apply any subset; the
         engine re-applies whatever ``unhandled_filters`` reports (and, for

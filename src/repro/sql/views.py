@@ -590,11 +590,12 @@ class ViewMaintainer:
     def _group(self, values: Dict[str, object]) -> Tuple:
         return tuple([values[g] for g in self.vdef.group_by])
 
-    def _decode(self, row: bytes, cells) -> Optional[Dict[str, object]]:
-        """A base row as the definition's scan sees it (None: not in it)."""
-        values = self.base.decode_row(row, cells)
-        seen = not self._read or any(values[c] is not None for c in self._read)
-        return values if seen else None
+    def _decode(self, page) -> List[Optional[Dict[str, object]]]:
+        """Base rows, decoded as one page, as the definition's scan sees
+        them (None: not in it)."""
+        read = self._read
+        return [values if not read or any(values[c] is not None for c in read)
+                else None for values in self.base.decode_rows(page)]
 
     # -- the CDC callback --------------------------------------------------
     def on_change(self, table: str, cells) -> None:
@@ -635,13 +636,20 @@ class ViewMaintainer:
         if put_rows:
             base = self._table(self.vdef.base_table)
             ordered = sorted(put_rows)
-            gets = [Get(row).set_max_versions(2) for row in ordered]
-            for row, result in zip(ordered, base.bulk_get(gets, self.ledger)):
-                new = self._decode(row, result.cells)
+            results = base.bulk_get([Get(row).set_max_versions(2) for row in ordered],
+                                    self.ledger)
+            news = self._decode([(row, result.cells)
+                                 for row, result in zip(ordered, results)])
+            # puts only add cells: a row not in the view now was not before
+            priors = [(row, _prior_cells(result, batch))
+                      for row, result, new in zip(ordered, results, news)
+                      if new is not None]
+            priors = [(row, cells) for row, cells in priors if cells]
+            olds = dict(zip([row for row, __ in priors], self._decode(priors)))
+            for row, new in zip(ordered, news):
                 if new is None:
-                    continue  # puts only add cells: not in the view before either
-                prior = _prior_cells(result, batch)
-                old = self._decode(row, prior) if prior else None
+                    continue
+                old = olds.get(row)
                 if row in twice or (old is not None and not self._exact(old, new)):
                     if not recountable:
                         self._invalidate()
@@ -690,9 +698,10 @@ class ViewMaintainer:
         keys = [self.storage.encode_key(dict(zip(self.vdef.group_by, group)))
                 for group in groups]
         puts, deletes = [], []
-        for group, key, result in zip(groups, keys, view.bulk_get(
-                [Get(key) for key in keys], self.ledger)):
-            before = self.storage.decode_row(key, result.cells)
+        results = view.bulk_get([Get(key) for key in keys], self.ledger)
+        befores = self.storage.decode_rows(
+            [(key, result.cells) for key, result in zip(keys, results)])
+        for group, key, result, before in zip(groups, keys, results, befores):
             if group in recount_groups:
                 stored = dict(zip(self.vdef.group_by, group))
                 self._recount(group).merge_into(stored)
@@ -723,9 +732,10 @@ class ViewMaintainer:
         """One group recomputed from a base row-key prefix range scan."""
         prefix = self.base.key_prefix(group)
         delta = _GroupDelta(self.vdef)
-        for result in self._table(self.vdef.base_table).scan(
-                Scan(prefix, prefix_successor(prefix)), self.ledger):
-            values = self._decode(result.row, result.cells)
+        results = self._table(self.vdef.base_table).scan(
+            Scan(prefix, prefix_successor(prefix)), self.ledger)
+        for values in self._decode([(result.row, result.cells)
+                                    for result in results]):
             if values is not None:
                 delta.add(values)
         return delta

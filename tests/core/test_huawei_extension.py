@@ -88,6 +88,34 @@ def test_no_scan_bytes_cross_to_engine(loaded):
     assert run.metrics.get("hbase.server_side_decodes") > 0
 
 
+def test_server_side_decodes_are_the_kept_rows_cells(linked):
+    """The endpoint decodes only the rows its pushed filter kept: one cell
+    per key dimension per kept row, plus each kept row's non-NULL data
+    cells (a NULL is no cell, and costs nothing)."""
+    cluster, session = linked
+    options = {
+        HBaseTableCatalog.tableCatalog: CATALOG,
+        HBaseTableCatalog.newTable: "3",
+        "hbase.zookeeper.quorum": cluster.quorum,
+    }
+    rows = [(k, grp, None if k % 4 == 0 else v) for k, grp, v in ROWS]
+    session.create_dataframe(rows, SCHEMA).write \
+        .format(DEFAULT_FORMAT).options(options).save()
+    views(session, options)
+    sql = "select grp, sum(k), count(v) from hw_t where grp = 'g1' group by grp"
+    assert "CoprocessorAggregate" in session.sql(sql).explain()
+    run = session.sql(sql).run()
+    kept = [row for row in rows if row[1] == "g1"]
+    key_dimensions = 1
+    data_cells = sum(value is not None for row in kept for value in row[1:])
+    # the filter ran in the region servers, on every row
+    assert run.metrics.get("hbase.filter_evals") == len(rows)
+    assert run.metrics.get("hbase.server_side_decodes") \
+        == key_dimensions * len(kept) + data_cells == 40 + 40 + 30
+    assert sorted(map(tuple, run.rows)) == [
+        ("g1", sum(k for k, __, __ in kept), 30)]
+
+
 def test_coprocessor_faster_on_wide_aggregation(loaded):
     cluster, session, options = loaded
     views(session, options)

@@ -127,12 +127,24 @@ def decode_per_call(codec, columns, row_key, cells):
     return tuple(values), ncells
 
 
+def decode_one(codec, columns):
+    """The page decoder over a page of one row, as ``decode(row_key, cells)``
+    giving the row's values and the cells it decoded."""
+    decode_page = codec.page_decoder(columns)
+
+    def decode(row_key, cells):
+        out, ncells = decode_page([(row_key, cells)])
+        return tuple(column[0] for column in out), ncells
+
+    return decode
+
+
 def check_codec_roundtrip(catalog_json, schema, rows):
     """Every row survives the codec both ways; returns the cells it counted."""
     catalog = HBaseTableCatalog.from_json(catalog_json)
     codec = RowCodec(catalog)
     names = schema.names
-    encode, decode = codec.encoder(names), codec.decoder(names)
+    encode, decode = codec.encoder(names), decode_one(codec, names)
     nkeys = len(catalog.row_key)
     # the whole row, the key alone, the data alone, and a reordered mix
     projections = [names, names[:nkeys], names[nkeys:],
@@ -152,7 +164,7 @@ def check_codec_roundtrip(catalog_json, schema, rows):
         stale = [Cell(c.row, c.family, c.qualifier, 1, b"stale") for c in cells]
         assert decode(put.row, cells + stale) == (row, ncells)
         for columns in projections:
-            assert codec.decoder(columns)(put.row, cells + stale) \
+            assert decode_one(codec, columns)(put.row, cells + stale) \
                 == decode_per_call(codec, columns, put.row, cells + stale)
         assert codec.decode_row(put.row, cells) == dict(zip(names, row))
         assert codec.encode_row(dict(zip(names, row))).to_cells(2) == cells
@@ -194,7 +206,7 @@ def test_codec_counts_are_what_the_connector_charges(case):
 
 
 def row_by_row(decode, page):
-    """The row decoder over a page, as the page decoder reports it: one
+    """A one-row decoder over a page, as the page decoder reports it: one
     list per column and the cells summed -- or the first error raised."""
     try:
         decoded = [decode(row_key, cells) for row_key, cells in page]
@@ -218,8 +230,8 @@ def test_page_decoder_equals_the_row_decoder(case, data):
     """Over drawn pages -- all three coders, single and composite keys,
     rows missing columns, older versions listed after the newest, and now
     and then one malformed key -- decoding a page at once equals decoding
-    it row by row: every value, the cells counted, or the same
-    :class:`CoderError`."""
+    it row by row with the per-call reference (:func:`decode_per_call`):
+    every value, the cells counted, or the same :class:`CoderError`."""
     catalog_json, schema, rows = case
     codec = RowCodec(HBaseTableCatalog.from_json(catalog_json))
     names = schema.names
@@ -241,8 +253,9 @@ def test_page_decoder_equals_the_row_decoder(case, data):
         page[i] = (row_key, cells)
     columns = data.draw(st.lists(st.sampled_from(names), max_size=len(names)),
                         label="columns")
-    assert page_at_once(codec.page_decoder(columns), page) \
-        == row_by_row(codec.decoder(columns), page)
+    assert page_at_once(codec.page_decoder(columns), page) == row_by_row(
+        lambda row_key, cells: decode_per_call(codec, columns, row_key, cells),
+        page)
     assert codec.page_decoder(columns)([]) == ([[] for __ in columns], 0)
 
 
@@ -257,7 +270,7 @@ _MALFORMED = {
 
 @pytest.mark.parametrize("coder", sorted(_MALFORMED))
 def test_malformed_bytes_are_coder_errors_naming_the_type(coder):
-    """What the per-call coders reject, the bound decoder rejects alike."""
+    """What the per-call coders reject, the page decoder rejects alike."""
     width = {"length": 8} if coder == "Avro" else {}
     catalog = HBaseTableCatalog.from_json(json.dumps({
         "table": {"namespace": "default", "name": "t", "tableCoder": coder},
@@ -285,7 +298,7 @@ def test_malformed_bytes_are_coder_errors_naming_the_type(coder):
         cells = [Cell(c.row, c.family, c.qualifier, c.timestamp,
                       swapped.get(c.qualifier, c.value))
                  for c in good.to_cells(1)]
-        for decode in (codec.decoder(names),
+        for decode in (decode_one(codec, names),
                        lambda key, cells: decode_per_call(codec, names, key, cells)):
             with pytest.raises(CoderError, match=named):
                 decode(row_key, cells)
@@ -307,7 +320,7 @@ def test_malformed_bytes_are_coder_errors_naming_the_type(coder):
         bad_keys.append(key + b"\x00")
     for row_key in bad_keys:
         messages = []
-        for decode in (codec.decoder(["a", "h", "i"]),
+        for decode in (decode_one(codec, ["a", "h", "i"]),
                        lambda key, cells: decode_per_call(
                            codec, ["a", "h", "i"], key, cells)):
             with pytest.raises(CoderError, match="int") as caught:
@@ -336,7 +349,7 @@ def test_an_int_key_is_decoded_by_one_struct_call(monkeypatch):
     }))
     codec = RowCodec(catalog)
     key = codec.encode_key({"a": 1, "b": -2, "c": 3})
-    assert codec.decoder(["c", "a", "b"])(key, []) == ((3, 1, -2), 3)
+    assert decode_one(codec, ["c", "a", "b"])(key, []) == ((3, 1, -2), 3)
     assert calls["n"] == 0
     assert decode_rowkey(catalog, codec.coder, key) == {"a": 1, "b": -2, "c": 3}
     assert calls["n"] == 3

@@ -5,8 +5,15 @@ import sys
 import pytest
 
 import repro
+from repro.baselines import BASELINE_FORMAT
+from repro.common.errors import CoderError, FatalTaskError
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
+from repro.core.keys import RowCodec
 from repro.core.relation import DEFAULT_FORMAT
+from repro.extensions import HUAWEI_FORMAT
+from repro.hbase.client import ConnectionFactory, Put
+from repro.sql import columnar as C
+from repro.sql.sources import lookup_provider
 from repro.sql.types import IntegerType, StringType, StructField, StructType
 
 CATALOG = json.dumps({
@@ -40,8 +47,6 @@ def loaded(linked):
 
 
 def relation_for(session, opts, extra=None):
-    from repro.sql.sources import lookup_provider
-
     merged = dict(opts)
     if extra:
         merged.update(extra)
@@ -134,7 +139,7 @@ def test_pushed_filter_on_unselected_column_regression(loaded):
 
 def test_filter_columns_exposed_on_rdd(loaded):
     cluster, session, opts = loaded
-    from repro.sql.sources import GreaterThan, lookup_provider
+    from repro.sql.sources import GreaterThan
 
     relation = lookup_provider(DEFAULT_FORMAT).create_relation(opts, session)
     rdd = relation.build_scan(["a"], [GreaterThan("b", 100)])
@@ -183,6 +188,61 @@ def test_limit_closing_a_scan_inside_a_page_pays_for_the_rows_handed_on(
     assert repr(result.seconds) == "2.1996495833333336"
     assert [repr(stage.duration_s) for stage in result.stages] == [
         "0.5786495833333334", "0.421"]
+
+
+RELATION_FORMATS = (DEFAULT_FORMAT, HUAWEI_FORMAT, BASELINE_FORMAT)
+
+
+@pytest.mark.parametrize("columns", [["b", "k"], ["a"], ["k", "b", "a"], []])
+def test_build_scan_hands_batches_of_the_required_columns(
+        loaded, monkeypatch, columns):
+    """The relation contract: SHC, the coprocessor connector and the
+    baseline each hand ``RecordBatch`` es whose columns are the required
+    columns, in that order and no more (none for a bare count), cut at
+    ``BATCH_SIZE``; the baseline's rows, decoded whole and projected, equal
+    SHC's."""
+    cluster, session, opts = loaded
+    monkeypatch.setattr(C, "BATCH_SIZE", 7)
+    names = ["k", "a", "b"]
+    expected = sorted(
+        tuple(row[names.index(c)] for c in columns)
+        for row in ((i, "a%d" % i, i * i) for i in range(60)))
+    scanned = {}
+    for fmt in RELATION_FORMATS:
+        relation = lookup_provider(fmt).create_relation(opts, session)
+        batches = session.new_scheduler().collect(relation.build_scan(columns, []))
+        assert all(isinstance(batch, C.RecordBatch) for batch in batches), fmt
+        assert all(len(batch.columns) == len(columns)
+                   and all(len(column) == batch.num_rows for column in batch.columns)
+                   and 0 < batch.num_rows <= 7 for batch in batches), fmt
+        scanned[fmt] = sorted(row for batch in batches for row in batch.to_rows())
+    assert scanned[BASELINE_FORMAT] == scanned[DEFAULT_FORMAT] \
+        == scanned[HUAWEI_FORMAT] == expected
+
+
+@pytest.mark.parametrize("fmt, statement", [
+    (DEFAULT_FORMAT, "select k, b from t"),
+    (BASELINE_FORMAT, "select k, b from t"),
+    (HUAWEI_FORMAT, "select a, sum(b) from t group by a"),
+])
+def test_a_malformed_cell_fails_the_query_once_naming_the_type(
+        loaded, fmt, statement):
+    """A cell no int encodes to, read through SHC's scan, the baseline's
+    full-row scan and the coprocessor endpoint: the query raises one
+    ``FatalTaskError`` caused by the page decoder's ``CoderError`` naming
+    the type, after a single attempt (the data's fault is not retried)."""
+    cluster, session, opts = loaded
+    codec = RowCodec(HBaseTableCatalog.from_json(CATALOG))
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("s")
+    table.put(Put(codec.encode_key({"k": 31})).add_column("cf2", "b", b"\x00\x01"))
+    session.read.format(fmt).options(opts).load().create_or_replace_temp_view("t")
+    if fmt == HUAWEI_FORMAT:
+        assert "CoprocessorAggregate" in session.sql(statement).explain()
+    with pytest.raises(FatalTaskError, match="after 1 attempts") as caught:
+        session.sql(statement).run()
+    assert isinstance(caught.value.__cause__, CoderError)
+    assert "int" in str(caught.value.__cause__)
 
 
 #: Python calls inside ``repro.core`` + ``repro.hbase`` that one more scanned

@@ -7,9 +7,11 @@ in-page anchors are out of scope.  Backticked ``tests/``, ``src/``,
 ``benchmarks/`` and ``docs/`` paths (a ``::test`` or ``:line`` suffix
 allowed) must exist from the repo root, except in CHANGES.md and
 ROADMAP.md, whose history and plans name files that are gone or not yet
-made.
+made.  Likewise a backticked ``Class.member`` in the documentation, where
+``Class`` is a class under ``src/repro``, must name a member the class has.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -66,3 +68,65 @@ def test_backticked_repo_paths_resolve():
                for path in _PATH_RE.findall(line)
                if not (REPO / path).exists()]
     assert not missing, "backticked paths that name nothing:\n" + "\n".join(missing)
+
+
+#: a backticked span that starts with ``Class.member``
+_SYMBOL_RE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
+_SYMBOL_PAGES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
+def _class_members():
+    """Every class under ``src/repro`` by name: its members (methods,
+    class-level assignments, nested classes, ``self.x`` assignments in its
+    methods) and its bases' names.  Two classes of one name share an entry."""
+    members, bases = {}, {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = members.setdefault(node.name, set())
+            for base in node.bases:
+                if isinstance(base, (ast.Name, ast.Attribute)):
+                    bases.setdefault(node.name, set()).add(
+                        base.id if isinstance(base, ast.Name) else base.attr)
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = (item.targets if isinstance(item, ast.Assign)
+                               else [item.target])
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            for inner in ast.walk(node):
+                targets = (inner.targets if isinstance(inner, ast.Assign)
+                           else [inner.target]
+                           if isinstance(inner, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                names.update(t.attr for t in targets
+                             if isinstance(t, ast.Attribute)
+                             and isinstance(t.value, ast.Name)
+                             and t.value.id == "self")
+    return members, bases
+
+
+def _has_member(members, bases, cls, member, seen=()):
+    if member in members.get(cls, ()):
+        return True
+    return any(_has_member(members, bases, base, member, seen + (cls,))
+               for base in bases.get(cls, ()) if base not in seen)
+
+
+def test_backticked_class_members_exist():
+    members, bases = _class_members()
+    pages = [REPO / name for name in _SYMBOL_PAGES] + sorted(REPO.glob("docs/*.md"))
+    checked, missing = 0, []
+    for page in pages:
+        for line in _prose_lines(page):
+            for cls, member in _SYMBOL_RE.findall(line):
+                if cls not in members:
+                    continue
+                checked += 1
+                if not _has_member(members, bases, cls, member):
+                    missing.append(f"{page.relative_to(REPO)} -> {cls}.{member}")
+    assert checked, "no backticked Class.member found -- wrong pattern?"
+    assert not missing, "backticked members that name nothing:\n" + "\n".join(missing)

@@ -362,10 +362,6 @@ class RowCodec:
         return [dict(zip(names, values))
                 for values in zip(*self._decode_all(page)[0])]
 
-    def decode_row(self, row_key: bytes, cells: Sequence) -> Dict[str, object]:
-        """:meth:`decode_rows` of one row."""
-        return self.decode_rows([(row_key, cells)])[0]
-
     def encode_row(self, values: Mapping[str, object]) -> Put:
         """A :class:`Put` of the non-NULL columns ``values`` names."""
         return self._encode_all([values.get(name) for name in self._names])[0]

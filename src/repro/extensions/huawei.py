@@ -134,12 +134,21 @@ class CoprocessorAggregateRDD(RDD):
 
 
 class CoprocessorAggregateExec(PhysicalPlan):
-    """Partial aggregation in HBase, final merge in the engine."""
+    """Partial aggregation in HBase, final merge in the engine.
+
+    It scans as well as aggregates, so it books what a
+    :class:`~repro.sql.physical.DataSourceScanExec` books, scoped to itself:
+    the filters the region servers enforce (``shc.filters_pushed``, and
+    the residual conjuncts they evaluate row by row as
+    ``shc.filters_residual``), the regions read and pruned, and the
+    ``relation`` / ``regions_total`` / ``partitions`` facts.
+    """
 
     def __init__(self, relation: "HuaweiSparkHBaseRelation",
                  groupings: Sequence[E.Attribute],
                  aggregate_list: Sequence[E.Expression],
-                 scan_partitions, params_base: dict) -> None:
+                 scan_partitions, params_base: dict, *, filters_pushed: int,
+                 filters_residual: int, regions_total: int) -> None:
         output = []
         for item in aggregate_list:
             output.append(item.to_attribute() if isinstance(item, E.Alias) else item)
@@ -149,8 +158,21 @@ class CoprocessorAggregateExec(PhysicalPlan):
         self.aggregate_list = list(aggregate_list)
         self.scan_partitions = scan_partitions
         self.params_base = params_base
+        self.filters_pushed = filters_pushed
+        self.filters_residual = filters_residual
+        self.regions_total = regions_total
 
     def execute(self, ctx: ExecContext) -> RDD:
+        op = self.op_id
+        scanned = sum(len(p.work) for p in self.scan_partitions)
+        ctx.metrics.incr("shc.filters_pushed", self.filters_pushed, op)
+        ctx.metrics.incr("shc.filters_residual", self.filters_residual, op)
+        ctx.metrics.incr("shc.regions_scanned", scanned, op)
+        ctx.metrics.incr("shc.regions_pruned",
+                         max(0, self.regions_total - scanned), op)
+        ctx.record_operator(self, relation=self.relation.catalog.name,
+                            regions_total=self.regions_total,
+                            partitions=len(self.scan_partitions))
         partials = CoprocessorAggregateRDD(
             self.relation, self.scan_partitions, self.params_base
         )
@@ -219,7 +241,10 @@ class HuaweiSparkHBaseRelation(HBaseRelation):
         }
         return CoprocessorAggregateExec(
             self, list(groupings), list(aggregate_list), scan_partitions,
-            params_base,
+            params_base, filters_pushed=len(filters) - len(plan.unhandled),
+            filters_residual=(len(E.split_conjuncts(residual))
+                              if residual is not None else 0),
+            regions_total=len(locations),
         )
 
 

@@ -59,10 +59,9 @@ class Filter:
     this object.  A scan runs :meth:`compile` instead -- once per scan (per
     Get, per client-side fallback), then once per row -- so what a filter
     can bind (its column, comparator and operator) is looked up once, and
-    whatever state it keeps (:class:`PageFilter`'s count) lives in the
-    closure and starts afresh with each scan.  ``compile()`` on a fresh
-    filter keeps exactly the rows ``filter_row`` keeps, and raises on the
-    same row.
+    whatever state a filter kept would live in the closure and start afresh
+    with each scan.  ``compile()`` on a fresh filter keeps exactly the rows
+    ``filter_row`` keeps, and raises on the same row.
     """
 
     def filter_row(self, row: bytes, cells: Sequence[Cell]) -> bool:
@@ -202,42 +201,3 @@ class FilterList(Filter):
     def __repr__(self) -> str:
         inner = f" {self.operator.value} ".join(repr(f) for f in self.filters)
         return f"FilterList({inner})"
-
-
-class PageFilter(Filter):
-    """Stop returning rows once ``page_size`` rows have passed (LIMIT pushdown).
-
-    :meth:`filter_row` counts on the object (the reference; :meth:`reset`
-    starts it over); a compiled filter counts in its closure, so every
-    scan, nested in a list or not, starts from zero.
-    """
-
-    def __init__(self, page_size: int) -> None:
-        if page_size <= 0:
-            raise ValueError("page_size must be positive")
-        self.page_size = page_size
-        self._seen = 0
-
-    def filter_row(self, row: bytes, cells: Sequence[Cell]) -> bool:
-        if self._seen >= self.page_size:
-            return False
-        self._seen += 1
-        return True
-
-    def compile(self) -> Predicate:
-        page_size, seen = self.page_size, 0
-
-        def keep(row: bytes, cells: Sequence[Cell]) -> bool:
-            nonlocal seen
-            if seen >= page_size:
-                return False
-            seen += 1
-            return True
-
-        return keep
-
-    def reset(self) -> None:
-        self._seen = 0
-
-    def __repr__(self) -> str:
-        return f"PageFilter({self.page_size})"

@@ -32,15 +32,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.rdd import RDD, ShuffleReadRDD
 from repro.engine.shuffle import ShuffleBlockStore
+from repro.sql import columnar as C
 from repro.sql.physical import (
     ExecContext,
     HashJoinExec,
     PhysicalPlan,
     _charge_broadcast,
+    _chunks,
     _hash_build,
-    _keyed,
-    _row_key,
-    _row_tagger,
 )
 
 #: a read spec: (shuffle_id, reduce_partition, optional map-id subset)
@@ -103,9 +102,10 @@ class AdaptiveJoinExec(HashJoinExec):
     build-side exchange first and then picks, from measured bytes: broadcast
     conversion (rule 1, including the swapped inner-join variant) or the
     shuffled join, its skewed partitions split (rule 2).
-    The probe loop and the build seam are :class:`HashJoinExec`'s, so rows,
-    bytes and ledger charges are computed identically whichever strategy
-    wins.
+    The tagging, the probe loop and the build seam are
+    :class:`HashJoinExec`'s, so rows, bytes and ledger charges are computed
+    identically whichever strategy wins; this join charges ``row_cpu_s``
+    per tagged and per output row.
     """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan, *join) -> None:
@@ -113,27 +113,24 @@ class AdaptiveJoinExec(HashJoinExec):
 
     def execute(self, ctx: ExecContext) -> RDD:
         left_stage, right_stage = self.children
-        left_key = _row_key(self.left_keys, left_stage.output)
-        right_key = _row_key(self.right_keys, right_stage.output)
         per_row = ctx.cost.row_cpu_s
         num_parts = ctx.shuffle_partitions()
         threshold = int(ctx.conf.get("sql.autoBroadcastJoinThreshold", 128 * 1024))
         store = ctx.scheduler.block_store
         ctx.record_operator(self, initial_strategy="ShuffledHashJoin")
 
-        def barrier(stage, key, side) -> Tuple[int, List[int]]:
+        def barrier(stage, keys, side) -> Tuple[int, List[int]]:
             """Materialise one side's exchange: its shuffle id and the bytes
             each reduce partition was written."""
-            shuffled = stage.execute(ctx).map_partitions(
-                _row_tagger(key, side, per_row)
-            ).partition_by(num_parts, key_fn=lambda e: e[0])
+            shuffled = self._tagged(ctx, stage, keys, side, per_row).partition_by(
+                num_parts, key_fn=lambda e: e[0])
             stages = ctx.run_job(shuffled, map_stages_only=True).stages
             ctx.metrics.incr("engine.aqe.stages_materialized", len(stages))
             return (shuffled.shuffle_id,
                     store.partition_bytes(shuffled.shuffle_id, num_parts))
 
         # rule 1: the build (right) side measured small -> broadcast instead
-        right_id, right_bytes = barrier(right_stage, right_key, 1)
+        right_id, right_bytes = barrier(right_stage, self.right_keys, 1)
         if sum(right_bytes) <= threshold:
             table = self._convert_to_broadcast(
                 ctx, right_id, right_bytes, "BroadcastHashJoin",
@@ -143,12 +140,11 @@ class AdaptiveJoinExec(HashJoinExec):
             # like the static broadcast join, the probe pipelines inside the
             # stream side's stage -- no scope stamp of its own
             return left_stage.execute(ctx).map_partitions(
-                lambda rows, task_ctx: probe(table, _keyed(rows, left_key),
-                                             task_ctx))
+                self._probe_stream(probe, table))
 
         # rule 1 (swapped): inner joins can build on a small *left* side and
         # stream the already-shuffled right side against it
-        left_id, left_bytes = barrier(left_stage, left_key, 0)
+        left_id, left_bytes = barrier(left_stage, self.left_keys, 0)
         if self.how == "inner" and sum(left_bytes) <= threshold:
             table = self._convert_to_broadcast(
                 ctx, left_id, left_bytes, "BroadcastHashJoin (build side swapped)",
@@ -156,10 +152,12 @@ class AdaptiveJoinExec(HashJoinExec):
                 f"{threshold}B; sides swapped")
             probe = self._probe_loop(per_row, build_left=True)
             key_and_row = itemgetter(0, 2)   # of a (key, side, row) entry
+            batch_size = C.BATCH_SIZE
             rdd = ShuffleReadRDD(
                 [[(right_id, p, None)] for p in range(num_parts)],
                 post_shuffle=lambda entries, task_ctx: probe(
-                    table, map(key_and_row, entries), task_ctx))
+                    table, _chunks(map(key_and_row, entries), batch_size),
+                    task_ctx))
             rdd.scope = self.op_id
             return rdd
 

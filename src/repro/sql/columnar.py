@@ -5,8 +5,8 @@ Batch execution amortises per-row dispatch: rows are packed into
 and :func:`compile_kernel` turns a bound expression tree into a closure
 evaluating one *column* per call, each node's value function mapped over
 its operands' columns by C-level ``map``.  :func:`compile_row` builds the
-row form of the same tree from the same value functions, for the operators
-that are row-ordered.
+row form of the same tree from the same value functions, for what is
+evaluated row by row (join residuals, sort keys, constant folding).
 
 All semantics live in :meth:`repro.sql.expressions.Expression.value_fn`;
 the compiler adds none, so the two forms agree by construction.  The
@@ -25,8 +25,9 @@ from repro.sql import expressions as E
 #: a compiled kernel: (columns, num_rows) -> one output column
 Kernel = Callable[[Sequence[list], int], list]
 
-#: rows per RecordBatch at scan and row->batch transition boundaries; read
-#: when an operator executes, so tests shrink it to force batch seams
+#: rows per RecordBatch where batches are cut from rows (local scans, the
+#: reduce side of an exchange); read when an operator executes, so tests
+#: shrink it to force batch seams
 BATCH_SIZE = 1024
 
 
@@ -73,6 +74,11 @@ def batches_from_rows(rows: Iterable[tuple], width: int,
         yield RecordBatch.from_rows(chunk, width)
 
 
+def rows_from_batches(batches: Iterable[RecordBatch]) -> Iterator[tuple]:
+    """The row tuples of a batch stream, in order (no Python frame per row)."""
+    return itertools.chain.from_iterable(map(RecordBatch.to_rows, batches))
+
+
 def apply_mask(batch: RecordBatch, mask: Sequence[object]) -> RecordBatch:
     """Keep the rows whose mask entry is exactly ``True``.
 
@@ -94,8 +100,8 @@ def apply_mask(batch: RecordBatch, mask: Sequence[object]) -> RecordBatch:
 def compile_row(expr: E.Expression) -> Callable[[tuple], object]:
     """Compile a *bound* expression into a row closure ``row -> value``.
 
-    Residuals, sort keys, row-fed join keys, aggregate results, constant
-    folding and ``VALUES`` evaluate through this.
+    Join residuals, sort keys, constant folding, ``VALUES`` and the
+    coprocessor endpoint evaluate through this.
     """
     if isinstance(expr, E.Alias):
         return compile_row(expr.child)
@@ -163,4 +169,5 @@ __all__: List[str] = [
     "compile_kernel",
     "compile_row",
     "key_tuples",
+    "rows_from_batches",
 ]

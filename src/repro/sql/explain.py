@@ -53,9 +53,6 @@ def operator_annotations(physical: PhysicalPlan, result) -> Dict[int, List[str]]
         if "engine.vectorized.fused_operators" in counts:
             notes.append(f"fused: {int(counts['engine.vectorized.fused_operators'])}"
                          f" operators in one pass")
-        if "engine.vectorized.transitions" in counts:
-            notes.append(f"transition: partitions="
-                         f"{int(counts['engine.vectorized.transitions'])}")
         if "engine.setop.rows_out" in counts:
             notes.append(f"setop: rows_out={int(counts['engine.setop.rows_out'])}")
         if "shc.regions_scanned" in counts:
@@ -180,8 +177,6 @@ def _vectorized_section(result) -> List[str]:
         f"batches processed: {int(m.get('engine.vectorized.batches'))} "
         f"({int(m.get('engine.vectorized.rows'))} rows)",
         f"operators fused: {int(m.get('engine.vectorized.fused_operators'))}",
-        f"columnar/row transitions: "
-        f"{int(m.get('engine.vectorized.transitions'))}",
     ]
 
 

@@ -1,16 +1,18 @@
 """Physical operators: resolved logical plans compiled onto engine RDDs.
 
-Each operator's ``execute(ctx)`` returns an RDD aligned with its ``output``
-attributes: :class:`~repro.sql.columnar.RecordBatch` column vectors when
-``columnar_output`` is set (scans, filters, projections), positional tuples
-otherwise.  Filters, projections, aggregate builds and hash-join key
-evaluation run compiled column kernels over batches (docs/vectorized.md);
-each operator declares the format it reads (``child_formats``), and one
-rule (:func:`repro.sql.vectorized.insert_transitions`) places an explicit
-adapter wherever a producer's format differs from that.  Narrow
-operators pipeline via ``map_partitions`` inside the upstream task; wide
-operators (aggregation, shuffled joins, distinct, intersect) introduce
-exchanges whose volume the scheduler meters -- that metering is Figure 5.
+Every operator's ``execute(ctx)`` returns an RDD of
+:class:`~repro.sql.columnar.RecordBatch` column vectors aligned with its
+``output`` attributes, so batches flow on every edge of a plan.  Filters,
+projections, aggregate builds and results and hash-join keys run compiled
+column kernels over them (docs/vectorized.md).  Rows appear only where
+work leaves a task: an exchange (``partition_by`` / ``coalesce_to_driver``)
+and a driver sub-job carry row tuples, which the operator's map-side
+closure unpacks from its batches and its reduce side packs again at
+``BATCH_SIZE``, and the session root hands rows to the caller
+(:func:`repro.sql.vectorized.insert_transitions`).  Narrow operators
+pipeline via ``map_partitions`` inside the upstream task; wide operators
+(aggregation, shuffled joins, distinct, intersect) introduce exchanges
+whose volume the scheduler meters -- that metering is Figure 5.
 
 Broadcast hash joins run a sub-job to collect the build side at the driver
 and charge the redistribution to driver time, mirroring Spark's
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Collection, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.common.errors import AnalysisError
 from repro.common.metrics import MetricsRegistry
@@ -130,15 +133,6 @@ class PhysicalPlan:
 
     op_id = 0
 
-    #: True when ``execute`` returns an RDD of
-    #: :class:`~repro.sql.columnar.RecordBatch` instead of row tuples
-    columnar_output = False
-    #: the format each child is read in, by position (True: batches); a
-    #: child past the end is read as rows.  One rule
-    #: (:func:`repro.sql.vectorized.insert_transitions`) puts a transition
-    #: on every edge whose child produces the other format
-    child_formats: Tuple[bool, ...] = ()
-
     def __init__(self, output: Sequence[E.Attribute],
                  children: Sequence["PhysicalPlan"] = ()) -> None:
         self.output = list(output)
@@ -208,6 +202,18 @@ def _metered(op: "PhysicalPlan", batches: Iterable[C.RecordBatch],
         task_ctx.ledger.charge(per_row * nrows, "engine.rows_processed", nrows)
 
 
+def _unpacked(batches: Iterable[C.RecordBatch], task_ctx) -> Iterable[tuple]:
+    """Map-side closure of an exchange or a driver sub-job: both carry row
+    tuples, so the scheduler sizes rows and never a batch."""
+    return C.rows_from_batches(batches)
+
+
+def _chunks(items: Iterable, size: int) -> Iterator[list]:
+    """``items`` in lists of ``size``, pulled one list at a time."""
+    it = iter(items)
+    return iter(lambda: list(itertools.islice(it, size)), [])
+
+
 def _named_output(items: Sequence[E.Expression], what: str) -> List[E.Attribute]:
     """Output attributes of a projection / aggregate list (all items named)."""
     output = []
@@ -239,8 +245,6 @@ class ScanExec(PhysicalPlan):
     ``output`` stays ``columns`` until a projection is fused.  ``fused`` names the operators the planner
     collapsed into the pass.
     """
-
-    columnar_output = True
 
     def __init__(self, columns: Sequence[E.Attribute],
                  residual: Optional[E.Expression] = None) -> None:
@@ -423,9 +427,6 @@ class FilterExec(PhysicalPlan):
     """Engine-side filter (the "second layer" of section VI.A.3):
     predicate kernel -> mask -> ``itertools.compress``, batch by batch."""
 
-    columnar_output = True
-    child_formats = (True,)
-
     def __init__(self, condition: E.Expression, child: PhysicalPlan) -> None:
         super().__init__(child.output, [child])
         self.condition = condition
@@ -450,9 +451,6 @@ class FilterExec(PhysicalPlan):
 class ProjectExec(PhysicalPlan):
     """Expression evaluation into a new column layout: one compiled kernel
     per output column, applied batch by batch."""
-
-    columnar_output = True
-    child_formats = (True,)
 
     def __init__(self, project_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
         super().__init__(_named_output(project_list, "projection"), [child])
@@ -493,10 +491,11 @@ def finish_aggregate(ctx: ExecContext, partials: RDD,
     """The reduce side of a two-phase aggregation over ``(key, accs)`` pairs.
 
     Shuffles by key (a global aggregate, key ``()``, to one partition),
-    merges each key's accumulators, finishes them and evaluates every output
-    item over the row ``key + finished``: an item's subtree equal to
-    grouping ``i`` reads position ``i`` and aggregate ``j`` reads
-    ``len(key) + j``.  A global aggregate over no rows still yields a row.
+    merges each key's accumulators and finishes them into the rows ``key +
+    finished``, then evaluates every output item as a column kernel over
+    those rows' batches: an item's subtree equal to grouping ``i`` reads
+    column ``i`` and aggregate ``j`` reads ``len(key) + j``.  A global
+    aggregate over no rows still yields a row.
     """
     slot = {id(a): len(groupings) + j for j, a in enumerate(aggregates)}
 
@@ -513,10 +512,11 @@ def finish_aggregate(ctx: ExecContext, partials: RDD,
             return node
         return node.with_new_children([rebind(c, item) for c in node.children])
 
-    results = [C.compile_row(rebind(_strip_alias(item), item))
+    results = [C.compile_kernel(rebind(_strip_alias(item), item))
                for item in aggregate_list]
     per_row = ctx.cost.row_cpu_s
     global_agg = not groupings
+    width, batch_size = len(groupings) + len(aggregates), C.BATCH_SIZE
 
     def final(pairs, task_ctx):
         table: Dict[tuple, list] = {}
@@ -529,12 +529,12 @@ def finish_aggregate(ctx: ExecContext, partials: RDD,
                     merged[i] = agg.merge(merged[i], accs[i])
         if not table and global_agg:
             table[()] = [a.init_acc() for a in aggregates]
-        out = []
-        for key, accs in table.items():
-            row = key + tuple([agg.finish(acc) for agg, acc in zip(aggregates, accs)])
-            out.append(tuple([result(row) for result in results]))
-        task_ctx.ledger.charge(per_row * len(out), "engine.rows_processed", len(out))
-        return iter(out)
+        rows = [key + tuple([agg.finish(acc) for agg, acc in zip(aggregates, accs)])
+                for key, accs in table.items()]
+        task_ctx.ledger.charge(per_row * len(rows), "engine.rows_processed", len(rows))
+        return iter([C.RecordBatch([result(b.columns, b.num_rows) for result in results],
+                                   b.num_rows)
+                     for b in C.batches_from_rows(rows, width, batch_size)])
 
     num_parts = 1 if global_agg else ctx.shuffle_partitions()
     return partials.partition_by(num_parts, key_fn=lambda kv: kv[0],
@@ -548,11 +548,10 @@ class HashAggregateExec(PhysicalPlan):
     arguments evaluate as column kernels, and each row's argument values
     update its group's accumulators through the ``AggregateExpression``
     protocol; a global aggregate is the one group ``()``.  The
-    ``(key, accs)`` pairs it emits, the shuffle, merge and result evaluation
-    are row-at-a-time (:func:`finish_aggregate`).
+    ``(key, accs)`` pairs it emits cross the exchange; the merge is
+    row-at-a-time and the results are column kernels again
+    (:func:`finish_aggregate`).
     """
-
-    child_formats = (True,)
 
     def __init__(self, groupings: Sequence[E.Expression],
                  aggregate_list: Sequence[E.Expression], child: PhysicalPlan) -> None:
@@ -601,56 +600,20 @@ class HashAggregateExec(PhysicalPlan):
 
 # -- joins (docs/engine.md, "Joins") ------------------------------------------------
 
-def _combine_rows(left: Optional[tuple], right: Optional[tuple],
-                  left_width: int, right_width: int) -> tuple:
-    left_part = left if left is not None else (None,) * left_width
-    right_part = right if right is not None else (None,) * right_width
-    return tuple(left_part) + tuple(right_part)
-
-
 def _join_output(left: PhysicalPlan, right: PhysicalPlan, how: str):
     if how in ("semi", "anti"):
         return list(left.output)
     return list(left.output) + list(right.output)
 
 
-def _row_key(keys: Sequence[E.Expression], attrs: Sequence[E.Attribute]
-             ) -> Callable[[tuple], tuple]:
-    """A row's join key tuple, from the keys bound against ``attrs``."""
-    fns = [C.compile_row(E.bind_expression(k, attrs)) for k in keys]
-    return lambda row: tuple([fn(row) for fn in fns])
-
-
-def _keyed(rows: Iterable[tuple], key: Callable[[tuple], tuple]):
-    """A row stream as the ``(key, row)`` pairs builds and probes read."""
-    return ((key(r), r) for r in rows)
-
-
-def _row_tagger(key: Callable[[tuple], tuple], side: int, per_row: float):
-    """Map-side closure of a row-fed shuffled join: ``(key, side, row)``
-    entries, side 1 builds and side 0 streams."""
-
-    def tag(rows, task_ctx):
-        count = 0
-        try:
-            for row in rows:
-                count += 1
-                yield (key(row), side, row)
-        except GeneratorExit:
-            pass
-        task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
-
-    return tag
-
-
 def _hash_build(keyed_rows: Iterable[Tuple[tuple, tuple]]
                 ) -> Tuple[Dict[tuple, List[tuple]], int]:
     """Hash a build side gathered at the driver: ``(table, row bytes)``.
 
-    ``keyed_rows`` is a build sub-job's result or a materialised shuffle's
-    blocks, as ``(key, row)`` pairs.  A key holding a NULL can never match,
-    so its rows stay out of the table; the byte count covers every row
-    gathered, because every row is shipped.
+    ``keyed_rows`` is a build sub-job's rows beside their kernel keys, or a
+    materialised shuffle's blocks, as ``(key, row)`` pairs.  A key holding
+    a NULL can never match, so its rows stay out of the table; the byte
+    count covers every row gathered, because every row is shipped.
     """
     table: Dict[tuple, List[tuple]] = {}
     row_bytes = 0
@@ -680,10 +643,12 @@ class HashJoinExec(PhysicalPlan):
     A strategy is how the build (right) side reaches the probe -- collected
     and broadcast, shuffled with the stream, or decided at a stage barrier
     -- and that is all a subclass's ``execute`` says.  The match-and-emit
-    rule with its output accounting (:meth:`_probe_loop`), the exchange
-    (:meth:`_shuffle_join`) and the hand-over of build keys to the probe's
-    scan (:meth:`_push_runtime_filters`) are stated here once, so every
-    strategy joins, counts and charges alike.
+    rule with its output accounting (:meth:`_probe_loop`), the keying of a
+    side's batches (:meth:`_tagged` for an exchange, :meth:`_probe_stream`
+    for a pipelined probe), the exchange (:meth:`_shuffle_join`) and the
+    hand-over of build keys to the probe's scan
+    (:meth:`_push_runtime_filters`) are stated here once, so every strategy
+    joins, counts and charges alike.
     """
 
     #: the planner's row estimate, stamped only where ANALYZE statistics
@@ -709,20 +674,22 @@ class HashJoinExec(PhysicalPlan):
     def _probe_loop(self, per_row: float, build_left: bool = False):
         """The match-and-emit rule of a hash join, bound to this operator.
 
-        Returns ``probe(table, keyed_rows, task_ctx)``: a generator that
-        looks each ``(key, row)`` of the stream up in ``table``, never
-        matches a key holding a NULL, keeps the pairs the residual accepts
-        and emits by join type.  Its tail books what it emitted: the
-        ``engine.join.rows_out`` / ``bytes_out`` counters, scoped to this
-        operator (EXPLAIN ANALYZE's join note), and ``per_row`` CPU seconds
-        per output row.
+        Returns ``probe(table, chunks, task_ctx)``: a generator that looks
+        each ``(key, row)`` pair of each chunk up in ``table`` (which holds
+        no key with a NULL, so such a key never matches), keeps the pairs
+        the residual accepts, emits by join type and hands out one batch
+        per chunk that emitted a row.  Its tail books what it handed out:
+        the ``engine.join.rows_out`` / ``bytes_out`` counters, scoped to
+        this operator (EXPLAIN ANALYZE's join note), and ``per_row`` CPU
+        seconds per output row.
 
         The stream is the left side; with ``build_left`` the table holds
         left rows and the right side streams, which only an inner join can
         do (the other types emit per *left* row).
         """
         left, right = self.children
-        left_width, right_width = len(left.output), len(right.output)
+        width = len(self.output)
+        pad = (None,) * len(right.output)   # a left join's unmatched row
         residual = (
             C.compile_row(E.bind_expression(
                 self.residual, list(left.output) + list(right.output)))
@@ -730,35 +697,33 @@ class HashJoinExec(PhysicalPlan):
         )
         how = self.how
 
-        def probe(table, keyed_rows, task_ctx):
+        def probe(table, chunks, task_ctx):
             out_count = 0
             out_bytes = 0
             try:
-                for key, row in keyed_rows:
-                    matches = table.get(key, ()) if None not in key else ()
-                    emitted = False
-                    for match in matches:
-                        if build_left:
-                            combined = _combine_rows(match, row, left_width, right_width)
-                        else:
-                            combined = _combine_rows(row, match, left_width, right_width)
-                        if residual is None or residual(combined) is True:
-                            emitted = True
-                            if how in ("semi", "anti"):
-                                break
-                            out_count += 1
-                            out_bytes += estimate_size(combined)
-                            yield combined
-                    if emitted:
-                        if how != "semi":
-                            continue   # inner, left: emitted per match above
-                    elif how == "left":
-                        row = _combine_rows(row, None, left_width, right_width)
-                    elif how != "anti":
-                        continue
-                    out_count += 1
-                    out_bytes += estimate_size(row)
-                    yield row
+                for pairs in chunks:
+                    out = []
+                    for key, row in pairs:
+                        emitted = False
+                        for match in table.get(key, ()):
+                            combined = match + row if build_left else row + match
+                            if residual is None or residual(combined) is True:
+                                emitted = True
+                                if how in ("semi", "anti"):
+                                    break
+                                out.append(combined)
+                        if emitted:
+                            if how != "semi":
+                                continue   # inner, left: emitted per match above
+                        elif how == "left":
+                            row += pad
+                        elif how != "anti":
+                            continue
+                        out.append(row)
+                    if out:
+                        out_count += len(out)
+                        out_bytes += sum(map(estimate_size, out))
+                        yield C.RecordBatch.from_rows(out, width)
             except GeneratorExit:
                 pass
             task_ctx.ledger.count("engine.join.rows_out", out_count, self.op_id)
@@ -767,25 +732,67 @@ class HashJoinExec(PhysicalPlan):
 
         return probe
 
+    def _probe_stream(self, probe, table: Dict[tuple, List[tuple]]):
+        """A pipelined probe of ``table`` as a ``map_partitions`` closure:
+        each stream batch's keys by column kernel, its rows one chunk.  The
+        probe charges per output row; input rows are only counted."""
+        kernels = [C.compile_bound(k, self.children[0].output)
+                   for k in self.left_keys]
+
+        def probe_batches(batches, task_ctx):
+            chunks = (zip(C.key_tuples(kernels, b.columns, b.num_rows), b.to_rows())
+                      for b in _metered(self, batches, task_ctx, None))
+            return probe(table, chunks, task_ctx)
+
+        return probe_batches
+
+    def _tagged(self, ctx: ExecContext, child: PhysicalPlan,
+                keys: Sequence[E.Expression], side: int, per_row: float,
+                keep: Optional[Collection[tuple]] = None) -> RDD:
+        """One side as the ``(key, side, row)`` entries a join's exchange
+        carries (side 1 builds, side 0 streams): keys by column kernel, rows
+        unpacked from each batch, ``per_row`` CPU seconds per input row.
+        With ``keep``, an entry whose key is not in it is dropped."""
+        kernels = [C.compile_bound(k, child.output) for k in keys]
+
+        def tag(batches, task_ctx):
+            for batch in _metered(self, batches, task_ctx, per_row):
+                cols, n = batch.columns, batch.num_rows
+                if not n:
+                    continue
+                pairs = zip(C.key_tuples(kernels, cols, n), batch.to_rows())
+                if keep is None:
+                    for key, row in pairs:
+                        yield (key, side, row)
+                else:
+                    for key, row in pairs:
+                        if key in keep:
+                            yield (key, side, row)
+
+        return child.execute(ctx).map_partitions(tag)
+
     def _reducer(self, per_row: float):
         """The reduce side of a shuffled join, as a ``post_shuffle`` closure.
 
         One reduce partition's ``(key, side, row)`` entries split into the
-        build table (side 1) and the stream (side 0), then run the probe
-        loop.  The output is materialised: the loop's charges are the reduce
-        task's, whether or not a consumer drains it.
+        build table (side 1; a key holding a NULL never matches, so its rows
+        stay out) and the stream (side 0), then run the probe loop over
+        ``BATCH_SIZE`` stream rows at a time.  The output is materialised:
+        the loop's charges are the reduce task's, whether or not a consumer
+        drains it.
         """
         probe = self._probe_loop(per_row)
+        batch_size = C.BATCH_SIZE
 
         def join_partition(entries, task_ctx):
             table: Dict[tuple, List[tuple]] = {}
             stream: List[Tuple[tuple, tuple]] = []
             for key, side, row in entries:
-                if side == 1:
-                    table.setdefault(key, []).append(row)
-                else:
+                if side == 0:
                     stream.append((key, row))
-            return iter(list(probe(table, stream, task_ctx)))
+                elif None not in key:
+                    table.setdefault(key, []).append(row)
+            return iter(list(probe(table, _chunks(stream, batch_size), task_ctx)))
 
         return join_partition
 
@@ -857,9 +864,9 @@ class ShuffledHashJoinExec(HashJoinExec):
     """Both sides are shuffled by the join key; each reduce task builds its
     partition's table.
 
-    Both inputs arrive as batches: join keys evaluate as column kernels and
-    rows re-materialise through a C-level transpose into the tagged
-    ``(key, side, row)`` stream the reduce side joins row by row.
+    Both sides are tagged batch by batch (:meth:`_tagged`): join keys
+    evaluate as column kernels and rows unpack through a C-level transpose
+    into the ``(key, side, row)`` entries the exchange carries.
 
     With ``push_keys`` the build's tagged stream runs first, as a driver
     sub-job.  Its distinct keys, broadcast at key bytes, go to the probe's
@@ -868,32 +875,10 @@ class ShuffledHashJoinExec(HashJoinExec):
     Over the :data:`SEMIJOIN_MAX_KEYS` cap nothing is sent or dropped.
     """
 
-    child_formats = (True, True)
-
     def execute(self, ctx: ExecContext) -> RDD:
         vec_row = ctx.cost.vector_row_cpu_s
-
-        def tagged(child, keys, side, keep=None):
-            kernels = [C.compile_bound(k, child.output) for k in keys]
-
-            def tag(batches, task_ctx):
-                for batch in _metered(self, batches, task_ctx, vec_row):
-                    cols, n = batch.columns, batch.num_rows
-                    if not n:
-                        continue
-                    pairs = zip(C.key_tuples(kernels, cols, n), batch.to_rows())
-                    if keep is None:
-                        for key, row in pairs:
-                            yield (key, side, row)
-                    else:
-                        for key, row in pairs:
-                            if key in keep:
-                                yield (key, side, row)
-
-            return child.execute(ctx).map_partitions(tag)
-
         left, right = self.children
-        build = tagged(right, self.right_keys, 1)
+        build = self._tagged(ctx, right, self.right_keys, 1, vec_row)
         keep = None
         if self.push_keys:
             entries = ctx.run_job(build).rows()
@@ -903,15 +888,16 @@ class ShuffledHashJoinExec(HashJoinExec):
                 keep = keys
             build = ParallelCollectionRDD(
                 entries, min(ctx.shuffle_partitions(), max(1, len(entries))))
-        return self._shuffle_join(
-            ctx, tagged(left, self.left_keys, 0, keep).union(build),
-            ctx.cost.row_cpu_s)
+        stream = self._tagged(ctx, left, self.left_keys, 0, vec_row, keep)
+        return self._shuffle_join(ctx, stream.union(build), ctx.cost.row_cpu_s)
 
 
 class BroadcastHashJoinExec(HashJoinExec):
     """The (small) right side is collected at the driver by a row sub-job
     and broadcast to every executor; the probe pipelines inside the left
     side's stage, computing stream keys as column kernels over its batches.
+    The build keys are column kernels too, over the collected rows as one
+    batch.
 
     The planner stamps ``build_stamp`` on it, always (docs/engine.md): it
     names the build side, so a later join with the same stamp in this
@@ -921,18 +907,17 @@ class BroadcastHashJoinExec(HashJoinExec):
     exactly either way.
     """
 
-    child_formats = (True, False)
     build_stamp: Optional[tuple] = None
 
     def execute(self, ctx: ExecContext) -> RDD:
         left, right = self.children
-        kernels = [C.compile_bound(k, left.output) for k in self.left_keys]
-        probe = self._probe_loop(ctx.cost.vector_row_cpu_s)
         shared = ctx.shared_builds.get(self.build_stamp)
         if shared is None:
-            table, build_bytes = _hash_build(
-                _keyed(ctx.run_job(right.execute(ctx)).rows(),
-                       _row_key(self.right_keys, right.output)))
+            rows = ctx.run_job(right.execute(ctx).map_partitions(_unpacked)).rows()
+            build = C.RecordBatch.from_rows(rows, len(right.output))
+            kernels = [C.compile_bound(k, right.output) for k in self.right_keys]
+            table, build_bytes = _hash_build(zip(
+                C.key_tuples(kernels, build.columns, build.num_rows), rows))
             _charge_broadcast(ctx, build_bytes)
             if self.build_stamp is not None:
                 ctx.shared_builds[self.build_stamp] = (table, build_bytes, self.op_id)
@@ -944,28 +929,18 @@ class BroadcastHashJoinExec(HashJoinExec):
             ctx.record_operator(self, build_reused_from=builder)
         if self.push_keys:
             self._push_runtime_filters(ctx, table.keys())
-
-        def probe_batches(batches, task_ctx):
-            def keyed():
-                # the probe charges per output row; input rows are only counted
-                for batch in _metered(self, batches, task_ctx, None):
-                    cols, n = batch.columns, batch.num_rows
-                    if n:
-                        yield from zip(C.key_tuples(kernels, cols, n),
-                                       batch.to_rows())
-
-            return probe(table, keyed(), task_ctx)
-
+        probe = self._probe_loop(ctx.cost.vector_row_cpu_s)
         # no scope stamp: the probe pipelines inside the big side's scan
         # stage, whose scope already belongs to the scan operator
-        return left.execute(ctx).map_partitions(probe_batches)
+        return left.execute(ctx).map_partitions(self._probe_stream(probe, table))
 
 
 class BroadcastNestedLoopJoinExec(PhysicalPlan):
     """Fallback join without equi keys: broadcast right, test the condition.
 
     Not a :class:`HashJoinExec`: it is charged per *pair compared*, which
-    the hash probe would have to count on every match to share a loop.
+    the hash probe would have to count on every match to share a loop.  It
+    emits one batch per stream batch that produced a row.
     """
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan, how: str,
@@ -976,36 +951,41 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
 
     def execute(self, ctx: ExecContext) -> RDD:
         left, right = self.children
-        left_width, right_width = len(left.output), len(right.output)
-        combined_attrs = list(left.output) + list(right.output)
+        width = len(self.output)
+        pad = (None,) * len(right.output)
         bound = (
-            C.compile_row(E.bind_expression(self.condition, combined_attrs))
+            C.compile_row(E.bind_expression(
+                self.condition, list(left.output) + list(right.output)))
             if self.condition is not None else None
         )
         how = self.how
-        build_rows = ctx.run_job(right.execute(ctx)).rows()
+        build_rows = ctx.run_job(right.execute(ctx).map_partitions(_unpacked)).rows()
         _charge_broadcast(ctx, sum(estimate_size(r) for r in build_rows))
         per_row = ctx.cost.row_cpu_s
 
-        def probe(rows, task_ctx):
+        def probe(batches, task_ctx):
             count = 0
             try:
-                for left_row in rows:
-                    emitted = False
-                    for right_row in build_rows:
-                        combined = _combine_rows(left_row, right_row, left_width, right_width)
-                        count += 1
-                        if bound is None or bound(combined) is True:
-                            emitted = True
-                            if how in ("semi", "anti"):
-                                break
-                            yield combined
-                    if how == "left" and not emitted:
-                        yield _combine_rows(left_row, None, left_width, right_width)
-                    elif how == "semi" and emitted:
-                        yield left_row
-                    elif how == "anti" and not emitted:
-                        yield left_row
+                for batch in batches:
+                    out = []
+                    for left_row in batch.to_rows():
+                        emitted = False
+                        for right_row in build_rows:
+                            combined = left_row + right_row
+                            count += 1
+                            if bound is None or bound(combined) is True:
+                                emitted = True
+                                if how in ("semi", "anti"):
+                                    break
+                                out.append(combined)
+                        if how == "left" and not emitted:
+                            out.append(left_row + pad)
+                        elif how == "semi" and emitted:
+                            out.append(left_row)
+                        elif how == "anti" and not emitted:
+                            out.append(left_row)
+                    if out:
+                        yield C.RecordBatch.from_rows(out, width)
             except GeneratorExit:
                 pass
             task_ctx.ledger.charge(per_row * count, "engine.rows_processed", count)
@@ -1014,6 +994,10 @@ class BroadcastNestedLoopJoinExec(PhysicalPlan):
 
 
 # -- ordering / limiting / set ops --------------------------------------------------
+#
+# Sort, Limit, Distinct and Intersect exchange whole rows: each map side
+# unpacks its child's batches and each reduce side packs what it hands out
+# at ``BATCH_SIZE``.
 
 def _sort_key(orders_bound: Sequence[Tuple[Callable[[tuple], object], bool]]
               ) -> Callable:
@@ -1046,7 +1030,7 @@ class _Reversed:
 
 
 class SortExec(PhysicalPlan):
-    """Total ordering: gather to one partition, then sort."""
+    """Total ordering: gather the rows to one partition, then sort."""
 
     def __init__(self, orders: Sequence[L.SortOrder], child: PhysicalPlan) -> None:
         super().__init__(child.output, [child])
@@ -1060,13 +1044,15 @@ class SortExec(PhysicalPlan):
         ]
         key = _sort_key(bound)
         per_row = ctx.cost.row_cpu_s
+        width, batch_size = len(self.output), C.BATCH_SIZE
 
         def do_sort(rows, task_ctx):
             data = sorted(rows, key=key)
             task_ctx.ledger.charge(per_row * len(data), "engine.rows_processed", len(data))
-            return iter(data)
+            return C.batches_from_rows(data, width, batch_size)
 
-        gathered = self.children[0].execute(ctx).coalesce_to_driver()
+        gathered = self.children[0].execute(ctx).map_partitions(
+            _unpacked).coalesce_to_driver()
         return gathered.map_partitions(do_sort)
 
 
@@ -1079,49 +1065,67 @@ class LimitExec(PhysicalPlan):
 
     def execute(self, ctx: ExecContext) -> RDD:
         n = self.n
+        width, batch_size = len(self.output), C.BATCH_SIZE
 
-        def limit(rows, task_ctx):
+        def limit(rows):
             out = []
             for row in rows:
                 if len(out) >= n:
                     # stopping early closes the input, so the operators
-                    # upstream book the rows this task did pull (see
+                    # upstream book the batches this task did pull (see
                     # "Book-keeping tails")
                     close = getattr(rows, "close", None)
                     if close is not None:
                         close()
                     break
                 out.append(row)
-            return iter(out)
+            return out
 
-        limited = self.children[0].execute(ctx).map_partitions(limit)
-        return limited.coalesce_to_driver().map_partitions(limit)
+        def rows_of(batches):
+            for batch in batches:
+                yield from batch.to_rows()
+
+        limited = self.children[0].execute(ctx).map_partitions(
+            lambda batches, task_ctx: iter(limit(rows_of(batches))))
+        return limited.coalesce_to_driver().map_partitions(
+            lambda rows, task_ctx: C.batches_from_rows(limit(rows), width, batch_size))
 
     def describe(self) -> str:
         return f"Limit({self.n})"
 
 
-class UnionExec(PhysicalPlan):
-    """Bag union (UNION ALL): concatenates partitions, no exchange.
+def _setop_out(op: PhysicalPlan, batches: Iterable[C.RecordBatch],
+               task_ctx) -> Iterator[C.RecordBatch]:
+    """Pass a set operator's output batches through, then book their rows
+    as ``engine.setop.rows_out`` scoped to ``op``, as joins book
+    ``engine.join.rows_out``.  Counters never charge simulated seconds."""
+    out = 0
+    try:
+        for batch in batches:
+            out += batch.num_rows
+            yield batch
+    except GeneratorExit:
+        pass
+    task_ctx.ledger.count("engine.setop.rows_out", out, op.op_id)
 
-    Each side streams through a counting pass-through that books
-    ``engine.setop.rows_out`` scoped to the operator, as joins book
-    ``engine.join.rows_out``.  Counters never charge simulated seconds.
-    """
+
+def _first_seen(rows: Iterable[tuple]) -> Iterator[tuple]:
+    seen = set()
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            yield row
+
+
+class UnionExec(PhysicalPlan):
+    """Bag union (UNION ALL): concatenates partitions, no exchange."""
 
     def __init__(self, left: PhysicalPlan, right: PhysicalPlan) -> None:
         super().__init__(left.output, [left, right])
 
     def execute(self, ctx: ExecContext) -> RDD:
-        def count_side(rows, task_ctx):
-            out = 0
-            try:
-                for row in rows:
-                    out += 1
-                    yield row
-            except GeneratorExit:
-                pass
-            task_ctx.ledger.count("engine.setop.rows_out", out, self.op_id)
+        def count_side(batches, task_ctx):
+            return _setop_out(self, batches, task_ctx)
 
         return self.children[0].execute(ctx).map_partitions(count_side).union(
             self.children[1].execute(ctx).map_partitions(count_side)
@@ -1135,23 +1139,15 @@ class DistinctExec(PhysicalPlan):
         super().__init__(child.output, [child])
 
     def execute(self, ctx: ExecContext) -> RDD:
-        def dedupe(rows, task_ctx):
-            seen = set()
-            out = 0
-            try:
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        out += 1
-                        yield row
-            except GeneratorExit:
-                pass
-            task_ctx.ledger.count("engine.setop.rows_out", out, self.op_id)
+        width, batch_size = len(self.output), C.BATCH_SIZE
 
-        child_rdd = self.children[0].execute(ctx)
-        num_parts = ctx.shuffle_partitions()
+        def dedupe(rows, task_ctx):
+            return _setop_out(self, C.batches_from_rows(
+                _first_seen(rows), width, batch_size), task_ctx)
+
+        child_rdd = self.children[0].execute(ctx).map_partitions(_unpacked)
         shuffled = child_rdd.partition_by(
-            num_parts, key_fn=lambda r: r, post_shuffle=dedupe
+            ctx.shuffle_partitions(), key_fn=lambda r: r, post_shuffle=dedupe
         )
         # stamp the reduce stage onto this operator (like joins do), so
         # EXPLAIN ANALYZE attributes the stage back to the plan node
@@ -1166,27 +1162,25 @@ class IntersectExec(PhysicalPlan):
         super().__init__(left.output, [left, right])
 
     def execute(self, ctx: ExecContext) -> RDD:
-        def tag(side: int):
-            def fn(rows, task_ctx):
-                return ((row, side) for row in rows)
+        width, batch_size = len(self.output), C.BATCH_SIZE
 
-            return fn
+        def tag(side: int):
+            return lambda batches, task_ctx: zip(
+                C.rows_from_batches(batches), itertools.repeat(side))
 
         def intersect(pairs, task_ctx):
             left_seen: set = set()
             right_seen: set = set()
             for row, side in pairs:
                 (left_seen if side == 0 else right_seen).add(row)
-            both = left_seen & right_seen
-            task_ctx.ledger.count("engine.setop.rows_out", len(both), self.op_id)
-            return iter(both)
+            return _setop_out(self, C.batches_from_rows(
+                left_seen & right_seen, width, batch_size), task_ctx)
 
         tagged = self.children[0].execute(ctx).map_partitions(tag(0)).union(
             self.children[1].execute(ctx).map_partitions(tag(1))
         )
-        num_parts = ctx.shuffle_partitions()
         shuffled = tagged.partition_by(
-            num_parts, key_fn=lambda p: p[0], post_shuffle=intersect
+            ctx.shuffle_partitions(), key_fn=lambda p: p[0], post_shuffle=intersect
         )
         shuffled.scope = self.op_id
         return shuffled

@@ -128,9 +128,9 @@ class Planner:
         self.local_scan_partitions = int(conf.get("sql.local.scan.partitions", 2))
 
     def plan_query(self, node: L.LogicalPlan) -> P.PhysicalPlan:
-        """Compile a whole query: :meth:`plan`, then the one rule that puts
-        a format transition on every edge that needs one.  The session root
-        and the write sink read row tuples, so the root hands over rows.
+        """Compile a whole query: :meth:`plan`, then finish the tree.  Every
+        operator hands out batches; the session root and the write sink
+        read row tuples, so the finished root unpacks them.
         """
         return insert_transitions(self.plan(node))
 

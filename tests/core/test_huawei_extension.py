@@ -114,6 +114,12 @@ def test_server_side_decodes_are_the_kept_rows_cells(linked):
         == key_dimensions * len(kept) + data_cells == 40 + 40 + 30
     assert sorted(map(tuple, run.rows)) == [
         ("g1", sum(k for k, __, __ in kept), 30)]
+    # ... and the operator books what it pushed and read, as a scan does
+    assert run.metrics.get("shc.filters_pushed") == 1
+    assert run.metrics.get("shc.filters_residual") == 0
+    assert run.metrics.get("shc.regions_scanned") == 3
+    (facts,) = [f for f in run.operator_stats.values() if "relation" in f]
+    assert (facts["relation"], facts["regions_total"]) == ("metrics", 3)
 
 
 def test_coprocessor_faster_on_wide_aggregation(loaded):

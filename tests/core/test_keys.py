@@ -166,7 +166,7 @@ def check_codec_roundtrip(catalog_json, schema, rows):
         for columns in projections:
             assert decode_one(codec, columns)(put.row, cells + stale) \
                 == decode_per_call(codec, columns, put.row, cells + stale)
-        assert codec.decode_row(put.row, cells) == dict(zip(names, row))
+        assert codec.decode_rows([(put.row, cells)]) == [dict(zip(names, row))]
         assert codec.encode_row(dict(zip(names, row))).to_cells(2) == cells
         total_cells += ncells
     return total_cells

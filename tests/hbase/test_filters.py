@@ -1,6 +1,5 @@
 import copy
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hbase.cell import Cell
@@ -9,7 +8,6 @@ from repro.hbase.filters import (
     Filter,
     FilterList,
     FilterListOp,
-    PageFilter,
     PrefixFilter,
     RowFilter,
     SingleColumnValueFilter,
@@ -83,20 +81,6 @@ def test_filter_list_cost_accumulates():
     assert f.cells_evaluated() == 3
 
 
-def test_page_filter_limits_rows():
-    f = PageFilter(2)
-    assert f.filter_row(b"a", [])
-    assert f.filter_row(b"b", [])
-    assert not f.filter_row(b"c", [])
-    f.reset()
-    assert f.filter_row(b"d", [])
-
-
-def test_page_filter_rejects_bad_size():
-    with pytest.raises(ValueError):
-        PageFilter(0)
-
-
 def test_compare_op_functions_are_the_operators():
     import operator
 
@@ -123,7 +107,6 @@ def _leaves():
                   st.booleans()),
         st.builds(RowFilter, st.sampled_from(CompareOp), _COMPARATORS),
         st.builds(PrefixFilter, st.binary(max_size=1)),
-        st.builds(PageFilter, st.integers(1, 4)),
     )
 
 
@@ -163,7 +146,7 @@ def _outcomes(keep, rows):
 @settings(max_examples=400, deadline=None)
 @given(_FILTERS, _rows())
 def test_compiled_filter_is_filter_row(row_filter, rows):
-    """Over drawn AND/OR trees of every compare op, row/prefix/page filters,
+    """Over drawn AND/OR trees of every compare op, row/prefix filters,
     missing columns and ``filter_if_missing`` both ways: a fresh filter's
     ``compile()`` keeps exactly what its ``filter_row`` keeps, row by row,
     and raises on the same row with the same error."""
@@ -179,11 +162,3 @@ def test_a_filter_that_only_has_filter_row_compiles_to_it():
 
     keep = FilterList(FilterListOp.MUST_PASS_ONE, [Odd()]).compile()
     assert [keep(row, []) for row in (b"a", b"ab")] == [True, False]
-
-
-def test_each_compiled_page_filter_counts_from_zero():
-    nested = FilterList(FilterListOp.MUST_PASS_ALL, [PageFilter(2)])
-    for __ in range(2):
-        keep = nested.compile()
-        assert [keep(row, []) for row in (b"a", b"b", b"c")] \
-            == [True, True, False]

@@ -4,8 +4,7 @@ from repro.common.errors import FilterEvalError, HBaseError, RegionOfflineError
 from repro.common.metrics import CostLedger
 from repro.hbase import ConnectionFactory, Get, Put, Scan
 from repro.hbase.filters import (
-    CompareOp, Filter, FilterList, FilterListOp, PageFilter,
-    SingleColumnValueFilter,
+    CompareOp, Filter, SingleColumnValueFilter,
 )
 
 
@@ -55,20 +54,6 @@ def test_filter_reduces_rows_returned_not_bytes_scanned(loaded):
     # the server still reads the same blocks -- pushdown saves transfer/decode
     assert filtered.metrics.get("hbase.bytes_scanned") == \
         unfiltered.metrics.get("hbase.bytes_scanned")
-
-
-@pytest.mark.parametrize("nested", [False, True])
-def test_page_filter_counts_per_scan_nested_or_not(loaded, nested):
-    """Regression: a PageFilter inside a FilterList kept its count from one
-    region scan to the next, so the second scan of a region returned no
-    rows at all."""
-    cluster, table, location = loaded
-    server = cluster.region_servers[location.server_id]
-    page = PageFilter(3)
-    row_filter = FilterList(FilterListOp.MUST_PASS_ALL, [page]) if nested else page
-    for __ in range(2):
-        rows, __ = server.scan(location.region_name, row_filter=row_filter)
-        assert [row for row, __ in rows] == [b"r00", b"r01", b"r02"]
 
 
 def test_a_failing_filter_is_charged_through_the_row_it_failed_on(loaded):

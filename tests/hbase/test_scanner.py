@@ -262,7 +262,7 @@ def test_table_scan_and_the_scan_rdd_return_the_same_rows(linked):
         cluster.configuration()).get_table(catalog.qualified_name)
     scan = Scan(encode_key_dimension(catalog, coder, "k", lo),
                 encode_key_dimension(catalog, coder, "k", hi)).set_caching(4)
-    direct = [codec.decode_row(r.row, r.cells) for r in table.scan(scan)]
+    direct = codec.decode_rows([(r.row, r.cells) for r in table.scan(scan)])
 
     assert sorted(tuple(r.values) for r in shc.rows) == \
         [(row["k"], row["v"]) for row in direct] == \

@@ -95,8 +95,7 @@ def test_overwrites_swap_after_a_crash_mid_maintenance(seed):
     table = ConnectionFactory.create_connection(
         env.cluster.configuration()).get_table(catalog.qualified_name)
     loaded = {}
-    for result in table.scan(Scan()):
-        values = codec.decode_row(result.row, result.cells)
+    for values in codec.decode_rows([(r.row, r.cells) for r in table.scan(Scan())]):
         loaded.setdefault(values["inv_date_sk"], values)
     table.put([codec.encode_row({
         **loaded[day], "inv_quantity_on_hand": rng.randint(1, 999),

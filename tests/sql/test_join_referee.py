@@ -36,7 +36,7 @@ from repro.common.simclock import SimClock
 from repro.core.relation import DEFAULT_FORMAT
 from repro.engine.shuffle import estimate_size
 from repro.hbase.cluster import HBaseCluster
-from repro.sql import adaptive, physical as P
+from repro.sql import adaptive, columnar as C, physical as P
 from repro.sql import expressions as E
 from repro.sql.functions import col
 from repro.sql.session import SparkSession
@@ -607,21 +607,23 @@ def test_limit_books_the_rows_it_pulled(session):
     pulled = limited.metrics.get("engine.vectorized.rows")
     assert 0 < pulled < 5000
     assert limited.metrics.get("engine.rows_processed") == pulled
-    assert limited.metrics.get("engine.vectorized.transitions") == 2.0
+    assert limited.metrics.get("engine.vectorized.batches") == 2.0
 
 
-def test_limit_over_a_join_counts_the_rows_the_join_emitted():
+def test_limit_over_a_join_counts_the_rows_the_join_emitted(monkeypatch):
+    monkeypatch.setattr(C, "BATCH_SIZE", 10)
     sides = Sides([(i % 4, i) for i in range(500)], [(k, k) for k in range(4)],
                   residual=False)
     join = P.BroadcastHashJoinExec(sides.left(), sides.right(),
                                    [sides.lk], [sides.rk], "inner", None)
     got, result = run(P.LimitExec(3, join))
     assert sum(got.values()) == 3
-    # each of the three probe tasks emitted one row more than the LIMIT
-    # keeps before it was closed, and says so
+    # the join emits a batch per stream batch (every stream row matches
+    # once): each of the three probe tasks handed out its first batch of
+    # 10 rows, more than the LIMIT keeps, before it was closed, and says so
     emitted = int(result.metrics.get("engine.join.rows_out"))
     assert emitted == \
-        result.metrics.for_op(join.op_id)["engine.join.rows_out"] == 3 * 4
+        result.metrics.for_op(join.op_id)["engine.join.rows_out"] == 3 * 10
     assert result.metrics.get("engine.rows_processed") >= emitted
 
 

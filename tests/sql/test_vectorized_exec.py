@@ -1,13 +1,14 @@
-"""End-to-end batch execution: an outside referee, transitions, fusion, EXPLAIN.
+"""End-to-end batch execution: an outside referee, one format, fusion, EXPLAIN.
 
 There is one execution path, so the semantics oracle cannot be "the other
 mode": every parity query runs against stdlib ``sqlite3`` loaded with the
 same rows, at batch sizes 1, 7 and the default (batch seams inside every
 partition), with joins planned broadcast and -- shuffled -- statically or
-adaptively, with and without ANALYZE statistics.  The
-transition rule's placement is checked structurally (an operator's child
-hands it exactly the format it reads, on every way into the planner), and
-EXPLAIN ANALYZE's per-operator batch notes must sum to exactly the run's
+adaptively, with and without ANALYZE statistics; a second oracle puts every
+join type, the nested loop and the row-ordered operators on batch seams of
+1 and 3 rows.  The one format is checked as the plans run (every edge below
+the root carries batches, on every way into the planner), and EXPLAIN
+ANALYZE's per-operator batch notes must sum to exactly the run's
 ``engine.vectorized.*`` counters.
 """
 
@@ -31,10 +32,12 @@ from repro.sql import physical as P
 from repro.sql import vectorized as V
 from repro.sql.adaptive import AdaptiveJoinExec, QueryStageExec
 from repro.sql.explain import explain_analyze_report
+from repro.sql.functions import col
 from repro.sql.optimizer import optimize
 from repro.sql.planner import Planner
 from repro.sql.types import DoubleType, LongType, StringType, StructField, StructType
 from repro.workloads import load_tpcds, queries
+from repro.workloads.tpcds_schema import TABLES
 from repro.workloads.queries_df import q39a_dataframe
 
 SCHEMA = StructType([
@@ -157,6 +160,87 @@ def test_answers_agree_with_sqlite(query, batch_size, oracle, monkeypatch):
         assert result.metrics.get("engine.vectorized.batches") > 0
 
 
+# -- batch seams through every join type and the row-ordered operators ------------
+
+L_SCHEMA = StructType([StructField("a", LongType), StructField("lk", LongType),
+                       StructField("s", StringType)])
+R_SCHEMA = StructType([StructField("rk", LongType), StructField("w", LongType)])
+L_ROWS = [(i, None if i % 5 == 0 else i % 9, "s%d" % (i % 4)) for i in range(40)]
+R_ROWS = [(None if i % 6 == 0 else i % 8, i) for i in range(12)]
+
+
+def _sql(text):
+    return lambda session: session.sql(text)
+
+
+def _frame_join(how):
+    def frame(session):
+        left, right = session.sql("SELECT * FROM l"), session.sql("SELECT * FROM r")
+        return left.join(right, on=col("lk") == col("rk"), how=how)
+    return frame
+
+
+#: (engine side, sqlite text, ordered): the answers must agree row for row
+#: when ``ordered``, as multisets otherwise
+SEAM_CASES = [
+    (_sql("SELECT a, w FROM l JOIN r ON lk = rk"),
+     "SELECT a, w FROM l JOIN r ON lk = rk", False),
+    (_sql("SELECT a, lk, w FROM l LEFT JOIN r ON lk = rk"),
+     "SELECT a, lk, w FROM l LEFT JOIN r ON lk = rk", False),
+    (_sql("SELECT a, s FROM l WHERE lk IN (SELECT rk FROM r)"),
+     "SELECT a, s FROM l WHERE lk IN (SELECT rk FROM r)", False),
+    (_frame_join("anti"),
+     "SELECT * FROM l WHERE NOT EXISTS (SELECT 1 FROM r WHERE rk = lk)", False),
+    (_sql("SELECT count(*) AS n, sum(a) AS sa, max(s) AS ms FROM l WHERE a > 99"),
+     "SELECT count(*), sum(a), max(s) FROM l WHERE a > 99", False),
+    (_sql("SELECT a, lk FROM l ORDER BY lk DESC, a LIMIT 13"),
+     "SELECT a, lk FROM l ORDER BY lk DESC, a LIMIT 13", True),
+    (_sql("SELECT DISTINCT lk, s FROM l"), "SELECT DISTINCT lk, s FROM l", False),
+    (_sql("SELECT lk FROM l INTERSECT SELECT rk FROM r"),
+     "SELECT lk FROM l INTERSECT SELECT rk FROM r", False),
+    (_sql("SELECT lk FROM l UNION ALL SELECT rk FROM r"),
+     "SELECT lk FROM l UNION ALL SELECT rk FROM r", False),
+    (_sql("SELECT a, w FROM l JOIN r ON lk < rk"),
+     "SELECT a, w FROM l JOIN r ON lk < rk", False),
+    (_sql("SELECT a, w FROM l LEFT JOIN r ON lk + 5 < rk"),
+     "SELECT a, w FROM l LEFT JOIN r ON lk + 5 < rk", False),
+]
+
+
+@pytest.fixture(scope="module")
+def seam_oracle():
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE l (a INTEGER, lk INTEGER, s TEXT)")
+    db.execute("CREATE TABLE r (rk INTEGER, w INTEGER)")
+    db.executemany("INSERT INTO l VALUES (?, ?, ?)", L_ROWS)
+    db.executemany("INSERT INTO r VALUES (?, ?)", R_ROWS)
+    yield lambda query: db.execute(query).fetchall()
+    db.close()
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("case", range(len(SEAM_CASES)))
+def test_batch_seams_agree_with_sqlite(case, batch_size, seam_oracle, monkeypatch):
+    """Join outputs, NULL keys and NULL padding, an empty global aggregate
+    and every row-ordered operator, cut into batches of 1 and 3 rows, with
+    joins broadcast, shuffled and adaptive."""
+    monkeypatch.setattr(C, "BATCH_SIZE", batch_size)
+    frame_of, text, ordered = SEAM_CASES[case]
+    expected = seam_oracle(text)
+    assert expected, text
+    for conf in (None, {"sql.autoBroadcastJoinThreshold": 1},
+                 {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": True}):
+        session = SparkSession(["h1", "h2"], conf=conf)
+        session.create_dataframe(L_ROWS, L_SCHEMA).create_or_replace_temp_view("l")
+        session.create_dataframe(R_ROWS, R_SCHEMA).create_or_replace_temp_view("r")
+        got = [tuple(r.values) for r in frame_of(session).run().rows]
+        session.shutdown()
+        if ordered:
+            assert got == expected, (text, conf)
+        else:
+            assert_same_multiset(got, expected, (text, batch_size, conf))
+
+
 def plan_for(query, conf=None):
     session = fresh_session(conf)
     df = session.sql(query)
@@ -165,32 +249,22 @@ def plan_for(query, conf=None):
     return physical
 
 
-def reads_batches(op, child_index):
-    """Does ``op`` read its ``child_index``-th child as batches?"""
-    if isinstance(op, (V.ColumnarToRowExec, P.FilterExec, P.ProjectExec,
-                       P.HashAggregateExec)):
-        return True
-    if type(op) is P.ShuffledHashJoinExec:
-        return True
-    if isinstance(op, P.BroadcastHashJoinExec):
-        return child_index == 0  # the build side is collected as rows
-    return False
-
-
 Q39_TABLES = ["inventory", "date_dim", "item", "warehouse"]
 KV_SCHEMA = StructType([StructField("k", LongType), StructField("w", DoubleType)])
 
 
-def beyond_select_plans(conf, monkeypatch):
+def beyond_select_plans(conf, monkeypatch, watch):
     """The trees every other way into the planner builds: the DataFrame-built
     q39a over HBase tables, an ``INSERT ... SELECT`` (the write sink), an
     ``INSERT ... VALUES`` (a local scan) and a coprocessor aggregate, each
-    as ``SparkSession.plan_query`` handed it to execution."""
+    as ``SparkSession.plan_query`` handed it to execution, and ``watch``ed
+    before it ran."""
     planned = []
     real = SparkSession.plan_query
 
     def recording(self, *args, **kwargs):
         result = real(self, *args, **kwargs)
+        watch(result.physical)
         planned.append(result.physical)
         return result
 
@@ -225,25 +299,38 @@ def beyond_select_plans(conf, monkeypatch):
     return planned
 
 
-def assert_transitions_explicit(physical, context, seen):
-    """Every child produces exactly the format its operator reads, an
-    adapter always changes the format, the root hands over rows, and the
-    scan stage is one node: what reads a scan directly consumes it (an
-    adapter, an aggregate, or a filter or projection the scan could not
-    fuse because it already projects) and never just wraps it."""
-    assert physical.columnar_output is False, context  # session gets rows
+def watch_formats(physical, seen):
+    """Finish-tree invariants, then a check on what each operator hands out.
+
+    The root is the only ``ColumnarToRow``, finishing the finished tree
+    changes nothing (same root, operators, edges and op ids), and a filter
+    or projection reads a scan only when that scan already projects (the
+    scan stage is one node).  Every operator's ``execute`` is then wrapped
+    so that running the tree asserts the format on every edge: batches
+    below the root, row tuples out of it."""
+    before = [(op, list(op.children), op.op_id) for op in physical.walk()]
+    assert V.insert_transitions(physical) is physical
+    assert [(op, list(op.children), op.op_id) for op in physical.walk()] == before
+    assert [op for op in physical.walk()
+            if isinstance(op, V.ColumnarToRowExec)] == [physical]
     for op in physical.walk():
         seen.add(type(op))
-        for i, child in enumerate(op.children):
-            assert child.columnar_output == reads_batches(op, i), \
-                (context, op.describe(), child.describe())
-        if isinstance(op, (V.RowToColumnarExec, V.ColumnarToRowExec)):
-            assert op.children[0].columnar_output != op.columnar_output
-        if len(op.children) == 1 and isinstance(op.children[0], P.ScanExec):
-            assert isinstance(op, (V.ColumnarToRowExec, P.HashAggregateExec)) \
-                or (isinstance(op, (P.FilterExec, P.ProjectExec))
-                    and op.children[0].project_list is not None), \
-                (context, op.describe())
+        if isinstance(op, (P.FilterExec, P.ProjectExec)) and \
+                isinstance(op.children[0], P.ScanExec):
+            assert op.children[0].project_list is not None, op.describe()
+        if "execute" in vars(op):
+            continue   # a cached plan, already watched
+        kind = tuple if op is physical else C.RecordBatch
+
+        def execute(ctx, real=op.execute, kind=kind, op=op):
+            def check(items, task_ctx):
+                for item in items:
+                    assert type(item) is kind, (op.describe(), type(item))
+                    yield item
+
+            return real(ctx).map_partitions(check)
+
+        op.execute = execute
 
 
 @pytest.mark.parametrize("conf", [
@@ -252,18 +339,23 @@ def assert_transitions_explicit(physical, context, seen):
     {"sql.autoBroadcastJoinThreshold": 1, "sql.aqe.enabled": True},
 ])
 def test_transitions_are_explicit_everywhere(conf, monkeypatch):
-    """Every operator's child produces exactly the format it reads: the
-    SELECTs over temp views, then every other way into the planner."""
+    """The one transition is the root's: every non-root operator hands out
+    batches and the root rows, on the SELECTs over temp views, then on
+    every other way into the planner."""
     seen = set()
     for query in QUERIES:
-        assert_transitions_explicit(plan_for(query, conf), query, seen)
-    others = beyond_select_plans(conf, monkeypatch)
+        session = fresh_session(conf)
+        physical = Planner(session.conf).plan_query(
+            optimize(session.analyze(session.sql(query).plan)))
+        watch_formats(physical, seen)
+        assert session.execute_physical(physical).rows, query
+        session.shutdown()
+    others = beyond_select_plans(conf, monkeypatch,
+                                 lambda physical: watch_formats(physical, seen))
     assert len(others) == 6  # q39a, the seeding write, 2 INSERTs, 2 aggregates
-    for physical in others:
-        assert_transitions_explicit(physical, physical.pretty(), seen)
     assert {P.LocalScanExec, P.DataSourceScanExec, P.HashAggregateExec,
-            CoprocessorAggregateExec, V.ColumnarToRowExec, V.RowToColumnarExec,
-            P.SortExec, P.DistinctExec} <= seen
+            CoprocessorAggregateExec, V.ColumnarToRowExec, P.SortExec,
+            P.DistinctExec, P.UnionExec} <= seen
     if conf is None:
         assert P.BroadcastHashJoinExec in seen
     elif conf["sql.aqe.enabled"]:
@@ -272,19 +364,18 @@ def test_transitions_are_explicit_everywhere(conf, monkeypatch):
         assert P.ShuffledHashJoinExec in seen
 
 
-def test_the_transition_rule_is_idempotent():
-    """Applying the rule to a planned tree changes nothing: same root, same
-    operator objects, same edges (by identity: op ids are positions, so an
-    operator swapped for another of the same shape would keep them)."""
-    for query in QUERIES:
-        physical = plan_for(query)
-        before = [(op, list(op.children)) for op in physical.walk()]
-        assert V.insert_transitions(physical) is physical
-        after = [(op, list(op.children)) for op in physical.walk()]
-        assert len(after) == len(before)
-        for (op, kids), (was, was_kids) in zip(after, before):
-            assert op is was and len(kids) == len(was_kids)
-            assert all(kid is was_kid for kid, was_kid in zip(kids, was_kids))
+@pytest.mark.parametrize("name, operators", [
+    ("q39a", 26), ("q39b", 26), ("q38", 28)])
+def test_paper_plans_carry_one_adapter(name, operators):
+    """The paper's plans change format once, at the root: the adapters
+    that used to sit on 17, 17 and 16 of their edges are gone."""
+    session = load_tpcds(2, TABLES).new_session()
+    physical = session.plan_query(session.sql(getattr(queries, name)()).query).physical
+    session.shutdown()
+    names = [op.describe() for op in physical.walk()]
+    assert len(names) == operators, physical.pretty()
+    assert names.count("ColumnarToRow") == 1 and names[0] == "ColumnarToRow"
+    assert "RowToColumnar" not in physical.pretty()
 
 
 def test_fusion_collapses_scan_filter_project():
@@ -350,7 +441,8 @@ def test_each_expression_compiles_exactly_once(monkeypatch):
         elif isinstance(op, P.HashAggregateExec):
             aggs = {id(a) for item in op.aggregate_list for a in item.collect(
                 lambda e: isinstance(e, E.AggregateExpression)) if a.children}
-            expected += len(op.groupings) + len(aggs)
+            # keys and arguments in the build, each output item in the result
+            expected += len(op.groupings) + len(aggs) + len(op.aggregate_list)
         else:
             continue
         kinds.add(type(op))
@@ -382,7 +474,6 @@ def test_explain_analyze_reconciles_with_counters(query):
     for name, note in (
             ("engine.vectorized.batches", r"batches: (\d+)"),
             ("engine.vectorized.rows", r"batches: \d+ \(rows=(\d+)\)"),
-            ("engine.vectorized.transitions", r"transition: partitions=(\d+)"),
             ("engine.vectorized.fused_operators", r"fused: (\d+) operators")):
         total = result.metrics.get(name)
         # the operators' scoped entries are the whole counter ...
@@ -398,13 +489,13 @@ def test_explain_analyze_reconciles_with_counters(query):
 def test_explain_analyze_annotates_batch_operators_and_adapters():
     report, __, __ = explain_analyze(QUERIES[5])
     plan_section = report.split("== Stages ==")[0]
-    # plain operator names, batch notes on batch operators, a transition
-    # note on every adapter
+    # plain operator names, batch notes on batch operators, one adapter:
+    # the root's
     assert "LocalScan(3000 rows, fused=" in plan_section
     assert "Vectorized" not in plan_section and "mode:" not in plan_section
     assert "+- batches: " in plan_section
-    assert plan_section.count("+- transition: partitions=") == \
-        plan_section.count("ColumnarToRow\n") + plan_section.count("RowToColumnar\n")
+    assert plan_section.count("ColumnarToRow") == 1
+    assert "transition" not in report
 
 
 def notes_by_node(report):

@@ -179,8 +179,8 @@ class Harness:
     # -- the referee ---------------------------------------------------------
     def _stored(self, name):
         storage = self.session.views.maintainer(name).storage
-        return [storage.decode_row(r.row, r.cells)
-                for r in self.views[name].scan(Scan())]
+        return storage.decode_rows(
+            [(r.row, r.cells) for r in self.views[name].scan(Scan())])
 
     def _cells(self, name):
         return [(r.row, [(c.qualifier, c.timestamp, c.value) for c in r.cells])

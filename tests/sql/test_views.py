@@ -300,8 +300,7 @@ def test_one_batch_reads_and_writes_the_view_once(env, vsession):
     vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
     table, codec = base_writer(env, "inventory")
     loaded = {}
-    for result in table.scan(Scan()):
-        values = codec.decode_row(result.row, result.cells)
+    for values in codec.decode_rows([(r.row, r.cells) for r in table.scan(Scan())]):
         loaded.setdefault(values["inv_date_sk"], values)
     assert len(loaded) >= 20
     puts = [codec.encode_row({

@@ -154,11 +154,12 @@ class CostLedger:
         if counter is not None:
             self.metrics.incr(counter, amount, op)
 
-    def charge_each(self, seconds: float, times: int, counter: str) -> None:
+    def charge_each(self, seconds: float, times: int,
+                    counter: Optional[str] = None) -> None:
         """``times`` calls of ``charge(seconds, counter)`` in one: the
         seconds are added one at a time, in order, so the total is bit for
-        bit theirs, and ``counter`` is bumped by ``times``.  Nothing at all
-        happens for ``times == 0``."""
+        bit theirs, and ``counter``, if any, is bumped by ``times``.
+        Nothing at all happens for ``times == 0``."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
         if not times:
@@ -168,7 +169,8 @@ class CostLedger:
             for __ in range(times):
                 total += seconds
             self.seconds = total
-        self.metrics.incr(counter, times)
+        if counter is not None:
+            self.metrics.incr(counter, times)
 
     def count(self, counter: str, amount: float = 1.0, op: Optional[int] = None) -> None:
         """Bump a counter without charging time (scoped to operator ``op``)."""

@@ -263,8 +263,10 @@ class AvroCoder(FieldCoder):
     name = "Avro"
 
     def __init__(self) -> None:
-        #: dtype -> ``decode(data)`` over the cell schema, parsed once each
+        #: dtype -> ``decode(data)`` / ``encode(value)`` over the cell
+        #: schema, parsed once each
         self._decoders: Dict[DataType, Callable[[bytes], object]] = {}
+        self._encoders: Dict[DataType, Callable[[object], bytes]] = {}
 
     def _schema_for(self, dtype: DataType) -> AvroSchema:
         avro_type = _AVRO_TYPE_FOR.get(dtype)
@@ -277,13 +279,30 @@ class AvroCoder(FieldCoder):
         })
 
     def encode(self, value: object, dtype: DataType) -> bytes:
-        if value is None:
-            raise CoderError("cannot encode NULL; HBase omits the cell instead")
-        if dtype in (FloatType, DoubleType):
-            value = float(value)
-            if value == 0.0:
-                value = 0.0  # canonicalise -0.0 for injective equality
-        return self._schema_for(dtype).write({"value": value})
+        return self.encoder_for(dtype)(value)
+
+    def encoder_for(self, dtype: DataType) -> Callable[[object], bytes]:
+        encode = self._encoders.get(dtype)
+        if encode is None:
+            # a type Avro cannot hold is an error of the first value encoded
+            write = self._schema_for(dtype).write \
+                if dtype in _AVRO_TYPE_FOR else None
+            floating = dtype in (FloatType, DoubleType)
+
+            def encode(value: object) -> bytes:
+                if value is None:
+                    raise CoderError(
+                        "cannot encode NULL; HBase omits the cell instead")
+                if floating:
+                    value = float(value)
+                    if value == 0.0:
+                        value = 0.0  # canonicalise -0.0 for injective equality
+                if write is None:
+                    raise CoderError(f"Avro cannot encode {dtype}")
+                return write({"value": value})
+
+            self._encoders[dtype] = encode
+        return encode
 
     def decode(self, data: bytes, dtype: DataType) -> object:
         return self.decoder_for(dtype)(data)

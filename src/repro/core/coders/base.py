@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -94,6 +95,20 @@ class FieldCoder:
         """
         return functools.partial(self.decode, dtype=dtype)
 
+    def encoder_for(self, dtype: DataType) -> Callable[[object], bytes]:
+        """``encode(value)`` with ``dtype`` resolved once: the mirror of
+        :meth:`decoder_for`, what a writer binds per column.
+
+        Its bytes and its errors are :meth:`encode`'s.  PrimitiveType and
+        Phoenix take the common value (an exact ``int`` in range, a
+        ``str``, a non-zero PrimitiveType ``float``) straight through
+        ``struct`` or ``str.encode`` and hand everything else to
+        :meth:`encode`, the one raising path; Avro parses its cell schema
+        once and defines :meth:`encode` through this.  A custom coder that
+        only writes :meth:`encode` gets this wrapper.
+        """
+        return functools.partial(self.encode, dtype=dtype)
+
     def struct_code(self, dtype: DataType) -> Optional[str]:
         """The ``struct`` format code (``>`` byte order, no prefix) whose
         unpacking equals :meth:`decoder_for` on well-formed bytes, or None.
@@ -140,6 +155,38 @@ class FieldCoder:
     def self_delimiting(self, dtype: DataType) -> bool:
         """True when the decoder finds its own end (padding can stay)."""
         return False
+
+
+def int_encoder(code: str, bias: int,
+                reference: Callable[[object], bytes]) -> Callable[[object], bytes]:
+    """An integer column's bound ``encode(value)``: an exact ``int`` (a
+    ``bool`` is not one) that ``struct`` code ``code`` takes as
+    ``value + bias`` is packed so; anything else -- out of range, another
+    type, NULL -- goes to ``reference``, the coder's ``encode``, which
+    raises or answers for it."""
+    pack = struct.Struct(">" + code).pack
+
+    def encode(value: object) -> bytes:
+        if type(value) is int:
+            try:
+                return pack(value + bias)
+            except struct.error:
+                pass
+        return reference(value)
+
+    return encode
+
+
+def text_encoder(reference: Callable[[object], bytes]) -> Callable[[object], bytes]:
+    """A string column's bound ``encode(value)``: a ``str`` is its UTF-8,
+    anything else goes to ``reference``."""
+
+    def encode(value: object) -> bytes:
+        if type(value) is str:
+            return value.encode("utf-8")
+        return reference(value)
+
+    return encode
 
 
 def _ordered_ranges(op: str, encoded: bytes) -> List[ByteRange]:

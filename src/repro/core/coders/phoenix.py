@@ -7,10 +7,11 @@ so every comparison predicate translates directly into a single byte range.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import functools
+from typing import Callable, Dict, Tuple
 
 from repro.common.errors import CoderError
-from repro.core.coders.base import FieldCoder
+from repro.core.coders.base import FieldCoder, int_encoder, text_encoder
 from repro.hbase.hbytes import Bytes, OrderedBytes
 from repro.sql.types import (
     BinaryType,
@@ -38,6 +39,16 @@ _DECODERS: Dict[DataType, Callable[[bytes], object]] = {
     TimestampType: OrderedBytes.to_long,
     FloatType: OrderedBytes.to_float,
     DoubleType: OrderedBytes.to_double,
+}
+
+#: dtype -> the unsigned ``struct`` code and the bias that flips its sign
+#: bit: ``OrderedBytes`` packs ``value + bias`` for an integer in range
+_BIASED: Dict[DataType, Tuple[str, int]] = {
+    ByteType: ("B", 2**7),
+    ShortType: ("H", 2**15),
+    IntegerType: ("I", 2**31),
+    LongType: ("Q", 2**63),
+    TimestampType: ("Q", 2**63),
 }
 
 
@@ -79,6 +90,14 @@ class PhoenixCoder(FieldCoder):
         if decode is None:
             raise CoderError(f"Phoenix cannot decode {dtype}")
         return decode
+
+    def encoder_for(self, dtype: DataType) -> Callable[[object], bytes]:
+        reference = functools.partial(self.encode, dtype=dtype)
+        if dtype in _BIASED:
+            return int_encoder(*_BIASED[dtype], reference)
+        if dtype is StringType:
+            return text_encoder(reference)
+        return reference
 
     def order_preserving(self, dtype: DataType) -> bool:
         return True

@@ -10,7 +10,9 @@ before they are pushed into HBase, so no data is lost to misordered scans.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import CoderError
@@ -19,7 +21,9 @@ from repro.core.coders.base import (
     EMPTY_PREDICATE,
     FieldCoder,
     _ordered_ranges,
+    int_encoder,
     normalize_bound,
+    text_encoder,
 )
 from repro.hbase.hbytes import STRUCT_CODES, Bytes
 from repro.sql.types import (
@@ -107,6 +111,26 @@ class PrimitiveTypeCoder(FieldCoder):
         if decode is None:
             raise CoderError(f"PrimitiveType cannot decode {dtype}")
         return decode
+
+    def encoder_for(self, dtype: DataType) -> Callable[[object], bytes]:
+        reference = functools.partial(self.encode, dtype=dtype)
+        code = _STRUCT_CODES.get(dtype)
+        if dtype in _INT_BOUNDS:
+            return int_encoder(code, 0, reference)
+        if dtype is StringType:
+            return text_encoder(reference)
+        if code is None:
+            return reference
+        pack = struct.Struct(">" + code).pack
+
+        def encode(value: object) -> bytes:
+            # a zero of either sign goes the reference way, which
+            # canonicalises -0.0
+            if type(value) is float and value != 0.0:
+                return pack(value)
+            return reference(value)
+
+        return encode
 
     def struct_code(self, dtype: DataType) -> Optional[str]:
         return _STRUCT_CODES.get(dtype)

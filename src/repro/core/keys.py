@@ -6,9 +6,9 @@ explicit catalog ``length``); variable-width values in non-terminal
 dimensions are padded with ``0x00`` up to the declared length so the key can
 be sliced apart again on read.  :func:`key_layout` states the slicing rules
 once; the free functions interpret them per call, and :class:`RowCodec`
-binds them to one catalog (an all-fixed-width key to one ``struct`` call,
-:func:`key_struct`), adds the cell half of a row, and is what every reader
-and writer of an HBase row goes through.
+binds them to one catalog both ways (an all-fixed-width key to one
+``struct`` call, :func:`key_struct`), adds the cell half of a row, and is
+what every reader and writer of an HBase row goes through.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def decode_rowkey(catalog: HBaseTableCatalog, coder: FieldCoder,
 def key_struct(coder: FieldCoder,
                layout: Sequence[Tuple[str, DataType, int, Optional[int], bool]]
                ) -> Optional[struct.Struct]:
-    """One ``struct.Struct`` decoding every dimension of ``layout``, or None.
+    """One ``struct.Struct`` decoding (and, for :meth:`RowCodec.key_encoder`,
+    encoding) every dimension of ``layout``, or None.
 
     Binds when the key has dimensions, each has a
     :meth:`~FieldCoder.struct_code`, none is padded (``strip``), and each
@@ -186,10 +187,11 @@ class RowCodec:
                 self.field_coders[column.name] = AvroRecordCoder(str(schema_json))
         self._names = list(catalog.columns)
         self._encode_all = self.encoder(self._names)
+        self._encode_key = self.key_encoder(catalog.row_key)
 
     # -- the key half ------------------------------------------------------
     def encode_key(self, values: Mapping[str, object]) -> bytes:
-        return encode_rowkey(self.catalog, self.coder, values)
+        return self._encode_key([values.get(name) for name in self.catalog.row_key])
 
     def decode_key(self, key: bytes) -> Dict[str, object]:
         return decode_rowkey(self.catalog, self.coder, key)
@@ -202,15 +204,59 @@ class RowCodec:
             for name, value in zip(self.catalog.row_key, leading))
 
     def key_encoder(self, columns: Sequence[str]) -> Callable[[Sequence], bytes]:
-        """``encode_key(row)`` for positional rows laid out as ``columns``."""
+        """Bind the key's encode once: ``encode_key(row)`` for positional
+        rows laid out as ``columns``.
+
+        When :func:`key_struct` binds for the layout (every dimension
+        unpadded and with a :meth:`~FieldCoder.struct_code`: PrimitiveType's
+        fixed-width numerics) a key is one ``Struct.pack`` of the row's
+        dimensions -- if each is exactly the type its code stands for (an
+        ``int``, never a ``bool``; a ``float``), no float is a zero (the
+        coders canonicalise ``-0.0``) and ``struct`` takes every value.  Any
+        other row, and every row of any other layout, goes through
+        :func:`encode_rowkey` per call: the reference and the one path that
+        raises, so NULL, out-of-range or mistyped dimensions are the same
+        named :class:`CoderError` either way (``tests/core/test_keys.py``).
+        """
         catalog, coder = self.catalog, self.coder
         index = {name: i for i, name in enumerate(columns)}
         # a dimension ``columns`` lacks is left out, so that encode_rowkey
         # rejects the row by naming it
         dims = [(name, index[name]) for name in catalog.row_key if name in index]
 
-        def encode_key(row: Sequence) -> bytes:
+        def encode_per_call(row: Sequence) -> bytes:
             return encode_rowkey(catalog, coder, {name: row[i] for name, i in dims})
+
+        if len(dims) < len(catalog.row_key):
+            return encode_per_call
+        try:
+            layout = key_layout(catalog, coder)
+        except CoderError:
+            return encode_per_call  # encode_rowkey names the unsized dimension
+        packed = key_struct(coder, layout)
+        if packed is None:
+            return encode_per_call
+        pack = packed.pack
+        kinds = tuple(float if coder.struct_code(dtype) in "fd" else int
+                      for __, dtype, *__ in layout)
+        floats = float in kinds
+        positions = [i for __, i in dims]
+        take = operator.itemgetter(*positions)
+        single = len(positions) == 1
+
+        def encode_key(row: Sequence) -> bytes:
+            values = take(row)
+            if single:
+                values = (values,)
+            # ``0.0 in values`` also matches an integer 0: such a key takes
+            # the reference path, which is right, only slower
+            if tuple(map(type, values)) == kinds \
+                    and not (floats and 0.0 in values):
+                try:
+                    return pack(*values)
+                except (struct.error, OverflowError):
+                    pass
+            return encode_per_call(row)
 
         return encode_key
 
@@ -325,24 +371,30 @@ class RowCodec:
 
     def encoder(self, columns: Sequence[str]
                 ) -> Callable[[Sequence], Tuple[Put, int]]:
-        """The inverse: ``encode(row)`` gives the row's :class:`Put` and the
-        number of cells it encoded, for rows laid out as ``columns``."""
+        """The inverse, bound once like :meth:`page_decoder`: ``encode(row)``
+        gives the row's :class:`Put` and the number of cells it encoded, for
+        rows laid out as ``columns``.  The key is :meth:`key_encoder`'s;
+        each data column is its ``(family, qualifier)`` and one
+        ``encode(value)`` from :meth:`~FieldCoder.encoder_for`.  The
+        reference is :func:`encode_rowkey` and ``coder.encode`` per call
+        (``tests/core/test_keys.py``)."""
         catalog = self.catalog
         encode_key = self.key_encoder(columns)
         key_cells = len(catalog.row_key)
         index = {name: i for i, name in enumerate(columns)}
         plan = [(index[c.name], c.family, c.qualifier,
-                 self.field_coders[c.name].encode, c.dtype)
+                 self.field_coders[c.name].encoder_for(c.dtype))
                 for c in catalog.data_columns() if c.name in index]
 
         def encode(row: Sequence) -> Tuple[Put, int]:
             put = Put(encode_key(row))
+            add = put.add_column
             encoded_cells = key_cells
-            for i, family, qualifier, encode_cell, dtype in plan:
+            for i, family, qualifier, encode_cell in plan:
                 value = row[i]
                 if value is None:
                     continue  # NULL means "no cell" in HBase
-                put.add_column(family, qualifier, encode_cell(value, dtype))
+                add(family, qualifier, encode_cell(value))
                 encoded_cells += 1
             return put, encoded_cells
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import copy
 import threading
+from bisect import bisect_right
 from itertools import compress, starmap
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar,
-    TYPE_CHECKING,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    TypeVar, TYPE_CHECKING,
 )
 
 import functools
@@ -85,9 +86,6 @@ class Put:
             Cell(self.row, family, qualifier, ts if ts is not None else default_ts, value)
             for family, qualifier, value, ts in self._cells
         ]
-
-    def heap_size(self) -> int:
-        return len(self.row) + sum(len(v) + len(f) + len(q) + 12 for f, q, v, __ in self._cells)
 
 
 class Delete:
@@ -268,20 +266,35 @@ class Connection:
         return cached
 
     def locate(self, table_name: str, row: bytes) -> RegionLocation:
-        """The cached location of the region holding ``row``.
+        """The cached location of the region holding ``row``: the one-row
+        case of :meth:`locator`."""
+        return self.locator(table_name)(row)
 
-        A cached layout that no longer covers the row is stale: it is
-        dropped, and the caller's retry step relocates instead of failing.
+    def locator(self, table_name: str) -> Callable[[bytes], RegionLocation]:
+        """``locate(row)`` against one snapshot of the table's cached
+        locations, which a batch binds once: a row is the region whose
+        start key is the last at or below it (the master lists a table's
+        regions disjoint and in row-key order), found by bisection.
+
+        A snapshot that does not cover the row is stale: the cache is
+        dropped and ``RegionOfflineError`` raised, so that the caller's
+        retry step relocates instead of failing.
         """
-        for location in self.region_locations(table_name):
-            if row < location.start_row:
-                continue
-            if not location.end_row or row < location.end_row:
-                return location
-        self.invalidate_location_cache(table_name)
-        raise RegionOfflineError(
-            f"no region of {table_name} holds row {row!r} (stale meta?)"
-        )
+        locations = self.region_locations(table_name)
+        starts = [location.start_row for location in locations]
+
+        def locate(row: bytes) -> RegionLocation:
+            i = bisect_right(starts, row) - 1
+            if i >= 0:
+                location = locations[i]
+                if not location.end_row or row < location.end_row:
+                    return location
+            self.invalidate_location_cache(table_name)
+            raise RegionOfflineError(
+                f"no region of {table_name} holds row {row!r} (stale meta?)"
+            )
+
+        return locate
 
     def invalidate_location_cache(self, table_name: Optional[str] = None) -> None:
         with self._meta_lock:
@@ -405,8 +418,27 @@ class Table:
                          cluster=self.cluster, **ctx)
 
     def _locate(self, row: bytes) -> RegionLocation:
-        self._fault(FAULT_STALE_META, self.name)
-        return self.connection.locate(self.name, row)
+        return self._locate_rows([row])[0]
+
+    def _locate_rows(self, rows: Sequence[bytes]) -> List[RegionLocation]:
+        """Where each of ``rows`` lives, in order, against one snapshot of
+        the meta cache (:meth:`Connection.locator`).
+
+        ``hbase.stale_meta`` is consulted once per row, in row order, just
+        before that row is located -- the injector counts invocations per
+        key -- and the snapshot is taken where the first row is located.
+        The first row that fails ends the batch.
+        """
+        located: List[RegionLocation] = []
+        locate = None
+        stale_meta = self.cluster.faults is not None
+        for row in rows:
+            if stale_meta:
+                self._fault(FAULT_STALE_META, self.name)
+            if locate is None:
+                locate = self.connection.locator(self.name)
+            located.append(locate(row))
+        return located
 
     def _rpc(self, location: RegionLocation, ledger: CostLedger, call,
              request_bytes: Optional[int] = None):
@@ -432,7 +464,7 @@ class Table:
                 ledger: CostLedger) -> None:
         self._rpc(location, ledger,
                   lambda server: server.put(location.region_name, cells, ledger),
-                  request_bytes=sum(c.heap_size() for c in cells))
+                  request_bytes=sum(map(Cell.heap_size, cells)))
 
     # -- writes ------------------------------------------------------------------
     def put(self, puts: "Put | Iterable[Put]", ledger: Optional[CostLedger] = None) -> None:
@@ -450,11 +482,11 @@ class Table:
         def unapplied() -> None:
             # region -> its location and the indexes of its Puts, in order
             by_region: Dict[str, Tuple[RegionLocation, List[int]]] = {}
-            for i, done in enumerate(applied):
-                if not done:
-                    location = self._locate(batch[i].row)
-                    by_region.setdefault(location.region_name,
-                                         (location, []))[1].append(i)
+            pending = [i for i, done in enumerate(applied) if not done]
+            for i, location in zip(pending, self._locate_rows(
+                    [batch[i].row for i in pending])):
+                by_region.setdefault(location.region_name,
+                                     (location, []))[1].append(i)
             for location, group in by_region.values():
                 self._mutate(location, [
                     cell for i in group for cell in batch[i].to_cells(now_ms)],
@@ -505,12 +537,12 @@ class Table:
             # server -> region -> the indexes of its Gets, in request order
             by_server: Dict[str, Dict[str, List[int]]] = {}
             locations: Dict[str, RegionLocation] = {}
-            for i, result in enumerate(results):
-                if result is None:
-                    location = self._locate(gets[i].row)
-                    locations[location.region_name] = location
-                    by_server.setdefault(location.server_id, {}).setdefault(
-                        location.region_name, []).append(i)
+            pending = [i for i, result in enumerate(results) if result is None]
+            for i, location in zip(pending, self._locate_rows(
+                    [gets[i].row for i in pending])):
+                locations[location.region_name] = location
+                by_server.setdefault(location.server_id, {}).setdefault(
+                    location.region_name, []).append(i)
             for by_region in by_server.values():
                 def serve(server, server_side=True):
                     answers = []
@@ -532,8 +564,8 @@ class Table:
                         server, server_side=False))
                     client_side = True
                 # a single multi-get RPC per server carries the whole batch
-                self._charge_rpc(ledger, first.host, sum(
-                    nbytes for answers in served for __, nbytes in answers))
+                self._charge_rpc(ledger, first.host, sum([
+                    nbytes for answers in served for __, nbytes in answers]))
                 for group, answers in zip(by_region.values(), served):
                     for i, (cells, __) in zip(group, answers):
                         get = gets[i]
@@ -570,7 +602,7 @@ class Table:
             lambda server: server.check_and_put(
                 location.region_name, row, family, qualifier, expected, cells,
                 ledger),
-            request_bytes=sum(c.heap_size() for c in cells))
+            request_bytes=sum(map(Cell.heap_size, cells)))
 
     def scan(self, scan: Scan, ledger: Optional[CostLedger] = None) -> List[Result]:
         """Run a scan across every region overlapping the range: every row

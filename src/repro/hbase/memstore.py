@@ -40,7 +40,7 @@ class MemStore:
             self._seq += 1
             self._entries.append((cell.sort_key(), -self._seq, cell))
         self._entries.sort()
-        self._size_bytes += sum(c.heap_size() for c in cells)
+        self._size_bytes += sum(map(Cell.heap_size, cells))
 
     def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> List[Cell]:
         """The cells with ``start_row <= row < stop_row``, in KeyValue order."""

@@ -160,7 +160,7 @@ class RegionServer:
         with self._write_lock:
             region = self._region(region_name)
             batch = list(cells)
-            payload = sum(c.heap_size() for c in batch)
+            payload = sum(map(Cell.heap_size, batch))
             seq = self.wal.append(region_name, batch, region.table_name, payload)
             region.put_cells(batch)
             ledger.charge(self.cost.wal_sync_cost_s, "hbase.wal_syncs")
@@ -417,12 +417,15 @@ class RegionServer:
         bloom about the whole batch in one loop.  The Gets are then read in
         row order, each from the memstore and the files that admitted its
         row -- HBase's store-file scanner for a Get -- every source bisected
-        forward from where the previous row started.
+        forward from where the previous row started; an empty memstore is
+        not asked.
 
         The ledger is what the Gets issued one by one, in the order asked,
         are charged: per Get, one seek per admitted file of its families,
         then its filter's cell evaluations on a row that was found.  The
-        seek, bloom-probe, row and byte counts are summed for the batch.
+        seeks are booked by :meth:`CostLedger.charge_each` up to each
+        filter charge and at the end, bit for bit those seconds.  The seek,
+        bloom-probe, row and byte counts are summed for the batch.
         """
         region = self._region(region_name, replica_id)
         ledger = ledger if ledger is not None else CostLedger()
@@ -432,16 +435,19 @@ class RegionServer:
         hashes = list(map(row_hash, rows))
         chosen = [region._chosen_families(get.families, get.columns)
                   for get in gets]
-        # per family: the files a Get asks, and the files that admit each
-        # distinct row (by its slot), youngest first
-        blooms: Dict[str, Tuple[int, Dict[int, List[StoreFile]]]] = {}
+        # per family: the files a Get asks, the files that admit each
+        # distinct row (by its slot), youngest first, and the memstore
+        # unless it is empty
+        blooms: Dict[str, Tuple[int, Dict[int, List[StoreFile]], tuple]] = {}
         for family in set().union(*chosen):
-            files = region.stores[family].files
+            store = region.stores[family]
+            files = store.files
             admitting: Dict[int, List[StoreFile]] = {}
             for store_file in reversed(files):
                 for k in store_file.admitted_rows(hashes):
                     admitting.setdefault(k, []).append(store_file)
-            blooms[family] = (len(files), admitting)
+            blooms[family] = (len(files), admitting,
+                              (store.memstore,) if len(store.memstore) else ())
 
         found: List[Optional[List[Cell]]] = [None] * len(gets)
         cursors: Dict[object, int] = {}
@@ -452,8 +458,8 @@ class RegionServer:
             k = slot[row]
             runs = []
             for family in chosen[i]:
-                for source in (region.stores[family].memstore,
-                               *blooms[family][1].get(k, ())):
+                __, admitting, memstore = blooms[family]
+                for source in (*memstore, *admitting.get(k, ())):
                     cells, cursors[source] = source.row_cells(
                         row, cursors.get(source, 0))
                     if cells:
@@ -470,20 +476,23 @@ class RegionServer:
         for get in gets:
             if get.filter is not None and id(get.filter) not in evals_s:
                 evals_s[id(get.filter)] = self._filter_cost_s(get.filter)
-        probed = seeks = hits = returned = 0
+        # the seeks past ``booked`` are owed: booked in one charge_each
+        # before a filter's charge and at the end, which adds their seconds
+        # in the order one-by-one Gets would
+        probed = seeks = booked = hits = returned = 0
         try:
             for i, get in enumerate(gets):
                 k = slot[keys[i]]
                 for family in chosen[i]:
-                    asked, admitting = blooms[family]
+                    asked, admitting, __ = blooms[family]
                     probed += asked
-                    for __ in admitting.get(k, ()):
-                        ledger.charge(seek_s)
-                        seeks += 1
+                    seeks += len(admitting.get(k, ()))
                 cells = found[i]
                 if cells and get.filter is not None:
                     # a Get is its own one-row scan: its filter is compiled
                     # for it, and charged between its seeks and the next's
+                    ledger.charge_each(seek_s, seeks - booked)
+                    booked = seeks
                     ledger.charge(evals_s[id(get.filter)], "hbase.filter_evals")
                     try:
                         kept = get.filter.compile()(keys[i], cells)
@@ -500,6 +509,7 @@ class RegionServer:
                 returned += nbytes
                 answers.append((cells, nbytes))
         finally:
+            ledger.charge_each(seek_s, seeks - booked)
             # a counter is created exactly when one-by-one Gets create it
             if gets:
                 ledger.count("hbase.bloom_probes", probed)

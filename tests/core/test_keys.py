@@ -8,12 +8,14 @@ from repro.common.simclock import SimClock
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.coders import get_coder
 from repro.core.coders import primitive as primitive_module
+from repro.core import keys as keys_module
 from repro.core.keys import (
     RowCodec, decode_rowkey, encode_key_dimension, encode_rowkey,
     prefix_successor,
 )
 from repro.core.relation import DEFAULT_FORMAT
 from repro.hbase.cell import Cell
+from repro.hbase.client import Put
 from repro.hbase.cluster import HBaseCluster
 from repro.sql.session import SparkSession
 from repro.sql.types import (
@@ -50,19 +52,9 @@ def _padded_text(coder):
                    max_size=6)
 
 
-@st.composite
-def row_formats(draw, key_shapes=("a:b:c",)):
-    """(catalog JSON, SQL schema, rows): a generated catalog and data for it.
-
-    A composite key ``a:b:c`` -- an int, a padded string, a variable-width
-    terminal string; ``key_shapes`` may name others, among them the
-    fixed-width ``e`` (bigint) and ``g`` (double), so that ``a:e:g`` is a
-    key PrimitiveType decodes with one ``struct`` call -- under any of the
-    three table coders, nullable data columns and one Avro-schema column
-    that overrides the table coder.  ``n`` is never NULL, so every row keeps
-    a cell and stays visible to a scan.
-    """
-    coder = draw(st.sampled_from(["PrimitiveType", "Phoenix", "Avro"]))
+def row_format(coder, key_shape):
+    """(catalog JSON, key columns, data columns) of one :func:`row_formats`
+    case; a column is ``(name, dtype, values, extra catalog fields)``."""
     avro = coder == "Avro"
     dimensions = {
         # a varint has no native width: Avro needs one declared
@@ -77,8 +69,7 @@ def row_formats(draw, key_shapes=("a:b:c",)):
         "g": (DoubleType, st.floats(allow_nan=False),
               {"length": 10} if avro else {}),
     }
-    key = [(name, *dimensions[name])
-           for name in draw(st.sampled_from(key_shapes)).split(":")]
+    key = [(name, *dimensions[name]) for name in key_shape.split(":")]
     data = [
         ("n", LongType, st.integers(-(2**63), 2**63 - 1), {}),
         ("d", DoubleType, st.none() | st.floats(allow_nan=False), {}),
@@ -95,6 +86,23 @@ def row_formats(draw, key_shapes=("a:b:c",)):
         "rowkey": ":".join(name for name, *__ in key),
         "columns": columns,
     })
+    return catalog, key, data
+
+
+@st.composite
+def row_formats(draw, key_shapes=("a:b:c",)):
+    """(catalog JSON, SQL schema, rows): a generated catalog and data for it.
+
+    A composite key ``a:b:c`` -- an int, a padded string, a variable-width
+    terminal string; ``key_shapes`` may name others, among them the
+    fixed-width ``e`` (bigint) and ``g`` (double), so that ``a:e:g`` is a
+    key PrimitiveType decodes with one ``struct`` call -- under any of the
+    three table coders, nullable data columns and one Avro-schema column
+    that overrides the table coder.  ``n`` is never NULL, so every row keeps
+    a cell and stays visible to a scan.
+    """
+    coder = draw(st.sampled_from(["PrimitiveType", "Phoenix", "Avro"]))
+    catalog, key, data = row_format(coder, draw(st.sampled_from(key_shapes)))
     rows = draw(st.lists(
         st.tuples(*(values for __, __, values, __ in key + data)),
         min_size=1, max_size=5, unique_by=lambda row: row[:len(key)]))
@@ -157,6 +165,8 @@ def check_codec_roundtrip(catalog_json, schema, rows):
         assert codec.key_prefix(row[:nkeys]) == key
         put, ncells = encode(row)
         assert put.row == codec.encode_key(key_values) == key
+        # the slot path encodes the row alike, so decode inverts both
+        assert encode_per_call(codec, names, row) == encode_bound(encode, row)
         # NULL means no cell; the cell count is the key plus what is there
         assert ncells == nkeys + sum(v is not None for v in row[nkeys:])
         cells = put.to_cells(2)
@@ -180,6 +190,9 @@ FIXED_KEYS = ("a:e:g", "g:a", "e")
 @settings(max_examples=300, deadline=None)
 @given(row_formats(key_shapes=("a:b:c",) + FIXED_KEYS))
 def test_composite_roundtrip(case):
+    """``decode(encode(row)) == row`` under all three coders, through the
+    bound encoder (one ``struct`` call for a fixed-width PrimitiveType key)
+    and the per-call slot path alike."""
     check_codec_roundtrip(*case)
 
 
@@ -257,6 +270,140 @@ def test_page_decoder_equals_the_row_decoder(case, data):
         lambda row_key, cells: decode_per_call(codec, columns, row_key, cells),
         page)
     assert codec.page_decoder(columns)([]) == ([[] for __ in columns], 0)
+
+
+def encode_per_call(codec, columns, row):
+    """The reference a bound encoder must equal: ``encode_rowkey`` and
+    ``coder.encode``, walking the catalog per call -- the key, the cells
+    and their count, or the type and message of the first error raised."""
+    catalog = codec.catalog
+    values = dict(zip(columns, row))
+    try:
+        put = Put(encode_rowkey(catalog, codec.coder, values))
+        ncells = len(catalog.row_key)
+        for column in catalog.data_columns():
+            value = values.get(column.name)
+            if value is None:
+                continue
+            put.add_column(column.family, column.qualifier,
+                           codec.field_coders[column.name].encode(
+                               value, column.dtype))
+            ncells += 1
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        return type(exc), str(exc)
+    return put.row, put.to_cells(1), ncells
+
+
+def encode_bound(encode, row):
+    """A bound encoder's answer in :func:`encode_per_call`'s terms."""
+    try:
+        put, ncells = encode(row)
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        return type(exc), str(exc)
+    return put.row, put.to_cells(1), ncells
+
+
+#: values no encode takes as it stands: out of range for any int type and
+#: for an int, a bool, a float where an int goes, NULL, both zeros (the
+#: coders canonicalise -0.0), text where a number goes, a huge double
+_AWKWARD = (2**63, -(2**63) - 1, 2**31, True, False, 1.5, 3.0, None, -0.0,
+            0.0, "x", 1e300, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_formats(key_shapes=("a:b:c", "a:e:g", "a", "e", "g", "g:a")),
+       st.data())
+def test_bound_encoder_equals_the_per_call_encoder(case, data):
+    """Over drawn rows -- all three coders, an Avro column, a padded key, a
+    variable-width last dimension and keys one ``struct`` packs, laid out
+    in a drawn column order that may leave a key dimension out, with now
+    and then an awkward value in a drawn column -- :meth:`RowCodec.encoder`
+    equals :func:`encode_per_call`: the same key, cells and count, or the
+    same error; and the codec's by-name ``encode_key`` equals
+    ``encode_rowkey``."""
+    catalog_json, schema, rows = case
+    catalog = HBaseTableCatalog.from_json(catalog_json)
+    codec = RowCodec(catalog)
+    columns = data.draw(st.permutations(schema.names), label="columns")
+    if data.draw(st.booleans(), label="drop a key dimension"):
+        columns.remove(data.draw(st.sampled_from(catalog.row_key), label="dropped"))
+    encode = codec.encoder(columns)
+    by_position = {name: i for i, name in enumerate(schema.names)}
+    for row in rows:
+        laid_out = [row[by_position[name]] for name in columns]
+        if data.draw(st.booleans(), label="awkward"):
+            laid_out[data.draw(st.integers(0, len(columns) - 1), label="at")] = \
+                data.draw(st.sampled_from(_AWKWARD), label="value")
+        expected = encode_per_call(codec, columns, laid_out)
+        assert encode_bound(encode, laid_out) == expected
+        key_values = dict(zip(columns, laid_out))
+        try:
+            reference = encode_rowkey(catalog, codec.coder, key_values)
+        except Exception as exc:  # noqa: BLE001 - the error is the answer
+            reference = type(exc), str(exc)
+        try:
+            bound = codec.encode_key(key_values)
+        except Exception as exc:  # noqa: BLE001 - the error is the answer
+            bound = type(exc), str(exc)
+        assert bound == reference
+
+
+#: one well-formed value per column of :func:`row_format`
+_PLAIN = {"a": -7, "b": "ab", "c": "xyz", "e": 2**40, "g": -2.5,
+          "n": 5, "d": 0.25, "s": "s", "r": "r"}
+
+
+@pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix", "Avro"])
+def test_every_awkward_value_encodes_as_the_per_call_encoder_does(coder):
+    """Each awkward value in each column of each key shape -- a padded key,
+    a variable-width last dimension, keys one ``struct`` packs -- and each
+    key dimension left out: the bound encoder gives what
+    :func:`encode_per_call` gives, bytes or error."""
+    for shape in ("a:b:c", "a:e:g", "g:a", "e", "g"):
+        catalog_json, key, data = row_format(coder, shape)
+        codec = RowCodec(HBaseTableCatalog.from_json(catalog_json))
+        names = [name for name, *__ in key + data]
+        plain = [_PLAIN[name] for name in names]
+        encode = codec.encoder(names)
+        for i in range(len(names)):
+            for value in _AWKWARD:
+                row = plain[:i] + [value] + plain[i + 1:]
+                assert encode_bound(encode, row) \
+                    == encode_per_call(codec, names, row), (shape, names[i], value)
+            if i < len(key):
+                short = names[:i] + names[i + 1:]
+                row = plain[:i] + plain[i + 1:]
+                assert encode_bound(codec.encoder(short), row) \
+                    == encode_per_call(codec, short, row)
+
+
+def test_an_int_key_is_encoded_by_one_struct_call(monkeypatch):
+    """Pinned work: a 3-int key under PrimitiveType is packed without the
+    per-call path; a value ``struct`` would take but ``encode`` refuses (a
+    bool) or that ``struct`` refuses (out of range) takes the per-call path,
+    which raises."""
+    calls = {"n": 0}
+
+    def counting(*args):
+        calls["n"] += 1
+        return encode_rowkey(*args)
+
+    monkeypatch.setattr(keys_module, "encode_rowkey", counting)
+    catalog = HBaseTableCatalog.from_json(json.dumps({
+        "table": {"namespace": "default", "name": "t",
+                  "tableCoder": "PrimitiveType"},
+        "rowkey": "a:b:c",
+        "columns": {name: {"cf": "rowkey", "col": name, "type": "int"}
+                    for name in "abc"},
+    }))
+    encode_key = RowCodec(catalog).key_encoder(["c", "a", "b"])
+    assert encode_key((3, 1, -2)) == b"\0\0\0\1\xff\xff\xff\xfe\0\0\0\3"
+    assert calls["n"] == 0
+    for bad, message in ((True, "expects an int, got bool"),
+                         (2**31, "out of range for int")):
+        with pytest.raises(CoderError, match=message):
+            encode_key((3, bad, -2))
+    assert calls["n"] == 2
 
 
 _MALFORMED = {

@@ -1,9 +1,15 @@
-import pytest
+import itertools
 
-from repro.common.errors import HBaseError, NoSuchTableError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.common.errors import HBaseError, NoSuchTableError, RegionOfflineError
+from repro.common.faults import FAULT_STALE_META, FaultInjector, raise_stale_meta
 from repro.common.metrics import CostLedger
+from repro.common.simclock import SimClock
 from repro.hbase import ConnectionFactory, Delete, Get, Put, Scan
 from repro.hbase.client import Configuration
+from repro.hbase.cluster import HBaseCluster
 from repro.hbase.filters import CompareOp, SingleColumnValueFilter
 from repro.hbase.hbytes import Bytes
 
@@ -300,3 +306,119 @@ def test_connection_ids_count_from_one_per_cluster(hbase_cluster):
     assert ConnectionFactory.create_connection(fresh.configuration()).connection_id == 1
     assert ConnectionFactory.create_connection(
         hbase_cluster.configuration()).connection_id == 4
+
+
+# -- the batch locator -------------------------------------------------------
+
+#: where the pinned seed's stale-meta faults land, and how many times the
+#: fault point is consulted, for a 60-row put and then a 60-row multi-get;
+#: read when every row of a batch was located on its own
+PUT_FAULT_ROWS = [b"r030", b"r003", b"r003"]
+PUT_CONSULTS = 99
+GET_FAULT_ROWS = [b"r001", b"r003", b"r003"]
+GET_CONSULTS = 70
+
+_layout_ids = itertools.count(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.binary(min_size=1, max_size=3), max_size=6, unique=True),
+       st.lists(st.binary(max_size=4), min_size=1, max_size=12))
+def test_batch_locator_equals_locate_row_by_row(splits, rows):
+    """Over drawn split layouts, locating a batch against one meta snapshot
+    (``Table._locate_rows``) gives each row the region ``Connection.locate``
+    gives it alone and the master says holds it."""
+    cluster = HBaseCluster(f"layout{next(_layout_ids)}", ["h1", "h2", "h3"],
+                           clock=SimClock())
+    cluster.create_table("t", ["f"], split_keys=sorted(splits))
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    located = table._locate_rows(rows)
+    assert located == [table.connection.locate("t", row) for row in rows]
+    assert [location.region_name for location in located] == [
+        cluster.active_master.locate("t", row).region_name for row in rows]
+
+
+def test_a_row_outside_the_cached_layout_relocates_on_retry(hbase_cluster):
+    """A batch with a row no cached region holds raises RegionOfflineError
+    and drops the cache; a put and a multi-get over such a cache retry once
+    against fresh meta and land every row."""
+    hbase_cluster.create_table("t", ["f"], split_keys=[b"m"])
+    table = ConnectionFactory.create_connection(
+        hbase_cluster.configuration()).get_table("t")
+    conn = table.connection
+
+    def shrink_cache():
+        # the cache believes the table ends where its first region ends
+        first = conn.region_locations("t")[:1]
+        with conn._meta_lock:
+            conn._location_cache["t"] = first
+
+    shrink_cache()
+    with pytest.raises(RegionOfflineError):
+        table._locate_rows([b"a", b"z"])
+    with conn._meta_lock:
+        assert "t" not in conn._location_cache
+    rows = [b"a", b"q", b"b", b"z"]
+    for op in ("put", "bulk_get"):
+        shrink_cache()
+        ledger = CostLedger()
+        if op == "put":
+            table.put([Put(row).add_column("f", "q", row) for row in rows], ledger)
+        else:
+            results = table.bulk_get([Get(row) for row in rows], ledger)
+            assert [r.get_value("f", "q") for r in results] == rows
+        assert ledger.metrics.get("hbase.retries") == 1, op
+        assert len(conn.region_locations("t")) == 2
+
+
+def test_stale_meta_faults_land_on_the_same_rows_of_a_batch(hbase_cluster):
+    """Pinned chaos seed: ``hbase.stale_meta`` is consulted once per row,
+    in row order, before the row is located, so its faults land on the
+    same rows of a put batch and of a multi-get batch as when every row was
+    located on its own -- and every row still lands."""
+    hbase_cluster.create_table("t", ["f"], split_keys=[b"r020", b"r040"])
+    table = ConnectionFactory.create_connection(
+        hbase_cluster.configuration()).get_table("t")
+    injector = FaultInjector(seed=11)
+    consults = []
+    check = injector.check
+
+    def counting_check(point, key="", ledger=None, **ctx):
+        if point == FAULT_STALE_META:
+            consults.append(key)
+        return check(point, key, ledger, **ctx)
+
+    fired = []
+
+    def recording(ctx):
+        fired.append(len(consults) - 1)
+        raise_stale_meta(ctx)
+
+    injector.check = counting_check
+    rule = injector.inject(FAULT_STALE_META, rate=0.05, times=3,
+                           action=recording)
+    hbase_cluster.install_fault_injector(injector)
+    rows = [b"r%03d" % i for i in range(60)]
+
+    def landed():
+        # a failed attempt located nothing for good: the next one starts
+        # again at the batch's first row
+        out, start = [], 0
+        for index in fired:
+            out.append(rows[index - start])
+            start = index + 1
+        fired.clear()
+        return out
+
+    ledger = CostLedger()
+    table.put([Put(row).add_column("f", "q", row) for row in rows], ledger)
+    assert landed() == PUT_FAULT_ROWS
+    assert len(consults) == PUT_CONSULTS
+    rule.fired = 0
+    consults.clear()
+    results = table.bulk_get([Get(row) for row in rows], ledger)
+    assert landed() == GET_FAULT_ROWS
+    assert len(consults) == GET_CONSULTS
+    assert [r.get_value("f", "q") for r in results] == rows
+    assert ledger.metrics.get("hbase.retries") == 6

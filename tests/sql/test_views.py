@@ -6,9 +6,12 @@ and the optimizer's freshness- and cost-gated automatic rewriting.
 """
 
 import json
+import os
+import sys
 
 import pytest
 
+import repro
 from repro.common.errors import AnalysisError
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec
@@ -694,3 +697,58 @@ def test_stale_view_never_answers_and_base_result_is_exact():
     assert sorted(tuple(r.values) for r in stale.rows) \
         == sorted(tuple(r.values) for r in fresh.rows)
     session.shutdown()
+
+
+#: Python calls inside ``repro.core`` + ``repro.hbase`` + ``repro.sql`` that
+#: one more row saved into a table with a maintained view may cost, end to
+#: end: encoding, the put, the change feed and the view's read-back of the
+#: row.  Measured when the write path began binding its work per batch (one
+#: ``struct`` call per all-int key, one bound encoder per data column, one
+#: meta snapshot per put or multi-get): 40.02, down from 79.02.  The budget
+#: leaves a fifth of headroom, rounded up.  A helper per cell or per row
+#: shows up here as +1 or more -- raise the number only with a measurement
+#: that pays for it.
+WRITE_CALLS_PER_ROW_BUDGET = 49
+
+
+def test_marginal_python_calls_per_written_row(linked):
+    """Save N and 2N fresh rows (one view group, as a snapshot day is) into
+    two tables, each with a maintained count/sum view, counting Python
+    ``call`` events in the connector, the store and the SQL layer: their
+    difference per row is what a written row costs, whatever the machine."""
+    package = os.path.dirname(repro.__file__)
+    counted = tuple(os.path.join(package, part) + os.sep
+                    for part in ("core", "hbase", "sql"))
+    columns = [("d", "int"), ("i", "int"), ("w", "int"), ("q", "int")]
+    seed = [(d, i, w, d * i + w) for d in range(3) for i in range(4)
+            for w in range(4)]
+    writers = {}
+    for name in ("w1", "w2"):
+        write, session, __ = small_table(linked, name, "d:i:w", columns, seed)
+        by_day = f"SELECT d, count(q) AS n, sum(q) AS s FROM {name} GROUP BY d"
+        session.sql(f"CREATE MATERIALIZED VIEW v_{name} AS {by_day}").run()
+        writers[name] = write, session, by_day
+
+    def calls_to_save(name: str, nrows: int) -> int:
+        write, session, by_day = writers[name]
+        rows = [(9, 1 + i // 4, i % 4, i) for i in range(nrows)]
+        calls = 0
+
+        def count(frame_, event, arg):
+            nonlocal calls
+            if event == "call" and frame_.f_code.co_filename.startswith(counted):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            write(rows)
+        finally:
+            sys.setprofile(None)
+        answered = session.sql(by_day).run()
+        assert [e["action"] for e in answered.view_events] == ["rewrites"]
+        assert (9, nrows, sum(range(nrows))) in rows_of(answered)
+        return calls
+
+    n = 200
+    marginal = (calls_to_save("w2", 2 * n) - calls_to_save("w1", n)) / n
+    assert marginal <= WRITE_CALLS_PER_ROW_BUDGET, marginal

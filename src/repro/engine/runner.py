@@ -97,7 +97,6 @@ class StageRunner:
         self,
         slots: Sequence[Executor],
         task_launch_s: float,
-        locality_enabled: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
     ) -> None:
         if not slots:
@@ -105,7 +104,6 @@ class StageRunner:
         self.slots = list(slots)
         self._slot_hosts = frozenset(s.host for s in self.slots)
         self.task_launch_s = task_launch_s
-        self.locality_enabled = locality_enabled
         self.locality_wait_skips = max(0, locality_wait_skips)
 
     def run(self, tasks: Sequence[TaskSpec], run_task: RunTaskFn) -> StageExecution:
@@ -194,8 +192,6 @@ class StageRunner:
         treated as unconstrained: it must run remote anyway, so waiting
         would only serialise the stage behind slots it can never use.
         """
-        if not self.locality_enabled:
-            return pending.popleft()
         fallback: Optional[TaskSpec] = None
         for spec in pending:
             if (not spec.preferred or host in spec.preferred

@@ -158,7 +158,6 @@ class TaskScheduler:
         self,
         cluster: ComputeCluster,
         cost_model: CostModel,
-        locality_enabled: bool = True,
         locality_wait_skips: int = DEFAULT_LOCALITY_WAIT_SKIPS,
         faults=None,
         trace=NOOP_SPAN,
@@ -167,7 +166,6 @@ class TaskScheduler:
     ) -> None:
         self.cluster = cluster
         self.cost = cost_model
-        self.locality_enabled = locality_enabled
         #: parent span for stage spans; NOOP_SPAN = tracing disabled
         self.trace = trace if trace is not None else NOOP_SPAN
         self._stage_span = NOOP_SPAN
@@ -190,7 +188,6 @@ class TaskScheduler:
         self._runner = StageRunner(
             self._slots,
             cost_model.task_launch_s,
-            locality_enabled=locality_enabled,
             locality_wait_skips=locality_wait_skips,
         )
 

@@ -462,9 +462,12 @@ class Table:
 
     def _mutate(self, location: RegionLocation, cells: List[Cell],
                 ledger: CostLedger) -> None:
+        # sized once: the request bills it, the server logs and bills it
+        nbytes = sum(map(Cell.heap_size, cells))
         self._rpc(location, ledger,
-                  lambda server: server.put(location.region_name, cells, ledger),
-                  request_bytes=sum(map(Cell.heap_size, cells)))
+                  lambda server: server.put(location.region_name, cells,
+                                            ledger, nbytes),
+                  request_bytes=nbytes)
 
     # -- writes ------------------------------------------------------------------
     def put(self, puts: "Put | Iterable[Put]", ledger: Optional[CostLedger] = None) -> None:
@@ -597,12 +600,13 @@ class Table:
         """Atomic compare-and-set (HBase ``Table.checkAndPut``)."""
         location = self._locate(row)
         cells = put.to_cells(self.cluster.clock.now_millis())
+        nbytes = sum(map(Cell.heap_size, cells))
         return self._rpc(
             location, ledger,
             lambda server: server.check_and_put(
                 location.region_name, row, family, qualifier, expected, cells,
-                ledger),
-            request_bytes=sum(map(Cell.heap_size, cells)))
+                nbytes, ledger),
+            request_bytes=nbytes)
 
     def scan(self, scan: Scan, ledger: Optional[CostLedger] = None) -> List[Result]:
         """Run a scan across every region overlapping the range: every row

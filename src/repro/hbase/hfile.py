@@ -240,18 +240,14 @@ class StoreFile:
         lo, hi = self._cell_span(start_row, stop_row)
         return self._cells[lo:hi]
 
-    def scanned_bytes(self, start_row: bytes = b"", stop_row: bytes | None = None) -> int:
-        """Bytes a scan over the given range touches (block-granular)."""
-        return sum(nbytes for _, nbytes in self.blocks_for_range(start_row, stop_row))
-
     def blocks_for_range(
         self, start_row: bytes = b"", stop_row: bytes | None = None
     ) -> List[Tuple[int, int]]:
         """The ``(block_index, nbytes)`` pairs a scan of the range reads.
 
         HBase reads whole blocks, so the range is rounded out to block
-        boundaries; the per-block sizes sum exactly to ``scanned_bytes``
-        for the same range.  Block indices are stable for the lifetime of
+        boundaries: their sizes summed are the bytes a scan of the range
+        touches in this file.  Block indices are stable for the lifetime of
         this (immutable) file, which is what lets the region-server block
         cache key on ``(store_file, block_index)``.
         """

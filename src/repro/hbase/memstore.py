@@ -26,12 +26,6 @@ class MemStore:
         self._seq = 0
         self._size_bytes = 0
 
-    def add(self, cell: Cell) -> None:
-        """Insert one cell keeping KeyValue order."""
-        self._seq += 1
-        bisect.insort(self._entries, (cell.sort_key(), -self._seq, cell))
-        self._size_bytes += cell.heap_size()
-
     def add_all(self, cells: List[Cell]) -> None:
         """Bulk insert; re-sorts once, which is cheaper than n insorts."""
         if not cells:
@@ -59,10 +53,6 @@ class MemStore:
         lo = bisect.bisect_left(entries, ((row,),), lo)
         hi = bisect.bisect_left(entries, ((row + b"\x00",),), lo)
         return [cell for __, __seq, cell in entries[lo:hi]], lo
-
-    def snapshot(self) -> List[Cell]:
-        """The current contents, sorted, for flushing to a store file."""
-        return self.scan()
 
     def clear(self) -> None:
         self._entries.clear()

@@ -10,6 +10,7 @@ shadowed cells and tombstones.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -27,6 +28,7 @@ DEFAULT_FLUSH_THRESHOLD_BYTES = 256 * 1024
 RowResult = Tuple[bytes, List[Cell]]
 #: a version limit that limits nothing
 ALL_VERSIONS = sys.maxsize
+_ROW = operator.attrgetter("row")
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,10 @@ class Store:
 
     def flush(self) -> Optional[StoreFile]:
         """Roll the memstore into a new store file; returns it (or None)."""
-        snapshot = self.memstore.snapshot()
-        if not snapshot:
+        cells = self.memstore.scan()
+        if not cells:
             return None
-        store_file = StoreFile(snapshot)
+        store_file = StoreFile(cells)
         self.files.append(store_file)
         self.memstore.clear()
         return store_file
@@ -91,12 +93,6 @@ class Store:
     def scan(self, start_row: bytes, stop_row: Optional[bytes]) -> List[Cell]:
         """Merged view over memstore + files for the row range."""
         return _merge_runs(self.runs(start_row, stop_row))
-
-    def scanned_bytes(self, start_row: bytes, stop_row: Optional[bytes]) -> int:
-        """I/O bytes a scan of the range touches in this store."""
-        total = sum(f.scanned_bytes(start_row, stop_row) for f in self.files)
-        total += sum(c.heap_size() for c in self.memstore.scan(start_row, stop_row))
-        return total
 
 
 class Region:
@@ -292,12 +288,13 @@ class Region:
         families: Optional[Set[str]] = None,
         columns: Optional[Set[Tuple[str, str]]] = None,
     ) -> int:
-        """Store-file + memstore bytes a scan over the range would read."""
-        lo, hi = self.clamp(start_row, stop_row)
-        if hi is not None and lo >= hi:
-            return 0
-        chosen = self._chosen_families(families, columns)
-        return sum(self.stores[f].scanned_bytes(lo, hi) for f in chosen)
+        """Store-file + memstore bytes a scan over the range would read:
+        the sum of :meth:`touched_blocks_by_file`, wherever the reader
+        sits."""
+        files, memstore_bytes = self.touched_blocks_by_file(
+            "", start_row, stop_row, families, columns)
+        return memstore_bytes + sum(
+            nbytes for __, __local, blocks in files for __block, nbytes in blocks)
 
     def touched_blocks_by_file(
         self,
@@ -307,16 +304,15 @@ class Region:
         families: Optional[Set[str]] = None,
         columns: Optional[Set[Tuple[str, str]]] = None,
     ) -> Tuple[List[Tuple[StoreFile, bool, List[tuple]]], int]:
-        """Block-granular view of the I/O a range scan performs.
+        """The one walk of what a range scan reads, block by block.
 
         Returns ``(files, memstore_bytes)`` where ``files`` lists, for every
         store file of the chosen families (one the range misses has no
         blocks), the file itself, whether its HDFS replica is local to
         ``host`` -- a file without placement metadata counts as local, the
-        memstore always is -- and its ``(block_index, nbytes)`` pairs.  All
-        block bytes plus ``memstore_bytes`` are what
-        :meth:`io_bytes_for_range` reports; the region server bills the
-        scan from this decomposition, block by block.
+        memstore always is -- and its ``(block_index, nbytes)`` pairs.  The
+        region server bills a scan from it block by block; every other count
+        of a range's bytes (:meth:`io_bytes_for_range`) is its sum.
         """
         # an empty clamp (lo >= hi) lists every file and no block of any
         lo, hi = self.clamp(start_row, stop_row)
@@ -354,7 +350,7 @@ class Region:
         largest = max(self.stores.values(), key=Store.size_bytes, default=None)
         if largest is None:
             return None
-        rows = sorted({c.row for f in largest.files for c in f.scan()})
+        rows = sorted({row for f in largest.files for row in f.row_keys})
         if len(rows) < 2:
             return None
         mid = rows[len(rows) // 2]
@@ -378,13 +374,12 @@ class Region:
         right = Region(self.table_name, families, point, self.end_row,
                        self.flush_threshold, region_id=next_region_id())
         for family, store in self.stores.items():
-            cells = list(store.scan(self.start_row or b"", None))
-            left_cells = [c for c in cells if c.row < point]
-            right_cells = [c for c in cells if c.row >= point]
-            if left_cells:
-                left.stores[family].files.append(StoreFile(left_cells))
-            if right_cells:
-                right.stores[family].files.append(StoreFile(right_cells))
+            cells = store.scan(self.start_row, None)
+            cut = bisect.bisect_left(cells, point, key=_ROW)
+            if cut:
+                left.stores[family].files.append(StoreFile(cells[:cut]))
+            if cut < len(cells):
+                right.stores[family].files.append(StoreFile(cells[cut:]))
         return left, right
 
     def __repr__(self) -> str:

@@ -147,8 +147,10 @@ class RegionServer:
         return region
 
     # -- writes ---------------------------------------------------------------
-    def put(self, region_name: str, cells: Sequence[Cell], ledger: CostLedger) -> None:
-        """WAL-log then apply a mutation batch; flush if the memstore is full.
+    def put(self, region_name: str, cells: Sequence[Cell], ledger: CostLedger,
+            nbytes: int) -> None:
+        """WAL-log then apply a mutation batch of ``nbytes`` heap bytes (the
+        client sized it once for the request); flush if the memstore is full.
 
         Flush I/O is billed to the ledgers that filled the memstore, each in
         proportion to the bytes it contributed, rather than entirely to the
@@ -159,16 +161,14 @@ class RegionServer:
         """
         with self._write_lock:
             region = self._region(region_name)
-            batch = list(cells)
-            payload = sum(map(Cell.heap_size, batch))
-            seq = self.wal.append(region_name, batch, region.table_name, payload)
-            region.put_cells(batch)
+            seq = self.wal.append(region_name, cells, region.table_name, nbytes)
+            region.put_cells(cells)
             ledger.charge(self.cost.wal_sync_cost_s, "hbase.wal_syncs")
-            ledger.charge(payload / self.cost.write_bytes_per_sec,
-                          "hbase.bytes_written", payload)
+            ledger.charge(nbytes / self.cost.write_bytes_per_sec,
+                          "hbase.bytes_written", nbytes)
             debts = self._flush_debts.setdefault(region_name, {})
             owed_ledger, owed = debts.get(id(ledger), (ledger, 0))
-            debts[id(ledger)] = (owed_ledger, owed + payload)
+            debts[id(ledger)] = (owed_ledger, owed + nbytes)
             if region.should_flush():
                 written = region.flush()
                 self._place_new_files(region)
@@ -552,10 +552,11 @@ class RegionServer:
 
     def check_and_put(self, region_name: str, row: bytes, family: str,
                       qualifier: str, expected: Optional[bytes],
-                      put_cells: Sequence[Cell],
+                      put_cells: Sequence[Cell], nbytes: int,
                       ledger: Optional[CostLedger] = None) -> bool:
-        """Atomic compare-and-set: apply ``put_cells`` iff the current value
-        of ``(row, family, qualifier)`` equals ``expected`` (None = absent)."""
+        """Atomic compare-and-set: apply ``put_cells`` (``nbytes`` heap
+        bytes) iff the current value of ``(row, family, qualifier)`` equals
+        ``expected`` (None = absent)."""
         with self._write_lock:
             ledger = ledger if ledger is not None else CostLedger()
             hit = self.get(region_name, row, columns={(family, qualifier)},
@@ -568,7 +569,7 @@ class RegionServer:
                         break
             if current != expected:
                 return False
-            self.put(region_name, put_cells, ledger)
+            self.put(region_name, put_cells, ledger, nbytes)
             return True
 
     # -- coprocessors -----------------------------------------------------------

@@ -3,10 +3,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.common.metrics import CostLedger
 from repro.core.catalog import HBaseSparkConf, HBaseTableCatalog
 from repro.core.relation import DEFAULT_FORMAT
+from repro.core.ranges import ScanRange
 from repro.extensions import HUAWEI_FORMAT
+from repro.extensions.huawei import aggregation_endpoint
+from repro.hbase import ConnectionFactory, Put, Scan
+from repro.sql.sources import lookup_provider
 from repro.sql.types import DoubleType, IntegerType, StringType, StructField, StructType
 from tests.differential.strategies import CODERS, hbase_table
 
@@ -214,3 +220,58 @@ def test_in_list_with_a_null_answers_as_the_reference(linked, coder, key, templa
     for name in sides:
         got = sorted(map(tuple, session.sql(template.format(t=name)).collect()))
         assert got == want, name
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_range_bytes_are_the_bytes_a_scan_reads(loaded, data):
+    """The one range-bytes walk, seen by both its callers: what
+    ``_range_bytes`` balances replica pieces by and what the coprocessor
+    bills equal ``hbase.bytes_scanned`` of the region server's scan of the
+    same range and columns (no block cache, every file local) -- on regions
+    holding store files and memstore cells in both families, for drawn
+    ranges, an empty clamp among them.  Reads change no state, so every
+    example may share the fixture."""
+    cluster, session, options = loaded
+    relation = lookup_provider(HUAWEI_FORMAT).create_relation(options, session)
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("metrics")
+    if not any(len(s.memstore) for loc in cluster.region_locations("metrics")
+               for s in cluster.get_region(loc.region_name).stores.values()):
+        # every seventh row rewritten as it reads: memstore cells in cf1
+        # and cf2 over rows the store files hold too
+        for result in table.scan(Scan())[::7]:
+            put = Put(result.row)
+            for cell in result.cells:
+                put.add_column(cell.family, cell.qualifier, cell.value)
+            table.put(put)
+    locations = cluster.region_locations("metrics")
+    location = data.draw(st.sampled_from(locations))
+    region = cluster.get_region(location.region_name)
+    server = cluster.region_servers[location.server_id]
+    assert server.block_cache is None
+    keys = sorted({row for s in region.stores.values() for f in s.files
+                   for row in f.row_keys})
+    bounds = [b"", b"\xff" * 5] + keys + [loc.start_row for loc in locations]
+    start = data.draw(st.sampled_from(bounds))
+    stop = data.draw(st.sampled_from([None] + bounds))
+    scan_range = ScanRange(start, stop)
+    input_columns = data.draw(st.sampled_from([["grp"], ["v"], ["grp", "v"]]))
+    columns = {(relation.catalog.column(c).family, relation.catalog.column(c).qualifier)
+               for c in input_columns}
+
+    def scanned(**kwargs) -> int:
+        ledger = CostLedger()
+        server.scan(location.region_name, start, stop, ledger=ledger, **kwargs)
+        return ledger.metrics.get("hbase.bytes_scanned")
+
+    assert relation._range_bytes(location, scan_range) == scanned()
+    ledger = CostLedger()
+    aggregation_endpoint(region, {
+        "relation": relation, "scan_range": scan_range, "hbase_filter": None,
+        "residual": None, "group_columns": [], "aggregates": [],
+        "arguments": [], "input_columns": input_columns,
+        "filter_columns": set(),
+    }, server.cost, ledger)
+    assert ledger.metrics.get("hbase.bytes_scanned") == scanned(columns=columns)

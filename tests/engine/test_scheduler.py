@@ -7,9 +7,9 @@ from repro.engine.rdd import ParallelCollectionRDD
 from repro.engine.scheduler import TaskScheduler
 
 
-def make_scheduler(hosts=("h1", "h2"), executors=2, locality=True):
+def make_scheduler(hosts=("h1", "h2"), executors=2):
     cluster = ComputeCluster(list(hosts), executors_requested=executors)
-    return TaskScheduler(cluster, DEFAULT_COST_MODEL, locality_enabled=locality)
+    return TaskScheduler(cluster, DEFAULT_COST_MODEL)
 
 
 def test_job_result_rows_and_stages():
@@ -58,12 +58,21 @@ def test_locality_placement_prefers_hosts():
     assert result.metrics.get("engine.local_tasks") == 4
 
 
-def test_locality_disabled_ignores_preferences():
-    scheduler = make_scheduler(locality=False)
-    rdd = ParallelCollectionRDD(range(8), 8, hosts=["h1"])
-    result = scheduler.run_job(rdd)
-    # round-robin over both hosts: some tasks land off-host
-    assert result.stages[0].local_tasks < 8
+def test_tasks_without_preferred_hosts_use_every_host():
+    """What a scan with ``shc.locality.enabled`` off hands the scheduler:
+    tasks that prefer no host, placed on whatever slot frees first."""
+    scheduler = make_scheduler()
+    run_stage, hosts = scheduler._runner.run, []
+
+    def recording_run(specs, run_task):
+        execution = run_stage(specs, run_task)
+        hosts.extend(o.ran_on_host for o in execution.outcomes)
+        return execution
+
+    scheduler._runner.run = recording_run
+    result = scheduler.run_job(ParallelCollectionRDD(range(8), 8))
+    assert sorted(result.rows()) == list(range(8))
+    assert len(hosts) == 8 and set(hosts) == {"h1", "h2"}
 
 
 def test_task_retry_on_transient_failure():

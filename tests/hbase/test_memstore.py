@@ -11,7 +11,7 @@ def cell(row: bytes, ts: int = 1) -> Cell:
 def test_add_keeps_sorted_order():
     store = MemStore()
     for row in (b"c", b"a", b"b"):
-        store.add(cell(row))
+        store.add_all([cell(row)])
     assert [c.row for c in store.scan()] == [b"a", b"b", b"c"]
 
 
@@ -19,7 +19,7 @@ def test_bulk_add_equals_individual_adds():
     a, b = MemStore(), MemStore()
     cells = [cell(bytes([x])) for x in (5, 1, 9, 3)]
     for c in cells:
-        a.add(c)
+        a.add_all([c])
     b.add_all(cells)
     assert [c.row for c in a.scan()] == [c.row for c in b.scan()]
 
@@ -32,7 +32,7 @@ def test_scan_range_is_half_open():
 
 def test_size_tracking():
     store = MemStore()
-    store.add(cell(b"row"))
+    store.add_all([cell(b"row")])
     assert store.size_bytes == cell(b"row").heap_size()
     store.clear()
     assert store.size_bytes == 0
@@ -42,7 +42,8 @@ def test_size_tracking():
 def test_snapshot_returns_sorted_cells():
     store = MemStore()
     store.add_all([cell(b"b"), cell(b"a")])
-    snapshot = store.snapshot()
+    # what a flush writes out: the whole memstore, in KeyValue order
+    snapshot = store.scan()
     assert [c.row for c in snapshot] == [b"a", b"b"]
 
 

@@ -172,17 +172,32 @@ def test_should_flush_threshold():
 
 
 def test_split_partitions_rows():
+    """Two store files, a memstore tail past them and a memstore rewrite
+    inside: the split point is the files' middle distinct row, and the
+    daughters hold the parent's merged cells cut there, cell for cell."""
     r = region()
-    for i in range(20):
+    for i in range(0, 20, 2):
         put(r, bytes([i]))
     r.flush()
+    for i in range(1, 20, 2):
+        put(r, bytes([i]), ts=2)
+    put(r, bytes([4]), b"older", ts=0)
+    r.flush()
+    put(r, bytes([10]), b"newer", ts=3)
+    for i in range(20, 24):
+        put(r, bytes([i]))
+    merged = r.stores["f"].scan(b"", None)
+    point = r.split_point()
+    assert point == bytes([10])     # the middle of rows 0..19, an existing row
     left, right = r.split(iter((2, 3)).__next__)
     assert (left.region_id, right.region_id) == (2, 3)
-    assert left.end_row == right.start_row
+    assert (left.end_row, right.start_row) == (point, point)
+    assert left.stores["f"].scan(b"", None) == [c for c in merged if c.row < point]
+    assert right.stores["f"].scan(b"", None) == [c for c in merged if c.row >= point]
     left_rows = rows_of(left)
     right_rows = rows_of(right)
-    assert len(left_rows) + len(right_rows) == 20
-    assert max(left_rows) < min(right_rows)
+    assert len(left_rows) + len(right_rows) == 24
+    assert max(left_rows) < point == min(right_rows)
 
 
 def test_split_empty_region_returns_none_and_draws_no_id():

@@ -146,11 +146,9 @@ def test_writes_never_touch_a_secondary(replicated):
     with pytest.raises(RegionOfflineError):
         replica_server.get(location.region_name, b"a")
     with pytest.raises(RegionOfflineError):
-        replica_server.put(
-            location.region_name,
-            [Cell(b"a", "f", "q", cluster.clock.now_millis(), b"w")],
-            CostLedger(),
-        )
+        written = Cell(b"a", "f", "q", cluster.clock.now_millis(), b"w")
+        replica_server.put(location.region_name, [written], CostLedger(),
+                           written.heap_size())
 
 
 def test_promotion_catches_up_from_the_dead_wal(replicated):

@@ -67,12 +67,3 @@ class Cell:
             return other.timestamp <= self.timestamp
         return other.timestamp == self.timestamp
 
-
-def compare_cells(a: Cell, b: Cell) -> int:
-    """Three-way comparison in KeyValue order."""
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

@@ -14,8 +14,12 @@ and are never billed.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import struct
 from array import array
+from itertools import compress, islice
+from operator import attrgetter, methodcaller, ne
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.hbase.cell import Cell, CellType
@@ -25,42 +29,47 @@ DEFAULT_BLOCK_CELLS = 64
 
 #: the two 64-bit halves a row's bloom positions are derived from
 RowHash = Tuple[int, int]
-_LOW_64 = (1 << 64) - 1
+#: a row's 16-byte blake2b digest, and its two big-endian halves
+_DIGEST = functools.partial(hashlib.blake2b, digest_size=16)
+_DIGEST_BYTES = methodcaller("digest")
+_HALVES = struct.Struct(">QQ")
+_ROW = attrgetter("row")
 
 
 def row_hash(row: bytes) -> RowHash:
-    """Hash a row key once; every bloom it is added to or probed against
-    derives its bit positions from this pair (double hashing)."""
-    digest = int.from_bytes(hashlib.blake2b(row, digest_size=16).digest(), "big")
-    return digest >> 64, (digest & _LOW_64) | 1
+    """Hash a row key once; every bloom it is probed against derives its
+    bit positions from this pair (double hashing)."""
+    h1, h2 = _HALVES.unpack(hashlib.blake2b(row, digest_size=16).digest())
+    return h1, h2 | 1
 
 
 class BloomFilter:
-    """A classic k-hash bloom filter over row keys, fed :func:`row_hash`."""
+    """A classic k-hash bloom filter over row keys: key ``k`` sets the
+    positions ``(h1 + i * h2) mod bits``, ``i < 3``, of its
+    :func:`row_hash` ``(h1, h2)``."""
 
-    def __init__(self, expected_keys: int, bits_per_key: int = 10, num_hashes: int = 3) -> None:
-        self._num_bits = max(64, expected_keys * bits_per_key)
-        self._bits = bytearray((self._num_bits + 7) // 8)
-        self._num_hashes = num_hashes
-
-    def add(self, hashed: RowHash) -> None:
-        h1, h2 = hashed
-        bits, num_bits = self._bits, self._num_bits
-        for i in range(self._num_hashes):
-            pos = (h1 + i * h2) % num_bits
+    def __init__(self, keys: Sequence[bytes], bits_per_key: int = 10) -> None:
+        num_bits = self._num_bits = max(64, len(keys) * bits_per_key)
+        bits = self._bits = bytearray((num_bits + 7) // 8)
+        # one loop over the distinct keys: the digests stream from C-level
+        # maps (no list of them) and the three positions are set inline,
+        # stepping by h2 modulo the size -- the same positions, small ints
+        for h1, h2 in map(_HALVES.unpack, map(_DIGEST_BYTES, map(_DIGEST, keys))):
+            pos = h1 % num_bits
+            step = (h2 | 1) % num_bits
             bits[pos >> 3] |= 1 << (pos & 7)
-
-    def might_contain(self, hashed: RowHash) -> bool:
-        return bool(self.admitted((hashed,)))
+            pos = (pos + step) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            pos = (pos + step) % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
 
     def admitted(self, hashes: Sequence[RowHash]) -> List[int]:
         """The indexes of the ``hashes`` the filter might contain, asked in
         one loop: a batch of rows costs one call, not one per row."""
         bits, num_bits = self._bits, self._num_bits
-        probes = range(self._num_hashes)
         admitted = []
         for index, (h1, h2) in enumerate(hashes):
-            for i in probes:
+            for i in (0, 1, 2):
                 pos = (h1 + i * h2) % num_bits
                 if not bits[pos >> 3] & (1 << (pos & 7)):
                     break
@@ -126,43 +135,42 @@ class StoreFile:
     file keeps that order, so of two cells with equal :meth:`Cell.sort_key`
     the builder lists the newer write first.
 
-    The *row index* is built in the one pass that builds the file:
+    The *row index* is built with the file, by C-level maps over the cells:
     ``row_keys`` are the distinct row keys in order, and row ``i``'s cells
     are ``cells[row_starts[i]:row_starts[i + 1]]`` (``row_starts`` ends with
     the cell count).  Ranged scans, Gets and the block lookup bisect it.
+    The bloom is built from ``row_keys`` in one loop.
     The :class:`RowFacts` a sliced scan needs cost a second pass, so they
     wait for the first scan that could slice this file and are kept from
     then on: a flushed file that only Gets read, or that is compacted away
     first, never builds them.
     """
 
-    def __init__(self, cells: Sequence[Cell], block_cells: int = DEFAULT_BLOCK_CELLS) -> None:
-        self._cells: List[Cell] = list(cells)
+    def __init__(self, cells: List[Cell], block_cells: int = DEFAULT_BLOCK_CELLS,
+                 resolved_versions: Optional[int] = None) -> None:
+        # the file keeps the list it is handed (every builder hands a fresh
+        # one) and never changes it
+        self._cells = cells = cells if isinstance(cells, list) else list(cells)
         self._block_cells = block_cells
         #: bytes per block, summed once: the file never changes, and every
         #: scan is charged by the block
-        self._block_bytes: List[int] = []
-        self.row_keys: List[bytes] = []
-        self.row_starts = array("I")
-        # one pass: each cell sized once, each row's start noted once (in
-        # KeyValue order a row's cells are adjacent)
-        cells, keys, starts = self._cells, self.row_keys, self.row_starts
-        row = None
-        for first in range(0, len(cells), block_cells):
-            nbytes = 0
-            for i, cell in enumerate(cells[first:first + block_cells], first):
-                nbytes += cell.heap_size()
-                if cell.row != row:
-                    row = cell.row
-                    keys.append(row)
-                    starts.append(i)
-            self._block_bytes.append(nbytes)
-        starts.append(len(cells))
+        self._block_bytes: List[int] = [
+            sum(map(Cell.heap_size, cells[first:first + block_cells]))
+            for first in range(0, len(cells), block_cells)]
         self.size_bytes = sum(self._block_bytes)
+        # in KeyValue order a row's cells are adjacent: a row starts where
+        # a cell's row differs from the one before it
+        starts = self.row_starts = array("I", [0] if cells else [])
+        starts.extend(compress(range(1, len(cells)), map(
+            ne, map(_ROW, cells), map(_ROW, islice(cells, 1, None)))))
+        self.row_keys: List[bytes] = list(map(_ROW, map(cells.__getitem__, starts)))
+        starts.append(len(cells))
         # the bloom is sized by the distinct rows, each hashed once
-        self._bloom = BloomFilter(max(1, len(keys)))
-        for key in keys:
-            self._bloom.add(row_hash(key))
+        self._bloom = BloomFilter(self.row_keys)
+        #: the version limit a major compaction resolved every row at (no
+        #: tombstones, no rewrites, at most that many versions per column);
+        #: None for a file that may hold anything
+        self.resolved_versions = resolved_versions
         self._facts: Optional[RowFacts] = None
         #: HDFS placement; None means "assume local" (tests, bulk loads)
         self.hdfs_file = None
@@ -185,15 +193,10 @@ class StoreFile:
     def last_row(self) -> Optional[bytes]:
         return self.row_keys[-1] if self.row_keys else None
 
-    def might_contain_row(self, hashed: RowHash) -> bool:
-        """Bloom check of a :func:`row_hash`: False means the row is
-        certainly not in this file, so a Get neither seeks nor reads it."""
-        return self._bloom.might_contain(hashed)
-
     def admitted_rows(self, hashes: Sequence[RowHash]) -> List[int]:
         """Bloom check of a batch of :func:`row_hash` es: the indexes of the
-        rows that might be in this file, each asked as
-        :meth:`might_contain_row` asks it."""
+        rows that might be in this file.  A row left out is certainly not
+        in it, so a Get neither seeks nor reads the file for it."""
         return self._bloom.admitted(hashes)
 
     def row_cells(self, row: bytes, lo: int = 0) -> Tuple[List[Cell], int]:
@@ -214,6 +217,11 @@ class StoreFile:
         lo = bisect.bisect_left(keys, start_row) if start_row else 0
         hi = len(keys) if stop_row is None else bisect.bisect_left(keys, stop_row, lo)
         return lo, hi
+
+    def row_run(self, lo: int, hi: int) -> List[Cell]:
+        """The cells of the rows at positions ``[lo, hi)``, as one run."""
+        starts = self.row_starts
+        return self._cells[starts[lo]:starts[hi]]
 
     def row_slices(self, lo: int, hi: int) -> List[List[Cell]]:
         """The cells of the rows at positions ``[lo, hi)``, one slice each."""
@@ -237,8 +245,7 @@ class StoreFile:
 
     def scan(self, start_row: bytes = b"", stop_row: bytes | None = None) -> List[Cell]:
         """The cells with ``start_row <= row < stop_row``, in KeyValue order."""
-        lo, hi = self._cell_span(start_row, stop_row)
-        return self._cells[lo:hi]
+        return self.row_run(*self.row_span(start_row, stop_row))
 
     def blocks_for_range(
         self, start_row: bytes = b"", stop_row: bytes | None = None

@@ -16,7 +16,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.common.errors import HBaseError
 from repro.hbase.cell import Cell, CellType
@@ -65,20 +67,45 @@ class Store:
 
         Major compactions (``drop_deletes=True``) also discard tombstones,
         the cells they shadow and the versions of a column beyond the newest
-        ``max_versions`` (the family's limit: nobody can ask for more); minor
-        compactions keep them all so older files on other stores still get
-        masked correctly.
+        ``max_versions`` (the family's limit: nobody can ask for more), and
+        the file they write records that limit; minor compactions keep them
+        all so older files on other stores still get masked correctly.
+
+        The files merge by row (:func:`_merge_by_row`).  A row only the
+        largest file holds, when that file is resolved at a limit no higher
+        than this one, is already what ``_visible_rows`` makes of it -- no
+        tombstone, no rewrite, no version past the limit -- so it passes
+        through and only the other rows are resolved; otherwise (a load's
+        first compaction, a lowered limit) one pass resolves every row.
+        Either way the new file equals ``_visible_rows(_merge_runs(...))``
+        of the inputs.
         """
-        if len(self.files) <= 1 and not drop_deletes:
+        files = self.files
+        if not files or (len(files) == 1 and not drop_deletes):
             return
-        merged = _merge_runs([f.scan() for f in reversed(self.files)])
-        if drop_deletes:
-            merged = [
-                cell
-                for __, cells in _visible_rows(merged, None, None, max_versions)
-                for cell in cells
-            ]
-        self.files = [StoreFile(merged)] if merged else []
+        base = max(files, key=len)
+        shared, held = _rows_beside(base, files)
+        resolved = base.resolved_versions
+        if drop_deletes and resolved is not None and resolved <= max_versions:
+            # the base's rows between its shared ones pass through; the
+            # shared ones merge with the other files' rows and are resolved
+            cells: List[Cell] = []
+            base_shared: List[Cell] = []
+            end = 0
+            for position in held:
+                cells += base.row_run(end, position)
+                base_shared += base.row_run(position, position + 1)
+                end = position + 1
+            cells += base.row_run(end, len(base.row_keys))
+            runs = (base_shared if f is base else f.scan() for f in reversed(files))
+            cells += _resolved(_merge_by_row(runs, shared), max_versions)
+            cells.sort(key=_ROW)
+        else:
+            cells = _merge_by_row((f.scan() for f in reversed(files)), shared)
+            if drop_deletes:
+                cells = _resolved(cells, max_versions)
+        limit = max_versions if drop_deletes else None
+        self.files = [StoreFile(cells, resolved_versions=limit)] if cells else []
 
     def size_bytes(self) -> int:
         return self.memstore.size_bytes + sum(f.size_bytes for f in self.files)
@@ -400,6 +427,53 @@ def _merge_runs(runs: List[List[Cell]]) -> List[Cell]:
     merged = list(itertools.chain.from_iterable(runs))
     merged.sort(key=Cell.sort_key)
     return merged
+
+
+def _rows_beside(base: StoreFile, files: Sequence[StoreFile]
+                 ) -> Tuple[List[bytes], List[int]]:
+    """The rows two or more of ``files`` hold, in order, and the positions
+    in ``base`` of those ``base`` holds.  The other files' keys are
+    bisected into ``base.row_keys`` (no set over every row), and two other
+    files share a row where it repeats in their merged keys."""
+    keys = base.row_keys
+    shared: List[bytes] = []
+    held: List[int] = []
+    lo, previous = 0, None
+    for row in sorted(itertools.chain.from_iterable(
+            f.row_keys for f in files if f is not base)):
+        if row == previous:
+            if shared[-1:] != [row]:
+                shared.append(row)
+            continue
+        previous = row
+        lo = bisect.bisect_left(keys, row, lo)
+        if lo < len(keys) and keys[lo] == row:
+            shared.append(row)
+            held.append(lo)
+    return shared, held
+
+
+def _merge_by_row(runs: Iterable[List[Cell]], shared: Sequence[bytes]) -> List[Cell]:
+    """:func:`_merge_runs` of ``runs`` (newest first), told the rows two or
+    more of them hold.  A stable sort on the row alone leaves every row's
+    cells in run order, which for a row one run holds is already KeyValue
+    order; only the shared rows' cells are re-sorted, stably, so a tie
+    still lists the newer run's cell first."""
+    merged = list(itertools.chain.from_iterable(runs))
+    merged.sort(key=_ROW)
+    lo = 0
+    for row in shared:
+        lo = bisect.bisect_left(merged, row, lo, key=_ROW)
+        hi = bisect.bisect_right(merged, row, lo, key=_ROW)
+        merged[lo:hi] = sorted(merged[lo:hi], key=Cell.sort_key)
+        lo = hi
+    return merged
+
+
+def _resolved(cells: Sequence[Cell], max_versions: int) -> List[Cell]:
+    """The cells a major compaction keeps of ``cells`` (KeyValue order)."""
+    return [cell for __, visible in _visible_rows(cells, None, None, max_versions)
+            for cell in visible]
 
 
 def _visible_rows(

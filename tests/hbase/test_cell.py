@@ -1,4 +1,10 @@
-from repro.hbase.cell import Cell, CellType, compare_cells
+from repro.hbase.cell import Cell, CellType
+
+
+def compare_cells(a: Cell, b: Cell) -> int:
+    """Three-way comparison in KeyValue order, one pair at a time."""
+    ka, kb = a.sort_key(), b.sort_key()
+    return (ka > kb) - (ka < kb)
 
 
 def make(row=b"r", family="f", qualifier="q", ts=1, value=b"v",

@@ -43,6 +43,7 @@ from tests.differential.strategies import (
     cell_rows as _rows,
     version_limits,
 )
+from tests.hbase.references import might_contain_row
 
 ABSENT = [b"r", b"r00", b"r9", b"s"]
 SEEK_S = DEFAULT_COST_MODEL.seek_cost_s
@@ -73,7 +74,7 @@ def _admitting(region, row, query):
     files = [f for family in region._chosen_families(query["families"],
                                                      query["columns"])
              for f in region.stores[family].files]
-    return [f for f in files if f.might_contain_row(row_hash(row))], len(files)
+    return [f for f in files if might_contain_row(f, row_hash(row))], len(files)
 
 
 def _get(row, query, row_filter=None):
@@ -234,7 +235,7 @@ def test_a_bloom_false_positive_is_charged_its_seek_and_answers_none():
     server, region = _server_with_files([[b"a%d" % i for i in range(6)]])
     [store_file] = region.stores["f"].files
     absent = next(row for row in (b"x%d" % i for i in itertools.count())
-                  if store_file.might_contain_row(row_hash(row)))
+                  if might_contain_row(store_file, row_hash(row)))
     ledger = CostLedger()
     assert server.get(region.name, absent, ledger=ledger) is None
     assert ledger.metrics.get("hbase.seeks") == 1
@@ -260,7 +261,7 @@ def test_a_get_of_an_absent_row_hashes_once_and_reads_no_file(monkeypatch):
             [[b"a%d-%d" % (i, j) for j in range(5)] for i in range(n)])
         files = region.stores["f"].files
         absent = next(row for row in (b"x%d" % i for i in itertools.count())
-                      if not any(f.might_contain_row(row_hash(row))
+                      if not any(might_contain_row(f, row_hash(row))
                                  for f in files))
         with monkeypatch.context() as patch:
             hashes = _counting(patch, hashlib, "blake2b")

@@ -6,18 +6,14 @@ column families, and now and then draws a new *query* -- a row sub-range, a
 column subset, a version limit, a time range.  After every step both a full
 scan and the current query must agree with a trivially-correct in-memory
 model, so every query shape is checked before and after whatever flush or
-compaction follows it.  The families' own version limit is drawn once per
-run: a major compaction enforces it, so a scan after one sees ``min(asked,
-limit)`` versions and a scan before it whatever was asked.
+compaction follows it.  Each major compaction draws the version limit it
+enforces (1, 2, 3 or all), so a scan after one sees ``min(asked, limit)``
+versions and a scan before it whatever was asked, and a file one major
+compaction resolved is compacted again at a lower, equal or higher limit.
 """
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.hbase.cell import Cell, CellType
 from repro.hbase.region import Region
@@ -48,11 +44,6 @@ class RegionModel(RuleBasedStateMachine):
         self.versions_deleted = {}
         self.clock = 0
         self.query = dict(FULL_SCAN)
-        self.family_limit = ALL_VERSIONS
-
-    @initialize(limit=st.sampled_from([1, 2, 3, ALL_VERSIONS]))
-    def draw_family_limit(self, limit):
-        self.family_limit = limit
 
     def _tick(self) -> int:
         self.clock += 1
@@ -117,9 +108,9 @@ class RegionModel(RuleBasedStateMachine):
     def minor_compact(self):
         self.region.compact(major=False)
 
-    @rule()
-    def major_compact(self):
-        self.region.compact(major=True, max_versions=self.family_limit)
+    @rule(limit=st.sampled_from([1, 2, 3, ALL_VERSIONS]))
+    def major_compact(self, limit):
+        self.region.compact(major=True, max_versions=limit)
         # what a full-history scan could still see beyond the limit is gone
         for (row, *column), versions in self.puts.items():
             deleted_through = self._deleted_through(row, tuple(column))
@@ -127,7 +118,7 @@ class RegionModel(RuleBasedStateMachine):
             live = sorted((ts for ts in versions
                            if ts > deleted_through and ts not in gone),
                           reverse=True)
-            for ts in live[self.family_limit:]:
+            for ts in live[limit:]:
                 del versions[ts]
 
     # -- the query every later step is checked under ----------------------------

@@ -29,8 +29,10 @@ this module runs and every ledger stays byte-identical to the seed.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Tuple,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Set,
+    Tuple,
 )
 
 from repro.common.errors import HBaseError
@@ -41,8 +43,13 @@ from repro.hbase.wal import WALEntry, WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hbase.cluster import HBaseCluster
 
-#: a consumer callback: (table name, cells in delivery order) -> None
-ChangeCallback = Callable[[str, List[Cell]], None]
+_ROW = attrgetter("row")
+
+#: a consumer callback: (table name, cells in delivery order, fresh rows)
+#: -> None.  A fresh row is one its region held no cell of before the one
+#: delivered entry that wrote it (:attr:`WALEntry.fresh`); a row two
+#: delivered entries write is never fresh
+ChangeCallback = Callable[[str, List[Cell], FrozenSet[bytes]], None]
 
 
 class _Subscription(NamedTuple):
@@ -51,6 +58,20 @@ class _Subscription(NamedTuple):
     name: str
     tables: List[str]
     callback: ChangeCallback
+
+
+def _fresh(entries: List[WALEntry]) -> FrozenSet[bytes]:
+    """The rows the entries mark fresh, less any row two of them write."""
+    marked = [e for e in entries if e.fresh]
+    if not marked:
+        return frozenset()
+    written: Set[bytes] = set()
+    twice: Set[bytes] = set()
+    for entry in entries:
+        rows = set(map(_ROW, entry.cells))
+        twice |= written & rows
+        written |= rows
+    return frozenset().union(*(e.fresh for e in marked)) - twice
 
 
 class CDCStream:
@@ -80,7 +101,7 @@ class CDCStream:
             raise HBaseError(f"CDC subscription {name!r} already exists")
         subscription = _Subscription(name, sorted(set(tables)), callback)
         for wal in self._logs():
-            wal.attach(name)
+            wal.attach(name, subscription.tables)
         self._subscriptions[name] = subscription
         return subscription
 
@@ -138,7 +159,7 @@ class CDCStream:
         # flush markers are empty batches; nothing to deliver
         cells = [c for e in entries for c in e.cells]
         if cells:
-            subscription.callback(table, cells)
+            subscription.callback(table, cells, _fresh(entries))
 
     # -- freshness ---------------------------------------------------------
     def pending(self, name: str) -> Tuple[int, int]:

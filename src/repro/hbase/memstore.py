@@ -8,7 +8,7 @@ file in one pass.
 from __future__ import annotations
 
 import bisect
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hbase.cell import Cell
 
@@ -53,6 +53,30 @@ class MemStore:
         lo = bisect.bisect_left(entries, ((row,),), lo)
         hi = bisect.bisect_left(entries, ((row + b"\x00",),), lo)
         return [cell for __, __seq, cell in entries[lo:hi]], lo
+
+    def span(self) -> Optional[Tuple[bytes, bytes]]:
+        """The first and last row the memstore holds, or None when empty."""
+        entries = self._entries
+        if not entries:
+            return None
+        return entries[0][0][0], entries[-1][0][0]
+
+    def held_rows(self, rows: Sequence[bytes]) -> List[bytes]:
+        """Of ``rows`` (sorted), those the memstore holds a cell of.  The
+        rows outside its :meth:`span` are cut off by bisect; each row inside
+        is one forward bisect of the entries."""
+        span = self.span()
+        if span is None:
+            return []
+        entries = self._entries
+        held = []
+        lo = 0
+        for row in rows[bisect.bisect_left(rows, span[0]):
+                        bisect.bisect_right(rows, span[1])]:
+            lo = bisect.bisect_left(entries, ((row,),), lo)
+            if entries[lo][0][0] == row:
+                held.append(row)
+        return held
 
     def clear(self) -> None:
         self._entries.clear()

@@ -17,12 +17,13 @@ import operator
 import sys
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.common.errors import HBaseError
 from repro.hbase.cell import Cell, CellType
-from repro.hbase.hfile import StoreFile
+from repro.hbase.hfile import RowHash, StoreFile, row_hash
 from repro.hbase.memstore import MemStore
 
 DEFAULT_FLUSH_THRESHOLD_BYTES = 256 * 1024
@@ -181,6 +182,37 @@ class Region:
             by_family.setdefault(cell.family, []).append(cell)
         for family, group in by_family.items():
             self.stores[family].memstore.add_all(group)
+
+    def fresh_rows(self, cells: Sequence[Cell]) -> FrozenSet[bytes]:
+        """The rows of ``cells`` this region holds no cell of -- no put, no
+        tombstone, in any store -- asked before the cells are applied.
+
+        Per store, the memstore answers exactly (:meth:`MemStore.held_rows`)
+        and each file by its bloom, which never misses a row it holds; a row
+        outside a file's ``first_row..last_row`` is cut off by bisect, so
+        only the rows inside some file's span are hashed, each once.  A
+        bloom false positive leaves a fresh row unmarked, which is safe: the
+        mark only lets a reader skip reading the row back.
+        """
+        rows = sorted(set(map(_ROW, cells)))
+        held: Set[bytes] = set()
+        hashes: Dict[bytes, RowHash] = {}
+        for store in self.stores.values():
+            held.update(store.memstore.held_rows(rows))
+            for store_file in store.files:
+                inside = [row for row in rows[
+                    bisect.bisect_left(rows, store_file.first_row):
+                    bisect.bisect_right(rows, store_file.last_row)]
+                    if row not in held]
+                if not inside:
+                    continue
+                for row in inside:
+                    if row not in hashes:
+                        hashes[row] = row_hash(row)
+                admitted = store_file.admitted_rows(
+                    list(map(hashes.__getitem__, inside)))
+                held.update(map(inside.__getitem__, admitted))
+        return frozenset(rows).difference(held)
 
     def memstore_size(self) -> int:
         return sum(s.memstore.size_bytes for s in self.stores.values())
@@ -352,7 +384,15 @@ class Region:
                 is_local = placed is None or placed.is_local_to(host)
                 files.append((store_file, is_local,
                               store_file.blocks_for_range(lo, hi)))
-            memstore_bytes += sum(c.heap_size() for c in store.memstore.scan(lo, hi))
+            memstore = store.memstore
+            span = memstore.span()
+            if span is None:
+                continue
+            if lo <= span[0] and (hi is None or span[1] < hi):
+                # the range covers every row: the running total is the sum
+                memstore_bytes += memstore.size_bytes
+            else:
+                memstore_bytes += sum(map(Cell.heap_size, memstore.scan(lo, hi)))
         return files, memstore_bytes
 
     def store_files(self) -> Set[StoreFile]:

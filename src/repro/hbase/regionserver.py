@@ -151,6 +151,9 @@ class RegionServer:
             nbytes: int) -> None:
         """WAL-log then apply a mutation batch of ``nbytes`` heap bytes (the
         client sized it once for the request); flush if the memstore is full.
+        While a change feed consumes the table, the entry marks the rows
+        the region held no cell of before the batch (:meth:`Region.fresh_rows
+        <repro.hbase.region.Region.fresh_rows>`).
 
         Flush I/O is billed to the ledgers that filled the memstore, each in
         proportion to the bytes it contributed, rather than entirely to the
@@ -161,7 +164,12 @@ class RegionServer:
         """
         with self._write_lock:
             region = self._region(region_name)
-            seq = self.wal.append(region_name, cells, region.table_name, nbytes)
+            # a change feed learns which rows are new; nothing is billed,
+            # as HBase's own put reads nothing
+            fresh = region.fresh_rows(cells) \
+                if self.wal.tails(region.table_name) else frozenset()
+            seq = self.wal.append(region_name, cells, region.table_name,
+                                  nbytes, fresh)
             region.put_cells(cells)
             ledger.charge(self.cost.wal_sync_cost_s, "hbase.wal_syncs")
             ledger.charge(nbytes / self.cost.write_bytes_per_sec,

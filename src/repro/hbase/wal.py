@@ -17,7 +17,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence,
+)
 
 from repro.hbase.cell import Cell
 
@@ -34,6 +36,10 @@ class WALEntry:
     table_name: str = ""
     #: heap bytes of ``cells``, summed once when the batch was logged
     nbytes: int = 0
+    #: the rows of ``cells`` the region held no cell of when the batch was
+    #: applied (``Region.fresh_rows``); marked only while an attached reader
+    #: consumes the table, and empty otherwise -- which claims nothing
+    fresh: FrozenSet[bytes] = frozenset()
 
 
 class WriteAheadLog:
@@ -47,17 +53,22 @@ class WriteAheadLog:
         self._flushed_seq: Dict[str, int] = {}
         #: attached reader -> the sequence id it has read up to
         self._readers: Dict[Hashable, int] = {}
+        #: attached reader -> the tables it consumes, and all of them
+        self._tables: Dict[Hashable, FrozenSet[str]] = {}
+        self._tailed: FrozenSet[str] = frozenset()
 
     def append(self, region_name: str, cells: Sequence[Cell],
-               table_name: str = "", nbytes: Optional[int] = None) -> int:
+               table_name: str = "", nbytes: Optional[int] = None,
+               fresh: FrozenSet[bytes] = frozenset()) -> int:
         """Log a mutation batch; returns its sequence id.  ``nbytes`` is its
-        heap size where the caller has summed it already (the put path)."""
+        heap size where the caller has summed it already (the put path),
+        ``fresh`` the rows it marks new (:attr:`WALEntry.fresh`)."""
         self._next_seq += 1
         cells = tuple(cells)
         if nbytes is None:
             nbytes = sum(c.heap_size() for c in cells)
-        self._entries.append(
-            WALEntry(region_name, self._next_seq, cells, table_name, nbytes))
+        self._entries.append(WALEntry(
+            region_name, self._next_seq, cells, table_name, nbytes, fresh))
         return self._next_seq
 
     def mark_flushed(self, region_name: str, sequence_id: int) -> None:
@@ -98,13 +109,23 @@ class WriteAheadLog:
                 if e.region_name == region_name]
 
     # -- readers -------------------------------------------------------------
-    def attach(self, reader: Hashable) -> None:
-        """Start a reader at the log's end: it sees what is appended from now."""
+    def attach(self, reader: Hashable, tables: Iterable[str] = ()) -> None:
+        """Start a reader at the log's end: it sees what is appended from
+        now.  ``tables`` are the ones whose entries it consumes
+        (:meth:`tails`)."""
         self._readers[reader] = self._next_seq
+        self._tables[reader] = frozenset(tables)
+        self._tailed = frozenset().union(*self._tables.values())
+
+    def tails(self, table_name: str) -> bool:
+        """Whether an attached reader consumes ``table_name``'s entries."""
+        return table_name in self._tailed
 
     def detach(self, reader: Hashable) -> None:
         """Forget a reader; it no longer holds anything in the log."""
         self._readers.pop(reader, None)
+        self._tables.pop(reader, None)
+        self._tailed = frozenset().union(*self._tables.values())
 
     def unread(self, reader: Hashable) -> List[WALEntry]:
         """Every entry appended since ``reader`` last read (a peek)."""

@@ -39,16 +39,16 @@ without this module (tests/differential/test_relations.py).
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AnalysisError, NullKeyError
 from repro.common.metrics import CostLedger, MetricsRegistry
 from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec, prefix_successor
 from repro.core.relation import DEFAULT_FORMAT, QUORUM_OPTION, HBaseRelation
-from repro.hbase.cell import Cell
+from repro.hbase.cell import Cell, CellType
 from repro.hbase.client import ConnectionFactory, Delete, Get, Result, Scan
 from repro.hbase.cluster import get_cluster
 from repro.sql import expressions as E
@@ -558,11 +558,18 @@ class ViewMaintainer:
             a["fn"] == "count" or (a["fn"] in ("sum", "avg") and self.base
                                    .catalog.column(a["arg"]).dtype.python_type is int)
             for a in vdef.aggregates)
-        self._args = sorted({a["arg"] for a in vdef.aggregates if a["arg"]})
-        #: the data columns the definition's scan reads: a row with no cell
-        #: in any of them is not in the view (a key-only view sees every row)
-        self._read = [c for c in dict.fromkeys(vdef.group_by + self._args)
-                      if not self.base.catalog.column(c).is_rowkey()]
+        args = sorted({a["arg"] for a in vdef.aggregates if a["arg"]})
+        #: what a base row is decoded to: the group-by columns, leading so
+        #: that a row's group is its first ``_width`` values, and the
+        #: aggregates' arguments
+        self._columns = list(dict.fromkeys(vdef.group_by + args))
+        self._width = len(vdef.group_by)
+        self._args_at = [self._columns.index(a) for a in args]
+        #: the positions of the data columns the definition's scan reads: a
+        #: row with no cell in any of them is not in the view (a key-only
+        #: view sees every row)
+        self._read_at = [i for i, c in enumerate(self._columns)
+                         if not self.base.catalog.column(c).is_rowkey()]
         counted = {a["arg"]: a["out"] if a["fn"] == "count" else f"_cnt_{a['out']}"
                    for a in vdef.aggregates
                    if a["fn"] in ("count", "avg") and a["arg"]}
@@ -587,22 +594,34 @@ class ViewMaintainer:
                                          VIEW_ATTRIBUTE, self.vdef.to_json())
         self.ledger.count("sql.view.invalidations")
 
-    def _group(self, values: Dict[str, object]) -> Tuple:
-        return tuple([values[g] for g in self.vdef.group_by])
+    @functools.cached_property
+    def _decode_page(self):
+        # bound on first use, as the codec binds its own decoders
+        return self.base.page_decoder(self._columns)
 
-    def _decode(self, page) -> List[Optional[Dict[str, object]]]:
-        """Base rows, decoded as one page, as the definition's scan sees
-        them (None: not in it)."""
-        read = self._read
-        return [values if not read or any(values[c] is not None for c in read)
-                else None for values in self.base.decode_rows(page)]
+    def _decode(self, page) -> List[Optional[tuple]]:
+        """Base rows, decoded as one page into :attr:`_columns` value
+        tuples, as the definition's scan sees them (None: not in it)."""
+        columns = self._decode_page(page)[0]
+        rows = list(zip(*columns))
+        if not self._read_at:
+            return rows
+        present = map(any, zip(*[[v is not None for v in columns[i]]
+                                 for i in self._read_at]))
+        return [values if seen else None for values, seen in zip(rows, present)]
 
     # -- the CDC callback --------------------------------------------------
-    def on_change(self, table: str, cells) -> None:
+    def on_change(self, table: str, cells, fresh: FrozenSet[bytes]) -> None:
         """Apply one batch: a fresh row folds into its group as a delta, an
         exact overwrite swaps its prior version for the new one, and any
         other overwrite or delete recounts its group.  Whatever invalidates
-        the view is decided before the first view row is written."""
+        the view is decided before the first view row is written.
+
+        A row the feed marks ``fresh`` (its region held no cell of it before
+        the one entry that wrote it) is decoded from the batch's own cells:
+        they are the whole row.  Only the other written rows, and a fresh
+        one with a column written twice, are read back with one
+        ``max_versions=2`` multi-get."""
         if self.vdef.invalidated:
             return  # feed keeps draining; REFRESH re-bases it
         self.ledger.count("sql.view.maintenance_batches")
@@ -612,8 +631,11 @@ class ViewMaintainer:
         written: Set[Tuple[bytes, str, str]] = set()
         batch: Set[Tuple[bytes, str, str, int]] = set()
         twice: Set[bytes] = set()
+        #: the fresh rows' cells, in the order the batch wrote them
+        fresh_cells: Dict[bytes, List[Cell]] = {}
+        put = CellType.PUT
         for cell in cells:
-            if cell.is_delete():
+            if cell.cell_type != put:
                 delete_rows.add(cell.row)
                 continue
             column = (cell.row, cell.family, cell.qualifier)
@@ -621,6 +643,8 @@ class ViewMaintainer:
                 twice.add(cell.row)
             written.add(column)
             batch.add(column + (cell.timestamp,))
+            if cell.row in fresh:
+                fresh_cells.setdefault(cell.row, []).append(cell)
         put_rows = {row for row, __, __ in written} - delete_rows
         # a recount is one prefix scan, so it needs the group-by columns to
         # lead the base row key
@@ -632,18 +656,21 @@ class ViewMaintainer:
         recount_rows = sorted(delete_rows)
         #: per changed row, (group, values, sign) of the version before the
         #: batch (none for a fresh row), which retracts, and of the new one
-        changes: List[List[Tuple[Tuple, Dict[str, object], int]]] = []
+        changes: List[Tuple[Tuple[Tuple, tuple, int], ...]] = []
+        width = self._width
         if put_rows:
-            base = self._table(self.vdef.base_table)
             ordered = sorted(put_rows)
-            results = base.bulk_get([Get(row).set_max_versions(2) for row in ordered],
-                                    self.ledger)
-            news = self._decode([(row, result.cells)
-                                 for row, result in zip(ordered, results)])
+            asked = [row for row in ordered if row not in fresh_cells or row in twice]
+            got: Dict[bytes, Result] = {}
+            if asked:
+                got = dict(zip(asked, self._table(self.vdef.base_table).bulk_get(
+                    [Get(row).set_max_versions(2) for row in asked], self.ledger)))
+            news = self._decode([(row, got[row].cells if row in got
+                                  else fresh_cells[row]) for row in ordered])
             # puts only add cells: a row not in the view now was not before
-            priors = [(row, _prior_cells(result, batch))
-                      for row, result, new in zip(ordered, results, news)
-                      if new is not None]
+            priors = [(row, _prior_cells(got[row], batch))
+                      for row, new in zip(ordered, news)
+                      if new is not None and row in got]
             priors = [(row, cells) for row, cells in priors if cells]
             olds = dict(zip([row for row, __ in priors], self._decode(priors)))
             for row, new in zip(ordered, news):
@@ -656,35 +683,49 @@ class ViewMaintainer:
                         return
                     recount_rows.append(row)
                     continue
-                versions = [(self._group(v), v, sign)
-                            for v, sign in ((old, -1), (new, 1)) if v is not None]
-                if any(None in group for group, __, __ in versions):
+                # a NULL group column is no group the view can store
+                group = new[:width]
+                if old is None:
+                    if None in group:
+                        self._invalidate()
+                        return
+                    changes.append(((group, new, 1),))
+                    continue
+                old_group = old[:width]
+                if None in group or None in old_group:
                     self._invalidate()
                     return
-                changes.append(versions)
-        recount_groups = {self._group(self.base.decode_key(row))
+                changes.append(((old_group, old, -1), (group, new, 1)))
+        group_by = self.vdef.group_by
+        recount_groups = {tuple(map(self.base.decode_key(row).__getitem__, group_by))
                           for row in recount_rows}
 
-        deltas: Dict[Tuple, "_GroupDelta"] = defaultdict(lambda: _GroupDelta(self.vdef))
+        #: per group and sign, its rows in row-key order
+        folded: Dict[Tuple[Tuple, int], List[tuple]] = {}
         applied = 0
         for versions in changes:
             if versions[-1][0] in recount_groups:
                 continue  # the recount reads the new version itself
             applied += 1
             for group, values, sign in versions:
-                deltas[group].add(values, sign)
+                folded.setdefault((group, sign), []).append(values)
+        deltas: Dict[Tuple, "_GroupDelta"] = {}
+        for (group, sign), rows in folded.items():
+            if group not in deltas:
+                deltas[group] = self._delta()
+            deltas[group].add_all(rows, sign)
         if applied:
             self.ledger.count("sql.view.delta_rows", applied)
         if recount_groups:
             self.ledger.count("sql.view.recounts", len(recount_groups))
         self._write(deltas, recount_groups)
 
-    def _exact(self, old: Dict[str, object], new: Dict[str, object]) -> bool:
+    def _exact(self, old: tuple, new: tuple) -> bool:
         """Can an overwrite retract ``old`` and add ``new`` exactly?"""
         return (self._retractable
-                and all(old[a] is not None and new[a] is not None
-                        for a in self._args)
-                and (self._movable or self._group(old) == self._group(new)))
+                and all(old[i] is not None and new[i] is not None
+                        for i in self._args_at)
+                and (self._movable or old[:self._width] == new[:self._width]))
 
     def _write(self, deltas: Dict[Tuple, "_GroupDelta"],
                recount_groups: Set[Tuple]) -> None:
@@ -731,14 +772,16 @@ class ViewMaintainer:
     def _recount(self, group: Tuple) -> "_GroupDelta":
         """One group recomputed from a base row-key prefix range scan."""
         prefix = self.base.key_prefix(group)
-        delta = _GroupDelta(self.vdef)
+        delta = self._delta()
         results = self._table(self.vdef.base_table).scan(
             Scan(prefix, prefix_successor(prefix)), self.ledger)
-        for values in self._decode([(result.row, result.cells)
-                                    for result in results]):
-            if values is not None:
-                delta.add(values)
+        delta.add_all([values for values in self._decode(
+            [(result.row, result.cells) for result in results])
+            if values is not None])
         return delta
+
+    def _delta(self) -> "_GroupDelta":
+        return _GroupDelta(self.vdef, self._columns)
 
 
 def _prior_cells(result: Result,
@@ -753,26 +796,28 @@ def _prior_cells(result: Result,
 
 
 class _GroupDelta:
-    """Signed per-group accumulators: a base row folds in with ``add`` and a
-    retracted version folds out with ``add(values, -1)`` (count, and sum
-    and avg of integers, only)."""
+    """Signed per-group accumulators: a group's base rows -- value tuples
+    laid out as ``columns`` -- fold in with ``add_all`` and retracted
+    versions fold out with ``add_all(rows, -1)`` (count, and sum and avg of
+    integers, only)."""
 
-    def __init__(self, vdef: ViewDefinition) -> None:
+    def __init__(self, vdef: ViewDefinition, columns: Sequence[str]) -> None:
         self.vdef = vdef
         self.rows = 0
-        with_args = [a["out"] for a in vdef.aggregates if a["arg"] is not None]
-        self.values: Dict[str, List[object]] = {out: [] for out in with_args}
-        self.counts: Dict[str, int] = dict.fromkeys(with_args, 0)
+        #: (output, position of its argument), per aggregate with one
+        self._args = [(a["out"], columns.index(a["arg"]))
+                      for a in vdef.aggregates if a["arg"] is not None]
+        self.values: Dict[str, List[object]] = {out: [] for out, __ in self._args}
+        self.counts: Dict[str, int] = dict.fromkeys(self.values, 0)
 
-    def add(self, base_values: Dict[str, object], sign: int = 1) -> None:
-        self.rows += sign
-        for a in self.vdef.aggregates:
-            if a["arg"] is None:
-                continue
-            value = base_values.get(a["arg"])
-            if value is not None:
-                self.values[a["out"]].append(value if sign > 0 else -value)
-                self.counts[a["out"]] += sign
+    def add_all(self, rows: Sequence[tuple], sign: int = 1) -> None:
+        """Fold ``rows`` in (or, with ``sign`` -1, out), their values in
+        the order given."""
+        self.rows += sign * len(rows)
+        for out, at in self._args:
+            nonnull = [row[at] for row in rows if row[at] is not None]
+            self.values[out].extend(nonnull if sign > 0 else [-v for v in nonnull])
+            self.counts[out] += sign * len(nonnull)
 
     def merge_into(self, stored: Dict[str, object]) -> None:
         stored[ROWS_HELPER] = (stored.get(ROWS_HELPER) or 0) + self.rows

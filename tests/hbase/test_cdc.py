@@ -1,14 +1,16 @@
 """Unit tests for the WAL-tailing change-data-capture stream (docs/views.md).
 
 Subscription baselines, exactly-once pumping, delivery across splits,
-balance moves and server crashes, freshness accounting, and the shipping
-costs billed to the cluster ledger.
+balance moves and server crashes, freshness accounting, the fresh rows each
+batch marks (a row its region held no cell of before the one entry that
+wrote it) and the shipping costs billed to the cluster ledger.
 """
 
 import pytest
 
 from repro.common.errors import HBaseError
 from repro.hbase import ConnectionFactory, Delete, Put
+from repro.hbase.cell import Cell
 from repro.hbase.cluster import HBaseCluster
 
 
@@ -17,13 +19,20 @@ class Collector:
 
     def __init__(self):
         self.batches = []
+        self.fresh = []
 
-    def __call__(self, table, cells):
+    def __call__(self, table, cells, fresh):
         self.batches.append((table, list(cells)))
+        self.fresh.append(fresh)
 
     @property
     def rows(self):
         return [c.row for _, cells in self.batches for c in cells]
+
+    def take_fresh(self):
+        """The fresh rows delivered since the last call, as one set."""
+        fresh, self.fresh = set().union(*self.fresh), []
+        return fresh
 
 
 @pytest.fixture
@@ -282,3 +291,115 @@ def test_multiple_subscriptions_track_independent_cursors(cdc_cluster):
     cluster.cdc.pump()
     assert first.rows == [b"a", b"b"]
     assert second.rows == [b"b"]    # joined after "a" shipped
+
+
+# -- fresh rows --------------------------------------------------------------
+
+def test_fresh_rows_are_the_ones_the_region_never_held(cdc_cluster):
+    cluster, table = cdc_cluster
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    put_rows(table, [b"b", b"d"])
+    cluster.cdc.pump()
+    assert collector.take_fresh() == {b"b", b"d"}
+    cluster.flush_table("t")
+    # held in the memstore, in a store file (inside its span or not), or
+    # as a tombstone only
+    put_rows(table, [b"m"])
+    cluster.cdc.pump()
+    collector.take_fresh()
+    table.delete(Delete(b"x"))
+    cluster.cdc.pump()
+    assert collector.take_fresh() == {b"x"}
+    table.put([Put(row).add_column("f", "q", b"w")
+               for row in (b"a", b"b", b"c", b"d", b"m", b"x", b"z")])
+    cluster.cdc.pump()
+    assert collector.take_fresh() == {b"a", b"c", b"z"}
+
+
+def test_a_table_no_feed_consumes_is_not_marked(cdc_cluster):
+    cluster, table = cdc_cluster
+    cluster.create_table("u", ["f"])
+    other = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("u")
+    put_rows(table, [b"a"])             # before any subscription
+    cluster.cdc.subscribe("s", ["u"], Collector())
+    put_rows(table, [b"b"])             # a table the feed does not consume
+    put_rows(other, [b"c"])
+    marks = {c.row: e.fresh
+             for location in cluster.region_locations("t") + cluster.region_locations("u")
+             for e in cluster.region_servers[location.server_id].wal.entries_since(
+                 location.region_name, 0)
+             for c in e.cells}
+    assert marks == {b"a": frozenset(), b"b": frozenset(), b"c": {b"c"}}
+
+
+def test_a_row_two_delivered_entries_write_is_not_fresh(cdc_cluster):
+    """Each entry's mark is about the region before that entry; a row a
+    second entry writes may read back what the first one wrote."""
+    cluster, table = cdc_cluster
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    [location] = cluster.region_locations("t")
+    wal = cluster.region_servers[location.server_id].wal
+    for value in (b"1", b"2"):
+        wal.append(location.region_name, [Cell(b"r", "f", "q", 1, value)],
+                   "t", fresh=frozenset({b"r", b"s" + value}))
+    cluster.cdc.pump()
+    assert collector.take_fresh() == {b"s1", b"s2"}
+
+
+def test_fresh_rows_across_a_split_and_a_balance_move(clock):
+    cluster = HBaseCluster("cdcfreshsplit", ["h1", "h2"], clock=clock,
+                           flush_threshold=2_000, region_max_bytes=6_000)
+    cluster.create_table("t", ["f"])
+    cluster.enable_cdc()
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    table = ConnectionFactory.create_connection(
+        cluster.configuration()).get_table("t")
+    rows = [b"row%04d" % i for i in range(0, 400, 2)]
+    for row in rows:
+        table.put(Put(row).add_column("f", "q", b"x" * 40))
+    assert cluster.run_maintenance()["splits"] >= 1
+    assert collector.take_fresh() == set(rows)
+    locations = cluster.region_locations("t")
+    assert len(locations) >= 2
+    moved = locations[0]
+    target = next(s for s in sorted(cluster.region_servers)
+                  if s != moved.server_id)
+    cluster.active_master.move_region(moved.region_name, target)
+    # old rows and new ones on every daughter, one moved to another server
+    again = [rows[0], rows[-1], b"row0001", b"row0399"]
+    table.put([Put(row).add_column("f", "q", b"y") for row in again])
+    cluster.run_maintenance()
+    assert collector.take_fresh() == {b"row0001", b"row0399"}
+
+
+def test_fresh_rows_across_a_crash_replay(cdc_cluster):
+    cluster, table = cdc_cluster
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    put_rows(table, [b"a", b"b"])       # unflushed when the server dies
+    [location] = cluster.region_locations("t")
+    cluster.kill_region_server(location.server_id)
+    put_rows(table, [b"a", b"c"])       # the replay holds a again
+    cluster.run_maintenance()
+    assert collector.take_fresh() == {b"b", b"c"}
+
+
+def test_fresh_rows_across_a_promotion(cdc_cluster):
+    cluster, table = cdc_cluster
+    cluster.enable_region_replication(replicas=1)
+    collector = Collector()
+    cluster.cdc.subscribe("s", ["t"], collector)
+    put_rows(table, [b"a"])
+    cluster.run_maintenance()
+    assert collector.take_fresh() == {b"a"}
+    put_rows(table, [b"b"])             # unflushed on the dying primary
+    [location] = cluster.region_locations("t")
+    cluster.kill_region_server(location.server_id)
+    assert cluster.metrics.get("hbase.replica.promotions") == 1
+    put_rows(table, [b"a", b"b", b"c"])
+    cluster.run_maintenance()
+    assert collector.take_fresh() == {b"c"}

@@ -201,7 +201,7 @@ def test_a_put_retry_resends_only_the_refused_region(clock):
         cluster.enable_cdc()
         delivered = []
         cluster.cdc.subscribe("s", ["t"],
-                              lambda table, cells: delivered.extend(cells))
+                              lambda table, cells, fresh: delivered.extend(cells))
         table = ConnectionFactory.create_connection(
             cluster.configuration()).get_table("t")
         if faulted:

@@ -49,7 +49,7 @@ class LifecycleModel(RuleBasedStateMachine):
         self.delivered = Counter()
         self.cluster.enable_cdc().subscribe(
             "model", ["t"],
-            lambda table, cells: self.delivered.update(
+            lambda table, cells, fresh: self.delivered.update(
                 (c.row, c.value) for c in cells))
         self.latest = {}
         #: a client that never reconnects: what it has cached goes stale

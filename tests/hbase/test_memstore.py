@@ -53,3 +53,31 @@ def test_scan_always_sorted(rows):
     store.add_all([cell(r) for r in rows])
     scanned = [c.row for c in store.scan()]
     assert scanned == sorted(rows)
+
+
+_ops = st.lists(st.one_of(
+    st.just("clear"),
+    # a small vocabulary: rewrites of one key, at one timestamp or not
+    st.lists(st.tuples(st.sampled_from([b"a", b"b", b"c"]), st.sampled_from(["q", "r"]),
+                       st.integers(1, 3), st.binary(max_size=3)), max_size=6),
+), max_size=12)
+
+
+@given(_ops)
+def test_running_size_is_the_sum_of_what_a_scan_returns(ops):
+    store = MemStore()
+    for op in ops:
+        if op == "clear":
+            store.clear()
+        else:
+            store.add_all([Cell(row, "f", q, ts, v) for row, q, ts, v in op])
+        assert store.size_bytes == sum(c.heap_size() for c in store.scan())
+
+
+@given(st.lists(st.binary(max_size=3), max_size=12),
+       st.lists(st.binary(max_size=3), max_size=12))
+def test_held_rows_are_the_rows_a_scan_holds(stored, asked):
+    store = MemStore()
+    store.add_all([cell(row) for row in stored])
+    asked = sorted(set(asked))
+    assert store.held_rows(asked) == [row for row in asked if row in stored]

@@ -146,6 +146,40 @@ def test_family_pruning_reduces_io_bytes():
     assert 0 < f_only < all_bytes
 
 
+@pytest.mark.parametrize("start, stop", [
+    (b"", None), (b"b", None), (b"", b"d"), (b"a", b"e"),    # the whole memstore
+    (b"c", None), (b"", b"c"), (b"c", b"d"), (b"x", b"y"),   # part of it, or none
+])
+def test_memstore_bytes_billed_are_the_cells_in_range(start, stop):
+    r = region(families=("f", "g"))
+    for row in (b"a", b"b", b"c", b"d"):
+        put(r, row)
+    r.flush()
+    for row in (b"b", b"c"):
+        put(r, row, b"longer", ts=2)        # a second version
+        put(r, row, b"rewritten", ts=2)     # and a rewrite of it
+    put(r, b"b", family="g")
+    __, memstore_bytes = r.touched_blocks_by_file("", start, stop)
+    assert memstore_bytes == sum(
+        c.heap_size() for store in r.stores.values()
+        for c in store.memstore.scan(start, stop))
+    whole = sum(s.memstore.size_bytes for s in r.stores.values())
+    covers = start <= b"b" and (stop is None or stop > b"c")
+    assert (memstore_bytes == whole) == covers
+
+
+def test_fresh_rows_are_the_rows_no_store_holds():
+    r = region(families=("f", "g"))
+    for row in (b"b", b"d", b"f"):
+        put(r, row)
+    r.flush()
+    put(r, b"h", family="g")
+    r.put_cells([Cell(b"j", "f", "", 5, b"", CellType.DELETE_FAMILY)])
+    batch = [Cell(row, "f", "q", 9, b"v")
+             for row in (b"a", b"b", b"c", b"e", b"f", b"h", b"j", b"k")]
+    assert r.fresh_rows(batch) == {b"a", b"c", b"e", b"k"}
+
+
 def test_major_compaction_drops_tombstones():
     r = region()
     put(r, b"a", ts=1)

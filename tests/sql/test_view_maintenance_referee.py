@@ -22,6 +22,12 @@ batch.  An invalidated view is refreshed and must then equal the model.
 Double arguments are quarter-integers, so a sum of them is exact in any
 order: that shape checks that its overwrites take the recount path, not
 rounding.
+
+Every history runs three ways: with the fresh rows the region servers mark
+(a row its region held no cell of, folded from the batch's own cells),
+with no row marked (every written row read back, the reference path), and
+with every bloom admitting every row.  Each run must equal the model, and
+the three must leave the view tables equal cell for cell.
 """
 
 import pytest
@@ -32,6 +38,8 @@ from repro.core.catalog import HBaseTableCatalog
 from repro.core.keys import RowCodec
 from repro.hbase import ConnectionFactory, Delete, Scan
 from repro.hbase.cluster import HBaseCluster
+from repro.hbase.hfile import BloomFilter
+from repro.hbase.region import Region
 from repro.sql.session import SparkSession
 from repro.sql.types import DoubleType, IntegerType, StructField, StructType
 from tests.differential.strategies import hbase_table
@@ -206,13 +214,34 @@ class Harness:
             assert _canon(self._stored(name)) == _canon(_expected(name, self.model)), name
 
 
+#: how the region servers mark fresh rows: as they do; never, so every
+#: written row is read back; and with every bloom admitting every row, so
+#: a row is fresh only when no store's span or memstore holds it
+MARKS = {
+    "marked": {},
+    "unmarked": {(Region, "fresh_rows"): lambda self, cells: frozenset()},
+    "blooms_admit_all": {
+        (BloomFilter, "admitted"): lambda self, hashes: list(range(len(hashes)))},
+}
+
+
 @pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(initial=st.dictionaries(_keys, _row, max_size=8),
        batches=st.lists(_batch, min_size=1, max_size=4))
 def test_views_equal_the_model_after_every_batch(coder, initial, batches):
-    harness = Harness(coder, initial)
-    for ops, action in batches:
-        harness.run_batch(ops)
-        harness.between_batches(action)
+    """Each history runs once per way of marking fresh rows: each run
+    equals the model, and the three leave the same view cells, timestamps
+    included."""
+    cells = {}
+    for marks, patches in MARKS.items():
+        with pytest.MonkeyPatch.context() as patched:
+            for (owner, name), replacement in patches.items():
+                patched.setattr(owner, name, replacement)
+            harness = Harness(coder, initial)
+            for ops, action in batches:
+                harness.run_batch(ops)
+                harness.between_batches(action)
+            cells[marks] = {name: harness._cells(name) for name in VIEWS}
+    assert cells["marked"] == cells["unmarked"] == cells["blooms_admit_all"]

@@ -296,43 +296,67 @@ def test_overwrite_of_a_row_flushed_under_newer_files_swaps(env, vsession):
     assert (2456100, 4, 159, 39.75) in rows_of(answered)
 
 
-def test_one_batch_reads_and_writes_the_view_once(env, vsession):
-    """400 fresh rows on a new day and 20 overwrites on 20 loaded days:
-    one base multi-get RPC per region server touched, one view multi-get,
-    one view put, and no scan."""
-    vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
+def _day_and_overwrites(env, overwrites):
+    """400 rows on a day no loaded row has, then ``overwrites`` rows that
+    each give a loaded day's first row a new quantity."""
     table, codec = base_writer(env, "inventory")
     loaded = {}
     for values in codec.decode_rows([(r.row, r.cells) for r in table.scan(Scan())]):
         loaded.setdefault(values["inv_date_sk"], values)
-    assert len(loaded) >= 20
+    assert len(loaded) >= overwrites
     puts = [codec.encode_row({
         "inv_date_sk": 2456100, "inv_item_sk": 1 + i // 4,
         "inv_warehouse_sk": 1 + i % 4, "inv_quantity_on_hand": i,
     }) for i in range(400)]
-    puts += [codec.encode_row({
+    rewritten = [codec.encode_row({
         **loaded[day],
         "inv_quantity_on_hand": loaded[day]["inv_quantity_on_hand"] + 1,
-    }) for day in sorted(loaded)[:20]]
-    table.put(puts)
-    servers = {table.connection.locate(table.name, put.row).server_id
-               for put in puts}
+    }) for day in sorted(loaded)[:overwrites]]
+    return table, puts, rewritten
 
+
+def _maintain(env, vsession, table, puts):
+    """Write ``puts`` in one batch, then spend what maintaining the view
+    costs: returns the counters' change over one ``run_maintenance``."""
+    vsession.sql(f"CREATE MATERIALIZED VIEW inv_by_date AS {AGG_SQL}").run()
+    table.put(puts)
     before = env.cluster.metrics.snapshot()
     env.cluster.run_maintenance()
     after = env.cluster.metrics.snapshot()
+    fresh = env.new_session().sql(AGG_SQL).run()
+    answered = vsession.sql(AGG_SQL).run()
+    assert [e["action"] for e in answered.view_events] == ["rewrites"]
+    assert rows_of(answered) == rows_of(fresh)
+    return lambda name: after.get(name, 0) - before.get(name, 0)
 
-    def spent(name):
-        return after.get(name, 0) - before.get(name, 0)
+
+def test_a_fresh_only_batch_reads_no_base_row(env, vsession):
+    """400 rows on a new day: their region servers mark every row fresh,
+    so the view is kept from the batch's own cells -- one view multi-get,
+    one view put, and not a base row read back."""
+    table, puts, __ = _day_and_overwrites(env, 0)
+    spent = _maintain(env, vsession, table, puts)
+    assert spent("hbase.rpcs") == 2
+    assert spent("hbase.rows_returned") == 0         # the day has no view row
+    assert spent("hbase.rows_visited") == 0          # no scan
+    assert spent("hbase.wal_syncs") == 1             # the one view put
+    assert spent("sql.view.delta_rows") == 400
+    assert spent("sql.view.recounts") == 0
+
+
+def test_one_batch_reads_the_overwritten_rows_and_writes_the_view_once(env, vsession):
+    """400 fresh rows on a new day and 20 overwrites on 20 loaded days: one
+    base multi-get RPC per region server holding an overwritten row, one
+    view multi-get, one view put, and no scan."""
+    table, puts, rewritten = _day_and_overwrites(env, 20)
+    servers = {table.connection.locate(table.name, put.row).server_id
+               for put in rewritten}
+    spent = _maintain(env, vsession, table, puts + rewritten)
     assert spent("hbase.rpcs") == len(servers) + 2
     assert spent("hbase.rows_visited") == 0          # no scan
     assert spent("hbase.wal_syncs") == 1             # the one view put
     assert spent("sql.view.delta_rows") == 420
     assert spent("sql.view.recounts") == 0
-    fresh = env.new_session().sql(AGG_SQL).run()
-    answered = vsession.sql(AGG_SQL).run()
-    assert [e["action"] for e in answered.view_events] == ["rewrites"]
-    assert rows_of(answered) == rows_of(fresh)
 
 
 def test_delete_recounts_and_removes_emptied_group(env, vsession):
@@ -701,15 +725,18 @@ def test_stale_view_never_answers_and_base_result_is_exact():
 
 #: Python calls inside ``repro.core`` + ``repro.hbase`` + ``repro.sql`` that
 #: one more row saved into a table with a maintained view may cost, end to
-#: end: encoding, the put, the change feed and the view's read-back of the
-#: row.  Measured when the write path began binding its work per batch (one
+#: end: encoding, the put, the change feed and the view's fold of the row.
+#: Measured when the write path began binding its work per batch (one
 #: ``struct`` call per all-int key, one bound encoder per data column, one
 #: meta snapshot per put or multi-get): 40.02, down from 79.02; then 39.02
 #: once the client's request size travelled with the batch to the region
-#: server instead of being summed again there.  The budget leaves a fifth
-#: of headroom, rounded up.  A helper per cell or per row shows up here as
-#: +1 or more -- raise the number only with a measurement that pays for it.
-WRITE_CALLS_PER_ROW_BUDGET = 47
+#: server instead of being summed again there; then 14.01 once a row its
+#: region never held was folded from the batch's own cells, decoded as one
+#: page into value tuples, instead of read back (37.02 just before).  The
+#: budget leaves a fifth of headroom, rounded up.  A helper per cell or per
+#: row shows up here as +1 or more -- raise the number only with a
+#: measurement that pays for it.
+WRITE_CALLS_PER_ROW_BUDGET = 17
 
 
 def test_marginal_python_calls_per_written_row(linked):

@@ -8,7 +8,10 @@ so point Gets can skip files that certainly do not contain the row -- both
 mechanisms HBase relies on and both metered by the cost model.  Its *row
 index* (where each row's cells start) and :class:`RowFacts` (what a scan
 needs to hand rows out as slices) are what the simulator computes with,
-and are never billed.
+and are never billed.  The bloom's answers are billed, building it is not:
+a row the file holds is admitted by its row index (a bloom never misses a
+key it was built from), so the bits are built on the first ask about a row
+the file does not hold.
 """
 
 from __future__ import annotations
@@ -138,12 +141,13 @@ class StoreFile:
     The *row index* is built with the file, by C-level maps over the cells:
     ``row_keys`` are the distinct row keys in order, and row ``i``'s cells
     are ``cells[row_starts[i]:row_starts[i + 1]]`` (``row_starts`` ends with
-    the cell count).  Ranged scans, Gets and the block lookup bisect it.
-    The bloom is built from ``row_keys`` in one loop.
-    The :class:`RowFacts` a sliced scan needs cost a second pass, so they
-    wait for the first scan that could slice this file and are kept from
-    then on: a flushed file that only Gets read, or that is compacted away
-    first, never builds them.
+    the cell count).  Ranged scans, Gets, bloom checks and the block lookup
+    bisect it.  Two structures cost a second pass, so each waits for its
+    first use and is kept from then on: the :class:`RowFacts` a sliced scan
+    needs, and the bloom, built from ``row_keys`` in one loop when the file
+    is first asked about a row it does not hold.  A flush, split, bulk load
+    or compaction hashes nothing; a file that only scans or Gets of its own
+    rows read, or that is compacted away first, never builds either.
     """
 
     def __init__(self, cells: List[Cell], block_cells: int = DEFAULT_BLOCK_CELLS,
@@ -165,8 +169,7 @@ class StoreFile:
             ne, map(_ROW, cells), map(_ROW, islice(cells, 1, None)))))
         self.row_keys: List[bytes] = list(map(_ROW, map(cells.__getitem__, starts)))
         starts.append(len(cells))
-        # the bloom is sized by the distinct rows, each hashed once
-        self._bloom = BloomFilter(self.row_keys)
+        self._bloom: Optional[BloomFilter] = None
         #: the version limit a major compaction resolved every row at (no
         #: tombstones, no rewrites, at most that many versions per column);
         #: None for a file that may hold anything
@@ -185,6 +188,14 @@ class StoreFile:
             facts = self._facts = RowFacts(self._cells)
         return facts
 
+    def bloom(self) -> BloomFilter:
+        """The file's bloom over ``row_keys``, built on the first call.  Two
+        threads that race here build the same bits."""
+        bloom = self._bloom
+        if bloom is None:
+            bloom = self._bloom = BloomFilter(self.row_keys)
+        return bloom
+
     @property
     def first_row(self) -> Optional[bytes]:
         return self.row_keys[0] if self.row_keys else None
@@ -193,11 +204,33 @@ class StoreFile:
     def last_row(self) -> Optional[bytes]:
         return self.row_keys[-1] if self.row_keys else None
 
-    def admitted_rows(self, hashes: Sequence[RowHash]) -> List[int]:
-        """Bloom check of a batch of :func:`row_hash` es: the indexes of the
-        rows that might be in this file.  A row left out is certainly not
-        in it, so a Get neither seeks nor reads the file for it."""
-        return self._bloom.admitted(hashes)
+    def admitted_rows(self, rows: Sequence[bytes],
+                      hashes: Sequence[RowHash]) -> List[int]:
+        """Bloom check of a batch of sorted ``rows`` and their
+        :func:`row_hash` es: the indexes, in order, of the rows that might
+        be in this file.  A row left out is certainly not in it, so a Get
+        neither seeks nor reads the file for it.
+
+        A row the file holds is admitted by a forward bisect of the row
+        index, exactly as its bloom would admit it; only the others -- rows
+        outside the file's span included, whose false positives are billed
+        -- ask the bloom (:meth:`bloom`)."""
+        keys = self.row_keys
+        end = len(keys)
+        admitted: List[int] = []
+        absent: List[int] = []
+        lo = 0
+        for index, row in enumerate(rows):
+            lo = bisect.bisect_left(keys, row, lo)
+            if lo < end and keys[lo] == row:
+                admitted.append(index)
+            else:
+                absent.append(index)
+        if absent:
+            passed = self.bloom().admitted(list(map(hashes.__getitem__, absent)))
+            admitted.extend(map(absent.__getitem__, passed))
+            admitted.sort()
+        return admitted
 
     def row_cells(self, row: bytes, lo: int = 0) -> Tuple[List[Cell], int]:
         """The cells of ``row`` and the row position the search stopped at,

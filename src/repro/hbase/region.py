@@ -188,7 +188,8 @@ class Region:
         tombstone, in any store -- asked before the cells are applied.
 
         Per store, the memstore answers exactly (:meth:`MemStore.held_rows`)
-        and each file by its bloom, which never misses a row it holds; a row
+        and each file by :meth:`StoreFile.admitted_rows`: its row index
+        admits the rows it holds, and only the others ask its bloom.  A row
         outside a file's ``first_row..last_row`` is cut off by bisect, so
         only the rows inside some file's span are hashed, each once.  A
         bloom false positive leaves a fresh row unmarked, which is safe: the
@@ -210,7 +211,7 @@ class Region:
                     if row not in hashes:
                         hashes[row] = row_hash(row)
                 admitted = store_file.admitted_rows(
-                    list(map(hashes.__getitem__, inside)))
+                    inside, list(map(hashes.__getitem__, inside)))
                 held.update(map(inside.__getitem__, admitted))
         return frozenset(rows).difference(held)
 

@@ -421,12 +421,13 @@ class RegionServer:
         they carry (sized once, as in :meth:`scan`); a row that is absent,
         outside the region or rejected by the Get's filter answers
         ``([], 0)``.  The region is resolved once and each distinct row
-        hashed once.  Every store file of a family some Get chooses asks its
-        bloom about the whole batch in one loop.  The Gets are then read in
-        row order, each from the memstore and the files that admitted its
-        row -- HBase's store-file scanner for a Get -- every source bisected
-        forward from where the previous row started; an empty memstore is
-        not asked.
+        hashed once.  Every store file of a family some Get chooses is asked
+        about the whole batch in one call (:meth:`StoreFile.admitted_rows`:
+        the rows it holds by its row index, the others by its bloom).  The
+        Gets are then read in row order, each from the memstore and the
+        files that admitted its row -- HBase's store-file scanner for a Get
+        -- every source bisected forward from where the previous row
+        started; an empty memstore is not asked.
 
         The ledger is what the Gets issued one by one, in the order asked,
         are charged: per Get, one seek per admitted file of its families,
@@ -452,7 +453,7 @@ class RegionServer:
             files = store.files
             admitting: Dict[int, List[StoreFile]] = {}
             for store_file in reversed(files):
-                for k in store_file.admitted_rows(hashes):
+                for k in store_file.admitted_rows(rows, hashes):
                     admitting.setdefault(k, []).append(store_file)
             blooms[family] = (len(files), admitting,
                               (store.memstore,) if len(store.memstore) else ())

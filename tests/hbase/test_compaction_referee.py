@@ -50,9 +50,9 @@ def assert_same_file(got: StoreFile, expected: StoreFile) -> None:
     assert got.row_starts == expected.row_starts
     assert got._block_bytes == expected._block_bytes
     assert got.size_bytes == expected.size_bytes
-    assert got._bloom._num_bits == expected._bloom._num_bits
-    assert got._bloom._bits == expected._bloom._bits
-    assert got._bloom._bits == per_key_bloom(got.row_keys)._bits
+    assert got.bloom()._num_bits == expected.bloom()._num_bits
+    assert got.bloom()._bits == expected.bloom()._bits
+    assert got.bloom()._bits == per_key_bloom(got.row_keys)._bits
 
 
 class CompactionReferee(RuleBasedStateMachine):

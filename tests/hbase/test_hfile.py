@@ -1,8 +1,10 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.hbase.cell import Cell
 from repro.hbase.hfile import BloomFilter, StoreFile, row_hash
-from tests.hbase.references import might_contain, might_contain_row, per_key_bloom
+from tests.hbase.references import (
+    count_digests, might_contain, might_contain_row, per_key_bloom,
+)
 
 
 def cell(row: bytes, ts: int = 1) -> Cell:
@@ -105,3 +107,65 @@ def test_scanned_bytes_empty_range():
 def test_bloom_filter_property(keys):
     bloom = BloomFilter(sorted(keys))
     assert all(might_contain(bloom, row_hash(k)) for k in keys)
+
+
+# -- the bloom built on first need ---------------------------------------------
+
+#: rows no drawn key of at most four bytes can reach: below and above
+#: every key, so outside any file's span
+OUTSIDE = [b"", b"\xff" * 5]
+
+
+@example(keys=set(), probes={b"a"}, picks=[], outside=set(OUTSIDE))
+@example(keys={b"m"}, probes=set(), picks=[0], outside=set())
+@example(keys={b"m"}, probes={b"a", b"m0"}, picks=[0], outside=set(OUTSIDE))
+@given(st.sets(st.binary(min_size=1, max_size=4), max_size=40),
+       st.sets(st.binary(min_size=1, max_size=4), max_size=20),
+       st.lists(st.integers(0, 39), max_size=20),
+       st.sets(st.sampled_from(OUTSIDE)))
+def test_admitted_rows_answer_as_the_per_key_bloom(keys, probes, picks, outside):
+    """A sorted batch of held rows, absent rows inside the span and rows
+    outside it is admitted exactly as asking the per-key bloom row by row
+    admits it; the bloom is built only when some row is not held."""
+    ordered = sorted(keys)
+    held = {ordered[i % len(ordered)] for i in picks} if ordered else set()
+    rows = sorted(held | probes | outside)
+    hashes = list(map(row_hash, rows))
+    sf = store_file([cell(k) for k in ordered])
+    reference = per_key_bloom(ordered)
+    assert sf.admitted_rows(rows, hashes) == [
+        i for i, hashed in enumerate(hashes) if might_contain(reference, hashed)]
+    assert (sf._bloom is not None) == any(row not in keys for row in rows)
+    assert sf.bloom()._bits == reference._bits
+
+
+def test_a_file_asked_only_about_rows_it_holds_builds_no_bloom(monkeypatch):
+    rows = [b"r%03d" % i for i in range(100)]
+    sf = store_file([cell(r) for r in rows])
+    hashes = list(map(row_hash, rows))
+    digests = count_digests(monkeypatch)
+    assert sf.admitted_rows(rows, hashes) == list(range(100))
+    assert sf.admitted_rows(rows[::7], hashes[::7]) == list(range(15))
+    assert digests == []
+    assert sf._bloom is None
+
+
+def test_the_first_ask_about_an_absent_row_builds_the_bloom_once(monkeypatch):
+    rows = [b"r%03d" % i for i in range(100)]
+    sf = store_file([cell(r) for r in rows])
+    builds = []
+    original = BloomFilter.__init__
+    monkeypatch.setattr(BloomFilter, "__init__",
+                        lambda self, keys: builds.append(1) or original(self, keys))
+    with monkeypatch.context() as patch:
+        digests = count_digests(patch)
+        asked = [b"r000", b"r0005", b"r050"]
+        sf.admitted_rows(asked, list(map(row_hash, asked)))
+    assert len(builds) == 1
+    assert len(digests) == len(asked) + len(rows)
+    with monkeypatch.context() as patch:
+        digests = count_digests(patch)
+        asked = [b"a", b"r0105", b"s"]
+        sf.admitted_rows(asked, list(map(row_hash, asked)))
+    assert len(builds) == 1
+    assert digests == asked

@@ -7,6 +7,7 @@ import repro
 from repro.common.errors import HBaseError
 from repro.hbase.cell import Cell, CellType
 from repro.hbase.region import Region, TimeRange
+from tests.hbase.references import count_digests
 
 
 def region(families=("f",), start=b"", end=b"", flush_threshold=10_000_000):
@@ -269,6 +270,25 @@ def test_compaction_reports_every_file_it_wrote():
         r.flush()
     r.compact(major=True)
     assert len(r.last_new_files) == len(families)
+
+
+def test_flushes_compactions_and_splits_hash_no_row(monkeypatch):
+    """A store file's bloom waits for the first ask about a row the file
+    does not hold: writing files -- a flush, a minor and a major
+    compaction, a split's halves -- takes no blake2b digest."""
+    r = region()
+    digests = count_digests(monkeypatch)
+    for version in (1, 2):
+        r.put_cells([Cell(b"r%04d" % i, "f", "q", version, b"v")
+                     for i in range(0, 400, version)])
+        r.flush()
+    r.compact(major=False)
+    r.put_cells([Cell(b"r%04d" % i, "f", "q", 3, b"w") for i in range(0, 400, 10)])
+    r.flush()
+    r.compact(major=True, max_versions=3)
+    ids = iter((2, 3))
+    assert r.split(ids.__next__) is not None
+    assert digests == []
 
 
 #: Python calls inside ``repro.hbase`` that one more row of a store may

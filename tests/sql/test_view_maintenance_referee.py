@@ -27,7 +27,9 @@ Every history runs three ways: with the fresh rows the region servers mark
 (a row its region held no cell of, folded from the batch's own cells),
 with no row marked (every written row read back, the reference path), and
 with every bloom admitting every row.  Each run must equal the model, and
-the three must leave the view tables equal cell for cell.
+the three must leave the view tables equal cell for cell.  A store file
+answers the rows it holds by its row index, so the last run must show
+that some drawn history asked a bloom at all.
 """
 
 import pytest
@@ -214,34 +216,52 @@ class Harness:
             assert _canon(self._stored(name)) == _canon(_expected(name, self.model)), name
 
 
+#: the bloom asks the "blooms_admit_all" runs made, one entry per call
+_ADMIT_ALL_ASKS = []
+
+
+def _admit_all(self, hashes):
+    _ADMIT_ALL_ASKS.append(len(hashes))
+    return list(range(len(hashes)))
+
+
 #: how the region servers mark fresh rows: as they do; never, so every
 #: written row is read back; and with every bloom admitting every row, so
-#: a row is fresh only when no store's span or memstore holds it
+#: a row is fresh only when no store's span or memstore holds it.  A store
+#: file answers the rows it holds by its row index, so only the rows it
+#: lacks reach the patched bloom.
 MARKS = {
     "marked": {},
     "unmarked": {(Region, "fresh_rows"): lambda self, cells: frozenset()},
-    "blooms_admit_all": {
-        (BloomFilter, "admitted"): lambda self, hashes: list(range(len(hashes)))},
+    "blooms_admit_all": {(BloomFilter, "admitted"): _admit_all},
 }
 
 
 @pytest.mark.parametrize("coder", ["PrimitiveType", "Phoenix"])
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(initial=st.dictionaries(_keys, _row, max_size=8),
-       batches=st.lists(_batch, min_size=1, max_size=4))
-def test_views_equal_the_model_after_every_batch(coder, initial, batches):
+def test_views_equal_the_model_after_every_batch(coder):
     """Each history runs once per way of marking fresh rows: each run
     equals the model, and the three leave the same view cells, timestamps
-    included."""
-    cells = {}
-    for marks, patches in MARKS.items():
-        with pytest.MonkeyPatch.context() as patched:
-            for (owner, name), replacement in patches.items():
-                patched.setattr(owner, name, replacement)
-            harness = Harness(coder, initial)
-            for ops, action in batches:
-                harness.run_batch(ops)
-                harness.between_batches(action)
-            cells[marks] = {name: harness._cells(name) for name in VIEWS}
-    assert cells["marked"] == cells["unmarked"] == cells["blooms_admit_all"]
+    included.  Over the drawn histories the admit-all bloom must have been
+    asked, or that run would only repeat the marked one."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(initial=st.dictionaries(_keys, _row, max_size=8),
+           batches=st.lists(_batch, min_size=1, max_size=4))
+    def history(initial, batches):
+        cells = {}
+        for marks, patches in MARKS.items():
+            with pytest.MonkeyPatch.context() as patched:
+                for (owner, name), replacement in patches.items():
+                    patched.setattr(owner, name, replacement)
+                harness = Harness(coder, initial)
+                for ops, action in batches:
+                    harness.run_batch(ops)
+                    harness.between_batches(action)
+                cells[marks] = {name: harness._cells(name) for name in VIEWS}
+        assert cells["marked"] == cells["unmarked"] == cells["blooms_admit_all"]
+
+    _ADMIT_ALL_ASKS.clear()
+    history()
+    assert any(_ADMIT_ALL_ASKS)
